@@ -95,7 +95,7 @@ type Config struct {
 	// clamped to the number of populated ASes.
 	Shards int
 
-	// LeanLedger drops the overlay ledger's per-peer and per-pair maps,
+	// LeanLedger drops the overlay ledger's per-peer columns and per-pair map,
 	// keeping only swarm-wide totals — the setting that takes resident
 	// metric memory from O(peers) to O(1) and makes 10⁵-peer worlds fit.
 	// Every figure Result reports comes from the totals, so the switch

@@ -97,13 +97,11 @@ type Node struct {
 	buf  *chunkstream.BufferMap
 	play *chunkstream.Playout
 
-	partners map[PeerID]*partner
-	// byID is the partner set ordered by peer id — the deterministic
-	// iteration backbone. Every loop that consumes randomness or emits
-	// events walks it instead of ranging over the partners map: Go map
-	// order is randomized per run, and leaking it into the event sequence
-	// would break seed-reproducibility. Maintained incrementally on
-	// partner add/drop; never rebuilt.
+	// byID is the partner set, ordered by peer id: the membership record
+	// (partnerByID binary-searches it; at most MaxPartners entries) and the
+	// deterministic iteration order of every loop that consumes randomness
+	// or emits events. Maintained incrementally on partner add/drop; never
+	// rebuilt.
 	byID []idEntry
 	// byReq is the same set ordered by (cached request weight descending,
 	// peer id ascending): the weight-ordered partner index. Its head is
@@ -172,7 +170,7 @@ type Node struct {
 func (nd *Node) Online() bool { return nd.online }
 
 // Partners reports the current partner count.
-func (nd *Node) Partners() int { return len(nd.partners) }
+func (nd *Node) Partners() int { return len(nd.byID) }
 
 // Continuity reports the playout continuity achieved so far (1.0 before
 // anything was due). Sources report 1.
@@ -230,11 +228,11 @@ func (nd *Node) Join() {
 		base = 0
 	}
 	// Re-arm the session's episode state in place: buffer map, playout
-	// tracker and the two maps are recycled across join/leave cycles, so a
-	// node that flaps for the whole experiment allocates its hot state once.
-	// Neither map is ever ranged un-sorted into RNG- or event-visible work,
-	// so reuse cannot leak map iteration order into the deterministic
-	// schedule.
+	// tracker, partner indexes and the inflight map are recycled across
+	// join/leave cycles, so a node that flaps for the whole experiment
+	// allocates its hot state once. The map is never ranged un-sorted into
+	// RNG- or event-visible work, so reuse cannot leak map iteration order
+	// into the deterministic schedule.
 	if nd.buf == nil {
 		nd.buf = chunkstream.NewBufferMap(base, nd.net.Cfg.BufferWindow)
 	} else {
@@ -250,7 +248,6 @@ func (nd *Node) Join() {
 		nd.play.Reset(start)
 	}
 	clear(nd.inflight)
-	clear(nd.partners)
 	nd.byID = nd.byID[:0]
 	nd.byReq = nd.byReq[:0]
 	nd.neighbors = nd.neighbors[:0]
@@ -299,12 +296,11 @@ func (nd *Node) Leave() {
 			nd.net.crossRemovePartner(nd, other)
 		}
 	}
-	// Recycle every partner episode and empty the maps in place; the next
-	// Join reuses all of it.
+	// Recycle every partner episode and empty the indexes in place; the
+	// next Join reuses all of it.
 	for i := range nd.byID {
 		nd.recyclePartner(nd.byID[i].p)
 	}
-	clear(nd.partners)
 	nd.byID = nd.byID[:0]
 	nd.byReq = nd.byReq[:0]
 	clear(nd.inflight)
@@ -452,28 +448,27 @@ func (nd *Node) infoFor(other *Node) policy.Info {
 	}
 }
 
-// indexInsert places a freshly added partner into both orders.
-func (nd *Node) indexInsert(p *partner) {
-	id := p.node.ID
-	i := 0
-	for i < len(nd.byID) && nd.byID[i].id < id {
-		i++
-	}
-	nd.byID = append(nd.byID, idEntry{})
-	copy(nd.byID[i+1:], nd.byID[i:])
-	nd.byID[i] = idEntry{id: id, p: p}
-	nd.byReqInsert(p)
-}
-
-// indexRemove takes a departing partner out of both orders.
-func (nd *Node) indexRemove(p *partner) {
-	for i := range nd.byID {
-		if nd.byID[i].p == p {
-			nd.byID = append(nd.byID[:i], nd.byID[i+1:]...)
-			break
+// byIDSearch returns id's position in byID, or its insertion point. Written
+// out because slices.BinarySearchFunc calls its comparator un-inlined.
+func (nd *Node) byIDSearch(id PeerID) (int, bool) {
+	lo, hi := 0, len(nd.byID)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if nd.byID[mid].id < id {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	nd.byReqRemove(p)
+	return lo, lo < len(nd.byID) && nd.byID[lo].id == id
+}
+
+// partnerByID returns the partner with the given id, nil when there is none.
+func (nd *Node) partnerByID(id PeerID) *partner {
+	if i, ok := nd.byIDSearch(id); ok {
+		return nd.byID[i].p
+	}
+	return nil
 }
 
 // byReqInsert places p at its weight-ordered position: request weight
@@ -526,14 +521,14 @@ func (nd *Node) rescore(p *partner) {
 // refillPartners queries the tracker and adopts candidates, weighted by the
 // profile's DiscoveryWeight, until the partner target is met.
 func (nd *Node) refillPartners() {
-	need := nd.Profile.PartnerTarget - len(nd.partners)
+	need := nd.Profile.PartnerTarget - len(nd.byID)
 	if need <= 0 {
 		return
 	}
 	cands := nd.net.trackerSample(nd, nd.net.Cfg.TrackerBatch)
 	nd.scorer.Reset()
 	for i, c := range cands {
-		if _, dup := nd.partners[c.ID]; dup {
+		if nd.partnerByID(c.ID) != nil {
 			continue
 		}
 		if !c.Link.AcceptsFrom(nd.Link) {
@@ -566,7 +561,7 @@ func (nd *Node) handshake(other *Node) {
 	nd.net.sendSignal(other, nd, handshakeSize)
 	nd.rememberNeighbor(other.ID)
 	other.rememberNeighbor(nd.ID)
-	if len(nd.partners) >= nd.Profile.MaxPartners || len(other.partners) >= other.Profile.MaxPartners {
+	if len(nd.byID) >= nd.Profile.MaxPartners || len(other.byID) >= other.Profile.MaxPartners {
 		return
 	}
 	nd.addPartner(other)
@@ -574,7 +569,8 @@ func (nd *Node) handshake(other *Node) {
 }
 
 func (nd *Node) addPartner(other *Node) {
-	if _, dup := nd.partners[other.ID]; dup {
+	i, dup := nd.byIDSearch(other.ID)
+	if dup {
 		return
 	}
 	info := nd.infoFor(other)
@@ -588,8 +584,10 @@ func (nd *Node) addPartner(other *Node) {
 	// Locality facts are settled for good at partnership formation; this
 	// is the once-per-pair weighing the selection loops reuse from here on.
 	p.reqW, p.retW = policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, info)
-	nd.partners[other.ID] = p
-	nd.indexInsert(p)
+	nd.byID = append(nd.byID, idEntry{})
+	copy(nd.byID[i+1:], nd.byID[i:])
+	nd.byID[i] = idEntry{id: other.ID, p: p}
+	nd.byReqInsert(p)
 }
 
 // newPartner takes a recycled partner struct from the pool (resetting its
@@ -627,24 +625,22 @@ func (nd *Node) recyclePartner(p *partner) {
 
 func (nd *Node) dropPartner(id PeerID) {
 	nd.removePartner(id)
-	if other := nd.net.NodeByID(id); other != nil {
-		if sameShard(nd, other) {
-			other.removePartner(nd.ID)
-		} else {
-			nd.net.crossRemovePartner(nd, other)
-		}
+	if other := nd.net.NodeByID(id); sameShard(nd, other) {
+		other.removePartner(nd.ID)
+	} else {
+		nd.net.crossRemovePartner(nd, other)
 	}
 }
 
-// removePartner clears one side of a partnership, keeping map and indexes
-// in lockstep.
+// removePartner clears one side of a partnership.
 func (nd *Node) removePartner(id PeerID) {
-	p, ok := nd.partners[id]
+	i, ok := nd.byIDSearch(id)
 	if !ok {
 		return
 	}
-	delete(nd.partners, id)
-	nd.indexRemove(p)
+	p := nd.byID[i].p
+	nd.byID = append(nd.byID[:i], nd.byID[i+1:]...)
+	nd.byReqRemove(p)
 	nd.recyclePartner(p)
 }
 
@@ -676,7 +672,7 @@ func (nd *Node) contactTick() {
 	}
 	cands := nd.net.trackerSample(nd, nd.net.Cfg.ContactFanout)
 	for _, c := range cands {
-		if _, dup := nd.partners[c.ID]; dup {
+		if nd.partnerByID(c.ID) != nil {
 			continue
 		}
 		if !c.Link.AcceptsFrom(nd.Link) && !nd.Link.AcceptsFrom(c.Link) {
@@ -701,7 +697,7 @@ func (nd *Node) contactTick() {
 		c.rememberNeighbor(nd.ID)
 		// Adopt as partner when short-handed, using the discovery policy
 		// as an accept/reject filter relative to a uniform candidate.
-		if len(nd.partners) < nd.Profile.PartnerTarget && len(c.partners) < c.Profile.MaxPartners {
+		if len(nd.byID) < nd.Profile.PartnerTarget && len(c.byID) < c.Profile.MaxPartners {
 			info := nd.infoFor(c)
 			w := nd.Profile.DiscoveryWeight.Weight(info)
 			base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
@@ -760,7 +756,7 @@ func (nd *Node) signalingTick() {
 			}
 			nd.net.sendSignal(nd, other, size)
 			// The partner learns our holdings.
-			if remote, ok := other.partners[nd.ID]; ok {
+			if remote := other.partnerByID(nd.ID); remote != nil {
 				remote.have.LoadSnapshot(base, nd.snapBits)
 			}
 		}
@@ -771,9 +767,6 @@ func (nd *Node) signalingTick() {
 	for i := 0; i < fan && len(nd.neighbors) > 0; i++ {
 		id := nd.neighbors[rng.Intn(len(nd.neighbors))]
 		other := nd.net.NodeByID(id)
-		if other == nil {
-			continue
-		}
 		if !sameShard(nd, other) {
 			nd.keepaliveCross(other)
 			continue
@@ -794,7 +787,7 @@ func (nd *Node) churnTick() {
 		return
 	}
 	nd.dropDeadPartners()
-	if len(nd.partners) >= nd.Profile.PartnerTarget {
+	if len(nd.byID) >= nd.Profile.PartnerTarget {
 		nd.scorer.Reset()
 		for _, en := range nd.byID {
 			nd.scorer.PushScored(policy.Candidate{Index: int(en.id), Info: en.p.info}, en.p.retW)
@@ -862,7 +855,7 @@ func (nd *Node) scheduleTick() {
 		req := nd.inflight[id]
 		delete(nd.inflight, id)
 		nd.sc.ledger.timeout(nd.ID)
-		if pr, ok := nd.partners[req.from]; ok {
+		if pr := nd.partnerByID(req.from); pr != nil {
 			pr.failures++
 			pr.info.EstRate /= 2 // stale partner loses standing
 			if cong {

@@ -135,7 +135,7 @@ type Config struct {
 	// value is the historical unbounded model and leaves the event and
 	// RNG sequence byte-identical.
 	Congestion access.CongestionModel
-	// LeanLedger drops the ledger's per-peer and per-pair maps, keeping
+	// LeanLedger drops the ledger's per-peer columns and per-pair map, keeping
 	// only the swarm-wide scalar totals. Per-peer ground truth grows
 	// O(peers) — and VideoByPair O(peers²) in the worst case — which is
 	// what pins resident memory at 10⁵-peer scale; every result the
@@ -199,29 +199,30 @@ func MakePairKey(a, b PeerID) PairKey {
 // inference; tests and EXPERIMENTS.md use it to validate what the passive
 // methodology recovered.
 type Ledger struct {
-	// lean drops every map below, leaving only scalar totals; the
-	// accumulation methods gate their map writes on it. See
-	// Config.LeanLedger.
+	// lean drops the per-pair map and the per-peer columns below, leaving
+	// only scalar totals; the accumulation methods gate those writes on
+	// it. See Config.LeanLedger.
 	lean bool
 
 	// VideoByPair counts video payload bytes per directed pair. Nil in
-	// lean mode, like every map here.
+	// lean mode, like every per-peer column here.
 	VideoByPair map[[2]PeerID]int64
-	// Totals per node.
-	VideoRx, VideoTx   map[PeerID]int64
-	SignalRx, SignalTx map[PeerID]int64
-	ChunksServed       map[PeerID]int64
-	Rejections         map[PeerID]int64
-	Timeouts           map[PeerID]int64
+	// Totals per node, indexed by PeerID: ids are dense (AddNode hands out
+	// len(nodes) and grows every shard's columns to cover the new id).
+	VideoRx, VideoTx   []int64
+	SignalRx, SignalTx []int64
+	ChunksServed       []int64
+	Rejections         []int64
+	Timeouts           []int64
 	// Congestion accounting, by the peer whose uplink queue dropped the
 	// transfer (Drops), whose scheduler re-requested a lost chunk
 	// (Retransmits), or who put a partner into backoff (Backoffs). All
 	// zero under the default unbounded congestion model.
-	Drops       map[PeerID]int64
-	Retransmits map[PeerID]int64
-	Backoffs    map[PeerID]int64
+	Drops       []int64
+	Retransmits []int64
+	Backoffs    []int64
 
-	// Swarm-wide totals mirroring the sums of the maps above, maintained
+	// Swarm-wide totals mirroring the sums of the columns above, maintained
 	// in both modes so lean runs still report aggregate health.
 	SignalTotal       int64
 	ChunksServedTotal int64
@@ -263,27 +264,35 @@ type Ledger struct {
 }
 
 func newLedger(lean bool) *Ledger {
-	if lean {
-		return &Ledger{
-			lean:           true,
-			VideoRxByAS:    make(map[topology.ASN]int64),
-			VideoIntraByAS: make(map[topology.ASN]int64),
-		}
-	}
-	return &Ledger{
-		VideoByPair:    make(map[[2]PeerID]int64),
-		VideoRx:        make(map[PeerID]int64),
-		VideoTx:        make(map[PeerID]int64),
-		SignalRx:       make(map[PeerID]int64),
-		SignalTx:       make(map[PeerID]int64),
-		ChunksServed:   make(map[PeerID]int64),
-		Rejections:     make(map[PeerID]int64),
-		Timeouts:       make(map[PeerID]int64),
-		Drops:          make(map[PeerID]int64),
-		Retransmits:    make(map[PeerID]int64),
-		Backoffs:       make(map[PeerID]int64),
+	l := &Ledger{
+		lean:           lean,
 		VideoRxByAS:    make(map[topology.ASN]int64),
 		VideoIntraByAS: make(map[topology.ASN]int64),
+	}
+	if !lean {
+		l.VideoByPair = make(map[[2]PeerID]int64)
+	}
+	return l
+}
+
+// peerColumns lists the per-peer columns, for grow and merge.
+func (l *Ledger) peerColumns() [10]*[]int64 {
+	return [10]*[]int64{
+		&l.VideoRx, &l.VideoTx, &l.SignalRx, &l.SignalTx, &l.ChunksServed,
+		&l.Rejections, &l.Timeouts, &l.Drops, &l.Retransmits, &l.Backoffs,
+	}
+}
+
+// grow extends every per-peer column to cover ids below n. Lean ledgers
+// keep their columns nil.
+func (l *Ledger) grow(n int) {
+	if l.lean {
+		return
+	}
+	for _, col := range l.peerColumns() {
+		if len(*col) < n {
+			*col = append(*col, make([]int64, n-len(*col))...)
+		}
 	}
 }
 
@@ -469,28 +478,20 @@ func (n *Network) LedgerView() *Ledger {
 	return m
 }
 
-// merge folds src into l. Map merges allocate nothing new for keys already
-// present; in lean mode only the AS-keyed maps exist on either side.
+// merge folds src into l, growing l's per-peer columns to src's length
+// first. In lean mode only the AS-keyed maps exist on either side.
 func (l *Ledger) merge(src *Ledger) {
 	if !l.lean && !src.lean {
 		for k, v := range src.VideoByPair {
 			l.VideoByPair[k] += v
 		}
-		mergePeer := func(dst, s map[PeerID]int64) {
-			for k, v := range s {
-				dst[k] += v
+		l.grow(len(src.VideoRx))
+		dst := l.peerColumns()
+		for c, col := range src.peerColumns() {
+			for id, v := range *col {
+				(*dst[c])[id] += v
 			}
 		}
-		mergePeer(l.VideoRx, src.VideoRx)
-		mergePeer(l.VideoTx, src.VideoTx)
-		mergePeer(l.SignalRx, src.SignalRx)
-		mergePeer(l.SignalTx, src.SignalTx)
-		mergePeer(l.ChunksServed, src.ChunksServed)
-		mergePeer(l.Rejections, src.Rejections)
-		mergePeer(l.Timeouts, src.Timeouts)
-		mergePeer(l.Drops, src.Drops)
-		mergePeer(l.Retransmits, src.Retransmits)
-		mergePeer(l.Backoffs, src.Backoffs)
 	}
 	l.SignalTotal += src.SignalTotal
 	l.ChunksServedTotal += src.ChunksServedTotal
@@ -565,7 +566,6 @@ func (n *Network) AddNode(host topology.Host, link access.Link, prof *Profile) *
 		Profile:  prof,
 		up:       access.NewPort(link.Spec.Up),
 		down:     access.NewPort(link.Spec.Down),
-		partners: make(map[PeerID]*partner),
 		inflight: make(map[chunkstream.ChunkID]pendingReq),
 		onlineAt: -1,
 	}
@@ -576,6 +576,9 @@ func (n *Network) AddNode(host topology.Host, link access.Link, prof *Profile) *
 		node.up.SetQueueLimit(d)
 	}
 	n.nodes = append(n.nodes, node)
+	for _, sc := range n.shards {
+		sc.ledger.grow(len(n.nodes))
+	}
 	return node
 }
 

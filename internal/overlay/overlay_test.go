@@ -52,7 +52,8 @@ func testConfig() Config {
 
 // world is a reusable miniature swarm fixture.
 type world struct {
-	eng   *sim.Engine
+	eng   *sim.Engine  // the serial engine, or sh's global engine
+	sh    *sim.Sharded // nil on one shard
 	topo  *topology.Topology
 	net   *Network
 	src   *Node
@@ -66,29 +67,45 @@ func buildWorld(t testing.TB, seed int64, nPeers int, slowEvery int) *world {
 
 func buildWorldCfg(t testing.TB, seed int64, nPeers int, slowEvery int, cfg Config) *world {
 	t.Helper()
+	return buildWorldShards(t, seed, nPeers, slowEvery, cfg, 1)
+}
+
+// buildWorldShards builds the fixture on `shards` shard engines, ASes dealt
+// round-robin; one shard is the serial engine. Sharded worlds run through
+// w.sh and are read through w.net.LedgerView().
+func buildWorldShards(t testing.TB, seed int64, nPeers int, slowEvery int, cfg Config, shards int) *world {
+	t.Helper()
 	b := topology.NewBuilder(seed)
 	b.AddCountry("CN", topology.Asia)
 	b.AddCountry("IT", topology.Europe)
 	var subs []topology.SubnetID
+	shardOf := make(map[topology.ASN]int)
 	for i := 0; i < 6; i++ {
 		cc := topology.CC("CN")
 		if i >= 4 {
 			cc = "IT"
 		}
 		asn := b.AddAS(cc)
+		shardOf[asn] = i % shards
 		subs = append(subs, b.AddSubnet(asn), b.AddSubnet(asn))
 	}
 	topo := b.Build()
-	eng := sim.New(seed)
-	net := New(eng, topo, cfg)
+	w := &world{topo: topo}
+	if shards == 1 {
+		w.eng = sim.New(seed)
+		w.net = New(w.eng, topo, cfg)
+	} else {
+		w.sh = sim.NewSharded(seed, shards, topo.MinInterGroupDelay(shardOf))
+		w.eng = w.sh.Global()
+		w.net = NewSharded(w.sh, topo, cfg, shardOf)
+	}
 
 	srcHost, err := topo.NewHost(subs[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	src := net.AddSource(srcHost, access.LAN100, testProfile())
+	w.src = w.net.AddSource(srcHost, access.LAN100, testProfile())
 
-	var peers []*Node
 	for i := 0; i < nPeers; i++ {
 		h, err := topo.NewHost(subs[(i+1)%len(subs)])
 		if err != nil {
@@ -98,16 +115,15 @@ func buildWorldCfg(t testing.TB, seed int64, nPeers int, slowEvery int, cfg Conf
 		if slowEvery > 0 && i%slowEvery == 0 {
 			link = access.DSL6
 		}
-		peers = append(peers, net.AddNode(h, link, testProfile()))
+		w.peers = append(w.peers, w.net.AddNode(h, link, testProfile()))
 	}
-	return &world{eng: eng, topo: topo, net: net, src: src, peers: peers}
+	return w
 }
 
 func (w *world) startAll() {
-	w.eng.Schedule(0, w.src.Join)
+	w.src.ScheduleJoin(0)
 	for i, p := range w.peers {
-		p := p
-		w.eng.Schedule(time.Duration(i)*200*time.Millisecond, p.Join)
+		p.ScheduleJoin(time.Duration(i) * 200 * time.Millisecond)
 	}
 }
 
@@ -209,10 +225,10 @@ func TestFirewalledPairNeverPartners(t *testing.T) {
 	fw2.Link.Firewall = true
 	w.startAll()
 	w.eng.Run(60 * time.Second)
-	if _, ok := fw1.partners[fw2.ID]; ok {
+	if fw1.partnerByID(fw2.ID) != nil {
 		t.Error("two firewalled peers formed a partnership")
 	}
-	if _, ok := fw2.partners[fw1.ID]; ok {
+	if fw2.partnerByID(fw1.ID) != nil {
 		t.Error("two firewalled peers formed a partnership (reverse)")
 	}
 }
@@ -735,11 +751,14 @@ func TestLeanLedgerMatchesFullRun(t *testing.T) {
 		t.Error("lean run moved no video; totals not exercised")
 	}
 
-	// Lean mode allocates no per-peer maps at all.
-	if ll.VideoByPair != nil || ll.VideoRx != nil || ll.VideoTx != nil ||
-		ll.SignalRx != nil || ll.SignalTx != nil || ll.ChunksServed != nil ||
-		ll.Rejections != nil || ll.Timeouts != nil {
-		t.Error("lean ledger allocated per-peer maps")
+	// Lean mode allocates no per-pair map and no per-peer column at all.
+	if ll.VideoByPair != nil {
+		t.Error("lean ledger allocated the per-pair map")
+	}
+	for i, col := range ll.peerColumns() {
+		if *col != nil {
+			t.Errorf("lean ledger allocated per-peer column %d", i)
+		}
 	}
 
 	// Per-AS accounting is O(ASes), not O(peers), so it survives lean mode
@@ -777,10 +796,16 @@ func TestLeanLedgerMatchesFullRun(t *testing.T) {
 		t.Errorf("VideoIntraByAS sums to %d, VideoIntraAS %d", sumAS(fl.VideoIntraByAS), fl.VideoIntraAS)
 	}
 
-	// Full-mode maps sum to the scalars both modes maintain.
-	sum := func(m map[PeerID]int64) int64 {
+	// Full-mode columns cover every node and sum to the scalars both modes
+	// maintain.
+	for i, col := range fl.peerColumns() {
+		if len(*col) != len(full.net.Nodes()) {
+			t.Errorf("per-peer column %d has %d rows for %d nodes", i, len(*col), len(full.net.Nodes()))
+		}
+	}
+	sum := func(col []int64) int64 {
 		var s int64
-		for _, v := range m {
+		for _, v := range col {
 			s += v
 		}
 		return s

@@ -9,9 +9,7 @@ import (
 )
 
 // TestPartnerIndexStaysConsistent drives a churning swarm and then audits
-// every node's incremental indexes against its partner map: same set, byID
-// ascending, byReq weight-descending with id-ascending ties, cached
-// weights equal to a fresh evaluation. This is the invariant the whole
+// every node's incremental indexes. This is the invariant the whole
 // zero-alloc selection path leans on.
 func TestPartnerIndexStaysConsistent(t *testing.T) {
 	w := buildWorld(t, 5, 30, 3)
@@ -19,43 +17,66 @@ func TestPartnerIndexStaysConsistent(t *testing.T) {
 	w.eng.Run(60 * time.Second)
 
 	for _, nd := range append(w.peers, w.src) {
-		if len(nd.byID) != len(nd.partners) || len(nd.byReq) != len(nd.partners) {
-			t.Fatalf("node %d: index sizes %d/%d vs %d partners",
-				nd.ID, len(nd.byID), len(nd.byReq), len(nd.partners))
+		checkPartnerIndexes(t, nd)
+	}
+}
+
+// checkPartnerIndexes audits one node's partner set: byID strictly
+// ascending by id (which is what makes it a set and lets partnerByID binary
+// search it), byReq a permutation of it ordered weight-descending with
+// id-ascending ties, cached weights equal to a fresh evaluation, and
+// partnerByID finding every entry while missing ids below, between and
+// above them.
+func checkPartnerIndexes(t *testing.T, nd *Node) {
+	t.Helper()
+	if len(nd.byReq) != len(nd.byID) {
+		t.Fatalf("node %d: byReq holds %d entries, byID %d", nd.ID, len(nd.byReq), len(nd.byID))
+	}
+	inReq := make(map[*partner]int, len(nd.byReq))
+	for _, en := range nd.byReq {
+		inReq[en.p]++
+	}
+	byID := make(map[PeerID]*partner, len(nd.byID))
+	for i, en := range nd.byID {
+		p := en.p
+		byID[en.id] = p
+		if en.id != p.node.ID {
+			t.Fatalf("node %d: byID entry carries id %d for partner %d", nd.ID, en.id, p.node.ID)
 		}
-		for i, en := range nd.byID {
-			p := en.p
-			if en.id != p.node.ID {
-				t.Fatalf("node %d: byID entry carries id %d for partner %d", nd.ID, en.id, p.node.ID)
-			}
-			if got, ok := nd.partners[en.id]; !ok || got != p {
-				t.Fatalf("node %d: byID entry %d not in partner map", nd.ID, en.id)
-			}
-			if i > 0 && nd.byID[i-1].id >= en.id {
-				t.Fatalf("node %d: byID out of order at %d", nd.ID, i)
-			}
-			wantReq, wantRet := policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, p.info)
-			if p.reqW != wantReq || p.retW != wantRet {
-				t.Fatalf("node %d: partner %d cached weights (%v,%v) stale, want (%v,%v)",
-					nd.ID, en.id, p.reqW, p.retW, wantReq, wantRet)
-			}
+		if i > 0 && nd.byID[i-1].id >= en.id {
+			t.Fatalf("node %d: byID out of order at %d", nd.ID, i)
 		}
-		for i, en := range nd.byReq {
-			if en.w != en.p.reqW && !(math.IsNaN(en.w) && math.IsNaN(en.p.reqW)) {
-				t.Fatalf("node %d: byReq entry %d inline weight %v, partner caches %v",
-					nd.ID, i, en.w, en.p.reqW)
-			}
-			if en.id != en.p.node.ID {
-				t.Fatalf("node %d: byReq entry carries id %d for partner %d", nd.ID, en.id, en.p.node.ID)
-			}
-			if i == 0 {
-				continue
-			}
-			a := nd.byReq[i-1]
-			if a.w < en.w || (a.w == en.w && a.id > en.id) {
-				t.Fatalf("node %d: byReq out of order at %d: (%v,%d) before (%v,%d)",
-					nd.ID, i, a.w, a.id, en.w, en.id)
-			}
+		if inReq[p] != 1 {
+			t.Fatalf("node %d: partner %d appears %d times in byReq", nd.ID, en.id, inReq[p])
+		}
+		wantReq, wantRet := policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, p.info)
+		if p.reqW != wantReq || p.retW != wantRet {
+			t.Fatalf("node %d: partner %d cached weights (%v,%v) stale, want (%v,%v)",
+				nd.ID, en.id, p.reqW, p.retW, wantReq, wantRet)
+		}
+	}
+	// Every id from below the first node's to above the last's: a partner's
+	// id finds that partner, any other misses.
+	for id := PeerID(-1); id <= PeerID(len(nd.net.nodes)); id++ {
+		if got := nd.partnerByID(id); got != byID[id] {
+			t.Fatalf("node %d: partnerByID(%d) = %p, want %p", nd.ID, id, got, byID[id])
+		}
+	}
+	for i, en := range nd.byReq {
+		if en.w != en.p.reqW && !(math.IsNaN(en.w) && math.IsNaN(en.p.reqW)) {
+			t.Fatalf("node %d: byReq entry %d inline weight %v, partner caches %v",
+				nd.ID, i, en.w, en.p.reqW)
+		}
+		if en.id != en.p.node.ID {
+			t.Fatalf("node %d: byReq entry carries id %d for partner %d", nd.ID, en.id, en.p.node.ID)
+		}
+		if i == 0 {
+			continue
+		}
+		a := nd.byReq[i-1]
+		if a.w < en.w || (a.w == en.w && a.id > en.id) {
+			t.Fatalf("node %d: byReq out of order at %d: (%v,%d) before (%v,%d)",
+				nd.ID, i, a.w, a.id, en.w, en.id)
 		}
 	}
 }

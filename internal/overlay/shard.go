@@ -77,11 +77,11 @@ func (net *Network) crossRemovePartner(nd, other *Node) {
 func (net *Network) signalCross(a, b *Node, size units.ByteSize, kind packet.Kind, onRx func()) {
 	sc := a.sc
 	now := sc.eng.Now()
-	owd := net.Topo.OneWayDelay(a.Host, b.Host)
+	// Drawn for every packet, needed or not: see sendControl.
+	var jitter time.Duration
 	if net.Cfg.JitterMax > 0 {
-		owd += time.Duration(sc.eng.Rand().Int63n(int64(net.Cfg.JitterMax)))
+		jitter = time.Duration(sc.eng.Rand().Int63n(int64(net.Cfg.JitterMax)))
 	}
-	arrive := now.Add(owd)
 	recordAt(a, packet.Record{
 		TS: now, Src: a.Host.Addr, Dst: b.Host.Addr,
 		Size: size, TTL: packet.InitialTTL, Kind: kind,
@@ -93,6 +93,7 @@ func (net *Network) signalCross(a, b *Node, size units.ByteSize, kind packet.Kin
 	if !needRec && onRx == nil {
 		return
 	}
+	arrive := now.Add(net.Topo.OneWayDelay(a.Host, b.Host) + jitter)
 	var rec packet.Record
 	if needRec {
 		rec = packet.Record{
@@ -118,7 +119,7 @@ func (net *Network) signalCross(a, b *Node, size units.ByteSize, kind packet.Kin
 // remote partner add) at the responder, completion at the initiator.
 func (nd *Node) handshakeCross(other *Node) {
 	nd.rememberNeighbor(other.ID)
-	want := len(nd.partners) < nd.Profile.MaxPartners
+	want := len(nd.byID) < nd.Profile.MaxPartners
 	nd.net.signalCross(nd, other, handshakeSize, packet.Signaling, func() {
 		other.handshakeAccept(nd, want)
 	})
@@ -128,7 +129,7 @@ func (nd *Node) handshakeCross(other *Node) {
 // executing on the responder's shard at offer arrival.
 func (nd *Node) handshakeAccept(from *Node, want bool) {
 	nd.rememberNeighbor(from.ID)
-	accept := want && len(nd.partners) < nd.Profile.MaxPartners
+	accept := want && len(nd.byID) < nd.Profile.MaxPartners
 	if accept {
 		nd.addPartner(from)
 	}
@@ -144,10 +145,10 @@ func (nd *Node) handshakeComplete(other *Node, accepted bool) {
 	if !accepted {
 		return
 	}
-	if _, dup := nd.partners[other.ID]; dup {
+	if nd.partnerByID(other.ID) != nil {
 		return
 	}
-	if len(nd.partners) < nd.Profile.MaxPartners {
+	if len(nd.byID) < nd.Profile.MaxPartners {
 		nd.addPartner(other)
 		return
 	}
@@ -166,7 +167,7 @@ func (nd *Node) gossipCross(c *Node) {
 	}
 	nd.rememberNeighbor(c.ID)
 	want := false
-	if len(nd.partners) < nd.Profile.PartnerTarget {
+	if len(nd.byID) < nd.Profile.PartnerTarget {
 		info := nd.infoFor(c)
 		w := nd.Profile.DiscoveryWeight.Weight(info)
 		base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
@@ -187,7 +188,7 @@ func (nd *Node) gossipReply(from *Node, want bool) {
 		theirs = gossipMaxEntries
 	}
 	nd.rememberNeighbor(from.ID)
-	accept := want && len(nd.partners) < nd.Profile.MaxPartners
+	accept := want && len(nd.byID) < nd.Profile.MaxPartners
 	if accept {
 		nd.addPartner(from)
 	}
@@ -202,7 +203,7 @@ func (nd *Node) gossipReply(from *Node, want bool) {
 func (nd *Node) pushBufferMapCross(other *Node, size units.ByteSize, base chunkstream.ChunkID, bits []uint64) {
 	from := nd.ID
 	nd.net.signalCross(nd, other, size, packet.Signaling, func() {
-		if remote, ok := other.partners[from]; ok {
+		if remote := other.partnerByID(from); remote != nil {
 			remote.have.LoadSnapshot(base, bits)
 		}
 	})

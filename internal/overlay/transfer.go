@@ -41,23 +41,27 @@ func (net *Network) sendSignal(a, b *Node, size units.ByteSize) {
 
 // sendControl runs on the shard both endpoints share: its clock stamps the
 // records, its RNG stream draws the jitter, its ledger takes the
-// accounting. With one shard that is the network's engine and ledger.
+// accounting. With one shard that is the network's engine and ledger. The
+// jitter is drawn for every packet, so the RNG stream does not depend on who
+// carries a sniffer; arrival instant and TTL at b exist only when b records.
 func (net *Network) sendControl(a, b *Node, size units.ByteSize, kind packet.Kind) {
 	sc := a.sc
 	now := sc.eng.Now()
-	owd := net.Topo.OneWayDelay(a.Host, b.Host)
+	var jitter time.Duration
 	if net.Cfg.JitterMax > 0 {
-		owd += time.Duration(sc.eng.Rand().Int63n(int64(net.Cfg.JitterMax)))
+		jitter = time.Duration(sc.eng.Rand().Int63n(int64(net.Cfg.JitterMax)))
 	}
-	arrive := now.Add(owd)
 	recordAt(a, packet.Record{
 		TS: now, Src: a.Host.Addr, Dst: b.Host.Addr,
 		Size: size, TTL: packet.InitialTTL, Kind: kind,
 	})
-	recordAt(b, packet.Record{
-		TS: arrive, Src: a.Host.Addr, Dst: b.Host.Addr,
-		Size: size, TTL: net.ttlAtReceiver(a, b), Kind: kind,
-	})
+	if b.spool != nil {
+		arrive := now.Add(net.Topo.OneWayDelay(a.Host, b.Host) + jitter)
+		b.spool.Add(packet.Record{
+			TS: arrive, Src: a.Host.Addr, Dst: b.Host.Addr,
+			Size: size, TTL: net.ttlAtReceiver(a, b), Kind: kind,
+		})
+	}
 	if kind == packet.Signaling || kind == packet.Request {
 		sc.ledger.signal(a.ID, b.ID, int64(size))
 	}
@@ -215,7 +219,7 @@ func (nd *Node) onReject(from PeerID, id chunkstream.ChunkID) {
 	if req, ok := nd.inflight[id]; ok && req.from == from {
 		delete(nd.inflight, id)
 	}
-	if p, ok := nd.partners[from]; ok {
+	if p := nd.partnerByID(from); p != nil {
 		p.failures++
 		p.info.EstRate = p.info.EstRate * 3 / 4
 		nd.rescore(p)
@@ -240,7 +244,7 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, size units
 			nd.sc.ledger.DiffusionChunks++
 		}
 	}
-	if p, ok := nd.partners[from]; ok {
+	if p := nd.partnerByID(from); p != nil {
 		p.failures = 0
 		if nd.net.congestionOn() {
 			// A successful delivery decays the observed-loss estimate and

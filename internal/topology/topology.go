@@ -63,6 +63,10 @@ type Subnet struct {
 	// edgeHops is the access/aggregation depth between hosts in this
 	// subnet and the AS core: it contributes to every off-subnet path.
 	edgeHops int
+	// asIdx (the AS's position in Topology.ases) and continent are resolved
+	// once by Build, so the per-packet path functions touch no map.
+	asIdx     int
+	continent Continent
 }
 
 // Host is a network attachment point: an address plus its location facts.
@@ -212,7 +216,6 @@ func (b *Builder) Build() *Topology {
 	}
 
 	t := &Topology{
-		continents: make(map[CC]Continent, len(b.continents)),
 		ases:       b.ases,
 		asIndex:    b.asIndex,
 		subnets:    b.subnets,
@@ -220,11 +223,10 @@ func (b *Builder) Build() *Topology {
 		bySubnet:   make(map[netip.Prefix]*Subnet, len(b.subnets)),
 		nextHostIP: make([]int, len(b.subnets)),
 	}
-	for cc, cont := range b.continents {
-		t.continents[cc] = cont
-	}
 	for _, s := range b.subnets {
 		t.bySubnet[s.Prefix] = s
+		s.asIdx = b.asIndex[s.AS]
+		s.continent = b.continents[b.ases[s.asIdx].Country]
 	}
 	return t
 }
@@ -232,7 +234,6 @@ func (b *Builder) Build() *Topology {
 // Topology is the frozen underlay. Safe for concurrent reads after Build;
 // NewHost mutates allocation state and must not race with itself.
 type Topology struct {
-	continents map[CC]Continent
 	ases       []*AS
 	asIndex    map[ASN]int
 	subnets    []*Subnet
@@ -338,7 +339,7 @@ func (t *Topology) HopCount(a, b Host) int {
 		core := 1 + int(pairMix(uint64(a.Subnet), uint64(b.Subnet))%3)
 		return sa.edgeHops + core + sb.edgeHops
 	}
-	ia, ib := t.asIndex[a.AS], t.asIndex[b.AS]
+	ia, ib := sa.asIdx, sb.asIdx
 	d := int(t.asDist[ia][ib])
 	if d < 0 {
 		// Disconnected AS graph cannot happen for builder-made
@@ -376,7 +377,7 @@ func (t *Topology) OneWayDelay(a, b Host) time.Duration {
 	switch {
 	case a.Country == b.Country:
 		base = rttSameCountry
-	case t.continents[a.Country] == t.continents[b.Country]:
+	case t.subnets[a.Subnet].continent == t.subnets[b.Subnet].continent:
 		base = rttSameContinent
 	default:
 		base = rttInterContinent
@@ -415,16 +416,14 @@ func (t *Topology) MinInterGroupDelay(group map[ASN]int) time.Duration {
 		if !ok {
 			continue
 		}
-		ca, _ := t.CountryOfAS(sa.AS)
-		ha := Host{Subnet: sa.ID, AS: sa.AS, Country: ca}
+		ha := Host{Subnet: sa.ID, AS: sa.AS, Country: t.ases[sa.asIdx].Country}
 		for j := i + 1; j < len(t.subnets); j++ {
 			sb := t.subnets[j]
 			gb, ok := group[sb.AS]
 			if !ok || gb == ga {
 				continue
 			}
-			cb, _ := t.CountryOfAS(sb.AS)
-			d := t.OneWayDelay(ha, Host{Subnet: sb.ID, AS: sb.AS, Country: cb})
+			d := t.OneWayDelay(ha, Host{Subnet: sb.ID, AS: sb.AS, Country: t.ases[sb.asIdx].Country})
 			if !found || d < best {
 				best, found = d, true
 			}

@@ -333,6 +333,110 @@ func TestSameCountryASesPeerCloser(t *testing.T) {
 	}
 }
 
+// refHopCount and refOneWayDelay are the path functions in their map-based
+// form: the AS index looked up by number, the continent by country code, per
+// call. Build now resolves both once per subnet; the differential test
+// below holds the two forms equal.
+func refHopCount(t *Topology, a, b Host) int {
+	if a.Subnet == b.Subnet {
+		return 0
+	}
+	sa, sb := t.subnets[a.Subnet], t.subnets[b.Subnet]
+	if a.AS == b.AS {
+		core := 1 + int(pairMix(uint64(a.Subnet), uint64(b.Subnet))%3)
+		return sa.edgeHops + core + sb.edgeHops
+	}
+	ia, ib := t.asIndex[a.AS], t.asIndex[b.AS]
+	d := int(t.asDist[ia][ib])
+	if d < 0 {
+		d = 5
+	}
+	transit := t.ases[ia].Transit + t.ases[ib].Transit
+	for k := 0; k < d-1; k++ {
+		transit += 2
+	}
+	jitterSrc := pairMix(uint64(a.AS)*31+uint64(a.Subnet), uint64(b.AS)*31+uint64(b.Subnet))
+	return sa.edgeHops + sb.edgeHops + d + transit + int(jitterSrc%4)
+}
+
+func refOneWayDelay(t *Topology, continents map[CC]Continent, a, b Host) time.Duration {
+	if a.Subnet == b.Subnet {
+		return rttSameSubnet / 2
+	}
+	var base time.Duration
+	switch {
+	case a.Country == b.Country:
+		base = rttSameCountry
+	case continents[a.Country] == continents[b.Country]:
+		base = rttSameContinent
+	default:
+		base = rttInterContinent
+	}
+	spread := pairMix(uint64(a.Subnet)*977+uint64(b.AS), uint64(b.Subnet)*977+uint64(a.AS)) % 50
+	factor := 0.75 + float64(spread)/100
+	return time.Duration(float64(base)*factor) + time.Duration(refHopCount(t, a, b))*rttPerHop
+}
+
+// TestPathFunctionsMatchMapReference compares HopCount and OneWayDelay with
+// the map-based reference over every ordered subnet pair of a topology on
+// the 1400-peer world's scale (58 ASes and 112 subnets here, 58 and 155
+// there), and MinInterGroupDelay with a brute-force minimum for a two-group
+// partition.
+func TestPathFunctionsMatchMapReference(t *testing.T) {
+	b := NewBuilder(12)
+	countries := []struct {
+		cc   CC
+		cont Continent
+		ases int
+	}{
+		{"CN", Asia, 30}, {"JP", Asia, 4}, {"IT", Europe, 5}, {"HU", Europe, 3},
+		{"FR", Europe, 3}, {"US", NorthAmerica, 8}, {"BR", SouthAmerica, 3}, {"AU", Oceania, 2},
+	}
+	group := make(map[ASN]int)
+	for _, c := range countries {
+		b.AddCountry(c.cc, c.cont)
+		for i := 0; i < c.ases; i++ {
+			asn := b.AddAS(c.cc)
+			if i%3 != 2 { // every third AS hosts no peers and stays out of the partition
+				group[asn] = i % 2
+			}
+			for s := 0; s <= i%3; s++ {
+				b.AddSubnet(asn)
+			}
+		}
+	}
+	topo := b.Build()
+
+	hosts := make([]Host, topo.Subnets())
+	for i := range hosts {
+		h, err := topo.NewHost(SubnetID(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hosts[i] = h
+	}
+	var wantMin time.Duration
+	for _, ha := range hosts {
+		for _, hb := range hosts {
+			if got, want := topo.HopCount(ha, hb), refHopCount(topo, ha, hb); got != want {
+				t.Fatalf("HopCount(%v, %v) = %d, reference %d", ha.Addr, hb.Addr, got, want)
+			}
+			want := refOneWayDelay(topo, b.continents, ha, hb)
+			if got := topo.OneWayDelay(ha, hb); got != want {
+				t.Fatalf("OneWayDelay(%v, %v) = %v, reference %v", ha.Addr, hb.Addr, got, want)
+			}
+			ga, okA := group[ha.AS]
+			gb, okB := group[hb.AS]
+			if okA && okB && ga != gb && (wantMin == 0 || want < wantMin) {
+				wantMin = want
+			}
+		}
+	}
+	if got := topo.MinInterGroupDelay(group); got != wantMin || got == 0 {
+		t.Errorf("MinInterGroupDelay = %v, brute-force reference %v", got, wantMin)
+	}
+}
+
 func BenchmarkHopCount(b *testing.B) {
 	bld := NewBuilder(1)
 	bld.AddCountry("CN", Asia)
