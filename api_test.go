@@ -1,6 +1,7 @@
 package napawine_test
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -18,9 +19,10 @@ func getBattery(t *testing.T) []*napawine.Result {
 	if battery != nil {
 		return battery
 	}
-	results, err := napawine.RunAll(napawine.Scale{
-		Seed:       99,
-		Duration:   2 * time.Minute,
+	results, err := napawine.RunAll(&napawine.Study{
+		Name:       "battery",
+		BaseSeed:   99,
+		Duration:   napawine.StudyDuration(2 * time.Minute),
 		PeerFactor: 0.15,
 	})
 	if err != nil {
@@ -182,15 +184,17 @@ func TestDefaultConfigKnobs(t *testing.T) {
 // applications × five seeds in parallel, reduced to aggregated tables with
 // error bars. Miniature scale keeps the 15 runs fast.
 func TestSweepAPI(t *testing.T) {
-	res, err := napawine.Sweep(napawine.SweepSpec{
+	sres, err := napawine.RunStudy(context.Background(), &napawine.Study{
+		Name:       "sweep",
 		BaseSeed:   301,
 		Trials:     5,
-		Duration:   20 * time.Second,
+		Duration:   napawine.StudyDuration(20 * time.Second),
 		PeerFactor: 0.02, // floors at 50 peers per swarm
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := napawine.SweepTables(sres)
 	if got := res.Trials(); got != 5 {
 		t.Fatalf("Trials = %d, want 5", got)
 	}

@@ -14,6 +14,7 @@
 package napawine_test
 
 import (
+	"context"
 	"io"
 	"os"
 	"sync"
@@ -35,9 +36,10 @@ var (
 func benchBatteryResults(b *testing.B) []*napawine.Result {
 	b.Helper()
 	benchOnce.Do(func() {
-		benchResults, benchErr = napawine.RunAll(napawine.Scale{
-			Seed:       4242,
-			Duration:   2 * time.Minute,
+		benchResults, benchErr = napawine.RunAll(&napawine.Study{
+			Name:       "bench",
+			BaseSeed:   4242,
+			Duration:   napawine.StudyDuration(2 * time.Minute),
 			PeerFactor: 0.15,
 		})
 	})
@@ -170,15 +172,17 @@ func BenchmarkAblationHopThreshold(b *testing.B) {
 // parallel runner and reduced to the aggregated mean±stderr tables.
 func BenchmarkSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		res, err := napawine.Sweep(napawine.SweepSpec{
+		sres, err := napawine.RunStudy(context.Background(), &napawine.Study{
+			Name:       "bench",
 			BaseSeed:   int64(i*100 + 1),
 			Trials:     3,
-			Duration:   45 * time.Second,
+			Duration:   napawine.StudyDuration(45 * time.Second),
 			PeerFactor: 0.1,
 		})
 		if err != nil {
 			b.Fatal(err)
 		}
+		res := napawine.SweepTables(sres)
 		for _, t := range []*napawine.Table{res.TableII(), res.TableIII(), res.TableIV()} {
 			if err := t.Render(io.Discard); err != nil {
 				b.Fatal(err)

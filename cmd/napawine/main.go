@@ -8,25 +8,24 @@
 //	napawine -exp all -apps SopCast      # everything, one app
 //	napawine -exp hopsweep               # A2 ablation: HOP threshold sweep
 //	napawine -exp table1                 # testbed inventory (no simulation)
-//	napawine -seeds 5 -workers 4         # replicated sweep, tables with ±stderr
+//	napawine -seeds 5 -workers 4         # replicated run, tables with ±stderr
 //	napawine -scenario flashcrowd        # inject a workload scenario + time series
-//	napawine -scenario-file f.json       # inject a file-authored workload scenario
-//	napawine -scenario-list              # show the scenario registry
+//	napawine -scenario-list              # show a registry (also -strategy-list, -study-list)
 //	napawine -strategy rarest            # swap the chunk-scheduling strategy
-//	napawine -strategy-list              # show the strategy registry
-//	napawine -study strategy-comparison  # run a registered study grid
-//	napawine -study-file s.json          # run a file-authored study grid
-//	napawine -study-list                 # show the study registry
-//	napawine -out tables.txt             # write tables to a file, not stdout
+//	napawine -study strategy-comparison  # run a registered study grid (-study-file: a JSON one)
 //	napawine -http localhost:8080        # live dashboard while the run executes
-//	napawine -svg-out charts/            # write SVG chart artifacts
 //	napawine -study X -listen :9000      # coordinate a distributed fleet
+//	napawine -seeds 5 -listen :9000      # ... or distribute a replicated run
 //	napawine -join host:9000             # join a fleet as a worker
 //	napawine -study X -listen :0 -resume spool/  # checkpoint cells; restart resumes
 //
-// Deterministic: the same -seed regenerates identical tables; the same
-// -seed/-seeds pair regenerates identical sweep and study tables — scenario
-// or not, and regardless of -workers.
+// Every invocation is one pipeline — parse → validate → build one study →
+// execute it (locally, as a fleet coordinator, or as a fleet worker) →
+// render: one seed is a one-seed grid, -seeds N its seed axis, -study a
+// whole loaded grid, and only the rendering differs between them.
+//
+// Deterministic: the same -seed/-seeds pair regenerates byte-identical
+// tables — scenario or not, local or fleet, and regardless of -workers.
 package main
 
 import (
@@ -38,875 +37,438 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"sort"
+	"slices"
 	"strings"
-	"sync"
 	"time"
 
 	"napawine"
 	"napawine/internal/dash"
 	"napawine/internal/fleet"
 	"napawine/internal/plot"
-	"napawine/internal/report"
-	"napawine/internal/world"
+	"napawine/internal/study"
 )
 
 // validExps lists the accepted -exp values, in help order.
 var validExps = []string{"table1", "table2", "table3", "table4", "fig1", "fig2", "hopsweep", "all"}
 
-// validateArgs rejects unknown -exp, application, -scenario and -strategy
-// values with an error that lists the valid choices, before any simulation
-// starts. A typo must be a loud usage error, never a silently empty run.
-// scenarioFile is only checked for flag compatibility here; the file itself
-// is loaded (and fails loudly) in main.
-func validateArgs(exp string, appList []string, scenarioName, scenarioFile, strategyName string) error {
-	ok := false
-	for _, v := range validExps {
-		if exp == v {
-			ok = true
-			break
-		}
-	}
-	if !ok {
-		return fmt.Errorf("unknown -exp %q (valid: %s)", exp, strings.Join(validExps, ", "))
-	}
-	if len(appList) == 0 {
-		return fmt.Errorf("empty -apps list (valid: %s)", strings.Join(napawine.Apps(), ", "))
-	}
-	for _, a := range appList {
-		if _, err := napawine.ProfileOf(a); err != nil {
-			return fmt.Errorf("unknown app %q (valid: %s)", a, strings.Join(napawine.Apps(), ", "))
-		}
-	}
-	if scenarioName != "" && scenarioFile != "" {
-		return fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
-	}
-	if scenarioName != "" {
-		if _, err := napawine.ScenarioByName(scenarioName); err != nil {
-			return fmt.Errorf("unknown -scenario %q (valid: %s)",
-				scenarioName, strings.Join(napawine.ScenarioNames(), ", "))
-		}
-		if exp == "table1" {
-			return fmt.Errorf("-scenario runs no simulation under -exp table1 (the testbed inventory is static)")
-		}
-	}
-	if scenarioFile != "" && exp == "table1" {
-		return fmt.Errorf("-scenario-file runs no simulation under -exp table1 (the testbed inventory is static)")
-	}
-	if strategyName != "" {
-		// StrategyByName's own error lists the registry and the hybrid
-		// grammar, so a parameterized typo gets the syntax it needs.
-		if _, err := napawine.StrategyByName(strategyName); err != nil {
-			return fmt.Errorf("bad -strategy: %w", err)
-		}
-		if exp == "table1" {
-			return fmt.Errorf("-strategy runs no simulation under -exp table1 (the testbed inventory is static)")
-		}
-	}
-	return nil
+// options is the parsed command line: one field per flag, plus the set of
+// flags the user actually typed.
+type options struct {
+	exp, apps, scenario, scenarioFile, strategy, study, studyFile   string
+	seed                                                            int64
+	seeds, peers, workers, shards, queueDepth                       int
+	scale                                                           float64
+	duration, httpLinger, leaseTTL                                  time.Duration
+	leanLedger, csv, listScenarios, listStrategies, listStudies     bool
+	out, svgOut, http, cpuProfile, memProfile, listen, join, resume string
+
+	explicit map[string]bool
 }
 
-// validateStudyArgs rejects flag combinations that contradict a -study /
-// -study-file run: a study defines its own axes, so the single-run
-// scenario/strategy/experiment selectors must not be silently ignored.
-// explicit reports which flags the user actually set on the command line.
-func validateStudyArgs(studyName, studyFile string, explicit map[string]bool) error {
-	if studyName != "" && studyFile != "" {
-		return fmt.Errorf("-study and -study-file are mutually exclusive")
+// parseFlags declares the command line and reads args into a fresh options.
+// The flag package's own diagnostics are silenced: run prints every usage
+// error, a malformed flag included, the same way.
+func parseFlags(args []string) (*options, *flag.FlagSet, error) {
+	o := &options{explicit: map[string]bool{}}
+	fs := flag.NewFlagSet("napawine", flag.ContinueOnError)
+	fs.SetOutput(io.Discard)
+	fs.StringVar(&o.exp, "exp", "all", "experiment: "+strings.Join(validExps, "|"))
+	fs.StringVar(&o.apps, "apps", "PPLive,SopCast,TVAnts", "comma-separated application list")
+	fs.Int64Var(&o.seed, "seed", 1, "simulation seed (with -seeds or a study: first trial seed)")
+	fs.IntVar(&o.seeds, "seeds", 1, "trial seeds per app; >1 replicates the run and prints ±stderr tables")
+	fs.DurationVar(&o.duration, "duration", 5*time.Minute, "virtual experiment duration")
+	fs.Float64Var(&o.scale, "scale", 1.0, "background population scale factor")
+	fs.IntVar(&o.peers, "peers", 0, "absolute background population (overrides -scale; 0 = per-app default)")
+	fs.BoolVar(&o.leanLedger, "lean-ledger", false, "O(1)-memory ground-truth accounting (auto at very large -peers)")
+	fs.IntVar(&o.workers, "workers", 0, "parallel experiments (0 = GOMAXPROCS)")
+	fs.IntVar(&o.shards, "shards", 0, "parallel shard engines per run, partitioned by AS (0 or 1 = serial engine)")
+	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole invocation to this file")
+	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile (taken at exit) to this file")
+	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
+	fs.StringVar(&o.out, "out", "", "write tables/CSV to this file instead of stdout")
+	fs.StringVar(&o.scenario, "scenario", "", "workload scenario to inject (see -scenario-list)")
+	fs.StringVar(&o.scenarioFile, "scenario-file", "", "JSON scenario file to inject (see README: authoring scenario files)")
+	fs.BoolVar(&o.listScenarios, "scenario-list", false, "list registered workload scenarios and exit")
+	fs.StringVar(&o.strategy, "strategy", "", "chunk-scheduling strategy: registered name or hybrid:k=v,... (see -strategy-list)")
+	fs.IntVar(&o.queueDepth, "queue-depth", 0, "bound every peer's uplink queue at this many chunks, tail-dropping beyond it (0 = unbounded, congestion off)")
+	fs.BoolVar(&o.listStrategies, "strategy-list", false, "list registered chunk strategies and exit")
+	fs.StringVar(&o.study, "study", "", "registered study grid to run (see -study-list)")
+	fs.StringVar(&o.studyFile, "study-file", "", "JSON study file to run (see README: running studies)")
+	fs.BoolVar(&o.listStudies, "study-list", false, "list registered studies and exit")
+	fs.StringVar(&o.http, "http", "", "serve a live dashboard on this address while the run executes (port 0 picks a free one; see README: watching a study live)")
+	fs.DurationVar(&o.httpLinger, "http-linger", 0, "keep the -http dashboard serving this long after the run finishes")
+	fs.StringVar(&o.svgOut, "svg-out", "", "write SVG chart artifacts into this directory")
+	fs.StringVar(&o.listen, "listen", "", "coordinate a distributed fleet: serve the run's study grid (-study, -study-file, or -exp with -seeds 2+) to -join workers on this address (port 0 picks a free one; see README: running a fleet)")
+	fs.StringVar(&o.join, "join", "", "join the fleet coordinator at this host:port as a worker and execute leased cells")
+	fs.StringVar(&o.resume, "resume", "", "-listen: checkpoint completed cells into this spool directory and skip them on restart")
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", fleet.DefaultLeaseTTL, "-listen: cell lease window; a worker silent this long loses its cell back to the queue")
+	err := fs.Parse(args)
+	if err == nil && fs.NArg() > 0 {
+		err = fmt.Errorf("unexpected argument %q", fs.Arg(0))
 	}
-	if studyName != "" {
-		if _, err := napawine.StudyByName(studyName); err != nil {
-			return fmt.Errorf("unknown -study %q (valid: %s)",
-				studyName, strings.Join(napawine.StudyNames(), ", "))
-		}
-	}
+	fs.Visit(func(f *flag.Flag) { o.explicit[f.Name] = true })
+	return o, fs, err
+}
+
+// fromStudy reports whether the run's grid is loaded (-study/-study-file)
+// rather than built from the single-run flags.
+func (o *options) fromStudy() bool { return o.study != "" || o.studyFile != "" }
+
+// paperFormat reports whether the run prints as the paper does — Tables
+// II–IV, Figures 1–2 and the hop sweep, from one run's full results — which
+// is what a one-seed flag-built study is.
+func (o *options) paperFormat(st *study.Study) bool {
+	return !o.fromStudy() && len(st.SeedList()) == 1
+}
+
+// show reports whether -exp selects the named table or figure.
+func (o *options) show(name string) bool { return o.exp == name || o.exp == "all" }
+
+// validate is the one place a flag combination is rejected: a contradiction
+// or a value the run would ignore is a loud usage error before any file is
+// opened. Registries are not consulted here — buildStudy's validation names
+// a typo'd app, scenario, strategy or study with the valid choices.
+func (o *options) validate() error {
+	// Selectors the run would silently ignore: a study defines its own
+	// axes, and the testbed inventory (table1) simulates nothing.
 	for _, f := range []string{"exp", "scenario", "scenario-file", "strategy"} {
-		if explicit[f] {
+		if o.fromStudy() && o.explicit[f] {
 			return fmt.Errorf("-%s does not apply to a study run (the study defines its own axes)", f)
 		}
 	}
-	return nil
+	for _, f := range []string{"scenario", "scenario-file", "strategy", "http", "svg-out", "listen"} {
+		if o.exp == "table1" && o.explicit[f] {
+			return fmt.Errorf("-%s runs no simulation under -exp table1 (the testbed inventory is static)", f)
+		}
+	}
+	switch {
+	case !slices.Contains(validExps, o.exp):
+		return fmt.Errorf("unknown -exp %q (valid: %s)", o.exp, strings.Join(validExps, ", "))
+	case len(parseApps(o.apps)) == 0:
+		return fmt.Errorf("empty -apps list (valid: %s)", strings.Join(napawine.Apps(), ", "))
+	case o.seeds < 1:
+		return fmt.Errorf("-seeds %d: need at least one trial seed", o.seeds)
+	case o.duration <= 0:
+		return fmt.Errorf("non-positive -duration %v", o.duration)
+	case o.shards < 0:
+		return fmt.Errorf("negative -shards %d", o.shards)
+	case o.queueDepth < 0:
+		return fmt.Errorf("negative -queue-depth %d", o.queueDepth)
+	case o.explicit["peers"] && o.explicit["scale"]:
+		// The study layer would silently run whichever sizing won.
+		return fmt.Errorf("-peers and -scale are mutually exclusive")
+	case o.httpLinger != 0 && o.http == "":
+		return fmt.Errorf("-http-linger requires -http")
+	case o.scenario != "" && o.scenarioFile != "":
+		return fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
+	case o.study != "" && o.studyFile != "":
+		return fmt.Errorf("-study and -study-file are mutually exclusive")
+	case o.seeds > 1 && slices.Contains([]string{"fig1", "fig2", "hopsweep"}, o.exp):
+		// They read one run's full observations; replicated runs keep none.
+		return fmt.Errorf("-exp %s is a single-run reduction; drop -seeds or use -seeds 1", o.exp)
+	}
+	return o.validateFleet()
 }
 
-// fleetJoinFlags are the only flags a -join worker may set: everything else
-// about the run — the study, its axes, shards, durations — comes from the
-// coordinator, and a locally-set knob would be silently ignored.
-var fleetJoinFlags = []string{"join", "workers", "cpuprofile", "memprofile"}
-
-// validateFleetArgs rejects flag combinations that contradict a fleet run.
-// A coordinator (-listen) needs a study to serve and takes no -workers (it
-// runs no cells itself); a worker (-join) takes nothing but its concurrency
-// budget and profiles; -resume and -lease-ttl only mean anything to a
-// coordinator.
-func validateFleetArgs(listen, join string, leaseTTL time.Duration, explicit map[string]bool) error {
-	if listen != "" && join != "" {
+// validateFleet rejects what contradicts a fleet run: a coordinator
+// (-listen) owns -resume/-lease-ttl and runs no cells, so takes no -workers;
+// a worker (-join) takes nothing but its concurrency budget and profiles.
+func (o *options) validateFleet() error {
+	switch {
+	case o.listen != "" && o.join != "":
 		return fmt.Errorf("-listen and -join are mutually exclusive (a process is a coordinator or a worker, not both)")
+	case o.listen == "" && (o.explicit["resume"] || o.explicit["lease-ttl"]):
+		return fmt.Errorf("-resume and -lease-ttl require -listen (they configure the fleet coordinator)")
+	case o.listen == "" && o.join == "":
+		return nil
+	case o.listen != "" && !o.fromStudy() && o.seeds < 2:
+		return fmt.Errorf("-listen cannot serve a one-seed -exp run (its tables and figures need the full results fleet workers do not ship): add -seeds 2 or more, or name a -study/-study-file")
+	case o.listen != "" && o.explicit["workers"]:
+		return fmt.Errorf("-workers does not apply to -listen (the coordinator runs no cells; each -join worker sets its own)")
+	case o.listen != "" && o.leaseTTL <= 0:
+		return fmt.Errorf("non-positive -lease-ttl %v", o.leaseTTL)
 	}
-	if listen == "" {
-		for _, f := range []string{"resume", "lease-ttl"} {
-			if explicit[f] {
-				return fmt.Errorf("-%s requires -listen (it configures the fleet coordinator)", f)
-			}
-		}
-	} else {
-		if !explicit["study"] && !explicit["study-file"] {
-			return fmt.Errorf("-listen requires -study or -study-file (the coordinator serves a study grid)")
-		}
-		if explicit["workers"] {
-			return fmt.Errorf("-workers does not apply to -listen (the coordinator runs no cells; each -join worker sets its own)")
-		}
-		if leaseTTL <= 0 {
-			return fmt.Errorf("non-positive -lease-ttl %v", leaseTTL)
+	// Everything else comes from the coordinator; a local knob would be
+	// silently ignored.
+	joinFlags := []string{"join", "workers", "cpuprofile", "memprofile"}
+	var bad []string
+	for f := range o.explicit {
+		if o.join != "" && !slices.Contains(joinFlags, f) {
+			bad = append(bad, "-"+f)
 		}
 	}
-	if join != "" {
-		allowed := map[string]bool{}
-		for _, f := range fleetJoinFlags {
-			allowed[f] = true
-		}
-		var bad []string
-		for f := range explicit {
-			if !allowed[f] {
-				bad = append(bad, "-"+f)
-			}
-		}
-		if len(bad) > 0 {
-			sort.Strings(bad)
-			return fmt.Errorf("%s does not apply to -join (the worker takes its study and settings from the coordinator)",
-				strings.Join(bad, ", "))
-		}
+	if len(bad) > 0 {
+		slices.Sort(bad)
+		return fmt.Errorf("%s does not apply to -join (the worker takes its study and settings from the coordinator)",
+			strings.Join(bad, ", "))
 	}
 	return nil
 }
 
 // parseApps splits and dedups the -apps flag, dropping empty entries.
 func parseApps(appsFlag string) []string {
-	seen := map[string]bool{}
 	var out []string
 	for _, a := range strings.Split(appsFlag, ",") {
-		a = strings.TrimSpace(a)
-		if a == "" || seen[a] {
-			continue
+		if a = strings.TrimSpace(a); a != "" && !slices.Contains(out, a) {
+			out = append(out, a)
 		}
-		seen[a] = true
-		out = append(out, a)
 	}
 	return out
 }
 
-// scenarioList renders the registry for -scenario-list.
-func scenarioList() string {
-	var b strings.Builder
-	b.WriteString("registered scenarios:\n")
-	for _, name := range napawine.ScenarioNames() {
-		s, err := napawine.ScenarioByName(name)
-		if err != nil {
-			continue
+// buildStudy compiles the command line into the one study the run
+// executes. The base is the loaded -study/-study-file grid, or an empty
+// study with the -strategy/-scenario/-scenario-file axes; the run knobs are
+// then written over it once — all of them over the empty base, only the
+// explicitly-set ones over a loaded study (so one registered grid scales
+// from a CI smoke run to the full campaign) — and the result is validated.
+func (o *options) buildStudy() (*study.Study, error) {
+	var st *study.Study
+	var err error
+	switch {
+	case o.studyFile != "":
+		st, err = study.LoadFile(o.studyFile)
+	case o.study != "":
+		st, err = study.ByName(o.study)
+	default:
+		scn := study.Scenario{Name: o.scenario}
+		if o.scenarioFile != "" {
+			scn.Spec, err = napawine.LoadScenarioFile(o.scenarioFile)
 		}
-		fmt.Fprintf(&b, "  %-11s %s\n", name, s.Description)
+		st = &study.Study{Name: "battery",
+			Strategies: []string{o.strategy}, Scenarios: []study.Scenario{scn}}
 	}
-	return b.String()
-}
-
-// strategyList renders the registry for -strategy-list: every registered
-// name with its description, plus the parameterized hybrid family grammar.
-func strategyList() string {
-	var b strings.Builder
-	b.WriteString("registered chunk strategies:\n")
-	for _, name := range napawine.StrategyNames() {
-		fmt.Fprintf(&b, "  %-14s %s\n", name, napawine.StrategyDescription(name))
-	}
-	b.WriteString("parameterized family:\n")
-	fmt.Fprintf(&b, "  %s\n", napawine.HybridGrammar)
-	return b.String()
-}
-
-// studyList renders the registry for -study-list.
-func studyList() string {
-	var b strings.Builder
-	b.WriteString("registered studies:\n")
-	for _, name := range napawine.StudyNames() {
-		st, err := napawine.StudyByName(name)
-		if err != nil {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-20s %s (%d runs)\n", name, st.Description, st.Runs())
-	}
-	return b.String()
-}
-
-func main() {
-	var (
-		exp       = flag.String("exp", "all", "experiment: "+strings.Join(validExps, "|"))
-		appsFlag  = flag.String("apps", "PPLive,SopCast,TVAnts", "comma-separated application list")
-		seed      = flag.Int64("seed", 1, "simulation seed (sweep/study: first trial seed)")
-		seeds     = flag.Int("seeds", 1, "trial seeds per app; >1 runs a replicated sweep with ±stderr tables")
-		duration  = flag.Duration("duration", 5*time.Minute, "virtual experiment duration")
-		factor    = flag.Float64("scale", 1.0, "background population scale factor")
-		peers     = flag.Int("peers", 0, "absolute background population (overrides -scale; 0 = per-app default)")
-		leanLed   = flag.Bool("lean-ledger", false, "O(1)-memory ground-truth accounting (auto at very large -peers)")
-		workers   = flag.Int("workers", 0, "parallel experiments (0 = GOMAXPROCS)")
-		shards    = flag.Int("shards", 0, "parallel shard engines per run, partitioned by AS (0 or 1 = serial engine)")
-		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the whole invocation to this file")
-		memProf   = flag.String("memprofile", "", "write a heap profile (taken at exit) to this file")
-		csv       = flag.Bool("csv", false, "emit CSV instead of aligned tables")
-		outPath   = flag.String("out", "", "write tables/CSV to this file instead of stdout")
-		scn       = flag.String("scenario", "", "workload scenario to inject (see -scenario-list)")
-		scnFile   = flag.String("scenario-file", "", "JSON scenario file to inject (see README: authoring scenario files)")
-		listScens = flag.Bool("scenario-list", false, "list registered workload scenarios and exit")
-		strat     = flag.String("strategy", "", "chunk-scheduling strategy: registered name or hybrid:k=v,... (see -strategy-list)")
-		queueDep  = flag.Int("queue-depth", 0, "bound every peer's uplink queue at this many chunks, tail-dropping beyond it (0 = unbounded, congestion off)")
-		listStrat = flag.Bool("strategy-list", false, "list registered chunk strategies and exit")
-		studyName = flag.String("study", "", "registered study grid to run (see -study-list)")
-		studyFile = flag.String("study-file", "", "JSON study file to run (see README: running studies)")
-		listStudy = flag.Bool("study-list", false, "list registered studies and exit")
-		httpAddr  = flag.String("http", "", "serve a live dashboard on this address while the run executes (port 0 picks a free one; see README: watching a study live)")
-		httpWait  = flag.Duration("http-linger", 0, "keep the -http dashboard serving this long after the run finishes")
-		svgOut    = flag.String("svg-out", "", "write SVG chart artifacts into this directory")
-		listen    = flag.String("listen", "", "coordinate a distributed fleet: serve the -study/-study-file grid to -join workers on this address (port 0 picks a free one; see README: running a fleet)")
-		joinAddr  = flag.String("join", "", "join the fleet coordinator at this host:port as a worker and execute leased cells")
-		resumeDir = flag.String("resume", "", "-listen: checkpoint completed cells into this spool directory and skip them on restart")
-		leaseTTL  = flag.Duration("lease-ttl", fleet.DefaultLeaseTTL, "-listen: cell lease window; a worker silent this long loses its cell back to the queue")
-	)
-	flag.Parse()
-	explicit := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { explicit[f.Name] = true })
-
-	// One world sizing at a time: an explicit -peers with an explicit
-	// -scale would silently run whichever won inside the study layer.
-	if explicit["peers"] && explicit["scale"] {
-		fmt.Fprintln(os.Stderr, "napawine: -peers and -scale are mutually exclusive")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *httpWait != 0 && *httpAddr == "" {
-		fmt.Fprintln(os.Stderr, "napawine: -http-linger requires -http")
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "napawine: negative -shards %d\n", *shards)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *queueDep < 0 {
-		fmt.Fprintf(os.Stderr, "napawine: negative -queue-depth %d\n", *queueDep)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if err := validateFleetArgs(*listen, *joinAddr, *leaseTTL, explicit); err != nil {
-		fmt.Fprintln(os.Stderr, "napawine:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	// Two parallelism levels multiply: each in-flight experiment runs
-	// -shards goroutines. An explicit pair that oversubscribes the machine
-	// is a usage error; an unset -workers is derated automatically so the
-	// default stays "use the machine once", not -shards times over. A -join
-	// worker skips the local check: its shard count is the study's own,
-	// discovered at join time, and RunWorker applies the same guard there.
-	if *joinAddr == "" {
-		w, err := fleet.WorkerBudget(*workers, explicit["workers"], *shards, runtime.GOMAXPROCS(0))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "napawine:", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		*workers = w
-	}
-
-	if *listScens {
-		fmt.Print(scenarioList())
-		return
-	}
-	if *listStrat {
-		fmt.Print(strategyList())
-		return
-	}
-	if *listStudy {
-		fmt.Print(studyList())
-		return
-	}
-
-	// Profiles cover everything from here on. A usage error below exits
-	// without flushing them — those invocations ran nothing worth
-	// profiling anyway.
-	defer startProfiles(*cpuProf, *memProf)()
-
-	// A fleet worker needs nothing local: it downloads the study, leases
-	// cells until the coordinator disbands it, and prints no tables (the
-	// coordinator renders the assembled result).
-	if *joinAddr != "" {
-		err := fleet.RunWorker(context.Background(), fleet.WorkerConfig{
-			Addr:    *joinAddr,
-			Workers: *workers, ExplicitWorkers: explicit["workers"],
-			Log: func(format string, args ...any) { fmt.Fprintf(os.Stderr, format+"\n", args...) },
-		})
-		if errors.Is(err, fleet.ErrOversubscribed) {
-			fmt.Fprintln(os.Stderr, "napawine:", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	// openOut resolves -out. It runs only after every usage validation and
-	// file load has passed, so a usage error can never truncate an
-	// artifact from a previous run — and before any simulation starts, so
-	// a bad destination is still an up-front error, never a post-run
-	// surprise. The returned close flushes on the success path; fatal
-	// exits skip it, which is fine — those paths wrote nothing worth
-	// keeping.
-	openOut := func() (io.Writer, func()) {
-		if *outPath == "" {
-			return os.Stdout, func() {}
-		}
-		f, err := os.Create(*outPath)
-		if err != nil {
-			fatal(err)
-		}
-		return f, func() {
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
-		}
-	}
-
-	// startDash binds the live dashboard when -http is set; the returned
-	// finish lingers (for -http-linger, so scripts and CI can still curl a
-	// finished run) and then tears it down.
-	startDash := func() (*dash.Server, func()) {
-		if *httpAddr == "" {
-			return nil, func() {}
-		}
-		ds, err := dash.New(*httpAddr)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "dashboard: http://%s/\n", ds.Addr())
-		return ds, func() {
-			if *httpWait > 0 {
-				fmt.Fprintf(os.Stderr, "dashboard lingering %v\n", *httpWait)
-				time.Sleep(*httpWait)
-			}
-			_ = ds.Close()
-		}
-	}
-
-	// writeSVGs resolves -svg-out; a render failure is fatal so a partial
-	// artifact directory is never mistaken for a complete one.
-	writeSVGs := func(arts []plot.Artifact) {
-		if *svgOut == "" || len(arts) == 0 {
-			return
-		}
-		paths, err := plot.WriteDir(*svgOut, arts)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "wrote %d SVG artifacts to %s\n", len(paths), *svgOut)
-	}
-
-	if *studyName != "" || *studyFile != "" {
-		if err := validateStudyArgs(*studyName, *studyFile, explicit); err != nil {
-			fmt.Fprintln(os.Stderr, "napawine:", err)
-			flag.Usage()
-			os.Exit(2)
-		}
-		st := loadStudy(*studyName, *studyFile)
-		applyStudyOverrides(st, *seed, *seeds, *duration, *factor, *peers, *leanLed, *shards, *queueDep, parseApps(*appsFlag), explicit)
-		// Re-validate after the overrides and before -out opens: a bad
-		// -apps override (or any axis error) must be a usage error that
-		// leaves a previous run's artifact untouched.
-		if err := st.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "napawine:", err)
-			os.Exit(2)
-		}
-		out, closeOut := openOut()
-		ds, finishDash := startDash()
-		if *listen != "" {
-			runFleetCoordinator(st, *listen, *resumeDir, *leaseTTL, *csv, out, ds, writeSVGs)
-		} else {
-			runStudy(st, *workers, *csv, out, ds, writeSVGs)
-		}
-		closeOut()
-		finishDash()
-		return
-	}
-
-	appList := parseApps(*appsFlag)
-	if err := validateArgs(*exp, appList, *scn, *scnFile, *strat); err != nil {
-		fmt.Fprintln(os.Stderr, "napawine:", err)
-		flag.Usage()
-		os.Exit(2)
-	}
-	if *exp == "table1" && (*httpAddr != "" || *svgOut != "") {
-		fmt.Fprintln(os.Stderr, "napawine: -http and -svg-out run no simulation under -exp table1 (the testbed inventory is static)")
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	// Load the file spec up front: a broken file must die as a usage error
-	// before any simulation starts, on both the single-run and sweep paths.
-	var fileSpec *napawine.ScenarioSpec
-	if *scnFile != "" {
-		var err error
-		fileSpec, err = napawine.LoadScenarioFile(*scnFile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "napawine:", err)
-			os.Exit(2)
-		}
-	}
-	out, closeOut := openOut()
-
-	if *exp == "table1" {
-		renderTableI(*csv, out)
-		closeOut()
-		return
-	}
-
-	// The study layer rejects a double world sizing; with -peers the
-	// untouched -scale default must not count as one.
-	effFactor := *factor
-	if explicit["peers"] {
-		effFactor = 0
-	}
-
-	if *seeds > 1 {
-		ds, finishDash := startDash()
-		runSweep(appList, *seed, *seeds, *duration, effFactor, *peers, *leanLed, *shards, *queueDep, *workers, *exp, *csv, *scn, fileSpec, *strat, out, ds, writeSVGs)
-		closeOut()
-		finishDash()
-		return
-	}
-
-	if *peers > 0 {
-		fmt.Fprintf(os.Stderr, "running %s for %v (seed %d, %d peers)...\n",
-			strings.Join(appList, ","), *duration, *seed, *peers)
-	} else {
-		fmt.Fprintf(os.Stderr, "running %s for %v (seed %d, scale %.2f)...\n",
-			strings.Join(appList, ","), *duration, *seed, *factor)
-	}
-	if *scn != "" {
-		fmt.Fprintf(os.Stderr, "scenario: %s\n", *scn)
-	}
-	if fileSpec != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %s (from %s)\n", fileSpec.Name, *scnFile)
-	}
-	if *strat != "" {
-		fmt.Fprintf(os.Stderr, "strategy: %s\n", *strat)
-	}
-	if *queueDep > 0 {
-		fmt.Fprintf(os.Stderr, "congestion: uplink queue depth %d (tail-drop)\n", *queueDep)
-	}
-	start := time.Now()
-	sc := napawine.Scale{
-		Seed: *seed, Duration: *duration, PeerFactor: effFactor, Peers: *peers,
-		LeanLedger: *leanLed, Shards: *shards, Workers: *workers,
-		Scenario: *scn, ScenarioSpec: fileSpec, Strategy: *strat,
-		QueueDepth: *queueDep, Apps: appList,
-	}
-	ds, finishDash := startDash()
-	runOpts := []napawine.StudyOption{napawine.WithObserver(&progress{start: start})}
-	if ds != nil {
-		if err := ds.BeginStudy(sc.Battery()); err != nil {
-			fatal(err)
-		}
-		runOpts = append(runOpts, napawine.WithObserver(ds))
-	}
-	results, err := napawine.RunAll(sc, runOpts...)
 	if err != nil {
-		fatal(err)
+		return nil, err
+	}
+	set := func(name string) bool { return o.explicit[name] || !o.fromStudy() }
+	if set("duration") {
+		st.Duration = study.Duration(o.duration)
+	}
+	if set("seeds") {
+		st.Seeds, st.Trials = nil, o.seeds
+	}
+	if set("seed") {
+		st.Seeds, st.BaseSeed = nil, o.seed
+	}
+	// -peers and -scale are two sizings of one world; an untouched -scale
+	// default must not count against an explicit -peers.
+	if o.explicit["peers"] {
+		st.Peers, st.PeerFactor = o.peers, 0
+	} else if set("scale") {
+		st.Peers, st.PeerFactor = 0, o.scale
+	}
+	if set("lean-ledger") {
+		st.LeanLedger = o.leanLedger
+	}
+	if set("shards") {
+		st.Shards = o.shards
+	}
+	if set("queue-depth") {
+		// A pinned depth collapses any congestion axis the study declared.
+		st.QueueDepths, st.QueueDepth = nil, o.queueDepth
+	}
+	if set("apps") {
+		st.Apps = parseApps(o.apps)
+	}
+	return st, st.Validate()
+}
+
+// usageError marks an error the user fixes on the command line (exit 2).
+type usageError struct{ error }
+
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command behind a testable signature: exit status 0, 1
+// for a failed run, 2 for a usage error. Several goroutines write progress
+// to stderr, so like *os.File it must take concurrent Writes.
+func run(args []string, stdout, stderr io.Writer) int {
+	o, fs, err := parseFlags(args)
+	fs.SetOutput(stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		fs.Usage()
+		return 0
+	}
+	if err != nil {
+		err = usageError{err}
+	} else {
+		err = o.execute(stdout, stderr)
+	}
+	if err == nil {
+		return 0
+	}
+	fmt.Fprintln(stderr, "napawine:", err)
+	// A fleet worker learns the study's shard count only at join time, so
+	// its oversubscription check fails late — still a usage error.
+	if errors.As(err, new(usageError)) || errors.Is(err, fleet.ErrOversubscribed) {
+		fs.Usage()
+		return 2
+	}
+	return 1
+}
+
+// execute is the pipeline after parsing: validate → (list | worker | table
+// I | build the study → run it → render).
+func (o *options) execute(stdout, stderr io.Writer) (err error) {
+	if err := o.validate(); err != nil {
+		return usageError{err}
+	}
+	if list := o.listing(); list != "" {
+		_, err = io.WriteString(stdout, list)
+		return err
+	}
+	stopProfiles, err := startProfiles(o.cpuProfile, o.memProfile)
+	if err != nil {
+		return err
+	}
+	defer func() { err = errors.Join(err, stopProfiles()) }()
+	// A fleet worker needs nothing local: it downloads the study, leases
+	// cells until disbanded, and prints no tables (the coordinator does).
+	if o.join != "" {
+		return fleet.RunWorker(context.Background(), fleet.WorkerConfig{
+			Addr:    o.join,
+			Workers: o.workers, ExplicitWorkers: o.explicit["workers"],
+			Log: func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) },
+		})
+	}
+	var st *study.Study
+	if o.exp != "table1" {
+		if st, err = o.buildStudy(); err != nil {
+			return usageError{err}
+		}
+		// Every in-flight cell runs the study's shards as goroutines: an
+		// oversubscribing -workers is a usage error, an unset one is derated.
+		if o.workers, err = fleet.WorkerBudget(o.workers, o.explicit["workers"], st.Shards, runtime.GOMAXPROCS(0)); err != nil {
+			return err
+		}
+	}
+	// -out opens only now: a usage error can never truncate a previous
+	// run's artifact, and a bad destination still fails before simulating.
+	out := stdout
+	if o.out != "" {
+		f, cerr := os.Create(o.out)
+		if cerr != nil {
+			return cerr
+		}
+		defer func() { err = errors.Join(err, f.Close()) }()
+		out = f
+	}
+	if st == nil {
+		return renderTableI(&printer{out: out, csv: o.csv})
+	}
+	return o.runStudy(st, out, stderr)
+}
+
+// runStudy executes the study and renders it, with the live dashboard (when
+// -http is set) watching the same observer stream as the progress lines.
+func (o *options) runStudy(st *study.Study, out, stderr io.Writer) (err error) {
+	start := time.Now()
+	observers := []study.Observer{&progress{w: stderr, start: start}}
+	var ds *dash.Server
+	if o.http != "" {
+		if ds, err = dash.New(o.http); err != nil {
+			return err
+		}
+		defer ds.Close()
+		fmt.Fprintf(stderr, "dashboard: http://%s/\n", ds.Addr())
+		if err = ds.BeginStudy(st); err != nil {
+			return err
+		}
+		observers = append(observers, ds)
+	}
+	banner(stderr, st)
+	var res *study.Result
+	if o.listen != "" {
+		res, err = o.coordinate(st, observers, ds, stderr)
+	} else {
+		opts := []study.Option{study.WithWorkers(o.workers)}
+		if o.paperFormat(st) {
+			// Observations and figures too; one seed keeps that affordable.
+			opts = append(opts, study.WithFullResults())
+		}
+		for _, obs := range observers {
+			opts = append(opts, study.WithObserver(obs))
+		}
+		res, err = study.Run(context.Background(), st, opts...)
+	}
+	if err != nil {
+		return err
 	}
 	var events uint64
-	for _, r := range results {
-		events += r.Events
+	for _, c := range res.Cells {
+		events += c.Summary.Events
 	}
-	fmt.Fprintf(os.Stderr, "done in %v (%d simulation events)\n\n",
-		time.Since(start).Round(time.Millisecond), events)
+	fmt.Fprintf(stderr, "done in %v (%d runs, %d simulation events)\n\n",
+		time.Since(start).Round(time.Millisecond), len(res.Cells), events)
 
-	render := renderer(*csv, out)
-
-	show := func(name string) bool { return *exp == name || *exp == "all" }
-	if show("table2") {
-		render(napawine.TableII(results))
+	p := &printer{out: out, csv: o.csv}
+	arts := o.render(p, res)
+	if p.err != nil {
+		return p.err
 	}
-	if show("table3") {
-		render(napawine.TableIII(results))
-	}
-	if show("table4") {
-		render(napawine.TableIV(results))
-		for _, r := range results {
-			fmt.Fprintf(out, "%s: measured hop median %.0f, mean continuity %.3f\n",
-				r.App, r.HopMedianMeasured, r.MeanContinuity)
-		}
-		fmt.Fprintln(out)
-	}
-	if show("fig1") {
-		if err := napawine.RenderFigure1(out, results); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if show("fig2") {
-		if err := napawine.RenderFigure2(out, results); err != nil {
-			fatal(err)
-		}
-		fmt.Fprintln(out)
-	}
-	if show("hopsweep") {
-		for _, r := range results {
-			t, err := napawine.HopSweep(r, 15, 23)
-			if err != nil {
-				fatal(err)
-			}
-			render(t)
-		}
-	}
-	if *scn != "" || fileSpec != nil {
-		if series := napawine.SeriesTable(results); series != nil {
-			render(series)
-		}
-	}
-	if *queueDep > 0 {
-		// Per-app congestion ground truth, printed with the tables so a
-		// bounded-queue run documents its loss regime (and CI can assert
-		// the queues actually dropped).
-		for _, r := range results {
-			loss := 0.0
-			if offered := r.ChunksServed + r.Drops; offered > 0 {
-				loss = 100 * float64(r.Drops) / float64(offered)
-			}
-			fmt.Fprintf(out, "%s congestion: drops %d, retransmits %d, backoffs %d, loss %.2f%%\n",
-				r.App, r.Drops, r.Retransmits, r.Backoffs, loss)
-		}
-		fmt.Fprintln(out)
-	}
-	writeSVGs(append(napawine.SeriesPlots(results), napawine.Figure1Plots(results)...))
-	closeOut()
-	finishDash()
-}
-
-// renderer builds the shared table writer: aligned ASCII or CSV, onto out.
-func renderer(csv bool, out io.Writer) func(*napawine.Table) {
-	return func(t *napawine.Table) {
-		var err error
-		if csv {
-			err = t.RenderCSV(out)
-		} else {
-			err = t.Render(out)
-			fmt.Fprintln(out)
-		}
+	if o.svgOut != "" && len(arts) > 0 {
+		// Fail loudly: a partial directory must not pass for a complete one.
+		paths, err := plot.WriteDir(o.svgOut, arts)
 		if err != nil {
-			fatal(err)
+			return err
 		}
+		fmt.Fprintf(stderr, "wrote %d SVG artifacts to %s\n", len(paths), o.svgOut)
 	}
+	if ds != nil && o.httpLinger > 0 {
+		// So scripts and CI can still curl a finished run.
+		fmt.Fprintf(stderr, "dashboard lingering %v\n", o.httpLinger)
+		time.Sleep(o.httpLinger)
+	}
+	return nil
 }
 
-// progress prints one line per finished study cell on stderr, so a long
-// grid shows movement while tables wait for the end. Cell identity comes
-// from the RunInfo the study layer hands every observer — the same values
-// the dashboard renders — so the terminal and the browser always agree on
-// which cell is which.
-type progress struct {
-	mu    sync.Mutex
-	done  int
-	start time.Time
-}
-
-func (p *progress) OnRunStart(napawine.StudyRunInfo) {}
-
-func (p *progress) OnRunDone(info napawine.StudyRunInfo, sum napawine.RunSummary, err error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.done++
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "cell %d/%d %s FAILED: %v\n",
-			info.Index+1, info.Total, info.Label(), err)
-		return
-	}
-	fmt.Fprintf(os.Stderr, "cell %d/%d %s done (continuity %.3f, %d/%d finished, %v elapsed)\n",
-		info.Index+1, info.Total, info.Label(), sum.MeanContinuity,
-		p.done, info.Total, time.Since(p.start).Round(time.Second))
-}
-
-func (p *progress) OnSample(napawine.StudyRunInfo, napawine.SeriesSample) {}
-
-// loadStudy resolves -study / -study-file; a bad name or file is a usage
-// error before anything else happens.
-func loadStudy(name, file string) *napawine.Study {
-	var st *napawine.Study
-	var err error
-	if file != "" {
-		st, err = napawine.LoadStudyFile(file)
-	} else {
-		st, err = napawine.StudyByName(name)
-	}
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "napawine:", err)
-		os.Exit(2)
-	}
-	return st
-}
-
-// applyStudyOverrides folds explicitly-set command-line knobs over the
-// study's own, so one registered grid scales from a CI smoke run to the
-// full campaign.
-func applyStudyOverrides(st *napawine.Study, seed int64, trials int, duration time.Duration, factor float64, peers int, leanLedger bool, shards int, queueDepth int, appList []string, explicit map[string]bool) {
-	if explicit["duration"] {
-		st.Duration = napawine.StudyDuration(duration)
-	}
-	if explicit["seeds"] {
-		st.Seeds = nil
-		st.Trials = trials
-	}
-	if explicit["seed"] {
-		st.Seeds = nil
-		st.BaseSeed = seed
-	}
-	if explicit["scale"] {
-		st.PeerFactor = factor
-		st.Peers = 0
-	}
-	if explicit["peers"] {
-		st.Peers = peers
-		st.PeerFactor = 0
-	}
-	if explicit["lean-ledger"] {
-		st.LeanLedger = leanLedger
-	}
-	if explicit["shards"] {
-		st.Shards = shards
-	}
-	if explicit["queue-depth"] {
-		// An explicit depth pins the whole grid, collapsing any congestion
-		// axis the study declared (the two are mutually exclusive).
-		st.QueueDepths = nil
-		st.QueueDepth = queueDepth
-	}
-	if explicit["apps"] {
-		st.Apps = appList
-	}
-}
-
-// runStudy executes a study grid and renders its comparison table, with
-// the live dashboard and SVG artifacts riding the same observer stream.
-func runStudy(st *napawine.Study, workers int, csv bool, out io.Writer, ds *dash.Server, writeSVGs func([]plot.Artifact)) {
-	fmt.Fprintf(os.Stderr, "study %s: %d runs (%d apps × %d strategies × %d scenarios × %d variants × %d congestion levels × %d seeds)\n",
-		st.Name, st.Runs(), len(st.AppList()), len(st.StrategyList()),
-		len(st.ScenarioList()), len(st.VariantList()), len(st.QueueDepthList()), len(st.SeedList()))
-	start := time.Now()
-	opts := []napawine.StudyOption{
-		napawine.WithWorkers(workers),
-		napawine.WithObserver(&progress{start: start}),
-	}
-	if ds != nil {
-		if err := ds.BeginStudy(st); err != nil {
-			fatal(err)
-		}
-		opts = append(opts, napawine.WithObserver(ds))
-	}
-	res, err := napawine.RunStudy(context.Background(), st, opts...)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "done in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	render := renderer(csv, out)
-	render(res.ComparisonTable())
-	writeSVGs(res.MetricBars())
-}
-
-// runFleetCoordinator serves a study grid to -join workers instead of
-// running it locally: same progress lines, dashboard and artifacts as
-// runStudy — the observers just watch a fleet execute the cells. Fleet
-// events (worker joins, lease expiries, spool restores) additionally
+// coordinate serves the study's cells to -join workers instead of running
+// them here; fleet events (joins, lease expiries, spool restores) also
 // narrate onto the dashboard's fleet log.
-func runFleetCoordinator(st *napawine.Study, listen, resumeDir string, leaseTTL time.Duration, csv bool, out io.Writer, ds *dash.Server, writeSVGs func([]plot.Artifact)) {
-	fmt.Fprintf(os.Stderr, "study %s: %d runs, distributed (lease ttl %v)\n", st.Name, st.Runs(), leaseTTL)
-	start := time.Now()
-	obs := []napawine.StudyObserver{&progress{start: start}}
-	if ds != nil {
-		if err := ds.BeginStudy(st); err != nil {
-			fatal(err)
-		}
-		obs = append(obs, ds)
-	}
+func (o *options) coordinate(st *study.Study, observers []study.Observer, ds *dash.Server, stderr io.Writer) (*study.Result, error) {
 	logf := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, format+"\n", args...)
+		fmt.Fprintf(stderr, format+"\n", args...)
 		if ds != nil {
 			ds.Note("fleet", fmt.Sprintf(format, args...))
 		}
 	}
 	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{
-		Study: st, Addr: listen, LeaseTTL: leaseTTL, SpoolDir: resumeDir,
-		Observers: obs, Log: logf,
+		Study: st, Addr: o.listen, LeaseTTL: o.leaseTTL, SpoolDir: o.resume,
+		Observers: observers, Log: logf,
 	})
 	if err != nil {
-		fatal(err)
+		return nil, err
 	}
-	fmt.Fprintf(os.Stderr, "fleet: coordinating on %s (join with: napawine -join %s)\n", coord.Addr(), coord.Addr())
-	res, err := coord.Wait(context.Background())
-	_ = coord.Close()
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "done in %v\n\n", time.Since(start).Round(time.Millisecond))
-
-	render := renderer(csv, out)
-	render(res.ComparisonTable())
-	writeSVGs(res.MetricBars())
-}
-
-// runSweep executes the replicated multi-seed battery and renders the
-// aggregated (mean ± stderr) tables. Figures and the hop sweep are
-// single-run reductions and are not replicated here.
-func runSweep(appList []string, seed int64, trials int, duration time.Duration, factor float64, peers int, leanLedger bool, shards int, queueDepth int, workers int, exp string, csv bool, scn string, fileSpec *napawine.ScenarioSpec, strat string, out io.Writer, ds *dash.Server, writeSVGs func([]plot.Artifact)) {
-	if exp == "fig1" || exp == "fig2" || exp == "hopsweep" {
-		fatal(fmt.Errorf("-exp %s is a single-run reduction; drop -seeds or use -seeds 1", exp))
-	}
-	fmt.Fprintf(os.Stderr, "sweeping %s × %d seeds for %v (base seed %d, scale %.2f)...\n",
-		strings.Join(appList, ","), trials, duration, seed, factor)
-	if scn != "" {
-		fmt.Fprintf(os.Stderr, "scenario: %s\n", scn)
-	}
-	if fileSpec != nil {
-		fmt.Fprintf(os.Stderr, "scenario: %s (file spec)\n", fileSpec.Name)
-	}
-	if strat != "" {
-		fmt.Fprintf(os.Stderr, "strategy: %s\n", strat)
-	}
-	if queueDepth > 0 {
-		fmt.Fprintf(os.Stderr, "congestion: uplink queue depth %d (tail-drop)\n", queueDepth)
-	}
-	start := time.Now()
-	spec := napawine.SweepSpec{
-		Apps:         appList,
-		BaseSeed:     seed,
-		Trials:       trials,
-		Duration:     duration,
-		PeerFactor:   factor,
-		Peers:        peers,
-		LeanLedger:   leanLedger,
-		Shards:       shards,
-		Workers:      workers,
-		Scenario:     scn,
-		ScenarioSpec: fileSpec,
-		Strategy:     strat,
-		QueueDepth:   queueDepth,
-	}
-	opts := []napawine.StudyOption{napawine.WithObserver(&progress{start: start})}
-	if ds != nil {
-		if err := ds.BeginStudy(spec.Study()); err != nil {
-			fatal(err)
-		}
-		opts = append(opts, napawine.WithObserver(ds))
-	}
-	res, err := napawine.SweepCtx(context.Background(), spec, opts...)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Fprintf(os.Stderr, "done in %v (%d runs)\n\n",
-		time.Since(start).Round(time.Millisecond), len(appList)*trials)
-
-	render := renderer(csv, out)
-	show := func(name string) bool { return exp == name || exp == "all" }
-	if show("table2") {
-		render(res.TableII())
-	}
-	if show("table3") {
-		render(res.TableIII())
-	}
-	if show("table4") {
-		render(res.TableIV())
-		render(res.HealthTable())
-	}
-	if scn != "" || fileSpec != nil {
-		if series := res.SeriesTable(); series != nil {
-			render(series)
-		}
-	}
-	writeSVGs(res.SeriesPlots())
-}
-
-func renderTableI(csv bool, out io.Writer) {
-	t := report.NewTable("TABLE I — NAPA-WINE testbed",
-		"Site", "CC", "AS", "High-bw hosts", "Home probes", "NAT", "FW")
-	for _, s := range world.TableI() {
-		homes := make([]string, 0, len(s.Homes))
-		nat := 0
-		fw := 0
-		for _, h := range s.Homes {
-			homes = append(homes, h.Access.Spec.String())
-			if h.Access.NAT {
-				nat++
-			}
-			if h.Access.Firewall {
-				fw++
-			}
-		}
-		nat += s.HighBwNAT
-		fwMark := fmt.Sprintf("%d", fw)
-		if s.HighBwFW {
-			fwMark += "+site"
-		}
-		t.Add(s.Name, string(s.Country), s.ASLabel,
-			fmt.Sprintf("%d", s.HighBw), strings.Join(homes, " "),
-			fmt.Sprintf("%d", nat), fwMark)
-	}
-	var err error
-	if csv {
-		err = t.RenderCSV(out)
-	} else {
-		err = t.Render(out)
-	}
-	if err != nil {
-		fatal(err)
-	}
+	defer coord.Close()
+	fmt.Fprintf(stderr, "fleet: coordinating on %s, lease ttl %v (join with: napawine -join %s)\n",
+		coord.Addr(), o.leaseTTL, coord.Addr())
+	return coord.Wait(context.Background())
 }
 
 // startProfiles wires -cpuprofile / -memprofile (runtime/pprof). The
-// returned stop ends the CPU profile and writes the heap profile; fatal
-// exits skip it, losing the profiles the way go test's -cpuprofile does on
-// a crash.
-func startProfiles(cpu, mem string) func() {
-	var cpuF *os.File
+// returned stop ends the CPU profile and writes the heap profile.
+func startProfiles(cpu, mem string) (stop func() error, err error) {
+	stopCPU := func() error { return nil }
 	if cpu != "" {
 		f, err := os.Create(cpu)
 		if err != nil {
-			fatal(err)
+			return nil, err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fatal(err)
+			return nil, errors.Join(err, f.Close())
 		}
-		cpuF = f
+		stopCPU = func() error { pprof.StopCPUProfile(); return f.Close() }
 	}
-	return func() {
-		if cpuF != nil {
-			pprof.StopCPUProfile()
-			if err := cpuF.Close(); err != nil {
-				fatal(err)
-			}
+	return func() error {
+		err := stopCPU()
+		if mem == "" {
+			return err
 		}
-		if mem != "" {
-			f, err := os.Create(mem)
-			if err != nil {
-				fatal(err)
-			}
-			runtime.GC() // up-to-date allocation stats, like net/http/pprof
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				fatal(err)
-			}
+		f, cerr := os.Create(mem)
+		if cerr != nil {
+			return errors.Join(err, cerr)
 		}
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "napawine:", err)
-	os.Exit(1)
+		runtime.GC() // up-to-date allocation stats, like net/http/pprof
+		return errors.Join(err, pprof.WriteHeapProfile(f), f.Close())
+	}, nil
 }

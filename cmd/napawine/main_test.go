@@ -6,27 +6,46 @@ import (
 	"time"
 )
 
+// Files the checks below may load.
+const (
+	scenarioFile = "../../examples/scenarios/zapping.json"
+	studyFile    = "../../examples/studies/blind-ablation.json"
+)
+
+// validate runs every usage check a command line passes before -out opens —
+// the flag validation, then the study build with its registry lookups — and
+// returns the first error. The tests below state flag combinations the way
+// a user types them.
+func validate(t *testing.T, args ...string) error {
+	t.Helper()
+	o, _, err := parseFlags(args)
+	if err != nil {
+		t.Fatalf("parse %v: %v", args, err)
+	}
+	if err := o.validate(); err != nil || o.join != "" || o.exp == "table1" {
+		return err
+	}
+	_, err = o.buildStudy()
+	return err
+}
+
 func TestValidateArgsAcceptsValidCombos(t *testing.T) {
-	for _, tc := range []struct {
-		exp      string
-		apps     []string
-		scenario string
-		strategy string
-	}{
-		{"all", []string{"PPLive", "SopCast", "TVAnts"}, "", ""},
-		{"table4", []string{"TVAnts"}, "flashcrowd", ""},
-		{"table1", []string{"PPLive"}, "", ""},
-		{"hopsweep", []string{"SopCast"}, "steady", "rarest"},
-		{"table2", []string{"PPLive"}, "", "latest-useful"},
+	for _, args := range [][]string{
+		{"-exp", "all", "-apps", "PPLive,SopCast,TVAnts"},
+		{"-exp", "table4", "-apps", "TVAnts", "-scenario", "flashcrowd"},
+		{"-exp", "table1", "-apps", "PPLive"},
+		{"-exp", "hopsweep", "-apps", "SopCast", "-scenario", "steady", "-strategy", "rarest"},
+		{"-exp", "table2", "-apps", "PPLive", "-strategy", "latest-useful"},
+		{"-exp", "table2", "-seeds", "5", "-duration", "1s"},
 	} {
-		if err := validateArgs(tc.exp, tc.apps, tc.scenario, "", tc.strategy); err != nil {
-			t.Errorf("validateArgs(%q, %v, %q) = %v, want nil", tc.exp, tc.apps, tc.scenario, err)
+		if err := validate(t, args...); err != nil {
+			t.Errorf("validate(%v) = %v, want nil", args, err)
 		}
 	}
 }
 
 func TestValidateArgsRejectsUnknownExp(t *testing.T) {
-	err := validateArgs("tabel4", []string{"PPLive"}, "", "", "")
+	err := validate(t, "-exp", "tabel4", "-apps", "PPLive")
 	if err == nil {
 		t.Fatal("typo'd -exp accepted")
 	}
@@ -38,7 +57,7 @@ func TestValidateArgsRejectsUnknownExp(t *testing.T) {
 }
 
 func TestValidateArgsRejectsUnknownApp(t *testing.T) {
-	err := validateArgs("all", []string{"PPLive", "Joost"}, "", "", "")
+	err := validate(t, "-apps", "PPLive,Joost")
 	if err == nil {
 		t.Fatal("unknown app accepted")
 	}
@@ -50,13 +69,13 @@ func TestValidateArgsRejectsUnknownApp(t *testing.T) {
 }
 
 func TestValidateArgsRejectsEmptyApps(t *testing.T) {
-	if err := validateArgs("all", nil, "", "", ""); err == nil {
+	if err := validate(t, "-apps", " , "); err == nil {
 		t.Error("empty app list accepted")
 	}
 }
 
 func TestValidateArgsRejectsUnknownScenario(t *testing.T) {
-	err := validateArgs("all", []string{"PPLive"}, "worldcup", "", "")
+	err := validate(t, "-apps", "PPLive", "-scenario", "worldcup")
 	if err == nil {
 		t.Fatal("unknown scenario accepted")
 	}
@@ -78,7 +97,7 @@ func TestParseApps(t *testing.T) {
 }
 
 func TestScenarioListNamesEveryScenario(t *testing.T) {
-	out := scenarioList()
+	out := (&options{listScenarios: true}).listing()
 	for _, name := range []string{"steady", "flashcrowd", "diurnal", "partition", "outage", "throttle", "failover", "zapping", "regional"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-scenario-list output missing %q:\n%s", name, out)
@@ -87,13 +106,13 @@ func TestScenarioListNamesEveryScenario(t *testing.T) {
 }
 
 func TestValidateArgsRejectsScenarioWithTable1(t *testing.T) {
-	if err := validateArgs("table1", []string{"PPLive"}, "flashcrowd", "", ""); err == nil {
+	if err := validate(t, "-exp", "table1", "-scenario", "flashcrowd"); err == nil {
 		t.Error("-scenario with -exp table1 accepted (it would be silently ignored)")
 	}
 }
 
 func TestValidateArgsRejectsUnknownStrategy(t *testing.T) {
-	err := validateArgs("all", []string{"PPLive"}, "", "", "newest")
+	err := validate(t, "-strategy", "newest")
 	if err == nil {
 		t.Fatal("unknown strategy accepted")
 	}
@@ -105,25 +124,25 @@ func TestValidateArgsRejectsUnknownStrategy(t *testing.T) {
 }
 
 func TestValidateArgsRejectsStrategyWithTable1(t *testing.T) {
-	if err := validateArgs("table1", []string{"PPLive"}, "", "", "rarest"); err == nil {
+	if err := validate(t, "-exp", "table1", "-strategy", "rarest"); err == nil {
 		t.Error("-strategy with -exp table1 accepted (it would be silently ignored)")
 	}
 }
 
 func TestValidateArgsScenarioFile(t *testing.T) {
-	if err := validateArgs("all", []string{"PPLive"}, "", "f.json", ""); err != nil {
+	if err := validate(t, "-scenario-file", scenarioFile); err != nil {
 		t.Errorf("-scenario-file alone rejected: %v", err)
 	}
-	if err := validateArgs("all", []string{"PPLive"}, "flashcrowd", "f.json", ""); err == nil {
+	if err := validate(t, "-scenario", "flashcrowd", "-scenario-file", "f.json"); err == nil {
 		t.Error("-scenario together with -scenario-file accepted")
 	}
-	if err := validateArgs("table1", []string{"PPLive"}, "", "f.json", ""); err == nil {
+	if err := validate(t, "-exp", "table1", "-scenario-file", "f.json"); err == nil {
 		t.Error("-scenario-file with -exp table1 accepted (it would be silently ignored)")
 	}
 }
 
 func TestStrategyListNamesEveryStrategy(t *testing.T) {
-	out := strategyList()
+	out := (&options{listStrategies: true}).listing()
 	for _, name := range []string{"urgent-random", "latest-useful", "rarest", "deadline"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-strategy-list output missing %q:\n%s", name, out)
@@ -132,7 +151,7 @@ func TestStrategyListNamesEveryStrategy(t *testing.T) {
 }
 
 func TestStudyListNamesEveryStudy(t *testing.T) {
-	out := studyList()
+	out := (&options{listStudies: true}).listing()
 	for _, name := range []string{"strategy-comparison", "blind-ablation"} {
 		if !strings.Contains(out, name) {
 			t.Errorf("-study-list output missing %q:\n%s", name, out)
@@ -141,17 +160,16 @@ func TestStudyListNamesEveryStudy(t *testing.T) {
 }
 
 func TestValidateStudyArgs(t *testing.T) {
-	none := map[string]bool{}
-	if err := validateStudyArgs("strategy-comparison", "", none); err != nil {
+	if err := validate(t, "-study", "strategy-comparison"); err != nil {
 		t.Errorf("registered study rejected: %v", err)
 	}
-	if err := validateStudyArgs("", "s.json", none); err != nil {
+	if err := validate(t, "-study-file", studyFile); err != nil {
 		t.Errorf("study file rejected: %v", err)
 	}
-	if err := validateStudyArgs("strategy-comparison", "s.json", none); err == nil {
+	if err := validate(t, "-study", "strategy-comparison", "-study-file", "s.json"); err == nil {
 		t.Error("-study together with -study-file accepted")
 	}
-	err := validateStudyArgs("worldcup", "", none)
+	err := validate(t, "-study", "worldcup")
 	if err == nil {
 		t.Fatal("unknown study accepted")
 	}
@@ -161,60 +179,157 @@ func TestValidateStudyArgs(t *testing.T) {
 		}
 	}
 	// Overridable knobs are fine; axis-defining flags are not.
-	if err := validateStudyArgs("strategy-comparison", "",
-		map[string]bool{"study": true, "duration": true, "seeds": true, "scale": true}); err != nil {
+	if err := validate(t, "-study", "strategy-comparison",
+		"-duration", "30s", "-seeds", "2", "-scale", "0.2", "-apps", "TVAnts"); err != nil {
 		t.Errorf("override flags rejected: %v", err)
 	}
-	for _, f := range []string{"exp", "scenario", "scenario-file", "strategy"} {
-		if err := validateStudyArgs("strategy-comparison", "", map[string]bool{f: true}); err == nil {
-			t.Errorf("-%s with -study accepted (it would be silently ignored)", f)
+	for _, f := range [][]string{{"-exp", "table4"}, {"-scenario", "flashcrowd"},
+		{"-scenario-file", "f.json"}, {"-strategy", "rarest"}} {
+		err := validate(t, append([]string{"-study", "strategy-comparison"}, f...)...)
+		if err == nil || !strings.Contains(err.Error(), f[0]) {
+			t.Errorf("%s with -study: %v, want a usage error naming it (it would be silently ignored)", f[0], err)
 		}
 	}
 }
 
 func TestValidateFleetArgs(t *testing.T) {
-	ttl := 30 * time.Second
+	study := []string{"-listen", ":0", "-study", "blind-ablation"}
+	with := func(base []string, more ...string) []string { return append(append([]string(nil), base...), more...) }
 	// Plain local runs are untouched.
-	if err := validateFleetArgs("", "", ttl, map[string]bool{"exp": true}); err != nil {
+	if err := validate(t, "-exp", "table4"); err != nil {
 		t.Errorf("local run rejected: %v", err)
 	}
-	// A coordinator needs a study and owns -resume/-lease-ttl.
-	if err := validateFleetArgs(":0", "", ttl,
-		map[string]bool{"listen": true, "study": true, "resume": true, "lease-ttl": true}); err != nil {
+	// A coordinator serves a study — loaded, or built from -exp with a seed
+	// axis — and owns -resume/-lease-ttl.
+	if err := validate(t, with(study, "-resume", "spool", "-lease-ttl", "5s")...); err != nil {
 		t.Errorf("coordinator flags rejected: %v", err)
 	}
-	if err := validateFleetArgs(":0", "", ttl, map[string]bool{"listen": true}); err == nil {
-		t.Error("-listen without a study accepted")
+	if err := validate(t, "-listen", ":0", "-exp", "table2", "-seeds", "2", "-resume", "spool"); err != nil {
+		t.Errorf("replicated -exp run rejected as a coordinator: %v", err)
 	}
-	if err := validateFleetArgs(":0", "", ttl,
-		map[string]bool{"listen": true, "study": true, "workers": true}); err == nil {
+	// One seed prints from full results, which fleet workers do not ship.
+	for _, args := range [][]string{{"-listen", ":0"}, {"-listen", ":0", "-exp", "table4", "-seeds", "1"}} {
+		if err := validate(t, args...); err == nil || !strings.Contains(err.Error(), "-listen") {
+			t.Errorf("%v: %v, want a usage error naming -listen", args, err)
+		}
+	}
+	if err := validate(t, with(study, "-workers", "2")...); err == nil {
 		t.Error("-workers with -listen accepted (the coordinator runs no cells)")
 	}
-	if err := validateFleetArgs(":0", "", 0,
-		map[string]bool{"listen": true, "study": true}); err == nil {
+	if err := validate(t, with(study, "-lease-ttl", "0s")...); err == nil {
 		t.Error("non-positive -lease-ttl accepted")
 	}
 	// Coordinator and worker roles are exclusive.
-	if err := validateFleetArgs(":0", "host:1", ttl,
-		map[string]bool{"listen": true, "join": true, "study": true}); err == nil {
+	if err := validate(t, with(study, "-join", "host:1")...); err == nil {
 		t.Error("-listen together with -join accepted")
 	}
 	// -resume / -lease-ttl mean nothing without -listen.
-	for _, f := range []string{"resume", "lease-ttl"} {
-		if err := validateFleetArgs("", "", ttl, map[string]bool{f: true}); err == nil {
-			t.Errorf("-%s without -listen accepted", f)
+	for _, f := range [][]string{{"-resume", "spool"}, {"-lease-ttl", "5s"}} {
+		if err := validate(t, f...); err == nil {
+			t.Errorf("%s without -listen accepted", f[0])
 		}
 	}
 	// A worker takes only its budget and profiles; everything else about
 	// the run comes from the coordinator.
-	if err := validateFleetArgs("", "host:1", ttl,
-		map[string]bool{"join": true, "workers": true, "cpuprofile": true, "memprofile": true}); err != nil {
+	if err := validate(t, "-join", "host:1", "-workers", "2", "-cpuprofile", "c", "-memprofile", "m"); err != nil {
 		t.Errorf("worker whitelist rejected: %v", err)
 	}
-	for _, f := range []string{"shards", "study", "study-file", "exp", "seeds", "duration", "out", "svg-out", "http"} {
-		err := validateFleetArgs("", "host:1", ttl, map[string]bool{"join": true, f: true})
-		if err == nil || !strings.Contains(err.Error(), "-"+f) {
-			t.Errorf("-%s with -join: %v, want a usage error naming it", f, err)
+	for _, f := range [][]string{{"-shards", "2"}, {"-study", "blind-ablation"}, {"-study-file", "s.json"},
+		{"-exp", "table2"}, {"-seeds", "2"}, {"-duration", "30s"}, {"-out", "o"}, {"-svg-out", "d"}, {"-http", ":0"}} {
+		err := validate(t, append([]string{"-join", "host:1"}, f...)...)
+		if err == nil || !strings.Contains(err.Error(), f[0]) {
+			t.Errorf("%s with -join: %v, want a usage error naming it", f[0], err)
 		}
+	}
+}
+
+// TestValidateRejectsIgnoredValues: a value the run would silently replace
+// or ignore is a usage error on every path, naming the flag.
+func TestValidateRejectsIgnoredValues(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		want string
+	}{
+		{[]string{"-seeds", "0"}, "-seeds"},
+		{[]string{"-seeds", "-3"}, "-seeds"},
+		{[]string{"-study", "blind-ablation", "-seeds", "0"}, "-seeds"},
+		{[]string{"-study", "blind-ablation", "-seeds", "-1"}, "-seeds"},
+		{[]string{"-duration", "-5s"}, "-duration"},
+		{[]string{"-duration", "0"}, "-duration"},
+		{[]string{"-study", "blind-ablation", "-duration", "-5s"}, "-duration"},
+		{[]string{"-exp", "table2", "-seeds", "2", "-listen", ":0", "-duration", "0s"}, "-duration"},
+		{[]string{"-shards", "-1"}, "-shards"},
+		{[]string{"-queue-depth", "-1"}, "-queue-depth"},
+		{[]string{"-peers", "60", "-scale", "0.5"}, "-peers"},
+		{[]string{"-http-linger", "5s"}, "-http-linger"},
+		{[]string{"-exp", "table1", "-http", ":0"}, "-http"},
+		{[]string{"-exp", "table1", "-svg-out", "d"}, "-svg-out"},
+		{[]string{"-exp", "table1", "-seeds", "2", "-listen", ":0"}, "-listen"},
+		{[]string{"-exp", "fig1", "-seeds", "2"}, "fig1"},
+		{[]string{"-exp", "fig2", "-seeds", "3"}, "fig2"},
+		{[]string{"-exp", "hopsweep", "-seeds", "2"}, "hopsweep"},
+	} {
+		err := validate(t, tc.args...)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("validate(%v) = %v, want a usage error naming %s", tc.args, err, tc.want)
+		}
+	}
+}
+
+// TestBuildStudyOverrides pins the one flag→study compilation: every knob
+// lands over the empty base, only the explicitly-set ones over a loaded
+// study.
+func TestBuildStudyOverrides(t *testing.T) {
+	build := func(args ...string) *options {
+		t.Helper()
+		o, _, err := parseFlags(args)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return o
+	}
+	st, err := build("-apps", "TVAnts,SopCast", "-seed", "7", "-seeds", "3", "-duration", "20s",
+		"-peers", "60", "-strategy", "rarest", "-scenario", "flashcrowd", "-queue-depth", "2", "-shards", "2").buildStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.SeedList(); len(got) != 3 || got[0] != 7 || got[2] != 9 {
+		t.Errorf("seeds = %v, want [7 8 9]", got)
+	}
+	if st.Peers != 60 || st.PeerFactor != 0 {
+		t.Errorf("sizing = %d peers / factor %v; an untouched -scale must not count against -peers", st.Peers, st.PeerFactor)
+	}
+	if st.Runs() != 6 || st.Apps[0] != "TVAnts" || st.Strategies[0] != "rarest" ||
+		st.Scenarios[0].Name != "flashcrowd" || st.QueueDepth != 2 || st.Shards != 2 || time.Duration(st.Duration) != 20*time.Second {
+		t.Errorf("flag-built study = %+v", st)
+	}
+	if st, err = build().buildStudy(); err != nil || st.PeerFactor != 1 || st.Runs() != 3 || st.Duration == 0 {
+		t.Errorf("default study = %+v, %v", st, err)
+	}
+
+	// Over a loaded study the flags' defaults must not leak in.
+	st, err = build("-study", "awareness-ablation").buildStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Trials != 3 || st.PeerFactor != 0 || len(st.QueueDepths) != 2 || time.Duration(st.Duration) != 2*time.Minute {
+		t.Errorf("flag defaults leaked into the loaded study: %+v", st)
+	}
+	st, err = build("-study", "awareness-ablation", "-seeds", "2", "-seed", "5", "-queue-depth", "1", "-scale", "0.1").buildStudy()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.SeedList(); len(got) != 2 || got[0] != 5 {
+		t.Errorf("seeds = %v, want [5 6]", got)
+	}
+	if st.QueueDepths != nil || st.QueueDepth != 1 || st.PeerFactor != 0.1 {
+		t.Errorf("explicit overrides not applied: %+v", st)
+	}
+	// A bad axis after the overrides is an error here, before -out opens.
+	if _, err := build("-study", "blind-ablation", "-apps", "TVAnts,Joost").buildStudy(); err == nil {
+		t.Error("unknown app in a study override accepted")
+	}
+	if _, err := build("-scenario-file", "no-such.json").buildStudy(); err == nil {
+		t.Error("missing scenario file accepted")
 	}
 }

@@ -16,9 +16,10 @@ import (
 func main() {
 	fmt.Println("running the three applications in parallel (4 virtual minutes each)...")
 	start := time.Now()
-	results, err := napawine.RunAll(napawine.Scale{
-		Seed:       21,
-		Duration:   4 * time.Minute,
+	results, err := napawine.RunAll(&napawine.Study{
+		Name:       "awareness",
+		BaseSeed:   21,
+		Duration:   napawine.StudyDuration(4 * time.Minute),
 		PeerFactor: 0.5, // half-size worlds keep the demo quick
 	})
 	if err != nil {

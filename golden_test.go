@@ -24,9 +24,10 @@ const (
 
 func goldenRender(t testing.TB) (string, uint64) {
 	t.Helper()
-	results, err := napawine.RunAll(napawine.Scale{
-		Seed:       4242,
-		Duration:   90 * time.Second,
+	results, err := napawine.RunAll(&napawine.Study{
+		Name:       "golden",
+		BaseSeed:   4242,
+		Duration:   napawine.StudyDuration(90 * time.Second),
 		PeerFactor: 0.15,
 	})
 	if err != nil {

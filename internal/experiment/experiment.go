@@ -178,8 +178,8 @@ const LeanLedgerAutoPeers = 20000
 
 // ScalePeers scales the background population by factor (<= 0 leaves the
 // default), flooring at 50 peers so a tiny factor still yields a viable
-// swarm. Single-run batteries (napawine.RunAll) and sweeps share this rule;
-// the same scale flag must mean the same world in both modes.
+// swarm. Every study cell is sized by this one rule (Study.PeerFactor), so
+// the same -scale means the same world for one seed and for a replicated run.
 func (c *Config) ScalePeers(factor float64) {
 	if factor <= 0 {
 		return

@@ -146,8 +146,9 @@ func (f fanout) OnSample(info RunInfo, s experiment.SeriesSample) {
 
 // WithFullResults retains every cell's full experiment.Result (Result.Full)
 // instead of only its bounded summary. Memory then grows with the grid, not
-// the worker count — this exists for the single-battery adapter
-// (napawine.RunAll), whose callers need observations and figures.
+// the worker count — this exists for the paper-format battery
+// (napawine.RunAll, cmd/napawine at one seed), which reads observations and
+// figures, not only summaries.
 func WithFullResults() Option { return func(o *options) { o.keepFull = true } }
 
 // Cell is one executed grid point of a Result.

@@ -11,10 +11,11 @@
 // reason. A Study is that object here: strict JSON codec (mirroring the
 // scenario codec — unknown fields are loud errors, registered studies
 // round-trip), context cancellation, an Observer for progress and
-// per-bucket time-series streaming, and axis pivots over the results. The
-// single-battery (napawine.RunAll) and replicated-sweep (sweep.Run) entry
-// points compile into one-cell/one-axis studies, so every execution path
-// above the engine is this one.
+// per-bucket time-series streaming, and axis pivots over the results. It is
+// the one run description above the engine: the paper's single battery is a
+// one-seed study (napawine.RunAll keeps its full results), a replicated run
+// is the same study with a seed axis (package sweep renders its mean ±
+// stderr tables), and cmd/napawine compiles every flag set into one.
 package study
 
 import (
@@ -132,7 +133,7 @@ type Study struct {
 	// Duration is the virtual run length per cell (0 = per-app default).
 	Duration Duration `json:"duration,omitempty"`
 	// PeerFactor scales each application's default background population
-	// (0 = 1.0, floor of 50 peers), exactly like napawine.Scale.
+	// (0 = 1.0, floor of 50 peers; see experiment.Config.ScalePeers).
 	PeerFactor float64 `json:"peer_factor,omitempty"`
 	// Peers pins the background population to an absolute count instead
 	// of scaling the per-app default; 0 leaves the default (or the
@@ -205,7 +206,7 @@ func (st *Study) QueueDepthList() []int {
 	return []int{st.QueueDepth}
 }
 
-// SeedList resolves the seed axis (sweep.Spec shares this convention).
+// SeedList resolves the seed axis.
 func (st *Study) SeedList() []int64 {
 	if len(st.Seeds) > 0 {
 		return st.Seeds
@@ -428,10 +429,9 @@ func (st *Study) resolveGrid() ([]cell, error) {
 	return cells, nil
 }
 
-// config builds the cell's experiment configuration — the same knob-for-knob
-// construction napawine.RunAll and sweep.Run used before they became
-// adapters, so adapted batteries reproduce their pre-study output
-// byte-for-byte (the golden-digest tests pin this).
+// config builds the cell's experiment configuration: the one place a study
+// knob becomes an experiment.Config field (the golden-digest tests pin the
+// result byte-for-byte).
 func (c cell) config(st *Study) (experiment.Config, error) {
 	cfg := experiment.Default(c.app)
 	if c.seed != 0 {

@@ -26,6 +26,14 @@ func TestStudyDefaults(t *testing.T) {
 	if got := st.SeedList(); len(got) != 1 || got[0] != 1 {
 		t.Errorf("default seeds = %v", got)
 	}
+	gen := &Study{Name: "d", BaseSeed: 7, Trials: 3}
+	if got := gen.SeedList(); len(got) != 3 || got[0] != 7 || got[2] != 9 {
+		t.Errorf("generated seeds = %v, want [7 8 9]", got)
+	}
+	listed := &Study{Name: "d", Seeds: []int64{42}}
+	if got := listed.SeedList(); len(got) != 1 || got[0] != 42 {
+		t.Errorf("explicit seeds = %v, want [42]", got)
+	}
 	if st.Runs() != 3 {
 		t.Errorf("Runs = %d, want 3", st.Runs())
 	}

@@ -16,14 +16,7 @@ import (
 // breaks the line where no trial measured. Nil when the sweep ran no
 // scenario.
 func (r *Result) SeriesPlots() []plot.Artifact {
-	buckets := 0
-	for _, g := range r.Groups {
-		for _, s := range g.Summaries {
-			if len(s.Series) > buckets {
-				buckets = len(s.Series)
-			}
-		}
-	}
+	buckets := r.buckets()
 	if buckets == 0 {
 		return nil
 	}
@@ -47,7 +40,7 @@ func (r *Result) SeriesPlots() []plot.Artifact {
 	for _, m := range metrics {
 		l := &plot.Line{
 			Title: fmt.Sprintf("%s — scenario %q (mean±stderr over %d seeds)",
-				m.ylabel, r.Spec.Scenario, r.Trials()),
+				m.ylabel, r.Scenario, r.Trials()),
 			XLabel: "virtual time", YLabel: m.ylabel, XTime: true,
 		}
 		for _, g := range r.Groups {

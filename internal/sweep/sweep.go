@@ -1,121 +1,23 @@
-// Package sweep fans replicated experiment batteries — applications ×
-// seeds × optional profile variants — through the parallel runner and
-// aggregates the per-run summaries into the paper's tables with error bars.
+// Package sweep renders a replicated study — applications × optional
+// profile variants × seeds — as the paper's tables with error bars.
 //
 // The paper's tables print one number per (property, application) cell from
 // a single measurement campaign; Silverston & Fourmaux's comparison work
 // and Clegg et al.'s locality studies both show those numbers are noisy
-// across trials. A sweep replays each experiment under n seeds and renders
-// every cell as mean ± standard error across trials.
-//
-// Memory is bounded by construction: each worker reduces its finished
-// Result to an experiment.Summary (a few hundred bytes) before returning,
-// so a 3-app × 20-seed battery never holds more than workers full Results
-// at once, not 60.
+// across trials. Of folds a study.Result's seed axis away and every table
+// here prints a cell as mean ± standard error across those trials. Nothing
+// here executes anything: a study.Study describes the grid and study.Run
+// (or a fleet) runs it, reducing each cell to its experiment.Summary.
 package sweep
 
 import (
-	"context"
 	"fmt"
-	"time"
 
 	"napawine/internal/experiment"
-	"napawine/internal/overlay"
 	"napawine/internal/report"
-	"napawine/internal/scenario"
 	"napawine/internal/stats"
 	"napawine/internal/study"
 )
-
-// Variant derives an ablation profile from each application's stock
-// profile. The zero Variant (empty name, nil mutate) means "stock profile".
-type Variant struct {
-	// Name suffixes the application label in every table ("TVAnts/blind").
-	Name string
-	// Mutate adjusts a fresh copy of the stock profile; nil leaves it stock.
-	Mutate func(*overlay.Profile)
-}
-
-// Spec parameterizes one sweep.
-type Spec struct {
-	// Apps lists the applications to sweep; empty selects the paper's three.
-	Apps []string
-	// Seeds lists the trial seeds; empty selects Trials sequential seeds
-	// starting at BaseSeed (or 1 when BaseSeed is 0).
-	Seeds []int64
-	// BaseSeed and Trials generate Seeds when Seeds is empty.
-	BaseSeed int64
-	Trials   int
-
-	// Duration is the virtual run length per trial (0 = per-app default).
-	Duration time.Duration
-	// PeerFactor scales each application's default background population
-	// exactly like napawine.Scale (0 selects 1.0, floor of 50 peers).
-	PeerFactor float64
-	// Peers pins the background population to an absolute count (0 =
-	// leave to PeerFactor). Mutually exclusive with PeerFactor, like
-	// study.Study.Peers.
-	Peers int
-	// LeanLedger forces O(1)-memory ground-truth accounting for every
-	// trial; large worlds switch to it automatically.
-	LeanLedger bool
-	// Shards splits every trial's swarm across that many parallel shard
-	// engines (experiment.Config.Shards); 0 or 1 keeps the serial engine.
-	Shards int
-	// Workers bounds parallel trials (0 = GOMAXPROCS). Each in-flight
-	// trial additionally runs Shards goroutines.
-	Workers int
-
-	// Variants, when non-empty, replaces the stock run of every app with
-	// one run per variant. Include a zero Variant to keep the stock run.
-	Variants []Variant
-
-	// Scenario names a registered workload scenario to replay under every
-	// (app, variant, seed) triple ("" = the stationary default). Scenario
-	// runs additionally sample per-bucket time series, aggregated by
-	// SeriesTable.
-	Scenario string
-
-	// ScenarioSpec, when non-nil, is the workload timeline itself — a
-	// file-authored spec (scenario.LoadFile) or a custom-built one — and
-	// takes precedence over Scenario. The sweep never mutates it; every
-	// worker runs its own deep copy.
-	ScenarioSpec *scenario.Spec
-
-	// Strategy names a registered chunk-scheduling strategy
-	// (policy.StrategyNames) applied to every run of the battery (""
-	// keeps each profile's own strategy). This is how the
-	// latest-useful / rarest / deadline scheduling comparisons are
-	// replicated across seeds.
-	Strategy string
-
-	// QueueDepth bounds every peer's uplink queue for every run of the
-	// battery (tail-drop loss beyond it); 0 keeps the unbounded
-	// congestion-off default.
-	QueueDepth int
-}
-
-// seeds resolves the trial seed list.
-func (s Spec) seeds() []int64 {
-	st := study.Study{Seeds: s.Seeds, BaseSeed: s.BaseSeed, Trials: s.Trials}
-	return st.SeedList()
-}
-
-// apps resolves the application list.
-func (s Spec) apps() []string {
-	if len(s.Apps) > 0 {
-		return s.Apps
-	}
-	return []string{"PPLive", "SopCast", "TVAnts"}
-}
-
-// variants resolves the variant list; the stock run is a zero Variant.
-func (s Spec) variants() []Variant {
-	if len(s.Variants) > 0 {
-		return s.Variants
-	}
-	return []Variant{{}}
-}
 
 // Group is one (application, variant) battery: its label and the per-seed
 // summaries in seed order.
@@ -127,82 +29,39 @@ type Group struct {
 	Summaries []experiment.Summary
 }
 
-// Result is everything a sweep produces.
+// Result is a study result regrouped for mean±stderr rendering.
 type Result struct {
-	Spec   Spec
-	Seeds  []int64
-	Groups []Group
+	// Scenario labels the series table and plots ("" = stationary).
+	Scenario string
+	Seeds    []int64
+	Groups   []Group
 }
 
 // Trials reports the number of seeds per group.
 func (r *Result) Trials() int { return len(r.Seeds) }
 
-// Study compiles the sweep into its study: a one-strategy, one-scenario
-// grid over apps × variants × seeds. The sweep layer is an adapter over
-// the study engine — same cell order, same per-cell configuration — so a
-// sweep's aggregated tables stay byte-identical to pre-study builds (the
-// cross-worker determinism tests pin this).
-func (s Spec) Study() *study.Study {
-	variants := s.variants()
-	vs := make([]study.Variant, len(variants))
-	for i, vr := range variants {
-		vs[i] = study.Variant{Name: vr.Name, Mutate: vr.Mutate}
-	}
-	return &study.Study{
-		Name:       "sweep",
-		Apps:       s.apps(),
-		Strategies: []string{s.Strategy},
-		Scenarios:  []study.Scenario{{Name: s.Scenario, Spec: s.ScenarioSpec}},
-		Variants:   vs,
-		Seeds:      s.seeds(),
-		Duration:   study.Duration(s.Duration),
-		PeerFactor: s.PeerFactor,
-		Peers:      s.Peers,
-		QueueDepth: s.QueueDepth,
-		LeanLedger: s.LeanLedger,
-		Shards:     s.Shards,
-	}
-}
-
-// Run executes the sweep: every (app, variant, seed) triple is one
-// independent experiment, each reduced to a Summary inside its worker so
-// the full Result is released before the next trial starts on that worker.
-func Run(spec Spec) (*Result, error) { return RunCtx(context.Background(), spec) }
-
-// RunCtx is Run under a context, with optional study options (an Observer,
-// say) forwarded to the underlying engine. Cancellation aborts the battery
-// promptly and returns ctx.Err(); a sweep has no partial-result story — use
-// the study API directly for that.
-func RunCtx(ctx context.Context, spec Spec, opts ...study.Option) (*Result, error) {
-	if spec.ScenarioSpec != nil && spec.Scenario == "" {
-		spec.Scenario = spec.ScenarioSpec.Name // label SeriesTable and logs
-	}
-	sres, err := study.Run(ctx, spec.Study(),
-		append([]study.Option{study.WithWorkers(spec.Workers)}, opts...)...)
-	if err != nil {
-		return nil, fmt.Errorf("sweep: %w", err)
-	}
-
-	// Regroup the grid cells into the sweep's (app, variant) batteries.
-	// Cell order is app → variant → seed (the strategy and scenario axes
-	// are singletons), so summaries land in seed order within each group.
-	groups := make([]Group, 0, len(spec.apps())*len(spec.variants()))
-	index := map[[2]string]int{}
-	for _, app := range spec.apps() {
-		for _, vr := range spec.variants() {
-			label := app
-			if vr.Name != "" {
-				label = app + "/" + vr.Name
-			}
-			index[[2]string{app, vr.Name}] = len(groups)
-			groups = append(groups, Group{App: app, Variant: vr.Name, Label: label})
+// Of regroups a study result by folding its seed axis: seed is the
+// innermost grid axis, so each contiguous run of len(Seeds) cells is one
+// group, in grid order. Groups are labelled by application and variant
+// only — the renderer is meant for grids whose strategy, scenario and
+// congestion axes are single-valued, which is what the CLI's flags build.
+func Of(res *study.Result) *Result {
+	n := max(len(res.Seeds), 1)
+	r := &Result{Seeds: res.Seeds, Groups: make([]Group, 0, len(res.Cells)/n)}
+	for i := 0; i+n <= len(res.Cells); i += n {
+		c := res.Cells[i]
+		g := Group{App: c.App, Variant: c.Variant, Label: c.App,
+			Summaries: make([]experiment.Summary, n)}
+		if c.Variant != "" {
+			g.Label += "/" + c.Variant
 		}
+		for j := range g.Summaries {
+			g.Summaries[j] = res.Cells[i+j].Summary
+		}
+		r.Scenario = c.Scenario
+		r.Groups = append(r.Groups, g)
 	}
-	for _, c := range sres.Cells {
-		g := index[[2]string{c.App, c.Variant}]
-		groups[g].Summaries = append(groups[g].Summaries, c.Summary)
-	}
-	return &Result{Spec: spec, Seeds: sres.Seeds, Groups: groups}, nil
+	return r
 }
 
 // columnStat folds one per-run value across a group's trials.
@@ -218,15 +77,28 @@ func meanErr(acc stats.Accumulator, decimals int) string {
 	return report.MeanErr(acc.Mean(), acc.StdErr(), decimals)
 }
 
+// groupTable renders one row per group: its label, then every column as
+// mean ± stderr across the group's trials.
+func (r *Result) groupTable(t *report.Table, decimals int, cols ...func(experiment.Summary) float64) *report.Table {
+	for _, g := range r.Groups {
+		cells := make([]string, 0, len(cols)+1)
+		cells = append(cells, g.Label)
+		for _, get := range cols {
+			cells = append(cells, meanErr(columnStat(g, get), decimals))
+		}
+		t.Add(cells...)
+	}
+	return t
+}
+
 // TableII renders the aggregated experiment-summary table: each cell is the
 // mean ± stderr across seeds of the per-run probe mean (or max).
 func (r *Result) TableII() *report.Table {
-	t := report.NewTable(
+	return r.groupTable(report.NewTable(
 		fmt.Sprintf("TABLE II — Summary of experiments (mean±stderr over %d seeds)", r.Trials()),
 		"App", "RX kbps mean", "RX kbps max", "TX kbps mean", "TX kbps max",
 		"All peers mean", "All peers max", "Contrib RX mean", "Contrib RX max",
-		"Contrib TX mean", "Contrib TX max")
-	cols := []func(experiment.Summary) float64{
+		"Contrib TX mean", "Contrib TX max"), 0,
 		func(s experiment.Summary) float64 { return s.RxKbpsMean },
 		func(s experiment.Summary) float64 { return s.RxKbpsMax },
 		func(s experiment.Summary) float64 { return s.TxKbpsMean },
@@ -236,39 +108,18 @@ func (r *Result) TableII() *report.Table {
 		func(s experiment.Summary) float64 { return s.ContribRxMean },
 		func(s experiment.Summary) float64 { return s.ContribRxMax },
 		func(s experiment.Summary) float64 { return s.ContribTxMean },
-		func(s experiment.Summary) float64 { return s.ContribTxMax },
-	}
-	for _, g := range r.Groups {
-		cells := make([]string, 0, len(cols)+1)
-		cells = append(cells, g.Label)
-		for _, get := range cols {
-			cells = append(cells, meanErr(columnStat(g, get), 0))
-		}
-		t.Add(cells...)
-	}
-	return t
+		func(s experiment.Summary) float64 { return s.ContribTxMax })
 }
 
 // TableIII renders the aggregated self-induced-bias table.
 func (r *Result) TableIII() *report.Table {
-	t := report.NewTable(
+	return r.groupTable(report.NewTable(
 		fmt.Sprintf("TABLE III — NAPA-WINE self-induced bias (mean±stderr over %d seeds)", r.Trials()),
-		"App", "Contrib Peer%", "Contrib Bytes%", "All Peer%", "All Bytes%")
-	cols := []func(experiment.Summary) float64{
+		"App", "Contrib Peer%", "Contrib Bytes%", "All Peer%", "All Bytes%"), 1,
 		func(s experiment.Summary) float64 { return s.SelfBiasContrib.PeerPct },
 		func(s experiment.Summary) float64 { return s.SelfBiasContrib.BytePct },
 		func(s experiment.Summary) float64 { return s.SelfBiasAll.PeerPct },
-		func(s experiment.Summary) float64 { return s.SelfBiasAll.BytePct },
-	}
-	for _, g := range r.Groups {
-		cells := make([]string, 0, len(cols)+1)
-		cells = append(cells, g.Label)
-		for _, get := range cols {
-			cells = append(cells, meanErr(columnStat(g, get), 1))
-		}
-		t.Add(cells...)
-	}
-	return t
+		func(s experiment.Summary) float64 { return s.SelfBiasAll.BytePct })
 }
 
 // TableIV renders the aggregated network-awareness table. A cell aggregates
@@ -300,26 +151,30 @@ func (r *Result) TableIV() *report.Table {
 	return t
 }
 
+// buckets reports the longest time series any trial recorded (0 = the
+// study ran no scenario).
+func (r *Result) buckets() int {
+	n := 0
+	for _, g := range r.Groups {
+		for _, s := range g.Summaries {
+			n = max(n, len(s.Series))
+		}
+	}
+	return n
+}
+
 // SeriesTable renders the aggregated per-bucket time series of a scenario
 // sweep: each (bucket, group) cell is the mean ± stderr across seeds. The
 // intra-AS column aggregates only the trials whose bucket moved video (the
 // same measurable-trials rule Table IV uses); a bucket no trial measured
 // prints the dash. Returns nil when the sweep ran no scenario.
 func (r *Result) SeriesTable() *report.Table {
-	buckets := 0
-	name := r.Spec.Scenario
-	for _, g := range r.Groups {
-		for _, s := range g.Summaries {
-			if len(s.Series) > buckets {
-				buckets = len(s.Series)
-			}
-		}
-	}
+	buckets := r.buckets()
 	if buckets == 0 {
 		return nil
 	}
 	t := report.NewTable(
-		fmt.Sprintf("Time series — scenario %q (mean±stderr over %d seeds)", name, r.Trials()),
+		fmt.Sprintf("Time series — scenario %q (mean±stderr over %d seeds)", r.Scenario, r.Trials()),
 		"T", "App", "Online", "Continuity", "Intra-AS%", "Video kbps", "Tracker")
 	for b := 0; b < buckets; b++ {
 		for _, g := range r.Groups {

@@ -1,6 +1,7 @@
 package sweep
 
 import (
+	"context"
 	"reflect"
 	"strings"
 	"testing"
@@ -10,7 +11,19 @@ import (
 	"napawine/internal/overlay"
 	"napawine/internal/policy"
 	"napawine/internal/scenario"
+	"napawine/internal/study"
 )
+
+// run executes st on the given worker count and regroups it; a nameless
+// study is named here so every test literal stays one screen.
+func run(st study.Study, workers int) (*Result, error) {
+	st.Name = "sweep"
+	res, err := study.Run(context.Background(), &st, study.WithWorkers(workers))
+	if err != nil {
+		return nil, err
+	}
+	return Of(res), nil
+}
 
 // synthetic builds a Result with hand-written summaries so aggregation can
 // be checked against exact arithmetic, no simulation involved.
@@ -95,45 +108,59 @@ func TestSingleTrialHasZeroError(t *testing.T) {
 	}
 }
 
-func TestSpecResolution(t *testing.T) {
-	var s Spec
-	if got := s.apps(); len(got) != 3 || got[0] != "PPLive" {
-		t.Errorf("default apps = %v", got)
+// TestOfFoldsTheSeedAxis checks the regrouping on a hand-built study
+// result: seed is the innermost axis, so every contiguous run of
+// len(Seeds) cells is one group, labelled App or App/Variant, in grid order.
+func TestOfFoldsTheSeedAxis(t *testing.T) {
+	res := &study.Result{Seeds: []int64{7, 8}}
+	for _, app := range []string{"TVAnts", "PPLive"} {
+		for _, vr := range []string{"", "blind"} {
+			for _, seed := range res.Seeds {
+				res.Cells = append(res.Cells, study.Cell{
+					Index: len(res.Cells), App: app, Variant: vr, Scenario: "outage", Seed: seed,
+					Done: true, Summary: experiment.Summary{App: app, Seed: seed},
+				})
+			}
+		}
 	}
-	if got := s.seeds(); len(got) != 1 || got[0] != 1 {
-		t.Errorf("default seeds = %v", got)
+	got := Of(res)
+	if got.Trials() != 2 || got.Scenario != "outage" {
+		t.Errorf("Trials = %d, Scenario = %q; want 2, outage", got.Trials(), got.Scenario)
 	}
-	s = Spec{BaseSeed: 7, Trials: 3}
-	if got := s.seeds(); len(got) != 3 || got[0] != 7 || got[2] != 9 {
-		t.Errorf("seeds = %v, want [7 8 9]", got)
+	var labels []string
+	for _, g := range got.Groups {
+		labels = append(labels, g.Label)
+		if len(g.Summaries) != 2 || g.Summaries[0].Seed != 7 || g.Summaries[1].Seed != 8 {
+			t.Errorf("group %s summaries = %+v, want seeds 7, 8", g.Label, g.Summaries)
+		}
+		if g.Summaries[0].App != g.App {
+			t.Errorf("group %s holds a summary of %s", g.Label, g.Summaries[0].App)
+		}
 	}
-	s = Spec{Seeds: []int64{42}}
-	if got := s.seeds(); len(got) != 1 || got[0] != 42 {
-		t.Errorf("explicit seeds = %v", got)
-	}
-	if got := s.variants(); len(got) != 1 || got[0].Name != "" {
-		t.Errorf("default variants = %v", got)
+	want := []string{"TVAnts", "TVAnts/blind", "PPLive", "PPLive/blind"}
+	if !reflect.DeepEqual(labels, want) {
+		t.Errorf("labels = %v, want %v", labels, want)
 	}
 }
 
 func TestSweepUnknownApp(t *testing.T) {
-	_, err := Run(Spec{Apps: []string{"Joost"}, Trials: 1})
+	_, err := run(study.Study{Apps: []string{"Joost"}, Trials: 1}, 0)
 	if err == nil || !strings.Contains(err.Error(), "Joost") {
 		t.Errorf("unknown app should fail fast, got %v", err)
 	}
 }
 
 func TestSweepVariantsGroupingAndLabels(t *testing.T) {
-	res, err := Run(Spec{
+	res, err := run(study.Study{
 		Apps:       []string{"TVAnts"},
 		Seeds:      []int64{5},
-		Duration:   20 * time.Second,
+		Duration:   study.Duration(20 * time.Second),
 		PeerFactor: 0.01, // floors at 50 peers
-		Variants: []Variant{
+		Variants: []study.Variant{
 			{}, // stock
 			{Name: "blind", Mutate: func(p *overlay.Profile) { p.DiscoveryWeight = policy.Uniform{} }},
 		},
-	})
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,19 +198,18 @@ func renderAll(t *testing.T, res *Result) string {
 }
 
 func TestSweepDeterministic(t *testing.T) {
-	spec := Spec{
+	st := study.Study{
 		Apps:       []string{"SopCast", "TVAnts"},
 		BaseSeed:   11,
 		Trials:     2,
-		Duration:   30 * time.Second,
+		Duration:   study.Duration(30 * time.Second),
 		PeerFactor: 0.05,
-		Workers:    4,
 	}
-	a, err := Run(spec)
+	a, err := run(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(spec)
+	b, err := run(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,17 +227,15 @@ func TestSweepDeterministic(t *testing.T) {
 // byte-identical time-series and awareness tables no matter how the trials
 // are spread over workers.
 func TestScenarioSeriesDeterministicAcrossWorkers(t *testing.T) {
-	base := Spec{
+	st := study.Study{
 		Apps:       []string{"TVAnts"},
 		Seeds:      []int64{3, 4},
-		Duration:   30 * time.Second,
+		Duration:   study.Duration(30 * time.Second),
 		PeerFactor: 0.05,
-		Scenario:   "flashcrowd",
+		Scenarios:  []study.Scenario{{Name: "flashcrowd"}},
 	}
 	render := func(workers int) string {
-		spec := base
-		spec.Workers = workers
-		res, err := Run(spec)
+		res, err := run(st, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,7 +272,7 @@ func TestSweepWithoutScenarioHasNoSeriesTable(t *testing.T) {
 }
 
 func TestSweepUnknownScenario(t *testing.T) {
-	_, err := Run(Spec{Apps: []string{"TVAnts"}, Trials: 1, Scenario: "worldcup"})
+	_, err := run(study.Study{Apps: []string{"TVAnts"}, Trials: 1, Scenarios: []study.Scenario{{Name: "worldcup"}}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "worldcup") {
 		t.Errorf("unknown scenario should fail fast, got %v", err)
 	}
@@ -257,13 +281,13 @@ func TestSweepUnknownScenario(t *testing.T) {
 // TestSweepSeriesShowsTrackerOutage: the aggregated series must carry the
 // tracker column, or outage windows would be invisible in replicated runs.
 func TestSweepSeriesShowsTrackerOutage(t *testing.T) {
-	res, err := Run(Spec{
+	res, err := run(study.Study{
 		Apps:       []string{"TVAnts"},
 		Seeds:      []int64{6},
-		Duration:   40 * time.Second,
+		Duration:   study.Duration(40 * time.Second),
 		PeerFactor: 0.05,
-		Scenario:   "outage",
-	})
+		Scenarios:  []study.Scenario{{Name: "outage"}},
+	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +302,7 @@ func TestSweepSeriesShowsTrackerOutage(t *testing.T) {
 }
 
 func TestSweepUnknownStrategy(t *testing.T) {
-	_, err := Run(Spec{Apps: []string{"TVAnts"}, Trials: 1, Strategy: "newest"})
+	_, err := run(study.Study{Apps: []string{"TVAnts"}, Trials: 1, Strategies: []string{"newest"}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "newest") {
 		t.Errorf("unknown strategy should fail fast, got %v", err)
 	}
@@ -290,18 +314,14 @@ func TestSweepUnknownStrategy(t *testing.T) {
 // across worker counts — ordering ties inside a strategy may never fall
 // back to scheduling luck.
 func TestSweepStrategyDeterministicAcrossWorkers(t *testing.T) {
-	base := Spec{
-		Apps:       []string{"TVAnts"},
-		Seeds:      []int64{3, 4},
-		Duration:   30 * time.Second,
-		PeerFactor: 0.05,
-		Strategy:   "rarest",
-	}
 	render := func(workers int, strategy string) string {
-		spec := base
-		spec.Workers = workers
-		spec.Strategy = strategy
-		res, err := Run(spec)
+		res, err := run(study.Study{
+			Apps:       []string{"TVAnts"},
+			Seeds:      []int64{3, 4},
+			Duration:   study.Duration(30 * time.Second),
+			PeerFactor: 0.05,
+			Strategies: []string{strategy},
+		}, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -327,14 +347,13 @@ func TestSweepLeavesScenarioSpecUnmodified(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := scn.Clone()
-	_, err = Run(Spec{
-		Apps:         []string{"TVAnts"},
-		Seeds:        []int64{3, 4},
-		Duration:     20 * time.Second,
-		PeerFactor:   0.05,
-		Workers:      4,
-		ScenarioSpec: scn,
-	})
+	_, err = run(study.Study{
+		Apps:       []string{"TVAnts"},
+		Seeds:      []int64{3, 4},
+		Duration:   study.Duration(20 * time.Second),
+		PeerFactor: 0.05,
+		Scenarios:  []study.Scenario{{Spec: scn}},
+	}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,14 +366,14 @@ func TestSweepLeavesScenarioSpecUnmodified(t *testing.T) {
 // must reproduce the named registry run byte-for-byte — the file codec adds
 // a parser, never a different simulation.
 func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
-	base := Spec{
-		Apps:       []string{"TVAnts"},
-		Seeds:      []int64{5},
-		Duration:   20 * time.Second,
-		PeerFactor: 0.05,
-	}
-	render := func(spec Spec) string {
-		res, err := Run(spec)
+	render := func(scn study.Scenario) string {
+		res, err := run(study.Study{
+			Apps:       []string{"TVAnts"},
+			Seeds:      []int64{5},
+			Duration:   study.Duration(20 * time.Second),
+			PeerFactor: 0.05,
+			Scenarios:  []study.Scenario{scn},
+		}, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -371,9 +390,6 @@ func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
 		}
 		return b.String()
 	}
-	named := base
-	named.Scenario = "flashcrowd"
-
 	var buf strings.Builder
 	reg, _ := scenario.ByName("flashcrowd")
 	if err := scenario.Encode(&buf, reg); err != nil {
@@ -383,10 +399,7 @@ func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fileSpec := base
-	fileSpec.ScenarioSpec = decoded
-
-	a, b := render(named), render(fileSpec)
+	a, b := render(study.Scenario{Name: "flashcrowd"}), render(study.Scenario{Spec: decoded})
 	if a != b {
 		t.Errorf("file-decoded spec diverged from the named scenario:\n--- named ---\n%s\n--- file ---\n%s", a, b)
 	}
@@ -396,11 +409,11 @@ func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
 }
 
 func TestSweepInvalidScenarioSpecFails(t *testing.T) {
-	_, err := Run(Spec{
-		Apps:         []string{"TVAnts"},
-		Trials:       1,
-		ScenarioSpec: &scenario.Spec{}, // nameless: invalid
-	})
+	_, err := run(study.Study{
+		Apps:      []string{"TVAnts"},
+		Trials:    1,
+		Scenarios: []study.Scenario{{Spec: &scenario.Spec{}}}, // nameless: invalid
+	}, 0)
 	if err == nil {
 		t.Fatal("invalid scenario spec accepted")
 	}

@@ -8,9 +8,14 @@
 // The typical entry point runs one experiment per application and renders
 // the paper's tables:
 //
-//	results, err := napawine.RunAll(napawine.Scale{Seed: 1, Duration: 10 * time.Minute})
+//	results, err := napawine.RunAll(&napawine.Study{
+//		Name: "battery", Duration: napawine.StudyDuration(10 * time.Minute)})
 //	...
 //	napawine.TableIV(results).Render(os.Stdout)
+//
+// A Study is the one description of a run at every size: one seed is the
+// paper's single campaign, Trials: 5 replicates it (SweepTables renders the
+// mean ± stderr tables), more axes make it a comparison grid (RunStudy).
 //
 // Everything underneath — the discrete-event engine, synthetic AS/country
 // topology, access-link model, the overlay protocol and the analysis
@@ -22,7 +27,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"time"
 
 	"napawine/internal/access"
 	"napawine/internal/apps"
@@ -84,7 +88,7 @@ type (
 	// expressible as "hybrid:u=0.3,r=0.5" names (see HybridGrammar).
 	Hybrid = policy.Hybrid
 	// CongestionModel bounds every peer's uplink queue (see
-	// Config.Congestion and Scale.QueueDepth).
+	// Config.Congestion and Study.QueueDepth).
 	CongestionModel = access.CongestionModel
 	// Weight scores peer-selection candidates.
 	Weight = policy.Weight
@@ -129,77 +133,16 @@ func ProfileVariant(base *Profile, name string, mutate func(*Profile)) *Profile 
 // Run executes one experiment.
 func Run(cfg Config) (*Result, error) { return experiment.Run(cfg) }
 
-// Scale compactly adjusts the default experiment battery.
-type Scale struct {
-	Seed     int64
-	Duration time.Duration
-	// PeerFactor scales each application's default background
-	// population (1.0 = paper-calibrated default; 0 selects 1.0).
-	PeerFactor float64
-	// Peers pins the background population to an absolute count instead
-	// of scaling the default (0 = leave to PeerFactor). Mutually
-	// exclusive with PeerFactor, like Study.Peers.
-	Peers int
-	// LeanLedger forces O(1)-memory ground-truth accounting regardless of
-	// world size; large worlds switch to it automatically.
-	LeanLedger bool
-	// Shards splits every run's swarm across that many parallel shard
-	// engines, partitioned by AS (experiment.Config.Shards); 0 or 1 keeps
-	// the serial engine and its byte-identical output.
-	Shards int
-	// Workers bounds parallel experiments (0 = GOMAXPROCS). Each
-	// in-flight experiment additionally runs Shards goroutines.
-	Workers int
-	// Scenario names a registered workload scenario to replay in every
-	// run ("" = stationary default). See ScenarioNames.
-	Scenario string
-	// ScenarioSpec, when non-nil, is the workload timeline itself — e.g. a
-	// file-authored spec from LoadScenarioFile — and takes precedence over
-	// Scenario. The battery never mutates it; every run gets a deep copy.
-	ScenarioSpec *ScenarioSpec
-	// Strategy names a chunk-scheduling strategy applied to every run:
-	// a registered name (see StrategyNames) or a parameterized hybrid
-	// member (see HybridGrammar). "" = each profile's own, i.e.
-	// urgent-random.
-	Strategy string
-	// QueueDepth bounds every peer's uplink queue (tail-drop loss beyond
-	// it) and switches the overlay to its congestion-signal path; 0 keeps
-	// the unbounded congestion-off default.
-	QueueDepth int
-	// Apps restricts the battery to these applications (nil = all three).
-	// Restricting here skips the unwanted simulations entirely instead of
-	// filtering their results afterwards. Results come back in the paper's
-	// order regardless of the order given here.
-	Apps []string
-}
-
-// Battery compiles the Scale into its study: a one-seed grid whose only
-// (potentially) non-trivial axis is the application list. RunAll is a thin
-// adapter over this — same cell order, same per-cell configuration as the
-// pre-study battery, so its output is byte-identical (the golden-digest
-// tests pin this).
-func (s Scale) Battery() *Study {
-	return &Study{
-		Name:       "battery",
-		Apps:       s.Apps,
-		Strategies: []string{s.Strategy},
-		Scenarios:  []StudyScenario{{Name: s.Scenario, Spec: s.ScenarioSpec}},
-		Seeds:      []int64{s.Seed},
-		Duration:   StudyDuration(s.Duration),
-		PeerFactor: s.PeerFactor,
-		Peers:      s.Peers,
-		QueueDepth: s.QueueDepth,
-		LeanLedger: s.LeanLedger,
-		Shards:     s.Shards,
-	}
-}
-
-// RunAll executes the selected applications' experiments in parallel and
-// returns them in the paper's order. Extra study options (an Observer —
-// e.g. a dash.Server — say) are forwarded to the underlying engine.
-func RunAll(s Scale, opts ...StudyOption) ([]*Result, error) {
-	res, err := study.Run(context.Background(), s.Battery(),
-		append([]study.Option{study.WithWorkers(s.Workers), study.WithFullResults()}, opts...)...)
+// RunAll executes a study keeping every cell's full Result — observations,
+// figures and time series, not only the bounded summary — and returns them
+// in the paper's application order (cells of one application stay in grid
+// order). It is the entry point for the paper-format Tables II–IV and
+// Figures 1–2; memory grows with the grid, so replicated or multi-axis
+// studies belong to RunStudy. Study options (WithWorkers, WithObserver) are
+// forwarded.
+func RunAll(st *Study, opts ...StudyOption) ([]*Result, error) {
+	res, err := study.Run(context.Background(), st,
+		append([]study.Option{study.WithFullResults()}, opts...)...)
 	if err != nil {
 		return nil, err
 	}
@@ -213,35 +156,24 @@ func RunAll(s Scale, opts ...StudyOption) ([]*Result, error) {
 	return results, nil
 }
 
-// Re-exported sweep types: the replicated multi-seed battery layer.
+// Re-exported replication types: mean ± stderr rendering over a study's
+// seed axis.
 type (
-	// SweepSpec parameterizes a replicated battery (apps × seeds ×
-	// optional profile variants).
-	SweepSpec = sweep.Spec
-	// SweepVariant derives an ablation profile inside a sweep.
-	SweepVariant = sweep.Variant
-	// SweepResult aggregates per-seed summaries and renders Tables II–IV
+	// SweepResult is a study result regrouped per (app, variant); it
+	// renders Tables II–IV, the health panel and the scenario time series
 	// with mean ± stderr error bars.
 	SweepResult = sweep.Result
-	// RunSummary is the bounded-memory per-run reduction a sweep retains.
+	// RunSummary is the bounded-memory per-run reduction a study retains.
 	RunSummary = experiment.Summary
 )
 
-// Sweep executes a replicated battery in parallel: one independent
-// experiment per (app, variant, seed), each reduced to a RunSummary as it
-// completes so memory stays bounded by the worker count. The same spec
-// reproduces byte-identical aggregated tables.
-func Sweep(spec SweepSpec) (*SweepResult, error) { return sweep.Run(spec) }
+// SweepTables folds a study result's seed axis into per-(app, variant)
+// groups for mean ± stderr rendering. The same study reproduces
+// byte-identical aggregated tables, whatever the worker count.
+func SweepTables(res *StudyResult) *SweepResult { return sweep.Of(res) }
 
-// SweepCtx is Sweep under a context: cancellation aborts the battery
-// promptly and returns ctx.Err(). Study options (e.g. WithObserver) are
-// forwarded to the underlying execution engine.
-func SweepCtx(ctx context.Context, spec SweepSpec, opts ...StudyOption) (*SweepResult, error) {
-	return sweep.RunCtx(ctx, spec, opts...)
-}
-
-// Re-exported study types: the declarative experiment-grid layer that every
-// execution path above the engine now runs through.
+// Re-exported study types: the declarative experiment-grid layer — the one
+// run description and the one execution path above the engine.
 type (
 	// Study is a declarative experiment grid — apps × strategies ×
 	// scenarios × profile variants × seeds — with a strict JSON codec.
@@ -321,7 +253,7 @@ func StudyMetrics() []StudyMetric { return study.Metrics() }
 func StudyMetricByKey(key string) (StudyMetric, error) { return study.MetricByKey(key) }
 
 // Seeds builds n sequential trial seeds starting at base, the conventional
-// input for SweepSpec.Seeds.
+// input for Study.Seeds.
 func Seeds(base int64, n int) []int64 { return runner.Seeds(base, n) }
 
 // Re-exported fleet types: distributed study execution. One coordinator
@@ -407,8 +339,8 @@ func ScenarioNames() []string { return scenario.Names() }
 
 // LoadScenarioFile reads, decodes and validates a JSON scenario file (see
 // README "Authoring scenario files" and examples/scenarios/). The returned
-// spec plugs into Scale.ScenarioSpec, SweepSpec.ScenarioSpec or
-// Config.Scenario exactly like a registered one.
+// spec plugs into StudyScenario.Spec or Config.Scenario exactly like a
+// registered one.
 func LoadScenarioFile(path string) (*ScenarioSpec, error) { return scenario.LoadFile(path) }
 
 // DecodeScenario parses one JSON scenario spec.
@@ -461,7 +393,7 @@ func Figure1Plots(results []*Result) []PlotArtifact { return experiment.Figure1P
 // per artifact, and returns the written file names.
 func WritePlots(dir string, arts []PlotArtifact) ([]string, error) { return plot.WriteDir(dir, arts) }
 
-// Summarize reduces one Result to its sweep summary.
+// Summarize reduces one Result to its bounded per-run summary.
 func Summarize(r *Result) RunSummary { return experiment.Summarize(r) }
 
 // TableII builds the experiment-summary table.

@@ -21,13 +21,13 @@ const scenarioGoldenDigest = "b7491815c09aa275d7b24c104455ce407f154ca7cb2d56100d
 
 func scenarioGoldenRender(t testing.TB, spec *napawine.ScenarioSpec) string {
 	t.Helper()
-	results, err := napawine.RunAll(napawine.Scale{
-		Seed:         1717,
-		Duration:     60 * time.Second,
-		PeerFactor:   0.1,
-		Apps:         []string{napawine.TVAnts},
-		Scenario:     "flashcrowd",
-		ScenarioSpec: spec,
+	results, err := napawine.RunAll(&napawine.Study{
+		Name:       "golden",
+		BaseSeed:   1717,
+		Duration:   napawine.StudyDuration(60 * time.Second),
+		PeerFactor: 0.1,
+		Apps:       []string{napawine.TVAnts},
+		Scenarios:  []napawine.StudyScenario{{Name: "flashcrowd", Spec: spec}},
 	})
 	if err != nil {
 		t.Fatal(err)
