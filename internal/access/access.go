@@ -350,8 +350,18 @@ func TrainInto(dstDeparts, dstArrives []sim.Time, start sim.Time, sizes []units.
 	}
 	cursor := start
 	var prevArrive sim.Time
+	// The three serialization times depend only on the packet size, and a
+	// packetized chunk is one run of full-size packets plus a tail: compute
+	// them once per run of equal sizes, not per packet.
+	var runSize units.ByteSize
+	var txUp, txDown, txFloor time.Duration
 	for i, sz := range sizes {
-		txUp := up.TransmitTime(sz)
+		if i == 0 || sz != runSize {
+			runSize = sz
+			txUp = up.TransmitTime(sz)
+			txDown = down.TransmitTime(sz)
+			txFloor = bottleneck.TransmitTime(sz)
+		}
 		depart := cursor.Add(txUp) // instant the last bit leaves the sender
 		cursor = depart
 		departs[i] = depart
@@ -360,13 +370,12 @@ func TrainInto(dstDeparts, dstArrives []sim.Time, start sim.Time, sizes []units.
 		if jitter != nil && maxJitter > 0 {
 			delay += time.Duration(jitter.Int63n(int64(maxJitter)))
 		}
-		txDown := down.TransmitTime(sz)
 		arrive := depart.Add(delay + txDown)
 		if i > 0 {
 			// A later packet queues behind its predecessor along the
 			// path FIFO: spacing never compresses below the packet's
 			// serialization time at the path bottleneck.
-			if floor := prevArrive.Add(bottleneck.TransmitTime(sz)); arrive < floor {
+			if floor := prevArrive.Add(txFloor); arrive < floor {
 				arrive = floor
 			}
 		}

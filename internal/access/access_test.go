@@ -333,6 +333,70 @@ func TestTrainIntoReusesScratch(t *testing.T) {
 	}
 }
 
+// trainReference is the per-packet form of Train: the three serialization
+// times computed for every packet. TrainInto computes them once per run of
+// equal sizes; this loop is what it must keep agreeing with.
+func trainReference(start sim.Time, sizes []units.ByteSize, up, down units.BitRate,
+	owd time.Duration, jitter *rand.Rand, maxJitter time.Duration) (departs, arrives []sim.Time) {
+	bottleneck := min(up, down)
+	cursor := start
+	var prevArrive sim.Time
+	for i, sz := range sizes {
+		depart := cursor.Add(up.TransmitTime(sz))
+		cursor = depart
+		departs = append(departs, depart)
+		delay := owd
+		if jitter != nil && maxJitter > 0 {
+			delay += time.Duration(jitter.Int63n(int64(maxJitter)))
+		}
+		arrive := depart.Add(delay + down.TransmitTime(sz))
+		if i > 0 {
+			if floor := prevArrive.Add(bottleneck.TransmitTime(sz)); arrive < floor {
+				arrive = floor
+			}
+		}
+		arrives = append(arrives, arrive)
+		prevArrive = arrive
+	}
+	return departs, arrives
+}
+
+// TestTrainMatchesPerPacketReference compares TrainInto with the per-packet
+// reference on trains of mixed sizes and rates — runs of equal sizes, sizes
+// alternating every packet, a size recurring after a different one — and
+// checks the jitter stream sits at the same position afterwards.
+func TestTrainMatchesPerPacketReference(t *testing.T) {
+	trains := [][]units.ByteSize{
+		PacketizeInto(nil, 48*units.KB),
+		PacketizeInto(nil, PacketPayload),
+		{1250, 1250, 1250, 40, 40, 1250, 1250, 700},
+		{40, 1250, 40, 1250, 40},
+		{1, 1, 2, 1, 1},
+	}
+	rates := []units.BitRate{384 * units.Kbps, 512 * units.Kbps, 6 * units.Mbps, 100 * units.Mbps, units.Gbps}
+	rng := rand.New(rand.NewSource(11))
+	for round := 0; round < 200; round++ {
+		sizes := trains[rng.Intn(len(trains))]
+		up, down := rates[rng.Intn(len(rates))], rates[rng.Intn(len(rates))]
+		owd := time.Duration(rng.Intn(80)) * time.Millisecond
+		maxJitter := time.Duration(rng.Intn(3)) * time.Millisecond // 0 draws nothing
+		seed := rng.Int63()
+		refRNG, gotRNG := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+
+		wantDep, wantArr := trainReference(sim.Time(round), sizes, up, down, owd, refRNG, maxJitter)
+		gotDep, gotArr := TrainInto(nil, nil, sim.Time(round), sizes, up, down, owd, gotRNG, maxJitter)
+		for i := range sizes {
+			if gotDep[i] != wantDep[i] || gotArr[i] != wantArr[i] {
+				t.Fatalf("round %d (%v up %v down %v) packet %d: got (%v, %v), want (%v, %v)",
+					round, sizes, up, down, i, gotDep[i], gotArr[i], wantDep[i], wantArr[i])
+			}
+		}
+		if got, want := gotRNG.Int63(), refRNG.Int63(); got != want {
+			t.Fatalf("round %d: jitter stream at a different position after the train", round)
+		}
+	}
+}
+
 // TestPacketizeIntoReusesScratch pins the same contract for PacketizeInto.
 func TestPacketizeIntoReusesScratch(t *testing.T) {
 	want := Packetize(48 * units.KB)

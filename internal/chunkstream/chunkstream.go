@@ -1,12 +1,15 @@
 // Package chunkstream models the live video feed the swarm distributes: a
 // constant-bit-rate chunk calendar (the paper's channel is 384 kbit/s
-// CCTV-1 encoded with Windows Media 9), sliding-window buffer maps, and a
-// playout tracker for continuity accounting.
+// CCTV-1 encoded with Windows Media 9), sliding-window buffer maps, the
+// adverts peers publish of them, and a playout tracker for continuity
+// accounting.
 //
 // Chunks are the unit of exchange in every 2008-era mesh-pull P2P-TV
 // system: the source slices the stream into fixed-size pieces, peers
 // advertise what they hold via buffer maps and pull missing pieces from
-// partners before their playout deadline.
+// partners before their playout deadline. A peer's BufferMap is its own
+// mutable holdings; an Advert is the read-only announcement of it that the
+// peer publishes once per signalling round and every partner views.
 package chunkstream
 
 import (
@@ -189,23 +192,10 @@ func (m *BufferMap) Missing(from, to ChunkID) []ChunkID {
 	return out
 }
 
-// Snapshot encodes the holdings as (base, bitset copy); used to serialize
-// buffer-map signaling packets' payload size and to diff against a partner.
+// Snapshot encodes the holdings as (base, bitset copy), the owned-copy
+// counterpart of Publish.
 func (m *BufferMap) Snapshot() (ChunkID, []uint64) {
-	return m.SnapshotInto(nil)
-}
-
-// SnapshotInto is the allocation-free Snapshot: the bitset is copied into
-// dst (grown only when too small) and the filled slice is returned.
-// Signaling loops that fire every second per node thread one scratch
-// buffer through it instead of allocating a copy per tick.
-func (m *BufferMap) SnapshotInto(dst []uint64) (ChunkID, []uint64) {
-	if cap(dst) < len(m.bits) {
-		dst = make([]uint64, len(m.bits))
-	}
-	dst = dst[:len(m.bits)]
-	copy(dst, m.bits)
-	return m.base, dst
+	return m.base, append([]uint64(nil), m.bits...)
 }
 
 // WireSize reports the bytes a buffer-map announcement occupies on the
@@ -225,6 +215,42 @@ func (m *BufferMap) LoadSnapshot(base ChunkID, bits []uint64) {
 	m.base = base
 	copy(m.bits, bits)
 	m.clearTail()
+}
+
+// Advert is one published announcement of a buffer map: word 0 is the base
+// chunk id, the remaining words the bitfield, all in one allocation. The
+// publisher rewrites it in place once per signalling round and hands the
+// slice header to whoever should see its holdings, so an announcement costs
+// the same whatever the number of partners viewing it. The nil Advert
+// advertises nothing.
+type Advert []uint64
+
+// Publish writes the map's current holdings into a and returns it. A nil (or
+// too small) a is replaced by a fresh allocation, which is how a publisher
+// starts an announcement nobody holding the previous one can see change.
+func (m *BufferMap) Publish(a Advert) Advert {
+	if n := 1 + len(m.bits); cap(a) < n {
+		a = make(Advert, n)
+	} else {
+		a = a[:n]
+	}
+	a[0] = uint64(m.base)
+	copy(a[1:], m.bits)
+	return a
+}
+
+// Has reports whether the announcement lists id, exactly as the published
+// map's Has did at Publish time: bits past the window are zero in a
+// BufferMap, so the word count bounds the window well enough.
+func (a Advert) Has(id ChunkID) bool {
+	if len(a) == 0 {
+		return false
+	}
+	off := uint64(id - ChunkID(a[0])) // below base wraps past every window
+	if off >= uint64(len(a)-1)*64 {
+		return false
+	}
+	return a[1+off/64]&(1<<(off%64)) != 0
 }
 
 // Playout tracks in-order delivery to the decoder and accounts continuity:

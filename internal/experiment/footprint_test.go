@@ -1,0 +1,58 @@
+package experiment
+
+import (
+	"runtime"
+	"testing"
+	"time"
+
+	"napawine/internal/scenario"
+)
+
+// perPeerHeapBudget bounds what a 2 000-peer PPLive swarm adds to the live
+// heap, per peer, with every peer joined: topology, nodes, partner records,
+// adverts, ledger columns and queued events together. It measured 7 940 to
+// 8 010 B (alone, in the package run, under -race) when selection scratch
+// moved from the node to the shard and partner records began viewing one
+// published advert, 13 645 B before; the budget is that plus 15 %, so a few
+// KB of per-node state cannot come back unnoticed.
+const perPeerHeapBudget = 9_200
+
+// TestPerPeerFootprint measures from inside the run, at the first series
+// sample after the join ramp, while the whole swarm is still reachable.
+func TestPerPeerFootprint(t *testing.T) {
+	const peers = 2000
+	cfg := Default("PPLive")
+	cfg.World.Peers = peers
+	cfg.Duration = 5 * time.Second
+	cfg.BackgroundJoinWindow = 3 * time.Second
+	steady, err := scenario.ByName("steady")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = steady // series samples, and with them OnSample, need one
+	liveHeap := func() uint64 {
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := liveHeap() // whatever earlier tests of the package left reachable
+	var heap uint64
+	var online int
+	cfg.OnSample = func(s SeriesSample) {
+		if heap == 0 && s.T >= 4*time.Second {
+			heap, online = liveHeap()-before, s.Online
+		}
+	}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if online < peers {
+		t.Fatalf("measured with %d of %d peers online", online, peers)
+	}
+	perPeer := heap / peers
+	t.Logf("live heap %d B per peer", perPeer)
+	if perPeer > perPeerHeapBudget {
+		t.Errorf("live heap %d B per peer (%d KB in all), budget %d", perPeer, heap>>10, perPeerHeapBudget)
+	}
+}

@@ -52,7 +52,7 @@ func BenchmarkRequestChunk(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if nd.requestChunk(id, now) {
-			delete(nd.inflight, id)
+			nd.inflight.removeAt(nd.inflight.find(id))
 		}
 	}
 }

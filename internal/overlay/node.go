@@ -19,8 +19,12 @@ import (
 // exchanges video with.
 type partner struct {
 	node *Node
-	// have mirrors the partner's last advertised buffer map.
-	have *chunkstream.BufferMap
+	// have is a view of the buffer map the partner last announced to this
+	// node: the slice header of the remote's published advert (same shard)
+	// or of the immutable copy its push message carried (across shards).
+	// Nothing here owns or copies the words. Nil — nothing advertised — from
+	// the record's creation until the remote's next signalling tick aims it.
+	have chunkstream.Advert
 	// info carries the locality facts plus the running delivery-rate
 	// estimate that selection policies consume.
 	info policy.Info
@@ -30,8 +34,18 @@ type partner struct {
 	// info.EstRate moves — every such site calls rescore, which also
 	// repositions the partner in the weight-ordered request index.
 	reqW, retW float64
-	// consecutive failures (timeouts/rejections) since the last success.
-	failures int
+	// consecutive failures (timeouts/rejections) since the last success;
+	// narrow so that it shares a word with announce and the record fits the
+	// 96-byte size class.
+	failures int32
+	// announce marks a row whose remote side has not been aimed at this
+	// node's advert yet. addPartner sets it both when it creates the row and
+	// when it finds the row already there: the remote may have left,
+	// rejoined unnoticed and re-created its side with a nil view. The
+	// node's next signalling tick does the one search of the remote's index,
+	// aims the remote's row and clears the flag; from then on rewriting the
+	// advert in place is the whole announcement.
+	announce bool
 	// Congestion observations, maintained only when the network's
 	// congestion model is on (node.go gates every write): lossEWMA tracks
 	// the fraction of requests to this partner that timed out (1 = every
@@ -53,11 +67,49 @@ const lossEWMARetain = 0.75
 // dead, and under congestion that takes a longer streak.
 const congestionFailureLimit = 8
 
-// pendingReq tracks one outstanding chunk request. Stored by value in the
-// inflight map (keyed by chunk id) so issuing a request allocates nothing.
+// pendingReq tracks one outstanding chunk request.
 type pendingReq struct {
+	id     chunkstream.ChunkID
 	from   PeerID
 	sentAt sim.Time
+}
+
+// inflightSet is a node's outstanding requests, at most one per chunk id and
+// at most Profile.MaxInflight (five or six) of them: an unordered slice
+// scanned linearly, which at that size beats hashing on every one of the
+// ~20 probes a scheduler tick makes. A request is appended only for an id
+// find has just reported absent (or removeAt has just removed). Order is
+// never observable — expiry sorts what it collects before acting on it.
+type inflightSet []pendingReq
+
+// find returns the index of id's request, -1 when there is none.
+func (s inflightSet) find(id chunkstream.ChunkID) int {
+	for i := range s {
+		if s[i].id == id {
+			return i
+		}
+	}
+	return -1
+}
+
+// removeAt drops the request at index i by moving the last one into its place.
+func (s *inflightSet) removeAt(i int) {
+	last := len(*s) - 1
+	(*s)[i] = (*s)[last]
+	*s = (*s)[:last]
+}
+
+// expiredInto overwrites dst with the ids of requests sent more than timeout
+// before now, ascending, and returns it.
+func (s inflightSet) expiredInto(dst []chunkstream.ChunkID, now sim.Time, timeout time.Duration) []chunkstream.ChunkID {
+	dst = dst[:0]
+	for i := range s {
+		if now.Sub(s[i].sentAt) > timeout {
+			dst = append(dst, s[i].id)
+		}
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // idEntry is one element of the id-ordered partner index. The sort key
@@ -101,7 +153,7 @@ type Node struct {
 	// (partnerByID binary-searches it; at most MaxPartners entries) and the
 	// deterministic iteration order of every loop that consumes randomness
 	// or emits events. Maintained incrementally on partner add/drop; never
-	// rebuilt.
+	// rebuilt. Allocated once, with byReq, at MaxPartners entries.
 	byID []idEntry
 	// byReq is the same set ordered by (cached request weight descending,
 	// peer id ascending): the weight-ordered partner index. Its head is
@@ -113,28 +165,23 @@ type Node struct {
 	// O(partners) scan it replaces.
 	byReq     []reqEntry
 	neighbors []PeerID // contacted, remembered for keepalives (bounded)
-	inflight  map[chunkstream.ChunkID]pendingReq
+	inflight  inflightSet
+	// advert is the buffer-map announcement of the current session, viewed
+	// by every partner record aimed at it (partner.have). signalingTick
+	// rewrites it in place; Join drops the reference, so the first tick of a
+	// session publishes into a fresh allocation and a remote that has not
+	// yet noticed a leave-and-rejoin keeps reading the last announcement of
+	// the session it partnered with.
+	advert chunkstream.Advert
 	// rateMemory persists per-remote delivery-rate estimates across
-	// partnership episodes within one session.
+	// partnership episodes and across the node's own sessions: it is created
+	// at the first Join and kept for the node's lifetime.
 	rateMemory map[PeerID]units.BitRate
-	// partnerPool recycles partner structs (and their buffer maps) across
-	// partnership episodes: partner churn runs for the whole experiment,
-	// and without the pool every add allocated a partner, a BufferMap and
-	// its bitfield. Pooled structs keep only their have-map allocation;
-	// all other state is re-initialized on reuse.
+	// partnerPool recycles partner structs across partnership episodes:
+	// partner churn runs for the whole experiment, and without the pool
+	// every add allocated a partner. A pooled struct holds nothing — every
+	// field is cleared on the way in and set again on the way out.
 	partnerPool []*partner
-
-	// Per-node scratch buffers: the selection hot path (scheduler ticks,
-	// chunk requests, partner churn) runs entirely inside these, so
-	// steady-state selection allocates nothing. The engine is
-	// single-threaded, and no tick re-enters another, so one set per node
-	// is safe.
-	scorer   policy.Scorer
-	reqOrder []*partner            // candidate order of one requestChunk round
-	refs     []policy.ChunkRef     // missing chunks of one scheduler tick
-	expired  []chunkstream.ChunkID // timed-out requests of one tick
-	dropIDs  []PeerID              // dead partners collected before dropping
-	snapBits []uint64              // buffer-map snapshot words
 
 	isSource bool
 	online   bool
@@ -228,11 +275,10 @@ func (nd *Node) Join() {
 		base = 0
 	}
 	// Re-arm the session's episode state in place: buffer map, playout
-	// tracker, partner indexes and the inflight map are recycled across
+	// tracker, partner indexes and the inflight set are recycled across
 	// join/leave cycles, so a node that flaps for the whole experiment
-	// allocates its hot state once. The map is never ranged un-sorted into
-	// RNG- or event-visible work, so reuse cannot leak map iteration order
-	// into the deterministic schedule.
+	// allocates its hot state once. The advert is the exception: it belongs
+	// to the session (see Node.advert).
 	if nd.buf == nil {
 		nd.buf = chunkstream.NewBufferMap(base, nd.net.Cfg.BufferWindow)
 	} else {
@@ -247,7 +293,13 @@ func (nd *Node) Join() {
 	} else {
 		nd.play.Reset(start)
 	}
-	clear(nd.inflight)
+	nd.advert = nil
+	if nd.byID == nil {
+		nd.byID = make([]idEntry, 0, nd.Profile.MaxPartners)
+		nd.byReq = make([]reqEntry, 0, nd.Profile.MaxPartners)
+		nd.inflight = make(inflightSet, 0, nd.Profile.MaxInflight)
+	}
+	nd.inflight = nd.inflight[:0]
 	nd.byID = nd.byID[:0]
 	nd.byReq = nd.byReq[:0]
 	nd.neighbors = nd.neighbors[:0]
@@ -303,7 +355,7 @@ func (nd *Node) Leave() {
 	}
 	nd.byID = nd.byID[:0]
 	nd.byReq = nd.byReq[:0]
-	clear(nd.inflight)
+	nd.inflight = nd.inflight[:0]
 }
 
 // Retire takes the node offline for good: the viewer switched the program
@@ -526,7 +578,8 @@ func (nd *Node) refillPartners() {
 		return
 	}
 	cands := nd.net.trackerSample(nd, nd.net.Cfg.TrackerBatch)
-	nd.scorer.Reset()
+	scorer := &nd.sc.scorer
+	scorer.Reset()
 	for i, c := range cands {
 		if nd.partnerByID(c.ID) != nil {
 			continue
@@ -534,9 +587,9 @@ func (nd *Node) refillPartners() {
 		if !c.Link.AcceptsFrom(nd.Link) {
 			continue
 		}
-		nd.scorer.Push(policy.Candidate{Index: i, Info: nd.infoFor(c)}, nd.Profile.DiscoveryWeight)
+		scorer.Push(policy.Candidate{Index: i, Info: nd.infoFor(c)}, nd.Profile.DiscoveryWeight)
 	}
-	for _, pick := range nd.scorer.Sample(nd.sc.eng.Rand(), need) {
+	for _, pick := range scorer.Sample(nd.sc.eng.Rand(), need) {
 		nd.handshake(cands[pick.Index])
 	}
 }
@@ -571,6 +624,7 @@ func (nd *Node) handshake(other *Node) {
 func (nd *Node) addPartner(other *Node) {
 	i, dup := nd.byIDSearch(other.ID)
 	if dup {
+		nd.byID[i].p.announce = true
 		return
 	}
 	info := nd.infoFor(other)
@@ -590,36 +644,27 @@ func (nd *Node) addPartner(other *Node) {
 	nd.byReqInsert(p)
 }
 
-// newPartner takes a recycled partner struct from the pool (resetting its
-// have-map in place) or allocates a fresh one on first use.
+// newPartner takes a recycled partner struct from the pool or allocates one
+// on first use. The record sees none of other's holdings and is marked for
+// announcement to other.
 func (nd *Node) newPartner(other *Node, info policy.Info) *partner {
 	var p *partner
 	if n := len(nd.partnerPool); n > 0 {
 		p = nd.partnerPool[n-1]
 		nd.partnerPool[n-1] = nil
 		nd.partnerPool = nd.partnerPool[:n-1]
-		p.have.Reset(0)
 	} else {
-		p = &partner{have: chunkstream.NewBufferMap(0, nd.net.Cfg.BufferWindow)}
+		p = new(partner)
 	}
-	p.node = other
-	p.info = info
-	p.failures = 0
-	p.lossEWMA = 0
-	p.backoffUntil = 0
+	*p = partner{node: other, info: info, announce: true}
 	return p
 }
 
-// recyclePartner returns a partner struct to the pool. Only the have-map
-// allocation is worth keeping; everything else is dropped so a pooled
-// struct cannot pin a departed node.
+// recyclePartner returns a partner struct to the pool, zeroed: only the
+// struct's own allocation is kept, so a pooled record can pin neither a
+// departed node nor an advert of a finished session.
 func (nd *Node) recyclePartner(p *partner) {
-	p.node = nil
-	p.info = policy.Info{}
-	p.reqW, p.retW = 0, 0
-	p.failures = 0
-	p.lossEWMA = 0
-	p.backoffUntil = 0
+	*p = partner{}
 	nd.partnerPool = append(nd.partnerPool, p)
 }
 
@@ -719,45 +764,51 @@ func (nd *Node) contactTick() {
 // partners are presumed alive here — their departures arrive as messages
 // (crossRemovePartner) instead of being observed.
 func (nd *Node) dropDeadPartners() {
-	nd.dropIDs = nd.dropIDs[:0]
+	dead := nd.sc.dropIDs[:0]
 	for i := range nd.byID {
 		if !nd.partnerAlive(nd.byID[i].p) {
-			nd.dropIDs = append(nd.dropIDs, nd.byID[i].id)
+			dead = append(dead, nd.byID[i].id)
 		}
 	}
-	for _, id := range nd.dropIDs {
+	nd.sc.dropIDs = dead
+	for _, id := range dead {
 		nd.dropPartner(id)
 	}
 }
 
-// signalingTick pushes the node's buffer map to each partner and keepalives
-// a random slice of the neighbor list.
+// signalingTick announces the node's buffer map to each partner and
+// keepalives a random slice of the neighbor list. The announcement is one
+// rewrite of the node's advert, whatever the partner count: partners on this
+// shard already view it and learn the new holdings through the rewrite (the
+// signalling packet is still sent and accounted per partner); only a row
+// marked announce costs a search of the remote's index, once.
 func (nd *Node) signalingTick() {
 	if !nd.online {
 		return
 	}
 	if nd.buf != nil {
 		nd.dropDeadPartners()
-		var base chunkstream.ChunkID
-		base, nd.snapBits = nd.buf.SnapshotInto(nd.snapBits)
+		nd.advert = nd.buf.Publish(nd.advert)
 		size := nd.buf.WireSize() + 40 // header overhead
 		// Cross-shard partners receive an immutable copy of this tick's
-		// snapshot words (one copy shared by all of them): the scratch
-		// buffer will be rewritten before their messages arrive.
-		var crossBits []uint64
+		// advert (one copy shared by all of them): the advert will be
+		// rewritten, on this shard's goroutine, before their messages arrive.
+		var crossAd chunkstream.Advert
 		for _, en := range nd.byID {
 			other := en.p.node
 			if !sameShard(nd, other) {
-				if crossBits == nil {
-					crossBits = append(crossBits, nd.snapBits...)
+				if crossAd == nil {
+					crossAd = slices.Clone(nd.advert)
 				}
-				nd.pushBufferMapCross(other, size, base, crossBits)
+				nd.pushBufferMapCross(other, size, crossAd)
 				continue
 			}
 			nd.net.sendSignal(nd, other, size)
-			// The partner learns our holdings.
-			if remote := other.partnerByID(nd.ID); remote != nil {
-				remote.have.LoadSnapshot(base, nd.snapBits)
+			if en.p.announce {
+				en.p.announce = false
+				if remote := other.partnerByID(nd.ID); remote != nil {
+					remote.have = nd.advert
+				}
 			}
 		}
 	}
@@ -788,11 +839,12 @@ func (nd *Node) churnTick() {
 	}
 	nd.dropDeadPartners()
 	if len(nd.byID) >= nd.Profile.PartnerTarget {
-		nd.scorer.Reset()
+		scorer := &nd.sc.scorer
+		scorer.Reset()
 		for _, en := range nd.byID {
-			nd.scorer.PushScored(policy.Candidate{Index: int(en.id), Info: en.p.info}, en.p.retW)
+			scorer.PushScored(policy.Candidate{Index: int(en.id), Info: en.p.info}, en.p.retW)
 		}
-		worst := nd.scorer.Worst()
+		worst := scorer.Worst()
 		if worst.Index >= 0 {
 			nd.dropPartner(PeerID(worst.Index))
 		}
@@ -842,19 +894,18 @@ func (nd *Node) scheduleTick() {
 		}
 	}
 
-	// Expire stale requests (sorted for deterministic RNG consumption).
-	nd.expired = nd.expired[:0]
-	for id, req := range nd.inflight {
-		if now.Sub(req.sentAt) > p.RequestTimeout {
-			nd.expired = append(nd.expired, id)
-		}
-	}
-	slices.Sort(nd.expired)
+	// Expire stale requests, in id order for deterministic RNG consumption.
+	// Positions in the set shift as the loop removes and retransmits, so
+	// each id is looked up again; nothing in the loop touches another
+	// expired id's request.
+	sc := nd.sc
+	sc.expired = nd.inflight.expiredInto(sc.expired, now, p.RequestTimeout)
 	cong := nd.net.congestionOn()
-	for _, id := range nd.expired {
-		req := nd.inflight[id]
-		delete(nd.inflight, id)
-		nd.sc.ledger.timeout(nd.ID)
+	for _, id := range sc.expired {
+		at := nd.inflight.find(id)
+		req := nd.inflight[at]
+		nd.inflight.removeAt(at)
+		sc.ledger.timeout(nd.ID)
 		if pr := nd.partnerByID(req.from); pr != nil {
 			pr.failures++
 			pr.info.EstRate /= 2 // stale partner loses standing
@@ -869,10 +920,10 @@ func (nd *Node) scheduleTick() {
 					shift = 4
 				}
 				pr.backoffUntil = now.Add(p.RequestTimeout << shift)
-				nd.sc.ledger.backoff(nd.ID)
+				sc.ledger.backoff(nd.ID)
 			}
 			nd.rescore(pr)
-			limit := 4
+			limit := int32(4)
 			if cong {
 				limit = congestionFailureLimit
 			}
@@ -885,7 +936,7 @@ func (nd *Node) scheduleTick() {
 			// the loser is in backoff) instead of waiting for the shopping
 			// pass to rediscover it.
 			if nd.requestChunk(id, now) {
-				nd.sc.ledger.retransmit(nd.ID)
+				sc.ledger.retransmit(nd.ID)
 			}
 		}
 	}
@@ -917,13 +968,13 @@ func (nd *Node) scheduleTick() {
 				if nd.buf.Has(id) {
 					continue
 				}
-				if _, pending := nd.inflight[id]; pending {
+				if nd.inflight.find(id) >= 0 {
 					continue
 				}
 				if !best.have.Has(id) {
 					continue
 				}
-				nd.inflight[id] = pendingReq{from: best.node.ID, sentAt: now}
+				nd.inflight = append(nd.inflight, pendingReq{id: id, from: best.node.ID, sentAt: now})
 				nd.net.sendRequest(nd, best.node, id)
 				fill--
 				budget--
@@ -946,22 +997,23 @@ func (nd *Node) scheduleTick() {
 	strat := p.strategy()
 	needHolders := strat.NeedHolders()
 	urgentEdge := lo + chunkstream.ChunkID(p.PullWindow/3)
-	nd.refs = nd.refs[:0]
+	refs := sc.refs[:0]
 	for id := lo; id <= shopHi; id++ {
 		if nd.buf.Has(id) {
 			continue
 		}
-		if _, pending := nd.inflight[id]; pending {
+		if nd.inflight.find(id) >= 0 {
 			continue
 		}
 		ref := policy.ChunkRef{ID: int64(id), Urgent: id < urgentEdge}
 		if needHolders {
 			ref.Holders = nd.countHolders(id, now)
 		}
-		nd.refs = append(nd.refs, ref)
+		refs = append(refs, ref)
 	}
-	strat.Order(nd.sc.eng.Rand(), nd.refs)
-	for _, ref := range nd.refs {
+	sc.refs = refs
+	strat.Order(sc.eng.Rand(), refs)
+	for _, ref := range refs {
 		if budget <= 0 {
 			break
 		}
@@ -1029,8 +1081,10 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	if cong {
 		aware = policy.Awareness(nd.Profile.strategy())
 	}
-	nd.scorer.Reset()
-	nd.reqOrder = nd.reqOrder[:0]
+	sc := nd.sc
+	scorer := &sc.scorer
+	scorer.Reset()
+	order := sc.reqOrder[:0]
 	for _, en := range nd.byID {
 		p := en.p
 		if !nd.partnerAlive(p) {
@@ -1046,16 +1100,17 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 			if aware > 0 {
 				w *= policy.LossPenalty(p.lossEWMA, aware)
 			}
-			nd.scorer.PushScored(policy.Candidate{Index: len(nd.reqOrder), Info: p.info}, w)
-			nd.reqOrder = append(nd.reqOrder, p)
+			scorer.PushScored(policy.Candidate{Index: len(order), Info: p.info}, w)
+			order = append(order, p)
 		}
 	}
-	pick := nd.scorer.PickOne(nd.sc.eng.Rand())
+	sc.reqOrder = order
+	pick := scorer.PickOne(sc.eng.Rand())
 	if pick.Index < 0 {
 		return false
 	}
-	target := nd.reqOrder[pick.Index]
-	nd.inflight[id] = pendingReq{from: target.node.ID, sentAt: now}
-	nd.net.sendRequest(nd, target.node, id)
+	target := order[pick.Index].node
+	nd.inflight = append(nd.inflight, pendingReq{id: id, from: target.ID, sentAt: now})
+	nd.net.sendRequest(nd, target, id)
 	return true
 }

@@ -390,6 +390,24 @@ type shardCtx struct {
 	trainSizes   []units.ByteSize
 	trainDeparts []sim.Time
 	trainArrives []sim.Time
+
+	// Selection scratch (node.go): every scheduler tick, chunk request and
+	// partner-churn round of every node on the shard runs inside these, so
+	// steady-state selection allocates nothing and the buffers stay hot in
+	// cache instead of being cold lines on each node. One set per shard is
+	// enough for the same reason as above: a tick runs to completion, and
+	// what it calls on other nodes — dropPartner/removePartner, handshake
+	// and addPartner, and onReject, which a same-shard serveChunk (an event
+	// of its own) calls synchronously — touches none of them. Within a tick
+	// the uses are disjoint: scheduleTick walks expired, then refs, while
+	// requestChunk fills scorer and reqOrder; dropDeadPartners is done with
+	// dropIDs before churnTick scores; refillPartners walks the scorer's
+	// Sample result while it handshakes.
+	scorer   policy.Scorer
+	reqOrder []*partner            // candidate order of one requestChunk round
+	refs     []policy.ChunkRef     // missing chunks of one scheduler tick
+	expired  []chunkstream.ChunkID // timed-out requests of one tick
+	dropIDs  []PeerID              // dead partners collected before dropping
 }
 
 // Network owns every node of one emulated swarm.
@@ -566,7 +584,6 @@ func (n *Network) AddNode(host topology.Host, link access.Link, prof *Profile) *
 		Profile:  prof,
 		up:       access.NewPort(link.Spec.Up),
 		down:     access.NewPort(link.Spec.Down),
-		inflight: make(map[chunkstream.ChunkID]pendingReq),
 		onlineAt: -1,
 	}
 	// Only the uplink carries the bound: the pull protocol serializes video

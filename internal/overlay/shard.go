@@ -26,7 +26,7 @@ import (
 // The message forms are the protocol the synchronous forms abbreviate:
 // a handshake or gossip exchange becomes offer → accept/decline → commit
 // (with a teardown if the initiator filled up while the reply flew), a
-// buffer-map push carries a snapshot copy, and a departure travels to
+// buffer-map push carries a copy of the advert, and a departure travels to
 // remote partners instead of being observed through the online flag.
 // Receiver-side state is consulted at arrival time, on the receiver's
 // clock — slightly later than the serial check, the way a real exchange
@@ -198,13 +198,15 @@ func (nd *Node) gossipReply(from *Node, want bool) {
 }
 
 // pushBufferMapCross carries one signaling-tick buffer-map push to a
-// partner on another shard. bits is an immutable copy of this tick's
-// snapshot words, shared by every cross push of the tick.
-func (nd *Node) pushBufferMapCross(other *Node, size units.ByteSize, base chunkstream.ChunkID, bits []uint64) {
+// partner on another shard. ad is an immutable copy of this tick's advert,
+// shared by every cross push of the tick; the receiving record views it the
+// way a same-shard record views the live advert, and the next push replaces
+// the view.
+func (nd *Node) pushBufferMapCross(other *Node, size units.ByteSize, ad chunkstream.Advert) {
 	from := nd.ID
 	nd.net.signalCross(nd, other, size, packet.Signaling, func() {
 		if remote := other.partnerByID(from); remote != nil {
-			remote.have.LoadSnapshot(base, bits)
+			remote.have = ad
 		}
 	})
 }

@@ -208,6 +208,15 @@ func (nd *Node) serveChunk(requester *Node, id chunkstream.ChunkID) {
 	net.crossSend(nd, requester, last, func() { requester.onChunkDelivered(from, id, chunkSize, burst) })
 }
 
+// settleRequest clears the pending request for id if from is the partner it
+// was sent to. A reply from anyone else is late — the request expired and
+// went to another partner — and leaves that newer request pending.
+func (nd *Node) settleRequest(id chunkstream.ChunkID, from PeerID) {
+	if i := nd.inflight.find(id); i >= 0 && nd.inflight[i].from == from {
+		nd.inflight.removeAt(i)
+	}
+}
+
 // onReject reacts to a responder declining a request: the pending entry is
 // cleared so the next scheduler tick retries elsewhere, and the partner's
 // standing decays, steering future requests toward less loaded (in
@@ -216,9 +225,7 @@ func (nd *Node) onReject(from PeerID, id chunkstream.ChunkID) {
 	if !nd.online {
 		return
 	}
-	if req, ok := nd.inflight[id]; ok && req.from == from {
-		delete(nd.inflight, id)
-	}
+	nd.settleRequest(id, from)
 	if p := nd.partnerByID(from); p != nil {
 		p.failures++
 		p.info.EstRate = p.info.EstRate * 3 / 4
@@ -232,10 +239,7 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, size units
 	if !nd.online {
 		return
 	}
-	req, ok := nd.inflight[id]
-	if ok && req.from == from {
-		delete(nd.inflight, id)
-	}
+	nd.settleRequest(id, from)
 	if fresh := !nd.buf.Has(id); nd.buf.Set(id) && fresh {
 		// First receipt of an in-window chunk: account its diffusion delay
 		// (birth at the source calendar to arrival here) on the ledger.

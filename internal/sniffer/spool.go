@@ -1,6 +1,8 @@
 package sniffer
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"napawine/internal/packet"
@@ -21,11 +23,16 @@ func (s *Spool) Add(r packet.Record) { s.recs = append(s.recs, r) }
 // Len reports the number of staged records.
 func (s *Spool) Len() int { return len(s.recs) }
 
-// Drain sorts the staged records by timestamp (stable, so same-instant
-// records keep emission order) and feeds them to the capture, then empties
-// the spool.
+// sortByTime orders the staged records by timestamp; stable, so
+// same-instant records keep emission order.
+func (s *Spool) sortByTime() {
+	slices.SortStableFunc(s.recs, func(a, b packet.Record) int { return cmp.Compare(a.TS, b.TS) })
+}
+
+// Drain sorts the staged records by timestamp and feeds them to the
+// capture, then empties the spool.
 func (s *Spool) Drain(c *Capture) {
-	sort.SliceStable(s.recs, func(i, j int) bool { return s.recs[i].TS < s.recs[j].TS })
+	s.sortByTime()
 	for _, r := range s.recs {
 		c.Observe(r)
 	}
@@ -36,7 +43,7 @@ func (s *Spool) Drain(c *Capture) {
 // staged. It lets long experiments flush periodically, bounding spool
 // memory while preserving capture monotonicity.
 func (s *Spool) DrainBefore(c *Capture, cutoff int64) {
-	sort.SliceStable(s.recs, func(i, j int) bool { return s.recs[i].TS < s.recs[j].TS })
+	s.sortByTime()
 	i := sort.Search(len(s.recs), func(i int) bool { return int64(s.recs[i].TS) >= cutoff })
 	for _, r := range s.recs[:i] {
 		c.Observe(r)

@@ -6,6 +6,7 @@ import (
 
 	"napawine/internal/packet"
 	"napawine/internal/sim"
+	"napawine/internal/units"
 )
 
 func TestSpoolSortsBeforeDrain(t *testing.T) {
@@ -44,6 +45,38 @@ func TestSpoolStableForEqualTimestamps(t *testing.T) {
 	s.Drain(c)
 	if m.Records[0].Size != 1 || m.Records[1].Size != 2 {
 		t.Error("equal-timestamp order not preserved")
+	}
+}
+
+// TestSpoolKeepsEmissionOrderWithinInstant stages many records over a few
+// instants — long enough that the sort merges blocks instead of insertion
+// sorting — each tagged with its staging index. A stable sort has exactly
+// one result, (timestamp, staging index) ascending, and both drains must
+// deliver it.
+func TestSpoolKeepsEmissionOrderWithinInstant(t *testing.T) {
+	for _, before := range []bool{false, true} {
+		var s Spool
+		rng := rand.New(rand.NewSource(3))
+		for i := 0; i < 600; i++ {
+			s.Add(rec(rng.Int63n(7), peerA, probe, units.ByteSize(i), packet.Video))
+		}
+		c := New(probe)
+		var m MemorySink
+		c.Attach(&m)
+		if before {
+			s.DrainBefore(c, 4)
+		}
+		s.Drain(c)
+		if len(m.Records) != 600 {
+			t.Fatalf("before=%v: drained %d", before, len(m.Records))
+		}
+		for i := 1; i < len(m.Records); i++ {
+			a, b := m.Records[i-1], m.Records[i]
+			if a.TS > b.TS || (a.TS == b.TS && a.Size >= b.Size) {
+				t.Fatalf("before=%v: record %d (ts %d, staged %d) follows (ts %d, staged %d)",
+					before, i, b.TS, b.Size, a.TS, a.Size)
+			}
+		}
 	}
 }
 
