@@ -2,7 +2,6 @@ package napawine_test
 
 import (
 	"context"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -184,7 +183,7 @@ func TestDefaultConfigKnobs(t *testing.T) {
 // applications × five seeds in parallel, reduced to aggregated tables with
 // error bars. Miniature scale keeps the 15 runs fast.
 func TestSweepAPI(t *testing.T) {
-	sres, err := napawine.RunStudy(context.Background(), &napawine.Study{
+	res, err := napawine.RunStudy(context.Background(), &napawine.Study{
 		Name:       "sweep",
 		BaseSeed:   301,
 		Trials:     5,
@@ -194,31 +193,22 @@ func TestSweepAPI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := napawine.SweepTables(sres)
 	if got := res.Trials(); got != 5 {
 		t.Fatalf("Trials = %d, want 5", got)
 	}
-	if len(res.Groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(res.Groups))
-	}
 	wantApps := []string{"PPLive", "SopCast", "TVAnts"}
-	for i, g := range res.Groups {
-		if g.Label != wantApps[i] {
-			t.Errorf("group %d label = %q, want %q", i, g.Label, wantApps[i])
+	if len(res.Cells) != 15 {
+		t.Fatalf("cells = %d, want 3 apps × 5 seeds", len(res.Cells))
+	}
+	for i, c := range res.Cells {
+		// Seed is the innermost axis: five consecutive cells per app.
+		if !c.Done || c.App != wantApps[i/5] || c.Summary.App != c.App || c.Seed != 301+int64(i%5) || c.Summary.Seed != c.Seed {
+			t.Errorf("cell %d = %s seed %d (summary %s seed %d, done %v), want %s seed %d",
+				i, c.App, c.Seed, c.Summary.App, c.Summary.Seed, c.Done, wantApps[i/5], 301+i%5)
 		}
-		if len(g.Summaries) != 5 {
-			t.Errorf("%s summaries = %d, want 5", g.Label, len(g.Summaries))
-		}
-		seen := map[int64]bool{}
-		for _, s := range g.Summaries {
-			if s.App != g.App {
-				t.Errorf("summary app %q in group %q", s.App, g.App)
-			}
-			seen[s.Seed] = true
-		}
-		if len(seen) != 5 {
-			t.Errorf("%s has duplicate seeds: %v", g.Label, seen)
-		}
+	}
+	if rows := res.TableII().Rows; len(rows) != 3 {
+		t.Fatalf("Table II has %d rows, want one per app", len(rows))
 	}
 	var b strings.Builder
 	for _, tab := range []*napawine.Table{
@@ -261,73 +251,5 @@ func TestSummarizeMatchesSingleRunTables(t *testing.T) {
 	}
 	if s.Events != r.Events || s.MeanContinuity != r.MeanContinuity {
 		t.Error("summary health fields diverge from result")
-	}
-}
-
-// TestLeanLedgerPublicRun pins Config.LeanLedger through the public API: a
-// lean run must be observably identical to a full run (same events, same
-// observations, same series) while keeping resident ledger memory O(1) —
-// no per-peer or per-pair maps — and the scenario series O(buckets).
-func TestLeanLedgerPublicRun(t *testing.T) {
-	run := func(lean bool) *napawine.Result {
-		cfg := napawine.DefaultConfig(napawine.PPLive)
-		cfg.Seed = 321
-		cfg.Duration = 60 * time.Second
-		cfg.World.Peers = 60
-		cfg.LeanLedger = lean
-		cfg.Scenario = &napawine.ScenarioSpec{Name: "steady"}
-		r, err := napawine.Run(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	full := run(false)
-	lean := run(true)
-
-	if full.Events != lean.Events {
-		t.Fatalf("lean run diverged: %d events vs %d", lean.Events, full.Events)
-	}
-	if !lean.Ledger.Lean() || full.Ledger.Lean() {
-		t.Fatalf("Lean() flags wrong: lean=%v full=%v", lean.Ledger.Lean(), full.Ledger.Lean())
-	}
-	if lean.Ledger.VideoByPair != nil || lean.Ledger.VideoRx != nil ||
-		lean.Ledger.VideoTx != nil || lean.Ledger.ChunksServed != nil {
-		t.Error("lean ledger allocated per-peer maps")
-	}
-	if lean.Ledger.VideoTotal != full.Ledger.VideoTotal ||
-		lean.Ledger.VideoIntraAS != full.Ledger.VideoIntraAS ||
-		lean.Ledger.SignalTotal != full.Ledger.SignalTotal {
-		t.Error("lean scalar totals diverged from full run")
-	}
-	if lean.MeanContinuity != full.MeanContinuity || lean.VideoBytes != full.VideoBytes {
-		t.Errorf("summary stats diverged: continuity %v vs %v, video %d vs %d",
-			lean.MeanContinuity, full.MeanContinuity, lean.VideoBytes, full.VideoBytes)
-	}
-	// Observations carry NaN fields (DeepEqual-hostile), so compare the
-	// rendered table bytes — the observable contract — instead.
-	if len(lean.Observations) != len(full.Observations) {
-		t.Errorf("observation counts diverged: %d vs %d", len(lean.Observations), len(full.Observations))
-	}
-	render := func(r *napawine.Result) string {
-		var b strings.Builder
-		for _, tab := range []*napawine.Table{
-			napawine.TableII([]*napawine.Result{r}),
-			napawine.TableIV([]*napawine.Result{r}),
-		} {
-			if err := tab.Render(&b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b.String()
-	}
-	if render(lean) != render(full) {
-		t.Error("rendered tables diverged between lean and full runs")
-	}
-	if !reflect.DeepEqual(lean.Series, full.Series) {
-		t.Error("series diverged between lean and full runs")
-	}
-	if len(lean.Series) == 0 || len(lean.Series) > 96 {
-		t.Errorf("series has %d buckets, want 1..96 (scenario.MaxBuckets)", len(lean.Series))
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"napawine"
+	"napawine/internal/scenario"
 	"napawine/internal/world"
 )
 
@@ -172,7 +173,7 @@ func BenchmarkAblationHopThreshold(b *testing.B) {
 // parallel runner and reduced to the aggregated mean±stderr tables.
 func BenchmarkSweep(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		sres, err := napawine.RunStudy(context.Background(), &napawine.Study{
+		res, err := napawine.RunStudy(context.Background(), &napawine.Study{
 			Name:       "bench",
 			BaseSeed:   int64(i*100 + 1),
 			Trials:     3,
@@ -182,7 +183,6 @@ func BenchmarkSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		res := napawine.SweepTables(sres)
 		for _, t := range []*napawine.Table{res.TableII(), res.TableIII(), res.TableIV()} {
 			if err := t.Render(io.Discard); err != nil {
 				b.Fatal(err)
@@ -223,9 +223,6 @@ func benchSwarm(b *testing.B, shards int) {
 
 // BenchmarkSwarmSimulation100k is the large-swarm smoke: a 10⁵-peer
 // PPLive swarm under a steady scenario, one iteration per -benchtime=1x.
-// At this population the experiment layer auto-enables the lean ledger
-// (LeanLedgerAutoPeers), so resident accounting memory is O(1) scalars
-// plus an O(buckets) series — the benchmark asserts the switch engaged.
 // Gated behind NAPAWINE_LARGE_BENCH because one iteration simulates a
 // hundred thousand peers; the generic -bench=. smoke skips it.
 func BenchmarkSwarmSimulation100k(b *testing.B) {
@@ -251,13 +248,10 @@ func benchSwarm100k(b *testing.B, shards int) {
 		cfg.Duration = 30 * time.Second
 		cfg.World.Peers = 100_000
 		cfg.Shards = shards
-		cfg.Scenario = &napawine.ScenarioSpec{Name: "steady"}
+		cfg.Scenario = &scenario.Spec{Name: "steady"}
 		r, err := napawine.Run(cfg)
 		if err != nil {
 			b.Fatal(err)
-		}
-		if !r.Ledger.Lean() {
-			b.Fatal("100k-peer run did not auto-enable the lean ledger")
 		}
 		events += r.Events
 	}

@@ -114,6 +114,7 @@ func TestUsageErrorsLeaveOutFileUntouched(t *testing.T) {
 		{"-study-file no-such.json", "no-such.json"},
 		{"-workers 64 -shards 64", "-workers"},
 		{"-no-such-flag", "-no-such-flag"},
+		{"-lean-ledger", "-lean-ledger"}, // removed with the second ledger shape
 		{"table4", "table4"},
 	} {
 		if err := os.WriteFile(prior, []byte("previous run\n"), 0o644); err != nil {

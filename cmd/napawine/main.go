@@ -59,7 +59,7 @@ type options struct {
 	seeds, peers, workers, shards, queueDepth                       int
 	scale                                                           float64
 	duration, httpLinger, leaseTTL                                  time.Duration
-	leanLedger, csv, listScenarios, listStrategies, listStudies     bool
+	csv, listScenarios, listStrategies, listStudies                 bool
 	out, svgOut, http, cpuProfile, memProfile, listen, join, resume string
 
 	explicit map[string]bool
@@ -79,7 +79,6 @@ func parseFlags(args []string) (*options, *flag.FlagSet, error) {
 	fs.DurationVar(&o.duration, "duration", 5*time.Minute, "virtual experiment duration")
 	fs.Float64Var(&o.scale, "scale", 1.0, "background population scale factor")
 	fs.IntVar(&o.peers, "peers", 0, "absolute background population (overrides -scale; 0 = per-app default)")
-	fs.BoolVar(&o.leanLedger, "lean-ledger", false, "O(1)-memory ground-truth accounting (auto at very large -peers)")
 	fs.IntVar(&o.workers, "workers", 0, "parallel experiments (0 = GOMAXPROCS)")
 	fs.IntVar(&o.shards, "shards", 0, "parallel shard engines per run, partitioned by AS (0 or 1 = serial engine)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole invocation to this file")
@@ -257,9 +256,6 @@ func (o *options) buildStudy() (*study.Study, error) {
 		st.Peers, st.PeerFactor = o.peers, 0
 	} else if set("scale") {
 		st.Peers, st.PeerFactor = 0, o.scale
-	}
-	if set("lean-ledger") {
-		st.LeanLedger = o.leanLedger
 	}
 	if set("shards") {
 		st.Shards = o.shards

@@ -11,9 +11,10 @@ import (
 	"napawine"
 	"napawine/internal/experiment"
 	"napawine/internal/plot"
+	"napawine/internal/policy"
 	"napawine/internal/report"
+	"napawine/internal/scenario"
 	"napawine/internal/study"
-	"napawine/internal/sweep"
 	"napawine/internal/world"
 )
 
@@ -56,19 +57,18 @@ func (o *options) render(p *printer, res *study.Result) []plot.Artifact {
 	case o.paperFormat(res.Study):
 		return o.renderPaper(p, res)
 	}
-	rep := sweep.Of(res)
 	if o.show("table2") {
-		p.table(rep.TableII())
+		p.table(res.TableII())
 	}
 	if o.show("table3") {
-		p.table(rep.TableIII())
+		p.table(res.TableIII())
 	}
 	if o.show("table4") {
-		p.table(rep.TableIV())
-		p.table(rep.HealthTable())
+		p.table(res.TableIV())
+		p.table(res.HealthTable())
 	}
-	p.table(rep.SeriesTable())
-	return rep.SeriesPlots()
+	p.table(res.SeriesTable())
+	return res.SeriesPlots()
 }
 
 // renderPaper prints the paper-format battery from the cells' full results,
@@ -202,17 +202,17 @@ func (o *options) listing() string {
 	switch {
 	case o.listScenarios:
 		b.WriteString("registered scenarios:\n")
-		for _, name := range napawine.ScenarioNames() {
-			if s, err := napawine.ScenarioByName(name); err == nil {
+		for _, name := range scenario.Names() {
+			if s, err := scenario.ByName(name); err == nil {
 				fmt.Fprintf(&b, "  %-11s %s\n", name, s.Description)
 			}
 		}
 	case o.listStrategies:
 		b.WriteString("registered chunk strategies:\n")
-		for _, name := range napawine.StrategyNames() {
-			fmt.Fprintf(&b, "  %-14s %s\n", name, napawine.StrategyDescription(name))
+		for _, name := range policy.StrategyNames() {
+			fmt.Fprintf(&b, "  %-14s %s\n", name, policy.StrategyDescription(name))
 		}
-		fmt.Fprintf(&b, "parameterized family:\n  %s\n", napawine.HybridGrammar)
+		fmt.Fprintf(&b, "parameterized family:\n  %s\n", policy.HybridGrammar)
 	case o.listStudies:
 		b.WriteString("registered studies:\n")
 		for _, name := range study.Names() {

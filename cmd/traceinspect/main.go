@@ -20,28 +20,50 @@ import (
 	"napawine/internal/report"
 )
 
-func main() {
-	var (
-		tracePath = flag.String("trace", "", "binary trace file (required)")
-		csvPath   = flag.String("csv", "", "also convert the trace to CSV at this path")
-		top       = flag.Int("top", 10, "show the top-N peers by video bytes")
-	)
-	flag.Parse()
-	if *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "traceinspect: -trace is required")
-		os.Exit(2)
-	}
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	f, err := os.Open(*tracePath)
+// run is the whole command behind a testable signature: exit status 0, 1
+// for an unreadable or malformed trace (or an unwritable -csv), 2 for a
+// usage error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("traceinspect", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		tracePath = fs.String("trace", "", "binary trace file (required)")
+		csvPath   = fs.String("csv", "", "also convert the trace to CSV at this path")
+		top       = fs.Int("top", 10, "show the top-N peers by video bytes")
+	)
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
+	if *tracePath == "" {
+		fmt.Fprintln(stderr, "traceinspect: -trace is required")
+		fs.Usage()
+		return 2
+	}
+	if err := inspect(stdout, *tracePath, *csvPath, *top); err != nil {
+		fmt.Fprintln(stderr, "traceinspect:", err)
+		return 1
+	}
+	return 0
+}
+
+// inspect prints the trace's header and top-N peer summary, and converts
+// it to CSV when csvPath is set.
+func inspect(stdout io.Writer, tracePath, csvPath string, top int) error {
+	f, err := os.Open(tracePath)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	defer f.Close()
 	r, err := packet.NewReader(f)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("trace %s\n  probe: %v\n  label: %q\n", *tracePath, r.Probe(), r.Label())
+	fmt.Fprintf(stdout, "trace %s\n  probe: %v\n  label: %q\n", tracePath, r.Probe(), r.Label())
 
 	var recs []packet.Record
 	agg := analysis.New(r.Probe(), analysis.DefaultConfig())
@@ -51,19 +73,19 @@ func main() {
 			break
 		}
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		agg.Consume(rec)
-		if *csvPath != "" {
+		if csvPath != "" {
 			recs = append(recs, rec)
 		}
 	}
-	fmt.Printf("  records: %d, distinct peers: %d\n\n", agg.Records(), agg.PeerCount())
+	fmt.Fprintf(stdout, "  records: %d, distinct peers: %d\n\n", agg.Records(), agg.PeerCount())
 
-	t := report.NewTable(fmt.Sprintf("Top %d peers by video bytes", *top),
+	t := report.NewTable(fmt.Sprintf("Top %d peers by video bytes", top),
 		"Peer", "Video RX", "Video TX", "Total RX", "Total TX", "MinIPG", "Hops")
 	for i, addr := range agg.PeerAddrs() {
-		if i >= *top {
+		if i >= top {
 			break
 		}
 		p := agg.Peer(addr)
@@ -80,24 +102,19 @@ func main() {
 			fmt.Sprintf("%d", p.TotalDown), fmt.Sprintf("%d", p.TotalUp),
 			ipg, hops)
 	}
-	if err := t.Render(os.Stdout); err != nil {
-		fatal(err)
+	if err := t.Render(stdout); err != nil {
+		return err
 	}
-
-	if *csvPath != "" {
-		out, err := os.Create(*csvPath)
-		if err != nil {
-			fatal(err)
-		}
-		defer out.Close()
-		if err := packet.WriteCSV(out, recs); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("\nwrote %d records to %s\n", len(recs), *csvPath)
+	if csvPath == "" {
+		return nil
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "traceinspect:", err)
-	os.Exit(1)
+	out, err := os.Create(csvPath)
+	if err != nil {
+		return err
+	}
+	if err := errors.Join(packet.WriteCSV(out, recs), out.Close()); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "\nwrote %d records to %s\n", len(recs), csvPath)
+	return nil
 }

@@ -1,0 +1,123 @@
+package main
+
+import (
+	"bufio"
+	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
+	"testing"
+	"time"
+
+	"napawine/internal/experiment"
+	"napawine/internal/packet"
+)
+
+// storedTrace runs a small experiment with StoreTraces set and returns the
+// largest probe trace it archived.
+func storedTrace(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	cfg := experiment.Default("TVAnts")
+	cfg.Duration = time.Minute
+	cfg.World.Peers = 100
+	cfg.StoreTraces = dir
+	if _, err := experiment.Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) == 0 {
+		t.Fatalf("no stored traces: %v", err)
+	}
+	best, size := "", int64(-1)
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil && info.Size() > size {
+			best, size = filepath.Join(dir, e.Name()), info.Size()
+		}
+	}
+	return best
+}
+
+// TestStoredTraceRoundTripsToCSV: every record of a trace the simulator
+// archived comes out of -csv, in order and field for field, and the summary
+// counts the same records.
+func TestStoredTraceRoundTripsToCSV(t *testing.T) {
+	trace := storedTrace(t)
+	f, err := os.Open(trace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	rd, err := packet.NewReader(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := rd.ReadAll()
+	if err != nil || len(want) == 0 {
+		t.Fatalf("stored trace holds %d records: %v", len(want), err)
+	}
+
+	csvPath := filepath.Join(t.TempDir(), "out.csv")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-trace", trace, "-csv", csvPath, "-top", "3"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	if !strings.Contains(stdout.String(), rd.Probe().String()) ||
+		!strings.Contains(stdout.String(), "Top 3 peers by video bytes") {
+		t.Errorf("summary names neither the probe nor the table:\n%s", stdout.String())
+	}
+
+	out, err := os.Open(csvPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer out.Close()
+	var got []packet.Record
+	sc := bufio.NewScanner(out)
+	sc.Scan() // header row
+	for sc.Scan() {
+		rec, err := packet.ParseCSVLine(sc.Text())
+		if err != nil {
+			t.Fatalf("csv line %d: %v", len(got)+2, err)
+		}
+		got = append(got, rec)
+	}
+	if !slices.Equal(got, want) {
+		t.Errorf("csv holds %d records, the trace %d; or they differ", len(got), len(want))
+	}
+}
+
+// TestMalformedTraceExitsOne: a truncated record, a truncated header and a
+// missing file are reported as errors with exit status 1, never a panic;
+// a missing -trace is a usage error.
+func TestMalformedTraceExitsOne(t *testing.T) {
+	whole, err := os.ReadFile(storedTrace(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	write := func(name string, b []byte) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	for _, tc := range []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"truncated record", []string{"-trace", write("cut.nwt", whole[:len(whole)-5])}, 1},
+		{"truncated header", []string{"-trace", write("head.nwt", whole[:6])}, 1},
+		{"not a trace", []string{"-trace", write("text.nwt", []byte("hello, world\n"))}, 1},
+		{"missing file", []string{"-trace", filepath.Join(dir, "absent.nwt")}, 1},
+		{"no -trace", nil, 2},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), "traceinspect:") {
+			t.Errorf("%s: exit %d, stderr %q; want exit %d with a message", tc.name, code, stderr.String(), tc.code)
+		}
+	}
+}

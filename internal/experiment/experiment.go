@@ -66,8 +66,8 @@ type Config struct {
 	// ASSeriesK bounds per-AS time-series tracking to the K most-populated
 	// ASes: zero selects DefaultASSeriesK, negative disables the per-AS
 	// breakdown entirely. The bound keeps series memory at
-	// O(buckets·K) regardless of topology size, and the accounting rides
-	// the ledger's per-AS totals, so it works under LeanLedger too.
+	// O(buckets·K) regardless of topology size; the accounting rides the
+	// ledger's per-AS totals.
 	ASSeriesK int
 
 	World world.Spec
@@ -94,14 +94,6 @@ type Config struct {
 	// from the serial run the way a different seed's would. The count is
 	// clamped to the number of populated ASes.
 	Shards int
-
-	// LeanLedger drops the overlay ledger's per-peer columns and per-pair map,
-	// keeping only swarm-wide totals — the setting that takes resident
-	// metric memory from O(peers) to O(1) and makes 10⁵-peer worlds fit.
-	// Every figure Result reports comes from the totals, so the switch
-	// changes memory, never results. It turns itself on automatically at
-	// LeanLedgerAutoPeers and beyond.
-	LeanLedger bool
 
 	// Background churn (probes never churn, like the testbed).
 	ChurnMeanOn  time.Duration
@@ -169,12 +161,6 @@ func Default(app string) Config {
 	}
 	return cfg
 }
-
-// LeanLedgerAutoPeers is the total population (background plus scenario
-// extras) at which a run switches to the lean ledger on its own: below it,
-// per-peer ground truth is cheap and handy for debugging; at and above it,
-// the maps are the dominant resident allocation and nothing reads them.
-const LeanLedgerAutoPeers = 20000
 
 // ScalePeers scales the background population by factor (<= 0 leaves the
 // default), flooring at 50 peers so a tiny factor still yields a viable
@@ -385,7 +371,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	sh := sim.NewSharded(cfg.Seed, shards, lookahead)
 	eng := sh.Global()
 	cal := chunkstream.NewCalendar(apps.StreamRate, 48*units.KB)
-	lean := cfg.LeanLedger || cfg.World.Peers+cfg.World.ExtraPeers >= LeanLedgerAutoPeers
 	net := overlay.NewSharded(sh, w.Topo, overlay.Config{
 		Calendar:      cal,
 		BufferWindow:  cfg.BufferWindow,
@@ -394,7 +379,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		JitterMax:     cfg.JitterMax,
 		UplinkBusyCap: cfg.UplinkBusyCap,
 		Congestion:    cfg.Congestion,
-		LeanLedger:    lean,
 	}, part)
 
 	source := net.AddSource(w.SourceHost, w.SourceLink, prof)

@@ -7,28 +7,29 @@ import (
 	"napawine/internal/plot"
 )
 
-// seriesMetric is one plottable column of the scenario time series; invalid
-// buckets map to NaN so the renderer breaks the line instead of plotting a
-// fake zero.
-type seriesMetric struct {
-	name   string // artifact stem and chart title fragment
-	ylabel string
-	get    func(SeriesSample) float64
+// SeriesMetric is one swarm-wide column of the scenario time series, as the
+// single-run charts here and the replicated table and charts of the study
+// layer present it. Get reports false for a bucket that did not measure the
+// metric (intra-AS share in a bucket that moved no video): charts break the
+// line there and tables print the dash, never a fake zero.
+type SeriesMetric struct {
+	Name     string // artifact stem
+	YLabel   string // chart axis and title fragment
+	Column   string // table header
+	Decimals int    // table precision
+	Get      func(SeriesSample) (float64, bool)
 }
 
-var seriesMetrics = []seriesMetric{
-	{"online", "online peers",
-		func(s SeriesSample) float64 { return float64(s.Online) }},
-	{"continuity", "continuity",
-		func(s SeriesSample) float64 { return s.Continuity }},
-	{"intra-as", "intra-AS %", func(s SeriesSample) float64 {
-		if !s.IntraASValid {
-			return math.NaN()
-		}
-		return s.IntraASPct
-	}},
-	{"video-kbps", "video kbps",
-		func(s SeriesSample) float64 { return s.VideoKbps }},
+// SeriesMetrics lists the series columns in presentation order.
+var SeriesMetrics = []SeriesMetric{
+	{"online", "online peers", "Online", 0,
+		func(s SeriesSample) (float64, bool) { return float64(s.Online), true }},
+	{"continuity", "continuity", "Continuity", 3,
+		func(s SeriesSample) (float64, bool) { return s.Continuity, true }},
+	{"intra-as", "intra-AS %", "Intra-AS%", 1,
+		func(s SeriesSample) (float64, bool) { return s.IntraASPct, s.IntraASValid }},
+	{"video-kbps", "video kbps", "Video kbps", 0,
+		func(s SeriesSample) (float64, bool) { return s.VideoKbps, true }},
 }
 
 // SeriesPlots renders the scenario time series of results as SVG line
@@ -52,10 +53,10 @@ func SeriesPlots(results []*Result) []plot.Artifact {
 	}
 
 	var arts []plot.Artifact
-	for _, m := range seriesMetrics {
+	for _, m := range SeriesMetrics {
 		l := &plot.Line{
-			Title:  fmt.Sprintf("%s — scenario %q", m.ylabel, scenario),
-			XLabel: "virtual time", YLabel: m.ylabel, XTime: true,
+			Title:  fmt.Sprintf("%s — scenario %q", m.YLabel, scenario),
+			XLabel: "virtual time", YLabel: m.YLabel, XTime: true,
 		}
 		for _, r := range results {
 			if len(r.Series) == 0 {
@@ -65,11 +66,15 @@ func SeriesPlots(results []*Result) []plot.Artifact {
 				X: make([]float64, len(r.Series)), Y: make([]float64, len(r.Series))}
 			for i, smp := range r.Series {
 				s.X[i] = smp.T.Seconds()
-				s.Y[i] = m.get(smp)
+				if v, ok := m.Get(smp); ok {
+					s.Y[i] = v
+				} else {
+					s.Y[i] = math.NaN()
+				}
 			}
 			l.Series = append(l.Series, s)
 		}
-		arts = append(arts, plot.Artifact{Name: "series-" + m.name, Chart: l})
+		arts = append(arts, plot.Artifact{Name: "series-" + m.Name, Chart: l})
 	}
 
 	for _, r := range results {

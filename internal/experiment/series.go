@@ -254,49 +254,3 @@ func SeriesTable(results []*Result) *report.Table {
 	}
 	return t
 }
-
-// ASSeriesTable renders the per-AS breakdown of the same runs, bucket-major
-// then ASN-ascending, so one bucket's ASes read as a block. Returns nil when
-// no run carried per-AS samples (no scenario, or ASSeriesK < 0).
-func ASSeriesTable(results []*Result) *report.Table {
-	name := ""
-	any := false
-	for _, r := range results {
-		if r.Scenario != "" {
-			name = r.Scenario
-		}
-		for _, s := range r.Series {
-			if len(s.PerAS) > 0 {
-				any = true
-			}
-		}
-	}
-	if !any {
-		return nil
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Per-AS time series — scenario %q", name),
-		"T", "App", "AS", "Online", "Continuity", "Intra-AS%")
-	buckets := 0
-	for _, r := range results {
-		if len(r.Series) > buckets {
-			buckets = len(r.Series)
-		}
-	}
-	for b := 0; b < buckets; b++ {
-		for _, r := range results {
-			if b >= len(r.Series) {
-				continue
-			}
-			s := r.Series[b]
-			for _, a := range s.PerAS {
-				t.Add(s.T.String(), r.App,
-					fmt.Sprintf("%d", a.AS),
-					fmt.Sprintf("%d", a.Online),
-					fmt.Sprintf("%.3f", a.Continuity),
-					report.PctOrDash(a.IntraPct, a.IntraValid))
-			}
-		}
-	}
-	return t
-}

@@ -191,21 +191,10 @@ func TestScenarioSeriesPerAS(t *testing.T) {
 			t.Errorf("bucket %d tracked-AS online sum %d exceeds swarm online %d", b, asOnline, s.Online)
 		}
 	}
-	tab := ASSeriesTable([]*Result{r})
-	if tab == nil {
-		t.Fatal("ASSeriesTable returned nil for a run with per-AS samples")
-	}
-	if want := len(r.Series) * len(first); len(tab.Rows) != want {
-		t.Errorf("per-AS table has %d rows, want %d", len(tab.Rows), want)
-	}
-	if !strings.Contains(tab.Title, "flashcrowd") {
-		t.Errorf("per-AS table title %q does not name the scenario", tab.Title)
-	}
 }
 
 // TestScenarioSeriesPerASKnobs: ASSeriesK bounds and disables the
-// breakdown, and the accounting survives LeanLedger (the maps it rides are
-// O(ASes), kept in both ledger modes).
+// breakdown.
 func TestScenarioSeriesPerASKnobs(t *testing.T) {
 	cfg := scenarioConfig("steady", 3)
 	cfg.ASSeriesK = 1
@@ -228,29 +217,6 @@ func TestScenarioSeriesPerASKnobs(t *testing.T) {
 	for b, s := range r.Series {
 		if len(s.PerAS) != 0 {
 			t.Fatalf("bucket %d carries per-AS samples with ASSeriesK=-1", b)
-		}
-	}
-	if tab := ASSeriesTable([]*Result{r}); tab != nil {
-		t.Errorf("disabled per-AS sampling still produced a table: %q", tab.Title)
-	}
-
-	lean := scenarioConfig("steady", 3)
-	lean.LeanLedger = true
-	lr, err := Run(lean)
-	if err != nil {
-		t.Fatal(err)
-	}
-	full, err := Run(scenarioConfig("steady", 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(lr.Series) != len(full.Series) {
-		t.Fatalf("lean run has %d buckets, full %d", len(lr.Series), len(full.Series))
-	}
-	for b := range full.Series {
-		if !reflect.DeepEqual(full.Series[b].PerAS, lr.Series[b].PerAS) {
-			t.Errorf("bucket %d per-AS diverged under LeanLedger:\n full %+v\n lean %+v",
-				b, full.Series[b].PerAS, lr.Series[b].PerAS)
 		}
 	}
 }

@@ -241,11 +241,21 @@ func (c *Coordinator) assemble() (*study.Result, error) {
 	return study.NewResult(c.st, sums, done)
 }
 
-// Close stops serving: the listener and every open connection close, and
-// the server goroutine is joined. In-flight workers see connection errors
-// and redial until their retry budget runs out.
+// drainTimeout bounds how long Close waits for running handlers.
+const drainTimeout = 5 * time.Second
+
+// Close stops serving and joins the server goroutine. The listener closes
+// first; handlers already running then get drainTimeout to finish, so the
+// worker that just delivered the last result reads its acknowledgement
+// instead of a reset connection (which it would redial for its whole
+// budget). Connections still busy after that are cut.
 func (c *Coordinator) Close() error {
-	err := c.srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
+	defer cancel()
+	err := c.srv.Shutdown(ctx)
+	if err != nil {
+		err = c.srv.Close()
+	}
 	c.wg.Wait()
 	return err
 }

@@ -7,14 +7,13 @@ import (
 
 // TestLedgerGrowAndMerge pins the dense per-peer columns: grow covers ids
 // below n with zeros and never shrinks or disturbs what is there, merge
-// adds element-wise whichever side is longer, and a lean ledger on either
-// side leaves the columns alone.
+// adds element-wise whichever side is longer.
 func TestLedgerGrowAndMerge(t *testing.T) {
 	// full builds a ledger whose VideoRx and Backoffs (first and last
 	// column) hold the given rows; every other column is zeros of the same
 	// length.
 	full := func(rows ...int64) *Ledger {
-		l := newLedger(false)
+		l := newLedger()
 		l.grow(len(rows))
 		copy(l.VideoRx, rows)
 		copy(l.Backoffs, rows)
@@ -28,10 +27,8 @@ func TestLedgerGrowAndMerge(t *testing.T) {
 		{"equal length", full(1, 2, 3), full(10, 20, 30), []int64{11, 22, 33}},
 		{"src longer", full(1), full(10, 20, 30), []int64{11, 20, 30}},
 		{"src shorter", full(1, 2, 3), full(10), []int64{11, 2, 3}},
-		{"fresh dst", newLedger(false), full(0, 5), []int64{0, 5}},
-		{"empty src", full(1, 2), newLedger(false), []int64{1, 2}},
-		{"lean src", full(1, 2), newLedger(true), []int64{1, 2}},
-		{"lean dst", newLedger(true), full(1, 2), nil},
+		{"fresh dst", newLedger(), full(0, 5), []int64{0, 5}},
+		{"empty src", full(1, 2), newLedger(), []int64{1, 2}},
 	} {
 		tc.src.SignalTotal = 7
 		tc.dst.merge(tc.src)

@@ -135,14 +135,6 @@ type Config struct {
 	// value is the historical unbounded model and leaves the event and
 	// RNG sequence byte-identical.
 	Congestion access.CongestionModel
-	// LeanLedger drops the ledger's per-peer columns and per-pair map, keeping
-	// only the swarm-wide scalar totals. Per-peer ground truth grows
-	// O(peers) — and VideoByPair O(peers²) in the worst case — which is
-	// what pins resident memory at 10⁵-peer scale; every result the
-	// experiment layer reports comes from the scalars. Accounting calls
-	// are identical either way, so the event and RNG sequence — and with
-	// them the golden digests — do not depend on this switch.
-	LeanLedger bool
 }
 
 func (c *Config) validate() {
@@ -183,30 +175,11 @@ const (
 	gossipMaxEntries = 100
 )
 
-// PairKey orders two peer ids for use as a map key of an unordered pair.
-type PairKey struct{ A, B PeerID }
-
-// MakePairKey builds the canonical (ordered) key.
-func MakePairKey(a, b PeerID) PairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return PairKey{A: a, B: b}
-}
-
 // Ledger is the ground-truth accounting kept by the network itself,
 // independent of what probes can see. The analysis layer never reads it for
 // inference; tests and EXPERIMENTS.md use it to validate what the passive
 // methodology recovered.
 type Ledger struct {
-	// lean drops the per-pair map and the per-peer columns below, leaving
-	// only scalar totals; the accumulation methods gate those writes on
-	// it. See Config.LeanLedger.
-	lean bool
-
-	// VideoByPair counts video payload bytes per directed pair. Nil in
-	// lean mode, like every per-peer column here.
-	VideoByPair map[[2]PeerID]int64
 	// Totals per node, indexed by PeerID: ids are dense (AddNode hands out
 	// len(nodes) and grows every shard's columns to cover the new id).
 	VideoRx, VideoTx   []int64
@@ -222,8 +195,9 @@ type Ledger struct {
 	Retransmits []int64
 	Backoffs    []int64
 
-	// Swarm-wide totals mirroring the sums of the columns above, maintained
-	// in both modes so lean runs still report aggregate health.
+	// Swarm-wide totals mirroring the sums of the columns above: every
+	// number the experiment layer reports comes from these scalars and the
+	// per-AS tallies below, never from a per-peer column.
 	SignalTotal       int64
 	ChunksServedTotal int64
 	RejectionsTotal   int64
@@ -234,16 +208,15 @@ type Ledger struct {
 
 	// Running swarm-wide video totals, split by whether the transfer stayed
 	// inside one AS. Time-series samplers difference these between buckets
-	// to report per-bucket locality without walking VideoByPair.
+	// to report per-bucket locality.
 	VideoTotal   int64
 	VideoIntraAS int64
 
 	// Per-AS video received by peers in each AS, total and intra-AS — the
 	// per-AS counterpart of the two scalars above, so samplers can report
 	// each AS's locality share over time (the partition scenario's
-	// observable). Maintained in lean mode too: the key space is the AS
-	// count (tens), not the peer count, so the maps stay O(ASes) and never
-	// threaten the lean ledger's memory contract.
+	// observable). The key space is the AS count (tens), not the peer
+	// count.
 	VideoRxByAS    map[topology.ASN]int64
 	VideoIntraByAS map[topology.ASN]int64
 
@@ -263,16 +236,11 @@ type Ledger struct {
 	SourceVideoTx int64
 }
 
-func newLedger(lean bool) *Ledger {
-	l := &Ledger{
-		lean:           lean,
+func newLedger() *Ledger {
+	return &Ledger{
 		VideoRxByAS:    make(map[topology.ASN]int64),
 		VideoIntraByAS: make(map[topology.ASN]int64),
 	}
-	if !lean {
-		l.VideoByPair = make(map[[2]PeerID]int64)
-	}
-	return l
 }
 
 // peerColumns lists the per-peer columns, for grow and merge.
@@ -283,12 +251,8 @@ func (l *Ledger) peerColumns() [10]*[]int64 {
 	}
 }
 
-// grow extends every per-peer column to cover ids below n. Lean ledgers
-// keep their columns nil.
+// grow extends every per-peer column to cover ids below n.
 func (l *Ledger) grow(n int) {
-	if l.lean {
-		return
-	}
 	for _, col := range l.peerColumns() {
 		if len(*col) < n {
 			*col = append(*col, make([]int64, n-len(*col))...)
@@ -296,15 +260,9 @@ func (l *Ledger) grow(n int) {
 	}
 }
 
-// Lean reports whether per-peer and per-pair accounting is disabled.
-func (l *Ledger) Lean() bool { return l.lean }
-
 func (l *Ledger) video(from, to PeerID, n int64, toAS topology.ASN, sameAS bool) {
-	if !l.lean {
-		l.VideoByPair[[2]PeerID{from, to}] += n
-		l.VideoTx[from] += n
-		l.VideoRx[to] += n
-	}
+	l.VideoTx[from] += n
+	l.VideoRx[to] += n
 	l.VideoTotal += n
 	l.VideoRxByAS[toAS] += n
 	if sameAS {
@@ -314,52 +272,38 @@ func (l *Ledger) video(from, to PeerID, n int64, toAS topology.ASN, sameAS bool)
 }
 
 func (l *Ledger) signal(from, to PeerID, n int64) {
-	if !l.lean {
-		l.SignalTx[from] += n
-		l.SignalRx[to] += n
-	}
+	l.SignalTx[from] += n
+	l.SignalRx[to] += n
 	l.SignalTotal += n
 }
 
 func (l *Ledger) chunkServed(id PeerID) {
-	if !l.lean {
-		l.ChunksServed[id]++
-	}
+	l.ChunksServed[id]++
 	l.ChunksServedTotal++
 }
 
 func (l *Ledger) rejection(id PeerID) {
-	if !l.lean {
-		l.Rejections[id]++
-	}
+	l.Rejections[id]++
 	l.RejectionsTotal++
 }
 
 func (l *Ledger) timeout(id PeerID) {
-	if !l.lean {
-		l.Timeouts[id]++
-	}
+	l.Timeouts[id]++
 	l.TimeoutsTotal++
 }
 
 func (l *Ledger) drop(id PeerID) {
-	if !l.lean {
-		l.Drops[id]++
-	}
+	l.Drops[id]++
 	l.DropsTotal++
 }
 
 func (l *Ledger) retransmit(id PeerID) {
-	if !l.lean {
-		l.Retransmits[id]++
-	}
+	l.Retransmits[id]++
 	l.RetransmitsTotal++
 }
 
 func (l *Ledger) backoff(id PeerID) {
-	if !l.lean {
-		l.Backoffs[id]++
-	}
+	l.Backoffs[id]++
 	l.BackoffsTotal++
 }
 
@@ -416,10 +360,9 @@ type Network struct {
 	// on; with several, the barrier-phase engine whose events may touch
 	// state on any shard (see sim.Sharded). Scenario timelines, samplers
 	// and capture flushes schedule here.
-	Eng    *sim.Engine
-	Topo   *topology.Topology
-	Cfg    Config
-	Ledger *Ledger
+	Eng  *sim.Engine
+	Topo *topology.Topology
+	Cfg  Config
 
 	// sharded is the lockstep coordinator; nil when the network was built
 	// with New on a bare engine. shards always holds at least one context.
@@ -452,9 +395,8 @@ const trackerRefresh = time.Second
 // swarm runs serially on that engine — the historical single-core mode.
 func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 	cfg.validate()
-	led := newLedger(cfg.LeanLedger)
-	n := &Network{Eng: eng, Topo: topo, Cfg: cfg, Ledger: led}
-	n.shards = []*shardCtx{{eng: eng, ledger: led}}
+	n := &Network{Eng: eng, Topo: topo, Cfg: cfg}
+	n.shards = []*shardCtx{{eng: eng, ledger: newLedger()}}
 	return n
 }
 
@@ -468,13 +410,9 @@ func NewSharded(sh *sim.Sharded, topo *topology.Topology, cfg Config, shardOf ma
 	n := &Network{Eng: sh.Global(), Topo: topo, Cfg: cfg, sharded: sh, shardOf: shardOf}
 	n.shards = make([]*shardCtx, sh.N())
 	for i := range n.shards {
-		n.shards[i] = &shardCtx{idx: i, eng: sh.Shard(i), ledger: newLedger(cfg.LeanLedger)}
+		n.shards[i] = &shardCtx{idx: i, eng: sh.Shard(i), ledger: newLedger()}
 	}
-	n.Ledger = n.shards[0].ledger
 	if sh.N() > 1 {
-		// The exported field would silently expose one shard's slice of
-		// the accounting; force readers through LedgerView.
-		n.Ledger = nil
 		n.onlineSnaps = make([][]*Node, sh.N())
 		n.Eng.Every(trackerRefresh, trackerRefresh, 0, n.refreshTrackerSnaps)
 	}
@@ -489,7 +427,7 @@ func (n *Network) LedgerView() *Ledger {
 	if len(n.shards) == 1 {
 		return n.shards[0].ledger
 	}
-	m := newLedger(n.Cfg.LeanLedger)
+	m := newLedger()
 	for _, sc := range n.shards {
 		m.merge(sc.ledger)
 	}
@@ -497,18 +435,13 @@ func (n *Network) LedgerView() *Ledger {
 }
 
 // merge folds src into l, growing l's per-peer columns to src's length
-// first. In lean mode only the AS-keyed maps exist on either side.
+// first.
 func (l *Ledger) merge(src *Ledger) {
-	if !l.lean && !src.lean {
-		for k, v := range src.VideoByPair {
-			l.VideoByPair[k] += v
-		}
-		l.grow(len(src.VideoRx))
-		dst := l.peerColumns()
-		for c, col := range src.peerColumns() {
-			for id, v := range *col {
-				(*dst[c])[id] += v
-			}
+	l.grow(len(src.VideoRx))
+	dst := l.peerColumns()
+	for c, col := range src.peerColumns() {
+		for id, v := range *col {
+			(*dst[c])[id] += v
 		}
 	}
 	l.SignalTotal += src.SignalTotal

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -145,7 +146,7 @@ func TestSwarmSustainsStream(t *testing.T) {
 		t.Errorf("only %d/%d peers achieved continuity > 0.85", okCount, len(w.peers))
 	}
 	var totalVideo int64
-	for _, v := range w.net.Ledger.VideoRx {
+	for _, v := range w.net.LedgerView().VideoRx {
 		totalVideo += v
 	}
 	if totalVideo == 0 {
@@ -177,7 +178,7 @@ func TestProbeCapturesPlausibleTraffic(t *testing.T) {
 	}
 	// The probe must have seen both video and signaling, in both
 	// directions, and the ledger must agree that it received video.
-	if w.net.Ledger.VideoRx[probe.ID] == 0 {
+	if w.net.LedgerView().VideoRx[probe.ID] == 0 {
 		t.Error("probe received no video per ledger")
 	}
 }
@@ -204,14 +205,14 @@ func TestSnifferRecordsMatchLedgerVideo(t *testing.T) {
 	// Chunks still in flight at the horizon were ledgered at serve time
 	// but their packets may land after the run; captured video can lag the
 	// ledger slightly, never exceed it.
-	ledgerRx := w.net.Ledger.VideoRx[probe.ID]
+	ledgerRx := w.net.LedgerView().VideoRx[probe.ID]
 	if inVideo > ledgerRx {
 		t.Errorf("captured video in (%d) exceeds ledger (%d)", inVideo, ledgerRx)
 	}
 	if ledgerRx > 0 && inVideo < ledgerRx/2 {
 		t.Errorf("captured video in (%d) under half of ledger (%d)", inVideo, ledgerRx)
 	}
-	ledgerTx := w.net.Ledger.VideoTx[probe.ID]
+	ledgerTx := w.net.LedgerView().VideoTx[probe.ID]
 	if outVideo > ledgerTx {
 		t.Errorf("captured video out (%d) exceeds ledger (%d)", outVideo, ledgerTx)
 	}
@@ -262,13 +263,13 @@ func TestLeaveStopsActivity(t *testing.T) {
 	w.startAll()
 	w.eng.Run(30 * time.Second)
 	victim := w.peers[5]
-	rxAtLeave := w.net.Ledger.VideoRx[victim.ID]
+	rxAtLeave := w.net.LedgerView().VideoRx[victim.ID]
 	victim.Leave()
 	if victim.Online() {
 		t.Fatal("Leave did not mark offline")
 	}
 	w.eng.Run(60 * time.Second)
-	rxAfter := w.net.Ledger.VideoRx[victim.ID]
+	rxAfter := w.net.LedgerView().VideoRx[victim.ID]
 	// In-flight chunks ledgered before the leave may still account, but no
 	// new requests can be issued; allow at most a couple of stragglers.
 	if rxAfter-rxAtLeave > 4*48_000 {
@@ -285,7 +286,7 @@ func TestDeterministicLedger(t *testing.T) {
 		w.startAll()
 		w.eng.Run(45 * time.Second)
 		var total int64
-		for _, v := range w.net.Ledger.VideoRx {
+		for _, v := range w.net.LedgerView().VideoRx {
 			total += v
 		}
 		return total, w.eng.Processed()
@@ -308,19 +309,16 @@ func TestBandwidthPreferenceEmerges(t *testing.T) {
 	w := buildWorld(t, 8, 30, 2) // every 2nd peer slow
 	w.startAll()
 	w.eng.Run(time.Minute)
-	baseline := make(map[[2]PeerID]int64, len(w.net.Ledger.VideoByPair))
-	for pair, bytes := range w.net.Ledger.VideoByPair {
-		baseline[pair] = bytes
-	}
+	baseline := slices.Clone(w.net.LedgerView().VideoTx)
 	w.eng.Run(3 * time.Minute)
 
 	var fromFast, fromSlow int64
-	for pair, bytes := range w.net.Ledger.VideoByPair {
-		src := w.net.NodeByID(pair[0])
+	for id, bytes := range w.net.LedgerView().VideoTx {
+		src := w.net.NodeByID(PeerID(id))
 		if src.IsSource() {
 			continue
 		}
-		delta := bytes - baseline[pair]
+		delta := bytes - baseline[id]
 		if src.Link.HighBandwidth() {
 			fromFast += delta
 		} else {
@@ -436,13 +434,13 @@ func TestRejoinAfterOutageResumesCleanly(t *testing.T) {
 	// Drain the one no-op firing each cancelled periodic tick gets, then
 	// the victim must be completely silent: no signaling, no video.
 	w.eng.Run(50 * time.Second)
-	sigAtRest := w.net.Ledger.SignalTx[victim.ID]
-	rxAtRest := w.net.Ledger.VideoRx[victim.ID]
+	sigAtRest := w.net.LedgerView().SignalTx[victim.ID]
+	rxAtRest := w.net.LedgerView().VideoRx[victim.ID]
 	w.eng.Run(40 * time.Second)
-	if got := w.net.Ledger.SignalTx[victim.ID]; got != sigAtRest {
+	if got := w.net.LedgerView().SignalTx[victim.ID]; got != sigAtRest {
 		t.Errorf("ghost signaling after Leave: %d bytes", got-sigAtRest)
 	}
-	if got := w.net.Ledger.VideoRx[victim.ID]; got != rxAtRest {
+	if got := w.net.LedgerView().VideoRx[victim.ID]; got != rxAtRest {
 		t.Errorf("ghost video after Leave: %d bytes", got-rxAtRest)
 	}
 
@@ -456,7 +454,7 @@ func TestRejoinAfterOutageResumesCleanly(t *testing.T) {
 	if victim.Partners() == 0 {
 		t.Error("rejoined victim rebuilt no partner set (tracker re-registration failed?)")
 	}
-	grew := w.net.Ledger.VideoRx[victim.ID] - rxAtRest
+	grew := w.net.LedgerView().VideoRx[victim.ID] - rxAtRest
 	if grew < 10*48_000 {
 		t.Errorf("rejoined victim resumed only %d video bytes", grew)
 	}
@@ -626,9 +624,9 @@ func TestPromoteSourceHandsOverOrigin(t *testing.T) {
 	if !backup.hasChunk(live, w.eng.Now()) {
 		t.Error("promoted source does not hold the live edge")
 	}
-	served := w.net.Ledger.ChunksServed[backup.ID]
+	served := w.net.LedgerView().ChunksServed[backup.ID]
 	w.eng.Run(60 * time.Second)
-	if w.net.Ledger.ChunksServed[backup.ID] <= served {
+	if w.net.LedgerView().ChunksServed[backup.ID] <= served {
 		t.Error("promoted source served no chunks")
 	}
 }
@@ -708,101 +706,12 @@ func TestSetChurnScaleRejectsNonPositive(t *testing.T) {
 	w.peers[0].SetChurnScale(0)
 }
 
-// TestLeanLedgerMatchesFullRun pins the Config.LeanLedger contract: lean
-// accounting must not perturb the simulation (the accumulation methods
-// touch no RNG and schedule nothing, so a lean run with the same seed
-// processes the identical event sequence), every per-peer and per-pair map
-// must stay nil, and the swarm-wide scalars a lean run keeps must equal
-// the sums of the maps a full run maintains.
-func TestLeanLedgerMatchesFullRun(t *testing.T) {
-	run := func(lean bool) (*world, uint64) {
-		cfg := testConfig()
-		cfg.LeanLedger = lean
-		w := buildWorldCfg(t, 7, 20, 3, cfg)
-		w.startAll()
-		w.eng.Run(60 * time.Second)
-		return w, w.eng.Processed()
-	}
-	full, fullEvents := run(false)
-	lean, leanEvents := run(true)
-
-	if fullEvents != leanEvents {
-		t.Fatalf("lean run diverged: %d events vs %d", leanEvents, fullEvents)
-	}
-	fl, ll := full.net.Ledger, lean.net.Ledger
-	if fl.Lean() || !ll.Lean() {
-		t.Fatalf("Lean() flags wrong: full=%v lean=%v", fl.Lean(), ll.Lean())
-	}
-
-	// Scalars must be identical across modes.
-	type scalars struct {
-		video, intra, signal, served, rej, to, dchunks, srcTx int64
-		dsum                                                  time.Duration
-	}
-	get := func(l *Ledger) scalars {
-		return scalars{l.VideoTotal, l.VideoIntraAS, l.SignalTotal,
-			l.ChunksServedTotal, l.RejectionsTotal, l.TimeoutsTotal,
-			l.DiffusionChunks, l.SourceVideoTx, l.DiffusionDelaySum}
-	}
-	if get(fl) != get(ll) {
-		t.Errorf("scalar totals diverged:\n full %+v\n lean %+v", get(fl), get(ll))
-	}
-	if ll.VideoTotal == 0 || ll.ChunksServedTotal == 0 {
-		t.Error("lean run moved no video; totals not exercised")
-	}
-
-	// Lean mode allocates no per-pair map and no per-peer column at all.
-	if ll.VideoByPair != nil {
-		t.Error("lean ledger allocated the per-pair map")
-	}
-	for i, col := range ll.peerColumns() {
-		if *col != nil {
-			t.Errorf("lean ledger allocated per-peer column %d", i)
-		}
-	}
-
-	// Per-AS accounting is O(ASes), not O(peers), so it survives lean mode
-	// and must be byte-identical across modes.
-	if ll.VideoRxByAS == nil || ll.VideoIntraByAS == nil {
-		t.Fatal("lean ledger dropped per-AS maps; per-AS series need them in both modes")
-	}
-	if len(fl.VideoRxByAS) != len(ll.VideoRxByAS) {
-		t.Errorf("per-AS rx map sizes diverged: full=%d lean=%d", len(fl.VideoRxByAS), len(ll.VideoRxByAS))
-	}
-	sumAS := func(m map[topology.ASN]int64) int64 {
-		var s int64
-		for _, v := range m {
-			s += v
-		}
-		return s
-	}
-	for as, v := range fl.VideoRxByAS {
-		if ll.VideoRxByAS[as] != v {
-			t.Errorf("AS %d rx diverged: full=%d lean=%d", as, v, ll.VideoRxByAS[as])
-		}
-	}
-	for as, v := range fl.VideoIntraByAS {
-		if ll.VideoIntraByAS[as] != v {
-			t.Errorf("AS %d intra diverged: full=%d lean=%d", as, v, ll.VideoIntraByAS[as])
-		}
-		if v > fl.VideoRxByAS[as] {
-			t.Errorf("AS %d intra %d exceeds rx %d", as, v, fl.VideoRxByAS[as])
-		}
-	}
-	if sumAS(fl.VideoRxByAS) != fl.VideoTotal {
-		t.Errorf("VideoRxByAS sums to %d, VideoTotal %d", sumAS(fl.VideoRxByAS), fl.VideoTotal)
-	}
-	if sumAS(fl.VideoIntraByAS) != fl.VideoIntraAS {
-		t.Errorf("VideoIntraByAS sums to %d, VideoIntraAS %d", sumAS(fl.VideoIntraByAS), fl.VideoIntraAS)
-	}
-
-	// Full-mode columns cover every node and sum to the scalars both modes
-	// maintain.
-	for i, col := range fl.peerColumns() {
-		if len(*col) != len(full.net.Nodes()) {
-			t.Errorf("per-peer column %d has %d rows for %d nodes", i, len(*col), len(full.net.Nodes()))
-		}
-	}
+// TestLedgerConservation pins the ledger's one shape on one and four
+// shards: every per-peer column has a row per node, and each column and
+// per-AS tally sums to the scalar the experiment layer reports from. The
+// uplink queues are bounded and the busy cap sits below a DSL chunk's
+// service time, so the congestion and rejection columns move too.
+func TestLedgerConservation(t *testing.T) {
 	sum := func(col []int64) int64 {
 		var s int64
 		for _, v := range col {
@@ -810,25 +719,61 @@ func TestLeanLedgerMatchesFullRun(t *testing.T) {
 		}
 		return s
 	}
-	var pairSum int64
-	for _, v := range fl.VideoByPair {
-		pairSum += v
-	}
-	if pairSum != fl.VideoTotal || sum(fl.VideoRx) != fl.VideoTotal || sum(fl.VideoTx) != fl.VideoTotal {
-		t.Errorf("video maps disagree with VideoTotal=%d: pair=%d rx=%d tx=%d",
-			fl.VideoTotal, pairSum, sum(fl.VideoRx), sum(fl.VideoTx))
-	}
-	if sum(fl.SignalRx) != fl.SignalTotal || sum(fl.SignalTx) != fl.SignalTotal {
-		t.Errorf("signal maps disagree with SignalTotal=%d: rx=%d tx=%d",
-			fl.SignalTotal, sum(fl.SignalRx), sum(fl.SignalTx))
-	}
-	if sum(fl.ChunksServed) != fl.ChunksServedTotal {
-		t.Errorf("ChunksServed sums to %d, total %d", sum(fl.ChunksServed), fl.ChunksServedTotal)
-	}
-	if sum(fl.Rejections) != fl.RejectionsTotal {
-		t.Errorf("Rejections sums to %d, total %d", sum(fl.Rejections), fl.RejectionsTotal)
-	}
-	if sum(fl.Timeouts) != fl.TimeoutsTotal {
-		t.Errorf("Timeouts sums to %d, total %d", sum(fl.Timeouts), fl.TimeoutsTotal)
+	for _, shards := range []int{1, 4} {
+		cfg := testConfig()
+		cfg.Congestion = access.CongestionModel{QueueDepth: 1, LossMode: access.LossTailDrop}
+		cfg.UplinkBusyCap = 200 * time.Millisecond
+		w := buildWorldShards(t, 7, 20, 3, cfg, shards)
+		w.startAll()
+		if w.sh != nil {
+			w.sh.Run(60 * time.Second)
+		} else {
+			w.eng.Run(60 * time.Second)
+		}
+		l := w.net.LedgerView()
+
+		for i, col := range l.peerColumns() {
+			if len(*col) != len(w.net.Nodes()) {
+				t.Errorf("shards=%d: per-peer column %d has %d rows for %d nodes",
+					shards, i, len(*col), len(w.net.Nodes()))
+			}
+		}
+		var rxByAS, intraByAS int64
+		for as, v := range l.VideoRxByAS {
+			rxByAS += v
+			if l.VideoIntraByAS[as] > v {
+				t.Errorf("shards=%d: AS %d intra %d exceeds rx %d", shards, as, l.VideoIntraByAS[as], v)
+			}
+		}
+		for _, v := range l.VideoIntraByAS {
+			intraByAS += v
+		}
+		for _, c := range []struct {
+			name      string
+			got, want int64
+		}{
+			{"Σ VideoTx", sum(l.VideoTx), l.VideoTotal},
+			{"Σ VideoRx", sum(l.VideoRx), l.VideoTotal},
+			{"Σ VideoRxByAS", rxByAS, l.VideoTotal},
+			{"Σ VideoIntraByAS", intraByAS, l.VideoIntraAS},
+			{"Σ SignalTx", sum(l.SignalTx), l.SignalTotal},
+			{"Σ SignalRx", sum(l.SignalRx), l.SignalTotal},
+			{"Σ ChunksServed", sum(l.ChunksServed), l.ChunksServedTotal},
+			{"Σ Rejections", sum(l.Rejections), l.RejectionsTotal},
+			{"Σ Timeouts", sum(l.Timeouts), l.TimeoutsTotal},
+			{"Σ Drops", sum(l.Drops), l.DropsTotal},
+			{"Σ Retransmits", sum(l.Retransmits), l.RetransmitsTotal},
+			{"Σ Backoffs", sum(l.Backoffs), l.BackoffsTotal},
+		} {
+			if c.got != c.want {
+				t.Errorf("shards=%d: %s = %d, scalar says %d", shards, c.name, c.got, c.want)
+			}
+			if c.want == 0 {
+				t.Errorf("shards=%d: %s is zero; the run did not exercise it", shards, c.name)
+			}
+		}
+		if l.VideoIntraAS > l.VideoTotal {
+			t.Errorf("shards=%d: VideoIntraAS %d exceeds VideoTotal %d", shards, l.VideoIntraAS, l.VideoTotal)
+		}
 	}
 }

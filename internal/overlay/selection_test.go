@@ -130,7 +130,7 @@ func TestChunkStrategySwapChangesTraffic(t *testing.T) {
 		w.startAll()
 		w.eng.Run(90 * time.Second)
 		var video int64
-		for _, v := range w.net.Ledger.VideoRx {
+		for _, v := range w.net.LedgerView().VideoRx {
 			video += v
 		}
 		okCount := 0
@@ -165,7 +165,7 @@ func TestRarestStrategySustainsSwarm(t *testing.T) {
 	w.startAll()
 	w.eng.Run(90 * time.Second)
 	var video int64
-	for _, v := range w.net.Ledger.VideoRx {
+	for _, v := range w.net.LedgerView().VideoRx {
 		video += v
 	}
 	if video == 0 {

@@ -332,7 +332,7 @@ func TestCompiledScenarioIsDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		r.eng.Run(90 * time.Second)
-		return r.eng.Processed(), r.net.Ledger.VideoTotal, r.net.OnlineCount()
+		return r.eng.Processed(), r.net.LedgerView().VideoTotal, r.net.OnlineCount()
 	}
 	p1, v1, o1 := run()
 	p2, v2, o2 := run()
@@ -604,9 +604,9 @@ func TestSourceFailoverPromotesBackup(t *testing.T) {
 	if !newSrc.Online() {
 		t.Error("promoted backup is offline")
 	}
-	videoAt50 := r.net.Ledger.VideoTotal
+	videoAt50 := r.net.LedgerView().VideoTotal
 	r.eng.Run(100 * time.Second)
-	if r.net.Ledger.VideoTotal <= videoAt50 {
+	if r.net.LedgerView().VideoTotal <= videoAt50 {
 		t.Error("swarm moved no video after the failover")
 	}
 }
@@ -804,7 +804,7 @@ func TestNewScenariosDeterministic(t *testing.T) {
 				t.Fatalf("%s: %v", name, err)
 			}
 			r.eng.Run(2 * time.Minute)
-			return r.eng.Processed(), r.net.Ledger.VideoTotal, r.net.OnlineCount()
+			return r.eng.Processed(), r.net.LedgerView().VideoTotal, r.net.OnlineCount()
 		}
 		p1, v1, o1 := run()
 		p2, v2, o2 := run()

@@ -40,10 +40,22 @@ func TestRegisteredStudiesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestDecodeRejectsUnknownField: a misspelt field and a field this codec
+// once had and dropped are both errors that name the field — in a study
+// file (also what a fleet worker decodes at join time) and in the study a
+// result file embeds — never silently ignored.
 func TestDecodeRejectsUnknownField(t *testing.T) {
-	_, err := DecodeBytes([]byte(`{"name": "x", "sedes": [1, 2]}`))
-	if err == nil || !strings.Contains(err.Error(), "sedes") {
-		t.Errorf("unknown field accepted: %v", err)
+	for _, tc := range []struct{ body, field string }{
+		{`{"name": "x", "sedes": [1, 2]}`, "sedes"},
+		{`{"name": "x", "lean_ledger": true}`, "lean_ledger"},
+	} {
+		if _, err := DecodeBytes([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("study %s: unknown field accepted: %v", tc.body, err)
+		}
+		result := `{"study": ` + tc.body + `, "seeds": [1], "cells": []}`
+		if _, err := DecodeResultBytes([]byte(result)); err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("result %s: unknown field accepted: %v", result, err)
+		}
 	}
 }
 

@@ -1,8 +1,11 @@
 package study
 
 import (
+	"fmt"
+	"math"
 	"strings"
 
+	"napawine/internal/experiment"
 	"napawine/internal/plot"
 )
 
@@ -12,66 +15,20 @@ import (
 // with a stderr whisker. Unmeasured combinations render as the bar-chart
 // dash: a gap. No metrics selects the study's own (then DefaultMetrics).
 func (r *Result) MetricBars(ms ...Metric) []plot.Artifact {
-	if len(ms) == 0 {
-		for _, key := range r.Study.Metrics {
-			if m, err := MetricByKey(key); err == nil {
-				ms = append(ms, m)
-			}
-		}
+	ms, axes, rows := r.comparison(ms)
+	groups := make([]string, len(rows))
+	for i, coords := range rows {
+		groups[i] = strings.Join(coords, " ")
 	}
-	if len(ms) == 0 {
-		ms = DefaultMetrics()
-	}
-	var axes []Axis
-	for _, ax := range Axes() {
-		if ax == AxisSeed {
-			continue
-		}
-		if len(r.Levels(ax)) > 1 {
-			axes = append(axes, ax)
-		}
-	}
-	if len(axes) == 0 {
-		axes = []Axis{AxisApp}
-	}
-
-	// One bar group per distinct axis-coordinate combination, grid order —
-	// exactly ComparisonTable's rows.
-	var groups []string
-	var combos [][]string
-	seen := map[string]bool{}
-	for _, c := range r.Cells {
-		key := ""
-		coords := make([]string, len(axes))
-		for i, ax := range axes {
-			coords[i] = c.Coord(ax)
-			key += coords[i] + "\x00"
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
-		groups = append(groups, strings.Join(coords, " "))
-		combos = append(combos, coords)
-	}
-
 	arts := make([]plot.Artifact, 0, len(ms))
 	for _, m := range ms {
 		bs := plot.BarSeries{Name: m.Label,
-			Vals:  make([]float64, len(combos)),
-			Errs:  make([]float64, len(combos)),
-			Valid: make([]bool, len(combos)),
+			Vals:  make([]float64, len(rows)),
+			Errs:  make([]float64, len(rows)),
+			Valid: make([]bool, len(rows)),
 		}
-		for i, coords := range combos {
-			acc := r.accumulate(m, func(c Cell) bool {
-				for j, ax := range axes {
-					if c.Coord(ax) != coords[j] {
-						return false
-					}
-				}
-				return true
-			})
-			if acc.N() > 0 {
+		for i, coords := range rows {
+			if acc := r.accumulate(m, at(axes, coords)); acc.N() > 0 {
 				bs.Vals[i] = acc.Mean()
 				bs.Errs[i] = acc.StdErr()
 				bs.Valid[i] = true
@@ -84,6 +41,49 @@ func (r *Result) MetricBars(ms ...Metric) []plot.Artifact {
 				YLabel: m.Label, Groups: groups, Series: []plot.BarSeries{bs},
 			},
 		})
+	}
+	return arts
+}
+
+// SeriesPlots renders the aggregated time series as SVG line charts with
+// mean±stderr bands: one chart per metric, one banded series per battery,
+// aggregated across seeds exactly like SeriesTable — the intra-AS metric
+// folds only measurable runs and breaks the line where no run measured.
+// Nil when the study ran no scenario.
+func (r *Result) SeriesPlots() []plot.Artifact {
+	buckets := r.buckets()
+	if buckets == 0 {
+		return nil
+	}
+	labels := r.batteries()
+	var arts []plot.Artifact
+	for _, m := range experiment.SeriesMetrics {
+		l := &plot.Line{
+			Title: fmt.Sprintf("%s — scenario %q (mean±stderr over %d seeds)",
+				m.YLabel, r.Cells[0].Scenario, r.Trials()),
+			XLabel: "virtual time", YLabel: m.YLabel, XTime: true,
+		}
+		for _, label := range labels {
+			s := plot.Series{Name: label}
+			for b := 0; b < buckets; b++ {
+				smp, ok := r.sampleAt(label, b)
+				if !ok {
+					continue
+				}
+				mean, se := math.NaN(), math.NaN()
+				if acc := r.accumulate(atBucket(b, m.Get), in(label)); acc.N() > 0 {
+					mean, se = acc.Mean(), acc.StdErr()
+				}
+				s.X = append(s.X, smp.T.Seconds())
+				s.Y = append(s.Y, mean)
+				s.Lo = append(s.Lo, mean-se)
+				s.Hi = append(s.Hi, mean+se)
+			}
+			if len(s.X) > 0 {
+				l.Series = append(l.Series, s)
+			}
+		}
+		arts = append(arts, plot.Artifact{Name: "sweep-" + m.Name, Chart: l})
 	}
 	return arts
 }

@@ -1,8 +1,10 @@
-package sweep
+package study
 
 import (
 	"context"
+	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -10,19 +12,15 @@ import (
 	"napawine/internal/experiment"
 	"napawine/internal/overlay"
 	"napawine/internal/policy"
+	"napawine/internal/report"
 	"napawine/internal/scenario"
-	"napawine/internal/study"
 )
 
-// run executes st on the given worker count and regroups it; a nameless
-// study is named here so every test literal stays one screen.
-func run(st study.Study, workers int) (*Result, error) {
+// sweep executes st on the given worker count; a nameless study is named
+// here so every test literal stays one screen.
+func sweep(st Study, workers int) (*Result, error) {
 	st.Name = "sweep"
-	res, err := study.Run(context.Background(), &st, study.WithWorkers(workers))
-	if err != nil {
-		return nil, err
-	}
-	return Of(res), nil
+	return Run(context.Background(), &st, WithWorkers(workers))
 }
 
 // synthetic builds a Result with hand-written summaries so aggregation can
@@ -47,41 +45,38 @@ func synthetic() *Result {
 	}
 	return &Result{
 		Seeds: []int64{1, 2},
-		Groups: []Group{{
-			App: "PPLive", Label: "PPLive",
-			Summaries: []experiment.Summary{mk(1, 10), mk(2, 14)},
-		}},
+		Cells: []Cell{
+			{Index: 0, App: "PPLive", Seed: 1, Done: true, Summary: mk(1, 10)},
+			{Index: 1, App: "PPLive", Seed: 2, Done: true, Summary: mk(2, 14)},
+		},
 	}
+}
+
+func render(t *testing.T, tabs ...*report.Table) string {
+	t.Helper()
+	var b strings.Builder
+	for _, tab := range tabs {
+		if err := tab.Render(&b); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.String()
 }
 
 func TestAggregationExact(t *testing.T) {
 	res := synthetic()
 	// Two trials 10 and 14: mean 12, sample sd sqrt(8), stderr 2.0.
-	var b strings.Builder
-	if err := res.TableII().Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, res.TableII())
 	if !strings.Contains(out, "12±2") {
 		t.Errorf("Table II should contain RX mean cell 12±2:\n%s", out)
 	}
 	if !strings.Contains(out, "24±4") {
 		t.Errorf("Table II should contain RX max cell 24±4:\n%s", out)
 	}
-
-	b.Reset()
-	if err := res.TableIII().Render(&b); err != nil {
-		t.Fatal(err)
+	if out = render(t, res.TableIII()); !strings.Contains(out, "12.0±2.0") {
+		t.Errorf("Table III should contain 12.0±2.0:\n%s", out)
 	}
-	if !strings.Contains(b.String(), "12.0±2.0") {
-		t.Errorf("Table III should contain 12.0±2.0:\n%s", b.String())
-	}
-
-	b.Reset()
-	if err := res.TableIV().Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	out = b.String()
+	out = render(t, res.TableIV())
 	if !strings.Contains(out, "12.0±2.0") {
 		t.Errorf("Table IV AS row should aggregate to 12.0±2.0:\n%s", out)
 	}
@@ -97,66 +92,109 @@ func TestAggregationExact(t *testing.T) {
 
 func TestSingleTrialHasZeroError(t *testing.T) {
 	res := synthetic()
-	res.Groups[0].Summaries = res.Groups[0].Summaries[:1]
+	res.Cells = res.Cells[:1]
 	res.Seeds = res.Seeds[:1]
-	var b strings.Builder
-	if err := res.TableIII().Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "10.0±0.0") {
-		t.Errorf("single trial should print ±0.0:\n%s", b.String())
+	if out := render(t, res.TableIII()); !strings.Contains(out, "10.0±0.0") {
+		t.Errorf("single trial should print ±0.0:\n%s", out)
 	}
 }
 
-// TestOfFoldsTheSeedAxis checks the regrouping on a hand-built study
-// result: seed is the innermost axis, so every contiguous run of
-// len(Seeds) cells is one group, labelled App or App/Variant, in grid order.
-func TestOfFoldsTheSeedAxis(t *testing.T) {
-	res := &study.Result{Seeds: []int64{7, 8}}
+// TestBatteriesFoldTheSeedAxis checks the row enumeration on a hand-built
+// result: one battery per (application, variant), labelled App or
+// App/Variant, in grid order, each aggregating exactly its own seeds.
+func TestBatteriesFoldTheSeedAxis(t *testing.T) {
+	res := &Result{Seeds: []int64{7, 8}}
 	for _, app := range []string{"TVAnts", "PPLive"} {
 		for _, vr := range []string{"", "blind"} {
 			for _, seed := range res.Seeds {
-				res.Cells = append(res.Cells, study.Cell{
+				res.Cells = append(res.Cells, Cell{
 					Index: len(res.Cells), App: app, Variant: vr, Scenario: "outage", Seed: seed,
-					Done: true, Summary: experiment.Summary{App: app, Seed: seed},
+					Done: true, Summary: experiment.Summary{App: app, Seed: seed, Events: uint64(len(res.Cells))},
 				})
 			}
 		}
 	}
-	got := Of(res)
-	if got.Trials() != 2 || got.Scenario != "outage" {
-		t.Errorf("Trials = %d, Scenario = %q; want 2, outage", got.Trials(), got.Scenario)
-	}
-	var labels []string
-	for _, g := range got.Groups {
-		labels = append(labels, g.Label)
-		if len(g.Summaries) != 2 || g.Summaries[0].Seed != 7 || g.Summaries[1].Seed != 8 {
-			t.Errorf("group %s summaries = %+v, want seeds 7, 8", g.Label, g.Summaries)
-		}
-		if g.Summaries[0].App != g.App {
-			t.Errorf("group %s holds a summary of %s", g.Label, g.Summaries[0].App)
-		}
+	if res.Trials() != 2 {
+		t.Errorf("Trials = %d, want 2", res.Trials())
 	}
 	want := []string{"TVAnts", "TVAnts/blind", "PPLive", "PPLive/blind"}
-	if !reflect.DeepEqual(labels, want) {
-		t.Errorf("labels = %v, want %v", labels, want)
+	if got := res.batteries(); !reflect.DeepEqual(got, want) {
+		t.Errorf("batteries = %v, want %v", got, want)
+	}
+	events := column("", 0, func(s experiment.Summary) float64 { return float64(s.Events) })
+	for i, label := range want {
+		acc := res.accumulate(events, in(label))
+		// Cells 2i and 2i+1 carry Events 2i and 2i+1.
+		if acc.N() != 2 || acc.Mean() != float64(2*i)+0.5 {
+			t.Errorf("battery %s folds %d runs to mean %v, want its own two (mean %v)",
+				label, acc.N(), acc.Mean(), float64(2*i)+0.5)
+		}
+	}
+}
+
+// TestPartialResultSkipsUnfinishedCells: a cancelled run hands back cells
+// that never ran with zero summaries; the replicated tables must average
+// only the completed ones and print the dash for a battery with none,
+// never fold the zeros in.
+func TestPartialResultSkipsUnfinishedCells(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	res, err := Run(ctx, &Study{
+		Name:       "partial",
+		Apps:       []string{"TVAnts", "SopCast"},
+		Seeds:      []int64{3, 4},
+		Duration:   Duration(20 * time.Second),
+		PeerFactor: 0.05,
+	}, WithWorkers(1), WithObserver(&countingObserver{cancelAt: 1, cancel: cancel}))
+	if !errors.Is(err, context.Canceled) || res == nil {
+		t.Fatalf("Run = %v, %v; want a partial result and context.Canceled", res, err)
+	}
+	if !res.Cells[0].Done || res.Cells[1].Done || res.Cells[2].Done || res.Cells[3].Done {
+		t.Fatalf("want exactly the first cell done, got %v %v %v %v",
+			res.Cells[0].Done, res.Cells[1].Done, res.Cells[2].Done, res.Cells[3].Done)
+	}
+	rx := column("", 0, func(s experiment.Summary) float64 { return s.RxKbpsMean })
+	if acc := res.accumulate(rx, in("TVAnts")); acc.N() != 1 {
+		t.Errorf("TVAnts mean stands on %d cells, want 1", acc.N())
+	}
+	tab := res.TableII()
+	if len(tab.Rows) != 2 {
+		t.Fatalf("Table II has %d rows, want one per battery", len(tab.Rows))
+	}
+	if want := report.MeanErr(res.Cells[0].Summary.RxKbpsMean, 0, 0); tab.Rows[0][1] != want || want == "0±0" {
+		t.Errorf("TVAnts RX mean = %q, want the one finished run's %q (non-zero)", tab.Rows[0][1], want)
+	}
+	// SopCast ran nothing: every value cell of its rows is the dash.
+	for _, tab := range []*report.Table{tab, res.TableIII(), res.TableIV(), res.HealthTable()} {
+		for _, row := range tab.Rows {
+			label := slices.Index(row, "SopCast")
+			if label < 0 {
+				continue
+			}
+			for _, cell := range row[label+1:] {
+				if cell != "-" {
+					t.Errorf("%s: unfinished cells were averaged in: %v", tab.Title, row)
+					break
+				}
+			}
+		}
 	}
 }
 
 func TestSweepUnknownApp(t *testing.T) {
-	_, err := run(study.Study{Apps: []string{"Joost"}, Trials: 1}, 0)
+	_, err := sweep(Study{Apps: []string{"Joost"}, Trials: 1}, 0)
 	if err == nil || !strings.Contains(err.Error(), "Joost") {
 		t.Errorf("unknown app should fail fast, got %v", err)
 	}
 }
 
 func TestSweepVariantsGroupingAndLabels(t *testing.T) {
-	res, err := run(study.Study{
+	res, err := sweep(Study{
 		Apps:       []string{"TVAnts"},
 		Seeds:      []int64{5},
-		Duration:   study.Duration(20 * time.Second),
+		Duration:   Duration(20 * time.Second),
 		PeerFactor: 0.01, // floors at 50 peers
-		Variants: []study.Variant{
+		Variants: []Variant{
 			{}, // stock
 			{Name: "blind", Mutate: func(p *overlay.Profile) { p.DiscoveryWeight = policy.Uniform{} }},
 		},
@@ -164,52 +202,37 @@ func TestSweepVariantsGroupingAndLabels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Groups) != 2 {
-		t.Fatalf("groups = %d, want 2", len(res.Groups))
+	if got, want := res.batteries(), []string{"TVAnts", "TVAnts/blind"}; !reflect.DeepEqual(got, want) {
+		t.Fatalf("batteries = %v, want %v", got, want)
 	}
-	if res.Groups[0].Label != "TVAnts" || res.Groups[1].Label != "TVAnts/blind" {
-		t.Errorf("labels = %q, %q", res.Groups[0].Label, res.Groups[1].Label)
-	}
-	for _, g := range res.Groups {
-		if len(g.Summaries) != 1 {
-			t.Errorf("group %s has %d summaries, want 1", g.Label, len(g.Summaries))
-		}
-		if g.Summaries[0].Events == 0 {
-			t.Errorf("group %s summary has no events", g.Label)
+	events := column("", 0, func(s experiment.Summary) float64 { return float64(s.Events) })
+	for _, label := range res.batteries() {
+		if acc := res.accumulate(events, in(label)); acc.N() != 1 || acc.Mean() == 0 {
+			t.Errorf("battery %s folds %d runs with mean events %v, want 1 run with events", label, acc.N(), acc.Mean())
 		}
 	}
 }
 
-// renderAll concatenates every table a sweep renders, for byte-comparison.
+// renderAll concatenates every table a replicated run renders, for
+// byte-comparison.
 func renderAll(t *testing.T, res *Result) string {
 	t.Helper()
-	var b strings.Builder
-	for _, err := range []error{
-		res.TableII().Render(&b),
-		res.TableIII().Render(&b),
-		res.TableIV().Render(&b),
-		res.HealthTable().Render(&b),
-	} {
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	return b.String()
+	return render(t, res.TableII(), res.TableIII(), res.TableIV(), res.HealthTable())
 }
 
 func TestSweepDeterministic(t *testing.T) {
-	st := study.Study{
+	st := Study{
 		Apps:       []string{"SopCast", "TVAnts"},
 		BaseSeed:   11,
 		Trials:     2,
-		Duration:   study.Duration(30 * time.Second),
+		Duration:   Duration(30 * time.Second),
 		PeerFactor: 0.05,
 	}
-	a, err := run(st, 4)
+	a, err := sweep(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := run(st, 4)
+	b, err := sweep(st, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,15 +250,15 @@ func TestSweepDeterministic(t *testing.T) {
 // byte-identical time-series and awareness tables no matter how the trials
 // are spread over workers.
 func TestScenarioSeriesDeterministicAcrossWorkers(t *testing.T) {
-	st := study.Study{
+	st := Study{
 		Apps:       []string{"TVAnts"},
 		Seeds:      []int64{3, 4},
-		Duration:   study.Duration(30 * time.Second),
+		Duration:   Duration(30 * time.Second),
 		PeerFactor: 0.05,
-		Scenarios:  []study.Scenario{{Name: "flashcrowd"}},
+		Scenarios:  []Scenario{{Name: "flashcrowd"}},
 	}
-	render := func(workers int) string {
-		res, err := run(st, workers)
+	renderWith := func(workers int) string {
+		res, err := sweep(st, workers)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -243,18 +266,9 @@ func TestScenarioSeriesDeterministicAcrossWorkers(t *testing.T) {
 		if series == nil {
 			t.Fatal("scenario sweep produced no series table")
 		}
-		var b strings.Builder
-		for _, err := range []error{
-			series.Render(&b),
-			res.TableIV().Render(&b),
-		} {
-			if err != nil {
-				t.Fatal(err)
-			}
-		}
-		return b.String()
+		return render(t, series, res.TableIV())
 	}
-	serial, parallel := render(1), render(4)
+	serial, parallel := renderWith(1), renderWith(4)
 	if serial != parallel {
 		t.Errorf("worker count changed scenario output:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
 			serial, parallel)
@@ -269,10 +283,13 @@ func TestSweepWithoutScenarioHasNoSeriesTable(t *testing.T) {
 	if tab := res.SeriesTable(); tab != nil {
 		t.Errorf("scenario-less sweep grew a series table: %v", tab.Title)
 	}
+	if arts := res.SeriesPlots(); arts != nil {
+		t.Errorf("scenario-less sweep grew %d series plots", len(arts))
+	}
 }
 
 func TestSweepUnknownScenario(t *testing.T) {
-	_, err := run(study.Study{Apps: []string{"TVAnts"}, Trials: 1, Scenarios: []study.Scenario{{Name: "worldcup"}}}, 0)
+	_, err := sweep(Study{Apps: []string{"TVAnts"}, Trials: 1, Scenarios: []Scenario{{Name: "worldcup"}}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "worldcup") {
 		t.Errorf("unknown scenario should fail fast, got %v", err)
 	}
@@ -281,28 +298,24 @@ func TestSweepUnknownScenario(t *testing.T) {
 // TestSweepSeriesShowsTrackerOutage: the aggregated series must carry the
 // tracker column, or outage windows would be invisible in replicated runs.
 func TestSweepSeriesShowsTrackerOutage(t *testing.T) {
-	res, err := run(study.Study{
+	res, err := sweep(Study{
 		Apps:       []string{"TVAnts"},
 		Seeds:      []int64{6},
-		Duration:   study.Duration(40 * time.Second),
+		Duration:   Duration(40 * time.Second),
 		PeerFactor: 0.05,
-		Scenarios:  []study.Scenario{{Name: "outage"}},
+		Scenarios:  []Scenario{{Name: "outage"}},
 	}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var b strings.Builder
-	if err := res.SeriesTable().Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, res.SeriesTable())
 	if !strings.Contains(out, "DOWN") || !strings.Contains(out, "up") {
 		t.Errorf("aggregated outage series does not show the tracker window:\n%s", out)
 	}
 }
 
 func TestSweepUnknownStrategy(t *testing.T) {
-	_, err := run(study.Study{Apps: []string{"TVAnts"}, Trials: 1, Strategies: []string{"newest"}}, 0)
+	_, err := sweep(Study{Apps: []string{"TVAnts"}, Trials: 1, Strategies: []string{"newest"}}, 0)
 	if err == nil || !strings.Contains(err.Error(), "newest") {
 		t.Errorf("unknown strategy should fail fast, got %v", err)
 	}
@@ -314,11 +327,11 @@ func TestSweepUnknownStrategy(t *testing.T) {
 // across worker counts — ordering ties inside a strategy may never fall
 // back to scheduling luck.
 func TestSweepStrategyDeterministicAcrossWorkers(t *testing.T) {
-	render := func(workers int, strategy string) string {
-		res, err := run(study.Study{
+	renderWith := func(workers int, strategy string) string {
+		res, err := sweep(Study{
 			Apps:       []string{"TVAnts"},
 			Seeds:      []int64{3, 4},
-			Duration:   study.Duration(30 * time.Second),
+			Duration:   Duration(30 * time.Second),
 			PeerFactor: 0.05,
 			Strategies: []string{strategy},
 		}, workers)
@@ -327,18 +340,18 @@ func TestSweepStrategyDeterministicAcrossWorkers(t *testing.T) {
 		}
 		return renderAll(t, res)
 	}
-	serial, parallel := render(1, "rarest"), render(4, "rarest")
+	serial, parallel := renderWith(1, "rarest"), renderWith(4, "rarest")
 	if serial != parallel {
 		t.Errorf("worker count changed strategy-sweep output:\n--- workers=1 ---\n%s\n--- workers=4 ---\n%s",
 			serial, parallel)
 	}
-	if stock := render(1, ""); stock == serial {
+	if stock := renderWith(1, ""); stock == serial {
 		t.Error("rarest-first sweep rendered byte-identical tables to the stock strategy; the knob is not plumbed through")
 	}
 }
 
 // TestSweepLeavesScenarioSpecUnmodified is the shared-pointer regression
-// guard: the sweep hands every parallel worker its own deep copy, so the
+// guard: the study hands every parallel worker its own deep copy, so the
 // caller's Spec must come back bit-for-bit identical — and the runs must
 // not be able to corrupt each other through it.
 func TestSweepLeavesScenarioSpecUnmodified(t *testing.T) {
@@ -347,12 +360,12 @@ func TestSweepLeavesScenarioSpecUnmodified(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := scn.Clone()
-	_, err = run(study.Study{
+	_, err = sweep(Study{
 		Apps:       []string{"TVAnts"},
 		Seeds:      []int64{3, 4},
-		Duration:   study.Duration(20 * time.Second),
+		Duration:   Duration(20 * time.Second),
 		PeerFactor: 0.05,
-		Scenarios:  []study.Scenario{{Spec: scn}},
+		Scenarios:  []Scenario{{Spec: scn}},
 	}, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -362,17 +375,17 @@ func TestSweepLeavesScenarioSpecUnmodified(t *testing.T) {
 	}
 }
 
-// TestSweepFileSpecMatchesNamedScenario: a ScenarioSpec decoded from JSON
+// TestSweepFileSpecMatchesNamedScenario: a scenario spec decoded from JSON
 // must reproduce the named registry run byte-for-byte — the file codec adds
 // a parser, never a different simulation.
 func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
-	render := func(scn study.Scenario) string {
-		res, err := run(study.Study{
+	renderWith := func(scn Scenario) string {
+		res, err := sweep(Study{
 			Apps:       []string{"TVAnts"},
 			Seeds:      []int64{5},
-			Duration:   study.Duration(20 * time.Second),
+			Duration:   Duration(20 * time.Second),
 			PeerFactor: 0.05,
-			Scenarios:  []study.Scenario{scn},
+			Scenarios:  []Scenario{scn},
 		}, 0)
 		if err != nil {
 			t.Fatal(err)
@@ -381,14 +394,7 @@ func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
 		if series == nil {
 			t.Fatal("scenario sweep produced no series table")
 		}
-		var b strings.Builder
-		if err := series.Render(&b); err != nil {
-			t.Fatal(err)
-		}
-		if err := res.TableII().Render(&b); err != nil {
-			t.Fatal(err)
-		}
-		return b.String()
+		return render(t, series, res.TableII())
 	}
 	var buf strings.Builder
 	reg, _ := scenario.ByName("flashcrowd")
@@ -399,7 +405,7 @@ func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, b := render(study.Scenario{Name: "flashcrowd"}), render(study.Scenario{Spec: decoded})
+	a, b := renderWith(Scenario{Name: "flashcrowd"}), renderWith(Scenario{Spec: decoded})
 	if a != b {
 		t.Errorf("file-decoded spec diverged from the named scenario:\n--- named ---\n%s\n--- file ---\n%s", a, b)
 	}
@@ -409,10 +415,10 @@ func TestSweepFileSpecMatchesNamedScenario(t *testing.T) {
 }
 
 func TestSweepInvalidScenarioSpecFails(t *testing.T) {
-	_, err := run(study.Study{
+	_, err := sweep(Study{
 		Apps:      []string{"TVAnts"},
 		Trials:    1,
-		Scenarios: []study.Scenario{{Spec: &scenario.Spec{}}}, // nameless: invalid
+		Scenarios: []Scenario{{Spec: &scenario.Spec{}}}, // nameless: invalid
 	}, 0)
 	if err == nil {
 		t.Fatal("invalid scenario spec accepted")

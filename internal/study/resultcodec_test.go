@@ -204,6 +204,38 @@ func TestStudyAndCellDigests(t *testing.T) {
 	}
 }
 
+// TestShippedStudyDigestsArePinned holds the digest of every registered
+// study, and of its examples/studies file, to the value recorded before the
+// lean_ledger field left the codec (it was omitempty, so the canonical
+// bytes never carried it). A digest that moves orphans every fleet spool
+// and checkpoint written for these studies; change a value here only with a
+// study whose grid is meant to change.
+func TestShippedStudyDigestsArePinned(t *testing.T) {
+	pinned := map[string]string{
+		"strategy-comparison": "c8a2100d4b7c5daab5f964ffe14d00e3e7596f88364e8c29542eeceaa66f4477",
+		"blind-ablation":      "d578ec719fcc96e839439b34526883fa04e9a85a0725b6280c327763c578fc24",
+		"awareness-ablation":  "bbaaaa95fd5f87f3c5fe0200ad998543dd91f2e85cc0b026f60408e9b0f92e74",
+	}
+	if len(Names()) != len(pinned) {
+		t.Errorf("registry holds %v; pin a digest for each", Names())
+	}
+	for name, want := range pinned {
+		reg, err := ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		file, err := LoadFile("../../examples/studies/" + name + ".json")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for from, st := range map[string]*Study{"registry": reg, "file": file} {
+			if got, err := st.Digest(); err != nil || got != want {
+				t.Errorf("%s (%s): digest %s, %v; want %s", name, from, got, err, want)
+			}
+		}
+	}
+}
+
 func TestRunCellMatchesRunAndNewResultAssembles(t *testing.T) {
 	st := tinyStudy()
 	res, err := Run(context.Background(), st)

@@ -149,9 +149,6 @@ type Study struct {
 	QueueDepth  int    `json:"queue_depth,omitempty"`
 	LossMode    string `json:"loss_mode,omitempty"`
 
-	// LeanLedger forces the O(1)-memory ledger regardless of world size
-	// (it switches on automatically at experiment.LeanLedgerAutoPeers).
-	LeanLedger bool `json:"lean_ledger,omitempty"`
 	// Shards splits every cell's swarm across that many parallel shard
 	// engines (experiment.Config.Shards). 0 or 1 is the serial engine;
 	// results at N > 1 are deterministic per N but differ from serial the
@@ -446,7 +443,6 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 	} else {
 		cfg.ScalePeers(st.PeerFactor)
 	}
-	cfg.LeanLedger = st.LeanLedger
 	cfg.Shards = st.Shards
 	cfg.Scenario = c.scn
 	cfg.Strategy = c.strategy

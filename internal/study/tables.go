@@ -36,14 +36,7 @@ var metrics = []Metric{
 		func(s experiment.Summary) (float64, bool) { return s.RxKbpsMean, true }},
 	{"hop-median", "Hop median", 1,
 		func(s experiment.Summary) (float64, bool) { return s.HopMedian, true }},
-	{"as-awareness", "AS B'D%", 1, func(s experiment.Summary) (float64, bool) {
-		for _, cell := range s.TableIV {
-			if cell.Property == "AS" {
-				return cell.Vals[0], cell.Valid[0]
-			}
-		}
-		return 0, false
-	}},
+	{"as-awareness", "AS B'D%", 1, tableIVValue("AS", 0)},
 	{"events", "Events", 0,
 		func(s experiment.Summary) (float64, bool) { return float64(s.Events), true }},
 	// Congestion metrics ride at the registry tail so DefaultMetrics — a
@@ -59,6 +52,20 @@ var metrics = []Metric{
 		func(s experiment.Summary) (float64, bool) { return float64(s.Retransmits), true }},
 	{"backoffs", "Backoffs", 0,
 		func(s experiment.Summary) (float64, bool) { return float64(s.Backoffs), true }},
+}
+
+// tableIVValue reads one Table IV cell — a property row's col-th column —
+// from a run summary; unmeasurable cells report false, like the paper's
+// dashes.
+func tableIVValue(prop string, col int) func(experiment.Summary) (float64, bool) {
+	return func(s experiment.Summary) (float64, bool) {
+		for _, cell := range s.TableIV {
+			if cell.Property == prop {
+				return cell.Vals[col], cell.Valid[col]
+			}
+		}
+		return 0, false
+	}
 }
 
 // Metrics lists the registered metrics in presentation order.
@@ -82,16 +89,25 @@ func MetricByKey(key string) (Metric, error) {
 	return Metric{}, fmt.Errorf("study: unknown metric %q (want %s)", key, strings.Join(keys, ", "))
 }
 
+// distinct returns the first cell of every distinct key, in grid order —
+// the row enumeration every aggregated table and chart shares.
+func (r *Result) distinct(key func(Cell) string) []Cell {
+	var out []Cell
+	seen := map[string]bool{}
+	for _, c := range r.Cells {
+		if k := key(c); !seen[k] {
+			seen[k] = true
+			out = append(out, c)
+		}
+	}
+	return out
+}
+
 // Levels lists an axis's distinct rendered coordinates in grid order.
 func (r *Result) Levels(ax Axis) []string {
 	var out []string
-	seen := map[string]bool{}
-	for _, c := range r.Cells {
-		v := c.Coord(ax)
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
+	for _, c := range r.distinct(func(c Cell) string { return c.Coord(ax) }) {
+		out = append(out, c.Coord(ax))
 	}
 	return out
 }
@@ -130,9 +146,7 @@ func (r *Result) PivotTable(m Metric, row, col Axis) *report.Table {
 		cells := make([]string, 0, len(cols)+1)
 		cells = append(cells, rv)
 		for _, cv := range cols {
-			acc := r.accumulate(m, func(c Cell) bool {
-				return c.Coord(row) == rv && c.Coord(col) == cv
-			})
+			acc := r.accumulate(m, at([]Axis{row, col}, []string{rv, cv}))
 			cells = append(cells, aggCell(acc, m.Decimals))
 		}
 		t.Add(cells...)
@@ -140,13 +154,12 @@ func (r *Result) PivotTable(m Metric, row, col Axis) *report.Table {
 	return t
 }
 
-// ComparisonTable renders the study's headline artifact: one row per
-// combination of the grid's non-trivial axes (those with more than one
-// level; seeds always aggregate), one column per metric, each cell
-// mean ± stderr across the folded axes. No metrics selects DefaultMetrics —
-// for the registered strategy-comparison study that is continuity, source
-// load and diffusion delay contrasted across every (app, strategy) pair.
-func (r *Result) ComparisonTable(ms ...Metric) *report.Table {
+// comparison resolves what ComparisonTable and MetricBars both print: the
+// metrics (the caller's, else the study's own, else DefaultMetrics), the
+// grid's non-trivial axes (those with more than one level; seeds always
+// aggregate; a single-point grid keeps the app axis) and one row — its
+// coordinates along those axes — per distinct combination, in grid order.
+func (r *Result) comparison(ms []Metric) ([]Metric, []Axis, [][]string) {
 	if len(ms) == 0 {
 		for _, key := range r.Study.Metrics {
 			if m, err := MetricByKey(key); err == nil {
@@ -159,16 +172,46 @@ func (r *Result) ComparisonTable(ms ...Metric) *report.Table {
 	}
 	var axes []Axis
 	for _, ax := range Axes() {
-		if ax == AxisSeed {
-			continue
-		}
-		if len(r.Levels(ax)) > 1 {
+		if ax != AxisSeed && len(r.Levels(ax)) > 1 {
 			axes = append(axes, ax)
 		}
 	}
 	if len(axes) == 0 {
 		axes = []Axis{AxisApp}
 	}
+	coords := func(c Cell) []string {
+		out := make([]string, len(axes))
+		for i, ax := range axes {
+			out[i] = c.Coord(ax)
+		}
+		return out
+	}
+	var rows [][]string
+	for _, c := range r.distinct(func(c Cell) string { return strings.Join(coords(c), "\x00") }) {
+		rows = append(rows, coords(c))
+	}
+	return ms, axes, rows
+}
+
+// at filters cells to the given coordinates along the given axes.
+func at(axes []Axis, coords []string) func(Cell) bool {
+	return func(c Cell) bool {
+		for i, ax := range axes {
+			if c.Coord(ax) != coords[i] {
+				return false
+			}
+		}
+		return true
+	}
+}
+
+// ComparisonTable renders the study's headline artifact: one row per
+// combination of the grid's non-trivial axes, one column per metric (see
+// comparison), each cell mean ± stderr across the folded axes — for the
+// registered strategy-comparison study that is continuity, source load and
+// diffusion delay contrasted across every (app, strategy) pair.
+func (r *Result) ComparisonTable(ms ...Metric) *report.Table {
+	ms, axes, rows := r.comparison(ms)
 	header := make([]string, 0, len(axes)+len(ms))
 	for _, ax := range axes {
 		header = append(header, string(ax))
@@ -180,31 +223,10 @@ func (r *Result) ComparisonTable(ms ...Metric) *report.Table {
 		fmt.Sprintf("Study %q — %s (mean±stderr over %d seeds)",
 			r.Study.Name, r.Study.Description, r.Trials()),
 		header...)
-
-	// One row per distinct axis-coordinate combination, in grid order.
-	seen := map[string]bool{}
-	for _, c := range r.Cells {
-		key := ""
-		coords := make([]string, len(axes))
-		for i, ax := range axes {
-			coords[i] = c.Coord(ax)
-			key += coords[i] + "\x00"
-		}
-		if seen[key] {
-			continue
-		}
-		seen[key] = true
+	for _, coords := range rows {
 		row := append([]string(nil), coords...)
 		for _, m := range ms {
-			acc := r.accumulate(m, func(cc Cell) bool {
-				for i, ax := range axes {
-					if cc.Coord(ax) != coords[i] {
-						return false
-					}
-				}
-				return true
-			})
-			row = append(row, aggCell(acc, m.Decimals))
+			row = append(row, aggCell(r.accumulate(m, at(axes, coords)), m.Decimals))
 		}
 		t.Add(row...)
 	}

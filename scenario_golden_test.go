@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"napawine"
+	"napawine/internal/scenario"
+	"napawine/internal/study"
 )
 
 // The scenario golden digest: a seed-1717 TVAnts flashcrowd run at
@@ -19,7 +21,7 @@ import (
 // *intends* to alter scenario output, and say so in the commit.
 const scenarioGoldenDigest = "b7491815c09aa275d7b24c104455ce407f154ca7cb2d56100df46cfa9527dd70"
 
-func scenarioGoldenRender(t testing.TB, spec *napawine.ScenarioSpec) string {
+func scenarioGoldenRender(t testing.TB, spec *scenario.Spec) string {
 	t.Helper()
 	results, err := napawine.RunAll(&napawine.Study{
 		Name:       "golden",
@@ -27,7 +29,7 @@ func scenarioGoldenRender(t testing.TB, spec *napawine.ScenarioSpec) string {
 		Duration:   napawine.StudyDuration(60 * time.Second),
 		PeerFactor: 0.1,
 		Apps:       []string{napawine.TVAnts},
-		Scenarios:  []napawine.StudyScenario{{Name: "flashcrowd", Spec: spec}},
+		Scenarios:  []study.Scenario{{Name: "flashcrowd", Spec: spec}},
 	})
 	if err != nil {
 		t.Fatal(err)

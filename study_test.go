@@ -9,16 +9,17 @@ import (
 	"time"
 
 	"napawine"
+	"napawine/internal/study"
 )
 
 // TestStudyFileMatchesRegistered pins the shipped study artifacts to the
 // registry: examples/studies/<name>.json must be byte-for-byte what
-// EncodeStudy writes for the registered study of the same name, and decode
+// study.Encode writes for the registered study of the same name, and decode
 // back to the identical grid. With the executor fully deterministic (see
 // the study package's cross-worker test), spec identity is run identity.
 func TestStudyFileMatchesRegistered(t *testing.T) {
-	for _, name := range napawine.StudyNames() {
-		loaded, err := napawine.LoadStudyFile("examples/studies/" + name + ".json")
+	for _, name := range study.Names() {
+		loaded, err := study.LoadFile("examples/studies/" + name + ".json")
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -27,10 +28,10 @@ func TestStudyFileMatchesRegistered(t *testing.T) {
 			t.Fatal(err)
 		}
 		var fromFile, fromReg bytes.Buffer
-		if err := napawine.EncodeStudy(&fromFile, loaded); err != nil {
+		if err := study.Encode(&fromFile, loaded); err != nil {
 			t.Fatal(err)
 		}
-		if err := napawine.EncodeStudy(&fromReg, reg); err != nil {
+		if err := study.Encode(&fromReg, reg); err != nil {
 			t.Fatal(err)
 		}
 		if fromFile.String() != fromReg.String() {
@@ -74,7 +75,7 @@ func TestStrategyComparisonArtifact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fromFile, err := napawine.LoadStudyFile("examples/studies/strategy-comparison.json")
+	fromFile, err := study.LoadFile("examples/studies/strategy-comparison.json")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +115,7 @@ func TestRunStudyPivots(t *testing.T) {
 		t.Fatal(err)
 	}
 	var b strings.Builder
-	if err := res.PivotTable(m, napawine.AxisStrategy, napawine.AxisSeed).Render(&b); err != nil {
+	if err := res.PivotTable(m, napawine.AxisStrategy, study.AxisSeed).Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
