@@ -1,11 +1,12 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
+	"encoding/csv"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -73,18 +74,21 @@ func TestStoredTraceRoundTripsToCSV(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer out.Close()
-	var got []packet.Record
-	sc := bufio.NewScanner(out)
-	sc.Scan() // header row
-	for sc.Scan() {
-		rec, err := packet.ParseCSVLine(sc.Text())
-		if err != nil {
-			t.Fatalf("csv line %d: %v", len(got)+2, err)
-		}
-		got = append(got, rec)
+	rows, err := csv.NewReader(out).ReadAll()
+	if err != nil {
+		t.Fatalf("-csv output is not CSV: %v", err)
 	}
-	if !slices.Equal(got, want) {
-		t.Errorf("csv holds %d records, the trace %d; or they differ", len(got), len(want))
+	if len(rows) != len(want)+1 {
+		t.Fatalf("csv holds %d rows after the header, the trace %d records", len(rows)-1, len(want))
+	}
+	for i, r := range want {
+		rec := []string{
+			strconv.FormatInt(int64(r.TS), 10), r.Src.String(), r.Dst.String(),
+			strconv.FormatInt(int64(r.Size), 10), strconv.Itoa(int(r.TTL)), r.Kind.String(),
+		}
+		if !slices.Equal(rows[i+1], rec) {
+			t.Fatalf("csv row %d is %v, the trace record %v", i+2, rows[i+1], rec)
+		}
 	}
 }
 

@@ -252,15 +252,6 @@ func (p *Port) book(now sim.Time, size units.ByteSize) (start, end sim.Time) {
 // the experiment duration yields link utilization.
 func (p *Port) BusyTime() time.Duration { return p.busyAccum }
 
-// Utilization reports the fraction of elapsed the port spent serializing
-// booked transfers (may exceed 1 while a backlog extends past "now").
-func (p *Port) Utilization(elapsed time.Duration) float64 {
-	if elapsed <= 0 {
-		return 0
-	}
-	return float64(p.busyAccum) / float64(elapsed)
-}
-
 // Accepted reports how many transfers the port has booked over its
 // lifetime; Dropped how many the queue bound tail-dropped. LossRate is
 // drops over offered load (0 when nothing was offered).

@@ -214,6 +214,8 @@ type studyView struct {
 	EtaMs int64 `json:"eta_ms"`
 }
 
+// runView is one cell of /api/runs and of a `run` event: the cell's
+// study.Point spelled in the API's lower-case names, plus its live state.
 type runView struct {
 	Index      int     `json:"index"`
 	Label      string  `json:"label"`
@@ -221,6 +223,7 @@ type runView struct {
 	Strategy   string  `json:"strategy,omitempty"`
 	Scenario   string  `json:"scenario,omitempty"`
 	Variant    string  `json:"variant,omitempty"`
+	QueueDepth int     `json:"queue_depth,omitempty"`
 	Seed       int64   `json:"seed"`
 	Worker     string  `json:"worker,omitempty"`
 	Status     string  `json:"status"`
@@ -275,11 +278,12 @@ func (s *Server) studyJSONLocked() studyView {
 
 func (s *Server) runJSONLocked(i int) runView {
 	r := s.runs[i]
+	p := r.Info.Point
 	return runView{
-		Index: r.Info.Index, Label: r.Info.Label(),
-		App: r.Info.App, Strategy: r.Info.Strategy,
-		Scenario: r.Info.Scenario, Variant: r.Info.Variant,
-		Seed: r.Info.Seed, Worker: r.Info.Worker, Status: r.Status,
+		Index: p.Index, Label: p.Label(),
+		App: p.App, Strategy: p.Strategy, Scenario: p.Scenario,
+		Variant: p.Variant, QueueDepth: p.QueueDepth, Seed: p.Seed,
+		Worker: r.Info.Worker, Status: r.Status,
 		Continuity: r.Continuity, Error: r.Err,
 		ElapsedMs: r.ElapsedMs, Samples: len(r.Samples),
 	}

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"runtime"
@@ -289,6 +290,58 @@ func TestSlowSubscriberNeverBlocks(t *testing.T) {
 	}
 }
 
+// TestRunViewsCarryTheWholeCoordinate: two cells that differ only in queue
+// depth (the awareness-ablation shape) are two distinct /api/runs records on
+// their coordinate fields alone — not only in the rendered label.
+func TestRunViewsCarryTheWholeCoordinate(t *testing.T) {
+	s := newServer(t)
+	defer s.Close()
+
+	st := miniStudy()
+	st.QueueDepths = []int{0, 2}
+	if err := s.BeginStudy(st); err != nil {
+		t.Fatal(err)
+	}
+	infos, err := st.RunInfos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Get("http://" + s.Addr() + "/api/runs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runs []runView
+	if err := json.Unmarshal(body, &runs); err != nil {
+		t.Fatalf("/api/runs: %v", err)
+	}
+	if len(runs) != len(infos) || len(runs) != 8 {
+		t.Fatalf("%d run views over a %d-cell grid, want 8", len(runs), len(infos))
+	}
+	seen := map[runView]int{}
+	for i, r := range runs {
+		if r.Label != infos[i].Label() || r.QueueDepth != infos[i].QueueDepth {
+			t.Errorf("run %d: label %q depth %d, want %q depth %d",
+				i, r.Label, r.QueueDepth, infos[i].Label(), infos[i].QueueDepth)
+		}
+		coord := runView{App: r.App, Strategy: r.Strategy, Scenario: r.Scenario,
+			Variant: r.Variant, QueueDepth: r.QueueDepth, Seed: r.Seed}
+		if j, dup := seen[coord]; dup {
+			t.Errorf("runs %d and %d share the coordinate %+v", j, i, coord)
+		}
+		seen[coord] = i
+	}
+	// Depth 0 is the default and stays off the wire, like the other
+	// default coordinates.
+	if n := strings.Count(string(body), `"queue_depth"`); n != 4 {
+		t.Errorf("%d of 8 records carry queue_depth, want the 4 bounded ones:\n%s", n, body)
+	}
+}
+
 // TestFleetNotesAndWorkerAttribution pins the distributed-run surface: a
 // RunInfo carrying a Worker shows up in the run views, and Server.Note
 // events reach /api/fleet, the SSE stream, and late subscribers' snapshots.
@@ -356,8 +409,25 @@ func TestFleetNotesAndWorkerAttribution(t *testing.T) {
 		t.Errorf("late subscriber snapshot replayed %d fleet notes, want 2", lateFleet)
 	}
 
-	cancel()
+	// The live stream saw both notes as they happened. Wait for them before
+	// cancelling: the reader goroutine forwards on its own schedule, and a
+	// cancel that wins the race would cut the second one off.
 	liveFleet := 0
+	timeout := time.After(5 * time.Second)
+	for liveFleet < 2 {
+		select {
+		case name, open := <-events:
+			if !open {
+				t.Fatalf("live stream closed after %d fleet events, want 2", liveFleet)
+			}
+			if name == "fleet" {
+				liveFleet++
+			}
+		case <-timeout:
+			t.Fatalf("live stream delivered %d fleet events in 5s, want 2", liveFleet)
+		}
+	}
+	cancel()
 	for name := range events {
 		if name == "fleet" {
 			liveFleet++

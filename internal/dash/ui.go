@@ -72,7 +72,9 @@ function renderCell(r) {
   }
   el.className = "cell " + r.status;
   el.title = r.label + (r.error ? " — " + r.error : "");
-  let detail = r.status;
+  // The label line is clipped at the cell's width, and the congestion
+  // coordinate sits near its end: repeat it where it is always visible.
+  let detail = (r.queue_depth ? "q=" + r.queue_depth + " · " : "") + r.status;
   if (r.status === "done") detail += " · cont " + r.continuity.toFixed(3);
   if (r.elapsed_ms > 0) detail += " · " + fmtMs(r.elapsed_ms);
   const wk = r.worker ?

@@ -63,19 +63,11 @@ type Config struct {
 	// simulation goroutine; implementations must not block.
 	OnSample func(SeriesSample)
 
-	// ASSeriesK bounds per-AS time-series tracking to the K most-populated
-	// ASes: zero selects DefaultASSeriesK, negative disables the per-AS
-	// breakdown entirely. The bound keeps series memory at
-	// O(buckets·K) regardless of topology size; the accounting rides the
-	// ledger's per-AS totals.
-	ASSeriesK int
-
 	World world.Spec
 
 	// Overlay constants (zero values select defaults).
 	BufferWindow  int
 	TrackerBatch  int
-	ContactFanout int
 	JitterMax     time.Duration
 	UplinkBusyCap time.Duration
 
@@ -103,9 +95,6 @@ type Config struct {
 	BackgroundJoinWindow time.Duration
 	ProbeJoinWindow      time.Duration
 
-	// FlushEvery bounds capture-spool memory during long runs.
-	FlushEvery time.Duration
-
 	// StoreTraces, when non-empty, writes every probe's capture to
 	// <dir>/<probe-label>.nwt in the binary trace format — the paper's
 	// workflow of archiving raw captures for offline analysis (the
@@ -122,26 +111,8 @@ type Config struct {
 // TVAnts, §II Table II) to laptop scale while preserving the ratios that
 // drive every percentage in the tables.
 func Default(app string) Config {
-	cfg := Config{
-		App:      app,
-		Seed:     1,
-		Duration: 10 * time.Minute,
-
-		BufferWindow:  90,
-		TrackerBatch:  24,
-		JitterMax:     2 * time.Millisecond,
-		UplinkBusyCap: 2 * time.Second,
-
-		ChurnMeanOn:  150 * time.Second,
-		ChurnMeanOff: 40 * time.Second,
-
-		BackgroundJoinWindow: 60 * time.Second,
-		ProbeJoinWindow:      20 * time.Second,
-		FlushEvery:           10 * time.Second,
-
-		Analysis: analysis.DefaultConfig(),
-		Contrib:  core.DefaultContrib,
-	}
+	cfg := Config{App: app, Seed: 1, JitterMax: 2 * time.Millisecond}
+	cfg.fillDefaults()
 	cfg.World = world.Spec{
 		Seed:              1,
 		HighBwFraction:    0.70,
@@ -200,9 +171,6 @@ func (c *Config) fillDefaults() {
 	}
 	if c.ProbeJoinWindow <= 0 {
 		c.ProbeJoinWindow = 20 * time.Second
-	}
-	if c.FlushEvery <= 0 {
-		c.FlushEvery = 10 * time.Second
 	}
 	if c.Analysis.VideoSizeFloor == 0 {
 		c.Analysis = analysis.DefaultConfig()
@@ -306,6 +274,11 @@ func Run(cfg Config) (*Result, error) { return RunCtx(context.Background(), cfg)
 // contexts.
 const cancelPoll = time.Second
 
+// flushEvery is how often (in virtual time) the probes' capture spools are
+// drained into their analysis sinks, which bounds spool memory during
+// hour-scale runs.
+const flushEvery = 10 * time.Second
+
 // RunCtx executes one experiment under a context. Cancellation is polled on
 // the engine's own clock every cancelPoll of virtual time: when ctx is
 // done, the engine halts mid-run and RunCtx returns ctx.Err() with no
@@ -375,7 +348,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		Calendar:      cal,
 		BufferWindow:  cfg.BufferWindow,
 		TrackerBatch:  cfg.TrackerBatch,
-		ContactFanout: cfg.ContactFanout,
 		JitterMax:     cfg.JitterMax,
 		UplinkBusyCap: cfg.UplinkBusyCap,
 		Congestion:    cfg.Congestion,
@@ -469,11 +441,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		series = recordSeries(eng, net, cfg.Scenario.BucketCount(), cfg.Duration, cfg.OnSample, cfg.ASSeriesK)
+		series = recordSeries(eng, net, cfg.Scenario.BucketCount(), cfg.Duration, cfg.OnSample)
 	}
 
 	// Periodic spool flush bounds memory for hour-scale runs.
-	eng.Every(cfg.FlushEvery, cfg.FlushEvery, 0, net.FlushCapturesBefore)
+	eng.Every(flushEvery, flushEvery, 0, net.FlushCapturesBefore)
 
 	var polls uint64
 	if ctx.Done() != nil {

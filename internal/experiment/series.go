@@ -33,8 +33,8 @@ type SeriesSample struct {
 	// TrackerUp reports whether the tracker was reachable at T.
 	TrackerUp bool
 	// PerAS breaks the bucket down by autonomous system for the run's
-	// tracked ASes (the top Config.ASSeriesK by initial population),
-	// ASN-ascending. Empty when per-AS sampling is disabled.
+	// tracked ASes (the top DefaultASSeriesK by initial population),
+	// ASN-ascending.
 	PerAS []ASSample
 }
 
@@ -56,8 +56,8 @@ type ASSample struct {
 	IntraValid bool
 }
 
-// DefaultASSeriesK is how many ASes a scenario run tracks when
-// Config.ASSeriesK is zero. Small on purpose: per-AS series cost
+// DefaultASSeriesK is how many ASes a scenario run tracks: the K
+// most-populated ones. Small on purpose: per-AS series cost
 // O(buckets·K) memory and the paper's topologies concentrate most peers in
 // a handful of ASes.
 const DefaultASSeriesK = 6
@@ -78,7 +78,7 @@ type seriesRecorder struct {
 
 	// Per-AS tracking, bounded to the top-K ASes by population at recorder
 	// creation. asTracked is ASN-ascending; asSlot maps an ASN to its index
-	// in the parallel slices. All empty/nil when per-AS sampling is off.
+	// in the parallel slices.
 	asTracked   []topology.ASN
 	asSlot      map[topology.ASN]int
 	prevASRx    []int64
@@ -87,9 +87,8 @@ type seriesRecorder struct {
 
 // recordSeries installs a periodic sampler for `buckets` buckets across the
 // horizon and returns the recorder whose samples fill in as the run
-// progresses. asK bounds per-AS tracking: 0 selects DefaultASSeriesK,
-// negative disables it.
-func recordSeries(eng *sim.Engine, net *overlay.Network, buckets int, horizon time.Duration, onSample func(SeriesSample), asK int) *seriesRecorder {
+// progresses.
+func recordSeries(eng *sim.Engine, net *overlay.Network, buckets int, horizon time.Duration, onSample func(SeriesSample)) *seriesRecorder {
 	every := horizon / time.Duration(buckets)
 	if every <= 0 {
 		every = horizon
@@ -100,12 +99,7 @@ func recordSeries(eng *sim.Engine, net *overlay.Network, buckets int, horizon ti
 		bucketSecs: every.Seconds(),
 		onSample:   onSample,
 	}
-	if asK == 0 {
-		asK = DefaultASSeriesK
-	}
-	if asK > 0 {
-		r.trackTopASes(net, asK)
-	}
+	r.trackTopASes(net, DefaultASSeriesK)
 	eng.Every(every, every, 0, func() {
 		if len(r.samples) >= buckets {
 			return

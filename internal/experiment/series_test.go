@@ -149,7 +149,7 @@ func TestScenarioRunFailover(t *testing.T) {
 }
 
 // TestScenarioSeriesPerAS pins the per-AS breakdown contract: every bucket
-// carries at most ASSeriesK tracked ASes, ASN-ascending and identical
+// carries at most DefaultASSeriesK tracked ASes, ASN-ascending and identical
 // across buckets; per-AS online counts partition within the swarm total;
 // and the shares stay in range.
 func TestScenarioSeriesPerAS(t *testing.T) {
@@ -189,34 +189,6 @@ func TestScenarioSeriesPerAS(t *testing.T) {
 		}
 		if asOnline > s.Online {
 			t.Errorf("bucket %d tracked-AS online sum %d exceeds swarm online %d", b, asOnline, s.Online)
-		}
-	}
-}
-
-// TestScenarioSeriesPerASKnobs: ASSeriesK bounds and disables the
-// breakdown.
-func TestScenarioSeriesPerASKnobs(t *testing.T) {
-	cfg := scenarioConfig("steady", 3)
-	cfg.ASSeriesK = 1
-	r, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, s := range r.Series {
-		if len(s.PerAS) != 1 {
-			t.Fatalf("bucket %d tracks %d ASes with ASSeriesK=1", b, len(s.PerAS))
-		}
-	}
-
-	cfg = scenarioConfig("steady", 3)
-	cfg.ASSeriesK = -1
-	r, err = Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for b, s := range r.Series {
-		if len(s.PerAS) != 0 {
-			t.Fatalf("bucket %d carries per-AS samples with ASSeriesK=-1", b)
 		}
 	}
 }

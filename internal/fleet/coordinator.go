@@ -1,7 +1,6 @@
 package fleet
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +10,7 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
+	"napawine/internal/strictjson"
 	"napawine/internal/study"
 )
 
@@ -56,8 +56,8 @@ type CoordinatorConfig struct {
 	SpoolDir string
 	// Observers receive the same callbacks a local study.Run would issue,
 	// with RunInfo.Worker attributing each cell to the worker that
-	// computed it ("spool" for restored cells). Deliveries are
-	// panic-isolated per observer, like study.Run's fan-out.
+	// computed it ("spool" for restored cells). They are composed by
+	// study.Fanout, the fan-out study.Run delivers through.
 	Observers []study.Observer
 	// Log, when non-nil, receives one line per fleet event (worker joins,
 	// lease expiries, checkpoint restores). It must be safe for concurrent
@@ -70,13 +70,14 @@ type CoordinatorConfig struct {
 // down with Close.
 type Coordinator struct {
 	st        *study.Study
+	grid      *study.Grid
 	studyJSON []byte
 	digest    string
 	digests   []string // per-index cell digests
 	infos     []study.RunInfo
 	ttl       time.Duration
 	spool     *spool
-	observers []study.Observer
+	observer  study.Observer // the study.Fanout of CoordinatorConfig.Observers
 	log       func(format string, args ...any)
 
 	ln  net.Listener
@@ -94,42 +95,36 @@ type Coordinator struct {
 	failed chan struct{} // closed on the first cell failure
 }
 
-// NewCoordinator validates and digests the study, restores any spooled
-// cells, binds the listener and starts serving leases. When a spool is
-// configured the bound address is also written to SPOOL/addr so scripts can
-// join workers to a port-0 coordinator.
+// NewCoordinator encodes, digests and resolves the study — once each —
+// restores any spooled cells, binds the listener and starts serving leases.
+// When a spool is configured the bound address is also written to
+// SPOOL/addr so scripts can join workers to a port-0 coordinator.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Study == nil {
 		return nil, fmt.Errorf("fleet: coordinator without a study")
 	}
-	var buf bytes.Buffer
-	if err := study.Encode(&buf, cfg.Study); err != nil {
-		return nil, err
-	}
-	digest, err := cfg.Study.Digest()
+	studyJSON, digest, err := cfg.Study.Canonical()
 	if err != nil {
 		return nil, err
 	}
-	infos, err := cfg.Study.RunInfos()
+	grid, err := cfg.Study.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	digests, err := cellDigests(cfg.Study, digest)
-	if err != nil {
-		return nil, err
-	}
+	infos, digests := grid.Infos(), grid.CellDigests(digest)
 	ttl := cfg.LeaseTTL
 	if ttl <= 0 {
 		ttl = DefaultLeaseTTL
 	}
 	c := &Coordinator{
 		st:        cfg.Study,
-		studyJSON: buf.Bytes(),
+		grid:      grid,
+		studyJSON: studyJSON,
 		digest:    digest,
 		digests:   digests,
 		infos:     infos,
 		ttl:       ttl,
-		observers: cfg.Observers,
+		observer:  study.Fanout(cfg.Observers...),
 		log:       cfg.Log,
 		cells:     make([]cellState, len(infos)),
 		remaining: len(infos),
@@ -155,8 +150,7 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		for idx, rec := range recs {
 			c.cells[idx] = cellState{state: stateDone, worker: rec.Worker, sum: rec.Summary}
 			c.remaining--
-			info := c.attributed(idx, "spool")
-			c.fanDone(info, rec.Summary, nil)
+			c.observer.OnRunDone(c.attributed(idx, "spool"), rec.Summary, nil)
 		}
 		if len(recs) > 0 {
 			c.log("fleet: restored %d/%d cells from spool %s", len(recs), len(infos), cfg.SpoolDir)
@@ -238,7 +232,7 @@ func (c *Coordinator) assemble() (*study.Result, error) {
 		}
 	}
 	c.mu.Unlock()
-	return study.NewResult(c.st, sums, done)
+	return c.grid.Result(sums, done)
 }
 
 // drainTimeout bounds how long Close waits for running handlers.
@@ -268,33 +262,6 @@ func (c *Coordinator) attributed(idx int, worker string) study.RunInfo {
 	return info
 }
 
-// fanEach delivers one callback to every observer, panic-isolated per
-// observer exactly like study.Run's fan-out: a misbehaving dashboard must
-// never take the coordinator down.
-func (c *Coordinator) fanEach(call func(study.Observer)) {
-	for _, obs := range c.observers {
-		if obs == nil {
-			continue
-		}
-		func() {
-			defer func() { _ = recover() }()
-			call(obs)
-		}()
-	}
-}
-
-func (c *Coordinator) fanStart(info study.RunInfo) {
-	c.fanEach(func(o study.Observer) { o.OnRunStart(info) })
-}
-
-func (c *Coordinator) fanDone(info study.RunInfo, sum experiment.Summary, err error) {
-	c.fanEach(func(o study.Observer) { o.OnRunDone(info, sum, err) })
-}
-
-func (c *Coordinator) fanSample(info study.RunInfo, s experiment.SeriesSample) {
-	c.fanEach(func(o study.Observer) { o.OnSample(info, s) })
-}
-
 // reapLocked requeues every expired lease. Called with c.mu held, lazily
 // from the lease path: expiry only matters when someone could pick the cell
 // up again.
@@ -318,9 +285,7 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 // decodeInto parses one strict JSON request body.
 func decodeInto(w http.ResponseWriter, r *http.Request, v any) bool {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := strictjson.Decode(r.Body, v); err != nil {
 		http.Error(w, fmt.Sprintf("bad request: %v", err), http.StatusBadRequest)
 		return false
 	}
@@ -403,7 +368,7 @@ func (c *Coordinator) handleEvent(w http.ResponseWriter, r *http.Request) {
 	case eventStart:
 		c.cells[ev.Index].started = true
 		info := c.attributed(ev.Index, ev.Worker)
-		fan = func() { c.fanStart(info) }
+		fan = func() { c.observer.OnRunStart(info) }
 	case eventSample:
 		if ev.Sample == nil {
 			c.mu.Unlock()
@@ -412,7 +377,7 @@ func (c *Coordinator) handleEvent(w http.ResponseWriter, r *http.Request) {
 		}
 		info := c.attributed(ev.Index, ev.Worker)
 		s := *ev.Sample
-		fan = func() { c.fanSample(info, s) }
+		fan = func() { c.observer.OnSample(info, s) }
 	case eventRenew:
 		// The deadline extension above is the whole effect.
 	default:
@@ -465,7 +430,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		first := c.failIdx == res.Index
 		c.mu.Unlock()
 		c.log("fleet: cell %d/%d (%s) failed on %s: %s", res.Index+1, len(c.cells), info.Label(), res.Worker, res.Error)
-		c.fanDone(info, experiment.Summary{}, err)
+		c.observer.OnRunDone(info, experiment.Summary{}, err)
 		if first {
 			// Close exactly once: the lowest-index race is settled under
 			// the lock; only the holder of failIdx at unlock closes.
@@ -495,7 +460,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 			c.log("fleet: checkpoint for cell %d failed: %v", res.Index, err)
 		}
 	}
-	c.fanDone(info, *res.Summary, nil)
+	c.observer.OnRunDone(info, *res.Summary, nil)
 	if last {
 		close(c.done)
 	}

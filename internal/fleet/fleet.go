@@ -1,9 +1,11 @@
 // Package fleet distributes a study grid across machines: one coordinator
 // enumerates the grid and hands out cell leases over a stdlib-only
-// HTTP/JSON protocol; any number of workers dial in, lease cells, execute
-// them locally through study.RunCell, and stream progress plus time-series
-// buckets back for live fan-in to the coordinator's observers (the
-// dashboard and -svg-out artifacts work unchanged over a distributed run).
+// HTTP/JSON protocol; any number of workers dial in, resolve the grid once
+// (study.Grid), lease cells, execute them locally through Grid.RunCell —
+// the code study.Run executes its cells through — and stream progress plus
+// time-series buckets back for live fan-in to the coordinator's observers
+// (the dashboard and -svg-out artifacts work unchanged over a distributed
+// run).
 //
 // The design leans on two properties the study layer already guarantees:
 // every cell is deterministic (the same cell computes the same summary on

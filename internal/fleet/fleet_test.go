@@ -6,7 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -300,6 +302,12 @@ func postJSON(t *testing.T, addr, path string, in any) (*http.Response, []byte) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, addr, path, b)
+}
+
+// postRaw posts b as it stands, for bodies no marshaller would produce.
+func postRaw(t *testing.T, addr, path string, b []byte) (*http.Response, []byte) {
+	t.Helper()
 	resp, err := http.Post("http://"+addr+"/fleet/v1/"+path, "application/json", bytes.NewReader(b))
 	if err != nil {
 		t.Fatalf("POST %s: %v", path, err)
@@ -342,6 +350,15 @@ func TestLeaseExpiryGoneAndIdempotentResult(t *testing.T) {
 	defer coord.Close()
 	addr := coord.Addr()
 
+	// Request bodies go through the strict reader every file codec uses:
+	// an unknown field and a second object are both refused, and neither
+	// registers a worker or touches a lease.
+	for _, body := range []string{`{"worker":"w","bogus":1}`, `{"worker":"w"}{"worker":"x"}`} {
+		if resp, msg := postRaw(t, addr, "lease", []byte(body)); resp.StatusCode != http.StatusBadRequest {
+			t.Fatalf("lease with body %s answered %s (%s), want 400", body, resp.Status, msg)
+		}
+	}
+
 	repA := leaseAs(t, addr, "wA")
 	if repA.Status != StatusLease || repA.Index != 0 {
 		t.Fatalf("wA lease: %+v", repA)
@@ -364,7 +381,7 @@ func TestLeaseExpiryGoneAndIdempotentResult(t *testing.T) {
 
 	// wA finished the cell anyway; its result is the same bytes wB's would
 	// be, so the coordinator takes it.
-	sum, err := study.RunCell(context.Background(), st, 0, nil)
+	sum, err := coord.grid.RunCell(context.Background(), 0, nil)
 	if err != nil {
 		t.Fatalf("RunCell: %v", err)
 	}
@@ -402,6 +419,28 @@ func TestLeaseExpiryGoneAndIdempotentResult(t *testing.T) {
 	}
 	if _, err := coord.Wait(context.Background()); err != nil {
 		t.Fatalf("Wait: %v", err)
+	}
+}
+
+// TestWorkerRedialsOnTrailingReplyBytes: a reply followed by a second value
+// is undecodable like any other — a redial, never a half-trusted answer.
+func TestWorkerRedialsOnTrailingReplyBytes(t *testing.T) {
+	for body, wantRedial := range map[string]bool{
+		`{"status":"done"}`:                    false,
+		`{"status":"done"}{"status":"lease"}`:  true,
+		`{"status":"done","surprise":"field"}`: true,
+	} {
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			_, _ = io.WriteString(w, body)
+		}))
+		w := &worker{base: srv.URL, client: srv.Client()}
+		var rep leaseReply
+		err := w.callOnce(context.Background(), http.MethodPost, "lease", []byte(`{}`), &rep)
+		srv.Close()
+		var redial *dialError
+		if errors.As(err, &redial) != wantRedial || (err == nil) == wantRedial {
+			t.Errorf("reply %s: error %v, want a redial: %v", body, err, wantRedial)
+		}
 	}
 }
 

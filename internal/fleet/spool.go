@@ -2,15 +2,13 @@ package fleet
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"napawine/internal/experiment"
-	"napawine/internal/study"
+	"napawine/internal/strictjson"
 )
 
 // The checkpoint spool is a directory of completed cells keyed by their
@@ -110,11 +108,11 @@ func (s *spool) load(digests []string) (map[int]cellRecord, error) {
 
 // put checkpoints one completed cell.
 func (s *spool) put(rec cellRecord) error {
-	b, err := json.MarshalIndent(rec, "", "  ")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := strictjson.Write(&buf, rec); err != nil {
 		return fmt.Errorf("fleet: spool: %w", err)
 	}
-	return writeAtomic(filepath.Join(s.dir, "cells", rec.Digest+".json"), append(b, '\n'))
+	return writeAtomic(filepath.Join(s.dir, "cells", rec.Digest+".json"), buf.Bytes())
 }
 
 // readRecord parses one cell record, strictly.
@@ -124,14 +122,9 @@ func readRecord(path string) (cellRecord, error) {
 		return cellRecord{}, fmt.Errorf("fleet: spool: %w", err)
 	}
 	defer f.Close()
-	dec := json.NewDecoder(f)
-	dec.DisallowUnknownFields()
 	var rec cellRecord
-	if err := dec.Decode(&rec); err != nil {
+	if err := strictjson.Decode(f, &rec); err != nil {
 		return cellRecord{}, fmt.Errorf("fleet: spool: %s: %w", path, err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return cellRecord{}, fmt.Errorf("fleet: spool: %s: trailing data", path)
 	}
 	return rec, nil
 }
@@ -157,17 +150,4 @@ func writeAtomic(path string, b []byte) error {
 		return fmt.Errorf("fleet: spool: %w", err)
 	}
 	return nil
-}
-
-// cellDigests computes the per-index digest table for a study.
-func cellDigests(st *study.Study, studyDigest string) ([]string, error) {
-	infos, err := st.RunInfos()
-	if err != nil {
-		return nil, err
-	}
-	out := make([]string, len(infos))
-	for i, info := range infos {
-		out[i] = study.CellDigest(studyDigest, info)
-	}
-	return out, nil
 }

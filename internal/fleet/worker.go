@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
+	"napawine/internal/strictjson"
 	"napawine/internal/study"
 )
 
@@ -53,7 +54,7 @@ type worker struct {
 	base   string // http://ADDR/fleet/v1
 	client *http.Client
 	st     *study.Study
-	digest string
+	grid   *study.Grid // st resolved once, at join
 	ttl    time.Duration
 	log    func(format string, args ...any)
 }
@@ -121,7 +122,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	return nil
 }
 
-// fetchStudy downloads and verifies the coordinator's study.
+// fetchStudy downloads and verifies the coordinator's study, and resolves
+// its grid for every cell this worker will lease.
 func (w *worker) fetchStudy(ctx context.Context) error {
 	var rep studyReply
 	if err := w.call(ctx, http.MethodGet, "study", nil, &rep); err != nil {
@@ -138,7 +140,10 @@ func (w *worker) fetchStudy(ctx context.Context) error {
 	if digest != rep.Digest {
 		return fmt.Errorf("fleet: study digest mismatch: coordinator says %s, decoded study digests %s", rep.Digest, digest)
 	}
-	w.st, w.digest = st, digest
+	if w.grid, err = st.Resolve(); err != nil {
+		return err
+	}
+	w.st = st
 	w.ttl = time.Duration(rep.LeaseTTLMs) * time.Millisecond
 	if w.ttl <= 0 {
 		w.ttl = DefaultLeaseTTL
@@ -254,7 +259,7 @@ func (w *worker) runCell(ctx context.Context, index int, digest string) (bool, e
 		}
 		sampleErr = post(eventSample, &s)
 	}
-	sum, runErr := study.RunCell(cellCtx, w.st, index, onSample)
+	sum, runErr := w.grid.RunCell(cellCtx, index, onSample)
 	close(hbDone)
 	hbWG.Wait()
 
@@ -394,9 +399,7 @@ func (w *worker) callOnce(ctx context.Context, method, path string, body []byte,
 		}
 		return err
 	}
-	dec := json.NewDecoder(resp.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(out); err != nil {
+	if err := strictjson.Decode(resp.Body, out); err != nil {
 		return &dialError{fmt.Errorf("fleet: %s %s: decode reply: %w", method, path, err)}
 	}
 	return nil

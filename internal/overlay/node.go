@@ -228,14 +228,6 @@ func (nd *Node) Continuity() float64 {
 	return nd.play.Continuity()
 }
 
-// Buffered reports how many chunks the node currently holds.
-func (nd *Node) Buffered() int {
-	if nd.buf == nil {
-		return 0
-	}
-	return nd.buf.Count()
-}
-
 // IsSource reports whether this node is the stream origin.
 func (nd *Node) IsSource() bool { return nd.isSource }
 
@@ -715,7 +707,7 @@ func (nd *Node) contactTick() {
 	if !nd.online {
 		return
 	}
-	cands := nd.net.trackerSample(nd, nd.net.Cfg.ContactFanout)
+	cands := nd.net.trackerSample(nd, DefaultContactFanout)
 	for _, c := range cands {
 		if nd.partnerByID(c.ID) != nil {
 			continue

@@ -109,20 +109,16 @@ func (p *Profile) strategy() policy.ChunkStrategy {
 	return p.ChunkStrategy
 }
 
-// DefaultContactFanout is the tracker candidates one gossip round
-// (contactTick) examines when Config.ContactFanout is zero.
+// DefaultContactFanout is the number of tracker candidates one gossip
+// round (contactTick) examines before settling on a single peer exchange.
 const DefaultContactFanout = 3
 
 // Config carries network-wide constants.
 type Config struct {
 	Calendar     chunkstream.Calendar
-	BufferWindow int // chunks each node's buffer map covers
-	TrackerBatch int // candidates per tracker query
-	// ContactFanout is the number of tracker candidates one gossip round
-	// examines before settling on a single peer exchange. Zero selects
-	// DefaultContactFanout; negative is a configuration error.
-	ContactFanout int
-	JitterMax     time.Duration // per-packet forwarding jitter bound
+	BufferWindow int           // chunks each node's buffer map covers
+	TrackerBatch int           // candidates per tracker query
+	JitterMax    time.Duration // per-packet forwarding jitter bound
 	// UplinkBusyCap is the backlog beyond which a node rejects chunk
 	// requests instead of queueing them; rejections are what steer
 	// requesters toward fast peers.
@@ -143,12 +139,6 @@ func (c *Config) validate() {
 	}
 	if c.TrackerBatch <= 0 {
 		panic("overlay: non-positive tracker batch")
-	}
-	if c.ContactFanout < 0 {
-		panic("overlay: negative contact fanout")
-	}
-	if c.ContactFanout == 0 {
-		c.ContactFanout = DefaultContactFanout
 	}
 	if c.UplinkBusyCap <= 0 {
 		panic("overlay: non-positive uplink busy cap")

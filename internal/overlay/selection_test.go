@@ -172,28 +172,3 @@ func TestRarestStrategySustainsSwarm(t *testing.T) {
 		t.Fatal("rarest-first moved no video")
 	}
 }
-
-func TestContactFanoutDefaultAndValidation(t *testing.T) {
-	cfg := testConfig()
-	if cfg.ContactFanout != 0 {
-		t.Fatalf("fixture unexpectedly sets ContactFanout=%d", cfg.ContactFanout)
-	}
-	net := New(nil, nil, cfg)
-	if net.Cfg.ContactFanout != DefaultContactFanout {
-		t.Errorf("zero ContactFanout = %d after validate, want default %d",
-			net.Cfg.ContactFanout, DefaultContactFanout)
-	}
-	cfg2 := testConfig()
-	cfg2.ContactFanout = 7
-	if got := New(nil, nil, cfg2).Cfg.ContactFanout; got != 7 {
-		t.Errorf("explicit ContactFanout overridden to %d", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("negative ContactFanout must panic")
-		}
-	}()
-	bad := testConfig()
-	bad.ContactFanout = -1
-	New(nil, nil, bad)
-}

@@ -17,8 +17,6 @@ import (
 	"fmt"
 	"io"
 	"net/netip"
-	"strconv"
-	"strings"
 
 	"napawine/internal/sim"
 	"napawine/internal/units"
@@ -238,47 +236,4 @@ func WriteCSV(w io.Writer, recs []Record) error {
 		}
 	}
 	return bw.Flush()
-}
-
-// ParseCSVLine parses one non-header CSV line produced by WriteCSV.
-func ParseCSVLine(line string) (Record, error) {
-	parts := strings.Split(strings.TrimSpace(line), ",")
-	if len(parts) != 6 {
-		return Record{}, fmt.Errorf("%w: csv field count %d", ErrBadTrace, len(parts))
-	}
-	ts, err := strconv.ParseInt(parts[0], 10, 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: csv ts: %v", ErrBadTrace, err)
-	}
-	src, err := netip.ParseAddr(parts[1])
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: csv src: %v", ErrBadTrace, err)
-	}
-	dst, err := netip.ParseAddr(parts[2])
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: csv dst: %v", ErrBadTrace, err)
-	}
-	size, err := strconv.ParseInt(parts[3], 10, 64)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: csv size: %v", ErrBadTrace, err)
-	}
-	ttl, err := strconv.ParseUint(parts[4], 10, 8)
-	if err != nil {
-		return Record{}, fmt.Errorf("%w: csv ttl: %v", ErrBadTrace, err)
-	}
-	var kind Kind
-	switch parts[5] {
-	case "signaling":
-		kind = Signaling
-	case "request":
-		kind = Request
-	case "video":
-		kind = Video
-	default:
-		return Record{}, fmt.Errorf("%w: csv kind %q", ErrBadTrace, parts[5])
-	}
-	return Record{
-		TS: sim.Time(ts), Src: src, Dst: dst,
-		Size: units.ByteSize(size), TTL: uint8(ttl), Kind: kind,
-	}, nil
 }

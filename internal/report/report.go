@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"napawine/internal/plot"
 )
 
 // Table is a titled grid with a header row.
@@ -189,19 +187,6 @@ func (b *Bars) Render(w io.Writer, width int) error {
 	}
 	_, err := io.WriteString(w, sb.String())
 	return err
-}
-
-// Plot converts the chart to its SVG counterpart: the same labels and
-// values as vertical bars, so every ASCII Bars artifact (Figure 1's
-// breakdowns) has a one-call graphical twin for -svg-out.
-func (b *Bars) Plot() *plot.Bar {
-	p := &plot.Bar{Title: b.Title, Groups: make([]string, len(b.rows)),
-		Series: []plot.BarSeries{{Name: b.Title, Vals: make([]float64, len(b.rows))}}}
-	for i, r := range b.rows {
-		p.Groups[i] = r.label
-		p.Series[0].Vals[i] = r.value
-	}
-	return p
 }
 
 // Matrix renders a labelled square matrix of values (the Figure-2 AS-to-AS

@@ -12,23 +12,18 @@ import (
 	"sync"
 )
 
-// Parallel maps f over inputs using at most workers goroutines and returns
-// the outputs in input order. The first error (by input order) is returned
-// alongside the partial results; failed slots hold the zero value. A panic
-// inside f is captured and converted to an error rather than tearing down
-// the whole sweep.
-func Parallel[I any, O any](inputs []I, workers int, f func(I) (O, error)) ([]O, error) {
-	return ParallelCtx(context.Background(), inputs, workers,
-		func(_ context.Context, in I) (O, error) { return f(in) })
-}
-
-// ParallelCtx is Parallel under a context: once ctx is done, workers stop
-// picking up new tasks (unstarted slots hold ctx.Err() and the zero value)
-// and ctx.Err() is returned in preference to any task error, alongside the
-// partial results. In-flight tasks receive ctx and are expected to wind
-// down on their own (experiment.RunCtx polls it); every worker goroutine is
-// joined before ParallelCtx returns, cancelled or not, so callers never
-// leak goroutines.
+// ParallelCtx maps f over inputs using at most workers goroutines and
+// returns the outputs in input order. The first error (by input order) is
+// returned alongside the partial results; failed slots hold the zero value.
+// A panic inside f is captured and converted to an error rather than tearing
+// down the whole sweep.
+//
+// Once ctx is done, workers stop picking up new tasks (unstarted slots hold
+// ctx.Err() and the zero value) and ctx.Err() is returned in preference to
+// any task error, alongside the partial results. In-flight tasks receive
+// ctx and are expected to wind down on their own (experiment.RunCtx polls
+// it); every worker goroutine is joined before ParallelCtx returns,
+// cancelled or not, so callers never leak goroutines.
 func ParallelCtx[I any, O any](ctx context.Context, inputs []I, workers int, f func(context.Context, I) (O, error)) ([]O, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

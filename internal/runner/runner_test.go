@@ -14,7 +14,7 @@ func TestParallelOrderPreserved(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	out, err := Parallel(in, 8, func(x int) (int, error) {
+	out, err := ParallelCtx(context.Background(), in, 8, func(_ context.Context, x int) (int, error) {
 		// Reverse completion order: later inputs finish first.
 		time.Sleep(time.Duration(50-x) * 100 * time.Microsecond)
 		return x * x, nil
@@ -32,7 +32,7 @@ func TestParallelOrderPreserved(t *testing.T) {
 func TestParallelConcurrencyBound(t *testing.T) {
 	var active, peak int64
 	in := make([]int, 40)
-	_, err := Parallel(in, 4, func(int) (int, error) {
+	_, err := ParallelCtx(context.Background(), in, 4, func(_ context.Context, _ int) (int, error) {
 		n := atomic.AddInt64(&active, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -55,7 +55,7 @@ func TestParallelConcurrencyBound(t *testing.T) {
 func TestParallelError(t *testing.T) {
 	in := []int{0, 1, 2, 3}
 	boom := errors.New("boom")
-	out, err := Parallel(in, 2, func(x int) (int, error) {
+	out, err := ParallelCtx(context.Background(), in, 2, func(_ context.Context, x int) (int, error) {
 		if x == 2 {
 			return 0, boom
 		}
@@ -79,7 +79,7 @@ func TestParallelFirstErrorByInputOrder(t *testing.T) {
 	in := []int{0, 1, 2, 3}
 	errSlow := errors.New("slow failure")
 	errFast := errors.New("fast failure")
-	out, err := Parallel(in, 4, func(x int) (int, error) {
+	out, err := ParallelCtx(context.Background(), in, 4, func(_ context.Context, x int) (int, error) {
 		switch x {
 		case 1:
 			time.Sleep(20 * time.Millisecond)
@@ -107,7 +107,7 @@ func TestParallelFirstErrorByInputOrder(t *testing.T) {
 
 func TestParallelPanicCaptured(t *testing.T) {
 	in := []int{1}
-	_, err := Parallel(in, 1, func(int) (int, error) {
+	_, err := ParallelCtx(context.Background(), in, 1, func(_ context.Context, _ int) (int, error) {
 		panic("kaboom")
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
@@ -116,12 +116,12 @@ func TestParallelPanicCaptured(t *testing.T) {
 }
 
 func TestParallelEmptyAndDefaults(t *testing.T) {
-	out, err := Parallel(nil, 0, func(int) (int, error) { return 1, nil })
+	out, err := ParallelCtx(context.Background(), nil, 0, func(_ context.Context, _ int) (int, error) { return 1, nil })
 	if err != nil || len(out) != 0 {
 		t.Error("empty input should be a no-op")
 	}
 	// workers <= 0 defaults to GOMAXPROCS; workers > len clamps.
-	out, err = Parallel([]int{5}, -3, func(x int) (int, error) { return x, nil })
+	out, err = ParallelCtx(context.Background(), []int{5}, -3, func(_ context.Context, x int) (int, error) { return x, nil })
 	if err != nil || out[0] != 5 {
 		t.Error("default workers failed")
 	}
@@ -181,8 +181,9 @@ func TestParallelCtxCancelSkipsPendingTasks(t *testing.T) {
 	}
 }
 
-// TestParallelCtxBackgroundMatchesParallel: under a never-cancelled context
-// the ctx path must behave exactly like Parallel.
+// TestParallelCtxBackgroundMatchesParallel: a context that is never
+// cancelled changes nothing — every input runs and the outputs come back in
+// input order.
 func TestParallelCtxBackgroundMatchesParallel(t *testing.T) {
 	in := []int{1, 2, 3, 4, 5}
 	out, err := ParallelCtx(context.Background(), in, 3,
@@ -219,6 +220,6 @@ func BenchmarkParallelOverhead(b *testing.B) {
 	in := make([]int, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = Parallel(in, 8, func(x int) (int, error) { return x, nil })
+		_, _ = ParallelCtx(context.Background(), in, 8, func(_ context.Context, x int) (int, error) { return x, nil })
 	}
 }

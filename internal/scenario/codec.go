@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+
+	"napawine/internal/strictjson"
 )
 
 // This file is the scenario file codec: a JSON schema over Spec in which
@@ -52,12 +54,7 @@ func Encode(w io.Writer, s *Spec) error {
 	if s == nil {
 		return fmt.Errorf("scenario: encode nil spec")
 	}
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("scenario: encode %s: %w", s.Name, err)
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
+	if err := strictjson.Write(w, s); err != nil {
 		return fmt.Errorf("scenario: encode %s: %w", s.Name, err)
 	}
 	return nil
@@ -67,16 +64,9 @@ func Encode(w io.Writer, s *Spec) error {
 // kind/shape names and malformed events are all errors — a file spec must
 // fail loudly at load time, never silently no-op at run time.
 func Decode(r io.Reader) (*Spec, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s Spec
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(r, &s); err != nil {
 		return nil, fmt.Errorf("scenario: decode: %w", err)
-	}
-	// Trailing content after the spec object is a malformed file, not a
-	// second scenario.
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, fmt.Errorf("scenario: decode: trailing data after spec object")
 	}
 	if err := s.Validate(); err != nil {
 		return nil, err

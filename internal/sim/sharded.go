@@ -122,9 +122,6 @@ func (s *Sharded) Shard(i int) *Engine { return s.shards[i] }
 // shard goroutine is parked. With one shard it is the shard engine itself.
 func (s *Sharded) Global() *Engine { return s.global }
 
-// Lookahead reports the window width bound the coordinator runs under.
-func (s *Sharded) Lookahead() time.Duration { return time.Duration(s.lookahead) }
-
 // Now reports the coordinated virtual clock. All engines agree on it at
 // every barrier; during the concurrent phase shard clocks may individually
 // be anywhere inside the current window.

@@ -1,7 +1,5 @@
 // Package stats provides the small statistical toolkit the analysis layer
-// needs: streaming accumulators, exact quantiles over retained samples,
-// fixed-width histograms and labelled square matrices (for the Figure-2
-// AS-to-AS traffic matrix).
+// needs: streaming accumulators and exact quantiles over retained samples.
 //
 // Everything is deterministic and allocation-conscious; nothing here is a
 // general statistics library, just the exact operations the paper's tables
@@ -9,7 +7,6 @@
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -46,9 +43,6 @@ func (a *Accumulator) Add(v float64) {
 
 // N reports the number of values seen.
 func (a *Accumulator) N() int64 { return a.n }
-
-// Sum reports the running sum.
-func (a *Accumulator) Sum() float64 { return a.sum }
 
 // Mean reports the arithmetic mean, or 0 for an empty accumulator.
 func (a *Accumulator) Mean() float64 {
@@ -93,32 +87,6 @@ func (a *Accumulator) StdErr() float64 {
 		return 0
 	}
 	return a.StdDev() / math.Sqrt(float64(a.n))
-}
-
-// Merge folds another accumulator into a. Merging is associative and
-// commutative, which is what lets the parallel runner aggregate per-worker
-// partial results in any completion order. Variance merges by the parallel
-// (Chan et al.) update.
-func (a *Accumulator) Merge(b Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	n := a.n + b.n
-	delta := b.mean - a.mean
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(n)
-	a.mean = (float64(a.n)*a.mean + float64(b.n)*b.mean) / float64(n)
-	a.n = n
-	a.sum += b.sum
 }
 
 // Sample retains every value for exact quantile queries. For the trace
@@ -200,156 +168,6 @@ func (s *Sample) Min() float64 {
 	}
 	s.ensureSorted()
 	return s.xs[0]
-}
-
-// Values returns a copy of the retained values in insertion-independent
-// (sorted) order.
-func (s *Sample) Values() []float64 {
-	s.ensureSorted()
-	out := make([]float64, len(s.xs))
-	copy(out, s.xs)
-	return out
-}
-
-// Histogram counts values into fixed-width buckets starting at origin.
-// Values below origin land in bucket 0; values beyond the last bucket land
-// in the overflow (last) bucket.
-type Histogram struct {
-	origin  float64
-	width   float64
-	buckets []int64
-	total   int64
-}
-
-// NewHistogram builds a histogram with n buckets of the given width
-// starting at origin. It panics on a non-positive width or bucket count,
-// since a silent empty histogram would corrupt downstream percentages.
-func NewHistogram(origin, width float64, n int) *Histogram {
-	if width <= 0 || n <= 0 {
-		panic(fmt.Sprintf("stats: bad histogram shape width=%v n=%d", width, n))
-	}
-	return &Histogram{origin: origin, width: width, buckets: make([]int64, n)}
-}
-
-// Add counts one observation of v.
-func (h *Histogram) Add(v float64) {
-	idx := int(math.Floor((v - h.origin) / h.width))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx]++
-	h.total++
-}
-
-// Count reports the tally of bucket i.
-func (h *Histogram) Count(i int) int64 { return h.buckets[i] }
-
-// Total reports the number of observations.
-func (h *Histogram) Total() int64 { return h.total }
-
-// Share reports bucket i's fraction of all observations (0 for an empty
-// histogram).
-func (h *Histogram) Share(i int) float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.buckets[i]) / float64(h.total)
-}
-
-// Buckets reports the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.buckets) }
-
-// Matrix is a labelled square matrix of float64 accumulators, used for the
-// Figure-2 per-AS-pair traffic averages.
-type Matrix struct {
-	labels []string
-	index  map[string]int
-	sum    []float64
-	count  []int64
-}
-
-// NewMatrix builds an n×n matrix over the given labels. Duplicate labels
-// panic because they would silently merge distinct ASes.
-func NewMatrix(labels []string) *Matrix {
-	m := &Matrix{
-		labels: append([]string(nil), labels...),
-		index:  make(map[string]int, len(labels)),
-		sum:    make([]float64, len(labels)*len(labels)),
-		count:  make([]int64, len(labels)*len(labels)),
-	}
-	for i, l := range labels {
-		if _, dup := m.index[l]; dup {
-			panic(fmt.Sprintf("stats: duplicate matrix label %q", l))
-		}
-		m.index[l] = i
-	}
-	return m
-}
-
-// Labels reports the row/column labels in order.
-func (m *Matrix) Labels() []string { return append([]string(nil), m.labels...) }
-
-// Add accumulates v into cell (from, to). Unknown labels panic: an AS that
-// was never declared is a bug in the caller's world construction.
-func (m *Matrix) Add(from, to string, v float64) {
-	i, ok := m.index[from]
-	if !ok {
-		panic(fmt.Sprintf("stats: unknown matrix label %q", from))
-	}
-	j, ok := m.index[to]
-	if !ok {
-		panic(fmt.Sprintf("stats: unknown matrix label %q", to))
-	}
-	m.sum[i*len(m.labels)+j] += v
-	m.count[i*len(m.labels)+j]++
-}
-
-// At reports the accumulated sum of cell (from, to).
-func (m *Matrix) At(from, to string) float64 {
-	return m.sum[m.index[from]*len(m.labels)+m.index[to]]
-}
-
-// CellMean reports the mean of observations in cell (from, to), 0 if none.
-func (m *Matrix) CellMean(from, to string) float64 {
-	idx := m.index[from]*len(m.labels) + m.index[to]
-	if m.count[idx] == 0 {
-		return 0
-	}
-	return m.sum[idx] / float64(m.count[idx])
-}
-
-// IntraInterRatio reports R, the paper's Figure-2 statistic: the mean of the
-// diagonal cell sums divided by the mean of the off-diagonal cell sums.
-// It returns (ratio, ok); ok is false when the off-diagonal mean is zero,
-// in which case no meaningful ratio exists (e.g. a single-AS world).
-func (m *Matrix) IntraInterRatio() (float64, bool) {
-	n := len(m.labels)
-	if n == 0 {
-		return 0, false
-	}
-	var intra, inter float64
-	var nIntra, nInter int
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			v := m.sum[i*n+j]
-			if i == j {
-				intra += v
-				nIntra++
-			} else {
-				inter += v
-				nInter++
-			}
-		}
-	}
-	if nInter == 0 || inter == 0 {
-		return 0, false
-	}
-	meanIntra := intra / float64(nIntra)
-	meanInter := inter / float64(nInter)
-	return meanIntra / meanInter, true
 }
 
 // Percent renders part/whole as a percentage, 0 when whole is 0. It exists

@@ -8,6 +8,7 @@ import (
 	"os"
 
 	"napawine/internal/scenario"
+	"napawine/internal/strictjson"
 )
 
 // This file is the study file codec, the same contract the scenario codec
@@ -61,10 +62,8 @@ func (s *Scenario) UnmarshalJSON(b []byte) error {
 		*s = Scenario{Name: name}
 		return nil
 	}
-	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	var obj scenarioJSON
-	if err := dec.Decode(&obj); err != nil {
+	if err := strictjson.Decode(bytes.NewReader(b), &obj); err != nil {
 		return fmt.Errorf("study: bad scenario entry: %w", err)
 	}
 	if obj.Name == "" && obj.Spec == nil {
@@ -91,12 +90,7 @@ func Encode(w io.Writer, st *Study) error {
 				st.Name, v.Name)
 		}
 	}
-	b, err := json.MarshalIndent(st, "", "  ")
-	if err != nil {
-		return fmt.Errorf("study: encode %s: %w", st.Name, err)
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
+	if err := strictjson.Write(w, st); err != nil {
 		return fmt.Errorf("study: encode %s: %w", st.Name, err)
 	}
 	return nil
@@ -106,14 +100,9 @@ func Encode(w io.Writer, st *Study) error {
 // axis values and malformed durations are all errors — a file study must
 // fail loudly at load time, never silently run a different grid.
 func Decode(r io.Reader) (*Study, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var st Study
-	if err := dec.Decode(&st); err != nil {
+	if err := strictjson.Decode(r, &st); err != nil {
 		return nil, fmt.Errorf("study: decode: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, fmt.Errorf("study: decode: trailing data after study object")
 	}
 	if err := st.Validate(); err != nil {
 		return nil, err

@@ -46,8 +46,8 @@ func synthetic() *Result {
 	return &Result{
 		Seeds: []int64{1, 2},
 		Cells: []Cell{
-			{Index: 0, App: "PPLive", Seed: 1, Done: true, Summary: mk(1, 10)},
-			{Index: 1, App: "PPLive", Seed: 2, Done: true, Summary: mk(2, 14)},
+			{Point: Point{Index: 0, App: "PPLive", Seed: 1}, Done: true, Summary: mk(1, 10)},
+			{Point: Point{Index: 1, App: "PPLive", Seed: 2}, Done: true, Summary: mk(2, 14)},
 		},
 	}
 }
@@ -108,8 +108,8 @@ func TestBatteriesFoldTheSeedAxis(t *testing.T) {
 		for _, vr := range []string{"", "blind"} {
 			for _, seed := range res.Seeds {
 				res.Cells = append(res.Cells, Cell{
-					Index: len(res.Cells), App: app, Variant: vr, Scenario: "outage", Seed: seed,
-					Done: true, Summary: experiment.Summary{App: app, Seed: seed, Events: uint64(len(res.Cells))},
+					Point: Point{Index: len(res.Cells), App: app, Variant: vr, Scenario: "outage", Seed: seed},
+					Done:  true, Summary: experiment.Summary{App: app, Seed: seed, Events: uint64(len(res.Cells))},
 				})
 			}
 		}

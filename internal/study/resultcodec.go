@@ -2,11 +2,11 @@ package study
 
 import (
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 
 	"napawine/internal/experiment"
+	"napawine/internal/strictjson"
 )
 
 // This file is the result codec: the persistence contract for what a study
@@ -25,12 +25,7 @@ func EncodeSummary(w io.Writer, s *experiment.Summary) error {
 	if s == nil {
 		return fmt.Errorf("study: encode nil summary")
 	}
-	b, err := json.MarshalIndent(s, "", "  ")
-	if err != nil {
-		return fmt.Errorf("study: encode summary: %w", err)
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
+	if err := strictjson.Write(w, s); err != nil {
 		return fmt.Errorf("study: encode summary: %w", err)
 	}
 	return nil
@@ -39,14 +34,9 @@ func EncodeSummary(w io.Writer, s *experiment.Summary) error {
 // DecodeSummary parses one per-run summary, strictly: unknown fields and
 // trailing data are errors.
 func DecodeSummary(r io.Reader) (*experiment.Summary, error) {
-	dec := json.NewDecoder(r)
-	dec.DisallowUnknownFields()
 	var s experiment.Summary
-	if err := dec.Decode(&s); err != nil {
+	if err := strictjson.Decode(r, &s); err != nil {
 		return nil, fmt.Errorf("study: decode summary: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, fmt.Errorf("study: decode summary: trailing data after summary object")
 	}
 	return &s, nil
 }
@@ -91,12 +81,7 @@ func EncodeResult(w io.Writer, r *Result) error {
 	if err := Encode(io.Discard, r.Study); err != nil {
 		return err
 	}
-	b, err := json.MarshalIndent(resultJSON{Study: r.Study, Seeds: r.Seeds, Cells: r.Cells}, "", "  ")
-	if err != nil {
-		return fmt.Errorf("study: encode %s result: %w", r.Study.Name, err)
-	}
-	b = append(b, '\n')
-	if _, err := w.Write(b); err != nil {
+	if err := strictjson.Write(w, resultJSON{Study: r.Study, Seeds: r.Seeds, Cells: r.Cells}); err != nil {
 		return fmt.Errorf("study: encode %s result: %w", r.Study.Name, err)
 	}
 	return nil
@@ -108,36 +93,25 @@ func EncodeResult(w io.Writer, r *Result) error {
 // result file can therefore never replay against a different (or edited)
 // study without failing loudly.
 func DecodeResult(rd io.Reader) (*Result, error) {
-	dec := json.NewDecoder(rd)
-	dec.DisallowUnknownFields()
 	var rj resultJSON
-	if err := dec.Decode(&rj); err != nil {
+	if err := strictjson.Decode(rd, &rj); err != nil {
 		return nil, fmt.Errorf("study: decode result: %w", err)
-	}
-	if err := dec.Decode(new(json.RawMessage)); err != io.EOF {
-		return nil, fmt.Errorf("study: decode result: trailing data after result object")
 	}
 	if rj.Study == nil {
 		return nil, fmt.Errorf("study: decode result: missing study")
 	}
-	if err := rj.Study.Validate(); err != nil {
-		return nil, err
-	}
-	infos, err := rj.Study.RunInfos()
+	g, err := rj.Study.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	if len(rj.Cells) != len(infos) {
+	if len(rj.Cells) != len(g.cells) {
 		return nil, fmt.Errorf("study: decode %s result: %d cells over a %d-cell grid",
-			rj.Study.Name, len(rj.Cells), len(infos))
+			rj.Study.Name, len(rj.Cells), len(g.cells))
 	}
 	for i, c := range rj.Cells {
-		want := infos[i]
-		if c.Index != want.Index || c.App != want.App || c.Strategy != want.Strategy ||
-			c.Scenario != want.Scenario || c.Variant != want.Variant ||
-			c.QueueDepth != want.QueueDepth || c.Seed != want.Seed {
-			return nil, fmt.Errorf("study: decode %s result: cell %d does not match the study's grid (got %s/%s/%s/%s/q%d/seed %d)",
-				rj.Study.Name, i, c.App, c.Strategy, c.Scenario, c.Variant, c.QueueDepth, c.Seed)
+		if c.Point != g.cells[i].Point {
+			return nil, fmt.Errorf("study: decode %s result: cell %d does not match the study's grid (got %+v, want %+v)",
+				rj.Study.Name, i, c.Point, g.cells[i].Point)
 		}
 	}
 	seeds := rj.Study.SeedList()

@@ -180,18 +180,12 @@ func TestStudyAndCellDigests(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, info := range infos {
-		cd := CellDigest(d1, info)
+		cd := CellDigest(d1, info.Point)
 		if len(cd) != 64 || seen[cd] {
 			t.Fatalf("cell digest malformed or duplicated: %q", cd)
 		}
 		seen[cd] = true
-		// Worker attribution must never shift a cell's identity.
-		attributed := info
-		attributed.Worker = "host-1234"
-		if CellDigest(d1, attributed) != cd {
-			t.Fatal("worker attribution changed a cell digest")
-		}
-		if CellDigest(dOther, info) == cd {
+		if CellDigest(dOther, info.Point) == cd {
 			t.Fatal("cell digest ignores the study digest")
 		}
 	}
@@ -242,10 +236,14 @@ func TestRunCellMatchesRunAndNewResultAssembles(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
+	g, err := st.Resolve()
+	if err != nil {
+		t.Fatalf("Resolve: %v", err)
+	}
 	sums := make([]experiment.Summary, len(res.Cells))
 	done := make([]bool, len(res.Cells))
 	for i := range res.Cells {
-		sum, err := RunCell(context.Background(), st, i, nil)
+		sum, err := g.RunCell(context.Background(), i, nil)
 		if err != nil {
 			t.Fatalf("RunCell(%d): %v", i, err)
 		}
@@ -254,9 +252,9 @@ func TestRunCellMatchesRunAndNewResultAssembles(t *testing.T) {
 		}
 		sums[i], done[i] = sum, true
 	}
-	asm, err := NewResult(st, sums, done)
+	asm, err := g.Result(sums, done)
 	if err != nil {
-		t.Fatalf("NewResult: %v", err)
+		t.Fatalf("Result: %v", err)
 	}
 	var want, got bytes.Buffer
 	if err := res.ComparisonTable().Render(&want); err != nil {
@@ -268,10 +266,10 @@ func TestRunCellMatchesRunAndNewResultAssembles(t *testing.T) {
 	if want.String() != got.String() {
 		t.Fatalf("assembled result renders a different table:\n%s\nvs\n%s", want.String(), got.String())
 	}
-	if _, err := RunCell(context.Background(), st, len(res.Cells), nil); err == nil {
+	if _, err := g.RunCell(context.Background(), len(res.Cells), nil); err == nil {
 		t.Error("out-of-range cell index accepted")
 	}
-	if _, err := NewResult(st, sums[:1], done[:1]); err == nil {
+	if _, err := g.Result(sums[:1], done[:1]); err == nil {
 		t.Error("short summary slice accepted")
 	}
 }

@@ -11,19 +11,13 @@ import (
 	"napawine/internal/runner"
 )
 
-// RunInfo identifies one grid cell to an Observer: its position in the
-// battery and its axis coordinates.
+// RunInfo identifies one grid cell to an Observer: its coordinate, the grid
+// size, and who is computing it.
 type RunInfo struct {
-	// Index is the cell's 0-based position in grid order; Total is the
-	// grid size.
-	Index, Total int
+	Point
 
-	App        string
-	Strategy   string // "" = the profile's own
-	Scenario   string // "" = stationary
-	Variant    string // "" = stock profile
-	QueueDepth int    // 0 = unbounded uplink queues (congestion off)
-	Seed       int64
+	// Total is the grid size.
+	Total int
 
 	// Worker attributes the cell's execution in a distributed run: the
 	// fleet worker that leased it, or "spool" for a cell restored from a
@@ -33,48 +27,17 @@ type RunInfo struct {
 	Worker string
 }
 
-// info is the one place a cell becomes a RunInfo, so Run's callbacks and
-// RunInfos' pre-enumeration can never disagree about a cell's identity.
-func (c cell) info(total int) RunInfo {
-	return RunInfo{
-		Index: c.index, Total: total,
-		App: c.app, Strategy: c.strategy, Scenario: c.scnLabel,
-		Variant: c.varName, QueueDepth: c.depth, Seed: c.seed,
-	}
-}
-
 // RunInfos enumerates the study's grid in execution order without running
 // anything — the same RunInfo values, Index and Total included, that Run
 // will later hand to observers. Dashboards use it to pre-populate a
-// pending-cell grid before the first OnRunStart fires.
+// pending-cell grid before the first OnRunStart fires. It is the one-call
+// form of Resolve + Infos.
 func (st *Study) RunInfos() ([]RunInfo, error) {
-	cells, err := st.resolveGrid()
+	g, err := st.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	infos := make([]RunInfo, len(cells))
-	for i, c := range cells {
-		infos[i] = c.info(len(cells))
-	}
-	return infos, nil
-}
-
-// Label renders the cell's non-default coordinates for progress lines.
-func (r RunInfo) Label() string {
-	s := r.App
-	if r.Variant != "" {
-		s += "/" + r.Variant
-	}
-	if r.Strategy != "" {
-		s += " " + r.Strategy
-	}
-	if r.Scenario != "" {
-		s += " @" + r.Scenario
-	}
-	if r.QueueDepth > 0 {
-		s += " " + congestionLabel(r.QueueDepth)
-	}
-	return fmt.Sprintf("%s seed %d", s, r.Seed)
+	return g.Infos(), nil
 }
 
 // Observer receives execution progress. Cells run on parallel workers, so
@@ -110,18 +73,27 @@ func WithWorkers(n int) Option { return func(o *options) { o.workers = n } }
 // options were given, so a CLI progress printer and a dashboard can watch
 // the same study without knowing about each other. A nil obs is ignored.
 func WithObserver(obs Observer) Option {
-	return func(o *options) {
-		if obs != nil {
-			o.observers = append(o.observers, obs)
-		}
-	}
+	return func(o *options) { o.observers = append(o.observers, obs) }
 }
 
-// fanout composes the registered observers into one. Each delivery is
-// panic-isolated per observer: a misbehaving dashboard callback must never
-// take down the study (or starve the observers registered after it), so a
-// panic is swallowed and that observer simply misses the event.
+// fanout is the Observer Fanout builds.
 type fanout []Observer
+
+// Fanout composes observers into one that delivers every callback to each
+// of them in order; nil entries are dropped. Each delivery is panic-isolated
+// per observer: a misbehaving dashboard callback must never take down the
+// study (or starve the observers after it), so a panic is swallowed and
+// that observer simply misses the event. Run and the fleet coordinator both
+// deliver through it.
+func Fanout(observers ...Observer) Observer {
+	f := make(fanout, 0, len(observers))
+	for _, obs := range observers {
+		if obs != nil {
+			f = append(f, obs)
+		}
+	}
+	return f
+}
 
 func (f fanout) each(call func(Observer)) {
 	for _, obs := range f {
@@ -151,30 +123,16 @@ func (f fanout) OnSample(info RunInfo, s experiment.SeriesSample) {
 // figures, not only summaries.
 func WithFullResults() Option { return func(o *options) { o.keepFull = true } }
 
-// Cell is one executed grid point of a Result.
+// Cell is one executed grid point of a Result: its coordinate and what the
+// run there produced. The result codec writes these fields in this order
+// (Point's first), untagged.
 type Cell struct {
-	// Index is the cell's position in grid order.
-	Index int
-
-	App        string
-	Strategy   string // "" = the profile's own
-	Scenario   string // "" = stationary
-	Variant    string // "" = stock profile
-	QueueDepth int    // 0 = unbounded uplink queues (congestion off)
-	Seed       int64
+	Point
 
 	// Done reports whether the cell actually ran; cancellation leaves
 	// trailing cells un-run with a zero Summary.
 	Done    bool
 	Summary experiment.Summary
-}
-
-// Coord reads the cell's coordinate along one axis, as rendered in tables
-// (seed as digits, empty coordinates as "default"/"stationary"/"stock",
-// queue depth 0 as "off").
-func (c Cell) Coord(ax Axis) string {
-	return cell{app: c.App, strategy: c.Strategy, scnLabel: c.Scenario,
-		varName: c.Variant, depth: c.QueueDepth, seed: c.Seed}.coord(ax)
 }
 
 // Result is everything a study run produces: one Cell per grid point, in
@@ -213,21 +171,20 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 	for _, opt := range opts {
 		opt(&o)
 	}
-	cells, err := st.resolveGrid()
+	g, err := st.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	var observer Observer
-	if len(o.observers) > 0 {
-		observer = fanout(o.observers)
-	}
+	observer := Fanout(o.observers...)
 
-	type out struct {
-		sum  experiment.Summary
-		full *experiment.Result
-		done bool
+	// Each worker writes only its own cell's slot; ParallelCtx joins every
+	// worker before it returns.
+	sums := make([]experiment.Summary, len(g.cells))
+	done := make([]bool, len(g.cells))
+	var full []*experiment.Result
+	if o.keepFull {
+		full = make([]*experiment.Result, len(g.cells))
 	}
-	total := len(cells)
 	// failed gates cell dispatch; firstErr records the lowest-grid-index
 	// real failure under its own lock, because concurrent workers can
 	// observe the flag in any order relative to their own dequeue — an
@@ -237,62 +194,38 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 	var failed atomic.Bool
 	var failMu sync.Mutex
 	failIdx, firstErr := -1, error(nil)
-	outs, err := runner.ParallelCtx(ctx, cells, o.workers, func(ctx context.Context, c cell) (out, error) {
+	_, runErr := runner.ParallelCtx(ctx, g.cells, o.workers, func(ctx context.Context, c cell) (struct{}, error) {
 		if failed.Load() {
-			return out{}, errCellSkipped
+			return struct{}{}, errCellSkipped
 		}
-		info := c.info(total)
-		if observer != nil {
-			observer.OnRunStart(info)
-		}
-		cfg, err := c.config(st)
-		if err == nil {
-			if observer != nil && c.scn != nil {
-				obs := observer
-				cfg.OnSample = func(s experiment.SeriesSample) { obs.OnSample(info, s) }
+		info := g.info(c)
+		observer.OnRunStart(info)
+		r, err := c.run(ctx, st, func(s experiment.SeriesSample) { observer.OnSample(info, s) })
+		if err != nil {
+			failed.Store(true)
+			wrapped := fmt.Errorf("%s: %w", c.Label(), err)
+			failMu.Lock()
+			if failIdx == -1 || c.Index < failIdx {
+				failIdx, firstErr = c.Index, wrapped
 			}
-			var r *experiment.Result
-			if r, err = experiment.RunCtx(ctx, cfg); err == nil {
-				sum := experiment.Summarize(r)
-				if observer != nil {
-					observer.OnRunDone(info, sum, nil)
-				}
-				res := out{sum: sum, done: true}
-				if o.keepFull {
-					res.full = r
-				}
-				return res, nil
-			}
-		}
-		failed.Store(true)
-		wrapped := fmt.Errorf("%s: %w", info.Label(), err)
-		failMu.Lock()
-		if failIdx == -1 || c.index < failIdx {
-			failIdx, firstErr = c.index, wrapped
-		}
-		failMu.Unlock()
-		if observer != nil {
+			failMu.Unlock()
 			observer.OnRunDone(info, experiment.Summary{}, err)
+			return struct{}{}, wrapped
 		}
-		return out{}, wrapped
+		sums[c.Index], done[c.Index] = experiment.Summarize(r), true
+		observer.OnRunDone(info, sums[c.Index], nil)
+		if o.keepFull {
+			full[c.Index] = r
+		}
+		return struct{}{}, nil
 	})
 
-	res := &Result{Study: st, Seeds: st.SeedList(), Cells: make([]Cell, len(cells))}
-	if o.keepFull {
-		res.Full = make([]*experiment.Result, len(cells))
-	}
-	for i, c := range cells {
-		res.Cells[i] = Cell{
-			Index: c.index,
-			App:   c.app, Strategy: c.strategy, Scenario: c.scnLabel,
-			Variant: c.varName, QueueDepth: c.depth, Seed: c.seed,
-			Done: outs[i].done, Summary: outs[i].sum,
-		}
-		if o.keepFull {
-			res.Full[i] = outs[i].full
-		}
-	}
+	res, err := g.Result(sums, done)
 	if err != nil {
+		return nil, err
+	}
+	res.Full = full
+	if runErr != nil {
 		if ctx.Err() != nil {
 			// Cancellation: the partial result is well-formed and useful.
 			return res, ctx.Err()
@@ -302,7 +235,7 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 		if firstErr != nil {
 			return nil, fmt.Errorf("study %s: %w", st.Name, firstErr)
 		}
-		return nil, fmt.Errorf("study %s: %w", st.Name, err)
+		return nil, fmt.Errorf("study %s: %w", st.Name, runErr)
 	}
 	return res, nil
 }

@@ -14,8 +14,18 @@
 // per-bucket time-series streaming, and axis pivots over the results. It is
 // the one run description above the engine: the paper's single battery is a
 // one-seed study (napawine.RunAll keeps its full results), a replicated run
-// is the same study with a seed axis (package sweep renders its mean ±
-// stderr tables), and cmd/napawine compiles every flag set into one.
+// is the same study with a seed axis (Result.TableII and its siblings in
+// replicated.go render its mean ± stderr tables), and cmd/napawine compiles
+// every flag set into one.
+//
+// A grid cell is spelled once: Point carries its index and its value along
+// every axis, and RunInfo, Cell and the resolved cell all embed it. A Study
+// is resolved into a Grid once per executor (Run, a fleet coordinator, a
+// fleet worker), and every executor runs and assembles cells through that
+// Grid. Adding an axis touches Study (field, list method, Validate, Runs),
+// Axis, Resolve, cell.config, Point (field, Coord, Label), cellKeyDoc (the
+// spool key's wire format) and dash.runView — and nothing else that
+// computes; the stderr banner in cmd/napawine counts the axes for display.
 package study
 
 import (
@@ -365,26 +375,87 @@ func Axes() []Axis {
 	return []Axis{AxisApp, AxisStrategy, AxisScenario, AxisVariant, AxisCongestion, AxisSeed}
 }
 
+// Point is one grid cell's coordinate: its position in grid order and its
+// value along every axis. It is the one spelling of a cell — RunInfo (what
+// observers see), Cell (what a Result holds) and the resolved cell (what
+// runs) all embed it, so they can never disagree about which cell they mean.
+type Point struct {
+	// Index is the cell's 0-based position in grid order.
+	Index int
+
+	App        string
+	Strategy   string // "" = the profile's own
+	Scenario   string // "" = stationary
+	Variant    string // "" = stock profile
+	QueueDepth int    // 0 = unbounded uplink queues (congestion off)
+	Seed       int64
+}
+
+// Coord reads the coordinate along one axis, as rendered in tables (seed as
+// digits, empty coordinates as "default"/"stationary"/"stock", queue depth
+// 0 as "off").
+func (p Point) Coord(ax Axis) string {
+	switch ax {
+	case AxisApp:
+		return p.App
+	case AxisStrategy:
+		return strategyLabel(p.Strategy)
+	case AxisScenario:
+		return scenarioLabel(p.Scenario)
+	case AxisVariant:
+		return variantLabel(p.Variant)
+	case AxisCongestion:
+		return congestionLabel(p.QueueDepth)
+	case AxisSeed:
+		return strconv.FormatInt(p.Seed, 10)
+	}
+	return ""
+}
+
+// Label renders the non-default coordinates for progress lines.
+func (p Point) Label() string {
+	s := p.App
+	if p.Variant != "" {
+		s += "/" + p.Variant
+	}
+	if p.Strategy != "" {
+		s += " " + p.Strategy
+	}
+	if p.Scenario != "" {
+		s += " @" + p.Scenario
+	}
+	if p.QueueDepth > 0 {
+		s += " " + congestionLabel(p.QueueDepth)
+	}
+	return fmt.Sprintf("%s seed %d", s, p.Seed)
+}
+
 // cell is one resolved grid point, ready to configure an experiment.
 type cell struct {
-	index    int
-	app      string
-	strategy string
-	scnLabel string
-	varName  string
-	depth    int
-	seed     int64
+	Point
 
 	scn     *scenario.Spec // resolved; nil = stationary
 	variant Variant
 }
 
-// resolveGrid validates the study and expands it into cells in axis nesting
+// Grid is a study resolved once: validated, its scenario specs looked up,
+// its cells expanded in grid order. Everything that executes or enumerates
+// the grid — Run, a fleet coordinator, a fleet worker — resolves one Grid
+// and works from it.
+type Grid struct {
+	st    *Study
+	cells []cell
+}
+
+// Resolve validates the study and expands it into cells in axis nesting
 // order: app (outermost) → strategy → scenario → variant → congestion →
 // seed. Scenario specs are resolved once and shared across cells;
 // experiment.Run clones its spec on entry, so the sharing can never leak
 // between parallel runs or back into the caller.
-func (st *Study) resolveGrid() ([]cell, error) {
+func (st *Study) Resolve() (*Grid, error) {
+	if resolveHook != nil {
+		resolveHook()
+	}
 	if err := st.Validate(); err != nil {
 		return nil, err
 	}
@@ -407,15 +478,17 @@ func (st *Study) resolveGrid() ([]cell, error) {
 					for _, depth := range st.QueueDepthList() {
 						for _, seed := range st.SeedList() {
 							cells = append(cells, cell{
-								index:    len(cells),
-								app:      app,
-								strategy: strat,
-								scnLabel: scn.Label(),
-								varName:  vr.Name,
-								depth:    depth,
-								seed:     seed,
-								scn:      specs[i],
-								variant:  vr,
+								Point: Point{
+									Index:      len(cells),
+									App:        app,
+									Strategy:   strat,
+									Scenario:   scn.Label(),
+									Variant:    vr.Name,
+									QueueDepth: depth,
+									Seed:       seed,
+								},
+								scn:     specs[i],
+								variant: vr,
 							})
 						}
 					}
@@ -423,17 +496,21 @@ func (st *Study) resolveGrid() ([]cell, error) {
 			}
 		}
 	}
-	return cells, nil
+	return &Grid{st: st, cells: cells}, nil
 }
+
+// resolveHook, set only by tests, observes every grid resolution: the
+// once-per-executor contract is counted, not asserted in prose.
+var resolveHook func()
 
 // config builds the cell's experiment configuration: the one place a study
 // knob becomes an experiment.Config field (the golden-digest tests pin the
 // result byte-for-byte).
 func (c cell) config(st *Study) (experiment.Config, error) {
-	cfg := experiment.Default(c.app)
-	if c.seed != 0 {
-		cfg.Seed = c.seed
-		cfg.World.Seed = c.seed
+	cfg := experiment.Default(c.App)
+	if c.Seed != 0 {
+		cfg.Seed = c.Seed
+		cfg.World.Seed = c.Seed
 	}
 	if st.Duration > 0 {
 		cfg.Duration = time.Duration(st.Duration)
@@ -445,12 +522,12 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 	}
 	cfg.Shards = st.Shards
 	cfg.Scenario = c.scn
-	cfg.Strategy = c.strategy
-	if c.depth > 0 {
-		cfg.Congestion = access.CongestionModel{QueueDepth: c.depth, LossMode: st.LossMode}
+	cfg.Strategy = c.Strategy
+	if c.QueueDepth > 0 {
+		cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth, LossMode: st.LossMode}
 	}
 	if c.variant.Blind || c.variant.Mutate != nil {
-		base, err := apps.ByName(c.app)
+		base, err := apps.ByName(c.App)
 		if err != nil {
 			return cfg, err
 		}
@@ -466,25 +543,6 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 		})
 	}
 	return cfg, nil
-}
-
-// coord reads one cell coordinate by axis, as rendered in tables.
-func (c cell) coord(ax Axis) string {
-	switch ax {
-	case AxisApp:
-		return c.app
-	case AxisStrategy:
-		return strategyLabel(c.strategy)
-	case AxisScenario:
-		return scenarioLabel(c.scnLabel)
-	case AxisVariant:
-		return variantLabel(c.varName)
-	case AxisCongestion:
-		return congestionLabel(c.depth)
-	case AxisSeed:
-		return strconv.FormatInt(c.seed, 10)
-	}
-	return ""
 }
 
 // congestionLabel renders the congestion coordinate; depth 0 is the

@@ -106,10 +106,11 @@ func TestGridOrder(t *testing.T) {
 		Variants:   []Variant{{}, {Name: "blind", Blind: true}},
 		Seeds:      []int64{7, 8},
 	}
-	cells, err := st.resolveGrid()
+	g, err := st.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
+	cells := g.cells
 	if len(cells) != 8 {
 		t.Fatalf("cells = %d, want 8", len(cells))
 	}
@@ -124,9 +125,9 @@ func TestGridOrder(t *testing.T) {
 	}
 	for i, w := range want {
 		c := cells[i]
-		if c.strategy != w.strat || c.varName != w.vr || c.seed != w.seed || c.index != i {
+		if c.Strategy != w.strat || c.Variant != w.vr || c.Seed != w.seed || c.Index != i {
 			t.Errorf("cell %d = (%s, %s, %d, idx %d), want (%s, %s, %d, idx %d)",
-				i, c.strategy, c.varName, c.seed, c.index, w.strat, w.vr, w.seed, i)
+				i, c.Strategy, c.Variant, c.Seed, c.Index, w.strat, w.vr, w.seed, i)
 		}
 	}
 }
@@ -137,7 +138,7 @@ func TestGridOrder(t *testing.T) {
 func TestCellConfig(t *testing.T) {
 	st := &Study{Name: "cfg", Duration: Duration(42 * time.Second), PeerFactor: 0.5}
 	blind := false
-	c := cell{app: "TVAnts", strategy: "rarest", seed: 9,
+	c := cell{Point: Point{App: "TVAnts", Strategy: "rarest", Seed: 9},
 		variant: Variant{Name: "v", Mutate: func(p *overlay.Profile) { blind = true }}}
 	cfg, err := c.config(st)
 	if err != nil {
@@ -162,7 +163,7 @@ func TestCellConfig(t *testing.T) {
 		t.Error("variant Mutate not applied")
 	}
 
-	zero := cell{app: "TVAnts"}
+	zero := cell{Point: Point{App: "TVAnts"}}
 	cfg, err = zero.config(&Study{Name: "z"})
 	if err != nil {
 		t.Fatal(err)
@@ -173,7 +174,7 @@ func TestCellConfig(t *testing.T) {
 }
 
 func TestCoordLabels(t *testing.T) {
-	c := Cell{App: "TVAnts", Seed: 3}
+	c := Point{App: "TVAnts", Seed: 3}
 	for ax, want := range map[Axis]string{
 		AxisApp: "TVAnts", AxisStrategy: "default", AxisScenario: "stationary",
 		AxisVariant: "stock", AxisSeed: "3",
@@ -262,11 +263,12 @@ func TestStudyCongestionAxis(t *testing.T) {
 	if got := st.Runs(); got != 2 {
 		t.Errorf("Runs = %d, want 2", got)
 	}
-	cells, err := st.resolveGrid()
+	g, err := st.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cells) != 2 || cells[0].depth != 0 || cells[1].depth != 2 {
+	cells := g.cells
+	if len(cells) != 2 || cells[0].QueueDepth != 0 || cells[1].QueueDepth != 2 {
 		t.Fatalf("congestion grid = %+v", cells)
 	}
 	// The off cell must carry a zero model — loss mode only rides along
@@ -286,7 +288,7 @@ func TestStudyCongestionAxis(t *testing.T) {
 		t.Errorf("bounded cell congestion = %+v", on.Congestion)
 	}
 
-	c := Cell{App: "TVAnts", Seed: 7}
+	c := Point{App: "TVAnts", Seed: 7}
 	if got := c.Coord(AxisCongestion); got != "off" {
 		t.Errorf("Coord(congestion) = %q, want off", got)
 	}

@@ -9,7 +9,6 @@
 package units
 
 import (
-	"errors"
 	"fmt"
 	"strconv"
 	"strings"
@@ -69,10 +68,6 @@ func (r BitRate) String() string {
 	return fmt.Sprintf("%dbps", int64(r))
 }
 
-// Kilobits reports the rate in kbit/s as a float, the unit used by every
-// table in the paper.
-func (r BitRate) Kilobits() float64 { return float64(r) / float64(Kbps) }
-
 // TransmitTime reports how long a link at rate r needs to serialize size
 // bytes. A zero or negative rate yields an infinite-like maximal duration so
 // that a misconfigured link blocks visibly instead of dividing by zero.
@@ -89,63 +84,12 @@ func (r BitRate) TransmitTime(size ByteSize) time.Duration {
 	return time.Duration(ns)
 }
 
-// BytesIn reports how many whole bytes a link at rate r delivers in d.
-func (r BitRate) BytesIn(d time.Duration) ByteSize {
-	if r <= 0 || d <= 0 {
-		return 0
-	}
-	bits := int64(r) * int64(d) / int64(time.Second)
-	return ByteSize(bits / 8)
-}
-
 // RateOf reports the average rate that moved size bytes in d.
 func RateOf(size ByteSize, d time.Duration) BitRate {
 	if d <= 0 {
 		return 0
 	}
 	return BitRate(size.Bits() * int64(time.Second) / int64(d))
-}
-
-var errBadRate = errors.New("units: malformed bit rate")
-
-// ParseBitRate parses strings such as "384kbps", "6Mbps", "512 kbps",
-// "10mbit", "0.384Mbps" and plain integers (taken as bit/s). It accepts the
-// loose spellings that appear in testbed inventories.
-func ParseBitRate(s string) (BitRate, error) {
-	t := strings.ToLower(strings.TrimSpace(s))
-	if t == "" {
-		return 0, errBadRate
-	}
-	mult := BitRate(1)
-	for _, suf := range []struct {
-		text string
-		m    BitRate
-	}{
-		{"gbps", Gbps}, {"gbit/s", Gbps}, {"gbit", Gbps}, {"g", Gbps},
-		{"mbps", Mbps}, {"mbit/s", Mbps}, {"mbit", Mbps}, {"m", Mbps},
-		{"kbps", Kbps}, {"kbit/s", Kbps}, {"kbit", Kbps}, {"k", Kbps},
-		{"bps", BitPerSecond},
-	} {
-		if strings.HasSuffix(t, suf.text) {
-			mult = suf.m
-			t = strings.TrimSpace(strings.TrimSuffix(t, suf.text))
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil || v < 0 {
-		return 0, fmt.Errorf("%w: %q", errBadRate, s)
-	}
-	return BitRate(v * float64(mult)), nil
-}
-
-// MustBitRate is ParseBitRate for static tables; it panics on bad input.
-func MustBitRate(s string) BitRate {
-	r, err := ParseBitRate(s)
-	if err != nil {
-		panic(err)
-	}
-	return r
 }
 
 // AccessSpec describes an asymmetric access link the way the paper's

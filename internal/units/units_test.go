@@ -37,21 +37,6 @@ func TestTransmitTimeZeroRate(t *testing.T) {
 	}
 }
 
-func TestBytesIn(t *testing.T) {
-	if got := (384 * Kbps).BytesIn(time.Second); got != 48*KB {
-		t.Errorf("384kbps over 1s = %v, want 48KB", got)
-	}
-	if got := (10 * Mbps).BytesIn(time.Millisecond); got != 1250*Byte {
-		t.Errorf("10Mbps over 1ms = %v, want 1250B", got)
-	}
-	if got := (10 * Mbps).BytesIn(-time.Second); got != 0 {
-		t.Errorf("negative duration should give 0, got %v", got)
-	}
-	if got := BitRate(0).BytesIn(time.Second); got != 0 {
-		t.Errorf("zero rate should give 0, got %v", got)
-	}
-}
-
 func TestRateOf(t *testing.T) {
 	if got := RateOf(48*KB, time.Second); got != 384*Kbps {
 		t.Errorf("RateOf(48KB, 1s) = %v, want 384kbps", got)
@@ -69,8 +54,8 @@ func TestTransmitRoundTripProperty(t *testing.T) {
 		rate := BitRate(int64(rateKbps)+1) * Kbps
 		size := ByteSize(int64(sizeKB)+1) * KB
 		d := rate.TransmitTime(size)
-		back := rate.BytesIn(d)
-		diff := int64(size) - int64(back)
+		back := int64(rate) * int64(d) / int64(time.Second) / 8 // whole bytes delivered in d
+		diff := int64(size) - back
 		return diff >= 0 && diff <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -93,51 +78,6 @@ func TestTransmitTimeMonotonicityProperty(t *testing.T) {
 			t.Fatalf("TransmitTime not antitone in rate: r=%v r2=%v s=%v", r, r2, s1)
 		}
 	}
-}
-
-func TestParseBitRate(t *testing.T) {
-	cases := []struct {
-		in   string
-		want BitRate
-	}{
-		{"384kbps", 384 * Kbps},
-		{"384 kbps", 384 * Kbps},
-		{"384Kbit/s", 384 * Kbps},
-		{"10Mbps", 10 * Mbps},
-		{"10m", 10 * Mbps},
-		{"0.512Mbps", 512 * Kbps},
-		{"1.8M", 1800 * Kbps},
-		{"1g", Gbps},
-		{"1000", 1000 * BitPerSecond},
-		{"250bps", 250 * BitPerSecond},
-	}
-	for _, c := range cases {
-		got, err := ParseBitRate(c.in)
-		if err != nil {
-			t.Errorf("ParseBitRate(%q) error: %v", c.in, err)
-			continue
-		}
-		if got != c.want {
-			t.Errorf("ParseBitRate(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestParseBitRateErrors(t *testing.T) {
-	for _, in := range []string{"", "fast", "-3Mbps", "..k", "Mbps"} {
-		if _, err := ParseBitRate(in); err == nil {
-			t.Errorf("ParseBitRate(%q) should fail", in)
-		}
-	}
-}
-
-func TestMustBitRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustBitRate should panic on bad input")
-		}
-	}()
-	MustBitRate("not-a-rate")
 }
 
 func TestParseAccessSpec(t *testing.T) {
@@ -214,11 +154,5 @@ func TestStringRendering(t *testing.T) {
 		if got := c.size.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestKilobits(t *testing.T) {
-	if got := (384 * Kbps).Kilobits(); got != 384 {
-		t.Errorf("Kilobits() = %v, want 384", got)
 	}
 }
