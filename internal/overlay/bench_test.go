@@ -37,9 +37,8 @@ func pickPeer(b *testing.B, w *world) *Node {
 // id-ordered partner index, assemble the advertising candidates with their
 // cached request weights, and draw one weighted pick. This ran four
 // allocations deep before the incremental index (fresh sorted slice,
-// candidate slice, order slice, weight slice, boxed pending request);
-// steady state is now allocation-free apart from the scheduled response
-// event.
+// candidate slice, order slice, weight slice, boxed pending request) and one
+// until the serve event became a record; steady state is allocation-free.
 func BenchmarkRequestChunk(b *testing.B) {
 	w := benchSwarm(b)
 	nd := pickPeer(b, w)

@@ -138,8 +138,18 @@ type Node struct {
 	// and accounting flow through sc. With one shard it wraps the
 	// network's engine and ledger. Assigned at AddNode from the host's AS
 	// and never changed.
-	sc      *shardCtx
-	ID      PeerID
+	sc *shardCtx
+	// sc, spool, ID, isSource and online are what another node's tick reads
+	// of this one, once per partner (partnerAlive, then sendControl): they
+	// share the node's first 32 bytes, and so one cache line.
+	spool    *sniffer.Spool
+	ID       PeerID
+	isSource bool
+	online   bool
+	// epoch numbers the node's sessions: Leave advances it, and a periodic
+	// tick record carries the epoch of the session that posted it (tick).
+	epoch int64
+
 	Host    topology.Host
 	Link    access.Link
 	Profile *Profile
@@ -183,8 +193,6 @@ type Node struct {
 	// field is cleared on the way in and set again on the way out.
 	partnerPool []*partner
 
-	isSource bool
-	online   bool
 	// blocked: connectivity lost (scenario partition): Join is deferred.
 	// joinDeferred records a Join attempted while blocked, honoured at
 	// Unblock — an arrival during a partition connects when the network
@@ -208,9 +216,6 @@ type Node struct {
 	churnScale float64
 
 	capture *sniffer.Capture
-	spool   *sniffer.Spool
-
-	cancels []func()
 }
 
 // Online reports whether the node is currently participating.
@@ -240,8 +245,9 @@ func (nd *Node) hasChunk(id chunkstream.ChunkID, now sim.Time) bool {
 }
 
 // Join brings the node online: it resets buffers to the live edge, asks the
-// tracker for candidates, forms initial partnerships and starts its
-// periodic activities.
+// tracker for candidates, forms initial partnerships and posts the first
+// tick of each periodic activity, one full interval out. Each tick posts its
+// own successor (tick) for as long as the session it belongs to lasts.
 func (nd *Node) Join() {
 	if nd.retired {
 		return
@@ -299,26 +305,66 @@ func (nd *Node) Join() {
 		nd.rateMemory = make(map[PeerID]units.BitRate)
 	}
 
-	eng := nd.sc.eng
-	p := nd.Profile
-	jitter := func(d time.Duration) time.Duration { return d / 4 }
-
 	nd.refillPartners()
 
-	nd.cancels = append(nd.cancels,
-		eng.Every(p.SignalingInterval, p.SignalingInterval, jitter(p.SignalingInterval), nd.signalingTick))
-	if !nd.isSource {
-		nd.cancels = append(nd.cancels,
-			eng.Every(p.ScheduleInterval, p.ScheduleInterval, jitter(p.ScheduleInterval), nd.scheduleTick))
+	eng := nd.sc.eng
+	rec := sim.Record{Node: int32(nd.ID), A: nd.epoch}
+	for kind := evSignaling; kind <= evChurn; kind++ {
+		if kind == evSchedule && nd.isSource {
+			continue
+		}
+		rec.Kind = kind
+		eng.Post(nd.tickInterval(kind), rec)
 	}
-	nd.cancels = append(nd.cancels,
-		eng.Every(p.ContactInterval, p.ContactInterval, jitter(p.ContactInterval), nd.contactTick))
-	nd.cancels = append(nd.cancels,
-		eng.Every(p.DropInterval, p.DropInterval, jitter(p.DropInterval), nd.churnTick))
 }
 
-// Leave takes the node offline, cancelling periodic work. Partner state at
-// remote peers decays lazily: their next interaction notices the absence.
+// tickInterval is the profile's period for one of the four periodic kinds.
+func (nd *Node) tickInterval(kind sim.Kind) time.Duration {
+	switch kind {
+	case evSignaling:
+		return nd.Profile.SignalingInterval
+	case evSchedule:
+		return nd.Profile.ScheduleInterval
+	case evContact:
+		return nd.Profile.ContactInterval
+	default:
+		return nd.Profile.DropInterval
+	}
+}
+
+// tick executes one periodic record and posts its successor, a full interval
+// plus a uniform jitter of up to a quarter interval later, so peers do not
+// phase-lock. A record whose epoch is not the node's belongs to a session
+// that has ended: it fires this once, draws nothing and posts nothing, which
+// is how a tick chain dies — nothing is cancelled.
+func (nd *Node) tick(r sim.Record) {
+	if nd.epoch != r.A {
+		return
+	}
+	switch r.Kind {
+	case evSignaling:
+		nd.signalingTick()
+	case evSchedule:
+		nd.scheduleTick()
+	case evContact:
+		nd.contactTick()
+	default:
+		nd.churnTick()
+	}
+	if nd.epoch != r.A { // the tick ended its own session
+		return
+	}
+	next := nd.tickInterval(r.Kind)
+	if jitter := next / 4; jitter > 0 {
+		next += time.Duration(nd.sc.eng.Rand().Int63n(int64(jitter)))
+	}
+	nd.sc.eng.Post(next, r)
+}
+
+// Leave takes the node offline and ends the session: advancing the epoch
+// orphans the four tick chains, each of which dies at its next firing (tick).
+// Partner state at remote peers decays lazily: their next interaction
+// notices the absence.
 func (nd *Node) Leave() {
 	// A leave ends the session whether or not it ever materialized: a
 	// deferred join whose session would already be over must not fire.
@@ -327,11 +373,8 @@ func (nd *Node) Leave() {
 		return
 	}
 	nd.online = false
+	nd.epoch++
 	nd.net.markOffline(nd)
-	for _, c := range nd.cancels {
-		c()
-	}
-	nd.cancels = nil
 	// Partners on this shard observe the online flag lazily, as always.
 	// Cross-shard partners cannot, so the departure travels to them as a
 	// message after the pair's one-way delay.

@@ -319,8 +319,8 @@ type shardCtx struct {
 	// Chunk-serve scratch (transfer.go): one packetization of the
 	// network's constant chunk size plus the per-transfer packet-train
 	// instants. serveChunk runs to completion inside a single event and
-	// hands only scalars to the delivery callback, so the buffers are
-	// free again before any other transfer can start.
+	// hands only scalars to the delivery event, so the buffers are free
+	// again before any other transfer can start.
 	trainSizes   []units.ByteSize
 	trainDeparts []sim.Time
 	trainArrives []sim.Time
@@ -375,6 +375,35 @@ type Network struct {
 	trackerPaused bool
 }
 
+// The six event kinds that make up nearly all of a run's traffic travel
+// through the engine as pointer-free sim.Records instead of closures. The
+// four periodic ticks name their node in Node and its session epoch in A
+// (Node.tick); a request-serve names responder and requester in Node and
+// Peer and the chunk in A; a chunk delivery names requester and sender, the
+// chunk in A and the burst duration in B. Everything rarer — scenario
+// actions, churn cycles, cross-shard messages — stays a closure.
+const (
+	evSignaling sim.Kind = iota + 1
+	evSchedule
+	evContact
+	evChurn
+	evServe
+	evDeliver
+)
+
+// dispatch executes one record on the engine of the shard that owns r.Node.
+func (n *Network) dispatch(r sim.Record) {
+	nd := n.nodes[r.Node]
+	switch r.Kind {
+	case evServe:
+		nd.serveChunk(n.nodes[r.Peer], chunkstream.ChunkID(r.A))
+	case evDeliver:
+		nd.onChunkDelivered(PeerID(r.Peer), chunkstream.ChunkID(r.A), time.Duration(r.B))
+	default:
+		nd.tick(r)
+	}
+}
+
 // trackerRefresh is how often the cross-shard tracker snapshots are
 // rebuilt. One virtual second of staleness is far below the session
 // dynamics the tracker view feeds (multi-second gossip and churn
@@ -387,6 +416,7 @@ func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 	cfg.validate()
 	n := &Network{Eng: eng, Topo: topo, Cfg: cfg}
 	n.shards = []*shardCtx{{eng: eng, ledger: newLedger()}}
+	eng.SetDispatch(n.dispatch)
 	return n
 }
 
@@ -401,6 +431,7 @@ func NewSharded(sh *sim.Sharded, topo *topology.Topology, cfg Config, shardOf ma
 	n.shards = make([]*shardCtx, sh.N())
 	for i := range n.shards {
 		n.shards[i] = &shardCtx{idx: i, eng: sh.Shard(i), ledger: newLedger()}
+		sh.Shard(i).SetDispatch(n.dispatch)
 	}
 	if sh.N() > 1 {
 		n.onlineSnaps = make([][]*Node, sh.N())

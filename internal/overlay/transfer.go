@@ -6,6 +6,7 @@ import (
 	"napawine/internal/access"
 	"napawine/internal/chunkstream"
 	"napawine/internal/packet"
+	"napawine/internal/sim"
 	"napawine/internal/units"
 )
 
@@ -67,8 +68,8 @@ func (net *Network) sendControl(a, b *Node, size units.ByteSize, kind packet.Kin
 	}
 }
 
-// sendRequest carries a chunk request from nd to target and schedules the
-// response at the responder after the one-way delay.
+// sendRequest carries a chunk request from nd to target and posts the serve
+// event at the responder after the one-way delay.
 func (net *Network) sendRequest(nd, target *Node, id chunkstream.ChunkID) {
 	if !sameShard(nd, target) {
 		net.signalCross(nd, target, requestSize, packet.Request, func() {
@@ -78,7 +79,7 @@ func (net *Network) sendRequest(nd, target *Node, id chunkstream.ChunkID) {
 	}
 	net.sendControl(nd, target, requestSize, packet.Request)
 	owd := net.Topo.OneWayDelay(nd.Host, target.Host)
-	nd.sc.eng.Schedule(owd, func() { target.serveChunk(nd, id) })
+	nd.sc.eng.Post(owd, sim.Record{Kind: evServe, Node: int32(target.ID), Peer: int32(nd.ID), A: int64(id)})
 }
 
 // rejectReply declines a request. On a shared shard the requester's
@@ -165,7 +166,6 @@ func (nd *Node) serveChunk(requester *Node, id chunkstream.ChunkID) {
 	// the 2008 clients actually had (stop-and-wait is our simplification,
 	// not theirs: they pipelined requests).
 	burst := last.Sub(arrives[0])
-	from := nd.ID
 
 	if local {
 		if requester.spool != nil {
@@ -177,9 +177,10 @@ func (nd *Node) serveChunk(requester *Node, id chunkstream.ChunkID) {
 				})
 			}
 		}
-		sc.eng.At(last, func() { requester.onChunkDelivered(from, id, chunkSize, burst) })
+		sc.eng.PostAt(last, sim.Record{Kind: evDeliver, Node: int32(requester.ID), Peer: int32(nd.ID), A: int64(id), B: int64(burst)})
 		return
 	}
+	from := nd.ID
 
 	// Cross-shard delivery: the rx records and the completion handler land
 	// on the requester's shard. A probe's records materialize at
@@ -201,11 +202,11 @@ func (nd *Node) serveChunk(requester *Node, id chunkstream.ChunkID) {
 					recordAt(requester, r)
 				}
 			}
-			requester.sc.eng.At(last, func() { requester.onChunkDelivered(from, id, chunkSize, burst) })
+			requester.sc.eng.At(last, func() { requester.onChunkDelivered(from, id, burst) })
 		})
 		return
 	}
-	net.crossSend(nd, requester, last, func() { requester.onChunkDelivered(from, id, chunkSize, burst) })
+	net.crossSend(nd, requester, last, func() { requester.onChunkDelivered(from, id, burst) })
 }
 
 // settleRequest clears the pending request for id if from is the partner it
@@ -234,8 +235,9 @@ func (nd *Node) onReject(from PeerID, id chunkstream.ChunkID) {
 }
 
 // onChunkDelivered completes a pull: the chunk enters the buffer map and
-// the partner's delivery-rate estimate absorbs the burst-goodput sample.
-func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, size units.ByteSize, burst time.Duration) {
+// the partner's delivery-rate estimate absorbs the burst-goodput sample
+// (every chunk has the calendar's one size).
+func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, burst time.Duration) {
 	if !nd.online {
 		return
 	}
@@ -258,7 +260,7 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, size units
 		}
 		var sample units.BitRate
 		if burst > 0 {
-			sample = units.RateOf(size, burst)
+			sample = units.RateOf(nd.net.Cfg.Calendar.ChunkSize(), burst)
 		}
 		if sample > 0 {
 			if p.info.EstRate == 0 {

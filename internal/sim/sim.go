@@ -7,6 +7,12 @@
 // scheduled for the same instant fire in scheduling order, which makes the
 // tie-break rule explicit instead of accidental.
 //
+// An event is either a Record — a small pointer-free value the engine hands
+// to the one dispatch function its owner installed (SetDispatch), the form a
+// model uses for the handful of event kinds that make up nearly all of its
+// traffic — or a closure (Schedule, At, After, Every), the form for
+// everything rare. Both share one queue and one (at, seq) order.
+//
 // Parallelism lives at two levels above the single engine: across
 // independent experiments (see internal/study), and — since the sharded
 // engine (sharded.go) — across shards inside one experiment, where N
@@ -38,36 +44,74 @@ func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 // Sub reports the duration elapsed between u and t.
 func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 
-// event is stored by value in the wheel slots and the current-tick heap: a
-// simulation schedules millions of events per run, and a per-event heap
-// allocation (plus the interface boxing container/heap forces on every
-// Push/Pop) dominated the profile before the engine moved to this layout.
+// Kind says what a posted Record means to the engine's dispatch function.
+// Kinds are the owner's to define, from 1 up; 0 is the engine's own closure
+// kind and cannot be posted.
+type Kind uint8
+
+// kindFunc marks a queued closure: the event's Node indexes the engine's
+// closure table and its Peer is non-zero when the entry carries a Timer.
+const kindFunc Kind = 0
+
+// Record is an event's payload in pointer-free form. The engine stores and
+// returns the fields untouched; only the dispatch function reads them.
+type Record struct {
+	Kind       Kind
+	Node, Peer int32
+	A, B       int64
+}
+
+// event is the queued form of everything, closures included: stored by value
+// in the wheel's slabs and the current-tick heap, 48 bytes, and free of
+// pointers, so the queue is memory the garbage collector never scans
+// however many events are pending. A closure's func value and Timer live in
+// Engine.closures instead, found through Node.
 type event struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	timer *Timer // non-nil only for cancellable events (After)
+	at  Time
+	seq uint64
+	Record
+}
+
+// closure is one entry of the closure table: what a kindFunc event runs, and
+// the Timer to consult when the event is cancellable. A free entry holds
+// neither and links to the next free one.
+type closure struct {
+	fn       func()
+	timer    *Timer
+	nextFree int32
 }
 
 // Engine is a discrete-event scheduler with a virtual clock and its own
 // seeded random source. The zero value is not usable; construct with New.
 //
 // The queue is a hierarchical timing wheel (see wheel.go): O(1) amortized
-// schedule and fire regardless of how many events are pending, preserving
-// the exact (at, seq) firing order of the binary heap it replaced.
+// schedule and fire regardless of how many events are pending, in exact
+// (at, seq) firing order, and without allocating once the queue has reached
+// its peak depth.
 type Engine struct {
 	now Time
 	seq uint64
 	rng *rand.Rand
 
+	// dispatch receives every fired Record (SetDispatch).
+	dispatch func(Record)
+
 	// Timing-wheel queue state (wheel.go). cur is the small (at, seq)
 	// min-heap of the tick being drained; slots/occ are the wheel levels
-	// and their occupancy bitmaps; curTick is the wheel cursor.
+	// (each slot the head of a chain of slabs) and their occupancy bitmaps;
+	// free chains the slabs no slot is using; curTick is the wheel cursor.
 	cur        []event
 	curTick    int64
-	slots      [numLevels][levelSlots][]event
+	slots      [numLevels][levelSlots]*slab
 	occ        [numLevels]uint64
+	free       *slab
 	wheelCount int // events stored in wheel slots, ghosts included
+
+	// closures is the table kindFunc events index; freeClosure heads the
+	// list of its unused entries (-1 when there is none). An entry is taken
+	// at schedule time and returned when its event fires or is discarded.
+	closures    []closure
+	freeClosure int32
 
 	// ghost counts cancelled timers still sitting in the queue; they are
 	// discarded lazily — per wheel slot at spill time, and at the heap
@@ -83,8 +127,12 @@ type Engine struct {
 // New returns an engine whose random source is seeded with seed. Two engines
 // built with the same seed and fed the same schedule behave identically.
 func New(seed int64) *Engine {
-	return &Engine{rng: rand.New(rand.NewSource(seed))}
+	return &Engine{rng: rand.New(rand.NewSource(seed)), freeClosure: -1}
 }
+
+// SetDispatch installs the function that executes posted Records. An engine
+// has one; the model that owns the engine installs it before posting.
+func (e *Engine) SetDispatch(fn func(Record)) { e.dispatch = fn }
 
 // Now reports the current virtual time.
 func (e *Engine) Now() Time { return e.now }
@@ -136,7 +184,57 @@ func (e *Engine) At(t Time, fn func()) {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, e.now))
 	}
 	e.seq++
-	e.enqueue(event{at: t, seq: e.seq, fn: fn})
+	e.enqueue(&event{at: t, seq: e.seq, Record: Record{Node: e.holdClosure(fn, nil)}})
+}
+
+// Post queues r for the dispatch function after delay of virtual time: the
+// closure-free form of Schedule, ordered with every other event by
+// (instant, scheduling order).
+func (e *Engine) Post(delay time.Duration, r Record) {
+	if delay < 0 {
+		panic(fmt.Sprintf("sim: negative delay %v", delay))
+	}
+	e.PostAt(e.now.Add(delay), r)
+}
+
+// PostAt queues r for the dispatch function at the absolute virtual instant
+// t, which must not precede the current clock.
+func (e *Engine) PostAt(t Time, r Record) {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, e.now))
+	}
+	if r.Kind == kindFunc || e.dispatch == nil {
+		panic(fmt.Sprintf("sim: record of kind %d posted to an engine that cannot dispatch it", r.Kind))
+	}
+	e.seq++
+	e.enqueue(&event{at: t, seq: e.seq, Record: r})
+}
+
+// holdClosure files fn (and its timer, for a cancellable event) in the
+// closure table and returns the entry's index.
+func (e *Engine) holdClosure(fn func(), t *Timer) int32 {
+	i := e.freeClosure
+	if i < 0 {
+		e.closures = append(e.closures, closure{})
+		i = int32(len(e.closures) - 1)
+	} else {
+		e.freeClosure = e.closures[i].nextFree
+	}
+	e.closures[i] = closure{fn: fn, timer: t}
+	return i
+}
+
+// dropClosure empties entry i, so the table pins neither the func nor the
+// Timer, and returns it to the free list.
+func (e *Engine) dropClosure(i int32) {
+	e.closures[i] = closure{nextFree: e.freeClosure}
+	e.freeClosure = i
+}
+
+// cancelled reports whether ev is a cancelled timer's event. Only an event
+// that carries a timer costs a look at the closure table.
+func (e *Engine) cancelled(ev *event) bool {
+	return ev.Kind == kindFunc && ev.Peer != 0 && e.closures[ev.Node].timer.cancelled
 }
 
 // Timer is a cancellable scheduled callback.
@@ -158,15 +256,16 @@ func (t *Timer) Cancel() {
 
 // After schedules fn like Schedule but returns a Timer handle that can
 // cancel it. Cancellation is lazy: the event stays queued and is discarded
-// when it reaches the head of the queue, which keeps the heap free of random
-// deletions. A cancelled event never executes and never counts as processed.
+// when its wheel slot spills or it reaches the head of the current tick,
+// which keeps the queue free of random deletions. A cancelled event never
+// executes and never counts as processed.
 func (e *Engine) After(delay time.Duration, fn func()) *Timer {
 	if delay < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	t := &Timer{eng: e}
 	e.seq++
-	e.enqueue(event{at: e.now.Add(delay), seq: e.seq, fn: fn, timer: t})
+	e.enqueue(&event{at: e.now.Add(delay), seq: e.seq, Record: Record{Node: e.holdClosure(fn, t), Peer: 1}})
 	return t
 }
 
@@ -206,21 +305,28 @@ func (e *Engine) Step() bool {
 		return false
 	}
 	ev := e.heapPop()
-	if ev.timer != nil {
-		ev.timer.fired = true
-	}
 	e.now = ev.at
 	e.processed++
-	ev.fn()
+	if ev.Kind != kindFunc {
+		e.dispatch(ev.Record)
+		return true
+	}
+	c := e.closures[ev.Node]
+	if c.timer != nil {
+		c.timer.fired = true
+	}
+	e.dropClosure(ev.Node) // before the call, so what fn schedules can reuse the entry
+	c.fn()
 	return true
 }
 
 // Run executes events until the clock would pass horizon or the queue
 // drains or Stop is called. On return the clock rests at min(horizon, last
 // event time); events scheduled beyond the horizon stay queued. A run that
-// drains the queue completely also releases the queue's internal capacity,
-// so a workload spike (a flash crowd's arrival burst) does not pin its
-// peak event memory for the rest of a long study.
+// drains the queue completely also releases the queue's internal capacity
+// (slabs, free list, current-tick heap, closure table), so a workload spike
+// (a flash crowd's arrival burst) does not pin its peak event memory for
+// the rest of a long study.
 func (e *Engine) Run(horizon time.Duration) {
 	e.stopped = false
 	end := Time(horizon)

@@ -1,9 +1,12 @@
 package sim
 
 import (
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // refEngine reimplements the engine's previous queue — a single binary
@@ -16,6 +19,7 @@ type refEngine struct {
 	events    []refEvent
 	ghost     int
 	processed uint64
+	dispatch  func(id int) // what a posted id runs (sched.onRecord)
 }
 
 type refEvent struct {
@@ -127,17 +131,29 @@ func (e *refEngine) run(horizon time.Duration) {
 }
 
 // sched abstracts the two engines so one workload driver exercises both.
+// post queues a record-style event: the engine hands id back to the function
+// given to onRecord. The reference heap has no records; it wraps the same
+// call in a closure, which must be indistinguishable.
 type sched interface {
 	now() Time
 	pending() int
 	processedCount() uint64
 	schedule(d time.Duration, fn func())
 	after(d time.Duration, fn func()) (cancel func())
+	onRecord(fn func(id int))
+	post(d time.Duration, id int)
 	run(horizon time.Duration)
 	stepToIdle()
 }
 
 type wheelSched struct{ e *Engine }
+
+func (s wheelSched) onRecord(fn func(id int)) {
+	s.e.SetDispatch(func(r Record) { fn(int(r.Node)) })
+}
+func (s wheelSched) post(d time.Duration, id int) {
+	s.e.Post(d, Record{Kind: 1, Node: int32(id)})
+}
 
 func (s wheelSched) now() Time                           { return s.e.Now() }
 func (s wheelSched) pending() int                        { return s.e.Pending() }
@@ -152,6 +168,10 @@ func (s wheelSched) after(d time.Duration, fn func()) func() {
 
 type refSched struct{ e *refEngine }
 
+func (s refSched) onRecord(fn func(id int)) { s.e.dispatch = fn }
+func (s refSched) post(d time.Duration, id int) {
+	s.schedule(d, func() { s.e.dispatch(id) })
+}
 func (s refSched) now() Time              { return s.e.now }
 func (s refSched) pending() int           { return len(s.e.events) - s.e.ghost }
 func (s refSched) processedCount() uint64 { return s.e.processed }
@@ -176,17 +196,33 @@ type fireRec struct {
 	at Time
 }
 
+// segMark is the queue's observable state at the end of one run segment.
+type segMark struct {
+	now       Time
+	pending   int
+	processed uint64
+}
+
+// workloadTrace is everything driveWorkload observed: every firing in order,
+// and the state after each segment and after the final drain.
+type workloadTrace struct {
+	fired []fireRec
+	marks []segMark
+}
+
 // driveWorkload runs a randomized schedule against s: mixed delay
 // magnitudes (zero, sub-tick, multi-tick, exact tick and level-boundary
-// multiples), same-instant ties, nested scheduling from callbacks, and
-// cancellations both immediate and issued later from unrelated events. The
-// rng is re-seeded per engine, so two engines that fire events in the same
-// order draw identical decisions and produce comparable traces.
-func driveWorkload(s sched, seed int64, segments []time.Duration) []fireRec {
+// multiples), same-instant ties, nested scheduling from callbacks,
+// cancellations both immediate and issued later from unrelated events, and
+// posted records interleaved with the closures. The rng is re-seeded per
+// engine, so two engines that fire events in the same order draw identical
+// decisions and produce comparable traces.
+func driveWorkload(s sched, seed int64, segments []time.Duration) workloadTrace {
 	rng := rand.New(rand.NewSource(seed))
-	var recs []fireRec
+	var tr workloadTrace
 	var cancels []func()
-	nextID := 0
+	var bodies []func() // by event id: what a posted record runs
+	s.onRecord(func(id int) { bodies[id]() })
 	budget := 3000
 	prev := time.Duration(0)
 
@@ -219,12 +255,11 @@ func driveWorkload(s sched, seed int64, segments []time.Duration) []fireRec {
 			return
 		}
 		budget--
-		id := nextID
-		nextID++
+		id := len(bodies)
 		d := randDelay()
 		prev = d
 		fn := func() {
-			recs = append(recs, fireRec{id, s.now()})
+			tr.fired = append(tr.fired, fireRec{id, s.now()})
 			for k := rng.Intn(3); k > 0; k-- { // nested scheduling from the callback
 				spawn()
 			}
@@ -237,62 +272,87 @@ func driveWorkload(s sched, seed int64, segments []time.Duration) []fireRec {
 				cancels = cancels[:len(cancels)-1]
 			}
 		}
-		if rng.Intn(4) == 0 {
+		bodies = append(bodies, fn)
+		switch rng.Intn(8) {
+		case 0, 1:
 			cancel := s.after(d, fn)
 			if rng.Intn(3) == 0 {
 				cancel() // immediate cancellation
 			} else {
 				cancels = append(cancels, cancel)
 			}
-		} else {
+		case 2, 3, 4:
+			s.post(d, id)
+		default:
 			s.schedule(d, fn)
 		}
 	}
 
+	mark := func() {
+		tr.marks = append(tr.marks, segMark{s.now(), s.pending(), s.processedCount()})
+	}
 	for i := 0; i < 400; i++ {
 		spawn()
 	}
 	for _, h := range segments {
 		s.run(h)
+		mark()
 	}
 	s.stepToIdle()
-	return recs
+	mark()
+	return tr
 }
 
-// TestWheelMatchesHeapDifferential is the core equivalence check: the same
-// randomized workload through the old heap and the new wheel must fire the
-// same events in the same order at the same instants, with matching
-// processed counts, pending counts, and final clocks.
+// checkWheelMatchesHeap is the core equivalence check: the same randomized
+// workload through the reference heap and the wheel must fire the same
+// events in the same order at the same instants, with matching clocks,
+// pending counts and processed counts after every segment.
+func checkWheelMatchesHeap(t *testing.T, seed int64, segments []time.Duration) {
+	t.Helper()
+	got := driveWorkload(wheelSched{New(0)}, seed, segments)
+	want := driveWorkload(refSched{&refEngine{}}, seed, segments)
+	if len(got.fired) != len(want.fired) {
+		t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got.fired), len(want.fired))
+	}
+	for i := range want.fired {
+		if got.fired[i] != want.fired[i] {
+			t.Fatalf("seed %d: divergence at firing %d: wheel %+v, heap %+v",
+				seed, i, got.fired[i], want.fired[i])
+		}
+	}
+	for i := range want.marks {
+		if got.marks[i] != want.marks[i] {
+			t.Errorf("seed %d: after segment %d: wheel %+v, heap %+v", seed, i, got.marks[i], want.marks[i])
+		}
+	}
+}
+
+// differentialSegments has a horizon mid-workload, which takes the cursor
+// overshoot path.
+var differentialSegments = []time.Duration{500 * time.Millisecond, 2 * time.Second, time.Minute}
+
 func TestWheelMatchesHeapDifferential(t *testing.T) {
-	segments := []time.Duration{
-		500 * time.Millisecond, // horizon mid-workload: cursor overshoot path
-		2 * time.Second,
-		time.Minute,
-	}
 	for seed := int64(1); seed <= 8; seed++ {
-		wheel := wheelSched{New(0)}
-		ref := refSched{&refEngine{}}
-		got := driveWorkload(wheel, seed, segments)
-		want := driveWorkload(ref, seed, segments)
-		if len(got) != len(want) {
-			t.Fatalf("seed %d: fired %d events, reference fired %d", seed, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("seed %d: divergence at firing %d: wheel %+v, heap %+v",
-					seed, i, got[i], want[i])
-			}
-		}
-		if gp, wp := wheel.processedCount(), ref.processedCount(); gp != wp {
-			t.Errorf("seed %d: processed %d, reference %d", seed, gp, wp)
-		}
-		if gp, wp := wheel.pending(), ref.pending(); gp != wp {
-			t.Errorf("seed %d: pending %d, reference %d", seed, gp, wp)
-		}
-		if gn, wn := wheel.now(), ref.now(); gn != wn {
-			t.Errorf("seed %d: clock %v, reference %v", seed, gn, wn)
-		}
+		checkWheelMatchesHeap(t, seed, differentialSegments)
 	}
+}
+
+// FuzzWheelMatchesHeap lets the fuzzer choose the workload seed and the run
+// horizons (milliseconds; any order — a horizon behind the clock is a no-op
+// on both engines).
+func FuzzWheelMatchesHeap(f *testing.F) {
+	ms := func(d time.Duration) uint32 { return uint32(d / time.Millisecond) }
+	for seed := int64(1); seed <= 8; seed++ {
+		s := differentialSegments
+		f.Add(seed, ms(s[0]), ms(s[1]), ms(s[2]))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, h1, h2, h3 uint32) {
+		checkWheelMatchesHeap(t, seed, []time.Duration{
+			time.Duration(h1) * time.Millisecond,
+			time.Duration(h2) * time.Millisecond,
+			time.Duration(h3) * time.Millisecond,
+		})
+	})
 }
 
 // TestCancelInHigherWheelLevel cancels timers that sit in level ≥ 1 slots
@@ -369,16 +429,40 @@ func TestRunHorizonCursorOvershoot(t *testing.T) {
 	}
 }
 
+// countSlabs reports how many slabs the engine holds, in slot chains and on
+// the free list. Slabs only ever move between the two until a full drain
+// drops them all, so between drains this is the number ever allocated.
+func countSlabs(e *Engine) int {
+	n := 0
+	for s := e.free; s != nil; s = s.next {
+		n++
+	}
+	for lvl := range e.slots {
+		for i := range e.slots[lvl] {
+			for s := e.slots[lvl][i]; s != nil; s = s.next {
+				n++
+			}
+		}
+	}
+	return n
+}
+
 // TestRunReleasesQueueCapacity checks the drain-release contract: once a Run
-// empties the queue, the engine lets go of the event slabs a workload spike
-// grew, instead of pinning peak capacity for the rest of a long study.
+// empties the queue, the engine lets go of everything a workload spike grew —
+// slot chains, free slabs, the current-tick heap, the closure table — instead
+// of pinning peak capacity for the rest of a long study.
 func TestRunReleasesQueueCapacity(t *testing.T) {
 	e := New(1)
+	e.SetDispatch(func(Record) {})
 	for i := 0; i < 10000; i++ {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
+		e.Post(time.Duration(i)*time.Millisecond, Record{Kind: 1})
 	}
 	tm := e.After(5*time.Second, func() {}) // a ghost must not block the release
 	tm.Cancel()
+	if countSlabs(e) < 20000/slabEvents {
+		t.Fatalf("20000 queued events sit in %d slabs", countSlabs(e))
+	}
 	e.Run(time.Minute)
 	if e.Pending() != 0 {
 		t.Fatalf("Pending = %d, want 0", e.Pending())
@@ -386,12 +470,11 @@ func TestRunReleasesQueueCapacity(t *testing.T) {
 	if e.cur != nil {
 		t.Errorf("cur heap capacity not released after drain")
 	}
-	for lvl := range e.slots {
-		for i := range e.slots[lvl] {
-			if e.slots[lvl][i] != nil {
-				t.Fatalf("slot [%d][%d] capacity not released after drain", lvl, i)
-			}
-		}
+	if n := countSlabs(e); n != 0 {
+		t.Errorf("%d slabs (chained or free) survive the drain", n)
+	}
+	if e.closures != nil || e.freeClosure != -1 {
+		t.Errorf("closure table survives the drain: %d entries, free head %d", len(e.closures), e.freeClosure)
 	}
 	// The engine must stay fully usable after a release.
 	fired := false
@@ -400,6 +483,154 @@ func TestRunReleasesQueueCapacity(t *testing.T) {
 	if !fired {
 		t.Error("engine unusable after capacity release")
 	}
+}
+
+// TestSlabsTrackPeakPending is the bound that slab chains exist for: events
+// filed into one set of level-2 slots, drained to a small remainder, then as
+// many again filed into a different set of level-2 slots must fit in the
+// slabs the first wave left on the free list. Slabs ever allocated stay
+// within ceil(peak pending / slabEvents), plus one partly filled head per
+// occupied slot, plus the slots a cascade is in the middle of spilling. A
+// queue whose slots each keep their own high-water capacity needs about
+// twice that.
+func TestSlabsTrackPeakPending(t *testing.T) {
+	const n = 60000
+	slot2 := time.Duration(1) << (tickShift + 2*levelBits) // span of one level-2 slot, ≈ 0.54 s
+	e := New(1)
+	e.SetDispatch(func(Record) {})
+	peak, occupied := 0, 0
+	sample := func() {
+		if p := e.Pending(); p > peak {
+			peak = p
+		}
+		o := 0
+		for _, w := range e.occ {
+			o += bits.OnesCount64(w)
+		}
+		if o > occupied {
+			occupied = o
+		}
+	}
+	fill := func(from, to time.Duration) {
+		for i := 0; i < n; i++ {
+			at := Time(from + (to-from)*time.Duration(i)/n)
+			e.PostAt(at, Record{Kind: 1})
+		}
+		sample()
+	}
+	runTo := func(h time.Duration) {
+		for {
+			at, ok := e.NextAt()
+			if !ok || at > Time(h) {
+				return
+			}
+			e.Step()
+			sample()
+		}
+	}
+	fill(2*slot2, 30*slot2)
+	runTo(30*slot2 - 10*time.Millisecond)
+	if p := e.Pending(); p == 0 || p > n/100 {
+		t.Fatalf("remainder %d, want a small non-empty one", p)
+	}
+	fill(32*slot2, 60*slot2)
+	runTo(40 * slot2)
+	bound := (peak+slabEvents-1)/slabEvents + occupied + numLevels
+	if got := countSlabs(e); got > bound {
+		t.Errorf("%d slabs allocated, bound %d (peak pending %d, at most %d slots occupied)", got, bound, peak, occupied)
+	}
+}
+
+// TestRecordsAndClosuresShareOneOrder: records and closures scheduled for
+// one instant fire in scheduling order, a cancelled timer between them is
+// neither run nor counted, cancelling after the fire stays a no-op, and the
+// closure-table entries are reused rather than grown.
+func TestRecordsAndClosuresShareOneOrder(t *testing.T) {
+	e := New(1)
+	var trace []int
+	e.SetDispatch(func(r Record) {
+		if r.Peer != 7 || r.A != -3 || r.B != 1<<40 {
+			t.Errorf("record payload came back as %+v", r)
+		}
+		trace = append(trace, int(r.Node))
+	})
+	rec := func(id int32) Record { return Record{Kind: 2, Node: id, Peer: 7, A: -3, B: 1 << 40} }
+	at := 3 * time.Second
+	e.Post(at, rec(0))
+	e.Schedule(at, func() { trace = append(trace, 1) })
+	dead := e.After(at, func() { t.Error("cancelled timer fired") })
+	e.PostAt(Time(at), rec(2))
+	live := e.After(at, func() { trace = append(trace, 3) })
+	e.Post(at, rec(4))
+	dead.Cancel()
+	if e.Pending() != 5 {
+		t.Fatalf("Pending = %d, want 5", e.Pending())
+	}
+	e.RunUntilIdle()
+	for i, id := range trace {
+		if id != i {
+			t.Fatalf("firing order %v, want 0 1 2 3 4", trace)
+		}
+	}
+	if len(trace) != 5 || e.Processed() != 5 {
+		t.Errorf("fired %d, Processed = %d, want 5 and 5", len(trace), e.Processed())
+	}
+
+	// The drain released the table; fill it again, fire, and cancel late.
+	tm := e.After(time.Second, func() {})
+	e.Step()
+	tm.Cancel()
+	live.Cancel()
+	if e.Pending() != 0 {
+		t.Errorf("Pending = %d after cancel-after-fire, want 0", e.Pending())
+	}
+	for i := 0; i < 10; i++ { // never more than one pending at a time
+		e.Schedule(time.Second, func() {})
+		e.Step()
+	}
+	if len(e.closures) != 1 {
+		t.Errorf("closure table grew to %d entries for one pending closure at a time", len(e.closures))
+	}
+}
+
+// TestPostNeedsDispatch: posting kind 0, or to an engine nobody gave a
+// dispatch function, is a programming error.
+func TestPostNeedsDispatch(t *testing.T) {
+	assertPanics(t, func() { New(1).Post(0, Record{Kind: 1}) })
+	e := New(1)
+	e.SetDispatch(func(Record) {})
+	assertPanics(t, func() { e.Post(0, Record{}) })
+	assertPanics(t, func() { e.Post(-1, Record{Kind: 1}) })
+	assertPanics(t, func() { e.Run(time.Second); e.PostAt(0, Record{Kind: 1}) })
+}
+
+// TestEventIsSmallAndPointerFree holds the two properties the queue's memory
+// behaviour rests on: 48 bytes, and nothing in it for the collector to
+// follow — a later field must not quietly make every slab scannable.
+func TestEventIsSmallAndPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size > 48 {
+		t.Errorf("event is %d bytes, want at most 48", size)
+	}
+	if size := unsafe.Sizeof(slab{}); size > 4096 {
+		t.Errorf("slab is %d bytes, past the 4096-byte size class", size)
+	}
+	var walk func(path string, ty reflect.Type)
+	walk = func(path string, ty reflect.Type) {
+		switch ty.Kind() {
+		case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+			reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64,
+			reflect.Float32, reflect.Float64:
+		case reflect.Array:
+			walk(path+"[]", ty.Elem())
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(path+"."+ty.Field(i).Name, ty.Field(i).Type)
+			}
+		default:
+			t.Errorf("%s is a %s: the collector would scan every queued event", path, ty.Kind())
+		}
+	}
+	walk("event", reflect.TypeOf(event{}))
 }
 
 // BenchmarkEngineDeepQueue measures schedule+fire cost with many events
