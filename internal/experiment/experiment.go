@@ -495,6 +495,12 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	probeSet := w.ProbeAddrs()
 	secs := cfg.Duration.Seconds()
 	var continuity stats.Accumulator
+	// One entry per probe×peer pair: sized once, not grown probe by probe.
+	pairs := 0
+	for _, p := range probes {
+		pairs += p.agg.PeerCount()
+	}
+	res.Observations = make([]core.Observation, 0, pairs)
 	for _, p := range probes {
 		res.probeByAddr[p.probe.Host.Addr] = p.probe
 		obs, unlocated := p.agg.Observations(w.Topo, probeSet)

@@ -131,6 +131,100 @@ type reqEntry struct {
 	p  *partner
 }
 
+// The neighbour list's membership filter: one bit per residue of the peer id
+// modulo neighborFilterBits (ids are dense, so residues spread evenly). A
+// list shorter than neighborFilterMin entries is cheaper to scan than the
+// filter is to keep, and most lists of most runs are: those own no filter.
+const (
+	neighborFilterBits = 2048
+	neighborFilterMin  = 128
+)
+
+// neighborRing is a node's neighbour list: the peers it has contacted,
+// oldest first, without duplicates, bounded like a FIFO. It grows by append
+// up to the bound; from then on a new entry overwrites the oldest in place
+// and head moves on, so logical index i (at) is where a slice shifted down
+// on every eviction would hold the same id.
+type neighborRing struct {
+	ids  []PeerID
+	head int32 // slot of the oldest entry; 0 until the list is full
+	// stale counts evictions since the filter was last exact. An evicted
+	// id's bit stays set, which costs a wasted scan and never a wrong
+	// answer; the filter is rebuilt from ids every bound/4 evictions.
+	stale int32
+	// filter answers "certainly absent" without the scan: a clear bit means
+	// no listed id has that residue. A set bit decides nothing, so the scan
+	// follows and membership stays exact. Nil below neighborFilterMin entries.
+	filter *[neighborFilterBits / 64]uint64
+}
+
+// neighborFilterBit locates id's bit in a filter: word index and mask.
+func neighborFilterBit(id PeerID) (word uint, mask uint64) {
+	return uint(id) % neighborFilterBits / 64, 1 << (uint(id) % 64)
+}
+
+func (r *neighborRing) len() int { return len(r.ids) }
+
+// at returns the i-th oldest entry.
+func (r *neighborRing) at(i int) PeerID {
+	i += int(r.head)
+	if i >= len(r.ids) {
+		i -= len(r.ids)
+	}
+	return r.ids[i]
+}
+
+// reset empties the list, keeping its storage for the next session.
+func (r *neighborRing) reset() {
+	r.ids = r.ids[:0]
+	r.head, r.stale = 0, 0
+	if r.filter != nil {
+		clear(r.filter[:])
+	}
+}
+
+// remember lists id as the newest entry unless it is listed already,
+// evicting the oldest once the list holds limit entries; it reports whether
+// id was added.
+func (r *neighborRing) remember(id PeerID, limit int) bool {
+	if limit <= 0 {
+		return false
+	}
+	word, mask := neighborFilterBit(id)
+	if (r.filter == nil || r.filter[word]&mask != 0) && slices.Contains(r.ids, id) {
+		return false
+	}
+	if len(r.ids) < limit {
+		r.ids = append(r.ids, id)
+	} else {
+		r.ids[r.head] = id
+		if r.head++; int(r.head) == len(r.ids) {
+			r.head = 0
+		}
+		r.stale++
+	}
+	switch {
+	case r.filter == nil && len(r.ids) >= neighborFilterMin:
+		r.filter = new([neighborFilterBits / 64]uint64)
+		r.refilter()
+	case r.filter != nil && int(r.stale)*4 >= limit:
+		r.refilter()
+	case r.filter != nil:
+		r.filter[word] |= mask
+	}
+	return true
+}
+
+// refilter makes the filter exact again: the bits of the listed ids, no other.
+func (r *neighborRing) refilter() {
+	clear(r.filter[:])
+	for _, id := range r.ids {
+		word, mask := neighborFilterBit(id)
+		r.filter[word] |= mask
+	}
+	r.stale = 0
+}
+
 // Node is one peer in the swarm.
 type Node struct {
 	net *Network
@@ -173,9 +267,19 @@ type Node struct {
 	// cached retain weights: retain order generally differs from request
 	// order, and a full second index would cost more to maintain than the
 	// O(partners) scan it replaces.
-	byReq     []reqEntry
-	neighbors []PeerID // contacted, remembered for keepalives (bounded)
-	inflight  inflightSet
+	byReq    []reqEntry
+	inflight inflightSet
+	// rateMemory persists per-remote delivery-rate estimates across
+	// partnership episodes and across the node's own sessions: it is created
+	// at the first Join and kept for the node's lifetime.
+	rateMemory map[PeerID]units.BitRate
+	capture    *sniffer.Capture
+	// neighbors and advert fill the 64 bytes from offset 256, one cache line:
+	// what a contact reads of the other node's list (slice header, head,
+	// filter pointer) is there whole, and the scheduler's byReq and inflight
+	// stay together on the line before it, which rateMemory and capture
+	// fill up (TestNodeHotHeaderFitsOneLine).
+	neighbors neighborRing // contacted, remembered for keepalives (bounded)
 	// advert is the buffer-map announcement of the current session, viewed
 	// by every partner record aimed at it (partner.have). signalingTick
 	// rewrites it in place; Join drops the reference, so the first tick of a
@@ -183,10 +287,6 @@ type Node struct {
 	// yet noticed a leave-and-rejoin keeps reading the last announcement of
 	// the session it partnered with.
 	advert chunkstream.Advert
-	// rateMemory persists per-remote delivery-rate estimates across
-	// partnership episodes and across the node's own sessions: it is created
-	// at the first Join and kept for the node's lifetime.
-	rateMemory map[PeerID]units.BitRate
 	// partnerPool recycles partner structs across partnership episodes:
 	// partner churn runs for the whole experiment, and without the pool
 	// every add allocated a partner. A pooled struct holds nothing — every
@@ -201,8 +301,11 @@ type Node struct {
 	joinDeferred bool
 	// retired: the viewer is gone for good (scenario exodus): every later
 	// Join — including the node's own churn cycle — is refused.
-	retired   bool
-	onlineIdx int
+	retired bool
+	// onlineIdx is the node's slot in its shard's live list; 32 bits, so it
+	// shares a word with the three flags above and Node stays in the
+	// 384-byte size class.
+	onlineIdx int32
 	onlineAt  sim.Time
 
 	// baseSpec remembers the link's factory rates across SetLinkScale
@@ -214,8 +317,6 @@ type Node struct {
 	// configured means. Zero (never set) means unscaled, so untouched
 	// nodes stay byte-identical to builds without the knob.
 	churnScale float64
-
-	capture *sniffer.Capture
 }
 
 // Online reports whether the node is currently participating.
@@ -300,7 +401,7 @@ func (nd *Node) Join() {
 	nd.inflight = nd.inflight[:0]
 	nd.byID = nd.byID[:0]
 	nd.byReq = nd.byReq[:0]
-	nd.neighbors = nd.neighbors[:0]
+	nd.neighbors.reset()
 	if nd.rateMemory == nil {
 		nd.rateMemory = make(map[PeerID]units.BitRate)
 	}
@@ -725,22 +826,7 @@ func (nd *Node) removePartner(id PeerID) {
 }
 
 func (nd *Node) rememberNeighbor(id PeerID) {
-	max := nd.Profile.NeighborListMax
-	if max <= 0 {
-		return
-	}
-	for _, n := range nd.neighbors {
-		if n == id {
-			return
-		}
-	}
-	if len(nd.neighbors) >= max {
-		// Evict the oldest: neighbor lists behave like bounded FIFOs.
-		copy(nd.neighbors, nd.neighbors[1:])
-		nd.neighbors[len(nd.neighbors)-1] = id
-		return
-	}
-	nd.neighbors = append(nd.neighbors, id)
+	nd.neighbors.remember(id, nd.Profile.NeighborListMax)
 }
 
 // contactTick gossips with one fresh random peer: handshake packets plus a
@@ -763,11 +849,11 @@ func (nd *Node) contactTick() {
 			break // one gossip exchange per tick
 		}
 		// Peer exchange both ways, list length capped per message.
-		mine := len(nd.neighbors)
+		mine := nd.neighbors.len()
 		if mine > gossipMaxEntries {
 			mine = gossipMaxEntries
 		}
-		theirs := len(c.neighbors)
+		theirs := c.neighbors.len()
 		if theirs > gossipMaxEntries {
 			theirs = gossipMaxEntries
 		}
@@ -792,6 +878,20 @@ func (nd *Node) contactTick() {
 		}
 		break // one gossip exchange per tick
 	}
+}
+
+// partnerAlive reports whether a partner should be treated as present.
+// Same-shard partners expose their online flag directly; a cross-shard
+// partner is presumed alive until its departure notification arrives —
+// membership in the partner set implies a believed-online peer. A remote
+// that vanished ungracefully is shed by the failure escalation (timeouts
+// drive failures past the drop threshold), like a silent peer on the
+// real network.
+func (nd *Node) partnerAlive(p *partner) bool {
+	if p.node.sc == nd.sc {
+		return p.node.online
+	}
+	return true
 }
 
 // dropDeadPartners forgets partners that went offline. Collect-then-drop
@@ -850,8 +950,8 @@ func (nd *Node) signalingTick() {
 	// Keepalives to a bounded random subset of remembered neighbors.
 	fan := nd.Profile.KeepaliveFanout
 	rng := nd.sc.eng.Rand()
-	for i := 0; i < fan && len(nd.neighbors) > 0; i++ {
-		id := nd.neighbors[rng.Intn(len(nd.neighbors))]
+	for i := 0; i < fan && nd.neighbors.len() > 0; i++ {
+		id := nd.neighbors.at(rng.Intn(nd.neighbors.len()))
 		other := nd.net.NodeByID(id)
 		if !sameShard(nd, other) {
 			nd.keepaliveCross(other)

@@ -311,10 +311,9 @@ type shardCtx struct {
 
 	// Tracker-query scratch, reused across calls: each shard is
 	// single-threaded and a query's result is consumed before the next
-	// query starts, so one set per shard keeps every gossip round
+	// query starts, so one buffer per shard keeps every gossip round
 	// allocation-free. Callers must not retain the returned slice.
-	sampleOut  []*Node
-	sampleSeen []PeerID
+	sampleOut []*Node
 
 	// Chunk-serve scratch (transfer.go): one packetization of the
 	// network's constant chunk size plus the per-transfer packet-train
@@ -672,21 +671,20 @@ func (n *Network) trackerSample(asker *Node, k int) []*Node {
 	rng := sc.eng.Rand()
 	// Partial Fisher-Yates over a copy of indexes would cost O(online);
 	// sample with rejection instead, bounded to a few attempts per slot.
-	// The dedup set is a linear-scanned slice: it holds at most k+1 ids,
-	// and a map here would allocate on every gossip round of every node.
+	// Duplicates are found by scanning the result (at most k pointers; a map
+	// here would allocate on every gossip round of every node) and compared
+	// as pointers: a drawn node is not loaded unless its caller uses it.
 	out := sc.sampleOut[:0]
-	seen := append(sc.sampleSeen[:0], asker.ID)
 	attempts := 0
 	for len(out) < k && attempts < 8*k {
 		attempts++
 		cand := n.trackerEntry(sc, rng.Intn(total))
-		if slices.Contains(seen, cand.ID) {
+		if cand == asker || slices.Contains(out, cand) {
 			continue
 		}
-		seen = append(seen, cand.ID)
 		out = append(out, cand)
 	}
-	sc.sampleOut, sc.sampleSeen = out, seen
+	sc.sampleOut = out
 	return out
 }
 
@@ -712,7 +710,7 @@ func (n *Network) trackerEntry(sc *shardCtx, i int) *Node {
 
 func (n *Network) markOnline(node *Node) {
 	sc := node.sc
-	node.onlineIdx = len(sc.online)
+	node.onlineIdx = int32(len(sc.online))
 	sc.online = append(sc.online, node)
 }
 

@@ -35,20 +35,6 @@ import (
 // sameShard reports whether two nodes execute on the same shard engine.
 func sameShard(a, b *Node) bool { return a.sc == b.sc }
 
-// partnerAlive reports whether a partner should be treated as present.
-// Same-shard partners expose their online flag directly; a cross-shard
-// partner is presumed alive until its departure notification arrives —
-// membership in the partner set implies a believed-online peer. A remote
-// that vanished ungracefully is shed by the failure escalation (timeouts
-// drive failures past the drop threshold), like a silent peer on the
-// real network.
-func (nd *Node) partnerAlive(p *partner) bool {
-	if p.node.sc == nd.sc {
-		return p.node.online
-	}
-	return true
-}
-
 // crossSend schedules fn on dst's shard at the absolute instant at, on
 // behalf of src. During a window it rides the coordinator's mailboxes;
 // from a global (barrier-phase) event it enqueues directly.
@@ -161,7 +147,7 @@ func (nd *Node) handshakeComplete(other *Node, accepted bool) {
 // drawn from the initiator's stream before the message departs — and the
 // responder replies with its own list and the partnership verdict.
 func (nd *Node) gossipCross(c *Node) {
-	mine := len(nd.neighbors)
+	mine := nd.neighbors.len()
 	if mine > gossipMaxEntries {
 		mine = gossipMaxEntries
 	}
@@ -183,7 +169,7 @@ func (nd *Node) gossipCross(c *Node) {
 
 // gossipReply is the responder side of a cross-shard gossip exchange.
 func (nd *Node) gossipReply(from *Node, want bool) {
-	theirs := len(nd.neighbors)
+	theirs := nd.neighbors.len()
 	if theirs > gossipMaxEntries {
 		theirs = gossipMaxEntries
 	}
