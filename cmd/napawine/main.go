@@ -41,10 +41,10 @@ import (
 	"strings"
 	"time"
 
-	"napawine"
 	"napawine/internal/dash"
 	"napawine/internal/fleet"
 	"napawine/internal/plot"
+	"napawine/internal/scenario"
 	"napawine/internal/study"
 )
 
@@ -144,7 +144,7 @@ func (o *options) validate() error {
 	case !slices.Contains(validExps, o.exp):
 		return fmt.Errorf("unknown -exp %q (valid: %s)", o.exp, strings.Join(validExps, ", "))
 	case len(parseApps(o.apps)) == 0:
-		return fmt.Errorf("empty -apps list (valid: %s)", strings.Join(napawine.Apps(), ", "))
+		return fmt.Errorf("empty -apps list (valid: %s)", strings.Join((&study.Study{}).AppList(), ", "))
 	case o.seeds < 1:
 		return fmt.Errorf("-seeds %d: need at least one trial seed", o.seeds)
 	case o.duration <= 0:
@@ -232,7 +232,7 @@ func (o *options) buildStudy() (*study.Study, error) {
 	default:
 		scn := study.Scenario{Name: o.scenario}
 		if o.scenarioFile != "" {
-			scn.Spec, err = napawine.LoadScenarioFile(o.scenarioFile)
+			scn.Spec, err = scenario.LoadFile(o.scenarioFile)
 		}
 		st = &study.Study{Name: "battery",
 			Strategies: []string{o.strategy}, Scenarios: []study.Scenario{scn}}

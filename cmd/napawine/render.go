@@ -8,7 +8,6 @@ import (
 	"sync"
 	"time"
 
-	"napawine"
 	"napawine/internal/experiment"
 	"napawine/internal/plot"
 	"napawine/internal/policy"
@@ -27,7 +26,7 @@ type printer struct {
 }
 
 // table renders t — aligned ASCII or CSV; a nil table prints nothing.
-func (p *printer) table(t *napawine.Table) {
+func (p *printer) table(t *report.Table) {
 	if p.err != nil || t == nil {
 		return
 	}
@@ -74,16 +73,16 @@ func (o *options) render(p *printer, res *study.Result) []plot.Artifact {
 // renderPaper prints the paper-format battery from the cells' full results,
 // in the paper's application order.
 func (o *options) renderPaper(p *printer, res *study.Result) []plot.Artifact {
-	results := append([]*napawine.Result(nil), res.Full...)
+	results := append([]*experiment.Result(nil), res.Full...)
 	experiment.SortResults(results)
 	if o.show("table2") {
-		p.table(napawine.TableII(results))
+		p.table(experiment.TableII(results))
 	}
 	if o.show("table3") {
-		p.table(napawine.TableIII(results))
+		p.table(experiment.TableIII(results))
 	}
 	if o.show("table4") {
-		p.table(napawine.TableIV(results))
+		p.table(experiment.TableIV(results))
 		for _, r := range results {
 			p.printf("%s: measured hop median %.0f, mean continuity %.3f\n",
 				r.App, r.HopMedianMeasured, r.MeanContinuity)
@@ -91,21 +90,21 @@ func (o *options) renderPaper(p *printer, res *study.Result) []plot.Artifact {
 		p.printf("\n")
 	}
 	if o.show("fig1") && p.err == nil {
-		p.err = napawine.RenderFigure1(p.out, results)
+		p.err = experiment.RenderFigure1(p.out, results)
 		p.printf("\n")
 	}
 	if o.show("fig2") && p.err == nil {
-		p.err = napawine.RenderFigure2(p.out, results)
+		p.err = experiment.RenderFigure2(p.out, results)
 		p.printf("\n")
 	}
 	if o.show("hopsweep") {
 		for _, r := range results {
-			t, err := napawine.HopSweep(r, 15, 23)
+			t, err := experiment.HopSweep(r, 15, 23)
 			p.err = cmp.Or(p.err, err)
 			p.table(t)
 		}
 	}
-	p.table(napawine.SeriesTable(results))
+	p.table(experiment.SeriesTable(results))
 	if res.Study.QueueDepth > 0 {
 		// Congestion ground truth, so a bounded-queue run documents its
 		// loss regime (and CI can assert the queues actually dropped).
@@ -119,7 +118,7 @@ func (o *options) renderPaper(p *printer, res *study.Result) []plot.Artifact {
 		}
 		p.printf("\n")
 	}
-	return append(napawine.SeriesPlots(results), napawine.Figure1Plots(results)...)
+	return append(experiment.SeriesPlots(results), experiment.Figure1Plots(results)...)
 }
 
 // renderTableI prints the static testbed inventory.

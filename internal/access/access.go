@@ -81,42 +81,25 @@ func Reachable(a, b Link) bool {
 	return a.AcceptsFrom(b) || b.AcceptsFrom(a)
 }
 
-// LossTailDrop is the only loss discipline the bounded queue implements
-// today: a transfer arriving at a full queue is discarded outright, the way
-// a FIFO router queue drops the tail of a burst. The CongestionModel field
-// exists so alternative disciplines (RED-style early drop) can register
-// later without changing any plumbing.
-const LossTailDrop = "tail-drop"
-
 // CongestionModel configures the bounded-queue behaviour of ports. The zero
 // value — unbounded queue, no loss — is the historical model and leaves the
-// event stream byte-identical to builds without the knob.
+// event stream byte-identical to builds without the knob. The one loss
+// discipline is tail drop: a transfer arriving at a full queue is discarded
+// outright, the way a FIFO router queue drops the tail of a burst.
 type CongestionModel struct {
 	// QueueDepth bounds how many transfers a port queues: a TryReserve
 	// arriving with this many reservations outstanding is tail-dropped.
 	// 0 keeps the unbounded FIFO.
 	QueueDepth int
-	// LossMode names the drop discipline; "" selects LossTailDrop.
-	// Meaningful only with QueueDepth > 0.
-	LossMode string
 }
 
 // Enabled reports whether the model bounds queues at all.
 func (m CongestionModel) Enabled() bool { return m.QueueDepth > 0 }
 
-// Validate rejects malformed models: negative depths, unknown loss modes,
-// or a loss mode without a queue bound to apply it to.
+// Validate rejects a negative depth.
 func (m CongestionModel) Validate() error {
 	if m.QueueDepth < 0 {
 		return fmt.Errorf("access: negative queue depth %d", m.QueueDepth)
-	}
-	switch m.LossMode {
-	case "", LossTailDrop:
-	default:
-		return fmt.Errorf("access: unknown loss mode %q (valid: %q)", m.LossMode, LossTailDrop)
-	}
-	if m.LossMode != "" && m.QueueDepth == 0 {
-		return fmt.Errorf("access: loss mode %q without a queue depth", m.LossMode)
 	}
 	return nil
 }
@@ -127,23 +110,17 @@ func (m CongestionModel) Validate() error {
 // BW preference every application shows.
 //
 // A port may carry a bounded queue (SetQueueLimit): TryReserve then
-// tail-drops transfers that would exceed the bound, and the port counts
-// accepted and dropped transfers for loss reporting. The default limit of 0
-// keeps the historical unbounded FIFO.
+// tail-drops transfers that would exceed the bound; the caller that is
+// refused does the counting (overlay.Ledger.DropsTotal). The default limit
+// of 0 keeps the historical unbounded FIFO.
 type Port struct {
 	rate      units.BitRate
 	busyUntil sim.Time
 	// queued counts transfers currently reserved but not yet finished,
 	// for observability and back-pressure decisions in the overlay.
 	queued int
-	// busyAccum integrates busy time for utilization reporting.
-	busyAccum time.Duration
 	// limit bounds queued when positive; 0 = unbounded.
 	limit int
-	// accepted and dropped count TryReserve/Reserve outcomes over the
-	// port's lifetime (drops only happen under a positive limit).
-	accepted int64
-	dropped  int64
 }
 
 // NewPort builds a port of the given rate. A non-positive rate panics: a
@@ -221,12 +198,11 @@ func (p *Port) Reserve(now sim.Time, size units.ByteSize) (start, end sim.Time) 
 
 // TryReserve is Reserve under the port's queue bound: with a positive limit
 // and that many reservations already outstanding the transfer is
-// tail-dropped (counted, ok=false) instead of queued. With no limit it is
-// exactly Reserve.
+// tail-dropped (ok=false) instead of queued. With no limit it is exactly
+// Reserve.
 func (p *Port) TryReserve(now sim.Time, size units.ByteSize) (start, end sim.Time, ok bool) {
 	p.drain(now)
 	if p.limit > 0 && p.queued >= p.limit {
-		p.dropped++
 		return 0, 0, false
 	}
 	start, end = p.book(now, size)
@@ -239,34 +215,10 @@ func (p *Port) book(now sim.Time, size units.ByteSize) (start, end sim.Time) {
 	if p.busyUntil > start {
 		start = p.busyUntil
 	}
-	d := p.rate.TransmitTime(size)
-	end = start.Add(d)
+	end = start.Add(p.rate.TransmitTime(size))
 	p.busyUntil = end
 	p.queued++
-	p.accepted++
-	p.busyAccum += d
 	return start, end
-}
-
-// BusyTime reports the total serialization time booked so far; dividing by
-// the experiment duration yields link utilization.
-func (p *Port) BusyTime() time.Duration { return p.busyAccum }
-
-// Accepted reports how many transfers the port has booked over its
-// lifetime; Dropped how many the queue bound tail-dropped. LossRate is
-// drops over offered load (0 when nothing was offered).
-func (p *Port) Accepted() int64 { return p.accepted }
-
-// Dropped reports the lifetime tail-drop count (0 without a queue limit).
-func (p *Port) Dropped() int64 { return p.dropped }
-
-// LossRate reports dropped / (accepted + dropped), 0 when idle.
-func (p *Port) LossRate() float64 {
-	offered := p.accepted + p.dropped
-	if offered == 0 {
-		return 0
-	}
-	return float64(p.dropped) / float64(offered)
 }
 
 // MTU-sized payload used to packetize chunks. 1250 bytes is the paper's own

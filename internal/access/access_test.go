@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+	"unsafe"
 
 	"napawine/internal/sim"
 	"napawine/internal/units"
@@ -110,8 +111,9 @@ func TestPortBacklogAndQueue(t *testing.T) {
 	if got := p.Queued(sim.Time(3 * time.Second)); got != 0 {
 		t.Errorf("drained queue = %d, want 0", got)
 	}
-	if p.BusyTime() != 2*time.Second {
-		t.Errorf("BusyTime = %v, want 2s", p.BusyTime())
+	// Two ports per peer: a fifth word would move both to the 48-byte class.
+	if got := unsafe.Sizeof(Port{}); got != 32 {
+		t.Errorf("Port is %d bytes, want 32", got)
 	}
 }
 
@@ -466,8 +468,8 @@ func TestPortSetRateMidBacklog(t *testing.T) {
 }
 
 // TestPortTryReserveTailDrop exercises the bounded queue: at the limit a
-// TryReserve is tail-dropped and counted, the backlog is untouched, and the
-// port accepts again once the queue drains.
+// TryReserve is tail-dropped, the backlog is untouched, and the port accepts
+// again once the queue drains.
 func TestPortTryReserveTailDrop(t *testing.T) {
 	p := NewPort(1 * units.Mbps)
 	p.SetQueueLimit(1)
@@ -480,12 +482,6 @@ func TestPortTryReserveTailDrop(t *testing.T) {
 	}
 	if _, _, ok := p.TryReserve(0, 125*units.KB); ok {
 		t.Fatal("TryReserve at the limit should tail-drop")
-	}
-	if p.Accepted() != 1 || p.Dropped() != 1 {
-		t.Errorf("accepted/dropped = %d/%d, want 1/1", p.Accepted(), p.Dropped())
-	}
-	if got := p.LossRate(); got != 0.5 {
-		t.Errorf("LossRate = %v, want 0.5", got)
 	}
 	if got := p.Backlog(0); got != time.Second {
 		t.Errorf("dropped transfer extended the backlog: %v, want 1s", got)
@@ -509,9 +505,6 @@ func TestPortTryReserveUnlimitedMatchesReserve(t *testing.T) {
 			t.Fatalf("transfer %d: TryReserve = (%v,%v,%v), Reserve = (%v,%v)", i, gs, ge, ok, ws, we)
 		}
 	}
-	if a.Accepted() != b.Accepted() || b.Dropped() != 0 {
-		t.Errorf("counter mismatch: %d/%d vs %d/%d", a.Accepted(), a.Dropped(), b.Accepted(), b.Dropped())
-	}
 }
 
 func TestSetQueueLimitNegativePanics(t *testing.T) {
@@ -532,10 +525,7 @@ func TestCongestionModelValidate(t *testing.T) {
 	}{
 		{"zero", CongestionModel{}, true, false},
 		{"bounded", CongestionModel{QueueDepth: 2}, true, true},
-		{"bounded tail-drop", CongestionModel{QueueDepth: 2, LossMode: LossTailDrop}, true, true},
 		{"negative depth", CongestionModel{QueueDepth: -1}, false, false},
-		{"unknown mode", CongestionModel{QueueDepth: 2, LossMode: "red"}, false, false},
-		{"mode without depth", CongestionModel{LossMode: LossTailDrop}, false, false},
 	}
 	for _, c := range cases {
 		err := c.m.Validate()

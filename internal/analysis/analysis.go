@@ -48,8 +48,6 @@ func DefaultConfig() Config {
 type PeerAggregate struct {
 	VideoUp, VideoDown int64 // video payload bytes by direction
 	TotalUp, TotalDown int64 // all bytes by direction
-	VideoPktsUp        int
-	VideoPktsDown      int
 
 	// MinIPG is the packet-pair estimate; zero until two consecutive
 	// full-size inbound video packets have been seen.
@@ -89,9 +87,6 @@ func New(probe netip.Addr, cfg Config) *Aggregator {
 	}
 	return &Aggregator{probe: probe, cfg: cfg, peers: make(map[netip.Addr]*PeerAggregate)}
 }
-
-// Probe reports the probe address.
-func (a *Aggregator) Probe() netip.Addr { return a.probe }
 
 // Records reports how many records were consumed.
 func (a *Aggregator) Records() uint64 { return a.count }
@@ -141,7 +136,6 @@ func (a *Aggregator) Consume(r packet.Record) {
 		}
 		if isVideo {
 			agg.VideoDown += size
-			agg.VideoPktsDown++
 			if r.Size >= a.cfg.FullPacket {
 				if agg.hasFull {
 					gap := r.TS.Sub(agg.lastFull)
@@ -157,7 +151,6 @@ func (a *Aggregator) Consume(r packet.Record) {
 		agg.TotalUp += size
 		if isVideo {
 			agg.VideoUp += size
-			agg.VideoPktsUp++
 		}
 	}
 }

@@ -46,9 +46,6 @@ func TestAggregationByDirectionAndSize(t *testing.T) {
 	if agg.TotalDown != 2580 || agg.TotalUp != 1310 {
 		t.Errorf("total bytes = %d/%d", agg.TotalDown, agg.TotalUp)
 	}
-	if agg.VideoPktsDown != 2 || agg.VideoPktsUp != 1 {
-		t.Errorf("video pkts = %d/%d", agg.VideoPktsDown, agg.VideoPktsUp)
-	}
 	if a.PeerCount() != 1 || a.Records() != 5 {
 		t.Errorf("counters: peers=%d records=%d", a.PeerCount(), a.Records())
 	}

@@ -56,17 +56,16 @@ type Observation struct {
 }
 
 // ContribThresholds parameterizes the contributor heuristic of [14]: a peer
-// is a contributor in a direction when the video bytes and full-size video
-// packets exchanged in that direction reach these floors.
+// is a contributor in a direction when the video bytes exchanged in that
+// direction reach this floor.
 type ContribThresholds struct {
-	MinBytes   int64
-	MinPackets int
+	MinBytes int64
 }
 
 // DefaultContrib is conservative, as [14] describes its heuristic: a peer
 // counts as contributor only after roughly two chunks' worth of video
 // payload, so a single exploratory transfer does not qualify.
-var DefaultContrib = ContribThresholds{MinBytes: 80_000, MinPackets: 32}
+var DefaultContrib = ContribThresholds{MinBytes: 80_000}
 
 // Direction selects the traffic side under analysis.
 type Direction int

@@ -26,7 +26,7 @@ func mkObs(i int, downBytes int64, sameAS bool, ipg time.Duration, hops int) Obs
 	}
 }
 
-var th = ContribThresholds{MinBytes: 1000, MinPackets: 1}
+var th = ContribThresholds{MinBytes: 1000}
 
 func TestComputeASPartition(t *testing.T) {
 	obs := []Observation{

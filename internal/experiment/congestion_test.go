@@ -17,7 +17,7 @@ func congestedConfig(seed int64, strategy string) Config {
 	cfg.World.Peers = 120
 	cfg.World.ProbeASBackground = 4
 	cfg.Strategy = strategy
-	cfg.Congestion = access.CongestionModel{QueueDepth: 1, LossMode: access.LossTailDrop}
+	cfg.Congestion = access.CongestionModel{QueueDepth: 1}
 	return cfg
 }
 
@@ -81,9 +81,5 @@ func TestInvalidCongestionModelRejected(t *testing.T) {
 	cfg.Congestion = access.CongestionModel{QueueDepth: -1}
 	if _, err := Run(cfg); err == nil {
 		t.Error("negative queue depth accepted")
-	}
-	cfg.Congestion = access.CongestionModel{LossMode: access.LossTailDrop}
-	if _, err := Run(cfg); err == nil {
-		t.Error("loss mode without queue depth accepted")
 	}
 }

@@ -87,13 +87,8 @@ type Config struct {
 	// clamped to the number of populated ASes.
 	Shards int
 
-	// Background churn (probes never churn, like the testbed).
-	ChurnMeanOn  time.Duration
-	ChurnMeanOff time.Duration
-
-	// Join staggering windows.
+	// BackgroundJoinWindow staggers the background peers' first joins.
 	BackgroundJoinWindow time.Duration
-	ProbeJoinWindow      time.Duration
 
 	// StoreTraces, when non-empty, writes every probe's capture to
 	// <dir>/<probe-label>.nwt in the binary trace format — the paper's
@@ -101,9 +96,8 @@ type Config struct {
 	// NAPA-WINE traces were "made available to the research community").
 	StoreTraces string
 
-	// Analysis knobs.
-	Analysis analysis.Config
-	Contrib  core.ContribThresholds
+	// Contrib is the contributor heuristic's floor.
+	Contrib core.ContribThresholds
 }
 
 // Default returns the calibrated configuration for one application. World
@@ -160,20 +154,8 @@ func (c *Config) fillDefaults() {
 	if c.UplinkBusyCap <= 0 {
 		c.UplinkBusyCap = 2 * time.Second
 	}
-	if c.ChurnMeanOn <= 0 {
-		c.ChurnMeanOn = 150 * time.Second
-	}
-	if c.ChurnMeanOff <= 0 {
-		c.ChurnMeanOff = 40 * time.Second
-	}
 	if c.BackgroundJoinWindow <= 0 {
 		c.BackgroundJoinWindow = 60 * time.Second
-	}
-	if c.ProbeJoinWindow <= 0 {
-		c.ProbeJoinWindow = 20 * time.Second
-	}
-	if c.Analysis.VideoSizeFloor == 0 {
-		c.Analysis = analysis.DefaultConfig()
 	}
 	if c.Contrib.MinBytes == 0 {
 		c.Contrib = core.DefaultContrib
@@ -279,6 +261,15 @@ const cancelPoll = time.Second
 // hour-scale runs.
 const flushEvery = 10 * time.Second
 
+// Background churn: mean on and off periods of a consumer peer's session
+// cycle (probes never churn, like the testbed). probeJoinWindow staggers the
+// probes' joins at the start of the run.
+const (
+	churnMeanOn     = 150 * time.Second
+	churnMeanOff    = 40 * time.Second
+	probeJoinWindow = 20 * time.Second
+)
+
 // RunCtx executes one experiment under a context. Cancellation is polled on
 // the engine's own clock every cancelPoll of virtual time: when ctx is
 // done, the engine halts mid-run and RunCtx returns ctx.Err() with no
@@ -372,7 +363,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	for _, p := range w.Probes {
 		node := net.AddNode(p.Host, p.Link, prof)
 		cap := net.AttachSniffer(node)
-		agg := analysis.New(p.Host.Addr, cfg.Analysis)
+		agg := analysis.New(p.Host.Addr, analysis.DefaultConfig())
 		tally := sniffer.NewTallySink(p.Host.Addr)
 		cap.Attach(agg)
 		cap.Attach(tally)
@@ -410,12 +401,12 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	source.ScheduleJoin(0)
 	rng := eng.Rand()
 	for _, p := range probes {
-		delay := time.Duration(rng.Int63n(int64(cfg.ProbeJoinWindow)))
+		delay := time.Duration(rng.Int63n(int64(probeJoinWindow)))
 		p.node.ScheduleJoin(delay)
 	}
 	for _, node := range background {
 		first := time.Duration(rng.Int63n(int64(cfg.BackgroundJoinWindow)))
-		meanOn := cfg.ChurnMeanOn
+		meanOn := churnMeanOn
 		if node.Link.HighBandwidth() {
 			// Institutional peers (campus PCs, always-on boxes) hold
 			// sessions much longer than consumer DSL viewers; session
@@ -423,7 +414,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			// few same-AS partners once found.
 			meanOn *= 4
 		}
-		node.ScheduleChurn(first, meanOn, cfg.ChurnMeanOff)
+		node.ScheduleChurn(first, meanOn, churnMeanOff)
 	}
 
 	// Scenario timeline and its time-series sampler. Compiling after the

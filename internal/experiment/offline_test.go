@@ -48,7 +48,7 @@ func TestOfflineTraceReplayMatchesLive(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		agg, err := analysis.FromTrace(rd, cfg.Analysis)
+		agg, err := analysis.FromTrace(rd, analysis.DefaultConfig())
 		f.Close()
 		if err != nil {
 			t.Fatal(err)

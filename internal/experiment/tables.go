@@ -334,6 +334,29 @@ func ratioString(f ASTraffic) string {
 	return fmt.Sprintf("%.2f", f.R)
 }
 
+// HopSweep evaluates the HOP preference indices across a band of
+// thresholds around the paper's fixed 19, the A2 ablation: it shows the
+// 50/50 split is not an artifact of the exact cut.
+func HopSweep(r *Result, lo, hi int) (*report.Table, error) {
+	if lo > hi || lo < 1 {
+		return nil, fmt.Errorf("napawine: bad hop sweep range [%d,%d]", lo, hi)
+	}
+	t := report.NewTable(
+		fmt.Sprintf("HOP threshold sweep — %s", r.App),
+		"Threshold", "B'D%", "P'D%", "B'U%", "P'U%")
+	for th := lo; th <= hi; th++ {
+		c := core.HOPClassifier{Threshold: th}
+		d := core.Compute(r.Observations, core.Download, c, r.Cfg.Contrib, true)
+		u := core.Compute(r.Observations, core.Upload, c, r.Cfg.Contrib, true)
+		t.Add(fmt.Sprintf("%d", th),
+			report.PctOrDash(d.BytePct, d.Valid()),
+			report.PctOrDash(d.PeerPct, d.Valid()),
+			report.PctOrDash(u.BytePct, u.Valid()),
+			report.PctOrDash(u.PeerPct, u.Valid()))
+	}
+	return t, nil
+}
+
 // SortResults orders results in the paper's application order.
 func SortResults(results []*Result) {
 	rank := map[string]int{"PPLive": 0, "SopCast": 1, "TVAnts": 2}

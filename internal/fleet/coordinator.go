@@ -35,7 +35,6 @@ type cellState struct {
 	state    int
 	worker   string    // lease owner (stateLeased) or computing worker (stateDone)
 	deadline time.Time // lease expiry (stateLeased)
-	started  bool      // an OnRunStart was fanned for the current lease
 	sum      experiment.Summary
 }
 
@@ -366,7 +365,6 @@ func (c *Coordinator) handleEvent(w http.ResponseWriter, r *http.Request) {
 	var fan func()
 	switch ev.Kind {
 	case eventStart:
-		c.cells[ev.Index].started = true
 		info := c.attributed(ev.Index, ev.Worker)
 		fan = func() { c.observer.OnRunStart(info) }
 	case eventSample:

@@ -9,20 +9,20 @@ import (
 // below n with zeros and never shrinks or disturbs what is there, merge
 // adds element-wise whichever side is longer.
 func TestLedgerGrowAndMerge(t *testing.T) {
-	// full builds a ledger whose VideoRx and Backoffs (first and last
+	// full builds a ledger whose VideoRx and ChunksServed (first and last
 	// column) hold the given rows; every other column is zeros of the same
 	// length.
 	full := func(rows ...int64) *Ledger {
 		l := newLedger()
 		l.grow(len(rows))
 		copy(l.VideoRx, rows)
-		copy(l.Backoffs, rows)
+		copy(l.ChunksServed, rows)
 		return l
 	}
 	for _, tc := range []struct {
 		name     string
 		dst, src *Ledger
-		want     []int64 // VideoRx and Backoffs of dst after dst.merge(src)
+		want     []int64 // VideoRx and ChunksServed of dst after dst.merge(src)
 	}{
 		{"equal length", full(1, 2, 3), full(10, 20, 30), []int64{11, 22, 33}},
 		{"src longer", full(1), full(10, 20, 30), []int64{11, 20, 30}},
@@ -32,8 +32,8 @@ func TestLedgerGrowAndMerge(t *testing.T) {
 	} {
 		tc.src.SignalTotal = 7
 		tc.dst.merge(tc.src)
-		if !slices.Equal(tc.dst.VideoRx, tc.want) || !slices.Equal(tc.dst.Backoffs, tc.want) {
-			t.Errorf("%s: VideoRx %v, Backoffs %v, want %v", tc.name, tc.dst.VideoRx, tc.dst.Backoffs, tc.want)
+		if !slices.Equal(tc.dst.VideoRx, tc.want) || !slices.Equal(tc.dst.ChunksServed, tc.want) {
+			t.Errorf("%s: VideoRx %v, ChunksServed %v, want %v", tc.name, tc.dst.VideoRx, tc.dst.ChunksServed, tc.want)
 		}
 		for i, col := range tc.dst.peerColumns() {
 			if len(*col) != len(tc.want) {

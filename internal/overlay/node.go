@@ -841,7 +841,7 @@ func (nd *Node) contactTick() {
 		if nd.partnerByID(c.ID) != nil {
 			continue
 		}
-		if !c.Link.AcceptsFrom(nd.Link) && !nd.Link.AcceptsFrom(c.Link) {
+		if !access.Reachable(nd.Link, c.Link) {
 			continue
 		}
 		if !sameShard(nd, c) {
@@ -1040,7 +1040,6 @@ func (nd *Node) scheduleTick() {
 		at := nd.inflight.find(id)
 		req := nd.inflight[at]
 		nd.inflight.removeAt(at)
-		sc.ledger.timeout(nd.ID)
 		if pr := nd.partnerByID(req.from); pr != nil {
 			pr.failures++
 			pr.info.EstRate /= 2 // stale partner loses standing
@@ -1055,7 +1054,7 @@ func (nd *Node) scheduleTick() {
 					shift = 4
 				}
 				pr.backoffUntil = now.Add(p.RequestTimeout << shift)
-				sc.ledger.backoff(nd.ID)
+				sc.ledger.BackoffsTotal++
 			}
 			nd.rescore(pr)
 			limit := int32(4)
@@ -1071,7 +1070,7 @@ func (nd *Node) scheduleTick() {
 			// the loser is in backoff) instead of waiting for the shopping
 			// pass to rediscover it.
 			if nd.requestChunk(id, now) {
-				sc.ledger.retransmit(nd.ID)
+				sc.ledger.RetransmitsTotal++
 			}
 		}
 	}

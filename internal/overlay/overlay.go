@@ -167,34 +167,27 @@ const (
 
 // Ledger is the ground-truth accounting kept by the network itself,
 // independent of what probes can see. The analysis layer never reads it for
-// inference; tests and EXPERIMENTS.md use it to validate what the passive
-// methodology recovered.
+// inference; tests use it to validate what the passive methodology
+// recovered.
 type Ledger struct {
 	// Totals per node, indexed by PeerID: ids are dense (AddNode hands out
 	// len(nodes) and grows every shard's columns to cover the new id).
-	VideoRx, VideoTx   []int64
-	SignalRx, SignalTx []int64
-	ChunksServed       []int64
-	Rejections         []int64
-	Timeouts           []int64
-	// Congestion accounting, by the peer whose uplink queue dropped the
-	// transfer (Drops), whose scheduler re-requested a lost chunk
-	// (Retransmits), or who put a partner into backoff (Backoffs). All
-	// zero under the default unbounded congestion model.
-	Drops       []int64
-	Retransmits []int64
-	Backoffs    []int64
+	VideoRx, VideoTx []int64
+	SignalTx         []int64
+	ChunksServed     []int64
 
-	// Swarm-wide totals mirroring the sums of the columns above: every
-	// number the experiment layer reports comes from these scalars and the
-	// per-AS tallies below, never from a per-peer column.
+	// Swarm-wide totals: every number the experiment layer reports comes
+	// from these scalars and the per-AS tallies below, never from a
+	// per-peer column. The first two mirror the sums of SignalTx and
+	// ChunksServed.
 	SignalTotal       int64
 	ChunksServedTotal int64
-	RejectionsTotal   int64
-	TimeoutsTotal     int64
-	DropsTotal        int64
-	RetransmitsTotal  int64
-	BackoffsTotal     int64
+	// Congestion accounting: transfers an uplink queue tail-dropped, lost
+	// chunks a scheduler re-requested, and partners put into backoff. All
+	// zero under the default unbounded congestion model.
+	DropsTotal       int64
+	RetransmitsTotal int64
+	BackoffsTotal    int64
 
 	// Running swarm-wide video totals, split by whether the transfer stayed
 	// inside one AS. Time-series samplers difference these between buckets
@@ -234,11 +227,8 @@ func newLedger() *Ledger {
 }
 
 // peerColumns lists the per-peer columns, for grow and merge.
-func (l *Ledger) peerColumns() [10]*[]int64 {
-	return [10]*[]int64{
-		&l.VideoRx, &l.VideoTx, &l.SignalRx, &l.SignalTx, &l.ChunksServed,
-		&l.Rejections, &l.Timeouts, &l.Drops, &l.Retransmits, &l.Backoffs,
-	}
+func (l *Ledger) peerColumns() [4]*[]int64 {
+	return [4]*[]int64{&l.VideoRx, &l.VideoTx, &l.SignalTx, &l.ChunksServed}
 }
 
 // grow extends every per-peer column to cover ids below n.
@@ -261,40 +251,14 @@ func (l *Ledger) video(from, to PeerID, n int64, toAS topology.ASN, sameAS bool)
 	}
 }
 
-func (l *Ledger) signal(from, to PeerID, n int64) {
+func (l *Ledger) signal(from PeerID, n int64) {
 	l.SignalTx[from] += n
-	l.SignalRx[to] += n
 	l.SignalTotal += n
 }
 
 func (l *Ledger) chunkServed(id PeerID) {
 	l.ChunksServed[id]++
 	l.ChunksServedTotal++
-}
-
-func (l *Ledger) rejection(id PeerID) {
-	l.Rejections[id]++
-	l.RejectionsTotal++
-}
-
-func (l *Ledger) timeout(id PeerID) {
-	l.Timeouts[id]++
-	l.TimeoutsTotal++
-}
-
-func (l *Ledger) drop(id PeerID) {
-	l.Drops[id]++
-	l.DropsTotal++
-}
-
-func (l *Ledger) retransmit(id PeerID) {
-	l.Retransmits[id]++
-	l.RetransmitsTotal++
-}
-
-func (l *Ledger) backoff(id PeerID) {
-	l.Backoffs[id]++
-	l.BackoffsTotal++
 }
 
 // shardCtx is the execution context of one shard: its engine (clock + RNG
@@ -466,8 +430,6 @@ func (l *Ledger) merge(src *Ledger) {
 	}
 	l.SignalTotal += src.SignalTotal
 	l.ChunksServedTotal += src.ChunksServedTotal
-	l.RejectionsTotal += src.RejectionsTotal
-	l.TimeoutsTotal += src.TimeoutsTotal
 	l.DropsTotal += src.DropsTotal
 	l.RetransmitsTotal += src.RetransmitsTotal
 	l.BackoffsTotal += src.BackoffsTotal
@@ -483,9 +445,6 @@ func (l *Ledger) merge(src *Ledger) {
 	l.DiffusionChunks += src.DiffusionChunks
 	l.SourceVideoTx += src.SourceVideoTx
 }
-
-// Shards reports the shard count the network runs across.
-func (n *Network) Shards() int { return len(n.shards) }
 
 // shardFor resolves the shard context hosting an AS. ASes outside the
 // partition map (possible only in hand-built tests) fall to shard 0.

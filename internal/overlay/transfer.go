@@ -64,7 +64,7 @@ func (net *Network) sendControl(a, b *Node, size units.ByteSize, kind packet.Kin
 		})
 	}
 	if kind == packet.Signaling || kind == packet.Request {
-		sc.ledger.signal(a.ID, b.ID, int64(size))
+		sc.ledger.signal(a.ID, int64(size))
 	}
 }
 
@@ -87,7 +87,6 @@ func (net *Network) sendRequest(nd, target *Node, id chunkstream.ChunkID) {
 // the reject packet carries the news after the pair's one-way delay.
 func (nd *Node) rejectReply(requester *Node, id chunkstream.ChunkID) {
 	net := nd.net
-	nd.sc.ledger.rejection(nd.ID)
 	if sameShard(nd, requester) {
 		net.sendControl(nd, requester, rejectSize, packet.Signaling)
 		requester.onReject(nd.ID, id)
@@ -130,7 +129,7 @@ func (nd *Node) serveChunk(requester *Node, id chunkstream.ChunkID) {
 	// wild. Without a queue limit TryReserve is Reserve.
 	start, _, ok := nd.up.TryReserve(now, chunkSize)
 	if !ok {
-		sc.ledger.drop(nd.ID)
+		sc.ledger.DropsTotal++
 		return
 	}
 	sizes := access.PacketizeInto(sc.trainSizes, chunkSize)

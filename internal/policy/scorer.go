@@ -69,9 +69,6 @@ func (s *Scorer) PushScored(c Candidate, weight float64) {
 	s.weights = append(s.weights, weight)
 }
 
-// Len reports the current slate size.
-func (s *Scorer) Len() int { return len(s.cands) }
-
 // PickOne draws one candidate with probability proportional to weight.
 // Returns index -1 when nothing is selectable. Exactly one rng.Float64 is
 // consumed when any weight is positive, none otherwise — the same contract

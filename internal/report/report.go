@@ -1,5 +1,5 @@
 // Package report renders the paper's tables and figures as aligned ASCII
-// (for terminals and EXPERIMENTS.md) and CSV (for downstream plotting).
+// (for terminals) and CSV (for downstream plotting).
 package report
 
 import (

@@ -103,20 +103,12 @@ func (s *WriterSink) Consume(r packet.Record) {
 	s.Err = s.W.Write(r)
 }
 
-// TallySink counts records and bytes by kind and direction — a cheap
-// always-on consumer used for experiment summaries (Table II's stream
-// rates).
+// TallySink sums the bytes a probe received and sent — a cheap always-on
+// consumer used for experiment summaries (Table II's stream rates).
 type TallySink struct {
 	probe netip.Addr
 
-	InPackets, OutPackets uint64
-	InBytes, OutBytes     int64
-	VideoInBytes          int64
-	VideoOutBytes         int64
-	SignalInBytes         int64
-	SignalOutBytes        int64
-	RequestInBytes        int64
-	RequestOutBytes       int64
+	InBytes, OutBytes int64
 }
 
 // NewTallySink builds a tally for the given probe.
@@ -124,33 +116,9 @@ func NewTallySink(probe netip.Addr) *TallySink { return &TallySink{probe: probe}
 
 // Consume tallies the record.
 func (s *TallySink) Consume(r packet.Record) {
-	_, inbound := Remote(r, s.probe)
-	size := int64(r.Size)
-	if inbound {
-		s.InPackets++
-		s.InBytes += size
+	if _, inbound := Remote(r, s.probe); inbound {
+		s.InBytes += int64(r.Size)
 	} else {
-		s.OutPackets++
-		s.OutBytes += size
-	}
-	switch r.Kind {
-	case packet.Video:
-		if inbound {
-			s.VideoInBytes += size
-		} else {
-			s.VideoOutBytes += size
-		}
-	case packet.Signaling:
-		if inbound {
-			s.SignalInBytes += size
-		} else {
-			s.SignalOutBytes += size
-		}
-	case packet.Request:
-		if inbound {
-			s.RequestInBytes += size
-		} else {
-			s.RequestOutBytes += size
-		}
+		s.OutBytes += int64(r.Size)
 	}
 }

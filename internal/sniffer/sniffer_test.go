@@ -154,20 +154,8 @@ func TestTallySink(t *testing.T) {
 	c.Observe(rec(4, peerB, probe, 80, packet.Signaling)) // signal in
 	c.Observe(rec(5, probe, peerB, 40, packet.Request))   // request out
 
-	if s.InPackets != 3 || s.OutPackets != 2 {
-		t.Errorf("packets in/out = %d/%d", s.InPackets, s.OutPackets)
-	}
 	if s.InBytes != 2080 || s.OutBytes != 540 {
 		t.Errorf("bytes in/out = %d/%d", s.InBytes, s.OutBytes)
-	}
-	if s.VideoInBytes != 2000 || s.VideoOutBytes != 500 {
-		t.Errorf("video bytes = %d/%d", s.VideoInBytes, s.VideoOutBytes)
-	}
-	if s.SignalInBytes != 80 || s.SignalOutBytes != 0 {
-		t.Errorf("signal bytes = %d/%d", s.SignalInBytes, s.SignalOutBytes)
-	}
-	if s.RequestOutBytes != 40 || s.RequestInBytes != 0 {
-		t.Errorf("request bytes = %d/%d", s.RequestInBytes, s.RequestOutBytes)
 	}
 }
 

@@ -11,28 +11,21 @@ import (
 	"sort"
 )
 
-// Accumulator tracks count, sum, min, max, mean and variance of a stream of
+// Accumulator tracks count, sum, max, mean and variance of a stream of
 // values in O(1) space. The zero value is ready to use. Variance uses
 // Welford's online recurrence, which stays numerically stable where the
 // naive sum-of-squares formula cancels catastrophically.
 type Accumulator struct {
 	n        int64
 	sum      float64
-	min, max float64
+	max      float64
 	mean, m2 float64
 }
 
 // Add folds v into the accumulator.
 func (a *Accumulator) Add(v float64) {
-	if a.n == 0 {
-		a.min, a.max = v, v
-	} else {
-		if v < a.min {
-			a.min = v
-		}
-		if v > a.max {
-			a.max = v
-		}
+	if a.n == 0 || v > a.max {
+		a.max = v
 	}
 	a.n++
 	a.sum += v
@@ -50,14 +43,6 @@ func (a *Accumulator) Mean() float64 {
 		return 0
 	}
 	return a.sum / float64(a.n)
-}
-
-// Min reports the smallest value seen, or 0 for an empty accumulator.
-func (a *Accumulator) Min() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.min
 }
 
 // Max reports the largest value seen, or 0 for an empty accumulator.
@@ -139,36 +124,6 @@ func (s *Sample) Quantile(q float64) float64 {
 // Median reports the 0.5-quantile. The paper uses the hop-count median as
 // the HOP partition threshold (§III-B).
 func (s *Sample) Median() float64 { return s.Quantile(0.5) }
-
-// Mean reports the arithmetic mean, or 0 for an empty sample.
-func (s *Sample) Mean() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range s.xs {
-		sum += v
-	}
-	return sum / float64(len(s.xs))
-}
-
-// Max reports the largest value, or 0 for an empty sample.
-func (s *Sample) Max() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[len(s.xs)-1]
-}
-
-// Min reports the smallest value, or 0 for an empty sample.
-func (s *Sample) Min() float64 {
-	if len(s.xs) == 0 {
-		return 0
-	}
-	s.ensureSorted()
-	return s.xs[0]
-}
 
 // Percent renders part/whole as a percentage, 0 when whole is 0. It exists
 // because every table in the paper is expressed in percentages and the

@@ -48,6 +48,7 @@ func TestDecodeRejectsUnknownField(t *testing.T) {
 	for _, tc := range []struct{ body, field string }{
 		{`{"name": "x", "sedes": [1, 2]}`, "sedes"},
 		{`{"name": "x", "lean_ledger": true}`, "lean_ledger"},
+		{`{"name": "x", "queue_depth": 2, "loss_mode": "tail-drop"}`, "loss_mode"},
 	} {
 		if _, err := DecodeBytes([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.field) {
 			t.Errorf("study %s: unknown field accepted: %v", tc.body, err)

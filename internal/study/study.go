@@ -153,11 +153,9 @@ type Study struct {
 	// QueueDepths lists the congestion axis: uplink queue depths to cross
 	// with the other axes, 0 meaning the unbounded (congestion-off)
 	// default. QueueDepth pins a single depth for the whole study instead;
-	// setting both is rejected. LossMode selects the loss discipline for
-	// bounded cells ("" = tail-drop).
-	QueueDepths []int  `json:"queue_depths,omitempty"`
-	QueueDepth  int    `json:"queue_depth,omitempty"`
-	LossMode    string `json:"loss_mode,omitempty"`
+	// setting both is rejected.
+	QueueDepths []int `json:"queue_depths,omitempty"`
+	QueueDepth  int   `json:"queue_depth,omitempty"`
 
 	// Shards splits every cell's swarm across that many parallel shard
 	// engines (experiment.Config.Shards). 0 or 1 is the serial engine;
@@ -262,26 +260,15 @@ func (st *Study) Validate() error {
 	if st.QueueDepth != 0 && len(st.QueueDepths) > 0 {
 		return fmt.Errorf("study %s: queue_depth and queue_depths are mutually exclusive", st.Name)
 	}
-	bounded := false
 	seenDepth := map[int]bool{}
 	for _, depth := range st.QueueDepthList() {
 		if seenDepth[depth] {
 			return fmt.Errorf("study %s: duplicate queue depth %d", st.Name, depth)
 		}
 		seenDepth[depth] = true
-		if depth > 0 {
-			bounded = true
-		}
-		m := access.CongestionModel{QueueDepth: depth}
-		if depth > 0 {
-			m.LossMode = st.LossMode
-		}
-		if err := m.Validate(); err != nil {
+		if err := (access.CongestionModel{QueueDepth: depth}).Validate(); err != nil {
 			return fmt.Errorf("study %s: %w", st.Name, err)
 		}
-	}
-	if st.LossMode != "" && !bounded {
-		return fmt.Errorf("study %s: loss_mode %q without a bounded queue depth", st.Name, st.LossMode)
 	}
 	seenApp := map[string]bool{}
 	for _, app := range st.AppList() {
@@ -524,7 +511,7 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 	cfg.Scenario = c.scn
 	cfg.Strategy = c.Strategy
 	if c.QueueDepth > 0 {
-		cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth, LossMode: st.LossMode}
+		cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth}
 	}
 	if c.variant.Blind || c.variant.Mutate != nil {
 		base, err := apps.ByName(c.App)

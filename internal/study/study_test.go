@@ -254,7 +254,6 @@ func TestStudyCongestionAxis(t *testing.T) {
 		Name:        "cong",
 		Apps:        []string{"TVAnts"},
 		QueueDepths: []int{0, 2},
-		LossMode:    "tail-drop",
 		Seeds:       []int64{7},
 	}
 	if err := st.Validate(); err != nil {
@@ -271,20 +270,18 @@ func TestStudyCongestionAxis(t *testing.T) {
 	if len(cells) != 2 || cells[0].QueueDepth != 0 || cells[1].QueueDepth != 2 {
 		t.Fatalf("congestion grid = %+v", cells)
 	}
-	// The off cell must carry a zero model — loss mode only rides along
-	// with a bounded depth, or the config itself would fail validation.
 	off, err := cells[0].config(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if off.Congestion.Enabled() || off.Congestion.LossMode != "" {
+	if off.Congestion.Enabled() {
 		t.Errorf("off cell congestion = %+v", off.Congestion)
 	}
 	on, err := cells[1].config(st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if on.Congestion.QueueDepth != 2 || on.Congestion.LossMode != "tail-drop" {
+	if on.Congestion.QueueDepth != 2 {
 		t.Errorf("bounded cell congestion = %+v", on.Congestion)
 	}
 
@@ -308,8 +305,6 @@ func TestStudyCongestionValidateRejects(t *testing.T) {
 		{"negative depth", Study{Name: "s", QueueDepth: -1}, "queue depth"},
 		{"negative level", Study{Name: "s", QueueDepths: []int{0, -2}}, "queue depth"},
 		{"dup level", Study{Name: "s", QueueDepths: []int{2, 2}}, "duplicate queue depth"},
-		{"bad loss mode", Study{Name: "s", QueueDepth: 2, LossMode: "red"}, "red"},
-		{"mode without depth", Study{Name: "s", LossMode: "tail-drop"}, "loss_mode"},
 	} {
 		err := tc.st.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

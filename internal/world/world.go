@@ -93,8 +93,6 @@ type World struct {
 
 	// probeAddrs indexes the NAPA-WINE set W for O(1) membership tests.
 	probeAddrs map[netip.Addr]bool
-	// ASNames maps paper labels (AS1..AS6) to synthesized AS numbers.
-	ASNames map[string]topology.ASN
 }
 
 // IsProbe reports whether addr belongs to the NAPA-WINE probe set W.
@@ -247,7 +245,6 @@ func Build(spec Spec) (*World, error) {
 	w := &World{
 		Topo:       topo,
 		probeAddrs: make(map[netip.Addr]bool),
-		ASNames:    asNames,
 	}
 
 	// Materialize probes.

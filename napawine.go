@@ -21,20 +21,17 @@
 // Everything underneath — the discrete-event engine, synthetic AS/country
 // topology, access-link model, the overlay protocol and the analysis
 // pipeline — lives in internal packages; this facade re-exports exactly
-// what examples/, cmd/napawine, api_test.go and the README use (CI fails on
-// an exported name none of them references).
+// what examples/, api_test.go and the README use (CI fails on an exported
+// name none of them references); cmd/napawine imports the internals.
 package napawine
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"napawine/internal/apps"
-	"napawine/internal/core"
 	"napawine/internal/experiment"
 	"napawine/internal/overlay"
-	"napawine/internal/plot"
 	"napawine/internal/policy"
 	"napawine/internal/report"
 	"napawine/internal/scenario"
@@ -181,15 +178,6 @@ func LoadScenarioFile(path string) (*scenario.Spec, error) { return scenario.Loa
 // share a scenario and duration.
 func SeriesTable(results []*Result) *Table { return experiment.SeriesTable(results) }
 
-// SeriesPlots renders the scenario time series of results as SVG line
-// charts — swarm-wide metrics plus per-AS breakdowns. Nil when no result
-// carried a series.
-func SeriesPlots(results []*Result) []plot.Artifact { return experiment.SeriesPlots(results) }
-
-// Figure1Plots renders each result's Figure-1 geographic breakdown as one
-// grouped SVG bar chart.
-func Figure1Plots(results []*Result) []plot.Artifact { return experiment.Figure1Plots(results) }
-
 // Summarize reduces one Result to its bounded per-run summary.
 func Summarize(r *Result) RunSummary { return experiment.Summarize(r) }
 
@@ -221,22 +209,4 @@ func RenderFigure2(w io.Writer, results []*Result) error {
 // HopSweep evaluates the HOP preference indices across a band of
 // thresholds around the paper's fixed 19, the A2 ablation: it shows the
 // 50/50 split is not an artifact of the exact cut.
-func HopSweep(r *Result, lo, hi int) (*Table, error) {
-	if lo > hi || lo < 1 {
-		return nil, fmt.Errorf("napawine: bad hop sweep range [%d,%d]", lo, hi)
-	}
-	t := report.NewTable(
-		fmt.Sprintf("HOP threshold sweep — %s", r.App),
-		"Threshold", "B'D%", "P'D%", "B'U%", "P'U%")
-	for th := lo; th <= hi; th++ {
-		c := core.HOPClassifier{Threshold: th}
-		d := core.Compute(r.Observations, core.Download, c, r.Cfg.Contrib, true)
-		u := core.Compute(r.Observations, core.Upload, c, r.Cfg.Contrib, true)
-		t.Add(fmt.Sprintf("%d", th),
-			report.PctOrDash(d.BytePct, d.Valid()),
-			report.PctOrDash(d.PeerPct, d.Valid()),
-			report.PctOrDash(u.BytePct, u.Valid()),
-			report.PctOrDash(u.PeerPct, u.Valid()))
-	}
-	return t, nil
-}
+func HopSweep(r *Result, lo, hi int) (*Table, error) { return experiment.HopSweep(r, lo, hi) }
