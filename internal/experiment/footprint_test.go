@@ -10,19 +10,23 @@ import (
 
 // perPeerHeapBudget bounds what a 2 000-peer PPLive swarm adds to the live
 // heap, per peer, with every peer joined: topology, nodes, partner records,
-// adverts, ledger columns and queued events together. It measures 7 285 to
-// 7 303 B (alone, in the package run, under -race) with the ledger's one
-// shape — four int64 columns, 32 B of that. History: 13 645 B before
+// adverts, ledger columns and queued events together. It measures 6 092 to
+// 6 110 B (alone, in the package run, under -race) with each node's partner
+// records held by value in one table of MaxPartners 64-byte slots — that is
+// under 6 KiB (6 144 B) but not under 6 000 B, so a 6 KB-per-peer target is
+// met at 2 000 peers only in binary kilobytes. History: 13 645 B before
 // selection scratch moved from the node to the shard and partner records
 // began viewing one published advert; 7 939 to 8 007 B while every session
 // held four ticker closures and their cancel slice and the wheel's slots
 // each kept their own grown capacity; 7 441 to 7 460 B while probes staged
 // whole packet.Records; 7 415 to 7 433 B while the ledger had ten columns
-// and each of a node's two ports carried three lifetime counters. Five
-// virtual seconds in, no neighbour list is long enough to own a membership
-// filter, so that costs nothing here. The budget is the measurement plus
-// 5 %, so half a KB of per-node state cannot come back unnoticed.
-const perPeerHeapBudget = 7_650
+// and each of a node's two ports carried three lifetime counters; 7 285 to
+// 7 303 B while each partner record was a pooled 96-byte allocation that
+// both partner indexes pointed at. Five virtual seconds in, no neighbour
+// list is long enough to own a membership filter, so that costs nothing
+// here. The budget is the measurement plus 5 %, so a third of a KB of
+// per-node state cannot come back unnoticed.
+const perPeerHeapBudget = 6_400
 
 // TestPerPeerFootprint measures from inside the run, at the first series
 // sample after the join ramp, while the whole swarm is still reachable.

@@ -105,11 +105,14 @@ func TestAdvertViewRules(t *testing.T) {
 	checkPartnerIndexes(t, a)
 	checkPartnerIndexes(t, x)
 
-	// A dropped record gives up its view with everything else.
+	// A dropped record gives up its view with everything else, and its slot
+	// heads the free list.
+	s, _ := x.partnerSlot(a.ID)
 	x.dropPartner(a.ID)
-	if pooled := x.partnerPool[len(x.partnerPool)-1]; pooled != xa || xa.have != nil || xa.node != nil {
-		t.Error("recycled record still holds a view or a node")
+	if x.freeSlot != int16(s+1) || xa != &x.partners[s] || xa.have != nil || xa.node != nil {
+		t.Error("freed slot still holds a view or a node, or is not the next one taken")
 	}
+	checkPartnerIndexes(t, x)
 }
 
 // TestAdvertViewRulesAcrossShards is the same walk for a pair on two

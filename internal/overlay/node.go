@@ -10,13 +10,15 @@ import (
 	"napawine/internal/chunkstream"
 	"napawine/internal/policy"
 	"napawine/internal/sim"
-	"napawine/internal/sniffer"
 	"napawine/internal/topology"
 	"napawine/internal/units"
 )
 
 // partner is the per-neighbour state a node keeps for peers it actively
-// exchanges video with.
+// exchanges video with: one 64-byte record, held by value in a slot of the
+// node's partner table (Node.partners). The policy-visible facts are packed —
+// locality as three bits, the RTT as 32 bits of nanoseconds — and rebuilt into
+// a policy.Info (info) only where a Weight reads one.
 type partner struct {
 	node *Node
 	// have is a view of the buffer map the partner last announced to this
@@ -25,19 +27,23 @@ type partner struct {
 	// Nothing here owns or copies the words. Nil — nothing advertised — from
 	// the record's creation until the remote's next signalling tick aims it.
 	have chunkstream.Advert
-	// info carries the locality facts plus the running delivery-rate
-	// estimate that selection policies consume.
-	info policy.Info
 	// reqW and retW cache the profile's request- and retain-time weights
-	// for this pair. The locality facts in info are immutable from the
+	// for this pair. The locality facts and the RTT are immutable from the
 	// moment the partnership forms, so the caches go stale only when
-	// info.EstRate moves — every such site calls rescore, which also
-	// repositions the partner in the weight-ordered request index.
+	// estRate moves — every such site calls rescore, which also repositions
+	// the partner in the weight-ordered request index.
 	reqW, retW float64
-	// consecutive failures (timeouts/rejections) since the last success;
-	// narrow so that it shares a word with announce and the record fits the
-	// 96-byte size class.
-	failures int32
+	// estRate is the running delivery-rate estimate (policy.Info.EstRate).
+	estRate units.BitRate
+	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
+	// formation (addPartner). In a free slot it is instead the free list's
+	// link: 1 + the next free slot, 0 at the end of the list.
+	rtt int32
+	// consecutive failures (timeouts/rejections) since the last success,
+	// saturating (fail): every test of it compares with a limit of at most
+	// congestionFailureLimit, so a saturated count reads like a larger one.
+	failures uint16
+	loc      uint8 // locSubnet | locAS | locCC
 	// announce marks a row whose remote side has not been aimed at this
 	// node's advert yet. addPartner sets it both when it creates the row and
 	// when it finds the row already there: the remote may have left,
@@ -46,11 +52,61 @@ type partner struct {
 	// aims the remote's row and clears the flag; from then on rewriting the
 	// advert in place is the whole announcement.
 	announce bool
-	// Congestion observations, maintained only when the network's
-	// congestion model is on (node.go gates every write): lossEWMA tracks
-	// the fraction of requests to this partner that timed out (1 = every
-	// recent request lost), and backoffUntil holds requests off the
-	// partner after a timeout, doubling per consecutive failure.
+}
+
+// The locality facts of a partner record, one bit each.
+const (
+	locSubnet uint8 = 1 << iota
+	locAS
+	locCC
+)
+
+// pack stores the policy-visible facts of info in the record of partner
+// p.node, held by node self. An RTT past the record's 32 bits of nanoseconds
+// panics, naming the pair, rather than being truncated.
+func (p *partner) pack(info policy.Info, self PeerID) {
+	p.rtt = int32(info.RTT)
+	if time.Duration(p.rtt) != info.RTT {
+		panic(fmt.Sprintf("overlay: RTT %v between peers %d and %d does not fit a partner record", info.RTT, self, p.node.ID))
+	}
+	p.loc = 0
+	if info.SameSubnet {
+		p.loc |= locSubnet
+	}
+	if info.SameAS {
+		p.loc |= locAS
+	}
+	if info.SameCC {
+		p.loc |= locCC
+	}
+	p.estRate = info.EstRate
+}
+
+// info rebuilds the policy-visible facts the record packs.
+func (p *partner) info() policy.Info {
+	return policy.Info{
+		SameSubnet: p.loc&locSubnet != 0,
+		SameAS:     p.loc&locAS != 0,
+		SameCC:     p.loc&locCC != 0,
+		RTT:        time.Duration(p.rtt),
+		EstRate:    p.estRate,
+	}
+}
+
+// fail counts one more consecutive failure.
+func (p *partner) fail() {
+	if p.failures < math.MaxUint16 {
+		p.failures++
+	}
+}
+
+// partnerCong is a partner's congestion observations, kept slot for slot in
+// a side table (Node.cong) that exists only when the network's congestion
+// model is on (every access is gated on it): lossEWMA tracks the fraction of
+// requests to the partner that timed out (1 = every recent request lost), and
+// backoffUntil holds requests off the partner after a timeout, doubling per
+// consecutive failure. addPartner zeroes a slot's entry as it fills the slot.
+type partnerCong struct {
 	lossEWMA     float64
 	backoffUntil sim.Time
 }
@@ -112,23 +168,24 @@ func (s inflightSet) expiredInto(dst []chunkstream.ChunkID, now sim.Time, timeou
 	return dst
 }
 
-// idEntry is one element of the id-ordered partner index. The sort key
-// rides inline next to the pointer (struct-of-arrays style): the index's
-// hot loops — insertion scans, dead-partner sweeps — touch only the id and
-// stay within the entry slice instead of chasing a pointer per comparison.
+// idEntry is one element of the id-ordered partner index: the sort key and
+// the partner's slot in the node's partner table. The index's hot loops —
+// insertion scans, dead-partner sweeps — touch only the id and stay within
+// the entry slice, and an entry holds no pointer, so shifting one costs no
+// write barrier and the collector never scans the index.
 type idEntry struct {
-	id PeerID
-	p  *partner
+	id   PeerID
+	slot int32
 }
 
 // reqEntry is one element of the weight-ordered request index, with both
 // sort keys (cached request weight, then id) inline for the same reason.
-// w duplicates p.reqW and is refreshed whenever rescore repositions the
-// partner.
+// w duplicates the record's reqW and is refreshed whenever rescore
+// repositions the partner.
 type reqEntry struct {
-	w  float64
-	id PeerID
-	p  *partner
+	w    float64
+	id   PeerID
+	slot int32
 }
 
 // The neighbour list's membership filter: one bit per residue of the peer id
@@ -235,11 +292,16 @@ type Node struct {
 	sc *shardCtx
 	// sc, spool, ID, isSource and online are what another node's tick reads
 	// of this one, once per partner (partnerAlive, then sendControl): they
-	// share the node's first 32 bytes, and so one cache line.
-	spool    *sniffer.Spool
+	// share the node's first 32 bytes, and so one cache line. spool is nil
+	// unless the node carries a sniffer (AttachSniffer).
+	spool    *probeTap
 	ID       PeerID
 	isSource bool
 	online   bool
+	// freeSlot is 1 + the first free slot of partners, 0 when none is free;
+	// 16 bits, so it fills the header's last two bytes (Profile.validate
+	// bounds MaxPartners to match).
+	freeSlot int16
 	// epoch numbers the node's sessions: Leave advances it, and a periodic
 	// tick record carries the epoch of the session that posted it (tick).
 	epoch int64
@@ -256,8 +318,9 @@ type Node struct {
 	// byID is the partner set, ordered by peer id: the membership record
 	// (partnerByID binary-searches it; at most MaxPartners entries) and the
 	// deterministic iteration order of every loop that consumes randomness
-	// or emits events. Maintained incrementally on partner add/drop; never
-	// rebuilt. Allocated once, with byReq, at MaxPartners entries.
+	// or emits events. Each entry names the partner's slot in partners.
+	// Maintained incrementally on partner add/drop; never rebuilt. Allocated
+	// once, with byReq, at MaxPartners entries.
 	byID []idEntry
 	// byReq is the same set ordered by (cached request weight descending,
 	// peer id ascending): the weight-ordered partner index. Its head is
@@ -273,12 +336,16 @@ type Node struct {
 	// partnership episodes and across the node's own sessions: it is created
 	// at the first Join and kept for the node's lifetime.
 	rateMemory map[PeerID]units.BitRate
-	capture    *sniffer.Capture
+	// cong is the congestion side table, slot for slot with partners:
+	// allocated at the first Join, at MaxPartners entries, when the network's
+	// congestion model is on, and nil otherwise. It sits behind a pointer
+	// rather than a slice header so that Node keeps its size class.
+	cong *[]partnerCong
 	// neighbors and advert fill the 64 bytes from offset 256, one cache line:
 	// what a contact reads of the other node's list (slice header, head,
 	// filter pointer) is there whole, and the scheduler's byReq and inflight
-	// stay together on the line before it, which rateMemory and capture
-	// fill up (TestNodeHotHeaderFitsOneLine).
+	// stay together on the line before it, which rateMemory and cong fill up
+	// (TestNodeHotHeaderFitsOneLine).
 	neighbors neighborRing // contacted, remembered for keepalives (bounded)
 	// advert is the buffer-map announcement of the current session, viewed
 	// by every partner record aimed at it (partner.have). signalingTick
@@ -287,11 +354,15 @@ type Node struct {
 	// yet noticed a leave-and-rejoin keeps reading the last announcement of
 	// the session it partnered with.
 	advert chunkstream.Advert
-	// partnerPool recycles partner structs across partnership episodes:
-	// partner churn runs for the whole experiment, and without the pool
-	// every add allocated a partner. A pooled struct holds nothing — every
-	// field is cleared on the way in and set again on the way out.
-	partnerPool []*partner
+	// partners is the partner table: every partner record, by value, in the
+	// slot byID and byReq name. Allocated once, at the first Join, with
+	// capacity MaxPartners, and never reallocated — the partner count never
+	// exceeds MaxPartners, and a freed slot is reused before the table
+	// extends — so a *partner taken inside one event stays valid through it.
+	// Slots below len that no index names are free, zeroed, and threaded
+	// from freeSlot through their rtt fields. Leave clears the table in
+	// place.
+	partners []partner
 
 	// blocked: connectivity lost (scenario partition): Join is deferred.
 	// joinDeferred records a Join attempted while blocked, honoured at
@@ -394,9 +465,14 @@ func (nd *Node) Join() {
 	}
 	nd.advert = nil
 	if nd.byID == nil {
+		nd.partners = make([]partner, 0, nd.Profile.MaxPartners)
 		nd.byID = make([]idEntry, 0, nd.Profile.MaxPartners)
 		nd.byReq = make([]reqEntry, 0, nd.Profile.MaxPartners)
 		nd.inflight = make(inflightSet, 0, nd.Profile.MaxInflight)
+		if nd.net.congestionOn() {
+			cong := make([]partnerCong, nd.Profile.MaxPartners)
+			nd.cong = &cong
+		}
 	}
 	nd.inflight = nd.inflight[:0]
 	nd.byID = nd.byID[:0]
@@ -479,16 +555,17 @@ func (nd *Node) Leave() {
 	// Partners on this shard observe the online flag lazily, as always.
 	// Cross-shard partners cannot, so the departure travels to them as a
 	// message after the pair's one-way delay.
-	for i := range nd.byID {
-		if other := nd.byID[i].p.node; !sameShard(nd, other) {
+	for _, en := range nd.byID {
+		if other := nd.partners[en.slot].node; !sameShard(nd, other) {
 			nd.net.crossRemovePartner(nd, other)
 		}
 	}
-	// Recycle every partner episode and empty the indexes in place; the
-	// next Join reuses all of it.
-	for i := range nd.byID {
-		nd.recyclePartner(nd.byID[i].p)
-	}
+	// Clear the partner table and empty the indexes in place; the next Join
+	// reuses all of it. A cleared record pins neither a departed node nor an
+	// advert of a finished session.
+	clear(nd.partners)
+	nd.partners = nd.partners[:0]
+	nd.freeSlot = 0
 	nd.byID = nd.byID[:0]
 	nd.byReq = nd.byReq[:0]
 	nd.inflight = nd.inflight[:0]
@@ -651,24 +728,32 @@ func (nd *Node) byIDSearch(id PeerID) (int, bool) {
 	return lo, lo < len(nd.byID) && nd.byID[lo].id == id
 }
 
+// partnerSlot returns the slot of the partner with the given id.
+func (nd *Node) partnerSlot(id PeerID) (int32, bool) {
+	if i, ok := nd.byIDSearch(id); ok {
+		return nd.byID[i].slot, true
+	}
+	return 0, false
+}
+
 // partnerByID returns the partner with the given id, nil when there is none.
 func (nd *Node) partnerByID(id PeerID) *partner {
-	if i, ok := nd.byIDSearch(id); ok {
-		return nd.byID[i].p
+	if s, ok := nd.partnerSlot(id); ok {
+		return &nd.partners[s]
 	}
 	return nil
 }
 
-// byReqInsert places p at its weight-ordered position: request weight
-// descending, peer id ascending on ties — so the head is always the
-// lowest-id partner of maximal weight, matching the historical
-// scan-in-id-order tie-break. NaN weights (reachable only through custom
-// Weight implementations) are kept in an id-ordered tail segment after
-// every real weight: naive float comparisons would otherwise strand
-// later-inserted partners behind a NaN and break the descending
-// invariant bestPartner's early exit relies on.
-func (nd *Node) byReqInsert(p *partner) {
-	w, id := p.reqW, p.node.ID
+// byReqInsert places partner id, held in slot s, at its weight-ordered
+// position: request weight descending, peer id ascending on ties — so the
+// head is always the lowest-id partner of maximal weight, matching the
+// historical scan-in-id-order tie-break. NaN weights (reachable only through
+// custom Weight implementations) are kept in an id-ordered tail segment
+// after every real weight: naive float comparisons would otherwise strand
+// later-inserted partners behind a NaN and break the descending invariant
+// bestPartner's early exit relies on.
+func (nd *Node) byReqInsert(id PeerID, s int32) {
+	w := nd.partners[s].reqW
 	pNaN := math.IsNaN(w)
 	i := 0
 	for i < len(nd.byReq) {
@@ -684,26 +769,30 @@ func (nd *Node) byReqInsert(p *partner) {
 	}
 	nd.byReq = append(nd.byReq, reqEntry{})
 	copy(nd.byReq[i+1:], nd.byReq[i:])
-	nd.byReq[i] = reqEntry{w: w, id: id, p: p}
+	nd.byReq[i] = reqEntry{w: w, id: id, slot: s}
 }
 
-func (nd *Node) byReqRemove(p *partner) {
+// byReqRemove drops slot s's entry from the weight-ordered index and returns
+// the partner id it carried.
+func (nd *Node) byReqRemove(s int32) PeerID {
 	for i := range nd.byReq {
-		if nd.byReq[i].p == p {
+		if nd.byReq[i].slot == s {
+			id := nd.byReq[i].id
 			nd.byReq = append(nd.byReq[:i], nd.byReq[i+1:]...)
-			return
+			return id
 		}
 	}
+	panic(fmt.Sprintf("overlay: node %d: slot %d missing from the request index", nd.ID, s))
 }
 
-// rescore refreshes a partner's cached weights after its delivery-rate
-// estimate moved, and repositions it in the weight-ordered index. This is
-// the single invalidation door: locality facts never change, so every
-// cache stays exact as long as each EstRate mutation ends here.
-func (nd *Node) rescore(p *partner) {
-	p.reqW, p.retW = policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, p.info)
-	nd.byReqRemove(p)
-	nd.byReqInsert(p)
+// rescore refreshes the cached weights of the partner in slot s after its
+// delivery-rate estimate moved, and repositions it in the weight-ordered
+// index. This is the single invalidation door: locality facts never change,
+// so every cache stays exact as long as each estRate mutation ends here.
+func (nd *Node) rescore(s int32) {
+	p := &nd.partners[s]
+	p.reqW, p.retW = policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, p.info())
+	nd.byReqInsert(nd.byReqRemove(s), s)
 }
 
 // refillPartners queries the tracker and adopts candidates, weighted by the
@@ -760,7 +849,7 @@ func (nd *Node) handshake(other *Node) {
 func (nd *Node) addPartner(other *Node) {
 	i, dup := nd.byIDSearch(other.ID)
 	if dup {
-		nd.byID[i].p.announce = true
+		nd.partners[nd.byID[i].slot].announce = true
 		return
 	}
 	info := nd.infoFor(other)
@@ -770,38 +859,43 @@ func (nd *Node) addPartner(other *Node) {
 	if nd.rateMemory != nil {
 		info.EstRate = nd.rateMemory[other.ID]
 	}
-	p := nd.newPartner(other, info)
-	// Locality facts are settled for good at partnership formation; this
-	// is the once-per-pair weighing the selection loops reuse from here on.
+	// The record sees none of other's holdings and is marked for
+	// announcement to other. Locality facts are settled for good at
+	// partnership formation; this is the once-per-pair weighing the
+	// selection loops reuse from here on.
+	s := nd.takeSlot()
+	p := &nd.partners[s]
+	*p = partner{node: other, announce: true}
+	p.pack(info, nd.ID)
 	p.reqW, p.retW = policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, info)
+	if nd.cong != nil {
+		(*nd.cong)[s] = partnerCong{}
+	}
 	nd.byID = append(nd.byID, idEntry{})
 	copy(nd.byID[i+1:], nd.byID[i:])
-	nd.byID[i] = idEntry{id: other.ID, p: p}
-	nd.byReqInsert(p)
+	nd.byID[i] = idEntry{id: other.ID, slot: s}
+	nd.byReqInsert(other.ID, s)
 }
 
-// newPartner takes a recycled partner struct from the pool or allocates one
-// on first use. The record sees none of other's holdings and is marked for
-// announcement to other.
-func (nd *Node) newPartner(other *Node, info policy.Info) *partner {
-	var p *partner
-	if n := len(nd.partnerPool); n > 0 {
-		p = nd.partnerPool[n-1]
-		nd.partnerPool[n-1] = nil
-		nd.partnerPool = nd.partnerPool[:n-1]
-	} else {
-		p = new(partner)
+// takeSlot pops the free list, or extends the partner table by one slot
+// when nothing is free. It reslices, never appends: a table past its
+// capacity panics rather than moving behind a held *partner.
+func (nd *Node) takeSlot() int32 {
+	if nd.freeSlot != 0 {
+		s := int32(nd.freeSlot - 1)
+		nd.freeSlot = int16(nd.partners[s].rtt)
+		return s
 	}
-	*p = partner{node: other, info: info, announce: true}
-	return p
+	n := len(nd.partners)
+	nd.partners = nd.partners[:n+1]
+	return int32(n)
 }
 
-// recyclePartner returns a partner struct to the pool, zeroed: only the
-// struct's own allocation is kept, so a pooled record can pin neither a
-// departed node nor an advert of a finished session.
-func (nd *Node) recyclePartner(p *partner) {
-	*p = partner{}
-	nd.partnerPool = append(nd.partnerPool, p)
+// releaseSlot zeroes slot s — its record pins neither a departed node nor an
+// advert of a finished session — and pushes it on the free list.
+func (nd *Node) releaseSlot(s int32) {
+	nd.partners[s] = partner{rtt: int32(nd.freeSlot)}
+	nd.freeSlot = int16(s + 1)
 }
 
 func (nd *Node) dropPartner(id PeerID) {
@@ -819,10 +913,10 @@ func (nd *Node) removePartner(id PeerID) {
 	if !ok {
 		return
 	}
-	p := nd.byID[i].p
+	s := nd.byID[i].slot
 	nd.byID = append(nd.byID[:i], nd.byID[i+1:]...)
-	nd.byReqRemove(p)
-	nd.recyclePartner(p)
+	nd.byReqRemove(s)
+	nd.releaseSlot(s)
 }
 
 func (nd *Node) rememberNeighbor(id PeerID) {
@@ -900,9 +994,9 @@ func (nd *Node) partnerAlive(p *partner) bool {
 // (crossRemovePartner) instead of being observed.
 func (nd *Node) dropDeadPartners() {
 	dead := nd.sc.dropIDs[:0]
-	for i := range nd.byID {
-		if !nd.partnerAlive(nd.byID[i].p) {
-			dead = append(dead, nd.byID[i].id)
+	for _, en := range nd.byID {
+		if !nd.partnerAlive(&nd.partners[en.slot]) {
+			dead = append(dead, en.id)
 		}
 	}
 	nd.sc.dropIDs = dead
@@ -930,7 +1024,8 @@ func (nd *Node) signalingTick() {
 		// rewritten, on this shard's goroutine, before their messages arrive.
 		var crossAd chunkstream.Advert
 		for _, en := range nd.byID {
-			other := en.p.node
+			p := &nd.partners[en.slot]
+			other := p.node
 			if !sameShard(nd, other) {
 				if crossAd == nil {
 					crossAd = slices.Clone(nd.advert)
@@ -939,8 +1034,8 @@ func (nd *Node) signalingTick() {
 				continue
 			}
 			nd.net.sendSignal(nd, other, size)
-			if en.p.announce {
-				en.p.announce = false
+			if p.announce {
+				p.announce = false
 				if remote := other.partnerByID(nd.ID); remote != nil {
 					remote.have = nd.advert
 				}
@@ -976,8 +1071,9 @@ func (nd *Node) churnTick() {
 	if len(nd.byID) >= nd.Profile.PartnerTarget {
 		scorer := &nd.sc.scorer
 		scorer.Reset()
+		// Worst reads only the index and the weight: no Info is built.
 		for _, en := range nd.byID {
-			scorer.PushScored(policy.Candidate{Index: int(en.id), Info: en.p.info}, en.p.retW)
+			scorer.PushScored(policy.Candidate{Index: int(en.id)}, nd.partners[en.slot].retW)
 		}
 		worst := scorer.Worst()
 		if worst.Index >= 0 {
@@ -1040,24 +1136,23 @@ func (nd *Node) scheduleTick() {
 		at := nd.inflight.find(id)
 		req := nd.inflight[at]
 		nd.inflight.removeAt(at)
-		if pr := nd.partnerByID(req.from); pr != nil {
-			pr.failures++
-			pr.info.EstRate /= 2 // stale partner loses standing
+		if s, ok := nd.partnerSlot(req.from); ok {
+			pr := &nd.partners[s]
+			pr.fail()
+			pr.estRate /= 2 // stale partner loses standing
 			if cong {
 				// A timeout is the requester's only evidence of a tail
 				// drop: absorb it into the partner's observed-loss EWMA
 				// and hold requests off the partner for an exponentially
 				// growing window.
-				pr.lossEWMA = pr.lossEWMA*lossEWMARetain + (1 - lossEWMARetain)
-				shift := pr.failures - 1
-				if shift > 4 {
-					shift = 4
-				}
-				pr.backoffUntil = now.Add(p.RequestTimeout << shift)
+				c := &(*nd.cong)[s]
+				c.lossEWMA = c.lossEWMA*lossEWMARetain + (1 - lossEWMARetain)
+				shift := min(pr.failures-1, 4)
+				c.backoffUntil = now.Add(p.RequestTimeout << shift)
 				sc.ledger.BackoffsTotal++
 			}
-			nd.rescore(pr)
-			limit := int32(4)
+			nd.rescore(s)
+			limit := uint16(4)
 			if cong {
 				limit = congestionFailureLimit
 			}
@@ -1162,7 +1257,7 @@ func (nd *Node) scheduleTick() {
 func (nd *Node) countHolders(id chunkstream.ChunkID, now sim.Time) int {
 	n := 0
 	for _, en := range nd.byID {
-		p := en.p
+		p := &nd.partners[en.slot]
 		if !nd.partnerAlive(p) {
 			continue
 		}
@@ -1184,16 +1279,16 @@ func (nd *Node) bestPartner() *partner {
 	if cong {
 		now = nd.sc.eng.Now()
 	}
-	for i := range nd.byReq {
-		en := &nd.byReq[i]
-		if !nd.partnerAlive(en.p) || en.p.node.isSource {
+	for _, en := range nd.byReq {
+		p := &nd.partners[en.slot]
+		if !nd.partnerAlive(p) || p.node.isSource {
 			continue
 		}
-		if cong && en.p.backoffUntil > now {
+		if cong && (*nd.cong)[en.slot].backoffUntil > now {
 			continue
 		}
 		if en.w > 0 {
-			return en.p
+			return p
 		}
 		// Weights only descend from here (NaNs sink to the tail); nothing
 		// selectable remains.
@@ -1220,22 +1315,26 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	scorer.Reset()
 	order := sc.reqOrder[:0]
 	for _, en := range nd.byID {
-		p := en.p
+		p := &nd.partners[en.slot]
 		if !nd.partnerAlive(p) {
 			continue
 		}
-		if cong && p.backoffUntil > now {
-			continue
+		var c *partnerCong
+		if cong {
+			if c = &(*nd.cong)[en.slot]; c.backoffUntil > now {
+				continue
+			}
 		}
 		// A client only knows what the partner advertised; the single
 		// exception is the source, which everyone knows holds the feed.
 		if (p.node.isSource && p.node.hasChunk(id, now)) || p.have.Has(id) {
 			w := p.reqW
 			if aware > 0 {
-				w *= policy.LossPenalty(p.lossEWMA, aware)
+				w *= policy.LossPenalty(c.lossEWMA, aware)
 			}
-			scorer.PushScored(policy.Candidate{Index: len(order), Info: p.info}, w)
-			order = append(order, p)
+			// PickOne reads only the index and the weight: no Info is built.
+			scorer.PushScored(policy.Candidate{Index: len(order)}, w)
+			order = append(order, en.slot)
 		}
 	}
 	sc.reqOrder = order
@@ -1243,7 +1342,7 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	if pick.Index < 0 {
 		return false
 	}
-	target := order[pick.Index].node
+	target := nd.partners[order[pick.Index]].node
 	nd.inflight = append(nd.inflight, pendingReq{id: id, from: target.ID, sentAt: now})
 	nd.net.sendRequest(nd, target, id)
 	return true

@@ -19,6 +19,7 @@ package overlay
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"time"
 
@@ -41,7 +42,7 @@ type Profile struct {
 
 	// Partner management.
 	PartnerTarget int           // partners a node tries to hold
-	MaxPartners   int           // hard acceptance cap (≥ PartnerTarget)
+	MaxPartners   int           // hard acceptance cap (≥ PartnerTarget, ≤ 32767)
 	DropInterval  time.Duration // how often the worst partner is churned out
 
 	// Discovery.
@@ -85,7 +86,7 @@ func (p *Profile) validate() {
 	switch {
 	case p.Name == "":
 		panic("overlay: profile without a name")
-	case p.PartnerTarget <= 0 || p.MaxPartners < p.PartnerTarget:
+	case p.PartnerTarget <= 0 || p.MaxPartners < p.PartnerTarget || p.MaxPartners > math.MaxInt16:
 		panic(fmt.Sprintf("overlay: %s: bad partner bounds %d/%d", p.Name, p.PartnerTarget, p.MaxPartners))
 	case p.ContactInterval <= 0 || p.SignalingInterval <= 0 || p.ScheduleInterval <= 0:
 		panic(fmt.Sprintf("overlay: %s: non-positive intervals", p.Name))
@@ -301,7 +302,7 @@ type shardCtx struct {
 	// dropIDs before churnTick scores; refillPartners walks the scorer's
 	// Sample result while it handshakes.
 	scorer   policy.Scorer
-	reqOrder []*partner            // candidate order of one requestChunk round
+	reqOrder []int32               // partner slots in candidate order of one requestChunk round
 	refs     []policy.ChunkRef     // missing chunks of one scheduler tick
 	expired  []chunkstream.ChunkID // timed-out requests of one tick
 	dropIDs  []PeerID              // dead partners collected before dropping
@@ -562,12 +563,18 @@ func (n *Network) PromoteSource(backup *Node) {
 // packet crossing the node's access link will be spooled and can be drained
 // with FlushCaptures.
 func (n *Network) AttachSniffer(node *Node) *sniffer.Capture {
-	if node.capture != nil {
-		return node.capture
+	if node.spool == nil {
+		node.spool = &probeTap{capture: sniffer.New(node.Host.Addr)}
 	}
-	node.capture = sniffer.New(node.Host.Addr)
-	node.spool = &sniffer.Spool{}
-	return node.capture
+	return node.spool.capture
+}
+
+// probeTap is what a probe-equipped node carries behind its one spool
+// pointer: the spool its packet records are staged in, and the capture they
+// drain into.
+type probeTap struct {
+	sniffer.Spool
+	capture *sniffer.Capture
 }
 
 // FlushCaptures drains every probe spool into its capture in timestamp
@@ -575,7 +582,7 @@ func (n *Network) AttachSniffer(node *Node) *sniffer.Capture {
 func (n *Network) FlushCaptures() {
 	for _, node := range n.nodes {
 		if node.spool != nil {
-			node.spool.Drain(node.capture)
+			node.spool.Drain(node.spool.capture)
 		}
 	}
 }
@@ -590,7 +597,7 @@ func (n *Network) FlushCapturesBefore() {
 	cutoff := int64(n.Eng.Now())
 	for _, node := range n.nodes {
 		if node.spool != nil {
-			node.spool.DrainBefore(node.capture, cutoff)
+			node.spool.DrainBefore(node.spool.capture, cutoff)
 		}
 	}
 }

@@ -186,9 +186,9 @@ func TestProbeCapturesPlausibleTraffic(t *testing.T) {
 func TestSnifferRecordsMatchLedgerVideo(t *testing.T) {
 	w := buildWorld(t, 4, 16, 0)
 	probe := w.peers[0]
-	w.net.AttachSniffer(probe)
+	capture := w.net.AttachSniffer(probe)
 	var inVideo, outVideo int64
-	probe.capture.Attach(sniffer.ConsumerFunc(func(r packet.Record) {
+	capture.Attach(sniffer.ConsumerFunc(func(r packet.Record) {
 		if r.Kind != packet.Video {
 			return
 		}

@@ -226,10 +226,11 @@ func (nd *Node) onReject(from PeerID, id chunkstream.ChunkID) {
 		return
 	}
 	nd.settleRequest(id, from)
-	if p := nd.partnerByID(from); p != nil {
-		p.failures++
-		p.info.EstRate = p.info.EstRate * 3 / 4
-		nd.rescore(p)
+	if s, ok := nd.partnerSlot(from); ok {
+		p := &nd.partners[s]
+		p.fail()
+		p.estRate = p.estRate * 3 / 4
+		nd.rescore(s)
 	}
 }
 
@@ -249,28 +250,30 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, burst time
 			nd.sc.ledger.DiffusionChunks++
 		}
 	}
-	if p := nd.partnerByID(from); p != nil {
+	if s, ok := nd.partnerSlot(from); ok {
+		p := &nd.partners[s]
 		p.failures = 0
 		if nd.net.congestionOn() {
 			// A successful delivery decays the observed-loss estimate and
 			// lifts any standing backoff: the partner is reachable again.
-			p.lossEWMA *= lossEWMARetain
-			p.backoffUntil = 0
+			c := &(*nd.cong)[s]
+			c.lossEWMA *= lossEWMARetain
+			c.backoffUntil = 0
 		}
 		var sample units.BitRate
 		if burst > 0 {
 			sample = units.RateOf(nd.net.Cfg.Calendar.ChunkSize(), burst)
 		}
 		if sample > 0 {
-			if p.info.EstRate == 0 {
-				p.info.EstRate = sample
+			if p.estRate == 0 {
+				p.estRate = sample
 			} else {
 				// EWMA with 0.7 retention: smooth but responsive.
-				p.info.EstRate = (p.info.EstRate*7 + sample*3) / 10
+				p.estRate = (p.estRate*7 + sample*3) / 10
 			}
-			nd.rescore(p)
+			nd.rescore(s)
 			if nd.rateMemory != nil {
-				nd.rateMemory[from] = p.info.EstRate
+				nd.rateMemory[from] = p.estRate
 			}
 		}
 	}

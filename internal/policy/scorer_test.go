@@ -34,20 +34,29 @@ func scorerWeight() Weight {
 func TestScorerMatchesFreeFunctions(t *testing.T) {
 	cands, w := scorerSlate(), scorerWeight()
 	for seed := int64(1); seed <= 50; seed++ {
-		var s Scorer
+		// bare holds the same weights pushed without their Infos: PickOne and
+		// Worst read only the index and the weight, which is what lets the
+		// overlay's request and churn rounds push cached weights alone.
+		var s, bare Scorer
 		for _, c := range cands {
 			s.Push(c, w)
+			bare.PushScored(Candidate{Index: c.Index}, w.Weight(c.Info))
 		}
 		rngA, rngB := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
-		if got, want := s.PickOne(rngA), PickOne(rngB, cands, w); got.Index != want.Index {
-			t.Fatalf("seed %d: Scorer.PickOne = %d, free PickOne = %d", seed, got.Index, want.Index)
+		rngC := rand.New(rand.NewSource(seed))
+		pick, ref := s.PickOne(rngA), PickOne(rngB, cands, w)
+		if pick.Index != ref.Index {
+			t.Fatalf("seed %d: Scorer.PickOne = %d, free PickOne = %d", seed, pick.Index, ref.Index)
 		}
-		if rngA.Int63() != rngB.Int63() {
+		if b := bare.PickOne(rngC); b.Index != pick.Index {
+			t.Fatalf("seed %d: PickOne without Infos = %d, with them %d", seed, b.Index, pick.Index)
+		}
+		if a, b, c := rngA.Int63(), rngB.Int63(), rngC.Int63(); a != b || a != c {
 			t.Fatalf("seed %d: PickOne consumed different draw counts", seed)
 		}
 
-		if got, want := s.Worst(), Worst(cands, w); got.Index != want.Index {
-			t.Fatalf("seed %d: Scorer.Worst = %d, free Worst = %d", seed, got.Index, want.Index)
+		if got, want := s.Worst(), Worst(cands, w); got.Index != want.Index || bare.Worst().Index != got.Index {
+			t.Fatalf("seed %d: Scorer.Worst = %d, free Worst = %d, without Infos %d", seed, got.Index, want.Index, bare.Worst().Index)
 		}
 
 		rngA, rngB = rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
