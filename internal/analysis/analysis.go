@@ -11,10 +11,12 @@
 package analysis
 
 import (
+	"cmp"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net/netip"
-	"sort"
+	"slices"
 	"time"
 
 	"napawine/internal/core"
@@ -58,8 +60,10 @@ type PeerAggregate struct {
 	MaxTTL   uint8
 	Received bool
 
-	lastFull sim.Time
+	// hasFull reports that lastFull holds the arrival of the last
+	// full-size inbound video packet.
 	hasFull  bool
+	lastFull sim.Time
 }
 
 // Hops reports the inferred hop count, −1 when nothing was received.
@@ -73,19 +77,43 @@ func (p *PeerAggregate) Hops() int {
 // Aggregator consumes a probe's records and maintains per-peer aggregates.
 // It implements sniffer.Consumer, so it can run live during a simulation or
 // be fed from a stored trace with identical results.
+//
+// The aggregates form a table with no pointer in it, in the order the
+// remotes were first seen: captures and the trace format are IPv4-only, so
+// a remote is keyed by its address as 32 bits.
 type Aggregator struct {
 	probe netip.Addr
 	cfg   Config
-	peers map[netip.Addr]*PeerAggregate
-	count uint64
+	// index maps a remote's key to its row of remotes and peers.
+	index   map[uint32]int32
+	remotes []uint32
+	peers   []PeerAggregate
+	count   uint64
 }
 
-// New builds an aggregator for the given probe address.
+// New builds an aggregator for the given IPv4 probe address.
 func New(probe netip.Addr, cfg Config) *Aggregator {
 	if cfg.VideoSizeFloor <= 0 || cfg.FullPacket < cfg.VideoSizeFloor {
 		panic(fmt.Sprintf("analysis: bad config %+v", cfg))
 	}
-	return &Aggregator{probe: probe, cfg: cfg, peers: make(map[netip.Addr]*PeerAggregate)}
+	if !probe.Is4() {
+		panic(fmt.Sprintf("analysis: probe address must be IPv4, got %v", probe))
+	}
+	return &Aggregator{probe: probe, cfg: cfg, index: make(map[uint32]int32)}
+}
+
+// key is a remote's table key: its IPv4 address, big-endian, so keys order
+// as addresses do.
+func key(addr netip.Addr) uint32 {
+	b := addr.As4()
+	return binary.BigEndian.Uint32(b[:])
+}
+
+// addrOf inverts key.
+func addrOf(k uint32) netip.Addr {
+	var b [4]byte
+	binary.BigEndian.PutUint32(b[:], k)
+	return netip.AddrFrom4(b)
 }
 
 // Records reports how many records were consumed.
@@ -96,35 +124,57 @@ func (a *Aggregator) Records() uint64 { return a.count }
 func (a *Aggregator) PeerCount() int { return len(a.peers) }
 
 // Peer returns the aggregate for one remote address, nil when never seen.
-func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate { return a.peers[remote] }
+// The pointer is valid until the next Consume, which may move the table.
+func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate {
+	if !remote.Is4() {
+		return nil
+	}
+	i, ok := a.index[key(remote)]
+	if !ok {
+		return nil
+	}
+	return &a.peers[i]
+}
 
 // PeerAddrs returns every observed remote address, sorted by descending
-// total video bytes (then by address for determinism). Tools use this to
-// list top contributors.
+// total video bytes (then by address). Tools use this to list top
+// contributors.
 func (a *Aggregator) PeerAddrs() []netip.Addr {
-	out := make([]netip.Addr, 0, len(a.peers))
-	for addr := range a.peers {
-		out = append(out, addr)
+	rows := make([]int, len(a.peers))
+	for i := range rows {
+		rows[i] = i
 	}
-	sort.Slice(out, func(i, j int) bool {
-		vi := a.peers[out[i]].VideoDown + a.peers[out[i]].VideoUp
-		vj := a.peers[out[j]].VideoDown + a.peers[out[j]].VideoUp
-		if vi != vj {
-			return vi > vj
+	slices.SortFunc(rows, func(i, j int) int {
+		vi := a.peers[i].VideoDown + a.peers[i].VideoUp
+		vj := a.peers[j].VideoDown + a.peers[j].VideoUp
+		if c := cmp.Compare(vj, vi); c != 0 {
+			return c
 		}
-		return out[i].Less(out[j])
+		return cmp.Compare(a.remotes[i], a.remotes[j])
 	})
+	out := make([]netip.Addr, len(rows))
+	for n, i := range rows {
+		out[n] = addrOf(a.remotes[i])
+	}
 	return out
 }
 
-// Consume folds one record into the aggregates.
+// Consume folds one record into the aggregates. A record whose remote end
+// is not IPv4 cannot come from a capture or a trace, and panics.
 func (a *Aggregator) Consume(r packet.Record) {
 	remote, inbound := sniffer.Remote(r, a.probe)
-	agg := a.peers[remote]
-	if agg == nil {
-		agg = &PeerAggregate{}
-		a.peers[remote] = agg
+	if !remote.Is4() {
+		panic(fmt.Sprintf("analysis: record %+v has a non-IPv4 remote", r))
 	}
+	k := key(remote)
+	i, ok := a.index[k]
+	if !ok {
+		i = int32(len(a.peers))
+		a.index[k] = i
+		a.remotes = append(a.remotes, k)
+		a.peers = append(a.peers, PeerAggregate{})
+	}
+	agg := &a.peers[i]
 	a.count++
 	size := int64(r.Size)
 	isVideo := r.Size >= a.cfg.VideoSizeFloor
@@ -167,6 +217,7 @@ type Locator interface {
 // probeSet. Peers the locator cannot place are skipped and counted in the
 // second return value (real traces always contain a few unmappable
 // addresses; silently mixing them into a partition would bias it).
+// Observations come in the order the remotes were first seen.
 func (a *Aggregator) Observations(loc Locator, probeSet map[netip.Addr]bool) ([]core.Observation, int) {
 	probeHost, ok := loc.Locate(a.probe)
 	if !ok {
@@ -175,7 +226,8 @@ func (a *Aggregator) Observations(loc Locator, probeSet map[netip.Addr]bool) ([]
 	}
 	obs := make([]core.Observation, 0, len(a.peers))
 	unlocated := 0
-	for remote, agg := range a.peers {
+	for i := range a.peers {
+		agg, remote := &a.peers[i], addrOf(a.remotes[i])
 		h, ok := loc.Locate(remote)
 		if !ok {
 			unlocated++

@@ -256,9 +256,11 @@ func Run(cfg Config) (*Result, error) { return RunCtx(context.Background(), cfg)
 // contexts.
 const cancelPoll = time.Second
 
-// flushEvery is how often (in virtual time) the probes' capture spools are
-// drained into their analysis sinks, which bounds spool memory during
-// hour-scale runs.
+// flushEvery is how often (in virtual time) every probe's spool hands its
+// final records to the analysis sinks at one common instant. It bounds no
+// memory — each spool drains itself as it fills (sniffer.Spool) — and stays
+// because its firings are engine events: Result.Events counts them, and
+// Summary.Events carries that count into rendered tables and every digest.
 const flushEvery = 10 * time.Second
 
 // Background churn: mean on and off periods of a consumer peer's session
@@ -435,7 +437,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		series = recordSeries(eng, net, cfg.Scenario.BucketCount(), cfg.Duration, cfg.OnSample)
 	}
 
-	// Periodic spool flush bounds memory for hour-scale runs.
+	// Periodic spool flush: counted in Result.Events (see flushEvery).
 	eng.Every(flushEvery, flushEvery, 0, net.FlushCapturesBefore)
 
 	var polls uint64

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -254,6 +255,29 @@ func TestDefaultsScaleWithApp(t *testing.T) {
 	pp, sc, tv := Default("PPLive"), Default("SopCast"), Default("TVAnts")
 	if !(pp.World.Peers > sc.World.Peers && sc.World.Peers > tv.World.Peers) {
 		t.Error("world sizes must follow PPLive > SopCast > TVAnts")
+	}
+}
+
+// TestObservationsOrderIsDeterministic: two runs at one seed hand back equal
+// observations in an equal order — per probe, the order its remotes were first
+// seen. A reduction that walks a Go map would order them differently from run
+// to run.
+func TestObservationsOrderIsDeterministic(t *testing.T) {
+	cfg := smallConfig("TVAnts", 5)
+	cfg.Duration = 30 * time.Second
+	var runs [2]*Result
+	for i := range runs {
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = r
+	}
+	if len(runs[0].Observations) < 100 {
+		t.Fatalf("only %d observations: too few for an order to show", len(runs[0].Observations))
+	}
+	if !reflect.DeepEqual(runs[0].Observations, runs[1].Observations) {
+		t.Error("two runs at one seed ordered their observations differently")
 	}
 }
 

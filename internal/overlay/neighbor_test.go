@@ -177,6 +177,24 @@ func TestNeighborRingMatchesSliceReference(t *testing.T) {
 	}
 }
 
+// TestNeighborRingStorageStopsAtTheBound fills a list to PPLive's bound of
+// 600 and keeps remembering: the storage must end at exactly the bound.
+// Growing by append would leave the list in an 864-entry array, 768 bytes
+// that no entry ever uses.
+func TestNeighborRingStorageStopsAtTheBound(t *testing.T) {
+	const limit = 600
+	var ring neighborRing
+	for id := PeerID(0); id < 2*limit; id++ {
+		ring.remember(id, limit)
+		if cap(ring.ids) > limit {
+			t.Fatalf("after %d ids the storage holds %d entries, past the bound of %d", id+1, cap(ring.ids), limit)
+		}
+	}
+	if ring.len() != limit || cap(ring.ids) != limit {
+		t.Errorf("full list: %d entries in storage for %d, want %d in %d", ring.len(), cap(ring.ids), limit, limit)
+	}
+}
+
 // FuzzNeighborRing lets the fuzzer choose the workload seed, the bound, how
 // many residues the ids are drawn from and how often the list is reset.
 func FuzzNeighborRing(f *testing.F) {

@@ -10,6 +10,7 @@ import (
 	"napawine/internal/chunkstream"
 	"napawine/internal/policy"
 	"napawine/internal/sim"
+	"napawine/internal/sniffer"
 	"napawine/internal/topology"
 	"napawine/internal/units"
 )
@@ -198,10 +199,10 @@ const (
 )
 
 // neighborRing is a node's neighbour list: the peers it has contacted,
-// oldest first, without duplicates, bounded like a FIFO. It grows by append
-// up to the bound; from then on a new entry overwrites the oldest in place
-// and head moves on, so logical index i (at) is where a slice shifted down
-// on every eviction would hold the same id.
+// oldest first, without duplicates, bounded like a FIFO. It grows up to the
+// bound, its storage doubling but never past it; from then on a new entry
+// overwrites the oldest in place and head moves on, so logical index i (at)
+// is where a slice shifted down on every eviction would hold the same id.
 type neighborRing struct {
 	ids  []PeerID
 	head int32 // slot of the oldest entry; 0 until the list is full
@@ -252,6 +253,13 @@ func (r *neighborRing) remember(id PeerID, limit int) bool {
 		return false
 	}
 	if len(r.ids) < limit {
+		if len(r.ids) == cap(r.ids) {
+			// Doubling capped at the bound: append would overshoot it
+			// (a 600-entry list would end in an 864-entry array).
+			grown := make([]PeerID, len(r.ids), min(max(2*cap(r.ids), 8), limit))
+			copy(grown, r.ids)
+			r.ids = grown
+		}
 		r.ids = append(r.ids, id)
 	} else {
 		r.ids[r.head] = id
@@ -294,7 +302,7 @@ type Node struct {
 	// of this one, once per partner (partnerAlive, then sendControl): they
 	// share the node's first 32 bytes, and so one cache line. spool is nil
 	// unless the node carries a sniffer (AttachSniffer).
-	spool    *probeTap
+	spool    *sniffer.Spool
 	ID       PeerID
 	isSource bool
 	online   bool

@@ -559,30 +559,23 @@ func (n *Network) PromoteSource(backup *Node) {
 	}
 }
 
-// AttachSniffer equips a node with a probe capture; records for every
-// packet crossing the node's access link will be spooled and can be drained
-// with FlushCaptures.
+// AttachSniffer equips a node with a probe capture: records for every
+// packet crossing the node's access link are staged in the node's
+// sniffer.Spool, which hands them to the capture as they become final.
+// FlushCaptures hands over the rest once the run has ended.
 func (n *Network) AttachSniffer(node *Node) *sniffer.Capture {
 	if node.spool == nil {
-		node.spool = &probeTap{capture: sniffer.New(node.Host.Addr)}
+		node.spool = sniffer.NewSpool(sniffer.New(node.Host.Addr))
 	}
-	return node.spool.capture
-}
-
-// probeTap is what a probe-equipped node carries behind its one spool
-// pointer: the spool its packet records are staged in, and the capture they
-// drain into.
-type probeTap struct {
-	sniffer.Spool
-	capture *sniffer.Capture
+	return node.spool.Capture()
 }
 
 // FlushCaptures drains every probe spool into its capture in timestamp
-// order. Call once after the run (or periodically between runs).
+// order. Call once after the run.
 func (n *Network) FlushCaptures() {
 	for _, node := range n.nodes {
 		if node.spool != nil {
-			node.spool.Drain(node.spool.capture)
+			node.spool.Drain()
 		}
 	}
 }
@@ -590,14 +583,14 @@ func (n *Network) FlushCaptures() {
 // FlushCapturesBefore drains spooled records with timestamps strictly
 // before the current virtual time into the captures. Safe at any instant:
 // an event executing at time t only ever emits records stamped ≥ t, so
-// everything older than "now" is final. Long experiments call this
-// periodically to keep spool memory bounded by the in-flight horizon
-// rather than the run length.
+// everything older than "now" is final. Each spool already drains itself
+// as it fills, so this bounds no memory; it hands every probe's final
+// records over at one common instant.
 func (n *Network) FlushCapturesBefore() {
-	cutoff := int64(n.Eng.Now())
+	cutoff := n.Eng.Now()
 	for _, node := range n.nodes {
 		if node.spool != nil {
-			node.spool.DrainBefore(node.spool.capture, cutoff)
+			node.spool.DrainBefore(cutoff)
 		}
 	}
 }

@@ -10,10 +10,11 @@ import (
 	"napawine/internal/units"
 )
 
-// recordAt spools one packet record at a probe-equipped node.
+// recordAt spools one packet record at a probe-equipped node. It runs on
+// n's shard, whose clock is the instant of the event emitting r.
 func recordAt(n *Node, r packet.Record) {
 	if n.spool != nil {
-		n.spool.Add(r)
+		n.spool.Add(r, n.sc.eng.Now())
 	}
 }
 
@@ -61,7 +62,7 @@ func (net *Network) sendControl(a, b *Node, size units.ByteSize, kind packet.Kin
 		b.spool.Add(packet.Record{
 			TS: arrive, Src: a.Host.Addr, Dst: b.Host.Addr,
 			Size: size, TTL: net.ttlAtReceiver(a, b), Kind: kind,
-		})
+		}, now)
 	}
 	if kind == packet.Signaling || kind == packet.Request {
 		sc.ledger.signal(a.ID, int64(size))
