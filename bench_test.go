@@ -69,7 +69,7 @@ func BenchmarkTableI(b *testing.B) {
 // reduction.
 func BenchmarkTableII(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cfg := napawine.DefaultConfig(napawine.SopCast)
+		cfg := napawine.DefaultConfig("SopCast")
 		cfg.Seed = int64(i + 1)
 		cfg.Duration = 90 * time.Second
 		cfg.World.Peers = 120

@@ -44,7 +44,7 @@ func TestCLIOutputDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a dozen miniature swarms; skipped under -short")
 	}
-	zapping := filepath.Join("..", "..", "examples", "scenarios", "zapping.json")
+	zapping := filepath.Join("..", "..", "internal", "scenario", "specs", "zapping.json")
 	for _, tc := range []struct {
 		name, args, want string
 	}{
@@ -60,6 +60,11 @@ func TestCLIOutputDigests(t *testing.T) {
 			"e3ebaaa30f82c32025ad063e5ece6e6c016da9289dd329455ab5c78b9e7bc14a"},
 		{"replicated-peers-scenario-file", "-exp table2 -apps SopCast,PPLive -seed 3 -seeds 2 -duration 20s -peers 80 -scenario-file " + zapping,
 			"2269982013036d10f71a822de184c8ad447bd540d6f62af0483b3780c49474ce"},
+		// The listings print the registries' order and descriptions.
+		{"scenario-list", "-scenario-list",
+			"bcdc01c2b3a95b92bce3ab0350d081b374743098fad7f57552f7f42bfc4bdfdb"},
+		{"study-list", "-study-list",
+			"f979f9dbd263177e9f3121c8f7cfc5d35f27f2bc51f449e1fe72a84d11301765"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := runCLI(strings.Fields(tc.args)...)

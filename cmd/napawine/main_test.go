@@ -8,8 +8,8 @@ import (
 
 // Files the checks below may load.
 const (
-	scenarioFile = "../../examples/scenarios/zapping.json"
-	studyFile    = "../../examples/studies/blind-ablation.json"
+	scenarioFile = "../../internal/scenario/specs/zapping.json"
+	studyFile    = "../../internal/study/specs/blind-ablation.json"
 )
 
 // validate runs every usage check a command line passes before -out opens —

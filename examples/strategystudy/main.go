@@ -37,9 +37,9 @@ func (t *ticker) OnRunDone(info napawine.StudyRunInfo, sum napawine.RunSummary, 
 func (t *ticker) OnSample(napawine.StudyRunInfo, napawine.SeriesSample) {}
 
 func main() {
-	// Start from the registered study (the same grid ships as
-	// examples/studies/strategy-comparison.json) and shrink it to example
-	// scale: the axes stay, the swarms get small.
+	// Start from the registered study (decoded from
+	// internal/study/specs/strategy-comparison.json) and shrink it to
+	// example scale: the axes stay, the swarms get small.
 	st, err := napawine.StudyByName("strategy-comparison")
 	if err != nil {
 		log.Fatal(err)

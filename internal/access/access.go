@@ -19,35 +19,8 @@ import (
 	"napawine/internal/units"
 )
 
-// Kind labels the flavour of attachment, mirroring Table I's Access column.
-type Kind int
-
-// Access kinds seen in the testbed inventory.
-const (
-	Institutional Kind = iota // "high-bw" LAN in the paper
-	DSL
-	CATV
-	FTTH
-)
-
-// String renders the kind with the paper's vocabulary.
-func (k Kind) String() string {
-	switch k {
-	case Institutional:
-		return "high-bw"
-	case DSL:
-		return "DSL"
-	case CATV:
-		return "CATV"
-	case FTTH:
-		return "FTTH"
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
 // Link describes one peer's access link.
 type Link struct {
-	Kind     Kind
 	Spec     units.AccessSpec
 	NAT      bool // behind a NAT: no unsolicited inbound
 	Firewall bool // behind a firewall: no inbound at all
@@ -331,19 +304,19 @@ func TrainInto(dstDeparts, dstArrives []sim.Time, start sim.Time, sizes []units.
 // Profiles for world generation, in the spirit of Table I's population mix.
 var (
 	// LAN100 is the institutional "high-bw" attachment.
-	LAN100 = Link{Kind: Institutional, Spec: units.Symmetric(100 * units.Mbps)}
+	LAN100 = Link{Spec: units.Symmetric(100 * units.Mbps)}
 	// LAN1000 is a well-provisioned campus attachment.
-	LAN1000 = Link{Kind: Institutional, Spec: units.Symmetric(units.Gbps)}
+	LAN1000 = Link{Spec: units.Symmetric(units.Gbps)}
 	// DSL6 is the 6/0.512 home profile from Table I.
-	DSL6 = Link{Kind: DSL, Spec: units.MustAccessSpec("6/0.512")}
+	DSL6 = Link{Spec: units.MustAccessSpec("6/0.512")}
 	// DSL4 is the 4/0.384 home profile.
-	DSL4 = Link{Kind: DSL, Spec: units.MustAccessSpec("4/0.384")}
+	DSL4 = Link{Spec: units.MustAccessSpec("4/0.384")}
 	// DSL8 is the 8/0.384 home profile.
-	DSL8 = Link{Kind: DSL, Spec: units.MustAccessSpec("8/0.384")}
+	DSL8 = Link{Spec: units.MustAccessSpec("8/0.384")}
 	// DSL22 is the 22/1.8 home profile.
-	DSL22 = Link{Kind: DSL, Spec: units.MustAccessSpec("22/1.8")}
+	DSL22 = Link{Spec: units.MustAccessSpec("22/1.8")}
 	// DSL25 is the 2.5/0.384 home profile.
-	DSL25 = Link{Kind: DSL, Spec: units.MustAccessSpec("2.5/0.384")}
+	DSL25 = Link{Spec: units.MustAccessSpec("2.5/0.384")}
 	// CATV6 is the 6/0.512 cable profile.
-	CATV6 = Link{Kind: CATV, Spec: units.MustAccessSpec("6/0.512")}
+	CATV6 = Link{Spec: units.MustAccessSpec("6/0.512")}
 )

@@ -11,21 +11,6 @@ import (
 	"napawine/internal/units"
 )
 
-func TestKindString(t *testing.T) {
-	cases := map[Kind]string{
-		Institutional: "high-bw",
-		DSL:           "DSL",
-		CATV:          "CATV",
-		FTTH:          "FTTH",
-		Kind(42):      "Kind(42)",
-	}
-	for k, want := range cases {
-		if got := k.String(); got != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", int(k), got, want)
-		}
-	}
-}
-
 func TestHighBandwidthThreshold(t *testing.T) {
 	if !LAN100.HighBandwidth() {
 		t.Error("100Mbps LAN should be high-bw")

@@ -26,7 +26,6 @@ type ChunkID int64
 
 // Calendar maps virtual time to chunk availability for a CBR stream.
 type Calendar struct {
-	rate  units.BitRate
 	size  units.ByteSize
 	every time.Duration
 }
@@ -37,11 +36,8 @@ func NewCalendar(rate units.BitRate, chunkSize units.ByteSize) Calendar {
 	if rate <= 0 || chunkSize <= 0 {
 		panic(fmt.Sprintf("chunkstream: bad calendar rate=%v size=%v", rate, chunkSize))
 	}
-	return Calendar{rate: rate, size: chunkSize, every: rate.TransmitTime(chunkSize)}
+	return Calendar{size: chunkSize, every: rate.TransmitTime(chunkSize)}
 }
-
-// Rate reports the stream's nominal bit rate.
-func (c Calendar) Rate() units.BitRate { return c.rate }
 
 // ChunkSize reports the size of every chunk.
 func (c Calendar) ChunkSize() units.ByteSize { return c.size }

@@ -17,7 +17,7 @@ func TestCalendarBasics(t *testing.T) {
 	if c.Interval() != time.Second {
 		t.Fatalf("interval = %v, want 1s", c.Interval())
 	}
-	if c.Rate() != 384*units.Kbps || c.ChunkSize() != 48*units.KB {
+	if c.ChunkSize() != 48*units.KB {
 		t.Error("accessors disagree with constructor")
 	}
 	if got := c.LatestAt(0); got != 0 {

@@ -314,9 +314,16 @@ type Node struct {
 	// tick record carries the epoch of the session that posted it (tick).
 	epoch int64
 
-	Host    topology.Host
-	Link    access.Link
-	Profile *Profile
+	Host topology.Host
+	Link access.Link
+	// churnScale divides the churn cycle's holding-time draws: >1 makes
+	// the node flap faster (scenario regional churn), 1 restores the
+	// configured means. Zero (never set) means unscaled, so untouched
+	// nodes stay byte-identical to builds without the knob. It sits here,
+	// not with the other scenario state below, to keep byID..partners at
+	// the offsets TestNodeHotHeaderFitsOneLine pins.
+	churnScale float64
+	Profile    *Profile
 
 	up, down *access.Port
 
@@ -390,12 +397,6 @@ type Node struct {
 	// baseSpec remembers the link's factory rates across SetLinkScale
 	// calls; zero until the first throttle.
 	baseSpec units.AccessSpec
-
-	// churnScale divides the churn cycle's holding-time draws: >1 makes
-	// the node flap faster (scenario regional churn), 1 restores the
-	// configured means. Zero (never set) means unscaled, so untouched
-	// nodes stay byte-identical to builds without the knob.
-	churnScale float64
 }
 
 // Online reports whether the node is currently participating.

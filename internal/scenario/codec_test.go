@@ -104,35 +104,15 @@ func TestLoadFileMissing(t *testing.T) {
 	}
 }
 
-// TestShippedExampleSpecsLoad: every spec under examples/scenarios/ must
-// decode, validate and (for registry-named ones) match its registered twin —
-// the shipped files are the doc, so they must never drift from the code.
-func TestShippedExampleSpecsLoad(t *testing.T) {
-	files, err := filepath.Glob(filepath.Join("..", "..", "examples", "scenarios", "*.json"))
+// TestMatchdayExampleLoads: the one shipped scenario file the registry does
+// not hold, a composite of several event kinds, decodes and validates.
+func TestMatchdayExampleLoads(t *testing.T) {
+	s, err := LoadFile(filepath.Join("..", "..", "examples", "scenarios", "matchday.json"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(files) < 4 {
-		t.Fatalf("expected shipped example specs, found %d: %v", len(files), files)
-	}
-	seen := map[string]bool{}
-	for _, f := range files {
-		s, err := LoadFile(f)
-		if err != nil {
-			t.Errorf("%s: %v", f, err)
-			continue
-		}
-		seen[s.Name] = true
-		if reg, err := ByName(s.Name); err == nil {
-			if !reflect.DeepEqual(reg, s) {
-				t.Errorf("%s drifted from the registered %q scenario:\n file %+v\n code %+v", f, s.Name, s, reg)
-			}
-		}
-	}
-	for _, want := range []string{"zapping", "failover"} {
-		if !seen[want] {
-			t.Errorf("no shipped example spec named %q", want)
-		}
+	if s.Name != "matchday" || len(s.Events) < 2 {
+		t.Errorf("matchday decoded as %+v", s)
 	}
 }
 

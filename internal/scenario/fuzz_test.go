@@ -13,31 +13,29 @@ import (
 // the same bytes. The accepted spec and the re-decoded one are compared
 // through their encodings, not reflect.DeepEqual: an explicit empty list
 // ("events": []) decodes non-nil and the canonical form omits it. Seeds are
-// the shipped example files and every registered scenario.
+// the registry's files, the matchday example and a few inputs the codec
+// must reject.
 func FuzzScenarioDecode(f *testing.F) {
-	files, err := filepath.Glob("../../examples/scenarios/*.json")
+	files, err := filepath.Glob("specs/*.json")
 	if err != nil || len(files) == 0 {
-		f.Fatalf("no example scenarios: %v", err)
+		f.Fatalf("no registry files: %v", err)
 	}
-	for _, path := range files {
+	for _, path := range append(files, "../../examples/scenarios/matchday.json") {
 		b, err := os.ReadFile(path)
 		if err != nil {
 			f.Fatal(err)
 		}
 		f.Add(b)
 	}
-	for _, name := range Names() {
-		s, err := ByName(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, s); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	for _, in := range []string{
+		`{"name": "x", "events": []}`,
+		`{"nAme": "x"}`,
+		`{"name": "x", "events": [{"kind": "zap", "from": 0.5, "to": 0.6, "Fraction": 0.4}]}`,
+		`{"name": "x", "events": [{"kind": 3, "from": 0, "to": 1}]}`,
+		`{"name": "x", "events": [{"kind": "arrivals", "from": 0.6, "to": 0.2, "shape": "wave"}]}`,
+	} {
+		f.Add([]byte(in))
 	}
-	f.Add([]byte(`{"name": "x", "events": []}`))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		s, err := DecodeBytes(in)
 		if err != nil {

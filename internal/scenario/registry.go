@@ -1,169 +1,47 @@
 package scenario
 
 import (
+	"embed"
 	"fmt"
+	"slices"
 	"strings"
 )
 
-// The built-in registry maps scenario names to fresh Spec constructors, in a
-// fixed presentation order. ByName returns a fresh value each call so a
-// caller mutating its copy (e.g. overriding Buckets) cannot corrupt the
-// registry.
-var registry = []struct {
-	name  string
-	build func() Spec
-}{
-	{"steady", steady},
-	{"flashcrowd", flashCrowd},
-	{"diurnal", diurnal},
-	{"partition", partition},
-	{"outage", outage},
-	{"throttle", throttle},
-	{"failover", failover},
-	{"zapping", zapping},
-	{"regional", regional},
+// specs holds each registered scenario once, as the canonical file Encode
+// writes for it: specs/<name>.json. The README's scenario table carries
+// each one's rationale.
+//
+//go:embed specs/*.json
+var specs embed.FS
+
+// names is the registry's presentation order, the order -scenario-list
+// prints.
+var names = []string{
+	"steady", "flashcrowd", "diurnal", "partition", "outage",
+	"throttle", "failover", "zapping", "regional",
 }
 
 // Names lists the registered scenarios in presentation order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, r := range registry {
-		out[i] = r.name
-	}
-	return out
-}
+func Names() []string { return slices.Clone(names) }
 
-// ByName returns a fresh copy of the named scenario.
+// ByName decodes the named scenario's file. Each call returns a fresh value,
+// so a caller mutating its copy (e.g. overriding Buckets) cannot corrupt the
+// registry.
 func ByName(name string) (*Spec, error) {
-	for _, r := range registry {
-		if r.name == name {
-			s := r.build()
-			return &s, nil
-		}
+	if !slices.Contains(names, name) {
+		return nil, fmt.Errorf("scenario: unknown scenario %q (want %s)",
+			name, strings.Join(names, ", "))
 	}
-	return nil, fmt.Errorf("scenario: unknown scenario %q (want %s)",
-		name, strings.Join(Names(), ", "))
-}
-
-// steady is the paper's own condition: the stationary background churn with
-// no injected events. It exists so time-series output has a baseline to
-// compare every dynamic scenario against.
-func steady() Spec {
-	return Spec{
-		Name:        "steady",
-		Description: "stationary audience, baseline churn only (the paper's §II condition)",
+	b, err := specs.ReadFile("specs/" + name + ".json")
+	if err != nil {
+		return nil, fmt.Errorf("scenario: %w", err)
 	}
-}
-
-// flashCrowd doubles the potential audience: the crowd piles in over a
-// tenth of the run shortly after the broadcast starts, then half the swarm
-// walks away near the end — the program-boundary pattern P2P IPTV
-// measurement studies report around popular matches.
-func flashCrowd() Spec {
-	return Spec{
-		Name:            "flashcrowd",
-		Description:     "burst arrival doubling the swarm at ~25% of the run, mass exodus of half the audience at ~80%",
-		ExtraPeerFactor: 1.0,
-		Events: []Event{
-			{Kind: Arrivals, From: 0.25, To: 0.35, Shape: ShapeBurst},
-			{Kind: Departures, From: 0.78, To: 0.9, Fraction: 0.5},
-		},
+	s, err := DecodeBytes(b)
+	if err != nil {
+		return nil, fmt.Errorf("specs/%s.json: %w", name, err)
 	}
-}
-
-// diurnal compresses a daily audience wave into the run: arrivals follow a
-// half-sine hump with finite exponential stays, so the online population
-// rises, crests mid-run and drains.
-func diurnal() Spec {
-	return Spec{
-		Name:            "diurnal",
-		Description:     "half-sine arrival wave with finite sessions: the virtual day's audience swell and drain",
-		ExtraPeerFactor: 0.8,
-		Events: []Event{
-			{Kind: Arrivals, From: 0.05, To: 0.95, Shape: ShapeWave, MeanStay: 0.2},
-		},
+	if s.Name != name {
+		return nil, fmt.Errorf("scenario: specs/%s.json is named %q", name, s.Name)
 	}
-}
-
-// partition takes the three most populated background ASes off the network
-// for a quarter of the run: their peers vanish at once and reconnect
-// together, the pattern of a national backbone incident.
-func partition() Spec {
-	return Spec{
-		Name:        "partition",
-		Description: "the 3 most-populated background ASes lose connectivity for [40%, 65%] of the run, then reconnect at once",
-		Events: []Event{
-			{Kind: Partition, From: 0.4, To: 0.65, ASes: 3},
-		},
-	}
-}
-
-// outage pauses the tracker for a quarter of the run: churned-out peers
-// cannot rediscover the swarm, so the population sags until the tracker
-// returns and the rejoin backlog drains.
-func outage() Spec {
-	return Spec{
-		Name:        "outage",
-		Description: "tracker unreachable for [35%, 60%] of the run: discovery stalls, existing partnerships keep streaming",
-		Events: []Event{
-			{Kind: TrackerOutage, From: 0.35, To: 0.6},
-		},
-	}
-}
-
-// throttle runs half the non-probe population at quarter capacity for a
-// third of the run — an access-ISP congestion episode that shifts which
-// peers the bandwidth-aware schedulers favour.
-func throttle() Spec {
-	return Spec{
-		Name:        "throttle",
-		Description: "half the peers throttled to 25% link capacity during [40%, 70%] of the run",
-		Events: []Event{
-			{Kind: Throttle, From: 0.4, To: 0.7, Fraction: 0.5, Factor: 0.25},
-		},
-	}
-}
-
-// failover kills the stream source mid-run; a high-bandwidth background
-// peer is promoted after a 5%-of-horizon gap. The gap is the window where
-// no one can refill the live edge — how fast continuity recovers afterwards
-// is the swarm-resilience figure the epidemic-streaming literature argues
-// about.
-func failover() Spec {
-	return Spec{
-		Name:        "failover",
-		Description: "the source retires at 40% of the run; a high-bandwidth backup peer is promoted at 45%",
-		Events: []Event{
-			{Kind: SourceFailover, From: 0.4, To: 0.45},
-		},
-	}
-}
-
-// zapping scripts a program boundary without an exodus: a chunk of the
-// audience zaps away to other channels and surfs back after short
-// exponential away times — the churn spike IPTV measurement studies report
-// around program transitions.
-func zapping() Spec {
-	return Spec{
-		Name:        "zapping",
-		Description: "40% of the audience zaps away during [50%, 60%] of the run and surfs back after ~5%-of-horizon away times",
-		Events: []Event{
-			{Kind: Zap, From: 0.5, To: 0.6, Fraction: 0.4, MeanStay: 0.05},
-		},
-	}
-}
-
-// regional hits the channel's home country with a correlated incident: CN
-// peers flap three times as often while their access links run at 40%
-// capacity — the condition under which locality-aware policies either keep
-// traffic local or abandon the region.
-func regional() Spec {
-	return Spec{
-		Name:        "regional",
-		Description: "CN peers churn 3x faster and run at 40% link capacity during [30%, 60%] of the run",
-		Events: []Event{
-			{Kind: RegionalChurn, From: 0.3, To: 0.6, Country: "CN", Factor: 3},
-			{Kind: CountryThrottle, From: 0.3, To: 0.6, Country: "CN", Factor: 0.4},
-		},
-	}
+	return s, nil
 }

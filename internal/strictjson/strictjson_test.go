@@ -7,27 +7,37 @@ import (
 )
 
 type doc struct {
-	Name string `json:"name"`
-	N    int    `json:"n,omitempty"`
+	Name  string `json:"name"`
+	N     int    `json:"n,omitempty"`
+	Items []item `json:"items,omitempty"`
+}
+
+type item struct {
+	Label string // untagged: the Go name is the JSON name
 }
 
 func TestDecodeIsStrict(t *testing.T) {
 	for _, c := range []struct {
 		name, in string
 		ok       bool
+		field    string // what a rejection must name
 	}{
-		{"one object", `{"name":"a","n":2}`, true},
-		{"surrounding white space", " \n{\"name\":\"a\"}\n\t ", true},
-		{"unknown field", `{"name":"a","bogus":1}`, false},
-		{"second object", `{"name":"a"}{"name":"b"}`, false},
-		{"trailing garbage", `{"name":"a"} }`, false},
-		{"truncated", `{"name":`, false},
-		{"empty", ``, false},
+		{"one object", `{"name":"a","n":2}`, true, ""},
+		{"explicit zero value", `{"name":"a","n":0,"items":[]}`, true, ""},
+		{"nested object", `{"name":"a","items":[{"Label":"x"}]}`, true, ""},
+		{"surrounding white space", " \n{\"name\":\"a\"}\n\t ", true, ""},
+		{"unknown field", `{"name":"a","bogus":1}`, false, "bogus"},
+		{"miscased key", `{"nAme":"a"}`, false, "nAme"},
+		{"miscased nested key", `{"name":"a","items":[{"Label":"x"},{"label":"y"}]}`, false, "label"},
+		{"second object", `{"name":"a"}{"name":"b"}`, false, ""},
+		{"trailing garbage", `{"name":"a"} }`, false, ""},
+		{"truncated", `{"name":`, false, ""},
+		{"empty", ``, false, ""},
 	} {
 		var d doc
 		err := Decode(strings.NewReader(c.in), &d)
-		if (err == nil) != c.ok {
-			t.Errorf("%s: Decode(%q) error %v, want ok=%v", c.name, c.in, err, c.ok)
+		if (err == nil) != c.ok || err != nil && !strings.Contains(err.Error(), c.field) {
+			t.Errorf("%s: Decode(%q) error %v, want ok=%v naming %q", c.name, c.in, err, c.ok, c.field)
 		}
 		if c.ok && d.Name != "a" {
 			t.Errorf("%s: decoded %+v", c.name, d)
@@ -56,7 +66,7 @@ func TestWriteRoundTrips(t *testing.T) {
 		t.Fatalf("Write produced %q in %d calls, want %q in 1", w.String(), w.calls, want)
 	}
 	var d doc
-	if err := Decode(&w.Buffer, &d); err != nil || d != (doc{Name: "a", N: 2}) {
+	if err := Decode(&w.Buffer, &d); err != nil || d.Name != "a" || d.N != 2 {
 		t.Fatalf("round trip: %+v, %v", d, err)
 	}
 	if err := Write(&w, func() {}); err == nil {

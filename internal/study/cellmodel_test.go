@@ -5,7 +5,6 @@ import (
 	"context"
 	"errors"
 	"os"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -52,8 +51,7 @@ func TestCellDigestsArePinned(t *testing.T) {
 	}
 }
 
-// shippedStudies returns every registered study and every file under
-// examples/studies, by a name that says which.
+// shippedStudies returns every registered study, decoded from its file.
 func shippedStudies(t *testing.T) map[string]*Study {
 	t.Helper()
 	out := map[string]*Study{}
@@ -62,18 +60,7 @@ func shippedStudies(t *testing.T) map[string]*Study {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out["registry:"+name] = st
-	}
-	files, err := filepath.Glob("../../examples/studies/*.json")
-	if err != nil || len(files) == 0 {
-		t.Fatalf("no study files found: %v", err)
-	}
-	for _, path := range files {
-		st, err := LoadFile(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out["file:"+filepath.Base(path)] = st
+		out[name] = st
 	}
 	return out
 }

@@ -13,11 +13,11 @@ import (
 // same bytes. The accepted study and the re-decoded one are compared through
 // their encodings, not reflect.DeepEqual: an explicit empty list
 // ("apps": []) decodes non-nil and the canonical form omits it. Seeds are the
-// shipped example files and every registered study.
+// registry's files and a few inputs the codec must reject.
 func FuzzStudyDecode(f *testing.F) {
-	files, err := filepath.Glob("../../examples/studies/*.json")
+	files, err := filepath.Glob("specs/*.json")
 	if err != nil || len(files) == 0 {
-		f.Fatalf("no example studies: %v", err)
+		f.Fatalf("no registry files: %v", err)
 	}
 	for _, path := range files {
 		b, err := os.ReadFile(path)
@@ -26,18 +26,14 @@ func FuzzStudyDecode(f *testing.F) {
 		}
 		f.Add(b)
 	}
-	for _, name := range Names() {
-		st, err := ByName(name)
-		if err != nil {
-			f.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := Encode(&buf, st); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(buf.Bytes())
+	for _, in := range []string{
+		`{"name": "x", "apps": []}`,
+		`{"name": "x", "Duration": "1m"}`,
+		`{"name": "x", "scenarios": ["flashcrowd", {"spec": {"name": "y", "Events": []}}]}`,
+		`{"name": "x", "variants": [{}, {"name": "blind", "blind": true}], "duration": 5}`,
+	} {
+		f.Add([]byte(in))
 	}
-	f.Add([]byte(`{"name": "x", "apps": []}`))
 	f.Fuzz(func(t *testing.T, in []byte) {
 		st, err := DecodeBytes(in)
 		if err != nil {

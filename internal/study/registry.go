@@ -1,102 +1,43 @@
 package study
 
 import (
+	"embed"
 	"fmt"
+	"slices"
 	"strings"
-	"time"
 )
 
-// The built-in registry maps study names to fresh Study constructors, in a
-// fixed presentation order, exactly like the scenario registry: ByName
-// returns a fresh value each call so a caller mutating its copy (e.g. a CLI
-// -duration override) cannot corrupt the registry.
-var registry = []struct {
-	name  string
-	build func() Study
-}{
-	{"strategy-comparison", strategyComparison},
-	{"blind-ablation", blindAblation},
-	{"awareness-ablation", awarenessAblation},
-}
+// specs holds each registered study once, as the canonical file Encode
+// writes for it: specs/<name>.json. The README's study table carries each
+// one's rationale.
+//
+//go:embed specs/*.json
+var specs embed.FS
+
+// names is the registry's presentation order, the order -study-list prints.
+var names = []string{"strategy-comparison", "blind-ablation", "awareness-ablation"}
 
 // Names lists the registered studies in presentation order.
-func Names() []string {
-	out := make([]string, len(registry))
-	for i, r := range registry {
-		out[i] = r.name
-	}
-	return out
-}
+func Names() []string { return slices.Clone(names) }
 
-// ByName returns a fresh copy of the named study.
+// ByName decodes the named study's file. Each call returns a fresh value, so
+// a caller mutating its copy (e.g. a CLI -duration override) cannot corrupt
+// the registry.
 func ByName(name string) (*Study, error) {
-	for _, r := range registry {
-		if r.name == name {
-			st := r.build()
-			return &st, nil
-		}
+	if !slices.Contains(names, name) {
+		return nil, fmt.Errorf("study: unknown study %q (want %s)",
+			name, strings.Join(names, ", "))
 	}
-	return nil, fmt.Errorf("study: unknown study %q (want %s)",
-		name, strings.Join(Names(), ", "))
-}
-
-// strategyComparison is the ROADMAP's strategy-comparison artifact: the
-// Mathieu–Perino chunk-scheduling space replayed per application, read as
-// continuity (does the stream survive), source load (does the swarm carry
-// itself) and diffusion delay (how fast a chunk reaches the audience),
-// contrasted across all four registered strategies for all three
-// applications with seed error bars.
-func strategyComparison() Study {
-	return Study{
-		Name:        "strategy-comparison",
-		Description: "continuity, source load and diffusion delay across the four chunk strategies per app",
-		Apps:        []string{"PPLive", "SopCast", "TVAnts"},
-		Strategies:  []string{"urgent-random", "latest-useful", "rarest", "deadline"},
-		Trials:      3,
-		BaseSeed:    1,
-		Duration:    Duration(2 * time.Minute),
+	b, err := specs.ReadFile("specs/" + name + ".json")
+	if err != nil {
+		return nil, fmt.Errorf("study: %w", err)
 	}
-}
-
-// blindAblation is the network-awareness ablation as a study: each
-// application's stock discovery against a location- and bandwidth-blind
-// variant — the file-expressible version of the biasstudy example.
-func blindAblation() Study {
-	return Study{
-		Name:        "blind-ablation",
-		Description: "stock discovery vs uniform-blind discovery per app (AS awareness and the price of losing it)",
-		Apps:        []string{"PPLive", "SopCast", "TVAnts"},
-		Variants: []Variant{
-			{},
-			{Name: "blind", Blind: true},
-		},
-		Trials:   3,
-		BaseSeed: 1,
-		Duration: Duration(2 * time.Minute),
-		Metrics:  []string{"continuity", "as-awareness", "source-share"},
+	st, err := DecodeBytes(b)
+	if err != nil {
+		return nil, fmt.Errorf("specs/%s.json: %w", name, err)
 	}
-}
-
-// awarenessAblation crosses congestion-agnostic schedulers against their
-// congestion-aware hybrid counterparts, with and without bounded uplink
-// queues — the Mathieu–Perino question (do resource-aware algorithms win?)
-// asked under the Efthymiopoulos condition (only once congestion exists).
-// The two hybrid members differ only in the awareness term, so any gap
-// between them under q=2 is the value of reacting to loss, nothing else.
-func awarenessAblation() Study {
-	return Study{
-		Name:        "awareness-ablation",
-		Description: "congestion-agnostic vs loss-aware scheduling, unbounded vs bounded uplink queues",
-		Apps:        []string{"TVAnts"},
-		Strategies: []string{
-			"urgent-random",
-			"hybrid:u=0.4,r=1",
-			"hybrid:u=0.4,r=1,a=1",
-		},
-		QueueDepths: []int{0, 2},
-		Trials:      3,
-		BaseSeed:    1,
-		Duration:    Duration(2 * time.Minute),
-		Metrics:     []string{"continuity", "diffusion-delay", "loss-pct", "retransmits"},
+	if st.Name != name {
+		return nil, fmt.Errorf("study: specs/%s.json is named %q", name, st.Name)
 	}
+	return st, nil
 }

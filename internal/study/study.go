@@ -30,6 +30,7 @@ package study
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -297,8 +298,12 @@ func (st *Study) Validate() error {
 	// pivot. Reject the collision loudly instead.
 	seenScn := map[string]bool{}
 	for i, scn := range st.ScenarioList() {
-		if _, err := scn.resolve(); err != nil {
-			return fmt.Errorf("study %s: scenario %d: %w", st.Name, i, err)
+		// A registered name needs no decode to be valid: the registry's
+		// own test holds every file it lists to a decodable, canonical form.
+		if scn.Spec != nil || !slices.Contains(scenario.Names(), scn.Name) {
+			if _, err := scn.resolve(); err != nil {
+				return fmt.Errorf("study %s: scenario %d: %w", st.Name, i, err)
+			}
 		}
 		label := scenarioLabel(scn.Label())
 		if seenScn[label] {

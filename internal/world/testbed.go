@@ -93,7 +93,6 @@ func withNATFW(l access.Link) access.Link {
 // Probe is one NAPA-WINE vantage point.
 type Probe struct {
 	Label  string // e.g. "PoliTO-3" or "PoliTO-home-1"
-	Site   string
 	ASName string // paper label: AS1..AS6 for sites, ASx for homes
 	Host   topology.Host
 	Link   access.Link

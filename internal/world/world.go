@@ -115,9 +115,9 @@ var consumerLinks = []access.Link{
 // institutional profiles sampled for background high-bw peers.
 var institutionalLinks = []access.Link{
 	access.LAN100,
-	{Kind: access.Institutional, Spec: units.Symmetric(20 * units.Mbps)},
-	{Kind: access.Institutional, Spec: units.Symmetric(50 * units.Mbps)},
-	{Kind: access.FTTH, Spec: units.MustAccessSpec("100/20")},
+	{Spec: units.Symmetric(20 * units.Mbps)},
+	{Spec: units.Symmetric(50 * units.Mbps)},
+	{Spec: units.MustAccessSpec("100/20")},
 }
 
 // defaultSubnetsPerAS sizes the background address space for the
@@ -264,7 +264,6 @@ func Build(spec Spec) (*World, error) {
 			}
 			w.Probes = append(w.Probes, Probe{
 				Label:  fmt.Sprintf("%s-%d", s.Name, i+1),
-				Site:   s.Name,
 				ASName: s.ASLabel,
 				Host:   h,
 				Link:   link,
@@ -278,7 +277,6 @@ func Build(spec Spec) (*World, error) {
 			}
 			w.Probes = append(w.Probes, Probe{
 				Label:  fmt.Sprintf("%s-home-%d", s.Name, j+1),
-				Site:   s.Name,
 				ASName: "ASx",
 				Host:   h,
 				Link:   home.Access,

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"strings"
 	"testing"
 
 	"napawine/internal/topology"
@@ -47,9 +48,6 @@ func TestTableIStructure(t *testing.T) {
 	// Home accesses must match the Table I spec strings.
 	if byName["ENST"].Homes[0].Access.Spec.String() != "22/1.8" {
 		t.Error("ENST home must be 22/1.8")
-	}
-	if byName["WUT"].Homes[0].Access.Kind.String() != "CATV" {
-		t.Error("WUT home must be CATV")
 	}
 }
 
@@ -119,10 +117,11 @@ func TestProbeASStructure(t *testing.T) {
 	asOf := map[string]topology.ASN{}
 	for _, p := range w.Probes {
 		if p.ASName != "ASx" {
-			if prev, ok := asOf[p.Site]; ok && prev != p.Host.AS {
-				t.Errorf("site %s spans two ASes", p.Site)
+			site, _, _ := strings.Cut(p.Label, "-")
+			if prev, ok := asOf[site]; ok && prev != p.Host.AS {
+				t.Errorf("site %s spans two ASes", site)
 			}
-			asOf[p.Site] = p.Host.AS
+			asOf[site] = p.Host.AS
 		}
 	}
 	if asOf["PoliTO"] != asOf["UniTN"] {

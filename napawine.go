@@ -18,6 +18,11 @@
 // mean ± stderr tables: res.TableIV()), more axes make it a comparison grid
 // (RunStudy, res.ComparisonTable()).
 //
+// A run the napawine command can describe in flags belongs on the command
+// line (the README gives the invocations); examples/ keeps only what needs
+// the library: a mutated application profile (custompolicy) and a study
+// observer with pivoted results (strategystudy).
+//
 // Everything underneath — the discrete-event engine, synthetic AS/country
 // topology, access-link model, the overlay protocol and the analysis
 // pipeline — lives in internal packages; this facade re-exports exactly
@@ -70,13 +75,12 @@ type (
 
 // Application names as printed in the paper.
 const (
-	PPLive  = "PPLive"
-	SopCast = "SopCast"
-	TVAnts  = "TVAnts"
+	PPLive = "PPLive"
+	TVAnts = "TVAnts"
 )
 
 // Apps lists the three applications in the paper's order.
-func Apps() []string { return []string{PPLive, SopCast, TVAnts} }
+func Apps() []string { return []string{PPLive, "SopCast", TVAnts} }
 
 // DefaultConfig returns the calibrated configuration for one application.
 func DefaultConfig(app string) experiment.Config { return experiment.Default(app) }
@@ -163,15 +167,10 @@ func StudyByName(name string) (*Study, error) { return study.ByName(name) }
 // StudyMetricByKey resolves a registered pivot metric.
 func StudyMetricByKey(key string) (study.Metric, error) { return study.MetricByKey(key) }
 
-// ScenarioByName returns a fresh copy of a registered workload scenario: a
-// named, seedable timeline (flash crowd, diurnal wave, AS partition, tracker
-// outage, ...) for Config.Scenario or a study's scenario axis.
-func ScenarioByName(name string) (*scenario.Spec, error) { return scenario.ByName(name) }
-
 // LoadScenarioFile reads, decodes and validates a JSON scenario file (see
-// README "Authoring scenario files" and examples/scenarios/). The returned
-// spec plugs into a study's scenario axis or Config.Scenario exactly like a
-// registered one.
+// README "Authoring scenario files"; internal/scenario/specs/ holds the
+// registered scenarios' own files). The returned spec plugs into a study's
+// scenario axis or Config.Scenario exactly like a registered one.
 func LoadScenarioFile(path string) (*scenario.Spec, error) { return scenario.LoadFile(path) }
 
 // SeriesTable renders the per-bucket time series of scenario runs that

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"napawine"
-	"napawine/internal/scenario"
 	"napawine/internal/study"
 )
 
@@ -21,15 +20,17 @@ import (
 // *intends* to alter scenario output, and say so in the commit.
 const scenarioGoldenDigest = "b7491815c09aa275d7b24c104455ce407f154ca7cb2d56100df46cfa9527dd70"
 
-func scenarioGoldenRender(t testing.TB, spec *scenario.Spec) string {
-	t.Helper()
+func TestScenarioGoldenDigest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("golden scenario run simulates a full swarm; skipped under -short")
+	}
 	results, err := napawine.RunAll(&napawine.Study{
 		Name:       "golden",
 		BaseSeed:   1717,
 		Duration:   napawine.StudyDuration(60 * time.Second),
 		PeerFactor: 0.1,
 		Apps:       []string{napawine.TVAnts},
-		Scenarios:  []study.Scenario{{Name: "flashcrowd", Spec: spec}},
+		Scenarios:  []study.Scenario{{Name: "flashcrowd"}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -43,32 +44,7 @@ func scenarioGoldenRender(t testing.TB, spec *scenario.Spec) string {
 			t.Fatal(err)
 		}
 	}
-	return fmt.Sprintf("%x", sha256.Sum256(buf.Bytes()))
-}
-
-func TestScenarioGoldenDigest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden scenario run simulates a full swarm; skipped under -short")
-	}
-	digest := scenarioGoldenRender(t, nil)
-	if digest != scenarioGoldenDigest {
+	if digest := fmt.Sprintf("%x", sha256.Sum256(buf.Bytes())); digest != scenarioGoldenDigest {
 		t.Errorf("scenario table digest drifted:\n got %s\nwant %s\nevery rendered byte of a scenario run must survive refactors", digest, scenarioGoldenDigest)
-	}
-}
-
-// TestScenarioGoldenDigestFromFile: the same timeline authored as a JSON
-// file must reproduce the registered scenario's run byte-for-byte — the
-// codec is a parser, never a different simulation.
-func TestScenarioGoldenDigestFromFile(t *testing.T) {
-	if testing.Short() {
-		t.Skip("golden scenario run simulates a full swarm; skipped under -short")
-	}
-	spec, err := napawine.LoadScenarioFile("examples/scenarios/flashcrowd.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := scenarioGoldenRender(t, spec)
-	if digest != scenarioGoldenDigest {
-		t.Errorf("file-authored flashcrowd diverged from the registered run:\n got %s\nwant %s", digest, scenarioGoldenDigest)
 	}
 }
