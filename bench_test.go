@@ -18,6 +18,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -224,7 +225,8 @@ func benchSwarm(b *testing.B, shards int) {
 // BenchmarkSwarmSimulation100k is the large-swarm smoke: a 10⁵-peer
 // PPLive swarm under a steady scenario, one iteration per -benchtime=1x.
 // Gated behind NAPAWINE_LARGE_BENCH because one iteration simulates a
-// hundred thousand peers; the generic -bench=. smoke skips it.
+// hundred thousand peers; the generic -bench=. smoke skips it. Besides
+// events/run it reports the process's peak RSS, the 10⁵ tier's budget.
 func BenchmarkSwarmSimulation100k(b *testing.B) {
 	benchSwarm100k(b, 0)
 }
@@ -256,4 +258,11 @@ func benchSwarm100k(b *testing.B, shards int) {
 		events += r.Events
 	}
 	b.ReportMetric(float64(events)/float64(b.N), "events/run")
+	// The test process's peak RSS so far (Linux reports KiB): run alone, the
+	// 10⁵ tier's memory figure. A later benchmark in the same process reports
+	// the larger of its own peak and every earlier one's.
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err == nil {
+		b.ReportMetric(float64(ru.Maxrss)/1024, "peak-rss-MB")
+	}
 }

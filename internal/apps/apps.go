@@ -155,11 +155,6 @@ func ByName(name string) (*overlay.Profile, error) {
 	return nil, fmt.Errorf("apps: unknown application %q (want PPLive, SopCast or TVAnts)", name)
 }
 
-// All returns the three profiles in the order the paper tabulates them.
-func All() []*overlay.Profile {
-	return []*overlay.Profile{PPLive(), SopCast(), TVAnts()}
-}
-
 // Variant derives a profile from base with one awareness knob replaced.
 // It is the building block of the ablation experiments: e.g. a TVAnts
 // variant with AS-blind discovery isolates how much of the AS preference

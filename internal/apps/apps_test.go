@@ -22,18 +22,8 @@ func TestByName(t *testing.T) {
 	}
 }
 
-func TestAllOrderMatchesPaper(t *testing.T) {
-	all := All()
-	want := []string{"PPLive", "SopCast", "TVAnts"}
-	if len(all) != 3 {
-		t.Fatalf("All() returned %d profiles", len(all))
-	}
-	for i, p := range all {
-		if p.Name != want[i] {
-			t.Errorf("All()[%d] = %q, want %q", i, p.Name, want[i])
-		}
-	}
-}
+// stock is the three shipped profiles.
+func stock() []*overlay.Profile { return []*overlay.Profile{PPLive(), SopCast(), TVAnts()} }
 
 // The knobs must encode the paper's qualitative findings; these assertions
 // pin the design so later tuning cannot silently invert a behaviour.
@@ -69,7 +59,7 @@ func TestAwarenessKnobsMatchFindings(t *testing.T) {
 
 	// Nobody weighs subnet, country or RTT explicitly: a same-subnet or
 	// same-country candidate with no AS match gains nothing.
-	for _, p := range All() {
+	for _, p := range stock() {
 		net := policy.Info{SameSubnet: true}
 		cc := policy.Info{SameCC: true}
 		if p.RequestWeight.Weight(net) != p.RequestWeight.Weight(other) {
@@ -103,7 +93,7 @@ func TestProfilesValidate(t *testing.T) {
 			t.Fatalf("a stock profile failed validation: %v", r)
 		}
 	}()
-	for _, p := range All() {
+	for _, p := range stock() {
 		// validate() is unexported; AddNode would call it. Check the
 		// basic invariants here instead.
 		if p.PartnerTarget <= 0 || p.MaxPartners < p.PartnerTarget {

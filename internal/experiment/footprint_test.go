@@ -10,11 +10,11 @@ import (
 
 // perPeerHeapBudget bounds what a 2 000-peer PPLive swarm adds to the live
 // heap, per peer, with every peer joined: topology, nodes, partner records,
-// adverts, ledger columns and queued events together. It measures 6 092 to
-// 6 110 B (alone, in the package run, under -race) with each node's partner
-// records held by value in one table of MaxPartners 64-byte slots — that is
-// under 6 KiB (6 144 B) but not under 6 000 B, so a 6 KB-per-peer target is
-// met at 2 000 peers only in binary kilobytes. History: 13 645 B before
+// adverts, ledger columns and queued events together. It measures 5 333 to
+// 5 351 B (alone, in the package run, under -race) with each node's partner
+// records held by value in one table of MaxPartners 56-byte slots and the
+// request index holding 8-byte (id, slot) entries — under 6 000 B, so a
+// 6 KB-per-peer target is met at 2 000 peers. History: 13 645 B before
 // selection scratch moved from the node to the shard and partner records
 // began viewing one published advert; 7 939 to 8 007 B while every session
 // held four ticker closures and their cancel slice and the wheel's slots
@@ -22,11 +22,13 @@ import (
 // whole packet.Records; 7 415 to 7 433 B while the ledger had ten columns
 // and each of a node's two ports carried three lifetime counters; 7 285 to
 // 7 303 B while each partner record was a pooled 96-byte allocation that
-// both partner indexes pointed at. Five virtual seconds in, no neighbour
-// list is long enough to own a membership filter, so that costs nothing
-// here. The budget is the measurement plus 5 %, so a third of a KB of
+// both partner indexes pointed at; 6 092 to 6 110 B while the 64-byte record
+// also cached the retain weight and each request-index entry copied the
+// request weight. Five virtual seconds in, no neighbour list is long enough
+// to own a membership filter, so that costs nothing here. The budget
+// (6 400 → 5 600) is the measurement plus 5 %, so a third of a KB of
 // per-node state cannot come back unnoticed.
-const perPeerHeapBudget = 6_400
+const perPeerHeapBudget = 5_600
 
 // TestPerPeerFootprint measures from inside the run, at the first series
 // sample after the join ramp, while the whole swarm is still reachable.

@@ -57,7 +57,7 @@ func BenchmarkRequestChunk(b *testing.B) {
 }
 
 // BenchmarkChurnTick measures one partner-churn round: sweep dead
-// partners, pick the worst by cached retain weight, drop it, query the
+// partners, weigh each partner's retain weight and drop the worst, query the
 // tracker and adopt replacements through the discovery sampler — the full
 // adaptation loop, previously dominated by per-call sorting and map
 // allocation.

@@ -1,9 +1,48 @@
 package overlay
 
+import (
+	"napawine/internal/policy"
+	"napawine/internal/units"
+)
+
 // StagedAt reports how many records nd's probe spool holds; 0 without one.
 func StagedAt(nd *Node) int {
 	if nd.spool == nil {
 		return 0
 	}
 	return nd.spool.Len()
+}
+
+// AddPartner forms nd's side of a partnership with other.
+func AddPartner(nd, other *Node) { nd.addPartner(other) }
+
+// InfoFor is what nd knows of other when a partnership forms, before the
+// remembered delivery rate is filled in.
+func InfoFor(nd, other *Node) policy.Info { return nd.infoFor(other) }
+
+// RememberRate sets the delivery rate nd remembers for peer id, which a
+// partnership formed with id starts from.
+func RememberRate(nd *Node, id PeerID, r units.BitRate) { nd.rateMemory[id] = r }
+
+// Rerate moves the delivery-rate estimate of nd's partner id to r and
+// rescores the partner, as a delivery, a timeout or a rejection does.
+func Rerate(nd *Node, id PeerID, r units.BitRate) {
+	s, ok := nd.partnerSlot(id)
+	if !ok {
+		panic("overlay: Rerate of a non-partner")
+	}
+	nd.partners[s].estRate = r
+	nd.rescore(s)
+}
+
+// ChurnTick runs one of nd's churn steps now.
+func ChurnTick(nd *Node) { nd.churnTick() }
+
+// PartnerIDs lists nd's partners in id order.
+func PartnerIDs(nd *Node) []PeerID {
+	ids := make([]PeerID, len(nd.byID))
+	for i, en := range nd.byID {
+		ids[i] = en.id
+	}
+	return ids
 }

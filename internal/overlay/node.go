@@ -16,7 +16,7 @@ import (
 )
 
 // partner is the per-neighbour state a node keeps for peers it actively
-// exchanges video with: one 64-byte record, held by value in a slot of the
+// exchanges video with: one 56-byte record, held by value in a slot of the
 // node's partner table (Node.partners). The policy-visible facts are packed —
 // locality as three bits, the RTT as 32 bits of nanoseconds — and rebuilt into
 // a policy.Info (info) only where a Weight reads one.
@@ -28,12 +28,13 @@ type partner struct {
 	// Nothing here owns or copies the words. Nil — nothing advertised — from
 	// the record's creation until the remote's next signalling tick aims it.
 	have chunkstream.Advert
-	// reqW and retW cache the profile's request- and retain-time weights
-	// for this pair. The locality facts and the RTT are immutable from the
-	// moment the partnership forms, so the caches go stale only when
-	// estRate moves — every such site calls rescore, which also repositions
-	// the partner in the weight-ordered request index.
-	reqW, retW float64
+	// reqW caches the profile's request-time weight for this pair, the key
+	// of the weight-ordered request index. The locality facts and the RTT
+	// are immutable from the moment the partnership forms, so the cache goes
+	// stale only when estRate moves — every such site calls rescore, which
+	// also repositions the partner in the index. The retain-time weight is
+	// not cached: churnTick, its one reader, computes it from info.
+	reqW float64
 	// estRate is the running delivery-rate estimate (policy.Info.EstRate).
 	estRate units.BitRate
 	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
@@ -179,12 +180,11 @@ type idEntry struct {
 	slot int32
 }
 
-// reqEntry is one element of the weight-ordered request index, with both
-// sort keys (cached request weight, then id) inline for the same reason.
-// w duplicates the record's reqW and is refreshed whenever rescore
-// repositions the partner.
+// reqEntry is one element of the weight-ordered request index: the
+// tie-breaking id and the partner's slot. The primary key, the request
+// weight, is read from the record in that slot (partner.reqW), so the index
+// stores no copy of it; an entry holds no pointer, like idEntry.
 type reqEntry struct {
-	w    float64
 	id   PeerID
 	slot int32
 }
@@ -341,10 +341,11 @@ type Node struct {
 	// peer id ascending): the weight-ordered partner index. Its head is
 	// the greedy scheduler's best partner. Maintained incrementally on
 	// add/drop and whenever a delivery-rate update rescores a partner.
-	// Churn-time worst-partner selection instead scans byID with the
-	// cached retain weights: retain order generally differs from request
-	// order, and a full second index would cost more to maintain than the
-	// O(partners) scan it replaces.
+	// Churn-time worst-partner selection instead scans byID, weighing each
+	// partner's retain weight as it goes: retain order generally differs
+	// from request order, and a second index (or a cached retain weight)
+	// would cost more to maintain than the O(partners) scan once per
+	// DropInterval (8 s at the shortest).
 	byReq    []reqEntry
 	inflight inflightSet
 	// rateMemory persists per-remote delivery-rate estimates across
@@ -766,19 +767,20 @@ func (nd *Node) byReqInsert(id PeerID, s int32) {
 	pNaN := math.IsNaN(w)
 	i := 0
 	for i < len(nd.byReq) {
-		q := &nd.byReq[i]
-		if qNaN := math.IsNaN(q.w); qNaN {
+		q := nd.byReq[i]
+		qw := nd.partners[q.slot].reqW
+		if math.IsNaN(qw) {
 			if !pNaN || q.id > id {
 				break
 			}
-		} else if !pNaN && (q.w < w || (q.w == w && q.id > id)) {
+		} else if !pNaN && (qw < w || (qw == w && q.id > id)) {
 			break
 		}
 		i++
 	}
 	nd.byReq = append(nd.byReq, reqEntry{})
 	copy(nd.byReq[i+1:], nd.byReq[i:])
-	nd.byReq[i] = reqEntry{w: w, id: id, slot: s}
+	nd.byReq[i] = reqEntry{id: id, slot: s}
 }
 
 // byReqRemove drops slot s's entry from the weight-ordered index and returns
@@ -794,13 +796,13 @@ func (nd *Node) byReqRemove(s int32) PeerID {
 	panic(fmt.Sprintf("overlay: node %d: slot %d missing from the request index", nd.ID, s))
 }
 
-// rescore refreshes the cached weights of the partner in slot s after its
-// delivery-rate estimate moved, and repositions it in the weight-ordered
+// rescore refreshes the cached request weight of the partner in slot s after
+// its delivery-rate estimate moved, and repositions it in the weight-ordered
 // index. This is the single invalidation door: locality facts never change,
-// so every cache stays exact as long as each estRate mutation ends here.
+// so the cache stays exact as long as each estRate mutation ends here.
 func (nd *Node) rescore(s int32) {
 	p := &nd.partners[s]
-	p.reqW, p.retW = policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, p.info())
+	p.reqW = nd.Profile.RequestWeight.Weight(p.info())
 	nd.byReqInsert(nd.byReqRemove(s), s)
 }
 
@@ -870,13 +872,13 @@ func (nd *Node) addPartner(other *Node) {
 	}
 	// The record sees none of other's holdings and is marked for
 	// announcement to other. Locality facts are settled for good at
-	// partnership formation; this is the once-per-pair weighing the
+	// partnership formation; this is the once-per-pair request weighing the
 	// selection loops reuse from here on.
 	s := nd.takeSlot()
 	p := &nd.partners[s]
 	*p = partner{node: other, announce: true}
 	p.pack(info, nd.ID)
-	p.reqW, p.retW = policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, info)
+	p.reqW = nd.Profile.RequestWeight.Weight(info)
 	if nd.cong != nil {
 		(*nd.cong)[s] = partnerCong{}
 	}
@@ -1068,10 +1070,10 @@ func (nd *Node) signalingTick() {
 	}
 }
 
-// churnTick drops the least valuable partner (by the cached retain weights)
-// once the set is full, then refills. Replacing the weakest contributor
-// with a fresh candidate is the adaptation loop that concentrates traffic
-// on high-bandwidth peers.
+// churnTick drops the least valuable partner (by the profile's retain
+// weight) once the set is full, then refills. Replacing the weakest
+// contributor with a fresh candidate is the adaptation loop that
+// concentrates traffic on high-bandwidth peers.
 func (nd *Node) churnTick() {
 	if !nd.online {
 		return
@@ -1080,9 +1082,11 @@ func (nd *Node) churnTick() {
 	if len(nd.byID) >= nd.Profile.PartnerTarget {
 		scorer := &nd.sc.scorer
 		scorer.Reset()
-		// Worst reads only the index and the weight: no Info is built.
+		// Worst reads only the index and the weight, so the candidate
+		// carries no Info.
+		retain := nd.Profile.RetainWeight
 		for _, en := range nd.byID {
-			scorer.PushScored(policy.Candidate{Index: int(en.id)}, nd.partners[en.slot].retW)
+			scorer.PushScored(policy.Candidate{Index: int(en.id)}, retain.Weight(nd.partners[en.slot].info()))
 		}
 		worst := scorer.Worst()
 		if worst.Index >= 0 {
@@ -1296,7 +1300,7 @@ func (nd *Node) bestPartner() *partner {
 		if cong && (*nd.cong)[en.slot].backoffUntil > now {
 			continue
 		}
-		if en.w > 0 {
+		if p.reqW > 0 {
 			return p
 		}
 		// Weights only descend from here (NaNs sink to the tail); nothing

@@ -28,16 +28,17 @@ func TestPartnerIndexStaysConsistent(t *testing.T) {
 	}
 }
 
-// reqBefore is the weight-ordered index's order: real weights descending,
-// then ids ascending; NaN weights after every real one, by id.
-func reqBefore(a, b reqEntry) bool {
-	switch an, bn := math.IsNaN(a.w), math.IsNaN(b.w); {
+// reqBefore is the weight-ordered index's order on (weight, id) pairs: real
+// weights descending, then ids ascending; NaN weights after every real one,
+// by id.
+func reqBefore(aw float64, aid PeerID, bw float64, bid PeerID) bool {
+	switch an, bn := math.IsNaN(aw), math.IsNaN(bw); {
 	case an != bn:
 		return bn
-	case !an && a.w != b.w:
-		return a.w > b.w
+	case !an && aw != bw:
+		return aw > bw
 	default:
-		return a.id < b.id
+		return aid < bid
 	}
 }
 
@@ -49,9 +50,11 @@ func sameWeight(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNa
 //     exists exactly when the congestion model is on;
 //   - byID ids strictly ascend, which is what makes it a set and lets
 //     partnerByID binary search it;
-//   - byReq holds exactly byID's (id, slot) pairs, in weight order;
-//   - every slot an index names is live — it holds that id's node and cached
-//     weights equal to a fresh evaluation — and each index names it once;
+//   - byReq holds exactly byID's (id, slot) pairs, in the order of the
+//     request weights the slots hold;
+//   - every slot an index names is live — it holds that id's node and a
+//     cached request weight equal to a fresh evaluation — and each index
+//     names it once;
 //   - the free list covers exactly the unreferenced slots below len, and a
 //     free slot holds nothing but its link;
 //   - partnerByID finds every partner and misses ids below, between and above.
@@ -87,10 +90,8 @@ func checkPartnerIndexes(t testing.TB, nd *Node) {
 		if p.node == nil || p.node.ID != en.id {
 			t.Fatalf("node %d: slot %d does not hold partner %d", nd.ID, en.slot, en.id)
 		}
-		wantReq, wantRet := policy.Score(nd.Profile.RequestWeight, nd.Profile.RetainWeight, p.info())
-		if !sameWeight(p.reqW, wantReq) || !sameWeight(p.retW, wantRet) {
-			t.Fatalf("node %d: partner %d cached weights (%v,%v) stale, want (%v,%v)",
-				nd.ID, en.id, p.reqW, p.retW, wantReq, wantRet)
+		if want := nd.Profile.RequestWeight.Weight(p.info()); !sameWeight(p.reqW, want) {
+			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, en.id, p.reqW, want)
 		}
 	}
 	for i, en := range nd.byReq {
@@ -99,12 +100,12 @@ func checkPartnerIndexes(t testing.TB, nd *Node) {
 			t.Fatalf("node %d: byReq entry %d names (%d, slot %d), which byID does not, or names it twice", nd.ID, i, en.id, en.slot)
 		}
 		delete(pairs, pair)
-		if p := &nd.partners[en.slot]; !sameWeight(en.w, p.reqW) {
-			t.Fatalf("node %d: byReq entry %d inline weight %v, partner caches %v", nd.ID, i, en.w, p.reqW)
+		if i == 0 {
+			continue
 		}
-		if i > 0 && !reqBefore(nd.byReq[i-1], en) {
-			a := nd.byReq[i-1]
-			t.Fatalf("node %d: byReq out of order at %d: (%v,%d) before (%v,%d)", nd.ID, i, a.w, a.id, en.w, en.id)
+		a := nd.byReq[i-1]
+		if aw, w := nd.partners[a.slot].reqW, nd.partners[en.slot].reqW; !reqBefore(aw, a.id, w, en.id) {
+			t.Fatalf("node %d: byReq out of order at %d: (%v,%d) before (%v,%d)", nd.ID, i, aw, a.id, w, en.id)
 		}
 	}
 	free := 0
@@ -114,7 +115,7 @@ func checkPartnerIndexes(t testing.TB, nd *Node) {
 			t.Fatalf("node %d: free list reaches slot %d of %d, referenced or out of the table, or twice", nd.ID, s, len(nd.partners))
 		}
 		referenced[s] = true
-		if p := nd.partners[s]; p.node != nil || p.have != nil || p.reqW != 0 || p.retW != 0 ||
+		if p := nd.partners[s]; p.node != nil || p.have != nil || p.reqW != 0 ||
 			p.estRate != 0 || p.failures != 0 || p.loc != 0 || p.announce {
 			t.Fatalf("node %d: free slot %d holds more than its link", nd.ID, s)
 		}
@@ -154,7 +155,7 @@ func TestByReqInsertKeepsNaNWeightsInTail(t *testing.T) {
 	}
 	got := make([]float64, len(nd.byReq))
 	for i, en := range nd.byReq {
-		got[i] = en.w
+		got[i] = nd.partners[en.slot].reqW
 	}
 	if len(got) != 4 || got[0] != 9 || got[1] != 5 ||
 		!math.IsNaN(got[2]) || !math.IsNaN(got[3]) {
@@ -173,8 +174,8 @@ func TestByReqInsertKeepsNaNWeightsInTail(t *testing.T) {
 	nd.byReq, nd.partners = nil, nil // undo the synthetic table before teardown
 }
 
-// TestPartnerTableShape pins what the table was built for: a 64-byte record,
-// 8- and 16-byte index entries, and no pointer in either index or in the
+// TestPartnerTableShape pins what the table was built for: a 56-byte record,
+// 8-byte index entries, and no pointer in either index or in the
 // request round's scratch, so the collector scans none of them and shifting
 // an entry costs no write barrier. TestNodeHotHeaderFitsOneLine holds Node to
 // its size class with the table in it.
@@ -183,9 +184,9 @@ func TestPartnerTableShape(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"partner", unsafe.Sizeof(partner{}), 64},
+		{"partner", unsafe.Sizeof(partner{}), 56},
 		{"idEntry", unsafe.Sizeof(idEntry{}), 8},
-		{"reqEntry", unsafe.Sizeof(reqEntry{}), 16},
+		{"reqEntry", unsafe.Sizeof(reqEntry{}), 8},
 	} {
 		if c.got != c.want {
 			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
@@ -412,18 +413,19 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		}
 		checkPartnerIndexes(t, nd)
 
+		weight := func(en reqEntry) float64 { return tableWeight{}.Weight(policy.Info{EstRate: m.rows[en.id].rate}) }
 		var wantID []idEntry
 		var wantReq []reqEntry
 		for id, row := range m.rows {
 			wantID = append(wantID, idEntry{id: id, slot: row.slot})
-			wantReq = append(wantReq, reqEntry{w: tableWeight{}.Weight(policy.Info{EstRate: row.rate}), id: id, slot: row.slot})
+			wantReq = append(wantReq, reqEntry{id: id, slot: row.slot})
 			if got := nd.partners[row.slot].estRate; got != row.rate {
 				t.Fatalf("step %d: partner %d's rate %d, the model says %d", step, id, got, row.rate)
 			}
 		}
 		slices.SortFunc(wantID, func(a, b idEntry) int { return int(a.id - b.id) })
 		slices.SortFunc(wantReq, func(a, b reqEntry) int {
-			if reqBefore(a, b) {
+			if reqBefore(weight(a), a.id, weight(b), b.id) {
 				return -1
 			}
 			return 1
@@ -431,16 +433,14 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		if !slices.Equal(nd.byID, wantID) {
 			t.Fatalf("step %d: byID %v, the model %v", step, nd.byID, wantID)
 		}
-		if !slices.EqualFunc(nd.byReq, wantReq, func(a, b reqEntry) bool {
-			return a.id == b.id && a.slot == b.slot && sameWeight(a.w, b.w)
-		}) {
+		if !slices.Equal(nd.byReq, wantReq) {
 			t.Fatalf("step %d: byReq %v, the model %v", step, nd.byReq, wantReq)
 		}
 		var wantBest *partner
-		if len(wantReq) > 0 && wantReq[0].w > 0 {
+		if len(wantReq) > 0 && weight(wantReq[0]) > 0 {
 			wantBest = &nd.partners[wantReq[0].slot]
 		}
-		if n := len(wantReq); n > 1 && !math.IsNaN(wantReq[0].w) && math.IsNaN(wantReq[n-1].w) {
+		if n := len(wantReq); n > 1 && !math.IsNaN(weight(wantReq[0])) && math.IsNaN(weight(wantReq[n-1])) {
 			cov.nanTails++
 		}
 		if got := nd.bestPartner(); got != wantBest {

@@ -24,8 +24,7 @@ import (
 // SameAS/SameCC/SameSubnet are immutable from the moment two peers meet.
 // Callers may therefore compute a candidate's weight once at partnership
 // formation, reuse it via PushScored every round, and recompute only when
-// the mutable facts change. Score is the invalidation helper: it
-// recomputes both of a pair's cached weights in one place.
+// the mutable facts change.
 type Scorer struct {
 	cands   []Candidate
 	weights []float64
@@ -146,12 +145,4 @@ func (s *Scorer) Sample(rng *rand.Rand, k int) []Candidate {
 		s.out = append(s.out, s.keys[i].c)
 	}
 	return s.out
-}
-
-// Score computes the candidate weights a caller caches per partner: the
-// request-time and retain-time scores of one Info under a profile's two
-// policies. It exists so every invalidation site (partnership formation,
-// a delivery-rate update) refreshes both caches through one door.
-func Score(request, retain Weight, i Info) (requestScore, retainScore float64) {
-	return request.Weight(i), retain.Weight(i)
 }

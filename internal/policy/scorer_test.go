@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"time"
 
 	"napawine/internal/units"
 )
@@ -36,7 +35,7 @@ func TestScorerMatchesFreeFunctions(t *testing.T) {
 	for seed := int64(1); seed <= 50; seed++ {
 		// bare holds the same weights pushed without their Infos: PickOne and
 		// Worst read only the index and the weight, which is what lets the
-		// overlay's request and churn rounds push cached weights alone.
+		// overlay's request and churn rounds push bare weights.
 		var s, bare Scorer
 		for _, c := range cands {
 			s.Push(c, w)
@@ -125,22 +124,5 @@ func TestScorerEmptyAndNonPositive(t *testing.T) {
 	}
 	if got := s.Sample(rand.New(rand.NewSource(3)), 2); len(got) != 0 {
 		t.Errorf("all-unselectable Sample = %v, want empty", got)
-	}
-}
-
-// TestScoreRecomputesBothWeights exercises the one invalidation door the
-// overlay uses when a partner's delivery-rate estimate moves.
-func TestScoreRecomputesBothWeights(t *testing.T) {
-	req := BandwidthBias{Ref: 384 * units.Kbps, Alpha: 2, Floor: 384 * units.Kbps}
-	ret := BandwidthBias{Ref: 384 * units.Kbps, Alpha: 1, Floor: 192 * units.Kbps}
-	info := Info{SameAS: true, RTT: 12 * time.Millisecond, EstRate: 2 * units.Mbps}
-	gotReq, gotRet := Score(req, ret, info)
-	if gotReq != req.Weight(info) || gotRet != ret.Weight(info) {
-		t.Errorf("Score = (%v, %v), want (%v, %v)", gotReq, gotRet, req.Weight(info), ret.Weight(info))
-	}
-	info.EstRate *= 2
-	nextReq, nextRet := Score(req, ret, info)
-	if nextReq <= gotReq || nextRet <= gotRet {
-		t.Errorf("faster rate must raise both scores: (%v, %v) -> (%v, %v)", gotReq, gotRet, nextReq, nextRet)
 	}
 }
