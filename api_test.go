@@ -86,34 +86,36 @@ func TestPaperConclusionsHold(t *testing.T) {
 	for _, r := range results {
 		byApp[r.App] = r
 	}
-	cell := func(app, prop string) napawine.TableIVCell {
-		for _, c := range napawine.ComputeTableIV(byApp[app]) {
+	// A Table IV cell's columns run B'D, P'D, BD, PD, B'U, P'U, BU, PU:
+	// vals[0] is byte-wise B'D, vals[1] peer-wise P'D, valid[i] marks a
+	// measured column.
+	cell := func(app, prop string) (vals [8]float64, valid [8]bool) {
+		for _, c := range byApp[app].TableIV {
 			if c.Property == prop {
-				return c
+				return c.Vals, c.Valid
 			}
 		}
 		t.Fatalf("missing %s/%s", app, prop)
-		return napawine.TableIVCell{}
+		return
 	}
 
 	// 1. Every application prefers high-bandwidth peers, byte-wise more
 	// than peer-wise.
 	for _, app := range napawine.Apps() {
-		bw := cell(app, "BW")
-		if !bw.BDPrime.Valid() || bw.BDPrime.BytePct < 60 {
-			t.Errorf("%s BW B'D = %.1f, want strong", app, bw.BDPrime.BytePct)
+		bw, valid := cell(app, "BW")
+		if !valid[0] || bw[0] < 60 {
+			t.Errorf("%s BW B'D = %.1f, want strong", app, bw[0])
 		}
-		if bw.BDPrime.BytePct < bw.PDPrime.PeerPct {
+		if bw[0] < bw[1] {
 			t.Errorf("%s BW byte preference below peer preference", app)
 		}
 	}
 
 	// 2. TVAnts has the strongest same-AS peer discovery.
-	tvAS := cell("TVAnts", "AS")
-	scAS := cell("SopCast", "AS")
-	if tvAS.PDPrime.PeerPct <= scAS.PDPrime.PeerPct {
-		t.Errorf("TVAnts P'D(AS)=%.1f should exceed SopCast's %.1f",
-			tvAS.PDPrime.PeerPct, scAS.PDPrime.PeerPct)
+	tvAS, _ := cell("TVAnts", "AS")
+	scAS, _ := cell("SopCast", "AS")
+	if tvAS[1] <= scAS[1] {
+		t.Errorf("TVAnts P'D(AS)=%.1f should exceed SopCast's %.1f", tvAS[1], scAS[1])
 	}
 
 	// 3. No application shows a real HOP preference: the paper's
@@ -122,13 +124,13 @@ func TestPaperConclusionsHold(t *testing.T) {
 	// depends on where the fixed 19-hop threshold cuts this world's
 	// distance distribution.
 	for _, app := range napawine.Apps() {
-		hop := cell(app, "HOP")
-		if !hop.BDPrime.Valid() {
+		hop, valid := cell(app, "HOP")
+		if !valid[0] {
 			continue
 		}
-		if diff := hop.BDPrime.BytePct - hop.PDPrime.PeerPct; diff > 25 || diff < -25 {
+		if diff := hop[0] - hop[1]; diff > 25 || diff < -25 {
 			t.Errorf("%s HOP B'D=%.1f vs P'D=%.1f: byte/peer divergence signals a preference",
-				app, hop.BDPrime.BytePct, hop.PDPrime.PeerPct)
+				app, hop[0], hop[1])
 		}
 	}
 }
@@ -226,30 +228,5 @@ func TestSweepAPI(t *testing.T) {
 				t.Errorf("table missing %s row:\n%s", app, b.String())
 			}
 		}
-	}
-}
-
-// TestSummarizeMatchesSingleRunTables pins the per-run reduction to the
-// single-run table pipeline: a Summary must carry exactly the numbers the
-// unreplicated Table II/III code computes from the full Result.
-func TestSummarizeMatchesSingleRunTables(t *testing.T) {
-	r := getBattery(t)[1] // SopCast
-	s := napawine.Summarize(r)
-	if s.App != r.App {
-		t.Errorf("summary app = %q, want %q", s.App, r.App)
-	}
-	var rx float64
-	for _, p := range r.PerProbe {
-		rx += p.RxKbps
-	}
-	rx /= float64(len(r.PerProbe))
-	if diff := s.RxKbpsMean - rx; diff > 1e-9 || diff < -1e-9 {
-		t.Errorf("RxKbpsMean = %v, want %v", s.RxKbpsMean, rx)
-	}
-	if len(s.TableIV) != 5 {
-		t.Errorf("TableIV cells = %d, want 5 properties", len(s.TableIV))
-	}
-	if s.Events != r.Events || s.MeanContinuity != r.MeanContinuity {
-		t.Error("summary health fields diverge from result")
 	}
 }

@@ -133,7 +133,8 @@ func BenchmarkFigure2(b *testing.B) {
 }
 
 // BenchmarkAblationASKnobs regenerates the A1 ablation: a TVAnts variant
-// with AS-blind discovery, simulated per iteration at miniature scale.
+// with AS-blind discovery, simulated per iteration at miniature scale (Run
+// reduces the Table IV cells into the result's summary).
 func BenchmarkAblationASKnobs(b *testing.B) {
 	base, err := napawine.ProfileOf(napawine.TVAnts)
 	if err != nil {
@@ -147,11 +148,9 @@ func BenchmarkAblationASKnobs(b *testing.B) {
 		cfg.Profile = napawine.ProfileVariant(base, "TVAnts-blind", func(p *napawine.Profile) {
 			p.DiscoveryWeight = napawine.Uniform{}
 		})
-		r, err := napawine.Run(cfg)
-		if err != nil {
+		if _, err := napawine.Run(cfg); err != nil {
 			b.Fatal(err)
 		}
-		_ = napawine.ComputeTableIV(r)
 	}
 }
 

@@ -149,6 +149,8 @@ func (o *options) validate() error {
 		return fmt.Errorf("-seeds %d: need at least one trial seed", o.seeds)
 	case o.duration <= 0:
 		return fmt.Errorf("non-positive -duration %v", o.duration)
+	case o.workers < 0:
+		return fmt.Errorf("negative -workers %d", o.workers)
 	case o.shards < 0:
 		return fmt.Errorf("negative -shards %d", o.shards)
 	case o.queueDepth < 0:
@@ -156,6 +158,8 @@ func (o *options) validate() error {
 	case o.explicit["peers"] && o.explicit["scale"]:
 		// The study layer would silently run whichever sizing won.
 		return fmt.Errorf("-peers and -scale are mutually exclusive")
+	case o.httpLinger < 0:
+		return fmt.Errorf("negative -http-linger %v", o.httpLinger)
 	case o.httpLinger != 0 && o.http == "":
 		return fmt.Errorf("-http-linger requires -http")
 	case o.scenario != "" && o.scenarioFile != "":

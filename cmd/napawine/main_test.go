@@ -262,6 +262,9 @@ func TestValidateRejectsIgnoredValues(t *testing.T) {
 		{[]string{"-queue-depth", "-1"}, "-queue-depth"},
 		{[]string{"-peers", "60", "-scale", "0.5"}, "-peers"},
 		{[]string{"-http-linger", "5s"}, "-http-linger"},
+		{[]string{"-http", "127.0.0.1:0", "-http-linger", "-5s"}, "-http-linger"},
+		{[]string{"-workers", "-3"}, "-workers"},
+		{[]string{"-join", "127.0.0.1:1", "-workers", "-3"}, "-workers"},
 		{[]string{"-exp", "table1", "-http", ":0"}, "-http"},
 		{[]string{"-exp", "table1", "-svg-out", "d"}, "-svg-out"},
 		{[]string{"-exp", "table1", "-seeds", "2", "-listen", ":0"}, "-listen"},

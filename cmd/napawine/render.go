@@ -85,7 +85,7 @@ func (o *options) renderPaper(p *printer, res *study.Result) []plot.Artifact {
 		p.table(experiment.TableIV(results))
 		for _, r := range results {
 			p.printf("%s: measured hop median %.0f, mean continuity %.3f\n",
-				r.App, r.HopMedianMeasured, r.MeanContinuity)
+				r.App, r.HopMedian, r.MeanContinuity)
 		}
 		p.printf("\n")
 	}
@@ -109,12 +109,8 @@ func (o *options) renderPaper(p *printer, res *study.Result) []plot.Artifact {
 		// Congestion ground truth, so a bounded-queue run documents its
 		// loss regime (and CI can assert the queues actually dropped).
 		for _, r := range results {
-			loss := 0.0
-			if offered := r.ChunksServed + r.Drops; offered > 0 {
-				loss = 100 * float64(r.Drops) / float64(offered)
-			}
 			p.printf("%s congestion: drops %d, retransmits %d, backoffs %d, loss %.2f%%\n",
-				r.App, r.Drops, r.Retransmits, r.Backoffs, loss)
+				r.App, r.Drops, r.Retransmits, r.Backoffs, r.LossPct)
 		}
 		p.printf("\n")
 	}

@@ -39,19 +39,19 @@ func run(label string, mutate func(*napawine.Profile)) *napawine.Result {
 }
 
 func describe(label string, r *napawine.Result) {
-	var as, hop napawine.TableIVCell
-	for _, c := range napawine.ComputeTableIV(r) {
+	// Each Table IV cell's columns: Vals[0] is B'D (bytes), Vals[1] P'D (peers).
+	var as, hop [8]float64
+	for _, c := range r.TableIV {
 		switch c.Property {
 		case "AS":
-			as = c
+			as = c.Vals
 		case "HOP":
-			hop = c
+			hop = c.Vals
 		}
 	}
 	fig2 := napawine.Figure2(r)
 	fmt.Printf("%-22s AS: B'D=%5.1f P'D=%5.1f   HOP: B'D=%5.1f P'D=%5.1f   R=%5.2f\n",
-		label, as.BDPrime.BytePct, as.PDPrime.PeerPct,
-		hop.BDPrime.BytePct, hop.PDPrime.PeerPct, fig2.R)
+		label, as[0], as[1], hop[0], hop[1], fig2.R)
 }
 
 func main() {

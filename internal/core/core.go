@@ -18,7 +18,6 @@
 package core
 
 import (
-	"fmt"
 	"net/netip"
 	"time"
 
@@ -207,17 +206,6 @@ type Metrics struct {
 // Valid reports whether any contributor was measurable: when false, the
 // table cell should print "-" like the paper's BW upload cells.
 func (m Metrics) Valid() bool { return m.PeersPreferred+m.PeersOther > 0 }
-
-// String renders a compact debug form.
-func (m Metrics) String() string {
-	prime := ""
-	if m.ExcludeProbes {
-		prime = "'"
-	}
-	return fmt.Sprintf("%s %s%s: P=%.1f%% B=%.1f%% (peers %d/%d, bytes %d/%d)",
-		m.Property, m.Direction, prime, m.PeerPct, m.BytePct,
-		m.PeersPreferred, m.PeersOther, m.BytesPreferred, m.BytesOther)
-}
 
 // Compute evaluates one classifier over the observations in one direction.
 // Only contributors (per th) in that direction enter the tallies;

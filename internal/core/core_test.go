@@ -256,15 +256,6 @@ func TestHopMedian(t *testing.T) {
 	}
 }
 
-func TestMetricsString(t *testing.T) {
-	m := Metrics{Property: "AS", Direction: Download, ExcludeProbes: true,
-		PeerPct: 3.3, BytePct: 7.3, PeersPreferred: 1, PeersOther: 29}
-	s := m.String()
-	if s == "" || s[:4] != "AS D" {
-		t.Errorf("String = %q", s)
-	}
-}
-
 func TestDirectionString(t *testing.T) {
 	if Upload.String() != "U" || Download.String() != "D" {
 		t.Error("direction names wrong")

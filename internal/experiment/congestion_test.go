@@ -46,9 +46,8 @@ func TestBoundedQueueDropsAndRecovers(t *testing.T) {
 	if r.Backoffs == 0 {
 		t.Error("drops occurred but no partner was backed off")
 	}
-	s := Summarize(r)
-	if s.LossPct <= 0 || s.LossPct >= 100 {
-		t.Errorf("loss = %.2f%%, want strictly inside (0,100)", s.LossPct)
+	if r.LossPct <= 0 || r.LossPct >= 100 {
+		t.Errorf("loss = %.2f%%, want strictly inside (0,100)", r.LossPct)
 	}
 	// Retransmission must keep the stream alive despite forced loss.
 	if r.MeanContinuity < 0.5 {

@@ -179,64 +179,21 @@ type ProbeStats struct {
 	ContribTx int // upload contributors
 }
 
-// Result is everything one run produces.
+// Result is everything one run produces: its Summary — the bounded numbers
+// every table and study reads, filled in by RunCtx — plus the full
+// observations, world and ledger behind them.
 type Result struct {
-	App      string
-	Cfg      Config
-	World    *world.World
-	Duration time.Duration
+	Summary
+	Cfg   Config
+	World *world.World
 
 	// Observations across all probes (one entry per probe×peer pair).
 	Observations []core.Observation
-	// Unlocated counts peers the registry could not place.
-	Unlocated int
 
 	PerProbe []ProbeStats
 
-	// HopMedianMeasured is the observed hop median (paper: 18–20).
-	HopMedianMeasured float64
-
-	// MeanContinuity is the average playout continuity across online
-	// peers at the end of the run — the sanity check that the emulated
-	// swarm actually sustained the stream.
-	MeanContinuity float64
-
-	// SourceKbps is the stream source's video upload rate over the run —
-	// the "source load" a self-sustaining swarm keeps near the stream
-	// rate and a starved one multiplies. SourceSharePct is the same load
-	// as a share of all video bytes moved (0 when no video moved;
-	// VideoBytes carries the denominator).
-	SourceKbps     float64
-	SourceSharePct float64
-	VideoBytes     int64
-
-	// MeanDiffusionDelay is the mean virtual time from a chunk's calendar
-	// birth to its first delivery at a peer, across DiffusionChunks
-	// deliveries — the chunk-scheduling figure of merit. Zero when
-	// nothing was delivered.
-	MeanDiffusionDelay time.Duration
-	DiffusionChunks    int64
-
-	// Congestion ground truth, all zero unless Cfg.Congestion bounds the
-	// uplink queues: chunks tail-dropped at full queues, re-requests
-	// issued after a timeout, partner backoff activations, and the chunks
-	// that did get served (the loss-rate denominator alongside Drops).
-	Drops        int64
-	Retransmits  int64
-	Backoffs     int64
-	ChunksServed int64
-
-	// Scenario names the workload timeline the run executed ("" = none).
-	Scenario string
-	// Series is the per-bucket time series a scenario run samples; empty
-	// without a scenario. Length is bounded by scenario.MaxBuckets.
-	Series []SeriesSample
-
 	// Ledger is ground truth for validation; analysis never reads it.
 	Ledger *overlay.Ledger
-
-	// Events is the engine's processed-event count (throughput metric).
-	Events uint64
 
 	probeByAddr map[netip.Addr]world.Probe
 }
@@ -259,8 +216,8 @@ const cancelPoll = time.Second
 // flushEvery is how often (in virtual time) every probe's spool hands its
 // final records to the analysis sinks at one common instant. It bounds no
 // memory — each spool drains itself as it fills (sniffer.Spool) — and stays
-// because its firings are engine events: Result.Events counts them, and
-// Summary.Events carries that count into rendered tables and every digest.
+// because its firings are engine events: Summary.Events counts them and
+// carries that count into rendered tables and every digest.
 const flushEvery = 10 * time.Second
 
 // Background churn: mean on and off periods of a consumer peer's session
@@ -471,14 +428,16 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	// snapshot of the per-shard ledgers otherwise.
 	led := net.LedgerView()
 	res := &Result{
-		App:      cfg.App,
-		Cfg:      cfg,
-		World:    w,
-		Duration: cfg.Duration,
-		Ledger:   led,
-		// Poll firings are harness bookkeeping, not swarm activity; see
-		// the RunCtx doc for why they are excluded from the metric.
-		Events:      sh.Processed() - polls,
+		Summary: Summary{
+			App:  cfg.App,
+			Seed: cfg.Seed,
+			// Poll firings are harness bookkeeping, not swarm activity; see
+			// the RunCtx doc for why they are excluded from the metric.
+			Events: sh.Processed() - polls,
+		},
+		Cfg:         cfg,
+		World:       w,
+		Ledger:      led,
 		probeByAddr: make(map[netip.Addr]world.Probe, len(w.Probes)),
 	}
 	if cfg.Scenario != nil {
@@ -516,7 +475,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		res.Observations = append(res.Observations, obs...)
 	}
 	if med, ok := core.HopMedian(res.Observations); ok {
-		res.HopMedianMeasured = med
+		res.HopMedian = med
 	}
 	for _, n := range net.Nodes() {
 		if n.Online() && !n.IsSource() {
@@ -536,12 +495,14 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	res.DiffusionChunks = led.DiffusionChunks
 	if led.DiffusionChunks > 0 {
-		res.MeanDiffusionDelay = led.DiffusionDelaySum / time.Duration(led.DiffusionChunks)
+		// The mean in whole nanoseconds first, as a time.Duration divides.
+		res.DiffusionDelayS = (led.DiffusionDelaySum / time.Duration(led.DiffusionChunks)).Seconds()
 	}
 	res.Drops = led.DropsTotal
 	res.Retransmits = led.RetransmitsTotal
 	res.Backoffs = led.BackoffsTotal
 	res.ChunksServed = led.ChunksServedTotal
+	res.Summary = Summarize(res)
 	return res, nil
 }
 

@@ -74,38 +74,40 @@ func TestProbesReceiveStream(t *testing.T) {
 
 func TestBWRowShape(t *testing.T) {
 	r := runSmall(t, "SopCast")
-	cells := ComputeTableIV(r)
-	var bw TableIVCell
-	for _, c := range cells {
+	var bw SummaryCell
+	for _, c := range r.TableIV {
 		if c.Property == "BW" {
 			bw = c
 		}
 	}
 	// Download side: strong high-bandwidth preference (paper: P′ 83–86,
-	// B′ 96–98). Bands widened for the scaled world.
-	if !bw.BDPrime.Valid() {
+	// B′ 96–98). Bands widened for the scaled world. Columns are
+	// B'D, P'D, BD, PD, B'U, P'U, BU, PU.
+	if !bw.Valid[0] {
 		t.Fatal("BW download metrics empty")
 	}
-	if bw.PDPrime.PeerPct < 60 {
-		t.Errorf("P'D(BW) = %.1f, want strong preference (>60)", bw.PDPrime.PeerPct)
+	if bw.Vals[1] < 60 {
+		t.Errorf("P'D(BW) = %.1f, want strong preference (>60)", bw.Vals[1])
 	}
-	if bw.BDPrime.BytePct < 80 {
-		t.Errorf("B'D(BW) = %.1f, want very strong preference (>80)", bw.BDPrime.BytePct)
+	if bw.Vals[0] < 80 {
+		t.Errorf("B'D(BW) = %.1f, want very strong preference (>80)", bw.Vals[0])
 	}
-	if bw.BDPrime.BytePct <= bw.PDPrime.PeerPct {
+	if bw.Vals[0] <= bw.Vals[1] {
 		t.Errorf("B'D(BW)=%.1f should exceed P'D(BW)=%.1f (fast peers carry more each)",
-			bw.BDPrime.BytePct, bw.PDPrime.PeerPct)
+			bw.Vals[0], bw.Vals[1])
 	}
 	// Upload side: unmeasurable, like the dashes in the paper.
-	if bw.BUPrime.Valid() {
-		t.Error("BW upload should be unmeasurable from passive traces")
+	for col := 4; col < 8; col++ {
+		if bw.Valid[col] {
+			t.Errorf("BW upload column %s should be unmeasurable from passive traces", TableIVColumns[col])
+		}
 	}
 }
 
 func TestHopMedianInPaperRegime(t *testing.T) {
 	r := runSmall(t, "SopCast")
-	if r.HopMedianMeasured < 10 || r.HopMedianMeasured > 28 {
-		t.Errorf("hop median = %.0f, want within [10,28] (paper: 18-20)", r.HopMedianMeasured)
+	if r.HopMedian < 10 || r.HopMedian > 28 {
+		t.Errorf("hop median = %.0f, want within [10,28] (paper: 18-20)", r.HopMedian)
 	}
 }
 
@@ -238,7 +240,7 @@ func TestFigure2PairAccounting(t *testing.T) {
 }
 
 func TestSortResults(t *testing.T) {
-	rs := []*Result{{App: "TVAnts"}, {App: "PPLive"}, {App: "SopCast"}}
+	rs := []*Result{{Summary: Summary{App: "TVAnts"}}, {Summary: Summary{App: "PPLive"}}, {Summary: Summary{App: "SopCast"}}}
 	SortResults(rs)
 	if rs[0].App != "PPLive" || rs[1].App != "SopCast" || rs[2].App != "TVAnts" {
 		t.Errorf("order = %s,%s,%s", rs[0].App, rs[1].App, rs[2].App)
@@ -292,12 +294,14 @@ func TestSourceLoadMetrics(t *testing.T) {
 	if r.VideoBytes <= 0 || r.SourceSharePct <= 0 || r.SourceSharePct > 100 {
 		t.Errorf("source share = %v%% of %d bytes", r.SourceSharePct, r.VideoBytes)
 	}
-	if r.DiffusionChunks <= 0 || r.MeanDiffusionDelay <= 0 {
-		t.Errorf("diffusion: %d chunks, mean %v", r.DiffusionChunks, r.MeanDiffusionDelay)
+	if r.DiffusionChunks <= 0 || r.DiffusionDelayS <= 0 {
+		t.Errorf("diffusion: %d chunks, mean %vs", r.DiffusionChunks, r.DiffusionDelayS)
 	}
-	s := Summarize(r)
-	if s.SourceKbps != r.SourceKbps || s.DiffusionDelayS != r.MeanDiffusionDelay.Seconds() {
-		t.Error("summary diverges from result on study metrics")
+	// The mean delay is whole nanoseconds, as a time.Duration division
+	// leaves it, before it turns into seconds.
+	led := r.Ledger
+	if want := (led.DiffusionDelaySum / time.Duration(led.DiffusionChunks)).Seconds(); r.DiffusionDelayS != want {
+		t.Errorf("DiffusionDelayS = %v, want %v", r.DiffusionDelayS, want)
 	}
 }
 

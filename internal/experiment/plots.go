@@ -32,6 +32,17 @@ var SeriesMetrics = []SeriesMetric{
 		func(s SeriesSample) (float64, bool) { return s.VideoKbps, true }},
 }
 
+// At lifts the column to a Metric over run summaries: the value in bucket b,
+// unmeasured in runs whose series is shorter.
+func (m SeriesMetric) At(b int) Metric {
+	return Metric{Label: m.Column, Decimals: m.Decimals, Get: func(s Summary) (float64, bool) {
+		if b >= len(s.Series) {
+			return 0, false
+		}
+		return m.Get(s.Series[b])
+	}}
+}
+
 // SeriesPlots renders the scenario time series of results as SVG line
 // charts: one chart per swarm-wide metric with one series per application,
 // plus per-AS breakdowns (online, continuity, intra-AS share; one series

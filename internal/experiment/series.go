@@ -201,20 +201,9 @@ func (r *seriesRecorder) sample(eng *sim.Engine, net *overlay.Network) {
 	}
 }
 
-// TrackerMark renders a series table's tracker column: the outage marker is
-// what makes a tracker-outage window visible in an otherwise smooth table.
-// Shared with the sweep renderer so single-run and aggregated series agree.
-func TrackerMark(up bool) string {
-	if up {
-		return "up"
-	}
-	return "DOWN"
-}
-
 // SeriesTable renders the per-bucket time series of one or more runs that
-// share a scenario and duration, bucket-major so each app's response to the
-// same instant sits on adjacent rows. Returns nil when no run carried a
-// series (no scenario), mirroring the sweep-side SeriesTable.
+// share a scenario and duration, one row per run at each bucket. Returns nil
+// when no run carried a series (no scenario).
 func SeriesTable(results []*Result) *report.Table {
 	name := ""
 	buckets := 0
@@ -222,29 +211,7 @@ func SeriesTable(results []*Result) *report.Table {
 		if r.Scenario != "" {
 			name = r.Scenario
 		}
-		if len(r.Series) > buckets {
-			buckets = len(r.Series)
-		}
+		buckets = max(buckets, len(r.Series))
 	}
-	if buckets == 0 {
-		return nil
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Time series — scenario %q", name),
-		"T", "App", "Online", "Continuity", "Intra-AS%", "Video kbps", "Tracker")
-	for b := 0; b < buckets; b++ {
-		for _, r := range results {
-			if b >= len(r.Series) {
-				continue
-			}
-			s := r.Series[b]
-			t.Add(s.T.String(), r.App,
-				fmt.Sprintf("%d", s.Online),
-				fmt.Sprintf("%.3f", s.Continuity),
-				report.PctOrDash(s.IntraASPct, s.IntraASValid),
-				fmt.Sprintf("%.0f", s.VideoKbps),
-				TrackerMark(s.TrackerUp))
-		}
-	}
-	return t
+	return runRows(results).SeriesTable(fmt.Sprintf("Time series — scenario %q", name), buckets)
 }

@@ -45,7 +45,7 @@ func TestScenarioRunProducesSeries(t *testing.T) {
 			pre.Online, pre.T, post.Online, post.T)
 	}
 	for i, s := range r.Series {
-		if s.T <= 0 || s.T > r.Duration {
+		if s.T <= 0 || s.T > r.Cfg.Duration {
 			t.Errorf("bucket %d at %v outside the run", i, s.T)
 		}
 		if s.Continuity < 0 || s.Continuity > 1 {
@@ -56,7 +56,7 @@ func TestScenarioRunProducesSeries(t *testing.T) {
 		}
 	}
 	// Summaries carry the series for sweeps, bounded by the bucket cap.
-	sum := Summarize(r)
+	sum := r.Summary
 	if sum.Scenario != "flashcrowd" || len(sum.Series) != len(r.Series) {
 		t.Errorf("summary lost the series: scenario %q, %d buckets", sum.Scenario, len(sum.Series))
 	}

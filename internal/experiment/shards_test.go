@@ -133,8 +133,8 @@ func TestShardedDeterministicAcrossRuns(t *testing.T) {
 	if a.MeanContinuity != b.MeanContinuity {
 		t.Errorf("MeanContinuity differs: %v vs %v", a.MeanContinuity, b.MeanContinuity)
 	}
-	if a.MeanDiffusionDelay != b.MeanDiffusionDelay {
-		t.Errorf("MeanDiffusionDelay differs: %v vs %v", a.MeanDiffusionDelay, b.MeanDiffusionDelay)
+	if a.DiffusionDelayS != b.DiffusionDelayS {
+		t.Errorf("DiffusionDelayS differs: %v vs %v", a.DiffusionDelayS, b.DiffusionDelayS)
 	}
 	if len(a.Observations) != len(b.Observations) {
 		t.Errorf("observation counts differ: %d vs %d", len(a.Observations), len(b.Observations))

@@ -5,11 +5,11 @@ import (
 	"napawine/internal/stats"
 )
 
-// Summary is the bounded-memory reduction of one Result: every number a
-// replicated sweep needs to rebuild Tables II–IV, and nothing else. A full
-// Result retains one Observation per probe×peer pair plus the ground-truth
-// ledger — tens of megabytes per run — so a battery of apps × seeds reduces
-// each run to a Summary the moment it completes and lets the Result go.
+// Summary is the bounded-memory reduction of one run: every number a table,
+// a study cell or a replicated sweep reads, and nothing else. A full Result
+// retains one Observation per probe×peer pair plus the ground-truth ledger —
+// tens of megabytes per run — so a battery of apps × seeds keeps each run's
+// Summary the moment it completes and lets the Result go. Result embeds it.
 type Summary struct {
 	App  string
 	Seed int64
@@ -36,7 +36,10 @@ type Summary struct {
 	// Table IV inputs, one cell per paper property in classifier order.
 	TableIV []SummaryCell
 
-	// Run health, reported by the sweep summary table.
+	// Run health: the observed hop median (paper: 18–20); the mean playout
+	// continuity across online peers at the end of the run, the sanity
+	// check that the swarm sustained the stream; the engine's processed
+	// event count; and the peers the registry could not place.
 	HopMedian      float64
 	MeanContinuity float64
 	Events         uint64
@@ -44,17 +47,20 @@ type Summary struct {
 
 	// Study comparison metrics: the source's video upload rate and its
 	// share of all video bytes moved (VideoBytes > 0 makes the share
-	// measurable), and the mean chunk diffusion delay in seconds across
-	// DiffusionChunks first-time deliveries (> 0 makes it measurable).
+	// measurable), and the mean virtual time in seconds from a chunk's
+	// calendar birth to its first delivery at a peer, across
+	// DiffusionChunks deliveries (> 0 makes it measurable).
 	SourceKbps      float64
 	SourceSharePct  float64
 	VideoBytes      int64
 	DiffusionDelayS float64
 	DiffusionChunks int64
 
-	// Congestion totals, all zero when the run had no queue bound. LossPct
-	// is drops over offered load (served + dropped), the per-run loss rate
-	// the awareness ablation compares strategies on.
+	// Congestion totals, all zero unless Config.Congestion bounds the
+	// uplink queues: chunks tail-dropped at full queues, re-requests issued
+	// after a timeout, partner backoff activations and the chunks that did
+	// get served. LossPct is drops over offered load (served + dropped),
+	// the per-run loss rate the awareness ablation compares strategies on.
 	Drops        int64
 	Retransmits  int64
 	Backoffs     int64
@@ -74,33 +80,24 @@ type SummaryCell struct {
 // TableIVColumns names the eight Table IV columns in SummaryCell order.
 var TableIVColumns = [8]string{"B'D%", "P'D%", "BD%", "PD%", "B'U%", "P'U%", "BU%", "PU%"}
 
-// Summarize reduces a Result to its Summary. It is the only part of a
-// Result a sweep retains per run.
+// Summarize derives a Result's Summary: the fields RunCtx recorded as the
+// run ended, plus the loss rate and what Tables II–IV reduce from the
+// observations. RunCtx ends with it, so r.Summary already holds its value;
+// calling it again repeats the reduction.
 func Summarize(r *Result) Summary {
-	s := Summary{
-		App:             r.App,
-		Seed:            r.Cfg.Seed,
-		Scenario:        r.Scenario,
-		Series:          r.Series,
-		HopMedian:       r.HopMedianMeasured,
-		MeanContinuity:  r.MeanContinuity,
-		Events:          r.Events,
-		Unlocated:       r.Unlocated,
-		SourceKbps:      r.SourceKbps,
-		SourceSharePct:  r.SourceSharePct,
-		VideoBytes:      r.VideoBytes,
-		DiffusionDelayS: r.MeanDiffusionDelay.Seconds(),
-		DiffusionChunks: r.DiffusionChunks,
-		Drops:           r.Drops,
-		Retransmits:     r.Retransmits,
-		Backoffs:        r.Backoffs,
-		ChunksServed:    r.ChunksServed,
-	}
-	if offered := r.ChunksServed + r.Drops; offered > 0 {
-		s.LossPct = 100 * float64(r.Drops) / float64(offered)
+	s := r.Summary
+	if offered := s.ChunksServed + s.Drops; offered > 0 {
+		s.LossPct = 100 * float64(s.Drops) / float64(offered)
 	}
 
-	rx, tx, all, crx, ctx := r.probeAccums()
+	var rx, tx, all, crx, ctx stats.Accumulator
+	for _, p := range r.PerProbe {
+		rx.Add(p.RxKbps)
+		tx.Add(p.TxKbps)
+		all.Add(float64(p.AllPeers))
+		crx.Add(float64(p.ContribRx))
+		ctx.Add(float64(p.ContribTx))
+	}
 	s.RxKbpsMean, s.RxKbpsMax = rx.Mean(), rx.Max()
 	s.TxKbpsMean, s.TxKbpsMax = tx.Mean(), tx.Max()
 	s.AllPeersMean, s.AllPeersMax = all.Mean(), all.Max()
@@ -113,47 +110,40 @@ func Summarize(r *Result) Summary {
 	return s
 }
 
-// probeAccums folds the per-probe statistics into one accumulator per
-// Table II column family. TableII (single-run) and Summarize (sweep) both
-// read these, so the two modes can never drift.
-func (r *Result) probeAccums() (rx, tx, all, crx, ctx stats.Accumulator) {
-	for _, p := range r.PerProbe {
-		rx.Add(p.RxKbps)
-		tx.Add(p.TxKbps)
-		all.Add(float64(p.AllPeers))
-		crx.Add(float64(p.ContribRx))
-		ctx.Add(float64(p.ContribTx))
-	}
-	return
-}
-
-// flattenTableIV reduces one result's Table IV metrics to the eight printed
-// columns with their validity flags. It is the single source of the
-// column-order and dash conventions for both the single-run renderer and
-// the sweep aggregation.
+// flattenTableIV evaluates Table IV's five properties for one result and
+// flattens each to the eight printed columns with their validity flags. It
+// is the single source of the column-order and dash conventions.
+//
+// Following §III-C, the BW metric is evaluated on the download side only:
+// access bandwidth of a remote peer can be inferred solely from packet
+// trains it sends, so the paper "limitedly consider[s] the downlink
+// direction for the BW metric" and prints dashes on the upload side. The
+// emulated swarm would sometimes make the upload side measurable (partners
+// exchange video both ways), but the methodology is reproduced as
+// published.
 func flattenTableIV(r *Result) []SummaryCell {
 	cells := make([]SummaryCell, 0, 5)
-	for _, cell := range ComputeTableIV(r) {
-		sc := SummaryCell{Property: cell.Property}
-		netPrime := cell.Property == "NET"
-		metrics := [8]core.Metrics{
-			cell.BDPrime, cell.PDPrime, cell.BD, cell.PD,
-			cell.BUPrime, cell.PUPrime, cell.BU, cell.PU,
+	for _, c := range core.PaperClassifiers() {
+		name := c.Name()
+		// One Metrics per column pair, in TableIVColumns order: B'D/P'D,
+		// BD/PD, B'U/P'U, BU/PU. BW's upload pairs stay zero (never Valid).
+		var pairs [4]core.Metrics
+		pairs[0] = core.Compute(r.Observations, core.Download, c, r.Cfg.Contrib, true)
+		pairs[1] = core.Compute(r.Observations, core.Download, c, r.Cfg.Contrib, false)
+		if name != "BW" {
+			pairs[2] = core.Compute(r.Observations, core.Upload, c, r.Cfg.Contrib, true)
+			pairs[3] = core.Compute(r.Observations, core.Upload, c, r.Cfg.Contrib, false)
 		}
-		// Even columns print byte-wise bias, odd columns peer-wise, matching
-		// TableIVColumns. Primed columns (0, 1, 4, 5) inherit the NET dash
-		// convention: the primed partition is structurally undefined for
-		// NET (the only same-subnet peers are probes, so P\W contains no
-		// preferred member by construction), and the paper prints dashes
-		// rather than 0.0.
-		for i, m := range metrics {
-			if i%2 == 0 {
-				sc.Vals[i] = m.BytePct
-			} else {
-				sc.Vals[i] = m.PeerPct
-			}
-			prime := i == 0 || i == 1 || i == 4 || i == 5
-			sc.Valid[i] = m.Valid() && !(netPrime && prime)
+		sc := SummaryCell{Property: name}
+		for i, m := range pairs {
+			// Even columns print byte-wise bias, odd columns peer-wise. The
+			// primed pairs (0 and 2) are structurally undefined for NET (the
+			// only same-subnet peers are probes, so P\W contains no preferred
+			// member by construction), and the paper prints dashes rather
+			// than 0.0.
+			valid := m.Valid() && !(name == "NET" && i%2 == 0)
+			sc.Vals[2*i], sc.Vals[2*i+1] = m.BytePct, m.PeerPct
+			sc.Valid[2*i], sc.Valid[2*i+1] = valid, valid
 		}
 		cells = append(cells, sc)
 	}

@@ -11,114 +11,180 @@ import (
 	"napawine/internal/topology"
 )
 
-// TableII builds the experiment-summary table (paper Table II): mean and
-// maximum, across probes, of stream rates, peer population and contributor
-// counts.
-func TableII(results []*Result) *report.Table {
-	t := report.NewTable(
-		"TABLE II — Summary of experiments (mean / max across probes)",
-		"App", "RX kbps mean", "RX kbps max", "TX kbps mean", "TX kbps max",
-		"All peers mean", "All peers max", "Contrib RX mean", "Contrib RX max",
-		"Contrib TX mean", "Contrib TX max")
-	for _, r := range results {
-		rx, tx, all, crx, ctx := r.probeAccums()
-		t.Add(r.App,
-			fmt.Sprintf("%.0f", rx.Mean()), fmt.Sprintf("%.0f", rx.Max()),
-			fmt.Sprintf("%.0f", tx.Mean()), fmt.Sprintf("%.0f", tx.Max()),
-			fmt.Sprintf("%.0f", all.Mean()), fmt.Sprintf("%.0f", all.Max()),
-			fmt.Sprintf("%.0f", crx.Mean()), fmt.Sprintf("%.0f", crx.Max()),
-			fmt.Sprintf("%.0f", ctx.Mean()), fmt.Sprintf("%.0f", ctx.Max()))
+// Metric is one per-run number a table column or a study pivot reads: a
+// label, a print precision and an accessor over the run's Summary. The bool
+// reports whether the run measured the metric at all — unmeasurable cells
+// print the paper's dash and aggregate as nothing, never as zeros.
+type Metric struct {
+	Key      string
+	Label    string
+	Decimals int
+	Get      func(Summary) (float64, bool)
+}
+
+// column is a Metric every run measures.
+func column(label string, decimals int, get func(Summary) float64) Metric {
+	return Metric{Label: label, Decimals: decimals,
+		Get: func(s Summary) (float64, bool) { return get(s), true }}
+}
+
+// TableIIColumns are Table II's columns: mean and maximum, across probes, of
+// stream rates, peer population and contributor counts.
+var TableIIColumns = []Metric{
+	column("RX kbps mean", 0, func(s Summary) float64 { return s.RxKbpsMean }),
+	column("RX kbps max", 0, func(s Summary) float64 { return s.RxKbpsMax }),
+	column("TX kbps mean", 0, func(s Summary) float64 { return s.TxKbpsMean }),
+	column("TX kbps max", 0, func(s Summary) float64 { return s.TxKbpsMax }),
+	column("All peers mean", 0, func(s Summary) float64 { return s.AllPeersMean }),
+	column("All peers max", 0, func(s Summary) float64 { return s.AllPeersMax }),
+	column("Contrib RX mean", 0, func(s Summary) float64 { return s.ContribRxMean }),
+	column("Contrib RX max", 0, func(s Summary) float64 { return s.ContribRxMax }),
+	column("Contrib TX mean", 0, func(s Summary) float64 { return s.ContribTxMean }),
+	column("Contrib TX max", 0, func(s Summary) float64 { return s.ContribTxMax }),
+}
+
+// TableIIIColumns are Table III's columns: the NAPA-WINE self-induced bias
+// among contributors and among all peers.
+var TableIIIColumns = []Metric{
+	column("Contrib Peer%", 1, func(s Summary) float64 { return s.SelfBiasContrib.PeerPct }),
+	column("Contrib Bytes%", 1, func(s Summary) float64 { return s.SelfBiasContrib.BytePct }),
+	column("All Peer%", 1, func(s Summary) float64 { return s.SelfBiasAll.PeerPct }),
+	column("All Bytes%", 1, func(s Summary) float64 { return s.SelfBiasAll.BytePct }),
+}
+
+// tableIVProperties are Table IV's property groups in the paper's row order.
+var tableIVProperties = []string{"BW", "AS", "CC", "NET", "HOP"}
+
+// TableIVValue reads one Table IV cell — a property row's col-th column —
+// from a run summary; unmeasurable cells report false, like the paper's
+// dashes.
+func TableIVValue(prop string, col int) func(Summary) (float64, bool) {
+	return func(s Summary) (float64, bool) {
+		for _, cell := range s.TableIV {
+			if cell.Property == prop {
+				return cell.Vals[col], cell.Valid[col]
+			}
+		}
+		return 0, false
+	}
+}
+
+// Rows are what sets one rendering of a table apart from another: one label
+// per row and how a row's cell reads a metric. The single-run tables have a
+// row per Result and print its value; the replicated ones (internal/study)
+// have a row per seed battery and print mean±stderr. Sample returns bucket b
+// of a row's time series, for its instant and tracker state; false when no
+// run of the row reached it.
+type Rows struct {
+	Labels []string
+	Cell   func(row int, m Metric) string
+	Sample func(row, b int) (SeriesSample, bool)
+}
+
+// Table renders one row per label, one column per metric.
+func (rs Rows) Table(title string, ms []Metric) *report.Table {
+	header := []string{"App"}
+	for _, m := range ms {
+		header = append(header, m.Label)
+	}
+	t := report.NewTable(title, header...)
+	for i, label := range rs.Labels {
+		row := []string{label}
+		for _, m := range ms {
+			row = append(row, rs.Cell(i, m))
+		}
+		t.Add(row...)
 	}
 	return t
+}
+
+// TableIV renders the network-awareness table: property-major, one row per
+// (property, label), the eight TableIVColumns each.
+func (rs Rows) TableIV(title string) *report.Table {
+	t := report.NewTable(title, append([]string{"Net", "App"}, TableIVColumns[:]...)...)
+	for _, prop := range tableIVProperties {
+		for i, label := range rs.Labels {
+			row := []string{prop, label}
+			for col := range TableIVColumns {
+				row = append(row, rs.Cell(i, Metric{Decimals: 1, Get: TableIVValue(prop, col)}))
+			}
+			t.Add(row...)
+		}
+	}
+	return t
+}
+
+// SeriesTable renders a scenario's per-bucket time series bucket-major, so
+// each row's response to the same instant sits on adjacent lines; a row
+// whose runs stopped short of a bucket skips it. Nil for zero buckets (no
+// scenario ran).
+func (rs Rows) SeriesTable(title string, buckets int) *report.Table {
+	if buckets == 0 {
+		return nil
+	}
+	header := []string{"T", "App"}
+	for _, m := range SeriesMetrics {
+		header = append(header, m.Column)
+	}
+	t := report.NewTable(title, append(header, "Tracker")...)
+	for b := 0; b < buckets; b++ {
+		for i, label := range rs.Labels {
+			smp, ok := rs.Sample(i, b)
+			if !ok {
+				continue
+			}
+			row := []string{smp.T.String(), label}
+			for _, m := range SeriesMetrics {
+				row = append(row, rs.Cell(i, m.At(b)))
+			}
+			// The outage marker is what makes a tracker-outage window
+			// visible in an otherwise smooth table.
+			tracker := "up"
+			if !smp.TrackerUp {
+				tracker = "DOWN"
+			}
+			t.Add(append(row, tracker)...)
+		}
+	}
+	return t
+}
+
+// runRows are the single-run tables' rows: one per result, each cell the
+// run's own value.
+func runRows(results []*Result) Rows {
+	labels := make([]string, len(results))
+	for i, r := range results {
+		labels[i] = r.App
+	}
+	return Rows{
+		Labels: labels,
+		Cell: func(i int, m Metric) string {
+			v, ok := m.Get(results[i].Summary)
+			return report.ValueOrDash(v, m.Decimals, ok)
+		},
+		Sample: func(i, b int) (SeriesSample, bool) {
+			if s := results[i].Series; b < len(s) {
+				return s[b], true
+			}
+			return SeriesSample{}, false
+		},
+	}
+}
+
+// TableII builds the experiment-summary table (paper Table II).
+func TableII(results []*Result) *report.Table {
+	return runRows(results).Table("TABLE II — Summary of experiments (mean / max across probes)", TableIIColumns)
 }
 
 // TableIII builds the NAPA-WINE self-induced-bias table (paper Table III).
 func TableIII(results []*Result) *report.Table {
-	t := report.NewTable(
-		"TABLE III — NAPA-WINE self-induced bias",
-		"App", "Contrib Peer%", "Contrib Bytes%", "All Peer%", "All Bytes%")
-	for _, r := range results {
-		contrib := core.ComputeSelfBias(r.Observations, r.Cfg.Contrib, true)
-		all := core.ComputeSelfBias(r.Observations, r.Cfg.Contrib, false)
-		t.Add(r.App,
-			report.Pct(contrib.PeerPct), report.Pct(contrib.BytePct),
-			report.Pct(all.PeerPct), report.Pct(all.BytePct))
-	}
-	return t
+	return runRows(results).Table("TABLE III — NAPA-WINE self-induced bias", TableIIIColumns)
 }
 
-// TableIVCell carries the four download and four upload indices for one
-// (property, application) pair, in the paper's column order.
-type TableIVCell struct {
-	Property string
-	App      string
-	// Download: primed then full-contributor variants.
-	BDPrime, PDPrime, BD, PD core.Metrics
-	// Upload.
-	BUPrime, PUPrime, BU, PU core.Metrics
-}
-
-// ComputeTableIV evaluates all five properties for one result.
-//
-// Following §III-C, the BW metric is evaluated on the download side only:
-// access bandwidth of a remote peer can be inferred solely from packet
-// trains it sends, so the paper "limitedly consider[s] the downlink
-// direction for the BW metric" and prints dashes on the upload side. The
-// emulated swarm would sometimes make the upload side measurable (partners
-// exchange video both ways), but the methodology is reproduced as
-// published.
-func ComputeTableIV(r *Result) []TableIVCell {
-	cells := make([]TableIVCell, 0, 5)
-	for _, c := range core.PaperClassifiers() {
-		cell := TableIVCell{Property: c.Name(), App: r.App}
-		cell.BDPrime = core.Compute(r.Observations, core.Download, c, r.Cfg.Contrib, true)
-		cell.PDPrime = cell.BDPrime
-		cell.BD = core.Compute(r.Observations, core.Download, c, r.Cfg.Contrib, false)
-		cell.PD = cell.BD
-		if c.Name() == "BW" {
-			// Upload cells stay zero-valued (Valid() == false → dash).
-			cell.BUPrime = core.Metrics{Property: "BW", Direction: core.Upload, ExcludeProbes: true}
-			cell.PUPrime = cell.BUPrime
-			cell.BU = core.Metrics{Property: "BW", Direction: core.Upload}
-			cell.PU = cell.BU
-		} else {
-			cell.BUPrime = core.Compute(r.Observations, core.Upload, c, r.Cfg.Contrib, true)
-			cell.PUPrime = cell.BUPrime
-			cell.BU = core.Compute(r.Observations, core.Upload, c, r.Cfg.Contrib, false)
-			cell.PU = cell.BU
-		}
-		cells = append(cells, cell)
-	}
-	return cells
-}
-
-// TableIV renders the network-awareness table (paper Table IV) for a set
-// of per-application results. Column order and dash conventions come from
-// flattenTableIV, shared with the sweep aggregation.
+// TableIV renders the network-awareness table (paper Table IV) for a set of
+// per-application results.
 func TableIV(results []*Result) *report.Table {
-	t := report.NewTable(
-		"TABLE IV — Network awareness as peer-wise and byte-wise bias",
-		append([]string{"Net", "App"}, TableIVColumns[:]...)...)
-	flat := make([][]SummaryCell, len(results))
-	for i, r := range results {
-		flat[i] = flattenTableIV(r)
-	}
-	for _, prop := range []string{"BW", "AS", "CC", "NET", "HOP"} {
-		for i, r := range results {
-			for _, cell := range flat[i] {
-				if cell.Property != prop {
-					continue
-				}
-				row := make([]string, 0, 10)
-				row = append(row, prop, r.App)
-				for col := 0; col < 8; col++ {
-					row = append(row, report.PctOrDash(cell.Vals[col], cell.Valid[col]))
-				}
-				t.Add(row...)
-			}
-		}
-	}
-	return t
+	return runRows(results).TableIV("TABLE IV — Network awareness as peer-wise and byte-wise bias")
 }
 
 // GeoBreakdown is one application's Figure-1 dataset: percentage of peers,
@@ -349,10 +415,10 @@ func HopSweep(r *Result, lo, hi int) (*report.Table, error) {
 		d := core.Compute(r.Observations, core.Download, c, r.Cfg.Contrib, true)
 		u := core.Compute(r.Observations, core.Upload, c, r.Cfg.Contrib, true)
 		t.Add(fmt.Sprintf("%d", th),
-			report.PctOrDash(d.BytePct, d.Valid()),
-			report.PctOrDash(d.PeerPct, d.Valid()),
-			report.PctOrDash(u.BytePct, u.Valid()),
-			report.PctOrDash(u.PeerPct, u.Valid()))
+			report.ValueOrDash(d.BytePct, 1, d.Valid()),
+			report.ValueOrDash(d.PeerPct, 1, d.Valid()),
+			report.ValueOrDash(u.BytePct, 1, u.Valid()),
+			report.ValueOrDash(u.PeerPct, 1, u.Valid()))
 	}
 	return t, nil
 }

@@ -110,7 +110,7 @@ func MeanErr(mean, stderr float64, decimals int) string {
 }
 
 // MeanErrOrDash formats a replicated cell, or "-" when no trial produced a
-// measurable value (mirroring PctOrDash for single-run tables).
+// measurable value (mirroring ValueOrDash for single-run tables).
 func MeanErrOrDash(mean, stderr float64, decimals int, valid bool) string {
 	if !valid {
 		return "-"
@@ -118,13 +118,14 @@ func MeanErrOrDash(mean, stderr float64, decimals int, valid bool) string {
 	return MeanErr(mean, stderr, decimals)
 }
 
-// PctOrDash formats a percentage, or the paper's "-" when the cell is not
-// measurable (e.g. BW on the upload side).
-func PctOrDash(v float64, valid bool) string {
+// ValueOrDash formats a single-run cell with the given number of decimals,
+// or the paper's "-" when the cell is not measurable (e.g. BW on the upload
+// side).
+func ValueOrDash(v float64, decimals int, valid bool) string {
 	if !valid {
 		return "-"
 	}
-	return Pct(v)
+	return fmt.Sprintf("%.*f", decimals, v)
 }
 
 // Bars renders a horizontal bar chart: one row per label, bar length

@@ -74,10 +74,10 @@ func TestPct(t *testing.T) {
 	if Pct(12.84) != "12.8" {
 		t.Errorf("Pct = %q", Pct(12.84))
 	}
-	if PctOrDash(5, false) != "-" {
+	if ValueOrDash(5, 1, false) != "-" {
 		t.Error("invalid cell should dash")
 	}
-	if PctOrDash(5, true) != "5.0" {
+	if ValueOrDash(5, 1, true) != "5.0" || ValueOrDash(5.4, 0, true) != "5" {
 		t.Error("valid cell should format")
 	}
 }

@@ -120,8 +120,8 @@ func (c cell) run(ctx context.Context, st *Study, onSample func(experiment.Serie
 	return experiment.RunCtx(ctx, cfg)
 }
 
-// RunCell executes exactly one grid cell, by index, and reduces it to its
-// bounded summary — the unit of work a fleet worker leases. onSample, when
+// RunCell executes exactly one grid cell, by index, and returns its bounded
+// summary — the unit of work a fleet worker leases. onSample, when
 // non-nil, streams the cell's time-series buckets exactly as Run's
 // Observer.OnSample would.
 func (g *Grid) RunCell(ctx context.Context, index int, onSample func(experiment.SeriesSample)) (experiment.Summary, error) {
@@ -133,7 +133,7 @@ func (g *Grid) RunCell(ctx context.Context, index int, onSample func(experiment.
 	if err != nil {
 		return experiment.Summary{}, fmt.Errorf("%s: %w", c.Label(), err)
 	}
-	return experiment.Summarize(r), nil
+	return r.Summary, nil
 }
 
 // Result assembles a Result from cell summaries in grid order — the fan-in

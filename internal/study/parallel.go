@@ -1,9 +1,9 @@
-// Package runner executes independent experiments in parallel. Each
-// simulation engine is strictly single-threaded for determinism, so all
-// parallelism in this project lives here: one goroutine per worker, one
-// experiment per task, results delivered in input order regardless of
-// completion order.
-package runner
+package study
+
+// Run's cells run in parallel here: one goroutine per worker, one cell per
+// task, results delivered in input order regardless of completion order.
+// Each simulation engine is strictly single-threaded for determinism, so
+// this is where independent experiments run side by side.
 
 import (
 	"context"
@@ -12,7 +12,7 @@ import (
 	"sync"
 )
 
-// ParallelCtx maps f over inputs using at most workers goroutines and
+// parallelCtx maps f over inputs using at most workers goroutines and
 // returns the outputs in input order. The first error (by input order) is
 // returned alongside the partial results; failed slots hold the zero value.
 // A panic inside f is captured and converted to an error rather than tearing
@@ -22,9 +22,9 @@ import (
 // ctx.Err() and the zero value) and ctx.Err() is returned in preference to
 // any task error, alongside the partial results. In-flight tasks receive
 // ctx and are expected to wind down on their own (experiment.RunCtx polls
-// it); every worker goroutine is joined before ParallelCtx returns,
+// it); every worker goroutine is joined before parallelCtx returns,
 // cancelled or not, so callers never leak goroutines.
-func ParallelCtx[I any, O any](ctx context.Context, inputs []I, workers int, f func(context.Context, I) (O, error)) ([]O, error) {
+func parallelCtx[I any, O any](ctx context.Context, inputs []I, workers int, f func(context.Context, I) (O, error)) ([]O, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -63,7 +63,7 @@ func ParallelCtx[I any, O any](ctx context.Context, inputs []I, workers int, f f
 	}
 	for i, err := range errs {
 		if err != nil {
-			return out, fmt.Errorf("runner: input %d: %w", i, err)
+			return out, fmt.Errorf("input %d: %w", i, err)
 		}
 	}
 	return out, nil
@@ -78,11 +78,11 @@ func runOne[I any, O any](ctx context.Context, in I, f func(context.Context, I) 
 	return f(ctx, in)
 }
 
-// Seeds builds n sequential seeds starting at base — the conventional
+// seeds builds n sequential seeds starting at base — the conventional
 // input for multi-trial sweeps. A non-positive n yields an empty list
 // rather than a panic, so a computed trial count of -1 degrades into "no
 // trials", a loud empty table, not a crash.
-func Seeds(base int64, n int) []int64 {
+func seeds(base int64, n int) []int64 {
 	if n <= 0 {
 		return nil
 	}

@@ -1,4 +1,4 @@
-package runner
+package study
 
 import (
 	"context"
@@ -14,7 +14,7 @@ func TestParallelOrderPreserved(t *testing.T) {
 	for i := range in {
 		in[i] = i
 	}
-	out, err := ParallelCtx(context.Background(), in, 8, func(_ context.Context, x int) (int, error) {
+	out, err := parallelCtx(context.Background(), in, 8, func(_ context.Context, x int) (int, error) {
 		// Reverse completion order: later inputs finish first.
 		time.Sleep(time.Duration(50-x) * 100 * time.Microsecond)
 		return x * x, nil
@@ -32,7 +32,7 @@ func TestParallelOrderPreserved(t *testing.T) {
 func TestParallelConcurrencyBound(t *testing.T) {
 	var active, peak int64
 	in := make([]int, 40)
-	_, err := ParallelCtx(context.Background(), in, 4, func(_ context.Context, _ int) (int, error) {
+	_, err := parallelCtx(context.Background(), in, 4, func(_ context.Context, _ int) (int, error) {
 		n := atomic.AddInt64(&active, 1)
 		for {
 			p := atomic.LoadInt64(&peak)
@@ -55,7 +55,7 @@ func TestParallelConcurrencyBound(t *testing.T) {
 func TestParallelError(t *testing.T) {
 	in := []int{0, 1, 2, 3}
 	boom := errors.New("boom")
-	out, err := ParallelCtx(context.Background(), in, 2, func(_ context.Context, x int) (int, error) {
+	out, err := parallelCtx(context.Background(), in, 2, func(_ context.Context, x int) (int, error) {
 		if x == 2 {
 			return 0, boom
 		}
@@ -79,7 +79,7 @@ func TestParallelFirstErrorByInputOrder(t *testing.T) {
 	in := []int{0, 1, 2, 3}
 	errSlow := errors.New("slow failure")
 	errFast := errors.New("fast failure")
-	out, err := ParallelCtx(context.Background(), in, 4, func(_ context.Context, x int) (int, error) {
+	out, err := parallelCtx(context.Background(), in, 4, func(_ context.Context, x int) (int, error) {
 		switch x {
 		case 1:
 			time.Sleep(20 * time.Millisecond)
@@ -107,7 +107,7 @@ func TestParallelFirstErrorByInputOrder(t *testing.T) {
 
 func TestParallelPanicCaptured(t *testing.T) {
 	in := []int{1}
-	_, err := ParallelCtx(context.Background(), in, 1, func(_ context.Context, _ int) (int, error) {
+	_, err := parallelCtx(context.Background(), in, 1, func(_ context.Context, _ int) (int, error) {
 		panic("kaboom")
 	})
 	if err == nil || !strings.Contains(err.Error(), "kaboom") {
@@ -116,23 +116,23 @@ func TestParallelPanicCaptured(t *testing.T) {
 }
 
 func TestParallelEmptyAndDefaults(t *testing.T) {
-	out, err := ParallelCtx(context.Background(), nil, 0, func(_ context.Context, _ int) (int, error) { return 1, nil })
+	out, err := parallelCtx(context.Background(), nil, 0, func(_ context.Context, _ int) (int, error) { return 1, nil })
 	if err != nil || len(out) != 0 {
 		t.Error("empty input should be a no-op")
 	}
 	// workers <= 0 defaults to GOMAXPROCS; workers > len clamps.
-	out, err = ParallelCtx(context.Background(), []int{5}, -3, func(_ context.Context, x int) (int, error) { return x, nil })
+	out, err = parallelCtx(context.Background(), []int{5}, -3, func(_ context.Context, x int) (int, error) { return x, nil })
 	if err != nil || out[0] != 5 {
 		t.Error("default workers failed")
 	}
 }
 
 func TestSeeds(t *testing.T) {
-	s := Seeds(100, 3)
+	s := seeds(100, 3)
 	if len(s) != 3 || s[0] != 100 || s[2] != 102 {
-		t.Errorf("Seeds = %v", s)
+		t.Errorf("seeds = %v", s)
 	}
-	if len(Seeds(1, 0)) != 0 {
+	if len(seeds(1, 0)) != 0 {
 		t.Error("zero seeds should be empty")
 	}
 }
@@ -141,11 +141,11 @@ func TestSeeds(t *testing.T) {
 // panic: a computed trial count that goes negative must degrade to an empty
 // seed list, not crash the battery.
 func TestSeedsNegativeCount(t *testing.T) {
-	if s := Seeds(7, -1); len(s) != 0 {
-		t.Errorf("Seeds(7, -1) = %v, want empty", s)
+	if s := seeds(7, -1); len(s) != 0 {
+		t.Errorf("seeds(7, -1) = %v, want empty", s)
 	}
-	if s := Seeds(7, -100); len(s) != 0 {
-		t.Errorf("Seeds(7, -100) = %v, want empty", s)
+	if s := seeds(7, -100); len(s) != 0 {
+		t.Errorf("seeds(7, -100) = %v, want empty", s)
 	}
 }
 
@@ -160,7 +160,7 @@ func TestParallelCtxCancelSkipsPendingTasks(t *testing.T) {
 		in[i] = i
 	}
 	var started int64
-	out, err := ParallelCtx(ctx, in, 2, func(ctx context.Context, x int) (int, error) {
+	out, err := parallelCtx(ctx, in, 2, func(ctx context.Context, x int) (int, error) {
 		atomic.AddInt64(&started, 1)
 		if x == 1 {
 			cancel()
@@ -186,7 +186,7 @@ func TestParallelCtxCancelSkipsPendingTasks(t *testing.T) {
 // input order.
 func TestParallelCtxBackgroundMatchesParallel(t *testing.T) {
 	in := []int{1, 2, 3, 4, 5}
-	out, err := ParallelCtx(context.Background(), in, 3,
+	out, err := parallelCtx(context.Background(), in, 3,
 		func(_ context.Context, x int) (int, error) { return x * 2, nil })
 	if err != nil {
 		t.Fatal(err)
@@ -204,7 +204,7 @@ func TestParallelCtxPreCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	var ran int64
-	_, err := ParallelCtx(ctx, []int{1, 2, 3}, 2, func(_ context.Context, x int) (int, error) {
+	_, err := parallelCtx(ctx, []int{1, 2, 3}, 2, func(_ context.Context, x int) (int, error) {
 		atomic.AddInt64(&ran, 1)
 		return x, nil
 	})
@@ -220,6 +220,6 @@ func BenchmarkParallelOverhead(b *testing.B) {
 	in := make([]int, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, _ = ParallelCtx(context.Background(), in, 8, func(_ context.Context, x int) (int, error) { return x, nil })
+		_, _ = parallelCtx(context.Background(), in, 8, func(_ context.Context, x int) (int, error) { return x, nil })
 	}
 }

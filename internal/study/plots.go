@@ -14,7 +14,7 @@ import (
 // (the same rows ComparisonTable prints), each bar the mean across seeds
 // with a stderr whisker. Unmeasured combinations render as the bar-chart
 // dash: a gap. No metrics selects the study's own (then DefaultMetrics).
-func (r *Result) MetricBars(ms ...Metric) []plot.Artifact {
+func (r *Result) MetricBars(ms ...experiment.Metric) []plot.Artifact {
 	ms, axes, rows := r.comparison(ms)
 	groups := make([]string, len(rows))
 	for i, coords := range rows {
@@ -71,7 +71,7 @@ func (r *Result) SeriesPlots() []plot.Artifact {
 					continue
 				}
 				mean, se := math.NaN(), math.NaN()
-				if acc := r.accumulate(atBucket(b, m.Get), in(label)); acc.N() > 0 {
+				if acc := r.accumulate(m.At(b), in(label)); acc.N() > 0 {
 					mean, se = acc.Mean(), acc.StdErr()
 				}
 				s.X = append(s.X, smp.T.Seconds())

@@ -40,99 +40,59 @@ func in(label string) func(Cell) bool {
 	return func(c Cell) bool { return battery(c) == label }
 }
 
-// column is a Metric every run measures.
-func column(label string, decimals int, get func(experiment.Summary) float64) Metric {
-	return Metric{Label: label, Decimals: decimals,
-		Get: func(s experiment.Summary) (float64, bool) { return get(s), true }}
+// rows are the replicated tables' rows: one per battery, each cell the mean
+// ± stderr over the battery's completed runs that measured it.
+func (r *Result) rows() experiment.Rows {
+	labels := r.batteries()
+	return experiment.Rows{
+		Labels: labels,
+		Cell: func(i int, m experiment.Metric) string {
+			return aggCell(r.accumulate(m, in(labels[i])), m.Decimals)
+		},
+		Sample: func(i, b int) (experiment.SeriesSample, bool) { return r.sampleAt(labels[i], b) },
+	}
 }
 
-// batteryTable renders one row per battery: its label, then each metric
-// aggregated over the battery's runs.
-func (r *Result) batteryTable(title string, ms []Metric) *report.Table {
-	header := []string{"App"}
-	for _, m := range ms {
-		header = append(header, m.Label)
-	}
-	t := report.NewTable(fmt.Sprintf("%s (mean±stderr over %d seeds)", title, r.Trials()), header...)
-	for _, label := range r.batteries() {
-		row := []string{label}
-		for _, m := range ms {
-			row = append(row, aggCell(r.accumulate(m, in(label)), m.Decimals))
-		}
-		t.Add(row...)
-	}
-	return t
+// overSeeds titles a replicated table.
+func (r *Result) overSeeds(title string) string {
+	return fmt.Sprintf("%s (mean±stderr over %d seeds)", title, r.Trials())
 }
 
 // TableII renders the aggregated experiment-summary table: each cell is the
 // mean ± stderr across seeds of the per-run probe mean (or max).
 func (r *Result) TableII() *report.Table {
-	return r.batteryTable("TABLE II — Summary of experiments", []Metric{
-		column("RX kbps mean", 0, func(s experiment.Summary) float64 { return s.RxKbpsMean }),
-		column("RX kbps max", 0, func(s experiment.Summary) float64 { return s.RxKbpsMax }),
-		column("TX kbps mean", 0, func(s experiment.Summary) float64 { return s.TxKbpsMean }),
-		column("TX kbps max", 0, func(s experiment.Summary) float64 { return s.TxKbpsMax }),
-		column("All peers mean", 0, func(s experiment.Summary) float64 { return s.AllPeersMean }),
-		column("All peers max", 0, func(s experiment.Summary) float64 { return s.AllPeersMax }),
-		column("Contrib RX mean", 0, func(s experiment.Summary) float64 { return s.ContribRxMean }),
-		column("Contrib RX max", 0, func(s experiment.Summary) float64 { return s.ContribRxMax }),
-		column("Contrib TX mean", 0, func(s experiment.Summary) float64 { return s.ContribTxMean }),
-		column("Contrib TX max", 0, func(s experiment.Summary) float64 { return s.ContribTxMax }),
-	})
+	return r.rows().Table(r.overSeeds("TABLE II — Summary of experiments"), experiment.TableIIColumns)
 }
 
 // TableIII renders the aggregated self-induced-bias table.
 func (r *Result) TableIII() *report.Table {
-	return r.batteryTable("TABLE III — NAPA-WINE self-induced bias", []Metric{
-		column("Contrib Peer%", 1, func(s experiment.Summary) float64 { return s.SelfBiasContrib.PeerPct }),
-		column("Contrib Bytes%", 1, func(s experiment.Summary) float64 { return s.SelfBiasContrib.BytePct }),
-		column("All Peer%", 1, func(s experiment.Summary) float64 { return s.SelfBiasAll.PeerPct }),
-		column("All Bytes%", 1, func(s experiment.Summary) float64 { return s.SelfBiasAll.BytePct }),
-	})
+	return r.rows().Table(r.overSeeds("TABLE III — NAPA-WINE self-induced bias"), experiment.TableIIIColumns)
+}
+
+// healthColumns are the run-health panel's columns.
+var healthColumns = []experiment.Metric{
+	{Label: "Hop median", Decimals: 1,
+		Get: func(s experiment.Summary) (float64, bool) { return s.HopMedian, true }},
+	{Label: "Continuity", Decimals: 3,
+		Get: func(s experiment.Summary) (float64, bool) { return s.MeanContinuity, true }},
+	{Label: "Events/run", Decimals: 0,
+		Get: func(s experiment.Summary) (float64, bool) { return float64(s.Events), true }},
+	{Label: "Unlocated", Decimals: 1,
+		Get: func(s experiment.Summary) (float64, bool) { return float64(s.Unlocated), true }},
 }
 
 // HealthTable renders the run-health panel: hop medians, playout continuity
 // and event throughput per battery — the replicated version of the
 // single-run diagnostics cmd/napawine prints under Table IV.
 func (r *Result) HealthTable() *report.Table {
-	return r.batteryTable("Sweep health", []Metric{
-		column("Hop median", 1, func(s experiment.Summary) float64 { return s.HopMedian }),
-		column("Continuity", 3, func(s experiment.Summary) float64 { return s.MeanContinuity }),
-		column("Events/run", 0, func(s experiment.Summary) float64 { return float64(s.Events) }),
-		column("Unlocated", 1, func(s experiment.Summary) float64 { return float64(s.Unlocated) }),
-	})
+	return r.rows().Table(r.overSeeds("Sweep health"), healthColumns)
 }
 
 // TableIV renders the aggregated network-awareness table. A cell aggregates
 // only the runs in which it was measurable; if no run measured it the cell
 // prints the paper's dash.
 func (r *Result) TableIV() *report.Table {
-	t := report.NewTable(
-		fmt.Sprintf("TABLE IV — Network awareness (mean±stderr over %d seeds)", r.Trials()),
-		append([]string{"Net", "App"}, experiment.TableIVColumns[:]...)...)
-	labels := r.batteries()
-	for _, prop := range []string{"BW", "AS", "CC", "NET", "HOP"} {
-		for _, label := range labels {
-			row := []string{prop, label}
-			for col := range experiment.TableIVColumns {
-				acc := r.accumulate(Metric{Get: tableIVValue(prop, col)}, in(label))
-				row = append(row, aggCell(acc, 1))
-			}
-			t.Add(row...)
-		}
-	}
-	return t
-}
-
-// atBucket lifts a per-sample accessor to a Metric over run summaries: the
-// value in bucket b, unmeasured in runs whose series is shorter.
-func atBucket(b int, get func(experiment.SeriesSample) (float64, bool)) Metric {
-	return Metric{Get: func(s experiment.Summary) (float64, bool) {
-		if b >= len(s.Series) {
-			return 0, false
-		}
-		return get(s.Series[b])
-	}}
+	return r.rows().TableIV(r.overSeeds("TABLE IV — Network awareness"))
 }
 
 // buckets reports the longest time series any completed run recorded (0 =
@@ -169,26 +129,5 @@ func (r *Result) SeriesTable() *report.Table {
 	if buckets == 0 {
 		return nil
 	}
-	header := []string{"T", "App"}
-	for _, m := range experiment.SeriesMetrics {
-		header = append(header, m.Column)
-	}
-	t := report.NewTable(
-		fmt.Sprintf("Time series — scenario %q (mean±stderr over %d seeds)", r.Cells[0].Scenario, r.Trials()),
-		append(header, "Tracker")...)
-	labels := r.batteries()
-	for b := 0; b < buckets; b++ {
-		for _, label := range labels {
-			smp, ok := r.sampleAt(label, b)
-			if !ok {
-				continue
-			}
-			row := []string{smp.T.String(), label}
-			for _, m := range experiment.SeriesMetrics {
-				row = append(row, aggCell(r.accumulate(atBucket(b, m.Get), in(label)), m.Decimals))
-			}
-			t.Add(append(row, experiment.TrackerMark(smp.TrackerUp))...)
-		}
-	}
-	return t
+	return r.rows().SeriesTable(r.overSeeds(fmt.Sprintf("Time series — scenario %q", r.Cells[0].Scenario)), buckets)
 }

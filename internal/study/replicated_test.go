@@ -121,7 +121,7 @@ func TestBatteriesFoldTheSeedAxis(t *testing.T) {
 	if got := res.batteries(); !reflect.DeepEqual(got, want) {
 		t.Errorf("batteries = %v, want %v", got, want)
 	}
-	events := column("", 0, func(s experiment.Summary) float64 { return float64(s.Events) })
+	events := healthColumns[2] // Events/run
 	for i, label := range want {
 		acc := res.accumulate(events, in(label))
 		// Cells 2i and 2i+1 carry Events 2i and 2i+1.
@@ -153,7 +153,7 @@ func TestPartialResultSkipsUnfinishedCells(t *testing.T) {
 		t.Fatalf("want exactly the first cell done, got %v %v %v %v",
 			res.Cells[0].Done, res.Cells[1].Done, res.Cells[2].Done, res.Cells[3].Done)
 	}
-	rx := column("", 0, func(s experiment.Summary) float64 { return s.RxKbpsMean })
+	rx := experiment.TableIIColumns[0] // RX kbps mean
 	if acc := res.accumulate(rx, in("TVAnts")); acc.N() != 1 {
 		t.Errorf("TVAnts mean stands on %d cells, want 1", acc.N())
 	}
@@ -205,7 +205,7 @@ func TestSweepVariantsGroupingAndLabels(t *testing.T) {
 	if got, want := res.batteries(), []string{"TVAnts", "TVAnts/blind"}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("batteries = %v, want %v", got, want)
 	}
-	events := column("", 0, func(s experiment.Summary) float64 { return float64(s.Events) })
+	events := healthColumns[2] // Events/run
 	for _, label := range res.batteries() {
 		if acc := res.accumulate(events, in(label)); acc.N() != 1 || acc.Mean() == 0 {
 			t.Errorf("battery %s folds %d runs with mean events %v, want 1 run with events", label, acc.N(), acc.Mean())
@@ -422,5 +422,56 @@ func TestSweepInvalidScenarioSpecFails(t *testing.T) {
 	}, 0)
 	if err == nil {
 		t.Fatal("invalid scenario spec accepted")
+	}
+}
+
+// TestOneSeedTablesMatchSingleRunTables pins the one definition of each
+// paper table: a one-seed study prints, in front of every ±, the value the
+// single-run renderer prints from the full results, and dashes where it
+// does. Each cell keeps its run's own Summary, and that Summary is exactly
+// what Summarize derives from the full result.
+func TestOneSeedTablesMatchSingleRunTables(t *testing.T) {
+	res, err := Run(context.Background(), &Study{
+		Name:       "one-seed",
+		Apps:       []string{"TVAnts", "SopCast"},
+		Seeds:      []int64{3},
+		Duration:   Duration(20 * time.Second),
+		PeerFactor: 0.05,
+	}, WithFullResults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pair := range [][2]*report.Table{
+		{res.TableII(), experiment.TableII(res.Full)},
+		{res.TableIII(), experiment.TableIII(res.Full)},
+		{res.TableIV(), experiment.TableIV(res.Full)},
+	} {
+		rep, one := pair[0], pair[1]
+		if len(rep.Rows) != len(one.Rows) {
+			t.Fatalf("%s: %d rows, single-run %d", rep.Title, len(rep.Rows), len(one.Rows))
+		}
+		for i, row := range rep.Rows {
+			for j, cell := range row {
+				if mean, _, _ := strings.Cut(cell, "±"); mean != one.Rows[i][j] {
+					t.Errorf("%s row %d column %d: replicated %q, single-run %q", rep.Title, i, j, cell, one.Rows[i][j])
+				}
+			}
+		}
+	}
+	encode := func(s experiment.Summary) string {
+		var b strings.Builder
+		if err := EncodeSummary(&b, &s); err != nil {
+			t.Fatal(err)
+		}
+		return b.String()
+	}
+	for i, c := range res.Cells {
+		r := res.Full[i]
+		if encode(c.Summary) != encode(r.Summary) {
+			t.Errorf("cell %d keeps a summary other than its run's", i)
+		}
+		if encode(r.Summary) != encode(experiment.Summarize(r)) {
+			t.Errorf("cell %d: the run's summary is not what Summarize derives", i)
+		}
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"napawine/internal/experiment"
-	"napawine/internal/runner"
 )
 
 // RunInfo identifies one grid cell to an Observer: its coordinate, the grid
@@ -154,7 +153,7 @@ func (r *Result) Trials() int { return len(r.Seeds) }
 var errCellSkipped = errors.New("study: cell skipped after an earlier failure")
 
 // Run executes the study: every grid cell is one independent experiment
-// dispatched through runner.ParallelCtx and reduced to its summary inside
+// dispatched through parallelCtx and reduced to its summary inside
 // the worker, so memory stays bounded by the worker count (unless
 // WithFullResults asks otherwise).
 //
@@ -177,7 +176,7 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 	}
 	observer := Fanout(o.observers...)
 
-	// Each worker writes only its own cell's slot; ParallelCtx joins every
+	// Each worker writes only its own cell's slot; parallelCtx joins every
 	// worker before it returns.
 	sums := make([]experiment.Summary, len(g.cells))
 	done := make([]bool, len(g.cells))
@@ -189,12 +188,12 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 	// real failure under its own lock, because concurrent workers can
 	// observe the flag in any order relative to their own dequeue — an
 	// in-flight low-index cell may return the skip sentinel after a
-	// high-index cell stored the flag, so the runner's first-error-by-index
+	// high-index cell stored the flag, so parallelCtx's first-error-by-index
 	// cannot be trusted to be a real one.
 	var failed atomic.Bool
 	var failMu sync.Mutex
 	failIdx, firstErr := -1, error(nil)
-	_, runErr := runner.ParallelCtx(ctx, g.cells, o.workers, func(ctx context.Context, c cell) (struct{}, error) {
+	_, runErr := parallelCtx(ctx, g.cells, o.workers, func(ctx context.Context, c cell) (struct{}, error) {
 		if failed.Load() {
 			return struct{}{}, errCellSkipped
 		}
@@ -212,7 +211,7 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 			observer.OnRunDone(info, experiment.Summary{}, err)
 			return struct{}{}, wrapped
 		}
-		sums[c.Index], done[c.Index] = experiment.Summarize(r), true
+		sums[c.Index], done[c.Index] = r.Summary, true
 		observer.OnRunDone(info, sums[c.Index], nil)
 		if o.keepFull {
 			full[c.Index] = r
@@ -230,7 +229,7 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 			// Cancellation: the partial result is well-formed and useful.
 			return res, ctx.Err()
 		}
-		// Prefer the tracked first real failure over the runner's
+		// Prefer the tracked first real failure over parallelCtx's
 		// first-by-index error, which may be a skip sentinel (see above).
 		if firstErr != nil {
 			return nil, fmt.Errorf("study %s: %w", st.Name, firstErr)

@@ -39,7 +39,6 @@ import (
 	"napawine/internal/experiment"
 	"napawine/internal/overlay"
 	"napawine/internal/policy"
-	"napawine/internal/runner"
 	"napawine/internal/scenario"
 )
 
@@ -225,7 +224,7 @@ func (st *Study) SeedList() []int64 {
 	if n <= 0 {
 		n = 1
 	}
-	return runner.Seeds(base, n)
+	return seeds(base, n)
 }
 
 // Runs reports the grid size: one experiment per cell.

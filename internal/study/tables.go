@@ -9,74 +9,54 @@ import (
 	"napawine/internal/stats"
 )
 
-// Metric is one per-run number a study can pivot: a label, a print
-// precision and an accessor over the bounded run summary. The bool reports
-// whether the run measured the metric at all — unmeasurable cells aggregate
-// like Table IV's dashes, never as zeros.
-type Metric struct {
-	Key      string
-	Label    string
-	Decimals int
-	Get      func(experiment.Summary) (float64, bool)
-}
-
-// metrics is the registry, in presentation order. The first three are the
-// strategy-comparison study's headline: playout continuity, source load and
-// chunk diffusion delay.
-var metrics = []Metric{
-	{"continuity", "Continuity", 3,
-		func(s experiment.Summary) (float64, bool) { return s.MeanContinuity, true }},
-	{"source-kbps", "Source kbps", 0,
-		func(s experiment.Summary) (float64, bool) { return s.SourceKbps, true }},
-	{"source-share", "Source share%", 1,
-		func(s experiment.Summary) (float64, bool) { return s.SourceSharePct, s.VideoBytes > 0 }},
-	{"diffusion-delay", "Diffusion s", 2,
-		func(s experiment.Summary) (float64, bool) { return s.DiffusionDelayS, s.DiffusionChunks > 0 }},
-	{"rx-kbps", "RX kbps", 0,
-		func(s experiment.Summary) (float64, bool) { return s.RxKbpsMean, true }},
-	{"hop-median", "Hop median", 1,
-		func(s experiment.Summary) (float64, bool) { return s.HopMedian, true }},
-	{"as-awareness", "AS B'D%", 1, tableIVValue("AS", 0)},
-	{"events", "Events", 0,
-		func(s experiment.Summary) (float64, bool) { return float64(s.Events), true }},
+// metrics is the registry of the per-run numbers a study can pivot, in
+// presentation order. The first three are the strategy-comparison study's
+// headline: playout continuity, source load and chunk diffusion delay.
+var metrics = []experiment.Metric{
+	metric("continuity", "Continuity", 3,
+		func(s experiment.Summary) (float64, bool) { return s.MeanContinuity, true }),
+	metric("source-kbps", "Source kbps", 0,
+		func(s experiment.Summary) (float64, bool) { return s.SourceKbps, true }),
+	metric("source-share", "Source share%", 1,
+		func(s experiment.Summary) (float64, bool) { return s.SourceSharePct, s.VideoBytes > 0 }),
+	metric("diffusion-delay", "Diffusion s", 2,
+		func(s experiment.Summary) (float64, bool) { return s.DiffusionDelayS, s.DiffusionChunks > 0 }),
+	metric("rx-kbps", "RX kbps", 0,
+		func(s experiment.Summary) (float64, bool) { return s.RxKbpsMean, true }),
+	metric("hop-median", "Hop median", 1,
+		func(s experiment.Summary) (float64, bool) { return s.HopMedian, true }),
+	metric("as-awareness", "AS B'D%", 1, experiment.TableIVValue("AS", 0)),
+	metric("events", "Events", 0,
+		func(s experiment.Summary) (float64, bool) { return float64(s.Events), true }),
 	// Congestion metrics ride at the registry tail so DefaultMetrics — a
 	// positional slice — keeps meaning what it always has. Loss is
 	// measurable once anything was offered to the bounded queues; raw drop
 	// and retransmit counts are measurable in every run (they are honestly
 	// zero with congestion off).
-	{"loss-pct", "Loss%", 2,
-		func(s experiment.Summary) (float64, bool) { return s.LossPct, s.ChunksServed+s.Drops > 0 }},
-	{"drops", "Drops", 0,
-		func(s experiment.Summary) (float64, bool) { return float64(s.Drops), true }},
-	{"retransmits", "Retx", 0,
-		func(s experiment.Summary) (float64, bool) { return float64(s.Retransmits), true }},
-	{"backoffs", "Backoffs", 0,
-		func(s experiment.Summary) (float64, bool) { return float64(s.Backoffs), true }},
+	metric("loss-pct", "Loss%", 2,
+		func(s experiment.Summary) (float64, bool) { return s.LossPct, s.ChunksServed+s.Drops > 0 }),
+	metric("drops", "Drops", 0,
+		func(s experiment.Summary) (float64, bool) { return float64(s.Drops), true }),
+	metric("retransmits", "Retx", 0,
+		func(s experiment.Summary) (float64, bool) { return float64(s.Retransmits), true }),
+	metric("backoffs", "Backoffs", 0,
+		func(s experiment.Summary) (float64, bool) { return float64(s.Backoffs), true }),
 }
 
-// tableIVValue reads one Table IV cell — a property row's col-th column —
-// from a run summary; unmeasurable cells report false, like the paper's
-// dashes.
-func tableIVValue(prop string, col int) func(experiment.Summary) (float64, bool) {
-	return func(s experiment.Summary) (float64, bool) {
-		for _, cell := range s.TableIV {
-			if cell.Property == prop {
-				return cell.Vals[col], cell.Valid[col]
-			}
-		}
-		return 0, false
-	}
+// metric builds one registry entry.
+func metric(key, label string, decimals int, get func(experiment.Summary) (float64, bool)) experiment.Metric {
+	return experiment.Metric{Key: key, Label: label, Decimals: decimals, Get: get}
 }
 
 // Metrics lists the registered metrics in presentation order.
-func Metrics() []Metric { return append([]Metric(nil), metrics...) }
+func Metrics() []experiment.Metric { return append([]experiment.Metric(nil), metrics...) }
 
 // DefaultMetrics is the comparison-table default: continuity, source load
 // (rate and share) and diffusion delay.
-func DefaultMetrics() []Metric { return Metrics()[:4] }
+func DefaultMetrics() []experiment.Metric { return Metrics()[:4] }
 
 // MetricByKey resolves a registered metric.
-func MetricByKey(key string) (Metric, error) {
+func MetricByKey(key string) (experiment.Metric, error) {
 	for _, m := range metrics {
 		if m.Key == key {
 			return m, nil
@@ -86,7 +66,7 @@ func MetricByKey(key string) (Metric, error) {
 	for i, m := range metrics {
 		keys[i] = m.Key
 	}
-	return Metric{}, fmt.Errorf("study: unknown metric %q (want %s)", key, strings.Join(keys, ", "))
+	return experiment.Metric{}, fmt.Errorf("study: unknown metric %q (want %s)", key, strings.Join(keys, ", "))
 }
 
 // distinct returns the first cell of every distinct key, in grid order —
@@ -113,7 +93,7 @@ func (r *Result) Levels(ax Axis) []string {
 }
 
 // accumulate folds a metric over every completed cell matching the filter.
-func (r *Result) accumulate(m Metric, match func(Cell) bool) stats.Accumulator {
+func (r *Result) accumulate(m experiment.Metric, match func(Cell) bool) stats.Accumulator {
 	var acc stats.Accumulator
 	for _, c := range r.Cells {
 		if !c.Done || !match(c) {
@@ -136,7 +116,7 @@ func aggCell(acc stats.Accumulator, decimals int) string {
 // level, one column per column-axis level, each cell the mean ± stderr over
 // every completed run at that coordinate pair (all remaining axes, seeds
 // included, fold into the aggregate).
-func (r *Result) PivotTable(m Metric, row, col Axis) *report.Table {
+func (r *Result) PivotTable(m experiment.Metric, row, col Axis) *report.Table {
 	cols := r.Levels(col)
 	t := report.NewTable(
 		fmt.Sprintf("Study %q — %s by %s × %s (mean±stderr over %d seeds)",
@@ -159,7 +139,7 @@ func (r *Result) PivotTable(m Metric, row, col Axis) *report.Table {
 // grid's non-trivial axes (those with more than one level; seeds always
 // aggregate; a single-point grid keeps the app axis) and one row — its
 // coordinates along those axes — per distinct combination, in grid order.
-func (r *Result) comparison(ms []Metric) ([]Metric, []Axis, [][]string) {
+func (r *Result) comparison(ms []experiment.Metric) ([]experiment.Metric, []Axis, [][]string) {
 	if len(ms) == 0 {
 		for _, key := range r.Study.Metrics {
 			if m, err := MetricByKey(key); err == nil {
@@ -210,7 +190,7 @@ func at(axes []Axis, coords []string) func(Cell) bool {
 // comparison), each cell mean ± stderr across the folded axes — for the
 // registered strategy-comparison study that is continuity, source load and
 // diffusion delay contrasted across every (app, strategy) pair.
-func (r *Result) ComparisonTable(ms ...Metric) *report.Table {
+func (r *Result) ComparisonTable(ms ...experiment.Metric) *report.Table {
 	ms, axes, rows := r.comparison(ms)
 	header := make([]string, 0, len(axes)+len(ms))
 	for _, ax := range axes {

@@ -45,12 +45,11 @@ import (
 
 // Re-exported experiment types.
 type (
-	// Result is one experiment's output.
+	// Result is one experiment's output; it embeds its RunSummary, whose
+	// TableIV cells hold the printed Table IV columns.
 	Result = experiment.Result
 	// RunSummary is the bounded-memory per-run reduction a study retains.
 	RunSummary = experiment.Summary
-	// TableIVCell is one (property, app) cell group of Table IV.
-	TableIVCell = experiment.TableIVCell
 	// SeriesSample is one time-series bucket of a scenario run.
 	SeriesSample = experiment.SeriesSample
 	// Profile is an application behaviour profile.
@@ -165,7 +164,7 @@ func WithObserver(obs study.Observer) study.Option { return study.WithObserver(o
 func StudyByName(name string) (*Study, error) { return study.ByName(name) }
 
 // StudyMetricByKey resolves a registered pivot metric.
-func StudyMetricByKey(key string) (study.Metric, error) { return study.MetricByKey(key) }
+func StudyMetricByKey(key string) (experiment.Metric, error) { return study.MetricByKey(key) }
 
 // LoadScenarioFile reads, decodes and validates a JSON scenario file (see
 // README "Authoring scenario files"; internal/scenario/specs/ holds the
@@ -177,9 +176,6 @@ func LoadScenarioFile(path string) (*scenario.Spec, error) { return scenario.Loa
 // share a scenario and duration.
 func SeriesTable(results []*Result) *Table { return experiment.SeriesTable(results) }
 
-// Summarize reduces one Result to its bounded per-run summary.
-func Summarize(r *Result) RunSummary { return experiment.Summarize(r) }
-
 // TableII builds the experiment-summary table.
 func TableII(results []*Result) *Table { return experiment.TableII(results) }
 
@@ -188,9 +184,6 @@ func TableIII(results []*Result) *Table { return experiment.TableIII(results) }
 
 // TableIV builds the network-awareness table.
 func TableIV(results []*Result) *Table { return experiment.TableIV(results) }
-
-// ComputeTableIV returns the raw Table IV metrics for one result.
-func ComputeTableIV(r *Result) []TableIVCell { return experiment.ComputeTableIV(r) }
 
 // RenderFigure1 writes the Figure-1 bars for a set of results.
 func RenderFigure1(w io.Writer, results []*Result) error {
