@@ -65,8 +65,8 @@ func TestAdvertViewRules(t *testing.T) {
 	wantSees(t, "between A's ticks", xa, ids, 50)
 	a.signalingTick()
 	wantSees(t, "after A's second tick", xa, ids, 50, 51)
-	checkPartnerIndexes(t, a)
-	checkPartnerIndexes(t, x)
+	checkPartnerTable(t, a)
+	checkPartnerTable(t, x)
 
 	// (ii) A leaves and rejoins before X sweeps its dead partners. X's
 	// record is stale but A is online again, so X keeps using it — and it
@@ -102,17 +102,16 @@ func TestAdvertViewRules(t *testing.T) {
 	a.signalingTick()
 	wantSees(t, "A's new row after X's tick", ax, ids, 40)
 	wantSees(t, "X's old row after A's tick", xa, ids, 52)
-	checkPartnerIndexes(t, a)
-	checkPartnerIndexes(t, x)
+	checkPartnerTable(t, a)
+	checkPartnerTable(t, x)
 
-	// A dropped record gives up its view with everything else, and its slot
-	// heads the free list.
-	s, _ := x.partnerSlot(a.ID)
+	// A removed record leaves nothing pinned past the table's length: the
+	// slot it vacated gives up its view with everything else.
 	x.dropPartner(a.ID)
-	if x.freeSlot != int16(s+1) || xa != &x.partners[s] || xa.have != nil || xa.node != nil {
-		t.Error("freed slot still holds a view or a node, or is not the next one taken")
+	if len(x.partners) != 0 || xa != &x.partners[:1][0] || xa.have != nil || xa.id != 0 {
+		t.Error("the vacated slot still holds a view or an id")
 	}
-	checkPartnerIndexes(t, x)
+	checkPartnerTable(t, x)
 }
 
 // TestAdvertViewRulesAcrossShards is the same walk for a pair on two
@@ -183,8 +182,8 @@ func TestAdvertViewRulesAcrossShards(t *testing.T) {
 	}
 	at(3800 * time.Millisecond)
 	wantSees(t, "after the new session's first push", xa, ids, 52)
-	checkPartnerIndexes(t, a)
-	checkPartnerIndexes(t, x)
+	checkPartnerTable(t, a)
+	checkPartnerTable(t, x)
 }
 
 // TestInflightSet covers the scheduler's set of outstanding requests:

@@ -11,21 +11,12 @@ import (
 // TestNodeHotHeaderFitsOneLine pins the layout the partner walk relies on:
 // everything a tick reads of somebody else's node — shard, spool, id, source
 // and online flags — ends within the node's first 32 bytes. Node's size class
-// (384 bytes, the last one before 416) aligns objects to at least 32, so those
-// bytes never straddle a cache line.
+// (352 bytes) aligns objects to 32, so those bytes never straddle a cache
+// line.
 func TestNodeHotHeaderFitsOneLine(t *testing.T) {
 	var nd Node
-	if size := unsafe.Sizeof(nd); size > 384 {
-		t.Errorf("Node is %d bytes, past the 384-byte size class", size)
-	}
-	// The node's own ticks: the scheduler's two lists share a line, and so do
-	// the two things a signalling tick and a contact read after the indexes.
-	line := func(off, size uintptr) [2]uintptr { return [2]uintptr{off / 64, (off + size - 1) / 64} }
-	if a, b := line(unsafe.Offsetof(nd.byReq), unsafe.Sizeof(nd.byReq)), line(unsafe.Offsetof(nd.inflight), unsafe.Sizeof(nd.inflight)); a[0] != a[1] || a != b {
-		t.Errorf("byReq spans lines %v, inflight %v: want one line for both", a, b)
-	}
-	if a, b := line(unsafe.Offsetof(nd.neighbors), unsafe.Sizeof(nd.neighbors)), line(unsafe.Offsetof(nd.advert), unsafe.Sizeof(nd.advert)); a[0] != a[1] || a != b {
-		t.Errorf("neighbors spans lines %v, advert %v: want one line for both", a, b)
+	if size := unsafe.Sizeof(nd); size > 352 {
+		t.Errorf("Node is %d bytes, past the 352-byte size class", size)
 	}
 	for _, f := range []struct {
 		name string

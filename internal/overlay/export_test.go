@@ -27,12 +27,12 @@ func RememberRate(nd *Node, id PeerID, r units.BitRate) { nd.rateMemory[id] = r 
 // Rerate moves the delivery-rate estimate of nd's partner id to r and
 // rescores the partner, as a delivery, a timeout or a rejection does.
 func Rerate(nd *Node, id PeerID, r units.BitRate) {
-	s, ok := nd.partnerSlot(id)
-	if !ok {
+	p := nd.partnerByID(id)
+	if p == nil {
 		panic("overlay: Rerate of a non-partner")
 	}
-	nd.partners[s].estRate = r
-	nd.rescore(s)
+	p.estRate = r
+	nd.rescore(p)
 }
 
 // ChurnTick runs one of nd's churn steps now.
@@ -40,9 +40,9 @@ func ChurnTick(nd *Node) { nd.churnTick() }
 
 // PartnerIDs lists nd's partners in id order.
 func PartnerIDs(nd *Node) []PeerID {
-	ids := make([]PeerID, len(nd.byID))
-	for i, en := range nd.byID {
-		ids[i] = en.id
+	ids := make([]PeerID, len(nd.partners))
+	for i := range nd.partners {
+		ids[i] = nd.partners[i].id
 	}
 	return ids
 }

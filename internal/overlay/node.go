@@ -16,30 +16,31 @@ import (
 )
 
 // partner is the per-neighbour state a node keeps for peers it actively
-// exchanges video with: one 56-byte record, held by value in a slot of the
-// node's partner table (Node.partners). The policy-visible facts are packed —
-// locality as three bits, the RTT as 32 bits of nanoseconds — and rebuilt into
-// a policy.Info (info) only where a Weight reads one.
+// exchanges video with: one 56-byte record, held by value in the node's
+// partner table (Node.partners). The remote is named by id and resolved
+// through Network.nodes where a loop needs it, so the record's one pointer is
+// its view. The policy-visible facts are packed — locality as three bits, the
+// RTT as 32 bits of nanoseconds — and rebuilt into a policy.Info (info) only
+// where a Weight reads one.
 type partner struct {
-	node *Node
+	id PeerID
 	// have is a view of the buffer map the partner last announced to this
 	// node: the slice header of the remote's published advert (same shard)
 	// or of the immutable copy its push message carried (across shards).
 	// Nothing here owns or copies the words. Nil — nothing advertised — from
 	// the record's creation until the remote's next signalling tick aims it.
 	have chunkstream.Advert
-	// reqW caches the profile's request-time weight for this pair, the key
-	// of the weight-ordered request index. The locality facts and the RTT
-	// are immutable from the moment the partnership forms, so the cache goes
-	// stale only when estRate moves — every such site calls rescore, which
-	// also repositions the partner in the index. The retain-time weight is
-	// not cached: churnTick, its one reader, computes it from info.
+	// reqW caches the profile's request-time weight for this pair, which
+	// requestChunk and bestPartner read. The locality facts and the RTT are
+	// immutable from the moment the partnership forms, so the cache goes
+	// stale only when estRate moves — every such site calls rescore. The
+	// retain-time weight is not cached: churnTick, its one reader, computes
+	// it from info.
 	reqW float64
 	// estRate is the running delivery-rate estimate (policy.Info.EstRate).
 	estRate units.BitRate
 	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
-	// formation (addPartner). In a free slot it is instead the free list's
-	// link: 1 + the next free slot, 0 at the end of the list.
+	// formation (addPartner).
 	rtt int32
 	// consecutive failures (timeouts/rejections) since the last success,
 	// saturating (fail): every test of it compares with a limit of at most
@@ -50,7 +51,7 @@ type partner struct {
 	// node's advert yet. addPartner sets it both when it creates the row and
 	// when it finds the row already there: the remote may have left,
 	// rejoined unnoticed and re-created its side with a nil view. The
-	// node's next signalling tick does the one search of the remote's index,
+	// node's next signalling tick does the one search of the remote's table,
 	// aims the remote's row and clears the flag; from then on rewriting the
 	// advert in place is the whole announcement.
 	announce bool
@@ -64,12 +65,12 @@ const (
 )
 
 // pack stores the policy-visible facts of info in the record of partner
-// p.node, held by node self. An RTT past the record's 32 bits of nanoseconds
+// p.id, held by node self. An RTT past the record's 32 bits of nanoseconds
 // panics, naming the pair, rather than being truncated.
 func (p *partner) pack(info policy.Info, self PeerID) {
 	p.rtt = int32(info.RTT)
 	if time.Duration(p.rtt) != info.RTT {
-		panic(fmt.Sprintf("overlay: RTT %v between peers %d and %d does not fit a partner record", info.RTT, self, p.node.ID))
+		panic(fmt.Sprintf("overlay: RTT %v between peers %d and %d does not fit a partner record", info.RTT, self, p.id))
 	}
 	p.loc = 0
 	if info.SameSubnet {
@@ -102,12 +103,13 @@ func (p *partner) fail() {
 	}
 }
 
-// partnerCong is a partner's congestion observations, kept slot for slot in
-// a side table (Node.cong) that exists only when the network's congestion
-// model is on (every access is gated on it): lossEWMA tracks the fraction of
-// requests to the partner that timed out (1 = every recent request lost), and
-// backoffUntil holds requests off the partner after a timeout, doubling per
-// consecutive failure. addPartner zeroes a slot's entry as it fills the slot.
+// partnerCong is a partner's congestion observations, kept entry for entry
+// with the partner table in a side table (Node.cong) that exists only when the
+// network's congestion model is on (every access is gated on it): lossEWMA
+// tracks the fraction of requests to the partner that timed out (1 = every
+// recent request lost), and backoffUntil holds requests off the partner after
+// a timeout, doubling per consecutive failure. addPartner and removePartner
+// shift it with the records, and addPartner zeroes the new partner's entry.
 type partnerCong struct {
 	lossEWMA     float64
 	backoffUntil sim.Time
@@ -168,25 +170,6 @@ func (s inflightSet) expiredInto(dst []chunkstream.ChunkID, now sim.Time, timeou
 	}
 	slices.Sort(dst)
 	return dst
-}
-
-// idEntry is one element of the id-ordered partner index: the sort key and
-// the partner's slot in the node's partner table. The index's hot loops —
-// insertion scans, dead-partner sweeps — touch only the id and stay within
-// the entry slice, and an entry holds no pointer, so shifting one costs no
-// write barrier and the collector never scans the index.
-type idEntry struct {
-	id   PeerID
-	slot int32
-}
-
-// reqEntry is one element of the weight-ordered request index: the
-// tie-breaking id and the partner's slot. The primary key, the request
-// weight, is read from the record in that slot (partner.reqW), so the index
-// stores no copy of it; an entry holds no pointer, like idEntry.
-type reqEntry struct {
-	id   PeerID
-	slot int32
 }
 
 // The neighbour list's membership filter: one bit per residue of the peer id
@@ -306,62 +289,48 @@ type Node struct {
 	ID       PeerID
 	isSource bool
 	online   bool
-	// freeSlot is 1 + the first free slot of partners, 0 when none is free;
-	// 16 bits, so it fills the header's last two bytes (Profile.validate
-	// bounds MaxPartners to match).
-	freeSlot int16
 	// epoch numbers the node's sessions: Leave advances it, and a periodic
 	// tick record carries the epoch of the session that posted it (tick).
 	epoch int64
 
-	Host topology.Host
-	Link access.Link
-	// churnScale divides the churn cycle's holding-time draws: >1 makes
-	// the node flap faster (scenario regional churn), 1 restores the
-	// configured means. Zero (never set) means unscaled, so untouched
-	// nodes stay byte-identical to builds without the knob. It sits here,
-	// not with the other scenario state below, to keep byID..partners at
-	// the offsets TestNodeHotHeaderFitsOneLine pins.
-	churnScale float64
-	Profile    *Profile
+	Host    topology.Host
+	Link    access.Link
+	Profile *Profile
 
 	up, down *access.Port
 
 	buf  *chunkstream.BufferMap
 	play *chunkstream.Playout
 
-	// byID is the partner set, ordered by peer id: the membership record
-	// (partnerByID binary-searches it; at most MaxPartners entries) and the
-	// deterministic iteration order of every loop that consumes randomness
-	// or emits events. Each entry names the partner's slot in partners.
-	// Maintained incrementally on partner add/drop; never rebuilt. Allocated
-	// once, with byReq, at MaxPartners entries.
-	byID []idEntry
-	// byReq is the same set ordered by (cached request weight descending,
-	// peer id ascending): the weight-ordered partner index. Its head is
-	// the greedy scheduler's best partner. Maintained incrementally on
-	// add/drop and whenever a delivery-rate update rescores a partner.
-	// Churn-time worst-partner selection instead scans byID, weighing each
-	// partner's retain weight as it goes: retain order generally differs
-	// from request order, and a second index (or a cached retain weight)
-	// would cost more to maintain than the O(partners) scan once per
-	// DropInterval (8 s at the shortest).
-	byReq    []reqEntry
+	// partners is the partner table: every partner record, by value, sorted
+	// by peer id. The order is the membership record (partnerByID binary
+	// searches it) and the deterministic iteration order of every loop that
+	// consumes randomness or emits events; the greedy pass's best partner
+	// and the churn drop's worst are each one scan of it. Allocated once, at
+	// the first Join, with capacity MaxPartners, and never reallocated: the
+	// partner count never exceeds MaxPartners, addPartner reslices rather
+	// than appends, and slots past len are zero, so they pin no advert.
+	// Leave clears the table in place.
+	//
+	// addPartner and removePartner shift records within the table, so a
+	// *partner is valid only until the next add or remove on this node. The
+	// sites that hold one keep to that: signalingTick (sends and aims views,
+	// dropDeadPartners ran before), the expiry loop in scheduleTick (drops
+	// the partner last), the greedy pass (requests only), requestChunk (holds
+	// table positions only while it scores), onReject and onChunkDelivered
+	// (rescore only re-weighs), and the cross-shard handlers
+	// (pushBufferMapCross aims a view and returns).
+	partners []partner
 	inflight inflightSet
 	// rateMemory persists per-remote delivery-rate estimates across
 	// partnership episodes and across the node's own sessions: it is created
 	// at the first Join and kept for the node's lifetime.
 	rateMemory map[PeerID]units.BitRate
-	// cong is the congestion side table, slot for slot with partners:
+	// cong is the congestion side table, entry for entry with partners:
 	// allocated at the first Join, at MaxPartners entries, when the network's
 	// congestion model is on, and nil otherwise. It sits behind a pointer
-	// rather than a slice header so that Node keeps its size class.
-	cong *[]partnerCong
-	// neighbors and advert fill the 64 bytes from offset 256, one cache line:
-	// what a contact reads of the other node's list (slice header, head,
-	// filter pointer) is there whole, and the scheduler's byReq and inflight
-	// stay together on the line before it, which rateMemory and cong fill up
-	// (TestNodeHotHeaderFitsOneLine).
+	// rather than a slice header to keep Node small.
+	cong      *[]partnerCong
 	neighbors neighborRing // contacted, remembered for keepalives (bounded)
 	// advert is the buffer-map announcement of the current session, viewed
 	// by every partner record aimed at it (partner.have). signalingTick
@@ -370,15 +339,6 @@ type Node struct {
 	// yet noticed a leave-and-rejoin keeps reading the last announcement of
 	// the session it partnered with.
 	advert chunkstream.Advert
-	// partners is the partner table: every partner record, by value, in the
-	// slot byID and byReq name. Allocated once, at the first Join, with
-	// capacity MaxPartners, and never reallocated — the partner count never
-	// exceeds MaxPartners, and a freed slot is reused before the table
-	// extends — so a *partner taken inside one event stays valid through it.
-	// Slots below len that no index names are free, zeroed, and threaded
-	// from freeSlot through their rtt fields. Leave clears the table in
-	// place.
-	partners []partner
 
 	// blocked: connectivity lost (scenario partition): Join is deferred.
 	// joinDeferred records a Join attempted while blocked, honoured at
@@ -390,10 +350,14 @@ type Node struct {
 	// Join — including the node's own churn cycle — is refused.
 	retired bool
 	// onlineIdx is the node's slot in its shard's live list; 32 bits, so it
-	// shares a word with the three flags above and Node stays in the
-	// 384-byte size class.
+	// shares a word with the three flags above.
 	onlineIdx int32
 	onlineAt  sim.Time
+	// churnScale divides the churn cycle's holding-time draws: >1 makes
+	// the node flap faster (scenario regional churn), 1 restores the
+	// configured means. Zero (never set) means unscaled, so untouched
+	// nodes stay byte-identical to builds without the knob.
+	churnScale float64
 
 	// baseSpec remembers the link's factory rates across SetLinkScale
 	// calls; zero until the first throttle.
@@ -404,7 +368,7 @@ type Node struct {
 func (nd *Node) Online() bool { return nd.online }
 
 // Partners reports the current partner count.
-func (nd *Node) Partners() int { return len(nd.byID) }
+func (nd *Node) Partners() int { return len(nd.partners) }
 
 // Continuity reports the playout continuity achieved so far (1.0 before
 // anything was due). Sources report 1.
@@ -455,7 +419,7 @@ func (nd *Node) Join() {
 		base = 0
 	}
 	// Re-arm the session's episode state in place: buffer map, playout
-	// tracker, partner indexes and the inflight set are recycled across
+	// tracker, partner table and the inflight set are recycled across
 	// join/leave cycles, so a node that flaps for the whole experiment
 	// allocates its hot state once. The advert is the exception: it belongs
 	// to the session (see Node.advert).
@@ -474,10 +438,8 @@ func (nd *Node) Join() {
 		nd.play.Reset(start)
 	}
 	nd.advert = nil
-	if nd.byID == nil {
+	if nd.partners == nil {
 		nd.partners = make([]partner, 0, nd.Profile.MaxPartners)
-		nd.byID = make([]idEntry, 0, nd.Profile.MaxPartners)
-		nd.byReq = make([]reqEntry, 0, nd.Profile.MaxPartners)
 		nd.inflight = make(inflightSet, 0, nd.Profile.MaxInflight)
 		if nd.net.congestionOn() {
 			cong := make([]partnerCong, nd.Profile.MaxPartners)
@@ -485,8 +447,6 @@ func (nd *Node) Join() {
 		}
 	}
 	nd.inflight = nd.inflight[:0]
-	nd.byID = nd.byID[:0]
-	nd.byReq = nd.byReq[:0]
 	nd.neighbors.reset()
 	if nd.rateMemory == nil {
 		nd.rateMemory = make(map[PeerID]units.BitRate)
@@ -565,19 +525,15 @@ func (nd *Node) Leave() {
 	// Partners on this shard observe the online flag lazily, as always.
 	// Cross-shard partners cannot, so the departure travels to them as a
 	// message after the pair's one-way delay.
-	for _, en := range nd.byID {
-		if other := nd.partners[en.slot].node; !sameShard(nd, other) {
+	for i := range nd.partners {
+		if other := nd.net.nodes[nd.partners[i].id]; !sameShard(nd, other) {
 			nd.net.crossRemovePartner(nd, other)
 		}
 	}
-	// Clear the partner table and empty the indexes in place; the next Join
-	// reuses all of it. A cleared record pins neither a departed node nor an
-	// advert of a finished session.
+	// Clear the partner table in place; the next Join reuses it. A cleared
+	// record pins no advert of a finished session.
 	clear(nd.partners)
 	nd.partners = nd.partners[:0]
-	nd.freeSlot = 0
-	nd.byID = nd.byID[:0]
-	nd.byReq = nd.byReq[:0]
 	nd.inflight = nd.inflight[:0]
 }
 
@@ -723,93 +679,42 @@ func (nd *Node) infoFor(other *Node) policy.Info {
 	}
 }
 
-// byIDSearch returns id's position in byID, or its insertion point. Written
-// out because slices.BinarySearchFunc calls its comparator un-inlined.
-func (nd *Node) byIDSearch(id PeerID) (int, bool) {
-	lo, hi := 0, len(nd.byID)
+// partnerSearch returns the position of partner id in the table, or its
+// insertion point. Written out because slices.BinarySearchFunc calls its
+// comparator un-inlined.
+func (nd *Node) partnerSearch(id PeerID) (int, bool) {
+	lo, hi := 0, len(nd.partners)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if nd.byID[mid].id < id {
+		if nd.partners[mid].id < id {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(nd.byID) && nd.byID[lo].id == id
-}
-
-// partnerSlot returns the slot of the partner with the given id.
-func (nd *Node) partnerSlot(id PeerID) (int32, bool) {
-	if i, ok := nd.byIDSearch(id); ok {
-		return nd.byID[i].slot, true
-	}
-	return 0, false
+	return lo, lo < len(nd.partners) && nd.partners[lo].id == id
 }
 
 // partnerByID returns the partner with the given id, nil when there is none.
 func (nd *Node) partnerByID(id PeerID) *partner {
-	if s, ok := nd.partnerSlot(id); ok {
-		return &nd.partners[s]
+	if i, ok := nd.partnerSearch(id); ok {
+		return &nd.partners[i]
 	}
 	return nil
 }
 
-// byReqInsert places partner id, held in slot s, at its weight-ordered
-// position: request weight descending, peer id ascending on ties — so the
-// head is always the lowest-id partner of maximal weight, matching the
-// historical scan-in-id-order tie-break. NaN weights (reachable only through
-// custom Weight implementations) are kept in an id-ordered tail segment
-// after every real weight: naive float comparisons would otherwise strand
-// later-inserted partners behind a NaN and break the descending invariant
-// bestPartner's early exit relies on.
-func (nd *Node) byReqInsert(id PeerID, s int32) {
-	w := nd.partners[s].reqW
-	pNaN := math.IsNaN(w)
-	i := 0
-	for i < len(nd.byReq) {
-		q := nd.byReq[i]
-		qw := nd.partners[q.slot].reqW
-		if math.IsNaN(qw) {
-			if !pNaN || q.id > id {
-				break
-			}
-		} else if !pNaN && (qw < w || (qw == w && q.id > id)) {
-			break
-		}
-		i++
-	}
-	nd.byReq = append(nd.byReq, reqEntry{})
-	copy(nd.byReq[i+1:], nd.byReq[i:])
-	nd.byReq[i] = reqEntry{id: id, slot: s}
-}
-
-// byReqRemove drops slot s's entry from the weight-ordered index and returns
-// the partner id it carried.
-func (nd *Node) byReqRemove(s int32) PeerID {
-	for i := range nd.byReq {
-		if nd.byReq[i].slot == s {
-			id := nd.byReq[i].id
-			nd.byReq = append(nd.byReq[:i], nd.byReq[i+1:]...)
-			return id
-		}
-	}
-	panic(fmt.Sprintf("overlay: node %d: slot %d missing from the request index", nd.ID, s))
-}
-
-// rescore refreshes the cached request weight of the partner in slot s after
-// its delivery-rate estimate moved, and repositions it in the weight-ordered
-// index. This is the single invalidation door: locality facts never change,
-// so the cache stays exact as long as each estRate mutation ends here.
-func (nd *Node) rescore(s int32) {
-	p := &nd.partners[s]
+// rescore refreshes the cached request weight of partner p after its
+// delivery-rate estimate moved. This is the single invalidation door:
+// locality facts never change, so the cache stays exact as long as each
+// estRate mutation ends here.
+func (nd *Node) rescore(p *partner) {
 	p.reqW = nd.Profile.RequestWeight.Weight(p.info())
-	nd.byReqInsert(nd.byReqRemove(s), s)
 }
 
 // refillPartners queries the tracker and adopts candidates, weighted by the
 // profile's DiscoveryWeight, until the partner target is met.
 func (nd *Node) refillPartners() {
-	need := nd.Profile.PartnerTarget - len(nd.byID)
+	need := nd.Profile.PartnerTarget - len(nd.partners)
 	if need <= 0 {
 		return
 	}
@@ -850,17 +755,20 @@ func (nd *Node) handshake(other *Node) {
 	nd.net.sendSignal(other, nd, handshakeSize)
 	nd.rememberNeighbor(other.ID)
 	other.rememberNeighbor(nd.ID)
-	if len(nd.byID) >= nd.Profile.MaxPartners || len(other.byID) >= other.Profile.MaxPartners {
+	if len(nd.partners) >= nd.Profile.MaxPartners || len(other.partners) >= other.Profile.MaxPartners {
 		return
 	}
 	nd.addPartner(other)
 	other.addPartner(nd)
 }
 
+// addPartner inserts other's record at its id's place in the table, shifting
+// the records (and congestion entries) above it up by one. It reslices, never
+// appends: a table past its capacity panics rather than moving.
 func (nd *Node) addPartner(other *Node) {
-	i, dup := nd.byIDSearch(other.ID)
+	i, dup := nd.partnerSearch(other.ID)
 	if dup {
-		nd.partners[nd.byID[i].slot].announce = true
+		nd.partners[i].announce = true
 		return
 	}
 	info := nd.infoFor(other)
@@ -874,39 +782,18 @@ func (nd *Node) addPartner(other *Node) {
 	// announcement to other. Locality facts are settled for good at
 	// partnership formation; this is the once-per-pair request weighing the
 	// selection loops reuse from here on.
-	s := nd.takeSlot()
-	p := &nd.partners[s]
-	*p = partner{node: other, announce: true}
+	n := len(nd.partners)
+	nd.partners = nd.partners[:n+1]
+	copy(nd.partners[i+1:], nd.partners[i:n])
+	p := &nd.partners[i]
+	*p = partner{id: other.ID, announce: true}
 	p.pack(info, nd.ID)
 	p.reqW = nd.Profile.RequestWeight.Weight(info)
 	if nd.cong != nil {
-		(*nd.cong)[s] = partnerCong{}
+		cong := *nd.cong
+		copy(cong[i+1:n+1], cong[i:n])
+		cong[i] = partnerCong{}
 	}
-	nd.byID = append(nd.byID, idEntry{})
-	copy(nd.byID[i+1:], nd.byID[i:])
-	nd.byID[i] = idEntry{id: other.ID, slot: s}
-	nd.byReqInsert(other.ID, s)
-}
-
-// takeSlot pops the free list, or extends the partner table by one slot
-// when nothing is free. It reslices, never appends: a table past its
-// capacity panics rather than moving behind a held *partner.
-func (nd *Node) takeSlot() int32 {
-	if nd.freeSlot != 0 {
-		s := int32(nd.freeSlot - 1)
-		nd.freeSlot = int16(nd.partners[s].rtt)
-		return s
-	}
-	n := len(nd.partners)
-	nd.partners = nd.partners[:n+1]
-	return int32(n)
-}
-
-// releaseSlot zeroes slot s — its record pins neither a departed node nor an
-// advert of a finished session — and pushes it on the free list.
-func (nd *Node) releaseSlot(s int32) {
-	nd.partners[s] = partner{rtt: int32(nd.freeSlot)}
-	nd.freeSlot = int16(s + 1)
 }
 
 func (nd *Node) dropPartner(id PeerID) {
@@ -918,16 +805,22 @@ func (nd *Node) dropPartner(id PeerID) {
 	}
 }
 
-// removePartner clears one side of a partnership.
+// removePartner clears one side of a partnership: the records (and
+// congestion entries) above id's shift down by one, and the slot vacated at
+// the end is zeroed, so it pins no advert of a finished session.
 func (nd *Node) removePartner(id PeerID) {
-	i, ok := nd.byIDSearch(id)
+	i, ok := nd.partnerSearch(id)
 	if !ok {
 		return
 	}
-	s := nd.byID[i].slot
-	nd.byID = append(nd.byID[:i], nd.byID[i+1:]...)
-	nd.byReqRemove(s)
-	nd.releaseSlot(s)
+	n := len(nd.partners)
+	copy(nd.partners[i:], nd.partners[i+1:])
+	nd.partners[n-1] = partner{}
+	nd.partners = nd.partners[:n-1]
+	if nd.cong != nil {
+		cong := *nd.cong
+		copy(cong[i:n-1], cong[i+1:n])
+	}
 }
 
 func (nd *Node) rememberNeighbor(id PeerID) {
@@ -968,7 +861,7 @@ func (nd *Node) contactTick() {
 		c.rememberNeighbor(nd.ID)
 		// Adopt as partner when short-handed, using the discovery policy
 		// as an accept/reject filter relative to a uniform candidate.
-		if len(nd.byID) < nd.Profile.PartnerTarget && len(c.byID) < c.Profile.MaxPartners {
+		if len(nd.partners) < nd.Profile.PartnerTarget && len(c.partners) < c.Profile.MaxPartners {
 			info := nd.infoFor(c)
 			w := nd.Profile.DiscoveryWeight.Weight(info)
 			base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
@@ -985,29 +878,29 @@ func (nd *Node) contactTick() {
 	}
 }
 
-// partnerAlive reports whether a partner should be treated as present.
-// Same-shard partners expose their online flag directly; a cross-shard
-// partner is presumed alive until its departure notification arrives —
-// membership in the partner set implies a believed-online peer. A remote
-// that vanished ungracefully is shed by the failure escalation (timeouts
-// drive failures past the drop threshold), like a silent peer on the
-// real network.
-func (nd *Node) partnerAlive(p *partner) bool {
-	if p.node.sc == nd.sc {
-		return p.node.online
+// partnerAlive reports whether a partner, the remote node other, should be
+// treated as present. Same-shard partners expose their online flag directly;
+// a cross-shard partner is presumed alive until its departure notification
+// arrives — membership in the partner set implies a believed-online peer. A
+// remote that vanished ungracefully is shed by the failure escalation
+// (timeouts drive failures past the drop threshold), like a silent peer on
+// the real network.
+func (nd *Node) partnerAlive(other *Node) bool {
+	if other.sc == nd.sc {
+		return other.online
 	}
 	return true
 }
 
 // dropDeadPartners forgets partners that went offline. Collect-then-drop
-// keeps the iteration off the live index while it mutates. Cross-shard
-// partners are presumed alive here — their departures arrive as messages
+// keeps the iteration off the table while it mutates. Cross-shard partners
+// are presumed alive here — their departures arrive as messages
 // (crossRemovePartner) instead of being observed.
 func (nd *Node) dropDeadPartners() {
 	dead := nd.sc.dropIDs[:0]
-	for _, en := range nd.byID {
-		if !nd.partnerAlive(&nd.partners[en.slot]) {
-			dead = append(dead, en.id)
+	for i := range nd.partners {
+		if id := nd.partners[i].id; !nd.partnerAlive(nd.net.nodes[id]) {
+			dead = append(dead, id)
 		}
 	}
 	nd.sc.dropIDs = dead
@@ -1021,7 +914,7 @@ func (nd *Node) dropDeadPartners() {
 // rewrite of the node's advert, whatever the partner count: partners on this
 // shard already view it and learn the new holdings through the rewrite (the
 // signalling packet is still sent and accounted per partner); only a row
-// marked announce costs a search of the remote's index, once.
+// marked announce costs a search of the remote's table, once.
 func (nd *Node) signalingTick() {
 	if !nd.online {
 		return
@@ -1034,9 +927,9 @@ func (nd *Node) signalingTick() {
 		// advert (one copy shared by all of them): the advert will be
 		// rewritten, on this shard's goroutine, before their messages arrive.
 		var crossAd chunkstream.Advert
-		for _, en := range nd.byID {
-			p := &nd.partners[en.slot]
-			other := p.node
+		for i := range nd.partners {
+			p := &nd.partners[i]
+			other := nd.net.nodes[p.id]
 			if !sameShard(nd, other) {
 				if crossAd == nil {
 					crossAd = slices.Clone(nd.advert)
@@ -1079,14 +972,15 @@ func (nd *Node) churnTick() {
 		return
 	}
 	nd.dropDeadPartners()
-	if len(nd.byID) >= nd.Profile.PartnerTarget {
+	if len(nd.partners) >= nd.Profile.PartnerTarget {
 		scorer := &nd.sc.scorer
 		scorer.Reset()
 		// Worst reads only the index and the weight, so the candidate
 		// carries no Info.
 		retain := nd.Profile.RetainWeight
-		for _, en := range nd.byID {
-			scorer.PushScored(policy.Candidate{Index: int(en.id)}, retain.Weight(nd.partners[en.slot].info()))
+		for i := range nd.partners {
+			p := &nd.partners[i]
+			scorer.PushScored(policy.Candidate{Index: int(p.id)}, retain.Weight(p.info()))
 		}
 		worst := scorer.Worst()
 		if worst.Index >= 0 {
@@ -1149,8 +1043,8 @@ func (nd *Node) scheduleTick() {
 		at := nd.inflight.find(id)
 		req := nd.inflight[at]
 		nd.inflight.removeAt(at)
-		if s, ok := nd.partnerSlot(req.from); ok {
-			pr := &nd.partners[s]
+		if i, ok := nd.partnerSearch(req.from); ok {
+			pr := &nd.partners[i]
 			pr.fail()
 			pr.estRate /= 2 // stale partner loses standing
 			if cong {
@@ -1158,13 +1052,13 @@ func (nd *Node) scheduleTick() {
 				// drop: absorb it into the partner's observed-loss EWMA
 				// and hold requests off the partner for an exponentially
 				// growing window.
-				c := &(*nd.cong)[s]
+				c := &(*nd.cong)[i]
 				c.lossEWMA = c.lossEWMA*lossEWMARetain + (1 - lossEWMARetain)
 				shift := min(pr.failures-1, 4)
 				c.backoffUntil = now.Add(p.RequestTimeout << shift)
 				sc.ledger.BackoffsTotal++
 			}
-			nd.rescore(s)
+			nd.rescore(pr)
 			limit := uint16(4)
 			if cong {
 				limit = congestionFailureLimit
@@ -1199,12 +1093,14 @@ func (nd *Node) scheduleTick() {
 	}
 	budget := p.MaxInflight - len(nd.inflight)
 
-	// Greedy pass: fill from the single best partner first — the head of
-	// the weight-ordered index. Whatever the best partner advertises and
-	// we miss, we take from it directly; this is what converts a selection
-	// *weight* into a byte-share *preference* observable in traces.
+	// Greedy pass: fill from the single best partner first — the selectable
+	// partner of highest request weight. Whatever the best partner
+	// advertises and we miss, we take from it directly; this is what
+	// converts a selection *weight* into a byte-share *preference*
+	// observable in traces.
 	if p.BestFill > 0 && budget > 0 {
 		if best := nd.bestPartner(); best != nil {
+			target := nd.net.nodes[best.id]
 			fill := p.BestFill
 			for id := lo; id <= hi && fill > 0 && budget > 0; id++ {
 				if nd.buf.Has(id) {
@@ -1216,8 +1112,8 @@ func (nd *Node) scheduleTick() {
 				if !best.have.Has(id) {
 					continue
 				}
-				nd.inflight = append(nd.inflight, pendingReq{id: id, from: best.node.ID, sentAt: now})
-				nd.net.sendRequest(nd, best.node, id)
+				nd.inflight = append(nd.inflight, pendingReq{id: id, from: best.id, sentAt: now})
+				nd.net.sendRequest(nd, target, id)
 				fill--
 				budget--
 			}
@@ -1269,12 +1165,13 @@ func (nd *Node) scheduleTick() {
 // rarity signal consumed by holder-aware chunk strategies.
 func (nd *Node) countHolders(id chunkstream.ChunkID, now sim.Time) int {
 	n := 0
-	for _, en := range nd.byID {
-		p := &nd.partners[en.slot]
-		if !nd.partnerAlive(p) {
+	for i := range nd.partners {
+		p := &nd.partners[i]
+		other := nd.net.nodes[p.id]
+		if !nd.partnerAlive(other) {
 			continue
 		}
-		if (p.node.isSource && p.node.hasChunk(id, now)) || p.have.Has(id) {
+		if (other.isSource && other.hasChunk(id, now)) || p.have.Has(id) {
 			n++
 		}
 	}
@@ -1282,32 +1179,32 @@ func (nd *Node) countHolders(id chunkstream.ChunkID, now sim.Time) int {
 }
 
 // bestPartner returns the online, non-source partner with the highest
-// request weight, nil when none has positive weight: the first selectable
-// entry of the weight-ordered index. Ties sit in the index lowest-id
-// first, preserving the historical deterministic tie-break. Under the
-// congestion model, partners in backoff are skipped.
+// request weight, nil when no such partner has a positive one. The scan runs
+// in id order and takes only a strictly higher weight, so ties go to the
+// lowest id and a NaN weight is never chosen. Under the congestion model,
+// partners in backoff are skipped.
 func (nd *Node) bestPartner() *partner {
 	cong := nd.net.congestionOn()
 	var now sim.Time
 	if cong {
 		now = nd.sc.eng.Now()
 	}
-	for _, en := range nd.byReq {
-		p := &nd.partners[en.slot]
-		if !nd.partnerAlive(p) || p.node.isSource {
+	var best *partner
+	bestW := 0.0
+	for i := range nd.partners {
+		p := &nd.partners[i]
+		if !(p.reqW > bestW) {
 			continue
 		}
-		if cong && (*nd.cong)[en.slot].backoffUntil > now {
+		if other := nd.net.nodes[p.id]; !nd.partnerAlive(other) || other.isSource {
 			continue
 		}
-		if p.reqW > 0 {
-			return p
+		if cong && (*nd.cong)[i].backoffUntil > now {
+			continue
 		}
-		// Weights only descend from here (NaNs sink to the tail); nothing
-		// selectable remains.
-		break
+		best, bestW = p, p.reqW
 	}
-	return nil
+	return best
 }
 
 // requestChunk picks a partner advertising id (the source counts as always
@@ -1327,27 +1224,28 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	scorer := &sc.scorer
 	scorer.Reset()
 	order := sc.reqOrder[:0]
-	for _, en := range nd.byID {
-		p := &nd.partners[en.slot]
-		if !nd.partnerAlive(p) {
+	for i := range nd.partners {
+		p := &nd.partners[i]
+		other := nd.net.nodes[p.id]
+		if !nd.partnerAlive(other) {
 			continue
 		}
 		var c *partnerCong
 		if cong {
-			if c = &(*nd.cong)[en.slot]; c.backoffUntil > now {
+			if c = &(*nd.cong)[i]; c.backoffUntil > now {
 				continue
 			}
 		}
 		// A client only knows what the partner advertised; the single
 		// exception is the source, which everyone knows holds the feed.
-		if (p.node.isSource && p.node.hasChunk(id, now)) || p.have.Has(id) {
+		if (other.isSource && other.hasChunk(id, now)) || p.have.Has(id) {
 			w := p.reqW
 			if aware > 0 {
 				w *= policy.LossPenalty(c.lossEWMA, aware)
 			}
 			// PickOne reads only the index and the weight: no Info is built.
 			scorer.PushScored(policy.Candidate{Index: len(order)}, w)
-			order = append(order, en.slot)
+			order = append(order, int32(i))
 		}
 	}
 	sc.reqOrder = order
@@ -1355,7 +1253,7 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	if pick.Index < 0 {
 		return false
 	}
-	target := nd.partners[order[pick.Index]].node
+	target := nd.net.nodes[nd.partners[order[pick.Index]].id]
 	nd.inflight = append(nd.inflight, pendingReq{id: id, from: target.ID, sentAt: now})
 	nd.net.sendRequest(nd, target, id)
 	return true

@@ -19,7 +19,6 @@ package overlay
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -42,7 +41,7 @@ type Profile struct {
 
 	// Partner management.
 	PartnerTarget int           // partners a node tries to hold
-	MaxPartners   int           // hard acceptance cap (≥ PartnerTarget, ≤ 32767)
+	MaxPartners   int           // hard acceptance cap (≥ PartnerTarget)
 	DropInterval  time.Duration // how often the worst partner is churned out
 
 	// Discovery.
@@ -86,7 +85,7 @@ func (p *Profile) validate() {
 	switch {
 	case p.Name == "":
 		panic("overlay: profile without a name")
-	case p.PartnerTarget <= 0 || p.MaxPartners < p.PartnerTarget || p.MaxPartners > math.MaxInt16:
+	case p.PartnerTarget <= 0 || p.MaxPartners < p.PartnerTarget:
 		panic(fmt.Sprintf("overlay: %s: bad partner bounds %d/%d", p.Name, p.PartnerTarget, p.MaxPartners))
 	case p.ContactInterval <= 0 || p.SignalingInterval <= 0 || p.ScheduleInterval <= 0:
 		panic(fmt.Sprintf("overlay: %s: non-positive intervals", p.Name))
@@ -302,7 +301,7 @@ type shardCtx struct {
 	// dropIDs before churnTick scores; refillPartners walks the scorer's
 	// Sample result while it handshakes.
 	scorer   policy.Scorer
-	reqOrder []int32               // partner slots in candidate order of one requestChunk round
+	reqOrder []int32               // partner-table positions in candidate order of one requestChunk round
 	refs     []policy.ChunkRef     // missing chunks of one scheduler tick
 	expired  []chunkstream.ChunkID // timed-out requests of one tick
 	dropIDs  []PeerID              // dead partners collected before dropping

@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -16,53 +17,35 @@ import (
 )
 
 // TestPartnerIndexStaysConsistent drives a churning swarm and then audits
-// every node's incremental indexes. This is the invariant the whole
-// zero-alloc selection path leans on.
+// every node's partner table. This is the invariant the whole zero-alloc
+// selection path leans on.
 func TestPartnerIndexStaysConsistent(t *testing.T) {
 	w := buildWorld(t, 5, 30, 3)
 	w.startAll()
 	w.eng.Run(60 * time.Second)
 
 	for _, nd := range append(w.peers, w.src) {
-		checkPartnerIndexes(t, nd)
-	}
-}
-
-// reqBefore is the weight-ordered index's order on (weight, id) pairs: real
-// weights descending, then ids ascending; NaN weights after every real one,
-// by id.
-func reqBefore(aw float64, aid PeerID, bw float64, bid PeerID) bool {
-	switch an, bn := math.IsNaN(aw), math.IsNaN(bw); {
-	case an != bn:
-		return bn
-	case !an && aw != bw:
-		return aw > bw
-	default:
-		return aid < bid
+		checkPartnerTable(t, nd)
 	}
 }
 
 // sameWeight compares weights with NaN equal to NaN.
 func sameWeight(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 
-// checkPartnerIndexes audits one node's partner table and its two indexes:
+// checkPartnerTable audits one node's partner table:
 //   - the table is allocated at MaxPartners, and the congestion side table
-//     exists exactly when the congestion model is on;
-//   - byID ids strictly ascend, which is what makes it a set and lets
-//     partnerByID binary search it;
-//   - byReq holds exactly byID's (id, slot) pairs, in the order of the
-//     request weights the slots hold;
-//   - every slot an index names is live — it holds that id's node and a
-//     cached request weight equal to a fresh evaluation — and each index
-//     names it once;
-//   - the free list covers exactly the unreferenced slots below len, and a
-//     free slot holds nothing but its link;
-//   - partnerByID finds every partner and misses ids below, between and above.
-func checkPartnerIndexes(t testing.TB, nd *Node) {
+//     exists, at MaxPartners entries, exactly when the congestion model is on;
+//   - ids strictly ascend in partners[:len], which is what makes the table a
+//     set and lets partnerByID binary search it;
+//   - every record's cached request weight equals a fresh evaluation;
+//   - every slot past len is zero, so it pins no advert;
+//   - partnerByID finds every partner at its position and misses ids below,
+//     between and above.
+func checkPartnerTable(t testing.TB, nd *Node) {
 	t.Helper()
 	if nd.partners == nil {
-		if len(nd.byID)+len(nd.byReq) != 0 || nd.cong != nil {
-			t.Fatalf("node %d: indexes or a congestion table without a partner table", nd.ID)
+		if nd.cong != nil {
+			t.Fatalf("node %d: a congestion table without a partner table", nd.ID)
 		}
 		return
 	}
@@ -72,133 +55,92 @@ func checkPartnerIndexes(t testing.TB, nd *Node) {
 	if on := nd.net.congestionOn(); (nd.cong != nil) != on || on && len(*nd.cong) != nd.Profile.MaxPartners {
 		t.Fatalf("node %d: congestion table %v with the congestion model on: %v", nd.ID, nd.cong != nil, on)
 	}
-	if len(nd.byReq) != len(nd.byID) {
-		t.Fatalf("node %d: byReq holds %d entries, byID %d", nd.ID, len(nd.byReq), len(nd.byID))
-	}
-	referenced := make([]bool, len(nd.partners))
-	pairs := make(map[idEntry]bool, len(nd.byID))
-	for i, en := range nd.byID {
-		if i > 0 && nd.byID[i-1].id >= en.id {
-			t.Fatalf("node %d: byID out of order at %d", nd.ID, i)
-		}
-		if en.slot < 0 || int(en.slot) >= len(nd.partners) || referenced[en.slot] {
-			t.Fatalf("node %d: byID names slot %d of %d for partner %d, or names it twice", nd.ID, en.slot, len(nd.partners), en.id)
-		}
-		referenced[en.slot] = true
-		pairs[en] = true
-		p := &nd.partners[en.slot]
-		if p.node == nil || p.node.ID != en.id {
-			t.Fatalf("node %d: slot %d does not hold partner %d", nd.ID, en.slot, en.id)
+	for i := range nd.partners {
+		p := &nd.partners[i]
+		if i > 0 && nd.partners[i-1].id >= p.id {
+			t.Fatalf("node %d: partner ids out of order at %d: %d, then %d", nd.ID, i, nd.partners[i-1].id, p.id)
 		}
 		if want := nd.Profile.RequestWeight.Weight(p.info()); !sameWeight(p.reqW, want) {
-			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, en.id, p.reqW, want)
+			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, p.id, p.reqW, want)
 		}
 	}
-	for i, en := range nd.byReq {
-		pair := idEntry{id: en.id, slot: en.slot}
-		if !pairs[pair] {
-			t.Fatalf("node %d: byReq entry %d names (%d, slot %d), which byID does not, or names it twice", nd.ID, i, en.id, en.slot)
+	for i, p := range nd.partners[len(nd.partners):cap(nd.partners)] {
+		if !reflect.ValueOf(p).IsZero() {
+			t.Fatalf("node %d: slot %d, past the table's %d records, holds %+v", nd.ID, len(nd.partners)+i, len(nd.partners), p)
 		}
-		delete(pairs, pair)
-		if i == 0 {
-			continue
-		}
-		a := nd.byReq[i-1]
-		if aw, w := nd.partners[a.slot].reqW, nd.partners[en.slot].reqW; !reqBefore(aw, a.id, w, en.id) {
-			t.Fatalf("node %d: byReq out of order at %d: (%v,%d) before (%v,%d)", nd.ID, i, aw, a.id, w, en.id)
-		}
-	}
-	free := 0
-	for f := nd.freeSlot; f != 0; f = int16(nd.partners[f-1].rtt) {
-		s := int(f - 1)
-		if s < 0 || s >= len(nd.partners) || referenced[s] {
-			t.Fatalf("node %d: free list reaches slot %d of %d, referenced or out of the table, or twice", nd.ID, s, len(nd.partners))
-		}
-		referenced[s] = true
-		if p := nd.partners[s]; p.node != nil || p.have != nil || p.reqW != 0 ||
-			p.estRate != 0 || p.failures != 0 || p.loc != 0 || p.announce {
-			t.Fatalf("node %d: free slot %d holds more than its link", nd.ID, s)
-		}
-		free++
-	}
-	if free+len(nd.byID) != len(nd.partners) {
-		t.Fatalf("node %d: %d free and %d live slots in a table of %d", nd.ID, free, len(nd.byID), len(nd.partners))
 	}
 	// Every id from below the first node's to above the last's: a partner's
-	// id finds that partner's slot, any other misses.
+	// id finds that partner's record, any other misses.
 	for id := PeerID(-1); id <= PeerID(len(nd.net.nodes)); id++ {
 		got := nd.partnerByID(id)
-		i, ok := nd.byIDSearch(id)
-		if ok != (got != nil) || ok && got != &nd.partners[nd.byID[i].slot] {
-			t.Fatalf("node %d: partnerByID(%d) = %p, listed: %v", nd.ID, id, got, ok)
+		at := slices.IndexFunc(nd.partners, func(p partner) bool { return p.id == id })
+		if (at >= 0) != (got != nil) || at >= 0 && got != &nd.partners[at] {
+			t.Fatalf("node %d: partnerByID(%d) = %p, listed at %d", nd.ID, id, got, at)
 		}
 	}
 }
 
-// TestByReqInsertKeepsNaNWeightsInTail covers custom Weight
-// implementations that can produce NaN (e.g. a Product of +Inf and 0
-// factors): NaN entries must sink to an id-ordered tail and never strand
-// later inserts behind them, or bestPartner's early exit would miss
-// selectable partners.
-func TestByReqInsertKeepsNaNWeightsInTail(t *testing.T) {
-	w := buildWorld(t, 13, 4, 0)
-	nd := w.peers[0]
-	nd.partners = make([]partner, 0, nd.Profile.MaxPartners)
-	nan := math.NaN()
-	for _, r := range []struct {
-		peer int
-		reqW float64
-	}{{1, nan}, {2, 5}, {3, nan}, {0, 9}} {
-		s := nd.takeSlot()
-		nd.partners[s] = partner{node: w.peers[r.peer], reqW: r.reqW}
-		nd.byReqInsert(w.peers[r.peer].ID, s)
-	}
-	got := make([]float64, len(nd.byReq))
-	for i, en := range nd.byReq {
-		got[i] = nd.partners[en.slot].reqW
-	}
-	if len(got) != 4 || got[0] != 9 || got[1] != 5 ||
-		!math.IsNaN(got[2]) || !math.IsNaN(got[3]) {
-		t.Fatalf("byReq order = %v, want [9 5 NaN NaN]", got)
-	}
-	if nd.byReq[2].id > nd.byReq[3].id {
-		t.Error("NaN tail not id-ordered")
-	}
-	// bestPartner must reach the positive entries despite the NaNs.
-	for _, en := range nd.byReq {
-		nd.partners[en.slot].node.online = true
-	}
-	if best := nd.bestPartner(); best == nil || best.reqW != 9 {
-		t.Errorf("bestPartner = %v, want the weight-9 partner", best)
-	}
-	nd.byReq, nd.partners = nil, nil // undo the synthetic table before teardown
-}
-
-// TestPartnerTableShape pins what the table was built for: a 56-byte record,
-// 8-byte index entries, and no pointer in either index or in the
-// request round's scratch, so the collector scans none of them and shifting
-// an entry costs no write barrier. TestNodeHotHeaderFitsOneLine holds Node to
-// its size class with the table in it.
-func TestPartnerTableShape(t *testing.T) {
+// TestBestPartnerRule pins the greedy pass's pick on hand-built tables: the
+// selectable partner of highest request weight, the lowest id among equals,
+// never a NaN weight — which custom Weight implementations can produce, e.g.
+// a Product of +Inf and 0 factors — and nil when the best weight is not
+// positive. An offline partner and the source are not selectable.
+func TestBestPartnerRule(t *testing.T) {
+	w := buildWorld(t, 13, 5, 0)
+	nd, others := w.peers[0], w.peers[1:] // others' ids ascend
+	nan, inf := math.NaN(), math.Inf(1)
 	for _, c := range []struct {
-		name      string
-		got, want uintptr
+		name    string
+		weights []float64 // of others[0], others[1], ...
+		offline int       // 1 + the index of an offline partner, 0 for none
+		want    int       // the index of the pick, -1 for nil
 	}{
-		{"partner", unsafe.Sizeof(partner{}), 56},
-		{"idEntry", unsafe.Sizeof(idEntry{}), 8},
-		{"reqEntry", unsafe.Sizeof(reqEntry{}), 8},
+		{"NaNs beside real weights", []float64{nan, 5, nan, 9}, 0, 3},
+		{"all NaN", []float64{nan, nan, nan}, 0, -1},
+		{"best not positive", []float64{0, -1, nan, -0.5}, 0, -1},
+		{"a tie goes to the lowest id", []float64{nan, 7, 3, 7}, 0, 1},
+		{"infinite weights tie too", []float64{inf, nan, inf}, 0, 0},
+		{"an offline best is passed over", []float64{2, 9, nan, 1}, 2, 0},
 	} {
-		if c.got != c.want {
-			t.Errorf("%s is %d bytes, want %d", c.name, c.got, c.want)
+		nd.partners = make([]partner, 0, nd.Profile.MaxPartners)
+		for i, wt := range c.weights {
+			nd.partners = append(nd.partners, partner{id: others[i].ID, reqW: wt})
+			others[i].online = i+1 != c.offline
+		}
+		var want *partner
+		if c.want >= 0 {
+			want = &nd.partners[c.want]
+		}
+		if got := nd.bestPartner(); got != want {
+			t.Errorf("%s: bestPartner = %+v, want %+v", c.name, got, want)
 		}
 	}
-	for _, ty := range []reflect.Type{
-		reflect.TypeOf(idEntry{}),
-		reflect.TypeOf(reqEntry{}),
-		reflect.TypeOf(shardCtx{}.reqOrder).Elem(),
+	// The source, however heavy, is not a partner the greedy pass pulls from.
+	w.src.online, others[0].online = true, true
+	nd.partners = append(nd.partners[:0], partner{id: w.src.ID, reqW: 100}, partner{id: others[0].ID, reqW: 1})
+	if got := nd.bestPartner(); got != &nd.partners[1] {
+		t.Errorf("with the source as a partner: bestPartner = %+v, want the weight-1 peer", got)
+	}
+}
+
+// TestPartnerTableShape pins what the table was built for: a 56-byte record
+// whose one pointer word is its advert view, and no pointer in the request
+// round's scratch, so the collector scans one word per record and none of
+// the scratch. TestNodeHotHeaderFitsOneLine holds Node to its size class
+// with the table in it.
+func TestPartnerTableShape(t *testing.T) {
+	if size := unsafe.Sizeof(partner{}); size != 56 {
+		t.Errorf("partner is %d bytes, want 56", size)
+	}
+	for _, c := range []struct {
+		ty   reflect.Type
+		want int
+	}{
+		{reflect.TypeOf(partner{}), 1},
+		{reflect.TypeOf(shardCtx{}.reqOrder).Elem(), 0},
 	} {
-		if at := pointerIn(ty); at != "" {
-			t.Errorf("%v holds a pointer: %s", ty, at)
+		if got := pointerWords(c.ty); got != c.want {
+			t.Errorf("%v holds %d pointer words, want %d", c.ty, got, c.want)
 		}
 	}
 }
@@ -207,14 +149,13 @@ func TestPartnerTableShape(t *testing.T) {
 // partnership can form with, and an RTT the record cannot hold panics at
 // formation, naming both peers, instead of being truncated.
 func TestPartnerRecordPacksInfo(t *testing.T) {
-	other := &Node{ID: 7}
 	for loc := range 8 {
 		for _, rtt := range []time.Duration{0, 37 * time.Millisecond, math.MaxInt32} {
 			info := policy.Info{
 				SameSubnet: loc&1 != 0, SameAS: loc&2 != 0, SameCC: loc&4 != 0,
 				RTT: rtt, EstRate: units.BitRate(loc) * units.Mbps,
 			}
-			p := partner{node: other}
+			p := partner{id: 7}
 			p.pack(info, 3)
 			if got := p.info(); got != info {
 				t.Errorf("packed %+v, unpacked %+v", info, got)
@@ -226,38 +167,37 @@ func TestPartnerRecordPacksInfo(t *testing.T) {
 			t.Errorf("an RTT past 32 bits of nanoseconds: panic %q, want one naming peers 3 and 7", msg)
 		}
 	}()
-	p := partner{node: other}
+	p := partner{id: 7}
 	p.pack(policy.Info{RTT: math.MaxInt32 + 1}, 3)
 }
 
-// pointerIn names where a value of type ty holds something the collector
-// scans, "" when nowhere.
-func pointerIn(ty reflect.Type) string {
+// pointerWords counts the words of a value of type ty that the collector
+// scans.
+func pointerWords(ty reflect.Type) int {
 	switch ty.Kind() {
 	case reflect.Pointer, reflect.UnsafePointer, reflect.Map, reflect.Chan,
-		reflect.Func, reflect.Interface, reflect.Slice, reflect.String:
-		return ty.String()
+		reflect.Func, reflect.Slice, reflect.String:
+		return 1
+	case reflect.Interface:
+		return 2
 	case reflect.Array:
-		if ty.Len() > 0 {
-			if at := pointerIn(ty.Elem()); at != "" {
-				return "element " + at
-			}
-		}
+		return ty.Len() * pointerWords(ty.Elem())
 	case reflect.Struct:
+		n := 0
 		for i := range ty.NumField() {
-			if at := pointerIn(ty.Field(i).Type); at != "" {
-				return ty.Field(i).Name + " " + at
-			}
+			n += pointerWords(ty.Field(i).Type)
 		}
+		return n
 	}
-	return ""
+	return 0
 }
 
 // TestPartnerTableNeverMoves runs a flash crowd of flapping peers under the
 // congestion model — partner adds, drops, backoffs and whole-table clears all
 // the time — and requires every node's partner table and congestion table to
-// stay where its first Join put them, at MaxPartners, with the indexes sound
-// at every second.
+// keep the one backing array its first Join allocated, at MaxPartners, with
+// the table sound at every second. Records move within the array; the array
+// never moves.
 func TestPartnerTableNeverMoves(t *testing.T) {
 	cfg := testConfig()
 	cfg.Congestion = access.CongestionModel{QueueDepth: 2}
@@ -278,7 +218,7 @@ func TestPartnerTableNeverMoves(t *testing.T) {
 			if nd.partners == nil {
 				continue
 			}
-			checkPartnerIndexes(t, nd)
+			checkPartnerTable(t, nd)
 			now := tables{unsafe.SliceData(nd.partners), &(*nd.cong)[0]}
 			if was, ok := first[nd]; ok && was != now {
 				t.Fatalf("second %d: node %d's tables moved from %v to %v", sec, nd.ID, was, now)
@@ -315,39 +255,36 @@ func (tableWeight) Weight(i policy.Info) float64 {
 
 func (tableWeight) Name() string { return "table" }
 
-// tableModel is a partner table as plain data: each partner's rate and slot,
-// the free slots as a stack with the last one freed on top, and the table's
-// length.
-type tableModel struct {
-	rows map[PeerID]tableRow
-	free []int32
-	n    int
-}
-
+// tableRow is one partner of the model table: its rate and congestion entry.
 type tableRow struct {
 	rate units.BitRate
-	slot int32
+	cong partnerCong
 }
 
 // tableCoverage counts what a checked sequence exercised.
 type tableCoverage struct {
-	adds, dups, removes, rescores, leaves int
-	reused, full, nanTails                int // nanTails: NaN weights queued behind real ones
+	adds, dups, removes, rescores, marks, leaves int
+	shifted, full                                int // shifted: an add or remove that moved records
+	// bestPartner passed over a NaN weight, broke a tie, or passed over a
+	// partner in backoff that outweighed its pick.
+	nanSkipped, tiesBroken, backedOff int
 }
 
 // checkTableMatchesModel runs one node's partner table through ops, two
 // bytes a step (what, whom; what 255 is a leave and rejoin, which empties the
 // table, and otherwise half the steps are adds, so tables fill up between
-// leaves), beside a reference model, and after every step
-// audits the table (checkPartnerIndexes) and requires it to agree with the
-// model: the same ids in byID, in slots the model chose, with the model's
-// rates; byReq in the order the model's weights give; the same best partner;
-// the same free slots in the same order. The node's peers are online and
-// hold no partner, and it remembers a rate for each, so adds start with
-// every weight.
+// leaves), beside a map model, under the congestion model, and after every
+// step audits the table (checkPartnerTable) and requires it to agree with the
+// model: the model's ids, ascending, each record holding the model's rate and
+// sitting beside the model's congestion entry; partnerByID finding each; and
+// bestPartner returning the model's pick. The node's peers are online and
+// hold no partner, and it remembers a rate for each, so adds start with every
+// weight. The engine never runs, so a backoff ending after its clock holds.
 func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCoverage {
 	t.Helper()
-	w := buildWorld(t, 5, 24, 0)
+	cfg := testConfig()
+	cfg.Congestion = access.CongestionModel{QueueDepth: 2}
+	w := buildWorldCfg(t, 5, 24, 0, cfg)
 	w.net.SetTrackerPaused(true) // joins form no partnerships
 	nd, others := w.peers[0], w.peers[1:]
 	prof := *nd.Profile
@@ -360,99 +297,113 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 	for i, p := range others {
 		nd.rateMemory[p.ID] = units.BitRate(i)
 	}
-	m := tableModel{rows: make(map[PeerID]tableRow)}
+	now := w.eng.Now()
+	weight := func(r tableRow) float64 { return tableWeight{}.Weight(policy.Info{EstRate: r.rate}) }
+	m := make(map[PeerID]tableRow)
 	var cov tableCoverage
 	for step := 0; step+1 < len(ops); step += 2 {
 		other := others[int(ops[step+1])%len(others)]
-		row, listed := m.rows[other.ID]
+		row, listed := m[other.ID]
+		n := len(nd.partners)
 		switch what := ops[step]; {
 		case what == 255: // leave and rejoin
 			nd.Leave()
 			nd.Join()
-			clear(m.rows)
-			m.free, m.n = m.free[:0], 0
+			clear(m)
 			cov.leaves++
 		case what%8 < 4: // add, or a duplicate add; nothing adds past the cap
 			switch {
 			case listed:
-				nd.partners[row.slot].announce = false
+				nd.partnerByID(other.ID).announce = false
 				nd.addPartner(other)
-				if !nd.partners[row.slot].announce {
+				if !nd.partnerByID(other.ID).announce {
 					t.Fatalf("step %d: a duplicate add of %d left its row unannounced", step, other.ID)
 				}
 				cov.dups++
-			case len(m.rows) < maxPartners:
+			case len(m) < maxPartners:
 				nd.addPartner(other)
-				row = tableRow{rate: nd.rateMemory[other.ID], slot: int32(m.n)}
-				if n := len(m.free); n > 0 {
-					row.slot, m.free = m.free[n-1], m.free[:n-1]
-					cov.reused++
-				} else {
-					m.n++
-				}
-				m.rows[other.ID] = row
+				m[other.ID] = tableRow{rate: nd.rateMemory[other.ID]}
 				cov.adds++
-				if len(m.rows) == maxPartners {
+				if i, _ := nd.partnerSearch(other.ID); i < n {
+					cov.shifted++
+				}
+				if len(m) == maxPartners {
 					cov.full++
 				}
 			}
 		case what%8 < 6: // remove, listed or not
+			if i, ok := nd.partnerSearch(other.ID); ok && i < n-1 {
+				cov.shifted++
+			}
 			nd.removePartner(other.ID)
 			if listed {
-				delete(m.rows, other.ID)
-				m.free = append(m.free, row.slot)
+				delete(m, other.ID)
 				cov.removes++
 			}
-		case listed: // a new rate, and with it a new weight
-			rate := units.BitRate(ops[step+1]) >> 1
-			nd.partners[row.slot].estRate = rate
-			nd.rescore(row.slot)
-			row.rate = rate
-			m.rows[other.ID] = row
+		case !listed:
+		case what%8 == 6: // a new rate, and with it a new weight
+			p := nd.partnerByID(other.ID)
+			p.estRate = units.BitRate(ops[step+1]) >> 1
+			nd.rescore(p)
+			row.rate = p.estRate
+			m[other.ID] = row
 			cov.rescores++
+		default: // congestion observations: a loss level naming the step, a backoff on or off
+			i, _ := nd.partnerSearch(other.ID)
+			row.cong = partnerCong{lossEWMA: float64(step)}
+			if ops[step+1]&1 != 0 {
+				row.cong.backoffUntil = now.Add(time.Second)
+			}
+			(*nd.cong)[i] = row.cong
+			m[other.ID] = row
+			cov.marks++
 		}
-		checkPartnerIndexes(t, nd)
+		checkPartnerTable(t, nd)
 
-		weight := func(en reqEntry) float64 { return tableWeight{}.Weight(policy.Info{EstRate: m.rows[en.id].rate}) }
-		var wantID []idEntry
-		var wantReq []reqEntry
-		for id, row := range m.rows {
-			wantID = append(wantID, idEntry{id: id, slot: row.slot})
-			wantReq = append(wantReq, reqEntry{id: id, slot: row.slot})
-			if got := nd.partners[row.slot].estRate; got != row.rate {
-				t.Fatalf("step %d: partner %d's rate %d, the model says %d", step, id, got, row.rate)
+		ids := slices.Sorted(maps.Keys(m))
+		if len(nd.partners) != len(ids) {
+			t.Fatalf("step %d: %d records, the model %d", step, len(nd.partners), len(ids))
+		}
+		for i, id := range ids {
+			p, c := &nd.partners[i], (*nd.cong)[i]
+			if want := m[id]; p.id != id || p.estRate != want.rate || c != want.cong {
+				t.Fatalf("step %d: record %d is partner %d at rate %d beside %+v, the model's partner %d at rate %d with %+v",
+					step, i, p.id, p.estRate, c, id, want.rate, want.cong)
 			}
 		}
-		slices.SortFunc(wantID, func(a, b idEntry) int { return int(a.id - b.id) })
-		slices.SortFunc(wantReq, func(a, b reqEntry) int {
-			if reqBefore(weight(a), a.id, weight(b), b.id) {
-				return -1
+
+		// The model's pick: of the partners out of backoff with a real,
+		// positive weight, the heaviest, the lowest id among equals.
+		wantID := PeerID(-1)
+		for id, row := range m {
+			wt := weight(row)
+			if row.cong.backoffUntil > now || math.IsNaN(wt) || wt <= 0 {
+				continue
 			}
-			return 1
-		})
-		if !slices.Equal(nd.byID, wantID) {
-			t.Fatalf("step %d: byID %v, the model %v", step, nd.byID, wantID)
+			if best := weight(m[wantID]); wantID < 0 || wt > best || wt == best && id < wantID {
+				wantID = id
+			}
 		}
-		if !slices.Equal(nd.byReq, wantReq) {
-			t.Fatalf("step %d: byReq %v, the model %v", step, nd.byReq, wantReq)
+		var want *partner
+		if wantID >= 0 {
+			want = nd.partnerByID(wantID)
 		}
-		var wantBest *partner
-		if len(wantReq) > 0 && weight(wantReq[0]) > 0 {
-			wantBest = &nd.partners[wantReq[0].slot]
+		if got := nd.bestPartner(); got != want {
+			t.Fatalf("step %d: bestPartner %+v, the model's %+v", step, got, want)
 		}
-		if n := len(wantReq); n > 1 && !math.IsNaN(weight(wantReq[0])) && math.IsNaN(weight(wantReq[n-1])) {
-			cov.nanTails++
-		}
-		if got := nd.bestPartner(); got != wantBest {
-			t.Fatalf("step %d: bestPartner %p, the model's %p", step, got, wantBest)
-		}
-		var free []int32
-		for f := nd.freeSlot; f != 0; f = int16(nd.partners[f-1].rtt) {
-			free = append(free, int32(f-1))
-		}
-		slices.Reverse(free)
-		if len(nd.partners) != m.n || !slices.Equal(free, m.free) {
-			t.Fatalf("step %d: table of %d with free slots %v (oldest first), the model %d and %v", step, len(nd.partners), free, m.n, m.free)
+		for id, row := range m {
+			switch wt := weight(row); {
+			case math.IsNaN(wt):
+				if wantID >= 0 {
+					cov.nanSkipped++
+				}
+			case row.cong.backoffUntil > now:
+				if wt > 0 && (wantID < 0 || wt >= weight(m[wantID])) {
+					cov.backedOff++
+				}
+			case wantID >= 0 && id > wantID && wt == weight(m[wantID]):
+				cov.tiesBroken++
+			}
 		}
 	}
 	return cov
@@ -460,7 +411,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 
 // TestPartnerTableMatchesModel runs seeded random sequences through
 // checkTableMatchesModel at three table sizes and insists they reached the
-// table's every path (a table of one cannot queue a NaN behind anything).
+// table's every path (a table of one shifts nothing and ties nothing).
 func TestPartnerTableMatchesModel(t *testing.T) {
 	for _, size := range []int{1, 4, 14} {
 		rng := rand.New(rand.NewSource(int64(size)))
@@ -468,17 +419,21 @@ func TestPartnerTableMatchesModel(t *testing.T) {
 		rng.Read(ops)
 		cov := checkTableMatchesModel(t, size, ops)
 		t.Logf("MaxPartners %d: %+v", size, cov)
-		if cov.adds == 0 || cov.dups == 0 || cov.removes == 0 || cov.rescores == 0 || cov.leaves == 0 ||
-			cov.reused == 0 || cov.full == 0 || cov.nanTails == 0 && size > 1 {
+		if cov.adds == 0 || cov.dups == 0 || cov.removes == 0 || cov.rescores == 0 || cov.marks == 0 ||
+			cov.leaves == 0 || cov.full == 0 || cov.backedOff == 0 ||
+			size > 1 && (cov.shifted == 0 || cov.nanSkipped == 0 || cov.tiesBroken == 0) {
 			t.Errorf("MaxPartners %d: some path never ran: %+v", size, cov)
 		}
 	}
 }
 
 // FuzzPartnerTable lets the fuzzer choose the table size and the operations.
+// The third seed is a NaN-weight profile: an all-NaN table, real weights
+// added beside it, a tie, backoffs over the best.
 func FuzzPartnerTable(f *testing.F) {
 	f.Add(uint8(3), []byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 2, 0, 9, 6, 4, 1, 9, 7, 9, 255, 0, 0, 5})
 	f.Add(uint8(13), []byte{0, 8, 0, 9, 0, 13, 6, 9, 7, 13, 4, 8, 0, 7, 2, 7, 5, 9, 255, 7})
+	f.Add(uint8(5), []byte{0, 4, 0, 9, 0, 14, 0, 2, 0, 3, 0, 8, 0, 13, 6, 9, 7, 3, 7, 31, 4, 3, 255, 0, 0, 4})
 	f.Fuzz(func(t *testing.T, maxPartners uint8, ops []byte) {
 		if len(ops) > 2048 {
 			ops = ops[:2048]

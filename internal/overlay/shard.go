@@ -105,7 +105,7 @@ func (net *Network) signalCross(a, b *Node, size units.ByteSize, kind packet.Kin
 // remote partner add) at the responder, completion at the initiator.
 func (nd *Node) handshakeCross(other *Node) {
 	nd.rememberNeighbor(other.ID)
-	want := len(nd.byID) < nd.Profile.MaxPartners
+	want := len(nd.partners) < nd.Profile.MaxPartners
 	nd.net.signalCross(nd, other, handshakeSize, packet.Signaling, func() {
 		other.handshakeAccept(nd, want)
 	})
@@ -115,7 +115,7 @@ func (nd *Node) handshakeCross(other *Node) {
 // executing on the responder's shard at offer arrival.
 func (nd *Node) handshakeAccept(from *Node, want bool) {
 	nd.rememberNeighbor(from.ID)
-	accept := want && len(nd.byID) < nd.Profile.MaxPartners
+	accept := want && len(nd.partners) < nd.Profile.MaxPartners
 	if accept {
 		nd.addPartner(from)
 	}
@@ -134,7 +134,7 @@ func (nd *Node) handshakeComplete(other *Node, accepted bool) {
 	if nd.partnerByID(other.ID) != nil {
 		return
 	}
-	if len(nd.byID) < nd.Profile.MaxPartners {
+	if len(nd.partners) < nd.Profile.MaxPartners {
 		nd.addPartner(other)
 		return
 	}
@@ -153,7 +153,7 @@ func (nd *Node) gossipCross(c *Node) {
 	}
 	nd.rememberNeighbor(c.ID)
 	want := false
-	if len(nd.byID) < nd.Profile.PartnerTarget {
+	if len(nd.partners) < nd.Profile.PartnerTarget {
 		info := nd.infoFor(c)
 		w := nd.Profile.DiscoveryWeight.Weight(info)
 		base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
@@ -174,7 +174,7 @@ func (nd *Node) gossipReply(from *Node, want bool) {
 		theirs = gossipMaxEntries
 	}
 	nd.rememberNeighbor(from.ID)
-	accept := want && len(nd.byID) < nd.Profile.MaxPartners
+	accept := want && len(nd.partners) < nd.Profile.MaxPartners
 	if accept {
 		nd.addPartner(from)
 	}

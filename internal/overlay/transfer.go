@@ -227,11 +227,10 @@ func (nd *Node) onReject(from PeerID, id chunkstream.ChunkID) {
 		return
 	}
 	nd.settleRequest(id, from)
-	if s, ok := nd.partnerSlot(from); ok {
-		p := &nd.partners[s]
+	if p := nd.partnerByID(from); p != nil {
 		p.fail()
 		p.estRate = p.estRate * 3 / 4
-		nd.rescore(s)
+		nd.rescore(p)
 	}
 }
 
@@ -251,13 +250,13 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, burst time
 			nd.sc.ledger.DiffusionChunks++
 		}
 	}
-	if s, ok := nd.partnerSlot(from); ok {
-		p := &nd.partners[s]
+	if i, ok := nd.partnerSearch(from); ok {
+		p := &nd.partners[i]
 		p.failures = 0
 		if nd.net.congestionOn() {
 			// A successful delivery decays the observed-loss estimate and
 			// lifts any standing backoff: the partner is reachable again.
-			c := &(*nd.cong)[s]
+			c := &(*nd.cong)[i]
 			c.lossEWMA *= lossEWMARetain
 			c.backoffUntil = 0
 		}
@@ -272,7 +271,7 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, burst time
 				// EWMA with 0.7 retention: smooth but responsive.
 				p.estRate = (p.estRate*7 + sample*3) / 10
 			}
-			nd.rescore(s)
+			nd.rescore(p)
 			if nd.rateMemory != nil {
 				nd.rateMemory[from] = p.estRate
 			}
