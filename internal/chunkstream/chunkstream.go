@@ -213,40 +213,67 @@ func (m *BufferMap) LoadSnapshot(base ChunkID, bits []uint64) {
 	m.clearTail()
 }
 
-// Advert is one published announcement of a buffer map: word 0 is the base
-// chunk id, the remaining words the bitfield, all in one allocation. The
-// publisher rewrites it in place once per signalling round and hands the
-// slice header to whoever should see its holdings, so an announcement costs
-// the same whatever the number of partners viewing it. The nil Advert
-// advertises nothing.
-type Advert []uint64
+// MaxWindow is the widest buffer map an Advert can carry, in chunks: three
+// bit words, twice the default 90-chunk window. Every advert block is this
+// wide whatever the window, so an advert is one pointer rather than a slice
+// header whose length and capacity would be the same for every advert of a
+// network.
+const MaxWindow = 192
 
-// Publish writes the map's current holdings into a and returns it. A nil (or
-// too small) a is replaced by a fresh allocation, which is how a publisher
-// starts an announcement nobody holding the previous one can see change.
+// advertWords is an advert block's size: the base word, then the bit words.
+const advertWords = 1 + MaxWindow/64
+
+// Advert is one published announcement of a buffer map: a pointer to one
+// fixed-width block whose word 0 is the base chunk id and whose remaining
+// words are the bitfield. The publisher rewrites the block in place once per
+// signalling round and hands the pointer to whoever should see its holdings,
+// so an announcement costs the same whatever the number of partners viewing
+// it. The zero Advert advertises nothing. Adverts compare equal when they
+// view the same block.
+type Advert struct {
+	w *[advertWords]uint64
+}
+
+// Publish writes the map's current holdings into a's block and returns a,
+// zeroing every bit word past the map's own. The zero a is given a fresh
+// block, which is how a publisher starts an announcement nobody holding the
+// previous one can see change. A map wider than MaxWindow panics.
 func (m *BufferMap) Publish(a Advert) Advert {
-	if n := 1 + len(m.bits); cap(a) < n {
-		a = make(Advert, n)
-	} else {
-		a = a[:n]
+	if len(m.bits) > advertWords-1 {
+		panic(fmt.Sprintf("chunkstream: window %d past the advert's MaxWindow %d", m.window, MaxWindow))
 	}
-	a[0] = uint64(m.base)
-	copy(a[1:], m.bits)
+	if a.w == nil {
+		a.w = new([advertWords]uint64)
+	}
+	a.w[0] = uint64(m.base)
+	n := 1 + copy(a.w[1:], m.bits)
+	clear(a.w[n:])
 	return a
 }
 
 // Has reports whether the announcement lists id, exactly as the published
 // map's Has did at Publish time: bits past the window are zero in a
-// BufferMap, so the word count bounds the window well enough.
+// BufferMap, and Publish zeroes the words past the map's, so the block's
+// width bounds the window well enough.
 func (a Advert) Has(id ChunkID) bool {
-	if len(a) == 0 {
+	if a.w == nil {
 		return false
 	}
-	off := uint64(id - ChunkID(a[0])) // below base wraps past every window
-	if off >= uint64(len(a)-1)*64 {
+	off := uint64(id - ChunkID(a.w[0])) // below base wraps past every window
+	if off >= MaxWindow {
 		return false
 	}
-	return a[1+off/64]&(1<<(off%64)) != 0
+	return a.w[1+off/64]&(1<<(off%64)) != 0
+}
+
+// Clone returns an advert viewing a copy of a's block, which later rewrites
+// of a leave unchanged. The zero Advert clones to itself.
+func (a Advert) Clone() Advert {
+	if a.w == nil {
+		return a
+	}
+	w := *a.w
+	return Advert{w: &w}
 }
 
 // Playout tracks in-order delivery to the decoder and accounts continuity:

@@ -243,6 +243,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	if err := cfg.Congestion.Validate(); err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
+	if cfg.BufferWindow > chunkstream.MaxWindow {
+		return nil, fmt.Errorf("experiment: BufferWindow %d is past chunkstream.MaxWindow %d", cfg.BufferWindow, chunkstream.MaxWindow)
+	}
 	prof := cfg.Profile
 	if prof == nil {
 		var err error

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"napawine/internal/chunkstream"
 	"napawine/internal/core"
 	"napawine/internal/scenario"
 )
@@ -250,6 +251,15 @@ func TestSortResults(t *testing.T) {
 func TestUnknownAppFails(t *testing.T) {
 	if _, err := Run(Config{App: "Zattoo", Seed: 1, Duration: time.Second}); err == nil {
 		t.Error("unknown app should fail")
+	}
+}
+
+// TestWindowPastAdvertFails: a window no advert can carry is an error before
+// the world is built, not a panic at the first signalling tick.
+func TestWindowPastAdvertFails(t *testing.T) {
+	cfg := Config{App: "TVAnts", Seed: 1, Duration: time.Second, BufferWindow: chunkstream.MaxWindow + 1}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "BufferWindow") {
+		t.Errorf("window %d: err = %v, want one naming BufferWindow", cfg.BufferWindow, err)
 	}
 }
 

@@ -10,12 +10,13 @@ import (
 
 // perPeerHeapBudget bounds what a 2 000-peer PPLive swarm adds to the live
 // heap, per peer, with every peer joined: topology, nodes, partner records,
-// adverts, ledger columns and queued events together. It measures 4 642 to
-// 4 660 B (alone, in the package run, under -race) with each node's partner
-// records held by value in one id-ordered table of MaxPartners 56-byte
-// slots, no index beside it, and Node in the 352-byte size class — under
-// 5 000 B. History: 13 645 B before selection scratch moved from the node to
-// the shard and partner records began viewing one published advert; 7 939 to
+// adverts, ledger columns and queued events together. It measures 4 090 to
+// 4 109 B (alone, in the package run, under -race) with each node's partner
+// records held by value in one id-ordered table of MaxPartners 40-byte
+// slots, each viewing its remote's advert through one pointer to a
+// fixed-width block, and Node in the 320-byte size class. History: 13 645 B
+// before selection scratch moved from the node to the shard and partner
+// records began viewing one published advert; 7 939 to
 // 8 007 B while every session held four ticker closures and their cancel
 // slice and the wheel's slots each kept their own grown capacity; 7 441 to
 // 7 460 B while probes staged whole packet.Records; 7 415 to 7 433 B while
@@ -26,11 +27,13 @@ import (
 // request-index entry copied the request weight; 5 333 to 5 351 B while an
 // id index and a weight-ordered request index of 8-byte (id, slot) entries
 // sat beside the table, which kept a free list of its slots, and Node was in
-// the 384-byte class. Five virtual seconds in, no neighbour list is long
-// enough to own a membership filter, so that costs nothing here. The budget
-// (5 600 → 4 900) is the measurement plus 5 %, so a quarter of a KB of
-// per-node state cannot come back unnoticed.
-const perPeerHeapBudget = 4_900
+// the 384-byte class; 4 642 to 4 660 B while each 56-byte record viewed the
+// advert through a 24-byte slice header and Node was in the 352-byte class.
+// Five virtual seconds in, no neighbour list is long enough to own a
+// membership filter, so that costs nothing here. The budget (4 900 → 4 300)
+// is the measurement plus 5 %, so a fifth of a KB of per-node state cannot
+// come back unnoticed.
+const perPeerHeapBudget = 4_300
 
 // TestPerPeerFootprint measures from inside the run, at the first series
 // sample after the join ramp, while the whole swarm is still reachable.

@@ -49,13 +49,16 @@ func TestAdvertViewRules(t *testing.T) {
 	if xa == nil || ax == nil {
 		t.Fatal("handshake formed no partnership")
 	}
-	if xa.have != nil || ax.have != nil {
+	if xa.have != (chunkstream.Advert{}) || ax.have != (chunkstream.Advert{}) {
 		t.Fatal("a new record starts with a view")
 	}
 	wantSees(t, "before A's tick", xa, ids)
 	x.signalingTick() // X's row for A is announced and its flag cleared
 	a.signalingTick()
 	wantSees(t, "after A's tick", xa, ids, 50)
+	if xa.have != a.advert {
+		t.Error("same-shard record does not view the sender's live advert")
+	}
 	if ax.announce || xa.announce {
 		t.Error("announce flags survive the tick that served them")
 	}
@@ -108,7 +111,7 @@ func TestAdvertViewRules(t *testing.T) {
 	// A removed record leaves nothing pinned past the table's length: the
 	// slot it vacated gives up its view with everything else.
 	x.dropPartner(a.ID)
-	if len(x.partners) != 0 || xa != &x.partners[:1][0] || xa.have != nil || xa.id != 0 {
+	if len(x.partners) != 0 || xa != &x.partners[:1][0] || xa.have != (chunkstream.Advert{}) || xa.id != 0 {
 		t.Error("the vacated slot still holds a view or an id")
 	}
 	checkPartnerTable(t, x)
@@ -152,12 +155,12 @@ func TestAdvertViewRulesAcrossShards(t *testing.T) {
 		t.Fatal("cross-shard handshake formed no partnership")
 	}
 	a.buf.Set(50)
-	if xa.have != nil {
+	if xa.have != (chunkstream.Advert{}) {
 		t.Fatal("a new record starts with a view")
 	}
 	at(1900 * time.Millisecond)
 	wantSees(t, "after A's first push", xa, ids, 50)
-	if &xa.have[0] == &a.advert[0] {
+	if xa.have == a.advert {
 		t.Fatal("cross-shard record views the sender's live advert")
 	}
 
@@ -177,7 +180,7 @@ func TestAdvertViewRulesAcrossShards(t *testing.T) {
 	if xa == nil || a.partnerByID(x.ID) == nil {
 		t.Fatal("second cross-shard handshake formed no partnership")
 	}
-	if xa.have != nil {
+	if xa.have != (chunkstream.Advert{}) {
 		t.Fatal("re-created record starts with a view")
 	}
 	at(3800 * time.Millisecond)

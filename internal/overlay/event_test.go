@@ -11,12 +11,12 @@ import (
 // TestNodeHotHeaderFitsOneLine pins the layout the partner walk relies on:
 // everything a tick reads of somebody else's node — shard, spool, id, source
 // and online flags — ends within the node's first 32 bytes. Node's size class
-// (352 bytes) aligns objects to 32, so those bytes never straddle a cache
+// (320 bytes) aligns objects to 64, so those bytes never straddle a cache
 // line.
 func TestNodeHotHeaderFitsOneLine(t *testing.T) {
 	var nd Node
-	if size := unsafe.Sizeof(nd); size > 352 {
-		t.Errorf("Node is %d bytes, past the 352-byte size class", size)
+	if size := unsafe.Sizeof(nd); size > 320 {
+		t.Errorf("Node is %d bytes, past the 320-byte size class", size)
 	}
 	for _, f := range []struct {
 		name string

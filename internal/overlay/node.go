@@ -16,19 +16,22 @@ import (
 )
 
 // partner is the per-neighbour state a node keeps for peers it actively
-// exchanges video with: one 56-byte record, held by value in the node's
+// exchanges video with: one 40-byte record, held by value in the node's
 // partner table (Node.partners). The remote is named by id and resolved
 // through Network.nodes where a loop needs it, so the record's one pointer is
 // its view. The policy-visible facts are packed — locality as three bits, the
 // RTT as 32 bits of nanoseconds — and rebuilt into a policy.Info (info) only
-// where a Weight reads one.
+// where a Weight reads one. The two 32-bit fields share the first word.
 type partner struct {
 	id PeerID
+	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
+	// formation (addPartner).
+	rtt int32
 	// have is a view of the buffer map the partner last announced to this
-	// node: the slice header of the remote's published advert (same shard)
-	// or of the immutable copy its push message carried (across shards).
-	// Nothing here owns or copies the words. Nil — nothing advertised — from
-	// the record's creation until the remote's next signalling tick aims it.
+	// node: the remote's published advert (same shard) or the clone its push
+	// message carried (across shards). Nothing here owns or copies the words.
+	// Zero — nothing advertised — from the record's creation until the
+	// remote's next signalling tick aims it.
 	have chunkstream.Advert
 	// reqW caches the profile's request-time weight for this pair, which
 	// requestChunk and bestPartner read. The locality facts and the RTT are
@@ -39,9 +42,6 @@ type partner struct {
 	reqW float64
 	// estRate is the running delivery-rate estimate (policy.Info.EstRate).
 	estRate units.BitRate
-	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
-	// formation (addPartner).
-	rtt int32
 	// consecutive failures (timeouts/rejections) since the last success,
 	// saturating (fail): every test of it compares with a limit of at most
 	// congestionFailureLimit, so a saturated count reads like a larger one.
@@ -50,7 +50,7 @@ type partner struct {
 	// announce marks a row whose remote side has not been aimed at this
 	// node's advert yet. addPartner sets it both when it creates the row and
 	// when it finds the row already there: the remote may have left,
-	// rejoined unnoticed and re-created its side with a nil view. The
+	// rejoined unnoticed and re-created its side with a zero view. The
 	// node's next signalling tick does the one search of the remote's table,
 	// aims the remote's row and clears the flag; from then on rewriting the
 	// advert in place is the whole announcement.
@@ -437,7 +437,7 @@ func (nd *Node) Join() {
 	} else {
 		nd.play.Reset(start)
 	}
-	nd.advert = nil
+	nd.advert = chunkstream.Advert{}
 	if nd.partners == nil {
 		nd.partners = make([]partner, 0, nd.Profile.MaxPartners)
 		nd.inflight = make(inflightSet, 0, nd.Profile.MaxInflight)
@@ -923,16 +923,16 @@ func (nd *Node) signalingTick() {
 		nd.dropDeadPartners()
 		nd.advert = nd.buf.Publish(nd.advert)
 		size := nd.buf.WireSize() + 40 // header overhead
-		// Cross-shard partners receive an immutable copy of this tick's
-		// advert (one copy shared by all of them): the advert will be
-		// rewritten, on this shard's goroutine, before their messages arrive.
+		// Cross-shard partners receive a clone of this tick's advert (one
+		// clone shared by all of them): the advert will be rewritten, on this
+		// shard's goroutine, before their messages arrive.
 		var crossAd chunkstream.Advert
 		for i := range nd.partners {
 			p := &nd.partners[i]
 			other := nd.net.nodes[p.id]
 			if !sameShard(nd, other) {
-				if crossAd == nil {
-					crossAd = slices.Clone(nd.advert)
+				if crossAd == (chunkstream.Advert{}) {
+					crossAd = nd.advert.Clone()
 				}
 				nd.pushBufferMapCross(other, size, crossAd)
 				continue

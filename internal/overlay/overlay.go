@@ -137,6 +137,10 @@ func (c *Config) validate() {
 	if c.BufferWindow <= 0 {
 		panic("overlay: non-positive buffer window")
 	}
+	if c.BufferWindow > chunkstream.MaxWindow {
+		panic(fmt.Sprintf("overlay: BufferWindow %d is past chunkstream.MaxWindow %d, the widest map an advert carries",
+			c.BufferWindow, chunkstream.MaxWindow))
+	}
 	if c.TrackerBatch <= 0 {
 		panic("overlay: non-positive tracker batch")
 	}

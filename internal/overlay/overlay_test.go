@@ -1,7 +1,9 @@
 package overlay
 
 import (
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -362,6 +364,7 @@ func TestProfileValidation(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	for i, mutate := range []func(*Config){
 		func(c *Config) { c.BufferWindow = 0 },
+		func(c *Config) { c.BufferWindow = chunkstream.MaxWindow + 1 },
 		func(c *Config) { c.TrackerBatch = 0 },
 		func(c *Config) { c.UplinkBusyCap = 0 },
 	} {
@@ -376,6 +379,16 @@ func TestConfigValidation(t *testing.T) {
 			c.validate()
 		}()
 	}
+	// The window check names the field and the bound it is past.
+	c := testConfig()
+	c.BufferWindow = chunkstream.MaxWindow + 1
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "BufferWindow") || !strings.Contains(msg, "chunkstream.MaxWindow") {
+			t.Errorf("window past the advert: panic %q names neither BufferWindow nor chunkstream.MaxWindow", msg)
+		}
+	}()
+	c.validate()
 }
 
 func TestSecondSourcePanics(t *testing.T) {

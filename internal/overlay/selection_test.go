@@ -123,14 +123,14 @@ func TestBestPartnerRule(t *testing.T) {
 	}
 }
 
-// TestPartnerTableShape pins what the table was built for: a 56-byte record
+// TestPartnerTableShape pins what the table was built for: a 40-byte record
 // whose one pointer word is its advert view, and no pointer in the request
 // round's scratch, so the collector scans one word per record and none of
 // the scratch. TestNodeHotHeaderFitsOneLine holds Node to its size class
 // with the table in it.
 func TestPartnerTableShape(t *testing.T) {
-	if size := unsafe.Sizeof(partner{}); size != 56 {
-		t.Errorf("partner is %d bytes, want 56", size)
+	if size := unsafe.Sizeof(partner{}); size != 40 {
+		t.Errorf("partner is %d bytes, want 40", size)
 	}
 	for _, c := range []struct {
 		ty   reflect.Type

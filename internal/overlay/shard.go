@@ -184,7 +184,7 @@ func (nd *Node) gossipReply(from *Node, want bool) {
 }
 
 // pushBufferMapCross carries one signaling-tick buffer-map push to a
-// partner on another shard. ad is an immutable copy of this tick's advert,
+// partner on another shard. ad is a clone of this tick's advert,
 // shared by every cross push of the tick; the receiving record views it the
 // way a same-shard record views the live advert, and the next push replaces
 // the view.
