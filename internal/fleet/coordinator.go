@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net"
 	"net/http"
@@ -87,7 +88,7 @@ type Coordinator struct {
 	cells     []cellState
 	remaining int             // cells not yet done
 	workers   map[string]bool // worker names seen, for join logging
-	failErr   error           // first cell failure, by lowest grid index
+	failErr   error           // first cell failure, by lowest grid index, labelled with its cell
 	failIdx   int
 
 	done   chan struct{} // closed when remaining hits 0
@@ -419,10 +420,12 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if res.Error != "" {
+		// The worker posts the cell's own error; the study error names the
+		// cell here, once, as study.Run does, and observers get it bare.
 		info := c.attributed(res.Index, res.Worker)
-		err := fmt.Errorf("%s: %s", info.Label(), res.Error)
+		err := errors.New(res.Error)
 		if c.failIdx == -1 || res.Index < c.failIdx {
-			c.failIdx, c.failErr = res.Index, err
+			c.failIdx, c.failErr = res.Index, fmt.Errorf("%s: %w", info.Label(), err)
 		}
 		c.cells[res.Index] = cellState{state: statePending}
 		first := c.failIdx == res.Index

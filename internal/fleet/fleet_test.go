@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
+	"napawine/internal/scenario"
 	"napawine/internal/study"
 )
 
@@ -468,6 +469,50 @@ func TestFleetCellErrorFailsStudy(t *testing.T) {
 	}
 	if rep := leaseAs(t, addr, "wB"); rep.Status != StatusFailed || !strings.Contains(rep.Error, "disk on fire") {
 		t.Fatalf("lease after failure answered %+v, want failed", rep)
+	}
+}
+
+// TestFleetCellErrorMatchesLocalRun: the same failing study — an arrivals
+// window over an empty deferred pool, which only fails at run time — fails
+// with the same study error run locally and through a coordinator with one
+// worker, and observers see the same OnRunDone error under both executors:
+// the cell is labelled once, where the study error is formed.
+func TestFleetCellErrorMatchesLocalRun(t *testing.T) {
+	st := &study.Study{
+		Name: "fleet-doomed", Apps: []string{"TVAnts"}, Seeds: []int64{1, 2},
+		Scenarios: []study.Scenario{{Spec: &scenario.Spec{
+			Name:   "doomed",
+			Events: []scenario.Event{{Kind: scenario.Arrivals, From: 0.1, To: 0.2}},
+		}}},
+		Duration: study.Duration(15 * time.Second), PeerFactor: 0.05,
+	}
+	localObs := newObsRec()
+	_, localErr := study.Run(context.Background(), st, study.WithWorkers(1), study.WithObserver(localObs))
+	if localErr == nil {
+		t.Fatal("doomed study succeeded locally")
+	}
+
+	fleetObs := newObsRec()
+	coord, err := NewCoordinator(CoordinatorConfig{
+		Study: st, Addr: "127.0.0.1:0", Observers: []study.Observer{fleetObs}, Log: t.Logf,
+	})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1, ExplicitWorkers: true, Log: t.Logf})
+	_, fleetErr := coord.Wait(ctx)
+	if fleetErr == nil || fleetErr.Error() != localErr.Error() {
+		t.Errorf("fleet study error differs from the local one:\nfleet %v\nlocal %v", fleetErr, localErr)
+	}
+	if werr == nil || werr.Error() != localErr.Error() {
+		t.Errorf("worker exit error differs from the local study error:\nworker %v\nlocal  %v", werr, localErr)
+	}
+	local, fleet := localObs.errs[0], fleetObs.errs[0]
+	if local == nil || fleet == nil || local.Error() != fleet.Error() {
+		t.Errorf("OnRunDone error differs between executors:\nfleet %v\nlocal %v", fleet, local)
 	}
 }
 

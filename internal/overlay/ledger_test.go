@@ -9,20 +9,19 @@ import (
 // below n with zeros and never shrinks or disturbs what is there, merge
 // adds element-wise whichever side is longer.
 func TestLedgerGrowAndMerge(t *testing.T) {
-	// full builds a ledger whose VideoRx and ChunksServed (first and last
-	// column) hold the given rows; every other column is zeros of the same
-	// length.
+	// full builds a ledger whose two per-peer columns, VideoRx and VideoTx,
+	// both hold the given rows.
 	full := func(rows ...int64) *Ledger {
 		l := newLedger()
 		l.grow(len(rows))
 		copy(l.VideoRx, rows)
-		copy(l.ChunksServed, rows)
+		copy(l.VideoTx, rows)
 		return l
 	}
 	for _, tc := range []struct {
 		name     string
 		dst, src *Ledger
-		want     []int64 // VideoRx and ChunksServed of dst after dst.merge(src)
+		want     []int64 // VideoRx and VideoTx of dst after dst.merge(src)
 	}{
 		{"equal length", full(1, 2, 3), full(10, 20, 30), []int64{11, 22, 33}},
 		{"src longer", full(1), full(10, 20, 30), []int64{11, 20, 30}},
@@ -32,8 +31,8 @@ func TestLedgerGrowAndMerge(t *testing.T) {
 	} {
 		tc.src.SignalTotal = 7
 		tc.dst.merge(tc.src)
-		if !slices.Equal(tc.dst.VideoRx, tc.want) || !slices.Equal(tc.dst.ChunksServed, tc.want) {
-			t.Errorf("%s: VideoRx %v, ChunksServed %v, want %v", tc.name, tc.dst.VideoRx, tc.dst.ChunksServed, tc.want)
+		if !slices.Equal(tc.dst.VideoRx, tc.want) || !slices.Equal(tc.dst.VideoTx, tc.want) {
+			t.Errorf("%s: VideoRx %v, VideoTx %v, want %v", tc.name, tc.dst.VideoRx, tc.dst.VideoTx, tc.want)
 		}
 		for i, col := range tc.dst.peerColumns() {
 			if len(*col) != len(tc.want) {

@@ -177,13 +177,10 @@ type Ledger struct {
 	// Totals per node, indexed by PeerID: ids are dense (AddNode hands out
 	// len(nodes) and grows every shard's columns to cover the new id).
 	VideoRx, VideoTx []int64
-	SignalTx         []int64
-	ChunksServed     []int64
 
 	// Swarm-wide totals: every number the experiment layer reports comes
 	// from these scalars and the per-AS tallies below, never from a
-	// per-peer column. The first two mirror the sums of SignalTx and
-	// ChunksServed.
+	// per-peer column.
 	SignalTotal       int64
 	ChunksServedTotal int64
 	// Congestion accounting: transfers an uplink queue tail-dropped, lost
@@ -231,8 +228,8 @@ func newLedger() *Ledger {
 }
 
 // peerColumns lists the per-peer columns, for grow and merge.
-func (l *Ledger) peerColumns() [4]*[]int64 {
-	return [4]*[]int64{&l.VideoRx, &l.VideoTx, &l.SignalTx, &l.ChunksServed}
+func (l *Ledger) peerColumns() [2]*[]int64 {
+	return [2]*[]int64{&l.VideoRx, &l.VideoTx}
 }
 
 // grow extends every per-peer column to cover ids below n.
@@ -253,16 +250,6 @@ func (l *Ledger) video(from, to PeerID, n int64, toAS topology.ASN, sameAS bool)
 		l.VideoIntraAS += n
 		l.VideoIntraByAS[toAS] += n
 	}
-}
-
-func (l *Ledger) signal(from PeerID, n int64) {
-	l.SignalTx[from] += n
-	l.SignalTotal += n
-}
-
-func (l *Ledger) chunkServed(id PeerID) {
-	l.ChunksServed[id]++
-	l.ChunksServedTotal++
 }
 
 // shardCtx is the execution context of one shard: its engine (clock + RNG

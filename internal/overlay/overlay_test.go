@@ -434,10 +434,11 @@ func BenchmarkSwarm20Peers30s(b *testing.B) {
 // activity behind (a left peer emits nothing once its stale ticks drain).
 func TestRejoinAfterOutageResumesCleanly(t *testing.T) {
 	w := buildWorld(t, 11, 20, 4)
+	victim := w.peers[4]
+	capture := w.net.AttachSniffer(victim)
 	w.startAll()
 	w.eng.Run(30 * time.Second)
 
-	victim := w.peers[4]
 	w.net.SetTrackerPaused(true)
 	victim.Leave()
 	if victim.Online() || victim.Partners() != 0 {
@@ -445,13 +446,20 @@ func TestRejoinAfterOutageResumesCleanly(t *testing.T) {
 	}
 
 	// Drain the one no-op firing each cancelled periodic tick gets, then
-	// the victim must be completely silent: no signaling, no video.
-	w.eng.Run(50 * time.Second)
-	sigAtRest := w.net.LedgerView().SignalTx[victim.ID]
+	// the victim's link must be completely silent: its probe captures
+	// nothing, and the ledger credits it no video. Run takes an absolute
+	// horizon: the quiet window is 80–120 s.
+	w.eng.Run(80 * time.Second)
+	w.net.FlushCapturesBefore()
+	pktsAtRest := capture.Count()
+	if pktsAtRest == 0 {
+		t.Fatal("the victim's probe captured nothing before Leave; the check would be vacuous")
+	}
 	rxAtRest := w.net.LedgerView().VideoRx[victim.ID]
-	w.eng.Run(40 * time.Second)
-	if got := w.net.LedgerView().SignalTx[victim.ID]; got != sigAtRest {
-		t.Errorf("ghost signaling after Leave: %d bytes", got-sigAtRest)
+	w.eng.Run(120 * time.Second)
+	w.net.FlushCapturesBefore()
+	if got := capture.Count(); got != pktsAtRest {
+		t.Errorf("ghost traffic after Leave: %d packets", got-pktsAtRest)
 	}
 	if got := w.net.LedgerView().VideoRx[victim.ID]; got != rxAtRest {
 		t.Errorf("ghost video after Leave: %d bytes", got-rxAtRest)
@@ -460,7 +468,7 @@ func TestRejoinAfterOutageResumesCleanly(t *testing.T) {
 	// Outage over, the viewer comes back.
 	w.net.SetTrackerPaused(false)
 	victim.Join()
-	w.eng.Run(60 * time.Second)
+	w.eng.Run(180 * time.Second)
 	if !victim.Online() {
 		t.Fatal("victim not online after rejoin")
 	}
@@ -637,9 +645,9 @@ func TestPromoteSourceHandsOverOrigin(t *testing.T) {
 	if !backup.hasChunk(live, w.eng.Now()) {
 		t.Error("promoted source does not hold the live edge")
 	}
-	served := w.net.LedgerView().ChunksServed[backup.ID]
+	served := w.net.LedgerView().VideoTx[backup.ID]
 	w.eng.Run(60 * time.Second)
-	if w.net.LedgerView().ChunksServed[backup.ID] <= served {
+	if w.net.LedgerView().VideoTx[backup.ID] <= served {
 		t.Error("promoted source served no chunks")
 	}
 }
@@ -769,8 +777,6 @@ func TestLedgerConservation(t *testing.T) {
 			{"Σ VideoRx", sum(l.VideoRx), l.VideoTotal},
 			{"Σ VideoRxByAS", rxByAS, l.VideoTotal},
 			{"Σ VideoIntraByAS", intraByAS, l.VideoIntraAS},
-			{"Σ SignalTx", sum(l.SignalTx), l.SignalTotal},
-			{"Σ ChunksServed", sum(l.ChunksServed), l.ChunksServedTotal},
 		} {
 			if c.got != c.want {
 				t.Errorf("shards=%d: %s = %d, scalar says %d", shards, c.name, c.got, c.want)

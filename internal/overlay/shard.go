@@ -73,7 +73,7 @@ func (net *Network) signalCross(a, b *Node, size units.ByteSize, kind packet.Kin
 		Size: size, TTL: packet.InitialTTL, Kind: kind,
 	})
 	if kind == packet.Signaling || kind == packet.Request {
-		sc.ledger.signal(a.ID, int64(size))
+		sc.ledger.SignalTotal += int64(size)
 	}
 	needRec := b.spool != nil
 	if !needRec && onRx == nil {

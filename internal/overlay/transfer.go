@@ -65,7 +65,7 @@ func (net *Network) sendControl(a, b *Node, size units.ByteSize, kind packet.Kin
 		}, now)
 	}
 	if kind == packet.Signaling || kind == packet.Request {
-		sc.ledger.signal(a.ID, int64(size))
+		sc.ledger.SignalTotal += int64(size)
 	}
 }
 
@@ -152,7 +152,7 @@ func (nd *Node) serveChunk(requester *Node, id chunkstream.ChunkID) {
 	}
 
 	sc.ledger.video(nd.ID, requester.ID, int64(chunkSize), requester.Host.AS, nd.Host.AS == requester.Host.AS)
-	sc.ledger.chunkServed(nd.ID)
+	sc.ledger.ChunksServedTotal++
 	if nd.isSource {
 		sc.ledger.SourceVideoTx += int64(chunkSize)
 	}

@@ -111,7 +111,15 @@ func (g *Grid) CellDigests(studyDigest string) []string {
 // shares, so a cell computed by a fleet worker is byte-identical to the
 // same cell computed by Run (the fleet parity tests pin this). onSample
 // receives the cell's time-series buckets; only scenario cells sample any.
-func (c cell) run(ctx context.Context, st *Study, onSample func(experiment.SeriesSample)) (*experiment.Result, error) {
+// The error is the cell's own, without its label, and a panic inside the
+// cell (a Variant.Mutate that breaks a profile, say) comes back as that
+// error, so every executor fails a cell the same way.
+func (c cell) run(ctx context.Context, st *Study, onSample func(experiment.SeriesSample)) (r *experiment.Result, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			r, err = nil, fmt.Errorf("panic: %v", p)
+		}
+	}()
 	cfg, err := c.config(st)
 	if err != nil {
 		return nil, err
@@ -123,15 +131,16 @@ func (c cell) run(ctx context.Context, st *Study, onSample func(experiment.Serie
 // RunCell executes exactly one grid cell, by index, and returns its bounded
 // summary — the unit of work a fleet worker leases. onSample, when
 // non-nil, streams the cell's time-series buckets exactly as Run's
-// Observer.OnSample would.
+// Observer.OnSample would. A failed cell, by error or panic, returns the
+// cell's own error without its label: the fleet coordinator names the cell
+// when it forms the study error, as Run does.
 func (g *Grid) RunCell(ctx context.Context, index int, onSample func(experiment.SeriesSample)) (experiment.Summary, error) {
 	if index < 0 || index >= len(g.cells) {
 		return experiment.Summary{}, fmt.Errorf("study %s: cell index %d out of range [0,%d)", g.st.Name, index, len(g.cells))
 	}
-	c := g.cells[index]
-	r, err := c.run(ctx, g.st, onSample)
+	r, err := g.cells[index].run(ctx, g.st, onSample)
 	if err != nil {
-		return experiment.Summary{}, fmt.Errorf("%s: %w", c.Label(), err)
+		return experiment.Summary{}, err
 	}
 	return r.Summary, nil
 }

@@ -2,10 +2,9 @@ package study
 
 import (
 	"context"
-	"errors"
 	"fmt"
+	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"napawine/internal/experiment"
 )
@@ -44,10 +43,12 @@ func (st *Study) RunInfos() ([]RunInfo, error) {
 // use and must not block (they run on the simulation goroutines).
 type Observer interface {
 	// OnRunStart fires as a worker picks the cell up. Cells skipped by
-	// cancellation never start.
+	// cancellation or by an earlier cell's failure never start.
 	OnRunStart(RunInfo)
 	// OnRunDone fires when the cell finishes: with its summary, or with
-	// the error that stopped it (ctx.Err() for cancelled cells).
+	// the error that stopped it (ctx.Err() for cancelled cells, the
+	// recovered value for a panic), unlabelled, since RunInfo names the
+	// cell.
 	OnRunDone(RunInfo, experiment.Summary, error)
 	// OnSample streams each time-series bucket of a scenario cell as the
 	// run records it.
@@ -149,22 +150,20 @@ type Result struct {
 // Trials reports the number of seeds per grid point.
 func (r *Result) Trials() int { return len(r.Seeds) }
 
-// errCellSkipped marks cells never started because an earlier cell failed.
-var errCellSkipped = errors.New("study: cell skipped after an earlier failure")
-
-// Run executes the study: every grid cell is one independent experiment
-// dispatched through parallelCtx and reduced to its summary inside
-// the worker, so memory stays bounded by the worker count (unless
-// WithFullResults asks otherwise).
+// Run executes the study: every grid cell is one independent experiment,
+// run by a pool of WithWorkers goroutines that take cells in grid order and
+// reduce each to its summary, so memory stays bounded by the worker count
+// (unless WithFullResults asks otherwise).
 //
 // Cancellation: when ctx is done, in-flight cells halt promptly
 // (experiment.RunCtx polls the context on the engine clock), unstarted
 // cells never run, and Run returns the partial Result — completed cells
 // have Done set and well-formed summaries — alongside ctx.Err().
 //
-// Any other cell error fails the study: no further cells start (cells
-// already in flight run to completion), and Run returns the first error in
-// grid order with a nil Result.
+// A cell that fails, by error or panic, gets OnRunDone with that error and
+// fails the study: no further cell starts (cells already in flight run to
+// completion), and Run returns the first failure in grid order, labelled
+// with its cell, with a nil Result.
 func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 	var o options
 	for _, opt := range opts {
@@ -176,65 +175,68 @@ func Run(ctx context.Context, st *Study, opts ...Option) (*Result, error) {
 	}
 	observer := Fanout(o.observers...)
 
-	// Each worker writes only its own cell's slot; parallelCtx joins every
-	// worker before it returns.
+	// Each goroutine writes only the slots of the cells it took; all are
+	// joined before the slots are read.
 	sums := make([]experiment.Summary, len(g.cells))
 	done := make([]bool, len(g.cells))
 	var full []*experiment.Result
 	if o.keepFull {
 		full = make([]*experiment.Result, len(g.cells))
 	}
-	// failed gates cell dispatch; firstErr records the lowest-grid-index
-	// real failure under its own lock, because concurrent workers can
-	// observe the flag in any order relative to their own dequeue — an
-	// in-flight low-index cell may return the skip sentinel after a
-	// high-index cell stored the flag, so parallelCtx's first-error-by-index
-	// cannot be trusted to be a real one.
-	var failed atomic.Bool
-	var failMu sync.Mutex
-	failIdx, firstErr := -1, error(nil)
-	_, runErr := parallelCtx(ctx, g.cells, o.workers, func(ctx context.Context, c cell) (struct{}, error) {
-		if failed.Load() {
-			return struct{}{}, errCellSkipped
+	// mu guards the dispatch cursor and the lowest-index failure.
+	var mu sync.Mutex
+	next, failIdx := 0, -1
+	var failErr error
+	take := func() (int, bool) {
+		mu.Lock()
+		defer mu.Unlock()
+		if next == len(g.cells) || failIdx >= 0 || ctx.Err() != nil {
+			return 0, false
 		}
-		info := g.info(c)
-		observer.OnRunStart(info)
-		r, err := c.run(ctx, st, func(s experiment.SeriesSample) { observer.OnSample(info, s) })
-		if err != nil {
-			failed.Store(true)
-			wrapped := fmt.Errorf("%s: %w", c.Label(), err)
-			failMu.Lock()
-			if failIdx == -1 || c.Index < failIdx {
-				failIdx, firstErr = c.Index, wrapped
+		next++
+		return next - 1, true
+	}
+	workers := o.workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	var wg sync.WaitGroup
+	for range min(workers, len(g.cells)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i, ok := take(); ok; i, ok = take() {
+				c := g.cells[i]
+				info := g.info(c)
+				observer.OnRunStart(info)
+				r, err := c.run(ctx, st, func(s experiment.SeriesSample) { observer.OnSample(info, s) })
+				if err != nil {
+					mu.Lock()
+					if failIdx < 0 || i < failIdx {
+						failIdx, failErr = i, err
+					}
+					mu.Unlock()
+					observer.OnRunDone(info, experiment.Summary{}, err)
+					continue
+				}
+				sums[i], done[i] = r.Summary, true
+				if full != nil {
+					full[i] = r
+				}
+				observer.OnRunDone(info, r.Summary, nil)
 			}
-			failMu.Unlock()
-			observer.OnRunDone(info, experiment.Summary{}, err)
-			return struct{}{}, wrapped
-		}
-		sums[c.Index], done[c.Index] = r.Summary, true
-		observer.OnRunDone(info, sums[c.Index], nil)
-		if o.keepFull {
-			full[c.Index] = r
-		}
-		return struct{}{}, nil
-	})
+		}()
+	}
+	wg.Wait()
 
+	ctxErr := ctx.Err()
+	if failIdx >= 0 && ctxErr == nil {
+		return nil, fmt.Errorf("study %s: %s: %w", st.Name, g.cells[failIdx].Label(), failErr)
+	}
 	res, err := g.Result(sums, done)
 	if err != nil {
 		return nil, err
 	}
 	res.Full = full
-	if runErr != nil {
-		if ctx.Err() != nil {
-			// Cancellation: the partial result is well-formed and useful.
-			return res, ctx.Err()
-		}
-		// Prefer the tracked first real failure over parallelCtx's
-		// first-by-index error, which may be a skip sentinel (see above).
-		if firstErr != nil {
-			return nil, fmt.Errorf("study %s: %w", st.Name, firstErr)
-		}
-		return nil, fmt.Errorf("study %s: %w", st.Name, runErr)
-	}
-	return res, nil
+	return res, ctxErr
 }

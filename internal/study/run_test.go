@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
+	"napawine/internal/overlay"
 	"napawine/internal/scenario"
 )
 
@@ -403,35 +404,118 @@ func TestRunCellErrorStopsDispatch(t *testing.T) {
 	if res != nil {
 		t.Error("failed (non-cancelled) study returned a result")
 	}
-	if errors.Is(err, errCellSkipped) {
-		t.Errorf("skip sentinel surfaced as the study error: %v", err)
-	}
 	obs.mu.Lock()
 	defer obs.mu.Unlock()
-	if obs.starts != 1 {
-		t.Errorf("dispatch not stopped after first failure: %d cells started, want 1", obs.starts)
+	if obs.starts != 1 || obs.dones != 1 || obs.errs != 1 {
+		t.Errorf("dispatch not stopped after first failure: %d starts, %d dones, %d errors; want 1, 1, 1",
+			obs.starts, obs.dones, obs.errs)
 	}
 }
 
-// TestRunCellErrorNeverSurfacesSkipSentinel: under parallel workers an
-// in-flight low-index cell can observe the failure flag after a
-// higher-index cell set it; the study error must still be a real cell
-// failure, never the internal skip marker.
-func TestRunCellErrorNeverSurfacesSkipSentinel(t *testing.T) {
+// TestRunCellErrorNamesTheFirstCellOnce: whatever the worker count, the
+// study error is the first failing cell in grid order (cell 0 is always
+// taken first), named once by its label.
+func TestRunCellErrorNamesTheFirstCellOnce(t *testing.T) {
 	st := miniStudy()
 	st.Strategies = []string{""}
 	st.Seeds = []int64{3, 4, 5, 6, 7, 8, 9, 10}
 	st.Scenarios = []Scenario{{Spec: &scenarioSpecEmptyArrivals}}
+	g, err := st.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := g.Infos()[0].Label()
 	for workers := 1; workers <= 8; workers *= 2 {
 		_, err := Run(context.Background(), st, WithWorkers(workers))
 		if err == nil {
 			t.Fatalf("workers=%d: doomed study reported success", workers)
 		}
-		if errors.Is(err, errCellSkipped) || strings.Contains(err.Error(), "skipped") {
-			t.Errorf("workers=%d: skip sentinel masked the real failure: %v", workers, err)
+		if msg := err.Error(); !strings.HasPrefix(msg, "study mini: "+label+": ") || strings.Count(msg, label) != 1 {
+			t.Errorf("workers=%d: error does not name cell 0 (%s) exactly once: %v", workers, label, err)
 		}
 		if !strings.Contains(err.Error(), "doomed") {
 			t.Errorf("workers=%d: error does not name the failing scenario: %v", workers, err)
+		}
+	}
+}
+
+// TestRunCellPanicIsACellFailure: a cell that panics (here a Variant.Mutate
+// that breaks the profile's partner bounds, which AddNode rejects) is a
+// failed cell like any other: OnRunDone fires with the panic as its error,
+// no further cell starts, the study error names the cell, and Grid.RunCell
+// — the fleet worker's entry — returns the same error instead of panicking.
+func TestRunCellPanicIsACellFailure(t *testing.T) {
+	st := miniStudy()
+	st.Strategies = []string{""}
+	st.Seeds = []int64{3, 4, 5, 6}
+	st.Variants = []Variant{{Name: "broken", Mutate: func(p *overlay.Profile) { p.PartnerTarget = 0 }}}
+	g, err := st.Resolve()
+	if err != nil {
+		t.Fatal(err)
+	}
+	label := g.Infos()[0].Label()
+	obs := &countingObserver{}
+	_, err = Run(context.Background(), st, WithWorkers(1), WithObserver(obs))
+	if err == nil {
+		t.Fatal("panicking study reported success")
+	}
+	if !strings.HasPrefix(err.Error(), "study mini: "+label+": panic: ") {
+		t.Errorf("study error does not name the panicking cell %s: %v", label, err)
+	}
+	obs.mu.Lock()
+	if obs.starts != 1 || obs.dones != 1 || obs.errs != 1 {
+		t.Errorf("observer saw %d starts, %d dones, %d errors; want 1, 1, 1", obs.starts, obs.dones, obs.errs)
+	}
+	obs.mu.Unlock()
+
+	_, cellErr := g.RunCell(context.Background(), 0, nil)
+	if cellErr == nil || !strings.Contains(cellErr.Error(), "partner bounds") {
+		t.Fatalf("RunCell on a panicking cell returned %v, want the panic as an error", cellErr)
+	}
+	if want := "study mini: " + label + ": " + cellErr.Error(); err.Error() != want {
+		t.Errorf("study error = %q\nwant        %q", err, want)
+	}
+}
+
+// TestRunWorkerBound: WithWorkers(n) bounds the cells between OnRunStart
+// and OnRunDone at n, and a non-positive count (GOMAXPROCS) or one past the
+// grid size still runs every cell.
+func TestRunWorkerBound(t *testing.T) {
+	st := miniStudy()
+	st.Seeds = []int64{3, 4, 5}
+	st.Duration = Duration(10 * time.Second)
+	cells := st.Runs()
+	for _, workers := range []int{1, 2, 0, cells + 5} {
+		var mu sync.Mutex
+		active, peak, dones := 0, 0, 0
+		obs := observerFuncs{
+			start: func(RunInfo) {
+				mu.Lock()
+				defer mu.Unlock()
+				active++
+				peak = max(peak, active)
+			},
+			done: func(RunInfo, experiment.Summary, error) {
+				mu.Lock()
+				defer mu.Unlock()
+				active--
+				dones++
+			},
+		}
+		res, err := Run(context.Background(), st, WithWorkers(workers), WithObserver(obs))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for _, c := range res.Cells {
+			if !c.Done {
+				t.Errorf("workers=%d: cell %d did not run", workers, c.Index)
+			}
+		}
+		if dones != cells {
+			t.Errorf("workers=%d: %d cells finished, want %d", workers, dones, cells)
+		}
+		if workers > 0 && workers < cells && peak > workers {
+			t.Errorf("workers=%d: %d cells ran at once", workers, peak)
 		}
 	}
 }

@@ -26,6 +26,11 @@
 // Axis, Resolve, cell.config, Point (field, Coord, Label), cellKeyDoc (the
 // spool key's wire format) and dash.runView — and nothing else that
 // computes; the stderr banner in cmd/napawine counts the axes for display.
+//
+// Run and Grid.RunCell (a fleet worker's entry) run a cell through one
+// runner, which turns a panic into the cell's error; that error is labelled
+// with its cell once, where the study error is formed (Run, or the fleet
+// coordinator), so a failing study reads the same wherever it ran.
 package study
 
 import (
@@ -225,6 +230,21 @@ func (st *Study) SeedList() []int64 {
 		n = 1
 	}
 	return seeds(base, n)
+}
+
+// seeds builds n sequential seeds starting at base — the conventional
+// input for multi-trial sweeps. A non-positive n yields an empty list
+// rather than a panic, so a computed trial count of -1 degrades into "no
+// trials", a loud empty table, not a crash.
+func seeds(base int64, n int) []int64 {
+	if n <= 0 {
+		return nil
+	}
+	out := make([]int64, n)
+	for i := range out {
+		out[i] = base + int64(i)
+	}
+	return out
 }
 
 // Runs reports the grid size: one experiment per cell.

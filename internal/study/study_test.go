@@ -312,3 +312,25 @@ func TestStudyCongestionValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+func TestSeeds(t *testing.T) {
+	s := seeds(100, 3)
+	if len(s) != 3 || s[0] != 100 || s[2] != 102 {
+		t.Errorf("seeds = %v", s)
+	}
+	if len(seeds(1, 0)) != 0 {
+		t.Error("zero seeds should be empty")
+	}
+}
+
+// TestSeedsNegativeCount is the regression guard for the make([]int64, n)
+// panic: a computed trial count that goes negative must degrade to an empty
+// seed list, not crash the battery.
+func TestSeedsNegativeCount(t *testing.T) {
+	if s := seeds(7, -1); len(s) != 0 {
+		t.Errorf("seeds(7, -1) = %v, want empty", s)
+	}
+	if s := seeds(7, -100); len(s) != 0 {
+		t.Errorf("seeds(7, -100) = %v, want empty", s)
+	}
+}
