@@ -10,11 +10,12 @@ import (
 
 // perPeerHeapBudget bounds what a 2 000-peer PPLive swarm adds to the live
 // heap, per peer, with every peer joined: topology, nodes, partner records,
-// adverts, ledger columns and queued events together. It measures 4 090 to
-// 4 109 B (alone, in the package run, under -race) with each node's partner
-// records held by value in one id-ordered table of MaxPartners 40-byte
+// adverts, ledger columns and queued events together. It measures 3 675 to
+// 3 694 B (alone, in the package run, under -race) with each node's partner
+// records held by value in one id-ordered table of MaxPartners 32-byte
 // slots, each viewing its remote's advert through one pointer to a
-// fixed-width block, and Node in the 320-byte size class. History: 13 645 B
+// fixed-width block and naming its remote in 24 bits of a word shared with
+// its flags, and Node in the 320-byte size class. History: 13 645 B
 // before selection scratch moved from the node to the shard and partner
 // records began viewing one published advert; 7 939 to
 // 8 007 B while every session held four ticker closures and their cancel
@@ -28,12 +29,14 @@ import (
 // id index and a weight-ordered request index of 8-byte (id, slot) entries
 // sat beside the table, which kept a free list of its slots, and Node was in
 // the 384-byte class; 4 642 to 4 660 B while each 56-byte record viewed the
-// advert through a 24-byte slice header and Node was in the 352-byte class.
+// advert through a 24-byte slice header and Node was in the 352-byte class;
+// 4 070 to 4 109 B while the 40-byte record kept its id, failure count,
+// announce flag and locality bits in separate fields.
 // Five virtual seconds in, no neighbour list is long enough to own a
-// membership filter, so that costs nothing here. The budget (4 900 → 4 300)
+// membership filter, so that costs nothing here. The budget (4 300 → 3 900)
 // is the measurement plus 5 %, so a fifth of a KB of per-node state cannot
 // come back unnoticed.
-const perPeerHeapBudget = 4_300
+const perPeerHeapBudget = 3_900
 
 // TestPerPeerFootprint measures from inside the run, at the first series
 // sample after the join ramp, while the whole swarm is still reachable.

@@ -34,6 +34,19 @@ func fleetStudy() *study.Study {
 	}
 }
 
+// doomedStudy fails in every cell, and only at run time: its arrivals
+// window has no deferred pool to draw from, which Validate cannot see.
+func doomedStudy(seeds ...int64) *study.Study {
+	return &study.Study{
+		Name: "fleet-doomed", Apps: []string{"TVAnts"}, Seeds: seeds,
+		Scenarios: []study.Scenario{{Spec: &scenario.Spec{
+			Name:   "doomed",
+			Events: []scenario.Event{{Kind: scenario.Arrivals, From: 0.1, To: 0.2}},
+		}}},
+		Duration: study.Duration(15 * time.Second), PeerFactor: 0.05,
+	}
+}
+
 // renderTable pins a result to its presentation bytes — the fleet's
 // byte-identical acceptance bar.
 func renderTable(t *testing.T, res *study.Result) string {
@@ -478,14 +491,7 @@ func TestFleetCellErrorFailsStudy(t *testing.T) {
 // worker, and observers see the same OnRunDone error under both executors:
 // the cell is labelled once, where the study error is formed.
 func TestFleetCellErrorMatchesLocalRun(t *testing.T) {
-	st := &study.Study{
-		Name: "fleet-doomed", Apps: []string{"TVAnts"}, Seeds: []int64{1, 2},
-		Scenarios: []study.Scenario{{Spec: &scenario.Spec{
-			Name:   "doomed",
-			Events: []scenario.Event{{Kind: scenario.Arrivals, From: 0.1, To: 0.2}},
-		}}},
-		Duration: study.Duration(15 * time.Second), PeerFactor: 0.05,
-	}
+	st := doomedStudy(1, 2)
 	localObs := newObsRec()
 	_, localErr := study.Run(context.Background(), st, study.WithWorkers(1), study.WithObserver(localObs))
 	if localErr == nil {

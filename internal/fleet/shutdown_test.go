@@ -3,6 +3,7 @@ package fleet
 import (
 	"context"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,5 +76,54 @@ func TestCloseDeliversTheLastAcknowledgement(t *testing.T) {
 		if err != nil || len(res.Cells) != 2 || !res.Cells[0].Done || !res.Cells[1].Done {
 			t.Fatalf("round %d: Wait after Close = %+v, %v; want the complete grid", round, res, err)
 		}
+	}
+}
+
+// TestWorkerStopsAfterItsOwnFailedCell: a worker whose own cell failed
+// returns the study error, the text Coordinator.Wait returns, as soon as the
+// coordinator acknowledges the failure, and cancels its other slots. Here
+// the coordinator closes once Wait returns, as the CLI's does; a worker that
+// leased again after the acknowledgement would redial the dead address for
+// its whole budget. With two slots both cells fail, and either may be the
+// one Wait and the worker report; the slot cancelled mid-dial must not
+// leave the coordinator a connection that holds up its Close.
+func TestWorkerStopsAfterItsOwnFailedCell(t *testing.T) {
+	for _, slots := range []int{1, 2} {
+		coord, err := NewCoordinator(CoordinatorConfig{Study: doomedStudy(3, 4, 5, 6, 7, 8), Addr: "127.0.0.1:0", Log: t.Logf})
+		if err != nil {
+			t.Fatalf("NewCoordinator: %v", err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 2*dialBudget)
+		werr := make(chan error, 1)
+		go func() {
+			werr <- RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: slots, ExplicitWorkers: true, Log: t.Logf})
+		}()
+		_, waitErr := coord.Wait(ctx)
+		if waitErr == nil {
+			t.Fatalf("%d slots: doomed study succeeded", slots)
+		}
+		closeStart := time.Now()
+		if err := coord.Close(); err != nil {
+			t.Errorf("%d slots: Close: %v", slots, err)
+		}
+		// A worker connection that never sends a request holds Close
+		// until the drain times out.
+		if d := time.Since(closeStart); d >= drainTimeout {
+			t.Errorf("%d slots: Close took %v, its whole drain timeout", slots, d)
+		}
+		select {
+		case err := <-werr:
+			switch {
+			case err == nil:
+				t.Errorf("%d slots: worker returned nil, want the study error", slots)
+			case slots == 1 && err.Error() != waitErr.Error():
+				t.Errorf("worker returned %v, want Wait's %v", err, waitErr)
+			case !strings.HasPrefix(err.Error(), "study fleet-doomed: TVAnts @doomed seed ") || !strings.Contains(err.Error(), "deferred"):
+				t.Errorf("%d slots: worker returned %v, want a doomed cell's study error", slots, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d slots: the worker outlived its failed cell and the coordinator by 10 s", slots)
+		}
+		cancel()
 	}
 }

@@ -60,11 +60,12 @@ type worker struct {
 }
 
 // RunWorker joins the coordinator at cfg.Addr and executes leased cells
-// until the grid completes ("done"), a cell fails anywhere in the fleet
-// ("failed", returned as an error), ctx is cancelled, or the coordinator
-// stays unreachable past the redial budget. Every coordinator call retries
-// with backoff, so dropped connections and coordinator restarts cost a
-// redial, not a cell.
+// until the grid completes ("done"), a cell fails (one of its own, once the
+// coordinator has acknowledged the failure, or anywhere in the fleet,
+// "failed"; either is returned as the study error), ctx is cancelled, or the
+// coordinator stays unreachable past the redial budget. Every coordinator
+// call retries with backoff, so dropped connections and coordinator
+// restarts cost a redial, not a cell.
 func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if cfg.Addr == "" {
 		return fmt.Errorf("fleet: worker without a coordinator address")
@@ -79,9 +80,14 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	w := &worker{
 		cfg:    cfg,
 		base:   "http://" + cfg.Addr + "/fleet/v1",
-		client: &http.Client{},
+		// A transport of its own, whose idle connections close when the
+		// worker returns: a dial that a cancelled slot started would
+		// otherwise sit at the coordinator as a connection that never sends
+		// a request, which holds up its Close for seconds.
+		client: &http.Client{Transport: http.DefaultTransport.(*http.Transport).Clone()},
 		log:    cfg.Log,
 	}
+	defer w.client.CloseIdleConnections()
 	if w.log == nil {
 		w.log = func(string, ...any) {}
 	}
@@ -101,25 +107,30 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		cfg.Name, cfg.Addr, w.st.Name, w.st.Runs(), shards, budget)
 
 	// Each slot loops lease → run → result until the coordinator disbands
-	// it. The first slot error (a fleet-level failure or an exhausted
-	// redial budget) wins; "done"/"failed" reach every slot identically so
-	// they agree on when to stop.
-	var wg sync.WaitGroup
-	errs := make([]error, budget)
-	for i := 0; i < budget; i++ {
+	// it. The first slot error (a failed cell or an exhausted redial
+	// budget) is the worker's, and cancels the other slots: the study is
+	// over, and the coordinator may already have exited.
+	ctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	var (
+		wg    sync.WaitGroup
+		once  sync.Once
+		first error
+	)
+	for range budget {
 		wg.Add(1)
-		go func(slot int) {
+		go func() {
 			defer wg.Done()
-			errs[slot] = w.leaseLoop(ctx)
-		}(i)
+			if err := w.leaseLoop(ctx); err != nil {
+				once.Do(func() {
+					first = err
+					cancel()
+				})
+			}
+		}()
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
+	return first
 }
 
 // fetchStudy downloads and verifies the coordinator's study, and resolves
@@ -192,9 +203,10 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 
 // runCell executes one leased cell: heartbeats keep the lease alive, sample
 // events stream the cell's time series, and the finished summary (or the
-// cell's own error, which fails the whole study) posts back. A lease lost
-// mid-flight (410) abandons the attempt without posting — some other worker
-// owns the cell now, and determinism makes the duplicate work harmless.
+// cell's own error, which fails the whole study and, once acknowledged, is
+// returned as the study error) posts back. A lease lost mid-flight (410)
+// abandons the attempt without posting — some other worker owns the cell
+// now, and determinism makes the duplicate work harmless.
 // The returned bool reports whether this result completed the grid.
 func (w *worker) runCell(ctx context.Context, index int, digest string) (bool, error) {
 	cellCtx, cancel := context.WithCancel(ctx)
@@ -311,7 +323,10 @@ func (w *worker) runCell(ctx context.Context, index int, digest string) (bool, e
 		return false, err
 	}
 	if runErr != nil {
+		// The study is over. Stop with the error Coordinator.Wait returns
+		// rather than lease again from a coordinator that may have exited.
 		w.log("fleet: %s reported cell %d failed: %v", w.cfg.Name, index, runErr)
+		return false, fmt.Errorf("study %s: %s: %w", w.st.Name, w.grid.Infos()[index].Label(), runErr)
 	}
 	return ack.Done, nil
 }

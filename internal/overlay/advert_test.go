@@ -59,7 +59,7 @@ func TestAdvertViewRules(t *testing.T) {
 	if xa.have != a.advert {
 		t.Error("same-shard record does not view the sender's live advert")
 	}
-	if ax.announce || xa.announce {
+	if ax.announce() || xa.announce() {
 		t.Error("announce flags survive the tick that served them")
 	}
 	// From here on the rewrite is the announcement: holdings gained between
@@ -96,7 +96,7 @@ func TestAdvertViewRules(t *testing.T) {
 	if ax == nil || x.partnerByID(a.ID) != xa {
 		t.Fatal("re-handshake did not pair A's new row with X's old one")
 	}
-	if !xa.announce {
+	if !xa.announce() {
 		t.Error("duplicate add left X's row unannounced")
 	}
 	wantSees(t, "A's new row before X's tick", ax, ids)
@@ -111,7 +111,7 @@ func TestAdvertViewRules(t *testing.T) {
 	// A removed record leaves nothing pinned past the table's length: the
 	// slot it vacated gives up its view with everything else.
 	x.dropPartner(a.ID)
-	if len(x.partners) != 0 || xa != &x.partners[:1][0] || xa.have != (chunkstream.Advert{}) || xa.id != 0 {
+	if len(x.partners) != 0 || xa != &x.partners[:1][0] || xa.have != (chunkstream.Advert{}) || xa.key != 0 {
 		t.Error("the vacated slot still holds a view or an id")
 	}
 	checkPartnerTable(t, x)

@@ -42,7 +42,7 @@ func ChurnTick(nd *Node) { nd.churnTick() }
 func PartnerIDs(nd *Node) []PeerID {
 	ids := make([]PeerID, len(nd.partners))
 	for i := range nd.partners {
-		ids[i] = nd.partners[i].id
+		ids[i] = nd.partners[i].id()
 	}
 	return ids
 }

@@ -2,7 +2,6 @@ package overlay
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"time"
 
@@ -16,14 +15,18 @@ import (
 )
 
 // partner is the per-neighbour state a node keeps for peers it actively
-// exchanges video with: one 40-byte record, held by value in the node's
+// exchanges video with: one 32-byte record, held by value in the node's
 // partner table (Node.partners). The remote is named by id and resolved
 // through Network.nodes where a loop needs it, so the record's one pointer is
 // its view. The policy-visible facts are packed — locality as three bits, the
 // RTT as 32 bits of nanoseconds — and rebuilt into a policy.Info (info) only
-// where a Weight reads one. The two 32-bit fields share the first word.
+// where a Weight reads one. key and rtt share the first word.
 type partner struct {
-	id PeerID
+	// key holds, from the top: the remote's id in 24 bits, the consecutive
+	// failure count in 4, the announce bit and the three locality bits. The
+	// flags sit below the id, so key order is id order (partnerSearch). It is
+	// read and written only through the accessors below.
+	key uint32
 	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
 	// formation (addPartner).
 	rtt int32
@@ -42,64 +45,104 @@ type partner struct {
 	reqW float64
 	// estRate is the running delivery-rate estimate (policy.Info.EstRate).
 	estRate units.BitRate
-	// consecutive failures (timeouts/rejections) since the last success,
-	// saturating (fail): every test of it compares with a limit of at most
-	// congestionFailureLimit, so a saturated count reads like a larger one.
-	failures uint16
-	loc      uint8 // locSubnet | locAS | locCC
-	// announce marks a row whose remote side has not been aimed at this
+}
+
+// The fields of partner.key below the id.
+const (
+	locSubnet uint32 = 1 << iota // the locality facts, one bit each
+	locAS
+	locCC
+	// keyAnnounce marks a row whose remote side has not been aimed at this
 	// node's advert yet. addPartner sets it both when it creates the row and
 	// when it finds the row already there: the remote may have left,
 	// rejoined unnoticed and re-created its side with a zero view. The
 	// node's next signalling tick does the one search of the remote's table,
 	// aims the remote's row and clears the flag; from then on rewriting the
 	// advert in place is the whole announcement.
-	announce bool
-}
+	keyAnnounce
 
-// The locality facts of a partner record, one bit each.
-const (
-	locSubnet uint8 = 1 << iota
-	locAS
-	locCC
+	keyLoc       = locSubnet | locAS | locCC
+	keyFailShift = 4
+	keyFailures  = maxFailures << keyFailShift
+	keyIDShift   = 8
 )
 
+// maxFailures is where a record's failure count saturates (fail): every
+// test of the count compares it with a limit of at most
+// congestionFailureLimit, so a saturated count reads like any larger one.
+const maxFailures = 15
+
+// The failure count must be able to reach every limit it is compared with.
+var _ [maxFailures - congestionFailureLimit]struct{}
+
+// maxPeerID is the largest id a partner record can name in its 24 bits;
+// AddNode refuses to hand out a larger one.
+const maxPeerID = 1<<(32-keyIDShift) - 1
+
+// partnerKey is the key of a record for peer id with every flag clear: the
+// least key any record for id can hold.
+func partnerKey(id PeerID) uint32 { return uint32(id) << keyIDShift }
+
+// id is the remote's peer id.
+func (p *partner) id() PeerID { return PeerID(p.key >> keyIDShift) }
+
+// loc is the record's locality bits: locSubnet | locAS | locCC.
+func (p *partner) loc() uint32 { return p.key & keyLoc }
+
+// announce reports whether the remote's row still waits to be aimed at this
+// node's advert (keyAnnounce).
+func (p *partner) announce() bool { return p.key&keyAnnounce != 0 }
+
+func (p *partner) setAnnounce(on bool) {
+	p.key &^= keyAnnounce
+	if on {
+		p.key |= keyAnnounce
+	}
+}
+
+// failures is the count of consecutive failures (timeouts and rejections)
+// since the last success, saturated at maxFailures.
+func (p *partner) failures() int { return int(p.key & keyFailures >> keyFailShift) }
+
+// fail counts one more consecutive failure.
+func (p *partner) fail() {
+	if p.key&keyFailures != keyFailures {
+		p.key += 1 << keyFailShift
+	}
+}
+
+func (p *partner) clearFailures() { p.key &^= keyFailures }
+
 // pack stores the policy-visible facts of info in the record of partner
-// p.id, held by node self. An RTT past the record's 32 bits of nanoseconds
+// p.id(), held by node self. An RTT past the record's 32 bits of nanoseconds
 // panics, naming the pair, rather than being truncated.
 func (p *partner) pack(info policy.Info, self PeerID) {
 	p.rtt = int32(info.RTT)
 	if time.Duration(p.rtt) != info.RTT {
-		panic(fmt.Sprintf("overlay: RTT %v between peers %d and %d does not fit a partner record", info.RTT, self, p.id))
+		panic(fmt.Sprintf("overlay: RTT %v between peers %d and %d does not fit a partner record", info.RTT, self, p.id()))
 	}
-	p.loc = 0
+	p.key &^= keyLoc
 	if info.SameSubnet {
-		p.loc |= locSubnet
+		p.key |= locSubnet
 	}
 	if info.SameAS {
-		p.loc |= locAS
+		p.key |= locAS
 	}
 	if info.SameCC {
-		p.loc |= locCC
+		p.key |= locCC
 	}
 	p.estRate = info.EstRate
 }
 
 // info rebuilds the policy-visible facts the record packs.
 func (p *partner) info() policy.Info {
+	loc := p.loc()
 	return policy.Info{
-		SameSubnet: p.loc&locSubnet != 0,
-		SameAS:     p.loc&locAS != 0,
-		SameCC:     p.loc&locCC != 0,
+		SameSubnet: loc&locSubnet != 0,
+		SameAS:     loc&locAS != 0,
+		SameCC:     loc&locCC != 0,
 		RTT:        time.Duration(p.rtt),
 		EstRate:    p.estRate,
-	}
-}
-
-// fail counts one more consecutive failure.
-func (p *partner) fail() {
-	if p.failures < math.MaxUint16 {
-		p.failures++
 	}
 }
 
@@ -526,7 +569,7 @@ func (nd *Node) Leave() {
 	// Cross-shard partners cannot, so the departure travels to them as a
 	// message after the pair's one-way delay.
 	for i := range nd.partners {
-		if other := nd.net.nodes[nd.partners[i].id]; !sameShard(nd, other) {
+		if other := nd.net.nodes[nd.partners[i].id()]; !sameShard(nd, other) {
 			nd.net.crossRemovePartner(nd, other)
 		}
 	}
@@ -680,19 +723,22 @@ func (nd *Node) infoFor(other *Node) policy.Info {
 }
 
 // partnerSearch returns the position of partner id in the table, or its
-// insertion point. Written out because slices.BinarySearchFunc calls its
+// insertion point. It compares whole keys with id's flagless key: a record's
+// flags sit below its id, so its key is below that one exactly when its id
+// is below id. Written out because slices.BinarySearchFunc calls its
 // comparator un-inlined.
 func (nd *Node) partnerSearch(id PeerID) (int, bool) {
+	key := partnerKey(id)
 	lo, hi := 0, len(nd.partners)
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if nd.partners[mid].id < id {
+		if nd.partners[mid].key < key {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
-	return lo, lo < len(nd.partners) && nd.partners[lo].id == id
+	return lo, lo < len(nd.partners) && nd.partners[lo].id() == id
 }
 
 // partnerByID returns the partner with the given id, nil when there is none.
@@ -768,7 +814,7 @@ func (nd *Node) handshake(other *Node) {
 func (nd *Node) addPartner(other *Node) {
 	i, dup := nd.partnerSearch(other.ID)
 	if dup {
-		nd.partners[i].announce = true
+		nd.partners[i].setAnnounce(true)
 		return
 	}
 	info := nd.infoFor(other)
@@ -786,7 +832,7 @@ func (nd *Node) addPartner(other *Node) {
 	nd.partners = nd.partners[:n+1]
 	copy(nd.partners[i+1:], nd.partners[i:n])
 	p := &nd.partners[i]
-	*p = partner{id: other.ID, announce: true}
+	*p = partner{key: partnerKey(other.ID) | keyAnnounce}
 	p.pack(info, nd.ID)
 	p.reqW = nd.Profile.RequestWeight.Weight(info)
 	if nd.cong != nil {
@@ -899,7 +945,7 @@ func (nd *Node) partnerAlive(other *Node) bool {
 func (nd *Node) dropDeadPartners() {
 	dead := nd.sc.dropIDs[:0]
 	for i := range nd.partners {
-		if id := nd.partners[i].id; !nd.partnerAlive(nd.net.nodes[id]) {
+		if id := nd.partners[i].id(); !nd.partnerAlive(nd.net.nodes[id]) {
 			dead = append(dead, id)
 		}
 	}
@@ -929,7 +975,7 @@ func (nd *Node) signalingTick() {
 		var crossAd chunkstream.Advert
 		for i := range nd.partners {
 			p := &nd.partners[i]
-			other := nd.net.nodes[p.id]
+			other := nd.net.nodes[p.id()]
 			if !sameShard(nd, other) {
 				if crossAd == (chunkstream.Advert{}) {
 					crossAd = nd.advert.Clone()
@@ -938,8 +984,8 @@ func (nd *Node) signalingTick() {
 				continue
 			}
 			nd.net.sendSignal(nd, other, size)
-			if p.announce {
-				p.announce = false
+			if p.announce() {
+				p.setAnnounce(false)
 				if remote := other.partnerByID(nd.ID); remote != nil {
 					remote.have = nd.advert
 				}
@@ -980,7 +1026,7 @@ func (nd *Node) churnTick() {
 		retain := nd.Profile.RetainWeight
 		for i := range nd.partners {
 			p := &nd.partners[i]
-			scorer.PushScored(policy.Candidate{Index: int(p.id)}, retain.Weight(p.info()))
+			scorer.PushScored(policy.Candidate{Index: int(p.id())}, retain.Weight(p.info()))
 		}
 		worst := scorer.Worst()
 		if worst.Index >= 0 {
@@ -1054,16 +1100,16 @@ func (nd *Node) scheduleTick() {
 				// growing window.
 				c := &(*nd.cong)[i]
 				c.lossEWMA = c.lossEWMA*lossEWMARetain + (1 - lossEWMARetain)
-				shift := min(pr.failures-1, 4)
+				shift := min(pr.failures()-1, 4)
 				c.backoffUntil = now.Add(p.RequestTimeout << shift)
 				sc.ledger.BackoffsTotal++
 			}
 			nd.rescore(pr)
-			limit := uint16(4)
+			limit := 4
 			if cong {
 				limit = congestionFailureLimit
 			}
-			if pr.failures >= limit {
+			if pr.failures() >= limit {
 				nd.dropPartner(req.from)
 			}
 		}
@@ -1100,7 +1146,7 @@ func (nd *Node) scheduleTick() {
 	// observable in traces.
 	if p.BestFill > 0 && budget > 0 {
 		if best := nd.bestPartner(); best != nil {
-			target := nd.net.nodes[best.id]
+			target := nd.net.nodes[best.id()]
 			fill := p.BestFill
 			for id := lo; id <= hi && fill > 0 && budget > 0; id++ {
 				if nd.buf.Has(id) {
@@ -1112,7 +1158,7 @@ func (nd *Node) scheduleTick() {
 				if !best.have.Has(id) {
 					continue
 				}
-				nd.inflight = append(nd.inflight, pendingReq{id: id, from: best.id, sentAt: now})
+				nd.inflight = append(nd.inflight, pendingReq{id: id, from: best.id(), sentAt: now})
 				nd.net.sendRequest(nd, target, id)
 				fill--
 				budget--
@@ -1167,7 +1213,7 @@ func (nd *Node) countHolders(id chunkstream.ChunkID, now sim.Time) int {
 	n := 0
 	for i := range nd.partners {
 		p := &nd.partners[i]
-		other := nd.net.nodes[p.id]
+		other := nd.net.nodes[p.id()]
 		if !nd.partnerAlive(other) {
 			continue
 		}
@@ -1196,7 +1242,7 @@ func (nd *Node) bestPartner() *partner {
 		if !(p.reqW > bestW) {
 			continue
 		}
-		if other := nd.net.nodes[p.id]; !nd.partnerAlive(other) || other.isSource {
+		if other := nd.net.nodes[p.id()]; !nd.partnerAlive(other) || other.isSource {
 			continue
 		}
 		if cong && (*nd.cong)[i].backoffUntil > now {
@@ -1226,7 +1272,7 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	order := sc.reqOrder[:0]
 	for i := range nd.partners {
 		p := &nd.partners[i]
-		other := nd.net.nodes[p.id]
+		other := nd.net.nodes[p.id()]
 		if !nd.partnerAlive(other) {
 			continue
 		}
@@ -1253,7 +1299,7 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	if pick.Index < 0 {
 		return false
 	}
-	target := nd.net.nodes[nd.partners[order[pick.Index]].id]
+	target := nd.net.nodes[nd.partners[order[pick.Index]].id()]
 	nd.inflight = append(nd.inflight, pendingReq{id: id, from: target.ID, sentAt: now})
 	nd.net.sendRequest(nd, target, id)
 	return true

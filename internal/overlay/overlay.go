@@ -79,22 +79,32 @@ type Profile struct {
 	RetainWeight    policy.Weight // valuing partners at churn time
 }
 
-// validate panics on profiles that cannot run; these are programming errors
-// in experiment setup, not runtime conditions.
-func (p *Profile) validate() {
+// Validate reports why a profile cannot run, nil when it can. A study calls
+// it on every profile it resolves, so a bad profile fails before any world
+// is built.
+func (p *Profile) Validate() error {
 	switch {
 	case p.Name == "":
-		panic("overlay: profile without a name")
+		return fmt.Errorf("overlay: profile without a name")
 	case p.PartnerTarget <= 0 || p.MaxPartners < p.PartnerTarget:
-		panic(fmt.Sprintf("overlay: %s: bad partner bounds %d/%d", p.Name, p.PartnerTarget, p.MaxPartners))
+		return fmt.Errorf("overlay: %s: bad partner bounds %d/%d", p.Name, p.PartnerTarget, p.MaxPartners)
 	case p.ContactInterval <= 0 || p.SignalingInterval <= 0 || p.ScheduleInterval <= 0:
-		panic(fmt.Sprintf("overlay: %s: non-positive intervals", p.Name))
+		return fmt.Errorf("overlay: %s: non-positive intervals", p.Name)
 	case p.PullDelay < 1 || p.PullWindow < 1 || p.MaxInflight < 1:
-		panic(fmt.Sprintf("overlay: %s: bad pull shape", p.Name))
+		return fmt.Errorf("overlay: %s: bad pull shape", p.Name)
 	case p.RequestTimeout <= 0 || p.DropInterval <= 0:
-		panic(fmt.Sprintf("overlay: %s: bad timers", p.Name))
+		return fmt.Errorf("overlay: %s: bad timers", p.Name)
 	case p.DiscoveryWeight == nil || p.RequestWeight == nil || p.RetainWeight == nil:
-		panic(fmt.Sprintf("overlay: %s: nil policy", p.Name))
+		return fmt.Errorf("overlay: %s: nil policy", p.Name)
+	}
+	return nil
+}
+
+// validate asserts Validate where a profile is used: a profile that cannot
+// run this late is a programming error in experiment setup.
+func (p *Profile) validate() {
+	if err := p.Validate(); err != nil {
+		panic(err.Error())
 	}
 }
 
@@ -476,8 +486,13 @@ func (n *Network) Source() *Node { return n.source }
 
 // AddNode creates a node. It does not join the overlay until Join (or
 // ScheduleChurn) is called, so the experiment layer controls arrival times.
+// Ids are handed out densely from 0; past maxPeerID, the most a partner
+// record can name, AddNode panics.
 func (n *Network) AddNode(host topology.Host, link access.Link, prof *Profile) *Node {
 	prof.validate()
+	if len(n.nodes) > maxPeerID {
+		panic(fmt.Sprintf("overlay: peer ids are limited to %d", maxPeerID))
+	}
 	node := &Node{
 		net:      n,
 		sc:       n.shardFor(host.AS),

@@ -347,13 +347,21 @@ func TestProfileValidation(t *testing.T) {
 		func(p *Profile) { p.RequestTimeout = 0 },
 		func(p *Profile) { p.DiscoveryWeight = nil },
 	}
+	if err := testProfile().Validate(); err != nil {
+		t.Fatalf("the test profile: %v", err)
+	}
 	for i, mutate := range bad {
 		p := testProfile()
 		mutate(p)
+		err := p.Validate()
+		if err == nil {
+			t.Errorf("case %d: Validate accepted an invalid profile", i)
+			continue
+		}
 		func() {
 			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: invalid profile accepted", i)
+				if msg := recover(); msg != err.Error() {
+					t.Errorf("case %d: validate panicked with %v, want Validate's %q", i, msg, err)
 				}
 			}()
 			p.validate()

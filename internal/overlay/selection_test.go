@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"fmt"
 	"maps"
 	"math"
 	"math/rand"
@@ -57,11 +58,11 @@ func checkPartnerTable(t testing.TB, nd *Node) {
 	}
 	for i := range nd.partners {
 		p := &nd.partners[i]
-		if i > 0 && nd.partners[i-1].id >= p.id {
-			t.Fatalf("node %d: partner ids out of order at %d: %d, then %d", nd.ID, i, nd.partners[i-1].id, p.id)
+		if i > 0 && nd.partners[i-1].id() >= p.id() {
+			t.Fatalf("node %d: partner ids out of order at %d: %d, then %d", nd.ID, i, nd.partners[i-1].id(), p.id())
 		}
 		if want := nd.Profile.RequestWeight.Weight(p.info()); !sameWeight(p.reqW, want) {
-			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, p.id, p.reqW, want)
+			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, p.id(), p.reqW, want)
 		}
 	}
 	for i, p := range nd.partners[len(nd.partners):cap(nd.partners)] {
@@ -73,7 +74,7 @@ func checkPartnerTable(t testing.TB, nd *Node) {
 	// id finds that partner's record, any other misses.
 	for id := PeerID(-1); id <= PeerID(len(nd.net.nodes)); id++ {
 		got := nd.partnerByID(id)
-		at := slices.IndexFunc(nd.partners, func(p partner) bool { return p.id == id })
+		at := slices.IndexFunc(nd.partners, func(p partner) bool { return p.id() == id })
 		if (at >= 0) != (got != nil) || at >= 0 && got != &nd.partners[at] {
 			t.Fatalf("node %d: partnerByID(%d) = %p, listed at %d", nd.ID, id, got, at)
 		}
@@ -104,7 +105,7 @@ func TestBestPartnerRule(t *testing.T) {
 	} {
 		nd.partners = make([]partner, 0, nd.Profile.MaxPartners)
 		for i, wt := range c.weights {
-			nd.partners = append(nd.partners, partner{id: others[i].ID, reqW: wt})
+			nd.partners = append(nd.partners, partner{key: partnerKey(others[i].ID), reqW: wt})
 			others[i].online = i+1 != c.offline
 		}
 		var want *partner
@@ -117,20 +118,20 @@ func TestBestPartnerRule(t *testing.T) {
 	}
 	// The source, however heavy, is not a partner the greedy pass pulls from.
 	w.src.online, others[0].online = true, true
-	nd.partners = append(nd.partners[:0], partner{id: w.src.ID, reqW: 100}, partner{id: others[0].ID, reqW: 1})
+	nd.partners = append(nd.partners[:0], partner{key: partnerKey(w.src.ID), reqW: 100}, partner{key: partnerKey(others[0].ID), reqW: 1})
 	if got := nd.bestPartner(); got != &nd.partners[1] {
 		t.Errorf("with the source as a partner: bestPartner = %+v, want the weight-1 peer", got)
 	}
 }
 
-// TestPartnerTableShape pins what the table was built for: a 40-byte record
+// TestPartnerTableShape pins what the table was built for: a 32-byte record
 // whose one pointer word is its advert view, and no pointer in the request
 // round's scratch, so the collector scans one word per record and none of
 // the scratch. TestNodeHotHeaderFitsOneLine holds Node to its size class
 // with the table in it.
 func TestPartnerTableShape(t *testing.T) {
-	if size := unsafe.Sizeof(partner{}); size != 40 {
-		t.Errorf("partner is %d bytes, want 40", size)
+	if size := unsafe.Sizeof(partner{}); size != 32 {
+		t.Errorf("partner is %d bytes, want 32", size)
 	}
 	for _, c := range []struct {
 		ty   reflect.Type
@@ -145,9 +146,72 @@ func TestPartnerTableShape(t *testing.T) {
 	}
 }
 
+// TestPartnerKeyPacksIDAndFlags: over every value of the byte below the id
+// and ids at the edges of the 24 bits, a key gives back its id, key order is
+// id order whatever the flags, and each setter moves only its own bits —
+// the id, the other flags and the rest of the record stay as they were. The
+// failure count saturates at maxFailures.
+func TestPartnerKeyPacksIDAndFlags(t *testing.T) {
+	if maxPeerID != 1<<24-1 {
+		t.Fatalf("maxPeerID is %d; study.Validate refuses a population past 2²⁴ − 1 before AddNode would", maxPeerID)
+	}
+	ids := []PeerID{0, 1, 1 << 23, maxPeerID}
+	rec := func(id PeerID, flags uint32) partner {
+		return partner{key: partnerKey(id) | flags, rtt: 37, reqW: 2.5, estRate: units.Mbps}
+	}
+	for i, id := range ids {
+		for flags := range uint32(256) {
+			p := rec(id, flags)
+			if p.id() != id || p.loc() != flags&7 || p.announce() != (flags&8 != 0) || p.failures() != int(flags>>4) {
+				t.Fatalf("key %#x reads id %d, loc %d, announce %v, %d failures", p.key, p.id(), p.loc(), p.announce(), p.failures())
+			}
+			for _, higher := range ids[i+1:] {
+				for other := range uint32(256) {
+					if q := rec(higher, other); !(p.key < q.key) {
+						t.Fatalf("key %#x (id %d) does not sort below key %#x (id %d)", p.key, id, q.key, higher)
+					}
+				}
+			}
+			// Each setter against the record with its own bits overwritten by
+			// hand: nothing else may differ.
+			want := func(setter string, got partner, bits, to uint32) {
+				t.Helper()
+				w := p
+				w.key = w.key&^bits | to
+				if got != w {
+					t.Fatalf("%s on %+v gave %+v, want %+v", setter, p, got, w)
+				}
+			}
+			for _, on := range []bool{false, true} {
+				q := p
+				q.setAnnounce(on)
+				to := uint32(0)
+				if on {
+					to = keyAnnounce
+				}
+				want(fmt.Sprintf("setAnnounce(%v)", on), q, keyAnnounce, to)
+			}
+			q := p
+			q.fail()
+			want("fail", q, keyFailures, min(flags>>4+1, maxFailures)<<keyFailShift)
+			q = p
+			q.clearFailures()
+			want("clearFailures", q, keyFailures, 0)
+		}
+	}
+	var p partner
+	for range 3 * maxFailures {
+		p.fail()
+	}
+	if p.failures() != maxFailures || p.id() != 0 {
+		t.Errorf("failing a record past saturation: %d failures, id %d; want %d, 0", p.failures(), p.id(), maxFailures)
+	}
+}
+
 // TestPartnerRecordPacksInfo: the packed record gives back every Info a
-// partnership can form with, and an RTT the record cannot hold panics at
-// formation, naming both peers, instead of being truncated.
+// partnership can form with, whatever the flags beside the locality bits,
+// and an RTT the record cannot hold panics at formation, naming both peers,
+// instead of being truncated.
 func TestPartnerRecordPacksInfo(t *testing.T) {
 	for loc := range 8 {
 		for _, rtt := range []time.Duration{0, 37 * time.Millisecond, math.MaxInt32} {
@@ -155,10 +219,13 @@ func TestPartnerRecordPacksInfo(t *testing.T) {
 				SameSubnet: loc&1 != 0, SameAS: loc&2 != 0, SameCC: loc&4 != 0,
 				RTT: rtt, EstRate: units.BitRate(loc) * units.Mbps,
 			}
-			p := partner{id: 7}
+			p := partner{key: partnerKey(7) | keyAnnounce | 3<<keyFailShift | keyLoc}
 			p.pack(info, 3)
 			if got := p.info(); got != info {
 				t.Errorf("packed %+v, unpacked %+v", info, got)
+			}
+			if p.id() != 7 || !p.announce() || p.failures() != 3 {
+				t.Errorf("pack moved the id or a flag: key %#x", p.key)
 			}
 		}
 	}
@@ -167,7 +234,7 @@ func TestPartnerRecordPacksInfo(t *testing.T) {
 			t.Errorf("an RTT past 32 bits of nanoseconds: panic %q, want one naming peers 3 and 7", msg)
 		}
 	}()
-	p := partner{id: 7}
+	p := partner{key: partnerKey(7)}
 	p.pack(policy.Info{RTT: math.MaxInt32 + 1}, 3)
 }
 
@@ -255,15 +322,20 @@ func (tableWeight) Weight(i policy.Info) float64 {
 
 func (tableWeight) Name() string { return "table" }
 
-// tableRow is one partner of the model table: its rate and congestion entry.
+// tableRow is one partner of the model table: its rate, congestion entry,
+// failure count, announce flag and the locality bits it formed with.
 type tableRow struct {
-	rate units.BitRate
-	cong partnerCong
+	rate     units.BitRate
+	cong     partnerCong
+	failures int
+	announce bool
+	loc      uint32
 }
 
 // tableCoverage counts what a checked sequence exercised.
 type tableCoverage struct {
 	adds, dups, removes, rescores, marks, leaves int
+	fails, clears, toggles                       int
 	shifted, full                                int // shifted: an add or remove that moved records
 	// bestPartner passed over a NaN weight, broke a tie, or passed over a
 	// partner in backoff that outweighed its pick.
@@ -275,9 +347,10 @@ type tableCoverage struct {
 // table, and otherwise half the steps are adds, so tables fill up between
 // leaves), beside a map model, under the congestion model, and after every
 // step audits the table (checkPartnerTable) and requires it to agree with the
-// model: the model's ids, ascending, each record holding the model's rate and
-// sitting beside the model's congestion entry; partnerByID finding each; and
-// bestPartner returning the model's pick. The node's peers are online and
+// model: the model's ids, ascending, each record holding the model's rate,
+// failure count, announce flag and locality bits and sitting beside the
+// model's congestion entry; partnerByID finding each; and bestPartner
+// returning the model's pick. The node's peers are online and
 // hold no partner, and it remembers a rate for each, so adds start with every
 // weight. The engine never runs, so a backoff ending after its clock holds.
 func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCoverage {
@@ -311,18 +384,31 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 			nd.Join()
 			clear(m)
 			cov.leaves++
-		case what%8 < 4: // add, or a duplicate add; nothing adds past the cap
+		case what%16 < 8: // add, or a duplicate add; nothing adds past the cap
 			switch {
 			case listed:
-				nd.partnerByID(other.ID).announce = false
+				nd.partnerByID(other.ID).setAnnounce(false)
 				nd.addPartner(other)
-				if !nd.partnerByID(other.ID).announce {
+				if !nd.partnerByID(other.ID).announce() {
 					t.Fatalf("step %d: a duplicate add of %d left its row unannounced", step, other.ID)
 				}
+				row.announce = true
+				m[other.ID] = row
 				cov.dups++
 			case len(m) < maxPartners:
 				nd.addPartner(other)
-				m[other.ID] = tableRow{rate: nd.rateMemory[other.ID]}
+				var loc uint32
+				info := nd.infoFor(other)
+				if info.SameSubnet {
+					loc |= locSubnet
+				}
+				if info.SameAS {
+					loc |= locAS
+				}
+				if info.SameCC {
+					loc |= locCC
+				}
+				m[other.ID] = tableRow{rate: nd.rateMemory[other.ID], announce: true, loc: loc}
 				cov.adds++
 				if i, _ := nd.partnerSearch(other.ID); i < n {
 					cov.shifted++
@@ -331,7 +417,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 					cov.full++
 				}
 			}
-		case what%8 < 6: // remove, listed or not
+		case what%16 < 12: // remove, listed or not
 			if i, ok := nd.partnerSearch(other.ID); ok && i < n-1 {
 				cov.shifted++
 			}
@@ -341,14 +427,14 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 				cov.removes++
 			}
 		case !listed:
-		case what%8 == 6: // a new rate, and with it a new weight
+		case what%16 == 12: // a new rate, and with it a new weight
 			p := nd.partnerByID(other.ID)
 			p.estRate = units.BitRate(ops[step+1]) >> 1
 			nd.rescore(p)
 			row.rate = p.estRate
 			m[other.ID] = row
 			cov.rescores++
-		default: // congestion observations: a loss level naming the step, a backoff on or off
+		case what%16 == 13: // congestion observations: a loss level naming the step, a backoff on or off
 			i, _ := nd.partnerSearch(other.ID)
 			row.cong = partnerCong{lossEWMA: float64(step)}
 			if ops[step+1]&1 != 0 {
@@ -357,6 +443,21 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 			(*nd.cong)[i] = row.cong
 			m[other.ID] = row
 			cov.marks++
+		case what%16 == 14: // one more failure, saturating
+			nd.partnerByID(other.ID).fail()
+			row.failures = min(row.failures+1, maxFailures)
+			m[other.ID] = row
+			cov.fails++
+		case what&16 == 0: // a success clears the failures
+			nd.partnerByID(other.ID).clearFailures()
+			row.failures = 0
+			m[other.ID] = row
+			cov.clears++
+		default: // the announce flag flips
+			row.announce = !row.announce
+			nd.partnerByID(other.ID).setAnnounce(row.announce)
+			m[other.ID] = row
+			cov.toggles++
 		}
 		checkPartnerTable(t, nd)
 
@@ -366,9 +467,10 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		}
 		for i, id := range ids {
 			p, c := &nd.partners[i], (*nd.cong)[i]
-			if want := m[id]; p.id != id || p.estRate != want.rate || c != want.cong {
-				t.Fatalf("step %d: record %d is partner %d at rate %d beside %+v, the model's partner %d at rate %d with %+v",
-					step, i, p.id, p.estRate, c, id, want.rate, want.cong)
+			got := tableRow{rate: p.estRate, cong: c, failures: p.failures(), announce: p.announce(), loc: p.loc()}
+			if want := m[id]; p.id() != id || got != want {
+				t.Fatalf("step %d: record %d is partner %d with %+v, the model's partner %d with %+v",
+					step, i, p.id(), got, id, want)
 			}
 		}
 
@@ -420,6 +522,7 @@ func TestPartnerTableMatchesModel(t *testing.T) {
 		cov := checkTableMatchesModel(t, size, ops)
 		t.Logf("MaxPartners %d: %+v", size, cov)
 		if cov.adds == 0 || cov.dups == 0 || cov.removes == 0 || cov.rescores == 0 || cov.marks == 0 ||
+			cov.fails == 0 || cov.clears == 0 || cov.toggles == 0 ||
 			cov.leaves == 0 || cov.full == 0 || cov.backedOff == 0 ||
 			size > 1 && (cov.shifted == 0 || cov.nanSkipped == 0 || cov.tiesBroken == 0) {
 			t.Errorf("MaxPartners %d: some path never ran: %+v", size, cov)
@@ -429,11 +532,17 @@ func TestPartnerTableMatchesModel(t *testing.T) {
 
 // FuzzPartnerTable lets the fuzzer choose the table size and the operations.
 // The third seed is a NaN-weight profile: an all-NaN table, real weights
-// added beside it, a tie, backoffs over the best.
+// added beside it, a tie, backoffs over the best. The fourth fails one
+// partner past saturation between flag flips and clears.
 func FuzzPartnerTable(f *testing.F) {
-	f.Add(uint8(3), []byte{0, 1, 0, 2, 0, 3, 0, 4, 4, 2, 0, 9, 6, 4, 1, 9, 7, 9, 255, 0, 0, 5})
-	f.Add(uint8(13), []byte{0, 8, 0, 9, 0, 13, 6, 9, 7, 13, 4, 8, 0, 7, 2, 7, 5, 9, 255, 7})
-	f.Add(uint8(5), []byte{0, 4, 0, 9, 0, 14, 0, 2, 0, 3, 0, 8, 0, 13, 6, 9, 7, 3, 7, 31, 4, 3, 255, 0, 0, 4})
+	f.Add(uint8(3), []byte{0, 1, 0, 2, 0, 3, 0, 4, 8, 2, 0, 9, 12, 4, 1, 9, 13, 9, 255, 0, 0, 5})
+	f.Add(uint8(13), []byte{0, 8, 0, 9, 0, 13, 12, 9, 13, 13, 8, 8, 0, 7, 2, 7, 9, 9, 255, 7})
+	f.Add(uint8(5), []byte{0, 4, 0, 9, 0, 14, 0, 2, 0, 3, 0, 8, 0, 13, 12, 9, 13, 3, 13, 31, 8, 3, 255, 0, 0, 4})
+	seed := []byte{0, 5, 0, 6, 31, 5, 14, 6}
+	for range maxFailures + 2 {
+		seed = append(seed, 14, 5)
+	}
+	f.Add(uint8(2), append(seed, 31, 5, 15, 5, 0, 5, 14, 5, 8, 6))
 	f.Fuzz(func(t *testing.T, maxPartners uint8, ops []byte) {
 		if len(ops) > 2048 {
 			ops = ops[:2048]

@@ -252,7 +252,7 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, burst time
 	}
 	if i, ok := nd.partnerSearch(from); ok {
 		p := &nd.partners[i]
-		p.failures = 0
+		p.clearFailures()
 		if nd.net.congestionOn() {
 			// A successful delivery decays the observed-loss estimate and
 			// lifts any standing backoff: the partner is reachable again.

@@ -11,6 +11,7 @@ import (
 
 	"napawine/internal/experiment"
 	"napawine/internal/overlay"
+	"napawine/internal/policy"
 	"napawine/internal/scenario"
 )
 
@@ -439,16 +440,23 @@ func TestRunCellErrorNamesTheFirstCellOnce(t *testing.T) {
 	}
 }
 
+// panickyWeight panics when it weighs a candidate: a profile fault that no
+// validation can see, found only once a cell runs.
+type panickyWeight struct{}
+
+func (panickyWeight) Weight(policy.Info) float64 { panic("panicky weight") }
+func (panickyWeight) Name() string               { return "panicky" }
+
 // TestRunCellPanicIsACellFailure: a cell that panics (here a Variant.Mutate
-// that breaks the profile's partner bounds, which AddNode rejects) is a
-// failed cell like any other: OnRunDone fires with the panic as its error,
-// no further cell starts, the study error names the cell, and Grid.RunCell
-// — the fleet worker's entry — returns the same error instead of panicking.
+// whose discovery weight panics at the first join) is a failed cell like
+// any other: OnRunDone fires with the panic as its error, no further cell
+// starts, the study error names the cell, and Grid.RunCell — the fleet
+// worker's entry — returns the same error instead of panicking.
 func TestRunCellPanicIsACellFailure(t *testing.T) {
 	st := miniStudy()
 	st.Strategies = []string{""}
 	st.Seeds = []int64{3, 4, 5, 6}
-	st.Variants = []Variant{{Name: "broken", Mutate: func(p *overlay.Profile) { p.PartnerTarget = 0 }}}
+	st.Variants = []Variant{{Name: "broken", Mutate: func(p *overlay.Profile) { p.DiscoveryWeight = panickyWeight{} }}}
 	g, err := st.Resolve()
 	if err != nil {
 		t.Fatal(err)
@@ -469,7 +477,7 @@ func TestRunCellPanicIsACellFailure(t *testing.T) {
 	obs.mu.Unlock()
 
 	_, cellErr := g.RunCell(context.Background(), 0, nil)
-	if cellErr == nil || !strings.Contains(cellErr.Error(), "partner bounds") {
+	if cellErr == nil || !strings.Contains(cellErr.Error(), "panicky weight") {
 		t.Fatalf("RunCell on a panicking cell returned %v, want the panic as an error", cellErr)
 	}
 	if want := "study mini: " + label + ": " + cellErr.Error(); err.Error() != want {

@@ -121,8 +121,9 @@ type Variant struct {
 
 // Study is a declarative experiment grid. Empty axes select defaults: the
 // paper's three applications, the profile's own strategy, the stationary
-// condition, the stock profile, one seed. Every listed axis value is
-// validated up front — a typo'd strategy fails before any CPU burns.
+// condition, the stock profile, one seed. Every listed axis value, every
+// profile a variant builds and each app's population are validated up
+// front — a typo'd strategy fails before any CPU burns.
 type Study struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
@@ -299,6 +300,14 @@ func (st *Study) Validate() error {
 			return fmt.Errorf("study %s: duplicate app %q", st.Name, app)
 		}
 		seenApp[app] = true
+		// Sized in floating point, so an absurd factor cannot wrap around.
+		peers := float64(st.Peers)
+		if st.Peers == 0 && st.PeerFactor > 0 {
+			peers = float64(experiment.Default(app).World.Peers) * st.PeerFactor
+		}
+		if peers > maxPeers {
+			return fmt.Errorf("study %s: %s: %.0f peers, past the limit of %d peer ids", st.Name, app, peers, maxPeers)
+		}
 	}
 	seenStrat := map[string]bool{}
 	for _, strat := range st.StrategyList() {
@@ -337,6 +346,18 @@ func (st *Study) Validate() error {
 			return fmt.Errorf("study %s: duplicate variant %q", st.Name, label)
 		}
 		seenVar[label] = true
+		// Each app's profile under the variant, built as its cells will
+		// build it, so a profile that cannot run fails here rather than
+		// inside a cell's world.
+		for _, app := range st.AppList() {
+			prof, err := vr.profile(app)
+			if err != nil {
+				return fmt.Errorf("study %s: %w", st.Name, err)
+			}
+			if err := prof.Validate(); err != nil {
+				return fmt.Errorf("study %s: variant %s: %w", st.Name, label, err)
+			}
+		}
 	}
 	// An explicit seed list and a generated one (Trials/BaseSeed) are two
 	// different ways to author the same axis; a study carrying both would
@@ -538,22 +559,35 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 		cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth}
 	}
 	if c.variant.Blind || c.variant.Mutate != nil {
-		base, err := apps.ByName(c.App)
+		prof, err := c.variant.profile(c.App)
 		if err != nil {
 			return cfg, err
 		}
-		blind := c.variant.Blind
-		mutate := c.variant.Mutate
-		cfg.Profile = apps.Variant(base, c.variant.Name, func(p *overlay.Profile) {
-			if blind {
-				p.DiscoveryWeight = policy.Uniform{}
-			}
-			if mutate != nil {
-				mutate(p)
-			}
-		})
+		cfg.Profile = prof
 	}
 	return cfg, nil
+}
+
+// maxPeers is the largest background population a cell may ask for: the
+// overlay names a peer in 24 bits of each partner record, and its AddNode
+// refuses an id past 2²⁴ − 1.
+const maxPeers = 1<<24 - 1
+
+// profile builds the variant's profile for app: the application's own
+// profile with the variant applied.
+func (vr Variant) profile(app string) (*overlay.Profile, error) {
+	base, err := apps.ByName(app)
+	if err != nil || !vr.Blind && vr.Mutate == nil {
+		return base, err
+	}
+	return apps.Variant(base, vr.Name, func(p *overlay.Profile) {
+		if vr.Blind {
+			p.DiscoveryWeight = policy.Uniform{}
+		}
+		if vr.Mutate != nil {
+			vr.Mutate(p)
+		}
+	}), nil
 }
 
 // congestionLabel renders the congestion coordinate; depth 0 is the

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"context"
 	"strings"
 	"testing"
 	"time"
@@ -88,11 +89,49 @@ func TestStudyValidateRejects(t *testing.T) {
 		{"neg factor", Study{Name: "s", PeerFactor: -1}, "negative peer factor"},
 		{"neg trials", Study{Name: "s", Trials: -2}, "negative trials"},
 		{"bad metric", Study{Name: "s", Metrics: []string{"vibes"}}, "vibes"},
+		{"unrunnable variant", Study{Name: "s", Variants: []Variant{{Name: "lonely", Mutate: func(p *overlay.Profile) {
+			p.PartnerTarget = 0
+		}}}}, "variant lonely: overlay: lonely: bad partner bounds 0/"},
+		{"peers past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 1 << 24},
+			"TVAnts: 16777216 peers, past the limit of 16777215 peer ids"},
+		// 1 400 PPLive peers × 12 000 is past the limit; 240 TVAnts peers
+		// × 12 000 is not, so only PPLive fails.
+		{"factor past the id limit", Study{Name: "s", PeerFactor: 12_000},
+			"PPLive: 16800000 peers, past the limit of 16777215 peer ids"},
 	} {
 		err := tc.st.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate() = %v, want error containing %q", tc.name, err, tc.want)
 		}
+	}
+}
+
+// TestValidateSizesPerApp: the population limit applies to each app's own
+// resolved population, and the limit itself is allowed.
+func TestValidateSizesPerApp(t *testing.T) {
+	for _, st := range []*Study{
+		{Name: "s", Apps: []string{"TVAnts", "SopCast"}, PeerFactor: 12_000},
+		{Name: "s", Peers: 1<<24 - 1},
+	} {
+		if err := st.Validate(); err != nil {
+			t.Errorf("%+v: %v", st, err)
+		}
+	}
+}
+
+// TestRunRejectsAnUnrunnableProfileBeforeAnyCell: a variant whose profile
+// cannot run fails the study before any cell starts, where it used to panic
+// inside the first cell's world.
+func TestRunRejectsAnUnrunnableProfileBeforeAnyCell(t *testing.T) {
+	st := miniStudy()
+	st.Variants = []Variant{{Name: "lonely", Mutate: func(p *overlay.Profile) { p.PartnerTarget = 0 }}}
+	obs := &countingObserver{}
+	_, err := Run(context.Background(), st, WithWorkers(1), WithObserver(obs))
+	if err == nil || !strings.Contains(err.Error(), "bad partner bounds") {
+		t.Fatalf("Run = %v, want the profile's error", err)
+	}
+	if obs.starts != 0 {
+		t.Errorf("%d cells started", obs.starts)
 	}
 }
 
