@@ -136,6 +136,16 @@ func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate {
 	return &a.peers[i]
 }
 
+// Bytes reports the bytes of every consumed record, inbound (toward the
+// probe) and outbound: the sums of the aggregates' TotalDown and TotalUp.
+func (a *Aggregator) Bytes() (in, out int64) {
+	for i := range a.peers {
+		in += a.peers[i].TotalDown
+		out += a.peers[i].TotalUp
+	}
+	return in, out
+}
+
 // PeerAddrs returns every observed remote address, sorted by descending
 // total video bytes (then by address). Tools use this to list top
 // contributors.

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"math/rand"
 	"net/netip"
 	"testing"
 	"time"
@@ -48,6 +49,31 @@ func TestAggregationByDirectionAndSize(t *testing.T) {
 	}
 	if a.PeerCount() != 1 || a.Records() != 5 {
 		t.Errorf("counters: peers=%d records=%d", a.PeerCount(), a.Records())
+	}
+}
+
+// TestBytesSumTheRecordsByDirection: the totals Table II's stream rates
+// read must be the summed record sizes on each side of the probe, over
+// many remotes, sizes on both sides of the video floor and both directions
+// interleaved, as a tally of the raw records would have them.
+func TestBytesSumTheRecordsByDirection(t *testing.T) {
+	a := New(probeAddr, DefaultConfig())
+	rng := rand.New(rand.NewSource(5))
+	var in, out int64
+	for i := 0; i < 5000; i++ {
+		remote := netip.AddrFrom4([4]byte{10, 1, byte(rng.Intn(4)), byte(rng.Intn(256))})
+		size := units.ByteSize(40 + rng.Intn(1300))
+		r := vid(int64(i), remote, probeAddr, size, 100)
+		if rng.Intn(3) == 0 {
+			r.Src, r.Dst = probeAddr, remote
+			out += int64(size)
+		} else {
+			in += int64(size)
+		}
+		a.Consume(r)
+	}
+	if gotIn, gotOut := a.Bytes(); gotIn != in || gotOut != out {
+		t.Errorf("Bytes() = %d in, %d out; the records sum to %d in, %d out", gotIn, gotOut, in, out)
 	}
 }
 

@@ -312,7 +312,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		probe world.Probe
 		node  *overlay.Node
 		agg   *analysis.Aggregator
-		tally *sniffer.TallySink
 	}
 	probes := make([]probeRT, 0, len(w.Probes))
 	var traceFiles []*os.File
@@ -326,9 +325,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		node := net.AddNode(p.Host, p.Link, prof)
 		cap := net.AttachSniffer(node)
 		agg := analysis.New(p.Host.Addr, analysis.DefaultConfig())
-		tally := sniffer.NewTallySink(p.Host.Addr)
 		cap.Attach(agg)
-		cap.Attach(tally)
 		if cfg.StoreTraces != "" {
 			path := filepath.Join(cfg.StoreTraces, p.Label+".nwt")
 			f, err := os.Create(path)
@@ -344,7 +341,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			traceFiles = append(traceFiles, f)
 			traceSinks = append(traceSinks, sink)
 		}
-		probes = append(probes, probeRT{probe: p, node: node, agg: agg, tally: tally})
+		probes = append(probes, probeRT{probe: p, node: node, agg: agg})
 	}
 
 	background := make([]*overlay.Node, 0, len(w.Background))
@@ -460,10 +457,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		res.probeByAddr[p.probe.Host.Addr] = p.probe
 		obs, unlocated := p.agg.Observations(w.Topo, probeSet)
 		res.Unlocated += unlocated
+		in, out := p.agg.Bytes()
 		stat := ProbeStats{
 			Probe:    p.probe,
-			RxKbps:   float64(p.tally.InBytes) * 8 / 1000 / secs,
-			TxKbps:   float64(p.tally.OutBytes) * 8 / 1000 / secs,
+			RxKbps:   float64(in) * 8 / 1000 / secs,
+			TxKbps:   float64(out) * 8 / 1000 / secs,
 			AllPeers: p.agg.PeerCount(),
 		}
 		for _, o := range obs {

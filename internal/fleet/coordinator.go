@@ -24,6 +24,10 @@ const DefaultLeaseTTL = 30 * time.Second
 // right now (every cell leased or done, but the grid not yet complete).
 const waitRetry = 500 * time.Millisecond
 
+// waitGrace is how long after a wait reply its worker is expected to poll
+// again: waitRetry plus a margin for the round trip.
+const waitGrace = waitRetry + 250*time.Millisecond
+
 // Cell lifecycle at the coordinator.
 const (
 	statePending = iota
@@ -88,8 +92,13 @@ type Coordinator struct {
 	cells     []cellState
 	remaining int             // cells not yet done
 	workers   map[string]bool // worker names seen, for join logging
-	failErr   error           // first cell failure, by lowest grid index, labelled with its cell
-	failIdx   int
+	// waiting holds when each worker was last told to wait, until it is
+	// told the study is over: Close answers those polls before it stops
+	// listening. answered is signalled whenever an entry goes.
+	waiting  map[string]time.Time
+	answered chan struct{}
+	failErr  error // first cell failure, by lowest grid index, labelled with its cell
+	failIdx  int
 
 	done   chan struct{} // closed when remaining hits 0
 	failed chan struct{} // closed on the first cell failure
@@ -129,6 +138,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 		cells:     make([]cellState, len(infos)),
 		remaining: len(infos),
 		workers:   make(map[string]bool),
+		waiting:   make(map[string]time.Time),
+		answered:  make(chan struct{}, 1),
 		failIdx:   -1,
 		done:      make(chan struct{}),
 		failed:    make(chan struct{}),
@@ -238,12 +249,14 @@ func (c *Coordinator) assemble() (*study.Result, error) {
 // drainTimeout bounds how long Close waits for running handlers.
 const drainTimeout = 5 * time.Second
 
-// Close stops serving and joins the server goroutine. The listener closes
-// first; handlers already running then get drainTimeout to finish, so the
+// Close stops serving and joins the server goroutine. A study that is over
+// first answers the workers still polling it (answerWaiters). The listener
+// then closes; handlers already running get drainTimeout to finish, so the
 // worker that just delivered the last result reads its acknowledgement
 // instead of a reset connection (which it would redial for its whole
 // budget). Connections still busy after that are cut.
 func (c *Coordinator) Close() error {
+	c.answerWaiters()
 	ctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
 	err := c.srv.Shutdown(ctx)
@@ -252,6 +265,50 @@ func (c *Coordinator) Close() error {
 	}
 	c.wg.Wait()
 	return err
+}
+
+// answerWaiters returns once every worker told to wait has since been told
+// the study is over, or once the last of them is overdue: at most waitGrace,
+// and at once when the study is not over or nobody is waiting. A worker told
+// to wait would otherwise poll a closed port and redial it for its whole
+// budget.
+func (c *Coordinator) answerWaiters() {
+	for {
+		c.mu.Lock()
+		var last time.Time
+		if c.remaining == 0 || c.failErr != nil {
+			for _, at := range c.waiting {
+				if at.After(last) {
+					last = at
+				}
+			}
+		}
+		c.mu.Unlock()
+		left := time.Until(last.Add(waitGrace))
+		if left <= 0 {
+			return
+		}
+		timer := time.NewTimer(left)
+		select {
+		case <-c.answered:
+			timer.Stop()
+		case <-timer.C:
+			return
+		}
+	}
+}
+
+// answeredLocked records that worker has been told the study is over: it
+// stops every slot it runs. Called with c.mu held.
+func (c *Coordinator) answeredLocked(worker string) {
+	if _, ok := c.waiting[worker]; !ok {
+		return
+	}
+	delete(c.waiting, worker)
+	select {
+	case c.answered <- struct{}{}:
+	default:
+	}
 }
 
 // attributed returns cell idx's RunInfo with its execution attributed to
@@ -313,11 +370,13 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	}
 	if c.failErr != nil {
 		rep := leaseReply{Status: StatusFailed, Error: c.failErr.Error()}
+		c.answeredLocked(req.Worker)
 		c.mu.Unlock()
 		writeJSON(w, rep)
 		return
 	}
 	if c.remaining == 0 {
+		c.answeredLocked(req.Worker)
 		c.mu.Unlock()
 		writeJSON(w, leaseReply{Status: StatusDone})
 		return
@@ -333,6 +392,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, rep)
 		return
 	}
+	c.waiting[req.Worker] = now
 	c.mu.Unlock()
 	writeJSON(w, leaseReply{Status: StatusWait, RetryMs: waitRetry.Milliseconds()})
 }
@@ -415,6 +475,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		// cells are deterministic, so the summary already recorded is the
 		// same one. Acknowledge idempotently.
 		complete := c.remaining == 0
+		if complete {
+			c.answeredLocked(res.Worker)
+		}
 		c.mu.Unlock()
 		writeJSON(w, okReply{OK: true, Done: complete})
 		return
@@ -429,6 +492,7 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		}
 		c.cells[res.Index] = cellState{state: statePending}
 		first := c.failIdx == res.Index
+		c.answeredLocked(res.Worker) // it stops on its own failed cell
 		c.mu.Unlock()
 		c.log("fleet: cell %d/%d (%s) failed on %s: %s", res.Index+1, len(c.cells), info.Label(), res.Worker, res.Error)
 		c.observer.OnRunDone(info, experiment.Summary{}, err)
@@ -447,6 +511,9 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	c.cells[res.Index] = cellState{state: stateDone, worker: res.Worker, sum: *res.Summary}
 	c.remaining--
 	last := c.remaining == 0
+	if last {
+		c.answeredLocked(res.Worker)
+	}
 	info := c.attributed(res.Index, res.Worker)
 	c.mu.Unlock()
 

@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"context"
+	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -125,5 +126,79 @@ func TestWorkerStopsAfterItsOwnFailedCell(t *testing.T) {
 			t.Fatalf("%d slots: the worker outlived its failed cell and the coordinator by 10 s", slots)
 		}
 		cancel()
+	}
+}
+
+// TestIdleSlotsLearnTheGridIsDone: in a one-cell grid every slot but the one
+// that leases the cell is told to wait. Once Wait and Close return, each
+// worker must return nil within 5 s, whether its idle slot is the finisher's
+// sibling or another worker's only slot; polling a closed coordinator, it
+// would redial for its whole budget instead and exit "unreachable". The
+// cell's result waits until some slot has been told to wait, so every run
+// takes that path.
+func TestIdleSlotsLearnTheGridIsDone(t *testing.T) {
+	st := &study.Study{
+		Name:       "fleet-idle",
+		Apps:       []string{"TVAnts"},
+		Seeds:      []int64{1},
+		Duration:   study.Duration(5 * time.Second),
+		PeerFactor: 0.05,
+	}
+	for _, tc := range []struct {
+		name           string
+		workers, slots int
+	}{
+		{"one worker, two slots", 1, 2},
+		{"two workers, one slot each", 2, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", Log: t.Logf})
+			if err != nil {
+				t.Fatalf("NewCoordinator: %v", err)
+			}
+			someoneWaits := func(int) error {
+				for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
+					coord.mu.Lock()
+					n := len(coord.waiting)
+					coord.mu.Unlock()
+					if n > 0 {
+						return nil
+					}
+				}
+				t.Error("no slot was told to wait")
+				return nil
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*dialBudget)
+			defer cancel()
+			werr := make(chan error, tc.workers)
+			for i := range tc.workers {
+				cfg := WorkerConfig{
+					Addr: coord.Addr(), Name: fmt.Sprintf("w%d", i), Workers: tc.slots, ExplicitWorkers: true,
+					Log: t.Logf, beforeResult: someoneWaits,
+				}
+				go func() { werr <- RunWorker(ctx, cfg) }()
+			}
+			if _, err := coord.Wait(ctx); err != nil {
+				t.Fatalf("Wait: %v", err)
+			}
+			closeStart := time.Now()
+			if err := coord.Close(); err != nil {
+				t.Errorf("Close: %v", err)
+			}
+			if d := time.Since(closeStart); d > waitGrace+time.Second {
+				t.Errorf("Close took %v", d)
+			}
+			timeout := time.After(5 * time.Second)
+			for range tc.workers {
+				select {
+				case err := <-werr:
+					if err != nil {
+						t.Errorf("worker returned %v, want nil", err)
+					}
+				case <-timeout:
+					t.Fatal("a worker outlived the finished grid and its coordinator by 5 s")
+				}
+			}
+		})
 	}
 }

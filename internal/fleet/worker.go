@@ -78,8 +78,8 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		cfg.Name = fmt.Sprintf("%s-%d", host, os.Getpid())
 	}
 	w := &worker{
-		cfg:    cfg,
-		base:   "http://" + cfg.Addr + "/fleet/v1",
+		cfg:  cfg,
+		base: "http://" + cfg.Addr + "/fleet/v1",
 		// A transport of its own, whose idle connections close when the
 		// worker returns: a dial that a cancelled slot started would
 		// otherwise sit at the coordinator as a connection that never sends
@@ -107,9 +107,10 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		cfg.Name, cfg.Addr, w.st.Name, w.st.Runs(), shards, budget)
 
 	// Each slot loops lease → run → result until the coordinator disbands
-	// it. The first slot error (a failed cell or an exhausted redial
-	// budget) is the worker's, and cancels the other slots: the study is
-	// over, and the coordinator may already have exited.
+	// it. The first slot to stop decides the worker's outcome and cancels
+	// the other slots: nil once it has learnt the grid is done, or its error
+	// (a failed cell or an exhausted redial budget). Either way the study
+	// is over for this worker, and the coordinator may already have exited.
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	var (
@@ -121,12 +122,11 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if err := w.leaseLoop(ctx); err != nil {
-				once.Do(func() {
-					first = err
-					cancel()
-				})
-			}
+			err := w.leaseLoop(ctx)
+			once.Do(func() {
+				first = err
+				cancel()
+			})
 		}()
 	}
 	wg.Wait()

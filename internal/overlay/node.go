@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 	"time"
 
@@ -229,17 +230,26 @@ const (
 // bound, its storage doubling but never past it; from then on a new entry
 // overwrites the oldest in place and head moves on, so logical index i (at)
 // is where a slice shifted down on every eviction would hold the same id.
+//
+// Entries are bit-packed, width bits each: slot s holds bits [s·width,
+// (s+1)·width) of words, low bits first, and may straddle two words. width
+// is bits.Len of the widest id the list has held (at least 1, never more
+// than the 24 bits a peer id has): 11 bits in a 1,500-peer swarm, 14 at
+// 10⁴. A wider id first moves every entry into storage of its width
+// (repack), as a grow does.
 type neighborRing struct {
-	ids  []PeerID
-	head int32 // slot of the oldest entry; 0 until the list is full
-	// stale counts evictions since the filter was last exact. An evicted
-	// id's bit stays set, which costs a wasted scan and never a wrong
-	// answer; the filter is rebuilt from ids every bound/4 evictions.
-	stale int32
+	words []uint64 // the packed entries: room for slots() of them
 	// filter answers "certainly absent" without the scan: a clear bit means
 	// no listed id has that residue. A set bit decides nothing, so the scan
 	// follows and membership stays exact. Nil below neighborFilterMin entries.
 	filter *[neighborFilterBits / 64]uint64
+	n      int32 // entries listed
+	head   int32 // slot of the oldest entry; 0 until the list is full
+	// stale counts evictions since the filter was last exact. An evicted
+	// id's bit stays set, which costs a wasted scan and never a wrong
+	// answer; the filter is rebuilt from the entries every bound/4 evictions.
+	stale int32
+	width uint8 // bits per entry; 0 until the first entry
 }
 
 // neighborFilterBit locates id's bit in a filter: word index and mask.
@@ -247,21 +257,108 @@ func neighborFilterBit(id PeerID) (word uint, mask uint64) {
 	return uint(id) % neighborFilterBits / 64, 1 << (uint(id) % 64)
 }
 
-func (r *neighborRing) len() int { return len(r.ids) }
+func (r *neighborRing) len() int { return int(r.n) }
+
+// slots reports how many entries the storage holds at the current width.
+func (r *neighborRing) slots() int {
+	if r.width == 0 {
+		return 0
+	}
+	return len(r.words) * 64 / int(r.width)
+}
+
+// window reads the 64 bits of storage from bit offset off on, low bits
+// first; bits past the storage read as zero.
+func (r *neighborRing) window(off uint) uint64 {
+	i, s := off/64, off%64
+	v := r.words[i] >> s
+	if s != 0 && i+1 < uint(len(r.words)) {
+		v |= r.words[i+1] << (64 - s)
+	}
+	return v
+}
+
+// unpack reads the entry at bit offset off.
+func (r *neighborRing) unpack(off uint) PeerID {
+	return PeerID(r.window(off) & (1<<r.width - 1))
+}
+
+// pack writes id, which fits in width bits, at bit offset off.
+func (r *neighborRing) pack(off uint, id PeerID) {
+	i, s := off/64, off%64
+	mask, v := uint64(1)<<r.width-1, uint64(id)
+	r.words[i] = r.words[i]&^(mask<<s) | v<<s
+	if s+uint(r.width) > 64 {
+		r.words[i+1] = r.words[i+1]&^(mask>>(64-s)) | v>>(64-s)
+	}
+}
 
 // at returns the i-th oldest entry.
 func (r *neighborRing) at(i int) PeerID {
 	i += int(r.head)
-	if i >= len(r.ids) {
-		i -= len(r.ids)
+	if i >= int(r.n) {
+		i -= int(r.n)
 	}
-	return r.ids[i]
+	return r.unpack(uint(i) * uint(r.width))
 }
 
-// reset empties the list, keeping its storage for the next session.
+// wordLanes[w] cuts a 64-bit word into whole w-bit lanes: how many there
+// are, and the word with the lowest bit of each lane set.
+var wordLanes = func() (lanes [32 - keyIDShift + 1]struct {
+	per  uint
+	lows uint64
+}) {
+	for w := 1; w < len(lanes); w++ {
+		lanes[w].per = uint(64 / w)
+		for lane := 0; lane+w <= 64; lane += w {
+			lanes[w].lows |= 1 << lane
+		}
+	}
+	return lanes
+}()
+
+// contains scans the listed entries for id, a 64-bit window of whole
+// entries at a time (unpacking them one by one costs more than a scan of
+// 32-bit ids): the window XOR id in every lane has a zero lane exactly when
+// some entry equals id, and (x − lows) &^ x & highs is non-zero exactly when
+// x has a zero lane.
+func (r *neighborRing) contains(id PeerID) bool {
+	w := uint(r.width)
+	if r.n == 0 || uint(bits.Len32(uint32(id))) > w {
+		return false // empty, or id is wider than any id the list has held
+	}
+	per, lows := wordLanes[w].per, wordLanes[w].lows
+	highs, want := lows<<(w-1), uint64(id)*lows
+	n, off := uint(r.n), uint(0)
+	for ; n > per; n -= per {
+		if x := r.window(off) ^ want; (x-lows)&^x&highs != 0 {
+			return true
+		}
+		off += per * w
+	}
+	x := r.window(off) ^ want | highs&^(1<<(n*w)-1) // lanes past the last entry never match
+	return (x-lows)&^x&highs != 0
+}
+
+// repack moves the entries into fresh storage of the given slot count and
+// entry width, each to the slot it had.
+func (r *neighborRing) repack(slots, width int) {
+	old := *r
+	r.words = make([]uint64, (slots*width+63)/64)
+	r.width = uint8(width)
+	if r.width == old.width {
+		copy(r.words, old.words) // a grow: the same layout, longer
+		return
+	}
+	for s := uint(0); s < uint(r.n); s++ {
+		r.pack(s*uint(width), old.unpack(s*uint(old.width)))
+	}
+}
+
+// reset empties the list, keeping its storage and width for the next
+// session.
 func (r *neighborRing) reset() {
-	r.ids = r.ids[:0]
-	r.head, r.stale = 0, 0
+	r.n, r.head, r.stale = 0, 0, 0
 	if r.filter != nil {
 		clear(r.filter[:])
 	}
@@ -275,27 +372,30 @@ func (r *neighborRing) remember(id PeerID, limit int) bool {
 		return false
 	}
 	word, mask := neighborFilterBit(id)
-	if (r.filter == nil || r.filter[word]&mask != 0) && slices.Contains(r.ids, id) {
+	if (r.filter == nil || r.filter[word]&mask != 0) && r.contains(id) {
 		return false
 	}
-	if len(r.ids) < limit {
-		if len(r.ids) == cap(r.ids) {
-			// Doubling capped at the bound: append would overshoot it
-			// (a 600-entry list would end in an 864-entry array).
-			grown := make([]PeerID, len(r.ids), min(max(2*cap(r.ids), 8), limit))
-			copy(grown, r.ids)
-			r.ids = grown
-		}
-		r.ids = append(r.ids, id)
+	full := int(r.n) >= limit
+	width := max(bits.Len32(uint32(id)), int(r.width), 1)
+	switch {
+	case !full && (int(r.n)+1)*width > 64*len(r.words):
+		// No room for the entry: double the storage, never past the bound.
+		r.repack(min(max(2*int(r.n), 8), limit), width)
+	case width > int(r.width):
+		r.repack(max(min(r.slots(), limit), int(r.n)), width)
+	}
+	if !full {
+		r.pack(uint(r.n)*uint(r.width), id)
+		r.n++
 	} else {
-		r.ids[r.head] = id
-		if r.head++; int(r.head) == len(r.ids) {
+		r.pack(uint(r.head)*uint(r.width), id)
+		if r.head++; r.head == r.n {
 			r.head = 0
 		}
 		r.stale++
 	}
 	switch {
-	case r.filter == nil && len(r.ids) >= neighborFilterMin:
+	case r.filter == nil && int(r.n) >= neighborFilterMin:
 		r.filter = new([neighborFilterBits / 64]uint64)
 		r.refilter()
 	case r.filter != nil && int(r.stale)*4 >= limit:
@@ -309,8 +409,9 @@ func (r *neighborRing) remember(id PeerID, limit int) bool {
 // refilter makes the filter exact again: the bits of the listed ids, no other.
 func (r *neighborRing) refilter() {
 	clear(r.filter[:])
-	for _, id := range r.ids {
-		word, mask := neighborFilterBit(id)
+	w := uint(r.width)
+	for off, end := uint(0), uint(r.n)*w; off < end; off += w {
+		word, mask := neighborFilterBit(r.unpack(off))
 		r.filter[word] |= mask
 	}
 	r.stale = 0

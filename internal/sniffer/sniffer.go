@@ -103,8 +103,10 @@ func (s *WriterSink) Consume(r packet.Record) {
 	s.Err = s.W.Write(r)
 }
 
-// TallySink sums the bytes a probe received and sent — a cheap always-on
-// consumer used for experiment summaries (Table II's stream rates).
+// TallySink sums the bytes a probe received and sent. A run's probes do not
+// attach one: their aggregator already holds the same sums
+// (analysis.Aggregator.Bytes). It remains for the capture kernel in
+// bench/kernels.go, which observes through two consumers.
 type TallySink struct {
 	probe netip.Addr
 
