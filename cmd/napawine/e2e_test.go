@@ -117,9 +117,9 @@ func TestUsageErrorsLeaveOutFileUntouched(t *testing.T) {
 		{"-study blind-ablation -apps TVAnts,Joost", "Joost"},
 		{"-scenario-file no-such.json", "no-such.json"},
 		{"-study-file no-such.json", "no-such.json"},
-		{"-workers 64 -shards 64", "-workers"},
 		{"-no-such-flag", "-no-such-flag"},
 		{"-lean-ledger", "-lean-ledger"}, // removed with the second ledger shape
+		{"-shards 2", "-shards"},         // removed: the sharded engine is not selectable
 		{"table4", "table4"},
 	} {
 		if err := os.WriteFile(prior, []byte("previous run\n"), 0o644); err != nil {
@@ -201,7 +201,7 @@ func TestFleetServesAFlagBuiltStudy(t *testing.T) {
 			addr, _ = os.ReadFile(filepath.Join(spool, "addr"))
 		}
 		_ = fleet.RunWorker(ctx, fleet.WorkerConfig{
-			Addr: strings.TrimSpace(string(addr)), Workers: 1, ExplicitWorkers: true})
+			Addr: strings.TrimSpace(string(addr)), Workers: 1})
 		close(worker)
 	}()
 	code, fleetOut, stderr := runCLI(append(args, "-listen", "127.0.0.1:0", "-resume", spool)...)

@@ -56,7 +56,7 @@ var validExps = []string{"table1", "table2", "table3", "table4", "fig1", "fig2",
 type options struct {
 	exp, apps, scenario, scenarioFile, strategy, study, studyFile   string
 	seed                                                            int64
-	seeds, peers, workers, shards, queueDepth                       int
+	seeds, peers, workers, queueDepth                               int
 	scale                                                           float64
 	duration, httpLinger, leaseTTL                                  time.Duration
 	csv, listScenarios, listStrategies, listStudies                 bool
@@ -80,7 +80,6 @@ func parseFlags(args []string) (*options, *flag.FlagSet, error) {
 	fs.Float64Var(&o.scale, "scale", 1.0, "background population scale factor")
 	fs.IntVar(&o.peers, "peers", 0, "absolute background population (overrides -scale; 0 = per-app default)")
 	fs.IntVar(&o.workers, "workers", 0, "parallel experiments (0 = GOMAXPROCS)")
-	fs.IntVar(&o.shards, "shards", 0, "parallel shard engines per run, partitioned by AS (0 or 1 = serial engine)")
 	fs.StringVar(&o.cpuProfile, "cpuprofile", "", "write a CPU profile of the whole invocation to this file")
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile (taken at exit) to this file")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
@@ -151,8 +150,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("non-positive -duration %v", o.duration)
 	case o.workers < 0:
 		return fmt.Errorf("negative -workers %d", o.workers)
-	case o.shards < 0:
-		return fmt.Errorf("negative -shards %d", o.shards)
 	case o.queueDepth < 0:
 		return fmt.Errorf("negative -queue-depth %d", o.queueDepth)
 	case o.explicit["peers"] && o.explicit["scale"]:
@@ -248,11 +245,16 @@ func (o *options) buildStudy() (*study.Study, error) {
 	if set("duration") {
 		st.Duration = study.Duration(o.duration)
 	}
+	// A listed seed axis is first restated as its first seed and its
+	// length, so -seed moves the whole axis and -seeds resizes it.
+	if len(st.Seeds) > 0 && (set("seed") || set("seeds")) {
+		st.Seeds, st.BaseSeed, st.Trials = nil, st.Seeds[0], len(st.Seeds)
+	}
 	if set("seeds") {
-		st.Seeds, st.Trials = nil, o.seeds
+		st.Trials = o.seeds
 	}
 	if set("seed") {
-		st.Seeds, st.BaseSeed = nil, o.seed
+		st.BaseSeed = o.seed
 	}
 	// -peers and -scale are two sizings of one world; an untouched -scale
 	// default must not count against an explicit -peers.
@@ -260,9 +262,6 @@ func (o *options) buildStudy() (*study.Study, error) {
 		st.Peers, st.PeerFactor = o.peers, 0
 	} else if set("scale") {
 		st.Peers, st.PeerFactor = 0, o.scale
-	}
-	if set("shards") {
-		st.Shards = o.shards
 	}
 	if set("queue-depth") {
 		// A pinned depth collapses any congestion axis the study declared.
@@ -298,9 +297,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 0
 	}
 	fmt.Fprintln(stderr, "napawine:", err)
-	// A fleet worker learns the study's shard count only at join time, so
-	// its oversubscription check fails late — still a usage error.
-	if errors.As(err, new(usageError)) || errors.Is(err, fleet.ErrOversubscribed) {
+	if errors.As(err, new(usageError)) {
 		fs.Usage()
 		return 2
 	}
@@ -326,8 +323,7 @@ func (o *options) execute(stdout, stderr io.Writer) (err error) {
 	// cells until disbanded, and prints no tables (the coordinator does).
 	if o.join != "" {
 		return fleet.RunWorker(context.Background(), fleet.WorkerConfig{
-			Addr:    o.join,
-			Workers: o.workers, ExplicitWorkers: o.explicit["workers"],
+			Addr: o.join, Workers: o.workers,
 			Log: func(format string, args ...any) { fmt.Fprintf(stderr, format+"\n", args...) },
 		})
 	}
@@ -335,11 +331,6 @@ func (o *options) execute(stdout, stderr io.Writer) (err error) {
 	if o.exp != "table1" {
 		if st, err = o.buildStudy(); err != nil {
 			return usageError{err}
-		}
-		// Every in-flight cell runs the study's shards as goroutines: an
-		// oversubscribing -workers is a usage error, an unset one is derated.
-		if o.workers, err = fleet.WorkerBudget(o.workers, o.explicit["workers"], st.Shards, runtime.GOMAXPROCS(0)); err != nil {
-			return err
 		}
 	}
 	// -out opens only now: a usage error can never truncate a previous

@@ -1,6 +1,9 @@
 package main
 
 import (
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -234,7 +237,7 @@ func TestValidateFleetArgs(t *testing.T) {
 	if err := validate(t, "-join", "host:1", "-workers", "2", "-cpuprofile", "c", "-memprofile", "m"); err != nil {
 		t.Errorf("worker whitelist rejected: %v", err)
 	}
-	for _, f := range [][]string{{"-shards", "2"}, {"-study", "blind-ablation"}, {"-study-file", "s.json"},
+	for _, f := range [][]string{{"-study", "blind-ablation"}, {"-study-file", "s.json"},
 		{"-exp", "table2"}, {"-seeds", "2"}, {"-duration", "30s"}, {"-out", "o"}, {"-svg-out", "d"}, {"-http", ":0"}} {
 		err := validate(t, append([]string{"-join", "host:1"}, f...)...)
 		if err == nil || !strings.Contains(err.Error(), f[0]) {
@@ -258,7 +261,6 @@ func TestValidateRejectsIgnoredValues(t *testing.T) {
 		{[]string{"-duration", "0"}, "-duration"},
 		{[]string{"-study", "blind-ablation", "-duration", "-5s"}, "-duration"},
 		{[]string{"-exp", "table2", "-seeds", "2", "-listen", ":0", "-duration", "0s"}, "-duration"},
-		{[]string{"-shards", "-1"}, "-shards"},
 		{[]string{"-queue-depth", "-1"}, "-queue-depth"},
 		{[]string{"-peers", "60", "-scale", "0.5"}, "-peers"},
 		{[]string{"-http-linger", "5s"}, "-http-linger"},
@@ -292,7 +294,7 @@ func TestBuildStudyOverrides(t *testing.T) {
 		return o
 	}
 	st, err := build("-apps", "TVAnts,SopCast", "-seed", "7", "-seeds", "3", "-duration", "20s",
-		"-peers", "60", "-strategy", "rarest", "-scenario", "flashcrowd", "-queue-depth", "2", "-shards", "2").buildStudy()
+		"-peers", "60", "-strategy", "rarest", "-scenario", "flashcrowd", "-queue-depth", "2").buildStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +305,7 @@ func TestBuildStudyOverrides(t *testing.T) {
 		t.Errorf("sizing = %d peers / factor %v; an untouched -scale must not count against -peers", st.Peers, st.PeerFactor)
 	}
 	if st.Runs() != 6 || st.Apps[0] != "TVAnts" || st.Strategies[0] != "rarest" ||
-		st.Scenarios[0].Name != "flashcrowd" || st.QueueDepth != 2 || st.Shards != 2 || time.Duration(st.Duration) != 20*time.Second {
+		st.Scenarios[0].Name != "flashcrowd" || st.QueueDepth != 2 || time.Duration(st.Duration) != 20*time.Second {
 		t.Errorf("flag-built study = %+v", st)
 	}
 	if st, err = build().buildStudy(); err != nil || st.PeerFactor != 1 || st.Runs() != 3 || st.Duration == 0 {
@@ -334,5 +336,37 @@ func TestBuildStudyOverrides(t *testing.T) {
 	}
 	if _, err := build("-scenario-file", "no-such.json").buildStudy(); err == nil {
 		t.Error("missing scenario file accepted")
+	}
+}
+
+// TestSeedFlagsOverAListedSeedAxis: over a study that lists its seeds, a
+// typed -seed moves the whole axis and a typed -seeds resizes it from the
+// study's first seed; neither drops the other half of the axis.
+func TestSeedFlagsOverAListedSeedAxis(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "listed.json")
+	body := `{"name": "listed", "apps": ["TVAnts"], "seeds": [10, 11, 12]}`
+	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		flags []string
+		want  []int64
+	}{
+		{nil, []int64{10, 11, 12}},
+		{[]string{"-seed", "5"}, []int64{5, 6, 7}},
+		{[]string{"-seeds", "2"}, []int64{10, 11}},
+		{[]string{"-seeds", "2", "-seed", "5"}, []int64{5, 6}},
+	} {
+		o, _, err := parseFlags(append([]string{"-study-file", path}, tc.flags...))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := o.buildStudy()
+		if err != nil {
+			t.Fatalf("%v: %v", tc.flags, err)
+		}
+		if got := st.SeedList(); !slices.Equal(got, tc.want) {
+			t.Errorf("%v over seeds [10 11 12]: seeds %v, want %v", tc.flags, got, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"math"
 	"testing"
 	"time"
@@ -169,6 +170,17 @@ func TestShardedScenarioRun(t *testing.T) {
 		if x.Online != y.Online || x.Continuity != y.Continuity || x.VideoKbps != y.VideoKbps {
 			t.Fatalf("series bucket %d differs: %+v vs %+v", i, x, y)
 		}
+	}
+	// The table a user reads, byte for byte.
+	var x, y bytes.Buffer
+	if err := TableIV([]*Result{a}).Render(&x); err != nil {
+		t.Fatal(err)
+	}
+	if err := TableIV([]*Result{b}).Render(&y); err != nil {
+		t.Fatal(err)
+	}
+	if x.String() != y.String() {
+		t.Errorf("Table IV differs between two sharded runs:\n%s\nvs\n%s", x.String(), y.String())
 	}
 }
 

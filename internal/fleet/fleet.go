@@ -39,16 +39,7 @@
 //	               rendering and gone by then).
 package fleet
 
-import (
-	"errors"
-	"fmt"
-
-	"napawine/internal/experiment"
-)
-
-// ErrOversubscribed marks a WorkerBudget rejection, so the CLI can present
-// it as a usage error (exit 2) rather than a runtime failure.
-var ErrOversubscribed = errors.New("oversubscribed")
+import "napawine/internal/experiment"
 
 // Lease-reply statuses.
 const (
@@ -119,31 +110,4 @@ type resultPost struct {
 type okReply struct {
 	OK   bool `json:"ok"`
 	Done bool `json:"done,omitempty"`
-}
-
-// WorkerBudget applies the two-level parallelism guard shared by the local
-// and fleet execution paths: workers × shards must not oversubscribe the
-// machine. An explicitly-set worker count that does is a usage error; an
-// unset one is derated to cores/shards so the default stays "use the
-// machine once", not shards times over. On the fleet path the shard count
-// is the study's own (the worker discovers it at join time): cells must run
-// with the coordinator's shard setting or their results would not be
-// byte-identical to a local run of the same spec.
-func WorkerBudget(workers int, explicit bool, shards, cores int) (int, error) {
-	if shards > 1 {
-		if explicit && workers > 1 && workers*shards > cores {
-			return 0, fmt.Errorf("%w: -workers %d × -shards %d exceeds GOMAXPROCS (%d); lower one of them",
-				ErrOversubscribed, workers, shards, cores)
-		}
-		if !explicit {
-			workers = cores / shards
-			if workers < 1 {
-				workers = 1
-			}
-		}
-	}
-	if workers <= 0 {
-		workers = cores
-	}
-	return workers, nil
 }

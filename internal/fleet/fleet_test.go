@@ -12,6 +12,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -117,32 +118,38 @@ func (o *obsRec) doneWorkers() map[string]int {
 	return m
 }
 
-func TestWorkerBudget(t *testing.T) {
-	cases := []struct {
-		name                string
-		workers             int
-		explicit            bool
-		shards, cores, want int
-		wantErr             bool
-	}{
-		{"default no shards", 0, false, 1, 8, 8, false},
-		{"explicit fits", 2, true, 1, 8, 2, false},
-		{"default derated by shards", 0, false, 4, 8, 2, false},
-		{"derating floors at one", 0, false, 8, 4, 1, false},
-		{"explicit one always fine", 1, true, 8, 4, 1, false},
-		{"explicit oversubscribes", 4, true, 4, 8, 0, true},
-		{"explicit at the edge", 2, true, 4, 8, 2, false},
-	}
-	for _, c := range cases {
-		got, err := WorkerBudget(c.workers, c.explicit, c.shards, c.cores)
-		if c.wantErr {
-			if err == nil {
-				t.Errorf("%s: no error", c.name)
-			}
-			continue
+// TestWorkerRunsItsSlotBudget: a worker runs Workers cells at a time, or
+// GOMAXPROCS when Workers is 0, and says so in its join line.
+func TestWorkerRunsItsSlotBudget(t *testing.T) {
+	for _, tc := range []struct{ workers, want int }{
+		{0, runtime.GOMAXPROCS(0)},
+		{3, 3},
+	} {
+		coord, err := NewCoordinator(CoordinatorConfig{Study: fleetStudy(), Addr: "127.0.0.1:0"})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if err != nil || got != c.want {
-			t.Errorf("%s: got %d, %v; want %d", c.name, got, err, c.want)
+		var (
+			mu    sync.Mutex
+			lines []string
+		)
+		logf := func(format string, args ...any) {
+			mu.Lock()
+			defer mu.Unlock()
+			lines = append(lines, fmt.Sprintf(format, args...))
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: tc.workers, Log: logf})
+		cancel()
+		if err := coord.Close(); err != nil {
+			t.Errorf("Close: %v", err)
+		}
+		if werr != nil {
+			t.Fatalf("Workers %d: %v", tc.workers, werr)
+		}
+		want := fmt.Sprintf("running %d cell(s) at a time", tc.want)
+		if len(lines) == 0 || !strings.Contains(lines[0], "joined") || !strings.HasSuffix(lines[0], want) {
+			t.Errorf("Workers %d: join line %q, want one ending %q", tc.workers, lines, want)
 		}
 	}
 }
@@ -177,7 +184,7 @@ func TestFleetParityTwoWorkers(t *testing.T) {
 			defer wg.Done()
 			werrs[i] = RunWorker(ctx, WorkerConfig{
 				Addr: coord.Addr(), Name: fmt.Sprintf("w%d", i+1),
-				Workers: 1, ExplicitWorkers: true, Log: t.Logf,
+				Workers: 1, Log: t.Logf,
 			})
 		}(i)
 	}
@@ -239,7 +246,7 @@ func TestFleetStreamsSamples(t *testing.T) {
 	defer coord.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1, ExplicitWorkers: true}); err != nil {
+	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1}); err != nil {
 		t.Fatalf("RunWorker: %v", err)
 	}
 	if _, err := coord.Wait(ctx); err != nil {
@@ -281,7 +288,7 @@ func TestFleetWorkerDeathRequeues(t *testing.T) {
 	killed := errors.New("simulated kill")
 	var w1cells int
 	w1err := RunWorker(ctx, WorkerConfig{
-		Addr: coord.Addr(), Name: "w1", Workers: 1, ExplicitWorkers: true, Log: t.Logf,
+		Addr: coord.Addr(), Name: "w1", Workers: 1, Log: t.Logf,
 		beforeResult: func(int) error {
 			w1cells++
 			if w1cells >= 2 {
@@ -297,7 +304,7 @@ func TestFleetWorkerDeathRequeues(t *testing.T) {
 		t.Fatalf("%d cells remain after worker 1's death, want 3 (one reported, one died holding its lease)", got)
 	}
 
-	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w2", Workers: 1, ExplicitWorkers: true, Log: t.Logf}); err != nil {
+	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w2", Workers: 1, Log: t.Logf}); err != nil {
 		t.Fatalf("worker 2: %v", err)
 	}
 	res, err := coord.Wait(ctx)
@@ -508,7 +515,7 @@ func TestFleetCellErrorMatchesLocalRun(t *testing.T) {
 	defer coord.Close()
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1, ExplicitWorkers: true, Log: t.Logf})
+	werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1, Log: t.Logf})
 	_, fleetErr := coord.Wait(ctx)
 	if fleetErr == nil || fleetErr.Error() != localErr.Error() {
 		t.Errorf("fleet study error differs from the local one:\nfleet %v\nlocal %v", fleetErr, localErr)
@@ -545,7 +552,7 @@ func TestFleetResume(t *testing.T) {
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	var phase1 int
 	_ = RunWorker(ctx1, WorkerConfig{
-		Addr: coord1.Addr(), Name: "w1", Workers: 1, ExplicitWorkers: true, Log: t.Logf,
+		Addr: coord1.Addr(), Name: "w1", Workers: 1, Log: t.Logf,
 		onCellDone: func(int, error) {
 			phase1++
 			if phase1 >= 2 {
@@ -596,7 +603,7 @@ func TestFleetResume(t *testing.T) {
 	defer cancel()
 	var phase2 int
 	if err := RunWorker(ctx, WorkerConfig{
-		Addr: coord2.Addr(), Name: "w2", Workers: 1, ExplicitWorkers: true, Log: t.Logf,
+		Addr: coord2.Addr(), Name: "w2", Workers: 1, Log: t.Logf,
 		onCellDone: func(int, error) { phase2++ },
 	}); err != nil {
 		t.Fatalf("phase 2 worker: %v", err)
@@ -641,7 +648,7 @@ func TestSpoolRejectsCorruptRecord(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
-	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1, ExplicitWorkers: true}); err != nil {
+	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1}); err != nil {
 		t.Fatalf("RunWorker: %v", err)
 	}
 	if _, err := coord.Wait(ctx); err != nil {

@@ -65,7 +65,7 @@ func TestCloseDeliversTheLastAcknowledgement(t *testing.T) {
 
 		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
 		start := time.Now()
-		werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: 1, ExplicitWorkers: true})
+		werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: 1})
 		cancel()
 		if werr != nil {
 			t.Fatalf("round %d: last worker returned %v after %v, want nil", round, werr, time.Since(start))
@@ -97,7 +97,7 @@ func TestWorkerStopsAfterItsOwnFailedCell(t *testing.T) {
 		ctx, cancel := context.WithTimeout(context.Background(), 2*dialBudget)
 		werr := make(chan error, 1)
 		go func() {
-			werr <- RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: slots, ExplicitWorkers: true, Log: t.Logf})
+			werr <- RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: slots, Log: t.Logf})
 		}()
 		_, waitErr := coord.Wait(ctx)
 		if waitErr == nil {
@@ -173,7 +173,7 @@ func TestIdleSlotsLearnTheGridIsDone(t *testing.T) {
 			werr := make(chan error, tc.workers)
 			for i := range tc.workers {
 				cfg := WorkerConfig{
-					Addr: coord.Addr(), Name: fmt.Sprintf("w%d", i), Workers: tc.slots, ExplicitWorkers: true,
+					Addr: coord.Addr(), Name: fmt.Sprintf("w%d", i), Workers: tc.slots,
 					Log: t.Logf, beforeResult: someoneWaits,
 				}
 				go func() { werr <- RunWorker(ctx, cfg) }()

@@ -29,12 +29,12 @@ type WorkerConfig struct {
 	// Name is the worker's stable identity for leases and attribution;
 	// empty selects "<hostname>-<pid>".
 	Name string
-	// Workers is the concurrent-cell budget (the -workers flag);
-	// ExplicitWorkers records whether the user set it. The effective
-	// budget is WorkerBudget over the *study's* shard count, discovered at
-	// join time — cells must run with the coordinator's shard setting to
-	// stay byte-identical with a local run.
-	Workers         int
+	// Workers is the concurrent-cell budget (the -workers flag); 0 runs
+	// GOMAXPROCS cells at a time.
+	Workers int
+	// ExplicitWorkers is read by nothing. It stays only because the
+	// benchmark module (bench/child.go) sets it; the benchmark change in
+	// ROADMAP item 1(a) removes it.
 	ExplicitWorkers bool
 	// Log, when non-nil, receives one line per worker event. It must be
 	// safe for concurrent use.
@@ -95,16 +95,12 @@ func RunWorker(ctx context.Context, cfg WorkerConfig) error {
 	if err := w.fetchStudy(ctx); err != nil {
 		return err
 	}
-	shards := w.st.Shards
-	if shards < 1 {
-		shards = 1
+	budget := cfg.Workers
+	if budget <= 0 {
+		budget = runtime.GOMAXPROCS(0)
 	}
-	budget, err := WorkerBudget(cfg.Workers, cfg.ExplicitWorkers, shards, runtime.GOMAXPROCS(0))
-	if err != nil {
-		return err
-	}
-	w.log("fleet: %s joined %s: study %s (%d cells, shards %d), running %d cell(s) at a time",
-		cfg.Name, cfg.Addr, w.st.Name, w.st.Runs(), shards, budget)
+	w.log("fleet: %s joined %s: study %s (%d cells), running %d cell(s) at a time",
+		cfg.Name, cfg.Addr, w.st.Name, w.st.Runs(), budget)
 
 	// Each slot loops lease → run → result until the coordinator disbands
 	// it. The first slot to stop decides the worker's outcome and cancels

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
+	"strings"
 
 	"napawine/internal/strictjson"
 )
@@ -28,25 +30,57 @@ import (
 //	  ]
 //	}
 
-// UnmarshalJSON pins the schema to named kinds: a raw int would otherwise
-// decode through the underlying type and silently mean whatever the enum
-// order happens to be today.
-func (k *Kind) UnmarshalJSON(b []byte) error {
-	var name string
-	if err := json.Unmarshal(b, &name); err != nil {
-		return fmt.Errorf("scenario: event kind must be a name string, got %s", b)
-	}
-	return k.UnmarshalText([]byte(name))
+// enumNames is an enum's wire-name table: list[v] names value v. Kind and
+// Shape each keep one, so both spell their names and errors one way.
+type enumNames[T ~int] struct {
+	what string // "event kind": the noun error messages use
+	typ  string // "Kind": String's fallback for an unnamed value
+	list []string
 }
 
-// UnmarshalJSON pins the schema to named shapes (see Kind.UnmarshalJSON).
-func (s *Shape) UnmarshalJSON(b []byte) error {
+func (e enumNames[T]) name(v T) string {
+	if v >= 0 && int(v) < len(e.list) {
+		return e.list[v]
+	}
+	return fmt.Sprintf("%s(%d)", e.typ, int(v))
+}
+
+func (e enumNames[T]) names() []string { return slices.Clone(e.list) }
+
+func (e enumNames[T]) parse(name string) (T, error) {
+	if i := slices.Index(e.list, name); i >= 0 {
+		return T(i), nil
+	}
+	return 0, fmt.Errorf("scenario: unknown %s %q (want %s)", e.what, name, strings.Join(e.list, ", "))
+}
+
+func (e enumNames[T]) marshal(v T) ([]byte, error) {
+	if v >= 0 && int(v) < len(e.list) {
+		return []byte(e.list[v]), nil
+	}
+	return nil, fmt.Errorf("scenario: unencodable %s %d", e.what, int(v))
+}
+
+// unmarshalJSON pins the schema to names: a raw int would otherwise decode
+// through the underlying type and silently mean whatever the enum order
+// happens to be today.
+func (e enumNames[T]) unmarshalJSON(b []byte, v *T) error {
 	var name string
 	if err := json.Unmarshal(b, &name); err != nil {
-		return fmt.Errorf("scenario: arrival shape must be a name string, got %s", b)
+		return fmt.Errorf("scenario: %s must be a name string, got %s", e.what, b)
 	}
-	return s.UnmarshalText([]byte(name))
+	parsed, err := e.parse(name)
+	if err == nil {
+		*v = parsed
+	}
+	return err
 }
+
+// UnmarshalJSON decodes a kind from its wire name.
+func (k *Kind) UnmarshalJSON(b []byte) error { return kindNames.unmarshalJSON(b, k) }
+
+// UnmarshalJSON decodes a shape from its wire name.
+func (s *Shape) UnmarshalJSON(b []byte) error { return shapeNames.unmarshalJSON(b, s) }
 
 // Encode writes the spec as indented JSON. Every registered scenario
 // round-trips through Encode/Decode unchanged.

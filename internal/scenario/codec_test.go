@@ -118,8 +118,8 @@ func TestMatchdayExampleLoads(t *testing.T) {
 
 func TestKindNamesCoverEveryKind(t *testing.T) {
 	names := KindNames()
-	if len(names) != len(kindNames) {
-		t.Fatalf("KindNames returned %d names for %d kinds — a kind constant is missing its name", len(names), len(kindNames))
+	if len(names) != len(kindNames.list) {
+		t.Fatalf("KindNames returned %d names for %d kinds — a kind constant is missing its name", len(names), len(kindNames.list))
 	}
 	for _, n := range names {
 		if n == "" {

@@ -20,7 +20,6 @@ package scenario
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"napawine/internal/topology"
@@ -69,10 +68,10 @@ const (
 	Zap
 )
 
-// kindNames maps each kind to its stable wire/doc name. The codec round-
-// trips specs through these names, never raw ints, so a file stays readable
-// and survives reordering of the Kind constants.
-var kindNames = map[Kind]string{
+// kindNames holds each kind's stable wire/doc name, indexed by kind. The
+// codec round-trips specs through these names, never raw ints, so a file
+// stays readable and survives reordering of the Kind constants.
+var kindNames = enumNames[Kind]{what: "event kind", typ: "Kind", list: []string{
 	Arrivals:        "arrivals",
 	Departures:      "departures",
 	Partition:       "partition",
@@ -82,55 +81,21 @@ var kindNames = map[Kind]string{
 	RegionalChurn:   "regional-churn",
 	CountryThrottle: "country-throttle",
 	Zap:             "zap",
-}
+}}
 
 // String names the kind for error messages and docs.
-func (k Kind) String() string {
-	if name, ok := kindNames[k]; ok {
-		return name
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
+func (k Kind) String() string { return kindNames.name(k) }
 
 // KindNames lists every event kind's wire name in declaration order, for
 // docs and error messages.
-func KindNames() []string {
-	out := make([]string, 0, len(kindNames))
-	for k := Arrivals; int(k) < len(kindNames); k++ {
-		out = append(out, kindNames[k])
-	}
-	return out
-}
+func KindNames() []string { return kindNames.names() }
 
 // ParseKind resolves a wire name back to its Kind.
-func ParseKind(name string) (Kind, error) {
-	for k, n := range kindNames {
-		if n == name {
-			return k, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown event kind %q (want %s)",
-		name, strings.Join(KindNames(), ", "))
-}
+func ParseKind(name string) (Kind, error) { return kindNames.parse(name) }
 
 // MarshalText encodes the kind as its wire name (the JSON codec rides on
 // this, so specs never contain raw enum ints).
-func (k Kind) MarshalText() ([]byte, error) {
-	if name, ok := kindNames[k]; ok {
-		return []byte(name), nil
-	}
-	return nil, fmt.Errorf("scenario: unencodable event kind %d", int(k))
-}
-
-// UnmarshalText decodes a wire name.
-func (k *Kind) UnmarshalText(b []byte) error {
-	parsed, err := ParseKind(string(b))
-	if err != nil {
-		return err
-	}
-	*k = parsed
-	return nil
-}
+func (k Kind) MarshalText() ([]byte, error) { return kindNames.marshal(k) }
 
 // Shape selects the arrival-time density of an Arrivals event.
 type Shape int
@@ -148,58 +113,24 @@ const (
 	ShapeWave
 )
 
-// shapeNames maps each shape to its stable wire/doc name.
-var shapeNames = map[Shape]string{
+// shapeNames holds each shape's stable wire/doc name, indexed by shape.
+var shapeNames = enumNames[Shape]{what: "arrival shape", typ: "Shape", list: []string{
 	ShapeUniform: "uniform",
 	ShapeBurst:   "burst",
 	ShapeWave:    "wave",
-}
+}}
 
 // String names the shape for error messages and docs.
-func (s Shape) String() string {
-	if name, ok := shapeNames[s]; ok {
-		return name
-	}
-	return fmt.Sprintf("Shape(%d)", int(s))
-}
+func (s Shape) String() string { return shapeNames.name(s) }
 
 // ShapeNames lists every arrival shape's wire name in declaration order.
-func ShapeNames() []string {
-	out := make([]string, 0, len(shapeNames))
-	for s := ShapeUniform; int(s) < len(shapeNames); s++ {
-		out = append(out, shapeNames[s])
-	}
-	return out
-}
+func ShapeNames() []string { return shapeNames.names() }
 
 // ParseShape resolves a wire name back to its Shape.
-func ParseShape(name string) (Shape, error) {
-	for s, n := range shapeNames {
-		if n == name {
-			return s, nil
-		}
-	}
-	return 0, fmt.Errorf("scenario: unknown arrival shape %q (want %s)",
-		name, strings.Join(ShapeNames(), ", "))
-}
+func ParseShape(name string) (Shape, error) { return shapeNames.parse(name) }
 
 // MarshalText encodes the shape as its wire name.
-func (s Shape) MarshalText() ([]byte, error) {
-	if name, ok := shapeNames[s]; ok {
-		return []byte(name), nil
-	}
-	return nil, fmt.Errorf("scenario: unencodable arrival shape %d", int(s))
-}
-
-// UnmarshalText decodes a wire name.
-func (s *Shape) UnmarshalText(b []byte) error {
-	parsed, err := ParseShape(string(b))
-	if err != nil {
-		return err
-	}
-	*s = parsed
-	return nil
-}
+func (s Shape) MarshalText() ([]byte, error) { return shapeNames.marshal(s) }
 
 // Event is one timeline entry. From and To are fractions of the experiment
 // horizon in [0, 1]; point events use From == To. The json tags are the

@@ -1,6 +1,7 @@
 package study
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -49,12 +50,14 @@ func TestDecodeRejectsUnknownField(t *testing.T) {
 		{`{"name": "x", "sedes": [1, 2]}`, "sedes"},
 		{`{"name": "x", "lean_ledger": true}`, "lean_ledger"},
 		{`{"name": "x", "queue_depth": 2, "loss_mode": "tail-drop"}`, "loss_mode"},
+		{`{"name": "x", "shards": 2}`, "shards"},
 	} {
-		if _, err := DecodeBytes([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), tc.field) {
+		want := fmt.Sprintf("unknown field %q", tc.field)
+		if _, err := DecodeBytes([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("study %s: unknown field accepted: %v", tc.body, err)
 		}
 		result := `{"study": ` + tc.body + `, "seeds": [1], "cells": []}`
-		if _, err := DecodeResultBytes([]byte(result)); err == nil || !strings.Contains(err.Error(), tc.field) {
+		if _, err := DecodeResultBytes([]byte(result)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("result %s: unknown field accepted: %v", result, err)
 		}
 	}

@@ -49,7 +49,7 @@ func TestGridResolvedOncePerExecutor(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
 	defer cancel()
 	// One slot, so this worker leases both cells itself.
-	if err := fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: 1, ExplicitWorkers: true}); err != nil {
+	if err := fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: 1}); err != nil {
 		t.Fatal(err)
 	}
 	step("RunWorker over two cells", 1)

@@ -163,13 +163,6 @@ type Study struct {
 	QueueDepths []int `json:"queue_depths,omitempty"`
 	QueueDepth  int   `json:"queue_depth,omitempty"`
 
-	// Shards splits every cell's swarm across that many parallel shard
-	// engines (experiment.Config.Shards). 0 or 1 is the serial engine;
-	// results at N > 1 are deterministic per N but differ from serial the
-	// way a different seed's would. Combine with Workers thoughtfully:
-	// each in-flight cell runs Shards goroutines.
-	Shards int `json:"shards,omitempty"`
-
 	// Metrics names the comparison table's columns by registered metric
 	// key (empty = the continuity / source load / diffusion delay
 	// default). See study.Metrics for the registry.
@@ -272,9 +265,6 @@ func (st *Study) Validate() error {
 	}
 	if st.Trials < 0 {
 		return fmt.Errorf("study %s: negative trials %d", st.Name, st.Trials)
-	}
-	if st.Shards < 0 {
-		return fmt.Errorf("study %s: negative shards %d", st.Name, st.Shards)
 	}
 	// Like seeds vs trials, a pinned depth and a depth axis are two
 	// authorings of one dimension: reject the ambiguity.
@@ -552,7 +542,6 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 	} else {
 		cfg.ScalePeers(st.PeerFactor)
 	}
-	cfg.Shards = st.Shards
 	cfg.Scenario = c.scn
 	cfg.Strategy = c.Strategy
 	if c.QueueDepth > 0 {
