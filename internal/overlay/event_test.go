@@ -148,3 +148,48 @@ func TestChunkRoundTripAllocatesNothing(t *testing.T) {
 		t.Errorf("request → serve → deliver allocates %v times per round trip, want 0", allocs)
 	}
 }
+
+// TestChurnCycleAllocatesNothing: once a node's hot state exists, a churn
+// cycle is records on a warm queue. ScheduleChurn and a full arrive → depart
+// → arrive cycle allocate nothing but what a session always allocates, its
+// advert, published by the session's first signalling tick. The node is
+// alone in its world; its means sit far below the one-second floor, so
+// every holding time is exactly a second, and only signalling ticks fall
+// inside a session.
+func TestChurnCycleAllocatesNothing(t *testing.T) {
+	w := buildWorld(t, 3, 1, 0)
+	nd := w.peers[0]
+	prof := *nd.Profile
+	prof.SignalingInterval = 600 * time.Millisecond
+	prof.ScheduleInterval, prof.ContactInterval, prof.DropInterval = time.Minute, time.Minute, time.Minute
+	nd.Profile = &prof
+	churn := 0
+	w.eng.SetDispatch(func(r sim.Record) {
+		if r.Kind == evArrive || r.Kind == evDepart {
+			churn++
+		}
+		w.net.dispatch(r)
+	})
+	cycle := func() {
+		nd.ScheduleChurn(0, time.Millisecond, time.Millisecond)
+		for start := churn; churn-start < 3; {
+			w.eng.Step()
+		}
+		if !nd.Online() {
+			t.Fatal("the cycle's second arrival left the node offline")
+		}
+		// Retiring ends the chain at its pending departure; drain with Step,
+		// which keeps the queue's capacity.
+		nd.Retire()
+		for w.eng.Step() {
+		}
+		nd.retired = false
+	}
+	cycle() // the node's hot state and the queue's slabs
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 1 {
+		t.Errorf("a churn cycle allocates %v times, want 1: the first session's advert", allocs)
+	}
+	if got := w.eng.Processed(); got == 0 || w.eng.Pending() != 0 {
+		t.Errorf("Processed %d, Pending %d after the cycles", got, w.eng.Pending())
+	}
+}

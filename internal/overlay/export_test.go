@@ -22,7 +22,7 @@ func InfoFor(nd, other *Node) policy.Info { return nd.infoFor(other) }
 
 // RememberRate sets the delivery rate nd remembers for peer id, which a
 // partnership formed with id starts from.
-func RememberRate(nd *Node, id PeerID, r units.BitRate) { nd.rateMemory[id] = r }
+func RememberRate(nd *Node, id PeerID, r units.BitRate) { nd.rateMemory.set(id, r) }
 
 // Rerate moves the delivery-rate estimate of nd's partner id to r and
 // rescores the partner, as a delivery, a timeout or a rejection does.

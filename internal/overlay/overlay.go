@@ -339,13 +339,14 @@ type Network struct {
 	trackerPaused bool
 }
 
-// The six event kinds that make up nearly all of a run's traffic travel
-// through the engine as pointer-free sim.Records instead of closures. The
+// What the overlay schedules for a node is a pointer-free sim.Record. The
 // four periodic ticks name their node in Node and its session epoch in A
 // (Node.tick); a request-serve names responder and requester in Node and
 // Peer and the chunk in A; a chunk delivery names requester and sender, the
-// chunk in A and the burst duration in B. Everything rarer — scenario
-// actions, churn cycles, cross-shard messages — stays a closure.
+// chunk in A and the burst duration in B; an arrival or departure names its
+// node, with Peer 1 and the mean on- and off-time in A and B in a churn
+// cycle (Node.churnCycle). Scenario actions, samplers and flushes, and
+// cross-shard messages stay closures.
 const (
 	evSignaling sim.Kind = iota + 1
 	evSchedule
@@ -353,6 +354,8 @@ const (
 	evChurn
 	evServe
 	evDeliver
+	evArrive
+	evDepart
 )
 
 // dispatch executes one record on the engine of the shard that owns r.Node.
@@ -363,6 +366,8 @@ func (n *Network) dispatch(r sim.Record) {
 		nd.serveChunk(n.nodes[r.Peer], chunkstream.ChunkID(r.A))
 	case evDeliver:
 		nd.onChunkDelivered(PeerID(r.Peer), chunkstream.ChunkID(r.A), time.Duration(r.B))
+	case evArrive, evDepart:
+		nd.churnCycle(r)
 	default:
 		nd.tick(r)
 	}

@@ -368,7 +368,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		p.Join()
 	}
 	for i, p := range others {
-		nd.rateMemory[p.ID] = units.BitRate(i)
+		nd.rateMemory.set(p.ID, units.BitRate(i))
 	}
 	now := w.eng.Now()
 	weight := func(r tableRow) float64 { return tableWeight{}.Weight(policy.Info{EstRate: r.rate}) }
@@ -408,7 +408,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 				if info.SameCC {
 					loc |= locCC
 				}
-				m[other.ID] = tableRow{rate: nd.rateMemory[other.ID], announce: true, loc: loc}
+				m[other.ID] = tableRow{rate: nd.rateMemory.get(other.ID), announce: true, loc: loc}
 				cov.adds++
 				if i, _ := nd.partnerSearch(other.ID); i < n {
 					cov.shifted++

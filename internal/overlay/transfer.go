@@ -272,9 +272,7 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, burst time
 				p.estRate = (p.estRate*7 + sample*3) / 10
 			}
 			nd.rescore(p)
-			if nd.rateMemory != nil {
-				nd.rateMemory[from] = p.estRate
-			}
+			nd.rateMemory.set(from, p.estRate)
 		}
 	}
 }

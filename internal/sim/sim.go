@@ -62,15 +62,22 @@ type Record struct {
 }
 
 // event is the queued form of everything, closures included: stored by value
-// in the wheel's slabs and the current-tick heap, 48 bytes, and free of
+// in the wheel's slabs and the current-tick heap, 40 bytes, and free of
 // pointers, so the queue is memory the garbage collector never scans
-// however many events are pending. A closure's func value and Timer live in
-// Engine.closures instead, found through Node.
+// however many events are pending. order is seq<<kindBits | kind: sequence
+// numbers are unique, so the kind bits never decide an order. The rest is
+// the Record's. A closure's func value and Timer live in Engine.closures
+// instead, found through node.
 type event struct {
-	at  Time
-	seq uint64
-	Record
+	at         Time
+	order      uint64
+	node, peer int32
+	a, b       int64
 }
+
+const kindBits = 8
+
+func (ev *event) kind() Kind { return Kind(ev.order) }
 
 // closure is one entry of the closure table: what a kindFunc event runs, and
 // the Timer to consult when the event is cancellable. A free entry holds
@@ -183,8 +190,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, e.now))
 	}
-	e.seq++
-	e.enqueue(&event{at: t, seq: e.seq, Record: Record{Node: e.holdClosure(fn, nil)}})
+	e.enqueue(t, Record{Node: e.holdClosure(fn, nil)})
 }
 
 // Post queues r for the dispatch function after delay of virtual time: the
@@ -206,8 +212,7 @@ func (e *Engine) PostAt(t Time, r Record) {
 	if r.Kind == kindFunc || e.dispatch == nil {
 		panic(fmt.Sprintf("sim: record of kind %d posted to an engine that cannot dispatch it", r.Kind))
 	}
-	e.seq++
-	e.enqueue(&event{at: t, seq: e.seq, Record: r})
+	e.enqueue(t, r)
 }
 
 // holdClosure files fn (and its timer, for a cancellable event) in the
@@ -234,7 +239,7 @@ func (e *Engine) dropClosure(i int32) {
 // cancelled reports whether ev is a cancelled timer's event. Only an event
 // that carries a timer costs a look at the closure table.
 func (e *Engine) cancelled(ev *event) bool {
-	return ev.Kind == kindFunc && ev.Peer != 0 && e.closures[ev.Node].timer.cancelled
+	return ev.kind() == kindFunc && ev.peer != 0 && e.closures[ev.node].timer.cancelled
 }
 
 // Timer is a cancellable scheduled callback.
@@ -264,8 +269,7 @@ func (e *Engine) After(delay time.Duration, fn func()) *Timer {
 		panic(fmt.Sprintf("sim: negative delay %v", delay))
 	}
 	t := &Timer{eng: e}
-	e.seq++
-	e.enqueue(&event{at: e.now.Add(delay), seq: e.seq, Record: Record{Node: e.holdClosure(fn, t), Peer: 1}})
+	e.enqueue(e.now.Add(delay), Record{Node: e.holdClosure(fn, t), Peer: 1})
 	return t
 }
 
@@ -307,15 +311,15 @@ func (e *Engine) Step() bool {
 	ev := e.heapPop()
 	e.now = ev.at
 	e.processed++
-	if ev.Kind != kindFunc {
-		e.dispatch(ev.Record)
+	if ev.kind() != kindFunc {
+		e.dispatch(Record{Kind: ev.kind(), Node: ev.node, Peer: ev.peer, A: ev.a, B: ev.b})
 		return true
 	}
-	c := e.closures[ev.Node]
+	c := e.closures[ev.node]
 	if c.timer != nil {
 		c.timer.fired = true
 	}
-	e.dropClosure(ev.Node) // before the call, so what fn schedules can reuse the entry
+	e.dropClosure(ev.node) // before the call, so what fn schedules can reuse the entry
 	c.fn()
 	return true
 }

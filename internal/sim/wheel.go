@@ -41,7 +41,7 @@ import "math/bits"
 //   - every wheel event's tick is strictly greater than curTick, and lies
 //     in its level's current rotation (it shares all bits above that level
 //     with curTick);
-//   - enqueue routes anything at tick ≤ curTick into cur, so the heap head,
+//   - file routes anything at tick ≤ curTick into cur, so the heap head,
 //     when present, is always the global minimum;
 //   - cancelled timers are discarded lazily, per wheel slot at spill time
 //     and at the heap head.
@@ -55,11 +55,11 @@ const (
 	// instant, so no overflow list is needed.
 	numLevels = 8
 	// slabEvents makes a slab exactly the 4096-byte size class: 16 bytes of
-	// header plus 85 events of 48. Slabs of 1, 2, 4 and 8 KB measured the
+	// header plus 102 events of 40. Slabs of 1, 2, 4 and 8 KB measured the
 	// same peak RSS (within 2 MB of 90) and wall time at 10⁴ peers; 4 KB
 	// keeps the header under half a percent and the partly filled head of
 	// each occupied slot — the only waste — under a page.
-	slabEvents = 85
+	slabEvents = 102
 )
 
 // slab is one fixed-size block of a slot's chain. next comes first so that
@@ -70,11 +70,21 @@ type slab struct {
 	ev   [slabEvents]event
 }
 
-// enqueue files a copy of *ev: into the current-tick heap when its tick is at
+// enqueue queues r at instant t under the next sequence number, which must
+// fit above the kind in event.order: number 2⁵⁶ panics rather than wrap.
+func (e *Engine) enqueue(t Time, r Record) {
+	e.seq++
+	if e.seq>>(64-kindBits) != 0 {
+		panic("sim: event sequence number reached 2^56, the most event.order holds")
+	}
+	e.file(&event{at: t, order: e.seq<<kindBits | uint64(r.Kind), node: r.Node, peer: r.Peer, a: r.A, b: r.B})
+}
+
+// file stores a copy of *ev: into the current-tick heap when its tick is at
 // or behind the cursor, otherwise into the lowest wheel level whose current
-// rotation contains it. (By pointer because 48 bytes copy faster as a block
-// than as seven arguments; ev is not retained.)
-func (e *Engine) enqueue(ev *event) {
+// rotation contains it. (By pointer because 40 bytes copy faster as a block
+// than as six arguments; ev is not retained.)
+func (e *Engine) file(ev *event) {
 	tk := int64(ev.at) >> tickShift
 	if tk <= e.curTick {
 		e.heapPush(ev)
@@ -142,11 +152,11 @@ func (e *Engine) spill(lvl int, idx int64) {
 		for i := 0; i < s.n; i++ {
 			ev := &s.ev[i]
 			if e.cancelled(ev) {
-				e.dropClosure(ev.Node)
+				e.dropClosure(ev.node)
 				e.ghost--
 				continue
 			}
-			e.enqueue(ev)
+			e.file(ev)
 		}
 		next := s.next
 		s.n = 0
@@ -165,7 +175,7 @@ func (e *Engine) headLive() bool {
 			if !e.cancelled(&e.cur[0]) {
 				return true
 			}
-			e.dropClosure(e.heapPop().Node)
+			e.dropClosure(e.heapPop().node)
 			e.ghost--
 		}
 		if !e.advance() {
@@ -200,7 +210,7 @@ func (e *Engine) less(i, j int) bool {
 	if a.at != b.at {
 		return a.at < b.at
 	}
-	return a.seq < b.seq
+	return a.order < b.order
 }
 
 func (e *Engine) heapPush(ev *event) {

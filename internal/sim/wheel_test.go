@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -604,15 +605,45 @@ func TestPostNeedsDispatch(t *testing.T) {
 	assertPanics(t, func() { e.Run(time.Second); e.PostAt(0, Record{Kind: 1}) })
 }
 
-// TestEventIsSmallAndPointerFree holds the two properties the queue's memory
-// behaviour rests on: 48 bytes, and nothing in it for the collector to
-// follow — a later field must not quietly make every slab scannable.
-func TestEventIsSmallAndPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(event{}); size > 48 {
-		t.Errorf("event is %d bytes, want at most 48", size)
+// TestSequenceLimitPanics: the sequence number shares event.order with the
+// kind, so the event that would take number 2⁵⁶ is refused with a message
+// naming the limit, never wrapped into an earlier firing order.
+func TestSequenceLimitPanics(t *testing.T) {
+	e := New(1)
+	e.SetDispatch(func(Record) {})
+	e.seq = 1<<56 - 2
+	e.Post(0, Record{Kind: 1}) // takes 2⁵⁶ − 1, the last number there is
+	for _, schedule := range []func(){
+		func() { e.Post(0, Record{Kind: 1}) },
+		func() { e.Schedule(0, func() {}) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "2^56") {
+					t.Errorf("scheduling past the limit panicked with %q, want a message naming 2^56", msg)
+				}
+			}()
+			e.seq = 1<<56 - 1
+			schedule()
+		}()
 	}
-	if size := unsafe.Sizeof(slab{}); size > 4096 {
-		t.Errorf("slab is %d bytes, past the 4096-byte size class", size)
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d, want the one event scheduled under the limit", e.Pending())
+	}
+}
+
+// TestEventIsSmallAndPointerFree holds the two properties the queue's memory
+// behaviour rests on: 40 bytes, 102 of which and a 16-byte header fill a
+// slab to exactly the 4096-byte size class, and nothing in it for the
+// collector to follow — a later field must not quietly make every slab
+// scannable.
+func TestEventIsSmallAndPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(event{}); size != 40 {
+		t.Errorf("event is %d bytes, want 40", size)
+	}
+	if size := unsafe.Sizeof(slab{}); size != 4096 {
+		t.Errorf("slab is %d bytes, want exactly the 4096-byte size class", size)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
