@@ -58,12 +58,12 @@ func TestCLIOutputDigests(t *testing.T) {
 			"37b325633bc1cd786b2c0ad4f0e319b8733beacf27acb612a719c9304a9e1d1f"},
 		{"paper-congestion-csv", "-exp table4 -apps PPLive -seed 7 -duration 20s -scale 0.1 -queue-depth 1 -strategy rarest -csv",
 			"e3ebaaa30f82c32025ad063e5ece6e6c016da9289dd329455ab5c78b9e7bc14a"},
-		{"replicated-peers-scenario-file", "-exp table2 -apps SopCast,PPLive -seed 3 -seeds 2 -duration 20s -peers 80 -scenario-file " + zapping,
+		{"replicated-peers-scenario-file", "-exp table2 -apps SopCast,PPLive -seed 3 -seeds 2 -duration 20s -peers 80 -scenario " + zapping,
 			"2269982013036d10f71a822de184c8ad447bd540d6f62af0483b3780c49474ce"},
 		// The listings print the registries' order and descriptions.
-		{"scenario-list", "-scenario-list",
+		{"scenario-list", "-list scenarios",
 			"bcdc01c2b3a95b92bce3ab0350d081b374743098fad7f57552f7f42bfc4bdfdb"},
-		{"study-list", "-study-list",
+		{"study-list", "-list studies",
 			"f979f9dbd263177e9f3121c8f7cfc5d35f27f2bc51f449e1fe72a84d11301765"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -115,11 +115,19 @@ func TestUsageErrorsLeaveOutFileUntouched(t *testing.T) {
 		{"-exp table4 -listen 127.0.0.1:0", "-listen"},
 		{"-exp table4 -seeds 1 -listen 127.0.0.1:0 -resume " + t.TempDir(), "-listen"},
 		{"-study blind-ablation -apps TVAnts,Joost", "Joost"},
-		{"-scenario-file no-such.json", "no-such.json"},
-		{"-study-file no-such.json", "no-such.json"},
+		{"-scenario no-such.json", "no-such.json"},
+		{"-study no-such.json", "no-such.json"},
+		{"-list scenarios", "-out does not apply to -list"},
+		{"-list bogus", "scenarios, strategies, studies"},
 		{"-no-such-flag", "-no-such-flag"},
 		{"-lean-ledger", "-lean-ledger"}, // removed with the second ledger shape
 		{"-shards 2", "-shards"},         // removed: the sharded engine is not selectable
+		// Removed: -scenario and -study take a .json path, -list a registry.
+		{"-scenario-file f.json", "-scenario-file"},
+		{"-study-file f.json", "-study-file"},
+		{"-scenario-list", "-scenario-list"},
+		{"-strategy-list", "-strategy-list"},
+		{"-study-list", "-study-list"},
 		{"table4", "table4"},
 	} {
 		if err := os.WriteFile(prior, []byte("previous run\n"), 0o644); err != nil {
@@ -162,13 +170,13 @@ func TestBannerReportsTheBuiltStudy(t *testing.T) {
 // TestHelpAndStaticPaths: -h prints the flag summary and succeeds; the
 // registries and Table I print without running anything.
 func TestHelpAndStaticPaths(t *testing.T) {
-	if code, _, stderr := runCLI("-h"); code != 0 || !strings.Contains(stderr, "-scenario-list") {
+	if code, _, stderr := runCLI("-h"); code != 0 || !strings.Contains(stderr, "-list") {
 		t.Errorf("-h: exit %d:\n%s", code, stderr)
 	}
 	for args, want := range map[string]string{
-		"-scenario-list":   "flashcrowd",
-		"-strategy-list":   "rarest",
-		"-study-list":      "blind-ablation",
+		"-list scenarios":  "flashcrowd",
+		"-list strategies": "rarest",
+		"-list studies":    "blind-ablation",
 		"-exp table1":      "TABLE I",
 		"-exp table1 -csv": "Site,CC,AS",
 	} {

@@ -9,10 +9,10 @@
 //	napawine -exp hopsweep               # A2 ablation: HOP threshold sweep
 //	napawine -exp table1                 # testbed inventory (no simulation)
 //	napawine -seeds 5 -workers 4         # replicated run, tables with ±stderr
-//	napawine -scenario flashcrowd        # inject a workload scenario + time series
-//	napawine -scenario-list              # show a registry (also -strategy-list, -study-list)
+//	napawine -scenario flashcrowd        # inject a workload scenario + time series (or a .json file)
+//	napawine -list scenarios             # show a registry (also strategies, studies)
 //	napawine -strategy rarest            # swap the chunk-scheduling strategy
-//	napawine -study strategy-comparison  # run a registered study grid (-study-file: a JSON one)
+//	napawine -study strategy-comparison  # run a registered study grid (or a .json file)
 //	napawine -http localhost:8080        # live dashboard while the run executes
 //	napawine -study X -listen :9000      # coordinate a distributed fleet
 //	napawine -seeds 5 -listen :9000      # ... or distribute a replicated run
@@ -51,15 +51,18 @@ import (
 // validExps lists the accepted -exp values, in help order.
 var validExps = []string{"table1", "table2", "table3", "table4", "fig1", "fig2", "hopsweep", "all"}
 
+// validLists lists the accepted -list values, in help order.
+var validLists = []string{"scenarios", "strategies", "studies"}
+
 // options is the parsed command line: one field per flag, plus the set of
 // flags the user actually typed.
 type options struct {
-	exp, apps, scenario, scenarioFile, strategy, study, studyFile   string
+	exp, apps, scenario, strategy, study, list                      string
 	seed                                                            int64
 	seeds, peers, workers, queueDepth                               int
 	scale                                                           float64
 	duration, httpLinger, leaseTTL                                  time.Duration
-	csv, listScenarios, listStrategies, listStudies                 bool
+	csv                                                             bool
 	out, svgOut, http, cpuProfile, memProfile, listen, join, resume string
 
 	explicit map[string]bool
@@ -84,19 +87,15 @@ func parseFlags(args []string) (*options, *flag.FlagSet, error) {
 	fs.StringVar(&o.memProfile, "memprofile", "", "write a heap profile (taken at exit) to this file")
 	fs.BoolVar(&o.csv, "csv", false, "emit CSV instead of aligned tables")
 	fs.StringVar(&o.out, "out", "", "write tables/CSV to this file instead of stdout")
-	fs.StringVar(&o.scenario, "scenario", "", "workload scenario to inject (see -scenario-list)")
-	fs.StringVar(&o.scenarioFile, "scenario-file", "", "JSON scenario file to inject (see README: authoring scenario files)")
-	fs.BoolVar(&o.listScenarios, "scenario-list", false, "list registered workload scenarios and exit")
-	fs.StringVar(&o.strategy, "strategy", "", "chunk-scheduling strategy: registered name or hybrid:k=v,... (see -strategy-list)")
+	fs.StringVar(&o.scenario, "scenario", "", "workload scenario to inject: registered name (see -list scenarios) or a .json scenario file (see README: authoring scenario files)")
+	fs.StringVar(&o.strategy, "strategy", "", "chunk-scheduling strategy: registered name or hybrid:k=v,... (see -list strategies)")
 	fs.IntVar(&o.queueDepth, "queue-depth", 0, "bound every peer's uplink queue at this many chunks, tail-dropping beyond it (0 = unbounded, congestion off)")
-	fs.BoolVar(&o.listStrategies, "strategy-list", false, "list registered chunk strategies and exit")
-	fs.StringVar(&o.study, "study", "", "registered study grid to run (see -study-list)")
-	fs.StringVar(&o.studyFile, "study-file", "", "JSON study file to run (see README: running studies)")
-	fs.BoolVar(&o.listStudies, "study-list", false, "list registered studies and exit")
+	fs.StringVar(&o.study, "study", "", "study grid to run: registered name (see -list studies) or a .json study file (see README: running studies)")
+	fs.StringVar(&o.list, "list", "", "print a registry and exit: "+strings.Join(validLists, "|"))
 	fs.StringVar(&o.http, "http", "", "serve a live dashboard on this address while the run executes (port 0 picks a free one; see README: watching a study live)")
 	fs.DurationVar(&o.httpLinger, "http-linger", 0, "keep the -http dashboard serving this long after the run finishes")
 	fs.StringVar(&o.svgOut, "svg-out", "", "write SVG chart artifacts into this directory")
-	fs.StringVar(&o.listen, "listen", "", "coordinate a distributed fleet: serve the run's study grid (-study, -study-file, or -exp with -seeds 2+) to -join workers on this address (port 0 picks a free one; see README: running a fleet)")
+	fs.StringVar(&o.listen, "listen", "", "coordinate a distributed fleet: serve the run's study grid (-study, or -exp with -seeds 2+) to -join workers on this address (port 0 picks a free one; see README: running a fleet)")
 	fs.StringVar(&o.join, "join", "", "join the fleet coordinator at this host:port as a worker and execute leased cells")
 	fs.StringVar(&o.resume, "resume", "", "-listen: checkpoint completed cells into this spool directory and skip them on restart")
 	fs.DurationVar(&o.leaseTTL, "lease-ttl", fleet.DefaultLeaseTTL, "-listen: cell lease window; a worker silent this long loses its cell back to the queue")
@@ -108,9 +107,22 @@ func parseFlags(args []string) (*options, *flag.FlagSet, error) {
 	return o, fs, err
 }
 
-// fromStudy reports whether the run's grid is loaded (-study/-study-file)
-// rather than built from the single-run flags.
-func (o *options) fromStudy() bool { return o.study != "" || o.studyFile != "" }
+// fromStudy reports whether the run's grid is loaded (-study) rather than
+// built from the single-run flags.
+func (o *options) fromStudy() bool { return o.study != "" }
+
+// explicitBeyond lists the flags the user typed outside allowed, sorted
+// and comma-separated as typed ("-exp, -seeds"); "" when there are none.
+func (o *options) explicitBeyond(allowed ...string) string {
+	var bad []string
+	for f := range o.explicit {
+		if !slices.Contains(allowed, f) {
+			bad = append(bad, "-"+f)
+		}
+	}
+	slices.Sort(bad)
+	return strings.Join(bad, ", ")
+}
 
 // paperFormat reports whether the run prints as the paper does — Tables
 // II–IV, Figures 1–2 and the hop sweep, from one run's full results — which
@@ -127,14 +139,24 @@ func (o *options) show(name string) bool { return o.exp == name || o.exp == "all
 // opened. Registries are not consulted here — buildStudy's validation names
 // a typo'd app, scenario, strategy or study with the valid choices.
 func (o *options) validate() error {
+	if o.explicit["list"] {
+		// A listing prints and exits; any other flag would be ignored.
+		if !slices.Contains(validLists, o.list) {
+			return fmt.Errorf("unknown -list %q (valid: %s)", o.list, strings.Join(validLists, ", "))
+		}
+		if bad := o.explicitBeyond("list"); bad != "" {
+			return fmt.Errorf("%s does not apply to -list (it prints a registry and exits)", bad)
+		}
+		return nil
+	}
 	// Selectors the run would silently ignore: a study defines its own
 	// axes, and the testbed inventory (table1) simulates nothing.
-	for _, f := range []string{"exp", "scenario", "scenario-file", "strategy"} {
+	for _, f := range []string{"exp", "scenario", "strategy"} {
 		if o.fromStudy() && o.explicit[f] {
 			return fmt.Errorf("-%s does not apply to a study run (the study defines its own axes)", f)
 		}
 	}
-	for _, f := range []string{"scenario", "scenario-file", "strategy", "http", "svg-out", "listen"} {
+	for _, f := range []string{"scenario", "strategy", "http", "svg-out", "listen"} {
 		if o.exp == "table1" && o.explicit[f] {
 			return fmt.Errorf("-%s runs no simulation under -exp table1 (the testbed inventory is static)", f)
 		}
@@ -159,10 +181,6 @@ func (o *options) validate() error {
 		return fmt.Errorf("negative -http-linger %v", o.httpLinger)
 	case o.httpLinger != 0 && o.http == "":
 		return fmt.Errorf("-http-linger requires -http")
-	case o.scenario != "" && o.scenarioFile != "":
-		return fmt.Errorf("-scenario and -scenario-file are mutually exclusive")
-	case o.study != "" && o.studyFile != "":
-		return fmt.Errorf("-study and -study-file are mutually exclusive")
 	case o.seeds > 1 && slices.Contains([]string{"fig1", "fig2", "hopsweep"}, o.exp):
 		// They read one run's full observations; replicated runs keep none.
 		return fmt.Errorf("-exp %s is a single-run reduction; drop -seeds or use -seeds 1", o.exp)
@@ -182,7 +200,7 @@ func (o *options) validateFleet() error {
 	case o.listen == "" && o.join == "":
 		return nil
 	case o.listen != "" && !o.fromStudy() && o.seeds < 2:
-		return fmt.Errorf("-listen cannot serve a one-seed -exp run (its tables and figures need the full results fleet workers do not ship): add -seeds 2 or more, or name a -study/-study-file")
+		return fmt.Errorf("-listen cannot serve a one-seed -exp run (its tables and figures need the full results fleet workers do not ship): add -seeds 2 or more, or name a -study")
 	case o.listen != "" && o.explicit["workers"]:
 		return fmt.Errorf("-workers does not apply to -listen (the coordinator runs no cells; each -join worker sets its own)")
 	case o.listen != "" && o.leaseTTL <= 0:
@@ -190,17 +208,8 @@ func (o *options) validateFleet() error {
 	}
 	// Everything else comes from the coordinator; a local knob would be
 	// silently ignored.
-	joinFlags := []string{"join", "workers", "cpuprofile", "memprofile"}
-	var bad []string
-	for f := range o.explicit {
-		if o.join != "" && !slices.Contains(joinFlags, f) {
-			bad = append(bad, "-"+f)
-		}
-	}
-	if len(bad) > 0 {
-		slices.Sort(bad)
-		return fmt.Errorf("%s does not apply to -join (the worker takes its study and settings from the coordinator)",
-			strings.Join(bad, ", "))
+	if bad := o.explicitBeyond("join", "workers", "cpuprofile", "memprofile"); o.join != "" && bad != "" {
+		return fmt.Errorf("%s does not apply to -join (the worker takes its study and settings from the coordinator)", bad)
 	}
 	return nil
 }
@@ -217,23 +226,26 @@ func parseApps(appsFlag string) []string {
 }
 
 // buildStudy compiles the command line into the one study the run
-// executes. The base is the loaded -study/-study-file grid, or an empty
-// study with the -strategy/-scenario/-scenario-file axes; the run knobs are
-// then written over it once — all of them over the empty base, only the
-// explicitly-set ones over a loaded study (so one registered grid scales
-// from a CI smoke run to the full campaign) — and the result is validated.
+// executes. The base is the loaded -study grid, or an empty study with the
+// -strategy/-scenario axes; -study and -scenario each take a registered
+// name or a path ending in .json. The run knobs are then written over it
+// once — all of them over the empty base, only the explicitly-set ones over
+// a loaded study (so one registered grid scales from a CI smoke run to the
+// full campaign) — and the result is validated.
 func (o *options) buildStudy() (*study.Study, error) {
 	var st *study.Study
 	var err error
 	switch {
-	case o.studyFile != "":
-		st, err = study.LoadFile(o.studyFile)
+	case strings.HasSuffix(o.study, ".json"):
+		st, err = study.LoadFile(o.study)
 	case o.study != "":
 		st, err = study.ByName(o.study)
 	default:
-		scn := study.Scenario{Name: o.scenario}
-		if o.scenarioFile != "" {
-			scn.Spec, err = scenario.LoadFile(o.scenarioFile)
+		var scn study.Scenario
+		if strings.HasSuffix(o.scenario, ".json") {
+			scn.Spec, err = scenario.LoadFile(o.scenario)
+		} else {
+			scn.Name = o.scenario
 		}
 		st = &study.Study{Name: "battery",
 			Strategies: []string{o.strategy}, Scenarios: []study.Scenario{scn}}
@@ -265,7 +277,10 @@ func (o *options) buildStudy() (*study.Study, error) {
 	}
 	if set("queue-depth") {
 		// A pinned depth collapses any congestion axis the study declared.
-		st.QueueDepths, st.QueueDepth = nil, o.queueDepth
+		st.QueueDepths = nil
+		if o.queueDepth > 0 {
+			st.QueueDepths = []int{o.queueDepth}
+		}
 	}
 	if set("apps") {
 		st.Apps = parseApps(o.apps)

@@ -100,10 +100,10 @@ func TestParseApps(t *testing.T) {
 }
 
 func TestScenarioListNamesEveryScenario(t *testing.T) {
-	out := (&options{listScenarios: true}).listing()
+	out := (&options{list: "scenarios"}).listing()
 	for _, name := range []string{"steady", "flashcrowd", "diurnal", "partition", "outage", "throttle", "failover", "zapping", "regional"} {
 		if !strings.Contains(out, name) {
-			t.Errorf("-scenario-list output missing %q:\n%s", name, out)
+			t.Errorf("-list scenarios output missing %q:\n%s", name, out)
 		}
 	}
 }
@@ -132,32 +132,38 @@ func TestValidateArgsRejectsStrategyWithTable1(t *testing.T) {
 	}
 }
 
+// TestValidateArgsScenarioFile: -scenario takes a path ending in .json as
+// a scenario file; anything else is a registered name.
 func TestValidateArgsScenarioFile(t *testing.T) {
-	if err := validate(t, "-scenario-file", scenarioFile); err != nil {
-		t.Errorf("-scenario-file alone rejected: %v", err)
+	if err := validate(t, "-scenario", scenarioFile); err != nil {
+		t.Errorf("-scenario with a .json file rejected: %v", err)
 	}
-	if err := validate(t, "-scenario", "flashcrowd", "-scenario-file", "f.json"); err == nil {
-		t.Error("-scenario together with -scenario-file accepted")
+	if err := validate(t, "-scenario", "no-such.json"); err == nil || !strings.Contains(err.Error(), "no-such.json") {
+		t.Errorf("-scenario with a missing file: %v, want an error naming the path", err)
 	}
-	if err := validate(t, "-exp", "table1", "-scenario-file", "f.json"); err == nil {
-		t.Error("-scenario-file with -exp table1 accepted (it would be silently ignored)")
+	// Without .json the value is a name, and a miss lists the registry.
+	if err := validate(t, "-scenario", "matchday"); err == nil || !strings.Contains(err.Error(), "flashcrowd") {
+		t.Errorf("-scenario with an unregistered name: %v, want an error listing the registry", err)
+	}
+	if err := validate(t, "-exp", "table1", "-scenario", "f.json"); err == nil {
+		t.Error("-scenario file with -exp table1 accepted (it would be silently ignored)")
 	}
 }
 
 func TestStrategyListNamesEveryStrategy(t *testing.T) {
-	out := (&options{listStrategies: true}).listing()
+	out := (&options{list: "strategies"}).listing()
 	for _, name := range []string{"urgent-random", "latest-useful", "rarest", "deadline"} {
 		if !strings.Contains(out, name) {
-			t.Errorf("-strategy-list output missing %q:\n%s", name, out)
+			t.Errorf("-list strategies output missing %q:\n%s", name, out)
 		}
 	}
 }
 
 func TestStudyListNamesEveryStudy(t *testing.T) {
-	out := (&options{listStudies: true}).listing()
+	out := (&options{list: "studies"}).listing()
 	for _, name := range []string{"strategy-comparison", "blind-ablation"} {
 		if !strings.Contains(out, name) {
-			t.Errorf("-study-list output missing %q:\n%s", name, out)
+			t.Errorf("-list studies output missing %q:\n%s", name, out)
 		}
 	}
 }
@@ -166,12 +172,13 @@ func TestValidateStudyArgs(t *testing.T) {
 	if err := validate(t, "-study", "strategy-comparison"); err != nil {
 		t.Errorf("registered study rejected: %v", err)
 	}
-	if err := validate(t, "-study-file", studyFile); err != nil {
+	if err := validate(t, "-study", studyFile); err != nil {
 		t.Errorf("study file rejected: %v", err)
 	}
-	if err := validate(t, "-study", "strategy-comparison", "-study-file", "s.json"); err == nil {
-		t.Error("-study together with -study-file accepted")
+	if err := validate(t, "-study", "no-such.json"); err == nil || !strings.Contains(err.Error(), "no-such.json") {
+		t.Errorf("-study with a missing file: %v, want an error naming the path", err)
 	}
+	// Without .json the value is a name, and a miss lists the registry.
 	err := validate(t, "-study", "worldcup")
 	if err == nil {
 		t.Fatal("unknown study accepted")
@@ -187,7 +194,7 @@ func TestValidateStudyArgs(t *testing.T) {
 		t.Errorf("override flags rejected: %v", err)
 	}
 	for _, f := range [][]string{{"-exp", "table4"}, {"-scenario", "flashcrowd"},
-		{"-scenario-file", "f.json"}, {"-strategy", "rarest"}} {
+		{"-scenario", scenarioFile}, {"-strategy", "rarest"}} {
 		err := validate(t, append([]string{"-study", "strategy-comparison"}, f...)...)
 		if err == nil || !strings.Contains(err.Error(), f[0]) {
 			t.Errorf("%s with -study: %v, want a usage error naming it (it would be silently ignored)", f[0], err)
@@ -237,7 +244,7 @@ func TestValidateFleetArgs(t *testing.T) {
 	if err := validate(t, "-join", "host:1", "-workers", "2", "-cpuprofile", "c", "-memprofile", "m"); err != nil {
 		t.Errorf("worker whitelist rejected: %v", err)
 	}
-	for _, f := range [][]string{{"-study", "blind-ablation"}, {"-study-file", "s.json"},
+	for _, f := range [][]string{{"-study", "blind-ablation"}, {"-study", "s.json"},
 		{"-exp", "table2"}, {"-seeds", "2"}, {"-duration", "30s"}, {"-out", "o"}, {"-svg-out", "d"}, {"-http", ":0"}} {
 		err := validate(t, append([]string{"-join", "host:1"}, f...)...)
 		if err == nil || !strings.Contains(err.Error(), f[0]) {
@@ -273,6 +280,11 @@ func TestValidateRejectsIgnoredValues(t *testing.T) {
 		{[]string{"-exp", "fig1", "-seeds", "2"}, "fig1"},
 		{[]string{"-exp", "fig2", "-seeds", "3"}, "fig2"},
 		{[]string{"-exp", "hopsweep", "-seeds", "2"}, "hopsweep"},
+		// A listing prints a registry and exits: it takes no other flag.
+		{[]string{"-list", "scenarios", "-out", "f.txt"}, "-out does not apply to -list"},
+		{[]string{"-list", "strategies", "-seeds", "3"}, "-seeds does not apply to -list"},
+		{[]string{"-list", "studies", "-scenario", "flashcrowd", "-exp", "table4"}, "-exp, -scenario does not apply"},
+		{[]string{"-list", "registries"}, "scenarios, strategies, studies"},
 	} {
 		err := validate(t, tc.args...)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -305,7 +317,7 @@ func TestBuildStudyOverrides(t *testing.T) {
 		t.Errorf("sizing = %d peers / factor %v; an untouched -scale must not count against -peers", st.Peers, st.PeerFactor)
 	}
 	if st.Runs() != 6 || st.Apps[0] != "TVAnts" || st.Strategies[0] != "rarest" ||
-		st.Scenarios[0].Name != "flashcrowd" || st.QueueDepth != 2 || time.Duration(st.Duration) != 20*time.Second {
+		st.Scenarios[0].Name != "flashcrowd" || !slices.Equal(st.QueueDepths, []int{2}) || time.Duration(st.Duration) != 20*time.Second {
 		t.Errorf("flag-built study = %+v", st)
 	}
 	if st, err = build().buildStudy(); err != nil || st.PeerFactor != 1 || st.Runs() != 3 || st.Duration == 0 {
@@ -327,14 +339,18 @@ func TestBuildStudyOverrides(t *testing.T) {
 	if got := st.SeedList(); len(got) != 2 || got[0] != 5 {
 		t.Errorf("seeds = %v, want [5 6]", got)
 	}
-	if st.QueueDepths != nil || st.QueueDepth != 1 || st.PeerFactor != 0.1 {
+	if !slices.Equal(st.QueueDepths, []int{1}) || st.PeerFactor != 0.1 {
 		t.Errorf("explicit overrides not applied: %+v", st)
+	}
+	// -queue-depth 0 collapses the axis to the unbounded default.
+	if st, err = build("-study", "awareness-ablation", "-queue-depth", "0").buildStudy(); err != nil || st.QueueDepths != nil {
+		t.Errorf("-queue-depth 0 over a congestion axis = %v, %v; want no axis", st.QueueDepths, err)
 	}
 	// A bad axis after the overrides is an error here, before -out opens.
 	if _, err := build("-study", "blind-ablation", "-apps", "TVAnts,Joost").buildStudy(); err == nil {
 		t.Error("unknown app in a study override accepted")
 	}
-	if _, err := build("-scenario-file", "no-such.json").buildStudy(); err == nil {
+	if _, err := build("-scenario", "no-such.json").buildStudy(); err == nil {
 		t.Error("missing scenario file accepted")
 	}
 }
@@ -357,7 +373,7 @@ func TestSeedFlagsOverAListedSeedAxis(t *testing.T) {
 		{[]string{"-seeds", "2"}, []int64{10, 11}},
 		{[]string{"-seeds", "2", "-seed", "5"}, []int64{5, 6}},
 	} {
-		o, _, err := parseFlags(append([]string{"-study-file", path}, tc.flags...))
+		o, _, err := parseFlags(append([]string{"-study", path}, tc.flags...))
 		if err != nil {
 			t.Fatal(err)
 		}

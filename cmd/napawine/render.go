@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -105,7 +106,7 @@ func (o *options) renderPaper(p *printer, res *study.Result) []plot.Artifact {
 		}
 	}
 	p.table(experiment.SeriesTable(results))
-	if res.Study.QueueDepth > 0 {
+	if slices.ContainsFunc(res.Cells, func(c study.Cell) bool { return c.QueueDepth > 0 }) {
 		// Congestion ground truth, so a bounded-queue run documents its
 		// loss regime (and CI can assert the queues actually dropped).
 		for _, r := range results {
@@ -190,25 +191,24 @@ func (p *progress) OnRunDone(info study.RunInfo, sum experiment.Summary, err err
 		p.done, info.Total, time.Since(p.start).Round(time.Second))
 }
 
-// listing renders the registry a -scenario-list / -strategy-list /
-// -study-list flag asks for ("" when none does).
+// listing renders the registry -list names ("" without -list).
 func (o *options) listing() string {
 	var b strings.Builder
-	switch {
-	case o.listScenarios:
+	switch o.list {
+	case "scenarios":
 		b.WriteString("registered scenarios:\n")
 		for _, name := range scenario.Names() {
 			if s, err := scenario.ByName(name); err == nil {
 				fmt.Fprintf(&b, "  %-11s %s\n", name, s.Description)
 			}
 		}
-	case o.listStrategies:
+	case "strategies":
 		b.WriteString("registered chunk strategies:\n")
 		for _, name := range policy.StrategyNames() {
 			fmt.Fprintf(&b, "  %-14s %s\n", name, policy.StrategyDescription(name))
 		}
 		fmt.Fprintf(&b, "parameterized family:\n  %s\n", policy.HybridGrammar)
-	case o.listStudies:
+	case "studies":
 		b.WriteString("registered studies:\n")
 		for _, name := range study.Names() {
 			if st, err := study.ByName(name); err == nil {

@@ -5,18 +5,26 @@ import (
 	"time"
 
 	"napawine/internal/access"
+	"napawine/internal/apps"
+	"napawine/internal/policy"
 )
 
 // congestedConfig is a deliberately tight swarm: short run, bounded uplink
 // queues one chunk deep, so tail-drop loss is guaranteed to fire.
-func congestedConfig(seed int64, strategy string) Config {
+func congestedConfig(t *testing.T, seed int64, strategy string) Config {
+	t.Helper()
 	cfg := Default("TVAnts")
 	cfg.Seed = seed
 	cfg.Duration = 90 * time.Second
 	cfg.World.Seed = seed
 	cfg.World.Peers = 120
 	cfg.World.ProbeASBackground = 4
-	cfg.Strategy = strategy
+	strat, err := policy.StrategyByName(strategy)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Profile = apps.TVAnts()
+	cfg.Profile.ChunkStrategy = strat
 	cfg.Congestion = access.CongestionModel{QueueDepth: 1}
 	return cfg
 }
@@ -33,7 +41,7 @@ func TestDefaultRunHasNoCongestion(t *testing.T) {
 }
 
 func TestBoundedQueueDropsAndRecovers(t *testing.T) {
-	r, err := Run(congestedConfig(7, "hybrid:u=0.4,r=1,a=1"))
+	r, err := Run(congestedConfig(t, 7, "hybrid:u=0.4,r=1,a=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,11 +64,11 @@ func TestBoundedQueueDropsAndRecovers(t *testing.T) {
 }
 
 func TestCongestedRunDeterministic(t *testing.T) {
-	a, err := Run(congestedConfig(3, "hybrid:u=0.4,r=1,a=1"))
+	a, err := Run(congestedConfig(t, 3, "hybrid:u=0.4,r=1,a=1"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Run(congestedConfig(3, "hybrid:u=0.4,r=1,a=1"))
+	b, err := Run(congestedConfig(t, 3, "hybrid:u=0.4,r=1,a=1"))
 	if err != nil {
 		t.Fatal(err)
 	}

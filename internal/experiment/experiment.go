@@ -21,7 +21,6 @@ import (
 	"napawine/internal/core"
 	"napawine/internal/overlay"
 	"napawine/internal/packet"
-	"napawine/internal/policy"
 	"napawine/internal/scenario"
 	"napawine/internal/sim"
 	"napawine/internal/sniffer"
@@ -38,16 +37,10 @@ type Config struct {
 	Duration time.Duration // virtual run length
 
 	// Profile, when non-nil, overrides the stock profile selected by App.
-	// This is how ablation variants (apps.Variant) are run: the world and
-	// scale still come from App's defaults, the behaviour from Profile.
+	// This is how ablation variants (apps.Variant) and chunk strategies
+	// (Profile.ChunkStrategy) are run: the world and scale still come from
+	// App's defaults, the behaviour from Profile.
 	Profile *overlay.Profile
-
-	// Strategy names a registered chunk-scheduling strategy
-	// (policy.StrategyNames) that overrides the profile's: how a peer
-	// spends its per-tick request budget across the pull window. ""
-	// keeps the profile's own strategy (urgent-random for the stock
-	// profiles), so default runs stay byte-identical.
-	Strategy string
 
 	// Scenario, when non-nil, injects a declarative workload timeline
 	// (flash crowd, diurnal wave, partition, tracker outage, ...) into the
@@ -253,17 +246,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-	}
-	if cfg.Strategy != "" {
-		strat, err := policy.StrategyByName(cfg.Strategy)
-		if err != nil {
-			return nil, fmt.Errorf("experiment: %w", err)
-		}
-		// Copy before mutating: the profile may be shared by other runs of
-		// a parallel battery.
-		cp := *prof
-		cp.ChunkStrategy = strat
-		prof = &cp
 	}
 	if cfg.Scenario != nil {
 		// Work on a private deep copy: the caller's Spec may be shared

@@ -14,8 +14,8 @@ import (
 //go:embed specs/*.json
 var specs embed.FS
 
-// names is the registry's presentation order, the order -scenario-list
-// prints.
+// names is the registry's presentation order, the order
+// `napawine -list scenarios` prints.
 var names = []string{
 	"steady", "flashcrowd", "diurnal", "partition", "outage",
 	"throttle", "failover", "zapping", "regional",

@@ -49,8 +49,9 @@ func TestDecodeRejectsUnknownField(t *testing.T) {
 	for _, tc := range []struct{ body, field string }{
 		{`{"name": "x", "sedes": [1, 2]}`, "sedes"},
 		{`{"name": "x", "lean_ledger": true}`, "lean_ledger"},
-		{`{"name": "x", "queue_depth": 2, "loss_mode": "tail-drop"}`, "loss_mode"},
+		{`{"name": "x", "queue_depths": [2], "loss_mode": "tail-drop"}`, "loss_mode"},
 		{`{"name": "x", "shards": 2}`, "shards"},
+		{`{"name":"x","queue_depth":2}`, "queue_depth"},
 	} {
 		want := fmt.Sprintf("unknown field %q", tc.field)
 		if _, err := DecodeBytes([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), want) {

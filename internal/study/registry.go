@@ -14,7 +14,8 @@ import (
 //go:embed specs/*.json
 var specs embed.FS
 
-// names is the registry's presentation order, the order -study-list prints.
+// names is the registry's presentation order, the order
+// `napawine -list studies` prints.
 var names = []string{"strategy-comparison", "blind-ablation", "awareness-ablation"}
 
 // Names lists the registered studies in presentation order.

@@ -158,10 +158,8 @@ type Study struct {
 	Peers int `json:"peers,omitempty"`
 	// QueueDepths lists the congestion axis: uplink queue depths to cross
 	// with the other axes, 0 meaning the unbounded (congestion-off)
-	// default. QueueDepth pins a single depth for the whole study instead;
-	// setting both is rejected.
+	// default. Empty = [0].
 	QueueDepths []int `json:"queue_depths,omitempty"`
-	QueueDepth  int   `json:"queue_depth,omitempty"`
 
 	// Metrics names the comparison table's columns by registered metric
 	// key (empty = the continuity / source load / diffusion delay
@@ -201,13 +199,12 @@ func (st *Study) VariantList() []Variant {
 	return []Variant{{}}
 }
 
-// QueueDepthList resolves the congestion axis: the listed depths, a pinned
-// single depth, or the unbounded default.
+// QueueDepthList resolves the congestion axis.
 func (st *Study) QueueDepthList() []int {
 	if len(st.QueueDepths) > 0 {
 		return st.QueueDepths
 	}
-	return []int{st.QueueDepth}
+	return []int{0}
 }
 
 // SeedList resolves the seed axis.
@@ -265,11 +262,6 @@ func (st *Study) Validate() error {
 	}
 	if st.Trials < 0 {
 		return fmt.Errorf("study %s: negative trials %d", st.Name, st.Trials)
-	}
-	// Like seeds vs trials, a pinned depth and a depth axis are two
-	// authorings of one dimension: reject the ambiguity.
-	if st.QueueDepth != 0 && len(st.QueueDepths) > 0 {
-		return fmt.Errorf("study %s: queue_depth and queue_depths are mutually exclusive", st.Name)
 	}
 	seenDepth := map[int]bool{}
 	for _, depth := range st.QueueDepthList() {
@@ -543,12 +535,16 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 		cfg.ScalePeers(st.PeerFactor)
 	}
 	cfg.Scenario = c.scn
-	cfg.Strategy = c.Strategy
 	if c.QueueDepth > 0 {
 		cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth}
 	}
-	if c.variant.Blind || c.variant.Mutate != nil {
+	if c.Strategy != "" || c.variant.Blind || c.variant.Mutate != nil {
+		// The profile is the cell's own, fresh; the strategy goes on after
+		// the variant's Mutate, so the strategy axis wins.
 		prof, err := c.variant.profile(c.App)
+		if err == nil && c.Strategy != "" {
+			prof.ChunkStrategy, err = policy.StrategyByName(c.Strategy)
+		}
 		if err != nil {
 			return cfg, err
 		}

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"napawine/internal/overlay"
+	"napawine/internal/policy"
 	"napawine/internal/scenario"
 )
 
@@ -173,7 +174,8 @@ func TestGridOrder(t *testing.T) {
 
 // TestCellConfig pins the per-cell experiment configuration to the battery
 // conventions: seed 0 keeps the calibrated default, durations and scale
-// apply, variants derive profiles.
+// apply, variants derive profiles, and the strategy axis sets the profile's
+// chunk strategy over whatever a variant's Mutate chose.
 func TestCellConfig(t *testing.T) {
 	st := &Study{Name: "cfg", Duration: Duration(42 * time.Second), PeerFactor: 0.5}
 	blind := false
@@ -189,8 +191,8 @@ func TestCellConfig(t *testing.T) {
 	if cfg.Duration != 42*time.Second {
 		t.Errorf("duration = %v", cfg.Duration)
 	}
-	if cfg.Strategy != "rarest" {
-		t.Errorf("strategy = %q", cfg.Strategy)
+	if got := cfg.Profile.ChunkStrategy.Name(); got != "rarest" {
+		t.Errorf("strategy = %q, want rarest", got)
 	}
 	if cfg.World.Peers != 120 { // 240 * 0.5
 		t.Errorf("peers = %d, want 120", cfg.World.Peers)
@@ -200,6 +202,23 @@ func TestCellConfig(t *testing.T) {
 	}
 	if !blind {
 		t.Error("variant Mutate not applied")
+	}
+
+	// A variant that picks its own strategy still runs the cell's.
+	deadline := cell{Point: Point{App: "TVAnts", Strategy: "rarest"},
+		variant: Variant{Name: "d", Mutate: func(p *overlay.Profile) { p.ChunkStrategy = policy.DeadlineFirst{} }}}
+	if cfg, err = deadline.config(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Profile.ChunkStrategy.Name(); got != "rarest" || cfg.Profile.Name != "d" {
+		t.Errorf("variant %s with strategy %q, want d with rarest", cfg.Profile.Name, got)
+	}
+	// With no variant, the strategy lands on a fresh stock profile.
+	if cfg, err = (cell{Point: Point{App: "TVAnts", Strategy: "rarest"}}).config(st); err != nil {
+		t.Fatal(err)
+	}
+	if got := cfg.Profile.ChunkStrategy.Name(); got != "rarest" || cfg.Profile.Name != "TVAnts" {
+		t.Errorf("profile %s with strategy %q, want TVAnts with rarest", cfg.Profile.Name, got)
 	}
 
 	zero := cell{Point: Point{App: "TVAnts"}}
@@ -340,8 +359,6 @@ func TestStudyCongestionValidateRejects(t *testing.T) {
 		st   Study
 		want string
 	}{
-		{"both forms", Study{Name: "s", QueueDepth: 2, QueueDepths: []int{0, 2}}, "mutually exclusive"},
-		{"negative depth", Study{Name: "s", QueueDepth: -1}, "queue depth"},
 		{"negative level", Study{Name: "s", QueueDepths: []int{0, -2}}, "queue depth"},
 		{"dup level", Study{Name: "s", QueueDepths: []int{2, 2}}, "duplicate queue depth"},
 	} {
