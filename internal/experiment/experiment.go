@@ -377,11 +377,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Periodic spool flush: counted in Result.Events (see flushEvery).
-	eng.Every(flushEvery, flushEvery, 0, net.FlushCapturesBefore)
+	eng.Every(flushEvery, flushEvery, net.FlushCapturesBefore)
 
 	var polls uint64
 	if ctx.Done() != nil {
-		eng.Every(cancelPoll, cancelPoll, 0, func() {
+		eng.Every(cancelPoll, cancelPoll, func() {
 			polls++
 			if ctx.Err() != nil {
 				sh.Stop()

@@ -100,7 +100,7 @@ func recordSeries(eng *sim.Engine, net *overlay.Network, buckets int, horizon ti
 		onSample:   onSample,
 	}
 	r.trackTopASes(net, DefaultASSeriesK)
-	eng.Every(every, every, 0, func() {
+	eng.Every(every, every, func() {
 		if len(r.samples) >= buckets {
 			return
 		}

@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"napawine/internal/chunkstream"
-	"napawine/internal/sim"
 )
 
 // sees reports which of ids the partner record's view lists.
@@ -187,71 +186,4 @@ func TestAdvertViewRulesAcrossShards(t *testing.T) {
 	wantSees(t, "after the new session's first push", xa, ids, 52)
 	checkPartnerTable(t, a)
 	checkPartnerTable(t, x)
-}
-
-// TestInflightSet covers the scheduler's set of outstanding requests:
-// lookup by id, removal by swapping the last entry in, and expiry reported
-// in id order whatever order the entries sit in.
-func TestInflightSet(t *testing.T) {
-	const timeout = 4 * time.Second
-	at := func(s int) sim.Time { return sim.Time(time.Duration(s) * time.Second) }
-	order := func(s inflightSet) []chunkstream.ChunkID {
-		var ids []chunkstream.ChunkID
-		for _, r := range s {
-			ids = append(ids, r.id)
-		}
-		return ids
-	}
-
-	var s inflightSet
-	if s.find(7) != -1 {
-		t.Fatal("empty set finds an id")
-	}
-	for _, r := range []pendingReq{
-		{id: 30, from: 1, sentAt: at(5)},
-		{id: 10, from: 2, sentAt: at(1)},
-		{id: 40, from: 3, sentAt: at(0)},
-		{id: 20, from: 4, sentAt: at(1)},
-	} {
-		s = append(s, r)
-	}
-	if got := order(s); !slices.Equal(got, []chunkstream.ChunkID{30, 10, 40, 20}) {
-		t.Fatalf("after inserts: %v", got)
-	}
-	for i, id := range []chunkstream.ChunkID{30, 10, 40, 20} {
-		if s.find(id) != i {
-			t.Errorf("find(%d) = %d, want %d", id, s.find(id), i)
-		}
-	}
-	if s.find(15) != -1 {
-		t.Error("find reports an id never put")
-	}
-
-	// Sent at 5, 1, 0, 1; at now = 4.5 s everything sent before 0.5 s is
-	// stale — nothing at exactly the timeout — and at 5.5 s everything before
-	// 1.5 s, listed ascending over whatever dst held.
-	if got := s.expiredInto(nil, at(4), timeout); len(got) != 0 {
-		t.Errorf("a request exactly the timeout old expired: %v", got)
-	}
-	now := at(5).Add(500 * time.Millisecond)
-	got := s.expiredInto([]chunkstream.ChunkID{99, 98, 97, 96}, now, timeout)
-	if !slices.Equal(got, []chunkstream.ChunkID{10, 20, 40}) {
-		t.Errorf("expired = %v, want [10 20 40]", got)
-	}
-
-	// Swap-remove: the last entry fills the hole; removing the last entry
-	// just shrinks.
-	s.removeAt(s.find(30))
-	if got := order(s); !slices.Equal(got, []chunkstream.ChunkID{20, 10, 40}) {
-		t.Fatalf("after removing the first: %v", got)
-	}
-	s.removeAt(s.find(40))
-	if got := order(s); !slices.Equal(got, []chunkstream.ChunkID{20, 10}) {
-		t.Fatalf("after removing the last: %v", got)
-	}
-	s.removeAt(0)
-	s.removeAt(0)
-	if len(s) != 0 || s.find(10) != -1 {
-		t.Fatalf("emptied set: %v", s)
-	}
 }

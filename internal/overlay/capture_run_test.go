@@ -81,7 +81,7 @@ func TestProbeStageStaysInFlight(t *testing.T) {
 		}
 		nd.ScheduleChurn(first, meanOn, 40*time.Second)
 	}
-	eng.Every(10*time.Second, 10*time.Second, 0, net.FlushCapturesBefore)
+	eng.Every(10*time.Second, 10*time.Second, net.FlushCapturesBefore)
 	eng.Run(cfg.Duration)
 	net.FlushCaptures()
 

@@ -50,12 +50,8 @@ type ringCoverage struct {
 // checkRingMatchesSlice drives ring and the reference model through the same
 // seeded sequence of remembers, with reset() standing for whatever empties the
 // list under test (it starts with one), and after every step requires the same
-// verdict, the same length and the same id at every logical index, plus the
-// storage's and the filter's own invariants: an entry width that never
-// shrinks and never passes 24 bits, storage never past what limit entries of
-// that width need, no listed id without its filter bit (a false "certainly
-// absent" would list an id twice), stale bits within their bound, and no more
-// set bits than listed ids and stale bits can account for.
+// verdict, the same length and the same id at every logical index, an entry
+// width that never shrinks, and the list's own invariant (check).
 //
 // Ids are drawn from span residues plus a multiple of the filter size, so
 // distinct ids share filter bits all the time. The widest multiple allowed
@@ -121,8 +117,6 @@ func checkRingMatchesSlice(t testing.TB, ring *neighborRing, reset func(), seed 
 		switch {
 		case ring.width < width:
 			t.Fatalf("step %d: entry width shrank from %d to %d bits", step, width, ring.width)
-		case int(ring.width) > idBits:
-			t.Fatalf("step %d: %d-bit entries, wider than a peer id", step, ring.width)
 		case ring.width > width && width > 0:
 			switch {
 			case emptied:
@@ -134,8 +128,8 @@ func checkRingMatchesSlice(t testing.TB, ring *neighborRing, reset func(), seed 
 				cov.widenMidList++
 			}
 		}
-		if words := (limit*int(ring.width) + 63) / 64; len(ring.words) > words {
-			t.Fatalf("step %d: %d storage words, %d entries of %d bits need %d", step, len(ring.words), limit, ring.width, words)
+		if err := ring.check(limit); err != nil {
+			t.Fatalf("step %d: %v", step, err)
 		}
 		if ring.len() != len(ref) {
 			t.Fatalf("step %d: ring holds %d ids, the slice %d", step, ring.len(), len(ref))
@@ -144,27 +138,6 @@ func checkRingMatchesSlice(t testing.TB, ring *neighborRing, reset func(), seed 
 			if got := ring.at(i); got != want {
 				t.Fatalf("step %d: ring.at(%d) = %d, the slice holds %d there", step, i, got, want)
 			}
-		}
-		if ring.filter == nil {
-			if ring.len() >= neighborFilterMin {
-				t.Fatalf("step %d: %d ids listed and no filter", step, ring.len())
-			}
-			continue
-		}
-		for _, id := range ref {
-			if !bitSet(id) {
-				t.Fatalf("step %d: listed id %d has no filter bit", step, id)
-			}
-		}
-		if int(ring.stale)*4 >= limit {
-			t.Fatalf("step %d: %d stale bits outstanding at a bound of %d", step, ring.stale, limit)
-		}
-		set := 0
-		for _, w := range ring.filter {
-			set += bits.OnesCount64(w)
-		}
-		if set > ring.len()+int(ring.stale) {
-			t.Fatalf("step %d: %d filter bits set for %d listed ids and %d evictions", step, set, ring.len(), ring.stale)
 		}
 	}
 	return cov

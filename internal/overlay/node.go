@@ -1,10 +1,7 @@
 package overlay
 
 import (
-	"cmp"
 	"fmt"
-	"math/bits"
-	"slices"
 	"time"
 
 	"napawine/internal/access"
@@ -15,448 +12,6 @@ import (
 	"napawine/internal/topology"
 	"napawine/internal/units"
 )
-
-// partner is the per-neighbour state a node keeps for peers it actively
-// exchanges video with: one 32-byte record, held by value in the node's
-// partner table (Node.partners). The remote is named by id and resolved
-// through Network.nodes where a loop needs it, so the record's one pointer is
-// its view. The policy-visible facts are packed — locality as three bits, the
-// RTT as 32 bits of nanoseconds — and rebuilt into a policy.Info (info) only
-// where a Weight reads one. key and rtt share the first word.
-type partner struct {
-	// key holds, from the top: the remote's id in 24 bits, the consecutive
-	// failure count in 4, the announce bit and the three locality bits. The
-	// flags sit below the id, so key order is id order (partnerSearch). It is
-	// read and written only through the accessors below.
-	key uint32
-	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
-	// formation (addPartner).
-	rtt int32
-	// have is a view of the buffer map the partner last announced to this
-	// node: the remote's published advert (same shard) or the clone its push
-	// message carried (across shards). Nothing here owns or copies the words.
-	// Zero — nothing advertised — from the record's creation until the
-	// remote's next signalling tick aims it.
-	have chunkstream.Advert
-	// reqW caches the profile's request-time weight for this pair, which
-	// requestChunk and bestPartner read. The locality facts and the RTT are
-	// immutable from the moment the partnership forms, so the cache goes
-	// stale only when estRate moves — every such site calls rescore. The
-	// retain-time weight is not cached: churnTick, its one reader, computes
-	// it from info.
-	reqW float64
-	// estRate is the running delivery-rate estimate (policy.Info.EstRate).
-	estRate units.BitRate
-}
-
-// The fields of partner.key below the id.
-const (
-	locSubnet uint32 = 1 << iota // the locality facts, one bit each
-	locAS
-	locCC
-	// keyAnnounce marks a row whose remote side has not been aimed at this
-	// node's advert yet. addPartner sets it both when it creates the row and
-	// when it finds the row already there: the remote may have left,
-	// rejoined unnoticed and re-created its side with a zero view. The
-	// node's next signalling tick does the one search of the remote's table,
-	// aims the remote's row and clears the flag; from then on rewriting the
-	// advert in place is the whole announcement.
-	keyAnnounce
-
-	keyLoc       = locSubnet | locAS | locCC
-	keyFailShift = 4
-	keyFailures  = maxFailures << keyFailShift
-	keyIDShift   = 8
-)
-
-// maxFailures is where a record's failure count saturates (fail): every
-// test of the count compares it with a limit of at most
-// congestionFailureLimit, so a saturated count reads like any larger one.
-const maxFailures = 15
-
-// The failure count must be able to reach every limit it is compared with.
-var _ [maxFailures - congestionFailureLimit]struct{}
-
-// maxPeerID is the largest id a partner record can name in its 24 bits;
-// AddNode refuses to hand out a larger one.
-const maxPeerID = 1<<(32-keyIDShift) - 1
-
-// partnerKey is the key of a record for peer id with every flag clear: the
-// least key any record for id can hold.
-func partnerKey(id PeerID) uint32 { return uint32(id) << keyIDShift }
-
-// id is the remote's peer id.
-func (p *partner) id() PeerID { return PeerID(p.key >> keyIDShift) }
-
-// loc is the record's locality bits: locSubnet | locAS | locCC.
-func (p *partner) loc() uint32 { return p.key & keyLoc }
-
-// announce reports whether the remote's row still waits to be aimed at this
-// node's advert (keyAnnounce).
-func (p *partner) announce() bool { return p.key&keyAnnounce != 0 }
-
-func (p *partner) setAnnounce(on bool) {
-	p.key &^= keyAnnounce
-	if on {
-		p.key |= keyAnnounce
-	}
-}
-
-// failures is the count of consecutive failures (timeouts and rejections)
-// since the last success, saturated at maxFailures.
-func (p *partner) failures() int { return int(p.key & keyFailures >> keyFailShift) }
-
-// fail counts one more consecutive failure.
-func (p *partner) fail() {
-	if p.key&keyFailures != keyFailures {
-		p.key += 1 << keyFailShift
-	}
-}
-
-func (p *partner) clearFailures() { p.key &^= keyFailures }
-
-// pack stores the policy-visible facts of info in the record of partner
-// p.id(), held by node self. An RTT past the record's 32 bits of nanoseconds
-// panics, naming the pair, rather than being truncated.
-func (p *partner) pack(info policy.Info, self PeerID) {
-	p.rtt = int32(info.RTT)
-	if time.Duration(p.rtt) != info.RTT {
-		panic(fmt.Sprintf("overlay: RTT %v between peers %d and %d does not fit a partner record", info.RTT, self, p.id()))
-	}
-	p.key &^= keyLoc
-	if info.SameSubnet {
-		p.key |= locSubnet
-	}
-	if info.SameAS {
-		p.key |= locAS
-	}
-	if info.SameCC {
-		p.key |= locCC
-	}
-	p.estRate = info.EstRate
-}
-
-// info rebuilds the policy-visible facts the record packs.
-func (p *partner) info() policy.Info {
-	loc := p.loc()
-	return policy.Info{
-		SameSubnet: loc&locSubnet != 0,
-		SameAS:     loc&locAS != 0,
-		SameCC:     loc&locCC != 0,
-		RTT:        time.Duration(p.rtt),
-		EstRate:    p.estRate,
-	}
-}
-
-// partnerCong is a partner's congestion observations, kept entry for entry
-// with the partner table in a side table (Node.cong) that exists only when the
-// network's congestion model is on (every access is gated on it): lossEWMA
-// tracks the fraction of requests to the partner that timed out (1 = every
-// recent request lost), and backoffUntil holds requests off the partner after
-// a timeout, doubling per consecutive failure. addPartner and removePartner
-// shift it with the records, and addPartner zeroes the new partner's entry.
-type partnerCong struct {
-	lossEWMA     float64
-	backoffUntil sim.Time
-}
-
-// lossEWMARetain is the smoothing of the per-partner observed-loss EWMA:
-// each timeout pulls it toward 1 and each delivery toward 0 with this
-// retention. 0.75 forgets a loss burst in a handful of deliveries — fast
-// enough to rehabilitate a partner whose queue drained.
-const lossEWMARetain = 0.75
-
-// congestionFailureLimit replaces the historical 4-failure partner drop
-// when the congestion model is on: transient queue overload should put a
-// partner into backoff, not evict it — eviction is for peers that look
-// dead, and under congestion that takes a longer streak.
-const congestionFailureLimit = 8
-
-// pendingReq tracks one outstanding chunk request.
-type pendingReq struct {
-	id     chunkstream.ChunkID
-	from   PeerID
-	sentAt sim.Time
-}
-
-// inflightSet is a node's outstanding requests, at most one per chunk id and
-// at most Profile.MaxInflight (five or six) of them: an unordered slice
-// scanned linearly, which at that size beats hashing on every one of the
-// ~20 probes a scheduler tick makes. A request is appended only for an id
-// find has just reported absent (or removeAt has just removed). Order is
-// never observable — expiry sorts what it collects before acting on it.
-type inflightSet []pendingReq
-
-// find returns the index of id's request, -1 when there is none.
-func (s inflightSet) find(id chunkstream.ChunkID) int {
-	for i := range s {
-		if s[i].id == id {
-			return i
-		}
-	}
-	return -1
-}
-
-// removeAt drops the request at index i by moving the last one into its place.
-func (s *inflightSet) removeAt(i int) {
-	last := len(*s) - 1
-	(*s)[i] = (*s)[last]
-	*s = (*s)[:last]
-}
-
-// expiredInto overwrites dst with the ids of requests sent more than timeout
-// before now, ascending, and returns it.
-func (s inflightSet) expiredInto(dst []chunkstream.ChunkID, now sim.Time, timeout time.Duration) []chunkstream.ChunkID {
-	dst = dst[:0]
-	for i := range s {
-		if now.Sub(s[i].sentAt) > timeout {
-			dst = append(dst, s[i].id)
-		}
-	}
-	slices.Sort(dst)
-	return dst
-}
-
-// rateMemo is a node's delivery-rate memory: the last estimate of every
-// remote that has delivered to it, as a run sorted by id behind one pointer,
-// nil until the first sample. Nodes remember a few remotes each (2.7 on
-// average at 10⁴ peers), and the run is only ever read or written by key.
-type rateMemo struct{ run *[]rateEntry }
-
-type rateEntry struct {
-	id   PeerID
-	rate units.BitRate
-}
-
-// search returns id's position in the run, or its insertion point.
-func (m rateMemo) search(id PeerID) (int, bool) {
-	if m.run == nil {
-		return 0, false
-	}
-	return slices.BinarySearchFunc(*m.run, id, func(e rateEntry, id PeerID) int { return cmp.Compare(e.id, id) })
-}
-
-// get returns the rate remembered for id, 0 when there is none.
-func (m rateMemo) get(id PeerID) units.BitRate {
-	if i, ok := m.search(id); ok {
-		return (*m.run)[i].rate
-	}
-	return 0
-}
-
-// set remembers r as id's rate.
-func (m *rateMemo) set(id PeerID, r units.BitRate) {
-	i, ok := m.search(id)
-	if m.run == nil {
-		m.run = new([]rateEntry)
-	}
-	if ok {
-		(*m.run)[i].rate = r
-	} else {
-		*m.run = slices.Insert(*m.run, i, rateEntry{id, r})
-	}
-}
-
-// The neighbour list's membership filter: one bit per residue of the peer id
-// modulo neighborFilterBits (ids are dense, so residues spread evenly). A
-// list shorter than neighborFilterMin entries is cheaper to scan than the
-// filter is to keep, and most lists of most runs are: those own no filter.
-const (
-	neighborFilterBits = 2048
-	neighborFilterMin  = 128
-)
-
-// neighborRing is a node's neighbour list: the peers it has contacted,
-// oldest first, without duplicates, bounded like a FIFO. It grows up to the
-// bound, its storage doubling but never past it; from then on a new entry
-// overwrites the oldest in place and head moves on, so logical index i (at)
-// is where a slice shifted down on every eviction would hold the same id.
-//
-// Entries are bit-packed, width bits each: slot s holds bits [s·width,
-// (s+1)·width) of words, low bits first, and may straddle two words. width
-// is bits.Len of the widest id the list has held (at least 1, never more
-// than the 24 bits a peer id has): 11 bits in a 1,500-peer swarm, 14 at
-// 10⁴. A wider id first moves every entry into storage of its width
-// (repack), as a grow does.
-type neighborRing struct {
-	words []uint64 // the packed entries: room for slots() of them
-	// filter answers "certainly absent" without the scan: a clear bit means
-	// no listed id has that residue. A set bit decides nothing, so the scan
-	// follows and membership stays exact. Nil below neighborFilterMin entries.
-	filter *[neighborFilterBits / 64]uint64
-	n      int32 // entries listed
-	head   int32 // slot of the oldest entry; 0 until the list is full
-	// stale counts evictions since the filter was last exact. An evicted
-	// id's bit stays set, which costs a wasted scan and never a wrong
-	// answer; the filter is rebuilt from the entries every bound/4 evictions.
-	stale int32
-	width uint8 // bits per entry; 0 until the first entry
-}
-
-// neighborFilterBit locates id's bit in a filter: word index and mask.
-func neighborFilterBit(id PeerID) (word uint, mask uint64) {
-	return uint(id) % neighborFilterBits / 64, 1 << (uint(id) % 64)
-}
-
-func (r *neighborRing) len() int { return int(r.n) }
-
-// slots reports how many entries the storage holds at the current width.
-func (r *neighborRing) slots() int {
-	if r.width == 0 {
-		return 0
-	}
-	return len(r.words) * 64 / int(r.width)
-}
-
-// window reads the 64 bits of storage from bit offset off on, low bits
-// first; bits past the storage read as zero.
-func (r *neighborRing) window(off uint) uint64 {
-	i, s := off/64, off%64
-	v := r.words[i] >> s
-	if s != 0 && i+1 < uint(len(r.words)) {
-		v |= r.words[i+1] << (64 - s)
-	}
-	return v
-}
-
-// unpack reads the entry at bit offset off.
-func (r *neighborRing) unpack(off uint) PeerID {
-	return PeerID(r.window(off) & (1<<r.width - 1))
-}
-
-// pack writes id, which fits in width bits, at bit offset off.
-func (r *neighborRing) pack(off uint, id PeerID) {
-	i, s := off/64, off%64
-	mask, v := uint64(1)<<r.width-1, uint64(id)
-	r.words[i] = r.words[i]&^(mask<<s) | v<<s
-	if s+uint(r.width) > 64 {
-		r.words[i+1] = r.words[i+1]&^(mask>>(64-s)) | v>>(64-s)
-	}
-}
-
-// at returns the i-th oldest entry.
-func (r *neighborRing) at(i int) PeerID {
-	i += int(r.head)
-	if i >= int(r.n) {
-		i -= int(r.n)
-	}
-	return r.unpack(uint(i) * uint(r.width))
-}
-
-// wordLanes[w] cuts a 64-bit word into whole w-bit lanes: how many there
-// are, and the word with the lowest bit of each lane set.
-var wordLanes = func() (lanes [32 - keyIDShift + 1]struct {
-	per  uint
-	lows uint64
-}) {
-	for w := 1; w < len(lanes); w++ {
-		lanes[w].per = uint(64 / w)
-		for lane := 0; lane+w <= 64; lane += w {
-			lanes[w].lows |= 1 << lane
-		}
-	}
-	return lanes
-}()
-
-// contains scans the listed entries for id, a 64-bit window of whole
-// entries at a time (unpacking them one by one costs more than a scan of
-// 32-bit ids): the window XOR id in every lane has a zero lane exactly when
-// some entry equals id, and (x − lows) &^ x & highs is non-zero exactly when
-// x has a zero lane.
-func (r *neighborRing) contains(id PeerID) bool {
-	w := uint(r.width)
-	if r.n == 0 || uint(bits.Len32(uint32(id))) > w {
-		return false // empty, or id is wider than any id the list has held
-	}
-	per, lows := wordLanes[w].per, wordLanes[w].lows
-	highs, want := lows<<(w-1), uint64(id)*lows
-	n, off := uint(r.n), uint(0)
-	for ; n > per; n -= per {
-		if x := r.window(off) ^ want; (x-lows)&^x&highs != 0 {
-			return true
-		}
-		off += per * w
-	}
-	x := r.window(off) ^ want | highs&^(1<<(n*w)-1) // lanes past the last entry never match
-	return (x-lows)&^x&highs != 0
-}
-
-// repack moves the entries into fresh storage of the given slot count and
-// entry width, each to the slot it had.
-func (r *neighborRing) repack(slots, width int) {
-	old := *r
-	r.words = make([]uint64, (slots*width+63)/64)
-	r.width = uint8(width)
-	if r.width == old.width {
-		copy(r.words, old.words) // a grow: the same layout, longer
-		return
-	}
-	for s := uint(0); s < uint(r.n); s++ {
-		r.pack(s*uint(width), old.unpack(s*uint(old.width)))
-	}
-}
-
-// reset empties the list, keeping its storage and width for the next
-// session.
-func (r *neighborRing) reset() {
-	r.n, r.head, r.stale = 0, 0, 0
-	if r.filter != nil {
-		clear(r.filter[:])
-	}
-}
-
-// remember lists id as the newest entry unless it is listed already,
-// evicting the oldest once the list holds limit entries; it reports whether
-// id was added.
-func (r *neighborRing) remember(id PeerID, limit int) bool {
-	if limit <= 0 {
-		return false
-	}
-	word, mask := neighborFilterBit(id)
-	if (r.filter == nil || r.filter[word]&mask != 0) && r.contains(id) {
-		return false
-	}
-	full := int(r.n) >= limit
-	width := max(bits.Len32(uint32(id)), int(r.width), 1)
-	switch {
-	case !full && (int(r.n)+1)*width > 64*len(r.words):
-		// No room for the entry: double the storage, never past the bound.
-		r.repack(min(max(2*int(r.n), 8), limit), width)
-	case width > int(r.width):
-		r.repack(max(min(r.slots(), limit), int(r.n)), width)
-	}
-	if !full {
-		r.pack(uint(r.n)*uint(r.width), id)
-		r.n++
-	} else {
-		r.pack(uint(r.head)*uint(r.width), id)
-		if r.head++; r.head == r.n {
-			r.head = 0
-		}
-		r.stale++
-	}
-	switch {
-	case r.filter == nil && int(r.n) >= neighborFilterMin:
-		r.filter = new([neighborFilterBits / 64]uint64)
-		r.refilter()
-	case r.filter != nil && int(r.stale)*4 >= limit:
-		r.refilter()
-	case r.filter != nil:
-		r.filter[word] |= mask
-	}
-	return true
-}
-
-// refilter makes the filter exact again: the bits of the listed ids, no other.
-func (r *neighborRing) refilter() {
-	clear(r.filter[:])
-	w := uint(r.width)
-	for off, end := uint(0), uint(r.n)*w; off < end; off += w {
-		word, mask := neighborFilterBit(r.unpack(off))
-		r.filter[word] |= mask
-	}
-	r.stale = 0
-}
 
 // Node is one peer in the swarm.
 type Node struct {
@@ -866,33 +421,6 @@ func (nd *Node) infoFor(other *Node) policy.Info {
 	}
 }
 
-// partnerSearch returns the position of partner id in the table, or its
-// insertion point. It compares whole keys with id's flagless key: a record's
-// flags sit below its id, so its key is below that one exactly when its id
-// is below id. Written out because slices.BinarySearchFunc calls its
-// comparator un-inlined.
-func (nd *Node) partnerSearch(id PeerID) (int, bool) {
-	key := partnerKey(id)
-	lo, hi := 0, len(nd.partners)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if nd.partners[mid].key < key {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo, lo < len(nd.partners) && nd.partners[lo].id() == id
-}
-
-// partnerByID returns the partner with the given id, nil when there is none.
-func (nd *Node) partnerByID(id PeerID) *partner {
-	if i, ok := nd.partnerSearch(id); ok {
-		return &nd.partners[i]
-	}
-	return nil
-}
-
 // rescore refreshes the cached request weight of partner p after its
 // delivery-rate estimate moved. This is the single invalidation door:
 // locality facts never change, so the cache stays exact as long as each
@@ -952,62 +480,12 @@ func (nd *Node) handshake(other *Node) {
 	other.addPartner(nd)
 }
 
-// addPartner inserts other's record at its id's place in the table, shifting
-// the records (and congestion entries) above it up by one. It reslices, never
-// appends: a table past its capacity panics rather than moving.
-func (nd *Node) addPartner(other *Node) {
-	i, dup := nd.partnerSearch(other.ID)
-	if dup {
-		nd.partners[i].setAnnounce(true)
-		return
-	}
-	info := nd.infoFor(other)
-	// Clients remember how a peer performed in earlier partnership
-	// episodes; without this, partner churn would erase every bandwidth
-	// measurement and selection would stay near-uniform forever.
-	info.EstRate = nd.rateMemory.get(other.ID)
-	// The record sees none of other's holdings and is marked for
-	// announcement to other. Locality facts are settled for good at
-	// partnership formation; this is the once-per-pair request weighing the
-	// selection loops reuse from here on.
-	n := len(nd.partners)
-	nd.partners = nd.partners[:n+1]
-	copy(nd.partners[i+1:], nd.partners[i:n])
-	p := &nd.partners[i]
-	*p = partner{key: partnerKey(other.ID) | keyAnnounce}
-	p.pack(info, nd.ID)
-	p.reqW = nd.Profile.RequestWeight.Weight(info)
-	if nd.cong != nil {
-		cong := *nd.cong
-		copy(cong[i+1:n+1], cong[i:n])
-		cong[i] = partnerCong{}
-	}
-}
-
 func (nd *Node) dropPartner(id PeerID) {
 	nd.removePartner(id)
 	if other := nd.net.NodeByID(id); sameShard(nd, other) {
 		other.removePartner(nd.ID)
 	} else {
 		nd.net.crossRemovePartner(nd, other)
-	}
-}
-
-// removePartner clears one side of a partnership: the records (and
-// congestion entries) above id's shift down by one, and the slot vacated at
-// the end is zeroed, so it pins no advert of a finished session.
-func (nd *Node) removePartner(id PeerID) {
-	i, ok := nd.partnerSearch(id)
-	if !ok {
-		return
-	}
-	n := len(nd.partners)
-	copy(nd.partners[i:], nd.partners[i+1:])
-	nd.partners[n-1] = partner{}
-	nd.partners = nd.partners[:n-1]
-	if nd.cong != nil {
-		cong := *nd.cong
-		copy(cong[i:n-1], cong[i+1:n])
 	}
 }
 

@@ -404,7 +404,7 @@ func NewSharded(sh *sim.Sharded, topo *topology.Topology, cfg Config, shardOf ma
 	}
 	if sh.N() > 1 {
 		n.onlineSnaps = make([][]*Node, sh.N())
-		n.Eng.Every(trackerRefresh, trackerRefresh, 0, n.refreshTrackerSnaps)
+		n.Eng.Every(trackerRefresh, trackerRefresh, n.refreshTrackerSnaps)
 	}
 	return n
 }

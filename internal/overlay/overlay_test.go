@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -121,6 +122,23 @@ func buildWorldShards(t testing.TB, seed int64, nPeers int, slowEvery int, cfg C
 		w.peers = append(w.peers, w.net.AddNode(h, link, testProfile()))
 	}
 	return w
+}
+
+// checkEverySecond audits every node of w once per simulated second of the
+// run that follows, from an event on the global engine (between shard
+// windows on a sharded world): its partner table (checkPartnerTable) and the
+// checks of its neighbour list, rate memory and in-flight set. The audit
+// only reads.
+func (w *world) checkEverySecond(t testing.TB) {
+	w.eng.Every(time.Second, time.Second, func() {
+		for _, nd := range w.net.nodes {
+			checkPartnerTable(t, nd)
+			p := nd.Profile
+			if err := errors.Join(nd.neighbors.check(p.NeighborListMax), nd.rateMemory.check(), nd.inflight.check(p.MaxInflight)); err != nil {
+				t.Fatalf("node %d: %v", nd.ID, err)
+			}
+		}
+	})
 }
 
 func (w *world) startAll() {
@@ -247,6 +265,7 @@ func TestChurnCycleSurvives(t *testing.T) {
 			w.eng.Schedule(time.Duration(i)*200*time.Millisecond, p.Join)
 		}
 	}
+	w.checkEverySecond(t)
 	w.eng.Run(2 * time.Minute)
 	// The network must remain functional: stable peers keep streaming.
 	streaming := 0
@@ -707,7 +726,7 @@ func TestSetChurnScaleSpeedsUpCycling(t *testing.T) {
 		}
 		nd.ScheduleChurn(0, 60*time.Second, 20*time.Second)
 		transitions, prev := 0, false
-		w.eng.Every(time.Second, time.Second, 0, func() {
+		w.eng.Every(time.Second, time.Second, func() {
 			if cur := nd.Online(); cur != prev {
 				transitions++
 				prev = cur
@@ -754,6 +773,7 @@ func TestLedgerConservation(t *testing.T) {
 		cfg.UplinkBusyCap = 200 * time.Millisecond
 		w := buildWorldShards(t, 7, 20, 3, cfg, shards)
 		w.startAll()
+		w.checkEverySecond(t)
 		if w.sh != nil {
 			w.sh.Run(60 * time.Second)
 		} else {

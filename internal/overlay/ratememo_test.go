@@ -10,10 +10,10 @@ import (
 // memory against the map it replaced, through interleaved sets and gets of
 // ids anywhere in the 24 bits a peer id has. Each op is four bytes: a
 // selector whose low bit picks set (1) or get (0), then the id, big-endian.
-// After every step the run must answer every id the model holds with the
-// model's rate, answer 0 for the op's id when the model has none, and hold
-// exactly the model's entries — and before the first set it must still be
-// nil.
+// After every step the run must pass check, answer every id the model holds
+// with the model's rate, answer 0 for the op's id when the model has none,
+// and hold exactly the model's entries — and before the first set it must
+// still be nil.
 func FuzzRateMemo(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0, 1, 0, 0, 0, 1, 0xff, 0xff, 0xff, 0, 0xff, 0xff, 0xff})
 	f.Add([]byte{1, 0xff, 0xff, 0xff, 1, 0x80, 0, 0, 1, 0, 0, 1, 1, 0, 0, 0, 3, 0x80, 0, 0, 0, 0x80, 0, 0})
@@ -28,6 +28,9 @@ func FuzzRateMemo(f *testing.F) {
 				r := units.BitRate(step)*1000 + units.BitRate(op[0])
 				memo.set(id, r)
 				model[id] = r
+			}
+			if err := memo.check(); err != nil {
+				t.Fatalf("step %d: %v", step/4, err)
 			}
 			if got, want := memo.get(id), model[id]; got != want {
 				t.Fatalf("step %d: get(%d) = %d, want %d", step/4, id, got, want)

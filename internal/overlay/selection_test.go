@@ -33,41 +33,19 @@ func TestPartnerIndexStaysConsistent(t *testing.T) {
 // sameWeight compares weights with NaN equal to NaN.
 func sameWeight(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNaN(b) }
 
-// checkPartnerTable audits one node's partner table:
-//   - the table is allocated at MaxPartners, and the congestion side table
-//     exists, at MaxPartners entries, exactly when the congestion model is on;
-//   - ids strictly ascend in partners[:len], which is what makes the table a
-//     set and lets partnerByID binary search it;
-//   - every record's cached request weight equals a fresh evaluation;
-//   - every slot past len is zero, so it pins no advert;
-//   - partnerByID finds every partner at its position and misses ids below,
-//     between and above.
+// checkPartnerTable audits one node's partner table: the table's own
+// invariant (checkPartners), every record's cached request weight equal to a
+// fresh evaluation, and partnerByID finding every partner at its position and
+// missing ids below, between and above.
 func checkPartnerTable(t testing.TB, nd *Node) {
 	t.Helper()
-	if nd.partners == nil {
-		if nd.cong != nil {
-			t.Fatalf("node %d: a congestion table without a partner table", nd.ID)
-		}
-		return
-	}
-	if cap(nd.partners) != nd.Profile.MaxPartners {
-		t.Fatalf("node %d: partner table capacity %d, MaxPartners %d", nd.ID, cap(nd.partners), nd.Profile.MaxPartners)
-	}
-	if on := nd.net.congestionOn(); (nd.cong != nil) != on || on && len(*nd.cong) != nd.Profile.MaxPartners {
-		t.Fatalf("node %d: congestion table %v with the congestion model on: %v", nd.ID, nd.cong != nil, on)
+	if err := nd.checkPartners(); err != nil {
+		t.Fatal(err)
 	}
 	for i := range nd.partners {
 		p := &nd.partners[i]
-		if i > 0 && nd.partners[i-1].id() >= p.id() {
-			t.Fatalf("node %d: partner ids out of order at %d: %d, then %d", nd.ID, i, nd.partners[i-1].id(), p.id())
-		}
 		if want := nd.Profile.RequestWeight.Weight(p.info()); !sameWeight(p.reqW, want) {
 			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, p.id(), p.reqW, want)
-		}
-	}
-	for i, p := range nd.partners[len(nd.partners):cap(nd.partners)] {
-		if !reflect.ValueOf(p).IsZero() {
-			t.Fatalf("node %d: slot %d, past the table's %d records, holds %+v", nd.ID, len(nd.partners)+i, len(nd.partners), p)
 		}
 	}
 	// Every id from below the first node's to above the last's: a partner's
@@ -263,8 +241,8 @@ func pointerWords(ty reflect.Type) int {
 // congestion model — partner adds, drops, backoffs and whole-table clears all
 // the time — and requires every node's partner table and congestion table to
 // keep the one backing array its first Join allocated, at MaxPartners, with
-// the table sound at every second. Records move within the array; the array
-// never moves.
+// every node's structures sound at every second (checkEverySecond). Records
+// move within the array; the array never moves.
 func TestPartnerTableNeverMoves(t *testing.T) {
 	cfg := testConfig()
 	cfg.Congestion = access.CongestionModel{QueueDepth: 2}
@@ -279,13 +257,13 @@ func TestPartnerTableNeverMoves(t *testing.T) {
 	}
 	first := make(map[*Node]tables)
 	full := 0
+	w.checkEverySecond(t)
 	for sec := 1; sec <= 60; sec++ {
 		w.eng.Run(time.Duration(sec) * time.Second)
 		for _, nd := range append(w.peers, w.src) {
 			if nd.partners == nil {
 				continue
 			}
-			checkPartnerTable(t, nd)
 			now := tables{unsafe.SliceData(nd.partners), &(*nd.cong)[0]}
 			if was, ok := first[nd]; ok && was != now {
 				t.Fatalf("second %d: node %d's tables moved from %v to %v", sec, nd.ID, was, now)

@@ -18,13 +18,15 @@ func shardedTrace(n int, seed int64, horizon time.Duration) [][]string {
 	for i := 0; i < n; i++ {
 		i := i
 		eng := s.Shard(i)
-		eng.Every(0, 3*time.Millisecond, time.Millisecond, func() {
-			now := eng.Now()
-			traces[i] = append(traces[i], fmt.Sprintf("tick %d@%v r%d", i, now, eng.Rand().Int63n(1000)))
-			dst := (i + 1) % n
-			at := now.Add(la + time.Duration(eng.Rand().Int63n(int64(time.Millisecond))))
-			s.Send(i, dst, at, func() {
-				traces[dst] = append(traces[dst], fmt.Sprintf("recv %d<-%d@%v", dst, i, s.Shard(dst).Now()))
+		eng.Every(0, 3*time.Millisecond, func() {
+			eng.After(time.Duration(eng.Rand().Int63n(int64(time.Millisecond))), func() {
+				now := eng.Now()
+				traces[i] = append(traces[i], fmt.Sprintf("tick %d@%v r%d", i, now, eng.Rand().Int63n(1000)))
+				dst := (i + 1) % n
+				at := now.Add(la + time.Duration(eng.Rand().Int63n(int64(time.Millisecond))))
+				s.Send(i, dst, at, func() {
+					traces[dst] = append(traces[dst], fmt.Sprintf("recv %d<-%d@%v", dst, i, s.Shard(dst).Now()))
+				})
 			})
 		})
 	}
@@ -55,26 +57,29 @@ func TestShardedDeterminism(t *testing.T) {
 // One shard must be the serial engine exactly: same event sequence, same
 // RNG stream, same processed count, no goroutines.
 func TestShardedOneShardMatchesSerial(t *testing.T) {
-	workload := func(eng *Engine) []string {
-		var out []string
-		eng.Every(0, 7*time.Millisecond, 3*time.Millisecond, func() {
-			out = append(out, fmt.Sprintf("%v r%d", eng.Now(), eng.Rand().Int63n(1000)))
+	workload := func(eng *Engine) *[]string {
+		out := new([]string)
+		eng.Every(0, 7*time.Millisecond, func() {
+			eng.After(time.Duration(eng.Rand().Int63n(int64(3*time.Millisecond))), func() {
+				*out = append(*out, fmt.Sprintf("%v r%d", eng.Now(), eng.Rand().Int63n(1000)))
+			})
 		})
 		return out
 	}
 	serial := New(5)
-	so := workload(serial)
+	sp := workload(serial)
 	serial.Run(300 * time.Millisecond)
 
 	sh := NewSharded(5, 1, 0)
 	if sh.Shard(0) != sh.Global() {
 		t.Fatal("one-shard coordinator must expose the global engine as the shard")
 	}
-	po := workload(sh.Shard(0))
+	pp := workload(sh.Shard(0))
 	sh.Run(300 * time.Millisecond)
 
-	if len(so) != len(*(&po)) {
-		t.Fatalf("trace lengths differ: %d vs %d", len(so), len(po))
+	so, po := *sp, *pp
+	if len(so) == 0 || len(so) != len(po) {
+		t.Fatalf("trace lengths: serial %d, sharded %d", len(so), len(po))
 	}
 	for i := range so {
 		if so[i] != po[i] {
@@ -178,7 +183,7 @@ func TestShardedStopFromGlobalAndResume(t *testing.T) {
 	var counts [2]int
 	for i := 0; i < 2; i++ {
 		i := i
-		s.Shard(i).Every(0, 5*time.Millisecond, 0, func() { counts[i]++ })
+		s.Shard(i).Every(0, 5*time.Millisecond, func() { counts[i]++ })
 	}
 	s.Global().Schedule(20*time.Millisecond, func() { s.Stop() })
 	s.Run(time.Second)

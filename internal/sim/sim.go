@@ -273,11 +273,9 @@ func (e *Engine) After(delay time.Duration, fn func()) *Timer {
 	return t
 }
 
-// Every schedules fn to run now+first, then repeatedly every interval, with
-// a uniform jitter in [0, jitter) resampled on each firing. It returns a
-// cancel function. Jittered periodic events are how the overlay models
-// keep-alives and buffer-map exchanges without phase-locking every peer.
-func (e *Engine) Every(first, interval, jitter time.Duration, fn func()) (cancel func()) {
+// Every schedules fn to run now+first, then repeatedly every interval. It
+// returns a cancel function.
+func (e *Engine) Every(first, interval time.Duration, fn func()) (cancel func()) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
 	}
@@ -291,11 +289,7 @@ func (e *Engine) Every(first, interval, jitter time.Duration, fn func()) (cancel
 		if stopped { // fn may cancel itself
 			return
 		}
-		next := interval
-		if jitter > 0 {
-			next += time.Duration(e.rng.Int63n(int64(jitter)))
-		}
-		e.Schedule(next, tick)
+		e.Schedule(interval, tick)
 	}
 	e.Schedule(first, tick)
 	return func() { stopped = true }

@@ -192,7 +192,7 @@ func TestTimerFires(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := New(1)
 	count := 0
-	cancel := e.Every(0, time.Second, 0, func() { count++ })
+	cancel := e.Every(0, time.Second, func() { count++ })
 	e.Run(10*time.Second + time.Millisecond)
 	if count != 11 { // t=0s..10s inclusive
 		t.Errorf("count = %d, want 11", count)
@@ -208,7 +208,7 @@ func TestEverySelfCancel(t *testing.T) {
 	e := New(1)
 	count := 0
 	var cancel func()
-	cancel = e.Every(0, time.Second, 0, func() {
+	cancel = e.Every(0, time.Second, func() {
 		count++
 		if count == 3 {
 			cancel()
@@ -220,27 +220,11 @@ func TestEverySelfCancel(t *testing.T) {
 	}
 }
 
-func TestEveryJitterStaysWithinBounds(t *testing.T) {
-	e := New(42)
-	var times []Time
-	e.Every(0, time.Second, 500*time.Millisecond, func() { times = append(times, e.Now()) })
-	e.Run(30 * time.Second)
-	for i := 1; i < len(times); i++ {
-		gap := times[i].Sub(times[i-1])
-		if gap < time.Second || gap >= 1500*time.Millisecond {
-			t.Fatalf("jittered gap %v out of [1s, 1.5s)", gap)
-		}
-	}
-	if len(times) < 15 {
-		t.Fatalf("too few firings: %d", len(times))
-	}
-}
-
 func TestNegativeDelayPanics(t *testing.T) {
 	e := New(1)
 	assertPanics(t, func() { e.Schedule(-time.Second, func() {}) })
 	assertPanics(t, func() { e.After(-time.Second, func() {}) })
-	assertPanics(t, func() { e.Every(0, 0, 0, func() {}) })
+	assertPanics(t, func() { e.Every(0, 0, func() {}) })
 	assertPanics(t, func() { e.At(Time(-1), func() {}) })
 }
 
@@ -258,8 +242,10 @@ func TestDeterminism(t *testing.T) {
 	run := func(seed int64) []int64 {
 		e := New(seed)
 		var out []int64
-		e.Every(0, 100*time.Millisecond, 50*time.Millisecond, func() {
-			out = append(out, int64(e.Now())+e.Rand().Int63n(1000))
+		e.Every(0, 100*time.Millisecond, func() {
+			e.After(time.Duration(e.Rand().Int63n(int64(50*time.Millisecond))), func() {
+				out = append(out, int64(e.Now())+e.Rand().Int63n(1000))
+			})
 		})
 		e.Run(10 * time.Second)
 		return out
