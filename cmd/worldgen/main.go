@@ -16,11 +16,11 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 
 	"napawine/internal/apps"
 	"napawine/internal/experiment"
 	"napawine/internal/report"
+	"napawine/internal/stats"
 	"napawine/internal/topology"
 	"napawine/internal/world"
 )
@@ -85,15 +85,10 @@ func describe(out io.Writer, spec world.Spec) error {
 			fwN++
 		}
 	}
-	ccs := make([]string, 0, len(byCC))
-	for cc := range byCC {
-		ccs = append(ccs, string(cc))
-	}
-	sort.Slice(ccs, func(i, j int) bool { return byCC[topology.CC(ccs[i])] > byCC[topology.CC(ccs[j])] })
 	t := report.NewTable("Background population by country", "CC", "Peers", "Share%")
-	for _, cc := range ccs {
-		n := byCC[topology.CC(cc)]
-		t.Add(cc, fmt.Sprintf("%d", n), report.Pct(100*float64(n)/float64(len(w.Background))))
+	for _, cc := range stats.RankByCount(byCC) {
+		n := byCC[cc]
+		t.Add(string(cc), fmt.Sprintf("%d", n), report.Pct(100*float64(n)/float64(len(w.Background))))
 	}
 	if err := t.Render(out); err != nil {
 		return err

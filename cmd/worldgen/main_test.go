@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -48,6 +49,42 @@ func TestDescribesTheWorldARunBuilds(t *testing.T) {
 			t.Errorf("worldgen %v describes seed %d, %d probes, %d background; the run built seed %d, %d probes, %d nodes in all",
 				tc.args, seed, probes, background, tc.seed, len(r.PerProbe), len(r.Ledger.VideoRx))
 		}
+	}
+}
+
+// TestOnePrintPerSeed: the same arguments print the same bytes every time,
+// and the country table ranks peers descending with ties by country code
+// ascending (TVAnts' seed-1 world has a tie: KR and PL at 10 peers).
+func TestOnePrintPerSeed(t *testing.T) {
+	args := []string{"-app", "TVAnts"}
+	var first string
+	for i := range 20 {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 0 {
+			t.Fatalf("worldgen %v: exit %d, stderr %q", args, code, stderr.String())
+		}
+		if i == 0 {
+			first = stdout.String()
+		} else if stdout.String() != first {
+			t.Fatalf("run %d printed different output:\n%s\nvs the first:\n%s", i, stdout.String(), first)
+		}
+	}
+	_, table, _ := strings.Cut(first, "CC  Peers  Share%\n")
+	table, _, _ = strings.Cut(table, "\n\n")
+	prevCC, prevN := "", 0
+	for i, line := range strings.Split(table, "\n")[1:] { // past the rule
+		var cc string
+		var n int
+		if _, err := fmt.Sscanf(line, "%s %d", &cc, &n); err != nil {
+			t.Fatalf("unparseable country row %q: %v", line, err)
+		}
+		if i > 0 && (n > prevN || n == prevN && cc <= prevCC) {
+			t.Errorf("row %s %d follows %s %d: want count descending, then code ascending", cc, n, prevCC, prevN)
+		}
+		prevCC, prevN = cc, n
+	}
+	if prevCC == "" {
+		t.Fatalf("no country rows in:\n%s", first)
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"net/netip"
 	"os"
 	"path/filepath"
-	"sort"
 	"time"
 
 	"napawine/internal/access"
@@ -513,16 +512,7 @@ func partitionAS(w *world.World, n int) (map[topology.ASN]int, int) {
 	if n > len(counts) {
 		n = len(counts)
 	}
-	ases := make([]topology.ASN, 0, len(counts))
-	for as := range counts {
-		ases = append(ases, as)
-	}
-	sort.Slice(ases, func(i, j int) bool {
-		if counts[ases[i]] != counts[ases[j]] {
-			return counts[ases[i]] > counts[ases[j]]
-		}
-		return ases[i] < ases[j]
-	})
+	ases := stats.RankByCount(counts)
 	part := make(map[topology.ASN]int, len(ases))
 	load := make([]int, n)
 	for _, as := range ases {

@@ -122,16 +122,7 @@ func (r *seriesRecorder) trackTopASes(net *overlay.Network, k int) {
 		}
 		counts[nd.Host.AS]++
 	}
-	ases := make([]topology.ASN, 0, len(counts))
-	for as := range counts {
-		ases = append(ases, as)
-	}
-	sort.Slice(ases, func(i, j int) bool {
-		if counts[ases[i]] != counts[ases[j]] {
-			return counts[ases[i]] > counts[ases[j]]
-		}
-		return ases[i] < ases[j]
-	})
+	ases := stats.RankByCount(counts)
 	if len(ases) > k {
 		ases = ases[:k]
 	}

@@ -878,7 +878,7 @@ func (nd *Node) bestPartner() *partner {
 // Reports whether a request went out. Under the congestion model, partners
 // in backoff are excluded, and a congestion-aware strategy additionally
 // discounts each candidate by its observed-loss EWMA — the bandwidth-aware
-// weighting that separates "aware" hybrids from agnostic presets in the
+// weighting that separates "aware" hybrids (a > 0) from agnostic ones in the
 // awareness ablation.
 func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	cong := nd.net.congestionOn()

@@ -555,7 +555,7 @@ func TestChunkStrategySwapChangesTraffic(t *testing.T) {
 	}
 	// buildWorld shares one profile pointer per call, so mutate per-world.
 	defVideo, defOK := run(policy.DefaultStrategy())
-	dlVideo, dlOK := run(policy.DeadlineFirst{})
+	dlVideo, dlOK := run(policy.Hybrid{DeadlineBias: 1})
 	if defVideo == 0 || dlVideo == 0 {
 		t.Fatalf("a strategy starved the swarm: default %d bytes, deadline %d bytes", defVideo, dlVideo)
 	}
@@ -568,11 +568,12 @@ func TestChunkStrategySwapChangesTraffic(t *testing.T) {
 }
 
 // TestRarestStrategySustainsSwarm exercises the holder-counting path end
-// to end (the only strategy that reads ChunkRef.Holders).
+// to end (rarest is the only registered strategy that reads
+// ChunkRef.Holders).
 func TestRarestStrategySustainsSwarm(t *testing.T) {
 	w := buildWorld(t, 11, 24, 4)
 	for _, nd := range append(w.peers, w.src) {
-		nd.Profile.ChunkStrategy = policy.RarestFirst{}
+		nd.Profile.ChunkStrategy = policy.Hybrid{RarestWeight: 1}
 	}
 	w.startAll()
 	w.eng.Run(90 * time.Second)

@@ -45,107 +45,24 @@ type ChunkStrategy interface {
 	Order(rng *rand.Rand, refs []ChunkRef)
 }
 
-// UrgentRandom is the default, CoolStreaming-style hybrid the emulator has
-// always used: chunks in the urgent head of the window are requested
-// oldest-first, and the remaining budget is spread over the rest of the
-// window uniformly at random so availability diversifies instead of every
-// peer chasing the same piece.
-type UrgentRandom struct{}
-
-// Name identifies the strategy.
-func (UrgentRandom) Name() string { return "urgent-random" }
-
-// NeedHolders implements ChunkStrategy.
-func (UrgentRandom) NeedHolders() bool { return false }
-
-// Order keeps the urgent prefix in ascending id order and shuffles the
-// tail. Refs arrive ascending, so the urgent chunks already form a prefix.
-func (UrgentRandom) Order(rng *rand.Rand, refs []ChunkRef) {
-	split := 0
-	for split < len(refs) && refs[split].Urgent {
-		split++
-	}
-	tail := refs[split:]
-	rng.Shuffle(len(tail), func(i, j int) { tail[i], tail[j] = tail[j], tail[i] })
-}
-
-// LatestUseful requests the newest chunk first. Fresh data spreads through
-// the swarm fastest (every peer still misses it, so serving capacity for
-// it is maximal), at the price of more deadline misses under load — the
-// classic "latest useful chunk" policy of the epidemic-streaming
-// literature.
-type LatestUseful struct{}
-
-// Name identifies the strategy.
-func (LatestUseful) Name() string { return "latest-useful" }
-
-// NeedHolders implements ChunkStrategy.
-func (LatestUseful) NeedHolders() bool { return false }
-
-// Order sorts by descending id. Deterministic, no RNG.
-func (LatestUseful) Order(rng *rand.Rand, refs []ChunkRef) {
-	slices.SortFunc(refs, func(a, b ChunkRef) int { return cmp.Compare(b.ID, a.ID) })
-}
-
-// RarestFirst requests the chunk the fewest partners advertise, ties
-// broken oldest-first — BitTorrent's availability-maximizing policy
-// transplanted to the live window. It keeps rare pieces from dying out
-// when upload capacity is scarce.
-type RarestFirst struct{}
-
-// Name identifies the strategy.
-func (RarestFirst) Name() string { return "rarest" }
-
-// NeedHolders implements ChunkStrategy.
-func (RarestFirst) NeedHolders() bool { return true }
-
-// Order sorts by ascending holder count, then ascending id. Deterministic,
-// no RNG.
-func (RarestFirst) Order(rng *rand.Rand, refs []ChunkRef) {
-	slices.SortFunc(refs, func(a, b ChunkRef) int {
-		if a.Holders != b.Holders {
-			return cmp.Compare(a.Holders, b.Holders)
-		}
-		return cmp.Compare(a.ID, b.ID)
-	})
-}
-
-// DeadlineFirst requests strictly oldest-first: every request chases the
-// most imminent playout deadline. Safest for the local viewer, worst for
-// the swarm — late chunks are fetched when almost nobody needs them
-// anymore, so peers rarely hold anything early enough to serve others.
-type DeadlineFirst struct{}
-
-// Name identifies the strategy.
-func (DeadlineFirst) Name() string { return "deadline" }
-
-// NeedHolders implements ChunkStrategy.
-func (DeadlineFirst) NeedHolders() bool { return false }
-
-// Order sorts by ascending id. Deterministic, no RNG.
-func (DeadlineFirst) Order(rng *rand.Rand, refs []ChunkRef) {
-	slices.SortFunc(refs, func(a, b ChunkRef) int { return cmp.Compare(a.ID, b.ID) })
-}
-
 // DefaultStrategy returns the strategy a nil Profile.ChunkStrategy selects:
-// the behaviour the emulator has always had.
-func DefaultStrategy() ChunkStrategy { return UrgentRandom{} }
+// the behaviour the emulator has always had, registered as "urgent-random".
+func DefaultStrategy() ChunkStrategy { return Hybrid{UrgentFrac: 1} }
 
-// Hybrid is the parameterized chunk-strategy family that spans the space
-// between the four registered presets (Mathieu–Perino's design axes:
-// deadline safety vs diffusion speed vs availability). Its Order:
+// Hybrid is the parameterized chunk-strategy family, the one ChunkStrategy
+// implementation (Mathieu–Perino's design axes: deadline safety vs
+// diffusion speed vs availability). Its Order:
 //
 //  1. An urgent head: up to ceil(UrgentFrac·len(refs)) chunks from the
 //     urgent prefix keep absolute priority, oldest-first.
 //  2. The tail is sorted by the score RarestWeight·Holders +
 //     DeadlineBias·(ID−base), ascending, ties oldest-first — or shuffled
 //     uniformly when both weights are zero (the diversification the
-//     default preset uses).
+//     default uses).
 //
-// Members reproduce the presets exactly: {UrgentFrac:1} is urgent-random,
-// {DeadlineBias:1} is deadline, {DeadlineBias:-1} is latest-useful, and
-// {RarestWeight:1} is rarest — byte-for-byte, RNG draws included (pinned
-// by tests).
+// The registered names are members: {UrgentFrac:1} is urgent-random (the
+// default), {DeadlineBias:1} deadline, {DeadlineBias:-1} latest-useful and
+// {RarestWeight:1} rarest.
 //
 // AwareWeight is orthogonal to chunk order: it tells the scheduler to
 // discount partners by their observed-loss EWMA (see CongestionAware and
@@ -231,8 +148,8 @@ func (h Hybrid) Order(rng *rand.Rand, refs []ChunkRef) {
 
 // CongestionAware marks strategies whose scheduler should fold observed
 // partner loss into partner selection. The scheduler checks for it on the
-// active strategy; presets do not implement it, which is exactly what makes
-// them the "agnostic" arm of an awareness ablation.
+// active strategy; the registered names report 0, which is exactly what
+// makes them the "agnostic" arm of an awareness ablation.
 type CongestionAware interface {
 	// CongestionAwareness returns the loss-discount weight (0 = agnostic).
 	CongestionAwareness() float64
@@ -264,7 +181,7 @@ func LossPenalty(loss, aware float64) float64 {
 }
 
 // HybridGrammar documents the parameterized strategy names StrategyByName
-// accepts alongside the registered presets.
+// accepts alongside the registered names.
 const HybridGrammar = "hybrid[:k=v,...] with keys " +
 	"u (urgent fraction, 0..1), r (rarest weight, >=0), " +
 	"d (deadline bias, +old-first / -new-first), " +
@@ -335,31 +252,37 @@ type strategyInfo struct {
 	desc string
 }
 
-// strategies is the registry, keyed by Name().
+// defaultStrategyName is the registered name of DefaultStrategy.
+const defaultStrategyName = "urgent-random"
+
+// strategies is the registry: each name is a member of the Hybrid family.
 var strategies = map[string]strategyInfo{
-	UrgentRandom{}.Name():  {UrgentRandom{}, "urgent head oldest-first, rest of the window at random (default)"},
-	LatestUseful{}.Name():  {LatestUseful{}, "newest chunk first: fastest diffusion, most deadline risk"},
-	RarestFirst{}.Name():   {RarestFirst{}, "fewest-holders chunk first, ties oldest-first"},
-	DeadlineFirst{}.Name(): {DeadlineFirst{}, "strictly oldest-first: chase every playout deadline"},
+	// CoolStreaming-style: a random tail diversifies availability instead of every peer chasing one piece.
+	defaultStrategyName: {Hybrid{UrgentFrac: 1}, "urgent head oldest-first, rest of the window at random (default)"},
+	// Every peer still misses the newest chunk, so serving capacity for it is maximal.
+	"latest-useful": {Hybrid{DeadlineBias: -1}, "newest chunk first: fastest diffusion, most deadline risk"},
+	// BitTorrent's policy on the live window: rare pieces do not die out when upload capacity is scarce.
+	"rarest": {Hybrid{RarestWeight: 1}, "fewest-holders chunk first, ties oldest-first"},
+	// Safest for the viewer, worst for the swarm: late chunks come when almost nobody needs them.
+	"deadline": {Hybrid{DeadlineBias: 1}, "strictly oldest-first: chase every playout deadline"},
 }
 
 // StrategyNames lists the registered chunk strategies, default first, the
 // rest alphabetically.
 func StrategyNames() []string {
 	names := make([]string, 0, len(strategies))
-	def := DefaultStrategy().Name()
 	for name := range strategies {
-		if name != def {
+		if name != defaultStrategyName {
 			names = append(names, name)
 		}
 	}
 	sort.Strings(names)
-	return append([]string{def}, names...)
+	return append([]string{defaultStrategyName}, names...)
 }
 
 // StrategyByName resolves a chunk strategy: "" selects the default, a
-// registered preset name its preset, and any "hybrid..." name a parsed
-// member of the parameterized family (see HybridGrammar).
+// registered name its Hybrid member, and any "hybrid..." name a parsed
+// member of the family (see HybridGrammar).
 func StrategyByName(name string) (ChunkStrategy, error) {
 	if name == "" {
 		return DefaultStrategy(), nil
@@ -375,7 +298,7 @@ func StrategyByName(name string) (ChunkStrategy, error) {
 }
 
 // StrategyDescription returns the one-line description of a registered
-// preset, a generated description for a valid hybrid family name, and ""
+// name, a generated description for a valid hybrid family name, and ""
 // otherwise.
 func StrategyDescription(name string) string {
 	if info, ok := strategies[name]; ok {

@@ -1,9 +1,11 @@
 package policy
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -21,6 +23,16 @@ func refsFixture() []ChunkRef {
 	}
 }
 
+// byName resolves a registered or hybrid name, failing the test on error.
+func byName(t testing.TB, name string) ChunkStrategy {
+	t.Helper()
+	s, err := StrategyByName(name)
+	if err != nil {
+		t.Fatalf("StrategyByName(%q): %v", name, err)
+	}
+	return s
+}
+
 func ids(refs []ChunkRef) []int64 {
 	out := make([]int64, len(refs))
 	for i, r := range refs {
@@ -33,7 +45,7 @@ func TestDeadlineFirstOrdersAscending(t *testing.T) {
 	refs := refsFixture()
 	// Scramble first: the strategy must not rely on pre-sorted input.
 	refs[0], refs[5] = refs[5], refs[0]
-	DeadlineFirst{}.Order(rand.New(rand.NewSource(1)), refs)
+	byName(t, "deadline").Order(rand.New(rand.NewSource(1)), refs)
 	want := []int64{10, 11, 12, 13, 14, 15, 16}
 	if !reflect.DeepEqual(ids(refs), want) {
 		t.Errorf("deadline order = %v, want %v", ids(refs), want)
@@ -42,7 +54,7 @@ func TestDeadlineFirstOrdersAscending(t *testing.T) {
 
 func TestLatestUsefulOrdersDescending(t *testing.T) {
 	refs := refsFixture()
-	LatestUseful{}.Order(rand.New(rand.NewSource(1)), refs)
+	byName(t, "latest-useful").Order(rand.New(rand.NewSource(1)), refs)
 	want := []int64{16, 15, 14, 13, 12, 11, 10}
 	if !reflect.DeepEqual(ids(refs), want) {
 		t.Errorf("latest-useful order = %v, want %v", ids(refs), want)
@@ -51,25 +63,26 @@ func TestLatestUsefulOrdersDescending(t *testing.T) {
 
 func TestRarestFirstOrdersByHoldersThenID(t *testing.T) {
 	refs := refsFixture()
-	RarestFirst{}.Order(rand.New(rand.NewSource(1)), refs)
+	rarest := byName(t, "rarest")
+	rarest.Order(rand.New(rand.NewSource(1)), refs)
 	// Holders: 14→0, 11→1, 13→1 (tie: lower id first), 16→2, 12→3, 15→3, 10→5.
 	want := []int64{14, 11, 13, 16, 12, 15, 10}
 	if !reflect.DeepEqual(ids(refs), want) {
 		t.Errorf("rarest order = %v, want %v", ids(refs), want)
 	}
-	if !(RarestFirst{}).NeedHolders() {
+	if !rarest.NeedHolders() {
 		t.Error("rarest must request holder counts")
 	}
-	for _, s := range []ChunkStrategy{UrgentRandom{}, LatestUseful{}, DeadlineFirst{}} {
-		if s.NeedHolders() {
-			t.Errorf("%s claims to need holder counts", s.Name())
+	for _, name := range []string{"urgent-random", "latest-useful", "deadline"} {
+		if byName(t, name).NeedHolders() {
+			t.Errorf("%s claims to need holder counts", name)
 		}
 	}
 }
 
 func TestUrgentRandomKeepsUrgentPrefixShufflesTail(t *testing.T) {
 	refs := refsFixture()
-	UrgentRandom{}.Order(rand.New(rand.NewSource(7)), refs)
+	byName(t, "urgent-random").Order(rand.New(rand.NewSource(7)), refs)
 	if got, want := ids(refs[:3]), []int64{10, 11, 12}; !reflect.DeepEqual(got, want) {
 		t.Errorf("urgent prefix reordered: %v, want %v", got, want)
 	}
@@ -92,51 +105,60 @@ func TestUrgentRandomKeepsUrgentPrefixShufflesTail(t *testing.T) {
 // the sorted strategies must not touch the RNG at all (a draw would
 // desynchronize every later selection in the run).
 func TestStrategyOrderDeterministic(t *testing.T) {
-	for _, s := range []ChunkStrategy{UrgentRandom{}, LatestUseful{}, RarestFirst{}, DeadlineFirst{}} {
+	for _, name := range StrategyNames() {
+		s := byName(t, name)
 		a, b := refsFixture(), refsFixture()
 		s.Order(rand.New(rand.NewSource(42)), a)
 		s.Order(rand.New(rand.NewSource(42)), b)
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: same seed, different order: %v vs %v", s.Name(), ids(a), ids(b))
+			t.Errorf("%s: same seed, different order: %v vs %v", name, ids(a), ids(b))
 		}
 	}
 	// The three sorted strategies must consume zero draws: a run under a
 	// different RNG state yields the same order.
-	for _, s := range []ChunkStrategy{LatestUseful{}, RarestFirst{}, DeadlineFirst{}} {
+	for _, name := range []string{"latest-useful", "rarest", "deadline"} {
+		s := byName(t, name)
 		a, b := refsFixture(), refsFixture()
 		s.Order(rand.New(rand.NewSource(1)), a)
 		s.Order(rand.New(rand.NewSource(999)), b)
 		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s consumed randomness: %v vs %v", s.Name(), ids(a), ids(b))
+			t.Errorf("%s consumed randomness: %v vs %v", name, ids(a), ids(b))
 		}
 		rng := rand.New(rand.NewSource(5))
 		before := rng.Int63()
 		rng = rand.New(rand.NewSource(5))
 		s.Order(rng, refsFixture())
 		if rng.Int63() != before {
-			t.Errorf("%s advanced the RNG", s.Name())
+			t.Errorf("%s advanced the RNG", name)
 		}
 	}
 }
 
+// TestStrategyRegistry pins each registered name to the Hybrid member its
+// documentation names, and the default to urgent-random.
 func TestStrategyRegistry(t *testing.T) {
+	members := map[string]Hybrid{
+		"urgent-random": {UrgentFrac: 1},
+		"deadline":      {DeadlineBias: 1},
+		"latest-useful": {DeadlineBias: -1},
+		"rarest":        {RarestWeight: 1},
+	}
 	names := StrategyNames()
-	if len(names) != 4 || names[0] != "urgent-random" {
-		t.Fatalf("StrategyNames = %v, want default first of four", names)
+	if want := []string{"urgent-random", "deadline", "latest-useful", "rarest"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("StrategyNames = %v, want %v", names, want)
 	}
 	for _, name := range names {
-		s, err := StrategyByName(name)
-		if err != nil {
-			t.Fatalf("StrategyByName(%q): %v", name, err)
-		}
-		if s.Name() != name {
-			t.Errorf("registry name %q resolves to strategy %q", name, s.Name())
+		if s := byName(t, name); s != members[name] {
+			t.Errorf("registry name %q resolves to %+v, want %+v", name, s, members[name])
 		}
 		if StrategyDescription(name) == "" {
 			t.Errorf("strategy %q has no description", name)
 		}
 	}
-	if s, err := StrategyByName(""); err != nil || s.Name() != DefaultStrategy().Name() {
+	if s := DefaultStrategy(); s != members["urgent-random"] {
+		t.Errorf("DefaultStrategy() = %+v, want urgent-random's member", s)
+	}
+	if s, err := StrategyByName(""); err != nil || s != DefaultStrategy() {
 		t.Errorf("empty name must select the default, got %v, %v", s, err)
 	}
 	if _, err := StrategyByName("newest"); err == nil {
@@ -189,36 +211,6 @@ func TestParseHybrid(t *testing.T) {
 	for _, name := range bad {
 		if _, err := ParseHybrid(name); err == nil {
 			t.Errorf("ParseHybrid(%q) accepted", name)
-		}
-	}
-}
-
-// TestHybridSubsumesPresets pins the family-coverage claim: the four
-// documented members reproduce the registered presets byte-for-byte on the
-// same input, consuming identical RNG draws.
-func TestHybridSubsumesPresets(t *testing.T) {
-	pairs := []struct {
-		member Hybrid
-		preset ChunkStrategy
-	}{
-		{Hybrid{UrgentFrac: 1}, UrgentRandom{}},
-		{Hybrid{DeadlineBias: 1}, DeadlineFirst{}},
-		{Hybrid{DeadlineBias: -1}, LatestUseful{}},
-		{Hybrid{RarestWeight: 1}, RarestFirst{}},
-	}
-	for _, p := range pairs {
-		a, b := refsFixture(), refsFixture()
-		ra, rb := rand.New(rand.NewSource(11)), rand.New(rand.NewSource(11))
-		p.member.Order(ra, a)
-		p.preset.Order(rb, b)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s vs %s: orders differ: %v vs %v", p.member.Name(), p.preset.Name(), ids(a), ids(b))
-		}
-		if ra.Int63() != rb.Int63() {
-			t.Errorf("%s vs %s: RNG draw counts differ", p.member.Name(), p.preset.Name())
-		}
-		if p.member.NeedHolders() != p.preset.NeedHolders() {
-			t.Errorf("%s vs %s: NeedHolders differ", p.member.Name(), p.preset.Name())
 		}
 	}
 }
@@ -278,9 +270,8 @@ func TestStrategyByNameHybrid(t *testing.T) {
 		t.Errorf("Awareness = %v, want 1", got)
 	}
 	for _, name := range StrategyNames() {
-		p, _ := StrategyByName(name)
-		if Awareness(p) != 0 {
-			t.Errorf("preset %s reports awareness", name)
+		if Awareness(byName(t, name)) != 0 {
+			t.Errorf("registered %s reports awareness", name)
 		}
 	}
 	if desc := StrategyDescription("hybrid:u=0.4,r=1,a=1"); desc == "" {
@@ -312,4 +303,37 @@ func TestLossPenalty(t *testing.T) {
 	if LossPenalty(0.3, 2) >= LossPenalty(0.3, 1) {
 		t.Error("awareness 2 should discount more than awareness 1")
 	}
+}
+
+// FuzzStrategyByName holds the strategy grammar to its contract: no name
+// panics the resolver; an accepted name's canonical Name() resolves to an
+// equal value; and its Order is deterministic for a fixed seed and leaves a
+// permutation of its input.
+func FuzzStrategyByName(f *testing.F) {
+	for _, name := range StrategyNames() {
+		f.Add(name)
+	}
+	for _, name := range []string{"hybrid:u=0.4,r=1,a=1", "hybrid:", "hybrid:u=2", "hybrid:u=0.4,u=0.5", "hybrid:d=-0"} {
+		f.Add(name)
+	}
+	f.Fuzz(func(t *testing.T, name string) {
+		s, err := StrategyByName(name)
+		if err != nil {
+			return
+		}
+		back, err := StrategyByName(s.Name())
+		if err != nil || back != s {
+			t.Fatalf("%q -> %q -> %+v (%v), want %+v", name, s.Name(), back, err, s)
+		}
+		a, b := refsFixture(), refsFixture()
+		s.Order(rand.New(rand.NewSource(3)), a)
+		s.Order(rand.New(rand.NewSource(3)), b)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%q: same seed, different order: %v vs %v", name, ids(a), ids(b))
+		}
+		sorted := slices.SortedFunc(slices.Values(a), func(x, y ChunkRef) int { return cmp.Compare(x.ID, y.ID) })
+		if !reflect.DeepEqual(sorted, refsFixture()) {
+			t.Fatalf("%q: order %v is not a permutation of the window", name, ids(a))
+		}
+	})
 }

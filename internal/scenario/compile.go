@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sort"
 	"time"
 
 	"napawine/internal/overlay"
 	"napawine/internal/sim"
+	"napawine/internal/stats"
 	"napawine/internal/topology"
 )
 
@@ -214,16 +214,7 @@ func partitionTargets(ev Event, env Env) []*overlay.Node {
 	for _, nd := range env.Background {
 		count[nd.Host.AS]++
 	}
-	asns := make([]topology.ASN, 0, len(count))
-	for asn := range count {
-		asns = append(asns, asn)
-	}
-	sort.Slice(asns, func(i, j int) bool {
-		if count[asns[i]] != count[asns[j]] {
-			return count[asns[i]] > count[asns[j]]
-		}
-		return asns[i] < asns[j]
-	})
+	asns := stats.RankByCount(count)
 	if ev.ASes < len(asns) {
 		asns = asns[:ev.ASes]
 	}

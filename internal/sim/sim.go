@@ -273,26 +273,18 @@ func (e *Engine) After(delay time.Duration, fn func()) *Timer {
 	return t
 }
 
-// Every schedules fn to run now+first, then repeatedly every interval. It
-// returns a cancel function.
-func (e *Engine) Every(first, interval time.Duration, fn func()) (cancel func()) {
+// Every schedules fn to run now+first, then repeatedly every interval for
+// the rest of the run.
+func (e *Engine) Every(first, interval time.Duration, fn func()) {
 	if interval <= 0 {
 		panic(fmt.Sprintf("sim: non-positive interval %v", interval))
 	}
-	stopped := false
 	var tick func()
 	tick = func() {
-		if stopped {
-			return
-		}
 		fn()
-		if stopped { // fn may cancel itself
-			return
-		}
 		e.Schedule(interval, tick)
 	}
 	e.Schedule(first, tick)
-	return func() { stopped = true }
 }
 
 // Step executes the single earliest live pending event and reports whether

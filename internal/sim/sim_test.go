@@ -192,31 +192,10 @@ func TestTimerFires(t *testing.T) {
 func TestEvery(t *testing.T) {
 	e := New(1)
 	count := 0
-	cancel := e.Every(0, time.Second, func() { count++ })
+	e.Every(0, time.Second, func() { count++ })
 	e.Run(10*time.Second + time.Millisecond)
 	if count != 11 { // t=0s..10s inclusive
 		t.Errorf("count = %d, want 11", count)
-	}
-	cancel()
-	e.Run(20 * time.Second)
-	if count != 11 {
-		t.Errorf("after cancel count = %d, want 11", count)
-	}
-}
-
-func TestEverySelfCancel(t *testing.T) {
-	e := New(1)
-	count := 0
-	var cancel func()
-	cancel = e.Every(0, time.Second, func() {
-		count++
-		if count == 3 {
-			cancel()
-		}
-	})
-	e.Run(time.Minute)
-	if count != 3 {
-		t.Errorf("count = %d, want 3 (self-cancel)", count)
 	}
 }
 

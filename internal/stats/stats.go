@@ -1,5 +1,6 @@
 // Package stats provides the small statistical toolkit the analysis layer
-// needs: streaming accumulators and exact quantiles over retained samples.
+// needs: streaming accumulators, exact quantiles over retained samples and
+// a deterministic rank order for tallies.
 //
 // Everything is deterministic and allocation-conscious; nothing here is a
 // general statistics library, just the exact operations the paper's tables
@@ -7,7 +8,10 @@
 package stats
 
 import (
+	"cmp"
+	"maps"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -133,4 +137,17 @@ func Percent(part, whole float64) float64 {
 		return 0
 	}
 	return 100 * part / whole
+}
+
+// RankByCount returns a tally's keys by count descending, ties by key
+// ascending: one order whatever order the map iterates in.
+func RankByCount[K cmp.Ordered](tally map[K]int) []K {
+	keys := slices.Collect(maps.Keys(tally))
+	slices.SortFunc(keys, func(a, b K) int {
+		if c := cmp.Compare(tally[b], tally[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
+	return keys
 }

@@ -3,6 +3,7 @@ package stats
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -141,6 +142,21 @@ func TestPercent(t *testing.T) {
 	}
 	if got := Percent(3, 4); got != 75 {
 		t.Errorf("Percent = %v, want 75", got)
+	}
+}
+
+// TestRankByCount: counts descending, ties by key ascending, every key
+// once — so a tally ranks the same whatever order its map iterates in.
+func TestRankByCount(t *testing.T) {
+	tally := map[string]int{"PL": 10, "KR": 10, "CN": 150, "ES": 4, "AT": 10}
+	want := []string{"CN", "AT", "KR", "PL", "ES"}
+	for range 20 {
+		if got := RankByCount(tally); !slices.Equal(got, want) {
+			t.Fatalf("RankByCount = %v, want %v", got, want)
+		}
+	}
+	if got := RankByCount(map[int]int{}); len(got) != 0 {
+		t.Errorf("empty tally ranks %v", got)
 	}
 }
 

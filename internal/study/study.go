@@ -291,15 +291,23 @@ func (st *Study) Validate() error {
 			return fmt.Errorf("study %s: %s: %.0f peers, past the limit of %d peer ids", st.Name, app, peers, maxPeers)
 		}
 	}
-	seenStrat := map[string]bool{}
+	// Strategies deduplicate on the resolved member's canonical name, so
+	// two spellings of one strategy ("rarest" and "hybrid:r=1") cannot run
+	// as two cells. "" keys itself: it is each profile's own strategy.
+	seenStrat := map[string]string{}
 	for _, strat := range st.StrategyList() {
-		if _, err := policy.StrategyByName(strat); err != nil {
+		s, err := policy.StrategyByName(strat)
+		if err != nil {
 			return fmt.Errorf("study %s: %w", st.Name, err)
 		}
-		if seenStrat[strat] {
-			return fmt.Errorf("study %s: duplicate strategy %q", st.Name, strat)
+		key := strat
+		if strat != "" {
+			key = s.Name()
 		}
-		seenStrat[strat] = true
+		if prev, ok := seenStrat[key]; ok {
+			return fmt.Errorf("study %s: duplicate strategy %q (the same as %q)", st.Name, strat, prev)
+		}
+		seenStrat[key] = strat
 	}
 	// Scenario and variant cells deduplicate on their *rendered* labels,
 	// not raw names: the zero scenario renders as "stationary" and the

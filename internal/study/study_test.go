@@ -72,6 +72,13 @@ func TestStudyValidateRejects(t *testing.T) {
 		{"dup app", Study{Name: "s", Apps: []string{"TVAnts", "TVAnts"}}, "duplicate app"},
 		{"bad strategy", Study{Name: "s", Strategies: []string{"newest"}}, "newest"},
 		{"dup strategy", Study{Name: "s", Strategies: []string{"rarest", "rarest"}}, "duplicate strategy"},
+		// Two spellings of one strategy would run as two cells.
+		{"rarest spelled twice", Study{Name: "s", Strategies: []string{"rarest", "hybrid:r=1"}},
+			`duplicate strategy "hybrid:r=1" (the same as "rarest")`},
+		{"default spelled twice", Study{Name: "s", Strategies: []string{"urgent-random", "hybrid:u=1"}},
+			`duplicate strategy "hybrid:u=1" (the same as "urgent-random")`},
+		{"hybrid spelled twice", Study{Name: "s", Strategies: []string{"hybrid:u=0.4", "hybrid:u=.4"}},
+			`duplicate strategy "hybrid:u=.4" (the same as "hybrid:u=0.4")`},
 		{"bad scenario", Study{Name: "s", Scenarios: []Scenario{{Name: "worldcup"}}}, "worldcup"},
 		{"dup scenario", Study{Name: "s", Scenarios: []Scenario{{Name: "outage"}, {Name: "outage"}}}, "duplicate scenario"},
 		{"dup variant", Study{Name: "s", Variants: []Variant{{}, {Blind: true}}}, "duplicate variant"},
@@ -191,8 +198,9 @@ func TestCellConfig(t *testing.T) {
 	if cfg.Duration != 42*time.Second {
 		t.Errorf("duration = %v", cfg.Duration)
 	}
-	if got := cfg.Profile.ChunkStrategy.Name(); got != "rarest" {
-		t.Errorf("strategy = %q, want rarest", got)
+	rarest := policy.Hybrid{RarestWeight: 1}
+	if got := cfg.Profile.ChunkStrategy; got != rarest {
+		t.Errorf("strategy = %+v, want rarest's member %+v", got, rarest)
 	}
 	if cfg.World.Peers != 120 { // 240 * 0.5
 		t.Errorf("peers = %d, want 120", cfg.World.Peers)
@@ -206,19 +214,19 @@ func TestCellConfig(t *testing.T) {
 
 	// A variant that picks its own strategy still runs the cell's.
 	deadline := cell{Point: Point{App: "TVAnts", Strategy: "rarest"},
-		variant: Variant{Name: "d", Mutate: func(p *overlay.Profile) { p.ChunkStrategy = policy.DeadlineFirst{} }}}
+		variant: Variant{Name: "d", Mutate: func(p *overlay.Profile) { p.ChunkStrategy = policy.Hybrid{DeadlineBias: 1} }}}
 	if cfg, err = deadline.config(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Profile.ChunkStrategy.Name(); got != "rarest" || cfg.Profile.Name != "d" {
-		t.Errorf("variant %s with strategy %q, want d with rarest", cfg.Profile.Name, got)
+	if got := cfg.Profile.ChunkStrategy; got != rarest || cfg.Profile.Name != "d" {
+		t.Errorf("variant %s with strategy %+v, want d with rarest", cfg.Profile.Name, got)
 	}
 	// With no variant, the strategy lands on a fresh stock profile.
 	if cfg, err = (cell{Point: Point{App: "TVAnts", Strategy: "rarest"}}).config(st); err != nil {
 		t.Fatal(err)
 	}
-	if got := cfg.Profile.ChunkStrategy.Name(); got != "rarest" || cfg.Profile.Name != "TVAnts" {
-		t.Errorf("profile %s with strategy %q, want TVAnts with rarest", cfg.Profile.Name, got)
+	if got := cfg.Profile.ChunkStrategy; got != rarest || cfg.Profile.Name != "TVAnts" {
+		t.Errorf("profile %s with strategy %+v, want TVAnts with rarest", cfg.Profile.Name, got)
 	}
 
 	zero := cell{Point: Point{App: "TVAnts"}}
