@@ -65,6 +65,8 @@ func TestCLIOutputDigests(t *testing.T) {
 			"bcdc01c2b3a95b92bce3ab0350d081b374743098fad7f57552f7f42bfc4bdfdb"},
 		{"study-list", "-list studies",
 			"f979f9dbd263177e9f3121c8f7cfc5d35f27f2bc51f449e1fe72a84d11301765"},
+		{"strategy-list", "-list strategies",
+			"c1083ffdeab1921e85a767a77e328e19dd1b01a31b16f0ed4650c363a20523ec"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			code, stdout, stderr := runCLI(strings.Fields(tc.args)...)

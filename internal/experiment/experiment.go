@@ -8,6 +8,7 @@ package experiment
 import (
 	"context"
 	"fmt"
+	"math"
 	"net/netip"
 	"os"
 	"path/filepath"
@@ -133,6 +134,31 @@ func (c *Config) ScalePeers(factor float64) {
 	}
 }
 
+// Nodes counts the overlay nodes a run of c builds: the source, the Table I
+// probes, ProbeASBackground peers in each probe AS, the background and the
+// deferred pool. It counts in floating point, so an absurd factor cannot
+// wrap around. Each node takes a peer id, and ids stop at
+// overlay.MaxPeerID: RunCtx refuses a larger run before it builds a world,
+// and study.Validate refuses it for every cell.
+func (c *Config) Nodes() float64 {
+	n := 1 + float64(c.World.Peers) + c.deferred()
+	probeASes := map[string]bool{}
+	for _, s := range world.TableI() {
+		n += float64(s.HighBw + len(s.Homes))
+		probeASes[s.ASLabel] = true
+	}
+	return n + float64(len(probeASes)*c.World.ProbeASBackground)
+}
+
+// deferred sizes the deferred pool: World.ExtraPeers, or the scenario's
+// ExtraPeerFactor share of the background when that is 0.
+func (c *Config) deferred() float64 {
+	if c.World.ExtraPeers == 0 && c.Scenario != nil {
+		return math.Floor(c.Scenario.ExtraPeerFactor * float64(c.World.Peers))
+	}
+	return float64(c.World.ExtraPeers)
+}
+
 func (c *Config) fillDefaults() {
 	if c.Duration <= 0 {
 		c.Duration = 10 * time.Minute
@@ -254,10 +280,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		if err := cfg.Scenario.Validate(); err != nil {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
-		if cfg.World.ExtraPeers == 0 {
-			cfg.World.ExtraPeers = int(cfg.Scenario.ExtraPeerFactor * float64(cfg.World.Peers))
-		}
 	}
+	if n := cfg.Nodes(); n > overlay.MaxPeerID+1 {
+		return nil, fmt.Errorf("experiment: %.0f nodes need peer ids up to %.0f, past the limit of %d", n, n-1, overlay.MaxPeerID)
+	}
+	cfg.World.ExtraPeers = int(cfg.deferred())
 	w, err := world.Build(cfg.World)
 	if err != nil {
 		return nil, fmt.Errorf("experiment: world: %w", err)

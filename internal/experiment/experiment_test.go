@@ -9,6 +9,7 @@ import (
 	"napawine/internal/chunkstream"
 	"napawine/internal/core"
 	"napawine/internal/scenario"
+	"napawine/internal/world"
 )
 
 // smallConfig shrinks a default config to test scale.
@@ -347,5 +348,78 @@ func TestSourceLoadSurvivesFailover(t *testing.T) {
 	if fo.SourceSharePct < steady.SourceSharePct*0.5 {
 		t.Errorf("failover source share %.1f%% collapsed vs steady %.1f%%: post-handoff injection not attributed",
 			fo.SourceSharePct, steady.SourceSharePct)
+	}
+}
+
+// TestNodesCountsTheBuiltWorld: Nodes counts exactly the nodes RunCtx adds
+// to the overlay — the source plus every probe, background and deferred
+// peer of the world it builds — with the deferred pool sized explicitly
+// and by a scenario's factor.
+func TestNodesCountsTheBuiltWorld(t *testing.T) {
+	flash, err := scenario.ByName("flashcrowd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name     string
+		mutate   func(*Config)
+		deferred int
+	}{
+		{"stationary", func(*Config) {}, 0},
+		{"explicit pool", func(c *Config) { c.World.ExtraPeers = 17 }, 17},
+		{"scenario pool", func(c *Config) { c.Scenario = flash }, 160},
+	} {
+		cfg := smallConfig("TVAnts", 3)
+		tc.mutate(&cfg)
+		spec := cfg.World
+		spec.ExtraPeers = tc.deferred
+		w, err := world.Build(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(w.Deferred) != tc.deferred {
+			t.Fatalf("%s: %d deferred peers, want %d", tc.name, len(w.Deferred), tc.deferred)
+		}
+		built := 1 + len(w.Probes) + len(w.Background) + len(w.Deferred)
+		if got := cfg.Nodes(); got != float64(built) {
+			t.Errorf("%s: Nodes() = %v, the world numbers %d", tc.name, got, built)
+		}
+	}
+}
+
+// TestRunRefusesTooManyNodesBeforeBuildingAWorld: a run whose nodes would
+// need a peer id past overlay.MaxPeerID fails before world.Build. The world
+// spec is also invalid, so reaching world.Build would report that instead
+// (and never allocate a 2²⁴-node world).
+func TestRunRefusesTooManyNodesBeforeBuildingAWorld(t *testing.T) {
+	cfg := Default("TVAnts")
+	cfg.World.HighBwFraction = 2
+	for _, tc := range []struct {
+		peers int
+		scn   string
+		want  string
+	}{
+		{1<<24 - 92, "", "16777217 nodes need peer ids up to 16777216, past the limit of 16777215"},
+		{9_000_000, "flashcrowd", "18000093 nodes need peer ids up to 18000092, past the limit of 16777215"},
+	} {
+		cfg.World.Peers = tc.peers
+		cfg.Scenario = nil
+		if tc.scn != "" {
+			spec, err := scenario.ByName(tc.scn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg.Scenario = spec
+		}
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%d peers @%q: Run() = %v, want an error containing %q", tc.peers, tc.scn, err, tc.want)
+		}
+	}
+	// One node fewer takes exactly the last id, and the run goes on to the
+	// world, whose own check then fails.
+	cfg.World.Peers, cfg.Scenario = 1<<24-93, nil
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "HighBwFraction") {
+		t.Errorf("2²⁴ − 93 peers: Run() = %v, want the world's HighBwFraction error", err)
 	}
 }

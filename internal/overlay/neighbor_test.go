@@ -31,7 +31,7 @@ func (s *sliceNeighbors) remember(id PeerID, max int) bool {
 }
 
 // idBits is how wide a peer id can be: the ring's widest entry.
-var idBits = bits.Len(maxPeerID)
+var idBits = bits.Len(MaxPeerID)
 
 // ringCoverage counts what a checked sequence exercised, so a test can insist
 // that its inputs reached the mechanism it is there for.

@@ -211,7 +211,7 @@ func (r *neighborRing) refilter() {
 func (r *neighborRing) check(limit int) error {
 	n, w, limit := int(r.n), int(r.width), max(limit, 0)
 	switch {
-	case n > limit || r.head < 0 || r.head > 0 && r.head >= r.n || w > bits.Len(maxPeerID) || n > r.slots() || len(r.words) > (limit*w+63)/64:
+	case n > limit || r.head < 0 || r.head > 0 && r.head >= r.n || w > bits.Len(MaxPeerID) || n > r.slots() || len(r.words) > (limit*w+63)/64:
 		return fmt.Errorf("%d ids of %d bits, the oldest at slot %d, in %d words under a bound of %d", n, w, r.head, len(r.words), limit)
 	case r.filter == nil && n >= neighborFilterMin:
 		return fmt.Errorf("%d ids listed and no filter", n)

@@ -798,8 +798,7 @@ func (nd *Node) scheduleTick() {
 			shopHi = hi
 		}
 	}
-	strat := p.strategy()
-	needHolders := strat.NeedHolders()
+	needHolders := p.ChunkStrategy.NeedHolders()
 	urgentEdge := lo + chunkstream.ChunkID(p.PullWindow/3)
 	refs := sc.refs[:0]
 	for id := lo; id <= shopHi; id++ {
@@ -816,7 +815,7 @@ func (nd *Node) scheduleTick() {
 		refs = append(refs, ref)
 	}
 	sc.refs = refs
-	strat.Order(sc.eng.Rand(), refs)
+	p.ChunkStrategy.Order(sc.eng.Rand(), refs)
 	for _, ref := range refs {
 		if budget <= 0 {
 			break
@@ -884,7 +883,7 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 	cong := nd.net.congestionOn()
 	var aware float64
 	if cong {
-		aware = policy.Awareness(nd.Profile.strategy())
+		aware = nd.Profile.ChunkStrategy.AwareWeight
 	}
 	sc := nd.sc
 	scorer := &sc.scorer

@@ -67,11 +67,10 @@ type Profile struct {
 	BestFill int
 
 	// ChunkStrategy orders each scheduler round's missing-chunk requests
-	// (see policy.ChunkStrategy). nil selects policy.DefaultStrategy() —
-	// the urgent-random hybrid the engine has always used — resolved
-	// lazily at the read site, never written back (the profile may be
-	// shared across parallel runs).
-	ChunkStrategy policy.ChunkStrategy
+	// (see policy.Hybrid); its AwareWeight sets the congestion-aware
+	// partner discount. The zero value is the member "hybrid", a pure
+	// shuffle, not policy.DefaultStrategy(): a profile sets it explicitly.
+	ChunkStrategy policy.Hybrid
 
 	// Awareness knobs (the subject of the whole study).
 	DiscoveryWeight policy.Weight // choosing partners among candidates
@@ -106,17 +105,6 @@ func (p *Profile) validate() {
 	if err := p.Validate(); err != nil {
 		panic(err.Error())
 	}
-}
-
-// strategy resolves the profile's chunk strategy, defaulting a nil field
-// lazily. Resolution stays at the read site because one *Profile may be
-// shared across the parallel runs of a battery: validate() writing the
-// default back would race with concurrent readers.
-func (p *Profile) strategy() policy.ChunkStrategy {
-	if p.ChunkStrategy == nil {
-		return policy.DefaultStrategy()
-	}
-	return p.ChunkStrategy
 }
 
 // DefaultContactFanout is the number of tracker candidates one gossip
@@ -491,12 +479,12 @@ func (n *Network) Source() *Node { return n.source }
 
 // AddNode creates a node. It does not join the overlay until Join (or
 // ScheduleChurn) is called, so the experiment layer controls arrival times.
-// Ids are handed out densely from 0; past maxPeerID, the most a partner
+// Ids are handed out densely from 0; past MaxPeerID, the most a partner
 // record can name, AddNode panics.
 func (n *Network) AddNode(host topology.Host, link access.Link, prof *Profile) *Node {
 	prof.validate()
-	if len(n.nodes) > maxPeerID {
-		panic(fmt.Sprintf("overlay: peer ids are limited to %d", maxPeerID))
+	if len(n.nodes) > MaxPeerID {
+		panic(fmt.Sprintf("overlay: peer ids are limited to %d", MaxPeerID))
 	}
 	node := &Node{
 		net:      n,

@@ -34,6 +34,7 @@ func testProfile() *Profile {
 		PullWindow:        6,
 		MaxInflight:       4,
 		RequestTimeout:    4 * time.Second,
+		ChunkStrategy:     policy.DefaultStrategy(),
 		DiscoveryWeight:   policy.Uniform{},
 		RequestWeight: policy.BandwidthBias{
 			Ref: 384 * units.Kbps, Alpha: 2, Floor: 768 * units.Kbps,

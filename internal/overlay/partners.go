@@ -71,9 +71,11 @@ const maxFailures = 15
 // The failure count must be able to reach every limit it is compared with.
 var _ [maxFailures - congestionFailureLimit]struct{}
 
-// maxPeerID is the largest id a partner record can name in its 24 bits;
-// AddNode refuses to hand out a larger one.
-const maxPeerID = 1<<(32-keyIDShift) - 1
+// MaxPeerID is the largest id a partner record can name in its 24 bits;
+// AddNode refuses to hand out a larger one. Every node a run builds takes
+// an id, so experiment.RunCtx and study.Validate refuse a run of more than
+// MaxPeerID+1 nodes before a world is built.
+const MaxPeerID = 1<<(32-keyIDShift) - 1
 
 // partnerKey is the key of a record for peer id with every flag clear: the
 // least key any record for id can hold.

@@ -130,10 +130,10 @@ func TestPartnerTableShape(t *testing.T) {
 // the id, the other flags and the rest of the record stay as they were. The
 // failure count saturates at maxFailures.
 func TestPartnerKeyPacksIDAndFlags(t *testing.T) {
-	if maxPeerID != 1<<24-1 {
-		t.Fatalf("maxPeerID is %d; study.Validate refuses a population past 2²⁴ − 1 before AddNode would", maxPeerID)
+	if MaxPeerID != 1<<24-1 {
+		t.Fatalf("MaxPeerID is %d; a run needing an id past 2²⁴ − 1 is refused before AddNode would", MaxPeerID)
 	}
-	ids := []PeerID{0, 1, 1 << 23, maxPeerID}
+	ids := []PeerID{0, 1, 1 << 23, MaxPeerID}
 	rec := func(id PeerID, flags uint32) partner {
 		return partner{key: partnerKey(id) | flags, rtt: 37, reqW: 2.5, estRate: units.Mbps}
 	}
@@ -534,7 +534,7 @@ func FuzzPartnerTable(f *testing.F) {
 // traffic they generate must differ — proof the profile knob reaches the
 // scheduler rather than being cosmetic.
 func TestChunkStrategySwapChangesTraffic(t *testing.T) {
-	run := func(strat policy.ChunkStrategy) (int64, float64) {
+	run := func(strat policy.Hybrid) (int64, float64) {
 		w := buildWorld(t, 9, 24, 4)
 		for _, nd := range append(w.peers, w.src) {
 			nd.Profile.ChunkStrategy = strat

@@ -21,37 +21,20 @@ type ChunkRef struct {
 	Urgent  bool
 }
 
-// ChunkStrategy orders the missing chunks a scheduler round will request.
-// The scheduler hands it the candidate chunks of the pull window, in
-// ascending id order, and issues requests in whatever order the strategy
-// leaves them — until the in-flight budget runs out, so the front of the
-// slice matters most.
-//
-// Implementations must be deterministic: identical refs and an identical
-// RNG state must yield an identical order (and consume identical draws),
-// independent of anything else — this is what keeps multi-worker sweeps
-// byte-reproducible. Order must not allocate; it runs once per scheduler
-// tick per node.
+// DefaultStrategy returns the strategy the shipped profiles use, registered
+// as "urgent-random": the behaviour the emulator has always had.
+func DefaultStrategy() Hybrid { return Hybrid{UrgentFrac: 1} }
+
+// Hybrid is the chunk-scheduling strategy: it orders the missing chunks a
+// scheduler round will request. The scheduler hands Order the candidate
+// chunks of the pull window, in ascending id order, and issues requests in
+// whatever order Order leaves them — until the in-flight budget runs out,
+// so the front of the slice matters most.
 //
 // The strategy space is the one Mathieu & Perino study for epidemic live
 // streaming: how a peer spends its request budget — on the newest useful
 // data, on the rarest, or on the most imminent deadline — trades off
-// diffusion speed against playout safety.
-type ChunkStrategy interface {
-	Name() string
-	// NeedHolders reports whether Order reads ChunkRef.Holders; when false
-	// the scheduler skips the per-chunk availability count entirely.
-	NeedHolders() bool
-	Order(rng *rand.Rand, refs []ChunkRef)
-}
-
-// DefaultStrategy returns the strategy a nil Profile.ChunkStrategy selects:
-// the behaviour the emulator has always had, registered as "urgent-random".
-func DefaultStrategy() ChunkStrategy { return Hybrid{UrgentFrac: 1} }
-
-// Hybrid is the parameterized chunk-strategy family, the one ChunkStrategy
-// implementation (Mathieu–Perino's design axes: deadline safety vs
-// diffusion speed vs availability). Its Order:
+// diffusion speed against playout safety. Order:
 //
 //  1. An urgent head: up to ceil(UrgentFrac·len(refs)) chunks from the
 //     urgent prefix keep absolute priority, oldest-first.
@@ -65,13 +48,15 @@ func DefaultStrategy() ChunkStrategy { return Hybrid{UrgentFrac: 1} }
 // {RarestWeight:1} rarest.
 //
 // AwareWeight is orthogonal to chunk order: it tells the scheduler to
-// discount partners by their observed-loss EWMA (see CongestionAware and
-// LossPenalty), which only matters when the access layer's congestion
-// model can actually drop transfers.
+// discount partners by their observed-loss EWMA (see LossPenalty), which
+// only matters when the access layer's congestion model can actually drop
+// transfers. Every registered name has it 0: the agnostic arm of an
+// awareness ablation.
 //
 // Hybrids are named by a grammar the strategy registry parses:
 // "hybrid:u=0.4,r=1,a=1" (see ParseHybrid); construct-by-literal and
-// parse-by-name yield identical behaviour.
+// parse-by-name yield identical behaviour. The zero Hybrid is the member
+// "hybrid": a pure uniform shuffle, not the default.
 type Hybrid struct {
 	// UrgentFrac ∈ [0,1] caps the absolute-priority urgent head as a
 	// fraction of the candidate window.
@@ -110,13 +95,15 @@ func (h Hybrid) Name() string {
 	return b.String()
 }
 
-// NeedHolders reports whether the score reads Holders.
+// NeedHolders reports whether Order reads ChunkRef.Holders; when false the
+// scheduler skips the per-chunk availability count entirely.
 func (h Hybrid) NeedHolders() bool { return h.RarestWeight != 0 }
 
-// CongestionAwareness implements CongestionAware.
-func (h Hybrid) CongestionAwareness() float64 { return h.AwareWeight }
-
-// Order implements ChunkStrategy; see the type comment for the semantics.
+// Order orders refs in place; see the type comment for the semantics. It is
+// deterministic: identical refs and an identical RNG state yield an
+// identical order and consume identical draws, independent of anything else
+// — this is what keeps multi-worker sweeps byte-reproducible. It does not
+// allocate; it runs once per scheduler tick per node.
 func (h Hybrid) Order(rng *rand.Rand, refs []ChunkRef) {
 	head := 0
 	if h.UrgentFrac > 0 {
@@ -144,24 +131,6 @@ func (h Hybrid) Order(rng *rand.Rand, refs []ChunkRef) {
 		}
 		return cmp.Compare(a.ID, b.ID)
 	})
-}
-
-// CongestionAware marks strategies whose scheduler should fold observed
-// partner loss into partner selection. The scheduler checks for it on the
-// active strategy; the registered names report 0, which is exactly what
-// makes them the "agnostic" arm of an awareness ablation.
-type CongestionAware interface {
-	// CongestionAwareness returns the loss-discount weight (0 = agnostic).
-	CongestionAwareness() float64
-}
-
-// Awareness reports a strategy's congestion-awareness weight: its
-// CongestionAwareness when it implements CongestionAware, else 0.
-func Awareness(s ChunkStrategy) float64 {
-	if ca, ok := s.(CongestionAware); ok {
-		return ca.CongestionAwareness()
-	}
-	return 0
 }
 
 // LossPenalty maps a partner's observed-loss EWMA (0..1) to the
@@ -248,7 +217,7 @@ func ParseHybrid(name string) (Hybrid, error) {
 
 // strategyInfo pairs a registered strategy with its one-line description.
 type strategyInfo struct {
-	s    ChunkStrategy
+	s    Hybrid
 	desc string
 }
 
@@ -283,7 +252,7 @@ func StrategyNames() []string {
 // StrategyByName resolves a chunk strategy: "" selects the default, a
 // registered name its Hybrid member, and any "hybrid..." name a parsed
 // member of the family (see HybridGrammar).
-func StrategyByName(name string) (ChunkStrategy, error) {
+func StrategyByName(name string) (Hybrid, error) {
 	if name == "" {
 		return DefaultStrategy(), nil
 	}
@@ -293,20 +262,10 @@ func StrategyByName(name string) (ChunkStrategy, error) {
 	if strings.HasPrefix(name, "hybrid") {
 		return ParseHybrid(name)
 	}
-	return nil, fmt.Errorf("policy: unknown chunk strategy %q (valid: %v, or parameterized %s)",
+	return Hybrid{}, fmt.Errorf("policy: unknown chunk strategy %q (valid: %v, or parameterized %s)",
 		name, StrategyNames(), HybridGrammar)
 }
 
 // StrategyDescription returns the one-line description of a registered
-// name, a generated description for a valid hybrid family name, and ""
-// otherwise.
-func StrategyDescription(name string) string {
-	if info, ok := strategies[name]; ok {
-		return info.desc
-	}
-	if h, err := ParseHybrid(name); err == nil {
-		return fmt.Sprintf("hybrid family member: urgent %g, rarest %g, deadline %g, aware %g",
-			h.UrgentFrac, h.RarestWeight, h.DeadlineBias, h.AwareWeight)
-	}
-	return ""
-}
+// name, "" for any other.
+func StrategyDescription(name string) string { return strategies[name].desc }

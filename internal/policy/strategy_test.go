@@ -24,7 +24,7 @@ func refsFixture() []ChunkRef {
 }
 
 // byName resolves a registered or hybrid name, failing the test on error.
-func byName(t testing.TB, name string) ChunkStrategy {
+func byName(t testing.TB, name string) Hybrid {
 	t.Helper()
 	s, err := StrategyByName(name)
 	if err != nil {
@@ -259,26 +259,17 @@ func TestStrategyByNameHybrid(t *testing.T) {
 	if err != nil {
 		t.Fatalf("StrategyByName: %v", err)
 	}
-	h, ok := s.(Hybrid)
-	if !ok {
-		t.Fatalf("StrategyByName returned %T, want Hybrid", s)
-	}
-	if h != (Hybrid{UrgentFrac: 0.4, RarestWeight: 1, AwareWeight: 1}) {
-		t.Errorf("parsed member = %+v", h)
-	}
-	if got := Awareness(s); got != 1 {
-		t.Errorf("Awareness = %v, want 1", got)
+	if s != (Hybrid{UrgentFrac: 0.4, RarestWeight: 1, AwareWeight: 1}) {
+		t.Errorf("parsed member = %+v", s)
 	}
 	for _, name := range StrategyNames() {
-		if Awareness(byName(t, name)) != 0 {
+		if byName(t, name).AwareWeight != 0 {
 			t.Errorf("registered %s reports awareness", name)
 		}
 	}
-	if desc := StrategyDescription("hybrid:u=0.4,r=1,a=1"); desc == "" {
-		t.Error("valid hybrid has no description")
-	}
-	if desc := StrategyDescription("hybrid:x=1"); desc != "" {
-		t.Errorf("invalid hybrid has description %q", desc)
+	// Only registered names are described; -list prints nothing else.
+	if desc := StrategyDescription("hybrid:u=0.4,r=1,a=1"); desc != "" {
+		t.Errorf("unregistered hybrid has description %q", desc)
 	}
 	if _, err := StrategyByName("hybrid:x=1"); err == nil {
 		t.Error("bad hybrid name accepted")

@@ -29,6 +29,7 @@ func testProfile() *overlay.Profile {
 		PullWindow:        6,
 		MaxInflight:       4,
 		RequestTimeout:    4 * time.Second,
+		ChunkStrategy:     policy.DefaultStrategy(),
 		DiscoveryWeight:   policy.Uniform{},
 		RequestWeight:     policy.Uniform{},
 		RetainWeight:      policy.Uniform{},

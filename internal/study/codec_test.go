@@ -42,9 +42,8 @@ func TestRegisteredStudiesRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRejectsUnknownField: a misspelt field and a field this codec
-// once had and dropped are both errors that name the field — in a study
-// file (also what a fleet worker decodes at join time) and in the study a
-// result file embeds — never silently ignored.
+// once had and dropped are both errors that name the field in a study file
+// (also what a fleet worker decodes at join time), never silently ignored.
 func TestDecodeRejectsUnknownField(t *testing.T) {
 	for _, tc := range []struct{ body, field string }{
 		{`{"name": "x", "sedes": [1, 2]}`, "sedes"},
@@ -56,10 +55,6 @@ func TestDecodeRejectsUnknownField(t *testing.T) {
 		want := fmt.Sprintf("unknown field %q", tc.field)
 		if _, err := DecodeBytes([]byte(tc.body)); err == nil || !strings.Contains(err.Error(), want) {
 			t.Errorf("study %s: unknown field accepted: %v", tc.body, err)
-		}
-		result := `{"study": ` + tc.body + `, "seeds": [1], "cells": []}`
-		if _, err := DecodeResultBytes([]byte(result)); err == nil || !strings.Contains(err.Error(), want) {
-			t.Errorf("result %s: unknown field accepted: %v", result, err)
 		}
 	}
 }

@@ -86,41 +86,6 @@ func tinyStudy() *Study {
 	}
 }
 
-func TestResultCodecRoundTrip(t *testing.T) {
-	res, err := Run(context.Background(), tinyStudy())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, res); err != nil {
-		t.Fatalf("EncodeResult: %v", err)
-	}
-	first := buf.String()
-	dec, err := DecodeResultBytes(buf.Bytes())
-	if err != nil {
-		t.Fatalf("DecodeResult: %v", err)
-	}
-	var buf2 bytes.Buffer
-	if err := EncodeResult(&buf2, dec); err != nil {
-		t.Fatalf("re-encode: %v", err)
-	}
-	if buf2.String() != first {
-		t.Fatal("result encoding not bit-stable across a round trip")
-	}
-	// The decoded result must render the exact table the original does —
-	// the property the fleet's checkpointed assembly depends on.
-	var want, got bytes.Buffer
-	if err := res.ComparisonTable().Render(&want); err != nil {
-		t.Fatalf("render original: %v", err)
-	}
-	if err := dec.ComparisonTable().Render(&got); err != nil {
-		t.Fatalf("render decoded: %v", err)
-	}
-	if want.String() != got.String() {
-		t.Fatalf("decoded result renders a different table:\n%s\nvs\n%s", want.String(), got.String())
-	}
-}
-
 func TestResultCodecRejectsFullResults(t *testing.T) {
 	res, err := Run(context.Background(), &Study{
 		Name: "codec-full", Apps: []string{"TVAnts"}, Seeds: []int64{1},
@@ -132,29 +97,6 @@ func TestResultCodecRejectsFullResults(t *testing.T) {
 	err = EncodeResult(&bytes.Buffer{}, res)
 	if err == nil || !strings.Contains(err.Error(), "full experiment results") {
 		t.Fatalf("EncodeResult accepted full results: %v", err)
-	}
-}
-
-func TestResultCodecRejectsTamperedGrid(t *testing.T) {
-	res, err := Run(context.Background(), tinyStudy())
-	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	var buf bytes.Buffer
-	if err := EncodeResult(&buf, res); err != nil {
-		t.Fatalf("EncodeResult: %v", err)
-	}
-	for _, tamper := range []struct{ name, from, to string }{
-		{"cell seed", `"Seed": 2`, `"Seed": 9`},
-		{"unknown field", `"seeds"`, `"seedz"`},
-	} {
-		mangled := strings.Replace(buf.String(), tamper.from, tamper.to, 1)
-		if mangled == buf.String() {
-			t.Fatalf("tamper %q found nothing to replace", tamper.name)
-		}
-		if _, err := DecodeResultBytes([]byte(mangled)); err == nil {
-			t.Errorf("tampered result (%s) accepted", tamper.name)
-		}
 	}
 }
 

@@ -35,7 +35,6 @@ package study
 
 import (
 	"fmt"
-	"slices"
 	"strconv"
 	"time"
 
@@ -287,8 +286,8 @@ func (st *Study) Validate() error {
 		if st.Peers == 0 && st.PeerFactor > 0 {
 			peers = float64(experiment.Default(app).World.Peers) * st.PeerFactor
 		}
-		if peers > maxPeers {
-			return fmt.Errorf("study %s: %s: %.0f peers, past the limit of %d peer ids", st.Name, app, peers, maxPeers)
+		if peers > overlay.MaxPeerID {
+			return fmt.Errorf("study %s: %s: %.0f peers, past the limit of %d peer ids", st.Name, app, peers, overlay.MaxPeerID)
 		}
 	}
 	// Strategies deduplicate on the resolved member's canonical name, so
@@ -316,18 +315,27 @@ func (st *Study) Validate() error {
 	// pivot. Reject the collision loudly instead.
 	seenScn := map[string]bool{}
 	for i, scn := range st.ScenarioList() {
-		// A registered name needs no decode to be valid: the registry's
-		// own test holds every file it lists to a decodable, canonical form.
-		if scn.Spec != nil || !slices.Contains(scenario.Names(), scn.Name) {
-			if _, err := scn.resolve(); err != nil {
-				return fmt.Errorf("study %s: scenario %d: %w", st.Name, i, err)
-			}
+		spec, err := scn.resolve()
+		if err != nil {
+			return fmt.Errorf("study %s: scenario %d: %w", st.Name, i, err)
 		}
 		label := scenarioLabel(scn.Label())
 		if seenScn[label] {
 			return fmt.Errorf("study %s: duplicate scenario %q", st.Name, label)
 		}
 		seenScn[label] = true
+		// Every node a cell builds takes a peer id: the probe side and the
+		// scenario's deferred pool count with the background.
+		for _, app := range st.AppList() {
+			cfg, err := cell{Point: Point{App: app}, scn: spec}.config(st)
+			if err != nil {
+				return fmt.Errorf("study %s: %w", st.Name, err)
+			}
+			if n := cfg.Nodes(); n > overlay.MaxPeerID+1 {
+				return fmt.Errorf("study %s: %s @%s: %.0f nodes need peer ids up to %.0f, past the limit of %d",
+					st.Name, app, label, n, n-1, overlay.MaxPeerID)
+			}
+		}
 	}
 	seenVar := map[string]bool{}
 	for _, vr := range st.VariantList() {
@@ -560,11 +568,6 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 	}
 	return cfg, nil
 }
-
-// maxPeers is the largest background population a cell may ask for: the
-// overlay names a peer in 24 bits of each partner record, and its AddNode
-// refuses an id past 2²⁴ − 1.
-const maxPeers = 1<<24 - 1
 
 // profile builds the variant's profile for app: the application's own
 // profile with the variant applied.

@@ -106,6 +106,16 @@ func TestStudyValidateRejects(t *testing.T) {
 		// × 12 000 is not, so only PPLive fails.
 		{"factor past the id limit", Study{Name: "s", PeerFactor: 12_000},
 			"PPLive: 16800000 peers, past the limit of 16777215 peer ids"},
+		// Every cell also builds 93 nodes beside its background: the source,
+		// 44 probes and 8 peers in each of the 6 probe ASes.
+		{"probe side past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 1<<24 - 44},
+			"TVAnts @stationary: 16777265 nodes need peer ids up to 16777264, past the limit of 16777215"},
+		{"one node past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 1<<24 - 92},
+			"TVAnts @stationary: 16777217 nodes need peer ids up to 16777216, past the limit of 16777215"},
+		// flashcrowd's deferred pool doubles the background.
+		{"deferred pool past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 9_000_000,
+			Scenarios: []Scenario{{Name: "flashcrowd"}}},
+			"TVAnts @flashcrowd: 18000093 nodes need peer ids up to 18000092, past the limit of 16777215"},
 	} {
 		err := tc.st.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
@@ -115,11 +125,12 @@ func TestStudyValidateRejects(t *testing.T) {
 }
 
 // TestValidateSizesPerApp: the population limit applies to each app's own
-// resolved population, and the limit itself is allowed.
+// resolved population, and the limit itself is allowed: 2²⁴ − 93 background
+// peers and the 93 nodes beside them take exactly the 2²⁴ peer ids.
 func TestValidateSizesPerApp(t *testing.T) {
 	for _, st := range []*Study{
 		{Name: "s", Apps: []string{"TVAnts", "SopCast"}, PeerFactor: 12_000},
-		{Name: "s", Peers: 1<<24 - 1},
+		{Name: "s", Peers: 1<<24 - 93},
 	} {
 		if err := st.Validate(); err != nil {
 			t.Errorf("%+v: %v", st, err)
