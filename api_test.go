@@ -164,7 +164,7 @@ func TestProfileVariantAPI(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := napawine.ProfileVariant(base, "tv-blind", func(p *napawine.Profile) {
-		p.DiscoveryWeight = napawine.Uniform{}
+		p.DiscoveryWeight = napawine.Bias{}
 	})
 	if v.Name != "tv-blind" || base.Name != "TVAnts" {
 		t.Error("variant naming wrong")

@@ -146,7 +146,7 @@ func BenchmarkAblationASKnobs(b *testing.B) {
 		cfg.Duration = 90 * time.Second
 		cfg.World.Peers = 100
 		cfg.Profile = napawine.ProfileVariant(base, "TVAnts-blind", func(p *napawine.Profile) {
-			p.DiscoveryWeight = napawine.Uniform{}
+			p.DiscoveryWeight = napawine.Bias{}
 		})
 		if _, err := napawine.Run(cfg); err != nil {
 			b.Fatal(err)

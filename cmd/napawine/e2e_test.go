@@ -114,6 +114,7 @@ func TestUsageErrorsLeaveOutFileUntouched(t *testing.T) {
 		{"-seeds -3", "-seeds"},
 		{"-duration -5s", "-duration"},
 		{"-duration 0s", "-duration"},
+		{"-scale NaN", "peer factor NaN"},
 		{"-exp table4 -listen 127.0.0.1:0", "-listen"},
 		{"-exp table4 -seeds 1 -listen 127.0.0.1:0 -resume " + t.TempDir(), "-listen"},
 		{"-study blind-ablation -apps TVAnts,Joost", "Joost"},

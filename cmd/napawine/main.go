@@ -203,8 +203,8 @@ func (o *options) validateFleet() error {
 		return fmt.Errorf("-listen cannot serve a one-seed -exp run (its tables and figures need the full results fleet workers do not ship): add -seeds 2 or more, or name a -study")
 	case o.listen != "" && o.explicit["workers"]:
 		return fmt.Errorf("-workers does not apply to -listen (the coordinator runs no cells; each -join worker sets its own)")
-	case o.listen != "" && o.leaseTTL <= 0:
-		return fmt.Errorf("non-positive -lease-ttl %v", o.leaseTTL)
+	case o.listen != "" && o.leaseTTL < time.Millisecond:
+		return fmt.Errorf("-lease-ttl %v is under 1ms, the resolution workers are told it in", o.leaseTTL)
 	}
 	// Everything else comes from the coordinator; a local knob would be
 	// silently ignored.

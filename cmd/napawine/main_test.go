@@ -226,8 +226,10 @@ func TestValidateFleetArgs(t *testing.T) {
 	if err := validate(t, with(study, "-workers", "2")...); err == nil {
 		t.Error("-workers with -listen accepted (the coordinator runs no cells)")
 	}
-	if err := validate(t, with(study, "-lease-ttl", "0s")...); err == nil {
-		t.Error("non-positive -lease-ttl accepted")
+	for _, ttl := range []string{"0s", "500us"} {
+		if err := validate(t, with(study, "-lease-ttl", ttl)...); err == nil {
+			t.Errorf("-lease-ttl %s accepted (workers are told it in whole milliseconds)", ttl)
+		}
 	}
 	// Coordinator and worker roles are exclusive.
 	if err := validate(t, with(study, "-join", "host:1")...); err == nil {

@@ -61,29 +61,22 @@ func main() {
 	describe("stock TVAnts", stock)
 
 	noDisc := run("TVAnts-blindDiscovery", func(p *napawine.Profile) {
-		p.DiscoveryWeight = napawine.Uniform{}
+		p.DiscoveryWeight = napawine.Bias{}
 	})
 	describe("AS-blind discovery", noDisc)
 
 	noSched := run("TVAnts-blindScheduling", func(p *napawine.Profile) {
-		p.RequestWeight = napawine.BandwidthBias{
-			Ref: 384_000, Alpha: 2, Floor: 768_000,
-		}
-		p.RetainWeight = napawine.BandwidthBias{
-			Ref: 384_000, Alpha: 1, Floor: 192_000,
-		}
+		p.RequestWeight = napawine.Bias{Ref: 384_000, Alpha: 2, Floor: 768_000}
+		p.RetainWeight = napawine.Bias{Ref: 384_000, Alpha: 1, Floor: 192_000}
 	})
 	describe("AS-blind scheduling", noSched)
 
 	rttAware := run("TVAnts-rttAware", func(p *napawine.Profile) {
-		p.DiscoveryWeight = napawine.ProductWeight{
-			p.DiscoveryWeight,
-			napawine.RTTBias{Near: 60 * time.Millisecond, Factor: 12},
-		}
-		p.RequestWeight = napawine.ProductWeight{
-			p.RequestWeight,
-			napawine.RTTBias{Near: 60 * time.Millisecond, Factor: 4},
-		}
+		// Stock TVAnts plus an RTT factor on discovery and requests.
+		disc, req := p.DiscoveryWeight.(napawine.Bias), p.RequestWeight.(napawine.Bias)
+		disc.Near, disc.RTT = 60*time.Millisecond, 12
+		req.Near, req.RTT = 60*time.Millisecond, 4
+		p.DiscoveryWeight, p.RequestWeight = disc, req
 	})
 	describe("RTT-aware (future)", rttAware)
 

@@ -36,21 +36,22 @@ import (
 // (§II: CCTV-1 at 384 kbit/s, Windows Media 9).
 const StreamRate = 384 * units.Kbps
 
-// bwRequest is the bandwidth component every client shares: measured
-// burst goodput with quadratic sharpening. The floor keeps unprobed peers
-// selectable without privileging them over measured ones; the 40 Mbit/s
-// cap reflects that past a few dozen Mbit/s extra capacity cannot make a
-// chunk arrive sooner, so rate estimates above it carry no extra signal.
-func bwRequest() policy.Weight {
-	return policy.BandwidthBias{
-		Ref: StreamRate, Alpha: 2, Floor: StreamRate, Cap: 40 * units.Mbps,
+// bwRequest is the bandwidth component every client shares, with the
+// client's AS factor: measured burst goodput with quadratic sharpening. The
+// floor keeps unprobed peers selectable without privileging them over
+// measured ones; the 40 Mbit/s cap reflects that past a few dozen Mbit/s
+// extra capacity cannot make a chunk arrive sooner, so rate estimates above
+// it carry no extra signal.
+func bwRequest(as float64) policy.Bias {
+	return policy.Bias{
+		Ref: StreamRate, Alpha: 2, Floor: StreamRate, Cap: 40 * units.Mbps, AS: as,
 	}
 }
 
 // bwRetain values partners for churn decisions.
-func bwRetain() policy.Weight {
-	return policy.BandwidthBias{
-		Ref: StreamRate, Alpha: 1, Floor: StreamRate / 2, Cap: 40 * units.Mbps,
+func bwRetain(as float64) policy.Bias {
+	return policy.Bias{
+		Ref: StreamRate, Alpha: 1, Floor: StreamRate / 2, Cap: 40 * units.Mbps, AS: as,
 	}
 }
 
@@ -79,9 +80,9 @@ func PPLive() *overlay.Profile {
 		RequestTimeout:   4 * time.Second,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
-		DiscoveryWeight: policy.Uniform{},
-		RequestWeight:   policy.Product{bwRequest(), policy.ASBias{Factor: 30}},
-		RetainWeight:    policy.Product{bwRetain(), policy.ASBias{Factor: 8}},
+		DiscoveryWeight: policy.Bias{},
+		RequestWeight:   bwRequest(30),
+		RetainWeight:    bwRetain(8),
 	}
 }
 
@@ -107,9 +108,9 @@ func SopCast() *overlay.Profile {
 		RequestTimeout:   4 * time.Second,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
-		DiscoveryWeight: policy.Uniform{},
-		RequestWeight:   bwRequest(),
-		RetainWeight:    bwRetain(),
+		DiscoveryWeight: policy.Bias{},
+		RequestWeight:   bwRequest(0),
+		RetainWeight:    bwRetain(0),
 	}
 }
 
@@ -135,9 +136,9 @@ func TVAnts() *overlay.Profile {
 		RequestTimeout:   4 * time.Second,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
-		DiscoveryWeight: policy.ASBias{Factor: 15},
-		RequestWeight:   policy.Product{bwRequest(), policy.ASBias{Factor: 4}},
-		RetainWeight:    policy.Product{bwRetain(), policy.ASBias{Factor: 4}},
+		DiscoveryWeight: policy.Bias{AS: 15},
+		RequestWeight:   bwRequest(4),
+		RetainWeight:    bwRetain(4),
 	}
 }
 

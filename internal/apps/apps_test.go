@@ -108,7 +108,7 @@ func TestProfilesValidate(t *testing.T) {
 func TestVariant(t *testing.T) {
 	base := TVAnts()
 	v := Variant(base, "TVAnts-noASdiscovery", func(p *overlay.Profile) {
-		p.DiscoveryWeight = policy.Uniform{}
+		p.DiscoveryWeight = policy.Bias{}
 	})
 	if v.Name != "TVAnts-noASdiscovery" {
 		t.Errorf("variant name = %q", v.Name)

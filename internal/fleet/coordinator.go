@@ -51,9 +51,10 @@ type CoordinatorConfig struct {
 	Study *study.Study
 	// Addr is the listen address (host:port; port 0 picks a free one).
 	Addr string
-	// LeaseTTL is the lease window; 0 selects DefaultLeaseTTL. A cell
-	// whose lease is not renewed (by heartbeat, event or result) within
-	// the window returns to the queue.
+	// LeaseTTL is the lease window; 0 selects DefaultLeaseTTL, and a
+	// positive one under 1ms is refused (workers are told it in whole
+	// milliseconds). A cell whose lease is not renewed (by heartbeat, event
+	// or result) within the window returns to the queue.
 	LeaseTTL time.Duration
 	// SpoolDir, when non-empty, checkpoints every completed cell there and
 	// restores already-completed cells on start — the -resume directory.
@@ -111,6 +112,9 @@ type Coordinator struct {
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	if cfg.Study == nil {
 		return nil, fmt.Errorf("fleet: coordinator without a study")
+	}
+	if cfg.LeaseTTL > 0 && cfg.LeaseTTL < time.Millisecond {
+		return nil, fmt.Errorf("fleet: lease TTL %v is under 1ms, the resolution workers are told it in", cfg.LeaseTTL)
 	}
 	studyJSON, digest, err := cfg.Study.Canonical()
 	if err != nil {

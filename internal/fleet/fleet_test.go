@@ -354,6 +354,27 @@ func leaseAs(t *testing.T, addr, worker string) leaseReply {
 	return rep
 }
 
+// TestCoordinatorRefusesSubMillisecondLease: workers are told the lease
+// window in whole milliseconds, so a positive TTL under 1ms would reach
+// them as 0 ("use the default") and every lease would expire long before
+// its first heartbeat — the cell requeued forever.
+func TestCoordinatorRefusesSubMillisecondLease(t *testing.T) {
+	for _, ttl := range []time.Duration{time.Nanosecond, 500 * time.Microsecond, time.Millisecond - 1} {
+		coord, err := NewCoordinator(CoordinatorConfig{Study: fleetStudy(), Addr: "127.0.0.1:0", LeaseTTL: ttl})
+		if err == nil {
+			coord.Close()
+			t.Errorf("LeaseTTL %v accepted", ttl)
+		} else if !strings.Contains(err.Error(), "under 1ms") {
+			t.Errorf("LeaseTTL %v: %v, want a refusal naming the 1ms floor", ttl, err)
+		}
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Study: fleetStudy(), Addr: "127.0.0.1:0", LeaseTTL: time.Millisecond})
+	if err != nil {
+		t.Fatalf("LeaseTTL 1ms refused: %v", err)
+	}
+	coord.Close()
+}
+
 // TestLeaseExpiryGoneAndIdempotentResult drives the protocol edge the
 // fault-injection path depends on, without timing races: an expired lease
 // requeues to the next asker, the evicted worker's events answer 410 Gone,

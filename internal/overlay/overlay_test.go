@@ -35,13 +35,9 @@ func testProfile() *Profile {
 		MaxInflight:       4,
 		RequestTimeout:    4 * time.Second,
 		ChunkStrategy:     policy.DefaultStrategy(),
-		DiscoveryWeight:   policy.Uniform{},
-		RequestWeight: policy.BandwidthBias{
-			Ref: 384 * units.Kbps, Alpha: 2, Floor: 768 * units.Kbps,
-		},
-		RetainWeight: policy.BandwidthBias{
-			Ref: 384 * units.Kbps, Alpha: 1, Floor: 192 * units.Kbps,
-		},
+		DiscoveryWeight:   policy.Bias{},
+		RequestWeight:     policy.Bias{Ref: 384 * units.Kbps, Alpha: 2, Floor: 768 * units.Kbps},
+		RetainWeight:      policy.Bias{Ref: 384 * units.Kbps, Alpha: 1, Floor: 192 * units.Kbps},
 	}
 }
 

@@ -61,8 +61,8 @@ func checkPartnerTable(t testing.TB, nd *Node) {
 
 // TestBestPartnerRule pins the greedy pass's pick on hand-built tables: the
 // selectable partner of highest request weight, the lowest id among equals,
-// never a NaN weight — which custom Weight implementations can produce, e.g.
-// a Product of +Inf and 0 factors — and nil when the best weight is not
+// never a NaN weight — which a Weight can produce, e.g. a Bias with a NaN
+// strength — and nil when the best weight is not
 // positive. An offline partner and the source are not selectable.
 func TestBestPartnerRule(t *testing.T) {
 	w := buildWorld(t, 13, 5, 0)
@@ -297,8 +297,6 @@ func (tableWeight) Weight(i policy.Info) float64 {
 	}
 	return math.NaN()
 }
-
-func (tableWeight) Name() string { return "table" }
 
 // tableRow is one partner of the model table: its rate, congestion entry,
 // failure count, announce flag and the locality bits it formed with.

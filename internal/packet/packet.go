@@ -185,7 +185,8 @@ func (r *Reader) Probe() netip.Addr { return r.probe }
 func (r *Reader) Label() string { return r.label }
 
 // Next returns the next record, or io.EOF at a clean end of trace. A
-// truncated record yields ErrBadTrace, so corruption never passes silently.
+// truncated record, or one with a size the Writer refuses (over 2³¹ bytes),
+// yields ErrBadTrace, so corruption never passes silently.
 func (r *Reader) Next() (Record, error) {
 	var buf [recordBytes]byte
 	n, err := io.ReadFull(r.br, buf[:])
@@ -195,11 +196,15 @@ func (r *Reader) Next() (Record, error) {
 	if err != nil {
 		return Record{}, fmt.Errorf("%w: truncated record (%d bytes)", ErrBadTrace, n)
 	}
+	size := binary.LittleEndian.Uint32(buf[16:20])
+	if size > 1<<31 {
+		return Record{}, fmt.Errorf("%w: record size %d out of range", ErrBadTrace, size)
+	}
 	var rec Record
 	rec.TS = sim.Time(binary.LittleEndian.Uint64(buf[0:8]))
 	rec.Src = netip.AddrFrom4([4]byte(buf[8:12]))
 	rec.Dst = netip.AddrFrom4([4]byte(buf[12:16]))
-	rec.Size = units.ByteSize(binary.LittleEndian.Uint32(buf[16:20]))
+	rec.Size = units.ByteSize(size)
 	rec.TTL = buf[20]
 	rec.Kind = Kind(buf[21])
 	return rec, nil

@@ -3,6 +3,7 @@ package packet
 import (
 	"bytes"
 	"encoding/csv"
+	"errors"
 	"io"
 	"math/rand"
 	"net/netip"
@@ -268,4 +269,57 @@ func BenchmarkReadNext(b *testing.B) {
 			}
 		}
 	}
+}
+
+// FuzzTraceReader feeds the reader bytes nobody wrote: it never panics, and
+// what it accepts — the header and every record before the first error —
+// re-encodes through the Writer to exactly the bytes it read, so the reader
+// admits no trace the writer could not have produced.
+func FuzzTraceReader(f *testing.F) {
+	var valid bytes.Buffer
+	w, _ := NewWriter(&valid, mkAddr(10, 0, 0, 1), "seed")
+	for _, r := range randomRecords(3, 4) {
+		_ = w.Write(r)
+	}
+	_ = w.Close()
+	f.Add(valid.Bytes())
+	huge := slices.Clone(valid.Bytes())
+	copy(huge[len(huge)-recordBytes+16:], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // last record's size
+	f.Add(huge)
+	f.Add(valid.Bytes()[:len(valid.Bytes())-5])
+	f.Add([]byte(magic + "\x0a\x00\x00\x01\x00"))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		r, err := NewReader(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		w, err := NewWriter(&out, r.Probe(), r.Label())
+		if err != nil {
+			t.Fatalf("accepted header (probe %v, label %q) does not re-encode: %v", r.Probe(), r.Label(), err)
+		}
+		clean := false
+		for {
+			rec, err := r.Next()
+			if err == io.EOF {
+				clean = true
+				break
+			}
+			if err != nil {
+				if !errors.Is(err, ErrBadTrace) {
+					t.Fatalf("Next: %v, want ErrBadTrace", err)
+				}
+				break
+			}
+			if err := w.Write(rec); err != nil {
+				t.Fatalf("accepted record %+v does not re-encode: %v", rec, err)
+			}
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.HasPrefix(data, out.Bytes()) || clean && out.Len() != len(data) {
+			t.Fatalf("re-encoded %x, read %x", out.Bytes(), data)
+		}
+	})
 }

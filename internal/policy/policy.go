@@ -6,13 +6,12 @@
 // A Weight maps what a real client can know about a candidate — measured
 // throughput, locality facts derivable from the candidate's IP, measured
 // RTT — to a non-negative selection weight. Application profiles
-// (internal/apps) compose weights multiplicatively; the analysis layer then
-// has to rediscover those compositions from traffic alone, which is the
-// whole experiment.
+// (internal/apps) set one Bias strength per property; the analysis layer then
+// has to rediscover those strengths from traffic alone, which is the whole
+// experiment.
 package policy
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"time"
@@ -35,147 +34,76 @@ type Info struct {
 
 // Weight scores a candidate. Implementations must be pure: the same Info
 // always yields the same weight, so selection randomness lives entirely in
-// the sampler's RNG.
+// the sampler's RNG. Bias is the one implementation; tests substitute fakes.
 type Weight interface {
 	Weight(Info) float64
-	Name() string
 }
 
-// Uniform ignores the candidate entirely: pure random selection, the
+// Bias is a client's selection weight: the product of one factor per
+// property the paper measures — bandwidth, AS, country, subnet and path
+// length, in that order. A factor whose strength (Alpha, AS, CC, Subnet,
+// RTT) is 0 is left out, so Bias{} is uniform random selection, the
 // baseline against which awareness is defined.
-type Uniform struct{}
-
-// Weight returns 1 for every candidate.
-func (Uniform) Weight(Info) float64 { return 1 }
-
-// Name identifies the policy.
-func (Uniform) Name() string { return "uniform" }
-
-// BandwidthBias favors candidates whose measured delivery rate is high:
-// weight = (rate/Ref)^Alpha, with unmeasured candidates charged Floor so
-// that newcomers still get probed, and rates clamped at Cap — beyond a few
-// dozen Mbit/s a partner cannot deliver chunks any faster in practice, so
-// an uncapped estimate would make LAN neighbours pathologically dominant.
-// This is the mechanism behind the strong BW rows of Table IV.
-type BandwidthBias struct {
-	Ref   units.BitRate // normalization, typically the stream rate
-	Alpha float64       // bias strength; 0 degenerates to uniform
+type Bias struct {
+	// Bandwidth: (rate/Ref)^Alpha, with unmeasured candidates charged
+	// Floor so that newcomers still get probed, and rates clamped at Cap —
+	// beyond a few dozen Mbit/s a partner cannot deliver chunks any faster
+	// in practice, so an uncapped estimate would make LAN neighbours
+	// pathologically dominant. This is the mechanism behind the strong BW
+	// rows of Table IV. With Alpha set, a candidate with neither an
+	// estimate nor a Floor weighs 0.
+	Ref   units.BitRate // normalization, typically the stream rate (0 = 384 kbit/s)
+	Alpha float64       // bias strength
 	Floor units.BitRate // optimistic rate assumed for unmeasured peers
 	Cap   units.BitRate // rate ceiling (0 = uncapped)
+
+	// Locality: a candidate in the caller's AS, country or subnet weighs
+	// AS, CC or Subnet times more. AS > 1 is the knob behind TVAnts- and
+	// PPLive-style AS preference. No 2008-era client used CC or Subnet (the
+	// paper finds CC preference entirely an AS echo); they exist for
+	// ablation experiments.
+	AS, CC, Subnet float64
+
+	// Path length: a candidate measured closer than Near weighs RTT times
+	// more — the "seek shorter paths" behaviour the paper's conclusion
+	// recommends and finds absent.
+	Near time.Duration
+	RTT  float64
 }
 
 // Weight implements Weight.
-func (b BandwidthBias) Weight(i Info) float64 {
-	ref := b.Ref
-	if ref <= 0 {
-		ref = 384 * units.Kbps
-	}
-	r := i.EstRate
-	if r <= 0 {
-		r = b.Floor
-	}
-	if r <= 0 {
-		return 0
-	}
-	if b.Cap > 0 && r > b.Cap {
-		r = b.Cap
-	}
-	return math.Pow(float64(r)/float64(ref), b.Alpha)
-}
-
-// Name identifies the policy.
-func (b BandwidthBias) Name() string { return fmt.Sprintf("bw^%.1f", b.Alpha) }
-
-// ASBias multiplies the weight by Factor for candidates in the caller's AS.
-// Factor > 1 is the knob that produces TVAnts- and PPLive-style AS
-// preference; Factor == 1 is SopCast-style location blindness.
-type ASBias struct{ Factor float64 }
-
-// Weight implements Weight.
-func (b ASBias) Weight(i Info) float64 {
-	if i.SameAS {
-		return b.Factor
-	}
-	return 1
-}
-
-// Name identifies the policy.
-func (b ASBias) Name() string { return fmt.Sprintf("as×%.1f", b.Factor) }
-
-// CCBias multiplies the weight by Factor for same-country candidates.
-// No 2008-era client used it (the paper finds CC preference is entirely an
-// AS echo); it exists for ablation experiments.
-type CCBias struct{ Factor float64 }
-
-// Weight implements Weight.
-func (b CCBias) Weight(i Info) float64 {
-	if i.SameCC {
-		return b.Factor
-	}
-	return 1
-}
-
-// Name identifies the policy.
-func (b CCBias) Name() string { return fmt.Sprintf("cc×%.1f", b.Factor) }
-
-// SubnetBias multiplies the weight by Factor for same-subnet candidates.
-type SubnetBias struct{ Factor float64 }
-
-// Weight implements Weight.
-func (b SubnetBias) Weight(i Info) float64 {
-	if i.SameSubnet {
-		return b.Factor
-	}
-	return 1
-}
-
-// Name identifies the policy.
-func (b SubnetBias) Name() string { return fmt.Sprintf("net×%.1f", b.Factor) }
-
-// RTTBias favors nearby candidates: weight = Factor when RTT < Near,
-// else 1. It is the "seek shorter paths" behaviour the paper's conclusion
-// recommends and finds absent; included for the future-work ablation.
-type RTTBias struct {
-	Near   time.Duration
-	Factor float64
-}
-
-// Weight implements Weight.
-func (b RTTBias) Weight(i Info) float64 {
-	if i.RTT > 0 && i.RTT < b.Near {
-		return b.Factor
-	}
-	return 1
-}
-
-// Name identifies the policy.
-func (b RTTBias) Name() string { return fmt.Sprintf("rtt<%v×%.1f", b.Near, b.Factor) }
-
-// Product composes weights multiplicatively.
-type Product []Weight
-
-// Weight implements Weight as the product of the factors.
-func (p Product) Weight(i Info) float64 {
+func (b Bias) Weight(i Info) float64 {
 	w := 1.0
-	for _, f := range p {
-		w *= f.Weight(i)
-		if w == 0 {
+	if b.Alpha != 0 {
+		ref := b.Ref
+		if ref <= 0 {
+			ref = 384 * units.Kbps
+		}
+		r := i.EstRate
+		if r <= 0 {
+			r = b.Floor
+		}
+		if r <= 0 {
 			return 0
 		}
+		if b.Cap > 0 && r > b.Cap {
+			r = b.Cap
+		}
+		w = math.Pow(float64(r)/float64(ref), b.Alpha)
+	}
+	if b.AS != 0 && i.SameAS {
+		w *= b.AS
+	}
+	if b.CC != 0 && i.SameCC {
+		w *= b.CC
+	}
+	if b.Subnet != 0 && i.SameSubnet {
+		w *= b.Subnet
+	}
+	if b.RTT != 0 && i.RTT > 0 && i.RTT < b.Near {
+		w *= b.RTT
 	}
 	return w
-}
-
-// Name identifies the composition.
-func (p Product) Name() string {
-	if len(p) == 0 {
-		return "uniform"
-	}
-	s := p[0].Name()
-	for _, f := range p[1:] {
-		s += "·" + f.Name()
-	}
-	return s
 }
 
 // Candidate pairs an opaque caller index with the selectable facts.

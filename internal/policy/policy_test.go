@@ -9,18 +9,16 @@ import (
 	"napawine/internal/units"
 )
 
+// TestUniform: the zero Bias leaves every factor out.
 func TestUniform(t *testing.T) {
-	u := Uniform{}
-	if u.Weight(Info{}) != 1 || u.Weight(Info{SameAS: true, EstRate: units.Gbps}) != 1 {
+	u := Bias{}
+	if u.Weight(Info{}) != 1 || u.Weight(Info{SameAS: true, SameCC: true, SameSubnet: true, RTT: time.Millisecond, EstRate: units.Gbps}) != 1 {
 		t.Error("uniform weight must be 1 everywhere")
-	}
-	if u.Name() != "uniform" {
-		t.Errorf("Name = %q", u.Name())
 	}
 }
 
 func TestBandwidthBias(t *testing.T) {
-	b := BandwidthBias{Ref: 384 * units.Kbps, Alpha: 1, Floor: 384 * units.Kbps}
+	b := Bias{Ref: 384 * units.Kbps, Alpha: 1, Floor: 384 * units.Kbps}
 	low := b.Weight(Info{EstRate: 384 * units.Kbps})
 	high := b.Weight(Info{EstRate: 3840 * units.Kbps})
 	if math.Abs(low-1) > 1e-12 {
@@ -34,36 +32,41 @@ func TestBandwidthBias(t *testing.T) {
 		t.Errorf("unmeasured weight = %v, want floor 1", got)
 	}
 	// Alpha sharpens the bias.
-	sharp := BandwidthBias{Ref: 384 * units.Kbps, Alpha: 2, Floor: 384 * units.Kbps}
+	sharp := Bias{Ref: 384 * units.Kbps, Alpha: 2, Floor: 384 * units.Kbps}
 	if got := sharp.Weight(Info{EstRate: 3840 * units.Kbps}); math.Abs(got-100) > 1e-9 {
 		t.Errorf("alpha=2 weight = %v, want 100", got)
 	}
+	// Cap clamps the rate.
+	capped := Bias{Ref: 384 * units.Kbps, Alpha: 1, Cap: 768 * units.Kbps}
+	if got := capped.Weight(Info{EstRate: 3840 * units.Kbps}); math.Abs(got-2) > 1e-12 {
+		t.Errorf("capped weight = %v, want 2", got)
+	}
 	// Zero ref defaults instead of dividing by zero.
-	noRef := BandwidthBias{Alpha: 1, Floor: 384 * units.Kbps}
+	noRef := Bias{Alpha: 1, Floor: 384 * units.Kbps}
 	if got := noRef.Weight(Info{EstRate: 384 * units.Kbps}); got <= 0 {
 		t.Errorf("zero-ref weight = %v", got)
 	}
 	// No floor, no measurement → unselectable.
-	bare := BandwidthBias{Ref: 384 * units.Kbps, Alpha: 1}
+	bare := Bias{Ref: 384 * units.Kbps, Alpha: 1}
 	if got := bare.Weight(Info{}); got != 0 {
 		t.Errorf("no-floor unmeasured weight = %v, want 0", got)
 	}
 }
 
 func TestLocalityBiases(t *testing.T) {
-	as := ASBias{Factor: 8}
-	if as.Weight(Info{SameAS: true}) != 8 || as.Weight(Info{}) != 1 {
-		t.Error("ASBias wrong")
+	as := Bias{AS: 8}
+	if as.Weight(Info{SameAS: true}) != 8 || as.Weight(Info{SameCC: true, SameSubnet: true}) != 1 {
+		t.Error("AS factor wrong")
 	}
-	cc := CCBias{Factor: 3}
-	if cc.Weight(Info{SameCC: true}) != 3 || cc.Weight(Info{}) != 1 {
-		t.Error("CCBias wrong")
+	cc := Bias{CC: 3}
+	if cc.Weight(Info{SameCC: true}) != 3 || cc.Weight(Info{SameAS: true}) != 1 {
+		t.Error("CC factor wrong")
 	}
-	net := SubnetBias{Factor: 5}
-	if net.Weight(Info{SameSubnet: true}) != 5 || net.Weight(Info{}) != 1 {
-		t.Error("SubnetBias wrong")
+	net := Bias{Subnet: 5}
+	if net.Weight(Info{SameSubnet: true}) != 5 || net.Weight(Info{SameAS: true}) != 1 {
+		t.Error("Subnet factor wrong")
 	}
-	rtt := RTTBias{Near: 50 * time.Millisecond, Factor: 4}
+	rtt := Bias{Near: 50 * time.Millisecond, RTT: 4}
 	if rtt.Weight(Info{RTT: 10 * time.Millisecond}) != 4 {
 		t.Error("near candidate should get factor")
 	}
@@ -75,28 +78,27 @@ func TestLocalityBiases(t *testing.T) {
 	}
 }
 
+// TestProduct: the factors multiply, and a zero strength leaves its factor
+// out rather than zeroing the weight.
 func TestProduct(t *testing.T) {
-	p := Product{ASBias{Factor: 8}, CCBias{Factor: 2}}
-	if got := p.Weight(Info{SameAS: true, SameCC: true}); got != 16 {
-		t.Errorf("product = %v, want 16", got)
+	p := Bias{AS: 8, CC: 2, Subnet: 3, Near: 50 * time.Millisecond, RTT: 5}
+	if got := p.Weight(Info{SameAS: true, SameCC: true, SameSubnet: true, RTT: time.Millisecond}); got != 240 {
+		t.Errorf("product = %v, want 240", got)
 	}
 	if got := p.Weight(Info{}); got != 1 {
 		t.Errorf("product = %v, want 1", got)
 	}
-	if Product(nil).Weight(Info{}) != 1 {
-		t.Error("empty product should be 1")
+	bw := Bias{Ref: units.Mbps, Alpha: 1, AS: 8}
+	if got := bw.Weight(Info{SameAS: true, EstRate: 2 * units.Mbps}); got != 16 {
+		t.Errorf("bandwidth × AS = %v, want 16", got)
 	}
-	if Product(nil).Name() != "uniform" {
-		t.Error("empty product name")
-	}
-	// Zero short-circuits.
-	z := Product{BandwidthBias{Ref: units.Kbps, Alpha: 1}, ASBias{Factor: 8}}
-	if got := z.Weight(Info{SameAS: true}); got != 0 {
+	// An unmeasured, floor-less candidate weighs 0 whatever its locality.
+	if got := bw.Weight(Info{SameAS: true}); got != 0 {
 		t.Errorf("zero factor product = %v, want 0", got)
 	}
-	name := Product{Uniform{}, ASBias{Factor: 8}}.Name()
-	if name != "uniform·as×8.0" {
-		t.Errorf("Name = %q", name)
+	// Zero strengths (Alpha, AS) are left out, so the same candidate weighs 1.
+	if got := (Bias{Ref: units.Mbps}).Weight(Info{SameAS: true}); got != 1 {
+		t.Errorf("zero-strength weight = %v, want 1", got)
 	}
 }
 
@@ -111,7 +113,7 @@ func mkCands(n int) []Candidate {
 func TestSampleBasics(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cands := mkCands(10)
-	got := Sample(rng, cands, 4, Uniform{})
+	got := Sample(rng, cands, 4, Bias{})
 	if len(got) != 4 {
 		t.Fatalf("sample size = %d, want 4", len(got))
 	}
@@ -123,14 +125,14 @@ func TestSampleBasics(t *testing.T) {
 		seen[c.Index] = true
 	}
 	// k larger than population returns everything.
-	all := Sample(rng, cands, 100, Uniform{})
+	all := Sample(rng, cands, 100, Bias{})
 	if len(all) != 10 {
 		t.Errorf("oversized k returned %d", len(all))
 	}
-	if Sample(rng, nil, 3, Uniform{}) != nil {
+	if Sample(rng, nil, 3, Bias{}) != nil {
 		t.Error("empty population should return nil")
 	}
-	if Sample(rng, cands, 0, Uniform{}) != nil {
+	if Sample(rng, cands, 0, Bias{}) != nil {
 		t.Error("k=0 should return nil")
 	}
 }
@@ -141,7 +143,7 @@ func TestSampleRespectsWeights(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cands := mkCands(10)
 	cands[0].Info.SameAS = true
-	w := ASBias{Factor: 10}
+	w := Bias{AS: 10}
 	hits := 0
 	const trials = 5000
 	for i := 0; i < trials; i++ {
@@ -162,7 +164,7 @@ func TestSampleExcludesZeroWeight(t *testing.T) {
 	// Only candidate 2 is measurably fast; the rest have zero weight under
 	// a floor-less bandwidth bias.
 	cands[2].Info.EstRate = units.Mbps
-	w := BandwidthBias{Ref: units.Kbps, Alpha: 1}
+	w := Bias{Ref: units.Kbps, Alpha: 1}
 	for i := 0; i < 100; i++ {
 		got := Sample(rng, cands, 3, w)
 		if len(got) != 1 || got[0].Index != 2 {
@@ -177,7 +179,7 @@ func TestSampleUniformCoverage(t *testing.T) {
 	cands := mkCands(6)
 	seen := map[int]bool{}
 	for i := 0; i < 2000; i++ {
-		for _, c := range Sample(rng, cands, 2, Uniform{}) {
+		for _, c := range Sample(rng, cands, 2, Bias{}) {
 			seen[c.Index] = true
 		}
 	}
@@ -190,7 +192,7 @@ func TestPickOne(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	cands := mkCands(8)
 	cands[3].Info.SameAS = true
-	w := ASBias{Factor: 1000}
+	w := Bias{AS: 1000}
 	hits := 0
 	for i := 0; i < 1000; i++ {
 		c := PickOne(rng, cands, w)
@@ -201,11 +203,11 @@ func TestPickOne(t *testing.T) {
 	if hits < 950 {
 		t.Errorf("heavily weighted candidate hit %d/1000", hits)
 	}
-	if got := PickOne(rng, nil, Uniform{}); got.Index != -1 {
+	if got := PickOne(rng, nil, Bias{}); got.Index != -1 {
 		t.Errorf("empty PickOne = %v, want index -1", got.Index)
 	}
 	// All-zero weights are unselectable.
-	zero := BandwidthBias{Ref: units.Kbps, Alpha: 1}
+	zero := Bias{Ref: units.Kbps, Alpha: 1}
 	if got := PickOne(rng, mkCands(3), zero); got.Index != -1 {
 		t.Errorf("all-zero PickOne = %v, want -1", got.Index)
 	}
@@ -216,7 +218,7 @@ func TestPickOneDistribution(t *testing.T) {
 	cands := mkCands(2)
 	cands[0].Info.EstRate = 3 * units.Mbps
 	cands[1].Info.EstRate = 1 * units.Mbps
-	w := BandwidthBias{Ref: units.Mbps, Alpha: 1}
+	w := Bias{Ref: units.Mbps, Alpha: 1}
 	c0 := 0
 	const n = 20000
 	for i := 0; i < n; i++ {
@@ -236,7 +238,7 @@ func TestWorst(t *testing.T) {
 	cands[1].Info.EstRate = 1 * units.Mbps
 	cands[2].Info.EstRate = 9 * units.Mbps
 	cands[3].Info.EstRate = 1 * units.Mbps
-	w := BandwidthBias{Ref: units.Mbps, Alpha: 1}
+	w := Bias{Ref: units.Mbps, Alpha: 1}
 	got := Worst(cands, w)
 	if got.Index != 1 { // tie between 1 and 3 broken by lower index
 		t.Errorf("Worst = %d, want 1", got.Index)
@@ -255,7 +257,7 @@ func TestSampleDeterminism(t *testing.T) {
 		}
 		var out []int
 		for i := 0; i < 50; i++ {
-			for _, c := range Sample(rng, cands, 3, BandwidthBias{Ref: units.Mbps, Alpha: 1, Floor: units.Kbps}) {
+			for _, c := range Sample(rng, cands, 3, Bias{Ref: units.Mbps, Alpha: 1, Floor: units.Kbps}) {
 				out = append(out, c.Index)
 			}
 		}
@@ -279,7 +281,7 @@ func BenchmarkSample(b *testing.B) {
 		cands[i].Info.EstRate = units.BitRate(i%17) * units.Mbps
 		cands[i].Info.SameAS = i%13 == 0
 	}
-	w := Product{BandwidthBias{Ref: units.Mbps, Alpha: 1, Floor: units.Kbps}, ASBias{Factor: 8}}
+	w := Bias{Ref: units.Mbps, Alpha: 1, Floor: units.Kbps, AS: 8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		Sample(rng, cands, 20, w)
@@ -292,7 +294,7 @@ func BenchmarkPickOne(b *testing.B) {
 	for i := range cands {
 		cands[i].Info.EstRate = units.BitRate(i%11+1) * units.Mbps
 	}
-	w := BandwidthBias{Ref: units.Mbps, Alpha: 1.5, Floor: units.Kbps}
+	w := Bias{Ref: units.Mbps, Alpha: 1.5, Floor: units.Kbps}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		PickOne(rng, cands, w)

@@ -20,10 +20,7 @@ func scorerSlate() []Candidate {
 }
 
 func scorerWeight() Weight {
-	return Product{
-		BandwidthBias{Ref: 384 * units.Kbps, Alpha: 2, Floor: 384 * units.Kbps},
-		ASBias{Factor: 4},
-	}
+	return Bias{Ref: 384 * units.Kbps, Alpha: 2, Floor: 384 * units.Kbps, AS: 4}
 }
 
 // TestScorerMatchesFreeFunctions is the byte-reproducibility contract of

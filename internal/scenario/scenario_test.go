@@ -30,9 +30,9 @@ func testProfile() *overlay.Profile {
 		MaxInflight:       4,
 		RequestTimeout:    4 * time.Second,
 		ChunkStrategy:     policy.DefaultStrategy(),
-		DiscoveryWeight:   policy.Uniform{},
-		RequestWeight:     policy.Uniform{},
-		RetainWeight:      policy.Uniform{},
+		DiscoveryWeight:   policy.Bias{},
+		RequestWeight:     policy.Bias{},
+		RetainWeight:      policy.Bias{},
 	}
 }
 

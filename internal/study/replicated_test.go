@@ -196,7 +196,7 @@ func TestSweepVariantsGroupingAndLabels(t *testing.T) {
 		PeerFactor: 0.01, // floors at 50 peers
 		Variants: []Variant{
 			{}, // stock
-			{Name: "blind", Mutate: func(p *overlay.Profile) { p.DiscoveryWeight = policy.Uniform{} }},
+			{Name: "blind", Mutate: func(p *overlay.Profile) { p.DiscoveryWeight = policy.Bias{} }},
 		},
 	}, 0)
 	if err != nil {

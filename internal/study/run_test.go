@@ -445,7 +445,6 @@ func TestRunCellErrorNamesTheFirstCellOnce(t *testing.T) {
 type panickyWeight struct{}
 
 func (panickyWeight) Weight(policy.Info) float64 { panic("panicky weight") }
-func (panickyWeight) Name() string               { return "panicky" }
 
 // TestRunCellPanicIsACellFailure: a cell that panics (here a Variant.Mutate
 // whose discovery weight panics at the first join) is a failed cell like

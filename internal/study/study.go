@@ -35,6 +35,7 @@ package study
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"time"
 
@@ -250,7 +251,7 @@ func (st *Study) Validate() error {
 	if st.Name == "" {
 		return fmt.Errorf("study: study without a name")
 	}
-	if st.PeerFactor < 0 {
+	if st.PeerFactor < 0 || math.IsNaN(st.PeerFactor) {
 		return fmt.Errorf("study %s: negative peer factor %v", st.Name, st.PeerFactor)
 	}
 	if st.Peers < 0 {
@@ -578,7 +579,7 @@ func (vr Variant) profile(app string) (*overlay.Profile, error) {
 	}
 	return apps.Variant(base, vr.Name, func(p *overlay.Profile) {
 		if vr.Blind {
-			p.DiscoveryWeight = policy.Uniform{}
+			p.DiscoveryWeight = policy.Bias{}
 		}
 		if vr.Mutate != nil {
 			vr.Mutate(p)

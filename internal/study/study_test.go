@@ -2,6 +2,7 @@ package study
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -95,6 +96,7 @@ func TestStudyValidateRejects(t *testing.T) {
 		{"seeds and trials", Study{Name: "s", Seeds: []int64{4}, Trials: 5}, "mutually exclusive"},
 		{"seeds and base seed", Study{Name: "s", Seeds: []int64{4}, BaseSeed: 9}, "mutually exclusive"},
 		{"neg factor", Study{Name: "s", PeerFactor: -1}, "negative peer factor"},
+		{"NaN factor", Study{Name: "s", PeerFactor: math.NaN()}, "peer factor NaN"},
 		{"neg trials", Study{Name: "s", Trials: -2}, "negative trials"},
 		{"bad metric", Study{Name: "s", Metrics: []string{"vibes"}}, "vibes"},
 		{"unrunnable variant", Study{Name: "s", Variants: []Variant{{Name: "lonely", Mutate: func(p *overlay.Profile) {

@@ -20,8 +20,9 @@
 //
 // A run the napawine command can describe in flags belongs on the command
 // line (the README gives the invocations); examples/ keeps only what needs
-// the library: a mutated application profile (custompolicy) and a study
-// observer with pivoted results (strategystudy).
+// the library: an application profile with mutated selection weights, each
+// a Bias (custompolicy), and a study observer with pivoted results
+// (strategystudy).
 //
 // Everything underneath — the discrete-event engine, synthetic AS/country
 // topology, access-link model, the overlay protocol and the analysis
@@ -58,19 +59,12 @@ type (
 	Table = report.Table
 )
 
-// Re-exported peer-selection weights for building custom application
+// Bias is the peer-selection weight for building custom application
 // profiles (the paper's future-work direction: more locality-aware
-// clients).
-type (
-	// Uniform is location- and bandwidth-blind selection.
-	Uniform = policy.Uniform
-	// BandwidthBias prefers measured-fast peers.
-	BandwidthBias = policy.BandwidthBias
-	// RTTBias prefers nearby peers.
-	RTTBias = policy.RTTBias
-	// ProductWeight composes weights multiplicatively.
-	ProductWeight = policy.Product
-)
+// clients): one strength per property — bandwidth, AS, country, subnet and
+// RTT — with a zero strength leaving its factor out, so Bias{} is location-
+// and bandwidth-blind selection.
+type Bias = policy.Bias
 
 // Application names as printed in the paper.
 const (
