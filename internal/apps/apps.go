@@ -74,10 +74,8 @@ func PPLive() *overlay.Profile {
 
 		ScheduleInterval: 500 * time.Millisecond,
 		PullDelay:        6,
-		PullWindow:       10,
 		MaxInflight:      6,
 		BestFill:         3,
-		RequestTimeout:   4 * time.Second,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
 		DiscoveryWeight: policy.Bias{},
@@ -102,10 +100,8 @@ func SopCast() *overlay.Profile {
 
 		ScheduleInterval: 500 * time.Millisecond,
 		PullDelay:        4,
-		PullWindow:       10,
 		MaxInflight:      5,
 		BestFill:         2,
-		RequestTimeout:   4 * time.Second,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
 		DiscoveryWeight: policy.Bias{},
@@ -130,10 +126,8 @@ func TVAnts() *overlay.Profile {
 
 		ScheduleInterval: 500 * time.Millisecond,
 		PullDelay:        4,
-		PullWindow:       10,
 		MaxInflight:      5,
 		BestFill:         2,
-		RequestTimeout:   4 * time.Second,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
 		DiscoveryWeight: policy.Bias{AS: 15},

@@ -45,9 +45,7 @@ type cellState struct {
 
 // CoordinatorConfig parameterizes NewCoordinator.
 type CoordinatorConfig struct {
-	// Study is the grid to distribute. It must be encodable (the codec's
-	// contract): a study carrying a programmatic variant Mutate cannot
-	// travel to workers and is rejected.
+	// Study is the grid to distribute.
 	Study *study.Study
 	// Addr is the listen address (host:port; port 0 picks a free one).
 	Addr string

@@ -679,13 +679,13 @@ func (nd *Node) scheduleTick() {
 		nd.buf.Advance(base)
 	}
 
-	// Playout deadline: PullDelay+PullWindow chunks behind live.
-	deadline := live - chunkstream.ChunkID(p.PullDelay+p.PullWindow)
+	// Playout deadline: PullDelay+pullWindow chunks behind live.
+	deadline := live - chunkstream.ChunkID(p.PullDelay+pullWindow)
 	if deadline > nd.play.Next() {
 		start := nd.onlineAt
 		// Grace: do not charge misses for chunks due before we had a
 		// realistic chance to fetch them (join warm-up).
-		if now.Sub(start) > 2*time.Duration(p.PullDelay+p.PullWindow)*cal.Interval() {
+		if now.Sub(start) > 2*time.Duration(p.PullDelay+pullWindow)*cal.Interval() {
 			nd.play.CatchUp(nd.buf, deadline)
 		} else {
 			for nd.play.Next() < deadline {
@@ -703,7 +703,7 @@ func (nd *Node) scheduleTick() {
 	// each id is looked up again; nothing in the loop touches another
 	// expired id's request.
 	sc := nd.sc
-	sc.expired = nd.inflight.expiredInto(sc.expired, now, p.RequestTimeout)
+	sc.expired = nd.inflight.expiredInto(sc.expired, now, requestTimeout)
 	cong := nd.net.congestionOn()
 	for _, id := range sc.expired {
 		at := nd.inflight.find(id)
@@ -721,7 +721,7 @@ func (nd *Node) scheduleTick() {
 				c := &(*nd.cong)[i]
 				c.lossEWMA = c.lossEWMA*lossEWMARetain + (1 - lossEWMARetain)
 				shift := min(pr.failures()-1, 4)
-				c.backoffUntil = now.Add(p.RequestTimeout << shift)
+				c.backoffUntil = now.Add(requestTimeout << shift)
 				sc.ledger.BackoffsTotal++
 			}
 			nd.rescore(pr)
@@ -749,7 +749,7 @@ func (nd *Node) scheduleTick() {
 	// source becomes the only provider. The ordering itself is the
 	// profile's ChunkStrategy (urgent-random by default); the scheduler
 	// only assembles the candidate window.
-	lo := live - chunkstream.ChunkID(p.PullDelay+p.PullWindow)
+	lo := live - chunkstream.ChunkID(p.PullDelay+pullWindow)
 	hi := live - chunkstream.ChunkID(p.PullDelay)
 	if lo < nd.play.Next() {
 		lo = nd.play.Next()
@@ -793,13 +793,13 @@ func (nd *Node) scheduleTick() {
 	// BestFill the full window is shopped.
 	shopHi := hi
 	if p.BestFill > 0 {
-		shopHi = lo + chunkstream.ChunkID(2*p.PullWindow/3)
+		shopHi = lo + chunkstream.ChunkID(2*pullWindow/3)
 		if shopHi > hi {
 			shopHi = hi
 		}
 	}
 	needHolders := p.ChunkStrategy.NeedHolders()
-	urgentEdge := lo + chunkstream.ChunkID(p.PullWindow/3)
+	urgentEdge := lo + chunkstream.ChunkID(pullWindow/3)
 	refs := sc.refs[:0]
 	for id := lo; id <= shopHi; id++ {
 		if nd.buf.Has(id) {

@@ -55,9 +55,7 @@ type Profile struct {
 	// Pull scheduling.
 	ScheduleInterval time.Duration // chunk scheduler tick
 	PullDelay        int           // chunks behind the live edge before pulling
-	PullWindow       int           // width of the pull range, in chunks
 	MaxInflight      int           // outstanding chunk requests
-	RequestTimeout   time.Duration
 	// BestFill is the greedy component of the scheduler: up to this many
 	// chunks per tick are pulled directly from the highest-RequestWeight
 	// partner that advertises them, before the strategy-ordered pass shops
@@ -78,9 +76,8 @@ type Profile struct {
 	RetainWeight    policy.Weight // valuing partners at churn time
 }
 
-// Validate reports why a profile cannot run, nil when it can. A study calls
-// it on every profile it resolves, so a bad profile fails before any world
-// is built.
+// Validate reports why a profile cannot run, nil when it can, so a caller
+// that edits a profile can check it before any world is built.
 func (p *Profile) Validate() error {
 	switch {
 	case p.Name == "":
@@ -89,15 +86,23 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("overlay: %s: bad partner bounds %d/%d", p.Name, p.PartnerTarget, p.MaxPartners)
 	case p.ContactInterval <= 0 || p.SignalingInterval <= 0 || p.ScheduleInterval <= 0:
 		return fmt.Errorf("overlay: %s: non-positive intervals", p.Name)
-	case p.PullDelay < 1 || p.PullWindow < 1 || p.MaxInflight < 1:
+	case p.PullDelay < 1 || p.MaxInflight < 1:
 		return fmt.Errorf("overlay: %s: bad pull shape", p.Name)
-	case p.RequestTimeout <= 0 || p.DropInterval <= 0:
+	case p.DropInterval <= 0:
 		return fmt.Errorf("overlay: %s: bad timers", p.Name)
 	case p.DiscoveryWeight == nil || p.RequestWeight == nil || p.RetainWeight == nil:
 		return fmt.Errorf("overlay: %s: nil policy", p.Name)
 	}
 	return nil
 }
+
+// Every profile pulls over the same window and gives up on a request after
+// the same wait; the three clients differ in how far behind live they pull
+// (PullDelay), not in these.
+const (
+	pullWindow     = 10              // width of the pull range, in chunks
+	requestTimeout = 4 * time.Second // an unanswered chunk request expires
+)
 
 // validate asserts Validate where a profile is used: a profile that cannot
 // run this late is a programming error in experiment setup.

@@ -31,9 +31,7 @@ func testProfile() *Profile {
 		KeepaliveFanout:   1,
 		ScheduleInterval:  500 * time.Millisecond,
 		PullDelay:         4,
-		PullWindow:        6,
 		MaxInflight:       4,
-		RequestTimeout:    4 * time.Second,
 		ChunkStrategy:     policy.DefaultStrategy(),
 		DiscoveryWeight:   policy.Bias{},
 		RequestWeight:     policy.Bias{Ref: 384 * units.Kbps, Alpha: 2, Floor: 768 * units.Kbps},
@@ -360,7 +358,7 @@ func TestProfileValidation(t *testing.T) {
 		func(p *Profile) { p.MaxPartners = p.PartnerTarget - 1 },
 		func(p *Profile) { p.ContactInterval = 0 },
 		func(p *Profile) { p.PullDelay = 0 },
-		func(p *Profile) { p.RequestTimeout = 0 },
+		func(p *Profile) { p.DropInterval = 0 },
 		func(p *Profile) { p.DiscoveryWeight = nil },
 	}
 	if err := testProfile().Validate(); err != nil {

@@ -26,9 +26,7 @@ func testProfile() *overlay.Profile {
 		KeepaliveFanout:   1,
 		ScheduleInterval:  500 * time.Millisecond,
 		PullDelay:         4,
-		PullWindow:        6,
 		MaxInflight:       4,
-		RequestTimeout:    4 * time.Second,
 		ChunkStrategy:     policy.DefaultStrategy(),
 		DiscoveryWeight:   policy.Bias{},
 		RequestWeight:     policy.Bias{},

@@ -34,9 +34,7 @@ func (st *Study) Canonical() (encoding []byte, digest string, err error) {
 // Digest returns the study's canonical content address: the SHA-256 of its
 // canonical JSON encoding, in hex. Two Study values digest equal exactly
 // when they encode equal, so a spool keyed by it can never resume one study
-// with another's cells. A study that cannot be encoded (a programmatic
-// variant Mutate) has no digest; distributing it is rejected loudly for the
-// same reason the codec rejects it.
+// with another's cells.
 func (st *Study) Digest() (string, error) {
 	_, digest, err := st.Canonical()
 	return digest, err
@@ -112,8 +110,8 @@ func (g *Grid) CellDigests(studyDigest string) []string {
 // same cell computed by Run (the fleet parity tests pin this). onSample
 // receives the cell's time-series buckets; only scenario cells sample any.
 // The error is the cell's own, without its label, and a panic inside the
-// cell (a Variant.Mutate that breaks a profile, say) comes back as that
-// error, so every executor fails a cell the same way.
+// cell (in onSample, say) comes back as that error, so every executor fails
+// a cell the same way.
 func (c cell) run(ctx context.Context, st *Study, onSample func(experiment.SeriesSample)) (r *experiment.Result, err error) {
 	defer func() {
 		if p := recover(); p != nil {

@@ -76,19 +76,10 @@ func (s *Scenario) UnmarshalJSON(b []byte) error {
 	return nil
 }
 
-// Encode writes the study as indented JSON. A study carrying a programmatic
-// variant mutation cannot be represented in a file and is rejected loudly —
-// silently dropping the mutation would encode a different study than the
-// one being run.
+// Encode writes the study as indented JSON.
 func Encode(w io.Writer, st *Study) error {
 	if st == nil {
 		return fmt.Errorf("study: encode nil study")
-	}
-	for _, v := range st.Variants {
-		if v.Mutate != nil {
-			return fmt.Errorf("study: encode %s: variant %q carries a programmatic Mutate and cannot be written to a file",
-				st.Name, v.Name)
-		}
 	}
 	if err := strictjson.Write(w, st); err != nil {
 		return fmt.Errorf("study: encode %s: %w", st.Name, err)

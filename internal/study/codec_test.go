@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"napawine/internal/overlay"
 	"napawine/internal/scenario"
 )
 
@@ -129,16 +128,9 @@ func TestScenarioAxisForms(t *testing.T) {
 	}
 }
 
-// TestEncodeRejectsProgrammaticVariant: silently dropping a Mutate would
-// write a different study than the one being run.
-func TestEncodeRejectsProgrammaticVariant(t *testing.T) {
-	st := &Study{Name: "x", Variants: []Variant{
-		{Name: "custom", Mutate: func(p *overlay.Profile) {}},
-	}}
+// TestEncodeRejectsNilStudy: there is no file form of no study.
+func TestEncodeRejectsNilStudy(t *testing.T) {
 	var b strings.Builder
-	if err := Encode(&b, st); err == nil || !strings.Contains(err.Error(), "custom") {
-		t.Errorf("programmatic variant encoded: %v", err)
-	}
 	if err := Encode(&b, nil); err == nil {
 		t.Error("nil study encoded")
 	}

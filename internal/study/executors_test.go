@@ -2,13 +2,11 @@ package study_test
 
 import (
 	"context"
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"napawine/internal/fleet"
-	"napawine/internal/overlay"
 	"napawine/internal/study"
 )
 
@@ -64,32 +62,5 @@ func TestGridResolvedOncePerExecutor(t *testing.T) {
 			t.Errorf("fleet cell %d is %+v (done %v), the local run's is %+v",
 				i, res.Cells[i].Point, res.Cells[i].Done, local.Cells[i].Point)
 		}
-	}
-}
-
-// TestProgrammaticVariantRunsLocallyOnly: a study carrying a Variant.Mutate
-// has no encoding. Run executes it all the same; a coordinator, which would
-// have to ship it to workers, refuses it by name.
-func TestProgrammaticVariantRunsLocallyOnly(t *testing.T) {
-	mutated := 0
-	st := tinyGrid("mutated")
-	st.Seeds = []int64{1}
-	st.Variants = []study.Variant{{Name: "m", Mutate: func(*overlay.Profile) { mutated++ }}}
-
-	res, err := study.Run(context.Background(), st)
-	if err != nil {
-		t.Fatalf("local Run of an unencodable study: %v", err)
-	}
-	if mutated == 0 || !res.Cells[0].Done || res.Cells[0].Variant != "m" {
-		t.Errorf("Mutate ran %d times; cell %+v done %v", mutated, res.Cells[0].Point, res.Cells[0].Done)
-	}
-
-	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{Study: st, Addr: "127.0.0.1:0"})
-	if err == nil {
-		coord.Close()
-		t.Fatal("NewCoordinator accepted a study it cannot ship")
-	}
-	if !strings.Contains(err.Error(), `variant "m"`) {
-		t.Errorf("rejection does not name the variant: %v", err)
 	}
 }

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
-	"napawine/internal/overlay"
-	"napawine/internal/policy"
 	"napawine/internal/report"
 	"napawine/internal/scenario"
 )
@@ -196,7 +194,7 @@ func TestSweepVariantsGroupingAndLabels(t *testing.T) {
 		PeerFactor: 0.01, // floors at 50 peers
 		Variants: []Variant{
 			{}, // stock
-			{Name: "blind", Mutate: func(p *overlay.Profile) { p.DiscoveryWeight = policy.Bias{} }},
+			{Name: "blind", Blind: true},
 		},
 	}, 0)
 	if err != nil {

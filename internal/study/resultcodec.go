@@ -56,10 +56,9 @@ type resultJSON struct {
 }
 
 // EncodeResult writes a study result as indented JSON: the study plus one
-// record per grid cell. The study part inherits the study codec's
-// restrictions (a programmatic variant Mutate cannot be encoded), and a
-// Result retaining full experiment results (WithFullResults) is rejected —
-// both would otherwise write a file that holds less than the Result.
+// record per grid cell. A Result retaining full experiment results
+// (WithFullResults) is rejected — it would otherwise write a file that
+// holds less than the Result.
 func EncodeResult(w io.Writer, r *Result) error {
 	if r == nil {
 		return fmt.Errorf("study: encode nil result")
@@ -72,11 +71,6 @@ func EncodeResult(w io.Writer, r *Result) error {
 			return fmt.Errorf("study: encode %s result: full experiment results have no file form (drop WithFullResults)",
 				r.Study.Name)
 		}
-	}
-	// Reuse the study codec's Mutate rejection (and any future rule) rather
-	// than duplicating it here.
-	if err := Encode(io.Discard, r.Study); err != nil {
-		return err
 	}
 	if err := strictjson.Write(w, resultJSON{Study: r.Study, Seeds: r.Seeds, Cells: r.Cells}); err != nil {
 		return fmt.Errorf("study: encode %s result: %w", r.Study.Name, err)

@@ -10,8 +10,6 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
-	"napawine/internal/overlay"
-	"napawine/internal/policy"
 	"napawine/internal/scenario"
 )
 
@@ -440,47 +438,22 @@ func TestRunCellErrorNamesTheFirstCellOnce(t *testing.T) {
 	}
 }
 
-// panickyWeight panics when it weighs a candidate: a profile fault that no
-// validation can see, found only once a cell runs.
-type panickyWeight struct{}
-
-func (panickyWeight) Weight(policy.Info) float64 { panic("panicky weight") }
-
-// TestRunCellPanicIsACellFailure: a cell that panics (here a Variant.Mutate
-// whose discovery weight panics at the first join) is a failed cell like
-// any other: OnRunDone fires with the panic as its error, no further cell
-// starts, the study error names the cell, and Grid.RunCell — the fleet
-// worker's entry — returns the same error instead of panicking.
+// TestRunCellPanicIsACellFailure: a cell that panics (here its sample
+// callback, at a flashcrowd cell's first time-series bucket) fails like any
+// other cell: Grid.RunCell — the fleet worker's entry — returns the panic as
+// the cell's error instead of panicking. Run labels and dispatches such an
+// error as it does every cell error (TestRunCellErrorStopsDispatch,
+// TestRunCellErrorNamesTheFirstCellOnce).
 func TestRunCellPanicIsACellFailure(t *testing.T) {
 	st := miniStudy()
-	st.Strategies = []string{""}
-	st.Seeds = []int64{3, 4, 5, 6}
-	st.Variants = []Variant{{Name: "broken", Mutate: func(p *overlay.Profile) { p.DiscoveryWeight = panickyWeight{} }}}
+	st.Scenarios = []Scenario{{Name: "flashcrowd"}}
 	g, err := st.Resolve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	label := g.Infos()[0].Label()
-	obs := &countingObserver{}
-	_, err = Run(context.Background(), st, WithWorkers(1), WithObserver(obs))
-	if err == nil {
-		t.Fatal("panicking study reported success")
-	}
-	if !strings.HasPrefix(err.Error(), "study mini: "+label+": panic: ") {
-		t.Errorf("study error does not name the panicking cell %s: %v", label, err)
-	}
-	obs.mu.Lock()
-	if obs.starts != 1 || obs.dones != 1 || obs.errs != 1 {
-		t.Errorf("observer saw %d starts, %d dones, %d errors; want 1, 1, 1", obs.starts, obs.dones, obs.errs)
-	}
-	obs.mu.Unlock()
-
-	_, cellErr := g.RunCell(context.Background(), 0, nil)
-	if cellErr == nil || !strings.Contains(cellErr.Error(), "panicky weight") {
-		t.Fatalf("RunCell on a panicking cell returned %v, want the panic as an error", cellErr)
-	}
-	if want := "study mini: " + label + ": " + cellErr.Error(); err.Error() != want {
-		t.Errorf("study error = %q\nwant        %q", err, want)
+	_, err = g.RunCell(context.Background(), 0, func(experiment.SeriesSample) { panic("panicky sampler") })
+	if err == nil || err.Error() != "panic: panicky sampler" {
+		t.Fatalf("RunCell on a panicking cell returned %v, want the panic as an error", err)
 	}
 }
 

@@ -111,19 +111,15 @@ type Variant struct {
 	Name string `json:"name,omitempty"`
 	// Blind replaces the profile's discovery weight with the uniform
 	// (location- and bandwidth-blind) weight — the paper's classic
-	// ablation, and the one knob a file-authored study can turn.
+	// ablation, and the variant axis's one knob.
 	Blind bool `json:"blind,omitempty"`
-	// Mutate applies arbitrary profile changes (programmatic studies
-	// only). A study carrying a Mutate cannot be encoded to JSON: the
-	// codec rejects it rather than silently dropping the mutation.
-	Mutate func(*overlay.Profile) `json:"-"`
 }
 
 // Study is a declarative experiment grid. Empty axes select defaults: the
 // paper's three applications, the profile's own strategy, the stationary
-// condition, the stock profile, one seed. Every listed axis value, every
-// profile a variant builds and each app's population are validated up
-// front — a typo'd strategy fails before any CPU burns.
+// condition, the stock profile, one seed. Every listed axis value and each
+// app's population are validated up front — a typo'd strategy fails before
+// any CPU burns.
 type Study struct {
 	Name        string `json:"name"`
 	Description string `json:"description,omitempty"`
@@ -338,24 +334,24 @@ func (st *Study) Validate() error {
 			}
 		}
 	}
+	// A variant's profile depends on Blind alone, so variants also
+	// deduplicate on it: two that build one profile would run the same
+	// cells twice under two labels. A blind variant names the profile it
+	// builds, so it needs a name.
 	seenVar := map[string]bool{}
+	seenBlind := map[bool]string{}
 	for _, vr := range st.VariantList() {
 		label := variantLabel(vr.Name)
 		if seenVar[label] {
 			return fmt.Errorf("study %s: duplicate variant %q", st.Name, label)
 		}
 		seenVar[label] = true
-		// Each app's profile under the variant, built as its cells will
-		// build it, so a profile that cannot run fails here rather than
-		// inside a cell's world.
-		for _, app := range st.AppList() {
-			prof, err := vr.profile(app)
-			if err != nil {
-				return fmt.Errorf("study %s: %w", st.Name, err)
-			}
-			if err := prof.Validate(); err != nil {
-				return fmt.Errorf("study %s: variant %s: %w", st.Name, label, err)
-			}
+		if prev, ok := seenBlind[vr.Blind]; ok {
+			return fmt.Errorf("study %s: duplicate variant %q (the same profile as %q)", st.Name, label, prev)
+		}
+		seenBlind[vr.Blind] = label
+		if vr.Blind && vr.Name == "" {
+			return fmt.Errorf("study %s: blind variant without a name", st.Name)
 		}
 	}
 	// An explicit seed list and a generated one (Trials/BaseSeed) are two
@@ -555,9 +551,8 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 	if c.QueueDepth > 0 {
 		cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth}
 	}
-	if c.Strategy != "" || c.variant.Blind || c.variant.Mutate != nil {
-		// The profile is the cell's own, fresh; the strategy goes on after
-		// the variant's Mutate, so the strategy axis wins.
+	if c.Strategy != "" || c.variant.Blind {
+		// The profile is the cell's own, fresh.
 		prof, err := c.variant.profile(c.App)
 		if err == nil && c.Strategy != "" {
 			prof.ChunkStrategy, err = policy.StrategyByName(c.Strategy)
@@ -571,20 +566,13 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 }
 
 // profile builds the variant's profile for app: the application's own
-// profile with the variant applied.
+// profile, with uniform discovery when the variant is blind.
 func (vr Variant) profile(app string) (*overlay.Profile, error) {
 	base, err := apps.ByName(app)
-	if err != nil || !vr.Blind && vr.Mutate == nil {
+	if err != nil || !vr.Blind {
 		return base, err
 	}
-	return apps.Variant(base, vr.Name, func(p *overlay.Profile) {
-		if vr.Blind {
-			p.DiscoveryWeight = policy.Bias{}
-		}
-		if vr.Mutate != nil {
-			vr.Mutate(p)
-		}
-	}), nil
+	return apps.Variant(base, vr.Name, func(p *overlay.Profile) { p.DiscoveryWeight = policy.Bias{} }), nil
 }
 
 // congestionLabel renders the congestion coordinate; depth 0 is the

@@ -3,14 +3,51 @@ package study
 import (
 	"context"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
-	"napawine/internal/overlay"
 	"napawine/internal/policy"
 	"napawine/internal/scenario"
 )
+
+// TestStudyIsData: a Study value is what its file says. No field anywhere in
+// its type tree is code (a func or chan) or left out of the codec (json:"-"),
+// so every study encodes, digests and distributes.
+func TestStudyIsData(t *testing.T) {
+	seen := map[reflect.Type]bool{}
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Func, reflect.Chan:
+			t.Errorf("%s is a %s", path, ty.Kind())
+		case reflect.Pointer, reflect.Slice, reflect.Array:
+			walk(ty.Elem(), path)
+		case reflect.Map:
+			walk(ty.Key(), path)
+			walk(ty.Elem(), path)
+		case reflect.Struct:
+			for i := range ty.NumField() {
+				f := ty.Field(i)
+				if f.Tag.Get("json") == "-" {
+					t.Errorf("%s.%s is left out of the codec", path, f.Name)
+				}
+				walk(f.Type, path+"."+f.Name)
+			}
+		}
+	}
+	walk(reflect.TypeFor[Study](), "Study")
+	for _, ty := range []reflect.Type{reflect.TypeFor[Variant](), reflect.TypeFor[Scenario](), reflect.TypeFor[scenario.Spec]()} {
+		if !seen[ty] {
+			t.Errorf("the walk never reached %v", ty)
+		}
+	}
+}
 
 func TestStudyDefaults(t *testing.T) {
 	st := &Study{Name: "d"}
@@ -99,9 +136,14 @@ func TestStudyValidateRejects(t *testing.T) {
 		{"NaN factor", Study{Name: "s", PeerFactor: math.NaN()}, "peer factor NaN"},
 		{"neg trials", Study{Name: "s", Trials: -2}, "negative trials"},
 		{"bad metric", Study{Name: "s", Metrics: []string{"vibes"}}, "vibes"},
-		{"unrunnable variant", Study{Name: "s", Variants: []Variant{{Name: "lonely", Mutate: func(p *overlay.Profile) {
-			p.PartnerTarget = 0
-		}}}}, "variant lonely: overlay: lonely: bad partner bounds 0/"},
+		// A blind variant names the profile it builds.
+		{"nameless blind variant", Study{Name: "s", Variants: []Variant{{Blind: true}}}, "study s: blind variant without a name"},
+		// A variant's profile depends on Blind alone: two variants that
+		// build one profile would run the same cells twice.
+		{"stock under two names", Study{Name: "s", Variants: []Variant{{}, {Name: "x"}}},
+			`duplicate variant "x" (the same profile as "stock")`},
+		{"blind under two names", Study{Name: "s", Variants: []Variant{{Name: "a", Blind: true}, {Name: "b", Blind: true}}},
+			`duplicate variant "b" (the same profile as "a")`},
 		{"peers past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 1 << 24},
 			"TVAnts: 16777216 peers, past the limit of 16777215 peer ids"},
 		// 1 400 PPLive peers × 12 000 is past the limit; 240 TVAnts peers
@@ -140,16 +182,16 @@ func TestValidateSizesPerApp(t *testing.T) {
 	}
 }
 
-// TestRunRejectsAnUnrunnableProfileBeforeAnyCell: a variant whose profile
-// cannot run fails the study before any cell starts, where it used to panic
-// inside the first cell's world.
+// TestRunRejectsAnUnrunnableProfileBeforeAnyCell: a nameless blind variant,
+// whose profile cannot run, fails the study before any cell starts rather
+// than panicking inside the first cell's world.
 func TestRunRejectsAnUnrunnableProfileBeforeAnyCell(t *testing.T) {
 	st := miniStudy()
-	st.Variants = []Variant{{Name: "lonely", Mutate: func(p *overlay.Profile) { p.PartnerTarget = 0 }}}
+	st.Variants = []Variant{{Blind: true}}
 	obs := &countingObserver{}
 	_, err := Run(context.Background(), st, WithWorkers(1), WithObserver(obs))
-	if err == nil || !strings.Contains(err.Error(), "bad partner bounds") {
-		t.Fatalf("Run = %v, want the profile's error", err)
+	if err == nil || !strings.Contains(err.Error(), "blind variant without a name") {
+		t.Fatalf("Run = %v, want the nameless-blind error", err)
 	}
 	if obs.starts != 0 {
 		t.Errorf("%d cells started", obs.starts)
@@ -194,13 +236,12 @@ func TestGridOrder(t *testing.T) {
 
 // TestCellConfig pins the per-cell experiment configuration to the battery
 // conventions: seed 0 keeps the calibrated default, durations and scale
-// apply, variants derive profiles, and the strategy axis sets the profile's
-// chunk strategy over whatever a variant's Mutate chose.
+// apply, a blind variant derives a profile with uniform discovery, and the
+// strategy axis sets the profile's chunk strategy.
 func TestCellConfig(t *testing.T) {
 	st := &Study{Name: "cfg", Duration: Duration(42 * time.Second), PeerFactor: 0.5}
-	blind := false
 	c := cell{Point: Point{App: "TVAnts", Strategy: "rarest", Seed: 9},
-		variant: Variant{Name: "v", Mutate: func(p *overlay.Profile) { blind = true }}}
+		variant: Variant{Name: "v", Blind: true}}
 	cfg, err := c.config(st)
 	if err != nil {
 		t.Fatal(err)
@@ -221,18 +262,8 @@ func TestCellConfig(t *testing.T) {
 	if cfg.Profile == nil || cfg.Profile.Name != "v" {
 		t.Errorf("variant profile not derived: %+v", cfg.Profile)
 	}
-	if !blind {
-		t.Error("variant Mutate not applied")
-	}
-
-	// A variant that picks its own strategy still runs the cell's.
-	deadline := cell{Point: Point{App: "TVAnts", Strategy: "rarest"},
-		variant: Variant{Name: "d", Mutate: func(p *overlay.Profile) { p.ChunkStrategy = policy.Hybrid{DeadlineBias: 1} }}}
-	if cfg, err = deadline.config(st); err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.Profile.ChunkStrategy; got != rarest || cfg.Profile.Name != "d" {
-		t.Errorf("variant %s with strategy %+v, want d with rarest", cfg.Profile.Name, got)
+	if cfg.Profile != nil && cfg.Profile.DiscoveryWeight != (policy.Bias{}) {
+		t.Errorf("blind variant discovers with %+v, want uniform", cfg.Profile.DiscoveryWeight)
 	}
 	// With no variant, the strategy lands on a fresh stock profile.
 	if cfg, err = (cell{Point: Point{App: "TVAnts", Strategy: "rarest"}}).config(st); err != nil {
