@@ -44,6 +44,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	if *top < 1 {
+		fmt.Fprintf(stderr, "traceinspect: -top must be at least 1, got %d\n", *top)
+		fs.Usage()
+		return 2
+	}
 	if err := inspect(stdout, *tracePath, *csvPath, *top); err != nil {
 		fmt.Fprintln(stderr, "traceinspect:", err)
 		return 1

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"os"
 	"path/filepath"
@@ -92,9 +93,32 @@ func TestStoredTraceRoundTripsToCSV(t *testing.T) {
 	}
 }
 
-// TestMalformedTraceExitsOne: a truncated record, a truncated header and a
-// missing file are reported as errors with exit status 1, never a panic;
-// a missing -trace is a usage error.
+// handRecord is one record of a hand-built trace: its time in nanoseconds
+// and its IPv4 endpoints as four raw bytes each.
+type handRecord struct {
+	ns       uint64
+	src, dst string
+}
+
+// handTrace encodes a trace at probe 10.0.0.1 byte by byte, as the format
+// lays it out, so it can hold records no capture produces; every record is
+// 1250 bytes of video at TTL 110.
+func handTrace(recs ...handRecord) []byte {
+	out := []byte("NWT1\x0a\x00\x00\x01\x00") // magic, probe, empty label
+	for _, r := range recs {
+		out = binary.LittleEndian.AppendUint64(out, r.ns)
+		out = append(out, r.src...)
+		out = append(out, r.dst...)
+		out = binary.LittleEndian.AppendUint32(out, 1250)
+		out = append(out, 110, byte(packet.Video))
+	}
+	return out
+}
+
+// TestMalformedTraceExitsOne: a truncated record, a truncated header, a
+// record not involving the probe, a timestamp running backwards and a
+// missing file are reported as errors with exit status 1, never a panic or
+// a summary; a missing -trace and a -top below 1 are usage errors.
 func TestMalformedTraceExitsOne(t *testing.T) {
 	whole, err := os.ReadFile(storedTrace(t))
 	if err != nil {
@@ -108,6 +132,7 @@ func TestMalformedTraceExitsOne(t *testing.T) {
 		}
 		return path
 	}
+	const probe, peer = "\x0a\x00\x00\x01", "\x0a\x00\x00\x02"
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -117,11 +142,20 @@ func TestMalformedTraceExitsOne(t *testing.T) {
 		{"truncated header", []string{"-trace", write("head.nwt", whole[:6])}, 1},
 		{"not a trace", []string{"-trace", write("text.nwt", []byte("hello, world\n"))}, 1},
 		{"missing file", []string{"-trace", filepath.Join(dir, "absent.nwt")}, 1},
+		{"foreign record", []string{"-trace", write("foreign.nwt", handTrace(
+			handRecord{5000, peer, probe}, handRecord{6000, "\x0a\x09\x09\x09", peer}))}, 1},
+		{"backwards timestamp", []string{"-trace", write("back.nwt", handTrace(
+			handRecord{5000, peer, probe}, handRecord{1000, peer, probe}))}, 1},
 		{"no -trace", nil, 2},
+		{"-top 0", []string{"-trace", write("good.nwt", whole), "-top", "0"}, 2},
+		{"-top -3", []string{"-trace", write("good.nwt", whole), "-top", "-3"}, 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), "traceinspect:") {
 			t.Errorf("%s: exit %d, stderr %q; want exit %d with a message", tc.name, code, stderr.String(), tc.code)
+		}
+		if strings.Contains(stdout.String(), "peers by video bytes") {
+			t.Errorf("%s: printed a summary:\n%s", tc.name, stdout.String())
 		}
 	}
 }

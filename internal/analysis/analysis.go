@@ -222,19 +222,21 @@ type Locator interface {
 	Locate(netip.Addr) (topology.Host, bool)
 }
 
-// Observations converts the aggregates into framework observations,
-// resolving locality against loc and marking probe-set membership from
-// probeSet. Peers the locator cannot place are skipped and counted in the
-// second return value (real traces always contain a few unmappable
-// addresses; silently mixing them into a partition would bias it).
-// Observations come in the order the remotes were first seen.
-func (a *Aggregator) Observations(loc Locator, probeSet map[netip.Addr]bool) ([]core.Observation, int) {
+// AppendObservations appends the aggregates to dst as framework
+// observations, resolving locality against loc and marking probe-set
+// membership from probeSet, and returns the extended slice. Peers the
+// locator cannot place are skipped and counted in the second return value
+// (real traces always contain a few unmappable addresses; silently mixing
+// them into a partition would bias it). Observations come in the order the
+// remotes were first seen; appending into a slice with room for them
+// allocates nothing.
+func (a *Aggregator) AppendObservations(dst []core.Observation, loc Locator, probeSet map[netip.Addr]bool) ([]core.Observation, int) {
 	probeHost, ok := loc.Locate(a.probe)
 	if !ok {
 		// A probe outside the registry is a setup bug, not data noise.
 		panic(fmt.Sprintf("analysis: probe %v not in registry", a.probe))
 	}
-	obs := make([]core.Observation, 0, len(a.peers))
+	probe := a.probe.As4()
 	unlocated := 0
 	for i := range a.peers {
 		agg, remote := &a.peers[i], addrOf(a.remotes[i])
@@ -243,22 +245,22 @@ func (a *Aggregator) Observations(loc Locator, probeSet map[netip.Addr]bool) ([]
 			unlocated++
 			continue
 		}
-		obs = append(obs, core.Observation{
-			Probe:       a.probe,
-			Peer:        remote,
+		dst = append(dst, core.Observation{
+			Probe:       probe,
+			Peer:        remote.As4(),
 			VideoUp:     agg.VideoUp,
 			VideoDown:   agg.VideoDown,
 			TotalUp:     agg.TotalUp,
 			TotalDown:   agg.TotalDown,
 			MinIPG:      agg.MinIPG,
-			Hops:        agg.Hops(),
+			Hops:        int32(agg.Hops()),
 			SameAS:      h.AS == probeHost.AS,
 			SameCC:      h.Country == probeHost.Country,
 			SameSubnet:  h.Subnet == probeHost.Subnet,
 			PeerIsProbe: probeSet[remote],
 		})
 	}
-	return obs, unlocated
+	return dst, unlocated
 }
 
 // FromTrace replays a stored binary trace through a fresh aggregator —

@@ -2,8 +2,11 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"math/rand"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 
@@ -193,7 +196,7 @@ func TestObservations(t *testing.T) {
 	a.Consume(vid(2000, remote.Addr, probe.Addr, 1250, ttlRemote))
 
 	probeSet := map[netip.Addr]bool{probe.Addr: true, sameAS.Addr: true}
-	obs, unlocated := a.Observations(topo, probeSet)
+	obs, unlocated := a.AppendObservations(nil, topo, probeSet)
 	if unlocated != 0 {
 		t.Fatalf("unlocated = %d", unlocated)
 	}
@@ -202,7 +205,7 @@ func TestObservations(t *testing.T) {
 	}
 	byPeer := map[netip.Addr]core.Observation{}
 	for _, o := range obs {
-		byPeer[o.Peer] = o
+		byPeer[netip.AddrFrom4(o.Peer)] = o
 	}
 	so := byPeer[sameAS.Addr]
 	if !so.SameAS || !so.SameCC || so.SameSubnet {
@@ -211,7 +214,7 @@ func TestObservations(t *testing.T) {
 	if !so.PeerIsProbe {
 		t.Error("probe-set membership lost")
 	}
-	if so.Hops != topo.HopCount(probe, sameAS) {
+	if int(so.Hops) != topo.HopCount(probe, sameAS) {
 		t.Errorf("hops = %d, want %d", so.Hops, topo.HopCount(probe, sameAS))
 	}
 	ro := byPeer[remote.Addr]
@@ -225,7 +228,7 @@ func TestObservationsSkipsUnlocatable(t *testing.T) {
 	a := New(probe.Addr, DefaultConfig())
 	alien := netip.AddrFrom4([4]byte{192, 0, 2, 9})
 	a.Consume(sig(1000, alien, probe.Addr, 80, 100))
-	obs, unlocated := a.Observations(topo, nil)
+	obs, unlocated := a.AppendObservations(nil, topo, nil)
 	if len(obs) != 0 || unlocated != 1 {
 		t.Errorf("obs=%d unlocated=%d, want 0/1", len(obs), unlocated)
 	}
@@ -239,7 +242,40 @@ func TestObservationsUnknownProbePanics(t *testing.T) {
 			t.Error("unknown probe should panic")
 		}
 	}()
-	a.Observations(topo, nil)
+	a.AppendObservations(nil, topo, nil)
+}
+
+// TestAppendObservationsInPlace: appending a probe's rows into a slice with
+// room for them allocates nothing and leaves the rows already there as they
+// were.
+func TestAppendObservationsInPlace(t *testing.T) {
+	topo, probe, sameAS, remote := buildTinyTopo(t)
+	a := New(probe.Addr, DefaultConfig())
+	a.Consume(vid(1000, sameAS.Addr, probe.Addr, 1250, 110))
+	a.Consume(vid(2000, probe.Addr, remote.Addr, 1250, 128))
+	prefix := []core.Observation{
+		{Probe: [4]byte{192, 0, 2, 1}, Peer: [4]byte{192, 0, 2, 2}, VideoUp: 7, Hops: 3, SameCC: true},
+		{Probe: [4]byte{192, 0, 2, 3}, Peer: [4]byte{192, 0, 2, 4}, TotalDown: 9, Hops: -1, PeerIsProbe: true},
+	}
+	dst := make([]core.Observation, len(prefix), len(prefix)+a.PeerCount())
+	copy(dst, prefix)
+	probeSet := map[netip.Addr]bool{probe.Addr: true}
+	var out []core.Observation
+	allocs := testing.AllocsPerRun(10, func() {
+		out, _ = a.AppendObservations(dst, topo, probeSet)
+	})
+	if allocs != 0 {
+		t.Errorf("AppendObservations into a slice with room allocates %v times, want 0", allocs)
+	}
+	if len(out) != len(prefix)+2 || &out[0] != &dst[0] {
+		t.Fatalf("appended %d rows (same array %v), want 2 in place", len(out)-len(prefix), &out[0] == &dst[0])
+	}
+	if !slices.Equal(out[:len(prefix)], prefix) {
+		t.Errorf("prefix changed: %+v, want %+v", out[:len(prefix)], prefix)
+	}
+	if out[2].Peer != sameAS.Addr.As4() || out[3].Peer != remote.Addr.As4() || out[2].Probe != probe.Addr.As4() {
+		t.Errorf("appended rows %+v, want %v then %v from probe %v", out[2:], sameAS.Addr, remote.Addr, probe.Addr)
+	}
 }
 
 func TestFromTraceMatchesLiveAggregation(t *testing.T) {
@@ -285,6 +321,42 @@ func TestFromTraceMatchesLiveAggregation(t *testing.T) {
 		if a.VideoDown != b.VideoDown || a.MinIPG != b.MinIPG || a.MaxTTL != b.MaxTTL ||
 			a.TotalUp != b.TotalUp {
 			t.Errorf("peer %v aggregates diverge: %+v vs %+v", addr, a, b)
+		}
+	}
+}
+
+// TestFromTraceRejectsWhatACaptureCannotSee: a stored trace holding a
+// record the live capture would have panicked on — one not involving the
+// probe, one stamped before its predecessor — fails the replay with
+// ErrBadTrace instead of aggregating it (a foreign record would count as
+// video the probe sent; a backwards one would corrupt MinIPG).
+func TestFromTraceRejectsWhatACaptureCannotSee(t *testing.T) {
+	first := vid(5000, peerX, probeAddr, 1250, 110)
+	for name, bad := range map[string]packet.Record{
+		"foreign record":      vid(6000, peerY, peerX, 1250, 110),
+		"backwards timestamp": vid(1000, peerX, probeAddr, 1250, 110),
+	} {
+		var buf bytes.Buffer
+		w, err := packet.NewWriter(&buf, probeAddr, "bad")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := errors.Join(w.Write(first), w.Close()); err != nil {
+			t.Fatal(err)
+		}
+		// The bad record in the format's layout, past the Writer's checks.
+		src, dst := bad.Src.As4(), bad.Dst.As4()
+		raw := binary.LittleEndian.AppendUint64(buf.Bytes(), uint64(bad.TS))
+		raw = append(append(raw, src[:]...), dst[:]...)
+		raw = binary.LittleEndian.AppendUint32(raw, uint32(bad.Size))
+		raw = append(raw, bad.TTL, byte(bad.Kind))
+
+		rd, err := packet.NewReader(bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, err := FromTrace(rd, DefaultConfig()); !errors.Is(err, packet.ErrBadTrace) || a != nil {
+			t.Errorf("%s: FromTrace = %v, %v; want ErrBadTrace and no aggregator", name, a, err)
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"math/rand"
 	"net/netip"
 	"reflect"
@@ -95,9 +96,9 @@ func (a *mapAggregator) observations(loc Locator, probeSet map[netip.Addr]bool) 
 			continue
 		}
 		obs = append(obs, core.Observation{
-			Probe: a.probe, Peer: remote,
+			Probe: a.probe.As4(), Peer: remote.As4(),
 			VideoUp: agg.VideoUp, VideoDown: agg.VideoDown, TotalUp: agg.TotalUp, TotalDown: agg.TotalDown,
-			MinIPG: agg.MinIPG, Hops: agg.Hops(),
+			MinIPG: agg.MinIPG, Hops: int32(agg.Hops()),
 			SameAS: h.AS == probeHost.AS, SameCC: h.Country == probeHost.Country, SameSubnet: h.Subnet == probeHost.Subnet,
 			PeerIsProbe: probeSet[remote],
 		})
@@ -203,7 +204,7 @@ func TestTableMatchesMapReference(t *testing.T) {
 			t.Fatalf("seed %d: PeerAddrs\n got %v\nwant %v", seed, got, want)
 		}
 
-		got, gotUnlocated := table.Observations(loc, probeSet)
+		got, gotUnlocated := table.AppendObservations(nil, loc, probeSet)
 		want, wantUnlocated := ref.observations(loc, probeSet)
 		if gotUnlocated != wantUnlocated {
 			t.Errorf("seed %d: %d unlocated, the map says %d", seed, gotUnlocated, wantUnlocated)
@@ -216,12 +217,12 @@ func TestTableMatchesMapReference(t *testing.T) {
 		}
 		var gotOrder []netip.Addr
 		for _, o := range got {
-			gotOrder = append(gotOrder, o.Peer)
+			gotOrder = append(gotOrder, netip.AddrFrom4(o.Peer))
 		}
 		if !slices.Equal(gotOrder, order) {
 			t.Errorf("seed %d: observations are not in first-seen order", seed)
 		}
-		byPeer := func(a, b core.Observation) int { return a.Peer.Compare(b.Peer) }
+		byPeer := func(a, b core.Observation) int { return bytes.Compare(a.Peer[:], b.Peer[:]) }
 		slices.SortFunc(got, byPeer)
 		slices.SortFunc(want, byPeer)
 		if !slices.Equal(got, want) {
@@ -231,11 +232,15 @@ func TestTableMatchesMapReference(t *testing.T) {
 }
 
 // TestTableIsPointerFree: the collector must find nothing to follow in the
-// per-peer table or in its index's keys and values — a field that brought a
-// pointer back would have every aggregate scanned again.
+// per-peer table, in its index's keys and values, or in the observation rows
+// a run's reduce builds from it — a field that brought a pointer back would
+// have every aggregate, or every probe×peer row, scanned again.
 func TestTableIsPointerFree(t *testing.T) {
 	if size := unsafe.Sizeof(PeerAggregate{}); size > 56 {
 		t.Errorf("PeerAggregate is %d bytes, want at most 56", size)
+	}
+	if size := unsafe.Sizeof(core.Observation{}); size > 64 {
+		t.Errorf("core.Observation is %d bytes, want at most 64", size)
 	}
 	var walk func(path string, ty reflect.Type)
 	walk = func(path string, ty reflect.Type) {
@@ -269,6 +274,7 @@ func TestTableIsPointerFree(t *testing.T) {
 			t.Errorf("Aggregator.%s is a %s, want a slice or a map", name, ty.Kind())
 		}
 	}
+	walk("core.Observation", reflect.TypeOf(core.Observation{}))
 }
 
 // TestConsumeRejectsNonIPv4Remote: a record no capture or trace can hold is a

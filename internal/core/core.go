@@ -18,7 +18,7 @@
 package core
 
 import (
-	"net/netip"
+	"math"
 	"time"
 
 	"napawine/internal/stats"
@@ -29,9 +29,13 @@ import (
 // before applying the partitions. All fields are derivable passively:
 // byte counters from the trace, MinIPG from video packet trains, Hops from
 // received TTLs, locality booleans from registry (whois/GeoIP) lookups.
+//
+// A run holds one per probe×peer pair, so the row is kept small and free of
+// pointers: captures and the trace format are IPv4-only, and an address is
+// its four bytes (netip.AddrFrom4 reads one back).
 type Observation struct {
-	Probe netip.Addr // p ∈ W
-	Peer  netip.Addr // e
+	Probe [4]byte // p ∈ W
+	Peer  [4]byte // e
 
 	// Video payload bytes exchanged with the peer: Up is B(p,e) (probe
 	// uploads), Down is B(e,p) (probe downloads).
@@ -46,7 +50,7 @@ type Observation struct {
 	MinIPG time.Duration
 	// Hops is the router-hop count inferred from received TTLs
 	// (128−TTL); negative means unmeasurable (nothing received).
-	Hops int
+	Hops int32
 
 	SameAS, SameCC, SameSubnet bool
 
@@ -158,7 +162,7 @@ func (c HOPClassifier) Classify(o Observation) (bool, bool) {
 	if o.Hops < 0 {
 		return false, false
 	}
-	return o.Hops < c.Threshold, true
+	return int(o.Hops) < c.Threshold, true
 }
 
 // PaperClassifiers returns the five property classifiers in the order of
@@ -288,16 +292,35 @@ func ComputeSelfBias(obs []Observation, th ContribThresholds, contributorsOnly b
 
 // HopMedian reports the median inferred hop count across measurable
 // observations — the statistic the paper uses to justify its fixed
-// 19-hop threshold.
+// 19-hop threshold. It is the nearest-rank median, the ⌈n/2⌉-th smallest
+// hop count (stats.Sample.Median's), found by bisecting on the value
+// between the smallest and largest count: a pass per halving, each
+// allocating nothing, where a sorted copy would hold every hop count again.
 func HopMedian(obs []Observation) (float64, bool) {
-	var s stats.Sample
-	for _, o := range obs {
-		if o.Hops >= 0 {
-			s.Add(float64(o.Hops))
+	n, lo, hi := 0, int32(math.MaxInt32), int32(-1)
+	for i := range obs {
+		if h := obs[i].Hops; h >= 0 {
+			n, lo, hi = n+1, min(lo, h), max(hi, h)
 		}
 	}
-	if s.N() == 0 {
+	if n == 0 {
 		return 0, false
 	}
-	return s.Median(), true
+	// The answer is the least v in [lo, hi] with at least k counts ≤ v.
+	k := (n + 1) / 2
+	for lo < hi {
+		mid := lo + (hi-lo)/2
+		atMost := 0
+		for i := range obs {
+			if h := obs[i].Hops; h >= 0 && h <= mid {
+				atMost++
+			}
+		}
+		if atMost >= k {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return float64(lo), true
 }

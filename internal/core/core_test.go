@@ -3,14 +3,16 @@ package core
 import (
 	"math"
 	"math/rand"
-	"net/netip"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"napawine/internal/stats"
 )
 
-func addr(i int) netip.Addr {
-	return netip.AddrFrom4([4]byte{10, byte(i >> 8), byte(i), 1})
+func addr(i int) [4]byte {
+	return [4]byte{10, byte(i >> 8), byte(i), 1}
 }
 
 // mkObs builds a download contributor with the given properties.
@@ -21,7 +23,7 @@ func mkObs(i int, downBytes int64, sameAS bool, ipg time.Duration, hops int) Obs
 		VideoDown: downBytes,
 		TotalDown: downBytes,
 		MinIPG:    ipg,
-		Hops:      hops,
+		Hops:      int32(hops),
 		SameAS:    sameAS,
 	}
 }
@@ -243,17 +245,94 @@ func TestComputeSelfBias(t *testing.T) {
 	}
 }
 
+// sampleMedian is the reference HopMedian must agree with: every measurable
+// hop count into a stats.Sample, and its nearest-rank median.
+func sampleMedian(obs []Observation) (float64, bool) {
+	var s stats.Sample
+	for _, o := range obs {
+		if o.Hops >= 0 {
+			s.Add(float64(o.Hops))
+		}
+	}
+	if s.N() == 0 {
+		return 0, false
+	}
+	return s.Median(), true
+}
+
+func hopObs(hops ...int32) []Observation {
+	obs := make([]Observation, len(hops))
+	for i, h := range hops {
+		obs[i].Hops = h
+	}
+	return obs
+}
+
 func TestHopMedian(t *testing.T) {
-	obs := []Observation{
-		{Hops: 10}, {Hops: 19}, {Hops: 25}, {Hops: -1},
+	for _, tc := range []struct {
+		name string
+		hops []int32
+		want float64
+		ok   bool
+	}{
+		{"empty", nil, 0, false},
+		{"all unmeasurable", []int32{-1, -1, -7}, 0, false},
+		{"one", []int32{19}, 19, true},
+		{"odd n", []int32{25, 10, 19}, 19, true},
+		{"even n takes the lower middle", []int32{25, 10, 19, 30}, 19, true},
+		{"unmeasurable left out", []int32{10, 19, 25, -1}, 19, true},
+		{"ties", []int32{7, 7, 7, 3, 9, 7}, 7, true},
+		{"ties at the rank boundary", []int32{2, 2, 5, 5}, 2, true},
+		{"zero hops", []int32{0, 0, 0, 1}, 0, true},
+		{"above 128", []int32{200, 129, 1000, 5}, 129, true},
+		{"far apart", []int32{0, 1 << 30, 1<<31 - 1}, 1 << 30, true},
+	} {
+		obs := hopObs(tc.hops...)
+		med, ok := HopMedian(obs)
+		if med != tc.want || ok != tc.ok {
+			t.Errorf("%s: HopMedian = %v/%v, want %v/%v", tc.name, med, ok, tc.want, tc.ok)
+		}
+		if refMed, refOK := sampleMedian(obs); med != refMed || ok != refOK {
+			t.Errorf("%s: HopMedian = %v/%v, stats.Sample says %v/%v", tc.name, med, ok, refMed, refOK)
+		}
 	}
-	med, ok := HopMedian(obs)
-	if !ok || med != 19 {
-		t.Errorf("median = %v/%v, want 19", med, ok)
+}
+
+// TestHopMedianAllocatesNothing: a run's median reads the observation table
+// in place, holding no second copy of its hop counts.
+func TestHopMedianAllocatesNothing(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	obs := make([]Observation, 30_000)
+	for i := range obs {
+		obs[i].Hops = int32(rng.Intn(140) - 5)
 	}
-	if _, ok := HopMedian([]Observation{{Hops: -1}}); ok {
-		t.Error("all-unmeasurable median should not exist")
+	if allocs := testing.AllocsPerRun(10, func() { HopMedian(obs) }); allocs != 0 {
+		t.Errorf("HopMedian allocates %v times per call, want 0", allocs)
 	}
+}
+
+// FuzzHopMedian: over any hop counts — negative ones unmeasurable, values
+// past 128 included — HopMedian agrees with stats.Sample's median, and does
+// not depend on the rows' order.
+func FuzzHopMedian(f *testing.F) {
+	f.Add([]byte{10, 0, 19, 0, 25, 0, 0xff, 0xff})
+	f.Add([]byte{0xff, 0xff})
+	f.Add([]byte{0x00, 0x01, 0x90, 0x00, 7, 0, 7, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var hops []int32
+		for i := 0; i+1 < len(data); i += 2 {
+			hops = append(hops, int32(int16(uint16(data[i])|uint16(data[i+1])<<8)))
+		}
+		obs := hopObs(hops...)
+		med, ok := HopMedian(obs)
+		if refMed, refOK := sampleMedian(obs); med != refMed || ok != refOK {
+			t.Fatalf("hops %v: HopMedian = %v/%v, stats.Sample says %v/%v", hops, med, ok, refMed, refOK)
+		}
+		slices.Reverse(obs)
+		if rmed, rok := HopMedian(obs); rmed != med || rok != ok {
+			t.Fatalf("hops %v: reversed rows give %v/%v, not %v/%v", hops, rmed, rok, med, ok)
+		}
+	})
 }
 
 func TestDirectionString(t *testing.T) {

@@ -455,7 +455,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	probeSet := w.ProbeAddrs()
 	secs := cfg.Duration.Seconds()
 	var continuity stats.Accumulator
-	// One entry per probe×peer pair: sized once, not grown probe by probe.
+	// One entry per probe×peer pair: sized once, then each probe appends
+	// its rows in place.
 	pairs := 0
 	for _, p := range probes {
 		pairs += p.agg.PeerCount()
@@ -463,7 +464,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	res.Observations = make([]core.Observation, 0, pairs)
 	for _, p := range probes {
 		res.probeByAddr[p.probe.Host.Addr] = p.probe
-		obs, unlocated := p.agg.Observations(w.Topo, probeSet)
+		start := len(res.Observations)
+		var unlocated int
+		res.Observations, unlocated = p.agg.AppendObservations(res.Observations, w.Topo, probeSet)
 		res.Unlocated += unlocated
 		in, out := p.agg.Bytes()
 		stat := ProbeStats{
@@ -472,7 +475,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			TxKbps:   float64(out) * 8 / 1000 / secs,
 			AllPeers: p.agg.PeerCount(),
 		}
-		for _, o := range obs {
+		for _, o := range res.Observations[start:] {
 			if core.Contributor(o, core.Download, cfg.Contrib) {
 				stat.ContribRx++
 			}
@@ -481,7 +484,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			}
 		}
 		res.PerProbe = append(res.PerProbe, stat)
-		res.Observations = append(res.Observations, obs...)
 	}
 	if med, ok := core.HopMedian(res.Observations); ok {
 		res.HopMedian = med

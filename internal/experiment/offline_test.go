@@ -54,11 +54,11 @@ func TestOfflineTraceReplayMatchesLive(t *testing.T) {
 			t.Fatal(err)
 		}
 		records += agg.Records()
-		obs, unlocated := agg.Observations(r.World.Topo, probeSet)
+		var unlocated int
+		offline, unlocated = agg.AppendObservations(offline, r.World.Topo, probeSet)
 		if unlocated != 0 {
 			t.Fatalf("offline replay could not locate %d peers", unlocated)
 		}
-		offline = append(offline, obs...)
 	}
 	if records == 0 {
 		t.Fatal("archived traces are empty")

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"net/netip"
 	"sort"
 
 	"napawine/internal/core"
@@ -217,7 +218,7 @@ func ComputeFigure1(r *Result) GeoBreakdown {
 	tx := make([]float64, star+1)
 	var totalPeers, totalRx, totalTx float64
 	for _, o := range r.Observations {
-		h, ok := r.World.Topo.Locate(o.Peer)
+		h, ok := r.World.Topo.Locate(netip.AddrFrom4(o.Peer))
 		bucket := star
 		if ok {
 			if i, named := idx[h.Country]; named {
@@ -340,11 +341,11 @@ func ComputeFigure2(r *Result) ASTraffic {
 		if !o.PeerIsProbe || o.SameSubnet {
 			continue
 		}
-		probe, ok := r.ProbeOf(o.Probe)
+		probe, ok := r.ProbeOf(netip.AddrFrom4(o.Probe))
 		if !ok || !probe.HighBandwidth() || probe.ASName == "ASx" {
 			continue
 		}
-		peer, ok := r.ProbeOf(o.Peer)
+		peer, ok := r.ProbeOf(netip.AddrFrom4(o.Peer))
 		if !ok || !peer.HighBandwidth() || peer.ASName == "ASx" {
 			continue
 		}

@@ -74,6 +74,8 @@ const (
 // closing the underlying writer if it is a file.
 type Writer struct {
 	bw    *bufio.Writer
+	probe netip.Addr
+	last  sim.Time
 	count uint64
 	err   error
 }
@@ -99,7 +101,7 @@ func NewWriter(w io.Writer, probe netip.Addr, label string) (*Writer, error) {
 	if _, err := bw.Write(lb); err != nil {
 		return nil, err
 	}
-	return &Writer{bw: bw}, nil
+	return &Writer{bw: bw, probe: probe}, nil
 }
 
 // Write appends one record.
@@ -115,6 +117,11 @@ func (w *Writer) Write(r Record) error {
 		w.err = fmt.Errorf("packet: record addresses must be IPv4 (src=%v dst=%v)", r.Src, r.Dst)
 		return w.err
 	}
+	if err := checkOrder(r, w.probe, w.last); err != nil {
+		w.err = fmt.Errorf("packet: record %d %w", w.count+1, err)
+		return w.err
+	}
+	w.last = r.TS
 	var buf [recordBytes]byte
 	binary.LittleEndian.PutUint64(buf[0:8], uint64(r.TS))
 	src := r.Src.As4()
@@ -143,11 +150,28 @@ func (w *Writer) Close() error {
 	return w.bw.Flush()
 }
 
+// checkOrder reports why a record cannot follow one stamped last in a trace
+// of what the probe's capture saw: it does not involve the probe, or it runs
+// time backwards (a first record against zero, where the clock starts). The
+// Writer refuses such a record and the Reader reports it as ErrBadTrace, as
+// the live capture panics on it.
+func checkOrder(r Record, probe netip.Addr, last sim.Time) error {
+	if r.Src != probe && r.Dst != probe {
+		return fmt.Errorf("(%v→%v) does not involve probe %v", r.Src, r.Dst, probe)
+	}
+	if r.TS < last {
+		return fmt.Errorf("(%v→%v) at %d ns runs back from %d ns", r.Src, r.Dst, int64(r.TS), int64(last))
+	}
+	return nil
+}
+
 // Reader streams records from a binary trace.
 type Reader struct {
 	br    *bufio.Reader
 	probe netip.Addr
 	label string
+	last  sim.Time
+	count uint64
 }
 
 // ErrBadTrace reports a malformed trace header or record.
@@ -185,7 +209,8 @@ func (r *Reader) Probe() netip.Addr { return r.probe }
 func (r *Reader) Label() string { return r.label }
 
 // Next returns the next record, or io.EOF at a clean end of trace. A
-// truncated record, or one with a size the Writer refuses (over 2³¹ bytes),
+// truncated record, or one the Writer refuses (a size over 2³¹ bytes, a
+// record not involving the probe, a timestamp before the previous one),
 // yields ErrBadTrace, so corruption never passes silently.
 func (r *Reader) Next() (Record, error) {
 	var buf [recordBytes]byte
@@ -207,6 +232,11 @@ func (r *Reader) Next() (Record, error) {
 	rec.Size = units.ByteSize(size)
 	rec.TTL = buf[20]
 	rec.Kind = Kind(buf[21])
+	if err := checkOrder(rec, r.probe, r.last); err != nil {
+		return Record{}, fmt.Errorf("%w: record %d %v", ErrBadTrace, r.count+1, err)
+	}
+	r.last = rec.TS
+	r.count++
 	return rec, nil
 }
 

@@ -2,6 +2,7 @@ package packet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/csv"
 	"errors"
 	"io"
@@ -19,14 +20,27 @@ import (
 
 func mkAddr(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }
 
+// testProbe is the probe every test trace is captured at.
+var testProbe = mkAddr(10, 0, 0, 1)
+
+// randomRecords builds n records a capture at testProbe could have seen:
+// each between the probe and a random remote, either way, with timestamps
+// that never decrease (equal ones included).
 func randomRecords(n int, seed int64) []Record {
 	rng := rand.New(rand.NewSource(seed))
 	recs := make([]Record, n)
+	var ts sim.Time
 	for i := range recs {
+		ts += sim.Time(rng.Int63n(1 << 30))
+		remote := mkAddr(10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1+rng.Intn(253)))
+		src, dst := remote, testProbe
+		if rng.Intn(2) == 0 {
+			src, dst = dst, src
+		}
 		recs[i] = Record{
-			TS:   sim.Time(rng.Int63n(1 << 40)),
-			Src:  mkAddr(10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1+rng.Intn(253))),
-			Dst:  mkAddr(10, byte(rng.Intn(256)), byte(rng.Intn(256)), byte(1+rng.Intn(253))),
+			TS:   ts,
+			Src:  src,
+			Dst:  dst,
 			Size: units.ByteSize(rng.Int63n(1500)),
 			TTL:  uint8(100 + rng.Intn(29)),
 			Kind: Kind(rng.Intn(3)),
@@ -79,22 +93,23 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
-// Property: any record survives a binary round trip bit-exactly.
+// Property: any record a capture at the probe can see survives a binary
+// round trip bit-exactly.
 func TestRoundTripProperty(t *testing.T) {
-	f := func(ts int64, s, d [4]byte, size uint16, ttl uint8, kind uint8) bool {
-		if ts < 0 {
-			ts = -ts
-		}
+	f := func(ts uint64, remote [4]byte, inbound bool, size uint16, ttl uint8, kind uint8) bool {
 		rec := Record{
-			TS:   sim.Time(ts),
-			Src:  netip.AddrFrom4(s),
-			Dst:  netip.AddrFrom4(d),
+			TS:   sim.Time(ts >> 1),
+			Src:  testProbe,
+			Dst:  netip.AddrFrom4(remote),
 			Size: units.ByteSize(size),
 			TTL:  ttl,
 			Kind: Kind(kind % 3),
 		}
+		if inbound {
+			rec.Src, rec.Dst = rec.Dst, rec.Src
+		}
 		var buf bytes.Buffer
-		w, err := NewWriter(&buf, mkAddr(10, 0, 0, 1), "p")
+		w, err := NewWriter(&buf, testProbe, "p")
 		if err != nil {
 			return false
 		}
@@ -181,6 +196,82 @@ func TestWriterRejectsHugeSize(t *testing.T) {
 	// Writer stays poisoned afterwards.
 	if err := w.Write(Record{Size: 10}); err == nil {
 		t.Error("writer should stay failed after an error")
+	}
+}
+
+// rawTrace encodes a header for probe and the given records byte by byte,
+// as the format lays them out, so a test can hold a trace the Writer would
+// refuse to produce.
+func rawTrace(probe netip.Addr, recs ...Record) []byte {
+	a := probe.As4()
+	out := append([]byte(magic), a[:]...)
+	out = append(out, 0) // empty label
+	for _, r := range recs {
+		src, dst := r.Src.As4(), r.Dst.As4()
+		out = binary.LittleEndian.AppendUint64(out, uint64(r.TS))
+		out = append(out, src[:]...)
+		out = append(out, dst[:]...)
+		out = binary.LittleEndian.AppendUint32(out, uint32(r.Size))
+		out = append(out, r.TTL, byte(r.Kind))
+	}
+	return out
+}
+
+// badOrderTraces are records a capture at testProbe would have panicked on,
+// each after a good first record: the name of the fault and the record.
+var badOrderTraces = []struct {
+	name  string
+	fault string
+	recs  []Record
+}{
+	{"foreign record", "does not involve probe 10.0.0.1", []Record{
+		{TS: 5000, Src: mkAddr(10, 0, 0, 2), Dst: testProbe, Size: 1250, TTL: 110},
+		{TS: 6000, Src: mkAddr(10, 9, 9, 9), Dst: mkAddr(10, 0, 0, 2), Size: 1250, TTL: 110},
+	}},
+	{"backwards timestamp", "at 1000 ns runs back from 5000 ns", []Record{
+		{TS: 5000, Src: mkAddr(10, 0, 0, 2), Dst: testProbe, Size: 1250, TTL: 110},
+		{TS: 1000, Src: mkAddr(10, 0, 0, 2), Dst: testProbe, Size: 1250, TTL: 110},
+	}},
+	{"negative timestamp", "at -1 ns runs back from 0 ns", []Record{
+		{TS: 0, Src: testProbe, Dst: mkAddr(10, 0, 0, 2), Size: 80, TTL: 128},
+		{TS: -1, Src: testProbe, Dst: mkAddr(10, 0, 0, 2), Size: 80, TTL: 128},
+	}},
+}
+
+// TestReaderRejectsWhatACaptureCannotSee: a record not involving the probe,
+// or stamped before the one ahead of it, is ErrBadTrace naming the record —
+// after the good record before it was read.
+func TestReaderRejectsWhatACaptureCannotSee(t *testing.T) {
+	for _, tc := range badOrderTraces {
+		r, err := NewReader(bytes.NewReader(rawTrace(testProbe, tc.recs...)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := r.ReadAll()
+		if len(got) != 1 || got[0] != tc.recs[0] {
+			t.Errorf("%s: read %+v before the fault, want the first record", tc.name, got)
+		}
+		if !errors.Is(err, ErrBadTrace) || !strings.Contains(err.Error(), "record 2 ") || !strings.Contains(err.Error(), tc.fault) {
+			t.Errorf("%s: ReadAll error %v, want ErrBadTrace naming record 2: %q", tc.name, err, tc.fault)
+		}
+	}
+}
+
+// TestWriterRejectsWhatACaptureCannotSee: the Writer refuses the same
+// records, and stays failed.
+func TestWriterRejectsWhatACaptureCannotSee(t *testing.T) {
+	for _, tc := range badOrderTraces {
+		var buf bytes.Buffer
+		w, _ := NewWriter(&buf, testProbe, "x")
+		if err := w.Write(tc.recs[0]); err != nil {
+			t.Fatalf("%s: first record refused: %v", tc.name, err)
+		}
+		if err := w.Write(tc.recs[1]); err == nil || !strings.Contains(err.Error(), "record 2 ") || !strings.Contains(err.Error(), tc.fault) {
+			t.Errorf("%s: Write error %v, want one naming record 2: %q", tc.name, err, tc.fault)
+		}
+		if err := w.Write(Record{TS: 1 << 40, Src: testProbe, Dst: mkAddr(10, 0, 0, 2)}); err == nil {
+			t.Errorf("%s: writer should stay failed after an error", tc.name)
+		}
 	}
 }
 
@@ -287,6 +378,9 @@ func FuzzTraceReader(f *testing.F) {
 	copy(huge[len(huge)-recordBytes+16:], []byte{0xFF, 0xFF, 0xFF, 0xFF}) // last record's size
 	f.Add(huge)
 	f.Add(valid.Bytes()[:len(valid.Bytes())-5])
+	for _, tc := range badOrderTraces {
+		f.Add(rawTrace(testProbe, tc.recs...))
+	}
 	f.Add([]byte(magic + "\x0a\x00\x00\x01\x00"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r, err := NewReader(bytes.NewReader(data))
