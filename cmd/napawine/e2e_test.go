@@ -60,6 +60,11 @@ func TestCLIOutputDigests(t *testing.T) {
 			"e3ebaaa30f82c32025ad063e5ece6e6c016da9289dd329455ab5c78b9e7bc14a"},
 		{"replicated-peers-scenario-file", "-exp table2 -apps SopCast,PPLive -seed 3 -seeds 2 -duration 20s -peers 80 -scenario " + zapping,
 			"2269982013036d10f71a822de184c8ad447bd540d6f62af0483b3780c49474ce"},
+		// Table I is the testbed's constants, with no run behind it.
+		{"table1", "-exp table1",
+			"5a553846b5f9ae6efd56578258cfd376689c23fbdbdb8942ea379141a4936bc2"},
+		{"table1-csv", "-exp table1 -csv",
+			"6e7ed150359996901c60f53a540a5cc2e6356ecdbbcb22a3c5baa484f2b877dc"},
 		// The listings print the registries' order and descriptions.
 		{"scenario-list", "-list scenarios",
 			"bcdc01c2b3a95b92bce3ab0350d081b374743098fad7f57552f7f42bfc4bdfdb"},

@@ -49,6 +49,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fs.Usage()
 		return 2
 	}
+	// The CSV streams while the trace is read, so writing over the trace
+	// would truncate it before its first record.
+	if ti, err := os.Stat(*tracePath); err == nil && *csvPath != "" {
+		if ci, err := os.Stat(*csvPath); err == nil && os.SameFile(ti, ci) {
+			fmt.Fprintf(stderr, "traceinspect: -csv %s is the -trace file\n", *csvPath)
+			fs.Usage()
+			return 2
+		}
+	}
 	if err := inspect(stdout, *tracePath, *csvPath, *top); err != nil {
 		fmt.Fprintln(stderr, "traceinspect:", err)
 		return 1
@@ -57,8 +66,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // inspect prints the trace's header and top-N peer summary, and converts
-// it to CSV when csvPath is set.
-func inspect(stdout io.Writer, tracePath, csvPath string, top int) error {
+// it to CSV when csvPath is set, one row as each record is read. A run
+// that fails after creating the CSV file removes it.
+func inspect(stdout io.Writer, tracePath, csvPath string, top int) (err error) {
 	f, err := os.Open(tracePath)
 	if err != nil {
 		return err
@@ -70,19 +80,33 @@ func inspect(stdout io.Writer, tracePath, csvPath string, top int) error {
 	}
 	fmt.Fprintf(stdout, "trace %s\n  probe: %v\n  label: %q\n", tracePath, r.Probe(), r.Label())
 
-	var recs []packet.Record
 	agg := analysis.New(r.Probe(), analysis.DefaultConfig())
-	for {
+	next := func() (packet.Record, error) {
 		rec, err := r.Next()
-		if errors.Is(err, io.EOF) {
-			break
+		if err == nil {
+			agg.Consume(rec)
 		}
-		if err != nil {
+		return rec, err
+	}
+	if csvPath == "" {
+		for err == nil {
+			_, err = next()
+		}
+		if !errors.Is(err, io.EOF) {
 			return err
 		}
-		agg.Consume(rec)
-		if csvPath != "" {
-			recs = append(recs, rec)
+	} else {
+		var out *os.File
+		if out, err = os.Create(csvPath); err != nil {
+			return err
+		}
+		defer func() {
+			if err != nil {
+				os.Remove(csvPath)
+			}
+		}()
+		if err = errors.Join(packet.WriteCSV(out, next), out.Close()); err != nil {
+			return err
 		}
 	}
 	fmt.Fprintf(stdout, "  records: %d, distinct peers: %d\n\n", agg.Records(), agg.PeerCount())
@@ -110,16 +134,8 @@ func inspect(stdout io.Writer, tracePath, csvPath string, top int) error {
 	if err := t.Render(stdout); err != nil {
 		return err
 	}
-	if csvPath == "" {
-		return nil
+	if csvPath != "" {
+		fmt.Fprintf(stdout, "\nwrote %d records to %s\n", agg.Records(), csvPath)
 	}
-	out, err := os.Create(csvPath)
-	if err != nil {
-		return err
-	}
-	if err := errors.Join(packet.WriteCSV(out, recs), out.Close()); err != nil {
-		return err
-	}
-	fmt.Fprintf(stdout, "\nwrote %d records to %s\n", len(recs), csvPath)
 	return nil
 }

@@ -118,7 +118,9 @@ func handTrace(recs ...handRecord) []byte {
 // TestMalformedTraceExitsOne: a truncated record, a truncated header, a
 // record not involving the probe, a timestamp running backwards and a
 // missing file are reported as errors with exit status 1, never a panic or
-// a summary; a missing -trace and a -top below 1 are usage errors.
+// a summary, and leave no file at the -csv path; a missing -trace, a -top
+// below 1 and a -csv naming the -trace file (by any spelling) are usage
+// errors that leave the trace's bytes as they were.
 func TestMalformedTraceExitsOne(t *testing.T) {
 	whole, err := os.ReadFile(storedTrace(t))
 	if err != nil {
@@ -133,6 +135,8 @@ func TestMalformedTraceExitsOne(t *testing.T) {
 		return path
 	}
 	const probe, peer = "\x0a\x00\x00\x01", "\x0a\x00\x00\x02"
+	csvOut := filepath.Join(dir, "out.csv")
+	good := write("good.nwt", whole)
 	for _, tc := range []struct {
 		name string
 		args []string
@@ -147,8 +151,12 @@ func TestMalformedTraceExitsOne(t *testing.T) {
 		{"backwards timestamp", []string{"-trace", write("back.nwt", handTrace(
 			handRecord{5000, peer, probe}, handRecord{1000, peer, probe}))}, 1},
 		{"no -trace", nil, 2},
-		{"-top 0", []string{"-trace", write("good.nwt", whole), "-top", "0"}, 2},
-		{"-top -3", []string{"-trace", write("good.nwt", whole), "-top", "-3"}, 2},
+		{"truncated record, -csv", []string{"-trace", write("cut.nwt", whole[:len(whole)-5]), "-csv", csvOut}, 1},
+		{"unwritable -csv", []string{"-trace", good, "-csv", filepath.Join(dir, "absent", "out.csv")}, 1},
+		{"-top 0", []string{"-trace", good, "-top", "0"}, 2},
+		{"-top -3", []string{"-trace", good, "-top", "-3"}, 2},
+		{"-csv is -trace", []string{"-trace", good, "-csv", good}, 2},
+		{"-csv is -trace, spelled otherwise", []string{"-trace", good, "-csv", dir + "/./good.nwt"}, 2},
 	} {
 		var stdout, stderr bytes.Buffer
 		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), "traceinspect:") {
@@ -156,6 +164,12 @@ func TestMalformedTraceExitsOne(t *testing.T) {
 		}
 		if strings.Contains(stdout.String(), "peers by video bytes") {
 			t.Errorf("%s: printed a summary:\n%s", tc.name, stdout.String())
+		}
+		if _, err := os.Stat(csvOut); !os.IsNotExist(err) {
+			t.Errorf("%s: left a file at the -csv path (%v)", tc.name, err)
+		}
+		if b, err := os.ReadFile(good); err != nil || !bytes.Equal(b, whole) {
+			t.Errorf("%s: the trace's bytes changed (%v)", tc.name, err)
 		}
 	}
 }

@@ -308,15 +308,15 @@ var (
 	// LAN1000 is a well-provisioned campus attachment.
 	LAN1000 = Link{Spec: units.Symmetric(units.Gbps)}
 	// DSL6 is the 6/0.512 home profile from Table I.
-	DSL6 = Link{Spec: units.MustAccessSpec("6/0.512")}
+	DSL6 = Link{Spec: units.AccessSpec{Down: 6 * units.Mbps, Up: 512 * units.Kbps}}
 	// DSL4 is the 4/0.384 home profile.
-	DSL4 = Link{Spec: units.MustAccessSpec("4/0.384")}
+	DSL4 = Link{Spec: units.AccessSpec{Down: 4 * units.Mbps, Up: 384 * units.Kbps}}
 	// DSL8 is the 8/0.384 home profile.
-	DSL8 = Link{Spec: units.MustAccessSpec("8/0.384")}
+	DSL8 = Link{Spec: units.AccessSpec{Down: 8 * units.Mbps, Up: 384 * units.Kbps}}
 	// DSL22 is the 22/1.8 home profile.
-	DSL22 = Link{Spec: units.MustAccessSpec("22/1.8")}
+	DSL22 = Link{Spec: units.AccessSpec{Down: 22 * units.Mbps, Up: 1800 * units.Kbps}}
 	// DSL25 is the 2.5/0.384 home profile.
-	DSL25 = Link{Spec: units.MustAccessSpec("2.5/0.384")}
+	DSL25 = Link{Spec: units.AccessSpec{Down: 2500 * units.Kbps, Up: 384 * units.Kbps}}
 	// CATV6 is the 6/0.512 cable profile.
-	CATV6 = Link{Spec: units.MustAccessSpec("6/0.512")}
+	CATV6 = Link{Spec: units.AccessSpec{Down: 6 * units.Mbps, Up: 512 * units.Kbps}}
 )

@@ -244,14 +244,20 @@ func TestTrainEmpty(t *testing.T) {
 
 func TestTableIProfiles(t *testing.T) {
 	// The profile constants must match Table I's spec strings.
-	if DSL6.Spec.String() != "6/0.512" {
-		t.Errorf("DSL6 = %v", DSL6.Spec)
-	}
-	if DSL22.Spec.String() != "22/1.8" {
-		t.Errorf("DSL22 = %v", DSL22.Spec)
-	}
-	if DSL25.Spec.String() != "2.5/0.384" {
-		t.Errorf("DSL25 = %v", DSL25.Spec)
+	for name, c := range map[string]struct {
+		link Link
+		want string
+	}{
+		"DSL4":  {DSL4, "4/0.384"},
+		"DSL6":  {DSL6, "6/0.512"},
+		"DSL8":  {DSL8, "8/0.384"},
+		"DSL22": {DSL22, "22/1.8"},
+		"DSL25": {DSL25, "2.5/0.384"},
+		"CATV6": {CATV6, "6/0.512"},
+	} {
+		if got := c.link.Spec.String(); got != c.want {
+			t.Errorf("%s = %s, want %s", name, got, c.want)
+		}
 	}
 	if !LAN100.HighBandwidth() || !LAN1000.HighBandwidth() {
 		t.Error("institutional profiles must be high-bw")

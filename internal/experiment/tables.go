@@ -299,12 +299,10 @@ func ComputeFigure2(r *Result) ASTraffic {
 		as     int
 		subnet topology.SubnetID
 	}
-	infos := map[string]probeInfo{} // by label
 	perAS := map[int][]probeInfo{}
 	for _, p := range r.World.Probes {
 		if p.HighBandwidth() && p.ASName != "ASx" {
 			pi := probeInfo{as: li[p.ASName], subnet: p.Host.Subnet}
-			infos[p.Label] = pi
 			perAS[pi.as] = append(perAS[pi.as], pi)
 		}
 	}

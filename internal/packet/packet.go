@@ -257,18 +257,26 @@ func (r *Reader) ReadAll() ([]Record, error) {
 }
 
 // WriteCSV renders records in a human-auditable CSV with a header row,
-// mirroring the fields of the binary format.
-func WriteCSV(w io.Writer, recs []Record) error {
+// mirroring the fields of the binary format. It calls next (a Reader's
+// Next, say) until io.EOF and holds no record past its own row, so a trace
+// of any length converts in constant memory; any other error from next is
+// returned as is.
+func WriteCSV(w io.Writer, next func() (Record, error)) error {
 	bw := bufio.NewWriter(w)
 	if _, err := bw.WriteString("ts_ns,src,dst,size,ttl,kind\n"); err != nil {
 		return err
 	}
-	for _, r := range recs {
-		line := fmt.Sprintf("%d,%s,%s,%d,%d,%s\n",
-			int64(r.TS), r.Src, r.Dst, int64(r.Size), r.TTL, r.Kind)
-		if _, err := bw.WriteString(line); err != nil {
+	for {
+		r, err := next()
+		if errors.Is(err, io.EOF) {
+			return bw.Flush()
+		}
+		if err != nil {
+			return err
+		}
+		if _, err := fmt.Fprintf(bw, "%d,%s,%s,%d,%d,%s\n",
+			int64(r.TS), r.Src, r.Dst, int64(r.Size), r.TTL, r.Kind); err != nil {
 			return err
 		}
 	}
-	return bw.Flush()
 }

@@ -296,11 +296,25 @@ func TestKindString(t *testing.T) {
 }
 
 // TestCSVRoundTrip reads WriteCSV's output back with encoding/csv: a header
-// row, then one row per record whose six fields are the record's.
+// row, then one row per record whose six fields are the record's; an error
+// from the record source other than io.EOF is WriteCSV's error.
 func TestCSVRoundTrip(t *testing.T) {
 	recs := randomRecords(50, 3)
+	from := func(recs []Record, end error) func() (Record, error) {
+		return func() (Record, error) {
+			if len(recs) == 0 {
+				return Record{}, end
+			}
+			r := recs[0]
+			recs = recs[1:]
+			return r, nil
+		}
+	}
+	if err := WriteCSV(io.Discard, from(recs, ErrBadTrace)); !errors.Is(err, ErrBadTrace) {
+		t.Errorf("WriteCSV over a failing source: %v, want ErrBadTrace", err)
+	}
 	var buf bytes.Buffer
-	if err := WriteCSV(&buf, recs); err != nil {
+	if err := WriteCSV(&buf, from(recs, io.EOF)); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := csv.NewReader(&buf).ReadAll()

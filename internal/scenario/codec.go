@@ -45,8 +45,6 @@ func (e enumNames[T]) name(v T) string {
 	return fmt.Sprintf("%s(%d)", e.typ, int(v))
 }
 
-func (e enumNames[T]) names() []string { return slices.Clone(e.list) }
-
 func (e enumNames[T]) parse(name string) (T, error) {
 	if i := slices.Index(e.list, name); i >= 0 {
 		return T(i), nil

@@ -117,32 +117,31 @@ func TestMatchdayExampleLoads(t *testing.T) {
 }
 
 func TestKindNamesCoverEveryKind(t *testing.T) {
-	names := KindNames()
-	if len(names) != len(kindNames.list) {
-		t.Fatalf("KindNames returned %d names for %d kinds — a kind constant is missing its name", len(names), len(kindNames.list))
+	if len(kindNames.list) != int(Zap)+1 {
+		t.Fatalf("%d kind names for %d kinds — a kind constant is missing its name", len(kindNames.list), int(Zap)+1)
 	}
-	for _, n := range names {
+	for _, n := range kindNames.list {
 		if n == "" {
 			t.Fatal("kind with empty wire name")
 		}
-		k, err := ParseKind(n)
+		k, err := kindNames.parse(n)
 		if err != nil {
-			t.Errorf("ParseKind(%q): %v", n, err)
+			t.Errorf("parse(%q): %v", n, err)
 		}
 		if k.String() != n {
 			t.Errorf("name %q parses to kind whose String is %q", n, k)
 		}
 	}
-	if _, err := ParseKind("Kind(7)"); err == nil {
+	if _, err := kindNames.parse("Kind(7)"); err == nil {
 		t.Error("String fallback form parsed as a kind")
 	}
 }
 
 func TestShapeNamesRoundTrip(t *testing.T) {
-	for _, n := range ShapeNames() {
-		s, err := ParseShape(n)
+	for _, n := range shapeNames.list {
+		s, err := shapeNames.parse(n)
 		if err != nil {
-			t.Errorf("ParseShape(%q): %v", n, err)
+			t.Errorf("parse(%q): %v", n, err)
 		}
 		if s.String() != n {
 			t.Errorf("shape name %q round-trips to %q", n, s)

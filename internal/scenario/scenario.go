@@ -86,13 +86,6 @@ var kindNames = enumNames[Kind]{what: "event kind", typ: "Kind", list: []string{
 // String names the kind for error messages and docs.
 func (k Kind) String() string { return kindNames.name(k) }
 
-// KindNames lists every event kind's wire name in declaration order, for
-// docs and error messages.
-func KindNames() []string { return kindNames.names() }
-
-// ParseKind resolves a wire name back to its Kind.
-func ParseKind(name string) (Kind, error) { return kindNames.parse(name) }
-
 // MarshalText encodes the kind as its wire name (the JSON codec rides on
 // this, so specs never contain raw enum ints).
 func (k Kind) MarshalText() ([]byte, error) { return kindNames.marshal(k) }
@@ -122,12 +115,6 @@ var shapeNames = enumNames[Shape]{what: "arrival shape", typ: "Shape", list: []s
 
 // String names the shape for error messages and docs.
 func (s Shape) String() string { return shapeNames.name(s) }
-
-// ShapeNames lists every arrival shape's wire name in declaration order.
-func ShapeNames() []string { return shapeNames.names() }
-
-// ParseShape resolves a wire name back to its Shape.
-func ParseShape(name string) (Shape, error) { return shapeNames.parse(name) }
 
 // MarshalText encodes the shape as its wire name.
 func (s Shape) MarshalText() ([]byte, error) { return shapeNames.marshal(s) }

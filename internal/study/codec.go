@@ -31,14 +31,12 @@ import (
 
 // scenarioJSON is the object form of a scenario-axis entry.
 type scenarioJSON struct {
-	Name string         `json:"name,omitempty"`
-	Spec *scenario.Spec `json:"spec,omitempty"`
+	Spec *scenario.Spec `json:"spec"`
 }
 
 // MarshalJSON encodes a name-only cell as a bare string and an inline-spec
 // cell as an object carrying only the spec (the inline spec's own name is
-// the cell's identity; a separate Name would be dead weight the decoder
-// rejects as ambiguous), so the common case stays one readable token.
+// the cell's identity), so the common case stays one readable token.
 func (s Scenario) MarshalJSON() ([]byte, error) {
 	if s.Spec == nil {
 		return json.Marshal(s.Name)
@@ -48,10 +46,7 @@ func (s Scenario) MarshalJSON() ([]byte, error) {
 
 // UnmarshalJSON accepts both forms, strictly: a bare registered name, or an
 // object carrying an inline spec and nothing else. Inline specs inherit the
-// scenario codec's strictness (named kinds, unknown fields rejected). An
-// object naming a registered scenario *and* carrying a spec is ambiguous —
-// the run would silently follow the spec while the file appears to select
-// the name — and is rejected.
+// scenario codec's strictness (named kinds, unknown fields rejected).
 func (s *Scenario) UnmarshalJSON(b []byte) error {
 	trimmed := bytes.TrimSpace(b)
 	if len(trimmed) > 0 && trimmed[0] == '"' {
@@ -66,13 +61,10 @@ func (s *Scenario) UnmarshalJSON(b []byte) error {
 	if err := strictjson.Decode(bytes.NewReader(b), &obj); err != nil {
 		return fmt.Errorf("study: bad scenario entry: %w", err)
 	}
-	if obj.Name == "" && obj.Spec == nil {
-		return fmt.Errorf("study: scenario entry without a name or spec")
+	if obj.Spec == nil {
+		return fmt.Errorf("study: scenario entry without a spec")
 	}
-	if obj.Name != "" && obj.Spec != nil {
-		return fmt.Errorf("study: scenario entry %q names a registered scenario and carries an inline spec; use one or the other", obj.Name)
-	}
-	*s = Scenario{Name: obj.Name, Spec: obj.Spec}
+	*s = Scenario{Spec: obj.Spec}
 	return nil
 }
 

@@ -118,13 +118,18 @@ func TestScenarioAxisForms(t *testing.T) {
 		`{"name": "x", "scenarios": [{"spec": {"name": "i", "evnets": []}}]}`,
 		`{"name": "x", "scenarios": [{"spec": {"name": "i", "events": [{"kind": 3, "from": 0, "to": 1}]}}]}`,
 		`{"name": "x", "scenarios": [{}]}`,
-		// name + spec together is ambiguous: the run would follow the spec
-		// while the file appears to select the registered name.
 		`{"name": "x", "scenarios": [{"name": "flashcrowd", "spec": {"name": "i"}}]}`,
 	} {
 		if _, err := DecodeBytes([]byte(body)); err == nil {
 			t.Errorf("malformed scenario entry accepted: %s", body)
 		}
+	}
+
+	// A registered scenario has one spelling, its bare name: the object
+	// form carries an inline spec and nothing else.
+	_, err = DecodeBytes([]byte(`{"name": "x", "scenarios": [{"name": "flashcrowd"}]}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "name"`) {
+		t.Errorf(`{"name": "flashcrowd"} entry: err = %v, want unknown field "name"`, err)
 	}
 }
 

@@ -37,8 +37,5 @@ func ByName(name string) (*Study, error) {
 	if err != nil {
 		return nil, fmt.Errorf("specs/%s.json: %w", name, err)
 	}
-	if st.Name != name {
-		return nil, fmt.Errorf("study: specs/%s.json is named %q", name, st.Name)
-	}
 	return st, nil
 }

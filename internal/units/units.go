@@ -10,8 +10,6 @@ package units
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 )
 
@@ -97,36 +95,6 @@ func RateOf(size ByteSize, d time.Duration) BitRate {
 type AccessSpec struct {
 	Down BitRate
 	Up   BitRate
-}
-
-// ParseAccessSpec parses "down/up" with both values in Mbit/s, the notation
-// used throughout Table I (e.g. "6/0.512", "22/1.8", "2.5/0.384").
-func ParseAccessSpec(s string) (AccessSpec, error) {
-	parts := strings.Split(strings.TrimSpace(s), "/")
-	if len(parts) != 2 {
-		return AccessSpec{}, fmt.Errorf("units: access spec %q: want down/up", s)
-	}
-	down, err := strconv.ParseFloat(strings.TrimSpace(parts[0]), 64)
-	if err != nil || down <= 0 {
-		return AccessSpec{}, fmt.Errorf("units: access spec %q: bad downlink", s)
-	}
-	up, err := strconv.ParseFloat(strings.TrimSpace(parts[1]), 64)
-	if err != nil || up <= 0 {
-		return AccessSpec{}, fmt.Errorf("units: access spec %q: bad uplink", s)
-	}
-	return AccessSpec{
-		Down: BitRate(down * float64(Mbps)),
-		Up:   BitRate(up * float64(Mbps)),
-	}, nil
-}
-
-// MustAccessSpec is ParseAccessSpec for static tables; it panics on bad input.
-func MustAccessSpec(s string) AccessSpec {
-	a, err := ParseAccessSpec(s)
-	if err != nil {
-		panic(err)
-	}
-	return a
 }
 
 // String renders the spec in Table I notation.

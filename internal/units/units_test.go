@@ -80,40 +80,8 @@ func TestTransmitTimeMonotonicityProperty(t *testing.T) {
 	}
 }
 
-func TestParseAccessSpec(t *testing.T) {
-	// Every access spec that appears in Table I of the paper.
-	cases := []struct {
-		in       string
-		down, up BitRate
-	}{
-		{"6/0.512", 6 * Mbps, 512 * Kbps},
-		{"4/0.384", 4 * Mbps, 384 * Kbps},
-		{"8/0.384", 8 * Mbps, 384 * Kbps},
-		{"22/1.8", 22 * Mbps, 1800 * Kbps},
-		{"2.5/0.384", 2500 * Kbps, 384 * Kbps},
-	}
-	for _, c := range cases {
-		got, err := ParseAccessSpec(c.in)
-		if err != nil {
-			t.Errorf("ParseAccessSpec(%q) error: %v", c.in, err)
-			continue
-		}
-		if got.Down != c.down || got.Up != c.up {
-			t.Errorf("ParseAccessSpec(%q) = %v/%v, want %v/%v", c.in, got.Down, got.Up, c.down, c.up)
-		}
-	}
-}
-
-func TestParseAccessSpecErrors(t *testing.T) {
-	for _, in := range []string{"", "6", "6/", "/0.5", "6/0/5", "a/b", "0/1", "1/0", "-1/1"} {
-		if _, err := ParseAccessSpec(in); err == nil {
-			t.Errorf("ParseAccessSpec(%q) should fail", in)
-		}
-	}
-}
-
 func TestAccessSpecString(t *testing.T) {
-	a := MustAccessSpec("6/0.512")
+	a := AccessSpec{Down: 6 * Mbps, Up: 512 * Kbps}
 	if got := a.String(); got != "6/0.512" {
 		t.Errorf("String() = %q, want 6/0.512", got)
 	}

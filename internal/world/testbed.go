@@ -5,8 +5,6 @@
 package world
 
 import (
-	"fmt"
-
 	"napawine/internal/access"
 	"napawine/internal/topology"
 )
@@ -101,40 +99,3 @@ type Probe struct {
 // HighBandwidth reports whether the probe is one of the institutional
 // "high-bw" vantage points (the population Figure 2 is computed over).
 func (p *Probe) HighBandwidth() bool { return p.Link.HighBandwidth() }
-
-// probeCounts tallies the Table I inventory for validation.
-func probeCounts(sites []SiteSpec) (institutional, homes int) {
-	for _, s := range sites {
-		institutional += s.HighBw
-		homes += len(s.Homes)
-	}
-	return
-}
-
-// ErrTableI guards against accidental edits to the inventory.
-var errTableI = fmt.Errorf("world: Table I inventory mismatch")
-
-// ValidateTableI checks the structural facts the paper states: 7 sites,
-// 4 countries, 6 distinct institutional ASes, 7 home probes.
-func ValidateTableI(sites []SiteSpec) error {
-	if len(sites) != 7 {
-		return fmt.Errorf("%w: %d sites, want 7", errTableI, len(sites))
-	}
-	countries := map[topology.CC]bool{}
-	ases := map[string]bool{}
-	_, homes := probeCounts(sites)
-	for _, s := range sites {
-		countries[s.Country] = true
-		ases[s.ASLabel] = true
-	}
-	if len(countries) != 4 {
-		return fmt.Errorf("%w: %d countries, want 4", errTableI, len(countries))
-	}
-	if len(ases) != 6 {
-		return fmt.Errorf("%w: %d institutional ASes, want 6", errTableI, len(ases))
-	}
-	if homes != 7 {
-		return fmt.Errorf("%w: %d home probes, want 7", errTableI, homes)
-	}
-	return nil
-}

@@ -117,7 +117,7 @@ var institutionalLinks = []access.Link{
 	access.LAN100,
 	{Spec: units.Symmetric(20 * units.Mbps)},
 	{Spec: units.Symmetric(50 * units.Mbps)},
-	{Spec: units.MustAccessSpec("100/20")},
+	{Spec: units.AccessSpec{Down: 100 * units.Mbps, Up: 20 * units.Mbps}},
 }
 
 // defaultSubnetsPerAS sizes the background address space for the
@@ -169,9 +169,6 @@ func Build(spec Spec) (*World, error) {
 		spec.SubnetsPerAS = defaultSubnetsPerAS(spec.Peers+spec.ExtraPeers, mix)
 	}
 	sites := TableI()
-	if err := ValidateTableI(sites); err != nil {
-		return nil, err
-	}
 
 	rng := rand.New(rand.NewSource(spec.Seed))
 	b := topology.NewBuilder(spec.Seed)

@@ -19,12 +19,26 @@ func smallSpec(seed int64, peers int) Spec {
 	}
 }
 
+// TestTableIStructure: the structural facts the paper states of its
+// testbed: 7 sites in 4 countries and 6 institutional ASes, 37
+// institutional and 7 home probes (§II: 44 peers).
 func TestTableIStructure(t *testing.T) {
 	sites := TableI()
-	if err := ValidateTableI(sites); err != nil {
-		t.Fatal(err)
+	if len(sites) != 7 {
+		t.Fatalf("%d sites, want 7", len(sites))
 	}
-	inst, homes := probeCounts(sites)
+	countries := map[topology.CC]bool{}
+	ases := map[string]bool{}
+	inst, homes := 0, 0
+	for _, s := range sites {
+		countries[s.Country] = true
+		ases[s.ASLabel] = true
+		inst += s.HighBw
+		homes += len(s.Homes)
+	}
+	if len(countries) != 4 || len(ases) != 6 {
+		t.Errorf("%d countries and %d institutional ASes, want 4 and 6", len(countries), len(ases))
+	}
 	if inst != 37 || homes != 7 {
 		t.Errorf("inventory = %d institutional + %d homes, want 37+7 (§II: 44 peers)", inst, homes)
 	}
@@ -51,20 +65,18 @@ func TestTableIStructure(t *testing.T) {
 	}
 }
 
-func TestValidateTableIFailures(t *testing.T) {
-	good := TableI()
-	if err := ValidateTableI(good[:6]); err == nil {
-		t.Error("6 sites should fail")
+// TestInstitutionalLinks: the background's high-bw profiles, in Table I
+// notation, all high-bandwidth.
+func TestInstitutionalLinks(t *testing.T) {
+	var got []string
+	for _, l := range institutionalLinks {
+		got = append(got, l.Spec.String())
+		if !l.HighBandwidth() {
+			t.Errorf("institutional link %v is not high-bw", l.Spec)
+		}
 	}
-	mutated := TableI()
-	mutated[0].Homes = nil // drop a home probe
-	if err := ValidateTableI(mutated); err == nil {
-		t.Error("6 home probes should fail")
-	}
-	merged := TableI()
-	merged[2].ASLabel = "AS1" // MT joins AS1 → only 5 ASes
-	if err := ValidateTableI(merged); err == nil {
-		t.Error("5 institutional ASes should fail")
+	if want := "100/100 20/20 50/50 100/20"; strings.Join(got, " ") != want {
+		t.Errorf("institutional links = %s, want %s", strings.Join(got, " "), want)
 	}
 }
 
