@@ -34,11 +34,12 @@ import (
 // Cross-shard sends. During the concurrent phase a shard must not call
 // into another shard's Engine; it appends the send to its own per-
 // destination mailbox via Send. At the barrier the coordinator flushes all
-// mailboxes, per destination, sorted by (at, src shard, seq) — a total
-// order independent of goroutine scheduling — which makes shards=N runs
-// byte-identical for a fixed N. A send that lands exactly on the window
-// boundary is enqueued behind the barrier and executes first thing in the
-// next window.
+// mailboxes, per destination, sources in index order and each mailbox in
+// send order. The destination's (at, seq) queue then fires them by instant,
+// ties in (src shard, send order) — a total order independent of goroutine
+// scheduling — which makes shards=N runs byte-identical for a fixed N. A
+// send that lands exactly on the window boundary is enqueued behind the
+// barrier and executes first thing in the next window.
 //
 // shards=1 collapses the machinery entirely: the global engine is the one
 // shard, Run delegates to Engine.Run, and behavior is byte-identical to
@@ -50,25 +51,19 @@ type Sharded struct {
 	stopped   bool
 
 	// mail[src][dst] buffers cross-shard sends made during the concurrent
-	// phase; each inner slice is appended to only by shard src's goroutine,
-	// so no locking is needed. crossSeq[src] numbers shard src's sends to
-	// every destination, giving the flush sort a total order.
-	mail     [][][]crossEvent
-	crossSeq []uint64
+	// phase, in send order; each inner slice is appended to only by shard
+	// src's goroutine, so no locking is needed.
+	mail [][][]crossEvent
 	// parallel is true exactly while shard goroutines are running. It is
 	// written only by the coordinator while workers are parked, so workers
 	// observe a stable value.
 	parallel bool
-	// scratch for the per-destination merge at flush time.
-	flushBuf []crossEvent
 }
 
 // crossEvent is one cross-shard send awaiting the barrier flush.
 type crossEvent struct {
-	at  Time
-	src int
-	seq uint64
-	fn  func()
+	at Time
+	fn func()
 }
 
 // NewSharded builds a coordinator over n shard engines. lookahead must be a
@@ -93,7 +88,6 @@ func NewSharded(seed int64, n int, lookahead time.Duration) *Sharded {
 	for i := range s.shards {
 		s.shards[i] = New(mixSeed(seed, int64(i)))
 	}
-	s.crossSeq = make([]uint64, n)
 	s.mail = make([][][]crossEvent, n)
 	for i := range s.mail {
 		s.mail[i] = make([][]crossEvent, n)
@@ -175,9 +169,7 @@ func (s *Sharded) Send(src, dst int, at Time, fn func()) {
 		s.shards[dst].At(at, fn)
 		return
 	}
-	s.crossSeq[src]++
-	s.mail[src][dst] = append(s.mail[src][dst],
-		crossEvent{at: at, src: src, seq: s.crossSeq[src], fn: fn})
+	s.mail[src][dst] = append(s.mail[src][dst], crossEvent{at: at, fn: fn})
 }
 
 // Run executes events until the coordinated clock would pass horizon, the
@@ -249,8 +241,10 @@ func (s *Sharded) Run(horizon time.Duration) {
 		wg.Wait()
 		s.parallel = false
 
-		// Barrier: deliver cross-shard sends in (at, src, seq) order, then
-		// run global events due in the closed window.
+		// Barrier: deliver cross-shard sends, then run global events due in
+		// the closed window. The order matters: flushed sends take engine
+		// seqs before anything a global event schedules, so at one instant
+		// they fire ahead of it.
 		s.flush(next)
 		s.global.Run(time.Duration(next))
 		if s.global.stopped {
@@ -277,68 +271,27 @@ func (s *Sharded) minNext() (Time, bool) {
 	return m, ok
 }
 
-// flush delivers all buffered cross-shard sends. Per destination, events
-// from every source mailbox merge in (at, src, seq) order — deterministic
-// regardless of how the window's goroutines interleaved — and enqueue in
-// that order, so the destination's (at, seq) tie-break preserves it. An
-// arrival before the barrier instant would mean the lookahead bound was
-// violated; that is a bug in the caller's bound, and it panics loudly
-// rather than silently reordering the past.
+// flush delivers all buffered cross-shard sends. Per destination it walks
+// the sources in index order and enqueues each mailbox in send order, one
+// unbroken run of At calls, so the destination's (at, seq) queue fires them
+// by instant and, at one instant, in (src, send order) — deterministic
+// regardless of how the window's goroutines interleaved. An arrival before
+// the barrier instant would mean the lookahead bound was violated; that is
+// a bug in the caller's bound, and it panics loudly rather than silently
+// reordering the past.
 func (s *Sharded) flush(barrier Time) {
-	for dst := range s.shards {
-		buf := s.flushBuf[:0]
+	for dst, sh := range s.shards {
 		for src := range s.shards {
-			if src == dst {
-				continue
-			}
 			box := s.mail[src][dst]
-			if len(box) == 0 {
-				continue
-			}
-			buf = append(buf, box...)
 			for i := range box {
-				box[i] = crossEvent{} // release fn references
+				ev := &box[i]
+				if ev.at < barrier {
+					panic(fmt.Sprintf("sim: cross-shard send at %v arrived inside window ending %v (lookahead bound violated)", ev.at, barrier))
+				}
+				sh.At(ev.at, ev.fn)
+				*ev = crossEvent{} // release the fn reference
 			}
 			s.mail[src][dst] = box[:0]
 		}
-		if len(buf) == 0 {
-			continue
-		}
-		sortCross(buf)
-		sh := s.shards[dst]
-		for i := range buf {
-			ev := &buf[i]
-			if ev.at < barrier {
-				panic(fmt.Sprintf("sim: cross-shard send at %v arrived inside window ending %v (lookahead bound violated)", ev.at, barrier))
-			}
-			sh.At(ev.at, ev.fn)
-			*ev = crossEvent{}
-		}
-		s.flushBuf = buf[:0]
 	}
-}
-
-// sortCross orders by (at, src, seq): insertion sort, since mailbox batches
-// are small (one window's worth of cross traffic per destination) and each
-// source's run arrives already seq-ordered.
-func sortCross(evs []crossEvent) {
-	for i := 1; i < len(evs); i++ {
-		ev := evs[i]
-		j := i - 1
-		for j >= 0 && crossAfter(evs[j], ev) {
-			evs[j+1] = evs[j]
-			j--
-		}
-		evs[j+1] = ev
-	}
-}
-
-func crossAfter(a, b crossEvent) bool {
-	if a.at != b.at {
-		return a.at > b.at
-	}
-	if a.src != b.src {
-		return a.src > b.src
-	}
-	return a.seq > b.seq
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 )
@@ -124,6 +126,122 @@ func TestShardedFlushOrdering(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("flush order = %v, want %v", got, want)
 		}
+	}
+}
+
+// crossArrival is one cross-shard send as its destination fired it: the
+// instant, the window it was sent in (barriers passed before the send), the
+// source shard and the source's send index.
+type crossArrival struct {
+	at                Time
+	window, src, send int
+}
+
+// flushOrderRun plays script on a sharded coordinator and returns, per
+// destination, the cross sends in the order they fired. script[0] picks 2–4
+// shards; each later triple of bytes is one send: its source and
+// destination, the source's instant (0–15 ms), and how far past the
+// earliest legal arrival (0–2 ms) it lands. Every instant is a whole
+// millisecond, so sends from different sources and windows often share
+// one. A global event every lookahead counts the barriers: with that period
+// every window ends on one, so the count a shard reads is its window's
+// index.
+func flushOrderRun(t *testing.T, script []byte) [][]crossArrival {
+	const la = 4 * time.Millisecond
+	n := 2 + int(script[0]%3)
+	s := NewSharded(1, n, la)
+	windows := 0
+	s.Global().Every(la, la, func() { windows++ })
+	sent := make([]int, n)
+	got := make([][]crossArrival, n)
+	for i := 1; i+2 < len(script) && i < 3*64; i += 3 {
+		src := int(script[i]) % n
+		dst := (src + 1 + int(script[i]/byte(n))%(n-1)) % n
+		when := Time(time.Duration(script[i+1]%16) * time.Millisecond)
+		late := time.Duration(script[i+2]%3) * time.Millisecond
+		s.Shard(src).At(when, func() {
+			a := crossArrival{
+				at:     s.Shard(src).Now().Add(la + late),
+				window: windows, src: src, send: sent[src],
+			}
+			sent[src]++
+			s.Send(src, dst, a.at, func() {
+				if now := s.Shard(dst).Now(); now != a.at {
+					t.Errorf("send %+v fired at %v", a, now)
+				}
+				got[dst] = append(got[dst], a)
+			})
+		})
+	}
+	s.Run(40 * time.Millisecond)
+	return got
+}
+
+// FuzzShardedFlushOrder: each destination fires its cross sends by instant,
+// then by window, and within one barrier's flush by (source shard, send
+// order), whatever order the window's goroutines ran in; and two runs of
+// one script fire identically.
+func FuzzShardedFlushOrder(f *testing.F) {
+	// Three shards; at 5 ms shard 2 sends once and shard 1 twice to shard
+	// 0, all landing at 9 ms: the flush must fire shard 1's two first.
+	f.Add([]byte{1, 2, 5, 0, 4, 5, 0, 4, 5, 0})
+	rng := rand.New(rand.NewSource(1))
+	for range 6 {
+		script := make([]byte, 1+3*40)
+		rng.Read(script)
+		f.Add(script)
+	}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		if len(script) == 0 {
+			return
+		}
+		a, b := flushOrderRun(t, script), flushOrderRun(t, script)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("two runs fired differently:\n%v\n%v", a, b)
+		}
+		for dst, log := range a {
+			for i := 1; i < len(log); i++ {
+				if p, q := log[i-1], log[i]; !crossBefore(p, q) {
+					t.Fatalf("shard %d fired %+v before %+v", dst, p, q)
+				}
+			}
+		}
+	})
+}
+
+// crossBefore orders arrivals by (at, window, src, send).
+func crossBefore(p, q crossArrival) bool {
+	if p.at != q.at {
+		return p.at < q.at
+	}
+	if p.window != q.window {
+		return p.window < q.window
+	}
+	if p.src != q.src {
+		return p.src < q.src
+	}
+	return p.send < q.send
+}
+
+// At one instant on one shard, an event the shard scheduled during a window,
+// a cross send that window delivered, and an event a global event at the
+// window's barrier scheduled fire in that order: the flush runs before the
+// barrier's global events, so its sends take the shard's engine seqs first.
+func TestShardedSameInstantLocalCrossGlobal(t *testing.T) {
+	const la = 10 * time.Millisecond
+	s := NewSharded(1, 2, la)
+	at := Time(12 * time.Millisecond)
+	var order []string
+	record := func(what string) func() {
+		return func() { order = append(order, what) }
+	}
+	// The window is [1 ms, 5 ms]: the global event at 5 ms closes it.
+	s.Shard(0).Schedule(time.Millisecond, func() { s.Shard(0).At(at, record("local")) })
+	s.Shard(1).Schedule(time.Millisecond, func() { s.Send(1, 0, at, record("cross")) })
+	s.Global().Schedule(5*time.Millisecond, func() { s.Shard(0).At(at, record("global")) })
+	s.Run(50 * time.Millisecond)
+	if want := []string{"local", "cross", "global"}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("order = %v, want %v", order, want)
 	}
 }
 
