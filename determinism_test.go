@@ -21,15 +21,10 @@ var simulationPackages = []string{
 	"core", "experiment", "world", "topology", "scenario", "apps", "study",
 }
 
-// nondeterministicCall names a call in f that reads the wall clock or the
-// shared math/rand source, or returns "" for any other call. Seeded
-// generators (rand.New, rand.NewSource) are what the simulation draws from.
-func nondeterministicCall(f *ast.File, call *ast.CallExpr) string {
-	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return ""
-	}
-	pkg, ok := sel.X.(*ast.Ident)
+// importPath reports the path of the package x names in f through f's
+// imports, or "" when x is not an identifier naming one.
+func importPath(f *ast.File, x ast.Expr) string {
+	pkg, ok := x.(*ast.Ident)
 	if !ok {
 		return ""
 	}
@@ -39,15 +34,26 @@ func nondeterministicCall(f *ast.File, call *ast.CallExpr) string {
 		if imp.Name != nil {
 			name = imp.Name.Name
 		}
-		if name != pkg.Name {
-			continue
+		if name == pkg.Name {
+			return path
 		}
-		fn := sel.Sel.Name
-		switch {
-		case path == "time" && slices.Contains([]string{"Now", "Since", "Until"}, fn),
-			path == "math/rand" && fn != "New" && fn != "NewSource":
-			return path + "." + fn
-		}
+	}
+	return ""
+}
+
+// nondeterministicCall names a call in f that reads the wall clock or the
+// shared math/rand source, or returns "" for any other call. Seeded
+// generators (rand.New, rand.NewSource) are what the simulation draws from.
+func nondeterministicCall(f *ast.File, call *ast.CallExpr) string {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return ""
+	}
+	path, fn := importPath(f, sel.X), sel.Sel.Name
+	switch {
+	case path == "time" && slices.Contains([]string{"Now", "Since", "Until"}, fn),
+		path == "math/rand" && fn != "New" && fn != "NewSource":
+		return path + "." + fn
 	}
 	return ""
 }
@@ -78,9 +84,9 @@ var goroutinesAllowed = map[string]string{
 // it as (*T).M, T.M or F ("" outside any function).
 type goStatement struct{ pos, fn string }
 
-// goStatements lists the go statements in f.
-func goStatements(fset *token.FileSet, f *ast.File) []goStatement {
-	var found []goStatement
+// inFunctions calls visit for every node of f with the name of the function
+// declaring it, as (*T).M, T.M or F ("" outside any function).
+func inFunctions(f *ast.File, visit func(fn string, n ast.Node)) {
 	for _, decl := range f.Decls {
 		fn := ""
 		if d, ok := decl.(*ast.FuncDecl); ok {
@@ -95,12 +101,50 @@ func goStatements(fset *token.FileSet, f *ast.File) []goStatement {
 			}
 		}
 		ast.Inspect(decl, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok {
-				found = append(found, goStatement{fset.Position(g.Pos()).String(), fn})
-			}
+			visit(fn, n)
 			return true
 		})
 	}
+}
+
+// goStatements lists the go statements in f.
+func goStatements(fset *token.FileSet, f *ast.File) []goStatement {
+	var found []goStatement
+	inFunctions(f, func(fn string, n ast.Node) {
+		if g, ok := n.(*ast.GoStmt); ok {
+			found = append(found, goStatement{fset.Position(g.Pos()).String(), fn})
+		}
+	})
+	return found
+}
+
+// osFileOps are the os names a simulation package may use: each creates or
+// reads a file at a path its caller names, an output or input of the run
+// like any other. The rest of os (the environment, the arguments, the
+// process, the host, the working directory) is state a run must not read.
+var osFileOps = []string{"Create", "File", "ReadFile"}
+
+// processReads lists file:line: name for every use in f, the file at path,
+// of a runtime package (runtime, runtime/debug, ...) or of os beyond
+// osFileOps. One runtime read is not listed: runtime.GOMAXPROCS inside a
+// function goroutinesAllowed names, where it can only size the goroutines
+// that entry accounts for.
+func processReads(fset *token.FileSet, path string, f *ast.File) []string {
+	var found []string
+	inFunctions(f, func(fn string, n ast.Node) {
+		sel, ok := n.(*ast.SelectorExpr)
+		if !ok {
+			return
+		}
+		pkg, name := importPath(f, sel.X), sel.Sel.Name
+		_, sizesGoroutines := goroutinesAllowed[path+":"+fn]
+		switch {
+		case pkg == "os" && !slices.Contains(osFileOps, name),
+			pkg == "runtime" && !(name == "GOMAXPROCS" && sizesGoroutines),
+			strings.HasPrefix(pkg, "runtime/"):
+			found = append(found, fmt.Sprintf("%s: %s.%s", fset.Position(sel.Pos()), pkg, name))
+		}
+	})
 	return found
 }
 
@@ -137,6 +181,21 @@ func TestSimulationCodeIsDeterministic(t *testing.T) {
 	files := parseSimulationFiles(t, fset)
 	for _, name := range slices.Sorted(maps.Keys(files)) {
 		for _, found := range nondeterministicCalls(fset, files[name]) {
+			t.Error(found)
+		}
+	}
+}
+
+// TestSimulationCodeReadsNoProcessState: no non-test file of a simulation
+// package reads the process or its host through runtime or os (memory
+// statistics, goroutine or CPU counts, the environment, the arguments, the
+// host name): a run's output, and what it counts of its own work, must not
+// depend on them.
+func TestSimulationCodeReadsNoProcessState(t *testing.T) {
+	fset := token.NewFileSet()
+	files := parseSimulationFiles(t, fset)
+	for _, name := range slices.Sorted(maps.Keys(files)) {
+		for _, found := range processReads(fset, name, files[name]) {
 			t.Error(found)
 		}
 	}
@@ -191,6 +250,55 @@ func f(time struct{ Now func() int }) {
 	}
 	found := nondeterministicCalls(fset, f)
 	want := []string{"p.go:9:6: time.Now", "p.go:10:6: time.Since", "p.go:11:6: math/rand.Intn"}
+	if !slices.Equal(found, want) {
+		t.Errorf("found %q, want %q", found, want)
+	}
+}
+
+// TestDeterminismGuardFindsProcessReads: calls and plain reads of runtime,
+// runtime/debug and os are found through renamed imports; os's file
+// operations, GOMAXPROCS where goroutinesAllowed names the function, and a
+// local value named like a package are not.
+func TestDeterminismGuardFindsProcessReads(t *testing.T) {
+	const src = `package study
+
+import (
+	"os"
+	rt "runtime"
+	"runtime/debug"
+)
+
+func Run(runtime struct{ NumCPU func() int }) {
+	_ = rt.GOMAXPROCS(0)
+	_ = runtime.NumCPU()
+	f, _ := os.Create("trace")
+	var _ *os.File = f
+	_, _ = os.ReadFile("spec.json")
+}
+
+func g() {
+	var ms rt.MemStats
+	rt.ReadMemStats(&ms)
+	_ = rt.GOMAXPROCS(0)
+	_ = os.Getenv("SEED")
+	_ = os.Args
+	debug.SetGCPercent(50)
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "internal/study/run.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := processReads(fset, "internal/study/run.go", f)
+	want := []string{
+		"internal/study/run.go:18:9: runtime.MemStats",
+		"internal/study/run.go:19:2: runtime.ReadMemStats",
+		"internal/study/run.go:20:6: runtime.GOMAXPROCS",
+		"internal/study/run.go:21:6: os.Getenv",
+		"internal/study/run.go:22:6: os.Args",
+		"internal/study/run.go:23:2: runtime/debug.SetGCPercent",
+	}
 	if !slices.Equal(found, want) {
 		t.Errorf("found %q, want %q", found, want)
 	}

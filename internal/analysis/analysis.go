@@ -63,6 +63,7 @@ type PeerAggregate struct {
 	// hasFull reports that lastFull holds the arrival of the last
 	// full-size inbound video packet.
 	hasFull  bool
+	remote   uint32 // the row's key (see key), in what was padding
 	lastFull sim.Time
 }
 
@@ -80,16 +81,20 @@ func (p *PeerAggregate) Hops() int {
 //
 // The aggregates form a table with no pointer in it, in the order the
 // remotes were first seen: captures and the trace format are IPv4-only, so
-// a remote is keyed by its address as 32 bits.
+// a remote is keyed by its address as 32 bits, and each row carries its key.
+// Rows live in fixed blocks of blockRows, allocated as new remotes appear:
+// the table never grows by copying, and a row never moves once made.
 type Aggregator struct {
 	probe netip.Addr
 	cfg   Config
-	// index maps a remote's key to its row of remotes and peers.
-	index   map[uint32]int32
-	remotes []uint32
-	peers   []PeerAggregate
-	count   uint64
+	// index maps a remote's key to its row (see row).
+	index  map[uint32]int32
+	blocks []*[blockRows]PeerAggregate
+	count  uint64
 }
+
+// blockRows is the rows in one block: 64 of 56 bytes fill a size class.
+const blockRows = 64
 
 // New builds an aggregator for the given IPv4 probe address.
 func New(probe netip.Addr, cfg Config) *Aggregator {
@@ -121,10 +126,18 @@ func (a *Aggregator) Records() uint64 { return a.count }
 
 // PeerCount reports how many distinct remote peers were observed — the
 // paper's "all peers" population for this probe.
-func (a *Aggregator) PeerCount() int { return len(a.peers) }
+func (a *Aggregator) PeerCount() int { return len(a.index) }
+
+// Blocks reports how many row blocks the table has allocated.
+func (a *Aggregator) Blocks() int { return len(a.blocks) }
+
+// row returns row i.
+func (a *Aggregator) row(i int) *PeerAggregate {
+	return &a.blocks[uint(i)/blockRows][uint(i)%blockRows]
+}
 
 // Peer returns the aggregate for one remote address, nil when never seen.
-// The pointer is valid until the next Consume, which may move the table.
+// Rows never move, so the pointer stays valid as records are consumed.
 func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate {
 	if !remote.Is4() {
 		return nil
@@ -133,15 +146,15 @@ func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate {
 	if !ok {
 		return nil
 	}
-	return &a.peers[i]
+	return a.row(int(i))
 }
 
 // Bytes reports the bytes of every consumed record, inbound (toward the
 // probe) and outbound: the sums of the aggregates' TotalDown and TotalUp.
 func (a *Aggregator) Bytes() (in, out int64) {
-	for i := range a.peers {
-		in += a.peers[i].TotalDown
-		out += a.peers[i].TotalUp
+	for i := range a.PeerCount() {
+		in += a.row(i).TotalDown
+		out += a.row(i).TotalUp
 	}
 	return in, out
 }
@@ -150,21 +163,19 @@ func (a *Aggregator) Bytes() (in, out int64) {
 // total video bytes (then by address). Tools use this to list top
 // contributors.
 func (a *Aggregator) PeerAddrs() []netip.Addr {
-	rows := make([]int, len(a.peers))
+	rows := make([]*PeerAggregate, a.PeerCount())
 	for i := range rows {
-		rows[i] = i
+		rows[i] = a.row(i)
 	}
-	slices.SortFunc(rows, func(i, j int) int {
-		vi := a.peers[i].VideoDown + a.peers[i].VideoUp
-		vj := a.peers[j].VideoDown + a.peers[j].VideoUp
-		if c := cmp.Compare(vj, vi); c != 0 {
+	slices.SortFunc(rows, func(p, q *PeerAggregate) int {
+		if c := cmp.Compare(q.VideoDown+q.VideoUp, p.VideoDown+p.VideoUp); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.remotes[i], a.remotes[j])
+		return cmp.Compare(p.remote, q.remote)
 	})
 	out := make([]netip.Addr, len(rows))
-	for n, i := range rows {
-		out[n] = addrOf(a.remotes[i])
+	for n, p := range rows {
+		out[n] = addrOf(p.remote)
 	}
 	return out
 }
@@ -179,12 +190,14 @@ func (a *Aggregator) Consume(r packet.Record) {
 	k := key(remote)
 	i, ok := a.index[k]
 	if !ok {
-		i = int32(len(a.peers))
+		i = int32(len(a.index))
+		if i%blockRows == 0 {
+			a.blocks = append(a.blocks, new([blockRows]PeerAggregate))
+		}
 		a.index[k] = i
-		a.remotes = append(a.remotes, k)
-		a.peers = append(a.peers, PeerAggregate{})
+		a.row(int(i)).remote = k
 	}
-	agg := &a.peers[i]
+	agg := a.row(int(i))
 	a.count++
 	size := int64(r.Size)
 	isVideo := r.Size >= a.cfg.VideoSizeFloor
@@ -238,8 +251,8 @@ func (a *Aggregator) AppendObservations(dst []core.Observation, loc Locator, pro
 	}
 	probe := a.probe.As4()
 	unlocated := 0
-	for i := range a.peers {
-		agg, remote := &a.peers[i], addrOf(a.remotes[i])
+	for i := range a.PeerCount() {
+		agg, remote := a.row(i), addrOf(a.row(i).remote)
 		h, ok := loc.Locate(remote)
 		if !ok {
 			unlocated++

@@ -36,7 +36,7 @@ func (a *mapAggregator) consume(r packet.Record) {
 	remote, inbound := sniffer.Remote(r, a.probe)
 	agg := a.peers[remote]
 	if agg == nil {
-		agg = &PeerAggregate{}
+		agg = &PeerAggregate{remote: key(remote)} // the table's rows carry their key
 		a.peers[remote] = agg
 	}
 	a.count++
@@ -120,7 +120,8 @@ func (l fakeLocator) Locate(a netip.Addr) (topology.Host, bool) {
 // timestamps, remotes at the ends of the address space and next to each other
 // in it — and requires the same counts, every remote's aggregate, the same
 // PeerAddrs order and the same observations as a multiset; the table's come
-// in first-seen order.
+// in first-seen order. A row's address, taken when its remote is first
+// seen, must still be the row's at the end: rows never move.
 func TestTableMatchesMapReference(t *testing.T) {
 	cfg := DefaultConfig()
 	sizes := []units.ByteSize{0, 40, 80, cfg.VideoSizeFloor - 1, cfg.VideoSizeFloor, 1100, cfg.FullPacket - 1, cfg.FullPacket, 1500}
@@ -149,12 +150,14 @@ func TestTableMatchesMapReference(t *testing.T) {
 
 		table, ref := New(probe, cfg), newMapAggregator(probe, cfg)
 		var firstSeen []netip.Addr
+		rowAt := map[netip.Addr]*PeerAggregate{}
 		feed := func(r packet.Record) {
 			remote, _ := sniffer.Remote(r, probe)
+			table.Consume(r)
 			if ref.peers[remote] == nil {
 				firstSeen = append(firstSeen, remote)
+				rowAt[remote] = table.Peer(remote)
 			}
-			table.Consume(r)
 			ref.consume(r)
 		}
 		ts := int64(0)
@@ -193,7 +196,12 @@ func TestTableMatchesMapReference(t *testing.T) {
 		for addr, want := range ref.peers {
 			if got := table.Peer(addr); got == nil || *got != *want {
 				t.Fatalf("seed %d: Peer(%v) = %+v, the map holds %+v", seed, addr, got, *want)
+			} else if got != rowAt[addr] {
+				t.Fatalf("seed %d: Peer(%v)'s row moved", seed, addr)
 			}
+		}
+		if want := (len(ref.peers) + blockRows - 1) / blockRows; table.Blocks() != want {
+			t.Errorf("seed %d: %d row blocks for %d remotes, want %d", seed, table.Blocks(), len(ref.peers), want)
 		}
 		for _, absent := range []netip.Addr{netip.AddrFrom4([4]byte{192, 0, 2, 1}), netip.MustParseAddr("2001:db8::1"), {}} {
 			if ref.peers[absent] == nil && table.Peer(absent) != nil {
@@ -232,9 +240,11 @@ func TestTableMatchesMapReference(t *testing.T) {
 }
 
 // TestTableIsPointerFree: the collector must find nothing to follow in the
-// per-peer table, in its index's keys and values, or in the observation rows
+// per-peer rows, in their index's keys and values, or in the observation rows
 // a run's reduce builds from it — a field that brought a pointer back would
-// have every aggregate, or every probe×peer row, scanned again.
+// have every aggregate, or every probe×peer row, scanned again. The block
+// directory is the one place the table holds pointers: one per block of at
+// least 64 rows.
 func TestTableIsPointerFree(t *testing.T) {
 	if size := unsafe.Sizeof(PeerAggregate{}); size > 56 {
 		t.Errorf("PeerAggregate is %d bytes, want at most 56", size)
@@ -259,20 +269,27 @@ func TestTableIsPointerFree(t *testing.T) {
 		}
 	}
 	agg := reflect.TypeOf(Aggregator{})
-	for _, name := range []string{"peers", "remotes", "index"} {
-		field, ok := agg.FieldByName(name)
+	field := func(name string) reflect.Type {
+		f, ok := agg.FieldByName(name)
 		if !ok {
 			t.Fatalf("Aggregator has no field %s", name)
 		}
-		switch ty := field.Type; ty.Kind() {
-		case reflect.Map:
-			walk(name+" key", ty.Key())
-			walk(name+" value", ty.Elem())
-		case reflect.Slice:
-			walk(name+"[]", ty.Elem())
-		default:
-			t.Errorf("Aggregator.%s is a %s, want a slice or a map", name, ty.Kind())
-		}
+		return f.Type
+	}
+	if index := field("index"); index.Kind() != reflect.Map {
+		t.Errorf("Aggregator.index is a %s, want a map", index.Kind())
+	} else {
+		walk("index key", index.Key())
+		walk("index value", index.Elem())
+	}
+	blocks := field("blocks")
+	if blocks.Kind() != reflect.Slice || blocks.Elem().Kind() != reflect.Pointer || blocks.Elem().Elem().Kind() != reflect.Array {
+		t.Fatalf("Aggregator.blocks is a %s, want a slice of pointers to arrays of rows", blocks)
+	}
+	if block := blocks.Elem().Elem(); block.Len() < 64 {
+		t.Errorf("a block holds %d rows, want at least 64 for each pointer", block.Len())
+	} else {
+		walk("blocks[][]", block.Elem())
 	}
 	walk("core.Observation", reflect.TypeOf(core.Observation{}))
 }

@@ -213,6 +213,12 @@ type Result struct {
 	// Ledger is ground truth for validation; analysis never reads it.
 	Ledger *overlay.Ledger
 
+	// Capture and RowBlocks count the probe spools' work and the
+	// aggregators' row blocks: exact per seed, read by nothing in the run
+	// and no part of Summary.
+	Capture   sniffer.Counts
+	RowBlocks int
+
 	probeByAddr map[netip.Addr]world.Probe
 }
 
@@ -319,6 +325,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	type probeRT struct {
 		probe world.Probe
 		node  *overlay.Node
+		spool *sniffer.Spool
 		agg   *analysis.Aggregator
 	}
 	probes := make([]probeRT, 0, len(w.Probes))
@@ -331,9 +338,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}()
 	for _, p := range w.Probes {
 		node := net.AddNode(p.Host, p.Link, prof)
-		cap := net.AttachSniffer(node)
+		spool := net.AttachSniffer(node)
 		agg := analysis.New(p.Host.Addr, analysis.DefaultConfig())
-		cap.Attach(agg)
+		spool.Capture().Attach(agg)
 		if cfg.StoreTraces != "" {
 			path := filepath.Join(cfg.StoreTraces, p.Label+".nwt")
 			f, err := os.Create(path)
@@ -345,11 +352,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 				return nil, fmt.Errorf("experiment: trace header: %w", err)
 			}
 			sink := &sniffer.WriterSink{W: tw}
-			cap.Attach(sink)
+			spool.Capture().Attach(sink)
 			traceFiles = append(traceFiles, f)
 			traceSinks = append(traceSinks, sink)
 		}
-		probes = append(probes, probeRT{probe: p, node: node, agg: agg})
+		probes = append(probes, probeRT{probe: p, node: node, spool: spool, agg: agg})
 	}
 
 	background := make([]*overlay.Node, 0, len(w.Background))
@@ -468,6 +475,9 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		var unlocated int
 		res.Observations, unlocated = p.agg.AppendObservations(res.Observations, w.Topo, probeSet)
 		res.Unlocated += unlocated
+		sc, c := p.spool.Counts(), &res.Capture
+		c.Staged, c.Moved, c.Fallbacks = c.Staged+sc.Staged, c.Moved+sc.Moved, c.Fallbacks+sc.Fallbacks
+		res.RowBlocks += p.agg.Blocks()
 		in, out := p.agg.Bytes()
 		stat := ProbeStats{
 			Probe:    p.probe,

@@ -57,7 +57,7 @@ func TestProbeStageStaysInFlight(t *testing.T) {
 	for i, p := range w.Probes {
 		nd := net.AddNode(p.Host, p.Link, prof)
 		probes[i] = nd
-		net.AttachSniffer(nd).Attach(sniffer.ConsumerFunc(func(packet.Record) {
+		net.AttachSniffer(nd).Capture().Attach(sniffer.ConsumerFunc(func(packet.Record) {
 			high[i] = max(high[i], overlay.StagedAt(nd))
 		}))
 	}

@@ -32,7 +32,7 @@ func TestProbesArePassive(t *testing.T) {
 				// countries host a recording receiver.
 				for _, i := range []int{0, 1, 3, 6, 10} {
 					nd := w.peers[i]
-					w.net.AttachSniffer(nd).Attach(sniffer.ConsumerFunc(func(r packet.Record) {
+					w.net.AttachSniffer(nd).Capture().Attach(sniffer.ConsumerFunc(func(r packet.Record) {
 						if r.Dst == nd.Host.Addr && r.Kind == packet.Signaling && r.TTL < packet.InitialTTL {
 							rxControl++
 						}

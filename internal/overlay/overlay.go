@@ -562,15 +562,15 @@ func (n *Network) PromoteSource(backup *Node) {
 	}
 }
 
-// AttachSniffer equips a node with a probe capture: records for every
-// packet crossing the node's access link are staged in the node's
-// sniffer.Spool, which hands them to the capture as they become final.
+// AttachSniffer equips a node with a probe capture and returns the node's
+// sniffer.Spool: records for every packet crossing the node's access link
+// are staged there, and handed to the spool's capture as they become final.
 // FlushCaptures hands over the rest once the run has ended.
-func (n *Network) AttachSniffer(node *Node) *sniffer.Capture {
+func (n *Network) AttachSniffer(node *Node) *sniffer.Spool {
 	if node.spool == nil {
 		node.spool = sniffer.NewSpool(sniffer.New(node.Host.Addr))
 	}
-	return node.spool.Capture()
+	return node.spool
 }
 
 // FlushCaptures drains every probe spool into its capture in timestamp

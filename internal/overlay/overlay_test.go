@@ -183,7 +183,7 @@ func TestPartnerBoundsRespected(t *testing.T) {
 func TestProbeCapturesPlausibleTraffic(t *testing.T) {
 	w := buildWorld(t, 3, 20, 4)
 	probe := w.peers[3]
-	cap := w.net.AttachSniffer(probe)
+	cap := w.net.AttachSniffer(probe).Capture()
 	w.startAll()
 	w.eng.Run(60 * time.Second)
 	w.net.FlushCaptures()
@@ -201,7 +201,7 @@ func TestProbeCapturesPlausibleTraffic(t *testing.T) {
 func TestSnifferRecordsMatchLedgerVideo(t *testing.T) {
 	w := buildWorld(t, 4, 16, 0)
 	probe := w.peers[0]
-	capture := w.net.AttachSniffer(probe)
+	capture := w.net.AttachSniffer(probe).Capture()
 	var inVideo, outVideo int64
 	capture.Attach(sniffer.ConsumerFunc(func(r packet.Record) {
 		if r.Kind != packet.Video {
@@ -457,7 +457,7 @@ func BenchmarkSwarm20Peers30s(b *testing.B) {
 func TestRejoinAfterOutageResumesCleanly(t *testing.T) {
 	w := buildWorld(t, 11, 20, 4)
 	victim := w.peers[4]
-	capture := w.net.AttachSniffer(victim)
+	capture := w.net.AttachSniffer(victim).Capture()
 	w.startAll()
 	w.eng.Run(30 * time.Second)
 

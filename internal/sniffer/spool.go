@@ -28,6 +28,11 @@ import (
 // however they are scheduled. DrainBefore drains the same way at an instant
 // the caller chooses, Drain everything once a run has ended.
 //
+// A drain sorts by insertion: what the last drain kept is in order, records
+// stamped at the emitting instant arrive in event order and a chunk train as
+// an ascending run. Past moveBudget slots moved per staged record it falls
+// back to a stable sort, which delivers the same order.
+//
 // Records wait in staged form: pointer-free and a third the size of a
 // packet.Record, so appending, sorting and compacting them moves no pointer
 // the collector must track. The staged form holds exactly what a binary
@@ -38,12 +43,25 @@ type Spool struct {
 	capture *Capture
 	recs    []staged
 	// kept is how many records the last drain left staged.
-	kept int
+	kept   int
+	counts Counts
 }
+
+// Counts are exact counts of a spool's work, which the simulation never
+// reads: records Add staged, slots the insertion pass moved records by, and
+// drains that fell back to the stable sort.
+type Counts struct{ Staged, Moved, Fallbacks uint64 }
+
+// Counts reports the spool's work so far.
+func (s *Spool) Counts() Counts { return s.counts }
 
 // stageFloor is the stage length below which Add never drains: short stages
 // are cheap to hold and sorting them often would not be.
 const stageFloor = 256
+
+// moveBudget is how many slots per staged record the insertion pass may move
+// records by before a drain falls back to the stable sort.
+const moveBudget = 16
 
 // NewSpool builds an empty stage draining into c.
 func NewSpool(c *Capture) *Spool { return &Spool{capture: c} }
@@ -85,6 +103,7 @@ func (s *Spool) Add(r packet.Record, now sim.Time) {
 		ts: int64(r.TS), src: r.Src.As4(), dst: r.Dst.As4(),
 		size: uint32(r.Size), ttl: r.TTL, kind: r.Kind,
 	})
+	s.counts.Staged++
 	if len(s.recs) >= max(stageFloor, 2*s.kept) {
 		s.DrainBefore(now)
 	}
@@ -94,9 +113,26 @@ func (s *Spool) Add(r packet.Record, now sim.Time) {
 func (s *Spool) Len() int { return len(s.recs) }
 
 // sortByTime orders the staged records by timestamp; stable, so
-// same-instant records keep emission order.
+// same-instant records keep emission order, also when the insertion pass
+// gives up on a prefix it has sorted.
 func (s *Spool) sortByTime() {
-	slices.SortStableFunc(s.recs, func(a, b staged) int { return cmp.Compare(a.ts, b.ts) })
+	budget, moved := uint64(moveBudget*len(s.recs)), uint64(0)
+	for i := 1; i < len(s.recs); i++ {
+		r, j := s.recs[i], i
+		for j > 0 && s.recs[j-1].ts > r.ts {
+			j--
+		}
+		if j < i {
+			if moved += uint64(i - j); moved > budget {
+				s.counts.Fallbacks++
+				slices.SortStableFunc(s.recs, func(a, b staged) int { return cmp.Compare(a.ts, b.ts) })
+				return
+			}
+			s.counts.Moved += uint64(i - j)
+			copy(s.recs[j+1:i+1], s.recs[j:i])
+			s.recs[j] = r
+		}
+	}
 }
 
 // Drain feeds every staged record to the capture in timestamp order and

@@ -197,8 +197,8 @@ func TestSpoolStableForEqualTimestamps(t *testing.T) {
 }
 
 // TestSpoolKeepsEmissionOrderWithinInstant stages many records over a few
-// instants — long enough that the sort merges blocks instead of insertion
-// sorting — each tagged with its staging index. A stable sort has exactly
+// instants — disordered enough that the insertion pass gives up and the
+// stable sort merges blocks — each tagged with its staging index. A stable sort has exactly
 // one result, (timestamp, staging index) ascending, and both drains must
 // deliver it.
 func TestSpoolKeepsEmissionOrderWithinInstant(t *testing.T) {
@@ -323,8 +323,8 @@ func TestSpoolHighWaterTracksInFlight(t *testing.T) {
 // Drain. However the drains fell, the capture must have seen exactly what one
 // stable sort of the whole stream, drained at once, gives it. Each record's
 // size is its staging index, so a reordered tie shows. It reports how many
-// records Add drained on its own.
-func checkDrainSchedule(t testing.TB, seed int64, n int, step, horizon int64, drainEvery, farEvery int) (selfDrained uint64) {
+// records Add drained on its own, and the spool's counts.
+func checkDrainSchedule(t testing.TB, seed int64, n int, step, horizon int64, drainEvery, farEvery int) (selfDrained uint64, counts Counts) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	c := New(probe)
@@ -368,12 +368,14 @@ func checkDrainSchedule(t testing.TB, seed int64, n int, step, horizon int64, dr
 			t.Fatalf("record %d: capture saw %+v, one sort of the stream puts %+v there", i, m.Records[i], want[i])
 		}
 	}
-	return selfDrained
+	return selfDrained, s.Counts()
 }
 
 // TestSpoolDrainsItselfInOrder runs the drain-schedule check on a few fixed
-// streams, long enough that Add drains many times, and requires that it did.
+// streams, long enough that Add drains many times, and requires that it did,
+// and that the streams took both the insertion pass and its fallback.
 func TestSpoolDrainsItselfInOrder(t *testing.T) {
+	var all Counts
 	for _, tc := range []struct {
 		seed                 int64
 		step, horizon        int64
@@ -385,10 +387,18 @@ func TestSpoolDrainsItselfInOrder(t *testing.T) {
 		{4, 0, 0, 0, 7},           // one instant throughout: nothing is final before Drain
 		{5, 5000, 5000, 2000, 50}, // records final almost as soon as staged
 	} {
-		got := checkDrainSchedule(t, tc.seed, 5000, tc.step, tc.horizon, tc.drainEvery, tc.farEvery)
+		got, counts := checkDrainSchedule(t, tc.seed, 5000, tc.step, tc.horizon, tc.drainEvery, tc.farEvery)
 		if want := tc.step > 0; (got > 0) != want {
 			t.Errorf("%+v: Add drained %d records on its own, want some: %v", tc, got, want)
 		}
+		if counts.Staged != 5000 {
+			t.Errorf("%+v: %d records counted staged, 5000 were", tc, counts.Staged)
+		}
+		all.Moved += counts.Moved
+		all.Fallbacks += counts.Fallbacks
+	}
+	if all.Moved == 0 || all.Fallbacks == 0 {
+		t.Errorf("the streams moved %d slots by insertion and fell back %d times: a path went untested", all.Moved, all.Fallbacks)
 	}
 }
 
@@ -405,15 +415,56 @@ func FuzzSpoolDrainSchedule(f *testing.F) {
 	})
 }
 
+// BenchmarkSpoolDrain stages uniformly random timestamps, which no run
+// produces: nearly every drain takes the fallback sort, so this measures its
+// cost, the insertion pass's wasted budget included.
 func BenchmarkSpoolDrain(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	base := int64(0)
+	var s *Spool
 	for i := 0; i < b.N; i++ {
-		s := NewSpool(New(probe))
+		s = NewSpool(New(probe))
 		for j := 0; j < 1000; j++ {
 			s.Add(rec(base+rng.Int63n(1000), peerA, probe, 100, packet.Video), sim.Time(base))
 		}
 		s.Drain()
 		base += 2000
 	}
+	reportCounts(b, s)
+}
+
+// BenchmarkSpoolDrainNearSorted stages what a probe's stage holds in a run:
+// ascending 39-packet chunk trains, a packet every 0.1 ms (1,250 bytes at
+// 100 Mbit/s), interleaved with control records stamped at the instant that
+// emits them, the event clock advancing half a millisecond on average between
+// emissions. A control record lands behind the tail of any train still in
+// flight, and Add drains as the stage fills.
+func BenchmarkSpoolDrainNearSorted(b *testing.B) {
+	rng := rand.New(rand.NewSource(2))
+	now := int64(0)
+	var s *Spool
+	for i := 0; i < b.N; i++ {
+		s = NewSpool(New(probe))
+		for n := 0; n < 1000; {
+			if rng.Intn(8) == 0 {
+				for k := int64(0); k < 39 && n < 1000; k, n = k+1, n+1 {
+					s.Add(rec(now+k*int64(100*time.Microsecond), peerA, probe, 1250, packet.Video), sim.Time(now))
+				}
+			} else {
+				s.Add(rec(now, probe, peerB, 100, packet.Signaling), sim.Time(now))
+				n++
+			}
+			now += rng.Int63n(int64(time.Millisecond))
+		}
+		s.Drain()
+	}
+	reportCounts(b, s)
+}
+
+// reportCounts reports the last iteration's insertion moves per staged
+// record and its fallback sorts.
+func reportCounts(b *testing.B, s *Spool) {
+	c := s.Counts()
+	b.ReportMetric(float64(c.Moved)/float64(c.Staged), "moves/record")
+	b.ReportMetric(float64(c.Fallbacks), "fallbacks/op")
 }
