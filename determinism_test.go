@@ -5,6 +5,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"go/types"
 	"maps"
 	"path/filepath"
 	"slices"
@@ -172,6 +173,156 @@ func parseSimulationFiles(t *testing.T, fset *token.FileSet) map[string]*ast.Fil
 	return parsed
 }
 
+// moduleImporter type-checks this module's packages from source, recording
+// into info, and stands an empty package in for every other import. The
+// map-range guard needs only the types the module declares; what the
+// checker cannot resolve through an empty package it reports to
+// types.Config.Error, which drops it. A map that only a standard-library
+// call returns is therefore not seen as one.
+type moduleImporter struct {
+	fset  *token.FileSet
+	info  *types.Info
+	pkgs  map[string]*types.Package
+	files map[string]*ast.File // every file checked, keyed by slash path
+}
+
+func newModuleImporter(fset *token.FileSet) *moduleImporter {
+	return &moduleImporter{fset: fset, pkgs: map[string]*types.Package{}, files: map[string]*ast.File{},
+		info: &types.Info{Types: map[ast.Expr]types.TypeAndValue{}, Uses: map[*ast.Ident]types.Object{}, Defs: map[*ast.Ident]types.Object{}}}
+}
+
+func (im *moduleImporter) Import(path string) (*types.Package, error) {
+	if p, ok := im.pkgs[path]; ok {
+		return p, nil
+	}
+	dir, ok := strings.CutPrefix(path, "napawine/")
+	if !ok {
+		p := types.NewPackage(path, path[strings.LastIndex(path, "/")+1:])
+		p.MarkComplete()
+		im.pkgs[path] = p
+		return p, nil
+	}
+	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, name := range names {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(im.fset, name, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		im.files[filepath.ToSlash(name)] = f
+		files = append(files, f)
+	}
+	conf := types.Config{Importer: im, Error: func(error) {}}
+	p, _ := conf.Check(path, im.fset, files, im.info)
+	im.pkgs[path] = p
+	return p, nil
+}
+
+// engineEffects are the sim.Engine and sim.Sharded methods that post an
+// event or draw from the engine's generator.
+var engineEffects = []string{"Schedule", "At", "Post", "PostAt", "After", "Every", "Send", "Rand"}
+
+// mapRangeEffect names what call does that a range over a map must not do
+// once per key, in the map's order: "appends", "writes" (fmt.Fprint*, a
+// Write* method) or "posts" (engineEffects), or "" for anything else.
+func mapRangeEffect(f *ast.File, info *types.Info, call *ast.CallExpr) string {
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		if b, ok := info.Uses[fun].(*types.Builtin); ok && b.Name() == "append" {
+			return "appends"
+		}
+	case *ast.SelectorExpr:
+		name := fun.Sel.Name
+		m, _ := info.Uses[fun.Sel].(*types.Func)
+		switch {
+		case importPath(f, fun.X) == "fmt" && strings.HasPrefix(name, "Fprint"), strings.HasPrefix(name, "Write"):
+			return "writes"
+		case m != nil && m.Pkg() != nil && m.Pkg().Path() == "napawine/internal/sim" && slices.Contains(engineEffects, name):
+			return "posts"
+		}
+	}
+	return ""
+}
+
+// sortedAfter reports whether the slice that append call grows is sorted
+// by a sort or slices.Sort* call in body after pos: keys collected to be
+// sorted take the sort's order, not the map's.
+func sortedAfter(f *ast.File, info *types.Info, body *ast.BlockStmt, pos token.Pos, call *ast.CallExpr) bool {
+	dst, ok := call.Args[0].(*ast.Ident)
+	if !ok {
+		return false
+	}
+	sorted := false
+	ast.Inspect(body, func(n ast.Node) bool {
+		c, ok := n.(*ast.CallExpr)
+		if !ok || c.Pos() < pos || len(c.Args) == 0 {
+			return true
+		}
+		sel, ok := c.Fun.(*ast.SelectorExpr)
+		arg, ok2 := c.Args[0].(*ast.Ident)
+		if ok && ok2 && info.Uses[arg] == info.Uses[dst] {
+			path := importPath(f, sel.X)
+			sorted = sorted || path == "sort" || path == "slices" && strings.HasPrefix(sel.Sel.Name, "Sort")
+		}
+		return true
+	})
+	return sorted
+}
+
+// mapRangeEffects lists file:line: what for every call in f that appends,
+// writes or posts inside the body of a range over a map, an append whose
+// slice is sorted later in the same function aside.
+func mapRangeEffects(fset *token.FileSet, f *ast.File, info *types.Info) []string {
+	var found []string
+	for _, decl := range f.Decls {
+		fn, ok := decl.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			continue
+		}
+		ast.Inspect(fn.Body, func(n ast.Node) bool {
+			r, ok := n.(*ast.RangeStmt)
+			if !ok || info.TypeOf(r.X) == nil {
+				return true
+			}
+			if _, ok := info.TypeOf(r.X).Underlying().(*types.Map); !ok {
+				return true
+			}
+			ast.Inspect(r.Body, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok {
+					return true
+				}
+				what := mapRangeEffect(f, info, call)
+				if what != "" && !(what == "appends" && sortedAfter(f, info, fn.Body, r.End(), call)) {
+					found = append(found, fmt.Sprintf("%s: range over a map %s", fset.Position(call.Pos()), what))
+				}
+				return true
+			})
+			return true
+		})
+	}
+	return found
+}
+
+// checkSimulationPackages type-checks the simulation packages and the
+// module packages they import.
+func checkSimulationPackages(t *testing.T, fset *token.FileSet) *moduleImporter {
+	t.Helper()
+	im := newModuleImporter(fset)
+	for _, pkg := range simulationPackages {
+		if p, err := im.Import("napawine/internal/" + pkg); err != nil || p == nil {
+			t.Fatalf("internal/%s: %v", pkg, err)
+		}
+	}
+	return im
+}
+
 // TestSimulationCodeIsDeterministic: no non-test file of a simulation
 // package reads the wall clock (time.Now, time.Since, time.Until) or draws
 // from math/rand's shared source; every draw goes through a generator
@@ -221,6 +372,76 @@ func TestSimulationCodeStartsNoGoroutines(t *testing.T) {
 		if !used[key] {
 			t.Errorf("goroutinesAllowed names %s, which has no go statement", key)
 		}
+	}
+}
+
+// TestSimulationCodeRangesMapsInert: no range over a map in a simulation
+// package appends, writes or posts once per key, so Go's randomized map
+// order cannot reach a slice, an output or the event queue; collecting the
+// keys to sort them is the one way to walk a map in an order.
+func TestSimulationCodeRangesMapsInert(t *testing.T) {
+	fset := token.NewFileSet()
+	im := checkSimulationPackages(t, fset)
+	for _, name := range slices.Sorted(maps.Keys(im.files)) {
+		if slices.Contains(simulationPackages, strings.Split(name, "/")[1]) {
+			for _, found := range mapRangeEffects(fset, im.files[name], im.info) {
+				t.Error(found)
+			}
+		}
+	}
+}
+
+// TestMapRangeGuardFindsEffects: appends, writes and posts inside a map
+// range are found, naming file:line; collecting keys that are sorted later,
+// writing into another map and ranging over a slice are not.
+func TestMapRangeGuardFindsEffects(t *testing.T) {
+	const src = `package overlay
+
+import (
+	"fmt"
+	"io"
+	"slices"
+
+	"napawine/internal/sim"
+)
+
+func f(w io.Writer, eng *sim.Engine, m map[int]int, s []int) {
+	var keys, vals []int
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	for _, v := range m {
+		vals = append(vals, v)
+		fmt.Fprintln(w, v)
+		eng.Post(0, sim.Record{})
+		_ = eng.Rand().Intn(2)
+	}
+	other := map[int]int{}
+	for k, v := range m {
+		other[k] = v
+	}
+	for _, v := range s {
+		vals = append(vals, v)
+	}
+}
+`
+	fset := token.NewFileSet()
+	f, err := parser.ParseFile(fset, "internal/overlay/scratch.go", src, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	im := newModuleImporter(fset)
+	conf := types.Config{Importer: im, Error: func(error) {}}
+	conf.Check("napawine/internal/overlay", fset, []*ast.File{f}, im.info)
+	want := []string{
+		"internal/overlay/scratch.go:18:10: range over a map appends",
+		"internal/overlay/scratch.go:19:3: range over a map writes",
+		"internal/overlay/scratch.go:20:3: range over a map posts",
+		"internal/overlay/scratch.go:21:7: range over a map posts",
+	}
+	if found := mapRangeEffects(fset, f, im.info); !slices.Equal(found, want) {
+		t.Errorf("found %q, want %q", found, want)
 	}
 }
 

@@ -260,19 +260,17 @@ func TrainInto(dstDeparts, dstArrives []sim.Time, start sim.Time, sizes []units.
 	}
 	departs = dstDeparts[:len(sizes)]
 	arrives = dstArrives[:len(sizes)]
-	bottleneck := up
-	if down < bottleneck {
-		bottleneck = down
-	}
+	bottleneck := min(up, down)
 	cursor := start
 	var prevArrive sim.Time
 	// The three serialization times depend only on the packet size, and a
 	// packetized chunk is one run of full-size packets plus a tail: compute
-	// them once per run of equal sizes, not per packet.
+	// them once per run of equal sizes, not per packet (a size of 0 takes
+	// no time).
 	var runSize units.ByteSize
 	var txUp, txDown, txFloor time.Duration
 	for i, sz := range sizes {
-		if i == 0 || sz != runSize {
+		if sz != runSize {
 			runSize = sz
 			txUp = up.TransmitTime(sz)
 			txDown = down.TransmitTime(sz)

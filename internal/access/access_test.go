@@ -103,12 +103,19 @@ func TestPortBacklogAndQueue(t *testing.T) {
 }
 
 func TestPortZeroRatePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("NewPort(0) should panic")
-		}
-	}()
-	NewPort(0)
+	for name, f := range map[string]func(){
+		"NewPort(0)": func() { NewPort(0) },
+		"SetRate(0)": func() { NewPort(units.Mbps).SetRate(0) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s should panic", name)
+				}
+			}()
+			f()
+		}()
+	}
 }
 
 func TestPacketize(t *testing.T) {
@@ -433,6 +440,13 @@ func TestPortQueuedAcrossDrainBoundaries(t *testing.T) {
 	if got := p.Backlog(sim.Time(3 * time.Second)); got != time.Second {
 		t.Errorf("post-drain backlog = %v, want 1s", got)
 	}
+	// A reservation past the boundary with no read before it drains too.
+	q := NewPort(1 * units.Mbps)
+	q.Reserve(0, 125*units.KB)
+	q.Reserve(sim.Time(3*time.Second), 125*units.KB)
+	if got := q.Queued(sim.Time(3 * time.Second)); got != 1 {
+		t.Errorf("unread post-drain reservation queued = %d, want 1", got)
+	}
 }
 
 // TestPortSetRateMidBacklog pins the throttle contract while a backlog
@@ -480,6 +494,11 @@ func TestPortTryReserveTailDrop(t *testing.T) {
 	// After the queue drains, the port accepts again.
 	if _, _, ok := p.TryReserve(sim.Time(2*time.Second), 125*units.KB); !ok {
 		t.Error("post-drain TryReserve should accept")
+	}
+	// A limit of 0 restores the unbounded FIFO.
+	p.SetQueueLimit(0)
+	if _, _, ok := p.TryReserve(sim.Time(2*time.Second), 125*units.KB); !ok {
+		t.Error("TryReserve with the limit lifted should accept")
 	}
 }
 

@@ -158,6 +158,15 @@ func TestBadConfigPanics(t *testing.T) {
 	New(probeAddr, Config{VideoSizeFloor: 0, FullPacket: 1250})
 }
 
+func TestIPv6ProbePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("an IPv6 probe should panic")
+		}
+	}()
+	New(netip.IPv6Loopback(), DefaultConfig())
+}
+
 // buildTinyTopo gives a registry with the probe, a same-AS peer and a
 // remote peer.
 func buildTinyTopo(t *testing.T) (*topology.Topology, topology.Host, topology.Host, topology.Host) {

@@ -72,10 +72,9 @@ func PPLive() *overlay.Profile {
 		SignalingInterval: 1 * time.Second,
 		KeepaliveFanout:   6,
 
-		ScheduleInterval: 500 * time.Millisecond,
-		PullDelay:        6,
-		MaxInflight:      6,
-		BestFill:         3,
+		PullDelay:   6,
+		MaxInflight: 6,
+		BestFill:    3,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
 		DiscoveryWeight: policy.Bias{},
@@ -98,10 +97,9 @@ func SopCast() *overlay.Profile {
 		SignalingInterval: 2 * time.Second,
 		KeepaliveFanout:   2,
 
-		ScheduleInterval: 500 * time.Millisecond,
-		PullDelay:        4,
-		MaxInflight:      5,
-		BestFill:         2,
+		PullDelay:   4,
+		MaxInflight: 5,
+		BestFill:    2,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
 		DiscoveryWeight: policy.Bias{},
@@ -124,10 +122,9 @@ func TVAnts() *overlay.Profile {
 		SignalingInterval: 2 * time.Second,
 		KeepaliveFanout:   1,
 
-		ScheduleInterval: 500 * time.Millisecond,
-		PullDelay:        4,
-		MaxInflight:      5,
-		BestFill:         2,
+		PullDelay:   4,
+		MaxInflight: 5,
+		BestFill:    2,
 
 		ChunkStrategy:   policy.DefaultStrategy(),
 		DiscoveryWeight: policy.Bias{AS: 15},

@@ -138,20 +138,19 @@ func (m *BufferMap) Advance(newBase ChunkID) {
 		return
 	}
 	if shift >= m.window {
-		for i := range m.bits {
-			m.bits[i] = 0
-		}
+		clear(m.bits)
 		m.base = newBase
 		return
 	}
-	// Shift the bitfield right by `shift` bits across words.
+	// Shift the bitfield right by `shift` bits across words. With bitShift 0
+	// the carry from the next word is shifted by 64, which in Go is 0.
 	wordShift, bitShift := shift/64, shift%64
 	n := len(m.bits)
 	for i := 0; i < n; i++ {
 		var v uint64
 		if i+wordShift < n {
 			v = m.bits[i+wordShift] >> bitShift
-			if bitShift > 0 && i+wordShift+1 < n {
+			if i+wordShift+1 < n {
 				v |= m.bits[i+wordShift+1] << (64 - bitShift)
 			}
 		}
@@ -164,10 +163,7 @@ func (m *BufferMap) Advance(newBase ChunkID) {
 
 // clearTail zeroes bits at positions ≥ window inside the last word.
 func (m *BufferMap) clearTail() {
-	extra := len(m.bits)*64 - m.window
-	if extra > 0 {
-		m.bits[len(m.bits)-1] &= ^uint64(0) >> extra
-	}
+	m.bits[len(m.bits)-1] &= ^uint64(0) >> (len(m.bits)*64 - m.window)
 }
 
 // Missing lists held-elsewhere candidates: ids in [from, to) inside the

@@ -50,6 +50,11 @@ func TestComputeASPartition(t *testing.T) {
 	if !m.Valid() {
 		t.Error("metrics should be valid")
 	}
+	for _, one := range []Metrics{{PeersPreferred: 1}, {PeersOther: 1}} {
+		if !one.Valid() {
+			t.Errorf("%+v: one measurable contributor is not valid", one)
+		}
+	}
 }
 
 func TestComputeDirections(t *testing.T) {

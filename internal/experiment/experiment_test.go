@@ -1,13 +1,16 @@
 package experiment
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"napawine/internal/apps"
 	"napawine/internal/chunkstream"
 	"napawine/internal/core"
+	"napawine/internal/overlay"
 	"napawine/internal/scenario"
 	"napawine/internal/world"
 )
@@ -261,6 +264,29 @@ func TestWindowPastAdvertFails(t *testing.T) {
 	cfg := Config{App: "TVAnts", Seed: 1, Duration: time.Second, BufferWindow: chunkstream.MaxWindow + 1}
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "BufferWindow") {
 		t.Errorf("window %d: err = %v, want one naming BufferWindow", cfg.BufferWindow, err)
+	}
+}
+
+// TestRenamedProfileRunsAlike: a run depends on what its profile does, not
+// on what it is called. A renamed copy of each stock profile, changed in
+// nothing else, gives the stock run's Summary byte for byte. Seeds are plain
+// integers and Summary carries no profile name, so any difference is a draw
+// or a choice that reads the name.
+func TestRenamedProfileRunsAlike(t *testing.T) {
+	for _, app := range []string{"PPLive", "SopCast", "TVAnts"} {
+		stock, err := apps.ByName(app)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := smallConfig(app, 11)
+		cfg.Profile = apps.Variant(stock, "x", func(*overlay.Profile) {})
+		renamed, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a, b := fmt.Sprintf("%+v", runSmall(t, app).Summary), fmt.Sprintf("%+v", renamed.Summary); a != b {
+			t.Errorf("%s renamed x summarizes\n%s\nthe stock profile\n%s", app, b, a)
+		}
 	}
 }
 

@@ -39,19 +39,18 @@ func TestNodeHotHeaderFitsOneLine(t *testing.T) {
 // of the four orphaned ticks still fires, exactly once, is counted, draws no
 // randomness and posts nothing; the new session's ticks then run at their own
 // cadence as if the old ones had never been. The node is alone in its world
-// and its four activities share one interval, so its ticks are the only
-// events there are and a session's four are due together.
+// and its four activities share the scheduler's interval, so its ticks are
+// the only events there are and a session's four are due together.
 func TestStaleTicksFireOnceAndDoNothing(t *testing.T) {
-	const interval = 10 * time.Second
+	const interval, lead = scheduleInterval, scheduleInterval / 5
 	dance := func() (*world, *Node) {
 		w := buildWorld(t, 3, 1, 0)
 		nd := w.peers[0]
 		prof := *nd.Profile
-		prof.SignalingInterval, prof.ScheduleInterval = interval, interval
-		prof.ContactInterval, prof.DropInterval = interval, interval
+		prof.SignalingInterval, prof.ContactInterval, prof.DropInterval = interval, interval, interval
 		nd.Profile = &prof
 		nd.Join()
-		w.eng.Run(time.Second)
+		w.eng.Run(lead)
 		nd.Leave()
 		nd.Join()
 		return w, nd
@@ -87,14 +86,14 @@ func TestStaleTicksFireOnceAndDoNothing(t *testing.T) {
 	// The new session: first ticks one interval after the rejoin, successors
 	// between 1 and 1.25 intervals apart, one chain per kind.
 	fired = fired[:0]
-	w.eng.Run(time.Second + 5*interval)
+	w.eng.Run(lead + 5*interval)
 	last := map[sim.Kind]sim.Time{}
 	count := map[sim.Kind]int{}
 	for _, f := range fired {
 		prev, seen := last[f.kind]
 		switch gap := f.at.Sub(prev); {
-		case !seen && f.at != sim.Time(time.Second+interval):
-			t.Errorf("kind %d first fired at %v, want %v", f.kind, f.at, time.Second+interval)
+		case !seen && f.at != sim.Time(lead+interval):
+			t.Errorf("kind %d first fired at %v, want %v", f.kind, f.at, lead+interval)
 		case seen && (gap < interval || gap >= interval+interval/4):
 			t.Errorf("kind %d fired %v after its predecessor, want [%v, %v)", f.kind, gap, interval, interval+interval/4)
 		}
@@ -154,14 +153,14 @@ func TestChunkRoundTripAllocatesNothing(t *testing.T) {
 // → arrive cycle allocate nothing but what a session always allocates, its
 // advert, published by the session's first signalling tick. The node is
 // alone in its world; its means sit far below the one-second floor, so
-// every holding time is exactly a second, and only signalling ticks fall
-// inside a session.
+// every holding time is exactly a second, and only signalling and scheduler
+// ticks fall inside a session.
 func TestChurnCycleAllocatesNothing(t *testing.T) {
 	w := buildWorld(t, 3, 1, 0)
 	nd := w.peers[0]
 	prof := *nd.Profile
 	prof.SignalingInterval = 600 * time.Millisecond
-	prof.ScheduleInterval, prof.ContactInterval, prof.DropInterval = time.Minute, time.Minute, time.Minute
+	prof.ContactInterval, prof.DropInterval = time.Minute, time.Minute
 	nd.Profile = &prof
 	churn := 0
 	w.eng.SetDispatch(func(r sim.Record) {

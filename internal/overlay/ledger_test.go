@@ -1,6 +1,7 @@
 package overlay
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 )
@@ -52,5 +53,33 @@ func TestLedgerGrowAndMerge(t *testing.T) {
 	l.grow(4)
 	if !slices.Equal(l.VideoRx, []int64{4, 5, 0, 0}) {
 		t.Errorf("grow(4) = %v, want the old rows then zeros", l.VideoRx)
+	}
+}
+
+// TestLedgerMergeCoversEveryField: merging a ledger into a fresh one gives
+// it back field for field. The source sets every field, so a field that
+// merge forgets shows here. A one-shard network's view is its live ledger,
+// not a merged copy.
+func TestLedgerMergeCoversEveryField(t *testing.T) {
+	src := newLedger()
+	src.grow(2)
+	src.VideoRx[1], src.VideoTx[0] = 3, 4
+	src.SignalTotal, src.ChunksServedTotal, src.DropsTotal, src.RetransmitsTotal, src.BackoffsTotal = 1, 2, 3, 4, 5
+	src.VideoTotal, src.VideoIntraAS, src.DiffusionDelaySum, src.DiffusionChunks, src.SourceVideoTx = 6, 7, 8, 9, 10
+	src.VideoRxByAS[64512], src.VideoIntraByAS[64512] = 11, 12
+	v := reflect.ValueOf(src).Elem()
+	for i := range v.NumField() {
+		if v.Field(i).IsZero() {
+			t.Fatalf("the source leaves Ledger.%s zero", v.Type().Field(i).Name)
+		}
+	}
+	dst := newLedger()
+	dst.merge(src)
+	if !reflect.DeepEqual(dst, src) {
+		t.Errorf("merged into a fresh ledger:\n%+v\nfrom\n%+v", dst, src)
+	}
+	w := buildWorld(t, 3, 1, 0)
+	if w.net.LedgerView() != w.net.shards[0].ledger {
+		t.Error("a one-shard network's view is not its live ledger")
 	}
 }

@@ -148,20 +148,16 @@ func (nd *Node) Join() {
 	nd.onlineAt = nd.sc.eng.Now()
 	nd.net.markOnline(nd)
 
-	cal := nd.net.Cfg.Calendar
-	live := cal.LatestAt(nd.sc.eng.Now())
-	if live < 0 {
-		live = 0
-	}
+	live := nd.net.Cfg.Calendar.LatestAt(nd.sc.eng.Now())
 	base := live - chunkstream.ChunkID(nd.net.Cfg.BufferWindow)
 	if base < 0 {
 		base = 0
 	}
 	// Re-arm the session's episode state in place: buffer map, playout
-	// tracker, partner table and the inflight set are recycled across
-	// join/leave cycles, so a node that flaps for the whole experiment
-	// allocates its hot state once. The advert is the exception: it belongs
-	// to the session (see Node.advert).
+	// tracker, partner table and the inflight set (Leave emptied both) are
+	// recycled across join/leave cycles, so a node that flaps for the whole
+	// experiment allocates its hot state once. The advert is the exception:
+	// it belongs to the session (see Node.advert).
 	if nd.buf == nil {
 		nd.buf = chunkstream.NewBufferMap(base, nd.net.Cfg.BufferWindow)
 	} else {
@@ -185,7 +181,6 @@ func (nd *Node) Join() {
 			nd.cong = &cong
 		}
 	}
-	nd.inflight = nd.inflight[:0]
 	nd.neighbors.reset()
 
 	nd.refillPartners()
@@ -207,7 +202,7 @@ func (nd *Node) tickInterval(kind sim.Kind) time.Duration {
 	case evSignaling:
 		return nd.Profile.SignalingInterval
 	case evSchedule:
-		return nd.Profile.ScheduleInterval
+		return scheduleInterval
 	case evContact:
 		return nd.Profile.ContactInterval
 	default:
@@ -219,7 +214,9 @@ func (nd *Node) tickInterval(kind sim.Kind) time.Duration {
 // plus a uniform jitter of up to a quarter interval later, so peers do not
 // phase-lock. A record whose epoch is not the node's belongs to a session
 // that has ended: it fires this once, draws nothing and posts nothing, which
-// is how a tick chain dies — nothing is cancelled.
+// is how a tick chain dies — nothing is cancelled. Only Leave advances the
+// epoch and clears online, so a tick that runs finds its node online, and no
+// tick leaves.
 func (nd *Node) tick(r sim.Record) {
 	if nd.epoch != r.A {
 		return
@@ -233,9 +230,6 @@ func (nd *Node) tick(r sim.Record) {
 		nd.contactTick()
 	default:
 		nd.churnTick()
-	}
-	if nd.epoch != r.A { // the tick ended its own session
-		return
 	}
 	next := nd.tickInterval(r.Kind)
 	if jitter := next / 4; jitter > 0 {
@@ -453,27 +447,23 @@ func (nd *Node) refillPartners() {
 	}
 }
 
-// handshake performs the two-packet introduction and, when both sides have
+// handshake performs the two-packet introduction and, when the remote has
 // room, establishes a partnership. Every handshake also records the remote
-// in the neighbor list (the "contacted peers" population). A remote on
-// another shard goes through the two-phase message exchange instead
-// (shard.go); same-shard pairs keep the synchronous form.
+// in the neighbor list (the "contacted peers" population). The node is
+// refilling below its target, so it has room; the remote is a tracker
+// candidate: online, and never the node itself. A remote on another shard
+// goes through the two-phase message exchange instead (shard.go);
+// same-shard pairs keep the synchronous form.
 func (nd *Node) handshake(other *Node) {
-	if other.ID == nd.ID {
-		return
-	}
 	if !sameShard(nd, other) {
 		nd.handshakeCross(other)
-		return
-	}
-	if !other.online {
 		return
 	}
 	nd.net.sendSignal(nd, other, handshakeSize)
 	nd.net.sendSignal(other, nd, handshakeSize)
 	nd.rememberNeighbor(other.ID)
 	other.rememberNeighbor(nd.ID)
-	if len(nd.partners) >= nd.Profile.MaxPartners || len(other.partners) >= other.Profile.MaxPartners {
+	if len(other.partners) >= other.Profile.MaxPartners {
 		return
 	}
 	nd.addPartner(other)
@@ -497,9 +487,6 @@ func (nd *Node) rememberNeighbor(id PeerID) {
 // peer-exchange message whose size grows with the neighbor list. This is
 // what makes aggressive clients (PPLive) observe enormous peer populations.
 func (nd *Node) contactTick() {
-	if !nd.online {
-		return
-	}
 	cands := nd.net.trackerSample(nd, DefaultContactFanout)
 	for _, c := range cands {
 		if nd.partnerByID(c.ID) != nil {
@@ -513,35 +500,33 @@ func (nd *Node) contactTick() {
 			break // one gossip exchange per tick
 		}
 		// Peer exchange both ways, list length capped per message.
-		mine := nd.neighbors.len()
-		if mine > gossipMaxEntries {
-			mine = gossipMaxEntries
-		}
-		theirs := c.neighbors.len()
-		if theirs > gossipMaxEntries {
-			theirs = gossipMaxEntries
-		}
+		mine := min(nd.neighbors.len(), gossipMaxEntries)
+		theirs := min(c.neighbors.len(), gossipMaxEntries)
 		nd.net.sendSignal(nd, c, gossipHeader+gossipPerPeer*units.ByteSize(mine))
 		nd.net.sendSignal(c, nd, gossipHeader+gossipPerPeer*units.ByteSize(theirs))
 		nd.rememberNeighbor(c.ID)
 		c.rememberNeighbor(nd.ID)
-		// Adopt as partner when short-handed, using the discovery policy
-		// as an accept/reject filter relative to a uniform candidate.
-		if len(nd.partners) < nd.Profile.PartnerTarget && len(c.partners) < c.Profile.MaxPartners {
-			info := nd.infoFor(c)
-			w := nd.Profile.DiscoveryWeight.Weight(info)
-			base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
-			if base <= 0 {
-				base = 1
-			}
-			accept := w >= base || nd.sc.eng.Rand().Float64() < w/base
-			if accept {
-				nd.addPartner(c)
-				c.addPartner(nd)
-			}
+		// Adopt as partner when short-handed.
+		if len(nd.partners) < nd.Profile.PartnerTarget && len(c.partners) < c.Profile.MaxPartners && nd.adopts(c) {
+			nd.addPartner(c)
+			c.addPartner(nd)
 		}
 		break // one gossip exchange per tick
 	}
+}
+
+// adopts is the discovery policy as an accept/reject filter relative to a
+// uniform candidate: c is taken outright when it weighs at least what a
+// candidate with no locality and no rate does, and otherwise with
+// probability the ratio of the two. A policy that weighs such a candidate
+// at 0 is compared with 1 instead.
+func (nd *Node) adopts(c *Node) bool {
+	w := nd.Profile.DiscoveryWeight.Weight(nd.infoFor(c))
+	base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
+	if base <= 0 {
+		base = 1
+	}
+	return w >= base || nd.sc.eng.Rand().Float64() < w/base
 }
 
 // partnerAlive reports whether a partner, the remote node other, should be
@@ -582,33 +567,28 @@ func (nd *Node) dropDeadPartners() {
 // signalling packet is still sent and accounted per partner); only a row
 // marked announce costs a search of the remote's table, once.
 func (nd *Node) signalingTick() {
-	if !nd.online {
-		return
-	}
-	if nd.buf != nil {
-		nd.dropDeadPartners()
-		nd.advert = nd.buf.Publish(nd.advert)
-		size := nd.buf.WireSize() + 40 // header overhead
-		// Cross-shard partners receive a clone of this tick's advert (one
-		// clone shared by all of them): the advert will be rewritten, on this
-		// shard's goroutine, before their messages arrive.
-		var crossAd chunkstream.Advert
-		for i := range nd.partners {
-			p := &nd.partners[i]
-			other := nd.net.nodes[p.id()]
-			if !sameShard(nd, other) {
-				if crossAd == (chunkstream.Advert{}) {
-					crossAd = nd.advert.Clone()
-				}
-				nd.pushBufferMapCross(other, size, crossAd)
-				continue
+	nd.dropDeadPartners()
+	nd.advert = nd.buf.Publish(nd.advert)
+	size := nd.buf.WireSize() + 40 // header overhead
+	// Cross-shard partners receive a clone of this tick's advert (one
+	// clone shared by all of them): the advert will be rewritten, on this
+	// shard's goroutine, before their messages arrive.
+	var crossAd chunkstream.Advert
+	for i := range nd.partners {
+		p := &nd.partners[i]
+		other := nd.net.nodes[p.id()]
+		if !sameShard(nd, other) {
+			if crossAd == (chunkstream.Advert{}) {
+				crossAd = nd.advert.Clone()
 			}
-			nd.net.sendSignal(nd, other, size)
-			if p.announce() {
-				p.setAnnounce(false)
-				if remote := other.partnerByID(nd.ID); remote != nil {
-					remote.have = nd.advert
-				}
+			nd.pushBufferMapCross(other, size, crossAd)
+			continue
+		}
+		nd.net.sendSignal(nd, other, size)
+		if p.announce() {
+			p.setAnnounce(false)
+			if remote := other.partnerByID(nd.ID); remote != nil {
+				remote.have = nd.advert
 			}
 		}
 	}
@@ -634,9 +614,6 @@ func (nd *Node) signalingTick() {
 // contributor with a fresh candidate is the adaptation loop that
 // concentrates traffic on high-bandwidth peers.
 func (nd *Node) churnTick() {
-	if !nd.online {
-		return
-	}
 	nd.dropDeadPartners()
 	if len(nd.partners) >= nd.Profile.PartnerTarget {
 		scorer := &nd.sc.scorer
@@ -659,15 +636,12 @@ func (nd *Node) churnTick() {
 // scheduleTick is the pull scheduler: advance the window, account playout,
 // and issue chunk requests for missing pieces in the pull range.
 func (nd *Node) scheduleTick() {
-	if !nd.online || nd.isSource {
+	if nd.isSource { // a peer promoted to source keeps its scheduler's ticks
 		return
 	}
 	now := nd.sc.eng.Now()
 	cal := nd.net.Cfg.Calendar
 	live := cal.LatestAt(now)
-	if live < 0 {
-		return
-	}
 	p := nd.Profile
 
 	// Slide the buffer window to track the live edge.
@@ -754,9 +728,6 @@ func (nd *Node) scheduleTick() {
 	if lo < nd.play.Next() {
 		lo = nd.play.Next()
 	}
-	if lo < 0 {
-		lo = 0
-	}
 	budget := p.MaxInflight - len(nd.inflight)
 
 	// Greedy pass: fill from the single best partner first — the selectable
@@ -765,7 +736,7 @@ func (nd *Node) scheduleTick() {
 	// converts a selection *weight* into a byte-share *preference*
 	// observable in traces.
 	if p.BestFill > 0 && budget > 0 {
-		if best := nd.bestPartner(); best != nil {
+		if best := nd.bestPartner(now); best != nil {
 			target := nd.net.nodes[best.id()]
 			fill := p.BestFill
 			for id := lo; id <= hi && fill > 0 && budget > 0; id++ {
@@ -847,13 +818,9 @@ func (nd *Node) countHolders(id chunkstream.ChunkID, now sim.Time) int {
 // request weight, nil when no such partner has a positive one. The scan runs
 // in id order and takes only a strictly higher weight, so ties go to the
 // lowest id and a NaN weight is never chosen. Under the congestion model,
-// partners in backoff are skipped.
-func (nd *Node) bestPartner() *partner {
+// partners in backoff at now are skipped.
+func (nd *Node) bestPartner(now sim.Time) *partner {
 	cong := nd.net.congestionOn()
-	var now sim.Time
-	if cong {
-		now = nd.sc.eng.Now()
-	}
 	var best *partner
 	bestW := 0.0
 	for i := range nd.partners {

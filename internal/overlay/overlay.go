@@ -53,9 +53,8 @@ type Profile struct {
 	KeepaliveFanout   int           // neighbors pinged per signaling round
 
 	// Pull scheduling.
-	ScheduleInterval time.Duration // chunk scheduler tick
-	PullDelay        int           // chunks behind the live edge before pulling
-	MaxInflight      int           // outstanding chunk requests
+	PullDelay   int // chunks behind the live edge before pulling
+	MaxInflight int // outstanding chunk requests
 	// BestFill is the greedy component of the scheduler: up to this many
 	// chunks per tick are pulled directly from the highest-RequestWeight
 	// partner that advertises them, before the strategy-ordered pass shops
@@ -84,7 +83,7 @@ func (p *Profile) Validate() error {
 		return fmt.Errorf("overlay: profile without a name")
 	case p.PartnerTarget <= 0 || p.MaxPartners < p.PartnerTarget:
 		return fmt.Errorf("overlay: %s: bad partner bounds %d/%d", p.Name, p.PartnerTarget, p.MaxPartners)
-	case p.ContactInterval <= 0 || p.SignalingInterval <= 0 || p.ScheduleInterval <= 0:
+	case p.ContactInterval <= 0 || p.SignalingInterval <= 0:
 		return fmt.Errorf("overlay: %s: non-positive intervals", p.Name)
 	case p.PullDelay < 1 || p.MaxInflight < 1:
 		return fmt.Errorf("overlay: %s: bad pull shape", p.Name)
@@ -96,12 +95,13 @@ func (p *Profile) Validate() error {
 	return nil
 }
 
-// Every profile pulls over the same window and gives up on a request after
-// the same wait; the three clients differ in how far behind live they pull
-// (PullDelay), not in these.
+// Every profile runs its pull scheduler on the same tick, pulls over the
+// same window and gives up on a request after the same wait; the three
+// clients differ in how far behind live they pull (PullDelay), not in these.
 const (
-	pullWindow     = 10              // width of the pull range, in chunks
-	requestTimeout = 4 * time.Second // an unanswered chunk request expires
+	scheduleInterval = 500 * time.Millisecond // chunk scheduler tick
+	pullWindow       = 10                     // width of the pull range, in chunks
+	requestTimeout   = 4 * time.Second        // an unanswered chunk request expires
 )
 
 // validate asserts Validate where a profile is used: a profile that cannot
@@ -445,16 +445,10 @@ func (l *Ledger) merge(src *Ledger) {
 	l.SourceVideoTx += src.SourceVideoTx
 }
 
-// shardFor resolves the shard context hosting an AS. ASes outside the
-// partition map (possible only in hand-built tests) fall to shard 0.
+// shardFor resolves the shard context hosting an AS. An AS outside the
+// partition map, and every AS of a network built with New, falls to shard 0.
 func (n *Network) shardFor(as topology.ASN) *shardCtx {
-	if len(n.shards) == 1 {
-		return n.shards[0]
-	}
-	if i, ok := n.shardOf[as]; ok && i >= 0 && i < len(n.shards) {
-		return n.shards[i]
-	}
-	return n.shards[0]
+	return n.shards[n.shardOf[as]]
 }
 
 // refreshTrackerSnaps republishes every shard's online list for the other
@@ -543,9 +537,6 @@ func (n *Network) AddSource(host topology.Host, link access.Link, prof *Profile)
 // Workload scenarios use this as the source-failover handoff hook; callers
 // are expected to take the old source offline (Retire) beforehand.
 func (n *Network) PromoteSource(backup *Node) {
-	if backup == nil {
-		panic("overlay: promote nil source")
-	}
 	if backup.isSource {
 		return
 	}
@@ -620,11 +611,9 @@ func (n *Network) TrackerPaused() bool { return n.trackerPaused }
 func (n *Network) trackerSample(asker *Node, k int) []*Node {
 	sc := asker.sc
 	total := len(sc.online)
-	if len(n.shards) > 1 {
-		for j := range n.onlineSnaps {
-			if j != sc.idx {
-				total += len(n.onlineSnaps[j])
-			}
+	for j := range n.onlineSnaps { // none with one shard
+		if j != sc.idx {
+			total += len(n.onlineSnaps[j])
 		}
 	}
 	if n.trackerPaused || k <= 0 || total == 0 {
@@ -683,7 +672,6 @@ func (n *Network) markOffline(node *Node) {
 	sc.online[idx] = sc.online[last]
 	sc.online[idx].onlineIdx = idx
 	sc.online = sc.online[:last]
-	node.onlineIdx = -1
 }
 
 // NodeByID returns the node with the given id.

@@ -29,7 +29,6 @@ func testProfile() *Profile {
 		NeighborListMax:   50,
 		SignalingInterval: 1 * time.Second,
 		KeepaliveFanout:   1,
-		ScheduleInterval:  500 * time.Millisecond,
 		PullDelay:         4,
 		MaxInflight:       4,
 		ChunkStrategy:     policy.DefaultStrategy(),
@@ -357,12 +356,22 @@ func TestProfileValidation(t *testing.T) {
 		func(p *Profile) { p.PartnerTarget = 0 },
 		func(p *Profile) { p.MaxPartners = p.PartnerTarget - 1 },
 		func(p *Profile) { p.ContactInterval = 0 },
+		func(p *Profile) { p.SignalingInterval = 0 },
 		func(p *Profile) { p.PullDelay = 0 },
+		func(p *Profile) { p.MaxInflight = 0 },
 		func(p *Profile) { p.DropInterval = 0 },
 		func(p *Profile) { p.DiscoveryWeight = nil },
+		func(p *Profile) { p.RetainWeight = nil },
 	}
 	if err := testProfile().Validate(); err != nil {
 		t.Fatalf("the test profile: %v", err)
+	}
+	// Every bound at its least valid value.
+	least := testProfile()
+	least.PartnerTarget, least.MaxPartners, least.PullDelay, least.MaxInflight = 1, 1, 1, 1
+	least.ContactInterval, least.SignalingInterval, least.DropInterval = 1, 1, 1
+	if err := least.Validate(); err != nil {
+		t.Errorf("the least valid profile: %v", err)
 	}
 	for i, mutate := range bad {
 		p := testProfile()
@@ -381,6 +390,14 @@ func TestProfileValidation(t *testing.T) {
 			p.validate()
 		}()
 	}
+	// A node is never built on an invalid profile.
+	w := buildWorld(t, 3, 1, 0)
+	defer func() {
+		if recover() == nil {
+			t.Error("AddNode accepted a profile without a name")
+		}
+	}()
+	w.net.AddNode(w.peers[0].Host, access.LAN100, &Profile{})
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -389,6 +406,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.BufferWindow = chunkstream.MaxWindow + 1 },
 		func(c *Config) { c.TrackerBatch = 0 },
 		func(c *Config) { c.UplinkBusyCap = 0 },
+		func(c *Config) { c.Congestion.QueueDepth = -1 },
 	} {
 		c := testConfig()
 		mutate(&c)
@@ -400,6 +418,12 @@ func TestConfigValidation(t *testing.T) {
 			}()
 			c.validate()
 		}()
+	}
+	// Every bound at its least valid value, and the widest window.
+	for _, window := range []int{1, chunkstream.MaxWindow} {
+		c := testConfig()
+		c.BufferWindow, c.TrackerBatch, c.UplinkBusyCap = window, 1, 1
+		c.validate()
 	}
 	// The window check names the field and the bound it is past.
 	c := testConfig()
@@ -579,10 +603,20 @@ func TestBlockDefersJoin(t *testing.T) {
 	if gone.Online() {
 		t.Error("Unblock honoured a join whose session already ended")
 	}
+
+	// A deferred join is honoured once: the node it brought back, taken
+	// offline and blocked again, stays offline at the next Unblock.
+	nd.Leave()
+	nd.Block()
+	nd.Unblock()
+	if nd.Online() {
+		t.Error("a second Unblock honoured the first one's deferred join again")
+	}
 }
 
 // TestSetLinkScaleIsAbsolute: factors apply to the factory rates, not
-// cumulatively, and factor 1 restores them exactly.
+// cumulatively, no rate falls below the 64 kb/s floor, factor 1 restores
+// them exactly, and factor 0 panics.
 func TestSetLinkScaleIsAbsolute(t *testing.T) {
 	w := buildWorld(t, 14, 2, 0)
 	nd := w.peers[0]
@@ -592,6 +626,15 @@ func TestSetLinkScaleIsAbsolute(t *testing.T) {
 	if nd.Link.Spec.Up != units.BitRate(float64(orig.Up)*0.5) {
 		t.Errorf("two 0.5 scales compounded: %v", nd.Link.Spec.Up)
 	}
+	nd.SetLinkScale(1e-9)
+	if floor := (units.AccessSpec{Down: 64 * units.Kbps, Up: 64 * units.Kbps}); nd.Link.Spec != floor || nd.up.Rate() != floor.Up {
+		t.Errorf("a 1e-9 scale gave %v, port %v; want the floor %v", nd.Link.Spec, nd.up.Rate(), floor)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("SetLinkScale(0) did not panic")
+		}
+	}()
 	nd.SetLinkScale(1)
 	if nd.Link.Spec != orig {
 		t.Errorf("scale 1 did not restore factory rates: %v vs %v", nd.Link.Spec, orig)
@@ -599,6 +642,7 @@ func TestSetLinkScaleIsAbsolute(t *testing.T) {
 	if nd.up.Rate() != orig.Up || nd.down.Rate() != orig.Down {
 		t.Errorf("ports not restored: %v/%v", nd.up.Rate(), nd.down.Rate())
 	}
+	nd.SetLinkScale(0)
 }
 
 // TestRetireIsPermanent: a retired node refuses every later Join, including

@@ -14,6 +14,7 @@ import (
 
 	"napawine/internal/access"
 	"napawine/internal/policy"
+	"napawine/internal/sim"
 	"napawine/internal/units"
 )
 
@@ -90,14 +91,14 @@ func TestBestPartnerRule(t *testing.T) {
 		if c.want >= 0 {
 			want = &nd.partners[c.want]
 		}
-		if got := nd.bestPartner(); got != want {
+		if got := nd.bestPartner(0); got != want {
 			t.Errorf("%s: bestPartner = %+v, want %+v", c.name, got, want)
 		}
 	}
 	// The source, however heavy, is not a partner the greedy pass pulls from.
 	w.src.online, others[0].online = true, true
 	nd.partners = append(nd.partners[:0], partner{key: partnerKey(w.src.ID), reqW: 100}, partner{key: partnerKey(others[0].ID), reqW: 1})
-	if got := nd.bestPartner(); got != &nd.partners[1] {
+	if got := nd.bestPartner(0); got != &nd.partners[1] {
 		t.Errorf("with the source as a partner: bestPartner = %+v, want the weight-1 peer", got)
 	}
 }
@@ -313,9 +314,10 @@ type tableCoverage struct {
 	adds, dups, removes, rescores, marks, leaves int
 	fails, clears, toggles                       int
 	shifted, full                                int // shifted: an add or remove that moved records
-	// bestPartner passed over a NaN weight, broke a tie, or passed over a
-	// partner in backoff that outweighed its pick.
-	nanSkipped, tiesBroken, backedOff int
+	// bestPartner passed over a NaN weight, broke a tie, passed over a
+	// partner in backoff that outweighed its pick, or picked a partner whose
+	// backoff had ended.
+	nanSkipped, tiesBroken, backedOff, expired int
 }
 
 // checkTableMatchesModel runs one node's partner table through ops, two
@@ -326,9 +328,10 @@ type tableCoverage struct {
 // model: the model's ids, ascending, each record holding the model's rate,
 // failure count, announce flag and locality bits and sitting beside the
 // model's congestion entry; partnerByID finding each; and bestPartner
-// returning the model's pick. The node's peers are online and
-// hold no partner, and it remembers a rate for each, so adds start with every
-// weight. The engine never runs, so a backoff ending after its clock holds.
+// returning the model's pick at a fixed instant, now: a backoff ending after
+// now holds, one ending at now is over. The node's peers are online
+// and hold no partner, and it remembers a rate for each, so adds start with
+// every weight.
 func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCoverage {
 	t.Helper()
 	cfg := testConfig()
@@ -346,7 +349,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 	for i, p := range others {
 		nd.rateMemory.set(p.ID, units.BitRate(i))
 	}
-	now := w.eng.Now()
+	const now = sim.Time(time.Minute)
 	weight := func(r tableRow) float64 { return tableWeight{}.Weight(policy.Info{EstRate: r.rate}) }
 	m := make(map[PeerID]tableRow)
 	var cov tableCoverage
@@ -410,11 +413,14 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 			row.rate = p.estRate
 			m[other.ID] = row
 			cov.rescores++
-		case what%16 == 13: // congestion observations: a loss level naming the step, a backoff on or off
+		case what%16 == 13: // congestion observations: a loss level naming the step; a backoff ending after now, one ending at now, or none
 			i, _ := nd.partnerSearch(other.ID)
 			row.cong = partnerCong{lossEWMA: float64(step)}
-			if ops[step+1]&1 != 0 {
+			switch ops[step+1] & 3 {
+			case 1, 3:
 				row.cong.backoffUntil = now.Add(time.Second)
+			case 2:
+				row.cong.backoffUntil = now
 			}
 			(*nd.cong)[i] = row.cong
 			m[other.ID] = row
@@ -466,8 +472,11 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		if wantID >= 0 {
 			want = nd.partnerByID(wantID)
 		}
-		if got := nd.bestPartner(); got != want {
+		if got := nd.bestPartner(now); got != want {
 			t.Fatalf("step %d: bestPartner %+v, the model's %+v", step, got, want)
+		}
+		if wantID >= 0 && m[wantID].cong.backoffUntil != 0 {
+			cov.expired++
 		}
 		for id, row := range m {
 			switch wt := weight(row); {
@@ -489,7 +498,8 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 
 // TestPartnerTableMatchesModel runs seeded random sequences through
 // checkTableMatchesModel at three table sizes and insists they reached the
-// table's every path (a table of one shifts nothing and ties nothing).
+// table's every path (a table of one shifts nothing and ties nothing, and
+// its seed marks two backoffs).
 func TestPartnerTableMatchesModel(t *testing.T) {
 	for _, size := range []int{1, 4, 14} {
 		rng := rand.New(rand.NewSource(int64(size)))
@@ -500,7 +510,7 @@ func TestPartnerTableMatchesModel(t *testing.T) {
 		if cov.adds == 0 || cov.dups == 0 || cov.removes == 0 || cov.rescores == 0 || cov.marks == 0 ||
 			cov.fails == 0 || cov.clears == 0 || cov.toggles == 0 ||
 			cov.leaves == 0 || cov.full == 0 || cov.backedOff == 0 ||
-			size > 1 && (cov.shifted == 0 || cov.nanSkipped == 0 || cov.tiesBroken == 0) {
+			size > 1 && (cov.shifted == 0 || cov.nanSkipped == 0 || cov.tiesBroken == 0 || cov.expired == 0) {
 			t.Errorf("MaxPartners %d: some path never ran: %+v", size, cov)
 		}
 	}

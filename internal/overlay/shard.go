@@ -5,7 +5,6 @@ import (
 
 	"napawine/internal/chunkstream"
 	"napawine/internal/packet"
-	"napawine/internal/policy"
 	"napawine/internal/sim"
 	"napawine/internal/units"
 )
@@ -101,21 +100,21 @@ func (net *Network) signalCross(a, b *Node, size units.ByteSize, kind packet.Kin
 }
 
 // handshakeCross runs the serial handshake's two-packet introduction as a
-// two-phase exchange: offer with the initiator's intent, acceptance (and
-// remote partner add) at the responder, completion at the initiator.
+// two-phase exchange: offer, acceptance (and remote partner add) at the
+// responder, completion at the initiator. The initiator is refilling below
+// its target, so it has room when it offers.
 func (nd *Node) handshakeCross(other *Node) {
 	nd.rememberNeighbor(other.ID)
-	want := len(nd.partners) < nd.Profile.MaxPartners
 	nd.net.signalCross(nd, other, handshakeSize, packet.Signaling, func() {
-		other.handshakeAccept(nd, want)
+		other.handshakeAccept(nd)
 	})
 }
 
 // handshakeAccept is the responder side of a cross-shard handshake,
 // executing on the responder's shard at offer arrival.
-func (nd *Node) handshakeAccept(from *Node, want bool) {
+func (nd *Node) handshakeAccept(from *Node) {
 	nd.rememberNeighbor(from.ID)
-	accept := want && len(nd.partners) < nd.Profile.MaxPartners
+	accept := len(nd.partners) < nd.Profile.MaxPartners
 	if accept {
 		nd.addPartner(from)
 	}
@@ -147,21 +146,9 @@ func (nd *Node) handshakeComplete(other *Node, accepted bool) {
 // drawn from the initiator's stream before the message departs — and the
 // responder replies with its own list and the partnership verdict.
 func (nd *Node) gossipCross(c *Node) {
-	mine := nd.neighbors.len()
-	if mine > gossipMaxEntries {
-		mine = gossipMaxEntries
-	}
+	mine := min(nd.neighbors.len(), gossipMaxEntries)
 	nd.rememberNeighbor(c.ID)
-	want := false
-	if len(nd.partners) < nd.Profile.PartnerTarget {
-		info := nd.infoFor(c)
-		w := nd.Profile.DiscoveryWeight.Weight(info)
-		base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
-		if base <= 0 {
-			base = 1
-		}
-		want = w >= base || nd.sc.eng.Rand().Float64() < w/base
-	}
+	want := len(nd.partners) < nd.Profile.PartnerTarget && nd.adopts(c)
 	nd.net.signalCross(nd, c, gossipHeader+gossipPerPeer*units.ByteSize(mine), packet.Signaling, func() {
 		c.gossipReply(nd, want)
 	})
@@ -169,10 +156,7 @@ func (nd *Node) gossipCross(c *Node) {
 
 // gossipReply is the responder side of a cross-shard gossip exchange.
 func (nd *Node) gossipReply(from *Node, want bool) {
-	theirs := nd.neighbors.len()
-	if theirs > gossipMaxEntries {
-		theirs = gossipMaxEntries
-	}
+	theirs := min(nd.neighbors.len(), gossipMaxEntries)
 	nd.rememberNeighbor(from.ID)
 	accept := want && len(nd.partners) < nd.Profile.MaxPartners
 	if accept {

@@ -32,12 +32,9 @@ func (net *Network) ttlAtReceiver(from, to *Node) uint8 {
 // records at whichever endpoints carry sniffers and accounting ground
 // truth. Control packets ride above the FIFO data queues (they are tiny and
 // real clients interleave them), so only propagation delay applies. Both
-// endpoints must live on the same shard — cross-shard control flows through
-// signalCross (shard.go).
+// endpoints must be online and live on the same shard — cross-shard control
+// flows through signalCross (shard.go).
 func (net *Network) sendSignal(a, b *Node, size units.ByteSize) {
-	if !a.online || !b.online {
-		return
-	}
 	net.sendControl(a, b, size, packet.Signaling)
 }
 

@@ -27,6 +27,10 @@ func TestBandwidthBias(t *testing.T) {
 	if math.Abs(high-10) > 1e-12 {
 		t.Errorf("weight at 10×ref = %v, want 10", high)
 	}
+	// A zero Ref is the stream rate, 384 kb/s.
+	if d := (Bias{Alpha: 1, Floor: b.Floor}).Weight(Info{EstRate: 3840 * units.Kbps}); d != high {
+		t.Errorf("weight at 10×ref with the default Ref = %v, want %v", d, high)
+	}
 	// Unmeasured candidates get the floor, not zero.
 	if got := b.Weight(Info{}); math.Abs(got-1) > 1e-12 {
 		t.Errorf("unmeasured weight = %v, want floor 1", got)
@@ -218,7 +222,7 @@ func TestPickOneDistribution(t *testing.T) {
 	cands := mkCands(2)
 	cands[0].Info.EstRate = 3 * units.Mbps
 	cands[1].Info.EstRate = 1 * units.Mbps
-	w := Bias{Ref: units.Mbps, Alpha: 1}
+	w := Bias{Ref: 4 * units.Mbps, Alpha: 1} // weights below 1 count as they are
 	c0 := 0
 	const n = 20000
 	for i := 0; i < n; i++ {

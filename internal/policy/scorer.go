@@ -38,13 +38,10 @@ type sampleKey struct {
 }
 
 // compareSampleKeys orders sample keys strongest-first, caller index
-// ascending on (measure-zero) ties.
+// ascending on ties (keys are never NaN).
 func compareSampleKeys(a, b sampleKey) int {
-	if a.key != b.key {
-		if a.key > b.key {
-			return -1
-		}
-		return 1
+	if c := cmp.Compare(b.key, a.key); c != 0 {
+		return c
 	}
 	return cmp.Compare(a.c.Index, b.c.Index)
 }
@@ -126,10 +123,8 @@ func (s *Scorer) Sample(rng *rand.Rand, k int) []Candidate {
 			continue
 		}
 		u := rng.Float64()
-		for u == 0 {
-			u = rng.Float64()
-		}
 		// key = u^(1/w): larger is better; equivalent to -ln(u)/w ascending.
+		// A u of 0, one draw in 2⁵³, keys the candidate last.
 		s.keys = append(s.keys, sampleKey{c: c, key: math.Pow(u, 1/wt)})
 	}
 	// slices.SortFunc (unlike sort.Slice) allocates nothing. The

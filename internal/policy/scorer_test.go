@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"napawine/internal/units"
@@ -93,6 +94,18 @@ func TestScorerReuseDoesNotAllocate(t *testing.T) {
 	round() // warm the buffers
 	if allocs := testing.AllocsPerRun(100, round); allocs > 0 {
 		t.Errorf("steady-state Scorer round allocates %.1f times", allocs)
+	}
+}
+
+// TestSampleKeysOrder: Sample takes the strongest keys first and, on equal
+// keys (a draw of 0 keys any weight 0), the lower caller index.
+func TestSampleKeysOrder(t *testing.T) {
+	keys := []sampleKey{{Candidate{Index: 4}, 0}, {Candidate{Index: 2}, 0.5}, {Candidate{Index: 3}, 0}, {Candidate{Index: 1}, 0.5}, {Candidate{Index: 0}, 0.9}}
+	slices.SortFunc(keys, compareSampleKeys)
+	for i, want := range []int{0, 1, 2, 3, 4} {
+		if keys[i].c.Index != want {
+			t.Fatalf("sorted keys %v, want indexes 0–4 in order", keys)
+		}
 	}
 }
 

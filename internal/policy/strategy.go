@@ -106,11 +106,9 @@ func (h Hybrid) NeedHolders() bool { return h.RarestWeight != 0 }
 // allocate; it runs once per scheduler tick per node.
 func (h Hybrid) Order(rng *rand.Rand, refs []ChunkRef) {
 	head := 0
-	if h.UrgentFrac > 0 {
-		max := int(math.Ceil(h.UrgentFrac * float64(len(refs))))
-		for head < len(refs) && head < max && refs[head].Urgent {
-			head++
-		}
+	max := int(math.Ceil(h.UrgentFrac * float64(len(refs))))
+	for head < len(refs) && head < max && refs[head].Urgent {
+		head++
 	}
 	tail := refs[head:]
 	if h.RarestWeight == 0 && h.DeadlineBias == 0 {

@@ -175,6 +175,7 @@ func TestParseHybrid(t *testing.T) {
 		{"hybrid:u=0.4", Hybrid{UrgentFrac: 0.4}},
 		{"hybrid:u=0.4,r=1,d=-0.5,a=2", Hybrid{UrgentFrac: 0.4, RarestWeight: 1, DeadlineBias: -0.5, AwareWeight: 2}},
 		{"hybrid:d=1", Hybrid{DeadlineBias: 1}},
+		{"hybrid:r=0.5", Hybrid{RarestWeight: 0.5}},
 	}
 	for _, c := range good {
 		h, err := ParseHybrid(c.name)

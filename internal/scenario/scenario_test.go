@@ -24,7 +24,6 @@ func testProfile() *overlay.Profile {
 		NeighborListMax:   50,
 		SignalingInterval: time.Second,
 		KeepaliveFanout:   1,
-		ScheduleInterval:  500 * time.Millisecond,
 		PullDelay:         4,
 		MaxInflight:       4,
 		ChunkStrategy:     policy.DefaultStrategy(),

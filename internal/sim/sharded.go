@@ -133,24 +133,6 @@ func (s *Sharded) Processed() uint64 {
 	return total
 }
 
-// Pending totals live queued events across the shards and the global
-// engine, plus any cross-shard sends still waiting in mailboxes.
-func (s *Sharded) Pending() int {
-	if len(s.shards) == 1 {
-		return s.global.Pending()
-	}
-	total := s.global.Pending()
-	for _, sh := range s.shards {
-		total += sh.Pending()
-	}
-	for _, row := range s.mail {
-		for _, box := range row {
-			total += len(box)
-		}
-	}
-	return total
-}
-
 // Stop makes the current Run return at the next barrier. It must be called
 // from a global event (or between runs); shard events cannot stop the
 // coordinator because they have no safe way to reach it mid-window.
@@ -224,10 +206,7 @@ func (s *Sharded) Run(horizon time.Duration) {
 		// Jump the window base over any idle gap, then extend by the
 		// lookahead bound and clip at the horizon and the next global
 		// event. m ≥ now always: no engine can hold an event in the past.
-		next := m.Add(time.Duration(s.lookahead))
-		if next > end {
-			next = end
-		}
+		next := min(m.Add(time.Duration(s.lookahead)), end)
 		if g, ok := s.global.NextAt(); ok && g < next {
 			next = g
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 	"time"
 )
@@ -321,22 +322,6 @@ func TestShardedStopFromGlobalAndResume(t *testing.T) {
 	}
 }
 
-func TestShardedPendingCountsMailboxes(t *testing.T) {
-	s := NewSharded(1, 2, time.Millisecond)
-	s.Shard(0).Schedule(time.Millisecond, func() {})
-	s.Global().Schedule(time.Millisecond, func() {})
-	if got := s.Pending(); got != 2 {
-		t.Fatalf("Pending = %d, want 2", got)
-	}
-	// White box: a buffered mailbox entry counts as pending.
-	s.parallel = true
-	s.Send(0, 1, Time(5*time.Millisecond), func() {})
-	s.parallel = false
-	if got := s.Pending(); got != 3 {
-		t.Errorf("Pending with mailbox entry = %d, want 3", got)
-	}
-}
-
 func TestShardedLookaheadViolationPanics(t *testing.T) {
 	s := NewSharded(1, 2, time.Millisecond)
 	s.parallel = true
@@ -415,5 +400,32 @@ func TestPendingGhostHeavyWorkload(t *testing.T) {
 	}
 	if fired != wantFired {
 		t.Errorf("fired = %d, want %d", fired, wantFired)
+	}
+}
+
+// TestShardedRunsEventsAtTheHorizon: like Engine.Run, a sharded Run fires
+// the events due at its horizon itself, on a shard and on the global
+// engine, and leaves later ones queued.
+func TestShardedRunsEventsAtTheHorizon(t *testing.T) {
+	s := NewSharded(1, 2, time.Millisecond)
+	var fired []string
+	s.Shard(1).Schedule(10*time.Millisecond, func() { fired = append(fired, "shard") })
+	s.Global().Schedule(10*time.Millisecond, func() { fired = append(fired, "global") })
+	s.Shard(0).Schedule(11*time.Millisecond, func() { fired = append(fired, "later") })
+	s.Run(10 * time.Millisecond)
+	if len(fired) != 2 || slices.Contains(fired, "later") {
+		t.Errorf("Run to 10ms fired %v, want the shard and global events due at 10ms", fired)
+	}
+}
+
+// TestShardSeedsDiffer: each shard draws from a stream of its own.
+func TestShardSeedsDiffer(t *testing.T) {
+	seen := map[int64]int64{}
+	for i := range int64(8) {
+		z := mixSeed(42, i)
+		if j, dup := seen[z]; dup {
+			t.Errorf("shards %d and %d share seed %d", j, i, z)
+		}
+		seen[z] = i
 	}
 }

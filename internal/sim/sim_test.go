@@ -98,6 +98,14 @@ func TestStop(t *testing.T) {
 	if fired != 2 {
 		t.Errorf("after resume fired = %d, want 2", fired)
 	}
+	// RunUntilIdle resumes a stopped engine too.
+	e.Schedule(time.Second, func() { fired++; e.Stop() })
+	e.Schedule(2*time.Second, func() { fired++ })
+	e.RunUntilIdle()
+	e.RunUntilIdle()
+	if fired != 4 || e.Pending() != 0 {
+		t.Errorf("after RunUntilIdle twice fired = %d, pending %d; want 4, 0", fired, e.Pending())
+	}
 }
 
 func TestTimerCancel(t *testing.T) {
