@@ -156,6 +156,10 @@ func TestHopSweepAPI(t *testing.T) {
 	if _, err := napawine.HopSweep(results[0], 0, 5); err == nil {
 		t.Error("zero lower bound should fail")
 	}
+	// The least range: one threshold, at 1.
+	if tab, err := napawine.HopSweep(results[0], 1, 1); err != nil || len(tab.Rows) != 1 {
+		t.Errorf("HopSweep(1, 1) = %v, %v; want one row", tab, err)
+	}
 }
 
 func TestProfileVariantAPI(t *testing.T) {

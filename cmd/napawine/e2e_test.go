@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"context"
 	"crypto/sha256"
+	"encoding/xml"
 	"fmt"
+	"io"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -80,6 +84,82 @@ func TestCLIOutputDigests(t *testing.T) {
 			}
 			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); got != tc.want {
 				t.Errorf("stdout digest drifted:\n got %s\nwant %s\n%s", got, tc.want, stdout)
+			}
+		})
+	}
+}
+
+// TestSVGArtifactsArePinned: -svg-out writes well-formed SVG on each of the
+// three render paths, and their bytes are pinned as the digests above pin
+// stdout: a one-seed scenario run (swarm-wide series, per-AS series and
+// Figure 1), a replicated one (mean±stderr series) and a study (metric bars).
+func TestSVGArtifactsArePinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("runs miniature swarms; skipped under -short")
+	}
+	for _, tc := range []struct {
+		name, args, stdout string
+		files              map[string]string
+	}{
+		{"one-seed-scenario", "-exp all -apps TVAnts -seed 7 -duration 20s -scale 0.1 -scenario flashcrowd",
+			"5a7bb61c40b4960c8743e6be530c0b11942d5eb5ddcec04672dd682193eadc72", map[string]string{
+				"fig1-tvants.svg":              "6377184df0e9e30e0a08329832b4e11d7b41276339e257f27f8e913b4ee08493",
+				"per-as-continuity-tvants.svg": "e3cc29639936f586e4d8cd20e16ed767c225bb6e1a9cf882253481eb18df81f4",
+				"per-as-intra-as-tvants.svg":   "f9728dd0b329f0bd10a87e3876d96d31a67feaab7d643817385fcc0911b15d61",
+				"per-as-online-tvants.svg":     "2dc0d68443948a3544e0f6da2b226fdf2b3adf3e1c3fb71f3ed9112b903c176e",
+				"series-continuity.svg":        "a0c1bc6f3e5cb5085a61d962fa9935ec5f3c188fdc2090d58bcf16a50745d290",
+				"series-intra-as.svg":          "9f43c662f9f131e20d507f92db7d0ba3308f9009905a595edb09769730628995",
+				"series-online.svg":            "3b124d6e0043368ad9afe346b9fb0c64273156ecad29c62496d390d07a5709e1",
+				"series-video-kbps.svg":        "9923a706c5c770feeb74c787cb8a1034c25ea129060dec288d1ff1808a4aaea7",
+			}},
+		{"replicated-scenario", "-exp all -apps TVAnts,SopCast -seed 7 -seeds 2 -duration 20s -scale 0.1 -scenario flashcrowd",
+			"ef4c7bd282ba39d99d67a5e17b56a03161c2bd4a2eceb26d6b5fc896437a92da", map[string]string{
+				"sweep-continuity.svg": "b27a786146b43555f0810b9fa989fbd61e8c86b4b7cf2f3f186b4a3433586b4b",
+				"sweep-intra-as.svg":   "b8d45e0d77cc830e6818296bfb25ae14b7dc4197b5f279b8507ba291e7d9df41",
+				"sweep-online.svg":     "1740022f99beb739688f2b53ea47d2507eccd5b8c69111242e8fb7740f7df9c1",
+				"sweep-video-kbps.svg": "825d521792c7952354c84f3ef4c30418e5ad770e722fe84ce72224cbf246df5b",
+			}},
+		{"study", "-study blind-ablation -apps TVAnts -seeds 2 -duration 20s -scale 0.1",
+			"37b325633bc1cd786b2c0ad4f0e319b8733beacf27acb612a719c9304a9e1d1f", map[string]string{
+				"study-as-b-d.svg":       "a18b3ee386a8c147913107e2cf7999bb952a68db17105d701a6fdd34a8c64c11",
+				"study-continuity.svg":   "9388e807ff4b59f5bb3a2b2dea132482b3c12ac67c0a831488032c89abf9e346",
+				"study-source-share.svg": "9f4cea7ae7a908b8fb0f1f15a6ee8b888d10ee3b35275bec3fe0a7d93d46cc90",
+			}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			code, stdout, stderr := runCLI(append(strings.Fields(tc.args), "-svg-out", dir)...)
+			if code != 0 {
+				t.Fatalf("exit %d:\n%s", code, stderr)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); got != tc.stdout {
+				t.Errorf("stdout digest drifted:\n got %s\nwant %s\n%s", got, tc.stdout, stdout)
+			}
+			entries, err := os.ReadDir(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var names []string
+			for _, e := range entries {
+				names = append(names, e.Name())
+				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.files[e.Name()] {
+					t.Errorf("%s digest drifted:\n got %s\nwant %s", e.Name(), got, tc.files[e.Name()])
+				}
+				for d := xml.NewDecoder(bytes.NewReader(b)); ; {
+					if _, err := d.Token(); err == io.EOF {
+						break
+					} else if err != nil {
+						t.Errorf("%s: %v", e.Name(), err)
+						break
+					}
+				}
+			}
+			if want := slices.Sorted(maps.Keys(tc.files)); !slices.Equal(names, want) {
+				t.Errorf("artifacts %q, want %q", names, want)
 			}
 		})
 	}

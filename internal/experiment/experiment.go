@@ -297,16 +297,14 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 
 	// Shard layout: whole ASes bin-packed across the requested shard
-	// count, window width from the closest inter-shard subnet pair. One
-	// shard degenerates to the serial engine (sim.NewSharded and
+	// count, window width from the closest inter-shard subnet pair (every
+	// shard holds an AS, and any two subnets are a positive delay apart).
+	// One shard degenerates to the serial engine (sim.NewSharded and
 	// overlay.NewSharded collapse to their serial forms by construction).
 	part, shards := partitionAS(w, cfg.Shards)
 	var lookahead time.Duration
 	if shards > 1 {
 		lookahead = w.Topo.MinInterGroupDelay(part)
-		if lookahead <= 0 {
-			shards = 1
-		}
 	}
 	sh := sim.NewSharded(cfg.Seed, shards, lookahead)
 	eng := sh.Global()

@@ -242,19 +242,40 @@ func TestFigure2PairAccounting(t *testing.T) {
 	if !f.ROk {
 		t.Error("R should be computable for SopCast run")
 	}
+	// A run with no probe pair has no R.
+	var buf strings.Builder
+	if err := RenderFigure2(&buf, []*Result{{World: &world.World{}}}); err != nil || !strings.Contains(buf.String(), "(R=n/a)") {
+		t.Errorf("Figure 2 without pairs: %v\n%s", err, buf.String())
+	}
 }
 
 func TestSortResults(t *testing.T) {
-	rs := []*Result{{Summary: Summary{App: "TVAnts"}}, {Summary: Summary{App: "PPLive"}}, {Summary: Summary{App: "SopCast"}}}
-	SortResults(rs)
-	if rs[0].App != "PPLive" || rs[1].App != "SopCast" || rs[2].App != "TVAnts" {
-		t.Errorf("order = %s,%s,%s", rs[0].App, rs[1].App, rs[2].App)
+	for _, in := range [][]string{{"TVAnts", "PPLive", "SopCast"}, {"SopCast", "TVAnts", "PPLive"}} {
+		var rs []*Result
+		for _, app := range in {
+			rs = append(rs, &Result{Summary: Summary{App: app}})
+		}
+		SortResults(rs)
+		if rs[0].App != "PPLive" || rs[1].App != "SopCast" || rs[2].App != "TVAnts" {
+			t.Errorf("%v sorted to %s,%s,%s", in, rs[0].App, rs[1].App, rs[2].App)
+		}
 	}
 }
 
 func TestUnknownAppFails(t *testing.T) {
 	if _, err := Run(Config{App: "Zattoo", Seed: 1, Duration: time.Second}); err == nil {
 		t.Error("unknown app should fail")
+	}
+}
+
+// TestInvalidScenarioFails: the run validates its scenario before building
+// a world, whose own check (the world spec is invalid too) would fail first.
+func TestInvalidScenarioFails(t *testing.T) {
+	cfg := Default("TVAnts")
+	cfg.World.HighBwFraction = 2
+	cfg.Scenario = &scenario.Spec{}
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "without a name") {
+		t.Errorf("nameless scenario: err = %v", err)
 	}
 }
 
@@ -294,6 +315,53 @@ func TestDefaultsScaleWithApp(t *testing.T) {
 	pp, sc, tv := Default("PPLive"), Default("SopCast"), Default("TVAnts")
 	if !(pp.World.Peers > sc.World.Peers && sc.World.Peers > tv.World.Peers) {
 		t.Error("world sizes must follow PPLive > SopCast > TVAnts")
+	}
+	// An application of the caller's own (run with its Profile) gets 500.
+	if got := Default("Zattoo").World.Peers; got != 500 {
+		t.Errorf("Default(Zattoo) peers = %d, want 500", got)
+	}
+}
+
+// TestLossIsDropsOverOffered: the loss rate is drops over chunks offered
+// (served or dropped), 0 when nothing was offered.
+func TestLossIsDropsOverOffered(t *testing.T) {
+	for _, tc := range []struct {
+		served, drops int64
+		want          float64
+	}{{0, 0, 0}, {0, 1, 100}, {1, 0, 0}, {3, 1, 25}} {
+		s := Summarize(&Result{Summary: Summary{ChunksServed: tc.served, Drops: tc.drops}})
+		if s.LossPct != tc.want {
+			t.Errorf("%d served, %d dropped: loss %v%%, want %v%%", tc.served, tc.drops, s.LossPct, tc.want)
+		}
+	}
+}
+
+// TestUnsetFieldsTakeTheirDefaults: a zero field takes its default, a set
+// one (1 included) is kept, and Default returns a config already filled.
+func TestUnsetFieldsTakeTheirDefaults(t *testing.T) {
+	var got Config
+	got.fillDefaults()
+	want := Config{Duration: 10 * time.Minute, BufferWindow: 90, TrackerBatch: 24, UplinkBusyCap: 2 * time.Second,
+		BackgroundJoinWindow: time.Minute, Contrib: core.DefaultContrib}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("zero config filled to %+v, want %+v", got, want)
+	}
+	set := Config{Seed: 7, Duration: 1, BufferWindow: 1, TrackerBatch: 1, UplinkBusyCap: 1, BackgroundJoinWindow: 1,
+		Contrib: core.ContribThresholds{MinBytes: 1}, World: world.Spec{Seed: 3}}
+	got = set
+	got.fillDefaults()
+	if !reflect.DeepEqual(got, set) {
+		t.Errorf("set config filled to %+v, want it kept", got)
+	}
+	got = Config{Seed: 7}
+	if got.fillDefaults(); got.World.Seed != 7 {
+		t.Errorf("world seed %d, want the run's 7", got.World.Seed)
+	}
+	cfg := Default("TVAnts")
+	filled := cfg
+	filled.fillDefaults()
+	if !reflect.DeepEqual(cfg, filled) {
+		t.Errorf("Default is not filled: %+v", cfg)
 	}
 }
 

@@ -131,12 +131,9 @@ func perASPlots(r *Result, scenario string) []plot.Artifact {
 			s := plot.Series{Name: fmt.Sprintf("AS %d", a.AS),
 				X: make([]float64, len(r.Series)), Y: make([]float64, len(r.Series))}
 			for i, smp := range r.Series {
+				// Every sample breaks out the ASes tracked from the start.
 				s.X[i] = smp.T.Seconds()
-				if slot < len(smp.PerAS) {
-					s.Y[i] = m.get(smp.PerAS[slot])
-				} else {
-					s.Y[i] = math.NaN()
-				}
+				s.Y[i] = m.get(smp.PerAS[slot])
 			}
 			l.Series = append(l.Series, s)
 		}

@@ -2,7 +2,7 @@ package experiment
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"time"
 
 	"napawine/internal/overlay"
@@ -126,7 +126,7 @@ func (r *seriesRecorder) trackTopASes(net *overlay.Network, k int) {
 	if len(ases) > k {
 		ases = ases[:k]
 	}
-	sort.Slice(ases, func(i, j int) bool { return ases[i] < ases[j] })
+	slices.Sort(ases)
 	r.asTracked = ases
 	r.asSlot = make(map[topology.ASN]int, len(ases))
 	for i, as := range ases {

@@ -1,11 +1,13 @@
 package experiment
 
 import (
+	"math"
 	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"napawine/internal/plot"
 	"napawine/internal/scenario"
 )
 
@@ -111,10 +113,94 @@ func TestSeriesTableShape(t *testing.T) {
 	}
 }
 
+// TestSeriesTableSkipsBucketsARunDidNotReach: a run whose series stops
+// short of a bucket has no row there, and is unmeasured there; the longest
+// series sets the buckets, and a run without a series has no line in a plot.
+func TestSeriesTableSkipsBucketsARunDidNotReach(t *testing.T) {
+	long := &Result{Summary: Summary{App: "PPLive", Scenario: "x", Series: []SeriesSample{{T: time.Second}, {T: 2 * time.Second}}}}
+	short := &Result{Summary: Summary{App: "TVAnts", Scenario: "x", Series: []SeriesSample{{T: time.Second}}}}
+	none := &Result{Summary: Summary{App: "SopCast"}}
+	results := []*Result{long, short, none}
+	tab := SeriesTable(results)
+	var got []string
+	for _, row := range tab.Rows {
+		got = append(got, row[0]+" "+row[1])
+	}
+	if want := []string{"1s PPLive", "1s TVAnts", "2s PPLive"}; !reflect.DeepEqual(got, want) {
+		t.Errorf("rows %q, want %q", got, want)
+	}
+	if _, ok := SeriesMetrics[0].At(1).Get(short.Summary); ok {
+		t.Error("bucket 1 of a one-bucket series measured")
+	}
+	for _, art := range SeriesPlots(results) {
+		var names []string
+		for _, s := range art.Chart.(*plot.Line).Series {
+			names = append(names, s.Name)
+		}
+		if want := []string{"PPLive", "TVAnts"}; !reflect.DeepEqual(names, want) {
+			t.Errorf("%s: lines %q, want %q", art.Name, names, want)
+		}
+	}
+}
+
+// TestPerASIntraShareBreaksWhereNoVideoMoved: a per-AS bucket that received
+// no video plots a gap, not 0.
+func TestPerASIntraShareBreaksWhereNoVideoMoved(t *testing.T) {
+	r := &Result{Summary: Summary{App: "TVAnts", Scenario: "x", Series: []SeriesSample{
+		{T: time.Second, PerAS: []ASSample{{AS: 7, IntraPct: 40, IntraValid: true}}},
+		{T: 2 * time.Second, PerAS: []ASSample{{AS: 7}}},
+	}}}
+	for _, art := range SeriesPlots([]*Result{r}) {
+		if art.Name != "per-as-intra-as-tvants" {
+			continue
+		}
+		if y := art.Chart.(*plot.Line).Series[0].Y; y[0] != 40 || !math.IsNaN(y[1]) {
+			t.Errorf("AS 7 intra-AS share %v, want [40 NaN]", y)
+		}
+		return
+	}
+	t.Error("no per-AS intra-AS plot")
+}
+
+// TestSeriesBucketsAtNanosecondHorizons: a horizon shorter than the bucket
+// count is one bucket at the horizon, and a horizon that the bucket width
+// does not divide stops at the bucket count. No video moves in so short a
+// run, so its source share and diffusion delay read 0.
+func TestSeriesBucketsAtNanosecondHorizons(t *testing.T) {
+	for _, tc := range []struct {
+		horizon time.Duration
+		want    []time.Duration
+	}{
+		{3, []time.Duration{3}},
+		{10, []time.Duration{2, 4, 6, 8}},
+	} {
+		cfg := scenarioConfig("flashcrowd", 1)
+		cfg.Duration = tc.horizon
+		cfg.Scenario.Buckets = 4
+		r, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []time.Duration
+		for _, s := range r.Series {
+			got = append(got, s.T)
+		}
+		if !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%v horizon, 4 buckets: samples at %v, want %v", tc.horizon, got, tc.want)
+		}
+		if r.VideoBytes != 0 || r.SourceSharePct != 0 || r.DiffusionDelayS != 0 {
+			t.Errorf("%v horizon: video %d B, source share %v%%, diffusion %v s; want all 0", tc.horizon, r.VideoBytes, r.SourceSharePct, r.DiffusionDelayS)
+		}
+	}
+}
+
 func TestSeriesTableNilWithoutScenario(t *testing.T) {
 	r := runSmall(t, "TVAnts")
 	if tab := SeriesTable([]*Result{r}); tab != nil {
 		t.Errorf("scenario-less results produced a series table: %q", tab.Title)
+	}
+	if arts := SeriesPlots([]*Result{r}); arts != nil {
+		t.Errorf("scenario-less results produced %d series plots", len(arts))
 	}
 }
 

@@ -294,19 +294,14 @@ func ComputeFigure2(r *Result) ASTraffic {
 	for i, l := range labels {
 		li[l] = i
 	}
-	// High-bandwidth institutional probes, bucketed per AS and subnet.
-	type probeInfo struct {
-		as     int
-		subnet topology.SubnetID
-	}
-	perAS := map[int][]probeInfo{}
+	// High-bandwidth institutional probes' subnets, bucketed per AS.
+	perAS := map[int][]topology.SubnetID{}
 	for _, p := range r.World.Probes {
 		if p.HighBandwidth() && p.ASName != "ASx" {
-			pi := probeInfo{as: li[p.ASName], subnet: p.Host.Subnet}
-			perAS[pi.as] = append(perAS[pi.as], pi)
+			perAS[li[p.ASName]] = append(perAS[li[p.ASName]], p.Host.Subnet)
 		}
 	}
-	// Pair counts excluding same-subnet pairs.
+	// Pair counts excluding same-subnet pairs, a probe with itself included.
 	pairCount := make([][]int, len(labels))
 	for i := range pairCount {
 		pairCount[i] = make([]int, len(labels))
@@ -315,21 +310,13 @@ func ComputeFigure2(r *Result) ASTraffic {
 		for j := range labels {
 			for _, a := range perAS[i] {
 				for _, b := range perAS[j] {
-					if a == b && i == j {
-						continue
+					if i != j || a != b {
+						pairCount[i][j]++
 					}
-					if i == j && a.subnet == b.subnet {
-						continue
-					}
-					pairCount[i][j]++
 				}
 			}
 		}
 	}
-	// Diagonal self-pair correction: the loop above cannot distinguish
-	// two distinct probes with identical (as, subnet) from a self-pair,
-	// but those are same-subnet and excluded anyway, so only the distinct
-	// subnet combinations remain — already correct.
 
 	sum := make([][]float64, len(labels))
 	for i := range sum {
@@ -369,7 +356,7 @@ func ComputeFigure2(r *Result) ASTraffic {
 		}
 	}
 	out := ASTraffic{App: r.App, Labels: labels, Mean: mean, Pairs: intraPairs + interPairs}
-	if interPairs > 0 && interSum > 0 && intraPairs > 0 {
+	if interSum > 0 && intraPairs > 0 {
 		out.R = (intraSum / float64(intraPairs)) / (interSum / float64(interPairs))
 		out.ROk = true
 	}

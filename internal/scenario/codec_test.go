@@ -2,6 +2,7 @@ package scenario
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -102,6 +103,13 @@ func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile(filepath.Join(t.TempDir(), "nope.json")); err == nil {
 		t.Fatal("missing file loaded")
 	}
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte(`{"name": "x", "bogus": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); err == nil || !strings.HasPrefix(err.Error(), path+": ") {
+		t.Errorf("LoadFile(bad) = %v, want an error naming %s", err, path)
+	}
 }
 
 // TestMatchdayExampleLoads: the one shipped scenario file the registry does
@@ -134,6 +142,22 @@ func TestKindNamesCoverEveryKind(t *testing.T) {
 	}
 	if _, err := kindNames.parse("Kind(7)"); err == nil {
 		t.Error("String fallback form parsed as a kind")
+	}
+	if got := Kind(99).String(); got != "Kind(99)" {
+		t.Errorf("Kind(99).String() = %q", got)
+	}
+}
+
+// TestEncodeRejectsWhatHasNoFileForm: a nil spec and a kind without a wire
+// name are errors, not a file that decodes to something else.
+func TestEncodeRejectsWhatHasNoFileForm(t *testing.T) {
+	var buf bytes.Buffer
+	if err := Encode(&buf, nil); err == nil {
+		t.Error("nil spec encoded")
+	}
+	s := &Spec{Name: "x", Events: []Event{{Kind: Kind(99)}}}
+	if err := Encode(&buf, s); err == nil || !strings.Contains(err.Error(), "encode x") || !strings.Contains(err.Error(), "unencodable event kind 99") {
+		t.Errorf("Kind(99) encoded: err = %v", err)
 	}
 }
 

@@ -298,10 +298,6 @@ func countryPeers(env Env, cc topology.CC) []*overlay.Node {
 // designation keeps the promotion deterministic and lets a bad selector
 // fail loudly before the run starts.
 func compileSourceFailover(ev Event, env Env) error {
-	src := env.Net.Source()
-	if src == nil {
-		return fmt.Errorf("source-failover: network has no source")
-	}
 	var backup *overlay.Node
 	for _, nd := range env.Background {
 		if ev.Country != "" && nd.Host.Country != ev.Country {
@@ -319,7 +315,7 @@ func compileSourceFailover(ev Event, env Env) error {
 		return fmt.Errorf("source-failover: no backup candidate (country %q, %d background peers)",
 			ev.Country, len(env.Background))
 	}
-	env.Eng.Schedule(at(ev.From, env.Horizon), src.Retire)
+	env.Eng.Schedule(at(ev.From, env.Horizon), env.Net.Source().Retire)
 	env.Eng.Schedule(at(ev.To, env.Horizon), func() { env.Net.PromoteSource(backup) })
 	return nil
 }

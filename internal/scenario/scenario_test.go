@@ -41,6 +41,7 @@ type rig struct {
 	src        *overlay.Node
 	background []*overlay.Node
 	deferred   []*overlay.Node
+	host       func(i int) topology.Host // a new host on the rig's subnets
 }
 
 func buildRig(t testing.TB, seed int64, nBackground, nDeferred int) *rig {
@@ -74,7 +75,7 @@ func buildRig(t testing.TB, seed int64, nBackground, nDeferred int) *rig {
 	}
 	src := net.AddSource(host(0), access.LAN100, testProfile())
 	eng.Schedule(0, src.Join)
-	r := &rig{eng: eng, net: net, src: src}
+	r := &rig{eng: eng, net: net, src: src, host: host}
 	for i := 0; i < nBackground; i++ {
 		nd := net.AddNode(host(i+1), access.LAN100, testProfile())
 		eng.Schedule(time.Duration(i)*100*time.Millisecond, nd.Join)
@@ -150,6 +151,7 @@ func TestValidateRejectsMalformedEvents(t *testing.T) {
 		{Kind: Arrivals, From: 0.6, To: 0.5},
 		{Kind: Arrivals, From: 0, To: 1.5},
 		{Kind: Arrivals, From: 0, To: 1, Peers: 2},
+		{Kind: Arrivals, From: 0, To: 1, MeanStay: -0.1},
 		{Kind: Departures, From: 0.5, To: 0.6},                // no fraction
 		{Kind: Departures, From: 0.5, To: 0.6, Fraction: 1.2}, // too big
 		{Kind: Partition, From: 0.4, To: 0.6},                 // no target
@@ -176,6 +178,9 @@ func TestValidateRejectsMalformedEvents(t *testing.T) {
 	}
 	if err := (&Spec{Events: []Event{}}).Validate(); err == nil {
 		t.Error("nameless spec validated")
+	}
+	if err := (&Spec{Name: "x", ExtraPeerFactor: -1}).Validate(); err == nil {
+		t.Error("negative ExtraPeerFactor validated")
 	}
 }
 
@@ -351,6 +356,9 @@ func TestCompileEnvValidation(t *testing.T) {
 	}
 	if err := Compile(s, Env{Eng: r.eng, Net: r.net, Horizon: 0}); err == nil {
 		t.Error("zero horizon accepted")
+	}
+	if err := Compile(&Spec{}, r.env(time.Minute)); err == nil {
+		t.Error("invalid spec compiled")
 	}
 }
 
@@ -541,6 +549,41 @@ func TestExpStaySmallMeanKeepsFloor(t *testing.T) {
 	}
 }
 
+// TestArrivalsStopAtTheRemainingPool: an arrivals share past what earlier
+// events left activates the rest of the pool, a last peer included.
+func TestArrivalsStopAtTheRemainingPool(t *testing.T) {
+	r := buildRig(t, 17, 4, 10)
+	s := &Spec{Name: "two-crowds", Events: []Event{
+		{Kind: Arrivals, From: 0.1, To: 0.2, Peers: 0.9},
+		{Kind: Arrivals, From: 0.3, To: 0.4, Peers: 0.6},
+	}}
+	if err := Compile(s, r.env(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run(time.Minute)
+	for i, nd := range r.deferred {
+		if !nd.Online() {
+			t.Errorf("deferred peer %d never arrived", i)
+		}
+	}
+}
+
+// TestInstantDeparturesLeaveAtOnce: a departures window of zero width
+// retires every victim at its instant.
+func TestInstantDeparturesLeaveAtOnce(t *testing.T) {
+	r := buildRig(t, 18, 8, 0)
+	s := &Spec{Name: "exodus", Events: []Event{{Kind: Departures, From: 0.5, To: 0.5, Fraction: 1}}}
+	if err := Compile(s, r.env(time.Minute)); err != nil {
+		t.Fatal(err)
+	}
+	r.eng.Run(30 * time.Second)
+	for i, nd := range r.background {
+		if !nd.Retired() {
+			t.Errorf("background peer %d not retired at the departure instant", i)
+		}
+	}
+}
+
 // TestCompileFailsLoudlyOnEmptyArrivals: an Arrivals event with no deferred
 // pool must be a compile error, not a silent no-op — a file-authored spec
 // with ExtraPeerFactor 0 would otherwise "run" and inject nothing.
@@ -606,6 +649,33 @@ func TestSourceFailoverPromotesBackup(t *testing.T) {
 	r.eng.Run(100 * time.Second)
 	if r.net.LedgerView().VideoTotal <= videoAt50 {
 		t.Error("swarm moved no video after the failover")
+	}
+}
+
+// TestSourceFailoverPrefersAHighBandwidthBackup: the backup is the first
+// high-bandwidth background peer, else the first background peer.
+func TestSourceFailoverPrefersAHighBandwidthBackup(t *testing.T) {
+	for _, tc := range []struct {
+		links []access.Link
+		want  int
+	}{
+		{[]access.Link{access.DSL6, access.LAN100, access.LAN100}, 1},
+		{[]access.Link{access.DSL6, access.DSL4}, 0},
+	} {
+		r := buildRig(t, 16, 0, 0)
+		for i, link := range tc.links {
+			nd := r.net.AddNode(r.host(i+1), link, testProfile())
+			r.eng.Schedule(0, nd.Join)
+			r.background = append(r.background, nd)
+		}
+		s := &Spec{Name: "failover", Events: []Event{{Kind: SourceFailover, From: 0.4, To: 0.5}}}
+		if err := Compile(s, r.env(time.Minute)); err != nil {
+			t.Fatal(err)
+		}
+		r.eng.Run(40 * time.Second)
+		if got := r.net.Source(); got != r.background[tc.want] {
+			t.Errorf("links %v: backup %v, want background peer %d", tc.links, got.Host, tc.want)
+		}
 	}
 }
 

@@ -2,6 +2,9 @@ package study
 
 import (
 	"fmt"
+	"math"
+	"os"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -139,6 +142,14 @@ func TestEncodeRejectsNilStudy(t *testing.T) {
 	if err := Encode(&b, nil); err == nil {
 		t.Error("nil study encoded")
 	}
+	// JSON has no NaN: a study holding one has no canonical form.
+	nan := &Study{Name: "x", PeerFactor: math.NaN()}
+	if err := Encode(&b, nan); err == nil || !strings.Contains(err.Error(), "study: encode x: ") {
+		t.Errorf("NaN peer factor encoded: %v", err)
+	}
+	if _, _, err := nan.Canonical(); err == nil {
+		t.Error("NaN peer factor has a canonical encoding")
+	}
 }
 
 // TestInlineSpecRoundTrip: an inline scenario spec survives the study codec
@@ -165,5 +176,12 @@ func TestInlineSpecRoundTrip(t *testing.T) {
 func TestLoadFileMissing(t *testing.T) {
 	if _, err := LoadFile("does/not/exist.json"); err == nil {
 		t.Error("missing file accepted")
+	}
+	path := filepath.Join(t.TempDir(), "bad.json")
+	if err := os.WriteFile(path, []byte(`{"name": "x", "bogus": 1}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := LoadFile(path); err == nil || !strings.HasPrefix(err.Error(), path+": ") {
+		t.Errorf("LoadFile(bad) = %v, want an error naming %s", err, path)
 	}
 }

@@ -3,6 +3,7 @@ package study
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"slices"
 	"strings"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
+	"napawine/internal/plot"
 	"napawine/internal/report"
 	"napawine/internal/scenario"
 )
@@ -174,6 +176,46 @@ func TestPartialResultSkipsUnfinishedCells(t *testing.T) {
 					t.Errorf("%s: unfinished cells were averaged in: %v", tab.Title, row)
 					break
 				}
+			}
+		}
+	}
+}
+
+// TestSeriesSkipBucketsABatteryDidNotReach: a battery whose runs stopped
+// short of a bucket has no row and no point there, in the table and the
+// plots alike, and a battery that finished no run has no series at all.
+func TestSeriesSkipBucketsABatteryDidNotReach(t *testing.T) {
+	series := func(n int) []experiment.SeriesSample {
+		var out []experiment.SeriesSample
+		for i := 1; i <= n; i++ {
+			out = append(out, experiment.SeriesSample{T: time.Duration(i) * time.Second, Online: i})
+		}
+		return out
+	}
+	r := &Result{Study: &Study{Name: "short"}, Seeds: []int64{1}, Cells: []Cell{
+		{Point: Point{Index: 0, App: "PPLive", Seed: 1}, Done: true, Summary: experiment.Summary{App: "PPLive", Scenario: "x", Series: series(2)}},
+		{Point: Point{Index: 1, App: "TVAnts", Seed: 1}, Done: true, Summary: experiment.Summary{App: "TVAnts", Scenario: "x", Series: series(1)}},
+		{Point: Point{Index: 2, App: "SopCast", Seed: 1}},
+	}}
+	var rows []string
+	for _, row := range r.SeriesTable().Rows {
+		rows = append(rows, row[0]+" "+row[1])
+	}
+	if want := []string{"1s PPLive", "1s TVAnts", "2s PPLive"}; !reflect.DeepEqual(rows, want) {
+		t.Errorf("series rows %q, want %q", rows, want)
+	}
+	for _, art := range r.SeriesPlots() {
+		var got []string
+		for _, s := range art.Chart.(*plot.Line).Series {
+			got = append(got, fmt.Sprint(s.Name, " ", s.X))
+		}
+		if want := []string{"PPLive [1 2]", "TVAnts [1]"}; !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: series %q, want %q", art.Name, got, want)
+		}
+		// A bucket one run measured is that run's value.
+		if art.Name == "sweep-online" {
+			if s := art.Chart.(*plot.Line).Series[0]; !reflect.DeepEqual(s.Y, []float64{1, 2}) {
+				t.Errorf("PPLive online %v, want [1 2]", s.Y)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package study
 import (
 	"bytes"
 	"context"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -62,6 +63,26 @@ func TestSummaryCodecRoundTrip(t *testing.T) {
 	}
 	if buf2.String() != first {
 		t.Fatalf("summary encoding not bit-stable across a round trip:\n%s\nvs\n%s", first, buf2.String())
+	}
+}
+
+// TestEncodersRejectWhatHasNoFileForm: nil values, a Result without its
+// study and a NaN (JSON has none) are errors, never a partial file.
+func TestEncodersRejectWhatHasNoFileForm(t *testing.T) {
+	var buf bytes.Buffer
+	nan := experiment.Summary{LossPct: math.NaN()}
+	for name, err := range map[string]error{
+		"nil summary":      EncodeSummary(&buf, nil),
+		"NaN summary":      EncodeSummary(&buf, &nan),
+		"nil result":       EncodeResult(&buf, nil),
+		"result, no study": EncodeResult(&buf, &Result{}),
+	} {
+		if err == nil {
+			t.Errorf("%s encoded", name)
+		}
+	}
+	if err := EncodeResult(&buf, &Result{Study: &Study{Name: "x"}, Cells: []Cell{{Summary: nan}}}); err == nil || !strings.Contains(err.Error(), "encode x result: ") {
+		t.Errorf("NaN result: %v", err)
 	}
 }
 

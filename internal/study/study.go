@@ -244,47 +244,55 @@ func (st *Study) Runs() int {
 // duplicate cells; it is the same fail-fast contract the scenario codec
 // gives file-authored timelines.
 func (st *Study) Validate() error {
+	_, err := st.validate()
+	return err
+}
+
+// validate is Validate returning the scenario specs it resolved, in
+// ScenarioList order.
+func (st *Study) validate() ([]*scenario.Spec, error) {
+	var specs []*scenario.Spec
 	if st.Name == "" {
-		return fmt.Errorf("study: study without a name")
+		return nil, fmt.Errorf("study: study without a name")
 	}
 	if st.PeerFactor < 0 || math.IsNaN(st.PeerFactor) {
-		return fmt.Errorf("study %s: negative peer factor %v", st.Name, st.PeerFactor)
+		return nil, fmt.Errorf("study %s: negative peer factor %v", st.Name, st.PeerFactor)
 	}
 	if st.Peers < 0 {
-		return fmt.Errorf("study %s: negative peers %d", st.Name, st.Peers)
+		return nil, fmt.Errorf("study %s: negative peers %d", st.Name, st.Peers)
 	}
 	if st.Peers > 0 && st.PeerFactor > 0 {
-		return fmt.Errorf("study %s: peers and peer_factor are mutually exclusive", st.Name)
+		return nil, fmt.Errorf("study %s: peers and peer_factor are mutually exclusive", st.Name)
 	}
 	if st.Trials < 0 {
-		return fmt.Errorf("study %s: negative trials %d", st.Name, st.Trials)
+		return nil, fmt.Errorf("study %s: negative trials %d", st.Name, st.Trials)
 	}
 	seenDepth := map[int]bool{}
 	for _, depth := range st.QueueDepthList() {
 		if seenDepth[depth] {
-			return fmt.Errorf("study %s: duplicate queue depth %d", st.Name, depth)
+			return nil, fmt.Errorf("study %s: duplicate queue depth %d", st.Name, depth)
 		}
 		seenDepth[depth] = true
 		if err := (access.CongestionModel{QueueDepth: depth}).Validate(); err != nil {
-			return fmt.Errorf("study %s: %w", st.Name, err)
+			return nil, fmt.Errorf("study %s: %w", st.Name, err)
 		}
 	}
 	seenApp := map[string]bool{}
 	for _, app := range st.AppList() {
 		if _, err := apps.ByName(app); err != nil {
-			return fmt.Errorf("study %s: %w", st.Name, err)
+			return nil, fmt.Errorf("study %s: %w", st.Name, err)
 		}
 		if seenApp[app] {
-			return fmt.Errorf("study %s: duplicate app %q", st.Name, app)
+			return nil, fmt.Errorf("study %s: duplicate app %q", st.Name, app)
 		}
 		seenApp[app] = true
 		// Sized in floating point, so an absurd factor cannot wrap around.
 		peers := float64(st.Peers)
-		if st.Peers == 0 && st.PeerFactor > 0 {
+		if st.PeerFactor > 0 { // then Peers is 0, checked above
 			peers = float64(experiment.Default(app).World.Peers) * st.PeerFactor
 		}
 		if peers > overlay.MaxPeerID {
-			return fmt.Errorf("study %s: %s: %.0f peers, past the limit of %d peer ids", st.Name, app, peers, overlay.MaxPeerID)
+			return nil, fmt.Errorf("study %s: %s: %.0f peers, past the limit of %d peer ids", st.Name, app, peers, overlay.MaxPeerID)
 		}
 	}
 	// Strategies deduplicate on the resolved member's canonical name, so
@@ -294,14 +302,14 @@ func (st *Study) Validate() error {
 	for _, strat := range st.StrategyList() {
 		s, err := policy.StrategyByName(strat)
 		if err != nil {
-			return fmt.Errorf("study %s: %w", st.Name, err)
+			return nil, fmt.Errorf("study %s: %w", st.Name, err)
 		}
 		key := strat
 		if strat != "" {
 			key = s.Name()
 		}
 		if prev, ok := seenStrat[key]; ok {
-			return fmt.Errorf("study %s: duplicate strategy %q (the same as %q)", st.Name, strat, prev)
+			return nil, fmt.Errorf("study %s: duplicate strategy %q (the same as %q)", st.Name, strat, prev)
 		}
 		seenStrat[key] = strat
 	}
@@ -314,22 +322,23 @@ func (st *Study) Validate() error {
 	for i, scn := range st.ScenarioList() {
 		spec, err := scn.resolve()
 		if err != nil {
-			return fmt.Errorf("study %s: scenario %d: %w", st.Name, i, err)
+			return nil, fmt.Errorf("study %s: scenario %d: %w", st.Name, i, err)
 		}
 		label := scenarioLabel(scn.Label())
 		if seenScn[label] {
-			return fmt.Errorf("study %s: duplicate scenario %q", st.Name, label)
+			return nil, fmt.Errorf("study %s: duplicate scenario %q", st.Name, label)
 		}
 		seenScn[label] = true
+		specs = append(specs, spec)
 		// Every node a cell builds takes a peer id: the probe side and the
 		// scenario's deferred pool count with the background.
 		for _, app := range st.AppList() {
 			cfg, err := cell{Point: Point{App: app}, scn: spec}.config(st)
 			if err != nil {
-				return fmt.Errorf("study %s: %w", st.Name, err)
+				return nil, fmt.Errorf("study %s: %w", st.Name, err)
 			}
 			if n := cfg.Nodes(); n > overlay.MaxPeerID+1 {
-				return fmt.Errorf("study %s: %s @%s: %.0f nodes need peer ids up to %.0f, past the limit of %d",
+				return nil, fmt.Errorf("study %s: %s @%s: %.0f nodes need peer ids up to %.0f, past the limit of %d",
 					st.Name, app, label, n, n-1, overlay.MaxPeerID)
 			}
 		}
@@ -343,15 +352,15 @@ func (st *Study) Validate() error {
 	for _, vr := range st.VariantList() {
 		label := variantLabel(vr.Name)
 		if seenVar[label] {
-			return fmt.Errorf("study %s: duplicate variant %q", st.Name, label)
+			return nil, fmt.Errorf("study %s: duplicate variant %q", st.Name, label)
 		}
 		seenVar[label] = true
 		if prev, ok := seenBlind[vr.Blind]; ok {
-			return fmt.Errorf("study %s: duplicate variant %q (the same profile as %q)", st.Name, label, prev)
+			return nil, fmt.Errorf("study %s: duplicate variant %q (the same profile as %q)", st.Name, label, prev)
 		}
 		seenBlind[vr.Blind] = label
 		if vr.Blind && vr.Name == "" {
-			return fmt.Errorf("study %s: blind variant without a name", st.Name)
+			return nil, fmt.Errorf("study %s: blind variant without a name", st.Name)
 		}
 	}
 	// An explicit seed list and a generated one (Trials/BaseSeed) are two
@@ -359,7 +368,7 @@ func (st *Study) Validate() error {
 	// silently run whichever SeedList prefers — the fail-loudly contract
 	// says reject it instead.
 	if len(st.Seeds) > 0 && (st.Trials != 0 || st.BaseSeed != 0) {
-		return fmt.Errorf("study %s: seeds and trials/base_seed are mutually exclusive", st.Name)
+		return nil, fmt.Errorf("study %s: seeds and trials/base_seed are mutually exclusive", st.Name)
 	}
 	seenSeed := map[int64]bool{}
 	for _, seed := range st.SeedList() {
@@ -371,16 +380,16 @@ func (st *Study) Validate() error {
 			key = 1
 		}
 		if seenSeed[key] {
-			return fmt.Errorf("study %s: duplicate seed %d (0 selects the calibrated default, seed 1)", st.Name, seed)
+			return nil, fmt.Errorf("study %s: duplicate seed %d (0 selects the calibrated default, seed 1)", st.Name, seed)
 		}
 		seenSeed[key] = true
 	}
 	for _, key := range st.Metrics {
 		if _, err := MetricByKey(key); err != nil {
-			return fmt.Errorf("study %s: %w", st.Name, err)
+			return nil, fmt.Errorf("study %s: %w", st.Name, err)
 		}
 	}
-	return nil
+	return specs, nil
 }
 
 // Axis names one grid dimension for pivots and coordinate lookups.
@@ -483,20 +492,11 @@ func (st *Study) Resolve() (*Grid, error) {
 	if resolveHook != nil {
 		resolveHook()
 	}
-	if err := st.Validate(); err != nil {
+	specs, err := st.validate()
+	if err != nil {
 		return nil, err
 	}
 	scns := st.ScenarioList()
-	specs := make([]*scenario.Spec, len(scns))
-	for i, s := range scns {
-		spec, err := s.resolve()
-		if err != nil {
-			// Unreachable after Validate; kept so resolution can never
-			// silently run a different grid than the one validated.
-			return nil, fmt.Errorf("study %s: scenario %d: %w", st.Name, i, err)
-		}
-		specs[i] = spec
-	}
 	cells := make([]cell, 0, st.Runs())
 	for _, app := range st.AppList() {
 		for _, strat := range st.StrategyList() {
@@ -548,9 +548,7 @@ func (c cell) config(st *Study) (experiment.Config, error) {
 		cfg.ScalePeers(st.PeerFactor)
 	}
 	cfg.Scenario = c.scn
-	if c.QueueDepth > 0 {
-		cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth}
-	}
+	cfg.Congestion = access.CongestionModel{QueueDepth: c.QueueDepth}
 	if c.Strategy != "" || c.variant.Blind {
 		// The profile is the cell's own, fresh.
 		prof, err := c.variant.profile(c.App)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"napawine/internal/experiment"
 	"napawine/internal/policy"
 	"napawine/internal/scenario"
 )
@@ -135,6 +136,8 @@ func TestStudyValidateRejects(t *testing.T) {
 		{"neg factor", Study{Name: "s", PeerFactor: -1}, "negative peer factor"},
 		{"NaN factor", Study{Name: "s", PeerFactor: math.NaN()}, "peer factor NaN"},
 		{"neg trials", Study{Name: "s", Trials: -2}, "negative trials"},
+		{"neg peers", Study{Name: "s", Peers: -1}, "negative peers -1"},
+		{"peers and factor", Study{Name: "s", Peers: 60, PeerFactor: 0.5}, "peers and peer_factor are mutually exclusive"},
 		{"bad metric", Study{Name: "s", Metrics: []string{"vibes"}}, "vibes"},
 		// A blind variant names the profile it builds.
 		{"nameless blind variant", Study{Name: "s", Variants: []Variant{{Blind: true}}}, "study s: blind variant without a name"},
@@ -165,6 +168,9 @@ func TestStudyValidateRejects(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: Validate() = %v, want error containing %q", tc.name, err, tc.want)
 		}
+	}
+	if _, err := (&Study{}).RunInfos(); err == nil {
+		t.Error("RunInfos of an invalid study succeeded")
 	}
 }
 
@@ -293,6 +299,11 @@ func TestCoordLabels(t *testing.T) {
 			t.Errorf("Coord(%s) = %q, want %q", ax, got, want)
 		}
 	}
+	// Progress lines name every non-default coordinate; depth 1 is a bound.
+	c = Point{App: "TVAnts", Variant: "blind", Strategy: "rarest", Scenario: "flashcrowd", QueueDepth: 1, Seed: 3}
+	if got, want := c.Label(), "TVAnts/blind rarest @flashcrowd q=1 seed 3"; got != want {
+		t.Errorf("Label() = %q, want %q", got, want)
+	}
 }
 
 func TestDurationText(t *testing.T) {
@@ -356,6 +367,63 @@ func TestMetricRegistry(t *testing.T) {
 	}
 	if got := len(DefaultMetrics()); got != 4 {
 		t.Errorf("DefaultMetrics = %d metrics, want 4", got)
+	}
+}
+
+// TestMetricsReadTheirFields: every registered metric reads the Summary field
+// its key names, from a Summary whose fields all differ, and is measurable
+// by its own rule: the source share once video moved, the diffusion delay
+// once a chunk was delivered, the loss once anything was offered, the AS
+// awareness when its Table IV cell is valid, every other metric always.
+func TestMetricsReadTheirFields(t *testing.T) {
+	as := experiment.SummaryCell{Property: "AS"}
+	as.Vals[0], as.Valid[0] = 13, true
+	full := experiment.Summary{
+		MeanContinuity: 1, SourceKbps: 2, SourceSharePct: 3, VideoBytes: 4,
+		DiffusionDelayS: 5, DiffusionChunks: 6, RxKbpsMean: 7, HopMedian: 8,
+		Events: 9, LossPct: 10, Drops: 11, Retransmits: 12, Backoffs: 14,
+		ChunksServed: 15, TableIV: []experiment.SummaryCell{as},
+	}
+	want := map[string]float64{
+		"continuity": 1, "source-kbps": 2, "source-share": 3, "diffusion-delay": 5,
+		"rx-kbps": 7, "hop-median": 8, "as-awareness": 13, "events": 9,
+		"loss-pct": 10, "drops": 11, "retransmits": 12, "backoffs": 14,
+	}
+	// Measurable in a zero Summary: every metric but these four.
+	unmeasured := map[string]bool{"source-share": true, "diffusion-delay": true, "as-awareness": true, "loss-pct": true}
+	if len(Metrics()) != len(want) {
+		t.Fatalf("%d metrics registered, %d checked", len(Metrics()), len(want))
+	}
+	for _, m := range Metrics() {
+		if v, ok := m.Get(full); v != want[m.Key] || !ok {
+			t.Errorf("%s = %v, %v; want %v, true", m.Key, v, ok, want[m.Key])
+		}
+		if _, ok := m.Get(experiment.Summary{}); ok == unmeasured[m.Key] {
+			t.Errorf("%s of a zero summary measurable = %v", m.Key, ok)
+		}
+	}
+	// Loss is measurable once anything was offered, served or dropped.
+	loss, _ := MetricByKey("loss-pct")
+	for _, s := range []experiment.Summary{{ChunksServed: 1}, {Drops: 1}} {
+		if _, ok := loss.Get(s); !ok {
+			t.Errorf("loss-pct of %+v not measurable", s)
+		}
+	}
+	// A comparison table prints each metric under its label, to its decimals.
+	var keys []string
+	for _, m := range Metrics() {
+		keys = append(keys, m.Key)
+	}
+	full.App = "TVAnts"
+	r := &Result{Study: &Study{Name: "m", Metrics: keys}, Seeds: []int64{1}, Cells: []Cell{{Point: Point{App: "TVAnts", Seed: 1}, Done: true, Summary: full}}}
+	lines := strings.Split(render(t, r.ComparisonTable()), "\n")
+	for i, want := range map[int]string{
+		1: "app Continuity Source kbps Source share% Diffusion s RX kbps Hop median AS B'D% Events Loss% Drops Retx Backoffs",
+		3: "TVAnts 1.000±0.000 2±0 3.0±0.0 5.00±0.00 7±0 8.0±0.0 13.0±0.0 9±0 10.00±0.00 11±0 12±0 14±0",
+	} {
+		if got := strings.Join(strings.Fields(lines[i]), " "); got != want {
+			t.Errorf("comparison table line %d:\n got %s\nwant %s", i, got, want)
+		}
 	}
 }
 

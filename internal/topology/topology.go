@@ -148,8 +148,8 @@ func (b *Builder) AddSubnet(asn ASN) SubnetID {
 
 // Build wires the AS-level graph and freezes the topology. Each AS peers
 // with a handful of earlier ASes, preferring same-country neighbours, which
-// yields the short AS paths (2–5) real BGP tables show; a final pass
-// guarantees connectivity.
+// yields the short AS paths (2–5) real BGP tables show; since every AS
+// links to at least one earlier one, the graph is connected.
 func (b *Builder) Build() *Topology {
 	n := len(b.ases)
 	if n == 0 {
@@ -157,9 +157,6 @@ func (b *Builder) Build() *Topology {
 	}
 	adj := make([][]int, n)
 	link := func(i, j int) {
-		if i == j {
-			return
-		}
 		for _, k := range adj[i] {
 			if k == j {
 				return
@@ -341,11 +338,6 @@ func (t *Topology) HopCount(a, b Host) int {
 	}
 	ia, ib := sa.asIdx, sb.asIdx
 	d := int(t.asDist[ia][ib])
-	if d < 0 {
-		// Disconnected AS graph cannot happen for builder-made
-		// topologies, but keep a sane fallback for hand-built tests.
-		d = 5
-	}
 	transit := 0
 	// Crossing d inter-AS links traverses d+1 ASes; charge each AS its
 	// transit depth. Endpoints are charged via edgeHops plus half transit.

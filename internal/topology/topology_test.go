@@ -37,6 +37,10 @@ func TestHostAllocationAndLocate(t *testing.T) {
 	if h1.Addr == h2.Addr {
 		t.Fatal("two hosts share an address")
 	}
+	// Hosts take .1 up; .0 names the /24 itself.
+	if a, b := h1.Addr.As4(), h2.Addr.As4(); a[3] != 1 || b[3] != 2 {
+		t.Errorf("first hosts at %v and %v, want .1 and .2", h1.Addr, h2.Addr)
+	}
 	if h1.Subnet != h2.Subnet || h1.AS != h2.AS || h1.Country != h2.Country {
 		t.Fatal("same-subnet hosts disagree on location")
 	}

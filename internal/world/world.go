@@ -32,10 +32,6 @@ type Spec struct {
 	NATFraction float64
 	FWFraction  float64
 
-	// Mix is the country composition; nil selects DefaultMix (China-peak
-	// CCTV-1 audience as in §II).
-	Mix []CountryShare
-
 	SubnetsPerAS int
 
 	// ProbeASBackground places this many background peers inside each
@@ -133,16 +129,9 @@ func defaultSubnetsPerAS(peers int, mix []CountryShare) int {
 	for _, m := range mix {
 		totalShare += m.Share
 	}
-	if totalShare <= 0 {
-		return need
-	}
 	for _, m := range mix {
-		ases := m.ASes
-		if ases <= 0 {
-			ases = 1
-		}
 		load := 2 * float64(peers) * (m.Share / totalShare)
-		n := int(math.Ceil(load / float64(ases*hostsPerSubnet)))
+		n := int(math.Ceil(load / float64(m.ASes*hostsPerSubnet)))
 		if n > need {
 			need = n
 		}
@@ -161,10 +150,7 @@ func Build(spec Spec) (*World, error) {
 	if spec.HighBwFraction < 0 || spec.HighBwFraction > 1 {
 		return nil, fmt.Errorf("world: HighBwFraction %v out of [0,1]", spec.HighBwFraction)
 	}
-	mix := spec.Mix
-	if mix == nil {
-		mix = DefaultMix()
-	}
+	mix := DefaultMix()
 	if spec.SubnetsPerAS <= 0 {
 		spec.SubnetsPerAS = defaultSubnetsPerAS(spec.Peers+spec.ExtraPeers, mix)
 	}
@@ -173,19 +159,11 @@ func Build(spec Spec) (*World, error) {
 	rng := rand.New(rand.NewSource(spec.Seed))
 	b := topology.NewBuilder(spec.Seed)
 
-	// Countries: testbed countries first (their continents are fixed),
-	// then the background mix.
-	b.AddCountry("HU", topology.Europe)
-	b.AddCountry("IT", topology.Europe)
-	b.AddCountry("FR", topology.Europe)
-	b.AddCountry("PL", topology.Europe)
+	// Countries: the mix holds the testbed's four too.
 	totalShare := 0.0
 	for _, m := range mix {
 		b.AddCountry(m.CC, m.Continent)
 		totalShare += m.Share
-	}
-	if totalShare <= 0 {
-		return nil, fmt.Errorf("world: country mix has no mass")
 	}
 
 	// Institutional ASes (AS1..AS6). PoliTO and UniTN share AS2.
@@ -214,12 +192,8 @@ func Build(spec Spec) (*World, error) {
 	}
 	buckets := make([]bucket, len(mix))
 	for i, m := range mix {
-		ases := m.ASes
-		if ases <= 0 {
-			ases = 1
-		}
 		bk := bucket{share: m.Share / totalShare}
-		for a := 0; a < ases; a++ {
+		for a := 0; a < m.ASes; a++ {
 			asn := b.AddAS(m.CC)
 			for s := 0; s < spec.SubnetsPerAS; s++ {
 				bk.subnets = append(bk.subnets, b.AddSubnet(asn))

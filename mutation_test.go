@@ -10,6 +10,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"maps"
 	"math/rand"
 	"os"
 	"os/exec"
@@ -32,15 +33,18 @@ import (
 //
 //	go test -tags mutation -run 'TestMutationPass$' -timeout 0 -v .
 //
-// TestMutationSmoke runs three fixed mutants, one per outcome a pass must
-// tell apart; it takes about a minute and a half.
+// TestMutationSmoke runs four fixed mutants, one per outcome a pass must
+// tell apart and one in study, run with the whole test set fleet included;
+// it takes about 95 s.
 
-// mutationPackages are the packages the pass samples, under internal/.
-var mutationPackages = []string{"sim", "overlay", "policy", "access", "chunkstream", "core", "analysis"}
+// mutationPackages are the packages the pass samples, under internal/: the
+// layers above core, which place peers, schedule a run and reduce and
+// aggregate what the probes saw. Seed 27 sampled the packages below them.
+var mutationPackages = []string{"sniffer", "experiment", "world", "topology", "scenario", "apps", "study"}
 
 const (
 	mutationSample = 300
-	mutationSeed   = 27
+	mutationSeed   = 55
 	// mutantDeadline bounds one mutant's build and tests together; unmutated,
 	// they take about 12 s on 2 cores. Past it the mutant reads "timed out".
 	mutantDeadline = 60 * time.Second
@@ -184,7 +188,8 @@ func copyTree(t *testing.T) string {
 
 // runMutant builds and tests one mutant in dir, the tree copyTree made, and
 // puts its file back afterwards. The mutant's own package is tested with the
-// layers above it that pin output: experiment, study, the root and the CLI.
+// layers above it that pin output: experiment, study, fleet (the only tests
+// of a cell run remotely and of the summary codecs), the root and the CLI.
 func runMutant(t *testing.T, dir string, m mutant) string {
 	path := filepath.Join(dir, m.file)
 	orig, err := os.ReadFile(path)
@@ -203,7 +208,7 @@ func runMutant(t *testing.T, dir string, m mutant) string {
 	ctx, cancel := context.WithTimeout(context.Background(), mutantDeadline)
 	defer cancel()
 	cmd := exec.CommandContext(ctx, "go", "test", "-p", "2", "-count=1", "-vet=off",
-		"./internal/"+m.pkg, "./internal/experiment", "./internal/study", ".", "./cmd/napawine")
+		"./internal/"+m.pkg, "./internal/experiment", "./internal/study", "./internal/fleet", ".", "./cmd/napawine")
 	cmd.Dir = dir
 	// A hung mutant's test binaries are the go command's children: the
 	// deadline kills the whole process group, not the go command alone.
@@ -237,10 +242,9 @@ func runAll(t *testing.T, ms []mutant) map[string]string {
 		counts[m.pkg][o]++
 		t.Logf("%3d/%d %-*s %5.1fs %v", i+1, len(ms), outcomeLen, o, time.Since(start).Seconds(), m)
 	}
-	for _, pkg := range mutationPackages {
-		if c := counts[pkg]; c != nil {
-			t.Logf("%-12s %s %d, %s %d, %s %d, %s %d", pkg, killed, c[killed], survived, c[survived], noCompile, c[noCompile], timedOut, c[timedOut])
-		}
+	for _, pkg := range slices.Sorted(maps.Keys(counts)) {
+		c := counts[pkg]
+		t.Logf("%-12s %s %d, %s %d, %s %d, %s %d", pkg, killed, c[killed], survived, c[survived], noCompile, c[noCompile], timedOut, c[timedOut])
 	}
 	return got
 }
@@ -259,20 +263,21 @@ func TestMutationPass(t *testing.T) {
 	runAll(t, ms)
 }
 
-// TestMutationSmoke runs three fixed mutants and requires each to end as
-// it must: a deleted ledger count is killed, a cap clamp that may also take
-// the value it clamps to survives, and a binary search that never narrows
-// times out.
+// TestMutationSmoke runs four fixed mutants and requires each to end as it
+// must: a deleted ledger count is killed, a cap clamp that may also take the
+// value it clamps to survives, a binary search that never narrows times out,
+// and a summary encoder that refuses every summary is killed.
 func TestMutationSmoke(t *testing.T) {
 	cases := []struct{ file, text, op, want string }{
 		{"internal/overlay/transfer.go", "sc.ledger.ChunksServedTotal++", "delete", killed},
 		{"internal/policy/policy.go", "r > b.Cap", "> to >=", survived},
 		{"internal/overlay/partners.go", "hi = mid", "delete", timedOut},
+		{"internal/study/resultcodec.go", "s == nil", "== to !=", killed},
 	}
-	all := allMutants(t)
 	var ms []mutant
 	for _, c := range cases {
-		i := slices.IndexFunc(all, func(m mutant) bool { return m.file == c.file && m.op == c.op && m.text == c.text })
+		all := mutantsOf(t, filepath.Base(filepath.Dir(c.file)), c.file)
+		i := slices.IndexFunc(all, func(m mutant) bool { return m.op == c.op && m.text == c.text })
 		if i < 0 {
 			t.Fatalf("no %q mutant of `%s` in %s", c.op, c.text, c.file)
 		}
