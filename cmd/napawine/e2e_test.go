@@ -17,6 +17,8 @@ import (
 	"time"
 
 	"napawine/internal/fleet"
+	"napawine/internal/scenario"
+	"napawine/internal/study"
 )
 
 // lockedBuffer is a stderr stand-in: like *os.File it takes concurrent
@@ -221,7 +223,7 @@ func TestUsageErrorsLeaveOutFileUntouched(t *testing.T) {
 		if err := os.WriteFile(prior, []byte("previous run\n"), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		code, stdout, stderr := runCLI(append(strings.Fields(tc.args), "-out", prior)...)
+		code, stdout, stderr := runCLI(append([]string{"-out", prior}, strings.Fields(tc.args)...)...)
 		if code != 2 || stdout != "" {
 			t.Errorf("%s: exit %d, stdout %q; want a usage error (exit 2)", tc.args, code, stdout)
 		}
@@ -234,6 +236,99 @@ func TestUsageErrorsLeaveOutFileUntouched(t *testing.T) {
 		}
 		if got, err := os.ReadFile(prior); err != nil || string(got) != "previous run\n" {
 			t.Errorf("%s: -out file now %q (%v); a usage error must not touch it", tc.args, got, err)
+		}
+	}
+}
+
+// TestRunFailuresExitOne: a destination that cannot be written, an address
+// that cannot be served or joined, and a cell that fails at run time each
+// exit 1 with the error, without the flag summary; the failed cell's
+// progress line says FAILED.
+func TestRunFailuresExitOne(t *testing.T) {
+	dir := t.TempDir()
+	missing := filepath.Join(dir, "missing", "x")
+	doomed := filepath.Join(dir, "doomed.json")
+	// Arrivals with no deferred pool to draw from fail only at run time.
+	if err := os.WriteFile(doomed, []byte(`{"name": "doomed", "events": [{"kind": "arrivals", "from": 0.1, "to": 0.2}]}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	run := "-exp table2 -apps TVAnts -duration 5s -scale 0.05 "
+	for _, tc := range []struct{ args, want string }{
+		{"-join bad%zz", "invalid URL escape"},
+		{"-exp table1 -cpuprofile " + missing, missing},
+		{"-exp table1 -memprofile " + missing, missing},
+		{"-exp table1 -out " + missing, missing},
+		{run + "-http 256.0.0.1:0", "256.0.0.1"},
+		{run + "-seeds 2 -listen 256.0.0.1:0", "256.0.0.1"},
+		{"-study blind-ablation -apps TVAnts -seeds 1 -duration 5s -scale 0.05 -svg-out " + doomed, doomed},
+		{run + "-scenario " + doomed, "study "},
+	} {
+		code, _, stderr := runCLI(strings.Fields(tc.args)...)
+		if code != 1 || !strings.Contains(stderr, "napawine: ") || !strings.Contains(stderr[strings.Index(stderr, "napawine: "):], tc.want) ||
+			strings.Contains(stderr, "Usage of napawine:") {
+			t.Errorf("%s: exit %d, stderr:\n%s\nwant exit 1 and an error naming %q", tc.args, code, stderr, tc.want)
+		}
+		if strings.Contains(tc.args, "-scenario") && !strings.Contains(stderr, "cell 1/1 TVAnts @doomed seed 1 FAILED: ") {
+			t.Errorf("%s: no FAILED progress line:\n%s", tc.args, stderr)
+		}
+	}
+
+	// A -join worker narrates to stderr and exits 1 with the study error
+	// when its cell fails.
+	spec, err := scenario.LoadFile(doomed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := fleet.NewCoordinator(fleet.CoordinatorConfig{Addr: "127.0.0.1:0", Study: &study.Study{
+		Name: "doomed", Apps: []string{"TVAnts"}, Seeds: []int64{1}, Scenarios: []study.Scenario{{Spec: spec}},
+		Duration: study.Duration(5 * time.Second), PeerFactor: 0.05}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	type outcome struct {
+		code   int
+		stderr string
+	}
+	joined := make(chan outcome, 1)
+	go func() {
+		code, _, stderr := runCLI("-join", coord.Addr(), "-workers", "1")
+		joined <- outcome{code, stderr}
+	}()
+	select {
+	case o := <-joined:
+		if o.code != 1 || !strings.Contains(o.stderr, "joined "+coord.Addr()) || !strings.Contains(o.stderr, "napawine: study doomed: TVAnts @doomed seed 1: ") {
+			t.Errorf("-join to a failing study: exit %d, stderr:\n%s", o.code, o.stderr)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a -join worker outlived its failed cell by 10 s")
+	}
+}
+
+// TestDashboardWithoutLinger: -http serves a dashboard during the run and
+// says where; without -http-linger it does not linger, and a run with no
+// charts writes no -svg-out directory.
+func TestDashboardWithoutLinger(t *testing.T) {
+	svgDir := filepath.Join(t.TempDir(), "svg")
+	code, _, stderr := runCLI(strings.Fields("-exp table2 -apps TVAnts -seeds 2 -duration 5s -scale 0.05 -http 127.0.0.1:0 -svg-out " + svgDir)...)
+	if code != 0 || !strings.Contains(stderr, "dashboard: http://127.0.0.1:") || strings.Contains(stderr, "lingering") {
+		t.Errorf("exit %d, stderr:\n%s\nwant the dashboard's address and no linger", code, stderr)
+	}
+	if _, err := os.Stat(svgDir); !os.IsNotExist(err) || strings.Contains(stderr, "SVG artifacts") {
+		t.Errorf("a run with no charts wrote %s (%v):\n%s", svgDir, err, stderr)
+	}
+}
+
+// TestProfilesAreWritten: -cpuprofile and -memprofile each leave a profile.
+func TestProfilesAreWritten(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	if code, _, stderr := runCLI("-exp", "table1", "-cpuprofile", cpu, "-memprofile", mem); code != 0 {
+		t.Fatalf("exit %d:\n%s", code, stderr)
+	}
+	for _, path := range []string{cpu, mem} {
+		if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: %v, want a profile", path, err)
 		}
 	}
 }
@@ -251,6 +346,13 @@ func TestBannerReportsTheBuiltStudy(t *testing.T) {
 		first, _, _ := strings.Cut(stderr, "\n")
 		if code != 0 || !strings.HasPrefix(first, "study ") || !strings.HasSuffix(first, tc.want) {
 			t.Errorf("%s: exit %d, banner %q, want suffix %q", tc.args, code, first, tc.want)
+		}
+		if !strings.Contains(stderr, "\ndone in ") || !strings.Contains(stderr, " simulation events)\n") {
+			t.Errorf("%s: no closing \"done in\" line:\n%s", tc.args, stderr)
+		}
+		// Progress counts cells from 1.
+		if !strings.Contains(stderr, "\ncell 1/") || strings.Contains(stderr, "cell 0/") || !strings.Contains(stderr, " done (continuity ") {
+			t.Errorf("%s: no progress line per cell, counted from 1:\n%s", tc.args, stderr)
 		}
 	}
 }
@@ -285,29 +387,74 @@ func TestFleetServesAFlagBuiltStudy(t *testing.T) {
 		t.Fatalf("local run: exit %d:\n%s", code, stderr)
 	}
 
+	// The coordinator runs beside the worker, as a fleet test's Wait does,
+	// and every wait is bounded: a worker that fails ends the test at once
+	// with its error, a coordinator that publishes no address fails it in
+	// 10 s, and a worker must return within 5 s of the coordinator.
 	spool := t.TempDir()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
-	worker := make(chan struct{})
-	go func() {
-		// The coordinator publishes its address into the spool.
-		var addr []byte
-		for len(addr) == 0 && ctx.Err() == nil {
-			time.Sleep(5 * time.Millisecond)
-			addr, _ = os.ReadFile(filepath.Join(spool, "addr"))
-		}
-		_ = fleet.RunWorker(ctx, fleet.WorkerConfig{
-			Addr: strings.TrimSpace(string(addr)), Workers: 1})
-		close(worker)
-	}()
-	code, fleetOut, stderr := runCLI(append(args, "-listen", "127.0.0.1:0", "-resume", spool)...)
-	if code != 0 {
-		t.Fatalf("coordinator: exit %d:\n%s", code, stderr)
+	type outcome struct {
+		code           int
+		stdout, stderr string
 	}
-	// The coordinator closes as soon as the grid completes; a worker whose
-	// last acknowledgement that cut off would redial for its whole budget.
-	cancel()
-	<-worker
+	coordDone := make(chan outcome, 1)
+	go func() {
+		var o outcome
+		o.code, o.stdout, o.stderr = runCLI(append(args, "-listen", "127.0.0.1:0", "-resume", spool,
+			"-http", "127.0.0.1:0", "-http-linger", "1ns")...)
+		coordDone <- o
+	}()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	// The coordinator publishes its address into the spool.
+	var addr []byte
+	for noAddr := time.After(10 * time.Second); len(addr) == 0; addr, _ = os.ReadFile(filepath.Join(spool, "addr")) {
+		select {
+		case o := <-coordDone:
+			t.Fatalf("coordinator: exit %d before it published its address:\n%s", o.code, o.stderr)
+		case <-noAddr:
+			t.Fatal("the coordinator published no address in 10 s")
+		case <-time.After(5 * time.Millisecond):
+		}
+	}
+	werr := make(chan error, 1)
+	go func() {
+		werr <- fleet.RunWorker(ctx, fleet.WorkerConfig{Addr: strings.TrimSpace(string(addr)), Workers: 1})
+	}()
+	var o outcome
+	select {
+	case err := <-werr:
+		if err != nil {
+			t.Fatalf("worker: %v", err)
+		}
+		select {
+		case o = <-coordDone:
+		case <-ctx.Done():
+			t.Fatal("the coordinator outlived its only worker's finished grid")
+		}
+	case o = <-coordDone:
+		// The coordinator closes as soon as the grid completes; a worker
+		// whose last acknowledgement that cut off would redial for its
+		// whole budget.
+		select {
+		case err := <-werr:
+			if err != nil {
+				t.Fatalf("worker: %v", err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("the worker outlived the coordinator (exit %d) by 5 s:\n%s", o.code, o.stderr)
+		}
+	}
+	if o.code != 0 {
+		t.Fatalf("coordinator: exit %d:\n%s", o.code, o.stderr)
+	}
+	fleetOut := o.stdout
+	// The coordinator narrates: where it listens, who joined, and its
+	// dashboard lingers for any positive -http-linger.
+	for _, want := range []string{"fleet: coordinating on 127.0.0.1:", "fleet: worker ", " joined (", "dashboard lingering 1ns"} {
+		if !strings.Contains(o.stderr, want) {
+			t.Errorf("coordinator stderr has no %q:\n%s", want, o.stderr)
+		}
+	}
 	if fleetOut != local || !strings.Contains(local, "±") || !strings.Contains(local, "DOWN") {
 		t.Errorf("fleet output differs from the local run:\n--- local ---\n%s\n--- fleet ---\n%s", local, fleetOut)
 	}

@@ -231,6 +231,9 @@ func TestValidateFleetArgs(t *testing.T) {
 			t.Errorf("-lease-ttl %s accepted (workers are told it in whole milliseconds)", ttl)
 		}
 	}
+	if err := validate(t, with(study, "-lease-ttl", "1ms")...); err != nil {
+		t.Errorf("-lease-ttl 1ms, the resolution workers are told it in, rejected: %v", err)
+	}
 	// Coordinator and worker roles are exclusive.
 	if err := validate(t, with(study, "-join", "host:1")...); err == nil {
 		t.Error("-listen together with -join accepted")
@@ -359,23 +362,31 @@ func TestBuildStudyOverrides(t *testing.T) {
 
 // TestSeedFlagsOverAListedSeedAxis: over a study that lists its seeds, a
 // typed -seed moves the whole axis and a typed -seeds resizes it from the
-// study's first seed; neither drops the other half of the axis.
+// study's first seed; neither drops the other half of the axis. A list of
+// one seed is an axis too.
 func TestSeedFlagsOverAListedSeedAxis(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "listed.json")
-	body := `{"name": "listed", "apps": ["TVAnts"], "seeds": [10, 11, 12]}`
-	if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-		t.Fatal(err)
+	dir := t.TempDir()
+	listed, single := filepath.Join(dir, "listed.json"), filepath.Join(dir, "single.json")
+	for path, body := range map[string]string{
+		listed: `{"name": "listed", "apps": ["TVAnts"], "seeds": [10, 11, 12]}`,
+		single: `{"name": "single", "apps": ["TVAnts"], "seeds": [10]}`,
+	} {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
 	for _, tc := range []struct {
+		path  string
 		flags []string
 		want  []int64
 	}{
-		{nil, []int64{10, 11, 12}},
-		{[]string{"-seed", "5"}, []int64{5, 6, 7}},
-		{[]string{"-seeds", "2"}, []int64{10, 11}},
-		{[]string{"-seeds", "2", "-seed", "5"}, []int64{5, 6}},
+		{listed, nil, []int64{10, 11, 12}},
+		{listed, []string{"-seed", "5"}, []int64{5, 6, 7}},
+		{listed, []string{"-seeds", "2"}, []int64{10, 11}},
+		{listed, []string{"-seeds", "2", "-seed", "5"}, []int64{5, 6}},
+		{single, []string{"-seed", "5"}, []int64{5}},
 	} {
-		o, _, err := parseFlags(append([]string{"-study", path}, tc.flags...))
+		o, _, err := parseFlags(append([]string{"-study", tc.path}, tc.flags...))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -384,7 +395,7 @@ func TestSeedFlagsOverAListedSeedAxis(t *testing.T) {
 			t.Fatalf("%v: %v", tc.flags, err)
 		}
 		if got := st.SeedList(); !slices.Equal(got, tc.want) {
-			t.Errorf("%v over seeds [10 11 12]: seeds %v, want %v", tc.flags, got, tc.want)
+			t.Errorf("%v over %s: seeds %v, want %v", tc.flags, filepath.Base(tc.path), got, tc.want)
 		}
 	}
 }

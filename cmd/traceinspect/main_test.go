@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/csv"
+	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strconv"
 	"strings"
@@ -68,6 +70,9 @@ func TestStoredTraceRoundTripsToCSV(t *testing.T) {
 	if !strings.Contains(stdout.String(), rd.Probe().String()) ||
 		!strings.Contains(stdout.String(), "Top 3 peers by video bytes") {
 		t.Errorf("summary names neither the probe nor the table:\n%s", stdout.String())
+	}
+	if want := fmt.Sprintf("\nwrote %d records to %s\n", len(want), csvPath); !strings.Contains(stdout.String(), want) {
+		t.Errorf("summary does not end %q:\n%s", want, stdout.String())
 	}
 
 	out, err := os.Open(csvPath)
@@ -170,6 +175,50 @@ func TestMalformedTraceExitsOne(t *testing.T) {
 		}
 		if b, err := os.ReadFile(good); err != nil || !bytes.Equal(b, whole) {
 			t.Errorf("%s: the trace's bytes changed (%v)", tc.name, err)
+		}
+	}
+}
+
+// TestHandTraceSummary: the summary counts records and peers, and each
+// peer's row carries its packet-pair gap (two full-size video packets
+// apart) and its hop count (TTL 110 is 18 hops from 128; TTL 128 is 0), or
+// "-" where there is none; -top cuts the rows. -h succeeds and an unknown
+// flag is a usage error.
+func TestHandTraceSummary(t *testing.T) {
+	const probe, a, b = "\x0a\x00\x00\x01", "\x0a\x00\x00\x02", "\x0a\x00\x00\x03"
+	trace := handTrace(handRecord{5000, a, probe}, handRecord{7000, a, probe}, handRecord{8000, b, probe})
+	trace[len(trace)-2] = 128 // b's record arrives with TTL 128
+	path := filepath.Join(t.TempDir(), "pair.nwt")
+	if err := os.WriteFile(path, trace, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rows := func(args ...string) map[string][]string {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-trace", path}, args...), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d:\n%s", args, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "records: 3, distinct peers: 2") {
+			t.Errorf("%v: summary does not count 3 records from 2 peers:\n%s", args, stdout.String())
+		}
+		out := map[string][]string{}
+		for _, line := range strings.Split(stdout.String(), "\n") {
+			if f := strings.Fields(line); len(f) == 7 && strings.HasPrefix(f[0], "10.0.0.") {
+				out[f[0]] = f[5:]
+			}
+		}
+		return out
+	}
+	want := map[string][]string{"10.0.0.2": {"2µs", "18"}, "10.0.0.3": {"-", "0"}}
+	if got := rows(); !reflect.DeepEqual(got, want) {
+		t.Errorf("MinIPG and Hops by peer %v, want %v", got, want)
+	}
+	if got := rows("-top", "1"); len(got) != 1 || got["10.0.0.2"] == nil {
+		t.Errorf("-top 1 printed rows %v, want the peer with the most video", got)
+	}
+	for args, want := range map[string]int{"-h": 0, "-bogus": 2} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{args}, &stdout, &stderr); code != want {
+			t.Errorf("%s: exit %d, want %d", args, code, want)
 		}
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"napawine/internal/experiment"
+	"napawine/internal/report"
+	"napawine/internal/world"
 )
 
 // TestDescribesTheWorldARunBuilds: the population worldgen prints for
@@ -88,11 +90,67 @@ func TestOnePrintPerSeed(t *testing.T) {
 	}
 }
 
+// TestUsageErrors: a bad flag or value exits 2 with a message; -h prints
+// the flag summary and exits 0.
 func TestUsageErrors(t *testing.T) {
-	for _, args := range [][]string{{"-app", "Joost"}, {"-highbw", "0.5"}, {"-peers", "many"}} {
+	for args, want := range map[string]string{"-app Joost": "Joost", "-highbw 0.5": "-highbw", "-peers many": "many"} {
 		var stdout, stderr bytes.Buffer
-		if code := run(args, &stdout, &stderr); code != 2 || stdout.Len() != 0 || stderr.Len() == 0 {
-			t.Errorf("worldgen %v: exit %d, stdout %q, stderr %q; want exit 2 with a message", args, code, stdout.String(), stderr.String())
+		if code := run(strings.Fields(args), &stdout, &stderr); code != 2 || stdout.Len() != 0 || !strings.Contains(stderr.String(), want) {
+			t.Errorf("worldgen %s: exit %d, stdout %q, stderr %q; want exit 2 with a message naming %q", args, code, stdout.String(), stderr.String(), want)
 		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-h"}, &stdout, &stderr); code != 0 || !strings.Contains(stderr.String(), "-app") {
+		t.Errorf("worldgen -h: exit %d, stderr %q", code, stderr.String())
+	}
+}
+
+// TestSharesAreTheWorlds: each country row's count and share, and the
+// access mix, are those of the world the same spec builds.
+func TestSharesAreTheWorlds(t *testing.T) {
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-app", "TVAnts"}, &stdout, &stderr); code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr.String())
+	}
+	spec := experiment.Default("TVAnts").World
+	spec.Seed = 1
+	w, err := world.Build(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := float64(len(w.Background))
+	byCC := map[string]int{}
+	var fast, nat, fw float64
+	for _, bg := range w.Background {
+		byCC[string(bg.Host.Country)]++
+		if bg.Link.HighBandwidth() {
+			fast++
+		}
+		if bg.Link.NAT {
+			nat++
+		}
+		if bg.Link.Firewall {
+			fw++
+		}
+	}
+	rows := map[string]int{}
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 3 {
+			continue
+		}
+		if k, ok := byCC[f[0]]; ok {
+			rows[f[0]]++
+			if f[1] != fmt.Sprint(k) || f[2] != report.Pct(100*float64(k)/n) {
+				t.Errorf("row %q, want %d peers, %s%%", line, k, report.Pct(100*float64(k)/n))
+			}
+		}
+	}
+	if len(rows) != len(byCC) {
+		t.Errorf("%d country rows, the world has %d countries", len(rows), len(byCC))
+	}
+	mix := fmt.Sprintf("access mix: %.1f%% high-bw, %.1f%% NAT, %.1f%% firewalled", 100*fast/n, 100*nat/n, 100*fw/n)
+	if fast == 0 || nat == 0 || !strings.Contains(stdout.String(), mix) {
+		t.Errorf("no %q in:\n%s", mix, stdout.String())
 	}
 }

@@ -45,7 +45,7 @@ type cellState struct {
 
 // CoordinatorConfig parameterizes NewCoordinator.
 type CoordinatorConfig struct {
-	// Study is the grid to distribute.
+	// Study is the grid to distribute; it must not be nil.
 	Study *study.Study
 	// Addr is the listen address (host:port; port 0 picks a free one).
 	Addr string
@@ -108,9 +108,6 @@ type Coordinator struct {
 // When a spool is configured the bound address is also written to
 // SPOOL/addr so scripts can join workers to a port-0 coordinator.
 func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
-	if cfg.Study == nil {
-		return nil, fmt.Errorf("fleet: coordinator without a study")
-	}
 	if cfg.LeaseTTL > 0 && cfg.LeaseTTL < time.Millisecond {
 		return nil, fmt.Errorf("fleet: lease TTL %v is under 1ms, the resolution workers are told it in", cfg.LeaseTTL)
 	}

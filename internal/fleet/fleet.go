@@ -20,6 +20,17 @@
 // connection (or a coordinator briefly restarting) costs a redial, never a
 // cell.
 //
+// A worker's attempt at a leased cell ends in one of four ways:
+//
+//   - lease lost: an event answered 410 Gone; the attempt is abandoned
+//     unreported and the slot leases again;
+//   - coordinator unreachable: a call still failed after the redial budget;
+//     the worker returns that error;
+//   - cell failed: the cell's own error, or a summary or sample that has no
+//     JSON (±Inf, NaN), posts as the result's error; the coordinator fails
+//     the study naming the cell, and the worker returns the same study error;
+//   - success: the summary posts.
+//
 // Protocol (all JSON over HTTP, rooted at /fleet/v1/):
 //
 //	GET  study   → the study file (study codec), its digest, the lease TTL

@@ -7,14 +7,18 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,6 +26,11 @@ import (
 	"napawine/internal/scenario"
 	"napawine/internal/study"
 )
+
+// testBound bounds every wait in this package's tests. Each test finishes
+// in well under a second; the bound is far below dialBudget, so a fault
+// that leaves a worker redialing fails its test in seconds.
+const testBound = 10 * time.Second
 
 // fleetStudy is the test grid: one app, four seeds — four deterministic
 // cells, each sub-second at this duration and scale.
@@ -118,6 +127,36 @@ func (o *obsRec) doneWorkers() map[string]int {
 	return m
 }
 
+// runFleet starts one worker per config beside coord.Wait and returns Wait's
+// outcome with each worker's error once every worker has returned. The
+// first worker error cancels Wait's context with itself as the cause and
+// becomes Wait's error, so a worker that cannot take part fails the test at
+// once instead of leaving Wait to hang. ctx bounds the workers and Wait;
+// a worker's error does not stop its siblings, which learn how the study
+// ended from the coordinator.
+func runFleet(ctx context.Context, coord *Coordinator, cfgs ...WorkerConfig) (*study.Result, []error, error) {
+	waitCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	werrs := make([]error, len(cfgs))
+	var wg sync.WaitGroup
+	for i, cfg := range cfgs {
+		cfg.Addr = coord.Addr()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if werrs[i] = RunWorker(ctx, cfg); werrs[i] != nil {
+				cancel(werrs[i])
+			}
+		}()
+	}
+	res, err := coord.Wait(waitCtx)
+	if errors.Is(err, context.Canceled) {
+		err = context.Cause(waitCtx)
+	}
+	wg.Wait()
+	return res, werrs, err
+}
+
 // TestWorkerRunsItsSlotBudget: a worker runs Workers cells at a time, or
 // GOMAXPROCS when Workers is 0, and says so in its join line.
 func TestWorkerRunsItsSlotBudget(t *testing.T) {
@@ -138,7 +177,7 @@ func TestWorkerRunsItsSlotBudget(t *testing.T) {
 			defer mu.Unlock()
 			lines = append(lines, fmt.Sprintf(format, args...))
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		ctx, cancel := context.WithTimeout(context.Background(), testBound)
 		werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: tc.workers, Log: logf})
 		cancel()
 		if err := coord.Close(); err != nil {
@@ -174,22 +213,11 @@ func TestFleetParityTwoWorkers(t *testing.T) {
 	}
 	defer coord.Close()
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
 	defer cancel()
-	var wg sync.WaitGroup
-	werrs := make([]error, 2)
-	for i := range werrs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			werrs[i] = RunWorker(ctx, WorkerConfig{
-				Addr: coord.Addr(), Name: fmt.Sprintf("w%d", i+1),
-				Workers: 1, Log: t.Logf,
-			})
-		}(i)
-	}
-	res, err := coord.Wait(ctx)
-	wg.Wait()
+	res, werrs, err := runFleet(ctx, coord,
+		WorkerConfig{Name: "w1", Workers: 1, Log: t.Logf},
+		WorkerConfig{Name: "w2", Workers: 1, Log: t.Logf})
 	if err != nil {
 		t.Fatalf("Wait: %v", err)
 	}
@@ -244,13 +272,10 @@ func TestFleetStreamsSamples(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	defer coord.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
 	defer cancel()
-	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1}); err != nil {
-		t.Fatalf("RunWorker: %v", err)
-	}
-	if _, err := coord.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if _, _, err := runFleet(ctx, coord, WorkerConfig{Name: "w1", Workers: 1}); err != nil {
+		t.Fatalf("fleet: %v", err)
 	}
 	if len(serialObs.samples[0]) == 0 {
 		t.Fatal("serial scenario run streamed no samples; test is vacuous")
@@ -272,14 +297,23 @@ func TestFleetWorkerDeathRequeues(t *testing.T) {
 		t.Fatalf("serial Run: %v", err)
 	}
 
+	var mu sync.Mutex
+	var expiries []string
 	coord, err := NewCoordinator(CoordinatorConfig{
-		Study: st, Addr: "127.0.0.1:0", LeaseTTL: 500 * time.Millisecond, Log: t.Logf,
+		Study: st, Addr: "127.0.0.1:0", LeaseTTL: 500 * time.Millisecond,
+		Log: func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "expired") {
+				mu.Lock()
+				defer mu.Unlock()
+				expiries = append(expiries, line)
+			}
+		},
 	})
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	defer coord.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
 	defer cancel()
 
 	// Worker 1 reports its first cell, then "dies" mid-second-cell: the
@@ -289,7 +323,7 @@ func TestFleetWorkerDeathRequeues(t *testing.T) {
 	var w1cells int
 	w1err := RunWorker(ctx, WorkerConfig{
 		Addr: coord.Addr(), Name: "w1", Workers: 1, Log: t.Logf,
-		beforeResult: func(int) error {
+		beforeResult: func(int, *experiment.Summary, func(experiment.SeriesSample)) error {
 			w1cells++
 			if w1cells >= 2 {
 				return killed
@@ -304,15 +338,17 @@ func TestFleetWorkerDeathRequeues(t *testing.T) {
 		t.Fatalf("%d cells remain after worker 1's death, want 3 (one reported, one died holding its lease)", got)
 	}
 
-	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w2", Workers: 1, Log: t.Logf}); err != nil {
-		t.Fatalf("worker 2: %v", err)
-	}
-	res, err := coord.Wait(ctx)
+	res, _, err := runFleet(ctx, coord, WorkerConfig{Name: "w2", Workers: 1, Log: t.Logf})
 	if err != nil {
-		t.Fatalf("Wait: %v", err)
+		t.Fatalf("worker 2: %v", err)
 	}
 	if got, want := renderTable(t, res), renderTable(t, serial); got != want {
 		t.Fatalf("post-requeue table differs from serial run:\n%s\nvs\n%s", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"fleet: lease on cell 2/4 (TVAnts seed 2) from w1 expired; requeued"}; !slices.Equal(expiries, want) {
+		t.Errorf("expiry log %q, want %q", expiries, want)
 	}
 }
 
@@ -344,8 +380,8 @@ func postRaw(t *testing.T, addr, path string, b []byte) (*http.Response, []byte)
 func leaseAs(t *testing.T, addr, worker string) leaseReply {
 	t.Helper()
 	resp, body := postJSON(t, addr, "lease", leaseRequest{Worker: worker})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("lease as %s: %s: %s", worker, resp.Status, body)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Content-Type") != "application/json" {
+		t.Fatalf("lease as %s: %s (%s): %s", worker, resp.Status, resp.Header.Get("Content-Type"), body)
 	}
 	var rep leaseReply
 	if err := json.Unmarshal(body, &rep); err != nil {
@@ -464,6 +500,99 @@ func TestLeaseExpiryGoneAndIdempotentResult(t *testing.T) {
 	}
 }
 
+// TestHandlersRefuseMalformedPosts: a post the protocol does not allow is a
+// 400 (an event on a cell the worker does not hold, a 410), and none of them
+// touches a lease or a cell.
+func TestHandlersRefuseMalformedPosts(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Study: fleetStudy(), Addr: "127.0.0.1:0", LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	addr := coord.Addr()
+	rep := leaseAs(t, addr, "w")
+	sum := experiment.Summary{}
+	for _, tc := range []struct {
+		path string
+		body any
+		want int
+	}{
+		{"lease", leaseRequest{}, http.StatusBadRequest},
+		{"event", map[string]any{"worker": "w", "bogus": 1}, http.StatusBadRequest},
+		{"event", eventPost{Worker: "w", Index: 99, Kind: eventRenew}, http.StatusGone},
+		{"event", eventPost{Worker: "w", Index: -1, Kind: eventRenew}, http.StatusGone},
+		{"event", eventPost{Worker: "w", Index: rep.Index, Kind: eventSample}, http.StatusBadRequest},
+		{"event", eventPost{Worker: "w", Index: rep.Index, Kind: "bogus"}, http.StatusBadRequest},
+		{"result", map[string]any{"worker": "w", "bogus": 1}, http.StatusBadRequest},
+		{"result", resultPost{Worker: "w", Index: 99, Digest: rep.Digest, Summary: &sum}, http.StatusBadRequest},
+		{"result", resultPost{Worker: "w", Index: -1, Digest: rep.Digest, Summary: &sum}, http.StatusBadRequest},
+		{"result", resultPost{Worker: "w", Index: rep.Index, Digest: "beef", Summary: &sum}, http.StatusBadRequest},
+		{"result", resultPost{Worker: "w", Index: rep.Index, Digest: rep.Digest}, http.StatusBadRequest},
+	} {
+		if resp, body := postJSON(t, addr, tc.path, tc.body); resp.StatusCode != tc.want {
+			t.Errorf("%s %+v answered %s (%s), want %d", tc.path, tc.body, resp.Status, body, tc.want)
+		}
+	}
+	coord.mu.Lock()
+	defer coord.mu.Unlock()
+	if cs := coord.cells[rep.Index]; cs.state != stateLeased || cs.worker != "w" || coord.remaining != 4 {
+		t.Errorf("the refused posts moved cell %d to %+v, %d cells remaining", rep.Index, cs, coord.remaining)
+	}
+}
+
+// TestNewCoordinatorRefuses: a study with no JSON form, one that does not
+// resolve, and an address that cannot be bound each fail the constructor.
+func TestNewCoordinatorRefuses(t *testing.T) {
+	nan := fleetStudy()
+	nan.PeerFactor = math.NaN()
+	unknown := fleetStudy()
+	unknown.Apps = []string{"Nope"}
+	for _, tc := range []struct {
+		cfg  CoordinatorConfig
+		want string
+	}{
+		{CoordinatorConfig{Study: nan, Addr: "127.0.0.1:0"}, "unsupported value: NaN"},
+		{CoordinatorConfig{Study: unknown, Addr: "127.0.0.1:0"}, "Nope"},
+		{CoordinatorConfig{Study: fleetStudy(), Addr: "127.0.0.1:-1"}, "fleet: listen tcp"},
+	} {
+		if coord, err := NewCoordinator(tc.cfg); err == nil {
+			coord.Close()
+			t.Errorf("NewCoordinator(%+v) succeeded", tc.cfg)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("NewCoordinator: %v, want an error containing %q", err, tc.want)
+		}
+	}
+}
+
+// TestWaitCancelledReturnsThePartialGrid: Wait's context ending returns the
+// cells done so far, as a cancelled study.Run does, with the context's error.
+func TestWaitCancelledReturnsThePartialGrid(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Study: fleetStudy(), Addr: "127.0.0.1:0", LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	rep := leaseAs(t, coord.Addr(), "w")
+	sum, err := coord.grid.RunCell(context.Background(), rep.Index, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, coord.Addr(), "result", resultPost{Worker: "w", Index: rep.Index, Digest: rep.Digest, Summary: &sum}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: %s: %s", resp.Status, body)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	res, err := coord.Wait(ctx)
+	if !errors.Is(err, context.Canceled) || res == nil || len(res.Cells) != 4 {
+		t.Fatalf("cancelled Wait = %+v, %v; want the 4-cell grid and context.Canceled", res, err)
+	}
+	for i, c := range res.Cells {
+		if c.Done != (i == rep.Index) || c.Done && !reflect.DeepEqual(c.Summary, sum) {
+			t.Errorf("cell %d: done %v, want only cell %d done with its summary", i, c.Done, rep.Index)
+		}
+	}
+}
+
 // TestWorkerRedialsOnTrailingReplyBytes: a reply followed by a second value
 // is undecodable like any other — a redial, never a half-trusted answer.
 func TestWorkerRedialsOnTrailingReplyBytes(t *testing.T) {
@@ -534,10 +663,10 @@ func TestFleetCellErrorMatchesLocalRun(t *testing.T) {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
 	defer coord.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
 	defer cancel()
-	werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1, Log: t.Logf})
-	_, fleetErr := coord.Wait(ctx)
+	_, werrs, fleetErr := runFleet(ctx, coord, WorkerConfig{Name: "w1", Workers: 1, Log: t.Logf})
+	werr := werrs[0]
 	if fleetErr == nil || fleetErr.Error() != localErr.Error() {
 		t.Errorf("fleet study error differs from the local one:\nfleet %v\nlocal %v", fleetErr, localErr)
 	}
@@ -547,6 +676,252 @@ func TestFleetCellErrorMatchesLocalRun(t *testing.T) {
 	local, fleet := localObs.errs[0], fleetObs.errs[0]
 	if local == nil || fleet == nil || local.Error() != fleet.Error() {
 		t.Errorf("OnRunDone error differs between executors:\nfleet %v\nlocal %v", fleet, local)
+	}
+}
+
+// TestFleetFailsANaNSummary: a summary holding NaN has no JSON. The worker
+// that computed it posts its cell failed instead, so the study fails.
+func TestFleetFailsANaNSummary(t *testing.T) {
+	testNoJSONFailsTheCell(t, func(sum *experiment.Summary, _ func(experiment.SeriesSample)) {
+		sum.MeanContinuity = math.NaN()
+	})
+}
+
+// TestFleetFailsANaNSample: a sample holding NaN has no JSON either. The
+// worker's sample path ends the attempt and posts its cell failed.
+func TestFleetFailsANaNSample(t *testing.T) {
+	testNoJSONFailsTheCell(t, func(_ *experiment.Summary, sample func(experiment.SeriesSample)) {
+		sample(experiment.SeriesSample{T: time.Second, Continuity: math.NaN()})
+	})
+}
+
+// testNoJSONFailsTheCell runs the four-cell study on two workers, spoiling
+// cell 2's summary or sample once it has computed. Within 5 s Wait must
+// fail naming that cell, the coordinator must answer later leases with the
+// failure, and the worker that ran the cell must return Wait's error.
+func testNoJSONFailsTheCell(t *testing.T, spoil func(*experiment.Summary, func(experiment.SeriesSample))) {
+	st := fleetStudy()
+	infos, err := st.RunInfos()
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", Log: t.Logf})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	const bad = 2
+	var spoiledBy atomic.Int32 // 1 + the index of the worker that spoiled the cell
+	cfgs := make([]WorkerConfig, 2)
+	for i := range cfgs {
+		cfgs[i] = WorkerConfig{Name: fmt.Sprintf("w%d", i+1), Workers: 1, Log: t.Logf,
+			beforeResult: func(index int, sum *experiment.Summary, sample func(experiment.SeriesSample)) error {
+				if index == bad {
+					spoiledBy.Store(int32(i + 1))
+					spoil(sum, sample)
+				}
+				return nil
+			}}
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	_, werrs, waitErr := runFleet(ctx, coord, cfgs...)
+	prefix := fmt.Sprintf("study %s: %s: ", st.Name, infos[bad].Label())
+	if waitErr == nil || !strings.HasPrefix(waitErr.Error(), prefix) || !strings.HasSuffix(waitErr.Error(), "unsupported value: NaN") {
+		t.Fatalf("Wait returned %v, want a study error starting %q and naming the NaN", waitErr, prefix)
+	}
+	// The coordinator heard the failure, not only the worker: a worker
+	// joining now is told the study failed, and returns the same error.
+	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w3"}); err == nil || err.Error() != waitErr.Error() {
+		t.Errorf("a worker joining the failed study returned %v, want Wait's %v", err, waitErr)
+	}
+	if i := spoiledBy.Load(); i == 0 {
+		t.Fatal("no worker ran the spoiled cell")
+	} else if werr := werrs[i-1]; werr == nil || werr.Error() != waitErr.Error() {
+		t.Errorf("worker w%d returned %v, want Wait's %v", i, werr, waitErr)
+	}
+}
+
+// TestWorkerAbandonsALostLease: an event answered 410 ends the attempt
+// unreported, and the slot leases again. Here the cell's lease passes to
+// another worker, which delivers the same summary, between the cell's
+// computing and its last sample; the fleet still finishes the grid, and its
+// table is the serial run's.
+func TestWorkerAbandonsALostLease(t *testing.T) {
+	st := fleetStudy()
+	serial, err := study.Run(context.Background(), st)
+	if err != nil {
+		t.Fatalf("serial Run: %v", err)
+	}
+	coord, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", LeaseTTL: time.Hour, Log: t.Logf})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	var lines []string // one slot, so one goroutine writes the log at a time
+	cfg := WorkerConfig{Name: "w1", Workers: 1,
+		Log: func(format string, args ...any) { lines = append(lines, fmt.Sprintf(format, args...)) },
+		beforeResult: func(index int, sum *experiment.Summary, sample func(experiment.SeriesSample)) error {
+			if index != 1 {
+				return nil
+			}
+			coord.mu.Lock()
+			coord.cells[1].deadline = time.Now().Add(-time.Second)
+			coord.mu.Unlock()
+			rep := leaseAs(t, coord.Addr(), "thief")
+			if rep.Status != StatusLease || rep.Index != 1 {
+				t.Errorf("thief leased %+v, want cell 1", rep)
+			}
+			if resp, body := postJSON(t, coord.Addr(), "result", resultPost{Worker: "thief", Index: 1, Digest: rep.Digest, Summary: sum}); resp.StatusCode != http.StatusOK {
+				t.Errorf("thief's result: %s: %s", resp.Status, body)
+			}
+			sample(experiment.SeriesSample{})
+			return nil
+		}}
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
+	defer cancel()
+	res, _, err := runFleet(ctx, coord, cfg)
+	if err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	if got, want := renderTable(t, res), renderTable(t, serial); got != want {
+		t.Fatalf("fleet table differs from serial run:\n%s\nvs\n%s", got, want)
+	}
+	if !slices.Contains(lines, "fleet: w1 lost the lease on cell 1; abandoning") {
+		t.Errorf("worker log %q does not report the lost lease", lines)
+	}
+}
+
+// TestWorkerHeartbeatsAtTheCoordinatorsTTL: a joining worker sizes its
+// heartbeat from the lease TTL the coordinator states, and from
+// DefaultLeaseTTL when the reply states none.
+func TestWorkerHeartbeatsAtTheCoordinatorsTTL(t *testing.T) {
+	coord, err := NewCoordinator(CoordinatorConfig{Study: fleetStudy(), Addr: "127.0.0.1:0", LeaseTTL: 2 * time.Second})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	studyJSON, digest, err := fleetStudy().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	silent := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		_ = json.NewEncoder(w).Encode(studyReply{Study: studyJSON, Digest: digest})
+	}))
+	defer silent.Close()
+	for base, want := range map[string]time.Duration{
+		"http://" + coord.Addr() + "/fleet/v1": 2 * time.Second,
+		silent.URL:                             DefaultLeaseTTL,
+	} {
+		w := &worker{base: base, client: silent.Client(), log: t.Logf}
+		if err := w.fetchStudy(context.Background()); err != nil || w.ttl != want {
+			t.Errorf("%s: ttl %v (%v), want %v", base, w.ttl, err, want)
+		}
+	}
+}
+
+// TestWorkerWaitsAsTold: a worker told to wait polls again after the
+// stated delay, or after waitRetry when the reply states none.
+func TestWorkerWaitsAsTold(t *testing.T) {
+	studyJSON, digest, err := fleetStudy().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for wait, least := range map[string]time.Duration{`{"status":"wait","retry_ms":1}`: 0, `{"status":"wait"}`: waitRetry} {
+		var leases int
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /fleet/v1/study", func(w http.ResponseWriter, _ *http.Request) {
+			_ = json.NewEncoder(w).Encode(studyReply{Study: studyJSON, Digest: digest, LeaseTTLMs: 1000})
+		})
+		mux.HandleFunc("POST /fleet/v1/lease", func(w http.ResponseWriter, _ *http.Request) {
+			if leases++; leases == 1 {
+				_, _ = io.WriteString(w, wait)
+				return
+			}
+			_, _ = io.WriteString(w, `{"status":"done"}`)
+		})
+		srv := httptest.NewServer(mux)
+		start := time.Now()
+		err := RunWorker(context.Background(), WorkerConfig{Addr: strings.TrimPrefix(srv.URL, "http://"), Name: "w", Workers: 1})
+		d := time.Since(start)
+		srv.Close()
+		if err != nil || d < least || d > least+waitRetry/2 {
+			t.Errorf("told %s: returned %v after %v, want nil after %v", wait, err, d, least)
+		}
+	}
+}
+
+// TestWorkerRefusesWhatItCannotJoin drives RunWorker against coordinators
+// that answer wrongly, and against none. Each returns at once with its
+// error; a reply worth a redial (5xx) is retried with backoff until the
+// context ends.
+func TestWorkerRefusesWhatItCannotJoin(t *testing.T) {
+	studyJSON, digest, err := fleetStudy().Canonical()
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := studyReply{Study: studyJSON, Digest: digest, LeaseTTLMs: 1000}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := ln.Addr().String()
+	ln.Close()
+	for _, tc := range []struct {
+		name, addr string
+		study      func(n int) (int, any) // the n-th GET study's status and reply
+		lease      string
+		want       string
+	}{
+		{name: "no address", want: "worker without a coordinator address"},
+		{name: "bad address", addr: "bad%zz", want: "invalid URL escape"},
+		{name: "nobody listening", addr: closed, want: context.DeadlineExceeded.Error()},
+		{name: "study refused", study: func(int) (int, any) { return http.StatusNotFound, "no study" },
+			want: "GET study: 404 Not Found"},
+		{name: "study undecodable", study: func(int) (int, any) { return http.StatusOK, studyReply{Study: []byte("{}"), Digest: digest} },
+			want: "study without a name"},
+		{name: "digest mismatch", study: func(int) (int, any) { return http.StatusOK, studyReply{Study: studyJSON, Digest: "beef"} },
+			want: "study digest mismatch"},
+		{name: "unknown lease status", study: func(int) (int, any) { return http.StatusOK, good }, lease: `{"status":"bogus"}`,
+			want: `unknown lease status "bogus"`},
+		{name: "redial then done", study: func(n int) (int, any) {
+			if n == 0 {
+				return http.StatusServiceUnavailable, "restarting"
+			}
+			return http.StatusOK, good
+		}, lease: `{"status":"done"}`},
+		{name: "redial until cancelled", study: func(int) (int, any) { return http.StatusBadGateway, "down" },
+			want: context.DeadlineExceeded.Error()},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr := tc.addr
+			if tc.study != nil {
+				var gets int
+				mux := http.NewServeMux()
+				mux.HandleFunc("GET /fleet/v1/study", func(w http.ResponseWriter, _ *http.Request) {
+					code, rep := tc.study(gets)
+					gets++
+					w.WriteHeader(code)
+					_ = json.NewEncoder(w).Encode(rep)
+				})
+				mux.HandleFunc("POST /fleet/v1/lease", func(w http.ResponseWriter, r *http.Request) {
+					if ct := r.Header.Get("Content-Type"); ct != "application/json" {
+						http.Error(w, "body of type "+ct, http.StatusUnsupportedMediaType)
+						return
+					}
+					_, _ = io.WriteString(w, tc.lease)
+				})
+				srv := httptest.NewServer(mux)
+				defer srv.Close()
+				addr = strings.TrimPrefix(srv.URL, "http://")
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 500*time.Millisecond)
+			defer cancel()
+			err := RunWorker(ctx, WorkerConfig{Addr: addr, Name: "w", Workers: 1, Log: t.Logf})
+			if tc.want == "" && err != nil || tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("RunWorker returned %v, want an error containing %q", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -564,29 +939,41 @@ func TestFleetResume(t *testing.T) {
 
 	// Phase 1: a serial worker reports two cells, then its process "dies"
 	// (context cancelled); the coordinator goes down without completing.
+	// Each coordinator logs what it restored, and a fresh spool nothing.
+	var mu sync.Mutex
+	var restored []string
+	logf := func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "restored") {
+			mu.Lock()
+			defer mu.Unlock()
+			restored = append(restored, line)
+		}
+	}
 	coord1, err := NewCoordinator(CoordinatorConfig{
-		Study: st, Addr: "127.0.0.1:0", SpoolDir: spoolDir, LeaseTTL: time.Hour, Log: t.Logf,
+		Study: st, Addr: "127.0.0.1:0", SpoolDir: spoolDir, LeaseTTL: time.Hour, Log: logf,
 	})
 	if err != nil {
 		t.Fatalf("phase 1 NewCoordinator: %v", err)
 	}
-	ctx1, cancel1 := context.WithCancel(context.Background())
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
+	defer cancel()
+	killed := errors.New("simulated kill")
 	var phase1 int
-	_ = RunWorker(ctx1, WorkerConfig{
+	err = RunWorker(ctx, WorkerConfig{
 		Addr: coord1.Addr(), Name: "w1", Workers: 1, Log: t.Logf,
-		onCellDone: func(int, error) {
-			phase1++
-			if phase1 >= 2 {
-				cancel1()
+		beforeResult: func(int, *experiment.Summary, func(experiment.SeriesSample)) error {
+			if phase1 == 2 {
+				return killed
 			}
+			phase1++
+			return nil
 		},
 	})
-	cancel1()
 	if err := coord1.Close(); err != nil {
 		t.Fatalf("phase 1 Close: %v", err)
 	}
-	if phase1 != 2 {
-		t.Fatalf("phase 1 completed %d cells, want 2", phase1)
+	if !errors.Is(err, killed) {
+		t.Fatalf("phase 1 worker exited with %v, want the simulated kill after 2 cells", err)
 	}
 
 	// The spool must pin its study: resuming with any knob changed fails.
@@ -602,10 +989,13 @@ func TestFleetResume(t *testing.T) {
 	obs := newObsRec()
 	coord2, err := NewCoordinator(CoordinatorConfig{
 		Study: st, Addr: "127.0.0.1:0", SpoolDir: spoolDir, LeaseTTL: time.Hour,
-		Observers: []study.Observer{obs}, Log: t.Logf,
+		Observers: []study.Observer{obs}, Log: logf,
 	})
 	if err != nil {
 		t.Fatalf("phase 2 NewCoordinator: %v", err)
+	}
+	if want := []string{"fleet: restored 2/4 cells from spool " + spoolDir}; !slices.Equal(restored, want) {
+		t.Fatalf("restore log %q, want %q", restored, want)
 	}
 	defer coord2.Close()
 	if got := obs.doneWorkers()["spool"]; got != 2 {
@@ -620,18 +1010,16 @@ func TestFleetResume(t *testing.T) {
 		t.Fatalf("addr file %q / %v, want %q", addrBytes, err, coord2.Addr())
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-	defer cancel()
 	var phase2 int
-	if err := RunWorker(ctx, WorkerConfig{
-		Addr: coord2.Addr(), Name: "w2", Workers: 1, Log: t.Logf,
-		onCellDone: func(int, error) { phase2++ },
-	}); err != nil {
-		t.Fatalf("phase 2 worker: %v", err)
-	}
-	res, err := coord2.Wait(ctx)
+	res, _, err := runFleet(ctx, coord2, WorkerConfig{
+		Name: "w2", Workers: 1, Log: t.Logf,
+		beforeResult: func(int, *experiment.Summary, func(experiment.SeriesSample)) error {
+			phase2++
+			return nil
+		},
+	})
 	if err != nil {
-		t.Fatalf("phase 2 Wait: %v", err)
+		t.Fatalf("phase 2: %v", err)
 	}
 	if phase2 != 2 {
 		t.Fatalf("phase 2 recomputed %d cells, want exactly the 2 missing", phase2)
@@ -655,6 +1043,51 @@ func TestFleetResume(t *testing.T) {
 	}
 }
 
+// TestCheckpointFailureIsLogged: a cell the spool cannot record still
+// completes the run in memory, and the coordinator says the checkpoint
+// failed. The spool's directories are the owner's to write.
+func TestCheckpointFailureIsLogged(t *testing.T) {
+	st := &study.Study{
+		Name: "fleet-unspooled", Apps: []string{"TVAnts"}, Seeds: []int64{1},
+		Duration: study.Duration(15 * time.Second), PeerFactor: 0.05,
+	}
+	spoolDir := t.TempDir()
+	var mu sync.Mutex
+	var failures []string
+	coord, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", SpoolDir: spoolDir,
+		Log: func(format string, args ...any) {
+			if line := fmt.Sprintf(format, args...); strings.Contains(line, "checkpoint") {
+				mu.Lock()
+				defer mu.Unlock()
+				failures = append(failures, line)
+			}
+		}})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	defer coord.Close()
+	cells := filepath.Join(spoolDir, "cells")
+	if fi, err := os.Stat(cells); err != nil || fi.Mode().Perm()&0o700 != 0o700 {
+		t.Fatalf("spool cells directory: %v, %v; want one its owner can write", fi.Mode(), err)
+	}
+	if err := os.Remove(cells); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(cells, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
+	defer cancel()
+	if _, _, err := runFleet(ctx, coord, WorkerConfig{Name: "w1", Workers: 1}); err != nil {
+		t.Fatalf("fleet: %v", err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(failures) != 1 || !strings.HasPrefix(failures[0], "fleet: checkpoint for cell 0 failed: fleet: spool: ") {
+		t.Errorf("checkpoint log %q, want one failure for cell 0", failures)
+	}
+}
+
 // TestSpoolRejectsCorruptRecord: a tampered checkpoint must fail a resume
 // loudly, never silently skew the assembled table.
 func TestSpoolRejectsCorruptRecord(t *testing.T) {
@@ -667,13 +1100,10 @@ func TestSpoolRejectsCorruptRecord(t *testing.T) {
 	if err != nil {
 		t.Fatalf("NewCoordinator: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	ctx, cancel := context.WithTimeout(context.Background(), testBound)
 	defer cancel()
-	if err := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w1", Workers: 1}); err != nil {
-		t.Fatalf("RunWorker: %v", err)
-	}
-	if _, err := coord.Wait(ctx); err != nil {
-		t.Fatalf("Wait: %v", err)
+	if _, _, err := runFleet(ctx, coord, WorkerConfig{Name: "w1", Workers: 1}); err != nil {
+		t.Fatalf("fleet: %v", err)
 	}
 	coord.Close()
 
@@ -692,5 +1122,29 @@ func TestSpoolRejectsCorruptRecord(t *testing.T) {
 	if _, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", SpoolDir: spoolDir}); err == nil ||
 		!strings.Contains(err.Error(), "does not belong") {
 		t.Fatalf("corrupt spool record accepted: %v", err)
+	}
+
+	// A record that is not JSON is named; so is a stray entry; and a spool
+	// path that is a file cannot hold a spool.
+	if err := os.WriteFile(path, []byte("{"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", SpoolDir: spoolDir}); err == nil ||
+		!strings.Contains(err.Error(), path) {
+		t.Fatalf("undecodable spool record: %v, want an error naming %s", err, path)
+	}
+	if err := os.Remove(path); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Mkdir(filepath.Join(spoolDir, "cells", "stray"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", SpoolDir: spoolDir}); err == nil ||
+		!strings.Contains(err.Error(), "unexpected entry stray") {
+		t.Fatalf("stray spool entry: %v", err)
+	}
+	if _, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", SpoolDir: filepath.Join(spoolDir, "study.json")}); err == nil ||
+		!strings.Contains(err.Error(), "fleet: spool:") {
+		t.Fatalf("a file as the spool: %v", err)
 	}
 }

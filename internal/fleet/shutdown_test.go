@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"net/http"
 	"strings"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func (o *closeOnLast) OnRunDone(study.RunInfo, experiment.Summary, error) {
 // final result's handler is still running must let that handler answer.
 // The worker then learns the grid is done and returns nil at once; with a
 // Close that resets open connections it redials a dead address for its
-// whole budget instead (here: until the 20 s context gives up).
+// whole budget instead (here: until testBound gives up).
 func TestCloseDeliversTheLastAcknowledgement(t *testing.T) {
 	st := &study.Study{
 		Name:       "fleet-shutdown",
@@ -63,7 +64,7 @@ func TestCloseDeliversTheLastAcknowledgement(t *testing.T) {
 		}
 		obs.coord = coord
 
-		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		ctx, cancel := context.WithTimeout(context.Background(), testBound)
 		start := time.Now()
 		werr := RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: 1})
 		cancel()
@@ -87,14 +88,20 @@ func TestCloseDeliversTheLastAcknowledgement(t *testing.T) {
 // leased again after the acknowledgement would redial the dead address for
 // its whole budget. With two slots both cells fail, and either may be the
 // one Wait and the worker report; the slot cancelled mid-dial must not
-// leave the coordinator a connection that holds up its Close.
+// leave the coordinator a connection that holds up its Close. Over a
+// one-cell grid the second slot is told to wait; the failure the first slot
+// reports answers it too, so Close does not wait for it to poll again.
 func TestWorkerStopsAfterItsOwnFailedCell(t *testing.T) {
-	for _, slots := range []int{1, 2} {
-		coord, err := NewCoordinator(CoordinatorConfig{Study: doomedStudy(3, 4, 5, 6, 7, 8), Addr: "127.0.0.1:0", Log: t.Logf})
+	for _, tc := range []struct {
+		seeds []int64
+		slots int
+	}{{[]int64{3, 4, 5, 6, 7, 8}, 1}, {[]int64{3, 4, 5, 6, 7, 8}, 2}, {[]int64{3}, 2}} {
+		slots := tc.slots
+		coord, err := NewCoordinator(CoordinatorConfig{Study: doomedStudy(tc.seeds...), Addr: "127.0.0.1:0", Log: t.Logf})
 		if err != nil {
 			t.Fatalf("NewCoordinator: %v", err)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 2*dialBudget)
+		ctx, cancel := context.WithTimeout(context.Background(), testBound)
 		werr := make(chan error, 1)
 		go func() {
 			werr <- RunWorker(ctx, WorkerConfig{Addr: coord.Addr(), Name: "w", Workers: slots, Log: t.Logf})
@@ -108,9 +115,10 @@ func TestWorkerStopsAfterItsOwnFailedCell(t *testing.T) {
 			t.Errorf("%d slots: Close: %v", slots, err)
 		}
 		// A worker connection that never sends a request holds Close
-		// until the drain times out.
-		if d := time.Since(closeStart); d >= drainTimeout {
-			t.Errorf("%d slots: Close took %v, its whole drain timeout", slots, d)
+		// until the drain times out, and an unanswered waiter for
+		// waitGrace.
+		if d := time.Since(closeStart); d >= waitGrace/2 {
+			t.Errorf("%d slots, %d cells: Close took %v", slots, len(tc.seeds), d)
 		}
 		select {
 		case err := <-werr:
@@ -156,7 +164,7 @@ func TestIdleSlotsLearnTheGridIsDone(t *testing.T) {
 			if err != nil {
 				t.Fatalf("NewCoordinator: %v", err)
 			}
-			someoneWaits := func(int) error {
+			someoneWaits := func(int, *experiment.Summary, func(experiment.SeriesSample)) error {
 				for start := time.Now(); time.Since(start) < 10*time.Second; time.Sleep(time.Millisecond) {
 					coord.mu.Lock()
 					n := len(coord.waiting)
@@ -168,7 +176,7 @@ func TestIdleSlotsLearnTheGridIsDone(t *testing.T) {
 				t.Error("no slot was told to wait")
 				return nil
 			}
-			ctx, cancel := context.WithTimeout(context.Background(), 2*dialBudget)
+			ctx, cancel := context.WithTimeout(context.Background(), testBound)
 			defer cancel()
 			werr := make(chan error, tc.workers)
 			for i := range tc.workers {
@@ -200,5 +208,34 @@ func TestIdleSlotsLearnTheGridIsDone(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCloseGivesUpOnAWaiterThatNeverPolls: a worker told to wait that never
+// polls again (killed, say) holds Close for waitGrace after it was told,
+// and no longer.
+func TestCloseGivesUpOnAWaiterThatNeverPolls(t *testing.T) {
+	st := &study.Study{Name: "fleet-ghost", Apps: []string{"TVAnts"}, Seeds: []int64{1}, Duration: study.Duration(5 * time.Second), PeerFactor: 0.05}
+	coord, err := NewCoordinator(CoordinatorConfig{Study: st, Addr: "127.0.0.1:0", LeaseTTL: time.Hour})
+	if err != nil {
+		t.Fatalf("NewCoordinator: %v", err)
+	}
+	rep := leaseAs(t, coord.Addr(), "w")
+	if ghost := leaseAs(t, coord.Addr(), "ghost"); ghost.Status != StatusWait {
+		t.Fatalf("ghost's lease answered %+v, want wait", ghost)
+	}
+	told := time.Now()
+	sum, err := coord.grid.RunCell(context.Background(), rep.Index, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, coord.Addr(), "result", resultPost{Worker: "w", Index: rep.Index, Digest: rep.Digest, Summary: &sum}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("result: %s: %s", resp.Status, body)
+	}
+	if err := coord.Close(); err != nil {
+		t.Errorf("Close: %v", err)
+	}
+	if d := time.Since(told); d < waitGrace || d > waitGrace+time.Second {
+		t.Errorf("Close returned %v after the ghost was told to wait, want waitGrace (%v)", d, waitGrace)
 	}
 }

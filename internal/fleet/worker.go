@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -40,12 +41,11 @@ type WorkerConfig struct {
 	// safe for concurrent use.
 	Log func(format string, args ...any)
 
-	// Test hooks. beforeResult runs after a cell computes but before its
-	// result posts; returning an error abandons the worker there —
-	// simulating death mid-cell without killing the test process.
-	// onCellDone observes each cell attempt's outcome.
-	beforeResult func(index int) error
-	onCellDone   func(index int, err error)
+	// beforeResult, a test hook, runs after a cell computes but before its
+	// result posts. It sees the summary about to post and the attempt's
+	// sample path; returning an error abandons the worker there, simulating
+	// death mid-cell without killing the test process.
+	beforeResult func(index int, sum *experiment.Summary, sample func(experiment.SeriesSample)) error
 }
 
 // worker is one joined worker's client state.
@@ -197,123 +197,86 @@ func (w *worker) leaseLoop(ctx context.Context) error {
 	}
 }
 
+// errLeaseLost ends an attempt whose event the coordinator answered 410:
+// another worker owns the cell now, and determinism makes its duplicate
+// work harmless.
+var errLeaseLost = errors.New("lease lost")
+
 // runCell executes one leased cell: heartbeats keep the lease alive, sample
-// events stream the cell's time series, and the finished summary (or the
-// cell's own error, which fails the whole study and, once acknowledged, is
-// returned as the study error) posts back. A lease lost mid-flight (410)
-// abandons the attempt without posting — some other worker owns the cell
-// now, and determinism makes the duplicate work harmless.
-// The returned bool reports whether this result completed the grid.
+// events stream the cell's time series, and the finished summary posts
+// back. The attempt ends in one of the four ways the package doc lists
+// (lease lost, coordinator unreachable, cell failed, success); the first
+// event that fails cancels the cell with its error as the cause, which
+// tells the first three apart. The returned bool reports whether this
+// result completed the grid.
 func (w *worker) runCell(ctx context.Context, index int, digest string) (bool, error) {
-	cellCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
-
-	// lost flips when the coordinator disowns our lease; everything after
-	// that is abandoned, not reported.
-	var mu sync.Mutex
-	lost := false
-	markLost := func() {
-		mu.Lock()
-		lost = true
-		mu.Unlock()
-		cancel()
-	}
-	isLost := func() bool {
-		mu.Lock()
-		defer mu.Unlock()
-		return lost
-	}
-
-	// post sends one event; a 410 marks the lease lost, transport errors
-	// surface (the caller's redial already happened inside call).
-	post := func(kind string, sample *experiment.SeriesSample) error {
-		err := w.call(cellCtx, http.MethodPost, "event",
-			eventPost{Worker: w.cfg.Name, Index: index, Kind: kind, Sample: sample}, &okReply{})
-		if isGone(err) {
-			markLost()
-			return nil
+	cellCtx, stop := context.WithCancelCause(ctx)
+	defer stop(nil)
+	post := func(kind string, sample *experiment.SeriesSample) {
+		if err := w.call(cellCtx, http.MethodPost, "event",
+			eventPost{Worker: w.cfg.Name, Index: index, Kind: kind, Sample: sample}, &okReply{}); err != nil {
+			stop(err)
 		}
-		return err
 	}
-
-	if err := post(eventStart, nil); err != nil && cellCtx.Err() == nil {
-		return false, err
+	onSample := func(s experiment.SeriesSample) {
+		if cellCtx.Err() == nil {
+			post(eventSample, &s)
+		}
 	}
+	post(eventStart, nil)
 
 	// Heartbeat at TTL/3: two beats can drop before the lease expires.
+	hbCtx, hbStop := context.WithCancel(cellCtx)
 	hbDone := make(chan struct{})
-	var hbWG sync.WaitGroup
-	hbWG.Add(1)
 	go func() {
-		defer hbWG.Done()
+		defer close(hbDone)
 		tick := time.NewTicker(w.ttl / 3)
 		defer tick.Stop()
 		for {
 			select {
-			case <-hbDone:
-				return
-			case <-cellCtx.Done():
+			case <-hbCtx.Done():
 				return
 			case <-tick.C:
-				_ = post(eventRenew, nil)
+				post(eventRenew, nil)
 			}
 		}
 	}()
-
-	var sampleErr error
-	onSample := func(s experiment.SeriesSample) {
-		if isLost() || sampleErr != nil {
-			return
-		}
-		sampleErr = post(eventSample, &s)
-	}
 	sum, runErr := w.grid.RunCell(cellCtx, index, onSample)
-	close(hbDone)
-	hbWG.Wait()
+	hbStop()
+	<-hbDone
 
-	if isLost() {
-		w.log("fleet: %s lost the lease on cell %d; abandoning", w.cfg.Name, index)
-		if w.cfg.onCellDone != nil {
-			w.cfg.onCellDone(index, fmt.Errorf("lease lost"))
-		}
-		return false, nil
-	}
-	if runErr == nil && sampleErr != nil {
-		// The cell computed, but its stream broke on a non-410 transport
-		// error that outlived the redial budget. Treat like a lost lease:
-		// abandon, let the lease expire, let another attempt stream it.
-		w.log("fleet: %s could not stream cell %d (%v); abandoning", w.cfg.Name, index, sampleErr)
-		if w.cfg.onCellDone != nil {
-			w.cfg.onCellDone(index, sampleErr)
-		}
-		return false, nil
-	}
-	if runErr != nil && ctx.Err() != nil {
+	if ctx.Err() != nil {
 		return false, ctx.Err()
 	}
-
 	if w.cfg.beforeResult != nil {
-		if err := w.cfg.beforeResult(index); err != nil {
+		if err := w.cfg.beforeResult(index, &sum, onSample); err != nil {
 			return false, err
 		}
 	}
+	switch cause := context.Cause(cellCtx); {
+	case cause == errLeaseLost:
+		w.log("fleet: %s lost the lease on cell %d; abandoning", w.cfg.Name, index)
+		return false, nil
+	case hasNoJSON(cause):
+		runErr = cause
+	case cause != nil:
+		return false, cause
+	}
 
-	res := resultPost{Worker: w.cfg.Name, Index: index, Digest: digest}
-	if runErr != nil {
-		res.Error = runErr.Error()
-	} else {
-		res.Summary = &sum
-	}
-	// Post the result on the parent ctx: the cell ctx may be cancelled by
-	// a lost lease race, but a computed result is still worth delivering —
-	// the coordinator acknowledges duplicates idempotently.
+	// Post the result on the parent ctx: a computed result is worth
+	// delivering even if the lease lapsed, and the coordinator acknowledges
+	// duplicates idempotently. A summary with no JSON fails the cell.
+	res := resultPost{Worker: w.cfg.Name, Index: index, Digest: digest, Summary: &sum}
 	var ack okReply
-	err := w.call(ctx, http.MethodPost, "result", res, &ack)
-	if isGone(err) {
-		err = nil
+	var err error
+	if runErr == nil {
+		if err = w.call(ctx, http.MethodPost, "result", res, &ack); hasNoJSON(err) {
+			runErr = err
+		}
 	}
-	if w.cfg.onCellDone != nil {
-		w.cfg.onCellDone(index, runErr)
+	if runErr != nil {
+		res.Summary, res.Error = nil, runErr.Error()
+		err = w.call(ctx, http.MethodPost, "result", res, &ack)
 	}
 	if err != nil {
 		return false, err
@@ -321,28 +284,24 @@ func (w *worker) runCell(ctx context.Context, index int, digest string) (bool, e
 	if runErr != nil {
 		// The study is over. Stop with the error Coordinator.Wait returns
 		// rather than lease again from a coordinator that may have exited.
-		w.log("fleet: %s reported cell %d failed: %v", w.cfg.Name, index, runErr)
 		return false, fmt.Errorf("study %s: %s: %w", w.st.Name, w.grid.Infos()[index].Label(), runErr)
 	}
 	return ack.Done, nil
 }
 
-// goneError marks a 410 Gone reply — the coordinator no longer recognises
-// our lease on the cell.
-type goneError struct{ msg string }
-
-func (e *goneError) Error() string { return e.msg }
-
-func isGone(err error) bool {
-	_, ok := err.(*goneError)
-	return ok
+// hasNoJSON reports whether err is call's refusal of a body json.Marshal
+// cannot encode: a summary or sample holding ±Inf or NaN.
+func hasNoJSON(err error) bool {
+	var bad *json.UnsupportedValueError
+	return errors.As(err, &bad)
 }
 
 // call performs one coordinator round trip with redial-on-failure: any
 // transport error or 5xx retries with growing backoff until dialBudget of
 // continuous failure passes (a coordinator restart costs a redial, never a
-// worker). 4xx replies — protocol errors and 410 lease losses — do not
-// retry; they mean the coordinator heard us and said no.
+// worker). 4xx replies — protocol errors and 410 lease losses
+// (errLeaseLost) — do not retry; they mean the coordinator heard us and
+// said no.
 func (w *worker) call(ctx context.Context, method, path string, in, out any) error {
 	var body []byte
 	if in != nil {
@@ -384,7 +343,6 @@ func (w *worker) call(ctx context.Context, method, path string, in, out any) err
 type dialError struct{ err error }
 
 func (e *dialError) Error() string { return e.err.Error() }
-func (e *dialError) Unwrap() error { return e.err }
 
 func (w *worker) callOnce(ctx context.Context, method, path string, body []byte, out any) error {
 	req, err := http.NewRequestWithContext(ctx, method, w.base+"/"+path, bytes.NewReader(body))
@@ -403,7 +361,7 @@ func (w *worker) callOnce(ctx context.Context, method, path string, body []byte,
 		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 1024))
 		err := fmt.Errorf("fleet: %s %s: %s: %s", method, path, resp.Status, bytes.TrimSpace(msg))
 		if resp.StatusCode == http.StatusGone {
-			return &goneError{err.Error()}
+			return errLeaseLost
 		}
 		if resp.StatusCode >= 500 {
 			return &dialError{err}

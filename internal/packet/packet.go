@@ -83,24 +83,18 @@ type Writer struct {
 // NewWriter writes the trace header for the given probe and returns the
 // writer.
 func NewWriter(w io.Writer, probe netip.Addr, label string) (*Writer, error) {
-	bw := bufio.NewWriterSize(w, 1<<16)
-	if _, err := bw.WriteString(magic); err != nil {
-		return nil, err
-	}
-	a := probe.As4()
-	if _, err := bw.Write(a[:]); err != nil {
-		return nil, err
-	}
 	lb := []byte(label)
 	if len(lb) > 255 {
 		return nil, fmt.Errorf("packet: label too long (%d bytes)", len(lb))
 	}
-	if err := bw.WriteByte(byte(len(lb))); err != nil {
-		return nil, err
-	}
-	if _, err := bw.Write(lb); err != nil {
-		return nil, err
-	}
+	// The header fits the empty buffer, so these writes cannot fail; an
+	// error of w's surfaces at the first flush, from Write or Close.
+	bw := bufio.NewWriterSize(w, 1<<16)
+	a := probe.As4()
+	bw.WriteString(magic)
+	bw.Write(a[:])
+	bw.WriteByte(byte(len(lb)))
+	bw.Write(lb)
 	return &Writer{bw: bw, probe: probe}, nil
 }
 
@@ -263,9 +257,7 @@ func (r *Reader) ReadAll() ([]Record, error) {
 // returned as is.
 func WriteCSV(w io.Writer, next func() (Record, error)) error {
 	bw := bufio.NewWriter(w)
-	if _, err := bw.WriteString("ts_ns,src,dst,size,ttl,kind\n"); err != nil {
-		return err
-	}
+	bw.WriteString("ts_ns,src,dst,size,ttl,kind\n") // fits the empty buffer
 	for {
 		r, err := next()
 		if errors.Is(err, io.EOF) {

@@ -156,8 +156,9 @@ func TestBadHeader(t *testing.T) {
 	cases := [][]byte{
 		nil,
 		[]byte("NOPE"),
-		[]byte("NWT1"),             // missing probe
-		[]byte("NWT1\x0a\x00\x00"), // short probe
+		[]byte("NWT1"),                 // missing probe
+		[]byte("NWT1\x0a\x00\x00"),     // short probe
+		[]byte("NWT1\x0a\x00\x00\x01"), // no label length
 		append([]byte("NWT1\x0a\x00\x00\x01"), 5), // label length but no label
 	}
 	for i, raw := range cases {
@@ -196,6 +197,20 @@ func TestWriterRejectsHugeSize(t *testing.T) {
 	// Writer stays poisoned afterwards.
 	if err := w.Write(Record{Size: 10}); err == nil {
 		t.Error("writer should stay failed after an error")
+	}
+}
+
+// TestWriterRejectsNonIPv4: the format holds IPv4 addresses only, and a
+// writer that refused a record reports it again on Close.
+func TestWriterRejectsNonIPv4(t *testing.T) {
+	var buf bytes.Buffer
+	w, _ := NewWriter(&buf, testProbe, "x")
+	err := w.Write(Record{TS: 1, Src: netip.MustParseAddr("2001:db8::1"), Dst: testProbe, Size: 10})
+	if err == nil || !strings.Contains(err.Error(), "IPv4") {
+		t.Fatalf("IPv6 record: %v, want a refusal naming IPv4", err)
+	}
+	if cerr := w.Close(); cerr != err {
+		t.Errorf("Close = %v, want the refusal %v", cerr, err)
 	}
 }
 

@@ -136,7 +136,7 @@ func niceStep(span float64, maxTicks int) float64 {
 	}
 	raw := span / float64(maxTicks)
 	mag := math.Pow(10, math.Floor(math.Log10(raw)))
-	for _, m := range []float64{1, 2, 5, 10} {
+	for _, m := range []float64{1, 2, 5} {
 		if mag*m >= raw {
 			return mag * m
 		}
@@ -170,13 +170,11 @@ func timeLabel(secs float64) string {
 	return d.Truncate(time.Second).String()
 }
 
-// scale maps data range [lo,hi] onto pixel range [a,b].
+// scale maps data range [lo,hi] onto pixel range [a,b]; callers widen an
+// empty range to one unit.
 type scale struct{ lo, hi, a, b float64 }
 
 func (s scale) px(v float64) float64 {
-	if s.hi == s.lo {
-		return (s.a + s.b) / 2
-	}
 	return s.a + (v-s.lo)/(s.hi-s.lo)*(s.b-s.a)
 }
 
@@ -271,14 +269,9 @@ func (l *Line) Render(w io.Writer) error {
 		ylo, yhi, yok = dataRange(ylo, yhi, yok, s.Lo...)
 		ylo, yhi, yok = dataRange(ylo, yhi, yok, s.Hi...)
 	}
-	if !xok {
-		xlo, xhi = 0, 1
-	}
-	if !yok {
-		ylo, yhi = 0, 1
-	}
-	// Non-negative data anchors at zero — bars and rates read from a zero
-	// baseline; a negative range gets a nice floor instead.
+	// With no finite data each range is [0, 0], which widens to [0, 1]
+	// below. Non-negative data anchors at zero — bars and rates read from a
+	// zero baseline; a negative range gets a nice floor instead.
 	if ylo > 0 {
 		ylo = 0
 	}
@@ -455,10 +448,8 @@ func (b *Bar) Render(w io.Writer) error {
 			ylo, yhi, yok = dataRange(ylo, yhi, yok, v-e, v+e)
 		}
 	}
-	if !yok {
-		ylo, yhi = 0, 1
-	}
-	// Bars always include the zero baseline.
+	// Bars always include the zero baseline; with no finite data the range
+	// is [0, 0], which widens to [0, 1].
 	ylo, yhi = math.Min(ylo, 0), math.Max(yhi, 0)
 	if yhi == ylo {
 		yhi = ylo + 1

@@ -144,20 +144,56 @@ func TestDeterministicRender(t *testing.T) {
 
 // TestEmptyAndDegenerateInputs: charts over no data, single points and
 // all-NaN series must still render well-formed documents, never panic or
-// emit broken paths.
+// emit broken paths. An empty value range widens to one unit; a band of
+// one point, a series whose Y and X differ in length and a bar that is not
+// finite draw nothing; a negative bar hangs from the zero line.
 func TestEmptyAndDegenerateInputs(t *testing.T) {
-	for _, c := range []Artifact{
-		{"empty-line", &Line{Title: "empty"}},
-		{"one-point", &Line{Series: []Series{{Name: "p", X: []float64{5}, Y: []float64{2}}}}},
-		{"all-nan", &Line{Series: []Series{{Name: "n", X: []float64{0, 1}, Y: []float64{math.NaN(), math.Inf(1)}}}}},
-		{"flat", &Line{Series: []Series{{Name: "f", X: []float64{0, 1}, Y: []float64{3, 3}}}}},
-		{"empty-bar", &Bar{Title: "empty"}},
-		{"no-valid-bar", &Bar{Groups: []string{"g"}, Series: []BarSeries{{Name: "s", Vals: []float64{1}, Valid: []bool{false}}}}},
+	for _, tc := range []struct {
+		c         Artifact
+		has, hasn []string
+	}{
+		{c: Artifact{"empty-line", &Line{Title: "empty"}}},
+		{c: Artifact{"one-point", &Line{Series: []Series{{Name: "p", X: []float64{5}, Y: []float64{2}}}}}},
+		{c: Artifact{"all-nan", &Line{Series: []Series{{Name: "n", X: []float64{0, 1}, Y: []float64{math.NaN(), math.Inf(1)}}}}}},
+		{c: Artifact{"flat", &Line{Series: []Series{{Name: "f", X: []float64{0, 1}, Y: []float64{3, 3}}}}}},
+		{c: Artifact{"flat-zero", &Line{Series: []Series{{Name: "z", X: []float64{0, 1}, Y: []float64{0, 0}}}}},
+			has: []string{">1.0</text>", "<path"}},
+		{c: Artifact{"one-point-band", &Line{Series: []Series{{Name: "b", X: []float64{0}, Y: []float64{1}, Lo: []float64{0}, Hi: []float64{2}}}}},
+			hasn: []string{"fill-opacity"}},
+		{c: Artifact{"ragged", &Line{Series: []Series{{Name: "r", X: []float64{0, 1}, Y: []float64{1}}}}},
+			hasn: []string{"<path"}},
+		{c: Artifact{"empty-bar", &Bar{Title: "empty"}}},
+		{c: Artifact{"no-series-bar", &Bar{Groups: []string{"lonely-group"}}}, hasn: []string{"lonely-group"}},
+		{c: Artifact{"no-valid-bar", &Bar{Groups: []string{"g"}, Series: []BarSeries{{Name: "s", Vals: []float64{1}, Valid: []bool{false}}}}}},
+		{c: Artifact{"zero-bar", &Bar{Groups: []string{"g"}, Series: []BarSeries{{Name: "s", Vals: []float64{0}}}}},
+			has: []string{">1.0</text>", `height="0.00" rx="2"`}},
+		{c: Artifact{"nan-bar", &Bar{Groups: []string{"g"}, Series: []BarSeries{{Name: "s", Vals: []float64{math.NaN()}}}}},
+			hasn: []string{`rx="2"`}},
+		{c: Artifact{"negative-bar", &Bar{Groups: []string{"g"}, Series: []BarSeries{{Name: "s", Vals: []float64{-2}}}}},
+			has: []string{`y="52.00" width="18.00" height="264.00"`}},
 	} {
-		svg := renderTo(t, c)
-		if !strings.Contains(string(svg), "</svg>") {
-			t.Errorf("%s: truncated document", c.Name)
+		svg := string(renderTo(t, tc.c))
+		if !strings.Contains(svg, "</svg>") || strings.Contains(svg, "NaN") {
+			t.Errorf("%s: truncated document or a NaN coordinate", tc.c.Name)
 		}
+		for _, s := range tc.has {
+			if !strings.Contains(svg, s) {
+				t.Errorf("%s: no %q in\n%s", tc.c.Name, s, svg)
+			}
+		}
+		for _, s := range tc.hasn {
+			if strings.Contains(svg, s) {
+				t.Errorf("%s: %q in\n%s", tc.c.Name, s, svg)
+			}
+		}
+	}
+}
+
+// TestCoordHasNoNegativeZero: a coordinate that rounds to zero from below
+// prints as 0.00, so the bytes do not depend on the side it came from.
+func TestCoordHasNoNegativeZero(t *testing.T) {
+	if got := coord(-0.001); got != "0.00" {
+		t.Errorf("coord(-0.001) = %q, want 0.00", got)
 	}
 }
 
@@ -184,6 +220,7 @@ func TestSlug(t *testing.T) {
 		{"Source kbps", "source-kbps"},
 		{"AS B'D%", "as-b-d"},
 		{"continuity", "continuity"},
+		{"Top 10 in 2009", "top-10-in-2009"},
 		{"--", "chart"},
 		{"Time series — scenario \"x\"", "time-series-scenario-x"},
 	} {
@@ -215,6 +252,15 @@ func TestWriteDir(t *testing.T) {
 }
 
 func TestTicksCoverRange(t *testing.T) {
+	if got := niceStep(0, 5); got != 1 {
+		t.Errorf("niceStep over an empty span = %v, want 1", got)
+	}
+	// The step is the smallest 1/2/5×10ⁿ that keeps to maxTicks.
+	for _, tc := range []struct{ span, want float64 }{{5, 1}, {10, 2}, {20, 5}, {40, 10}, {0.5, 0.1}} {
+		if got := niceStep(tc.span, 5); math.Abs(got-tc.want) > 1e-12 {
+			t.Errorf("niceStep(%v, 5) = %v, want %v", tc.span, got, tc.want)
+		}
+	}
 	for _, tc := range []struct{ lo, hi float64 }{
 		{0, 1}, {0, 237686}, {0.85, 0.99}, {-5, 5}, {0, 0.0001},
 	} {

@@ -112,8 +112,15 @@ func TestBarsZeroWidthDefault(t *testing.T) {
 	if err := bars.Render(&b, 0); err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(b.String(), "#") {
+	if !strings.Contains(b.String(), strings.Repeat("#", 40)) {
 		t.Error("default width not applied")
+	}
+	b.Reset()
+	if err := bars.Render(&b, 1); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(b.String(), "|#|") {
+		t.Errorf("width 1 drew %q, want one mark", b.String())
 	}
 }
 

@@ -50,12 +50,7 @@ func (a *Accumulator) Mean() float64 {
 }
 
 // Max reports the largest value seen, or 0 for an empty accumulator.
-func (a *Accumulator) Max() float64 {
-	if a.n == 0 {
-		return 0
-	}
-	return a.max
-}
+func (a *Accumulator) Max() float64 { return a.max }
 
 // Variance reports the unbiased sample variance, or 0 when fewer than two
 // values have been seen (a single trial carries no spread information).

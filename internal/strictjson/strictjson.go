@@ -28,7 +28,6 @@ func Decode(r io.Reader, v any) error {
 		return err
 	}
 	dec := json.NewDecoder(bytes.NewReader(b))
-	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return err
 	}

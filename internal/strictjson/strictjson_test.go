@@ -2,14 +2,23 @@ package strictjson
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
+	"testing/iotest"
 )
 
 type doc struct {
-	Name  string `json:"name"`
-	N     int    `json:"n,omitempty"`
-	Items []item `json:"items,omitempty"`
+	Meta
+	Name  string          `json:"name"`
+	N     int             `json:"n,omitempty"`
+	Items []item          `json:"items,omitempty"`
+	Attrs map[string]item `json:"attrs,omitempty"`
+}
+
+// Meta's fields are promoted into doc's object, as encoding/json does.
+type Meta struct {
+	Tag string `json:"tag,omitempty"`
 }
 
 type item struct {
@@ -26,6 +35,10 @@ func TestDecodeIsStrict(t *testing.T) {
 		{"explicit zero value", `{"name":"a","n":0,"items":[]}`, true, ""},
 		{"nested object", `{"name":"a","items":[{"Label":"x"}]}`, true, ""},
 		{"surrounding white space", " \n{\"name\":\"a\"}\n\t ", true, ""},
+		{"promoted field", `{"name":"a","tag":"t"}`, true, ""},
+		{"miscased promoted field", `{"name":"a","Tag":"t"}`, false, "Tag"},
+		{"map of objects", `{"name":"a","attrs":{"k":{"Label":"x"}}}`, true, ""},
+		{"miscased key in a map value", `{"name":"a","attrs":{"k":{"label":"x"}}}`, false, "label"},
 		{"unknown field", `{"name":"a","bogus":1}`, false, "bogus"},
 		{"miscased key", `{"nAme":"a"}`, false, "nAme"},
 		{"miscased nested key", `{"name":"a","items":[{"Label":"x"},{"label":"y"}]}`, false, "label"},
@@ -42,6 +55,10 @@ func TestDecodeIsStrict(t *testing.T) {
 		if c.ok && d.Name != "a" {
 			t.Errorf("%s: decoded %+v", c.name, d)
 		}
+	}
+	failed := errors.New("read failed")
+	if err := Decode(iotest.ErrReader(failed), new(doc)); err != failed {
+		t.Errorf("Decode of a failing reader: %v, want its error", err)
 	}
 }
 

@@ -102,6 +102,8 @@ func TestStringRendering(t *testing.T) {
 		{"384.00Kbps", 384 * Kbps},
 		{"10.00Mbps", 10 * Mbps},
 		{"1.00Gbps", Gbps},
+		{"1.00Mbps", Mbps}, // each unit starts at exactly one of it
+		{"1.00Kbps", Kbps},
 		{"12bps", 12},
 	}
 	for _, c := range cases {
@@ -116,6 +118,9 @@ func TestStringRendering(t *testing.T) {
 		{"48.00KB", 48 * KB},
 		{"3.00MB", 3 * MB},
 		{"2.50GB", 2500 * MB},
+		{"1.00GB", GB},
+		{"1.00MB", MB},
+		{"1.00KB", KB},
 		{"999B", 999},
 	}
 	for _, c := range sizes {

@@ -22,8 +22,8 @@ import (
 	"time"
 )
 
-// The mutation pass. A mutant is one small edit to a simulation package,
-// built and tested in a copy of the tree: a comparison negated or moved
+// The mutation pass. A mutant is one small edit to a sampled package, built
+// and tested in a copy of the tree: a comparison negated or moved
 // across its boundary, a numeric constant set to 0 or 1, an assignment or a
 // call statement deleted, or a return put first in a function without
 // results. The tree pins its output with digests, so a mutant that every
@@ -33,18 +33,22 @@ import (
 //
 //	go test -tags mutation -run 'TestMutationPass$' -timeout 0 -v .
 //
-// TestMutationSmoke runs four fixed mutants, one per outcome a pass must
-// tell apart and one in study, run with the whole test set fleet included;
-// it takes about 95 s.
+// TestMutationSmoke runs five fixed mutants, one per outcome a pass must
+// tell apart, one in study and one in fleet; it takes about 100 s.
 
-// mutationPackages are the packages the pass samples, under internal/: the
-// layers above core, which place peers, schedule a run and reduce and
-// aggregate what the probes saw. Seed 27 sampled the packages below them.
-var mutationPackages = []string{"sniffer", "experiment", "world", "topology", "scenario", "apps", "study"}
+// mutationPackages are the packages the pass samples, by path from the
+// repository root: the fleet, the three commands, and the leaf packages every
+// output passes through (plots, tables, the trace format, the strict JSON
+// reader, statistics and units). Seed 27 sampled the simulation packages up
+// to core, seed 55 the layers above core.
+var mutationPackages = []string{
+	"internal/fleet", "cmd/napawine", "cmd/traceinspect", "cmd/worldgen", "internal/plot",
+	"internal/report", "internal/packet", "internal/strictjson", "internal/stats", "internal/units",
+}
 
 const (
 	mutationSample = 300
-	mutationSeed   = 55
+	mutationSeed   = 56
 	// mutantDeadline bounds one mutant's build and tests together; unmutated,
 	// they take about 12 s on 2 cores. Past it the mutant reads "timed out".
 	mutantDeadline = 60 * time.Second
@@ -148,7 +152,7 @@ func mutantsOf(t *testing.T, pkg, file string) []mutant {
 func allMutants(t *testing.T) []mutant {
 	var out []mutant
 	for _, pkg := range mutationPackages {
-		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		files, err := filepath.Glob(filepath.Join(pkg, "*.go"))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,8 +192,9 @@ func copyTree(t *testing.T) string {
 
 // runMutant builds and tests one mutant in dir, the tree copyTree made, and
 // puts its file back afterwards. The mutant's own package is tested with the
-// layers above it that pin output: experiment, study, fleet (the only tests
-// of a cell run remotely and of the summary codecs), the root and the CLI.
+// layers that pin output: experiment, study, fleet (the only tests of a cell
+// run remotely and of the summary codecs), the root and the CLI; a mutant of
+// the trace format also with traceinspect, the one command that reads it.
 func runMutant(t *testing.T, dir string, m mutant) string {
 	path := filepath.Join(dir, m.file)
 	orig, err := os.ReadFile(path)
@@ -207,8 +212,16 @@ func runMutant(t *testing.T, dir string, m mutant) string {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), mutantDeadline)
 	defer cancel()
-	cmd := exec.CommandContext(ctx, "go", "test", "-p", "2", "-count=1", "-vet=off",
-		"./internal/"+m.pkg, "./internal/experiment", "./internal/study", "./internal/fleet", ".", "./cmd/napawine")
+	pkgs := []string{"./internal/experiment", "./internal/study", "./internal/fleet", ".", "./cmd/napawine"}
+	if m.pkg == "internal/packet" {
+		pkgs = append(pkgs, "./cmd/traceinspect")
+	}
+	if !slices.Contains(pkgs, "./"+m.pkg) {
+		pkgs = append(pkgs, "./"+m.pkg)
+	}
+	// -failfast: a test binary stops at its first failure, so a mutant that
+	// fails one test and hangs a later one reads killed, not timed out.
+	cmd := exec.CommandContext(ctx, "go", slices.Concat([]string{"test", "-p", "2", "-count=1", "-vet=off", "-failfast"}, pkgs)...)
 	cmd.Dir = dir
 	// A hung mutant's test binaries are the go command's children: the
 	// deadline kills the whole process group, not the go command alone.
@@ -244,7 +257,7 @@ func runAll(t *testing.T, ms []mutant) map[string]string {
 	}
 	for _, pkg := range slices.Sorted(maps.Keys(counts)) {
 		c := counts[pkg]
-		t.Logf("%-12s %s %d, %s %d, %s %d, %s %d", pkg, killed, c[killed], survived, c[survived], noCompile, c[noCompile], timedOut, c[timedOut])
+		t.Logf("%-19s %s %d, %s %d, %s %d, %s %d", pkg, killed, c[killed], survived, c[survived], noCompile, c[noCompile], timedOut, c[timedOut])
 	}
 	return got
 }
@@ -263,20 +276,22 @@ func TestMutationPass(t *testing.T) {
 	runAll(t, ms)
 }
 
-// TestMutationSmoke runs four fixed mutants and requires each to end as it
+// TestMutationSmoke runs five fixed mutants and requires each to end as it
 // must: a deleted ledger count is killed, a cap clamp that may also take the
 // value it clamps to survives, a binary search that never narrows times out,
-// and a summary encoder that refuses every summary is killed.
+// a summary encoder that refuses every summary is killed, and so is a worker
+// that returns a summary with no JSON instead of failing its cell.
 func TestMutationSmoke(t *testing.T) {
 	cases := []struct{ file, text, op, want string }{
 		{"internal/overlay/transfer.go", "sc.ledger.ChunksServedTotal++", "delete", killed},
 		{"internal/policy/policy.go", "r > b.Cap", "> to >=", survived},
 		{"internal/overlay/partners.go", "hi = mid", "delete", timedOut},
 		{"internal/study/resultcodec.go", "s == nil", "== to !=", killed},
+		{"internal/fleet/worker.go", "runErr = err", "delete", killed},
 	}
 	var ms []mutant
 	for _, c := range cases {
-		all := mutantsOf(t, filepath.Base(filepath.Dir(c.file)), c.file)
+		all := mutantsOf(t, filepath.Dir(c.file), c.file)
 		i := slices.IndexFunc(all, func(m mutant) bool { return m.op == c.op && m.text == c.text })
 		if i < 0 {
 			t.Fatalf("no %q mutant of `%s` in %s", c.op, c.text, c.file)
