@@ -3,20 +3,17 @@ package main
 import (
 	"bytes"
 	"context"
-	"crypto/sha256"
 	"encoding/xml"
-	"fmt"
 	"io"
-	"maps"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"napawine/internal/fleet"
+	"napawine/internal/golden"
 	"napawine/internal/scenario"
 	"napawine/internal/study"
 )
@@ -42,91 +39,52 @@ func runCLI(args ...string) (code int, stdout, stderr string) {
 	return code, out.String(), errw.String()
 }
 
-// TestCLIOutputDigests pins the bytes each rendering path prints. The
-// digests were recorded from the build *before* the three run paths were
-// folded into one study pipeline; they move only for a change that intends
-// to alter what a user sees, and the commit must say so.
+// TestCLIOutputDigests pins the bytes each rendering path prints in
+// testdata/cli/. A file moves only for a change that intends to alter what a
+// user sees (go test -update), and the commit must say so. A -serial case
+// reads its twin's file: -workers does not move a byte. Under -short only
+// the cases that run no swarm run.
 func TestCLIOutputDigests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs a dozen miniature swarms; skipped under -short")
-	}
 	zapping := filepath.Join("..", "..", "internal", "scenario", "specs", "zapping.json")
-	for _, tc := range []struct {
-		name, args, want string
-	}{
-		{"paper", "-exp all -apps TVAnts -seed 7 -duration 20s -scale 0.1",
-			"3c837bef385412d5cdeee7686a8d707fd0c91ca25da4956b300ccde8edfc3563"},
-		{"replicated-scenario", "-exp all -apps TVAnts,SopCast -seed 7 -seeds 3 -duration 20s -scale 0.1 -scenario flashcrowd",
-			"d28352ed1ce05ce996a1a8f2455b231a9ab315dd7fd3eecfd79dc8b448cadc6b"},
-		{"replicated-scenario-serial", "-exp all -apps TVAnts,SopCast -seed 7 -seeds 3 -duration 20s -scale 0.1 -scenario flashcrowd -workers 1",
-			"d28352ed1ce05ce996a1a8f2455b231a9ab315dd7fd3eecfd79dc8b448cadc6b"},
-		{"study", "-study blind-ablation -apps TVAnts -seeds 2 -duration 20s -scale 0.1",
-			"37b325633bc1cd786b2c0ad4f0e319b8733beacf27acb612a719c9304a9e1d1f"},
-		{"paper-congestion-csv", "-exp table4 -apps PPLive -seed 7 -duration 20s -scale 0.1 -queue-depth 1 -strategy rarest -csv",
-			"e3ebaaa30f82c32025ad063e5ece6e6c016da9289dd329455ab5c78b9e7bc14a"},
-		{"replicated-peers-scenario-file", "-exp table2 -apps SopCast,PPLive -seed 3 -seeds 2 -duration 20s -peers 80 -scenario " + zapping,
-			"2269982013036d10f71a822de184c8ad447bd540d6f62af0483b3780c49474ce"},
+	for _, tc := range []struct{ name, args string }{
+		{"paper", "-exp all -apps TVAnts -seed 7 -duration 20s -scale 0.1"},
+		{"replicated-scenario", "-exp all -apps TVAnts,SopCast -seed 7 -seeds 3 -duration 20s -scale 0.1 -scenario flashcrowd"},
+		{"replicated-scenario-serial", "-exp all -apps TVAnts,SopCast -seed 7 -seeds 3 -duration 20s -scale 0.1 -scenario flashcrowd -workers 1"},
+		{"paper-congestion-csv", "-exp table4 -apps PPLive -seed 7 -duration 20s -scale 0.1 -queue-depth 1 -strategy rarest -csv"},
+		{"replicated-peers-scenario-file", "-exp table2 -apps SopCast,PPLive -seed 3 -seeds 2 -duration 20s -peers 80 -scenario " + zapping},
 		// Table I is the testbed's constants, with no run behind it.
-		{"table1", "-exp table1",
-			"5a553846b5f9ae6efd56578258cfd376689c23fbdbdb8942ea379141a4936bc2"},
-		{"table1-csv", "-exp table1 -csv",
-			"6e7ed150359996901c60f53a540a5cc2e6356ecdbbcb22a3c5baa484f2b877dc"},
+		{"table1", "-exp table1"},
+		{"table1-csv", "-exp table1 -csv"},
 		// The listings print the registries' order and descriptions.
-		{"scenario-list", "-list scenarios",
-			"bcdc01c2b3a95b92bce3ab0350d081b374743098fad7f57552f7f42bfc4bdfdb"},
-		{"study-list", "-list studies",
-			"f979f9dbd263177e9f3121c8f7cfc5d35f27f2bc51f449e1fe72a84d11301765"},
-		{"strategy-list", "-list strategies",
-			"c1083ffdeab1921e85a767a77e328e19dd1b01a31b16f0ed4650c363a20523ec"},
+		{"scenario-list", "-list scenarios"},
+		{"study-list", "-list studies"},
+		{"strategy-list", "-list strategies"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			if testing.Short() && strings.Contains(tc.args, "-duration") {
+				t.Skip("runs a miniature swarm; skipped under -short")
+			}
 			code, stdout, stderr := runCLI(strings.Fields(tc.args)...)
 			if code != 0 {
 				t.Fatalf("exit %d:\n%s", code, stderr)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); got != tc.want {
-				t.Errorf("stdout digest drifted:\n got %s\nwant %s\n%s", got, tc.want, stdout)
-			}
+			golden.Check(t, filepath.Join("testdata", "cli", strings.TrimSuffix(tc.name, "-serial")+".txt"), []byte(stdout))
 		})
 	}
 }
 
 // TestSVGArtifactsArePinned: -svg-out writes well-formed SVG on each of the
-// three render paths, and their bytes are pinned as the digests above pin
-// stdout: a one-seed scenario run (swarm-wide series, per-AS series and
-// Figure 1), a replicated one (mean±stderr series) and a study (metric bars).
+// three render paths, and testdata/svg-out/ pins its files and stdout: a
+// one-seed scenario run (swarm-wide series, per-AS series and Figure 1), a
+// replicated one (mean±stderr series) and a study (metric bars).
 func TestSVGArtifactsArePinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs miniature swarms; skipped under -short")
 	}
-	for _, tc := range []struct {
-		name, args, stdout string
-		files              map[string]string
-	}{
-		{"one-seed-scenario", "-exp all -apps TVAnts -seed 7 -duration 20s -scale 0.1 -scenario flashcrowd",
-			"5a7bb61c40b4960c8743e6be530c0b11942d5eb5ddcec04672dd682193eadc72", map[string]string{
-				"fig1-tvants.svg":              "6377184df0e9e30e0a08329832b4e11d7b41276339e257f27f8e913b4ee08493",
-				"per-as-continuity-tvants.svg": "e3cc29639936f586e4d8cd20e16ed767c225bb6e1a9cf882253481eb18df81f4",
-				"per-as-intra-as-tvants.svg":   "f9728dd0b329f0bd10a87e3876d96d31a67feaab7d643817385fcc0911b15d61",
-				"per-as-online-tvants.svg":     "2dc0d68443948a3544e0f6da2b226fdf2b3adf3e1c3fb71f3ed9112b903c176e",
-				"series-continuity.svg":        "a0c1bc6f3e5cb5085a61d962fa9935ec5f3c188fdc2090d58bcf16a50745d290",
-				"series-intra-as.svg":          "9f43c662f9f131e20d507f92db7d0ba3308f9009905a595edb09769730628995",
-				"series-online.svg":            "3b124d6e0043368ad9afe346b9fb0c64273156ecad29c62496d390d07a5709e1",
-				"series-video-kbps.svg":        "9923a706c5c770feeb74c787cb8a1034c25ea129060dec288d1ff1808a4aaea7",
-			}},
-		{"replicated-scenario", "-exp all -apps TVAnts,SopCast -seed 7 -seeds 2 -duration 20s -scale 0.1 -scenario flashcrowd",
-			"ef4c7bd282ba39d99d67a5e17b56a03161c2bd4a2eceb26d6b5fc896437a92da", map[string]string{
-				"sweep-continuity.svg": "b27a786146b43555f0810b9fa989fbd61e8c86b4b7cf2f3f186b4a3433586b4b",
-				"sweep-intra-as.svg":   "b8d45e0d77cc830e6818296bfb25ae14b7dc4197b5f279b8507ba291e7d9df41",
-				"sweep-online.svg":     "1740022f99beb739688f2b53ea47d2507eccd5b8c69111242e8fb7740f7df9c1",
-				"sweep-video-kbps.svg": "825d521792c7952354c84f3ef4c30418e5ad770e722fe84ce72224cbf246df5b",
-			}},
-		{"study", "-study blind-ablation -apps TVAnts -seeds 2 -duration 20s -scale 0.1",
-			"37b325633bc1cd786b2c0ad4f0e319b8733beacf27acb612a719c9304a9e1d1f", map[string]string{
-				"study-as-b-d.svg":       "a18b3ee386a8c147913107e2cf7999bb952a68db17105d701a6fdd34a8c64c11",
-				"study-continuity.svg":   "9388e807ff4b59f5bb3a2b2dea132482b3c12ac67c0a831488032c89abf9e346",
-				"study-source-share.svg": "9f4cea7ae7a908b8fb0f1f15a6ee8b888d10ee3b35275bec3fe0a7d93d46cc90",
-			}},
+	for _, tc := range []struct{ name, args string }{
+		{"one-seed-scenario", "-exp all -apps TVAnts -seed 7 -duration 20s -scale 0.1 -scenario flashcrowd"},
+		{"replicated-scenario", "-exp all -apps TVAnts,SopCast -seed 7 -seeds 2 -duration 20s -scale 0.1 -scenario flashcrowd"},
+		{"study", "-study blind-ablation -apps TVAnts -seeds 2 -duration 20s -scale 0.1"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
@@ -134,34 +92,19 @@ func TestSVGArtifactsArePinned(t *testing.T) {
 			if code != 0 {
 				t.Fatalf("exit %d:\n%s", code, stderr)
 			}
-			if got := fmt.Sprintf("%x", sha256.Sum256([]byte(stdout))); got != tc.stdout {
-				t.Errorf("stdout digest drifted:\n got %s\nwant %s\n%s", got, tc.stdout, stdout)
-			}
-			entries, err := os.ReadDir(dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var names []string
-			for _, e := range entries {
-				names = append(names, e.Name())
-				b, err := os.ReadFile(filepath.Join(dir, e.Name()))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got := fmt.Sprintf("%x", sha256.Sum256(b)); got != tc.files[e.Name()] {
-					t.Errorf("%s digest drifted:\n got %s\nwant %s", e.Name(), got, tc.files[e.Name()])
-				}
+			golden.Check(t, filepath.Join("testdata", "svg-out", tc.name+".txt"), []byte(stdout))
+			golden.CheckDir(t, filepath.Join("testdata", "svg-out", tc.name), dir)
+			svgs, _ := filepath.Glob(filepath.Join(dir, "*"))
+			for _, path := range svgs {
+				b, _ := os.ReadFile(path) // CheckDir has read it
 				for d := xml.NewDecoder(bytes.NewReader(b)); ; {
 					if _, err := d.Token(); err == io.EOF {
 						break
 					} else if err != nil {
-						t.Errorf("%s: %v", e.Name(), err)
+						t.Errorf("%s: %v", path, err)
 						break
 					}
 				}
-			}
-			if want := slices.Sorted(maps.Keys(tc.files)); !slices.Equal(names, want) {
-				t.Errorf("artifacts %q, want %q", names, want)
 			}
 		})
 	}
@@ -358,20 +301,13 @@ func TestBannerReportsTheBuiltStudy(t *testing.T) {
 }
 
 // TestHelpAndStaticPaths: -h prints the flag summary and succeeds; the
-// registries and Table I print without running anything.
+// registries and Table I, pinned in testdata/cli/, print nothing to stderr.
 func TestHelpAndStaticPaths(t *testing.T) {
 	if code, _, stderr := runCLI("-h"); code != 0 || !strings.Contains(stderr, "-list") {
 		t.Errorf("-h: exit %d:\n%s", code, stderr)
 	}
-	for args, want := range map[string]string{
-		"-list scenarios":  "flashcrowd",
-		"-list strategies": "rarest",
-		"-list studies":    "blind-ablation",
-		"-exp table1":      "TABLE I",
-		"-exp table1 -csv": "Site,CC,AS",
-	} {
-		code, stdout, stderr := runCLI(strings.Fields(args)...)
-		if code != 0 || !strings.Contains(stdout, want) || stderr != "" {
+	for _, args := range []string{"-list scenarios", "-list strategies", "-list studies", "-exp table1", "-exp table1 -csv"} {
+		if code, stdout, stderr := runCLI(strings.Fields(args)...); code != 0 || stdout == "" || stderr != "" {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q", args, code, stdout, stderr)
 		}
 	}

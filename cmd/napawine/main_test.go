@@ -99,15 +99,6 @@ func TestParseApps(t *testing.T) {
 	}
 }
 
-func TestScenarioListNamesEveryScenario(t *testing.T) {
-	out := (&options{list: "scenarios"}).listing()
-	for _, name := range []string{"steady", "flashcrowd", "diurnal", "partition", "outage", "throttle", "failover", "zapping", "regional"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list scenarios output missing %q:\n%s", name, out)
-		}
-	}
-}
-
 func TestValidateArgsRejectsScenarioWithTable1(t *testing.T) {
 	if err := validate(t, "-exp", "table1", "-scenario", "flashcrowd"); err == nil {
 		t.Error("-scenario with -exp table1 accepted (it would be silently ignored)")
@@ -147,24 +138,6 @@ func TestValidateArgsScenarioFile(t *testing.T) {
 	}
 	if err := validate(t, "-exp", "table1", "-scenario", "f.json"); err == nil {
 		t.Error("-scenario file with -exp table1 accepted (it would be silently ignored)")
-	}
-}
-
-func TestStrategyListNamesEveryStrategy(t *testing.T) {
-	out := (&options{list: "strategies"}).listing()
-	for _, name := range []string{"urgent-random", "latest-useful", "rarest", "deadline"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list strategies output missing %q:\n%s", name, out)
-		}
-	}
-}
-
-func TestStudyListNamesEveryStudy(t *testing.T) {
-	out := (&options{list: "studies"}).listing()
-	for _, name := range []string{"strategy-comparison", "blind-ablation"} {
-		if !strings.Contains(out, name) {
-			t.Errorf("-list studies output missing %q:\n%s", name, out)
-		}
 	}
 }
 

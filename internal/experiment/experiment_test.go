@@ -1,6 +1,8 @@
 package experiment
 
 import (
+	"bytes"
+	"errors"
 	"fmt"
 	"reflect"
 	"strings"
@@ -10,7 +12,9 @@ import (
 	"napawine/internal/apps"
 	"napawine/internal/chunkstream"
 	"napawine/internal/core"
+	"napawine/internal/golden"
 	"napawine/internal/overlay"
+	"napawine/internal/report"
 	"napawine/internal/scenario"
 	"napawine/internal/world"
 )
@@ -139,64 +143,20 @@ func TestSelfBiasPresent(t *testing.T) {
 	}
 }
 
+// TestTableRendering pins what the cached SopCast run renders, every table
+// and figure, in testdata/sopcast-tables.txt.
 func TestTableRendering(t *testing.T) {
-	r := runSmall(t, "SopCast")
-	results := []*Result{r}
-
-	var b strings.Builder
-	if err := TableII(results).Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "SopCast") {
-		t.Error("Table II missing app row")
-	}
-
-	b.Reset()
-	if err := TableIII(results).Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "self-induced") {
-		t.Error("Table III title missing")
-	}
-
-	b.Reset()
-	if err := TableIV(results).Render(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	for _, prop := range []string{"BW", "AS", "CC", "NET", "HOP"} {
-		if !strings.Contains(out, prop) {
-			t.Errorf("Table IV missing %s row", prop)
+	results := []*Result{runSmall(t, "SopCast")}
+	var b bytes.Buffer
+	for _, tab := range []*report.Table{TableII(results), TableIII(results), TableIV(results)} {
+		if err := tab.Render(&b); err != nil {
+			t.Fatal(err)
 		}
 	}
-	// The BW upload cells must be dashes.
-	bwLine := ""
-	for _, line := range strings.Split(out, "\n") {
-		if strings.HasPrefix(line, "BW") {
-			bwLine = line
-		}
-	}
-	if !strings.Contains(bwLine, "-") {
-		t.Errorf("BW row should contain dashed upload cells: %q", bwLine)
-	}
-
-	b.Reset()
-	if err := RenderFigure1(&b, results); err != nil {
+	if err := errors.Join(RenderFigure1(&b, results), RenderFigure2(&b, results)); err != nil {
 		t.Fatal(err)
 	}
-	for _, label := range []string{"CN", "HU", "IT", "FR", "PL", "*"} {
-		if !strings.Contains(b.String(), label) {
-			t.Errorf("Figure 1 missing %s", label)
-		}
-	}
-
-	b.Reset()
-	if err := RenderFigure2(&b, results); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "AS1") || !strings.Contains(b.String(), "R=") {
-		t.Error("Figure 2 missing matrix or ratio")
-	}
+	golden.Check(t, "testdata/sopcast-tables.txt", b.Bytes())
 }
 
 func TestFigure1Normalized(t *testing.T) {

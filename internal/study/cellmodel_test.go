@@ -4,11 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"os"
 	"testing"
 	"time"
 
 	"napawine/internal/experiment"
+	"napawine/internal/golden"
 )
 
 // TestCellDigestsArePinned holds the spool's key format to values computed
@@ -119,11 +119,5 @@ func TestResultEncodingIsPinned(t *testing.T) {
 	if err := EncodeResult(&got, res); err != nil {
 		t.Fatal(err)
 	}
-	want, err := os.ReadFile("testdata/result-2cell.golden.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got.Bytes(), want) {
-		t.Fatalf("EncodeResult moved away from testdata/result-2cell.golden.json; got:\n%s", got.Bytes())
-	}
+	golden.Check(t, "testdata/result-2cell.golden.json", got.Bytes())
 }
