@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"strings"
+	"unicode/utf8"
 )
 
 // Table is a titled grid with a header row.
@@ -35,13 +36,11 @@ func (t *Table) Add(cells ...string) {
 func (t *Table) Render(w io.Writer) error {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
 	var b strings.Builder
@@ -55,7 +54,7 @@ func (t *Table) Render(w io.Writer) error {
 				b.WriteString("  ")
 			}
 			b.WriteString(cell)
-			b.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+			b.WriteString(strings.Repeat(" ", widths[i]-utf8.RuneCountInString(cell)))
 		}
 		b.WriteByte('\n')
 	}
@@ -166,9 +165,7 @@ func (b *Bars) Render(w io.Writer, width int) error {
 	}
 	labelW := 0
 	for _, r := range b.rows {
-		if len(r.label) > labelW {
-			labelW = len(r.label)
-		}
+		labelW = max(labelW, utf8.RuneCountInString(r.label))
 	}
 	for _, r := range b.rows {
 		n := 0
@@ -176,7 +173,7 @@ func (b *Bars) Render(w io.Writer, width int) error {
 			n = int(r.value / b.max * float64(width))
 		}
 		sb.WriteString(r.label)
-		sb.WriteString(strings.Repeat(" ", labelW-len(r.label)))
+		sb.WriteString(strings.Repeat(" ", labelW-utf8.RuneCountInString(r.label)))
 		sb.WriteString(" |")
 		sb.WriteString(strings.Repeat("#", n))
 		sb.WriteString(strings.Repeat(" ", width-n))
@@ -201,9 +198,7 @@ func Matrix(w io.Writer, title string, labels []string, cell func(i, j int) stri
 	}
 	width := 0
 	for _, l := range labels {
-		if len(l) > width {
-			width = len(l)
-		}
+		width = max(width, utf8.RuneCountInString(l))
 	}
 	cells := make([][]string, len(labels))
 	for i := range labels {
@@ -214,12 +209,10 @@ func Matrix(w io.Writer, title string, labels []string, cell func(i, j int) stri
 				s = "[" + s + "]"
 			}
 			cells[i][j] = s
-			if len(s) > width {
-				width = len(s)
-			}
+			width = max(width, utf8.RuneCountInString(s))
 		}
 	}
-	pad := func(s string) string { return strings.Repeat(" ", width-len(s)) + s }
+	pad := func(s string) string { return strings.Repeat(" ", width-utf8.RuneCountInString(s)) + s }
 	b.WriteString(pad(""))
 	for _, l := range labels {
 		b.WriteString(" " + pad(l))

@@ -31,6 +31,22 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// TestTablePadsRunes: a column is as wide as its cells' runes, so a
+// mean±stderr cell lines up with its header and with a "-" cell.
+func TestTablePadsRunes(t *testing.T) {
+	tab := NewTable("", "Continuity", "AS B'D%")
+	tab.Add("1.000±0.000", "1.6±1.6")
+	tab.Add("-", "-")
+	var b strings.Builder
+	if err := tab.Render(&b); err != nil {
+		t.Fatal(err)
+	}
+	want := "Continuity   AS B'D%\n--------------------\n1.000±0.000  1.6±1.6\n-            -      \n"
+	if b.String() != want {
+		t.Errorf("rendered\n%s\nwant\n%s", b.String(), want)
+	}
+}
+
 func TestTableShortRowPadded(t *testing.T) {
 	tab := NewTable("", "a", "b", "c")
 	tab.Add("x")
