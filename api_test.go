@@ -2,6 +2,8 @@ package napawine_test
 
 import (
 	"context"
+	"errors"
+	"io"
 	"strings"
 	"testing"
 	"time"
@@ -52,28 +54,15 @@ func TestRunAllOrderAndHealth(t *testing.T) {
 
 func TestPublicTablesRender(t *testing.T) {
 	results := getBattery(t)
-	var b strings.Builder
-	for _, tab := range []*napawine.Table{
-		napawine.TableII(results),
-		napawine.TableIII(results),
-		napawine.TableIV(results),
-	} {
-		b.Reset()
-		if err := tab.Render(&b); err != nil {
-			t.Fatal(err)
-		}
+	for _, tab := range []*napawine.Table{napawine.TableII(results), napawine.TableIII(results), napawine.TableIV(results)} {
+		out := renderTables(t, tab).String()
 		for _, app := range napawine.Apps() {
-			if !strings.Contains(b.String(), app) {
+			if !strings.Contains(out, app) {
 				t.Errorf("table %q missing %s", tab.Title, app)
 			}
 		}
 	}
-	b.Reset()
-	if err := napawine.RenderFigure1(&b, results); err != nil {
-		t.Fatal(err)
-	}
-	b.Reset()
-	if err := napawine.RenderFigure2(&b, results); err != nil {
+	if err := errors.Join(napawine.RenderFigure1(io.Discard, results), napawine.RenderFigure2(io.Discard, results)); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -216,20 +205,14 @@ func TestSweepAPI(t *testing.T) {
 	if rows := res.TableII().Rows; len(rows) != 3 {
 		t.Fatalf("Table II has %d rows, want one per app", len(rows))
 	}
-	var b strings.Builder
-	for _, tab := range []*napawine.Table{
-		res.TableII(), res.TableIII(), res.TableIV(), res.HealthTable(),
-	} {
-		b.Reset()
-		if err := tab.Render(&b); err != nil {
-			t.Fatal(err)
-		}
-		if !strings.Contains(b.String(), "±") {
-			t.Errorf("aggregated table lacks error bars:\n%s", b.String())
+	for _, tab := range []*napawine.Table{res.TableII(), res.TableIII(), res.TableIV(), res.HealthTable()} {
+		out := renderTables(t, tab).String()
+		if !strings.Contains(out, "±") {
+			t.Errorf("aggregated table lacks error bars:\n%s", out)
 		}
 		for _, app := range wantApps {
-			if !strings.Contains(b.String(), app) {
-				t.Errorf("table missing %s row:\n%s", app, b.String())
+			if !strings.Contains(out, app) {
+				t.Errorf("table missing %s row:\n%s", app, out)
 			}
 		}
 	}

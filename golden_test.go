@@ -74,6 +74,7 @@ func TestScenarioGoldenDigest(t *testing.T) {
 	golden.Check(t, "testdata/scenario-golden.txt", buf.Bytes())
 }
 
+// renderTables renders tabs one after another.
 func renderTables(t *testing.T, tabs ...*napawine.Table) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer

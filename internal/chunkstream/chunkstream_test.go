@@ -352,3 +352,15 @@ func TestPlayoutReset(t *testing.T) {
 		t.Errorf("Continuity = %v after Reset, want 1", p.Continuity())
 	}
 }
+
+// BenchmarkHas is the test a scheduler round makes per chunk of a 90-chunk
+// window, over a half-full buffer map.
+func BenchmarkHas(b *testing.B) {
+	m := NewBufferMap(1000, 90)
+	for i := 0; i < 90; i += 2 {
+		m.Set(ChunkID(1000 + i))
+	}
+	for i := 0; b.Loop(); i++ {
+		m.Has(ChunkID(1000 + i%90))
+	}
+}

@@ -304,3 +304,24 @@ func BenchmarkPickOne(b *testing.B) {
 		PickOne(rng, cands, w)
 	}
 }
+
+// BenchmarkOrder is one scheduler round of each registered strategy: a
+// 90-chunk pull window with an urgent fifth, refilled each round so a sort
+// never sees its own output.
+func BenchmarkOrder(b *testing.B) {
+	rng := rand.New(rand.NewSource(5))
+	window := make([]ChunkRef, 90)
+	for i := range window {
+		window[i] = ChunkRef{ID: int64(1000 + i), Holders: 1 + rng.Intn(12), Urgent: i < 18}
+	}
+	refs := make([]ChunkRef, len(window))
+	for _, name := range StrategyNames() {
+		strat, _ := StrategyByName(name)
+		b.Run(name, func(b *testing.B) {
+			for b.Loop() {
+				copy(refs, window)
+				strat.Order(rng, refs)
+			}
+		})
+	}
+}

@@ -681,3 +681,21 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 		e.Step()
 	}
 }
+
+// BenchmarkCancel is After+Cancel, the call bench's sim.cancel_ns times. A
+// cancelled event stays queued until its slot spills, so a 1 ms heartbeat
+// stepped every 256 cancels keeps the wheel turning and discards them.
+func BenchmarkCancel(b *testing.B) {
+	e := New(1)
+	var beat func()
+	beat = func() { e.Schedule(time.Millisecond, beat) }
+	beat()
+	rng := rand.New(rand.NewSource(3))
+	nop := func() {}
+	for i := 0; b.Loop(); i++ {
+		e.After(time.Duration(rng.Int63n(int64(100*time.Millisecond))), nop).Cancel()
+		if i&255 == 255 {
+			e.Step()
+		}
+	}
+}

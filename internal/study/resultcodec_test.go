@@ -222,3 +222,19 @@ func TestRunCellMatchesRunAndNewResultAssembles(t *testing.T) {
 		t.Error("short summary slice accepted")
 	}
 }
+
+// BenchmarkSummaryCodec is a summary's round trip through a fleet result
+// body or a spool checkpoint: EncodeSummary, then DecodeSummaryBytes.
+func BenchmarkSummaryCodec(b *testing.B) {
+	sum := fullSummary()
+	var buf bytes.Buffer
+	for b.Loop() {
+		buf.Reset()
+		if err := EncodeSummary(&buf, &sum); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := DecodeSummaryBytes(buf.Bytes()); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

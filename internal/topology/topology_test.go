@@ -441,7 +441,9 @@ func TestPathFunctionsMatchMapReference(t *testing.T) {
 	}
 }
 
-func BenchmarkHopCount(b *testing.B) {
+// benchHosts is 50 hosts, one per AS, over two countries: the fixture of
+// the per-pair lookups a transfer makes.
+func benchHosts() (*Topology, []Host) {
 	bld := NewBuilder(1)
 	bld.AddCountry("CN", Asia)
 	bld.AddCountry("IT", Europe)
@@ -460,8 +462,19 @@ func BenchmarkHopCount(b *testing.B) {
 		h, _ := topo.NewHost(sn)
 		hosts = append(hosts, h)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = topo.HopCount(hosts[i%len(hosts)], hosts[(i*7+3)%len(hosts)])
+	return topo, hosts
+}
+
+func BenchmarkHopCount(b *testing.B) {
+	topo, hosts := benchHosts()
+	for i := 0; b.Loop(); i++ {
+		topo.HopCount(hosts[i%len(hosts)], hosts[(i*7+3)%len(hosts)])
+	}
+}
+
+func BenchmarkOneWayDelay(b *testing.B) {
+	topo, hosts := benchHosts()
+	for i := 0; b.Loop(); i++ {
+		topo.OneWayDelay(hosts[i%len(hosts)], hosts[(i*7+3)%len(hosts)])
 	}
 }
