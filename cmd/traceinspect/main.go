@@ -117,7 +117,7 @@ func inspect(stdout io.Writer, tracePath, csvPath string, top int) (err error) {
 		if i >= top {
 			break
 		}
-		p := agg.Peer(addr)
+		p, _ := agg.Peer(addr)
 		hops := "-"
 		if p.Hops() >= 0 {
 			hops = fmt.Sprintf("%d", p.Hops())

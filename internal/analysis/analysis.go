@@ -46,7 +46,8 @@ func DefaultConfig() Config {
 	return Config{VideoSizeFloor: 1000, FullPacket: 1250}
 }
 
-// PeerAggregate accumulates one remote peer's traffic as seen at the probe.
+// PeerAggregate is one remote peer's traffic as seen at the probe, as Peer
+// assembles it from the table.
 type PeerAggregate struct {
 	VideoUp, VideoDown int64 // video payload bytes by direction
 	TotalUp, TotalDown int64 // all bytes by direction
@@ -59,16 +60,10 @@ type PeerAggregate struct {
 	// observation of the path).
 	MaxTTL   uint8
 	Received bool
-
-	// hasFull reports that lastFull holds the arrival of the last
-	// full-size inbound video packet.
-	hasFull  bool
-	remote   uint32 // the row's key (see key), in what was padding
-	lastFull sim.Time
 }
 
 // Hops reports the inferred hop count, −1 when nothing was received.
-func (p *PeerAggregate) Hops() int {
+func (p PeerAggregate) Hops() int {
 	if !p.Received {
 		return -1
 	}
@@ -82,18 +77,59 @@ func (p *PeerAggregate) Hops() int {
 // The aggregates form a table with no pointer in it, in the order the
 // remotes were first seen: captures and the trace format are IPv4-only, so
 // a remote is keyed by its address as 32 bits, and each row carries its key.
-// Rows live in fixed blocks of blockRows, allocated as new remotes appear:
-// the table never grows by copying, and a row never moves once made.
+// A probe sees thousands of remotes but exchanges video with few of them, so
+// every remote has a 24-byte row of what all traffic updates, and a remote
+// gets a 32-byte video row beside it on its first video byte. Both kinds
+// live in fixed blocks of blockRows, allocated as they fill: the table never
+// grows by copying, and a row never moves once made.
 type Aggregator struct {
 	probe netip.Addr
 	cfg   Config
 	// index maps a remote's key to its row (see row).
 	index  map[uint32]int32
-	blocks []*[blockRows]PeerAggregate
-	count  uint64
+	blocks []*[blockRows]peerRow
+	// videoBlocks hold the video rows, videoRows of them in use.
+	videoBlocks []*[blockRows]videoRow
+	videoRows   int
+	count       uint64
 }
 
-// blockRows is the rows in one block: 64 of 56 bytes fill a size class.
+// peerRow is what the table keeps for every remote.
+type peerRow struct {
+	key  uint32 // the remote (see key)
+	meta uint32 // MaxTTL, received flag, video row link (see metaTTL)
+	up   int64  // TotalUp
+	down int64  // TotalDown
+}
+
+// The bits of peerRow.meta: MaxTTL in the low 8, the received flag above
+// them, and in the rest 1 + the index of the remote's video row, 0 until its
+// first video byte.
+const (
+	metaTTL      = 1<<8 - 1
+	metaReceived = 1 << 8
+	metaLinkBits = 9
+	// maxVideoRows is the most video rows a probe's table links: their
+	// numbers 1 to maxVideoRows fill the link's 23 bits.
+	maxVideoRows = 1<<(32-metaLinkBits) - 1
+)
+
+// maxArrival bounds the full-size arrivals a video row holds, ±2⁶² ns
+// (some 146 years), so that shifted left one they keep their sign.
+const maxArrival = 1 << 62
+
+// videoRow is what the table keeps for a remote that has sent or received
+// video.
+type videoRow struct {
+	up, down int64 // VideoUp, VideoDown
+	minIPG   time.Duration
+	// full is the arrival of the last full-size inbound video packet
+	// shifted left one, with bit 0 set once there has been one.
+	full int64
+}
+
+// blockRows is the rows in one block: 64 rows of 24 bytes, and 64 video rows
+// of 32, each fill a size class.
 const blockRows = 64
 
 // New builds an aggregator for the given IPv4 probe address.
@@ -128,33 +164,70 @@ func (a *Aggregator) Records() uint64 { return a.count }
 // paper's "all peers" population for this probe.
 func (a *Aggregator) PeerCount() int { return len(a.index) }
 
-// Blocks reports how many row blocks the table has allocated.
-func (a *Aggregator) Blocks() int { return len(a.blocks) }
+// Blocks reports how many blocks the table has allocated, of rows and of
+// video rows.
+func (a *Aggregator) Blocks() int { return len(a.blocks) + len(a.videoBlocks) }
 
 // row returns row i.
-func (a *Aggregator) row(i int) *PeerAggregate {
+func (a *Aggregator) row(i int) *peerRow {
 	return &a.blocks[uint(i)/blockRows][uint(i)%blockRows]
 }
 
-// Peer returns the aggregate for one remote address, nil when never seen.
-// Rows never move, so the pointer stays valid as records are consumed.
-func (a *Aggregator) Peer(remote netip.Addr) *PeerAggregate {
-	if !remote.Is4() {
+// video returns r's video row, nil before its first video byte.
+func (a *Aggregator) video(r *peerRow) *videoRow {
+	link := uint(r.meta >> metaLinkBits)
+	if link == 0 {
 		return nil
+	}
+	return &a.videoBlocks[(link-1)/blockRows][(link-1)%blockRows]
+}
+
+// addVideo gives r a video row and returns it. A table that would link more
+// than maxVideoRows panics, naming the probe, rather than wrap the link.
+func (a *Aggregator) addVideo(r *peerRow) *videoRow {
+	j := a.videoRows
+	if j == maxVideoRows {
+		panic(fmt.Sprintf("analysis: probe %v exchanged video with more than %d remotes, the most its table links", a.probe, maxVideoRows))
+	}
+	if j%blockRows == 0 {
+		a.videoBlocks = append(a.videoBlocks, new([blockRows]videoRow))
+	}
+	a.videoRows++
+	r.meta |= uint32(j+1) << metaLinkBits
+	return a.video(r)
+}
+
+// aggregate assembles r's PeerAggregate.
+func (a *Aggregator) aggregate(r *peerRow) PeerAggregate {
+	p := PeerAggregate{
+		TotalUp: r.up, TotalDown: r.down,
+		MaxTTL: uint8(r.meta & metaTTL), Received: r.meta&metaReceived != 0,
+	}
+	if v := a.video(r); v != nil {
+		p.VideoUp, p.VideoDown, p.MinIPG = v.up, v.down, v.minIPG
+	}
+	return p
+}
+
+// Peer returns the aggregate for one remote address, and false when the
+// remote was never seen.
+func (a *Aggregator) Peer(remote netip.Addr) (PeerAggregate, bool) {
+	if !remote.Is4() {
+		return PeerAggregate{}, false
 	}
 	i, ok := a.index[key(remote)]
 	if !ok {
-		return nil
+		return PeerAggregate{}, false
 	}
-	return a.row(int(i))
+	return a.aggregate(a.row(int(i))), true
 }
 
 // Bytes reports the bytes of every consumed record, inbound (toward the
 // probe) and outbound: the sums of the aggregates' TotalDown and TotalUp.
 func (a *Aggregator) Bytes() (in, out int64) {
 	for i := range a.PeerCount() {
-		in += a.row(i).TotalDown
-		out += a.row(i).TotalUp
+		in += a.row(i).down
+		out += a.row(i).up
 	}
 	return in, out
 }
@@ -163,25 +236,35 @@ func (a *Aggregator) Bytes() (in, out int64) {
 // total video bytes (then by address). Tools use this to list top
 // contributors.
 func (a *Aggregator) PeerAddrs() []netip.Addr {
-	rows := make([]*PeerAggregate, a.PeerCount())
-	for i := range rows {
-		rows[i] = a.row(i)
+	type ranked struct {
+		video int64
+		key   uint32
 	}
-	slices.SortFunc(rows, func(p, q *PeerAggregate) int {
-		if c := cmp.Compare(q.VideoDown+q.VideoUp, p.VideoDown+p.VideoUp); c != 0 {
+	rows := make([]ranked, a.PeerCount())
+	for i := range rows {
+		r := a.row(i)
+		rows[i].key = r.key
+		if v := a.video(r); v != nil {
+			rows[i].video = v.up + v.down
+		}
+	}
+	slices.SortFunc(rows, func(p, q ranked) int {
+		if c := cmp.Compare(q.video, p.video); c != 0 {
 			return c
 		}
-		return cmp.Compare(p.remote, q.remote)
+		return cmp.Compare(p.key, q.key)
 	})
 	out := make([]netip.Addr, len(rows))
 	for n, p := range rows {
-		out[n] = addrOf(p.remote)
+		out[n] = addrOf(p.key)
 	}
 	return out
 }
 
 // Consume folds one record into the aggregates. A record whose remote end
-// is not IPv4 cannot come from a capture or a trace, and panics.
+// is not IPv4 cannot come from a capture or a trace, and panics; so does a
+// full-size inbound video packet stamped outside the ±2⁶² ns a video row
+// holds.
 func (a *Aggregator) Consume(r packet.Record) {
 	remote, inbound := sniffer.Remote(r, a.probe)
 	if !remote.Is4() {
@@ -192,40 +275,49 @@ func (a *Aggregator) Consume(r packet.Record) {
 	if !ok {
 		i = int32(len(a.index))
 		if i%blockRows == 0 {
-			a.blocks = append(a.blocks, new([blockRows]PeerAggregate))
+			a.blocks = append(a.blocks, new([blockRows]peerRow))
 		}
 		a.index[k] = i
-		a.row(int(i)).remote = k
+		a.row(int(i)).key = k
 	}
-	agg := a.row(int(i))
+	p := a.row(int(i))
 	a.count++
 	size := int64(r.Size)
-	isVideo := r.Size >= a.cfg.VideoSizeFloor
-	if inbound {
-		agg.TotalDown += size
-		agg.Received = true
-		if r.TTL > agg.MaxTTL {
-			agg.MaxTTL = r.TTL
-		}
-		if isVideo {
-			agg.VideoDown += size
-			if r.Size >= a.cfg.FullPacket {
-				if agg.hasFull {
-					gap := r.TS.Sub(agg.lastFull)
-					if gap > 0 && (agg.MinIPG == 0 || gap < agg.MinIPG) {
-						agg.MinIPG = gap
-					}
-				}
-				agg.hasFull = true
-				agg.lastFull = r.TS
-			}
-		}
-	} else {
-		agg.TotalUp += size
-		if isVideo {
-			agg.VideoUp += size
+	var v *videoRow
+	if r.Size >= a.cfg.VideoSizeFloor {
+		if v = a.video(p); v == nil {
+			v = a.addVideo(p)
 		}
 	}
+	if !inbound {
+		p.up += size
+		if v != nil {
+			v.up += size
+		}
+		return
+	}
+	p.down += size
+	p.meta |= metaReceived
+	if ttl := uint32(r.TTL); ttl > p.meta&metaTTL {
+		p.meta = p.meta&^metaTTL | ttl
+	}
+	if v == nil {
+		return
+	}
+	v.down += size
+	if r.Size < a.cfg.FullPacket {
+		return
+	}
+	if v.full&1 != 0 {
+		gap := r.TS.Sub(sim.Time(v.full >> 1))
+		if gap > 0 && (v.minIPG == 0 || gap < v.minIPG) {
+			v.minIPG = gap
+		}
+	}
+	if r.TS >= maxArrival || r.TS < -maxArrival {
+		panic(fmt.Sprintf("analysis: probe %v: a full-size packet from %v at %d ns, outside the ±2⁶² ns a video row holds", a.probe, remote, int64(r.TS)))
+	}
+	v.full = int64(r.TS)<<1 | 1
 }
 
 // Locator resolves an address to its location facts — in production the
@@ -252,12 +344,14 @@ func (a *Aggregator) AppendObservations(dst []core.Observation, loc Locator, pro
 	probe := a.probe.As4()
 	unlocated := 0
 	for i := range a.PeerCount() {
-		agg, remote := a.row(i), addrOf(a.row(i).remote)
+		r := a.row(i)
+		remote := addrOf(r.key)
 		h, ok := loc.Locate(remote)
 		if !ok {
 			unlocated++
 			continue
 		}
+		agg := a.aggregate(r)
 		dst = append(dst, core.Observation{
 			Probe:       probe,
 			Peer:        remote.As4(),
@@ -278,7 +372,9 @@ func (a *Aggregator) AppendObservations(dst []core.Observation, loc Locator, pro
 
 // FromTrace replays a stored binary trace through a fresh aggregator —
 // the paper's actual workflow (capture during the experiment, analyze
-// offline). The trace's own header determines the probe address.
+// offline). The trace's own header determines the probe address. A record
+// stamped at 2⁶² ns or later, which no video row can hold, fails the replay
+// with packet.ErrBadTrace.
 func FromTrace(r *packet.Reader, cfg Config) (*Aggregator, error) {
 	a := New(r.Probe(), cfg)
 	for {
@@ -288,6 +384,9 @@ func FromTrace(r *packet.Reader, cfg Config) (*Aggregator, error) {
 		}
 		if err != nil {
 			return nil, err
+		}
+		if rec.TS >= maxArrival {
+			return nil, fmt.Errorf("%w: record %d at %d ns, past the 2⁶² ns a probe's table holds", packet.ErrBadTrace, a.count+1, int64(rec.TS))
 		}
 		a.Consume(rec)
 	}

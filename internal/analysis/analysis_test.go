@@ -32,6 +32,16 @@ func sig(ts int64, src, dst netip.Addr, size units.ByteSize, ttl uint8) packet.R
 	return packet.Record{TS: sim.Time(ts), Src: src, Dst: dst, Size: size, TTL: ttl, Kind: packet.Signaling}
 }
 
+// peer is a's aggregate of remote, which must have been seen.
+func peer(t *testing.T, a *Aggregator, remote netip.Addr) PeerAggregate {
+	t.Helper()
+	p, ok := a.Peer(remote)
+	if !ok {
+		t.Fatalf("%v never aggregated", remote)
+	}
+	return p
+}
+
 func TestAggregationByDirectionAndSize(t *testing.T) {
 	a := New(probeAddr, DefaultConfig())
 	a.Consume(vid(1000, peerX, probeAddr, 1250, 110)) // video in
@@ -40,10 +50,7 @@ func TestAggregationByDirectionAndSize(t *testing.T) {
 	a.Consume(sig(4000, peerX, probeAddr, 80, 110))   // signaling in
 	a.Consume(sig(5000, probeAddr, peerX, 60, 128))   // signaling out
 
-	agg := a.Peer(peerX)
-	if agg == nil {
-		t.Fatal("peer never aggregated")
-	}
+	agg := peer(t, a, peerX)
 	if agg.VideoDown != 2500 || agg.VideoUp != 1250 {
 		t.Errorf("video bytes = %d/%d", agg.VideoDown, agg.VideoUp)
 	}
@@ -87,7 +94,7 @@ func TestSizeHeuristicIgnoresKindAnnotation(t *testing.T) {
 	// not.
 	a.Consume(sig(1000, peerX, probeAddr, 1250, 110))
 	a.Consume(vid(2000, peerX, probeAddr, 80, 110))
-	agg := a.Peer(peerX)
+	agg := peer(t, a, peerX)
 	if agg.VideoDown != 1250 {
 		t.Errorf("VideoDown = %d, want 1250 (size-based)", agg.VideoDown)
 	}
@@ -105,7 +112,7 @@ func TestMinIPGMeasurement(t *testing.T) {
 	a.Consume(vid(base+int64(10*time.Second), peerX, probeAddr, 1250, 110))
 	a.Consume(vid(base+int64(10*time.Second)+4*ms/10, peerX, probeAddr, 1250, 110))
 
-	if got := a.Peer(peerX).MinIPG; got != 400*time.Microsecond {
+	if got := peer(t, a, peerX).MinIPG; got != 400*time.Microsecond {
 		t.Errorf("MinIPG = %v, want 400µs", got)
 	}
 }
@@ -122,7 +129,7 @@ func TestMinIPGIgnoresShortAndOutboundPackets(t *testing.T) {
 	// The gap is measured between the two full-size inbound packets at
 	// base and base+5ms; the short fragment and the outbound packet must
 	// not move the train cursor.
-	if got := a.Peer(peerX).MinIPG; got != 5*time.Millisecond {
+	if got := peer(t, a, peerX).MinIPG; got != 5*time.Millisecond {
 		t.Errorf("MinIPG = %v, want 5ms", got)
 	}
 }
@@ -130,7 +137,7 @@ func TestMinIPGIgnoresShortAndOutboundPackets(t *testing.T) {
 func TestMinIPGUnmeasurableWithSingleTrainPacket(t *testing.T) {
 	a := New(probeAddr, DefaultConfig())
 	a.Consume(vid(1000, peerX, probeAddr, 1250, 110))
-	if got := a.Peer(peerX).MinIPG; got != 0 {
+	if got := peer(t, a, peerX).MinIPG; got != 0 {
 		t.Errorf("single packet should leave IPG unmeasured, got %v", got)
 	}
 }
@@ -139,12 +146,12 @@ func TestHopsFromTTL(t *testing.T) {
 	a := New(probeAddr, DefaultConfig())
 	a.Consume(sig(1000, peerX, probeAddr, 80, 109)) // 19 hops
 	a.Consume(sig(2000, peerX, probeAddr, 80, 111)) // 17 hops — max TTL wins
-	if got := a.Peer(peerX).Hops(); got != 17 {
+	if got := peer(t, a, peerX).Hops(); got != 17 {
 		t.Errorf("Hops = %d, want 17 (from max TTL)", got)
 	}
 	// A peer we only send to has no hop estimate.
 	a.Consume(sig(3000, probeAddr, peerY, 80, 128))
-	if got := a.Peer(peerY).Hops(); got != -1 {
+	if got := peer(t, a, peerY).Hops(); got != -1 {
 		t.Errorf("send-only peer Hops = %d, want -1", got)
 	}
 }
@@ -326,7 +333,7 @@ func TestFromTraceMatchesLiveAggregation(t *testing.T) {
 		t.Fatal("replay diverged from live aggregation")
 	}
 	for _, addr := range []netip.Addr{sameAS.Addr, remote.Addr} {
-		a, b := live.Peer(addr), replayed.Peer(addr)
+		a, b := peer(t, live, addr), peer(t, replayed, addr)
 		if a.VideoDown != b.VideoDown || a.MinIPG != b.MinIPG || a.MaxTTL != b.MaxTTL ||
 			a.TotalUp != b.TotalUp {
 			t.Errorf("peer %v aggregates diverge: %+v vs %+v", addr, a, b)
@@ -336,14 +343,16 @@ func TestFromTraceMatchesLiveAggregation(t *testing.T) {
 
 // TestFromTraceRejectsWhatACaptureCannotSee: a stored trace holding a
 // record the live capture would have panicked on — one not involving the
-// probe, one stamped before its predecessor — fails the replay with
-// ErrBadTrace instead of aggregating it (a foreign record would count as
-// video the probe sent; a backwards one would corrupt MinIPG).
+// probe, one stamped before its predecessor — or one stamped past what the
+// table holds fails the replay with ErrBadTrace instead of aggregating it
+// (a foreign record would count as video the probe sent; a backwards one
+// would corrupt MinIPG; a late one would panic in Consume).
 func TestFromTraceRejectsWhatACaptureCannotSee(t *testing.T) {
 	first := vid(5000, peerX, probeAddr, 1250, 110)
 	for name, bad := range map[string]packet.Record{
 		"foreign record":      vid(6000, peerY, peerX, 1250, 110),
 		"backwards timestamp": vid(1000, peerX, probeAddr, 1250, 110),
+		"timestamp past 2⁶²":  vid(1<<62, peerX, probeAddr, 1250, 110),
 	} {
 		var buf bytes.Buffer
 		w, err := packet.NewWriter(&buf, probeAddr, "bad")
@@ -391,14 +400,14 @@ func TestIPGClassifierAgainstTrainGroundTruth(t *testing.T) {
 		for i, at := range arrives {
 			a.Consume(vid(int64(at), peerX, probeAddr, sizes[i], 108))
 		}
-		obs := core.Observation{MinIPG: a.Peer(peerX).MinIPG}
+		obs := core.Observation{MinIPG: peer(t, a, peerX).MinIPG}
 		pref, ok := core.NewBWClassifier().Classify(obs)
 		if !ok {
 			t.Fatalf("%s: unmeasurable", c.name)
 		}
 		if pref != c.highBw {
 			t.Errorf("%s: classified high-bw=%v, truth %v (IPG %v)",
-				c.name, pref, c.highBw, a.Peer(peerX).MinIPG)
+				c.name, pref, c.highBw, peer(t, a, peerX).MinIPG)
 		}
 	}
 }

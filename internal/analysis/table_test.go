@@ -2,12 +2,16 @@ package analysis
 
 import (
 	"bytes"
+	"fmt"
+	"math"
 	"math/rand"
 	"net/netip"
 	"reflect"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
+	"time"
 	"unsafe"
 
 	"napawine/internal/core"
@@ -19,24 +23,33 @@ import (
 )
 
 // mapAggregator is the aggregator as it was before its table: a map keyed by
-// netip.Addr to a separately allocated *PeerAggregate per remote. Kept as the
-// reference model the table must agree with.
+// netip.Addr to a separately allocated aggregate per remote, every field in
+// one struct. Kept as the reference model the table must agree with.
 type mapAggregator struct {
 	probe netip.Addr
 	cfg   Config
-	peers map[netip.Addr]*PeerAggregate
+	peers map[netip.Addr]*refAggregate
 	count uint64
 }
 
+// refAggregate is the reference's aggregate with its train cursor: hasFull
+// reports that lastFull holds the arrival of the last full-size inbound
+// video packet.
+type refAggregate struct {
+	PeerAggregate
+	hasFull  bool
+	lastFull sim.Time
+}
+
 func newMapAggregator(probe netip.Addr, cfg Config) *mapAggregator {
-	return &mapAggregator{probe: probe, cfg: cfg, peers: make(map[netip.Addr]*PeerAggregate)}
+	return &mapAggregator{probe: probe, cfg: cfg, peers: make(map[netip.Addr]*refAggregate)}
 }
 
 func (a *mapAggregator) consume(r packet.Record) {
 	remote, inbound := sniffer.Remote(r, a.probe)
 	agg := a.peers[remote]
 	if agg == nil {
-		agg = &PeerAggregate{remote: key(remote)} // the table's rows carry their key
+		agg = &refAggregate{}
 		a.peers[remote] = agg
 	}
 	a.count++
@@ -121,7 +134,9 @@ func (l fakeLocator) Locate(a netip.Addr) (topology.Host, bool) {
 // in it — and requires the same counts, every remote's aggregate, the same
 // PeerAddrs order and the same observations as a multiset; the table's come
 // in first-seen order. A row's address, taken when its remote is first
-// seen, must still be the row's at the end: rows never move.
+// seen, and a video row's, taken at the remote's first video byte, must
+// still be theirs at the end: rows never move. Exactly the remotes that
+// exchanged video have a video row.
 func TestTableMatchesMapReference(t *testing.T) {
 	cfg := DefaultConfig()
 	sizes := []units.ByteSize{0, 40, 80, cfg.VideoSizeFloor - 1, cfg.VideoSizeFloor, 1100, cfg.FullPacket - 1, cfg.FullPacket, 1500}
@@ -150,13 +165,18 @@ func TestTableMatchesMapReference(t *testing.T) {
 
 		table, ref := New(probe, cfg), newMapAggregator(probe, cfg)
 		var firstSeen []netip.Addr
-		rowAt := map[netip.Addr]*PeerAggregate{}
+		rowAt := map[netip.Addr]*peerRow{}
+		videoAt := map[netip.Addr]*videoRow{}
+		rowOf := func(remote netip.Addr) *peerRow { return table.row(int(table.index[key(remote)])) }
 		feed := func(r packet.Record) {
 			remote, _ := sniffer.Remote(r, probe)
 			table.Consume(r)
 			if ref.peers[remote] == nil {
 				firstSeen = append(firstSeen, remote)
-				rowAt[remote] = table.Peer(remote)
+				rowAt[remote] = rowOf(remote)
+			}
+			if v := table.video(rowOf(remote)); v != nil && videoAt[remote] == nil {
+				videoAt[remote] = v
 			}
 			ref.consume(r)
 		}
@@ -193,18 +213,32 @@ func TestTableMatchesMapReference(t *testing.T) {
 		if table.PeerCount() != len(ref.peers) || table.Records() != ref.count {
 			t.Fatalf("seed %d: %d peers, %d records; the map holds %d, %d", seed, table.PeerCount(), table.Records(), len(ref.peers), ref.count)
 		}
+		video := 0
 		for addr, want := range ref.peers {
-			if got := table.Peer(addr); got == nil || *got != *want {
-				t.Fatalf("seed %d: Peer(%v) = %+v, the map holds %+v", seed, addr, got, *want)
-			} else if got != rowAt[addr] {
+			if got, ok := table.Peer(addr); !ok || got != want.PeerAggregate {
+				t.Fatalf("seed %d: Peer(%v) = %+v, %v, the map holds %+v", seed, addr, got, ok, want.PeerAggregate)
+			}
+			if rowOf(addr) != rowAt[addr] {
 				t.Fatalf("seed %d: Peer(%v)'s row moved", seed, addr)
 			}
+			v := table.video(rowOf(addr))
+			if exchanged := want.VideoUp+want.VideoDown > 0; exchanged != (v != nil) {
+				t.Fatalf("seed %d: %v exchanged video: %v, has a video row: %v", seed, addr, exchanged, v != nil)
+			} else if exchanged {
+				video++
+			}
+			if v != videoAt[addr] {
+				t.Fatalf("seed %d: Peer(%v)'s video row moved", seed, addr)
+			}
 		}
-		if want := (len(ref.peers) + blockRows - 1) / blockRows; table.Blocks() != want {
-			t.Errorf("seed %d: %d row blocks for %d remotes, want %d", seed, table.Blocks(), len(ref.peers), want)
+		if table.videoRows != video {
+			t.Errorf("seed %d: %d video rows for %d remotes that exchanged video", seed, table.videoRows, video)
+		}
+		if want := (len(ref.peers)+blockRows-1)/blockRows + (video+blockRows-1)/blockRows; table.Blocks() != want {
+			t.Errorf("seed %d: %d blocks for %d remotes, %d of them video, want %d", seed, table.Blocks(), len(ref.peers), video, want)
 		}
 		for _, absent := range []netip.Addr{netip.AddrFrom4([4]byte{192, 0, 2, 1}), netip.MustParseAddr("2001:db8::1"), {}} {
-			if ref.peers[absent] == nil && table.Peer(absent) != nil {
+			if _, ok := table.Peer(absent); ref.peers[absent] == nil && ok {
 				t.Errorf("seed %d: Peer(%v) found a remote never seen", seed, absent)
 			}
 		}
@@ -240,14 +274,19 @@ func TestTableMatchesMapReference(t *testing.T) {
 }
 
 // TestTableIsPointerFree: the collector must find nothing to follow in the
-// per-peer rows, in their index's keys and values, or in the observation rows
-// a run's reduce builds from it — a field that brought a pointer back would
-// have every aggregate, or every probe×peer row, scanned again. The block
-// directory is the one place the table holds pointers: one per block of at
-// least 64 rows.
+// per-peer rows, in the video rows beside them, in their index's keys and
+// values, or in the observation rows a run's reduce builds from it — a field
+// that brought a pointer back would have every aggregate, or every
+// probe×peer row, scanned again. The two block directories are the one
+// place the table holds pointers: one per block of at least 64 rows. Every
+// remote costs a row and a video remote a video row as well, so together
+// they may cost no more than the 56-byte row that held both.
 func TestTableIsPointerFree(t *testing.T) {
-	if size := unsafe.Sizeof(PeerAggregate{}); size > 56 {
-		t.Errorf("PeerAggregate is %d bytes, want at most 56", size)
+	if size := unsafe.Sizeof(peerRow{}); size > 24 {
+		t.Errorf("peerRow is %d bytes, want at most 24", size)
+	}
+	if size := unsafe.Sizeof(videoRow{}); size > 32 {
+		t.Errorf("videoRow is %d bytes, want at most 32", size)
 	}
 	if size := unsafe.Sizeof(core.Observation{}); size > 64 {
 		t.Errorf("core.Observation is %d bytes, want at most 64", size)
@@ -282,16 +321,56 @@ func TestTableIsPointerFree(t *testing.T) {
 		walk("index key", index.Key())
 		walk("index value", index.Elem())
 	}
-	blocks := field("blocks")
-	if blocks.Kind() != reflect.Slice || blocks.Elem().Kind() != reflect.Pointer || blocks.Elem().Elem().Kind() != reflect.Array {
-		t.Fatalf("Aggregator.blocks is a %s, want a slice of pointers to arrays of rows", blocks)
-	}
-	if block := blocks.Elem().Elem(); block.Len() < 64 {
-		t.Errorf("a block holds %d rows, want at least 64 for each pointer", block.Len())
-	} else {
-		walk("blocks[][]", block.Elem())
+	for _, name := range []string{"blocks", "videoBlocks"} {
+		blocks := field(name)
+		if blocks.Kind() != reflect.Slice || blocks.Elem().Kind() != reflect.Pointer || blocks.Elem().Elem().Kind() != reflect.Array {
+			t.Fatalf("Aggregator.%s is a %s, want a slice of pointers to arrays of rows", name, blocks)
+		}
+		if block := blocks.Elem().Elem(); block.Len() < 64 {
+			t.Errorf("a block of %s holds %d rows, want at least 64 for each pointer", name, block.Len())
+		} else {
+			walk(name+"[][]", block.Elem())
+		}
 	}
 	walk("core.Observation", reflect.TypeOf(core.Observation{}))
+}
+
+// TestPackedFieldsPanicRatherThanWrap: a full-size arrival outside the
+// ±2⁶² ns a video row holds, and a video remote past the most a row's link
+// numbers, panic naming the probe; the extreme arrivals that fit keep their
+// packet-pair gap.
+func TestPackedFieldsPanicRatherThanWrap(t *testing.T) {
+	const limit = int64(1) << 62
+	const ms = int64(time.Millisecond)
+	for _, ts := range []int64{-limit, limit - 1 - ms} {
+		a := New(probeAddr, DefaultConfig())
+		a.Consume(vid(ts, peerX, probeAddr, 1250, 110))
+		a.Consume(vid(ts+ms, peerX, probeAddr, 1250, 110))
+		if got := peer(t, a, peerX).MinIPG; got != time.Millisecond {
+			t.Errorf("a train from %d ns: MinIPG = %v, want 1ms", ts, got)
+		}
+	}
+	mustPanic := func(name string, consume func(*Aggregator)) {
+		t.Helper()
+		a := New(probeAddr, DefaultConfig())
+		defer func() {
+			t.Helper()
+			msg, _ := recover().(string)
+			if !strings.Contains(msg, probeAddr.String()) {
+				t.Errorf("%s: recovered %q, want a panic naming probe %v", name, msg, probeAddr)
+			}
+		}()
+		consume(a)
+	}
+	for _, ts := range []int64{limit, -limit - 1, math.MaxInt64, math.MinInt64} {
+		mustPanic(fmt.Sprintf("a full-size arrival at %d ns", ts), func(a *Aggregator) {
+			a.Consume(vid(ts, peerX, probeAddr, 1250, 110))
+		})
+	}
+	mustPanic("one video remote too many", func(a *Aggregator) {
+		a.videoRows = maxVideoRows
+		a.Consume(vid(0, probeAddr, peerX, 1250, packet.InitialTTL))
+	})
 }
 
 // TestConsumeRejectsNonIPv4Remote: a record no capture or trace can hold is a

@@ -214,8 +214,8 @@ type Result struct {
 	Ledger *overlay.Ledger
 
 	// Capture and RowBlocks count the probe spools' work and the
-	// aggregators' row blocks: exact per seed, read by nothing in the run
-	// and no part of Summary.
+	// aggregators' blocks of rows and video rows: exact per seed, read by
+	// nothing in the run and no part of Summary.
 	Capture   sniffer.Counts
 	RowBlocks int
 

@@ -54,12 +54,14 @@ const (
 	// 17+48 = 65 ≥ 63 bits: the top level never wraps for any positive
 	// instant, so no overflow list is needed.
 	numLevels = 8
-	// slabEvents makes a slab exactly the 4096-byte size class: 16 bytes of
-	// header plus 102 events of 40. Slabs of 1, 2, 4 and 8 KB measured the
-	// same peak RSS (within 2 MB of 90) and wall time at 10⁴ peers; 4 KB
-	// keeps the header under half a percent and the partly filled head of
-	// each occupied slot — the only waste — under a page.
-	slabEvents = 102
+	// slabEvents fills the 1,024-byte size class: 16 bytes of header plus 25
+	// events of 40. The only waste is the partly filled head of each
+	// occupied slot, so the smallest slab holds the least: the benchmark's
+	// seed-2 single-pplive run (1.5k peers) read a peak RSS of 19.2, 19.8,
+	// 20.5 and 21.0 MB with slabs of 1, 2, 4 and 8 KB, and its swarm-10k
+	// run (10⁴ peers) 40.2, 40.2, 40.9 and 41.0 MB, with wall times within
+	// their spread (2-CPU Linux container). The header stays under 2 %.
+	slabEvents = 25
 )
 
 // slab is one fixed-size block of a slot's chain. next comes first so that
