@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"net/netip"
 	"slices"
 	"time"
@@ -114,19 +115,19 @@ const (
 	maxVideoRows = 1<<(32-metaLinkBits) - 1
 )
 
-// maxArrival bounds the full-size arrivals a video row holds, ±2⁶² ns
-// (some 146 years), so that shifted left one they keep their sign.
-const maxArrival = 1 << 62
-
 // videoRow is what the table keeps for a remote that has sent or received
 // video.
 type videoRow struct {
 	up, down int64 // VideoUp, VideoDown
 	minIPG   time.Duration
-	// full is the arrival of the last full-size inbound video packet
-	// shifted left one, with bit 0 set once there has been one.
-	full int64
+	// full is the arrival of the last full-size inbound video packet, or
+	// noFull before the first. No record is stamped there: captures and
+	// traces never go below 0.
+	full sim.Time
 }
+
+// noFull marks a video row that has seen no full-size inbound packet.
+const noFull = sim.Time(math.MinInt64)
 
 // blockRows is the rows in one block: 64 rows of 24 bytes, and 64 video rows
 // of 32, each fill a size class.
@@ -194,7 +195,9 @@ func (a *Aggregator) addVideo(r *peerRow) *videoRow {
 	}
 	a.videoRows++
 	r.meta |= uint32(j+1) << metaLinkBits
-	return a.video(r)
+	v := a.video(r)
+	v.full = noFull
+	return v
 }
 
 // aggregate assembles r's PeerAggregate.
@@ -262,9 +265,7 @@ func (a *Aggregator) PeerAddrs() []netip.Addr {
 }
 
 // Consume folds one record into the aggregates. A record whose remote end
-// is not IPv4 cannot come from a capture or a trace, and panics; so does a
-// full-size inbound video packet stamped outside the ±2⁶² ns a video row
-// holds.
+// is not IPv4 cannot come from a capture or a trace, and panics.
 func (a *Aggregator) Consume(r packet.Record) {
 	remote, inbound := sniffer.Remote(r, a.probe)
 	if !remote.Is4() {
@@ -308,16 +309,13 @@ func (a *Aggregator) Consume(r packet.Record) {
 	if r.Size < a.cfg.FullPacket {
 		return
 	}
-	if v.full&1 != 0 {
-		gap := r.TS.Sub(sim.Time(v.full >> 1))
+	if v.full != noFull {
+		gap := r.TS.Sub(v.full)
 		if gap > 0 && (v.minIPG == 0 || gap < v.minIPG) {
 			v.minIPG = gap
 		}
 	}
-	if r.TS >= maxArrival || r.TS < -maxArrival {
-		panic(fmt.Sprintf("analysis: probe %v: a full-size packet from %v at %d ns, outside the ±2⁶² ns a video row holds", a.probe, remote, int64(r.TS)))
-	}
-	v.full = int64(r.TS)<<1 | 1
+	v.full = r.TS
 }
 
 // Locator resolves an address to its location facts — in production the
@@ -372,9 +370,7 @@ func (a *Aggregator) AppendObservations(dst []core.Observation, loc Locator, pro
 
 // FromTrace replays a stored binary trace through a fresh aggregator —
 // the paper's actual workflow (capture during the experiment, analyze
-// offline). The trace's own header determines the probe address. A record
-// stamped at 2⁶² ns or later, which no video row can hold, fails the replay
-// with packet.ErrBadTrace.
+// offline). The trace's own header determines the probe address.
 func FromTrace(r *packet.Reader, cfg Config) (*Aggregator, error) {
 	a := New(r.Probe(), cfg)
 	for {
@@ -384,9 +380,6 @@ func FromTrace(r *packet.Reader, cfg Config) (*Aggregator, error) {
 		}
 		if err != nil {
 			return nil, err
-		}
-		if rec.TS >= maxArrival {
-			return nil, fmt.Errorf("%w: record %d at %d ns, past the 2⁶² ns a probe's table holds", packet.ErrBadTrace, a.count+1, int64(rec.TS))
 		}
 		a.Consume(rec)
 	}

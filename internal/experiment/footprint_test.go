@@ -11,7 +11,7 @@ import (
 // perPeerHeapBudget bounds what a 2 000-peer PPLive swarm adds to the live
 // heap, per peer, with every peer joined: topology, nodes, partner records,
 // adverts, neighbour lists, ledger columns and queued events together. It
-// measures 2 752 to 2 755 B (alone, in the package run, under -race) with
+// measures 2 734 to 2 752 B (alone, in the package run, under -race) with
 // each node's partner records held by value in one id-ordered table of
 // MaxPartners 32-byte slots, each viewing its remote's advert through one
 // pointer to a fixed-width block and naming its remote in 24 bits of a word

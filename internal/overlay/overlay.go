@@ -310,9 +310,6 @@ type Network struct {
 	Eng  *sim.Engine
 	Topo *topology.Topology
 	Cfg  Config
-	// jitterCeiling is int63nCeiling(Cfg.JitterMax), for the jitter draws
-	// sendControl skips.
-	jitterCeiling int64
 
 	// sharded is the lockstep coordinator; nil when the network was built
 	// with New on a bare engine. shards always holds at least one context.
@@ -379,7 +376,7 @@ const trackerRefresh = time.Second
 // swarm runs serially on that engine — the historical single-core mode.
 func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 	cfg.validate()
-	n := &Network{Eng: eng, Topo: topo, Cfg: cfg, jitterCeiling: int63nCeiling(int64(cfg.JitterMax))}
+	n := &Network{Eng: eng, Topo: topo, Cfg: cfg}
 	n.shards = []*shardCtx{{eng: eng, ledger: newLedger()}}
 	eng.SetDispatch(n.dispatch)
 	return n
@@ -392,7 +389,7 @@ func New(eng *sim.Engine, topo *topology.Topology, cfg Config) *Network {
 // byte-for-byte.
 func NewSharded(sh *sim.Sharded, topo *topology.Topology, cfg Config, shardOf map[topology.ASN]int) *Network {
 	cfg.validate()
-	n := &Network{Eng: sh.Global(), Topo: topo, Cfg: cfg, jitterCeiling: int63nCeiling(int64(cfg.JitterMax)), sharded: sh, shardOf: shardOf}
+	n := &Network{Eng: sh.Global(), Topo: topo, Cfg: cfg, sharded: sh, shardOf: shardOf}
 	n.shards = make([]*shardCtx, sh.N())
 	for i := range n.shards {
 		n.shards[i] = &shardCtx{idx: i, eng: sh.Shard(i), ledger: newLedger()}

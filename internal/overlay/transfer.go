@@ -1,7 +1,6 @@
 package overlay
 
 import (
-	"math/rand"
 	"time"
 
 	"napawine/internal/access"
@@ -43,18 +42,13 @@ func (net *Network) sendSignal(a, b *Node, size units.ByteSize) {
 // records, its RNG stream draws the jitter, its ledger takes the
 // accounting. With one shard that is the network's engine and ledger. The
 // jitter is drawn for every packet, so the RNG stream does not depend on who
-// carries a sniffer; arrival instant and TTL at b exist only when b records,
-// and when b does not, the draw is skipped rather than reduced.
+// carries a sniffer; arrival instant and TTL at b exist only when b records.
 func (net *Network) sendControl(a, b *Node, size units.ByteSize, kind packet.Kind) {
 	sc := a.sc
 	now := sc.eng.Now()
 	var jitter time.Duration
-	switch {
-	case net.Cfg.JitterMax <= 0:
-	case b.spool != nil:
+	if net.Cfg.JitterMax > 0 {
 		jitter = time.Duration(sc.eng.Rand().Int63n(int64(net.Cfg.JitterMax)))
-	default:
-		skipInt63n(sc.eng.Rand(), net.jitterCeiling)
 	}
 	recordAt(a, packet.Record{
 		TS: now, Src: a.Host.Addr, Dst: b.Host.Addr,
@@ -69,24 +63,6 @@ func (net *Network) sendControl(a, b *Node, size units.ByteSize, kind packet.Kin
 	}
 	if kind == packet.Signaling || kind == packet.Request {
 		sc.ledger.SignalTotal += int64(size)
-	}
-}
-
-// int63nCeiling is the largest Int63 that rand.(*Rand).Int63n(n) keeps: it
-// draws again while a draw is above it (for a power of two n, never). It is
-// 0 for an n Int63n refuses.
-func int63nCeiling(n int64) int64 {
-	if n <= 0 {
-		return 0
-	}
-	return int64(1<<63 - 1 - (1<<63)%uint64(n))
-}
-
-// skipInt63n advances r exactly as r.Int63n(n) would, for ceiling =
-// int63nCeiling(n): the same Int63 draws, with no reduction of the one
-// nobody reads.
-func skipInt63n(r *rand.Rand, ceiling int64) {
-	for r.Int63() > ceiling {
 	}
 }
 
