@@ -11,12 +11,13 @@ import (
 // perPeerHeapBudget bounds what a 2 000-peer PPLive swarm adds to the live
 // heap, per peer, with every peer joined: topology, nodes, partner records,
 // adverts, neighbour lists, ledger columns and queued events together. It
-// measures 2 734 to 2 752 B (alone, in the package run, under -race) with
-// each node's partner records held by value in one id-ordered table of
-// MaxPartners 32-byte slots, each viewing its remote's advert through one
-// pointer to a fixed-width block and naming its remote in 24 bits of a word
-// shared with its flags; each neighbour list bit-packed at 11 bits an entry;
-// each rate memory a sorted run of 16-byte entries; each queued event 40
+// measures 2 358 B (alone, in the package run, under -race) with each node's
+// partner records held by value in one id-ordered table of MaxPartners
+// 24-byte slots, each viewing its remote's advert through one pointer to a
+// fixed-width block, naming its remote in 24 bits of a word shared with its
+// flags and holding its delivery rate in 32 bits and no RTT; each neighbour
+// list bit-packed at 11 bits an entry; each rate memory a sorted run of
+// 8-byte entries; each queued event 40
 // bytes, in 1 KB slabs; each probe's remotes in 24-byte rows, with a 32-byte
 // video row only for those it exchanged video with; and Node in the 320-byte
 // size class. History: 13 645 B
@@ -39,13 +40,14 @@ import (
 // the neighbour list stored each id in 32 bits; 3 432 to 3 453 B while each
 // rate memory was a Go map, each churn cycle four closures and each queued
 // event 48 bytes; 3 165 to 3 185 B while the queue's slabs were 4 KB and
-// every probe row 56 bytes.
+// every probe row 56 bytes; 2 734 to 2 752 B while each partner record was
+// 32 bytes with the RTT in it and each rate-memory entry 16 bytes.
 // Five virtual seconds in, 106 of the 2 093 neighbour lists are long enough
 // to own a 256-byte membership filter: 14 B a peer of the measurement. The
-// budget (3 625 → 3 342 → 2 889)
-// is the measurement plus 5 %, so a seventh of a KB of per-node state cannot
-// come back unnoticed.
-const perPeerHeapBudget = 2_889
+// budget (3 625 → 3 342 → 2 889 → 2 476)
+// is the measurement plus 5 %, so 120 B of per-node state cannot come back
+// unnoticed.
+const perPeerHeapBudget = 2_476
 
 // TestPerPeerFootprint measures from inside the run, at the first series
 // sample after the join ramp, while the whole swarm is still reachable.

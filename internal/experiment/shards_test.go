@@ -6,6 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"napawine/internal/apps"
+	"napawine/internal/overlay"
+	"napawine/internal/policy"
 	"napawine/internal/scenario"
 	"napawine/internal/topology"
 	"napawine/internal/world"
@@ -181,6 +184,41 @@ func TestShardedScenarioRun(t *testing.T) {
 	}
 	if x.String() != y.String() {
 		t.Errorf("Table IV differs between two sharded runs:\n%s\nvs\n%s", x.String(), y.String())
+	}
+}
+
+// TestShardedRTTAwareRun runs four shards under a TVAnts profile whose
+// request and retain weights both favour partners nearer than 60 ms. A
+// partner record keeps no RTT, so every such weighing reads the remote's
+// host, which may sit on another shard: hosts never change after AddNode,
+// and `go test -race` over this package checks that the reads race with
+// nothing. Two runs must replay the same simulation.
+func TestShardedRTTAwareRun(t *testing.T) {
+	base, err := apps.ByName("TVAnts")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := apps.Variant(base, "TVAnts-rttAware", func(p *overlay.Profile) {
+		req, retain := p.RequestWeight.(policy.Bias), p.RetainWeight.(policy.Bias)
+		req.Near, req.RTT = 60*time.Millisecond, 4
+		retain.Near, retain.RTT = 60*time.Millisecond, 3
+		p.RequestWeight, p.RetainWeight = req, retain
+	})
+	run := func() *Result {
+		cfg := shardCfg(4)
+		cfg.Duration = time.Minute
+		cfg.Profile = prof
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ledgerInvariants(t, res)
+		return res
+	}
+	a, b := run(), run()
+	if a.Events != b.Events || a.Ledger.VideoTotal != b.Ledger.VideoTotal || a.MeanContinuity != b.MeanContinuity {
+		t.Errorf("two runs differ: %d events, %d video bytes, continuity %v; then %d, %d, %v",
+			a.Events, a.Ledger.VideoTotal, a.MeanContinuity, b.Events, b.Ledger.VideoTotal, b.MeanContinuity)
 	}
 }
 

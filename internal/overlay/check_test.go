@@ -16,15 +16,15 @@ func TestRateMemoCheckFindsBrokenRuns(t *testing.T) {
 	if err := m.check(); err != nil {
 		t.Errorf("an empty memory: %v", err)
 	}
-	m.set(3, units.Kbps)
-	m.set(1, units.Kbps)
+	m.set(0, 3, units.Kbps)
+	m.set(0, 1, units.Kbps)
 	if err := m.check(); err != nil {
 		t.Errorf("a memory set in any order: %v", err)
 	}
 	for name, run := range map[string][]rateEntry{
-		"a repeated id":     {{1, units.Kbps}, {1, units.Mbps}},
-		"ids out of order":  {{3, units.Kbps}, {1, units.Mbps}},
-		"a late repetition": {{1, units.Kbps}, {2, units.Kbps}, {2, units.Kbps}},
+		"a repeated id":     {{1, 1000}, {1, 1_000_000}},
+		"ids out of order":  {{3, 1000}, {1, 1_000_000}},
+		"a late repetition": {{1, 1000}, {2, 1000}, {2, 1000}},
 	} {
 		if err := (rateMemo{&run}).check(); err == nil {
 			t.Errorf("%s: check passed %v", name, run)

@@ -22,7 +22,7 @@ func InfoFor(nd, other *Node) policy.Info { return nd.infoFor(other) }
 
 // RememberRate sets the delivery rate nd remembers for peer id, which a
 // partnership formed with id starts from.
-func RememberRate(nd *Node, id PeerID, r units.BitRate) { nd.rateMemory.set(id, r) }
+func RememberRate(nd *Node, id PeerID, r units.BitRate) { nd.rateMemory.set(nd.ID, id, r) }
 
 // Rerate moves the delivery-rate estimate of nd's partner id to r and
 // rescores the partner, as a delivery, a timeout or a rejection does.
@@ -31,8 +31,17 @@ func Rerate(nd *Node, id PeerID, r units.BitRate) {
 	if p == nil {
 		panic("overlay: Rerate of a non-partner")
 	}
-	p.estRate = r
+	p.setRate(r, nd.ID)
 	nd.rescore(p)
+}
+
+// RequestWeightOf is the request weight nd's record of partner id caches.
+func RequestWeightOf(nd *Node, id PeerID) float64 {
+	p := nd.partnerByID(id)
+	if p == nil {
+		panic("overlay: RequestWeightOf a non-partner")
+	}
+	return p.reqW
 }
 
 // ChurnTick runs one of nd's churn steps now.

@@ -418,9 +418,10 @@ func (nd *Node) infoFor(other *Node) policy.Info {
 // rescore refreshes the cached request weight of partner p after its
 // delivery-rate estimate moved. This is the single invalidation door:
 // locality facts never change, so the cache stays exact as long as each
-// estRate mutation ends here.
+// rate mutation ends here.
 func (nd *Node) rescore(p *partner) {
-	p.reqW = nd.Profile.RequestWeight.Weight(p.info())
+	w := nd.Profile.RequestWeight
+	p.reqW = w.Weight(p.info(nd, w))
 }
 
 // refillPartners queries the tracker and adopts candidates, weighted by the
@@ -623,7 +624,7 @@ func (nd *Node) churnTick() {
 		retain := nd.Profile.RetainWeight
 		for i := range nd.partners {
 			p := &nd.partners[i]
-			scorer.PushScored(policy.Candidate{Index: int(p.id())}, retain.Weight(p.info()))
+			scorer.PushScored(policy.Candidate{Index: int(p.id())}, retain.Weight(p.info(nd, retain)))
 		}
 		worst := scorer.Worst()
 		if worst.Index >= 0 {
@@ -686,7 +687,7 @@ func (nd *Node) scheduleTick() {
 		if i, ok := nd.partnerSearch(req.from); ok {
 			pr := &nd.partners[i]
 			pr.fail()
-			pr.estRate /= 2 // stale partner loses standing
+			pr.setRate(pr.rate()/2, nd.ID) // stale partner loses standing
 			if cong {
 				// A timeout is the requester's only evidence of a tail
 				// drop: absorb it into the partner's observed-loss EWMA

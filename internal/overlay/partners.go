@@ -2,7 +2,7 @@ package overlay
 
 import (
 	"fmt"
-	"time"
+	"math"
 
 	"napawine/internal/chunkstream"
 	"napawine/internal/policy"
@@ -11,21 +11,23 @@ import (
 )
 
 // partner is the per-neighbour state a node keeps for peers it actively
-// exchanges video with: one 32-byte record, held by value in the node's
+// exchanges video with: one 24-byte record, held by value in the node's
 // partner table (Node.partners). The remote is named by id and resolved
 // through Network.nodes where a loop needs it, so the record's one pointer is
 // its view. The policy-visible facts are packed — locality as three bits, the
-// RTT as 32 bits of nanoseconds — and rebuilt into a policy.Info (info) only
-// where a Weight reads one. key and rtt share the first word.
+// delivery rate as 32 bits — and rebuilt into a policy.Info (info) only where
+// a Weight reads one. The RTT is not stored: it is a pure function of the
+// two hosts, and info recomputes it only for a Weight that can read it.
 type partner struct {
 	// key holds, from the top: the remote's id in 24 bits, the consecutive
 	// failure count in 4, the announce bit and the three locality bits. The
 	// flags sit below the id, so key order is id order (partnerSearch). It is
 	// read and written only through the accessors below.
 	key uint32
-	// rtt is the pair's round-trip time in nanoseconds, checked to fit at
-	// formation (addPartner).
-	rtt int32
+	// estRate is the running delivery-rate estimate (policy.Info.EstRate)
+	// in bit/s, read through rate and written through setRate, which
+	// panics rather than wrap a rate past 32 bits.
+	estRate uint32
 	// have is a view of the buffer map the partner last announced to this
 	// node: the remote's published advert (same shard) or the clone its push
 	// message carried (across shards). Nothing here owns or copies the words.
@@ -35,12 +37,10 @@ type partner struct {
 	// reqW caches the profile's request-time weight for this pair, which
 	// requestChunk and bestPartner read. The locality facts and the RTT are
 	// immutable from the moment the partnership forms, so the cache goes
-	// stale only when estRate moves — every such site calls rescore. The
+	// stale only when the rate moves — every such site calls rescore. The
 	// retain-time weight is not cached: churnTick, its one reader, computes
 	// it from info.
 	reqW float64
-	// estRate is the running delivery-rate estimate (policy.Info.EstRate).
-	estRate units.BitRate
 }
 
 // The fields of partner.key below the id.
@@ -111,14 +111,27 @@ func (p *partner) fail() {
 
 func (p *partner) clearFailures() { p.key &^= keyFailures }
 
-// pack stores the policy-visible facts of info in the record of partner
-// p.id(), held by node self. An RTT past the record's 32 bits of nanoseconds
-// panics, naming the pair, rather than being truncated.
-func (p *partner) pack(info policy.Info, self PeerID) {
-	p.rtt = int32(info.RTT)
-	if time.Duration(p.rtt) != info.RTT {
-		panic(fmt.Sprintf("overlay: RTT %v between peers %d and %d does not fit a partner record", info.RTT, self, p.id()))
+// rate is the record's delivery-rate estimate.
+func (p *partner) rate() units.BitRate { return units.BitRate(p.estRate) }
+
+// setRate stores r as the delivery-rate estimate of partner p.id(), held by
+// node self.
+func (p *partner) setRate(r units.BitRate, self PeerID) { p.estRate = rate32(r, self, p.id()) }
+
+// rate32 is r in the 32 bits a partner record or a rate-memory entry holds
+// it in, for the pair of node self and remote. A rate past 2³² − 1 bit/s
+// (4.29 Gbit/s, four times the fastest access link) panics, naming the pair,
+// rather than wrapping.
+func rate32(r units.BitRate, self, remote PeerID) uint32 {
+	if r < 0 || r > math.MaxUint32 {
+		panic(fmt.Sprintf("overlay: rate %d bit/s between peers %d and %d does not fit 32 bits", r, self, remote))
 	}
+	return uint32(r)
+}
+
+// pack stores the policy-visible facts of info in the record of partner
+// p.id(), held by node self. info.RTT is not stored (info rebuilds it).
+func (p *partner) pack(info policy.Info, self PeerID) {
 	p.key &^= keyLoc
 	if info.SameSubnet {
 		p.key |= locSubnet
@@ -129,19 +142,32 @@ func (p *partner) pack(info policy.Info, self PeerID) {
 	if info.SameCC {
 		p.key |= locCC
 	}
-	p.estRate = info.EstRate
+	p.setRate(info.EstRate, self)
 }
 
-// info rebuilds the policy-visible facts the record packs.
-func (p *partner) info() policy.Info {
+// info rebuilds the policy-visible facts the record of node nd packs, for
+// weight w to read. The RTT is recomputed from the two hosts only when w can
+// read it (readsRTT); otherwise it is left 0, which w ignores. The remote may
+// run on another shard, but a node's Host never changes after AddNode.
+func (p *partner) info(nd *Node, w policy.Weight) policy.Info {
 	loc := p.loc()
-	return policy.Info{
+	info := policy.Info{
 		SameSubnet: loc&locSubnet != 0,
 		SameAS:     loc&locAS != 0,
 		SameCC:     loc&locCC != 0,
-		RTT:        time.Duration(p.rtt),
-		EstRate:    p.estRate,
+		EstRate:    p.rate(),
 	}
+	if readsRTT(w) {
+		info.RTT = nd.net.Topo.RTT(nd.Host, nd.net.nodes[p.id()].Host)
+	}
+	return info
+}
+
+// readsRTT reports whether w can read Info.RTT: any Weight but a
+// policy.Bias without an RTT term.
+func readsRTT(w policy.Weight) bool {
+	b, ok := w.(policy.Bias)
+	return !ok || b.RTT != 0
 }
 
 // partnerCong is a partner's congestion observations, kept entry for entry

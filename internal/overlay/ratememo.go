@@ -14,9 +14,11 @@ import (
 // average at 10⁴ peers), and the run is only ever read or written by key.
 type rateMemo struct{ run *[]rateEntry }
 
+// rateEntry is one remembered remote: 8 bytes, the rate held in 32 bits
+// (rate32).
 type rateEntry struct {
 	id   PeerID
-	rate units.BitRate
+	rate uint32
 }
 
 // search returns id's position in the run, or its insertion point.
@@ -30,21 +32,23 @@ func (m rateMemo) search(id PeerID) (int, bool) {
 // get returns the rate remembered for id, 0 when there is none.
 func (m rateMemo) get(id PeerID) units.BitRate {
 	if i, ok := m.search(id); ok {
-		return (*m.run)[i].rate
+		return units.BitRate((*m.run)[i].rate)
 	}
 	return 0
 }
 
-// set remembers r as id's rate.
-func (m *rateMemo) set(id PeerID, r units.BitRate) {
+// set remembers r as id's rate in the memory of node self. A rate past 32
+// bits panics, naming both peers (rate32).
+func (m *rateMemo) set(self, id PeerID, r units.BitRate) {
+	r32 := rate32(r, self, id)
 	i, ok := m.search(id)
 	if m.run == nil {
 		m.run = new([]rateEntry)
 	}
 	if ok {
-		(*m.run)[i].rate = r
+		(*m.run)[i].rate = r32
 	} else {
-		*m.run = slices.Insert(*m.run, i, rateEntry{id, r})
+		*m.run = slices.Insert(*m.run, i, rateEntry{id, r32})
 	}
 }
 

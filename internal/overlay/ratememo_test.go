@@ -2,6 +2,7 @@ package overlay
 
 import (
 	"testing"
+	"unsafe"
 
 	"napawine/internal/units"
 )
@@ -26,7 +27,7 @@ func FuzzRateMemo(f *testing.F) {
 			id := PeerID(op[1])<<16 | PeerID(op[2])<<8 | PeerID(op[3])
 			if op[0]&1 == 1 {
 				r := units.BitRate(step)*1000 + units.BitRate(op[0])
-				memo.set(id, r)
+				memo.set(0, id, r)
 				model[id] = r
 			}
 			if err := memo.check(); err != nil {
@@ -51,4 +52,12 @@ func FuzzRateMemo(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestRateEntryIsEightBytes pins the memory's entry: a 32-bit id beside a
+// 32-bit rate (rate32), no padding.
+func TestRateEntryIsEightBytes(t *testing.T) {
+	if size := unsafe.Sizeof(rateEntry{}); size != 8 {
+		t.Errorf("rateEntry is %d bytes, want 8", size)
+	}
 }

@@ -36,8 +36,9 @@ func sameWeight(a, b float64) bool { return a == b || math.IsNaN(a) && math.IsNa
 
 // checkPartnerTable audits one node's partner table: the table's own
 // invariant (checkPartners), every record's cached request weight equal to a
-// fresh evaluation, and partnerByID finding every partner at its position and
-// missing ids below, between and above.
+// fresh evaluation over the full Info formation builds (infoFor of the
+// remote, RTT included, with the record's rate), and partnerByID finding
+// every partner at its position and missing ids below, between and above.
 func checkPartnerTable(t testing.TB, nd *Node) {
 	t.Helper()
 	if err := nd.checkPartners(); err != nil {
@@ -45,7 +46,9 @@ func checkPartnerTable(t testing.TB, nd *Node) {
 	}
 	for i := range nd.partners {
 		p := &nd.partners[i]
-		if want := nd.Profile.RequestWeight.Weight(p.info()); !sameWeight(p.reqW, want) {
+		info := nd.infoFor(nd.net.nodes[p.id()])
+		info.EstRate = p.rate()
+		if want := nd.Profile.RequestWeight.Weight(info); !sameWeight(p.reqW, want) {
 			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, p.id(), p.reqW, want)
 		}
 	}
@@ -103,14 +106,14 @@ func TestBestPartnerRule(t *testing.T) {
 	}
 }
 
-// TestPartnerTableShape pins what the table was built for: a 32-byte record
+// TestPartnerTableShape pins what the table was built for: a 24-byte record
 // whose one pointer word is its advert view, and no pointer in the request
 // round's scratch, so the collector scans one word per record and none of
 // the scratch. TestNodeHotHeaderFitsOneLine holds Node to its size class
 // with the table in it.
 func TestPartnerTableShape(t *testing.T) {
-	if size := unsafe.Sizeof(partner{}); size != 32 {
-		t.Errorf("partner is %d bytes, want 32", size)
+	if size := unsafe.Sizeof(partner{}); size != 24 {
+		t.Errorf("partner is %d bytes, want 24", size)
 	}
 	for _, c := range []struct {
 		ty   reflect.Type
@@ -136,7 +139,7 @@ func TestPartnerKeyPacksIDAndFlags(t *testing.T) {
 	}
 	ids := []PeerID{0, 1, 1 << 23, MaxPeerID}
 	rec := func(id PeerID, flags uint32) partner {
-		return partner{key: partnerKey(id) | flags, rtt: 37, reqW: 2.5, estRate: units.Mbps}
+		return partner{key: partnerKey(id) | flags, estRate: 1_000_000, reqW: 2.5}
 	}
 	for i, id := range ids {
 		for flags := range uint32(256) {
@@ -188,33 +191,60 @@ func TestPartnerKeyPacksIDAndFlags(t *testing.T) {
 }
 
 // TestPartnerRecordPacksInfo: the packed record gives back every Info a
-// partnership can form with, whatever the flags beside the locality bits,
-// and an RTT the record cannot hold panics at formation, naming both peers,
-// instead of being truncated.
+// partnership can form with, whatever the flags beside the locality bits, the
+// RTT recomputed from the two hosts for a Weight that can read it and left 0
+// for a Bias without an RTT term. A rate past the record's 32 bits panics,
+// naming both peers, instead of wrapping; so does one the rate memory is
+// handed.
 func TestPartnerRecordPacksInfo(t *testing.T) {
+	w := buildWorld(t, 3, 8, 0)
+	nd, other := w.peers[3], w.peers[7]
+	rtt := w.topo.RTT(nd.Host, other.Host)
+	if rtt <= 0 {
+		t.Fatalf("peers %d and %d are %v apart", nd.ID, other.ID, rtt)
+	}
 	for loc := range 8 {
-		for _, rtt := range []time.Duration{0, 37 * time.Millisecond, math.MaxInt32} {
+		for _, rate := range []units.BitRate{0, 37 * units.Kbps, math.MaxUint32} {
 			info := policy.Info{
 				SameSubnet: loc&1 != 0, SameAS: loc&2 != 0, SameCC: loc&4 != 0,
-				RTT: rtt, EstRate: units.BitRate(loc) * units.Mbps,
+				RTT: rtt, EstRate: rate,
 			}
-			p := partner{key: partnerKey(7) | keyAnnounce | 3<<keyFailShift | keyLoc}
-			p.pack(info, 3)
-			if got := p.info(); got != info {
-				t.Errorf("packed %+v, unpacked %+v", info, got)
+			p := partner{key: partnerKey(other.ID) | keyAnnounce | 3<<keyFailShift | keyLoc}
+			p.pack(info, nd.ID)
+			for _, c := range []struct {
+				w   policy.Weight
+				rtt time.Duration
+			}{
+				{tableWeight{}, rtt},
+				{policy.Bias{Near: time.Second, RTT: 2}, rtt},
+				{policy.Bias{Alpha: 1, AS: 4}, 0},
+			} {
+				want := info
+				want.RTT = c.rtt
+				if got := p.info(nd, c.w); got != want {
+					t.Errorf("packed %+v, unpacked for %+v as %+v, want %+v", info, c.w, got, want)
+				}
 			}
-			if p.id() != 7 || !p.announce() || p.failures() != 3 {
+			if p.id() != other.ID || !p.announce() || p.failures() != 3 {
 				t.Errorf("pack moved the id or a flag: key %#x", p.key)
 			}
 		}
 	}
-	defer func() {
-		if msg, _ := recover().(string); !strings.Contains(msg, "peers 3 and 7") {
-			t.Errorf("an RTT past 32 bits of nanoseconds: panic %q, want one naming peers 3 and 7", msg)
-		}
-	}()
-	p := partner{key: partnerKey(7)}
-	p.pack(policy.Info{RTT: math.MaxInt32 + 1}, 3)
+	for name, store := range map[string]func(){
+		"pack":            func() { (&partner{key: partnerKey(7)}).pack(policy.Info{EstRate: math.MaxUint32 + 1}, 3) },
+		"setRate":         func() { (&partner{key: partnerKey(7)}).setRate(math.MaxUint32+1, 3) },
+		"rate memory":     func() { new(rateMemo).set(3, 7, math.MaxUint32+1) },
+		"a negative rate": func() { (&partner{key: partnerKey(7)}).setRate(-1, 3) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.Contains(msg, "peers 3 and 7") {
+					t.Errorf("%s of a rate outside 32 bits: panic %q, want one naming peers 3 and 7", name, msg)
+				}
+			}()
+			store()
+		}()
+	}
 }
 
 // pointerWords counts the words of a value of type ty that the collector
@@ -347,7 +377,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		p.Join()
 	}
 	for i, p := range others {
-		nd.rateMemory.set(p.ID, units.BitRate(i))
+		nd.rateMemory.set(nd.ID, p.ID, units.BitRate(i))
 	}
 	const now = sim.Time(time.Minute)
 	weight := func(r tableRow) float64 { return tableWeight{}.Weight(policy.Info{EstRate: r.rate}) }
@@ -408,9 +438,16 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		case !listed:
 		case what%16 == 12: // a new rate, and with it a new weight
 			p := nd.partnerByID(other.ID)
-			p.estRate = units.BitRate(ops[step+1]) >> 1
+			// The low bit lifts the rate to the top of the record's 32
+			// bits without moving its residue, and so its weight:
+			// MaxUint32 − 130 is a multiple of 5.
+			r := units.BitRate(ops[step+1]) >> 1
+			if ops[step+1]&1 != 0 {
+				r += math.MaxUint32 - 130
+			}
+			p.setRate(r, nd.ID)
 			nd.rescore(p)
-			row.rate = p.estRate
+			row.rate = p.rate()
 			m[other.ID] = row
 			cov.rescores++
 		case what%16 == 13: // congestion observations: a loss level naming the step; a backoff ending after now, one ending at now, or none
@@ -449,7 +486,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 		}
 		for i, id := range ids {
 			p, c := &nd.partners[i], (*nd.cong)[i]
-			got := tableRow{rate: p.estRate, cong: c, failures: p.failures(), announce: p.announce(), loc: p.loc()}
+			got := tableRow{rate: p.rate(), cong: c, failures: p.failures(), announce: p.announce(), loc: p.loc()}
 			if want := m[id]; p.id() != id || got != want {
 				t.Fatalf("step %d: record %d is partner %d with %+v, the model's partner %d with %+v",
 					step, i, p.id(), got, id, want)

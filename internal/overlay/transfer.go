@@ -226,7 +226,7 @@ func (nd *Node) onReject(from PeerID, id chunkstream.ChunkID) {
 	nd.settleRequest(id, from)
 	if p := nd.partnerByID(from); p != nil {
 		p.fail()
-		p.estRate = p.estRate * 3 / 4
+		p.setRate(p.rate()*3/4, nd.ID)
 		nd.rescore(p)
 	}
 }
@@ -262,14 +262,14 @@ func (nd *Node) onChunkDelivered(from PeerID, id chunkstream.ChunkID, burst time
 			sample = units.RateOf(nd.net.Cfg.Calendar.ChunkSize(), burst)
 		}
 		if sample > 0 {
-			if p.estRate == 0 {
-				p.estRate = sample
+			if r := p.rate(); r == 0 {
+				p.setRate(sample, nd.ID)
 			} else {
 				// EWMA with 0.7 retention: smooth but responsive.
-				p.estRate = (p.estRate*7 + sample*3) / 10
+				p.setRate((r*7+sample*3)/10, nd.ID)
 			}
 			nd.rescore(p)
-			nd.rateMemory.set(from, p.estRate)
+			nd.rateMemory.set(nd.ID, from, p.rate())
 		}
 	}
 }
