@@ -202,7 +202,10 @@ type ProbeStats struct {
 // observations, world and ledger behind them.
 type Result struct {
 	Summary
-	Cfg   Config
+	Cfg Config
+	// World is the world the run was built from, with its peer lists
+	// (Background, Deferred) released once the nodes were built: its
+	// topology, source and probes remain.
 	World *world.World
 
 	// Observations across all probes (one entry per probe×peer pair).
@@ -252,6 +255,11 @@ const (
 	churnMeanOff    = 40 * time.Second
 	probeJoinWindow = 20 * time.Second
 )
+
+// builtHook, when non-nil, is handed each run's network and engines once
+// every node is built. Only tests set it, to read the run's structures while
+// it runs; nothing in a run depends on it.
+var builtHook func(*world.World, *overlay.Network, *sim.Sharded)
 
 // RunCtx executes one experiment under a context. Cancellation is polled on
 // the engine's own clock every cancelPoll of virtual time: when ctx is
@@ -364,6 +372,12 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	deferred := make([]*overlay.Node, 0, len(w.Deferred))
 	for _, dp := range w.Deferred {
 		deferred = append(deferred, net.AddNode(dp.Host, dp.Link, prof))
+	}
+	// Every node now holds its own host and link, and nothing reads the
+	// world's peer lists again (Result.World), so the run does not keep them.
+	w.Background, w.Deferred = nil, nil
+	if builtHook != nil {
+		builtHook(w, net, sh)
 	}
 
 	// Arrivals: source first, probes early, background staggered with

@@ -132,7 +132,7 @@ func TestChunkRoundTripAllocatesNothing(t *testing.T) {
 	served := w.net.LedgerView().ChunksServedTotal
 	const rounds = 200
 	allocs := testing.AllocsPerRun(rounds, func() {
-		peer.inflight = append(peer.inflight, pendingReq{id: id, from: w.src.ID, sentAt: w.eng.Now()})
+		peer.inflight = append(peer.inflight, newRequest(peer.ID, id, w.src.ID, w.eng.Now()))
 		w.net.sendRequest(peer, w.src, id)
 		for w.eng.Step() {
 		}

@@ -16,9 +16,15 @@ func StagedAt(nd *Node) int {
 // AddPartner forms nd's side of a partnership with other.
 func AddPartner(nd, other *Node) { nd.addPartner(other) }
 
-// InfoFor is what nd knows of other when a partnership forms, before the
-// remembered delivery rate is filled in.
-func InfoFor(nd, other *Node) policy.Info { return nd.infoFor(other) }
+// readsAll is a Weight that can read every fact of an Info, the RTT included
+// (readsRTT), so infoFor builds the whole Info for it.
+type readsAll struct{}
+
+func (readsAll) Weight(policy.Info) float64 { return 1 }
+
+// InfoFor is everything nd knows of other when a partnership forms, the RTT
+// included, before the remembered delivery rate is filled in.
+func InfoFor(nd, other *Node) policy.Info { return nd.infoFor(other, readsAll{}) }
 
 // RememberRate sets the delivery rate nd remembers for peer id, which a
 // partnership formed with id starts from.

@@ -1,9 +1,14 @@
 package overlay
 
 import (
+	"fmt"
+	"math"
+	"reflect"
 	"slices"
+	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"napawine/internal/chunkstream"
 	"napawine/internal/sim"
@@ -18,7 +23,7 @@ func TestInflightSet(t *testing.T) {
 	order := func(s inflightSet) []chunkstream.ChunkID {
 		var ids []chunkstream.ChunkID
 		for _, r := range s {
-			ids = append(ids, r.id)
+			ids = append(ids, r.chunk())
 		}
 		return ids
 	}
@@ -28,10 +33,10 @@ func TestInflightSet(t *testing.T) {
 		t.Fatal("empty set finds an id")
 	}
 	for _, r := range []pendingReq{
-		{id: 30, from: 1, sentAt: at(5)},
-		{id: 10, from: 2, sentAt: at(1)},
-		{id: 40, from: 3, sentAt: at(0)},
-		{id: 20, from: 4, sentAt: at(1)},
+		newRequest(0, 30, 1, at(5)),
+		newRequest(0, 10, 2, at(1)),
+		newRequest(0, 40, 3, at(0)),
+		newRequest(0, 20, 4, at(1)),
 	} {
 		s = append(s, r)
 	}
@@ -76,6 +81,40 @@ func TestInflightSet(t *testing.T) {
 	}
 }
 
+// TestRequestRecordIsSixteenBytes: a request record is 16 bytes, so the
+// shipped sets fill their size classes (six records PPLive's 96 bytes, five
+// SopCast's and TVAnts' 80) and hold no pointer.
+func TestRequestRecordIsSixteenBytes(t *testing.T) {
+	if size := unsafe.Sizeof(pendingReq{}); size != 16 {
+		t.Errorf("pendingReq is %d bytes, want 16", size)
+	}
+	if got := pointerWords(reflect.TypeOf(pendingReq{})); got != 0 {
+		t.Errorf("pendingReq holds %d pointer words, want none", got)
+	}
+}
+
+// TestRequestPanicsRatherThanWrap: a record keeps the chunk ids of
+// [0, 2³¹ − 1] exactly, and a chunk id outside them panics, naming the node,
+// rather than wrapping into another chunk's request.
+func TestRequestPanicsRatherThanWrap(t *testing.T) {
+	for _, id := range []chunkstream.ChunkID{0, 1, math.MaxInt32} {
+		if r := newRequest(7, id, 3, 0); r.chunk() != id || r.from != 3 {
+			t.Errorf("chunk %d from 3 reads back as chunk %d from %d", id, r.chunk(), r.from)
+		}
+	}
+	for _, id := range []chunkstream.ChunkID{-1, math.MaxInt32 + 1, math.MaxInt64} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if want := fmt.Sprintf("node 7 requests chunk %d", id); !strings.Contains(msg, want) {
+					t.Errorf("chunk %d: panic %q, want one naming %q", id, msg, want)
+				}
+			}()
+			newRequest(7, id, 3, 0)
+		}()
+	}
+}
+
 // FuzzInflightSet drives a node's set of outstanding requests against a map
 // model. The first argument bounds the set at 1 to 8 requests; each op is
 // then three bytes: what, a chunk id (one of 16, so ids recur) and an
@@ -103,7 +142,7 @@ func FuzzInflightSet(f *testing.F) {
 			switch what {
 			case 0, 1:
 				if s.find(id) < 0 && len(s) < int(limit) {
-					r := pendingReq{id: id, from: PeerID(arg), sentAt: now}
+					r := newRequest(0, id, PeerID(arg), now)
 					s = append(s, r)
 					model[id] = r
 				}

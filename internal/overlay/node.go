@@ -46,10 +46,12 @@ type Node struct {
 	// by peer id. The order is the membership record (partnerByID binary
 	// searches it) and the deterministic iteration order of every loop that
 	// consumes randomness or emits events; the greedy pass's best partner
-	// and the churn drop's worst are each one scan of it. Allocated once, at
-	// the first Join, with capacity MaxPartners, and never reallocated: the
-	// partner count never exceeds MaxPartners, addPartner reslices rather
-	// than appends, and slots past len are zero, so they pin no advert.
+	// and the churn drop's worst are each one scan of it. Carved once, at
+	// the first Join, from the shard's current block (shardCtx.partnerTable)
+	// with capacity MaxPartners, and never reallocated: the partner count
+	// never exceeds MaxPartners, addPartner reslices rather than appends (a
+	// reslice past the capacity panics rather than reach the next table in
+	// the block), and slots past len are zero, so they pin no advert.
 	// Leave clears the table in place.
 	//
 	// addPartner and removePartner shift records within the table, so a
@@ -174,7 +176,7 @@ func (nd *Node) Join() {
 	}
 	nd.advert = chunkstream.Advert{}
 	if nd.partners == nil {
-		nd.partners = make([]partner, 0, nd.Profile.MaxPartners)
+		nd.partners = nd.sc.partnerTable(nd.Profile.MaxPartners)
 		nd.inflight = make(inflightSet, 0, nd.Profile.MaxInflight)
 		if nd.net.congestionOn() {
 			cong := make([]partnerCong, nd.Profile.MaxPartners)
@@ -405,14 +407,19 @@ func (nd *Node) holdingTime(mean time.Duration) time.Duration {
 	return max(min(d, 10*mean), time.Second)
 }
 
-// infoFor assembles the policy-visible facts about a remote node.
-func (nd *Node) infoFor(other *Node) policy.Info {
-	return policy.Info{
+// infoFor assembles the policy-visible facts about a remote node, for weight
+// w to read. Like partner.info, it computes the RTT only when w can read one
+// (readsRTT) and otherwise leaves it 0, which w ignores.
+func (nd *Node) infoFor(other *Node, w policy.Weight) policy.Info {
+	info := policy.Info{
 		SameSubnet: nd.Host.Subnet == other.Host.Subnet,
 		SameAS:     nd.Host.AS == other.Host.AS,
 		SameCC:     nd.Host.Country == other.Host.Country,
-		RTT:        nd.net.Topo.RTT(nd.Host, other.Host),
 	}
+	if readsRTT(w) {
+		info.RTT = nd.net.Topo.RTT(nd.Host, other.Host)
+	}
+	return info
 }
 
 // rescore refreshes the cached request weight of partner p after its
@@ -434,6 +441,7 @@ func (nd *Node) refillPartners() {
 	cands := nd.net.trackerSample(nd, nd.net.Cfg.TrackerBatch)
 	scorer := &nd.sc.scorer
 	scorer.Reset()
+	w := nd.Profile.DiscoveryWeight
 	for i, c := range cands {
 		if nd.partnerByID(c.ID) != nil {
 			continue
@@ -441,7 +449,7 @@ func (nd *Node) refillPartners() {
 		if !c.Link.AcceptsFrom(nd.Link) {
 			continue
 		}
-		scorer.Push(policy.Candidate{Index: i, Info: nd.infoFor(c)}, nd.Profile.DiscoveryWeight)
+		scorer.Push(policy.Candidate{Index: i, Info: nd.infoFor(c, w)}, w)
 	}
 	for _, pick := range scorer.Sample(nd.sc.eng.Rand(), need) {
 		nd.handshake(cands[pick.Index])
@@ -522,8 +530,9 @@ func (nd *Node) contactTick() {
 // probability the ratio of the two. A policy that weighs such a candidate
 // at 0 is compared with 1 instead.
 func (nd *Node) adopts(c *Node) bool {
-	w := nd.Profile.DiscoveryWeight.Weight(nd.infoFor(c))
-	base := nd.Profile.DiscoveryWeight.Weight(policy.Info{})
+	dw := nd.Profile.DiscoveryWeight
+	w := dw.Weight(nd.infoFor(c, dw))
+	base := dw.Weight(policy.Info{})
 	if base <= 0 {
 		base = 1
 	}
@@ -750,7 +759,7 @@ func (nd *Node) scheduleTick() {
 				if !best.have.Has(id) {
 					continue
 				}
-				nd.inflight = append(nd.inflight, pendingReq{id: id, from: best.id(), sentAt: now})
+				nd.inflight = append(nd.inflight, newRequest(nd.ID, id, best.id(), now))
 				nd.net.sendRequest(nd, target, id)
 				fill--
 				budget--
@@ -887,7 +896,7 @@ func (nd *Node) requestChunk(id chunkstream.ChunkID, now sim.Time) bool {
 		return false
 	}
 	target := nd.net.nodes[nd.partners[order[pick.Index]].id()]
-	nd.inflight = append(nd.inflight, pendingReq{id: id, from: target.ID, sentAt: now})
+	nd.inflight = append(nd.inflight, newRequest(nd.ID, id, target.ID, now))
 	nd.net.sendRequest(nd, target, id)
 	return true
 }

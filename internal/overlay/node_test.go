@@ -94,7 +94,7 @@ func TestTimeoutsDropAPartnerAtTheLimit(t *testing.T) {
 			backoffs := w.net.LedgerView().BackoffsTotal
 			now := w.eng.Now()
 			id := w.net.Cfg.Calendar.LatestAt(now) + 1000
-			nd.inflight = append(nd.inflight[:0], pendingReq{id: id, from: other.ID, sentAt: now.Add(-requestTimeout - 1)})
+			nd.inflight = append(nd.inflight[:0], newRequest(nd.ID, id, other.ID, now.Add(-requestTimeout-1)))
 			nd.scheduleTick()
 			dropped := nd.partnerByID(other.ID) == nil
 			if dropped != (before+1 >= limit) || dropped != (other.partnerByID(nd.ID) == nil) {
@@ -138,14 +138,14 @@ func TestServeSkipsAnOfflineEnd(t *testing.T) {
 			id += 5
 		}
 		served := w.net.LedgerView().ChunksServedTotal
-		peer.inflight = append(peer.inflight[:0], pendingReq{id: id, from: resp.ID, sentAt: w.eng.Now()})
+		peer.inflight = append(peer.inflight[:0], newRequest(peer.ID, id, resp.ID, w.eng.Now()))
 		w.net.sendRequest(peer, resp, id)
 		switch leaver {
 		case "responder":
 			resp.Leave()
 		case "requester":
 			peer.Leave()
-			peer.inflight = append(peer.inflight, pendingReq{id: id, from: resp.ID})
+			peer.inflight = append(peer.inflight, newRequest(peer.ID, id, resp.ID, 0))
 		}
 		for w.eng.Step() {
 		}
@@ -357,7 +357,7 @@ func TestSessionsStartWithNothingOutstanding(t *testing.T) {
 			t.Errorf("session %d starts with %d of %d requests outstanding, want 0 of %d",
 				session, len(nd.inflight), cap(nd.inflight), nd.Profile.MaxInflight)
 		}
-		nd.inflight = append(nd.inflight, pendingReq{id: 7, from: w.src.ID})
+		nd.inflight = append(nd.inflight, newRequest(nd.ID, 7, w.src.ID, 0))
 		nd.Leave()
 	}
 }

@@ -267,6 +267,13 @@ type shardCtx struct {
 
 	online []*Node // compact set for O(1) random tracker sampling
 
+	// Partner tables are carved from per-shard blocks (partnerTable):
+	// tableBlock is the current block's records not yet handed out, and
+	// tableless counts the shard's nodes that have no table yet (AddNode
+	// adds one, partnerTable takes one away).
+	tableBlock []partner
+	tableless  int
+
 	// Tracker-query scratch, reused across calls: each shard is
 	// single-threaded and a query's result is consumed before the next
 	// query starts, so one buffer per shard keeps every gossip round
@@ -503,6 +510,7 @@ func (n *Network) AddNode(host topology.Host, link access.Link, prof *Profile) *
 		node.up.SetQueueLimit(d)
 	}
 	n.nodes = append(n.nodes, node)
+	node.sc.tableless++
 	for _, sc := range n.shards {
 		sc.ledger.grow(len(n.nodes))
 	}

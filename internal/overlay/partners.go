@@ -3,6 +3,7 @@ package overlay
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"napawine/internal/chunkstream"
 	"napawine/internal/policy"
@@ -230,7 +231,8 @@ func (nd *Node) addPartner(other *Node) {
 		nd.partners[i].setAnnounce(true)
 		return
 	}
-	info := nd.infoFor(other)
+	rw := nd.Profile.RequestWeight
+	info := nd.infoFor(other, rw)
 	// Clients remember how a peer performed in earlier partnership
 	// episodes; without this, partner churn would erase every bandwidth
 	// measurement and selection would stay near-uniform forever.
@@ -245,12 +247,36 @@ func (nd *Node) addPartner(other *Node) {
 	p := &nd.partners[i]
 	*p = partner{key: partnerKey(other.ID) | keyAnnounce}
 	p.pack(info, nd.ID)
-	p.reqW = nd.Profile.RequestWeight.Weight(info)
+	p.reqW = rw.Weight(info)
 	if nd.cong != nil {
 		cong := *nd.cong
 		copy(cong[i+1:n+1], cong[i:n])
 		cong[i] = partnerCong{}
 	}
+}
+
+// partnerBlockBytes is the size of the blocks partner tables are carved
+// from: a whole number (8) of the runtime's 8 KB pages. A table allocated on
+// its own is rounded up to its size class (PPLive's 960 bytes to 1,024); a
+// block of whole tables loses at most one table's bytes to the page round-up.
+const partnerBlockBytes = 64 << 10
+
+// partnerTable carves an empty table of capacity n from the shard's current
+// block, first allocating a new block when the current one has fewer than n
+// records left. A block holds as many whole tables as fit partnerBlockBytes,
+// and never more than the shard has nodes still without a table, so a small
+// swarm does not carry an empty block. The table is a three-index slice:
+// its capacity is exactly n, so the records past it, the next table's, are
+// out of its reach.
+func (sc *shardCtx) partnerTable(n int) []partner {
+	if len(sc.tableBlock) < n {
+		tables := partnerBlockBytes / (n * int(unsafe.Sizeof(partner{})))
+		sc.tableBlock = make([]partner, n*max(1, min(tables, sc.tableless)))
+	}
+	t := sc.tableBlock[:0:n]
+	sc.tableBlock = sc.tableBlock[n:]
+	sc.tableless--
+	return t
 }
 
 // removePartner clears one side of a partnership: the records (and

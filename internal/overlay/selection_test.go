@@ -46,7 +46,7 @@ func checkPartnerTable(t testing.TB, nd *Node) {
 	}
 	for i := range nd.partners {
 		p := &nd.partners[i]
-		info := nd.infoFor(nd.net.nodes[p.id()])
+		info := nd.infoFor(nd.net.nodes[p.id()], readsAll{})
 		info.EstRate = p.rate()
 		if want := nd.Profile.RequestWeight.Weight(info); !sameWeight(p.reqW, want) {
 			t.Fatalf("node %d: partner %d cached request weight %v stale, want %v", nd.ID, p.id(), p.reqW, want)
@@ -124,6 +124,66 @@ func TestPartnerTableShape(t *testing.T) {
 	} {
 		if got := pointerWords(c.ty); got != c.want {
 			t.Errorf("%v holds %d pointer words, want %d", c.ty, got, c.want)
+		}
+	}
+}
+
+// TestPartnerTablesAreCarvedFromBlocks: a table is empty with room for
+// exactly MaxPartners records, and the tables of a block sit side by side, so
+// the capacity is all that keeps addPartner's reslice out of the next one. A
+// block holds as many whole tables of the shipped sizes (TVAnts' 16, SopCast's
+// 24, PPLive's 40) as fit partnerBlockBytes, a whole number of 8 KB pages,
+// less than one table short of it, and never more tables than its shard has
+// nodes still without one. On two shards under churn, every table keeps its
+// room and zero slots past its records at every second (checkEverySecond),
+// and each shard's count of nodes without a table is exact.
+func TestPartnerTablesAreCarvedFromBlocks(t *testing.T) {
+	if partnerBlockBytes%(8<<10) != 0 {
+		t.Fatalf("a block is %d bytes, not a whole number of 8 KB pages", partnerBlockBytes)
+	}
+	for _, n := range []int{16, 24, 40} {
+		size := n * int(unsafe.Sizeof(partner{}))
+		sc := &shardCtx{tableless: 1000}
+		first := sc.partnerTable(n)
+		if len(first) != 0 || cap(first) != n {
+			t.Fatalf("%d partners: a table of %d records with room for %d", n, len(first), cap(first))
+		}
+		if block := (len(sc.tableBlock) + n) * int(unsafe.Sizeof(partner{})); block > partnerBlockBytes || partnerBlockBytes-block >= size {
+			t.Errorf("%d partners: a block of %d B for %d-byte tables, in %d B", n, block, size, partnerBlockBytes)
+		}
+		if next := sc.partnerTable(n); unsafe.Pointer(unsafe.SliceData(next)) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(first)), size) {
+			t.Errorf("%d partners: the second table does not follow the first in its block", n)
+		}
+		if sc.tableless != 998 {
+			t.Errorf("%d partners: %d nodes left without a table after two of 1000 took one", n, sc.tableless)
+		}
+		few := &shardCtx{tableless: 3}
+		few.partnerTable(n)
+		if len(few.tableBlock) != 2*n {
+			t.Errorf("%d partners: with 3 nodes without a table, a block left room for %d more records, want %d", n, len(few.tableBlock), 2*n)
+		}
+	}
+
+	w := buildWorldShards(t, 5, 30, 3, testConfig(), 2)
+	w.checkEverySecond(t)
+	w.src.ScheduleJoin(0)
+	for i, p := range w.peers {
+		if i%3 != 2 { // every third peer never joins, and never takes a table
+			p.ScheduleChurn(time.Duration(i)*100*time.Millisecond, 6*time.Second, 2*time.Second)
+		}
+	}
+	w.sh.Run(30 * time.Second)
+	with, without := map[*shardCtx]int{}, map[*shardCtx]int{}
+	for _, nd := range w.net.nodes {
+		if nd.partners == nil {
+			without[nd.sc]++
+		} else {
+			with[nd.sc]++
+		}
+	}
+	for _, sc := range w.net.shards {
+		if with[sc] == 0 || without[sc] == 0 || sc.tableless != without[sc] {
+			t.Errorf("shard %d: %d nodes have a table; it counts %d without one, %d have none", sc.idx, with[sc], sc.tableless, without[sc])
 		}
 	}
 }
@@ -407,7 +467,7 @@ func checkTableMatchesModel(t testing.TB, maxPartners int, ops []byte) tableCove
 			case len(m) < maxPartners:
 				nd.addPartner(other)
 				var loc uint32
-				info := nd.infoFor(other)
+				info := nd.infoFor(other, readsAll{})
 				if info.SameSubnet {
 					loc |= locSubnet
 				}

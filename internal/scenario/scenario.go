@@ -303,8 +303,8 @@ func (ev Event) validate() error {
 			return fmt.Errorf("partition: zero-length window")
 		}
 	case Throttle:
-		if ev.Factor <= 0 {
-			return fmt.Errorf("throttle: non-positive factor %v", ev.Factor)
+		if err := throttleFactor(ev); err != nil {
+			return err
 		}
 		if ev.Fraction <= 0 || ev.Fraction > 1 {
 			return fmt.Errorf("throttle: fraction %v outside (0, 1]", ev.Fraction)
@@ -321,7 +321,11 @@ func (ev Event) validate() error {
 		if ev.Country == "" {
 			return fmt.Errorf("%v: no country", ev.Kind)
 		}
-		if ev.Factor <= 0 {
+		if ev.Kind == CountryThrottle {
+			if err := throttleFactor(ev); err != nil {
+				return err
+			}
+		} else if ev.Factor <= 0 {
 			return fmt.Errorf("%v: non-positive factor %v", ev.Kind, ev.Factor)
 		}
 		if ev.From == ev.To {
@@ -336,6 +340,16 @@ func (ev Event) validate() error {
 		}
 	default:
 		return fmt.Errorf("unknown event kind %d", int(ev.Kind))
+	}
+	return nil
+}
+
+// throttleFactor checks a link-scale event's factor: a throttle slows links,
+// so the factor lies in (0, 1]. A larger one could lift a delivery rate past
+// the 32 bits the overlay holds it in, and the run would fail partway.
+func throttleFactor(ev Event) error {
+	if ev.Factor <= 0 || ev.Factor > 1 {
+		return fmt.Errorf("%v: factor %v outside (0, 1]", ev.Kind, ev.Factor)
 	}
 	return nil
 }

@@ -1,7 +1,9 @@
 package scenario
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -178,6 +180,25 @@ func TestValidateRejectsMalformedEvents(t *testing.T) {
 	}
 	if err := (&Spec{Events: []Event{}}).Validate(); err == nil {
 		t.Error("nameless spec validated")
+	}
+	// A throttle slows links: a factor of 1 restores them, and a larger one
+	// is refused before any world is built, naming the event, rather than
+	// lifting a delivery rate past the overlay's 32 bits partway through a run.
+	for _, kind := range []Kind{Throttle, CountryThrottle} {
+		for _, c := range []struct {
+			factor float64
+			ok     bool
+		}{{0.25, true}, {1, true}, {1.5, false}, {100, false}} {
+			ev := Event{Kind: kind, From: 0.4, To: 0.6, Fraction: 0.5, Country: "CN", Factor: c.factor}
+			s := Spec{Name: "boost", Events: []Event{{Kind: Arrivals, From: 0, To: 0.1}, ev}}
+			err := s.Validate()
+			if c.ok != (err == nil) {
+				t.Errorf("%v factor %v: Validate = %v", kind, c.factor, err)
+			}
+			if err != nil && !strings.Contains(err.Error(), fmt.Sprintf("event 1: %v: factor %v outside (0, 1]", kind, c.factor)) {
+				t.Errorf("%v factor %v: %q does not name the event and its factor", kind, c.factor, err)
+			}
+		}
 	}
 	if err := (&Spec{Name: "x", ExtraPeerFactor: -1}).Validate(); err == nil {
 		t.Error("negative ExtraPeerFactor validated")
