@@ -33,10 +33,18 @@ import (
 // verdict per metric, and writes the whole set to BENCH_<commit>.json at the
 // repository root, named by the ref's short commit.
 //
-// The verdict is the benchmark's rule: "met" when the change is ahead in at
-// least nine tenths of the pairs (ties count for neither side) and the
-// medians are further apart than the parent's quartiles; "worse" when the
-// parent is, by the same test; "unresolved" otherwise.
+// The verdict is the benchmark's rule. A gain is "met" when the change is
+// ahead in at least nine tenths of the pairs (ties count for neither side)
+// and the medians are further apart than the parent's quartiles. Otherwise,
+// against the metric's bound in BENCHMARK.json (a share of the parent's
+// median): "regressed" when the change's median is worse than the parent's
+// by more than the bound, "no regression" when it is not, and "unresolved"
+// when the parent's quartile spread, as a share of its median, is wider than
+// the bound, unless every change run reads better than every parent run.
+//
+// A run that exits non-zero, prints no result line or reports a failed
+// operation counts as a failed run of its side, and its pair is left out of
+// the metrics; the other pairs still run.
 var (
 	pairRef       = flag.String("ref", "HEAD", "the git ref to compare the working tree with")
 	pairWorkloads = flag.String("workloads", "swarm-10k", "comma-separated workloads of BENCHMARK.json")
@@ -49,6 +57,7 @@ var (
 type pairMetric struct {
 	Name    string    `json:"name"`
 	Better  string    `json:"better"`
+	Bound   float64   `json:"bound"`
 	Parent  []float64 `json:"parent"`
 	Change  []float64 `json:"change"`
 	Summary struct {
@@ -61,8 +70,11 @@ type pairMetric struct {
 }
 
 type pairWorkload struct {
-	Name    string        `json:"name"`
-	Failed  int           `json:"failed_runs"`
+	Name   string `json:"name"`
+	Failed struct {
+		Parent int `json:"parent"`
+		Change int `json:"change"`
+	} `json:"failed_runs"`
 	Metrics []*pairMetric `json:"metrics"`
 }
 
@@ -102,7 +114,10 @@ func TestBenchPair(t *testing.T) {
 	}
 
 	var bench struct {
-		EndToEnd []struct{ Name, Better string } `json:"end_to_end"`
+		EndToEnd []struct {
+			Name, Better string
+			Bound        float64
+		} `json:"end_to_end"`
 	}
 	raw, err := os.ReadFile(filepath.Join(root, "BENCHMARK.json"))
 	if err == nil {
@@ -132,7 +147,7 @@ func TestBenchPair(t *testing.T) {
 	for _, w := range workloads {
 		wl := &pairWorkload{Name: w}
 		for _, m := range bench.EndToEnd {
-			wl.Metrics = append(wl.Metrics, &pairMetric{Name: m.Name, Better: m.Better})
+			wl.Metrics = append(wl.Metrics, &pairMetric{Name: m.Name, Better: m.Better, Bound: m.Bound})
 		}
 		for i := range *pairCount {
 			seed := *pairSeed + int64(i)
@@ -142,11 +157,19 @@ func TestBenchPair(t *testing.T) {
 			}
 			runs := map[string]map[string]float64{}
 			for _, tree := range sides {
-				metrics, ok := benchRun(t, tree, w, seed)
-				if !ok {
-					wl.Failed++
+				metrics, err := benchRun(tree, w, seed)
+				if err != nil {
+					t.Errorf("%s seed %d in %s: %v", w, seed, tree, err)
+					if tree == parent {
+						wl.Failed.Parent++
+					} else {
+						wl.Failed.Change++
+					}
 				}
 				runs[tree] = metrics
+			}
+			if runs[parent] == nil || runs[root] == nil {
+				continue
 			}
 			for _, m := range wl.Metrics {
 				m.Parent = append(m.Parent, runs[parent][m.Name])
@@ -160,9 +183,9 @@ func TestBenchPair(t *testing.T) {
 				w, m.Name, s.Parent[1], s.Parent[0], s.Parent[2], s.Change[1], s.Change[0], s.Change[2], s.Ahead, len(m.Parent), s.Behind, s.Verdict)
 			t.Logf("    parent %v", m.Parent)
 			t.Logf("    change %v", m.Change)
-		}
-		if wl.Failed > 0 {
-			t.Errorf("%s: %d runs failed", w, wl.Failed)
+			if s.Verdict == "regressed" {
+				t.Errorf("%s %s regressed by more than its bound of %g", w, m.Name, m.Bound)
+			}
 		}
 		set.Workloads = append(set.Workloads, wl)
 	}
@@ -179,15 +202,17 @@ func TestBenchPair(t *testing.T) {
 }
 
 // benchRun runs one workload once in tree, with the binary its run.sh built,
-// and returns the end-to-end metrics of the JSON line it prints last, and
-// whether the run passed (no failed operation, a correct digest).
-func benchRun(t *testing.T, tree, workload string, seed int64) (map[string]float64, bool) {
+// and returns the end-to-end metrics of the JSON line it prints last. The
+// error is set, with the metrics nil, when the run failed: it exited
+// non-zero, printed no result line, or reported a failed operation or a
+// wrong digest.
+func benchRun(tree, workload string, seed int64) (map[string]float64, error) {
 	cmd := exec.Command(filepath.Join(tree, ".bench_build", "napabench"), "--workload", workload,
 		"--seed", fmt.Sprint(seed), "--seconds", fmt.Sprint(*pairSeconds), "--trace", "0")
 	cmd.Dir = tree
 	out, err := cmd.Output()
 	if err != nil {
-		t.Fatalf("%s seed %d in %s: %v", workload, seed, tree, err)
+		return nil, err
 	}
 	lines := bytes.Split(bytes.TrimSpace(out), []byte("\n"))
 	var res struct {
@@ -198,40 +223,58 @@ func benchRun(t *testing.T, tree, workload string, seed int64) (map[string]float
 		} `json:"metrics"`
 	}
 	if err := json.Unmarshal(lines[len(lines)-1], &res); err != nil {
-		t.Fatalf("%s seed %d in %s: %v in %q", workload, seed, tree, err, lines[len(lines)-1])
+		return nil, fmt.Errorf("%v in %q", err, lines[len(lines)-1])
+	}
+	if !res.Correct || res.Failed > 0 {
+		return nil, fmt.Errorf("correct %v, %d failed operations", res.Correct, res.Failed)
 	}
 	metrics := map[string]float64{}
 	for name, m := range res.Metrics {
 		metrics[name] = m.Value
 	}
-	return metrics, res.Correct && res.Failed == 0
+	return metrics, nil
 }
 
 // summarize fills m's quartiles, its ahead and behind counts and its verdict.
 func summarize(m *pairMetric) {
 	s := &m.Summary
+	if len(m.Parent) == 0 {
+		s.Verdict = "no pairs"
+		return
+	}
 	s.Parent, s.Change = quartiles(m.Parent), quartiles(m.Change)
-	for i := range m.Parent {
-		d := m.Change[i] - m.Parent[i]
+	// worse is how much worse than x a reading y is, as a share of x.
+	worse := func(y, x float64) float64 {
 		if m.Better == "higher" {
-			d = -d
+			return (x - y) / x
 		}
-		switch {
+		return (y - x) / x
+	}
+	for i := range m.Parent {
+		switch d := worse(m.Change[i], m.Parent[i]); {
 		case d < 0:
 			s.Ahead++
 		case d > 0:
 			s.Behind++
 		}
 	}
+	separated := true // every change run better than every parent run
+	for _, c := range m.Change {
+		for _, p := range m.Parent {
+			separated = separated && worse(c, p) < 0
+		}
+	}
 	need := int(math.Ceil(0.9 * float64(len(m.Parent))))
-	apart := math.Abs(s.Change[1]-s.Parent[1]) > s.Parent[2]-s.Parent[0]
+	spread := s.Parent[2] - s.Parent[0]
 	switch {
-	case s.Ahead >= need && apart:
+	case s.Ahead >= need && math.Abs(s.Change[1]-s.Parent[1]) > spread:
 		s.Verdict = "met"
-	case s.Behind >= need && apart:
-		s.Verdict = "worse"
-	default:
+	case spread > m.Bound*s.Parent[1] && !separated:
 		s.Verdict = "unresolved"
+	case worse(s.Change[1], s.Parent[1]) > m.Bound:
+		s.Verdict = "regressed"
+	default:
+		s.Verdict = "no regression"
 	}
 }
 

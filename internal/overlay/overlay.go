@@ -269,10 +269,10 @@ type shardCtx struct {
 
 	// Partner tables are carved from per-shard blocks (partnerTable):
 	// tableBlock is the current block's records not yet handed out, and
-	// tableless counts the shard's nodes that have no table yet (AddNode
-	// adds one, partnerTable takes one away).
+	// tableBytes the bytes of every block the shard has made (the per-peer
+	// account in experiment's tests reads it).
 	tableBlock []partner
-	tableless  int
+	tableBytes int
 
 	// Tracker-query scratch, reused across calls: each shard is
 	// single-threaded and a query's result is consumed before the next
@@ -510,7 +510,6 @@ func (n *Network) AddNode(host topology.Host, link access.Link, prof *Profile) *
 		node.up.SetQueueLimit(d)
 	}
 	n.nodes = append(n.nodes, node)
-	node.sc.tableless++
 	for _, sc := range n.shards {
 		sc.ledger.grow(len(n.nodes))
 	}

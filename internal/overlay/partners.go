@@ -263,19 +263,17 @@ const partnerBlockBytes = 64 << 10
 
 // partnerTable carves an empty table of capacity n from the shard's current
 // block, first allocating a new block when the current one has fewer than n
-// records left. A block holds as many whole tables as fit partnerBlockBytes,
-// and never more than the shard has nodes still without a table, so a small
-// swarm does not carry an empty block. The table is a three-index slice:
-// its capacity is exactly n, so the records past it, the next table's, are
-// out of its reach.
+// records left. A block holds as many whole tables as fit partnerBlockBytes.
+// The table is a three-index slice: its capacity is exactly n, so the records
+// past it, the next table's, are out of its reach.
 func (sc *shardCtx) partnerTable(n int) []partner {
 	if len(sc.tableBlock) < n {
 		tables := partnerBlockBytes / (n * int(unsafe.Sizeof(partner{})))
-		sc.tableBlock = make([]partner, n*max(1, min(tables, sc.tableless)))
+		sc.tableBlock = make([]partner, n*max(1, tables))
+		sc.tableBytes += len(sc.tableBlock) * int(unsafe.Sizeof(partner{}))
 	}
 	t := sc.tableBlock[:0:n]
 	sc.tableBlock = sc.tableBlock[n:]
-	sc.tableless--
 	return t
 }
 

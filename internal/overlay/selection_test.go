@@ -133,57 +133,52 @@ func TestPartnerTableShape(t *testing.T) {
 // the capacity is all that keeps addPartner's reslice out of the next one. A
 // block holds as many whole tables of the shipped sizes (TVAnts' 16, SopCast's
 // 24, PPLive's 40) as fit partnerBlockBytes, a whole number of 8 KB pages,
-// less than one table short of it, and never more tables than its shard has
-// nodes still without one. On two shards under churn, every table keeps its
-// room and zero slots past its records at every second (checkEverySecond),
-// and each shard's count of nodes without a table is exact.
+// less than one table short of it, and the shard counts its bytes. On two
+// shards under churn, every table keeps its room and zero slots past its
+// records at every second (checkEverySecond), and each shard's count is
+// whole blocks, enough for its tables and no more.
 func TestPartnerTablesAreCarvedFromBlocks(t *testing.T) {
 	if partnerBlockBytes%(8<<10) != 0 {
 		t.Fatalf("a block is %d bytes, not a whole number of 8 KB pages", partnerBlockBytes)
 	}
+	record := int(unsafe.Sizeof(partner{}))
 	for _, n := range []int{16, 24, 40} {
-		size := n * int(unsafe.Sizeof(partner{}))
-		sc := &shardCtx{tableless: 1000}
+		size := n * record
+		sc := &shardCtx{}
 		first := sc.partnerTable(n)
 		if len(first) != 0 || cap(first) != n {
 			t.Fatalf("%d partners: a table of %d records with room for %d", n, len(first), cap(first))
 		}
-		if block := (len(sc.tableBlock) + n) * int(unsafe.Sizeof(partner{})); block > partnerBlockBytes || partnerBlockBytes-block >= size {
+		block := (len(sc.tableBlock) + n) * record
+		if block > partnerBlockBytes || partnerBlockBytes-block >= size {
 			t.Errorf("%d partners: a block of %d B for %d-byte tables, in %d B", n, block, size, partnerBlockBytes)
 		}
 		if next := sc.partnerTable(n); unsafe.Pointer(unsafe.SliceData(next)) != unsafe.Add(unsafe.Pointer(unsafe.SliceData(first)), size) {
 			t.Errorf("%d partners: the second table does not follow the first in its block", n)
 		}
-		if sc.tableless != 998 {
-			t.Errorf("%d partners: %d nodes left without a table after two of 1000 took one", n, sc.tableless)
-		}
-		few := &shardCtx{tableless: 3}
-		few.partnerTable(n)
-		if len(few.tableBlock) != 2*n {
-			t.Errorf("%d partners: with 3 nodes without a table, a block left room for %d more records, want %d", n, len(few.tableBlock), 2*n)
+		if sc.tableBytes != block {
+			t.Errorf("%d partners: two tables of one %d-byte block counted as %d B", n, block, sc.tableBytes)
 		}
 	}
 
 	w := buildWorldShards(t, 5, 30, 3, testConfig(), 2)
 	w.checkEverySecond(t)
 	w.src.ScheduleJoin(0)
-	for i, p := range w.peers {
-		if i%3 != 2 { // every third peer never joins, and never takes a table
-			p.ScheduleChurn(time.Duration(i)*100*time.Millisecond, 6*time.Second, 2*time.Second)
-		}
+	for _, p := range w.peers {
+		p.ScheduleChurn(time.Duration(p.ID)*100*time.Millisecond, 6*time.Second, 2*time.Second)
 	}
 	w.sh.Run(30 * time.Second)
-	with, without := map[*shardCtx]int{}, map[*shardCtx]int{}
+	tables := map[*shardCtx]int{}
 	for _, nd := range w.net.nodes {
-		if nd.partners == nil {
-			without[nd.sc]++
-		} else {
-			with[nd.sc]++
+		if nd.partners != nil {
+			tables[nd.sc]++
 		}
 	}
+	size := w.src.Profile.MaxPartners * record
+	block := partnerBlockBytes / size * size
 	for _, sc := range w.net.shards {
-		if with[sc] == 0 || without[sc] == 0 || sc.tableless != without[sc] {
-			t.Errorf("shard %d: %d nodes have a table; it counts %d without one, %d have none", sc.idx, with[sc], sc.tableless, without[sc])
+		if n := tables[sc]; n == 0 || sc.tableBytes%block != 0 || sc.tableBytes/block != (n+block/size-1)/(block/size) {
+			t.Errorf("shard %d: %d tables in %d B of %d-byte blocks", sc.idx, n, sc.tableBytes, block)
 		}
 	}
 }
