@@ -55,7 +55,7 @@ func benchBatteryResults(b *testing.B) []*napawine.Result {
 // testbed world (no background swarm, no simulation).
 func BenchmarkTableI(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		w, err := world.Build(world.Spec{Seed: int64(i + 1), Peers: 0, HighBwFraction: 0.7, SubnetsPerAS: 2})
+		w, err := world.Build(world.Spec{Seed: int64(i + 1), Peers: 0, HighBwFraction: 0.7})
 		if err != nil {
 			b.Fatal(err)
 		}

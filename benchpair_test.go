@@ -5,8 +5,10 @@ package napawine_test
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math"
 	"os"
 	"os/exec"
@@ -31,7 +33,10 @@ import (
 // first in even pairs and the change first in odd ones. It prints each side's
 // median and quartiles, the pairs the change was ahead in, every run and a
 // verdict per metric, and writes the whole set to BENCH_<commit>.json at the
-// repository root, named by the ref's short commit.
+// repository root, named by the ref's short commit. A set never replaces one
+// recorded before it: a later set against the same commit is written beside
+// it as BENCH_<commit>-2.json, -3 and so on, with "repeat": true when its
+// seeds overlap an earlier set's (it reran pairs already on record).
 //
 // The verdict is the benchmark's rule. A gain is "met" when the change is
 // ahead in at least nine tenths of the pairs (ties count for neither side)
@@ -86,6 +91,7 @@ type pairSet struct {
 	NumCPU    int             `json:"nproc"`
 	Seconds   float64         `json:"seconds"`
 	Seeds     [2]int64        `json:"seeds"`
+	Repeat    bool            `json:"repeat,omitempty"`
 	Order     string          `json:"order"`
 	Workloads []*pairWorkload `json:"workloads"`
 }
@@ -190,11 +196,28 @@ func TestBenchPair(t *testing.T) {
 		set.Workloads = append(set.Workloads, wl)
 	}
 
+	path := filepath.Join(root, "BENCH_"+set.RefCommit+".json")
+	for n := 2; ; n++ {
+		raw, err := os.ReadFile(path)
+		if errors.Is(err, fs.ErrNotExist) {
+			break
+		}
+		var earlier pairSet
+		if err == nil {
+			err = json.Unmarshal(raw, &earlier)
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if earlier.Seeds[0] <= set.Seeds[1] && set.Seeds[0] <= earlier.Seeds[1] {
+			set.Repeat = true
+		}
+		path = filepath.Join(root, fmt.Sprintf("BENCH_%s-%d.json", set.RefCommit, n))
+	}
 	out, err := json.MarshalIndent(set, "", "  ")
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(root, "BENCH_"+set.RefCommit+".json")
 	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -124,22 +124,25 @@ func Default(app string) Config {
 // default), flooring at 50 peers so a tiny factor still yields a viable
 // swarm. Every study cell is sized by this one rule (Study.PeerFactor), so
 // the same -scale means the same world for one seed and for a replicated run.
+// A product past 2⁵³, infinite or NaN saturates at 2⁵³ rather than wrap in
+// the conversion to int, so Nodes sees a size it refuses.
 func (c *Config) ScalePeers(factor float64) {
 	if factor <= 0 {
 		return
 	}
-	c.World.Peers = int(float64(c.World.Peers) * factor)
-	if c.World.Peers < 50 {
-		c.World.Peers = 50
+	p := float64(c.World.Peers) * factor
+	if !(p <= 1<<53) {
+		p = 1 << 53
 	}
+	c.World.Peers = max(int(p), 50)
 }
 
 // Nodes counts the overlay nodes a run of c builds: the source, the Table I
 // probes, ProbeASBackground peers in each probe AS, the background and the
-// deferred pool. It counts in floating point, so an absurd factor cannot
-// wrap around. Each node takes a peer id, and ids stop at
-// overlay.MaxPeerID: RunCtx refuses a larger run before it builds a world,
-// and study.Validate refuses it for every cell.
+// deferred pool. It counts in floating point, so an absurd size cannot wrap
+// around. Each node takes a peer id, and ids stop at overlay.MaxPeerID:
+// RunCtx refuses a larger run before it builds a world, and study.Validate
+// refuses it for every cell.
 func (c *Config) Nodes() float64 {
 	n := 1 + float64(c.World.Peers) + c.deferred()
 	probeASes := map[string]bool{}
@@ -178,10 +181,6 @@ func (c *Config) fillDefaults() {
 	if c.Contrib.MinBytes == 0 {
 		c.Contrib = core.DefaultContrib
 	}
-	// World.SubnetsPerAS stays 0 here on purpose: world.Build sizes the
-	// address space from the final population (3 for small worlds, larger
-	// for 10⁵-peer swarms), and Peers/ExtraPeers may still change after
-	// fillDefaults (ScalePeers, scenario ExtraPeerFactor).
 	if c.World.Seed == 0 {
 		c.World.Seed = c.Seed
 	}

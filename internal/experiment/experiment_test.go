@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -475,5 +476,30 @@ func TestRunRefusesTooManyNodesBeforeBuildingAWorld(t *testing.T) {
 	cfg.World.Peers, cfg.Scenario = 1<<24-93, nil
 	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "HighBwFraction") {
 		t.Errorf("2²⁴ − 93 peers: Run() = %v, want the world's HighBwFraction error", err)
+	}
+}
+
+// TestScaledPastThePeerIDLimit: a factor that takes the background past the
+// peer-id limit fails Run with the node-count error, before any world is
+// built, on the library path that no study validates. A product that is not
+// finite, or past 2⁵³, saturates at 2⁵³ instead of wrapping into a small
+// swarm through the conversion to int.
+func TestScaledPastThePeerIDLimit(t *testing.T) {
+	for _, tc := range []struct {
+		factor float64
+		want   string
+	}{
+		{1e30, "9007199254741084 nodes need peer ids"},
+		{math.Inf(1), "9007199254741084 nodes need peer ids"},
+		{math.NaN(), "9007199254741084 nodes need peer ids"},
+		{12_000, "16800093 nodes need peer ids up to 16800092"}, // 1 400 PPLive peers
+	} {
+		cfg := Default("PPLive")
+		cfg.World.HighBwFraction = 2 // a built world would fail on this instead
+		cfg.ScalePeers(tc.factor)
+		_, err := Run(cfg)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || !strings.Contains(err.Error(), "past the limit of 16777215") {
+			t.Errorf("ScalePeers(%v): Run() = %v, want the node-count error %q", tc.factor, err, tc.want)
+		}
 	}
 }

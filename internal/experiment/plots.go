@@ -67,7 +67,7 @@ func SeriesPlots(results []*Result) []plot.Artifact {
 	for _, m := range SeriesMetrics {
 		l := &plot.Line{
 			Title:  fmt.Sprintf("%s — scenario %q", m.YLabel, scenario),
-			XLabel: "virtual time", YLabel: m.YLabel, XTime: true,
+			YLabel: m.YLabel,
 		}
 		for _, r := range results {
 			if len(r.Series) == 0 {
@@ -125,7 +125,7 @@ func perASPlots(r *Result, scenario string) []plot.Artifact {
 	for _, m := range asMetrics {
 		l := &plot.Line{
 			Title:  fmt.Sprintf("per-AS %s — %s, scenario %q", m.ylabel, r.App, scenario),
-			XLabel: "virtual time", YLabel: m.ylabel, XTime: true,
+			YLabel: m.ylabel,
 		}
 		for slot, a := range ases {
 			s := plot.Series{Name: fmt.Sprintf("AS %d", a.AS),

@@ -253,9 +253,9 @@ func RenderFigure1(w io.Writer, results []*Result) error {
 		for _, s := range sections {
 			bars := report.NewBars(fmt.Sprintf("Figure 1 — %s — %s (%%)", g.App, s.name))
 			for i, label := range g.Labels {
-				bars.Add(label, s.series[i], "")
+				bars.Add(label, s.series[i])
 			}
-			if err := bars.Render(w, 50); err != nil {
+			if err := bars.Render(w); err != nil {
 				return err
 			}
 		}

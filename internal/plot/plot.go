@@ -59,16 +59,13 @@ type Series struct {
 	Lo, Hi []float64
 }
 
-// Line is a multi-series line chart with axes, a legend and optional band
-// shading.
+// Line is a multi-series line chart over virtual time, with axes, a legend
+// and optional band shading: 720×360, X values in seconds, X ticks labelled
+// as durations.
 type Line struct {
-	Title          string
-	XLabel, YLabel string
-	// XTime formats X tick labels as durations (X values in seconds).
-	XTime  bool
+	Title  string
+	YLabel string
 	Series []Series
-	// Width and Height are the SVG dimensions (0 selects 720×360).
-	Width, Height int
 }
 
 // BarSeries is one named bar group member of a Bar chart. Vals holds one
@@ -83,15 +80,13 @@ type BarSeries struct {
 }
 
 // Bar is a grouped bar chart: one cluster per group, one bar per series
-// within each cluster, optional stderr whiskers.
+// within each cluster, optional stderr whiskers. It is 360 high and as wide
+// as its clusters need, 480 at least.
 type Bar struct {
 	Title  string
 	YLabel string
 	Groups []string
 	Series []BarSeries
-	// Width and Height are the SVG dimensions (0 auto-sizes the width to
-	// the cluster count and selects height 360).
-	Width, Height int
 }
 
 // Artifact pairs a renderable chart with the file stem it should be written
@@ -247,14 +242,8 @@ func dataRange(lo, hi float64, ok bool, vals ...float64) (float64, float64, bool
 
 // Render writes the chart as a complete SVG document.
 func (l *Line) Render(w io.Writer) error {
-	width, height := l.Width, l.Height
-	if width <= 0 {
-		width = 720
-	}
-	if height <= 0 {
-		height = 360
-	}
 	const (
+		width, height    = 720, 360
 		marginL, marginR = 64, 18
 		marginT, marginB = 52, 48
 	)
@@ -299,21 +288,15 @@ func (l *Line) Render(w io.Writer) error {
 		b.hline(plotL, plotR, y, gridColor, 1)
 		b.text(plotL-8, y+3.5, 10, inkSecondary, "end", "", tickLabel(tv, ystep))
 	}
-	xticks, xstep := ticks(xlo, xhi, 7)
+	xticks, _ := ticks(xlo, xhi, 7)
 	for _, tv := range xticks {
 		x := xs.px(tv)
 		b.vline(x, plotB, plotB+4, axisColor, 1)
-		label := tickLabel(tv, xstep)
-		if l.XTime {
-			label = timeLabel(tv)
-		}
-		b.text(x, plotB+16, 10, inkSecondary, "middle", "", label)
+		b.text(x, plotB+16, 10, inkSecondary, "middle", "", timeLabel(tv))
 	}
 	b.hline(plotL, plotR, plotB, axisColor, 1)
 	b.vline(plotL, plotT, plotB, axisColor, 1)
-	if l.XLabel != "" {
-		b.text((plotL+plotR)/2, float64(height)-10, 11, inkSecondary, "middle", "", l.XLabel)
-	}
+	b.text((plotL+plotR)/2, height-10, 11, inkSecondary, "middle", "", "virtual time")
 	if l.YLabel != "" {
 		b.text(14, (plotT+plotB)/2, 11, inkSecondary, "middle",
 			fmt.Sprintf(`transform="rotate(-90 14 %s)"`, coord((plotT+plotB)/2)), l.YLabel)
@@ -395,6 +378,7 @@ func eachSegment(x []float64, ok func(int) bool, emit func([]int)) {
 // Render writes the chart as a complete SVG document.
 func (b *Bar) Render(w io.Writer) error {
 	const (
+		height           = 360
 		marginL, marginR = 64, 18
 		marginT          = 52
 		barW, barGap     = 18.0, 2.0
@@ -405,16 +389,7 @@ func (b *Bar) Render(w io.Writer) error {
 		nGroups = 0
 	}
 	groupW := float64(nSeries)*(barW+barGap) - barGap
-	width, height := b.Width, b.Height
-	if width <= 0 {
-		width = marginL + marginR + int(float64(nGroups)*(groupW+groupGap)+groupGap)
-		if width < 480 {
-			width = 480
-		}
-	}
-	if height <= 0 {
-		height = 360
-	}
+	width := max(480, marginL+marginR+int(float64(nGroups)*(groupW+groupGap)+groupGap))
 	// Group labels rotate when any would overflow its cluster width.
 	rotate := false
 	for _, g := range b.Groups {

@@ -34,9 +34,7 @@ func goldenLine() *Line {
 	x := []float64{0, 30, 60, 90, 120, 150}
 	return &Line{
 		Title:  "Continuity — scenario \"flash<crowd>\"",
-		XLabel: "virtual time",
 		YLabel: "continuity",
-		XTime:  true,
 		Series: []Series{
 			{
 				Name: "PPLive",
@@ -157,7 +155,6 @@ func TestCoordHasNoNegativeZero(t *testing.T) {
 func TestEscaping(t *testing.T) {
 	l := &Line{
 		Title:  `a<b & "c">`,
-		XLabel: "<x>",
 		YLabel: "&y",
 		Series: []Series{
 			{Name: `s<1> & "q"`, X: []float64{0, 1}, Y: []float64{1, 2}},

@@ -139,25 +139,24 @@ type Bars struct {
 type barRow struct {
 	label string
 	value float64
-	note  string
 }
+
+// barsWidth is the length in characters of the longest bar.
+const barsWidth = 50
 
 // NewBars builds an empty chart.
 func NewBars(title string) *Bars { return &Bars{Title: title} }
 
 // Add appends one bar.
-func (b *Bars) Add(label string, value float64, note string) {
-	b.rows = append(b.rows, barRow{label: label, value: value, note: note})
+func (b *Bars) Add(label string, value float64) {
+	b.rows = append(b.rows, barRow{label: label, value: value})
 	if value > b.max {
 		b.max = value
 	}
 }
 
-// Render writes the chart, scaling the longest bar to width characters.
-func (b *Bars) Render(w io.Writer, width int) error {
-	if width <= 0 {
-		width = 40
-	}
+// Render writes the chart, scaling the longest bar to barsWidth characters.
+func (b *Bars) Render(w io.Writer) error {
 	var sb strings.Builder
 	if b.Title != "" {
 		sb.WriteString(b.Title)
@@ -170,17 +169,14 @@ func (b *Bars) Render(w io.Writer, width int) error {
 	for _, r := range b.rows {
 		n := 0
 		if b.max > 0 {
-			n = int(r.value / b.max * float64(width))
+			n = int(r.value / b.max * barsWidth)
 		}
 		sb.WriteString(r.label)
 		sb.WriteString(strings.Repeat(" ", labelW-utf8.RuneCountInString(r.label)))
 		sb.WriteString(" |")
 		sb.WriteString(strings.Repeat("#", n))
-		sb.WriteString(strings.Repeat(" ", width-n))
+		sb.WriteString(strings.Repeat(" ", barsWidth-n))
 		sb.WriteString(fmt.Sprintf("| %6.2f", r.value))
-		if r.note != "" {
-			sb.WriteString("  " + r.note)
-		}
 		sb.WriteByte('\n')
 	}
 	_, err := io.WriteString(w, sb.String())

@@ -100,43 +100,24 @@ func TestPct(t *testing.T) {
 
 func TestBars(t *testing.T) {
 	bars := NewBars("Geo")
-	bars.Add("CN", 62.5, "")
-	bars.Add("IT", 3.1, "probe country")
-	bars.Add("*", 0, "")
+	bars.Add("CN", 62.5)
+	bars.Add("IT", 3.1)
+	bars.Add("*", 0)
 	var b strings.Builder
-	if err := bars.Render(&b, 20); err != nil {
+	if err := bars.Render(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
-	if !strings.Contains(out, "Geo") || !strings.Contains(out, "probe country") {
+	if !strings.Contains(out, "Geo") || !strings.Contains(out, "3.10") {
 		t.Error("chart content missing")
 	}
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	// CN has the longest bar (20 #), the zero row none.
-	if !strings.Contains(lines[1], strings.Repeat("#", 20)) {
+	// CN has the longest bar (50 #), the zero row none.
+	if !strings.Contains(lines[1], "|"+strings.Repeat("#", 50)+"|") {
 		t.Errorf("max bar not full width: %q", lines[1])
 	}
 	if strings.Contains(lines[3], "#") {
 		t.Errorf("zero bar has marks: %q", lines[3])
-	}
-}
-
-func TestBarsZeroWidthDefault(t *testing.T) {
-	bars := NewBars("")
-	bars.Add("x", 1, "")
-	var b strings.Builder
-	if err := bars.Render(&b, 0); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), strings.Repeat("#", 40)) {
-		t.Error("default width not applied")
-	}
-	b.Reset()
-	if err := bars.Render(&b, 1); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "|#|") {
-		t.Errorf("width 1 drew %q, want one mark", b.String())
 	}
 }
 

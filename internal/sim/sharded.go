@@ -240,11 +240,11 @@ func (s *Sharded) minNext() (Time, bool) {
 	var m Time
 	ok := false
 	for _, sh := range s.shards {
-		if t, live := sh.NextAt(); live && (!ok || t < m) {
+		if t, queued := sh.NextAt(); queued && (!ok || t < m) {
 			m, ok = t, true
 		}
 	}
-	if t, live := s.global.NextAt(); live && (!ok || t < m) {
+	if t, queued := s.global.NextAt(); queued && (!ok || t < m) {
 		m, ok = t, true
 	}
 	return m, ok

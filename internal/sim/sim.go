@@ -50,7 +50,7 @@ func (t Time) Sub(u Time) time.Duration { return time.Duration(t - u) }
 type Kind uint8
 
 // kindFunc marks a queued closure: the event's Node indexes the engine's
-// closure table and its Peer is non-zero when the entry carries a Timer.
+// closure table.
 const kindFunc Kind = 0
 
 // Record is an event's payload in pointer-free form. The engine stores and
@@ -66,8 +66,8 @@ type Record struct {
 // pointers, so the queue is memory the garbage collector never scans
 // however many events are pending. order is seq<<kindBits | kind: sequence
 // numbers are unique, so the kind bits never decide an order. The rest is
-// the Record's. A closure's func value and Timer live in Engine.closures
-// instead, found through node.
+// the Record's. A closure's func value lives in Engine.closures instead,
+// found through node.
 type event struct {
 	at         Time
 	order      uint64
@@ -79,12 +79,10 @@ const kindBits = 8
 
 func (ev *event) kind() Kind { return Kind(ev.order) }
 
-// closure is one entry of the closure table: what a kindFunc event runs, and
-// the Timer to consult when the event is cancellable. A free entry holds
-// neither and links to the next free one.
+// closure is one entry of the closure table: what a kindFunc event runs. A
+// free entry holds none and links to the next free one.
 type closure struct {
 	fn       func()
-	timer    *Timer
 	nextFree int32
 }
 
@@ -112,22 +110,17 @@ type Engine struct {
 	slots      [numLevels][levelSlots]*slab
 	occ        [numLevels]uint64
 	free       *slab
-	wheelCount int // events stored in wheel slots, ghosts included
+	wheelCount int // events stored in wheel slots
 
 	// closures is the table kindFunc events index; freeClosure heads the
 	// list of its unused entries (-1 when there is none). An entry is taken
-	// at schedule time and returned when its event fires or is discarded.
+	// at schedule time and returned when its event fires.
 	closures    []closure
 	freeClosure int32
 
-	// ghost counts cancelled timers still sitting in the queue; they are
-	// discarded lazily — per wheel slot at spill time, and at the heap
-	// head.
-	ghost   int
 	stopped bool
 	// processed counts executed events; exposed for tests and for the
-	// benchmark harness to report event throughput. Cancelled timers are
-	// skipped, never executed, and therefore never counted.
+	// benchmark harness to report event throughput.
 	processed uint64
 }
 
@@ -159,17 +152,14 @@ func (e *Engine) Rand() *rand.Rand { return e.rng }
 // Processed reports how many events have executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending reports how many live events are waiting in the queue. Cancelled
-// timers that have not yet been discarded are excluded.
-func (e *Engine) Pending() int { return len(e.cur) + e.wheelCount - e.ghost }
+// Pending reports how many events are waiting in the queue.
+func (e *Engine) Pending() int { return len(e.cur) + e.wheelCount }
 
-// NextAt reports the instant of the earliest live pending event, or false
-// when the queue holds none. Cancelled timers encountered on the way to the
-// head are discarded, exactly as Step would; the observable schedule is
-// unchanged. The sharded coordinator uses this peek to clip lockstep
-// windows at the next global event and to jump over idle gaps.
+// NextAt reports the instant of the earliest pending event, or false when
+// the queue holds none. The sharded coordinator uses this peek to clip
+// lockstep windows at the next global event and to jump over idle gaps.
 func (e *Engine) NextAt() (Time, bool) {
-	if !e.headLive() {
+	if !e.fillHead() {
 		return 0, false
 	}
 	return e.cur[0].at, true
@@ -190,7 +180,7 @@ func (e *Engine) At(t Time, fn func()) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: scheduling into the past: %v < %v", t, e.now))
 	}
-	e.enqueue(t, Record{Node: e.holdClosure(fn, nil)})
+	e.enqueue(t, Record{Node: e.holdClosure(fn)})
 }
 
 // Post queues r for the dispatch function after delay of virtual time: the
@@ -215,9 +205,8 @@ func (e *Engine) PostAt(t Time, r Record) {
 	e.enqueue(t, r)
 }
 
-// holdClosure files fn (and its timer, for a cancellable event) in the
-// closure table and returns the entry's index.
-func (e *Engine) holdClosure(fn func(), t *Timer) int32 {
+// holdClosure files fn in the closure table and returns the entry's index.
+func (e *Engine) holdClosure(fn func()) int32 {
 	i := e.freeClosure
 	if i < 0 {
 		e.closures = append(e.closures, closure{})
@@ -225,51 +214,38 @@ func (e *Engine) holdClosure(fn func(), t *Timer) int32 {
 	} else {
 		e.freeClosure = e.closures[i].nextFree
 	}
-	e.closures[i] = closure{fn: fn, timer: t}
+	e.closures[i] = closure{fn: fn}
 	return i
 }
 
-// dropClosure empties entry i, so the table pins neither the func nor the
-// Timer, and returns it to the free list.
+// dropClosure empties entry i, so the table does not pin the func, and
+// returns it to the free list.
 func (e *Engine) dropClosure(i int32) {
 	e.closures[i] = closure{nextFree: e.freeClosure}
 	e.freeClosure = i
 }
 
-// cancelled reports whether ev is a cancelled timer's event. Only an event
-// that carries a timer costs a look at the closure table.
-func (e *Engine) cancelled(ev *event) bool {
-	return ev.kind() == kindFunc && ev.peer != 0 && e.closures[ev.node].timer.cancelled
-}
-
 // Timer is a cancellable scheduled callback.
-type Timer struct {
-	eng       *Engine
-	cancelled bool
-	fired     bool
-}
+type Timer struct{ cancelled bool }
 
-// Cancel prevents the timer's callback from running. Cancelling an already
-// fired or already cancelled timer is a no-op, so callers need no bookkeeping.
+// Cancel keeps the timer's callback from running. Cancelling a fired, a
+// cancelled or a nil timer is a no-op, so callers need no bookkeeping.
 func (t *Timer) Cancel() {
-	if t == nil || t.cancelled || t.fired {
-		return
+	if t != nil {
+		t.cancelled = true
 	}
-	t.cancelled = true
-	t.eng.ghost++
 }
 
-// After schedules fn like Schedule but returns a Timer handle that can
-// cancel it. Cancellation is lazy: the event stays queued and is discarded
-// when its wheel slot spills or it reaches the head of the current tick,
-// which keeps the queue free of random deletions. A cancelled event never
-// executes and never counts as processed.
+// After schedules fn like Schedule and returns a Timer that can keep it from
+// running. A cancelled timer's event stays queued and fires as a no-op, so
+// Pending, NextAt and Processed count it like any other.
 func (e *Engine) After(delay time.Duration, fn func()) *Timer {
-	if delay < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v", delay))
-	}
-	t := &Timer{eng: e}
-	e.enqueue(e.now.Add(delay), Record{Node: e.holdClosure(fn, t), Peer: 1})
+	t := new(Timer)
+	e.Schedule(delay, func() {
+		if !t.cancelled {
+			fn()
+		}
+	})
 	return t
 }
 
@@ -287,11 +263,10 @@ func (e *Engine) Every(first, interval time.Duration, fn func()) {
 	e.Schedule(first, tick)
 }
 
-// Step executes the single earliest live pending event and reports whether
-// one existed. The clock jumps to the event's instant. Cancelled timers
-// encountered on the way are discarded silently.
+// Step executes the single earliest pending event and reports whether one
+// existed. The clock jumps to the event's instant.
 func (e *Engine) Step() bool {
-	if !e.headLive() {
+	if !e.fillHead() {
 		return false
 	}
 	ev := e.heapPop()
@@ -301,12 +276,9 @@ func (e *Engine) Step() bool {
 		e.dispatch(Record{Kind: ev.kind(), Node: ev.node, Peer: ev.peer, A: ev.a, B: ev.b})
 		return true
 	}
-	c := e.closures[ev.node]
-	if c.timer != nil {
-		c.timer.fired = true
-	}
+	fn := e.closures[ev.node].fn
 	e.dropClosure(ev.node) // before the call, so what fn schedules can reuse the entry
-	c.fn()
+	fn()
 	return true
 }
 
@@ -321,7 +293,7 @@ func (e *Engine) Run(horizon time.Duration) {
 	e.stopped = false
 	end := Time(horizon)
 	for !e.stopped {
-		if !e.headLive() || e.cur[0].at > end {
+		if !e.fillHead() || e.cur[0].at > end {
 			break
 		}
 		e.Step()

@@ -122,30 +122,22 @@ func TestTimerCancel(t *testing.T) {
 	nilTimer.Cancel() // nil cancel is a no-op
 }
 
-func TestCancelledTimerNotProcessed(t *testing.T) {
+// TestCancelledTimerStaysQueued: a cancelled timer's callback never runs,
+// but its event stays queued until its instant and fires as a no-op, so
+// Pending and Processed count it like any other.
+func TestCancelledTimerStaysQueued(t *testing.T) {
 	e := New(1)
 	e.Schedule(time.Second, func() {})
 	tm := e.After(2*time.Second, func() { t.Error("cancelled timer ran") })
 	e.Schedule(3*time.Second, func() {})
 	tm.Cancel()
-	e.RunUntilIdle()
-	if e.Processed() != 2 {
-		t.Errorf("Processed = %d, want 2 (cancelled timer must not count)", e.Processed())
-	}
-}
-
-func TestPendingExcludesCancelled(t *testing.T) {
-	e := New(1)
-	tm := e.After(time.Second, func() {})
-	e.Schedule(2*time.Second, func() {})
-	if e.Pending() != 2 {
-		t.Fatalf("Pending = %d, want 2", e.Pending())
-	}
-	tm.Cancel()
-	if e.Pending() != 1 {
-		t.Errorf("Pending = %d after cancel, want 1", e.Pending())
+	if e.Pending() != 3 {
+		t.Errorf("Pending = %d after cancel, want 3", e.Pending())
 	}
 	e.RunUntilIdle()
+	if e.Processed() != 3 {
+		t.Errorf("Processed = %d, want 3", e.Processed())
+	}
 	if e.Pending() != 0 {
 		t.Errorf("Pending = %d after drain, want 0", e.Pending())
 	}
@@ -157,18 +149,18 @@ func TestCancelAfterFireIsNoOp(t *testing.T) {
 	tm := e.After(time.Second, func() { fired++ })
 	e.Schedule(5*time.Second, func() {})
 	e.RunUntilIdle()
-	tm.Cancel() // already fired: must not corrupt the ghost count
+	tm.Cancel() // already fired: must not queue anything
 	if fired != 1 {
 		t.Fatalf("fired = %d, want 1", fired)
 	}
 	if e.Pending() != 0 {
-		t.Errorf("Pending = %d, want 0 (cancel-after-fire leaked a ghost)", e.Pending())
+		t.Errorf("Pending = %d, want 0 after cancel-after-fire", e.Pending())
 	}
 }
 
 func TestRunHorizonWithCancelledHead(t *testing.T) {
-	// A cancelled timer at the head of the queue must not let Run execute
-	// a live event that lies beyond the horizon.
+	// A cancelled timer at the head of the queue fires as a no-op and must
+	// not let Run execute an event that lies beyond the horizon.
 	e := New(1)
 	tm := e.After(time.Second, func() {})
 	fired := false

@@ -42,9 +42,7 @@ import "math/bits"
 //     in its level's current rotation (it shares all bits above that level
 //     with curTick);
 //   - file routes anything at tick ≤ curTick into cur, so the heap head,
-//     when present, is always the global minimum;
-//   - cancelled timers are discarded lazily, per wheel slot at spill time
-//     and at the heap head.
+//     when present, is always the global minimum.
 const (
 	tickShift  = 17 // one tick = 2^17 ns ≈ 131 µs
 	levelBits  = 6
@@ -139,12 +137,12 @@ func (e *Engine) advance() bool {
 	panic("sim: wheel count positive but no occupied slot")
 }
 
-// spill drains one slot: cancelled timers are discarded (the per-slot lazy
-// ghost discard), live events re-file — into cur for the slot's first tick,
-// into lower levels for the rest — and each slab joins the free list once it
-// has been emptied. Re-filing never targets the slot being spilled (events
-// land strictly below lvl, or in cur), and a slab is not on the free list
-// while it is being read, so no event is overwritten before it is copied out.
+// spill drains one slot: its events re-file — into cur for the slot's first
+// tick, into lower levels for the rest — and each slab joins the free list
+// once it has been emptied. Re-filing never targets the slot being spilled
+// (events land strictly below lvl, or in cur), and a slab is not on the free
+// list while it is being read, so no event is overwritten before it is
+// copied out.
 func (e *Engine) spill(lvl int, idx int64) {
 	s := e.slots[lvl][idx]
 	e.slots[lvl][idx] = nil
@@ -152,13 +150,7 @@ func (e *Engine) spill(lvl int, idx int64) {
 	for s != nil {
 		e.wheelCount -= s.n
 		for i := 0; i < s.n; i++ {
-			ev := &s.ev[i]
-			if e.cancelled(ev) {
-				e.dropClosure(ev.node)
-				e.ghost--
-				continue
-			}
-			e.file(ev)
+			e.file(&s.ev[i])
 		}
 		next := s.next
 		s.n = 0
@@ -168,38 +160,25 @@ func (e *Engine) spill(lvl int, idx int64) {
 	}
 }
 
-// headLive discards cancelled timers at the heap head and cascades wheel
-// slots until the heap head is the next event that will actually execute.
-// Reports false when no live event remains anywhere.
-func (e *Engine) headLive() bool {
-	for {
-		for len(e.cur) > 0 {
-			if !e.cancelled(&e.cur[0]) {
-				return true
-			}
-			e.dropClosure(e.heapPop().node)
-			e.ghost--
-		}
+// fillHead cascades wheel slots until the heap head is the queue's earliest
+// event. Reports false when the queue is empty.
+func (e *Engine) fillHead() bool {
+	for len(e.cur) == 0 {
 		if !e.advance() {
 			return false
 		}
 	}
+	return true
 }
 
-// releaseIfDrained frees the queue's memory once no live event remains, so a
+// releaseIfDrained frees the queue's memory once it is empty, so a
 // flash-crowd spike's peak capacity is not pinned for the rest of a long
-// study: the slot chains, the free slabs, the current-tick heap and the
-// closure table all go. Any events still stored are cancelled ghosts and go
-// with them.
+// study: the free slabs, the current-tick heap and the closure table all go.
 func (e *Engine) releaseIfDrained() {
 	if e.Pending() != 0 {
 		return
 	}
 	e.cur = nil
-	e.ghost = 0
-	e.wheelCount = 0
-	e.slots = [numLevels][levelSlots]*slab{}
-	e.occ = [numLevels]uint64{}
 	e.free = nil
 	e.closures = nil
 	e.freeClosure = -1

@@ -11,37 +11,21 @@ import (
 )
 
 // refEngine reimplements the engine's previous queue — a single binary
-// min-heap over (at, seq) with lazy head discard of cancelled timers — as a
-// reference model. The differential tests below drive it and the timing
-// wheel with identical randomized workloads and demand identical behaviour.
+// min-heap over (at, seq) — as a reference model. The differential tests
+// below drive it and the timing wheel with identical randomized workloads
+// and demand identical behaviour.
 type refEngine struct {
 	now       Time
 	seq       uint64
 	events    []refEvent
-	ghost     int
 	processed uint64
 	dispatch  func(id int) // what a posted id runs (sched.onRecord)
 }
 
 type refEvent struct {
-	at    Time
-	seq   uint64
-	fn    func()
-	timer *refTimer
-}
-
-type refTimer struct {
-	eng       *refEngine
-	cancelled bool
-	fired     bool
-}
-
-func (t *refTimer) cancel() {
-	if t.cancelled || t.fired {
-		return
-	}
-	t.cancelled = true
-	t.eng.ghost++
+	at  Time
+	seq uint64
+	fn  func()
 }
 
 func (e *refEngine) less(i, j int) bool {
@@ -91,26 +75,11 @@ func (e *refEngine) pop() refEvent {
 	return top
 }
 
-func (e *refEngine) dropCancelled() {
-	for len(e.events) > 0 {
-		t := e.events[0].timer
-		if t == nil || !t.cancelled {
-			return
-		}
-		e.pop()
-		e.ghost--
-	}
-}
-
 func (e *refEngine) step() bool {
-	e.dropCancelled()
 	if len(e.events) == 0 {
 		return false
 	}
 	ev := e.pop()
-	if ev.timer != nil {
-		ev.timer.fired = true
-	}
 	e.now = ev.at
 	e.processed++
 	ev.fn()
@@ -120,7 +89,6 @@ func (e *refEngine) step() bool {
 func (e *refEngine) run(horizon time.Duration) {
 	end := Time(horizon)
 	for {
-		e.dropCancelled()
 		if len(e.events) == 0 || e.events[0].at > end {
 			break
 		}
@@ -134,7 +102,9 @@ func (e *refEngine) run(horizon time.Duration) {
 // sched abstracts the two engines so one workload driver exercises both.
 // post queues a record-style event: the engine hands id back to the function
 // given to onRecord. The reference heap has no records; it wraps the same
-// call in a closure, which must be indistinguishable.
+// call in a closure, which must be indistinguishable. Nor has it timers: a
+// cancel there turns the queued event into a no-op, which is what the
+// engine's Cancel must be indistinguishable from.
 type sched interface {
 	now() Time
 	pending() int
@@ -174,17 +144,20 @@ func (s refSched) post(d time.Duration, id int) {
 	s.schedule(d, func() { s.e.dispatch(id) })
 }
 func (s refSched) now() Time              { return s.e.now }
-func (s refSched) pending() int           { return len(s.e.events) - s.e.ghost }
+func (s refSched) pending() int           { return len(s.e.events) }
 func (s refSched) processedCount() uint64 { return s.e.processed }
 func (s refSched) schedule(d time.Duration, fn func()) {
 	s.e.seq++
 	s.e.push(refEvent{at: s.e.now.Add(d), seq: s.e.seq, fn: fn})
 }
 func (s refSched) after(d time.Duration, fn func()) func() {
-	t := &refTimer{eng: s.e}
-	s.e.seq++
-	s.e.push(refEvent{at: s.e.now.Add(d), seq: s.e.seq, fn: fn, timer: t})
-	return t.cancel
+	cancelled := false
+	s.schedule(d, func() {
+		if !cancelled {
+			fn()
+		}
+	})
+	return func() { cancelled = true }
 }
 func (s refSched) run(horizon time.Duration) { s.e.run(horizon) }
 func (s refSched) stepToIdle() {
@@ -357,8 +330,8 @@ func FuzzWheelMatchesHeap(f *testing.F) {
 }
 
 // TestCancelInHigherWheelLevel cancels timers that sit in level ≥ 1 slots
-// before any cascade has touched them; they must neither fire nor linger in
-// Pending, and the queue must drain cleanly around them.
+// before any cascade has touched them; they stay pending but must not run,
+// and the queue must drain cleanly around them.
 func TestCancelInHigherWheelLevel(t *testing.T) {
 	e := New(1)
 	oneTick := time.Duration(1) << tickShift
@@ -371,8 +344,8 @@ func TestCancelInHigherWheelLevel(t *testing.T) {
 	e.Schedule(level2+2*oneTick, func() { fired++ })
 	tm1.Cancel()
 	tm2.Cancel()
-	if e.Pending() != 1 {
-		t.Fatalf("Pending = %d, want 1", e.Pending())
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d, want 3", e.Pending())
 	}
 	e.RunUntilIdle()
 	if fired != 1 {
@@ -385,7 +358,7 @@ func TestCancelInHigherWheelLevel(t *testing.T) {
 
 // TestCancelAfterCascadeIntoCurrentTick cancels a timer after its slot has
 // spilled into the current-tick heap (its sibling at the same tick already
-// fired), exercising the heap-head discard path.
+// fired): its event still fires, as a no-op.
 func TestCancelAfterCascadeIntoCurrentTick(t *testing.T) {
 	e := New(1)
 	oneTick := time.Duration(1) << tickShift
@@ -396,8 +369,8 @@ func TestCancelAfterCascadeIntoCurrentTick(t *testing.T) {
 	tm = e.After(at+oneTick/2, func() { t.Error("timer cancelled in current tick fired") })
 	e.Schedule(at+oneTick-1, func() {}) // same tick, after the cancelled timer
 	e.RunUntilIdle()
-	if e.Processed() != 2 {
-		t.Errorf("Processed = %d, want 2", e.Processed())
+	if e.Processed() != 3 {
+		t.Errorf("Processed = %d, want 3", e.Processed())
 	}
 	if e.Pending() != 0 {
 		t.Errorf("Pending = %d, want 0", e.Pending())
@@ -459,8 +432,7 @@ func TestRunReleasesQueueCapacity(t *testing.T) {
 		e.Schedule(time.Duration(i)*time.Millisecond, func() {})
 		e.Post(time.Duration(i)*time.Millisecond, Record{Kind: 1})
 	}
-	tm := e.After(5*time.Second, func() {}) // a ghost must not block the release
-	tm.Cancel()
+	e.After(5*time.Second, func() {}).Cancel() // drains like any other event
 	if countSlabs(e) < 20000/slabEvents {
 		t.Fatalf("20000 queued events sit in %d slabs", countSlabs(e))
 	}
@@ -543,9 +515,9 @@ func TestSlabsTrackPeakPending(t *testing.T) {
 }
 
 // TestRecordsAndClosuresShareOneOrder: records and closures scheduled for
-// one instant fire in scheduling order, a cancelled timer between them is
-// neither run nor counted, cancelling after the fire stays a no-op, and the
-// closure-table entries are reused rather than grown.
+// one instant fire in scheduling order, a cancelled timer between them does
+// not run, cancelling after the fire stays a no-op, and the closure-table
+// entries are reused rather than grown.
 func TestRecordsAndClosuresShareOneOrder(t *testing.T) {
 	e := New(1)
 	var trace []int
@@ -564,8 +536,8 @@ func TestRecordsAndClosuresShareOneOrder(t *testing.T) {
 	live := e.After(at, func() { trace = append(trace, 3) })
 	e.Post(at, rec(4))
 	dead.Cancel()
-	if e.Pending() != 5 {
-		t.Fatalf("Pending = %d, want 5", e.Pending())
+	if e.Pending() != 6 {
+		t.Fatalf("Pending = %d, want 6", e.Pending())
 	}
 	e.RunUntilIdle()
 	for i, id := range trace {
@@ -573,8 +545,8 @@ func TestRecordsAndClosuresShareOneOrder(t *testing.T) {
 			t.Fatalf("firing order %v, want 0 1 2 3 4", trace)
 		}
 	}
-	if len(trace) != 5 || e.Processed() != 5 {
-		t.Errorf("fired %d, Processed = %d, want 5 and 5", len(trace), e.Processed())
+	if len(trace) != 5 || e.Processed() != 6 {
+		t.Errorf("fired %d, Processed = %d, want 5 and 6", len(trace), e.Processed())
 	}
 
 	// The drain released the table; fill it again, fire, and cancel late.
@@ -682,20 +654,17 @@ func BenchmarkEngineDeepQueue(b *testing.B) {
 	}
 }
 
-// BenchmarkCancel is After+Cancel, the call bench's sim.cancel_ns times. A
-// cancelled event stays queued until its slot spills, so a 1 ms heartbeat
-// stepped every 256 cancels keeps the wheel turning and discards them.
+// BenchmarkCancel is After+Cancel and the no-op firing a cancelled timer
+// still costs, one step per cancel so that the queue stays at its depth.
 func BenchmarkCancel(b *testing.B) {
 	e := New(1)
-	var beat func()
-	beat = func() { e.Schedule(time.Millisecond, beat) }
-	beat()
 	rng := rand.New(rand.NewSource(3))
 	nop := func() {}
-	for i := 0; b.Loop(); i++ {
+	for i := 0; i < 1<<10; i++ {
 		e.After(time.Duration(rng.Int63n(int64(100*time.Millisecond))), nop).Cancel()
-		if i&255 == 255 {
-			e.Step()
-		}
+	}
+	for b.Loop() {
+		e.After(time.Duration(rng.Int63n(int64(100*time.Millisecond))), nop).Cancel()
+		e.Step()
 	}
 }

@@ -61,7 +61,7 @@ func (r *Result) SeriesPlots() []plot.Artifact {
 		l := &plot.Line{
 			Title: fmt.Sprintf("%s — scenario %q (mean±stderr over %d seeds)",
 				m.YLabel, r.Cells[0].Scenario, r.Trials()),
-			XLabel: "virtual time", YLabel: m.YLabel, XTime: true,
+			YLabel: m.YLabel,
 		}
 		for _, label := range labels {
 			s := plot.Series{Name: label}

@@ -286,14 +286,6 @@ func (st *Study) validate() ([]*scenario.Spec, error) {
 			return nil, fmt.Errorf("study %s: duplicate app %q", st.Name, app)
 		}
 		seenApp[app] = true
-		// Sized in floating point, so an absurd factor cannot wrap around.
-		peers := float64(st.Peers)
-		if st.PeerFactor > 0 { // then Peers is 0, checked above
-			peers = float64(experiment.Default(app).World.Peers) * st.PeerFactor
-		}
-		if peers > overlay.MaxPeerID {
-			return nil, fmt.Errorf("study %s: %s: %.0f peers, past the limit of %d peer ids", st.Name, app, peers, overlay.MaxPeerID)
-		}
 	}
 	// Strategies deduplicate on the resolved member's canonical name, so
 	// two spellings of one strategy ("rarest" and "hybrid:r=1") cannot run

@@ -148,11 +148,11 @@ func TestStudyValidateRejects(t *testing.T) {
 		{"blind under two names", Study{Name: "s", Variants: []Variant{{Name: "a", Blind: true}, {Name: "b", Blind: true}}},
 			`duplicate variant "b" (the same profile as "a")`},
 		{"peers past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 1 << 24},
-			"TVAnts: 16777216 peers, past the limit of 16777215 peer ids"},
+			"TVAnts @stationary: 16777309 nodes need peer ids up to 16777308, past the limit of 16777215"},
 		// 1 400 PPLive peers × 12 000 is past the limit; 240 TVAnts peers
 		// × 12 000 is not, so only PPLive fails.
 		{"factor past the id limit", Study{Name: "s", PeerFactor: 12_000},
-			"PPLive: 16800000 peers, past the limit of 16777215 peer ids"},
+			"PPLive @stationary: 16800093 nodes need peer ids up to 16800092, past the limit of 16777215"},
 		// Every cell also builds 93 nodes beside its background: the source,
 		// 44 probes and 8 peers in each of the 6 probe ASes.
 		{"probe side past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 1<<24 - 44},

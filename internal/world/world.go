@@ -32,8 +32,6 @@ type Spec struct {
 	NATFraction float64
 	FWFraction  float64
 
-	SubnetsPerAS int
-
 	// ProbeASBackground places this many background peers inside each
 	// institutional probe AS. Without them the non-NAPA-WINE same-AS
 	// contributor sets (the P′/B′ AS rows of Table IV) would be
@@ -116,13 +114,14 @@ var institutionalLinks = []access.Link{
 	{Spec: units.AccessSpec{Down: 100 * units.Mbps, Up: 20 * units.Mbps}},
 }
 
-// defaultSubnetsPerAS sizes the background address space for the
-// population. Placement samples a country bucket's subnets uniformly at
-// random (with a handful of retries on a full /24), so each bucket needs
-// roughly twice its expected load in capacity to absorb the multinomial
-// skew. The floor of 3 keeps every world built before population-aware
-// sizing byte-identical: at ≤ a few thousand peers no bucket needs more.
-func defaultSubnetsPerAS(peers int, mix []CountryShare) int {
+// subnetsPerAS sizes the background address space for the population: the
+// subnets in each background AS. Placement samples a country bucket's
+// subnets uniformly at random (with a handful of retries on a full /24), so
+// each bucket needs roughly twice its expected load in capacity to absorb
+// the multinomial skew. The floor of 3 keeps every world built before
+// population-aware sizing byte-identical: at ≤ a few thousand peers no
+// bucket needs more.
+func subnetsPerAS(peers int, mix []CountryShare) int {
 	const hostsPerSubnet = 253 // usable addresses in a /24
 	need := 3
 	totalShare := 0.0
@@ -151,9 +150,7 @@ func Build(spec Spec) (*World, error) {
 		return nil, fmt.Errorf("world: HighBwFraction %v out of [0,1]", spec.HighBwFraction)
 	}
 	mix := DefaultMix()
-	if spec.SubnetsPerAS <= 0 {
-		spec.SubnetsPerAS = defaultSubnetsPerAS(spec.Peers+spec.ExtraPeers, mix)
-	}
+	perAS := subnetsPerAS(spec.Peers+spec.ExtraPeers, mix)
 	sites := TableI()
 
 	rng := rand.New(rand.NewSource(spec.Seed))
@@ -195,7 +192,7 @@ func Build(spec Spec) (*World, error) {
 		bk := bucket{share: m.Share / totalShare}
 		for a := 0; a < m.ASes; a++ {
 			asn := b.AddAS(m.CC)
-			for s := 0; s < spec.SubnetsPerAS; s++ {
+			for s := 0; s < perAS; s++ {
 				bk.subnets = append(bk.subnets, b.AddSubnet(asn))
 			}
 		}

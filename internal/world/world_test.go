@@ -14,7 +14,6 @@ func smallSpec(seed int64, peers int) Spec {
 		HighBwFraction:    0.6,
 		NATFraction:       0.2,
 		FWFraction:        0.05,
-		SubnetsPerAS:      2,
 		ProbeASBackground: 3,
 	}
 }
@@ -330,17 +329,17 @@ func TestDeferredPoolValidation(t *testing.T) {
 	}
 }
 
-// Population-aware address-space sizing: the default SubnetsPerAS must stay
-// at the historical 3 for every small world (seed-stability) and grow with
-// the population so large swarms can actually be placed.
+// Population-aware address-space sizing: the subnets per background AS must
+// stay at the historical 3 for every small world (seed-stability) and grow
+// with the population so large swarms can actually be placed.
 func TestDefaultSubnetsPerASScaling(t *testing.T) {
-	if got := defaultSubnetsPerAS(1000, DefaultMix()); got != 3 {
-		t.Errorf("1k peers: SubnetsPerAS = %d, want 3 (historical default)", got)
+	if got := subnetsPerAS(1000, DefaultMix()); got != 3 {
+		t.Errorf("1k peers: %d subnets per AS, want 3 (historical default)", got)
 	}
-	big := defaultSubnetsPerAS(100_000, DefaultMix())
+	big := subnetsPerAS(100_000, DefaultMix())
 	// CN binds: 62% of 2×100k peers over 14 ASes of 253-host subnets.
 	if big < 35 {
-		t.Errorf("100k peers: SubnetsPerAS = %d, want ≥ 35", big)
+		t.Errorf("100k peers: %d subnets per AS, want ≥ 35", big)
 	}
 }
 
