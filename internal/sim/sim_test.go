@@ -122,22 +122,39 @@ func TestTimerCancel(t *testing.T) {
 	nilTimer.Cancel() // nil cancel is a no-op
 }
 
-// TestCancelledTimerStaysQueued: a cancelled timer's callback never runs,
-// but its event stays queued until its instant and fires as a no-op, so
-// Pending and Processed count it like any other.
-func TestCancelledTimerStaysQueued(t *testing.T) {
+// TestCancelledTimerNotProcessed: a cancelled timer's callback is never
+// processed. Its event stays queued and fires as a no-op, so Processed
+// counts it like any other.
+func TestCancelledTimerNotProcessed(t *testing.T) {
 	e := New(1)
 	e.Schedule(time.Second, func() {})
 	tm := e.After(2*time.Second, func() { t.Error("cancelled timer ran") })
 	e.Schedule(3*time.Second, func() {})
 	tm.Cancel()
-	if e.Pending() != 3 {
-		t.Errorf("Pending = %d after cancel, want 3", e.Pending())
-	}
 	e.RunUntilIdle()
 	if e.Processed() != 3 {
-		t.Errorf("Processed = %d, want 3", e.Processed())
+		t.Errorf("Processed = %d, want 3 (the no-op event counts)", e.Processed())
 	}
+}
+
+// TestPendingExcludesCancelled: Pending counts a cancelled timer until its
+// instant, when the no-op event fires, and excludes it from then on.
+func TestPendingExcludesCancelled(t *testing.T) {
+	e := New(1)
+	tm := e.After(time.Second, func() {})
+	e.Schedule(2*time.Second, func() {})
+	if e.Pending() != 2 {
+		t.Fatalf("Pending = %d, want 2", e.Pending())
+	}
+	tm.Cancel()
+	if e.Pending() != 2 {
+		t.Errorf("Pending = %d after cancel, want 2 (stays queued)", e.Pending())
+	}
+	e.Run(1500 * time.Millisecond)
+	if e.Pending() != 1 {
+		t.Errorf("Pending = %d past the cancelled instant, want 1", e.Pending())
+	}
+	e.RunUntilIdle()
 	if e.Pending() != 0 {
 		t.Errorf("Pending = %d after drain, want 0", e.Pending())
 	}
