@@ -145,6 +145,7 @@ func TestUsageErrorsLeaveOutFileUntouched(t *testing.T) {
 		{"-duration -5s", "-duration"},
 		{"-duration 0s", "-duration"},
 		{"-scale NaN", "peer factor NaN"},
+		{"-apps TVAnts -exp table2 -duration 600000h", "past the limit of 2147483647"},
 		{"-exp table4 -listen 127.0.0.1:0", "-listen"},
 		{"-exp table4 -seeds 1 -listen 127.0.0.1:0 -resume " + t.TempDir(), "-listen"},
 		{"-study blind-ablation -apps TVAnts,Joost", "Joost"},

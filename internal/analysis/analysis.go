@@ -14,7 +14,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"io"
 	"math"
 	"net/netip"
 	"slices"
@@ -366,21 +365,4 @@ func (a *Aggregator) AppendObservations(dst []core.Observation, loc Locator, pro
 		})
 	}
 	return dst, unlocated
-}
-
-// FromTrace replays a stored binary trace through a fresh aggregator —
-// the paper's actual workflow (capture during the experiment, analyze
-// offline). The trace's own header determines the probe address.
-func FromTrace(r *packet.Reader, cfg Config) (*Aggregator, error) {
-	a := New(r.Probe(), cfg)
-	for {
-		rec, err := r.Next()
-		if err == io.EOF {
-			return a, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		a.Consume(rec)
-	}
 }

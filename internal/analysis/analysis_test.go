@@ -1,9 +1,6 @@
 package analysis
 
 import (
-	"bytes"
-	"encoding/binary"
-	"errors"
 	"math/rand"
 	"net/netip"
 	"slices"
@@ -291,89 +288,6 @@ func TestAppendObservationsInPlace(t *testing.T) {
 	}
 	if out[2].Peer != sameAS.Addr.As4() || out[3].Peer != remote.Addr.As4() || out[2].Probe != probe.Addr.As4() {
 		t.Errorf("appended rows %+v, want %v then %v from probe %v", out[2:], sameAS.Addr, remote.Addr, probe.Addr)
-	}
-}
-
-func TestFromTraceMatchesLiveAggregation(t *testing.T) {
-	topo, probe, sameAS, remote := buildTinyTopo(t)
-	_ = topo
-	recs := []packet.Record{
-		vid(1000, sameAS.Addr, probe.Addr, 1250, 115),
-		vid(1000+int64(2*time.Millisecond), sameAS.Addr, probe.Addr, 1250, 115),
-		sig(5000+int64(2*time.Millisecond), probe.Addr, remote.Addr, 80, 128),
-		vid(9000+int64(4*time.Millisecond), remote.Addr, probe.Addr, 1250, 100),
-	}
-	live := New(probe.Addr, DefaultConfig())
-	for _, r := range recs {
-		live.Consume(r)
-	}
-
-	var buf bytes.Buffer
-	w, err := packet.NewWriter(&buf, probe.Addr, "replay-test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range recs {
-		if err := w.Write(r); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	rd, err := packet.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	replayed, err := FromTrace(rd, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if replayed.PeerCount() != live.PeerCount() || replayed.Records() != live.Records() {
-		t.Fatal("replay diverged from live aggregation")
-	}
-	for _, addr := range []netip.Addr{sameAS.Addr, remote.Addr} {
-		a, b := peer(t, live, addr), peer(t, replayed, addr)
-		if a.VideoDown != b.VideoDown || a.MinIPG != b.MinIPG || a.MaxTTL != b.MaxTTL ||
-			a.TotalUp != b.TotalUp {
-			t.Errorf("peer %v aggregates diverge: %+v vs %+v", addr, a, b)
-		}
-	}
-}
-
-// TestFromTraceRejectsWhatACaptureCannotSee: a stored trace holding a
-// record the live capture would have panicked on — one not involving the
-// probe, one stamped before its predecessor — fails the replay with
-// ErrBadTrace instead of aggregating it (a foreign record would count as
-// video the probe sent; a backwards one would corrupt MinIPG).
-func TestFromTraceRejectsWhatACaptureCannotSee(t *testing.T) {
-	first := vid(5000, peerX, probeAddr, 1250, 110)
-	for name, bad := range map[string]packet.Record{
-		"foreign record":      vid(6000, peerY, peerX, 1250, 110),
-		"backwards timestamp": vid(1000, peerX, probeAddr, 1250, 110),
-	} {
-		var buf bytes.Buffer
-		w, err := packet.NewWriter(&buf, probeAddr, "bad")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := errors.Join(w.Write(first), w.Close()); err != nil {
-			t.Fatal(err)
-		}
-		// The bad record in the format's layout, past the Writer's checks.
-		src, dst := bad.Src.As4(), bad.Dst.As4()
-		raw := binary.LittleEndian.AppendUint64(buf.Bytes(), uint64(bad.TS))
-		raw = append(append(raw, src[:]...), dst[:]...)
-		raw = binary.LittleEndian.AppendUint32(raw, uint32(bad.Size))
-		raw = append(raw, bad.TTL, byte(bad.Kind))
-
-		rd, err := packet.NewReader(bytes.NewReader(raw))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a, err := FromTrace(rd, DefaultConfig()); !errors.Is(err, packet.ErrBadTrace) || a != nil {
-			t.Errorf("%s: FromTrace = %v, %v; want ErrBadTrace and no aggregator", name, a, err)
-		}
 	}
 }
 

@@ -10,8 +10,6 @@ import (
 	"fmt"
 	"math"
 	"net/netip"
-	"os"
-	"path/filepath"
 	"time"
 
 	"napawine/internal/access"
@@ -20,7 +18,6 @@ import (
 	"napawine/internal/chunkstream"
 	"napawine/internal/core"
 	"napawine/internal/overlay"
-	"napawine/internal/packet"
 	"napawine/internal/scenario"
 	"napawine/internal/sim"
 	"napawine/internal/sniffer"
@@ -83,12 +80,6 @@ type Config struct {
 	// BackgroundJoinWindow staggers the background peers' first joins.
 	BackgroundJoinWindow time.Duration
 
-	// StoreTraces, when non-empty, writes every probe's capture to
-	// <dir>/<probe-label>.nwt in the binary trace format — the paper's
-	// workflow of archiving raw captures for offline analysis (the
-	// NAPA-WINE traces were "made available to the research community").
-	StoreTraces string
-
 	// Contrib is the contributor heuristic's floor.
 	Contrib core.ContribThresholds
 }
@@ -140,9 +131,7 @@ func (c *Config) ScalePeers(factor float64) {
 // Nodes counts the overlay nodes a run of c builds: the source, the Table I
 // probes, ProbeASBackground peers in each probe AS, the background and the
 // deferred pool. It counts in floating point, so an absurd size cannot wrap
-// around. Each node takes a peer id, and ids stop at overlay.MaxPeerID:
-// RunCtx refuses a larger run before it builds a world, and study.Validate
-// refuses it for every cell.
+// around. Each node takes a peer id, and ids stop at overlay.MaxPeerID.
 func (c *Config) Nodes() float64 {
 	n := 1 + float64(c.World.Peers) + c.deferred()
 	probeASes := map[string]bool{}
@@ -152,6 +141,24 @@ func (c *Config) Nodes() float64 {
 	}
 	return n + float64(len(probeASes)*c.World.ProbeASBackground)
 }
+
+// CheckLimits reports a run of c that would pass a packed field's limit: one
+// needing a peer id past overlay.MaxPeerID, or one whose Duration reaches a
+// chunk id past overlay.MaxChunkID. RunCtx refuses such a run before it
+// builds a world, and study.Validate refuses it for every cell.
+func (c *Config) CheckLimits() error {
+	if n := c.Nodes(); n > overlay.MaxPeerID+1 {
+		return fmt.Errorf("%.0f nodes need peer ids up to %.0f, past the limit of %d", n, n-1, overlay.MaxPeerID)
+	}
+	if last := streamCalendar.LatestAt(sim.Time(c.Duration)); last > overlay.MaxChunkID {
+		return fmt.Errorf("duration %v reaches chunk %d, past the limit of %d", c.Duration, last, overlay.MaxChunkID)
+	}
+	return nil
+}
+
+// streamCalendar is every run's chunk calendar: one 48 kB chunk per
+// apps.StreamRate transmit time.
+var streamCalendar = chunkstream.NewCalendar(apps.StreamRate, 48*units.KB)
 
 // deferred sizes the deferred pool: World.ExtraPeers, or the scenario's
 // ExtraPeerFactor share of the background when that is 0.
@@ -294,8 +301,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 			return nil, fmt.Errorf("experiment: %w", err)
 		}
 	}
-	if n := cfg.Nodes(); n > overlay.MaxPeerID+1 {
-		return nil, fmt.Errorf("experiment: %.0f nodes need peer ids up to %.0f, past the limit of %d", n, n-1, overlay.MaxPeerID)
+	if err := cfg.CheckLimits(); err != nil {
+		return nil, fmt.Errorf("experiment: %w", err)
 	}
 	cfg.World.ExtraPeers = int(cfg.deferred())
 	w, err := world.Build(cfg.World)
@@ -315,9 +322,8 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 	}
 	sh := sim.NewSharded(cfg.Seed, shards, lookahead)
 	eng := sh.Global()
-	cal := chunkstream.NewCalendar(apps.StreamRate, 48*units.KB)
 	net := overlay.NewSharded(sh, w.Topo, overlay.Config{
-		Calendar:      cal,
+		Calendar:      streamCalendar,
 		BufferWindow:  cfg.BufferWindow,
 		TrackerBatch:  cfg.TrackerBatch,
 		JitterMax:     cfg.JitterMax,
@@ -334,33 +340,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		agg   *analysis.Aggregator
 	}
 	probes := make([]probeRT, 0, len(w.Probes))
-	var traceFiles []*os.File
-	var traceSinks []*sniffer.WriterSink
-	defer func() {
-		for _, f := range traceFiles {
-			f.Close()
-		}
-	}()
 	for _, p := range w.Probes {
 		node := net.AddNode(p.Host, p.Link, prof)
 		spool := net.AttachSniffer(node)
 		agg := analysis.New(p.Host.Addr, analysis.DefaultConfig())
 		spool.Capture().Attach(agg)
-		if cfg.StoreTraces != "" {
-			path := filepath.Join(cfg.StoreTraces, p.Label+".nwt")
-			f, err := os.Create(path)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: trace file: %w", err)
-			}
-			tw, err := packet.NewWriter(f, p.Host.Addr, cfg.App+"/"+p.Label)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: trace header: %w", err)
-			}
-			sink := &sniffer.WriterSink{W: tw}
-			spool.Capture().Attach(sink)
-			traceFiles = append(traceFiles, f)
-			traceSinks = append(traceSinks, sink)
-		}
 		probes = append(probes, probeRT{probe: p, node: node, spool: spool, agg: agg})
 	}
 
@@ -438,17 +422,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Result, error) {
 		return nil, err
 	}
 	net.FlushCaptures()
-	for i, sink := range traceSinks {
-		if sink.Err != nil {
-			return nil, fmt.Errorf("experiment: trace write: %w", sink.Err)
-		}
-		if err := sink.W.Close(); err != nil {
-			return nil, fmt.Errorf("experiment: trace close: %w", err)
-		}
-		if err := traceFiles[i].Sync(); err != nil {
-			return nil, fmt.Errorf("experiment: trace sync: %w", err)
-		}
-	}
 
 	// Reduce. The ledger view is the live ledger on one shard and a merged
 	// snapshot of the per-shard ledgers otherwise.

@@ -479,6 +479,23 @@ func TestRunRefusesTooManyNodesBeforeBuildingAWorld(t *testing.T) {
 	}
 }
 
+// TestRunRefusesTooLongADurationBeforeBuildingAWorld: a Duration whose last
+// chunk id is past overlay.MaxChunkID fails before world.Build; one whose
+// last chunk is exactly that id goes on to the world, whose own check fails.
+func TestRunRefusesTooLongADurationBeforeBuildingAWorld(t *testing.T) {
+	cfg := Default("TVAnts")
+	cfg.World.HighBwFraction = 2
+	last := time.Duration(overlay.MaxChunkID) * time.Second // one chunk a second
+	cfg.Duration = last + time.Second
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "reaches chunk 2147483648, past the limit of 2147483647") {
+		t.Errorf("Duration %v: Run() = %v, want the chunk-limit error", cfg.Duration, err)
+	}
+	cfg.Duration = last + time.Second - 1
+	if _, err := Run(cfg); err == nil || !strings.Contains(err.Error(), "HighBwFraction") {
+		t.Errorf("Duration %v: Run() = %v, want the world's HighBwFraction error", cfg.Duration, err)
+	}
+}
+
 // TestScaledPastThePeerIDLimit: a factor that takes the background past the
 // peer-id limit fails Run with the node-count error, before any world is
 // built, on the library path that no study validates. A product that is not

@@ -20,12 +20,16 @@ type pendingReq struct {
 	from   PeerID
 }
 
+// MaxChunkID is the largest chunk id a request record holds. At the
+// calendar's chunk rate that is decades of virtual time: experiment.RunCtx
+// and study.Validate refuse a Duration whose stream reaches past it.
+const MaxChunkID chunkstream.ChunkID = math.MaxInt32
+
 // newRequest is node self's record of a request for chunk id sent to peer
-// from at instant at. A chunk id outside [0, 2³¹ − 1] panics, naming the node:
-// at the calendar's chunk rate that is decades of virtual time, so no run
-// reaches it.
+// from at instant at. A chunk id outside [0, MaxChunkID] panics, naming the
+// node.
 func newRequest(self PeerID, id chunkstream.ChunkID, from PeerID, at sim.Time) pendingReq {
-	if id < 0 || id > math.MaxInt32 {
+	if id < 0 || id > MaxChunkID {
 		panic(fmt.Sprintf("overlay: node %d requests chunk %d, outside the 31 bits a request record holds", self, id))
 	}
 	return pendingReq{sentAt: at, id: int32(id), from: from}

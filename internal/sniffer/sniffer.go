@@ -1,12 +1,12 @@
 // Package sniffer implements probe-side packet capture: each NAPA-WINE-style
 // probe host gets a Capture attached to its access link, which fans every
-// observed packet out to any number of consumers (in-memory sinks, binary
-// trace writers, online aggregators).
+// observed packet out to any number of consumers (in-memory sinks, online
+// aggregators).
 //
 // Keeping capture separate from analysis mirrors the paper's workflow: the
 // testbed collected raw traces during the experiment and all inference
-// happened offline. Here the "offline" step can run either from a stored
-// trace or live from the same record stream, with identical results.
+// happened offline. Here the inference runs live, on the record stream a
+// stored trace would have held.
 package sniffer
 
 import (
@@ -86,22 +86,6 @@ type MemorySink struct {
 
 // Consume appends the record.
 func (m *MemorySink) Consume(r packet.Record) { m.Records = append(m.Records, r) }
-
-// WriterSink forwards records to a binary trace writer, retaining the first
-// write error for inspection (capture paths have no way to return errors
-// mid-simulation).
-type WriterSink struct {
-	W   *packet.Writer
-	Err error
-}
-
-// Consume writes the record, latching the first error.
-func (s *WriterSink) Consume(r packet.Record) {
-	if s.Err != nil {
-		return
-	}
-	s.Err = s.W.Write(r)
-}
 
 // TallySink sums the bytes a probe received and sent. A run's probes do not
 // attach one: their aggregator already holds the same sums

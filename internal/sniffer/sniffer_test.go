@@ -1,7 +1,6 @@
 package sniffer
 
 import (
-	"bytes"
 	"net/netip"
 	"testing"
 
@@ -94,53 +93,6 @@ func TestRemote(t *testing.T) {
 	r, inbound = Remote(out, probe)
 	if r != peerB || inbound {
 		t.Errorf("Remote(out) = %v,%v", r, inbound)
-	}
-}
-
-func TestWriterSink(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := packet.NewWriter(&buf, probe, "test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &WriterSink{W: w}
-	c := New(probe)
-	c.Attach(s)
-	c.Observe(rec(1, peerA, probe, 100, packet.Video))
-	c.Observe(rec(2, probe, peerA, 60, packet.Request))
-	if s.Err != nil {
-		t.Fatal(s.Err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	r, err := packet.NewReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	recs, err := r.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("wrote %d records, want 2", len(recs))
-	}
-}
-
-func TestWriterSinkLatchesError(t *testing.T) {
-	var buf bytes.Buffer
-	w, _ := packet.NewWriter(&buf, probe, "t")
-	s := &WriterSink{W: w}
-	// Oversized record poisons the writer; sink must latch and not panic on
-	// subsequent records.
-	s.Consume(packet.Record{TS: 1, Src: peerA, Dst: probe, Size: 1 << 40})
-	if s.Err == nil {
-		t.Fatal("expected latched error")
-	}
-	first := s.Err
-	s.Consume(rec(2, peerA, probe, 10, packet.Video))
-	if s.Err != first {
-		t.Error("latched error changed")
 	}
 }
 

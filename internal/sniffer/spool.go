@@ -35,10 +35,10 @@ import (
 //
 // Records wait in staged form: pointer-free and a third the size of a
 // packet.Record, so appending, sorting and compacting them moves no pointer
-// the collector must track. The staged form holds exactly what a binary
-// trace holds (packet.Writer): IPv4 addresses and sizes in [0, 1<<31].
-// Anything else is not a packet the emulation can have produced, and Add
-// panics with the record named, as Capture.Observe does for foreign traffic.
+// the collector must track. The staged form holds IPv4 addresses and sizes
+// in [0, 1<<31], which is every packet the emulation can produce. Anything
+// else does not fit its 24 bytes, and Add panics with the record named, as
+// Capture.Observe does for foreign traffic.
 type Spool struct {
 	capture *Capture
 	recs    []staged

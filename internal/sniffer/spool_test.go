@@ -99,9 +99,9 @@ func TestSpoolStagesExactly(t *testing.T) {
 	}
 }
 
-// TestSpoolRejectsWhatATraceCannotHold: the staged form has the binary
-// trace's domain, and a record outside it is a bug in whoever built it — Add
-// panics and names the record.
+// TestSpoolRejectsWhatATraceCannotHold: the staged form holds IPv4
+// addresses and sizes in [0, 1<<31], and a record outside that is a bug in
+// whoever built it — Add panics and names the record.
 func TestSpoolRejectsWhatATraceCannotHold(t *testing.T) {
 	v6 := netip.MustParseAddr("2001:db8::1")
 	mapped := netip.AddrFrom16(netip.MustParseAddr("::ffff:10.0.0.1").As16())

@@ -323,15 +323,15 @@ func (st *Study) validate() ([]*scenario.Spec, error) {
 		seenScn[label] = true
 		specs = append(specs, spec)
 		// Every node a cell builds takes a peer id: the probe side and the
-		// scenario's deferred pool count with the background.
+		// scenario's deferred pool count with the background. The duration
+		// bounds the chunk ids it requests.
 		for _, app := range st.AppList() {
 			cfg, err := cell{Point: Point{App: app}, scn: spec}.config(st)
 			if err != nil {
 				return nil, fmt.Errorf("study %s: %w", st.Name, err)
 			}
-			if n := cfg.Nodes(); n > overlay.MaxPeerID+1 {
-				return nil, fmt.Errorf("study %s: %s @%s: %.0f nodes need peer ids up to %.0f, past the limit of %d",
-					st.Name, app, label, n, n-1, overlay.MaxPeerID)
+			if err := cfg.CheckLimits(); err != nil {
+				return nil, fmt.Errorf("study %s: %s @%s: %w", st.Name, app, label, err)
 			}
 		}
 	}

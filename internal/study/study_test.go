@@ -163,6 +163,9 @@ func TestStudyValidateRejects(t *testing.T) {
 		{"deferred pool past the id limit", Study{Name: "s", Apps: []string{"TVAnts"}, Peers: 9_000_000,
 			Scenarios: []Scenario{{Name: "flashcrowd"}}},
 			"TVAnts @flashcrowd: 18000093 nodes need peer ids up to 18000092, past the limit of 16777215"},
+		// One chunk a second: 600 000 h reaches chunk 2.16·10⁹, past 2³¹ − 1.
+		{"duration past the chunk limit", Study{Name: "s", Apps: []string{"TVAnts"}, Duration: Duration(600_000 * time.Hour)},
+			"TVAnts @stationary: duration 600000h0m0s reaches chunk 2160000000, past the limit of 2147483647"},
 	} {
 		err := tc.st.Validate()
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -37,12 +37,12 @@ import (
 // tell apart, one in study and one in fleet; it takes about 100 s.
 
 // mutationPackages are the packages the pass samples, by path from the
-// repository root: the fleet, the three commands, and the leaf packages every
-// output passes through (plots, tables, the trace format, the strict JSON
+// repository root: the fleet, the two commands, and the leaf packages every
+// output passes through (plots, tables, the capture record, the strict JSON
 // reader, statistics and units). Seed 27 sampled the simulation packages up
 // to core, seed 55 the layers above core.
 var mutationPackages = []string{
-	"internal/fleet", "cmd/napawine", "cmd/traceinspect", "cmd/worldgen", "internal/plot",
+	"internal/fleet", "cmd/napawine", "cmd/worldgen", "internal/plot",
 	"internal/report", "internal/packet", "internal/strictjson", "internal/stats", "internal/units",
 }
 
@@ -193,8 +193,7 @@ func copyTree(t *testing.T) string {
 // runMutant builds and tests one mutant in dir, the tree copyTree made, and
 // puts its file back afterwards. The mutant's own package is tested with the
 // layers that pin output: experiment, study, fleet (the only tests of a cell
-// run remotely and of the summary codecs), the root and the CLI; a mutant of
-// the trace format also with traceinspect, the one command that reads it.
+// run remotely and of the summary codecs), the root and the CLI.
 func runMutant(t *testing.T, dir string, m mutant) string {
 	path := filepath.Join(dir, m.file)
 	orig, err := os.ReadFile(path)
@@ -213,9 +212,6 @@ func runMutant(t *testing.T, dir string, m mutant) string {
 	ctx, cancel := context.WithTimeout(context.Background(), mutantDeadline)
 	defer cancel()
 	pkgs := []string{"./internal/experiment", "./internal/study", "./internal/fleet", ".", "./cmd/napawine"}
-	if m.pkg == "internal/packet" {
-		pkgs = append(pkgs, "./cmd/traceinspect")
-	}
 	if !slices.Contains(pkgs, "./"+m.pkg) {
 		pkgs = append(pkgs, "./"+m.pkg)
 	}
